@@ -5,17 +5,17 @@
 //! * `scoped_fresh_scratch` — the pre-pool path: scoped threads (serial on
 //!   a single-core host) and a fresh `init()` scratch every window.
 //! * `pooled_persistent_scratch` — the default path: the window's tasks
-//!   run through worker-owned (or, at width 1, caller-owned) scratch that
-//!   is reset, not reallocated, between windows.
+//!   run through thread-owned scratch (the caller's and, above width 1,
+//!   the workers') that is reset, not reallocated, between windows.
 //! * `pooled_width2_channels` — the pooled path with the width pinned to
-//!   2, pricing the crossbeam dispatch round-trip the inline width-1 path
-//!   avoids.
+//!   2, pricing the worker wake-up and done message the inline width-1
+//!   path avoids.
 //!
 //! The workload per task mirrors the predictor hot loop: fill a series
 //! buffer, run an activation pass over it, reduce. All three arms compute
 //! identical results; only allocation and dispatch differ.
 
-use corp_core::pipeline::{PredictRuntime, RuntimeMode};
+use corp_core::pipeline::{per_task, PredictRuntime, RuntimeMode};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 /// Stand-in for the predictor's per-worker state: buffers that a fresh
@@ -51,9 +51,10 @@ fn predict_like(task: u64, s: &mut Scratch) -> f64 {
 fn run_window(rt: &mut PredictRuntime, tasks: &[u64]) -> f64 {
     let (results, _) = rt.fan_out(
         black_box(tasks),
+        16,
         0.0f64,
         Scratch::new,
-        |&t, s: &mut Scratch| predict_like(t, s),
+        per_task(|&t, s: &mut Scratch| predict_like(t, s)),
         |_| (),
     );
     results.iter().sum()

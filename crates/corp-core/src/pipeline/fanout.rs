@@ -15,15 +15,19 @@
 //! is kept as the measured baseline (`corp-exp e2e` runs both) and as the
 //! determinism suite's reference.
 
+pub use corp_pool::per_task;
 use corp_sim::{ResourceVector, VmView};
 use std::sync::OnceLock;
 
 /// Below this many tasks every fan-out runs serially: a prediction task is
-/// tens of microseconds of work, so for small fleets the per-window spawn
-/// (scoped path) or dispatch (pool path) overhead exceeds the win. This is
-/// the fix for the `BENCH_hotpath.json` tuned-slower-than-baseline
-/// inversion on small workloads (DESIGN.md §9); serial and parallel
-/// results are bit-identical, so the cutoff never changes a report.
+/// microseconds of work, so for small fleets the per-window spawn (scoped
+/// path) or dispatch (pool path) overhead exceeds the win. The cutoff
+/// counts *tasks* — jobs, for CORP — never the lanes a worker batches them
+/// into: a 3 000-job window is only 47 lanes of 64 and must still fan
+/// out. This is the fix for the `BENCH_hotpath.json`
+/// tuned-slower-than-baseline inversion on small workloads (DESIGN.md §9);
+/// serial and parallel results are bit-identical, so the cutoff never
+/// changes a report.
 pub const SERIAL_FANOUT_CUTOFF: usize = 64;
 
 /// Hardware parallelism, queried once per process (the old code re-asked
@@ -64,19 +68,20 @@ pub fn prediction_threads(parallel: bool, tasks: usize) -> usize {
 /// Fans `f` over `tasks` across scoped threads (serially when `parallel`
 /// is false or the task count is below [`SERIAL_FANOUT_CUTOFF`]).
 ///
-/// Each worker thread gets its own state from `init`; `f` maps one task
-/// through that state to a result, written at the task's index into a
-/// result vector pre-filled with `fill`. Returns the results alongside
-/// every worker's final state so the caller can merge accumulated
-/// side-products (the serial path returns exactly one state). Chunking is
-/// `ceil(tasks / threads)` contiguous slices, so the task→thread mapping —
-/// and with it any per-thread accumulation — is deterministic.
+/// Each worker thread gets its own state from `init`; `f` maps one
+/// contiguous chunk of tasks through that state into the chunk's slots of
+/// a result vector pre-filled with `fill` ([`per_task`] adapts a one-task
+/// closure). Returns the results alongside every worker's final state so
+/// the caller can merge accumulated side-products (the serial path returns
+/// exactly one state). Chunking is `ceil(tasks / threads)` contiguous
+/// slices, so the task→thread mapping — and with it any per-thread
+/// accumulation — is deterministic.
 pub fn fan_out<I, T, S>(
     tasks: &[I],
     parallel: bool,
     fill: T,
     init: impl Fn() -> S + Sync,
-    f: impl Fn(&I, &mut S) -> T + Sync,
+    f: impl Fn(&[I], &mut [T], &mut S) + Sync,
 ) -> (Vec<T>, Vec<S>)
 where
     I: Sync,
@@ -87,9 +92,7 @@ where
     let mut results = vec![fill; tasks.len()];
     if threads <= 1 {
         let mut state = init();
-        for (task, slot) in tasks.iter().zip(results.iter_mut()) {
-            *slot = f(task, &mut state);
-        }
+        f(tasks, &mut results, &mut state);
         return (results, vec![state]);
     }
     let chunk_len = tasks.len().div_ceil(threads);
@@ -102,9 +105,7 @@ where
             .map(|(chunk, slots)| {
                 s.spawn(move || {
                     let mut state = init();
-                    for (task, slot) in chunk.iter().zip(slots.iter_mut()) {
-                        *slot = f(task, &mut state);
-                    }
+                    f(chunk, slots, &mut state);
                     state
                 })
             })
@@ -131,7 +132,7 @@ where
     F: Fn(&VmView) -> Option<ResourceVector> + Sync,
 {
     if vms.iter().all(|v| !v.jobs.is_empty()) {
-        let (results, _) = fan_out(vms, parallel, None, || (), |vm, ()| predict(vm));
+        let (results, _) = fan_out(vms, parallel, None, || (), per_task(|vm, ()| predict(vm)));
         return results;
     }
     let tasks: Vec<usize> = vms
@@ -140,7 +141,13 @@ where
         .filter(|(_, v)| !v.jobs.is_empty())
         .map(|(i, _)| i)
         .collect();
-    let (results, _) = fan_out(&tasks, parallel, None, || (), |&i, ()| predict(&vms[i]));
+    let (results, _) = fan_out(
+        &tasks,
+        parallel,
+        None,
+        || (),
+        per_task(|&i, ()| predict(&vms[i])),
+    );
     let mut out: Vec<Option<ResourceVector>> = vec![None; vms.len()];
     for (&i, r) in tasks.iter().zip(results) {
         out[i] = r;

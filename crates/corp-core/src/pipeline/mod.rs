@@ -42,7 +42,7 @@ mod predict;
 pub use backend::{AdmissionPolicy, Claim, DirectBackend, PlacementBackend, VmSelector};
 pub use driver::ProvisioningPipeline;
 pub use fanout::{
-    configured_pool_width, fan_out, fan_out_vm_predictions, hardware_parallelism,
+    configured_pool_width, fan_out, fan_out_vm_predictions, hardware_parallelism, per_task,
     prediction_threads, SERIAL_FANOUT_CUTOFF,
 };
 pub use gate::{BaselineReclaimGate, CorpReclaimGate, NoopGate, ReallocationGate, RecordOnlyGate};

@@ -1,36 +1,43 @@
 //! The persistent prediction runtime: one [`PredictRuntime`] per predictor
-//! stage, owning a lazily-spawned [`WorkerPool`] and the per-worker scratch
-//! that persists across provisioning windows.
+//! stage, owning a lazily-spawned [`WorkerPool`] and the per-participant
+//! scratch that persists across provisioning windows.
 //!
 //! ## Two execution modes, one contract
 //!
-//! * [`RuntimeMode::Pooled`] (default) — dispatches each window's tasks to
-//!   long-lived `corp-predict-{i}` threads over crossbeam channels. Worker
-//!   scratch (DNN activation buffers, HMM decode buffers, series buffers)
-//!   is created once per worker and reset-not-reallocated per use. When
+//! * [`RuntimeMode::Pooled`] (default) — cuts each window's tasks into
+//!   chunks of the caller's `grain` that the calling thread and the
+//!   long-lived `corp-predict-{i}` threads claim one at a time
+//!   ([`WorkerPool::run_chunks`]): a thread that wakes late or sits on a
+//!   slow core takes fewer chunks instead of holding the window up.
+//!   Scratch (DNN lane buffers, HMM decode buffers, series buffers) is
+//!   created once per participant and reset-not-reallocated per use. When
 //!   the effective width is 1 — small fleets below the serial cutoff, or a
-//!   single-core host — tasks run inline on the caller thread through a
-//!   runtime-owned persistent scratch: no channel round-trip, no parking,
-//!   and still zero per-window allocation.
-//! * [`RuntimeMode::Scoped`] — the pre-pool path: fresh scoped threads and
-//!   fresh `init()` scratch every window ([`fan_out`]). Kept as the
-//!   measured baseline arm of `corp-exp e2e` and for A/B determinism
-//!   tests.
+//!   single-core host — the caller is the only participant: no worker
+//!   thread, no wake-up, and still zero per-window allocation.
+//! * [`RuntimeMode::Scoped`] — the pre-pool path: fresh scoped threads,
+//!   one fixed contiguous share each, and fresh `init()` scratch every
+//!   window ([`fan_out`]). Kept as the measured baseline arm of
+//!   `corp-exp e2e` and for A/B determinism tests.
 //!
 //! ## Determinism argument
 //!
-//! Both modes chunk tasks into `ceil(n / width)` contiguous runs, execute
-//! chunk `i` on worker `i`, and write results by task index; predictor
-//! states only carry buffers that are fully overwritten before they are
-//! read plus order-independent counters (u64 adds) extracted per window by
-//! `finish`. Reports are therefore byte-identical across modes, widths,
-//! and hosts — pinned by the determinism suite and the pool-equivalence
-//! tests in `corp-bench`.
+//! Both modes hand `f` contiguous runs of tasks and write results by task
+//! index; predictor states only carry buffers that are fully overwritten
+//! before they are read plus order-independent counters (u64 adds)
+//! extracted per window by `finish`. So it does not matter which thread
+//! computes a task, nor where the runs are cut: reports are byte-identical
+//! across modes, widths, grains and hosts — pinned by the determinism
+//! suite and the pool-equivalence tests in `corp-bench`.
 
-use crate::pipeline::fanout::{fan_out, fan_out_vm_predictions, prediction_threads};
+use crate::pipeline::fanout::{fan_out, fan_out_vm_predictions, per_task, prediction_threads};
 pub use corp_pool::{WorkerPool, WorkerScratch};
 use corp_sim::{ResourceVector, VmView};
 use std::any::Any;
+
+/// VMs per claimed chunk in [`PredictRuntime::fan_out_vms`]: a per-VM
+/// forecast is microseconds, so a chunk has to hold a few dozen of them to
+/// dwarf the claim, and a 1 024-VM fleet still cuts into 32 chunks.
+const VM_GRAIN: usize = 32;
 
 /// Which execution path a [`PredictRuntime`] drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,8 +50,8 @@ pub enum RuntimeMode {
 }
 
 /// The per-stage prediction runtime: execution mode, fan-out width policy,
-/// the lazily-spawned worker pool, and the caller-thread scratch used by
-/// the width-1 pooled path.
+/// the lazily-spawned worker pool, and the calling thread's own scratch
+/// (the caller takes part in every pooled fan-out).
 pub struct PredictRuntime {
     mode: RuntimeMode,
     parallel: bool,
@@ -123,18 +130,26 @@ impl PredictRuntime {
 
     /// Fans `f` over `tasks` through the active execution path.
     ///
-    /// Results land by task index in a vector pre-filled with `fill`; each
-    /// worker threads its calls through a state of type `S` (`init` on
-    /// first use — per window in scoped mode, once per worker in pooled
-    /// mode) and `finish` extracts the window's side-product from each
-    /// state after its chunk completes (e.g. `mem::take` of fallback
-    /// counters). The extractions are returned in chunk order.
+    /// `f` maps a contiguous chunk of tasks into the chunk's slots of a
+    /// result vector pre-filled with `fill` ([`per_task`] adapts a one-task
+    /// closure), so a thread may batch across neighbouring tasks. In pooled
+    /// mode a chunk is `grain` tasks — pick the batch `f` works in — and
+    /// the threads claim chunks as they go; in scoped mode it is one
+    /// thread's whole share. The width policy
+    /// ([`effective_width`](Self::effective_width)) counts tasks either
+    /// way. Each thread threads its calls through a state of type `S`
+    /// (`init` on first use — per window in scoped mode, once per thread in
+    /// pooled mode) and `finish` extracts the window's side-product from
+    /// each state once the chunks are gone (e.g. `mem::take` of fallback
+    /// counters). Which thread ran which chunk is not fixed, so merge the
+    /// extractions commutatively.
     pub fn fan_out<I, T, S, D>(
         &mut self,
         tasks: &[I],
+        grain: usize,
         fill: T,
         init: impl Fn() -> S + Sync,
-        f: impl Fn(&I, &mut S) -> T + Sync,
+        f: impl Fn(&[I], &mut [T], &mut S) + Sync,
         finish: impl Fn(&mut S) -> D + Sync,
     ) -> (Vec<T>, Vec<D>)
     where
@@ -150,21 +165,22 @@ impl PredictRuntime {
                 (results, deltas)
             }
             RuntimeMode::Pooled => {
+                // At width 1 — small windows, single-core hosts — the
+                // caller is the only participant: no worker is spawned or
+                // woken.
                 let width = self.effective_width(tasks.len());
                 let mut results = vec![fill; tasks.len()];
-                if width <= 1 {
-                    // Inline on the caller thread through the persistent
-                    // local scratch: the zero-overhead path small windows
-                    // and single-core hosts always take.
-                    let state = self.local.get_or_insert_with(init);
-                    for (task, slot) in tasks.iter().zip(results.iter_mut()) {
-                        *slot = f(task, state);
-                    }
-                    let delta = finish(state);
-                    return (results, vec![delta]);
-                }
                 let pool = self.pool.get_or_insert_with(WorkerPool::new);
-                let deltas = pool.run_chunks(tasks, &mut results, width, &init, &f, &finish);
+                let deltas = pool.run_chunks(
+                    tasks,
+                    &mut results,
+                    width,
+                    grain,
+                    &mut self.local,
+                    &init,
+                    &f,
+                    &finish,
+                );
                 (results, deltas)
             }
         }
@@ -183,7 +199,14 @@ impl PredictRuntime {
             return fan_out_vm_predictions(vms, self.parallel, predict);
         }
         if vms.iter().all(|v| !v.jobs.is_empty()) {
-            let (results, _) = self.fan_out(vms, None, || (), |vm, _: &mut ()| predict(vm), |_| ());
+            let (results, _) = self.fan_out(
+                vms,
+                VM_GRAIN,
+                None,
+                || (),
+                per_task(|vm, _: &mut ()| predict(vm)),
+                |_| (),
+            );
             return results;
         }
         let tasks: Vec<usize> = vms
@@ -194,9 +217,10 @@ impl PredictRuntime {
             .collect();
         let (results, _) = self.fan_out(
             &tasks,
+            VM_GRAIN,
             None,
             || (),
-            |&i, _: &mut ()| predict(&vms[i]),
+            per_task(|&i, _: &mut ()| predict(&vms[i])),
             |_| (),
         );
         let mut out: Vec<Option<ResourceVector>> = vec![None; vms.len()];
@@ -221,12 +245,13 @@ mod tests {
         let run = |rt: &mut PredictRuntime| {
             rt.fan_out(
                 &tasks,
+                16,
                 0u64,
                 || 0u64,
-                |&t, acc: &mut u64| {
+                per_task(|&t, acc: &mut u64| {
                     *acc += 1;
                     t * t
-                },
+                }),
                 std::mem::take,
             )
         };
@@ -252,12 +277,13 @@ mod tests {
         for round in 1u64..=3 {
             let (_, deltas) = rt.fan_out(
                 &tasks,
+                2,
                 0u64,
                 || 0u64,
-                |_, acc: &mut u64| {
+                per_task(|_, acc: &mut u64| {
                     *acc += 1;
                     *acc
-                },
+                }),
                 |acc| *acc,
             );
             assert_eq!(deltas, vec![round * 5], "scratch persists across windows");
@@ -281,11 +307,33 @@ mod tests {
     }
 
     #[test]
+    fn width_policy_counts_jobs_not_lanes() {
+        // CORP's forecast batches each worker's chunk into lanes of 64
+        // jobs, but its fan-out tasks stay jobs: a 3 000-job window (47
+        // lanes) gets the whole pool, and only a window under the cutoff
+        // *in jobs* runs serially. Handing lanes to the runtime as its
+        // tasks would have put 3 000 jobs on one thread.
+        let rt = runtime(RuntimeMode::Pooled);
+        assert_eq!(
+            rt.effective_width(3_000),
+            crate::pipeline::fanout::configured_pool_width()
+        );
+        assert_eq!(rt.effective_width(63), 1);
+    }
+
+    #[test]
     fn serial_runtime_never_fans_out() {
         let mut rt = PredictRuntime::new(RuntimeMode::Pooled, false);
         assert_eq!(rt.effective_width(10_000), 1);
         let tasks: Vec<u64> = (0..100).collect();
-        let (out, deltas) = rt.fan_out(&tasks, 0u64, || 0u64, |&t, _: &mut u64| t, |_| ());
+        let (out, deltas) = rt.fan_out(
+            &tasks,
+            8,
+            0u64,
+            || 0u64,
+            per_task(|&t, _: &mut u64| t),
+            |_| (),
+        );
         assert_eq!(out, tasks);
         assert_eq!(deltas.len(), 1, "one inline state");
     }

@@ -9,7 +9,8 @@
 //! * [`CorpUsagePredictor`] — per-job DNN + HMM + CI (Eqs. 5–19) behind
 //!   the Eq. 21 preemption gate, fanned through the persistent
 //!   [`PredictRuntime`] (legacy scoped threads in
-//!   [`RuntimeMode::Scoped`]).
+//!   [`RuntimeMode::Scoped`]) and run in lanes of jobs, one batched DNN
+//!   forward per lane.
 //! * [`VmWindowPredictor`] — the baselines' per-VM forecasters
 //!   (exponential smoothing, FFT/Markov, run-time mean) behind one shared
 //!   observe/resolve loop, with [`FiniteGuard`] decorating the raw
@@ -78,25 +79,6 @@ pub trait UsagePredictor {
     }
 }
 
-/// Builds the per-resource recent-unused series of one job view.
-pub(crate) fn job_unused_series(job: &RunningJobView) -> Vec<Vec<f64>> {
-    (0..NUM_RESOURCES)
-        .map(|k| job.recent_unused.iter().map(|u| u[k]).collect())
-        .collect()
-}
-
-/// [`job_unused_series`] into a reused buffer: same values, zero
-/// allocation once the buffers have grown to the window length. The pool
-/// runtime's per-task path.
-pub(crate) fn fill_job_series(job: &RunningJobView, series: &mut Vec<Vec<f64>>) {
-    series.resize_with(NUM_RESOURCES, Vec::new);
-    series.truncate(NUM_RESOURCES);
-    for (k, s) in series.iter_mut().enumerate() {
-        s.clear();
-        s.extend(job.recent_unused.iter().map(|u| u[k]));
-    }
-}
-
 /// Resolves window predictions whose horizon has elapsed: the prediction
 /// made at `made_at` for the window `(made_at, made_at + window]` is scored
 /// at `made_at + window` against the *mean* unused level the VM exhibited
@@ -142,6 +124,17 @@ fn resolve_window_outcomes(
 // ---------------------------------------------------------------------------
 // CORP: per-job DNN + HMM + CI
 // ---------------------------------------------------------------------------
+
+/// Jobs per batched DNN forward in [`CorpUsagePredictor::forecast`]. Wide
+/// enough that the blocked matmul vectorises across lanes and amortises
+/// its weight loads: on the benchmark's `corp-steady-1k` (seed 11, three
+/// alternated runs each) 8 / 32 / 64 / 128 lanes gave 183-198 / 220-246 /
+/// 231-244 / 235-248 slots/s. 64 and 128 tie within the run-to-run
+/// spread and 64 needs half the lane buffers. It is also the grain the
+/// pooled runtime hands work out in: a thread claims one lane at a time,
+/// so the last one to finish a window idles for at most a lane's work.
+/// Results do not depend on it.
+const FORECAST_LANES: usize = 64;
 
 /// CORP's prediction stage: the per-job DNN forecast with HMM fluctuation
 /// correction and confidence-interval margin (Eqs. 5–19), fanned across
@@ -245,14 +238,19 @@ impl UsagePredictor for CorpUsagePredictor {
 
     fn forecast(&mut self, ctx: &SlotContext<'_>) -> WindowForecast {
         // Flatten the fleet's prediction work into (vm, job) tasks and fan
-        // them through the prediction runtime. Each worker predicts through
-        // its own scratch against the shared immutable predictor and writes
-        // by task index, so the forecast — and everything downstream — is
-        // bit-identical to the serial path regardless of mode or thread
-        // count; fallback-counter deltas merge after the join (u64 adds,
-        // order-independent). In pooled mode worker scratch persists across
-        // windows (reset-not-reallocate); the scoped arm keeps the legacy
-        // fresh-scratch, allocating path for the A/B benchmark.
+        // them through the prediction runtime — the width policy counts
+        // jobs. The pooled runtime hands the threads one lane of
+        // FORECAST_LANES jobs at a time, the scoped one a whole share that
+        // is walked in lanes here; either way a lane goes through the
+        // thread's own scratch against the shared immutable predictor: one
+        // batched DNN forward per resource per lane, everything else job
+        // by job. Lanes do not interact and results land by task index, so
+        // the forecast — and everything downstream — is bit-identical to
+        // the serial one-job path regardless of mode, thread count, lane
+        // width or which thread took which lane; fallback-counter deltas
+        // merge after the join (u64 adds, order-independent). In pooled
+        // mode the scratch persists across windows (reset-not-reallocate);
+        // the scoped arm builds it per window.
         let predictor = &self.predictor;
         let runtime = &mut self.runtime;
         let tasks = &mut self.tasks;
@@ -264,31 +262,21 @@ impl UsagePredictor for CorpUsagePredictor {
                 .filter(|(_, job)| !job.recent_unused.is_empty())
                 .map(move |(ji, _)| (vi, ji))
         }));
-        let persistent = runtime.is_pooled();
         let (u_hats, deltas) = runtime.fan_out(
             tasks.as_slice(),
+            FORECAST_LANES,
             ResourceVector::ZERO,
-            move || {
-                if persistent {
-                    PredictionScratch::persistent()
-                } else {
-                    PredictionScratch::new()
-                }
-            },
-            |&(vi, ji), scratch: &mut PredictionScratch| {
-                let job = &ctx.vms[vi].jobs[ji];
-                if persistent {
-                    // Stage the series through the scratch-owned buffers
-                    // (taken out for the call to satisfy the borrow
-                    // checker; the buffers go straight back).
-                    let mut series = std::mem::take(&mut scratch.series);
-                    fill_job_series(job, &mut series);
-                    let out = predictor.predict_job_in(&series, &job.requested, scratch);
-                    scratch.series = series;
-                    out
-                } else {
-                    let series = job_unused_series(job);
-                    predictor.predict_job_in(&series, &job.requested, scratch)
+            PredictionScratch::new,
+            |chunk: &[(usize, usize)], out: &mut [ResourceVector], scratch| {
+                for (lane, u_hats) in chunk
+                    .chunks(FORECAST_LANES)
+                    .zip(out.chunks_mut(FORECAST_LANES))
+                {
+                    let jobs = lane.iter().map(|&(vi, ji)| {
+                        let job = &ctx.vms[vi].jobs[ji];
+                        (job.recent_unused.as_slice(), &job.requested)
+                    });
+                    predictor.predict_jobs_in(jobs, u_hats, scratch);
                 }
             },
             |scratch| std::mem::take(&mut scratch.fallbacks),

@@ -21,12 +21,13 @@
 
 use crate::config::CorpConfig;
 use crate::preemption::PreemptionGate;
-use corp_dnn::{PredictScratch, UnusedResourcePredictor};
+use corp_dnn::{PredictBatchScratch, UnusedResourcePredictor};
 use corp_hmm::{FluctuationPredictor, HmmScratch};
 use corp_sim::ResourceVector;
 use corp_stats::{z_for_confidence, SimpleExp};
 use corp_trace::NUM_RESOURCES;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Scale-normalized `sigma_hat` above which the DNN's error window is
 /// considered blown up and the pipeline degrades. Healthy errors are
@@ -78,53 +79,71 @@ impl FallbackCounters {
     }
 }
 
+/// One resource's staged lanes: every lane's recent-unused series back to
+/// back in one flat buffer, with the lane's Eq. 19 scale going in and its
+/// prediction coming out.
+#[derive(Debug, Clone, Default)]
+struct LaneStage {
+    flat: Vec<f64>,
+    /// Lane `b`'s series is `flat[lanes[b]]`; an empty range is a job
+    /// without history.
+    lanes: Vec<Range<usize>>,
+    scales: Vec<f64>,
+    u_hat: Vec<f64>,
+}
+
+impl LaneStage {
+    fn clear(&mut self) {
+        self.flat.clear();
+        self.lanes.clear();
+        self.scales.clear();
+    }
+
+    fn push(&mut self, series: impl IntoIterator<Item = f64>, scale: f64) {
+        let start = self.flat.len();
+        self.flat.extend(series);
+        self.lanes.push(start..self.flat.len());
+        self.scales.push(scale);
+    }
+}
+
 /// Per-thread scratch for the immutable prediction entry points
-/// ([`CorpJobPredictor::predict_job_in`]): one DNN activation scratch per
-/// resource plus a local [`FallbackCounters`] delta that the owner merges
-/// back via [`CorpJobPredictor::merge_fallbacks`] after joining its
-/// threads.
+/// ([`CorpJobPredictor::predict_jobs_in`] and its one-job form
+/// [`predict_job_in`](CorpJobPredictor::predict_job_in)): the lane staging
+/// per resource, the DNN's lane buffers, the HMM decode buffers, the
+/// fallback ladder's filter buffer, and a local [`FallbackCounters`] delta
+/// that the owner merges back via
+/// [`CorpJobPredictor::merge_fallbacks`] after joining its threads.
 ///
-/// Two flavors exist. [`new`](Self::new) is the legacy per-window scratch:
-/// the HMM correction and the fallback ladder allocate per call, exactly
-/// as the pre-pool runtime did. [`persistent`](Self::persistent) is the
-/// pool runtime's worker-owned scratch: HMM decode buffers, the series
-/// staging buffers, and the fallback filter buffer all live across windows
-/// and are reset-not-reallocated per use. Predicted values are
-/// bit-identical either way.
+/// Every buffer is reset, not reallocated, per use and fully rewritten
+/// before it is read, so a scratch that lives across windows (a pool
+/// worker's) predicts bit-identically to a fresh one.
 #[derive(Debug, Clone, Default)]
 pub struct PredictionScratch {
-    nets: Vec<PredictScratch>,
-    /// HMM observation/trellis buffers (used only by persistent scratch).
+    stage: [LaneStage; NUM_RESOURCES],
+    /// Series ranges and DNN outputs of the lanes healthy enough for the
+    /// DNN path, in lane order.
+    healthy: Vec<Range<usize>>,
+    dnn_out: Vec<f64>,
+    net: PredictBatchScratch,
     hmm: HmmScratch,
-    /// Staging for one job's per-resource recent-unused series (used by
-    /// the pool runtime to avoid the per-task series allocation).
-    pub(crate) series: Vec<Vec<f64>>,
     /// Finite-subset filter buffer for the fallback ladder.
     finite: Vec<f64>,
-    /// Whether buffer-reusing code paths are taken (`persistent()`).
-    persistent: bool,
     /// Fallback-rung increments recorded by predictions through this
     /// scratch.
     pub fallbacks: FallbackCounters,
 }
 
 impl PredictionScratch {
-    /// A fresh per-window scratch taking the legacy allocate-per-call HMM
-    /// and fallback paths (buffers sized lazily on first use).
+    /// An empty scratch; buffers are sized lazily on first use.
     pub fn new() -> Self {
-        PredictionScratch {
-            nets: (0..NUM_RESOURCES).map(|_| PredictScratch::new()).collect(),
-            ..PredictionScratch::default()
-        }
+        PredictionScratch::default()
     }
 
-    /// A worker-owned scratch for the persistent pool runtime: all hot-path
-    /// buffers are reused across windows behind reset-not-reallocate.
+    /// Same as [`new`](Self::new): every scratch reuses its buffers, so
+    /// the pool runtime's worker-owned scratch needs no flavour of its own.
     pub fn persistent() -> Self {
-        PredictionScratch {
-            persistent: true,
-            ..PredictionScratch::new()
-        }
+        PredictionScratch::default()
     }
 
     /// Resets the scratch to its post-construction observable state:
@@ -329,7 +348,8 @@ impl CorpJobPredictor {
 
     /// [`predict_job`](Self::predict_job) through caller-provided scratch,
     /// leaving the predictor immutable so scoped threads can fan a fleet's
-    /// predictions over one shared `&CorpJobPredictor`. Values are
+    /// predictions over one shared `&CorpJobPredictor`. This is the one-lane
+    /// case of [`predict_jobs_in`](Self::predict_jobs_in). Values are
     /// bit-identical to the `&mut self` path; fallback-rung increments
     /// accumulate in `scratch.fallbacks` for the owner to merge after the
     /// join ([`merge_fallbacks`](Self::merge_fallbacks)).
@@ -339,19 +359,50 @@ impl CorpJobPredictor {
         requested: &ResourceVector,
         scratch: &mut PredictionScratch,
     ) -> ResourceVector {
-        if scratch.nets.len() < NUM_RESOURCES {
-            scratch.nets.resize_with(NUM_RESOURCES, PredictScratch::new);
-        }
         let mut out = ResourceVector::ZERO;
         for k in 0..NUM_RESOURCES {
             let series: &[f64] = recent.get(k).map(|v| v.as_slice()).unwrap_or(&[]);
-            if series.is_empty() {
-                out[k] = 0.0;
-                continue;
-            }
             out[k] = self.predict_resource_in(k, series, requested[k].max(1e-9), scratch);
         }
         out
+    }
+
+    /// Predicts many jobs at once: each job is its recent unused history
+    /// (newest last) and its request, and job `b`'s corrected,
+    /// confidence-adjusted vector lands in `out[b]`. Per resource the
+    /// jobs' series are gathered into one flat buffer and run as lanes of
+    /// one batch, so the DNN does one blocked forward for all of them.
+    /// Lanes do not interact: `out[b]` and the `scratch.fallbacks`
+    /// increments are bit-identical to calling
+    /// [`predict_job_in`](Self::predict_job_in) job by job, however the
+    /// jobs are batched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `jobs` and `out` differ in length.
+    pub fn predict_jobs_in<'a>(
+        &self,
+        jobs: impl IntoIterator<Item = (&'a [ResourceVector], &'a ResourceVector)>,
+        out: &mut [ResourceVector],
+        scratch: &mut PredictionScratch,
+    ) {
+        scratch.stage.iter_mut().for_each(LaneStage::clear);
+        for (recent, requested) in jobs {
+            for (k, stage) in scratch.stage.iter_mut().enumerate() {
+                stage.push(recent.iter().map(|u| u[k]), requested[k].max(1e-9));
+            }
+        }
+        assert_eq!(
+            scratch.stage[0].lanes.len(),
+            out.len(),
+            "one output per job"
+        );
+        for k in 0..NUM_RESOURCES {
+            self.predict_staged(k, scratch);
+            for (o, &u_hat) in out.iter_mut().zip(&scratch.stage[k].u_hat) {
+                o[k] = u_hat;
+            }
+        }
     }
 
     /// Merges a thread's fallback-counter delta back into the predictor's
@@ -360,15 +411,7 @@ impl CorpJobPredictor {
         self.fallbacks.absorb(delta);
     }
 
-    /// One resource's full pipeline: DNN -> HMM correction -> CI lower
-    /// bound (with sigma_hat rescaled to the job's size), clamped
-    /// non-negative.
-    ///
-    /// The DNN path is served only while it is healthy: finite input
-    /// series, finite and non-blown-up `sigma_hat`, finite output.
-    /// Otherwise the prediction degrades down the fallback ladder
-    /// ([`fallback_estimate_in`](Self::fallback_estimate_in)) instead of
-    /// emitting a poisoned number.
+    /// One resource's pipeline for one series: a single staged lane.
     fn predict_resource_in(
         &self,
         k: usize,
@@ -376,33 +419,88 @@ impl CorpJobPredictor {
         scale: f64,
         scratch: &mut PredictionScratch,
     ) -> f64 {
+        let stage = &mut scratch.stage[k];
+        stage.clear();
+        stage.push(series.iter().copied(), scale);
+        self.predict_staged(k, scratch);
+        scratch.stage[k].u_hat[0]
+    }
+
+    /// Resource `k`'s full pipeline over the lanes staged in
+    /// `scratch.stage[k]`: DNN -> HMM correction -> CI lower bound (with
+    /// sigma_hat rescaled to the job's size), clamped non-negative. A lane
+    /// without history predicts 0.0.
+    ///
+    /// The DNN path is served only to lanes that are healthy: finite
+    /// input series, finite and non-blown-up `sigma_hat`, finite output.
+    /// The healthy lanes share one batched DNN forward; every other step
+    /// runs lane by lane. An unhealthy lane degrades down the fallback
+    /// ladder ([`fallback_estimate`](Self::fallback_estimate)) instead of
+    /// emitting a poisoned number.
+    fn predict_staged(&self, k: usize, scratch: &mut PredictionScratch) {
+        let PredictionScratch {
+            stage,
+            healthy,
+            dnn_out,
+            net,
+            hmm,
+            finite,
+            fallbacks,
+        } = scratch;
+        let LaneStage {
+            flat,
+            lanes,
+            scales,
+            u_hat,
+        } = &mut stage[k];
         let sigma = self.gate.sigma_hat(k);
-        let healthy =
-            series.iter().all(|v| v.is_finite()) && sigma.is_finite() && sigma <= SIGMA_BLOWUP;
-        if healthy {
-            // Step 1: DNN prediction (persistence fallback if untrained).
-            let mut u_hat = self.dnn[k].predict_with(series, &mut scratch.nets[k]);
-            // Step 2: HMM peak/valley correction. Persistent scratch
-            // routes through the buffer-reusing decode; values are
-            // bit-identical to the allocating form.
-            if self.use_hmm {
-                u_hat = if scratch.persistent {
-                    self.hmm[k].adjust_with(u_hat, series, &mut scratch.hmm)
-                } else {
-                    self.hmm[k].adjust(u_hat, series)
-                };
+        let sigma_ok = sigma.is_finite() && sigma <= SIGMA_BLOWUP;
+
+        // Step 1: DNN prediction (persistence fallback if untrained), one
+        // forward for every healthy lane.
+        healthy.clear();
+        healthy.extend(
+            lanes
+                .iter()
+                .filter(|lane| {
+                    let series = &flat[(*lane).clone()];
+                    sigma_ok && !series.is_empty() && series.iter().all(|v| v.is_finite())
+                })
+                .cloned(),
+        );
+        dnn_out.clear();
+        dnn_out.resize(healthy.len(), 0.0);
+        self.dnn[k].predict_batch_with(flat, healthy, dnn_out, net);
+
+        // Non-empty lanes start at distinct offsets, so a lane was served
+        // by the DNN iff its range is the next healthy one.
+        let mut served = healthy.iter().zip(dnn_out.iter()).peekable();
+        u_hat.clear();
+        for (lane, &scale) in lanes.iter().zip(scales.iter()) {
+            let series = &flat[lane.clone()];
+            if series.is_empty() {
+                u_hat.push(0.0);
+                continue;
             }
-            // Step 3: confidence-interval lower bound (Eq. 19), on the
-            // job's own scale.
-            if self.use_ci {
-                u_hat -= sigma * self.confidence_z * scale;
+            if let Some((_, &dnn)) = served.next_if(|(h, _)| *h == lane) {
+                let mut u = dnn;
+                // Step 2: HMM peak/valley correction.
+                if self.use_hmm {
+                    u = self.hmm[k].adjust_with(u, series, hmm);
+                }
+                // Step 3: confidence-interval lower bound (Eq. 19), on the
+                // job's own scale.
+                if self.use_ci {
+                    u -= sigma * self.confidence_z * scale;
+                }
+                if u.is_finite() {
+                    u_hat.push(u.max(0.0));
+                    continue;
+                }
             }
-            if u_hat.is_finite() {
-                return u_hat.max(0.0);
-            }
+            fallbacks.dnn_rejected += 1;
+            u_hat.push(self.fallback_estimate(k, series, hmm, finite, fallbacks));
         }
-        scratch.fallbacks.dnn_rejected += 1;
-        self.fallback_estimate_in(k, series, scratch)
     }
 
     /// Degraded prediction rungs, used when the DNN path is rejected:
@@ -412,40 +510,34 @@ impl CorpJobPredictor {
     /// 2. exponential smoothing over the finite subset of the series;
     /// 3. 0.0 — with no finite evidence, claim no unused resource (the
     ///    conservative end: nothing is reclaimed on a blind prediction).
-    ///
-    /// Persistent scratch reuses the finite-subset buffer and the HMM
-    /// decode buffers; legacy scratch allocates both per call as the
-    /// pre-pool runtime did. Same values either way.
-    fn fallback_estimate_in(
+    fn fallback_estimate(
         &self,
         k: usize,
         series: &[f64],
-        scratch: &mut PredictionScratch,
+        hmm: &mut HmmScratch,
+        finite: &mut Vec<f64>,
+        fallbacks: &mut FallbackCounters,
     ) -> f64 {
-        scratch.finite.clear();
-        scratch
-            .finite
-            .extend(series.iter().copied().filter(|v| v.is_finite()));
-        if let Some(&last) = scratch.finite.last() {
-            let adjusted = if !self.use_hmm {
-                last
-            } else if scratch.persistent {
-                self.hmm[k].adjust_with(last, &scratch.finite, &mut scratch.hmm)
+        finite.clear();
+        finite.extend(series.iter().copied().filter(|v| v.is_finite()));
+        if let Some(&last) = finite.last() {
+            let adjusted = if self.use_hmm {
+                self.hmm[k].adjust_with(last, finite, hmm)
             } else {
-                self.hmm[k].adjust(last, &scratch.finite)
+                last
             };
             if adjusted.is_finite() {
-                scratch.fallbacks.hmm_last_value += 1;
+                fallbacks.hmm_last_value += 1;
                 return adjusted.max(0.0);
             }
             let mut ets = SimpleExp::new(FALLBACK_ETS_ALPHA);
-            ets.observe_all(&scratch.finite);
+            ets.observe_all(finite);
             if let Some(forecast) = ets.forecast(1).filter(|f| f.is_finite()) {
-                scratch.fallbacks.ets += 1;
+                fallbacks.ets += 1;
                 return forecast.max(0.0);
             }
         }
-        scratch.fallbacks.zero += 1;
+        fallbacks.zero += 1;
         0.0
     }
 

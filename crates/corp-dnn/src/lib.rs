@@ -39,7 +39,9 @@ pub mod train;
 pub use activation::Activation;
 pub use autoencoder::Autoencoder;
 pub use matrix::Matrix;
-pub use network::{BatchScratch, Network, Scratch};
+pub use network::{BatchScratch, LaneScratch, Network, Scratch};
 pub use parallel::ParallelTrainer;
-pub use predictor::{PredictScratch, UnusedResourcePredictor, WindowPredictorConfig};
+pub use predictor::{
+    PredictBatchScratch, PredictScratch, UnusedResourcePredictor, WindowPredictorConfig,
+};
 pub use train::{TrainConfig, TrainReport, Trainer};

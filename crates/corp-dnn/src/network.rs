@@ -145,6 +145,58 @@ impl BatchScratch {
     }
 }
 
+/// Activations-only feature-major buffers for
+/// [`Network::forward_batch_with`]: one matrix per weight layer, column `b`
+/// holding lane `b`. No error or gradient buffers — this is the inference
+/// counterpart of [`BatchScratch`]. Reshaped, never reallocated, when the
+/// lane count changes, so a worker walking full lanes plus one short tail
+/// allocates only on its first use.
+#[derive(Debug, Clone, Default)]
+pub struct LaneScratch {
+    acts: Vec<Matrix>,
+}
+
+impl LaneScratch {
+    /// An empty scratch; sized lazily on first use.
+    pub fn new() -> Self {
+        LaneScratch::default()
+    }
+
+    fn ensure(&mut self, net: &Network, cols: usize) {
+        let fits = self.acts.len() == net.layers.len()
+            && self
+                .acts
+                .iter()
+                .zip(&net.layers)
+                .all(|(m, l)| m.rows() == l.weights.rows());
+        if fits {
+            for m in &mut self.acts {
+                m.reshape_cols(cols);
+            }
+        } else {
+            self.acts = net
+                .layers
+                .iter()
+                .map(|l| Matrix::zeros(l.weights.rows(), cols))
+                .collect();
+        }
+    }
+}
+
+/// Eq. 5 over a feature-major batch: `acts[d]` receives layer `d`'s
+/// activations, layer 0 reading `input`. Every lane accumulates in the
+/// scalar dot-product order (see [`Matrix::matmul_fused_into`]), so lane `b`
+/// is bit-identical to [`Network::forward_with`] on column `b`.
+fn forward_layers(layers: &[Layer], input: &Matrix, acts: &mut [Matrix]) {
+    for (d, layer) in layers.iter().enumerate() {
+        let (lower, upper) = acts.split_at_mut(d);
+        let x = lower.last().unwrap_or(input);
+        layer.weights.matmul_fused_into(x, &mut upper[0], |i, acc| {
+            layer.activation.apply(acc + layer.biases[i])
+        });
+    }
+}
+
 impl Network {
     /// Builds a network with the given layer sizes, e.g. `[12, 50, 50, 50,
     /// 50, 1]` for the paper's 4 hidden layers of 50 units. Hidden layers
@@ -267,6 +319,27 @@ impl Network {
                 });
         }
         scratch.activations.last().expect("networks have layers")
+    }
+
+    /// Inference over a feature-major batch (`input` is `input_len x lanes`,
+    /// column `b` = lane `b`) through caller-provided scratch. Returns the
+    /// `output_len x lanes` output batch. Lane `b` is bit-identical to
+    /// [`forward_with`](Self::forward_with) on column `b`, whatever the
+    /// lane count: the blocked kernel vectorises *across* lanes and keeps
+    /// each lane's left-to-right add chain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input.rows()` does not match the input layer.
+    pub fn forward_batch_with<'s>(
+        &self,
+        input: &Matrix,
+        scratch: &'s mut LaneScratch,
+    ) -> &'s Matrix {
+        assert_eq!(input.rows(), self.input_len(), "input length mismatch");
+        scratch.ensure(self, input.cols());
+        forward_layers(&self.layers, input, &mut scratch.acts);
+        scratch.acts.last().expect("networks have layers")
     }
 
     /// One stochastic training step on a single example: forward pass,
@@ -459,14 +532,8 @@ impl Network {
         }
 
         // Batched forward (Eq. 5 over the whole batch).
-        for (d, layer) in self.layers.iter().enumerate() {
-            let (lower, upper) = scratch.acts.split_at_mut(d + 1);
-            layer
-                .weights
-                .matmul_fused_into(&lower[d], &mut upper[0], |i, acc| {
-                    layer.activation.apply(acc + layer.biases[i])
-                });
-        }
+        let (x, upper) = scratch.acts.split_first_mut().expect("sized by ensure");
+        forward_layers(&self.layers, x, upper);
 
         // Output-layer error terms (Eq. 6) for every sample at once,
         // row-sliced so the inner loops skip per-element bounds checks.
@@ -596,14 +663,8 @@ impl Network {
                     }
                 }
             }
-            for (d, layer) in self.layers.iter().enumerate() {
-                let (lower, upper) = scratch.acts.split_at_mut(d + 1);
-                layer
-                    .weights
-                    .matmul_fused_into(&lower[d], &mut upper[0], |i, acc| {
-                        layer.activation.apply(acc + layer.biases[i])
-                    });
-            }
+            let (x, upper) = scratch.acts.split_first_mut().expect("sized by ensure");
+            forward_layers(&self.layers, x, upper);
             let y = scratch.acts.last().expect("layers exist");
             for (b, &i) in chunk.iter().enumerate() {
                 let t = &targets[i];
@@ -883,6 +944,32 @@ mod tests {
         let plain = net.mse(&inputs, &targets);
         let batched = net.mse_batched(&inputs, &targets, 8, &mut scratch);
         assert_eq!(plain.to_bits(), batched.to_bits());
+    }
+
+    #[test]
+    fn batched_forward_lanes_are_bit_identical_to_forward_with() {
+        let net = Network::new(
+            &[6, 13, 9, 2],
+            Activation::Sigmoid,
+            Activation::Identity,
+            41,
+        );
+        let mut lanes = LaneScratch::new();
+        let mut single = Scratch::new();
+        // One scratch across alternating lane counts: a full lane, the
+        // chunk's short tail, a single lane, then full again.
+        for n in [64, 28, 1, 64] {
+            let x = Matrix::from_fn(6, n, |r, c| ((r * 31 + c * 7 + n) as f64 * 0.11).sin());
+            let y = net.forward_batch_with(&x, &mut lanes);
+            assert_eq!((y.rows(), y.cols()), (2, n));
+            for b in 0..n {
+                let col: Vec<f64> = (0..6).map(|k| x.get(k, b)).collect();
+                let want = net.forward_with(&col, &mut single);
+                for (i, w) in want.iter().enumerate() {
+                    assert_eq!(y.get(i, b).to_bits(), w.to_bits(), "n {n} lane {b} out {i}");
+                }
+            }
+        }
     }
 
     #[test]

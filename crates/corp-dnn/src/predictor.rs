@@ -14,9 +14,11 @@
 //! population. Predictions are mapped back to resource units and clamped
 //! non-negative (negative unused resource is meaningless).
 
-use crate::network::{Network, Scratch};
+use crate::matrix::Matrix;
+use crate::network::{LaneScratch, Network, Scratch};
 use crate::train::{TrainConfig, TrainReport, Trainer};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Reusable buffers for [`UnusedResourcePredictor::predict_with`]: the
 /// assembled input window plus the network's activation scratch. One per
@@ -33,6 +35,24 @@ impl PredictScratch {
     /// An empty scratch; sized lazily on first use.
     pub fn new() -> Self {
         PredictScratch::default()
+    }
+}
+
+/// Reusable buffers for [`UnusedResourcePredictor::predict_batch_with`]:
+/// one lane's window staging, the feature-major input batch and the
+/// network's lane activations. One per worker thread; reshaped, not
+/// reallocated, when the lane count changes.
+#[derive(Debug, Clone, Default)]
+pub struct PredictBatchScratch {
+    window: Vec<f64>,
+    input: Option<Matrix>,
+    net: LaneScratch,
+}
+
+impl PredictBatchScratch {
+    /// An empty scratch; sized lazily on first use.
+    pub fn new() -> Self {
+        PredictBatchScratch::default()
     }
 }
 
@@ -191,21 +211,78 @@ impl UnusedResourcePredictor {
         if !self.trained {
             return recent[recent.len() - 1].max(0.0);
         }
-        let w = self.config.window;
-        let window = &mut scratch.window;
+        let scale = Self::fill_window(recent, self.config.window, &mut scratch.window);
+        scratch.input.clear();
+        scratch
+            .input
+            .extend(scratch.window.iter().map(|v| v / scale));
+        let y = self.net.forward_with(&scratch.input, &mut scratch.net)[0] * scale;
+        y.max(0.0)
+    }
+
+    /// Assembles the query window of a non-empty `recent` series — its last
+    /// `w` values, left-padded with the first value when shorter — into
+    /// `window` and returns the window's normalization scale.
+    fn fill_window(recent: &[f64], w: usize, window: &mut Vec<f64>) -> f64 {
         window.clear();
         if recent.len() >= w {
             window.extend_from_slice(&recent[recent.len() - w..]);
         } else {
-            let pad = w - recent.len();
-            window.extend(std::iter::repeat_n(recent[0], pad));
+            window.extend(std::iter::repeat_n(recent[0], w - recent.len()));
             window.extend_from_slice(recent);
         }
-        let scale = Self::window_scale(window);
-        scratch.input.clear();
-        scratch.input.extend(window.iter().map(|v| v / scale));
-        let y = self.net.forward_with(&scratch.input, &mut scratch.net)[0] * scale;
-        y.max(0.0)
+        Self::window_scale(window)
+    }
+
+    /// [`predict_with`](Self::predict_with) for many series at once: lane
+    /// `b` is the series `flat[lanes[b].clone()]` and its prediction lands
+    /// in `out[b]`. Each lane's window is assembled and scaled exactly as
+    /// `predict_with` does, straight into one feature-major input batch;
+    /// one blocked forward serves every lane, so `out[b]` is bit-identical
+    /// to `predict_with` on lane `b` alone, whatever the lane count. The
+    /// untrained predictor returns per-lane persistence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != lanes.len()` or any lane is empty.
+    pub fn predict_batch_with(
+        &self,
+        flat: &[f64],
+        lanes: &[Range<usize>],
+        out: &mut [f64],
+        scratch: &mut PredictBatchScratch,
+    ) {
+        assert_eq!(out.len(), lanes.len(), "one output per lane");
+        let series = |lane: &Range<usize>| {
+            let recent = &flat[lane.clone()];
+            assert!(!recent.is_empty(), "need at least one recent observation");
+            recent
+        };
+        if !self.trained {
+            for (o, lane) in out.iter_mut().zip(lanes) {
+                let recent = series(lane);
+                *o = recent[recent.len() - 1].max(0.0);
+            }
+            return;
+        }
+        if lanes.is_empty() {
+            return;
+        }
+        let (w, n) = (self.config.window, lanes.len());
+        let input = scratch.input.get_or_insert_with(|| Matrix::zeros(w, n));
+        input.reshape(w, n);
+        let x = input.as_mut_slice();
+        for (b, (o, lane)) in out.iter_mut().zip(lanes).enumerate() {
+            // `out[b]` carries the lane's scale until the forward is done.
+            *o = Self::fill_window(series(lane), w, &mut scratch.window);
+            for (j, v) in scratch.window.iter().enumerate() {
+                x[j * n + b] = v / *o;
+            }
+        }
+        let y = self.net.forward_batch_with(input, &mut scratch.net);
+        for (o, &y) in out.iter_mut().zip(y.row(0)) {
+            *o = (y * *o).max(0.0);
+        }
     }
 }
 

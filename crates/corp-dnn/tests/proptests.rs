@@ -1,8 +1,8 @@
 //! Property-based tests for the DNN substrate.
 
 use corp_dnn::{
-    Activation, Matrix, Network, PredictScratch, TrainConfig, UnusedResourcePredictor,
-    WindowPredictorConfig,
+    Activation, LaneScratch, Matrix, Network, PredictBatchScratch, PredictScratch, Scratch,
+    TrainConfig, UnusedResourcePredictor, WindowPredictorConfig,
 };
 use proptest::prelude::*;
 
@@ -126,6 +126,94 @@ proptest! {
             let with_reused = p.predict_with(s, &mut reused);
             let fresh = p.predict_with(s, &mut PredictScratch::new());
             prop_assert_eq!(with_reused.to_bits(), fresh.to_bits());
+        }
+    }
+}
+
+// Lane identity: the batched inference path must reproduce the one-sample
+// path bit for bit in every lane, whatever the architecture and the lane
+// count. Fewer cases than the default: each one runs up to 130 lanes
+// through up to four 70-wide layers twice.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn batched_forward_lanes_equal_forward_with(
+        inputs in 1usize..=16,
+        // 1-4 hidden layers, widths on and off the kernel's 4- and 8-blocks.
+        hidden in prop::collection::vec(1usize..=70, 1..=4),
+        outputs in 1usize..=3,
+        lanes in 1usize..=130,
+        seed in 0u64..1000,
+    ) {
+        let mut sizes = vec![inputs];
+        sizes.extend(&hidden);
+        sizes.push(outputs);
+        let net = Network::new(&sizes, Activation::Sigmoid, Activation::Identity, seed);
+        let mut s = seed;
+        let x = Matrix::from_fn(inputs, lanes, |_, _| {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((s >> 11) as f64 / (1u64 << 53) as f64) * 4.0 - 2.0
+        });
+        let mut batch = LaneScratch::new();
+        let mut single = Scratch::new();
+        let y = net.forward_batch_with(&x, &mut batch);
+        prop_assert_eq!((y.rows(), y.cols()), (outputs, lanes));
+        for b in 0..lanes {
+            let col: Vec<f64> = (0..inputs).map(|k| x.get(k, b)).collect();
+            let want = net.forward_with(&col, &mut single);
+            for (i, w) in want.iter().enumerate() {
+                prop_assert_eq!(y.get(i, b).to_bits(), w.to_bits(), "lane {} output {}", b, i);
+            }
+        }
+    }
+
+    #[test]
+    fn predict_batch_lanes_equal_predict_with(
+        // Histories shorter than, equal to and longer than the window (4);
+        // zeros are drawn often enough that all-zero windows occur.
+        serieses in prop::collection::vec(
+            prop::collection::vec((0u8..4, 0.0f64..100.0), 1..10),
+            1..80,
+        ),
+        trained in 0u8..2,
+        level in 1.0f64..50.0,
+    ) {
+        let mut p = UnusedResourcePredictor::new(WindowPredictorConfig {
+            window: 4,
+            horizon: 1,
+            units: 5,
+            hidden_layers: 2,
+            train: TrainConfig { max_epochs: 3, ..TrainConfig::default() },
+            ..WindowPredictorConfig::default()
+        });
+        if trained == 1 {
+            let histories: Vec<Vec<f64>> = (0..4)
+                .map(|j| (0..12).map(|t| level + ((t + j) % 3) as f64).collect())
+                .collect();
+            p.fit(&histories);
+        }
+        prop_assert_eq!(p.is_trained(), trained == 1);
+        let mut flat = Vec::new();
+        let mut lanes = Vec::new();
+        for (i, series) in serieses.iter().enumerate() {
+            let start = flat.len();
+            // Every fifth series is all zeros; elsewhere a quarter of the
+            // samples are.
+            flat.extend(series.iter().map(|&(z, v)| if z == 0 || i % 5 == 4 { 0.0 } else { v }));
+            lanes.push(start..flat.len());
+        }
+        let mut out = vec![f64::NAN; lanes.len()];
+        let mut batch = PredictBatchScratch::new();
+        let mut single = PredictScratch::new();
+        // One scratch throughout: a narrower batch must not see the wider
+        // one's buffers, and one lane and no lanes are batches too.
+        for n in [lanes.len(), lanes.len().div_ceil(2), 1, 0] {
+            p.predict_batch_with(&flat, &lanes[..n], &mut out[..n], &mut batch);
+            for (lane, o) in lanes[..n].iter().zip(&out) {
+                let want = p.predict_with(&flat[lane.clone()], &mut single);
+                prop_assert_eq!(o.to_bits(), want.to_bits(), "lane {:?}", lane);
+            }
         }
     }
 }

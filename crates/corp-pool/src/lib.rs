@@ -10,10 +10,12 @@
 //! * every worker owns a [`WorkerScratch`] — a type-keyed map of reusable
 //!   predictor states (DNN activation buffers, HMM decode buffers, …) that
 //!   persists across dispatches behind a reset-not-reallocate discipline;
-//! * [`WorkerPool::run_chunks`] preserves the deterministic
-//!   contiguous-chunk task→worker mapping of the scoped path: chunk `i`
-//!   always runs on worker `i`, results land by task index, so everything
-//!   downstream is byte-identical to a serial execution.
+//! * [`WorkerPool::run_chunks`] cuts a window's tasks into contiguous
+//!   chunks that the calling thread and the workers claim one at a time,
+//!   so a participant that starts late or runs on a slow core simply takes
+//!   fewer of them. Results land by task index and a chunk's results do
+//!   not depend on who computed it, so everything downstream is
+//!   byte-identical to a serial execution.
 //!
 //! ## Why this crate exists (and the one `unsafe` in the workspace)
 //!
@@ -33,6 +35,7 @@ use crossbeam::channel::{bounded, unbounded, Sender};
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
+use std::sync::Mutex;
 
 /// A lifetime-erased unit of work executed on a pool worker.
 type PoolTask = Box<dyn FnOnce(&mut WorkerScratch) + Send + 'static>;
@@ -144,29 +147,49 @@ impl WorkerPool {
         }
     }
 
-    /// Fans `f` over `tasks` across the pool: contiguous chunks of
-    /// `ceil(tasks / width)` tasks, chunk `i` dispatched to worker `i`,
-    /// results written by task index into `results` (which must be at
-    /// least `tasks.len()` long). Each worker threads its calls through
-    /// its persistent state of type `S` (created by `init` on the worker's
-    /// first dispatch) and finally reduces the state with `finish`; the
-    /// per-chunk reductions are returned in chunk order.
+    /// Fans `f` over `tasks`: the tasks are cut into contiguous chunks of
+    /// `grain` tasks (the last one shorter) and `width` participants — the
+    /// calling thread and `width - 1` pool workers, fewer when there are
+    /// fewer chunks — each claim the next unclaimed chunk until none is
+    /// left. `f` receives a whole chunk with its result slots — `results`
+    /// (at least `tasks.len()` long) split at the same indices — so a
+    /// participant can batch across neighbouring tasks; [`per_task`] adapts
+    /// a one-task closure.
     ///
-    /// Blocks until every dispatched chunk completes — the property the
+    /// Every participant threads its calls through its persistent state of
+    /// type `S` (created by `init` on first use; the caller's lives in
+    /// `local`) and reduces it with `finish` once the chunks are gone. The
+    /// reductions come back caller first, then workers in index order.
+    /// *Which* participant runs a chunk depends on timing, so `f` must make
+    /// a chunk's results independent of the state's history (buffers
+    /// rewritten before they are read) and the reductions must be merged
+    /// commutatively: only their combination repeats from run to run.
+    ///
+    /// Chunks are claimed, not assigned as one fixed share per worker, so
+    /// that the fan-out lasts the work divided by the speed of all
+    /// participants together and not as long as its unluckiest share — on
+    /// a small shared host a thread is often woken late or onto a busy
+    /// core. The caller takes part because it would otherwise sleep on a
+    /// core that a woken worker then has to find.
+    ///
+    /// Blocks until every dispatched worker is done — the property the
     /// borrowed-data erasure below rests on.
     ///
     /// # Panics
     ///
-    /// Re-raises the first worker panic after all chunks have settled, and
-    /// panics if `results` is shorter than `tasks` or a worker died without
-    /// reporting.
+    /// Re-raises the first panic of any participant after all of them have
+    /// settled, and panics if `results` is shorter than `tasks`, `width` or
+    /// `grain` is zero, or a worker died without reporting.
+    #[allow(clippy::too_many_arguments)]
     pub fn run_chunks<I, T, S, D>(
         &mut self,
         tasks: &[I],
         results: &mut [T],
         width: usize,
+        grain: usize,
+        local: &mut WorkerScratch,
         init: &(impl Fn() -> S + Sync),
-        f: &(impl Fn(&I, &mut S) -> T + Sync),
+        f: &(impl Fn(&[I], &mut [T], &mut S) + Sync),
         finish: &(impl Fn(&mut S) -> D + Sync),
     ) -> Vec<D>
     where
@@ -179,53 +202,65 @@ impl WorkerPool {
             results.len() >= tasks.len(),
             "result buffer shorter than task list"
         );
-        assert!(width >= 1, "need at least one worker");
+        assert!(width >= 1, "need at least one participant");
+        assert!(grain >= 1, "chunks hold at least one task");
         if tasks.is_empty() {
             return Vec::new();
         }
-        self.ensure(width);
-        let chunk_len = tasks.len().div_ceil(width);
-        let n_chunks = tasks.len().div_ceil(chunk_len);
-        let (done_tx, done_rx) = bounded::<(usize, Result<D, Payload>)>(n_chunks);
+        let helpers = width.min(tasks.len().div_ceil(grain)) - 1;
+        self.ensure(helpers);
+        // The unclaimed chunks, in task order. The lock is held only for
+        // the `next()` that claims one.
+        let chunks = Mutex::new(
+            tasks
+                .chunks(grain)
+                .zip(results[..tasks.len()].chunks_mut(grain)),
+        );
+        // One participant's share: claim chunks until none is left, then
+        // reduce. Caught so that a worker's done message and the caller's
+        // collect loop below are reached on every path.
+        let drain = |scratch: &mut WorkerScratch| {
+            std::panic::catch_unwind(AssertUnwindSafe(|| {
+                let state = scratch.get_or_insert_with(init);
+                loop {
+                    let claimed = chunks.lock().unwrap_or_else(|e| e.into_inner()).next();
+                    let Some((chunk, slots)) = claimed else { break };
+                    f(chunk, slots, state);
+                }
+                finish(state)
+            }))
+        };
+        let drain = &drain;
+        let (done_tx, done_rx) = bounded::<(usize, Result<D, Payload>)>(helpers);
 
         let mut sent = 0usize;
-        for (idx, (chunk, slots)) in tasks
-            .chunks(chunk_len)
-            .zip(results.chunks_mut(chunk_len))
-            .enumerate()
-        {
+        for (idx, worker) in self.workers[..helpers].iter().enumerate() {
             let tx = done_tx.clone();
             let task: Box<dyn FnOnce(&mut WorkerScratch) + Send + '_> =
                 Box::new(move |scratch: &mut WorkerScratch| {
-                    // Catch inside the task so the done message is sent on
-                    // every path — the caller's blocking collect below must
-                    // never deadlock on a panicking chunk.
-                    let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        let state = scratch.get_or_insert_with(init);
-                        for (task, slot) in chunk.iter().zip(slots.iter_mut()) {
-                            *slot = f(task, state);
-                        }
-                        finish(state)
-                    }));
-                    let _ = tx.send((idx, out));
+                    let _ = tx.send((idx, drain(scratch)));
                 });
-            // SAFETY: the boxed closure borrows `tasks`, `results`, `init`,
-            // `f`, `finish` and the local `done_tx` clones, none of which
-            // are `'static`. Erasing the lifetime is sound because this
+            // SAFETY: the boxed closure borrows `drain` — and through it
+            // `chunks` (hence `tasks` and `results`), `init`, `f` and
+            // `finish` — and owns a `done_tx` clone; none of these are
+            // `'static`. Erasing the lifetime is sound because this
             // function does not return until every closure that was
             // successfully sent has finished running:
             //
-            // * each closure moves a `done_tx` clone and sends on it as its
-            //   final action (the send is unconditionally reached — the
-            //   body is wrapped in `catch_unwind`, and dropping the closure
-            //   unexecuted also drops the sender);
-            // * the collect loop below blocks until it has received `sent`
+            // * each closure sends on its `done_tx` clone as its final
+            //   action (the send is unconditionally reached — `drain`
+            //   catches unwinds — and dropping the closure unexecuted also
+            //   drops the sender);
+            // * nothing between here and the collect loop below can unwind
+            //   past it: the caller's own share runs inside `drain`'s
+            //   `catch_unwind`;
+            // * the collect loop blocks until it has received `sent`
             //   messages or the done channel disconnects, and the channel
             //   can only disconnect after every outstanding clone of
             //   `done_tx` is dropped — i.e. after every dispatched closure
             //   has either run to completion or been destroyed;
             // * closure destruction cannot touch the borrowed data either:
-            //   the captures are shared references and the sender, whose
+            //   the captures are a shared reference and the sender, whose
             //   drops never dereference the borrows.
             //
             // Hence no worker can observe the borrowed stack frame after
@@ -237,23 +272,24 @@ impl WorkerPool {
                     Box<dyn FnOnce(&mut WorkerScratch) + Send + 'static>,
                 >(task)
             };
-            if self.workers[idx]
-                .tasks
-                .as_ref()
-                .is_some_and(|t| t.send(task).is_ok())
-            {
+            if worker.tasks.as_ref().is_some_and(|t| t.send(task).is_ok()) {
                 sent += 1;
             }
         }
         drop(done_tx);
 
-        let mut deltas: Vec<Option<D>> = std::iter::repeat_with(|| None).take(n_chunks).collect();
+        let mut deltas: Vec<Option<D>> =
+            std::iter::repeat_with(|| None).take(helpers + 1).collect();
         let mut panic_payload: Option<Payload> = None;
+        match drain(local) {
+            Ok(d) => deltas[0] = Some(d),
+            Err(p) => panic_payload = Some(p),
+        }
         let mut received = 0usize;
         while received < sent {
             match done_rx.recv() {
                 Ok((idx, Ok(d))) => {
-                    deltas[idx] = Some(d);
+                    deltas[idx + 1] = Some(d);
                     received += 1;
                 }
                 Ok((_, Err(p))) => {
@@ -270,13 +306,23 @@ impl WorkerPool {
             std::panic::resume_unwind(p);
         }
         assert!(
-            sent == n_chunks && received == sent,
+            sent == helpers && received == sent,
             "prediction worker died mid-dispatch"
         );
         deltas
             .into_iter()
-            .map(|d| d.expect("every chunk reported a reduction"))
+            .map(|d| d.expect("every participant reported a reduction"))
             .collect()
+    }
+}
+
+/// Adapts a one-task closure to the chunk-level callback of
+/// [`WorkerPool::run_chunks`]: each task's result lands in its own slot.
+pub fn per_task<I, T, S>(f: impl Fn(&I, &mut S) -> T) -> impl Fn(&[I], &mut [T], &mut S) {
+    move |chunk, slots, state| {
+        for (task, slot) in chunk.iter().zip(slots) {
+            *slot = f(task, state);
+        }
     }
 }
 
@@ -303,23 +349,23 @@ mod tests {
     #[test]
     fn results_land_by_task_index() {
         let mut pool = WorkerPool::new();
+        let mut local = WorkerScratch::new();
         let tasks: Vec<usize> = (0..100).collect();
-        let mut results = vec![0usize; tasks.len()];
-        for width in [1, 2, 3, 7] {
+        for (width, grain) in [(1, 100), (2, 50), (2, 7), (3, 1), (7, 8)] {
+            let mut results = vec![0usize; tasks.len()];
             let deltas = pool.run_chunks(
                 &tasks,
                 &mut results,
                 width,
+                grain,
+                &mut local,
                 &|| (),
-                &|&t, _: &mut ()| t * 10,
+                &per_task(|&t, _: &mut ()| t * 10),
                 &|_| (),
             );
-            assert_eq!(
-                deltas.len(),
-                tasks.len().div_ceil(tasks.len().div_ceil(width))
-            );
+            assert_eq!(deltas.len(), width.min(tasks.len().div_ceil(grain)));
             for (i, &r) in results.iter().enumerate() {
-                assert_eq!(r, i * 10, "width {width}");
+                assert_eq!(r, i * 10, "width {width}, grain {grain}");
             }
         }
     }
@@ -327,104 +373,199 @@ mod tests {
     #[test]
     fn scratch_persists_across_dispatches() {
         let mut pool = WorkerPool::new();
+        let mut local = WorkerScratch::new();
         let tasks = [0usize; 8];
         let mut results = [0usize; 8];
-        // Each dispatch increments the worker-persistent counter once per
-        // processed task; the second dispatch must see the first's count.
-        let totals: Vec<usize> = (0..2)
-            .flat_map(|_| {
-                pool.run_chunks(
-                    &tasks,
-                    &mut results,
-                    2,
-                    &|| 0usize,
-                    &|_, seen: &mut usize| {
-                        *seen += 1;
-                        *seen
-                    },
-                    &|seen| *seen,
-                )
-            })
-            .collect();
-        // 2 workers × 4 tasks per dispatch: counts 4,4 then 8,8.
-        assert_eq!(totals, vec![4, 4, 8, 8]);
+        // Every participant counts the tasks it has ever processed in its
+        // persistent state; who takes which chunk varies, the total cannot.
+        for round in 1..=3 {
+            let seen = pool.run_chunks(
+                &tasks,
+                &mut results,
+                2,
+                2,
+                &mut local,
+                &|| 0usize,
+                &per_task(|_, seen: &mut usize| {
+                    *seen += 1;
+                    *seen
+                }),
+                &|seen| *seen,
+            );
+            assert_eq!(seen.len(), 2);
+            assert_eq!(seen.iter().sum::<usize>(), round * tasks.len());
+        }
+        assert_eq!(pool.width(), 1, "the caller is the other participant");
     }
 
     #[test]
-    fn chunk_mapping_is_contiguous_and_deterministic() {
+    fn caller_and_workers_share_the_chunks() {
         let mut pool = WorkerPool::new();
-        let tasks: Vec<usize> = (0..10).collect();
+        let mut local = WorkerScratch::new();
+        let tasks: Vec<usize> = (0..64).collect();
         let mut results = vec![String::new(); tasks.len()];
-        // Workers tag results with their thread name: chunk i must run on
-        // corp-predict-i, tasks in ascending contiguous runs.
+        let me = std::thread::current().id();
+        // Participants tag results with who they are. Each chunk is slow
+        // enough that the two workers get to claim some.
         pool.run_chunks(
             &tasks,
             &mut results,
             3,
+            1,
+            &mut local,
             &|| (),
-            &|_, _: &mut ()| std::thread::current().name().unwrap_or("?").to_string(),
+            &per_task(|_, _: &mut ()| {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                let t = std::thread::current();
+                if t.id() == me {
+                    "caller".to_string()
+                } else {
+                    t.name().unwrap_or("?").to_string()
+                }
+            }),
             &|_| (),
         );
-        // ceil(10/3) = 4 -> chunks [0..4), [4..8), [8..10).
-        for (i, r) in results.iter().enumerate() {
-            let expect = format!("corp-predict-{}", i / 4);
-            assert_eq!(*r, expect, "task {i}");
+        for r in &results {
+            assert!(
+                ["caller", "corp-predict-0", "corp-predict-1"].contains(&r.as_str()),
+                "unexpected participant {r}"
+            );
         }
+        assert!(results.iter().any(|r| r == "caller"));
+        assert!(results.iter().any(|r| r != "caller"));
     }
 
     #[test]
-    fn finish_reductions_come_back_in_chunk_order() {
+    fn width_one_runs_everything_on_the_caller() {
         let mut pool = WorkerPool::new();
+        let mut local = WorkerScratch::new();
+        let tasks: Vec<usize> = (0..10).collect();
+        let mut results = vec![None; tasks.len()];
+        let me = std::thread::current().id();
+        pool.run_chunks(
+            &tasks,
+            &mut results,
+            1,
+            3,
+            &mut local,
+            &|| (),
+            &per_task(|_, _: &mut ()| Some(std::thread::current().id())),
+            &|_| (),
+        );
+        assert!(results.iter().all(|&r| r == Some(me)));
+        assert_eq!(pool.width(), 0, "no worker spawned");
+    }
+
+    #[test]
+    fn chunk_callback_sees_whole_contiguous_chunks() {
+        let mut pool = WorkerPool::new();
+        let mut local = WorkerScratch::new();
+        let tasks: Vec<usize> = (0..10).collect();
+        // A longer result buffer is allowed; slots past the tasks stay put.
+        let mut results = vec![usize::MAX; 12];
+        pool.run_chunks(
+            &tasks,
+            &mut results,
+            3,
+            4,
+            &mut local,
+            &|| (),
+            &|chunk: &[usize], slots: &mut [usize], _: &mut ()| {
+                assert_eq!(chunk.len(), slots.len());
+                // Every slot records its chunk's first task and length.
+                slots.fill(chunk[0] * 100 + chunk.len());
+            },
+            &|_| (),
+        );
+        // Grain 4 -> chunks [0..4), [4..8), [8..10), whoever ran them.
+        let expect = [4, 4, 4, 4, 404, 404, 404, 404, 802, 802];
+        assert_eq!(results[..10], expect);
+        assert_eq!(results[10..], [usize::MAX; 2]);
+    }
+
+    #[test]
+    fn every_participant_reduces_once() {
+        let mut pool = WorkerPool::new();
+        let mut local = WorkerScratch::new();
         let tasks: Vec<usize> = (0..9).collect();
         let mut results = vec![0usize; tasks.len()];
+        let mut deltas = pool.run_chunks(
+            &tasks,
+            &mut results,
+            3,
+            2,
+            &mut local,
+            &|| Vec::<usize>::new(),
+            &per_task(|&t, acc: &mut Vec<usize>| {
+                acc.push(t);
+                t
+            }),
+            &std::mem::take,
+        );
+        assert_eq!(deltas.len(), 3, "caller and two workers");
+        // Taken together the reductions hold every task exactly once.
+        let mut all: Vec<usize> = deltas.drain(..).flatten().collect();
+        all.sort_unstable();
+        assert_eq!(all, tasks);
+        // Fewer chunks than participants: the surplus is not woken.
         let deltas = pool.run_chunks(
             &tasks,
             &mut results,
             3,
+            5,
+            &mut local,
             &|| Vec::<usize>::new(),
-            &|&t, acc: &mut Vec<usize>| {
-                acc.push(t);
-                t
-            },
-            &|acc| std::mem::take(acc).first().copied().unwrap_or(usize::MAX),
+            &per_task(|&t, _: &mut Vec<usize>| t),
+            &std::mem::take,
         );
-        assert_eq!(deltas, vec![0, 3, 6], "first task of each chunk, in order");
+        assert_eq!(deltas.len(), 2);
     }
 
     #[test]
-    fn worker_panic_propagates_after_all_chunks_settle() {
-        let mut pool = WorkerPool::new();
+    fn panic_propagates_after_all_participants_settle() {
         let tasks: Vec<usize> = (0..8).collect();
-        let survived = AtomicUsize::new(0);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let mut results = vec![0usize; tasks.len()];
+        // Task 2 sits in the first chunk, which the caller claims before
+        // any worker is awake; task 6 is usually a worker's.
+        for bad in [2, 6] {
+            let mut pool = WorkerPool::new();
+            let mut local = WorkerScratch::new();
+            let survived = AtomicUsize::new(0);
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                let mut results = vec![0usize; tasks.len()];
+                pool.run_chunks(
+                    &tasks,
+                    &mut results,
+                    4,
+                    1,
+                    &mut local,
+                    &|| (),
+                    &per_task(|&t, _: &mut ()| {
+                        if t == bad {
+                            panic!("boom on task {t}");
+                        }
+                        survived.fetch_add(1, Ordering::SeqCst);
+                        t
+                    }),
+                    &|_| (),
+                );
+            }));
+            assert!(result.is_err(), "panic must propagate to the caller");
+            // The others kept claiming chunks after the panic.
+            assert_eq!(survived.load(Ordering::SeqCst), tasks.len() - 1);
+            // The pool survives the panic and keeps serving.
+            let mut results = vec![0usize; 4];
             pool.run_chunks(
-                &tasks,
+                &tasks[..4],
                 &mut results,
-                4,
+                2,
+                2,
+                &mut local,
                 &|| (),
-                &|&t, _: &mut ()| {
-                    if t == 2 {
-                        panic!("boom on task {t}");
-                    }
-                    survived.fetch_add(1, Ordering::SeqCst);
-                    t
-                },
+                &per_task(|&t, _: &mut ()| t + 1),
                 &|_| (),
             );
-        }));
-        assert!(result.is_err(), "panic must propagate to the caller");
-        // The pool survives the panic and keeps serving.
-        let mut results = vec![0usize; 4];
-        pool.run_chunks(
-            &tasks[..4],
-            &mut results,
-            2,
-            &|| (),
-            &|&t, _: &mut ()| t + 1,
-            &|_| (),
-        );
-        assert_eq!(results, vec![1, 2, 3, 4]);
+            assert_eq!(results, vec![1, 2, 3, 4]);
+        }
     }
 
     #[test]
@@ -435,8 +576,10 @@ mod tests {
             &Vec::<usize>::new(),
             &mut results,
             4,
+            1,
+            &mut WorkerScratch::new(),
             &|| (),
-            &|&t, _: &mut ()| t,
+            &per_task(|&t, _: &mut ()| t),
             &|_| (),
         );
         assert!(deltas.is_empty());

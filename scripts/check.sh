@@ -31,6 +31,15 @@
 #                                 # far below the trace length (memory
 #                                 # bounded by concurrent jobs); records
 #                                 # BENCH_scale.json
+#   scripts/check.sh bench-smoke  # the benchmark crate (benchmark/, its own
+#                                 # workspace, path-depends on crates/*): its
+#                                 # unit tests, then `run --quick` (1/20 of
+#                                 # the jobs, ~10 s) — compiles it against
+#                                 # the current public APIs and runs its
+#                                 # correctness checks (job conservation,
+#                                 # digest repeatability, no invalid
+#                                 # actions) on all five workloads; the
+#                                 # timings it prints mean nothing
 #   scripts/check.sh doc          # rustdoc gate only: every public item
 #                                 # documented, no broken intra-doc links
 #   scripts/check.sh perf-regression
@@ -129,6 +138,25 @@ if [[ "${1:-}" == "scale-smoke" ]]; then
     exit 0
 fi
 
+bench_smoke() {
+    # Nothing in the workspace compiles benchmark/, so an API change under
+    # crates/ can break it unseen. The quick record goes to a scratch file
+    # (the default, benchmark/results/latest.json, is for real runs).
+    echo "==> cargo test --offline --manifest-path benchmark/Cargo.toml"
+    cargo test --offline --manifest-path benchmark/Cargo.toml
+    local out
+    out=$(mktemp)
+    echo "==> cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --quick --out $out"
+    cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --quick --out "$out"
+    rm -f "$out"
+    echo "Bench smoke passed."
+}
+
+if [[ "${1:-}" == "bench-smoke" ]]; then
+    bench_smoke
+    exit 0
+fi
+
 if [[ "${1:-}" == "perf-regression" ]]; then
     if [[ ! -s BENCH_e2e.json ]]; then
         echo "perf-regression FAILED: no committed BENCH_e2e.json to compare against" >&2
@@ -169,5 +197,7 @@ echo "==> cargo test -q"
 cargo test -q
 
 scale_smoke
+
+bench_smoke
 
 echo "All checks passed."
