@@ -7,19 +7,18 @@
 //! corp-exp --fast all     # small DNN, quick smoke pass
 //! corp-exp scalability    # sharded-control-plane sweep (1..8 shards)
 //! corp-exp faults         # availability under deterministic fault injection
-//! corp-exp perf           # hot-path throughput baseline (BENCH_hotpath.json)
-//! corp-exp e2e            # end-to-end throughput + shard sweep (BENCH_e2e.json)
-//! corp-exp e2e --shards 8 # pin the sharded arms to one shard count
-//! corp-exp perf --e2e     # alias for the e2e runner
 //! corp-exp --json fig6    # machine-readable output (one JSON array)
 //! ```
 //!
-//! `e2e` drives a 1024-VM fleet and is excluded from `all`; ask for it by
-//! name (or via `--e2e`). `serve` runs the event-driven daemon and takes
-//! its own flags (`--replay PATH`, `--record PATH`, `--speed inf|N`,
-//! `--seed S`, `--jobs N`, `--queue-cap C`,
-//! `--policy block|shed-oldest|reject-new`, `--width W`, `--shards K`,
-//! `--smoke`):
+//! Unknown flags and unknown experiment names exit 2 with the list of
+//! available experiments, before anything runs. Nothing here writes a
+//! file unless a flag names one (`serve --record PATH`); performance
+//! numbers come from `benchmark/`, not from this binary.
+//!
+//! `serve` runs the event-driven daemon and takes its own flags
+//! (`--replay PATH`, `--record PATH`, `--speed inf|N`, `--seed S`,
+//! `--jobs N`, `--queue-cap C`, `--policy block|shed-oldest|reject-new`,
+//! `--width W`, `--shards K`, `--smoke`):
 //!
 //! ```text
 //! corp-exp serve --fast --jobs 120 --speed inf --seed 7
@@ -29,17 +28,17 @@
 //! `resilience` is chaos-serve: the daemon under combined control-plane
 //! faults and arrival storms with deadlines, the brownout ladder, and
 //! per-shard circuit breakers armed (`--seed S`, `--jobs N`,
-//! `--shards K`, `--intensity X`, `--width W`, `--smoke`, `--bench`):
+//! `--shards K`, `--intensity X`, `--width W`, `--smoke`):
 //!
 //! ```text
-//! corp-exp resilience --fast --smoke --bench   # writes BENCH_serve.json
+//! corp-exp resilience --fast --smoke     # rerun byte-identity + conservation
 //! corp-exp resilience --intensity 2 --shards 4
 //! ```
 //!
 //! `scale` is the streaming soak: a lazily-pulled synthetic arrival
-//! stream through the reclaiming arena engine, with throughput, arena
-//! high-water, and peak RSS recorded to `BENCH_scale.json` (`--vms N`,
-//! `--jobs N`, `--seed S`, `--shards K`, `--smoke`):
+//! stream through the reclaiming arena engine, reporting throughput,
+//! arena high-water, and peak RSS (`--vms N`, `--jobs N`, `--seed S`,
+//! `--shards K`, `--smoke`):
 //!
 //! ```text
 //! corp-exp scale --smoke        # CI configuration + invariant checks
@@ -53,84 +52,114 @@ use corp_bench::scale::{scale_experiment, ScaleArgs};
 use corp_bench::serve::{serve_experiment, ServeArgs};
 use corp_bench::FigureTable;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("serve") {
-        run_serve(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("resilience") {
-        run_resilience(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("scale") {
-        run_scale(&args[1..]);
-        return;
-    }
-    let fast = args.iter().any(|a| a == "--fast");
-    let json = args.iter().any(|a| a == "--json");
-    // `--shards K` pins the e2e runner's sharded arms to one shard count
-    // instead of the default 1/2/4/8 sweep.
-    let mut args = args;
-    let mut shards: Option<usize> = None;
-    if let Some(i) = args.iter().position(|a| a == "--shards") {
-        let value = args.get(i + 1).and_then(|v| v.parse::<usize>().ok());
-        match value {
-            Some(k) if k >= 1 => {
-                shards = Some(k);
-                args.drain(i..=i + 1);
-            }
-            _ => {
-                eprintln!("--shards needs a positive integer shard count");
-                std::process::exit(2);
+type Runner = fn(bool) -> FigureTable;
+
+/// Every experiment the figure loop knows, in `all` order.
+const RUNNERS: [(&str, Runner); 13] = [
+    ("table2", |_| experiments::table2()),
+    ("fig6", experiments::fig6),
+    ("fig7", experiments::fig7),
+    ("fig8", experiments::fig8),
+    ("fig9", experiments::fig9),
+    ("fig10", experiments::fig10),
+    ("fig11", experiments::fig11),
+    ("fig12", experiments::fig12),
+    ("fig13", experiments::fig13),
+    ("fig14", experiments::fig14),
+    ("ablations", experiments::ablations),
+    ("scalability", experiments::scalability),
+    ("faults", experiments::availability),
+];
+
+/// The figure loop's command line: `[--fast] [--json] [all | NAME...]`.
+#[derive(Debug, PartialEq)]
+struct FigureArgs {
+    fast: bool,
+    json: bool,
+    /// Experiments to run; empty (or containing `all`) means every one.
+    wanted: Vec<String>,
+}
+
+impl FigureArgs {
+    /// Parses the whole command line, rejecting any flag or experiment
+    /// name the loop would otherwise silently skip.
+    fn parse(args: &[String]) -> Result<Self, String> {
+        let mut out = FigureArgs {
+            fast: false,
+            json: false,
+            wanted: Vec::new(),
+        };
+        for arg in args {
+            match arg.as_str() {
+                "--fast" => out.fast = true,
+                "--json" => out.json = true,
+                flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
+                name if name == "all" || RUNNERS.iter().any(|(n, _)| *n == name) => {
+                    out.wanted.push(name.to_string());
+                }
+                name => return Err(format!("unknown experiment `{name}`")),
             }
         }
+        Ok(out)
     }
-    let args = args;
-    let mut wanted: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .collect();
-    if args.iter().any(|a| a == "--e2e") {
-        // `perf --e2e` means the end-to-end runner, not the hot-path one.
-        wanted.retain(|w| *w != "perf");
-        wanted.push("e2e");
+
+    fn wants(&self, name: &str) -> bool {
+        self.wanted.is_empty() || self.wanted.iter().any(|w| w == "all" || w == name)
     }
-    let all = wanted.is_empty() || wanted.contains(&"all");
+}
 
-    type Runner = Box<dyn Fn(bool) -> FigureTable>;
-    let runners: Vec<(&str, Runner)> = vec![
-        ("table2", Box::new(|_| experiments::table2())),
-        ("fig6", Box::new(experiments::fig6)),
-        ("fig7", Box::new(experiments::fig7)),
-        ("fig8", Box::new(experiments::fig8)),
-        ("fig9", Box::new(experiments::fig9)),
-        ("fig10", Box::new(experiments::fig10)),
-        ("fig11", Box::new(experiments::fig11)),
-        ("fig12", Box::new(experiments::fig12)),
-        ("fig13", Box::new(experiments::fig13)),
-        ("fig14", Box::new(experiments::fig14)),
-        ("ablations", Box::new(experiments::ablations)),
-        ("scalability", Box::new(experiments::scalability)),
-        ("faults", Box::new(experiments::availability)),
-        ("perf", Box::new(experiments::perf)),
-        (
-            "e2e",
-            Box::new(move |fast| experiments::e2e_with_shards(fast, shards)),
-        ),
-    ];
-
-    let mut matched = false;
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args
+        .split_first()
+        .is_some_and(|(name, rest)| run_subcommand(name, rest))
+    {
+        return;
+    }
+    let parsed = FigureArgs::parse(&args).unwrap_or_else(|e| {
+        let names: Vec<&str> = RUNNERS.iter().map(|(n, _)| *n).collect();
+        eprintln!(
+            "{e}; available: {}, all (subcommands: serve, resilience, scale)",
+            names.join(", ")
+        );
+        std::process::exit(2);
+    });
     let mut collected: Vec<FigureTable> = Vec::new();
-    for (name, run) in &runners {
-        // The 1024-VM e2e benchmark only runs when asked for by name.
-        if (all && *name != "e2e") || wanted.contains(name) {
-            matched = true;
-            let started = std::time::Instant::now();
-            let figure = run(fast);
+    for (name, run) in RUNNERS.iter().filter(|(n, _)| parsed.wants(n)) {
+        let started = std::time::Instant::now();
+        let figure = run(parsed.fast);
+        if parsed.json {
+            collected.push(figure);
+        } else {
+            println!("{figure}");
+        }
+        eprintln!(
+            "[{name} regenerated in {:.1}s]",
+            started.elapsed().as_secs_f64()
+        );
+    }
+    if parsed.json {
+        println!("{}", serde::json::to_string(&collected));
+    }
+}
+
+/// Runs `name` if it is one of the flag-taking subcommands and renders its
+/// table; returns `false` for anything else. Bad flags and failed smoke
+/// assertions exit 2, matching the unknown-experiment path.
+fn run_subcommand(name: &str, rest: &[String]) -> bool {
+    let fast = rest.iter().any(|a| a == "--fast");
+    let json = rest.iter().any(|a| a == "--json");
+    let started = std::time::Instant::now();
+    let result = match name {
+        "serve" => ServeArgs::parse(rest).and_then(|a| serve_experiment(fast, &a)),
+        "resilience" => ResilienceArgs::parse(rest).and_then(|a| resilience_experiment(fast, &a)),
+        "scale" => ScaleArgs::parse(rest).and_then(|a| scale_experiment(&a)),
+        _ => return false,
+    };
+    match result {
+        Ok(figure) => {
             if json {
-                collected.push(figure);
+                println!("{}", serde::json::to_string(&vec![figure]));
             } else {
                 println!("{figure}");
             }
@@ -139,116 +168,52 @@ fn main() {
                 started.elapsed().as_secs_f64()
             );
         }
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
     }
-    if json && matched {
-        println!("{}", serde::json::to_string(&collected));
+    true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<FigureArgs, String> {
+        FigureArgs::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
     }
-    if !matched {
-        eprintln!(
-            "unknown experiment(s) {:?}; available: {}",
-            wanted,
-            runners
-                .iter()
-                .map(|(n, _)| *n)
-                .collect::<Vec<_>>()
-                .join(", ")
+
+    #[test]
+    fn known_flags_and_names_parse() {
+        let args = parse(&["--fast", "--json", "table2", "fig6"]).unwrap();
+        assert!(args.fast && args.json);
+        assert!(args.wants("fig6") && args.wants("table2") && !args.wants("fig7"));
+        let everything = parse(&[]).unwrap();
+        assert!(RUNNERS.iter().all(|(n, _)| everything.wants(n)));
+        assert!(parse(&["fig6", "all"]).unwrap().wants("faults"));
+    }
+
+    #[test]
+    fn unknown_flag_is_rejected_not_dropped() {
+        // `--fsat all` used to train the full DNN for every figure.
+        assert_eq!(
+            parse(&["--fsat", "all"]),
+            Err("unknown flag `--fsat`".to_string())
         );
-        std::process::exit(2);
+        // Flags of the retired runners are unknown too.
+        assert!(parse(&["--shards", "2"]).is_err());
+        assert!(parse(&["--e2e"]).is_err());
     }
-}
 
-/// Handles `corp-exp serve <flags>`: parse, run, render. Bad flags and
-/// failed smoke assertions exit 2, matching the unknown-experiment path.
-fn run_serve(rest: &[String]) {
-    let fast = rest.iter().any(|a| a == "--fast");
-    let json = rest.iter().any(|a| a == "--json");
-    let parsed = match ServeArgs::parse(rest) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let started = std::time::Instant::now();
-    match serve_experiment(fast, &parsed) {
-        Ok(figure) => {
-            if json {
-                println!("{}", serde::json::to_string(&vec![figure]));
-            } else {
-                println!("{figure}");
-            }
-            eprintln!(
-                "[serve regenerated in {:.1}s]",
-                started.elapsed().as_secs_f64()
-            );
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Handles `corp-exp scale <flags>`: parse, run, render. Bad flags and
-/// failed smoke assertions (conservation, arena boundedness) exit 2.
-fn run_scale(rest: &[String]) {
-    let json = rest.iter().any(|a| a == "--json");
-    let parsed = match ScaleArgs::parse(rest) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let started = std::time::Instant::now();
-    match scale_experiment(&parsed) {
-        Ok(figure) => {
-            if json {
-                println!("{}", serde::json::to_string(&vec![figure]));
-            } else {
-                println!("{figure}");
-            }
-            eprintln!(
-                "[scale regenerated in {:.1}s]",
-                started.elapsed().as_secs_f64()
-            );
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Handles `corp-exp resilience <flags>`: parse, run, render. Bad flags
-/// and failed smoke assertions (determinism, conservation, breaker
-/// cycling) exit 2.
-fn run_resilience(rest: &[String]) {
-    let fast = rest.iter().any(|a| a == "--fast");
-    let json = rest.iter().any(|a| a == "--json");
-    let parsed = match ResilienceArgs::parse(rest) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let started = std::time::Instant::now();
-    match resilience_experiment(fast, &parsed) {
-        Ok(figure) => {
-            if json {
-                println!("{}", serde::json::to_string(&vec![figure]));
-            } else {
-                println!("{figure}");
-            }
-            eprintln!(
-                "[resilience regenerated in {:.1}s]",
-                started.elapsed().as_secs_f64()
-            );
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
+    #[test]
+    fn unknown_experiment_is_rejected_even_next_to_a_known_one() {
+        // `fig6 nosuch` used to run fig6 and exit 0.
+        assert_eq!(
+            parse(&["fig6", "nosuch"]),
+            Err("unknown experiment `nosuch`".to_string())
+        );
+        assert!(parse(&["perf"]).is_err());
+        assert!(parse(&["e2e"]).is_err());
     }
 }

@@ -136,22 +136,13 @@ pub struct SchemeParams {
     /// Use the cheaper DNN (tests) instead of the paper's 4x50
     /// architecture.
     pub fast_dnn: bool,
-    /// Disable the scoped-thread prediction fan-out (CORP, RCCR,
-    /// CloudScale run their per-window forecasts serially). Reports are
-    /// byte-identical either way — this is the determinism suite's A/B
-    /// switch and the perf runner's baseline arm.
-    pub serial_prediction: bool,
-    /// Train CORP's DNNs through the legacy per-sample reference kernels
-    /// instead of the fused ones (bit-identical outputs; the fused path's
-    /// A/B switch and the perf runner's baseline arm).
+    /// Train CORP's DNNs through the per-sample reference kernels instead
+    /// of the fused ones (bit-identical outputs; the reference the
+    /// determinism suite compares the fused path against).
     pub reference_dnn: bool,
-    /// Run predictions on the legacy scoped-thread path (fresh threads and
-    /// fresh scratch every window) instead of the persistent worker-pool
-    /// runtime. Reports are byte-identical either way — this is the
-    /// measured baseline arm of `corp-exp e2e`.
-    pub scoped_runtime: bool,
     /// Pins the prediction fan-out width for CORP, RCCR, and CloudScale
-    /// (`None` = the `CORP_THREADS` / hardware default). Width only shapes
+    /// (`None` = the `CORP_THREADS` / hardware default, `Some(1)` = every
+    /// forecast serially on the calling thread). Width only shapes
     /// chunking — reports are byte-identical at any width.
     pub pool_width: Option<usize>,
     /// RNG seed for randomized placement.
@@ -165,9 +156,7 @@ impl Default for SchemeParams {
             prob_threshold: 0.95,
             aggressiveness: 1.0,
             fast_dnn: false,
-            serial_prediction: false,
             reference_dnn: false,
-            scoped_runtime: false,
             pool_width: None,
             seed: 7,
         }
@@ -190,9 +179,7 @@ pub fn build_provisioner(
             config.confidence_level = params.confidence;
             config.prob_threshold = params.prob_threshold;
             config.seed = params.seed;
-            config.parallel_prediction = !params.serial_prediction;
             config.train.reference_kernels = params.reference_dnn;
-            config.pooled_runtime = !params.scoped_runtime;
             config.prediction_pool_width = params.pool_width;
             let mut corp = CorpProvisioner::new(config);
             corp.pretrain(&historical_histories(env, 40));
@@ -200,27 +187,19 @@ pub fn build_provisioner(
         }
         SchemeKind::Rccr => {
             let mut rccr = RccrProvisioner::new(params.confidence, params.seed);
-            rccr.set_parallel_prediction(!params.serial_prediction);
-            rccr.set_scoped_runtime(params.scoped_runtime);
             rccr.set_prediction_pool_width(params.pool_width);
             Box::new(rccr)
         }
         SchemeKind::CloudScale => {
             let mut cs =
                 CloudScaleProvisioner::with_padding_scale(params.seed, params.aggressiveness);
-            cs.set_parallel_prediction(!params.serial_prediction);
-            cs.set_scoped_runtime(params.scoped_runtime);
             cs.set_prediction_pool_width(params.pool_width);
             Box::new(cs)
         }
-        SchemeKind::Dra => {
-            let mut dra = DraProvisioner::with_overcommit(
-                params.seed,
-                params.aggressiveness.clamp(0.05, 1.0),
-            );
-            dra.set_scoped_runtime(params.scoped_runtime);
-            Box::new(dra)
-        }
+        SchemeKind::Dra => Box::new(DraProvisioner::with_overcommit(
+            params.seed,
+            params.aggressiveness.clamp(0.05, 1.0),
+        )),
     }
 }
 

@@ -9,14 +9,13 @@
 //! target, and `tests/experiment_shapes.rs` asserts them.
 
 use crate::env::{
-    build_provisioner, build_sharded_provisioner, run_cell, run_cell_averaged, run_cell_faulty,
-    run_cell_sharded, Environment, SchemeKind, SchemeParams, ALL_SCHEMES,
+    run_cell, run_cell_averaged, run_cell_faulty, run_cell_sharded, Environment, SchemeKind,
+    SchemeParams, ALL_SCHEMES,
 };
 use crate::table::TextTable;
 use corp_core::CorpConfig;
 use corp_faults::FaultConfig;
-use corp_sim::{Cluster, EnvironmentProfile, Simulation, SimulationOptions, SimulationReport};
-use corp_trace::{JobSpec, WorkloadConfig, WorkloadGenerator};
+use corp_sim::{Simulation, SimulationOptions, SimulationReport};
 use serde::Serialize;
 
 /// A regenerated figure/table plus free-form notes.
@@ -462,586 +461,6 @@ pub fn scalability(fast: bool) -> FigureTable {
             ),
         ],
     }
-}
-
-/// One timed arm of the hot-path performance baseline (`BENCH_hotpath.json`
-/// row).
-#[derive(Debug, Clone, Serialize)]
-pub struct PerfArm {
-    /// Scheme name (paper spelling).
-    pub scheme: String,
-    /// `"tuned"` (parallel prediction fan-out + fused/batched DNN kernels,
-    /// the defaults) or `"baseline"` (serial prediction + per-sample
-    /// reference kernels).
-    pub arm: String,
-    /// Wall-clock seconds to build the provisioner, dominated by DNN
-    /// pretraining for CORP (~0 for the baselines).
-    pub pretrain_secs: f64,
-    /// Wall-clock seconds of the simulation loop.
-    pub run_secs: f64,
-    /// Simulated slots per wall-clock second.
-    pub slots_per_sec: f64,
-    /// Completed jobs per wall-clock second.
-    pub jobs_per_sec: f64,
-    /// Resolved predictions per wall-clock second.
-    pub predictions_per_sec: f64,
-}
-
-/// File the perf runner writes its machine-readable baseline to (in the
-/// invoking directory; `scripts/check.sh perf-smoke` consumes it).
-pub const PERF_BASELINE_FILE: &str = "BENCH_hotpath.json";
-
-/// Hot-path performance baseline: every scheme's heaviest #jobs cell
-/// (Fig. 6's 300-job cluster column), timed twice — the tuned arm (the
-/// defaults: scoped-thread prediction fan-out + fused/batched DNN kernels)
-/// against a baseline arm with both disabled. Cells run sequentially — not
-/// fanned out — so each wall-clock measurement owns the machine's cores,
-/// and the two arms of a scheme must produce byte-identical reports (the
-/// optimizations are not allowed to change a single decision). Writes
-/// [`PERF_BASELINE_FILE`] next to the table it returns; panics on
-/// non-finite or zero throughput so the smoke gate fails loudly.
-pub fn perf(fast: bool) -> FigureTable {
-    const JOBS: usize = 300;
-    let mut arms: Vec<PerfArm> = Vec::new();
-    for &scheme in &ALL_SCHEMES {
-        let mut serialized: Vec<String> = Vec::new();
-        for (arm, degrade) in [("tuned", false), ("baseline", true)] {
-            let params = SchemeParams {
-                fast_dnn: fast,
-                serial_prediction: degrade,
-                reference_dnn: degrade,
-                ..Default::default()
-            };
-            // Best-of-3: each measurement rebuilds the provisioner (the
-            // pretrain cost) and replays the identical deterministic sim;
-            // the minimum is the least noise-contaminated sample, which
-            // matters on small wall-clocks in shared environments.
-            let mut pretrain_secs = f64::INFINITY;
-            let mut run_secs = f64::INFINITY;
-            let mut report = None;
-            for _ in 0..3 {
-                let building = std::time::Instant::now();
-                let mut provisioner = build_provisioner(scheme, Environment::Cluster, &params);
-                pretrain_secs = pretrain_secs.min(building.elapsed().as_secs_f64());
-                let mut sim = Simulation::new(
-                    Environment::Cluster.cluster(),
-                    Environment::Cluster.workload(JOBS, params.seed.wrapping_add(JOBS as u64)),
-                    SimulationOptions {
-                        measure_decision_time: false,
-                        ..Default::default()
-                    },
-                );
-                let running = std::time::Instant::now();
-                let r = sim.run(provisioner.as_mut());
-                run_secs = run_secs.min(running.elapsed().as_secs_f64());
-                report = Some(r);
-            }
-            let report = report.expect("three timed runs");
-            serialized.push(serde::json::to_string(&report));
-            let wall = run_secs.max(1e-9);
-            let row = PerfArm {
-                scheme: scheme.name().to_string(),
-                arm: arm.to_string(),
-                pretrain_secs,
-                run_secs,
-                slots_per_sec: report.slots_run as f64 / wall,
-                jobs_per_sec: report.completed as f64 / wall,
-                predictions_per_sec: report.predictions_resolved as f64 / wall,
-            };
-            for (metric, v) in [
-                ("pretrain_secs", row.pretrain_secs),
-                ("run_secs", row.run_secs),
-                ("slots_per_sec", row.slots_per_sec),
-                ("jobs_per_sec", row.jobs_per_sec),
-                ("predictions_per_sec", row.predictions_per_sec),
-            ] {
-                assert!(
-                    v.is_finite(),
-                    "{} {}: non-finite {metric}",
-                    row.scheme,
-                    row.arm
-                );
-            }
-            assert!(
-                row.slots_per_sec > 0.0 && row.jobs_per_sec > 0.0 && row.predictions_per_sec > 0.0,
-                "{} {}: zero throughput: {row:?}",
-                row.scheme,
-                row.arm
-            );
-            arms.push(row);
-        }
-        assert_eq!(
-            serialized[0],
-            serialized[1],
-            "{}: tuned and baseline arms produced different reports",
-            scheme.name()
-        );
-    }
-    std::fs::write(PERF_BASELINE_FILE, serde::json::to_string(&arms))
-        .expect("write perf baseline json");
-    let mut table = TextTable::new(
-        "Perf — hot-path throughput, tuned (parallel + fused) vs baseline (serial + per-sample); cluster, 300 jobs",
-        &[
-            "scheme",
-            "arm",
-            "pretrain (s)",
-            "sim wall (s)",
-            "slots/s",
-            "jobs/s",
-            "predictions/s",
-        ],
-    );
-    for a in &arms {
-        table.push_row(vec![
-            a.scheme.clone(),
-            a.arm.clone(),
-            three(a.pretrain_secs),
-            three(a.run_secs),
-            format!("{:.0}", a.slots_per_sec),
-            format!("{:.1}", a.jobs_per_sec),
-            format!("{:.0}", a.predictions_per_sec),
-        ]);
-    }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    FigureTable {
-        id: "perf".into(),
-        table,
-        notes: vec![
-            format!("machine-readable baseline written to {PERF_BASELINE_FILE}"),
-            "per-scheme reports verified byte-identical across arms before timing was recorded"
-                .into(),
-            format!(
-                "host parallelism: {cores} core(s) — the prediction fan-out needs >1 core to show; the fused-kernel win shows in CORP's pretrain column regardless"
-            ),
-        ],
-    }
-}
-
-/// One timed arm of the end-to-end throughput benchmark (`BENCH_e2e.json`
-/// row).
-#[derive(Debug, Clone, Serialize)]
-pub struct E2eArm {
-    /// Scheme name (paper spelling).
-    pub scheme: String,
-    /// `"pooled"` (persistent worker-pool runtime, the default),
-    /// `"scoped"` (legacy scoped-thread path with fresh scratch every
-    /// window), or `"sharded"` (pooled runtime behind the 2-shard control
-    /// plane with batched completion messaging).
-    pub arm: String,
-    /// Wall-clock seconds to build the provisioner (DNN pretraining for
-    /// CORP; ~0 for the baselines).
-    pub pretrain_secs: f64,
-    /// Wall-clock seconds of the simulation loop.
-    pub run_secs: f64,
-    /// Simulated slots per wall-clock second.
-    pub slots_per_sec: f64,
-    /// Completed jobs per wall-clock second.
-    pub jobs_per_sec: f64,
-    /// Fraction of the placement store's admitted reservations that
-    /// committed through the optimistic fast path (single stripe
-    /// acquisition, both 2PC phases fused). Zero for monolithic arms,
-    /// which have no store.
-    pub fast_path_rate: f64,
-    /// Fast-path attempts refused by the per-VM epoch/writer check (zero
-    /// for monolithic arms).
-    pub stripe_conflicts: u64,
-}
-
-/// Machine-readable result of the end-to-end benchmark: the committed
-/// baseline `scripts/check.sh perf-regression` compares fresh runs
-/// against.
-#[derive(Debug, Clone, Serialize)]
-pub struct E2eBaseline {
-    /// Fleet size (VMs) the benchmark drove.
-    pub vms: usize,
-    /// Jobs in the measured workload.
-    pub jobs: usize,
-    /// Whether the cheap test DNN was used (`--fast`).
-    pub fast: bool,
-    /// CORP pooled slots/sec over CORP scoped slots/sec — the headline
-    /// win of the persistent worker-pool runtime.
-    pub corp_pool_speedup: f64,
-    /// Every timed arm.
-    pub arms: Vec<E2eArm>,
-}
-
-/// File the e2e runner writes its machine-readable baseline to (in the
-/// invoking directory; `scripts/check.sh perf-regression` consumes it).
-pub const E2E_BASELINE_FILE: &str = "BENCH_e2e.json";
-
-/// Env var naming a committed [`E2E_BASELINE_FILE`] to regress against:
-/// when set, the runner panics if the fresh CORP pooled slots/sec falls
-/// more than [`E2E_REGRESSION_TOLERANCE`] below the baseline's.
-pub const E2E_BASELINE_ENV: &str = "CORP_E2E_BASELINE";
-
-/// Allowed fractional slots/sec drop before the baseline compare panics.
-pub const E2E_REGRESSION_TOLERANCE: f64 = 0.20;
-
-/// Allowed absolute fast-path-rate drop (fresh vs committed baseline)
-/// before the sharded regression compare panics.
-pub const E2E_FAST_PATH_TOLERANCE: f64 = 0.05;
-
-/// Shard counts the end-to-end benchmark sweeps when no `--shards`
-/// override is given.
-pub const E2E_SHARD_SWEEP: [usize; 4] = [1, 2, 4, 8];
-
-/// Extracts one arm's numeric field from a serialized [`E2eBaseline`]. A
-/// string scan, not a parser — the vendored serde has no deserializer, and
-/// the file is always written by this module, so the field order
-/// (`"scheme"`, `"arm"`, ..., numeric fields) is fixed.
-fn baseline_field(json: &str, scheme: &str, arm: &str, field: &str) -> Option<f64> {
-    let row = json.find(&format!("\"scheme\":\"{scheme}\",\"arm\":\"{arm}\""))?;
-    let rest = &json[row..];
-    let key = format!("\"{field}\":");
-    let tail = &rest[rest.find(&key)? + key.len()..];
-    let end = tail.find([',', '}'])?;
-    tail[..end].trim().parse().ok()
-}
-
-/// The 1024-VM fleet the end-to-end benchmark drives (the best-fit
-/// microbenchmark's fleet size, now end to end): 256 SL230-class PMs at 4
-/// VMs each.
-fn e2e_fleet() -> Cluster {
-    Cluster::from_profile(EnvironmentProfile::palmetto_cluster().with_num_pms(256))
-}
-
-/// The end-to-end workload: the figure sweeps' job mix at steady-state
-/// saturation. Durations sit in the upper half of the paper's short-job
-/// range (2-5 min, still under the 5-minute timeout) so thousands of jobs
-/// run concurrently across the 1024 VMs — the regime where every
-/// provisioning window carries a full fleet of per-job predictions, which
-/// is exactly the traffic the worker-pool runtime amortizes.
-fn e2e_workload(jobs: usize, seed: u64) -> Vec<JobSpec> {
-    let config = WorkloadConfig {
-        num_jobs: jobs,
-        mean_interarrival_slots: Environment::ARRIVAL_WINDOW_SLOTS / jobs.max(1) as f64,
-        min_duration_secs: 120.0,
-        max_duration_secs: 300.0,
-        demand_scale: 1.5,
-        ..WorkloadConfig::default()
-    };
-    WorkloadGenerator::new(config, seed).generate()
-}
-
-/// End-to-end throughput: every scheme driving the 1024-VM fleet, timed in
-/// the persistent worker-pool runtime (the default), the legacy
-/// scoped-thread path it replaced (fresh threads and fresh scratch every
-/// window), and the pooled runtime behind the striped-store control plane
-/// across the [`E2E_SHARD_SWEEP`] shard counts (`sharded-1` … `sharded-8`;
-/// `corp-exp e2e --shards K` pins the sweep to one count). Arms run
-/// sequentially so each wall-clock measurement owns the machine, and the
-/// pooled and scoped arms of a scheme must produce byte-identical reports
-/// (the runtime swap is not allowed to change a single decision). The
-/// `sharded-1` arm must reproduce the monolithic decisions exactly — every
-/// claim takes the store's fast path, and the report's decision metrics
-/// are asserted equal to the pooled arm's. Multi-shard arms decorrelate
-/// per-shard seeds, so only their throughput is comparable. Monolithic
-/// arms are best-of-3; sharded arms are single runs. Writes
-/// [`E2E_BASELINE_FILE`] next to the table it returns, and when
-/// [`E2E_BASELINE_ENV`] names a committed baseline, panics if CORP's
-/// pooled slots/sec regressed more than [`E2E_REGRESSION_TOLERANCE`] below
-/// it, if CORP's `sharded-8` slots/sec fell more than the same tolerance
-/// below its own committed number (or, on multi-core hosts, below the
-/// fresh pooled arm — at 1 core sharding is pure coordination overhead
-/// and that claim is unenforceable), or if its fast-path rate dropped
-/// more than [`E2E_FAST_PATH_TOLERANCE`] below the committed baseline's.
-pub fn e2e(fast: bool) -> FigureTable {
-    e2e_with_shards(fast, None)
-}
-
-/// [`e2e`] with an optional shard-count override for the sharded arms
-/// (the CLI's `--shards K`).
-pub fn e2e_with_shards(fast: bool, shards: Option<usize>) -> FigureTable {
-    let jobs = if fast { 4000 } else { 8000 };
-    let shard_counts: Vec<usize> = match shards {
-        Some(k) => vec![k],
-        None => E2E_SHARD_SWEEP.to_vec(),
-    };
-    let vms = e2e_fleet().vms.len();
-    let mut arms: Vec<E2eArm> = Vec::new();
-    for &scheme in &ALL_SCHEMES {
-        let mut serialized: Vec<String> = Vec::new();
-        let mut pooled_report: Option<SimulationReport> = None;
-        for (arm, scoped) in [("pooled", false), ("scoped", true)] {
-            let params = SchemeParams {
-                fast_dnn: fast,
-                scoped_runtime: scoped,
-                ..Default::default()
-            };
-            // Best-of-3: each measurement rebuilds the provisioner and
-            // replays the identical deterministic sim; the minimum is the
-            // least noise-contaminated sample.
-            let mut pretrain_secs = f64::INFINITY;
-            let mut run_secs = f64::INFINITY;
-            let mut report = None;
-            for _ in 0..3 {
-                let building = std::time::Instant::now();
-                let mut provisioner = build_provisioner(scheme, Environment::Cluster, &params);
-                pretrain_secs = pretrain_secs.min(building.elapsed().as_secs_f64());
-                let mut sim = Simulation::new(
-                    e2e_fleet(),
-                    e2e_workload(jobs, params.seed.wrapping_add(jobs as u64)),
-                    SimulationOptions {
-                        measure_decision_time: false,
-                        // The baseline arm runs the whole pre-pool path:
-                        // legacy scoped-thread prediction runtime AND the
-                        // engine's per-slot view reallocation.
-                        legacy_slot_views: scoped,
-                        ..Default::default()
-                    },
-                );
-                let running = std::time::Instant::now();
-                let r = sim.run(provisioner.as_mut());
-                run_secs = run_secs.min(running.elapsed().as_secs_f64());
-                report = Some(r);
-            }
-            let report = report.expect("three timed runs");
-            serialized.push(serde::json::to_string(&report));
-            arms.push(e2e_arm(scheme, arm, pretrain_secs, run_secs, &report));
-            if !scoped {
-                pooled_report = Some(report);
-            }
-        }
-        assert_eq!(
-            serialized[0],
-            serialized[1],
-            "{}: pooled and scoped arms produced different reports",
-            scheme.name()
-        );
-        for &k in &shard_counts {
-            let params = SchemeParams {
-                fast_dnn: fast,
-                ..Default::default()
-            };
-            let building = std::time::Instant::now();
-            let mut provisioner =
-                build_sharded_provisioner(scheme, Environment::Cluster, &params, k);
-            let pretrain_secs = building.elapsed().as_secs_f64();
-            let mut sim = Simulation::new(
-                e2e_fleet(),
-                e2e_workload(jobs, params.seed.wrapping_add(jobs as u64)),
-                SimulationOptions {
-                    measure_decision_time: false,
-                    ..Default::default()
-                },
-            );
-            let running = std::time::Instant::now();
-            let report = sim.run(&mut provisioner);
-            let run_secs = running.elapsed().as_secs_f64();
-            if k == 1 {
-                // One shard must reproduce the monolithic scheduler's
-                // decisions exactly (the only report fields allowed to
-                // differ are the provisioner name and the control-plane
-                // block, which monolithic runs don't have).
-                let mono = pooled_report
-                    .as_ref()
-                    .expect("pooled arm ran before the shard sweep");
-                assert_eq!(report.utilization, mono.utilization, "{scheme:?}");
-                assert_eq!(
-                    report.overall_utilization, mono.overall_utilization,
-                    "{scheme:?}"
-                );
-                assert_eq!(
-                    report.slo_violation_rate, mono.slo_violation_rate,
-                    "{scheme:?}"
-                );
-                assert_eq!(report.completed, mono.completed, "{scheme:?}");
-                assert_eq!(report.violated, mono.violated, "{scheme:?}");
-                assert_eq!(report.rejected, mono.rejected, "{scheme:?}");
-                assert_eq!(report.slots_run, mono.slots_run, "{scheme:?}");
-            }
-            arms.push(e2e_arm(
-                scheme,
-                &format!("sharded-{k}"),
-                pretrain_secs,
-                run_secs,
-                &report,
-            ));
-        }
-    }
-    let slots = |scheme: &str, arm: &str| {
-        arms.iter()
-            .find(|a| a.scheme == scheme && a.arm == arm)
-            .expect("every scheme ran every arm")
-            .slots_per_sec
-    };
-    let corp_pool_speedup = slots("CORP", "pooled") / slots("CORP", "scoped");
-    if let Ok(path) = std::env::var(E2E_BASELINE_ENV) {
-        let committed = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("{E2E_BASELINE_ENV}={path}: unreadable baseline: {e}"));
-        let committed_slots = baseline_field(&committed, "CORP", "pooled", "slots_per_sec")
-            .unwrap_or_else(|| panic!("{path}: no CORP pooled slots_per_sec row"));
-        let fresh = slots("CORP", "pooled");
-        let floor = committed_slots * (1.0 - E2E_REGRESSION_TOLERANCE);
-        assert!(
-            fresh >= floor,
-            "perf regression: CORP pooled {fresh:.0} slots/s is more than \
-             {:.0}% below the committed baseline {committed_slots:.0} (floor {floor:.0})",
-            E2E_REGRESSION_TOLERANCE * 100.0
-        );
-        if let Some(sharded8) = arms
-            .iter()
-            .find(|a| a.scheme == "CORP" && a.arm == "sharded-8")
-        {
-            // Self-regression: sharded-8 must hold its own committed
-            // throughput (baselines predating the shard sweep have no
-            // such row; skip them).
-            if let Some(committed_s8) =
-                baseline_field(&committed, "CORP", "sharded-8", "slots_per_sec")
-            {
-                let s8_floor = committed_s8 * (1.0 - E2E_REGRESSION_TOLERANCE);
-                assert!(
-                    sharded8.slots_per_sec >= s8_floor,
-                    "perf regression: CORP sharded-8 {:.0} slots/s is more than {:.0}% below \
-                     its committed baseline {committed_s8:.0} (floor {s8_floor:.0})",
-                    sharded8.slots_per_sec,
-                    E2E_REGRESSION_TOLERANCE * 100.0
-                );
-            }
-            // The striped store's headline claim: at 8 shards the control
-            // plane keeps up with the monolithic pooled runtime (same
-            // noise tolerance as the pooled-vs-baseline gate). Only
-            // enforceable where shards can actually run in parallel — on
-            // a single-core host the sharded arm is pure coordination
-            // overhead with nothing to win back (the same 1-core
-            // inversion EXPERIMENTS.md documents for the worker pool).
-            let cores = std::thread::available_parallelism().map_or(1, usize::from);
-            if cores > 1 {
-                let sharded_floor = fresh * (1.0 - E2E_REGRESSION_TOLERANCE);
-                assert!(
-                    sharded8.slots_per_sec >= sharded_floor,
-                    "perf regression: CORP sharded-8 {:.0} slots/s fell below the pooled \
-                     arm's {fresh:.0} by more than {:.0}% (floor {sharded_floor:.0}) on a \
-                     {cores}-core host",
-                    sharded8.slots_per_sec,
-                    E2E_REGRESSION_TOLERANCE * 100.0
-                );
-            }
-            // Fast-path-rate regression: a contention or protocol change
-            // that silently pushes claims off the fast path shows up here
-            // even while throughput noise hides it. Baselines predating
-            // the striped store have no such row; skip them.
-            if let Some(committed_rate) =
-                baseline_field(&committed, "CORP", "sharded-8", "fast_path_rate")
-            {
-                assert!(
-                    sharded8.fast_path_rate >= committed_rate - E2E_FAST_PATH_TOLERANCE,
-                    "fast-path regression: CORP sharded-8 rate {:.3} dropped more than \
-                     {E2E_FAST_PATH_TOLERANCE} below the committed baseline {committed_rate:.3}",
-                    sharded8.fast_path_rate
-                );
-            }
-        }
-    }
-    let baseline = E2eBaseline {
-        vms,
-        jobs,
-        fast,
-        corp_pool_speedup,
-        arms: arms.clone(),
-    };
-    std::fs::write(E2E_BASELINE_FILE, serde::json::to_string(&baseline))
-        .expect("write e2e baseline json");
-    let mut table = TextTable::new(
-        format!(
-            "E2E — end-to-end throughput, pooled (persistent workers) vs scoped (legacy) vs \
-             striped-store shard sweep ({vms} VMs, {jobs} jobs)"
-        ),
-        &[
-            "scheme",
-            "arm",
-            "pretrain (s)",
-            "sim wall (s)",
-            "slots/s",
-            "jobs/s",
-            "fast-path",
-            "stripe conflicts",
-        ],
-    );
-    for a in &arms {
-        table.push_row(vec![
-            a.scheme.clone(),
-            a.arm.clone(),
-            three(a.pretrain_secs),
-            three(a.run_secs),
-            format!("{:.0}", a.slots_per_sec),
-            format!("{:.1}", a.jobs_per_sec),
-            if a.arm.starts_with("sharded") {
-                pct(a.fast_path_rate)
-            } else {
-                "-".into()
-            },
-            if a.arm.starts_with("sharded") {
-                a.stripe_conflicts.to_string()
-            } else {
-                "-".into()
-            },
-        ]);
-    }
-    FigureTable {
-        id: "e2e".into(),
-        table,
-        notes: vec![
-            format!("machine-readable baseline written to {E2E_BASELINE_FILE}"),
-            format!("CORP pooled/scoped slots-per-sec speedup: {corp_pool_speedup:.2}x"),
-            "per-scheme reports verified byte-identical between the pooled and scoped arms \
-             before timing was recorded; sharded-1 verified decision-identical to pooled; \
-             multi-shard arms decorrelate per-shard seeds, so only their throughput is \
-             comparable"
-                .into(),
-            "fast-path = fraction of store reservations committed via the single-stripe \
-             optimistic path; stripe conflicts = fast-path attempts refused by the per-VM \
-             writer check"
-                .into(),
-        ],
-    }
-}
-
-/// Builds one [`E2eArm`] row, asserting finite non-zero throughput so the
-/// regression gate fails loudly on a broken measurement.
-fn e2e_arm(
-    scheme: SchemeKind,
-    arm: &str,
-    pretrain_secs: f64,
-    run_secs: f64,
-    report: &SimulationReport,
-) -> E2eArm {
-    let wall = run_secs.max(1e-9);
-    let (fast_path_rate, stripe_conflicts) = report
-        .control_plane
-        .as_ref()
-        .map(|cp| {
-            (
-                cp.fast_path_hits as f64 / cp.reservations.max(1) as f64,
-                cp.stripe_conflicts,
-            )
-        })
-        .unwrap_or((0.0, 0));
-    let row = E2eArm {
-        scheme: scheme.name().to_string(),
-        arm: arm.to_string(),
-        pretrain_secs,
-        run_secs,
-        slots_per_sec: report.slots_run as f64 / wall,
-        jobs_per_sec: report.completed as f64 / wall,
-        fast_path_rate,
-        stripe_conflicts,
-    };
-    assert!(
-        row.pretrain_secs.is_finite() && row.run_secs.is_finite(),
-        "{} {}: non-finite wall-clock",
-        row.scheme,
-        row.arm
-    );
-    assert!(
-        row.slots_per_sec > 0.0 && row.jobs_per_sec > 0.0,
-        "{} {}: zero throughput: {row:?}",
-        row.scheme,
-        row.arm
-    );
-    row
 }
 
 /// Fault intensities swept by the availability experiment: multiples of

@@ -42,10 +42,8 @@ pub use experiments::{
     ablations, fig10, fig11, fig12, fig13, fig14, fig6, fig7, fig8, fig9, scalability, table2,
     FigureTable, SHARD_COUNTS,
 };
-pub use resilience::{
-    chaos_workload, resilience_experiment, run_resilience, ResilienceArgs, RESILIENCE_BASELINE_FILE,
-};
-pub use scale::{run_scale, scale_experiment, ScaleArgs, ScaleResult, SCALE_BASELINE_FILE};
+pub use resilience::{chaos_workload, resilience_experiment, run_resilience, ResilienceArgs};
+pub use scale::{run_scale, scale_experiment, ScaleArgs, ScaleResult};
 pub use serve::{
     parse_seed, run_serve, run_serve_sharded, serve_experiment, serve_workload, ServeArgs,
 };

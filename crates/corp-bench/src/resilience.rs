@@ -21,8 +21,8 @@
 //! Everything is expanded from the seed before the run starts, so the
 //! whole catastrophe replays byte-identically — `--smoke` asserts that
 //! (two full runs, compared as serialized bytes) along with the
-//! zero-jobs-lost conservation law, and `--bench` records the outcome in
-//! [`RESILIENCE_BASELINE_FILE`] for `scripts/check.sh resilience-smoke`.
+//! zero-jobs-lost conservation law and a full breaker cycle
+//! (`scripts/check.sh resilience-smoke`).
 
 use crate::env::{build_supervised_provisioner, Environment, SchemeKind, SchemeParams};
 use crate::serve::{parse_seed, serve_workload};
@@ -35,12 +35,6 @@ use corp_serve::{
 };
 use corp_sim::SimulationOptions;
 use corp_trace::JobSpec;
-use serde::Serialize;
-
-/// File the resilience runner writes its machine-readable outcome to when
-/// `--bench` is set (in the invoking directory;
-/// `scripts/check.sh resilience-smoke` consumes it).
-pub const RESILIENCE_BASELINE_FILE: &str = "BENCH_serve.json";
 
 /// The guaranteed breaker exercise: eight consecutive request drops on one
 /// shard, slots 2..=9. Three fallbacks trip the breaker at slot 4 (Open
@@ -68,8 +62,6 @@ pub struct ResilienceArgs {
     pub width: Option<usize>,
     /// Assert determinism + conservation after the run (`--smoke`).
     pub smoke: bool,
-    /// Write [`RESILIENCE_BASELINE_FILE`] after the run (`--bench`).
-    pub bench: bool,
 }
 
 impl Default for ResilienceArgs {
@@ -81,7 +73,6 @@ impl Default for ResilienceArgs {
             intensity: 1.0,
             width: None,
             smoke: false,
-            bench: false,
         }
     }
 }
@@ -141,10 +132,6 @@ impl ResilienceArgs {
                 }
                 "--smoke" => {
                     out.smoke = true;
-                    i += 1;
-                }
-                "--bench" => {
-                    out.bench = true;
                     i += 1;
                 }
                 // Global corp-exp flags that may trail the subcommand.
@@ -259,55 +246,9 @@ fn jobs_lost(offered: usize, outcome: &ServeOutcome) -> i64 {
     offered as i64 - accounted
 }
 
-/// Machine-readable outcome of one chaos-serve run
-/// ([`RESILIENCE_BASELINE_FILE`] contents).
-#[derive(Debug, Clone, Serialize)]
-pub struct ResilienceBaseline {
-    /// Workload / schedule seed.
-    pub seed: u64,
-    /// Jobs offered to the daemon.
-    pub offered: usize,
-    /// Scheduler shards.
-    pub shards: usize,
-    /// Chaos intensity.
-    pub intensity: f64,
-    /// True when a full rerun serialized to identical bytes.
-    pub determinism: bool,
-    /// Offered minus every terminal bucket; must be 0.
-    pub jobs_lost: i64,
-    /// Engine-side completions.
-    pub completed: usize,
-    /// Engine-side unfinished jobs at shutdown.
-    pub unfinished: usize,
-    /// Queue expiries (placement deadline passed while waiting).
-    pub expired: u64,
-    /// Placement deadline hits / misses.
-    pub deadline_hits: u64,
-    /// Placements that landed after their deadline.
-    pub deadline_misses: u64,
-    /// Brownout escalations / recoveries and the highest rung reached.
-    pub brownout_escalations: u64,
-    /// Ladder step-downs after recovery.
-    pub brownout_recoveries: u64,
-    /// Highest brownout rung reached (0 = never left Normal).
-    pub brownout_max_rung: u8,
-    /// Circuit-breaker trips (→ Open).
-    pub breaker_opens: u64,
-    /// Half-open probes issued.
-    pub breaker_half_opens: u64,
-    /// Breaker recoveries (→ Closed).
-    pub breaker_closes: u64,
-    /// Slots breakers held shards isolated.
-    pub isolated_slots: u64,
-    /// Workers restarted by the supervisor.
-    pub worker_restarts: u64,
-    /// Unrecovered control-plane errors (stringified).
-    pub errors: Vec<String>,
-}
-
 /// Executes `corp-exp resilience` end to end and renders the report
 /// table. Returns an error string (for exit 2) on failed smoke
-/// assertions or an unwritable baseline file.
+/// assertions.
 pub fn resilience_experiment(fast: bool, args: &ResilienceArgs) -> Result<FigureTable, String> {
     let (outcome, errors) = run_resilience(fast, args);
     let serialized = serde::json::to_string(&outcome.report);
@@ -318,15 +259,9 @@ pub fn resilience_experiment(fast: bool, args: &ResilienceArgs) -> Result<Figure
     // Replay the whole catastrophe and require identical bytes: the
     // schedule, the storm, the breakers, and the ladder are all pure
     // functions of the seed, so a single differing byte is a bug.
-    let determinism = if args.smoke || args.bench {
-        let (again, _) = run_resilience(fast, args);
-        serde::json::to_string(&again.report) == serialized
-    } else {
-        true
-    };
-
     if args.smoke {
-        if !determinism {
+        let (again, _) = run_resilience(fast, args);
+        if serde::json::to_string(&again.report) != serialized {
             return Err("resilience smoke: rerun produced a different report".to_string());
         }
         if lost != 0 {
@@ -341,33 +276,6 @@ pub fn resilience_experiment(fast: bool, args: &ResilienceArgs) -> Result<Figure
         if r.placement_latency.count == 0 {
             return Err("resilience smoke: no placement latencies measured".to_string());
         }
-    }
-
-    if args.bench {
-        let baseline = ResilienceBaseline {
-            seed: args.seed,
-            offered: args.jobs,
-            shards: args.shards,
-            intensity: args.intensity,
-            determinism,
-            jobs_lost: lost,
-            completed: r.sim.completed,
-            unfinished: r.sim.unfinished,
-            expired: r.queue.expired,
-            deadline_hits: r.slo.deadline_hits,
-            deadline_misses: r.slo.deadline_misses,
-            brownout_escalations: r.brownout.escalations,
-            brownout_recoveries: r.brownout.recoveries,
-            brownout_max_rung: r.brownout.max_rung,
-            breaker_opens: cp.breaker_opens,
-            breaker_half_opens: cp.breaker_half_opens,
-            breaker_closes: cp.breaker_closes,
-            isolated_slots: cp.isolated_slots,
-            worker_restarts: cp.worker_restarts,
-            errors: errors.clone(),
-        };
-        std::fs::write(RESILIENCE_BASELINE_FILE, serde::json::to_string(&baseline))
-            .map_err(|e| format!("resilience: cannot write {RESILIENCE_BASELINE_FILE}: {e}"))?;
     }
 
     let mut table = TextTable::new(
@@ -446,12 +354,8 @@ pub fn resilience_experiment(fast: bool, args: &ResilienceArgs) -> Result<Figure
             format!(
                 "Rerun byte-identity {}; every fault, storm window, and breaker \
                  transition is a pure function of seed {}.",
-                if args.smoke || args.bench {
-                    if determinism {
-                        "verified"
-                    } else {
-                        "FAILED"
-                    }
+                if args.smoke {
+                    "verified"
                 } else {
                     "not checked (pass --smoke)"
                 },
@@ -486,7 +390,6 @@ mod tests {
             "--width",
             "2",
             "--smoke",
-            "--bench",
         ]))
         .expect("parse");
         assert_eq!(args.seed, 11);
@@ -495,7 +398,6 @@ mod tests {
         assert_eq!(args.intensity, 0.5);
         assert_eq!(args.width, Some(2));
         assert!(args.smoke);
-        assert!(args.bench);
     }
 
     #[test]

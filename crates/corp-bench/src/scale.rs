@@ -7,10 +7,11 @@
 //! [`StreamingSimulation`] with
 //! [`reclaim_completed`](SimulationOptions::reclaim_completed) on, where
 //! engine memory must stay bounded by *concurrently live* jobs no matter
-//! how long the trace runs. The run records throughput (slots/s, jobs/s),
-//! the arena high-water mark, and the process peak RSS into
-//! [`SCALE_BASELINE_FILE`]; `scripts/check.sh scale-smoke` replays a small
-//! configuration and asserts the memory-boundedness invariant.
+//! how long the trace runs. The run reports throughput (slots/s, jobs/s),
+//! the arena high-water mark, and the process peak RSS; `--smoke` replays
+//! a small configuration and asserts the memory-boundedness invariant
+//! (`scripts/check.sh scale-smoke`). Citable numbers for this regime come
+//! from the `soak-50k` workload of `benchmark/`, not from here.
 
 use crate::serve::parse_seed;
 use crate::{FigureTable, TextTable};
@@ -20,11 +21,6 @@ use corp_sim::{
     StreamingSimulation,
 };
 use corp_trace::{JobSource, SyntheticSource, WorkloadConfig};
-use serde::Serialize;
-
-/// File the scale runner writes its machine-readable result to (in the
-/// invoking directory; `scripts/check.sh scale-smoke` consumes it).
-pub const SCALE_BASELINE_FILE: &str = "BENCH_scale.json";
 
 /// Parsed `corp-exp scale` flags.
 #[derive(Debug, Clone)]
@@ -123,17 +119,13 @@ impl ScaleArgs {
     }
 }
 
-/// Machine-readable result of one soak run ([`SCALE_BASELINE_FILE`]).
-#[derive(Debug, Clone, Serialize)]
+/// What one soak run measured.
+#[derive(Debug, Clone)]
 pub struct ScaleResult {
     /// Actual VM fleet size driven.
     pub vms: usize,
     /// Jobs pulled from the stream and submitted.
     pub jobs: usize,
-    /// Whether this was the small `--smoke` configuration.
-    pub smoke: bool,
-    /// Workload seed.
-    pub seed: u64,
     /// Scheduler shards the soak ran behind (0 = direct monolithic
     /// provisioner, no control plane).
     pub shards: usize,
@@ -183,7 +175,7 @@ fn scale_fleet(vms: usize) -> Cluster {
     Cluster::from_profile(profile.with_num_pms(vms.div_ceil(vms_per_pm)))
 }
 
-/// The soak workload mix: the e2e benchmark's job shape (2–5 min
+/// The soak workload mix: long short-lived jobs (2–5 min
 /// durations, scaled demand) with the arrival rate chosen so steady-state
 /// concurrency saturates roughly an eighth of the fleet — enough pressure
 /// that the arena is exercised, bounded enough that the soak drains.
@@ -206,8 +198,7 @@ fn scale_config(vms: usize, jobs: usize) -> WorkloadConfig {
 
 /// Runs one soak: streams the workload through the reclaiming engine and
 /// measures throughput, the arena high-water mark, and peak RSS. Pure
-/// measurement — no files, no assertions — so tests can drive it
-/// directly.
+/// measurement — no assertions — so tests can drive it directly.
 pub fn run_scale(args: &ScaleArgs) -> ScaleResult {
     let cluster = scale_fleet(args.vms);
     let vms = cluster.vms.len();
@@ -244,8 +235,6 @@ pub fn run_scale(args: &ScaleArgs) -> ScaleResult {
     ScaleResult {
         vms,
         jobs: sim.submitted(),
-        smoke: args.smoke,
-        seed: args.seed,
         shards: args.shards.unwrap_or(0),
         fast_path_hits: cp.map_or(0, |c| c.fast_path_hits),
         stripe_conflicts: cp.map_or(0, |c| c.stripe_conflicts),
@@ -303,14 +292,11 @@ fn check_smoke(result: &ScaleResult, args: &ScaleArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// Executes `corp-exp scale` end to end: runs the soak, writes
-/// [`SCALE_BASELINE_FILE`], applies the `--smoke` assertions, and renders
-/// the summary table. Returns an error string (for exit 2) on a failed
-/// assertion.
+/// Executes `corp-exp scale` end to end: runs the soak, applies the
+/// `--smoke` assertions, and renders the summary table. Returns an error
+/// string (for exit 2) on a failed assertion.
 pub fn scale_experiment(args: &ScaleArgs) -> Result<FigureTable, String> {
     let result = run_scale(args);
-    std::fs::write(SCALE_BASELINE_FILE, serde::json::to_string(&result))
-        .map_err(|e| format!("write {SCALE_BASELINE_FILE}: {e}"))?;
     // Job conservation holds for every configuration, sharded or not: a
     // control plane losing (or double-placing) jobs would show up here
     // before any throughput number means anything.
@@ -361,7 +347,6 @@ pub fn scale_experiment(args: &ScaleArgs) -> Result<FigureTable, String> {
         id: "scale".into(),
         table,
         notes: vec![
-            format!("machine-readable result written to {SCALE_BASELINE_FILE}"),
             "arena high-water counts job slots ever allocated; with reclaim on it is \
              bounded by peak concurrent jobs, independent of trace length"
                 .into(),

@@ -7,9 +7,14 @@
 //! intentionally non-deterministic report input.
 
 use corp_bench::env::{
-    run_cell, run_cell_faulty, run_cell_sharded, Environment, SchemeKind, SchemeParams,
+    build_provisioner, build_sharded_provisioner, run_cell, run_cell_faulty, run_cell_sharded,
+    Environment, SchemeKind, SchemeParams, ALL_SCHEMES,
 };
 use corp_faults::FaultConfig;
+use corp_sim::{
+    ControlPlaneStats, JobCompletion, ProvisionPlan, Provisioner, Simulation, SimulationOptions,
+    SlotContext,
+};
 
 const JOBS: usize = 40;
 
@@ -163,7 +168,7 @@ fn fifth_scheme_pipeline_is_identical_monolithic_and_sharded() {
 #[test]
 fn hot_path_optimizations_do_not_change_a_single_decision() {
     // The perf tier must be invisible in the results: fan-out prediction
-    // across scoped threads plus the fused DNN kernels must reproduce the
+    // across pool threads plus the fused DNN kernels must reproduce the
     // serial, reference-kernel run byte for byte, for every scheme. This is
     // the transparency bar the kernel rewrite is held to — any reordering
     // of a floating-point reduction would show up here.
@@ -175,7 +180,7 @@ fn hot_path_optimizations_do_not_change_a_single_decision() {
     ] {
         let tuned = params();
         let baseline = SchemeParams {
-            serial_prediction: true,
+            pool_width: Some(1),
             reference_dnn: true,
             ..params()
         };
@@ -187,6 +192,80 @@ fn hot_path_optimizations_do_not_change_a_single_decision() {
             "{scheme:?}: optimized hot path diverged from the serial reference run"
         );
     }
+}
+
+/// Forwards everything to the wrapped provisioner but declares a view
+/// period of 1, so the engine hands it full-depth history tails on every
+/// slot instead of only on the slots the provisioner declared.
+struct FullDepthViews(Box<dyn Provisioner + Send>);
+
+impl Provisioner for FullDepthViews {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn provision(&mut self, ctx: &SlotContext<'_>) -> ProvisionPlan {
+        self.0.provision(ctx)
+    }
+    fn on_job_completed(&mut self, job: u64, unused_history: &[Vec<f64>]) {
+        self.0.on_job_completed(job, unused_history);
+    }
+    fn on_jobs_completed(&mut self, completed: &[JobCompletion]) {
+        self.0.on_jobs_completed(completed);
+    }
+    fn control_plane_stats(&self) -> Option<ControlPlaneStats> {
+        self.0.control_plane_stats()
+    }
+    fn set_service_level(&mut self, level: u8) {
+        self.0.set_service_level(level);
+    }
+    fn full_view_period(&self) -> u64 {
+        1
+    }
+}
+
+#[test]
+fn declared_view_periods_hide_nothing_the_provisioners_read() {
+    // A provisioner that declares `full_view_period() == L` promises it
+    // reads no history deeper than the newest sample on the other L - 1
+    // slots of every window, and the engine skips those copies. Handing the
+    // same provisioner full-depth views on every slot must therefore not
+    // change a byte — for the four schemes (the baselines declare their
+    // 6-slot window, CORP its configured one) and for the sharded
+    // coordinator, which declares the gcd of its workers' periods.
+    let env = Environment::Cluster;
+    let p = params();
+    let report = |provisioner: &mut dyn Provisioner| {
+        let mut sim = Simulation::new(
+            env.cluster(),
+            env.workload(JOBS, p.seed.wrapping_add(JOBS as u64)),
+            SimulationOptions {
+                measure_decision_time: false,
+                ..Default::default()
+            },
+        );
+        serde::json::to_string(&sim.run(provisioner))
+    };
+    let check = |label: &str, build: &dyn Fn() -> Box<dyn Provisioner + Send>| {
+        let mut declared = build();
+        assert!(
+            declared.full_view_period() > 1,
+            "{label}: nothing to check unless the provisioner declares a window"
+        );
+        let mut full_depth = FullDepthViews(build());
+        assert_eq!(
+            report(declared.as_mut()),
+            report(&mut full_depth),
+            "{label}: reads deeper views than its full_view_period declares"
+        );
+    };
+    for scheme in ALL_SCHEMES {
+        check(&format!("{scheme:?}"), &|| {
+            build_provisioner(scheme, env, &p)
+        });
+    }
+    check("2-shard CORP", &|| {
+        Box::new(build_sharded_provisioner(SchemeKind::Corp, env, &p, 2))
+    });
 }
 
 #[test]

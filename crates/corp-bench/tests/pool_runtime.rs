@@ -1,12 +1,12 @@
-//! Pool-runtime equivalence: the persistent worker-pool path must
-//! reproduce the legacy scoped-thread path byte for byte, at every fan-out
-//! width, for every scheme.
+//! Pool-runtime equivalence: every fan-out width must reproduce width 1 —
+//! the serial path, everything on the calling thread — byte for byte, for
+//! every scheme.
 //!
-//! This is the determinism contract of DESIGN.md §11: chunking is
-//! contiguous and width-deterministic, results land by task index, and
-//! worker scratch only carries buffers that are fully overwritten before
-//! they are read (plus order-independent counters). A single differing
-//! byte in a serialized report fails the suite.
+//! This is the determinism contract of DESIGN.md §9: chunks are contiguous
+//! runs of tasks, results land by task index, and worker scratch only
+//! carries buffers that are fully overwritten before they are read (plus
+//! order-independent counters). A single differing byte in a serialized
+//! report fails the suite.
 
 use corp_bench::env::{
     historical_histories, run_cell, Environment, SchemeKind, SchemeParams, ALL_SCHEMES,
@@ -19,10 +19,9 @@ use corp_sim::{Simulation, SimulationOptions};
 const JOBS: usize = 30;
 
 /// Runs one small cluster cell and serializes the full report.
-fn report_json(scheme: SchemeKind, scoped: bool, width: Option<usize>) -> String {
+fn report_json(scheme: SchemeKind, width: Option<usize>) -> String {
     let params = SchemeParams {
         fast_dnn: true,
-        scoped_runtime: scoped,
         pool_width: width,
         ..Default::default()
     };
@@ -36,45 +35,26 @@ fn report_json(scheme: SchemeKind, scoped: bool, width: Option<usize>) -> String
 }
 
 #[test]
-fn pooled_widths_match_scoped_for_every_scheme() {
+fn every_width_matches_width_one_for_every_scheme() {
     for scheme in ALL_SCHEMES {
-        let scoped = report_json(scheme, true, None);
-        for width in [Some(1), Some(2), Some(hardware_parallelism())] {
+        let serial = report_json(scheme, Some(1));
+        for width in [Some(2), Some(3), Some(hardware_parallelism()), None] {
             assert_eq!(
-                report_json(scheme, false, width),
-                scoped,
-                "{scheme:?}: pooled at width {width:?} diverged from scoped"
+                report_json(scheme, width),
+                serial,
+                "{scheme:?}: width {width:?} diverged from width 1"
             );
         }
-        assert_eq!(
-            report_json(scheme, false, None),
-            scoped,
-            "{scheme:?}: pooled at the default width diverged from scoped"
-        );
-    }
-}
-
-#[test]
-fn pinned_width_matches_default_width_under_scoped_mode() {
-    // The width knob must be inert in scoped mode too (it only shapes the
-    // pooled chunking; scoped fan-out derives its width from the host).
-    for scheme in [SchemeKind::Corp, SchemeKind::Rccr] {
-        assert_eq!(
-            report_json(scheme, true, Some(2)),
-            report_json(scheme, true, None),
-            "{scheme:?}: width override changed the scoped-mode report"
-        );
     }
 }
 
 /// Runs CORP on the small cluster cell with a third of the fleet's views
 /// poisoned every slot — NaN and finite-spike corruption alternating — and
 /// serializes the report together with the predictor's fallback counters.
-fn poisoned_corp_json(scoped: bool, width: Option<usize>) -> String {
+fn poisoned_corp_json(width: Option<usize>) -> String {
     const POISONED_SLOTS: u64 = 400;
     let env = Environment::Cluster;
     let config = CorpConfig {
-        pooled_runtime: !scoped,
         prediction_pool_width: width,
         ..CorpConfig::fast()
     };
@@ -122,22 +102,17 @@ fn poisoned_corp_json(scoped: bool, width: Option<usize>) -> String {
 }
 
 #[test]
-fn poisoned_lanes_take_the_same_ladder_in_every_mode_and_width() {
+fn poisoned_lanes_take_the_same_ladder_at_every_width() {
     // A lane-batched forecast routes each unhealthy lane (NaN sample, or a
     // spike-blown sigma_hat) to the fallback ladder and batches the rest;
-    // which lanes share a batch depends on the chunking. Reports *and*
-    // fallback counters must not.
-    let scoped = poisoned_corp_json(true, None);
-    for width in [1, 2, 3] {
+    // which lanes share a claimed chunk, and which thread claims it,
+    // depends on the width. Reports *and* fallback counters must not.
+    let serial = poisoned_corp_json(Some(1));
+    for width in [Some(2), Some(3), None] {
         assert_eq!(
-            poisoned_corp_json(false, Some(width)),
-            scoped,
-            "pooled at width {width} diverged from scoped under view poisoning"
-        );
-        assert_eq!(
-            poisoned_corp_json(true, Some(width)),
-            scoped,
-            "scoped with width {width} pinned diverged under view poisoning"
+            poisoned_corp_json(width),
+            serial,
+            "width {width:?} diverged from width 1 under view poisoning"
         );
     }
 }

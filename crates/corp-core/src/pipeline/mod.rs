@@ -22,18 +22,17 @@
 //! two-phase-commit [`PlacementBackend`] over the `PlacementStore`.
 //!
 //! Determinism is a stage contract: predictors fan out through the
-//! [`PredictRuntime`] (persistent pool workers by default, scoped threads
-//! in the legacy mode) writing by task index, gates mutate pools in fleet
-//! scan order, and backends draw from the pipeline RNG only when their
-//! policy does — so reports are byte-identical across execution modes,
-//! thread counts, and the monolithic/sharded split (pinned by the
-//! determinism suite in `corp-bench`).
+//! [`PredictRuntime`] (the calling thread plus persistent pool workers)
+//! writing by task index, gates mutate pools in fleet scan order, and
+//! backends draw from the pipeline RNG only when their policy does — so
+//! reports are byte-identical across thread counts and the
+//! monolithic/sharded split (pinned by the determinism suite in
+//! `corp-bench`).
 
 #![warn(missing_docs)]
 
 mod backend;
 mod driver;
-mod fanout;
 mod gate;
 mod pack;
 mod pool;
@@ -41,13 +40,12 @@ mod predict;
 
 pub use backend::{AdmissionPolicy, Claim, DirectBackend, PlacementBackend, VmSelector};
 pub use driver::ProvisioningPipeline;
-pub use fanout::{
-    configured_pool_width, fan_out, fan_out_vm_predictions, hardware_parallelism, per_task,
-    prediction_threads, SERIAL_FANOUT_CUTOFF,
-};
 pub use gate::{BaselineReclaimGate, CorpReclaimGate, NoopGate, ReallocationGate, RecordOnlyGate};
 pub use pack::{JobPacker, Packing};
-pub use pool::{PredictRuntime, RuntimeMode, WorkerPool, WorkerScratch};
+pub use pool::{
+    configured_pool_width, hardware_parallelism, per_task, prediction_threads, PredictRuntime,
+    WorkerPool, WorkerScratch, SERIAL_FANOUT_CUTOFF,
+};
 pub use predict::{
     CorpUsagePredictor, FiniteGuard, NoopUsagePredictor, PendingOutcome, UsagePredictor,
     VmPredictorCore, VmWindowPredictor, WindowForecast,

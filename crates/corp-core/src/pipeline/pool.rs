@@ -1,60 +1,88 @@
 //! The persistent prediction runtime: one [`PredictRuntime`] per predictor
 //! stage, owning a lazily-spawned [`WorkerPool`] and the per-participant
-//! scratch that persists across provisioning windows.
+//! scratch that persists across provisioning windows, plus the width
+//! policy that decides how many threads a window gets.
 //!
-//! ## Two execution modes, one contract
+//! ## Execution
 //!
-//! * [`RuntimeMode::Pooled`] (default) — cuts each window's tasks into
-//!   chunks of the caller's `grain` that the calling thread and the
-//!   long-lived `corp-predict-{i}` threads claim one at a time
-//!   ([`WorkerPool::run_chunks`]): a thread that wakes late or sits on a
-//!   slow core takes fewer chunks instead of holding the window up.
-//!   Scratch (DNN lane buffers, HMM decode buffers, series buffers) is
-//!   created once per participant and reset-not-reallocated per use. When
-//!   the effective width is 1 — small fleets below the serial cutoff, or a
-//!   single-core host — the caller is the only participant: no worker
-//!   thread, no wake-up, and still zero per-window allocation.
-//! * [`RuntimeMode::Scoped`] — the pre-pool path: fresh scoped threads,
-//!   one fixed contiguous share each, and fresh `init()` scratch every
-//!   window ([`fan_out`]). Kept as the measured baseline arm of
-//!   `corp-exp e2e` and for A/B determinism tests.
+//! Each window's tasks are cut into chunks of the caller's `grain` that
+//! the calling thread and the long-lived `corp-predict-{i}` threads claim
+//! one at a time ([`WorkerPool::run_chunks`]): a thread that wakes late or
+//! sits on a slow core takes fewer chunks instead of holding the window
+//! up. Scratch (DNN lane buffers, HMM decode buffers, series buffers) is
+//! created once per participant and reset-not-reallocated per use. When
+//! the effective width is 1 — a pinned width of 1, small fleets below the
+//! serial cutoff, or a single-core host — the caller is the only
+//! participant: no worker thread, no wake-up, and still zero per-window
+//! allocation. Width 1 *is* the serial path; there is no other.
 //!
 //! ## Determinism argument
 //!
-//! Both modes hand `f` contiguous runs of tasks and write results by task
+//! `f` is handed contiguous runs of tasks and writes results by task
 //! index; predictor states only carry buffers that are fully overwritten
 //! before they are read plus order-independent counters (u64 adds)
 //! extracted per window by `finish`. So it does not matter which thread
 //! computes a task, nor where the runs are cut: reports are byte-identical
-//! across modes, widths, grains and hosts — pinned by the determinism
-//! suite and the pool-equivalence tests in `corp-bench`.
+//! across widths, grains and hosts — pinned against width 1 by the
+//! determinism suite and the pool-equivalence tests in `corp-bench`.
 
-use crate::pipeline::fanout::{fan_out, fan_out_vm_predictions, per_task, prediction_threads};
-pub use corp_pool::{WorkerPool, WorkerScratch};
+pub use corp_pool::{per_task, WorkerPool, WorkerScratch};
 use corp_sim::{ResourceVector, VmView};
 use std::any::Any;
+use std::sync::OnceLock;
 
 /// VMs per claimed chunk in [`PredictRuntime::fan_out_vms`]: a per-VM
 /// forecast is microseconds, so a chunk has to hold a few dozen of them to
 /// dwarf the claim, and a 1 024-VM fleet still cuts into 32 chunks.
 const VM_GRAIN: usize = 32;
 
-/// Which execution path a [`PredictRuntime`] drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RuntimeMode {
-    /// Pre-pool path: fresh scoped threads and fresh scratch every window.
-    Scoped,
-    /// Persistent path: long-lived pool workers with reusable scratch
-    /// (inline with persistent scratch at width 1).
-    Pooled,
+/// Below this many tasks every fan-out runs on the calling thread alone: a
+/// prediction task is microseconds of work, so for small fleets waking the
+/// pool costs more than it saves (without the cutoff, small workloads ran
+/// slower fanned out than serial). The cutoff counts *tasks* — jobs, for
+/// CORP — never the lanes a worker batches them into: a 3 000-job window
+/// is only 47 lanes of 64 and must still fan out. Width-1 and wider
+/// results are bit-identical, so the cutoff never changes a report.
+pub const SERIAL_FANOUT_CUTOFF: usize = 64;
+
+/// Hardware parallelism, queried once per process.
+pub fn hardware_parallelism() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
-/// The per-stage prediction runtime: execution mode, fan-out width policy,
-/// the lazily-spawned worker pool, and the calling thread's own scratch
-/// (the caller takes part in every pooled fan-out).
+/// The configured fan-out width: the `CORP_THREADS` environment variable
+/// when set to a positive integer (bench runs pin pool width with it),
+/// otherwise [`hardware_parallelism`]. Read once per process.
+pub fn configured_pool_width() -> usize {
+    static WIDTH: OnceLock<usize> = OnceLock::new();
+    *WIDTH.get_or_init(|| {
+        std::env::var("CORP_THREADS")
+            .ok()
+            .and_then(|s| s.trim().parse::<usize>().ok())
+            .filter(|&w| w >= 1)
+            .unwrap_or_else(hardware_parallelism)
+    })
+}
+
+/// The default number of threads for a prediction fan-out over `tasks`
+/// tasks: 1 below [`SERIAL_FANOUT_CUTOFF`], else the configured width
+/// capped by the task count.
+pub fn prediction_threads(tasks: usize) -> usize {
+    if tasks < SERIAL_FANOUT_CUTOFF {
+        return 1;
+    }
+    configured_pool_width().min(tasks)
+}
+
+/// The per-stage prediction runtime: fan-out width policy, the
+/// lazily-spawned worker pool, and the calling thread's own scratch (the
+/// caller takes part in every fan-out).
 pub struct PredictRuntime {
-    mode: RuntimeMode,
-    parallel: bool,
     width_override: Option<usize>,
     pool: Option<WorkerPool>,
     local: WorkerScratch,
@@ -63,8 +91,6 @@ pub struct PredictRuntime {
 impl std::fmt::Debug for PredictRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PredictRuntime")
-            .field("mode", &self.mode)
-            .field("parallel", &self.parallel)
             .field("width_override", &self.width_override)
             .field("pool_width", &self.pool.as_ref().map(WorkerPool::width))
             .finish()
@@ -72,47 +98,22 @@ impl std::fmt::Debug for PredictRuntime {
 }
 
 impl PredictRuntime {
-    /// A runtime in `mode`, with the parallel fan-out enabled or not.
-    pub fn new(mode: RuntimeMode, parallel: bool) -> Self {
-        PredictRuntime {
-            mode,
-            parallel,
+    /// A runtime at `width` threads per window: `None` follows the
+    /// `CORP_THREADS` / hardware-parallelism default behind the serial
+    /// cutoff, `Some(1)` is the serial path (everything on the calling
+    /// thread). The width only shapes the chunking — results are
+    /// byte-identical at any width.
+    pub fn new(width: Option<usize>) -> Self {
+        let mut runtime = PredictRuntime {
             width_override: None,
             pool: None,
             local: WorkerScratch::new(),
-        }
+        };
+        runtime.set_width(width);
+        runtime
     }
 
-    /// The current execution mode.
-    pub fn mode(&self) -> RuntimeMode {
-        self.mode
-    }
-
-    /// Whether the persistent-pool path is active.
-    pub fn is_pooled(&self) -> bool {
-        self.mode == RuntimeMode::Pooled
-    }
-
-    /// Switches execution mode (reports are byte-identical either way).
-    pub fn set_mode(&mut self, mode: RuntimeMode) {
-        self.mode = mode;
-    }
-
-    /// Enables or disables the parallel fan-out (serial execution stays on
-    /// the persistent inline scratch in pooled mode).
-    pub fn set_parallel(&mut self, enabled: bool) {
-        self.parallel = enabled;
-    }
-
-    /// Whether the parallel fan-out is enabled.
-    pub fn parallel(&self) -> bool {
-        self.parallel
-    }
-
-    /// Pins the fan-out width instead of the `CORP_THREADS` /
-    /// hardware-parallelism default. `None` restores the default. The
-    /// width only shapes the chunking — results are byte-identical at any
-    /// width.
+    /// Re-pins the fan-out width (see [`new`](Self::new)).
     pub fn set_width(&mut self, width: Option<usize>) {
         assert!(width != Some(0), "pool width must be at least 1");
         self.width_override = width;
@@ -123,26 +124,24 @@ impl PredictRuntime {
         match self.width_override {
             // An explicit width skips the serial cutoff: equivalence tests
             // pin widths {1, 2, N} and must actually exercise them.
-            Some(w) if self.parallel && tasks >= 2 => w.min(tasks),
-            _ => prediction_threads(self.parallel, tasks),
+            Some(w) => w.min(tasks).max(1),
+            None => prediction_threads(tasks),
         }
     }
 
-    /// Fans `f` over `tasks` through the active execution path.
+    /// Fans `f` over `tasks`.
     ///
     /// `f` maps a contiguous chunk of tasks into the chunk's slots of a
     /// result vector pre-filled with `fill` ([`per_task`] adapts a one-task
-    /// closure), so a thread may batch across neighbouring tasks. In pooled
-    /// mode a chunk is `grain` tasks — pick the batch `f` works in — and
-    /// the threads claim chunks as they go; in scoped mode it is one
-    /// thread's whole share. The width policy
-    /// ([`effective_width`](Self::effective_width)) counts tasks either
-    /// way. Each thread threads its calls through a state of type `S`
-    /// (`init` on first use — per window in scoped mode, once per thread in
-    /// pooled mode) and `finish` extracts the window's side-product from
-    /// each state once the chunks are gone (e.g. `mem::take` of fallback
-    /// counters). Which thread ran which chunk is not fixed, so merge the
-    /// extractions commutatively.
+    /// closure), so a thread may batch across neighbouring tasks. A chunk
+    /// is `grain` tasks — pick the batch `f` works in — and the threads
+    /// claim chunks as they go. The width policy
+    /// ([`effective_width`](Self::effective_width)) counts tasks. Each
+    /// thread threads its calls through a state of type `S` (`init` on
+    /// first use, once per thread) and `finish` extracts the window's
+    /// side-product from each state once the chunks are gone (e.g.
+    /// `mem::take` of fallback counters). Which thread ran which chunk is
+    /// not fixed, so merge the extractions commutatively.
     pub fn fan_out<I, T, S, D>(
         &mut self,
         tasks: &[I],
@@ -158,46 +157,34 @@ impl PredictRuntime {
         S: Any + Send,
         D: Send,
     {
-        match self.mode {
-            RuntimeMode::Scoped => {
-                let (results, mut states) = fan_out(tasks, self.parallel, fill, init, f);
-                let deltas = states.iter_mut().map(finish).collect();
-                (results, deltas)
-            }
-            RuntimeMode::Pooled => {
-                // At width 1 — small windows, single-core hosts — the
-                // caller is the only participant: no worker is spawned or
-                // woken.
-                let width = self.effective_width(tasks.len());
-                let mut results = vec![fill; tasks.len()];
-                let pool = self.pool.get_or_insert_with(WorkerPool::new);
-                let deltas = pool.run_chunks(
-                    tasks,
-                    &mut results,
-                    width,
-                    grain,
-                    &mut self.local,
-                    &init,
-                    &f,
-                    &finish,
-                );
-                (results, deltas)
-            }
-        }
+        // At width 1 the caller is the only participant: no worker is
+        // spawned or woken.
+        let width = self.effective_width(tasks.len());
+        let mut results = vec![fill; tasks.len()];
+        let pool = self.pool.get_or_insert_with(WorkerPool::new);
+        let deltas = pool.run_chunks(
+            tasks,
+            &mut results,
+            width,
+            grain,
+            &mut self.local,
+            &init,
+            &f,
+            &finish,
+        );
+        (results, deltas)
     }
 
-    /// Fans the per-VM predictions of one window through the active path,
-    /// returning one slot per VM position (`None` for VMs with no jobs or
-    /// no forecast). Mirrors [`fan_out_vm_predictions`], including its
-    /// all-VMs-busy fast path.
+    /// Fans the per-VM predictions of one window, returning one slot per
+    /// VM position (`None` for VMs with no jobs or no forecast). When every
+    /// VM has jobs — the common case under load — the fleet slice itself is
+    /// the task list, skipping the intermediate index vector and the
+    /// scatter copy.
     pub fn fan_out_vms(
         &mut self,
         vms: &[VmView],
         predict: impl Fn(&VmView) -> Option<ResourceVector> + Sync,
     ) -> Vec<Option<ResourceVector>> {
-        if self.mode == RuntimeMode::Scoped {
-            return fan_out_vm_predictions(vms, self.parallel, predict);
-        }
         if vms.iter().all(|v| !v.jobs.is_empty()) {
             let (results, _) = self.fan_out(
                 vms,
@@ -235,12 +222,12 @@ impl PredictRuntime {
 mod tests {
     use super::*;
 
-    fn runtime(mode: RuntimeMode) -> PredictRuntime {
-        PredictRuntime::new(mode, true)
+    fn pinned(width: usize) -> PredictRuntime {
+        PredictRuntime::new(Some(width))
     }
 
     #[test]
-    fn pooled_results_match_scoped_results() {
+    fn wider_results_match_width_one_results() {
         let tasks: Vec<u64> = (0..200).collect();
         let run = |rt: &mut PredictRuntime| {
             rt.fan_out(
@@ -255,15 +242,14 @@ mod tests {
                 std::mem::take,
             )
         };
-        let (scoped, scoped_deltas) = run(&mut runtime(RuntimeMode::Scoped));
-        for width in [1, 2, 5] {
-            let mut rt = runtime(RuntimeMode::Pooled);
-            rt.set_width(Some(width));
-            let (pooled, deltas) = run(&mut rt);
-            assert_eq!(pooled, scoped, "width {width}");
+        let (serial, serial_deltas) = run(&mut pinned(1));
+        assert_eq!(serial_deltas, vec![200], "width 1 is one participant");
+        for width in [2, 5] {
+            let (pooled, deltas) = run(&mut pinned(width));
+            assert_eq!(pooled, serial, "width {width}");
             assert_eq!(
                 deltas.iter().sum::<u64>(),
-                scoped_deltas.iter().sum::<u64>(),
+                200,
                 "every task processed exactly once at width {width}"
             );
         }
@@ -271,8 +257,7 @@ mod tests {
 
     #[test]
     fn width_one_runs_inline_with_persistent_scratch() {
-        let mut rt = runtime(RuntimeMode::Pooled);
-        rt.set_width(Some(1));
+        let mut rt = pinned(1);
         let tasks = [(); 5];
         for round in 1u64..=3 {
             let (_, deltas) = rt.fan_out(
@@ -292,18 +277,18 @@ mod tests {
 
     #[test]
     fn serial_cutoff_applies_without_an_override() {
-        let rt = runtime(RuntimeMode::Pooled);
+        let rt = PredictRuntime::new(None);
         assert_eq!(rt.effective_width(1), 1);
         assert_eq!(
-            rt.effective_width(crate::pipeline::fanout::SERIAL_FANOUT_CUTOFF - 1),
+            rt.effective_width(SERIAL_FANOUT_CUTOFF - 1),
             1,
             "below the cutoff the fan-out is serial"
         );
-        let mut pinned = runtime(RuntimeMode::Pooled);
-        pinned.set_width(Some(3));
-        assert_eq!(pinned.effective_width(8), 3, "explicit width wins");
-        assert_eq!(pinned.effective_width(2), 2, "but never exceeds tasks");
-        assert_eq!(pinned.effective_width(1), 1);
+        assert_eq!(pinned(3).effective_width(8), 3, "explicit width wins");
+        assert_eq!(pinned(3).effective_width(2), 2, "but never exceeds tasks");
+        assert_eq!(pinned(3).effective_width(1), 1);
+        assert_eq!(pinned(3).effective_width(0), 1);
+        assert_eq!(pinned(1).effective_width(10_000), 1, "width 1 is serial");
     }
 
     #[test]
@@ -313,34 +298,14 @@ mod tests {
         // lanes) gets the whole pool, and only a window under the cutoff
         // *in jobs* runs serially. Handing lanes to the runtime as its
         // tasks would have put 3 000 jobs on one thread.
-        let rt = runtime(RuntimeMode::Pooled);
-        assert_eq!(
-            rt.effective_width(3_000),
-            crate::pipeline::fanout::configured_pool_width()
-        );
+        let rt = PredictRuntime::new(None);
+        assert_eq!(rt.effective_width(3_000), configured_pool_width());
         assert_eq!(rt.effective_width(63), 1);
-    }
-
-    #[test]
-    fn serial_runtime_never_fans_out() {
-        let mut rt = PredictRuntime::new(RuntimeMode::Pooled, false);
-        assert_eq!(rt.effective_width(10_000), 1);
-        let tasks: Vec<u64> = (0..100).collect();
-        let (out, deltas) = rt.fan_out(
-            &tasks,
-            8,
-            0u64,
-            || 0u64,
-            per_task(|&t, _: &mut u64| t),
-            |_| (),
-        );
-        assert_eq!(out, tasks);
-        assert_eq!(deltas.len(), 1, "one inline state");
     }
 
     #[test]
     #[should_panic(expected = "at least 1")]
     fn zero_width_override_rejected() {
-        runtime(RuntimeMode::Pooled).set_width(Some(0));
+        PredictRuntime::new(Some(0));
     }
 }

@@ -8,9 +8,8 @@
 //!
 //! * [`CorpUsagePredictor`] — per-job DNN + HMM + CI (Eqs. 5–19) behind
 //!   the Eq. 21 preemption gate, fanned through the persistent
-//!   [`PredictRuntime`] (legacy scoped threads in
-//!   [`RuntimeMode::Scoped`]) and run in lanes of jobs, one batched DNN
-//!   forward per lane.
+//!   [`PredictRuntime`] and run in lanes of jobs, one batched DNN forward
+//!   per lane.
 //! * [`VmWindowPredictor`] — the baselines' per-VM forecasters
 //!   (exponential smoothing, FFT/Markov, run-time mean) behind one shared
 //!   observe/resolve loop, with [`FiniteGuard`] decorating the raw
@@ -18,7 +17,7 @@
 //!   before it can wedge a smoother.
 
 use crate::config::CorpConfig;
-use crate::pipeline::pool::{PredictRuntime, RuntimeMode};
+use crate::pipeline::pool::PredictRuntime;
 use crate::predictor::{CorpJobPredictor, PredictionScratch};
 use corp_sim::{ResourceVector, RunningJobView, SlotContext};
 use corp_trace::NUM_RESOURCES;
@@ -153,23 +152,11 @@ pub struct CorpUsagePredictor {
 impl CorpUsagePredictor {
     /// Builds the stage from a validated CORP configuration.
     pub fn new(config: &CorpConfig) -> Self {
-        let mode = if config.pooled_runtime {
-            RuntimeMode::Pooled
-        } else {
-            RuntimeMode::Scoped
-        };
-        let mut runtime = PredictRuntime::new(mode, config.parallel_prediction);
-        runtime.set_width(config.prediction_pool_width);
         CorpUsagePredictor {
             predictor: CorpJobPredictor::new(config),
-            runtime,
+            runtime: PredictRuntime::new(config.prediction_pool_width),
             tasks: Vec::new(),
         }
-    }
-
-    /// The prediction runtime (mode/width switches for A/B benchmarking).
-    pub fn runtime_mut(&mut self) -> &mut PredictRuntime {
-        &mut self.runtime
     }
 
     /// Offline-trains the predictor on a historical workload (paper: the
@@ -239,18 +226,16 @@ impl UsagePredictor for CorpUsagePredictor {
     fn forecast(&mut self, ctx: &SlotContext<'_>) -> WindowForecast {
         // Flatten the fleet's prediction work into (vm, job) tasks and fan
         // them through the prediction runtime — the width policy counts
-        // jobs. The pooled runtime hands the threads one lane of
-        // FORECAST_LANES jobs at a time, the scoped one a whole share that
-        // is walked in lanes here; either way a lane goes through the
-        // thread's own scratch against the shared immutable predictor: one
-        // batched DNN forward per resource per lane, everything else job
-        // by job. Lanes do not interact and results land by task index, so
-        // the forecast — and everything downstream — is bit-identical to
-        // the serial one-job path regardless of mode, thread count, lane
-        // width or which thread took which lane; fallback-counter deltas
-        // merge after the join (u64 adds, order-independent). In pooled
-        // mode the scratch persists across windows (reset-not-reallocate);
-        // the scoped arm builds it per window.
+        // jobs. The runtime hands the threads one lane of FORECAST_LANES
+        // jobs at a time; a lane goes through the thread's own scratch
+        // against the shared immutable predictor: one batched DNN forward
+        // per resource per lane, everything else job by job. Lanes do not
+        // interact and results land by task index, so the forecast — and
+        // everything downstream — is bit-identical to the serial one-job
+        // path regardless of thread count, lane width or which thread took
+        // which lane; fallback-counter deltas merge after the join (u64
+        // adds, order-independent). The scratch persists across windows
+        // (reset-not-reallocate).
         let predictor = &self.predictor;
         let runtime = &mut self.runtime;
         let tasks = &mut self.tasks;
@@ -396,32 +381,25 @@ pub struct VmWindowPredictor<P> {
 }
 
 impl<P> VmWindowPredictor<P> {
-    /// Builds the stage around `core` with the parallel fan-out enabled.
+    /// Builds the stage around `core` at the default fan-out width.
     pub fn new(core: P) -> Self {
         VmWindowPredictor {
             core,
-            runtime: PredictRuntime::new(RuntimeMode::Pooled, true),
+            runtime: PredictRuntime::new(None),
         }
     }
 
-    /// Builds the stage with the fan-out forced serial (schemes whose
+    /// Builds the stage with the fan-out pinned to width 1 (schemes whose
     /// per-VM forecast is too cheap to be worth a thread, e.g. DRA's
     /// running mean).
     pub fn serial(core: P) -> Self {
         VmWindowPredictor {
             core,
-            runtime: PredictRuntime::new(RuntimeMode::Pooled, false),
+            runtime: PredictRuntime::new(Some(1)),
         }
     }
 
-    /// Enables or disables the parallel prediction fan-out (reports are
-    /// byte-identical either way; `false` is the determinism suite's A/B
-    /// switch).
-    pub fn set_parallel(&mut self, enabled: bool) {
-        self.runtime.set_parallel(enabled);
-    }
-
-    /// The prediction runtime (mode/width switches for A/B benchmarking).
+    /// The prediction runtime (the width pin).
     pub fn runtime_mut(&mut self) -> &mut PredictRuntime {
         &mut self.runtime
     }

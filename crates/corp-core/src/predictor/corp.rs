@@ -347,7 +347,7 @@ impl CorpJobPredictor {
     }
 
     /// [`predict_job`](Self::predict_job) through caller-provided scratch,
-    /// leaving the predictor immutable so scoped threads can fan a fleet's
+    /// leaving the predictor immutable so the runtime's threads can fan a fleet's
     /// predictions over one shared `&CorpJobPredictor`. This is the one-lane
     /// case of [`predict_jobs_in`](Self::predict_jobs_in). Values are
     /// bit-identical to the `&mut self` path; fallback-rung increments

@@ -32,7 +32,7 @@ use crate::config::CorpConfig;
 use crate::pipeline::{
     AdmissionPolicy, BaselineReclaimGate, CorpReclaimGate, CorpUsagePredictor, DirectBackend,
     FiniteGuard, NoopGate, NoopUsagePredictor, Packing, ProvisioningPipeline, RecordOnlyGate,
-    RuntimeMode, VmSelector, VmWindowPredictor,
+    VmSelector, VmWindowPredictor,
 };
 use crate::predictor::{CloudScalePredictor, CorpJobPredictor, DraPredictor, RccrPredictor};
 
@@ -87,31 +87,6 @@ impl CorpProvisioner {
     pub fn predictor(&self) -> &CorpJobPredictor {
         self.stage_predictor().inner()
     }
-
-    /// Switches the prediction stage between the persistent pool runtime
-    /// (`false`, the default) and the legacy scoped-thread path (`true`).
-    /// Reports are byte-identical either way; `true` is the measured
-    /// baseline arm of `corp-exp e2e`.
-    pub fn set_scoped_runtime(&mut self, scoped: bool) {
-        self.stage_predictor_mut()
-            .runtime_mut()
-            .set_mode(runtime_mode(scoped));
-    }
-
-    /// Pins the prediction fan-out width (`None` restores the
-    /// `CORP_THREADS` / hardware default).
-    pub fn set_prediction_pool_width(&mut self, width: Option<usize>) {
-        self.stage_predictor_mut().runtime_mut().set_width(width);
-    }
-}
-
-/// Maps the provisioners' `scoped` switch onto the runtime mode.
-fn runtime_mode(scoped: bool) -> RuntimeMode {
-    if scoped {
-        RuntimeMode::Scoped
-    } else {
-        RuntimeMode::Pooled
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -143,22 +118,8 @@ impl RccrProvisioner {
         )
     }
 
-    /// Enables or disables the parallel prediction fan-out (reports are
-    /// byte-identical either way; `false` is the determinism suite's A/B
-    /// switch).
-    pub fn set_parallel_prediction(&mut self, enabled: bool) {
-        self.stage_predictor_mut().set_parallel(enabled);
-    }
-
-    /// Switches the prediction stage between the persistent pool runtime
-    /// (`false`, the default) and the legacy scoped-thread path (`true`).
-    pub fn set_scoped_runtime(&mut self, scoped: bool) {
-        self.stage_predictor_mut()
-            .runtime_mut()
-            .set_mode(runtime_mode(scoped));
-    }
-
-    /// Pins the prediction fan-out width (`None` restores the default).
+    /// Pins the prediction fan-out width (`None` restores the default,
+    /// `Some(1)` is serial).
     pub fn set_prediction_pool_width(&mut self, width: Option<usize>) {
         self.stage_predictor_mut().runtime_mut().set_width(width);
     }
@@ -201,22 +162,8 @@ impl CloudScaleProvisioner {
         )
     }
 
-    /// Enables or disables the parallel prediction fan-out (reports are
-    /// byte-identical either way; `false` is the determinism suite's A/B
-    /// switch).
-    pub fn set_parallel_prediction(&mut self, enabled: bool) {
-        self.stage_predictor_mut().set_parallel(enabled);
-    }
-
-    /// Switches the prediction stage between the persistent pool runtime
-    /// (`false`, the default) and the legacy scoped-thread path (`true`).
-    pub fn set_scoped_runtime(&mut self, scoped: bool) {
-        self.stage_predictor_mut()
-            .runtime_mut()
-            .set_mode(runtime_mode(scoped));
-    }
-
-    /// Pins the prediction fan-out width (`None` restores the default).
+    /// Pins the prediction fan-out width (`None` restores the default,
+    /// `Some(1)` is serial).
     pub fn set_prediction_pool_width(&mut self, width: Option<usize>) {
         self.stage_predictor_mut().runtime_mut().set_width(width);
     }
@@ -262,24 +209,14 @@ impl DraProvisioner {
             "DRA",
             BASELINE_WINDOW_SLOTS,
             seed,
-            // The run-time mean is too cheap to be worth a thread; keep
-            // the fan-out serial (the forecast is positional either way).
+            // The run-time mean is too cheap to be worth a thread; pin
+            // width 1 (the forecast is positional either way).
             VmWindowPredictor::serial(FiniteGuard::new(DraPredictor::new())),
             RecordOnlyGate,
             Packing::Passthrough,
             DirectBackend::new(VmSelector::ShareWeighted),
             AdmissionPolicy::Overcommit(overcommit),
         )
-    }
-
-    /// Switches the prediction stage between the persistent pool runtime
-    /// (`false`, the default) and the legacy scoped-thread path (`true`).
-    /// DRA's fan-out is serial either way; the switch still flips which
-    /// scratch-lifetime path serves the (inline) predictions.
-    pub fn set_scoped_runtime(&mut self, scoped: bool) {
-        self.stage_predictor_mut()
-            .runtime_mut()
-            .set_mode(runtime_mode(scoped));
     }
 }
 

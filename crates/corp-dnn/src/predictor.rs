@@ -199,7 +199,7 @@ impl UnusedResourcePredictor {
     }
 
     /// [`predict`](Self::predict) through caller-provided scratch, leaving
-    /// the predictor immutable so scoped threads can share one
+    /// the predictor immutable so several threads can share one
     /// `&UnusedResourcePredictor`. Bit-identical to `predict` (same window
     /// assembly, same fused forward kernel).
     ///

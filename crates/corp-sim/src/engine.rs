@@ -54,12 +54,6 @@ pub struct SimulationOptions {
     /// resource types live on very different scales (cores vs. hundreds of
     /// GB), so a relative tolerance is the only meaningful one.
     pub prediction_eps_frac: f64,
-    /// Rebuild the per-slot provisioner views from freshly allocated
-    /// vectors every slot (the pre-pool engine behavior) instead of
-    /// rewriting persistent view buffers in place. View contents — and
-    /// therefore reports — are byte-identical either way; `true` is the
-    /// measured baseline arm of `corp-exp e2e`.
-    pub legacy_slot_views: bool,
     /// Recycle each job's arena slot (record, histories, SoA columns)
     /// as soon as it completes or is rejected, bounding engine memory by
     /// *active* jobs instead of total jobs submitted. Reports are
@@ -76,7 +70,6 @@ impl Default for SimulationOptions {
             max_slots: 100_000,
             measure_decision_time: true,
             prediction_eps_frac: 0.25,
-            legacy_slot_views: false,
             reclaim_completed: false,
         }
     }
@@ -183,7 +176,7 @@ pub struct SlotEngine {
     vm_views: Vec<VmView>,
     pending_views: Vec<PendingJobView>,
     completions: Vec<JobCompletion>,
-    // Idle-VM view skip bookkeeping (pooled path, fault-free runs only).
+    // Idle-VM view skip bookkeeping (fault-free runs only).
     // A VM whose view provably cannot differ from a rebuild — empty,
     // untouched since its last rebuild, same full/newest mode, and an
     // unused-history ring that was already saturated all-zero when last
@@ -364,158 +357,98 @@ impl SlotEngine {
 
         // 2. Ask the provisioner for a plan.
         let plan = {
-            if self.options.legacy_slot_views {
-                // Pre-pool path, kept as the measured baseline arm of
-                // `corp-exp e2e`: every slot drops the previous views
-                // and clones each job's history tails into fresh
-                // vectors. Identical contents to the in-place path.
-                self.vm_views.clear();
-                let store = &self.store;
-                let vm_unused_history = &self.vm_unused_history;
-                let vm_committed = &self.vm_committed;
-                let vm_jobs = &self.vm_jobs;
-                let faults = &self.faults;
-                self.vm_views.extend(self.cluster.vms.iter().map(|vm| {
-                    if faults.as_ref().is_some_and(|f| f.down[vm.id]) {
-                        return VmView {
-                            id: vm.id,
-                            capacity: ResourceVector::ZERO,
-                            committed: ResourceVector::ZERO,
-                            free: ResourceVector::ZERO,
-                            jobs: Vec::new(),
-                            unused_history: Vec::new(),
-                        };
-                    }
-                    let mut view = VmView {
-                        id: vm.id,
-                        capacity: vm.capacity,
-                        committed: vm_committed[vm.id],
-                        free: vm.capacity.saturating_sub(&vm_committed[vm.id]),
-                        jobs: vm_jobs[vm.id]
-                            .iter()
-                            .map(|&h| {
-                                let j = store.job(h);
-                                crate::provisioner::RunningJobView {
-                                    id: j.id(),
-                                    requested: store.requested(h),
-                                    allocation: store.allocation(h),
-                                    recent_demand: crate::ring::tail_of(&j.observed_demand)
-                                        .to_vec(),
-                                    recent_unused: crate::ring::tail_of(&j.observed_unused)
-                                        .to_vec(),
-                                }
-                            })
-                            .collect(),
-                        unused_history: vm_unused_history[vm.id].to_tail_vec(),
-                    };
-                    if let Some(kind) = faults.as_ref().and_then(|f| f.poison[vm.id]) {
-                        for job in &mut view.jobs {
-                            if let Some(v) = job.recent_demand.last_mut() {
-                                corrupt_vector(v, kind);
-                            }
-                            if let Some(v) = job.recent_unused.last_mut() {
-                                corrupt_vector(v, kind);
-                            }
+            // How often the provisioner reads deep history tails (see
+            // `Provisioner::full_view_period`). Off-period slots carry
+            // only the newest sample of each history, skipping the deep
+            // copies. The period-1 equivalence test in `corp-bench`'s
+            // determinism suite is what holds window-driven provisioners
+            // to their declared period.
+            let full_view_period = provisioner.full_view_period().max(1);
+            let full = slot % full_view_period == 0;
+            let copy_history: &dyn Fn(&[ResourceVector], &mut Vec<ResourceVector>) =
+                if full { &copy_tail } else { &copy_newest };
+            let skip_enabled = self.faults.is_none();
+            for vm in &self.cluster.vms {
+                let view = &mut self.vm_views[vm.id];
+                // A down VM presents as zero capacity with nothing
+                // running: provisioners cannot place onto it, and
+                // sharded stores rebase it to an empty ledger.
+                if self.faults.as_ref().is_some_and(|f| f.down[vm.id]) {
+                    view.capacity = ResourceVector::ZERO;
+                    view.committed = ResourceVector::ZERO;
+                    view.free = ResourceVector::ZERO;
+                    view.jobs.clear();
+                    view.unused_history.clear();
+                    continue;
+                }
+                let occupants = &self.vm_jobs[vm.id];
+                // Idle-VM skip: nothing placed/completed here since the
+                // last rebuild (`!dirty`), same full/newest mode, and
+                // the unused-history ring was already saturated
+                // all-zero at that rebuild — every push since has been
+                // another zero evicting a zero, so a rebuild would
+                // reproduce the buffers bit for bit. Leave them be.
+                if skip_enabled
+                    && occupants.is_empty()
+                    && !self.view_dirty[vm.id]
+                    && self.view_last_full[vm.id] == Some(full)
+                    && self.view_zero_ok[vm.id]
+                {
+                    continue;
+                }
+                view.capacity = vm.capacity;
+                view.committed = self.vm_committed[vm.id];
+                view.free = vm.capacity.saturating_sub(&self.vm_committed[vm.id]);
+                // Match the view list to the VM's occupancy, keeping
+                // the history buffers of surviving entries alive.
+                view.jobs.truncate(occupants.len());
+                while view.jobs.len() < occupants.len() {
+                    view.jobs.push(crate::provisioner::RunningJobView {
+                        id: 0,
+                        requested: ResourceVector::ZERO,
+                        allocation: ResourceVector::ZERO,
+                        recent_demand: Vec::new(),
+                        recent_unused: Vec::new(),
+                    });
+                }
+                for (jv, &h) in view.jobs.iter_mut().zip(occupants) {
+                    let j = self.store.job(h);
+                    jv.id = j.id();
+                    jv.requested = self.store.requested(h);
+                    jv.allocation = self.store.allocation(h);
+                    copy_history(&j.observed_demand, &mut jv.recent_demand);
+                    copy_history(&j.observed_unused, &mut jv.recent_unused);
+                }
+                let ring = &self.vm_unused_history[vm.id];
+                if full {
+                    ring.copy_all(&mut view.unused_history);
+                } else {
+                    ring.copy_newest(&mut view.unused_history);
+                }
+                self.view_dirty[vm.id] = false;
+                self.view_last_full[vm.id] = Some(full);
+                self.view_zero_ok[vm.id] = occupants.is_empty()
+                    && ring.len() == VIEW_HISTORY_CAP
+                    && self.zero_streak[vm.id] >= VIEW_HISTORY_CAP as u32;
+                // Poisoning corrupts only the monitoring tails the
+                // provisioner sees this slot; ground truth stays
+                // intact (the tails are rewritten from it next slot).
+                if let Some(kind) = self.faults.as_ref().and_then(|f| f.poison[vm.id]) {
+                    for job in &mut view.jobs {
+                        if let Some(v) = job.recent_demand.last_mut() {
+                            corrupt_vector(v, kind);
                         }
-                        if let Some(v) = view.unused_history.last_mut() {
+                        if let Some(v) = job.recent_unused.last_mut() {
                             corrupt_vector(v, kind);
                         }
                     }
-                    view
-                }));
-            } else {
-                // How often the provisioner reads deep history tails (see
-                // `Provisioner::full_view_period`). Off-period slots carry
-                // only the newest sample of each history, skipping the deep
-                // copies. The legacy path ignores this and always builds
-                // full views — the byte-identity check between the two
-                // `corp-exp e2e` arms is what holds window-driven
-                // provisioners to their declared period.
-                let full_view_period = provisioner.full_view_period().max(1);
-                let full = slot % full_view_period == 0;
-                let copy_history: &dyn Fn(&[ResourceVector], &mut Vec<ResourceVector>) =
-                    if full { &copy_tail } else { &copy_newest };
-                let skip_enabled = self.faults.is_none();
-                for vm in &self.cluster.vms {
-                    let view = &mut self.vm_views[vm.id];
-                    // A down VM presents as zero capacity with nothing
-                    // running: provisioners cannot place onto it, and
-                    // sharded stores rebase it to an empty ledger.
-                    if self.faults.as_ref().is_some_and(|f| f.down[vm.id]) {
-                        view.capacity = ResourceVector::ZERO;
-                        view.committed = ResourceVector::ZERO;
-                        view.free = ResourceVector::ZERO;
-                        view.jobs.clear();
-                        view.unused_history.clear();
-                        continue;
-                    }
-                    let occupants = &self.vm_jobs[vm.id];
-                    // Idle-VM skip: nothing placed/completed here since the
-                    // last rebuild (`!dirty`), same full/newest mode, and
-                    // the unused-history ring was already saturated
-                    // all-zero at that rebuild — every push since has been
-                    // another zero evicting a zero, so a rebuild would
-                    // reproduce the buffers bit for bit. Leave them be.
-                    if skip_enabled
-                        && occupants.is_empty()
-                        && !self.view_dirty[vm.id]
-                        && self.view_last_full[vm.id] == Some(full)
-                        && self.view_zero_ok[vm.id]
-                    {
-                        continue;
-                    }
-                    view.capacity = vm.capacity;
-                    view.committed = self.vm_committed[vm.id];
-                    view.free = vm.capacity.saturating_sub(&self.vm_committed[vm.id]);
-                    // Match the view list to the VM's occupancy, keeping
-                    // the history buffers of surviving entries alive.
-                    view.jobs.truncate(occupants.len());
-                    while view.jobs.len() < occupants.len() {
-                        view.jobs.push(crate::provisioner::RunningJobView {
-                            id: 0,
-                            requested: ResourceVector::ZERO,
-                            allocation: ResourceVector::ZERO,
-                            recent_demand: Vec::new(),
-                            recent_unused: Vec::new(),
-                        });
-                    }
-                    for (jv, &h) in view.jobs.iter_mut().zip(occupants) {
-                        let j = self.store.job(h);
-                        jv.id = j.id();
-                        jv.requested = self.store.requested(h);
-                        jv.allocation = self.store.allocation(h);
-                        copy_history(&j.observed_demand, &mut jv.recent_demand);
-                        copy_history(&j.observed_unused, &mut jv.recent_unused);
-                    }
-                    let ring = &self.vm_unused_history[vm.id];
-                    if full {
-                        ring.copy_all(&mut view.unused_history);
-                    } else {
-                        ring.copy_newest(&mut view.unused_history);
-                    }
-                    self.view_dirty[vm.id] = false;
-                    self.view_last_full[vm.id] = Some(full);
-                    self.view_zero_ok[vm.id] = occupants.is_empty()
-                        && ring.len() == VIEW_HISTORY_CAP
-                        && self.zero_streak[vm.id] >= VIEW_HISTORY_CAP as u32;
-                    // Poisoning corrupts only the monitoring tails the
-                    // provisioner sees this slot; ground truth stays
-                    // intact (the tails are rewritten from it next slot).
-                    if let Some(kind) = self.faults.as_ref().and_then(|f| f.poison[vm.id]) {
-                        for job in &mut view.jobs {
-                            if let Some(v) = job.recent_demand.last_mut() {
-                                corrupt_vector(v, kind);
-                            }
-                            if let Some(v) = job.recent_unused.last_mut() {
-                                corrupt_vector(v, kind);
-                            }
-                        }
-                        if let Some(v) = view.unused_history.last_mut() {
-                            corrupt_vector(v, kind);
-                        }
+                    if let Some(v) = view.unused_history.last_mut() {
+                        corrupt_vector(v, kind);
                     }
                 }
             }
+            #[cfg(test)]
+            tests::check_views_against_reference(self, full);
             self.pending_views.clear();
             let store = &self.store;
             self.pending_views.extend(self.pending.iter().map(|&h| {
@@ -881,17 +814,6 @@ impl Simulation {
         self
     }
 
-    /// Builds a simulation with a fault schedule.
-    #[deprecated(note = "use `Simulation::new(...).with_fault_timeline(timeline)` instead")]
-    pub fn with_faults(
-        cluster: Cluster,
-        specs: Vec<JobSpec>,
-        options: SimulationOptions,
-        timeline: FaultTimeline,
-    ) -> Self {
-        Simulation::new(cluster, specs, options).with_fault_timeline(timeline)
-    }
-
     /// Read access to the metrics collected so far (or after `run`).
     pub fn metrics(&self) -> &MetricsCollector {
         self.engine.metrics()
@@ -945,6 +867,7 @@ mod tests {
     use crate::cluster::EnvironmentProfile;
     use crate::provisioner::StaticPeakProvisioner;
     use corp_trace::{WorkloadConfig, WorkloadGenerator};
+    use std::cell::Cell;
 
     fn small_workload(n: usize, seed: u64) -> Vec<JobSpec> {
         WorkloadGenerator::new(
@@ -959,6 +882,81 @@ mod tests {
 
     fn cluster() -> Cluster {
         Cluster::from_profile(EnvironmentProfile::palmetto_cluster())
+    }
+
+    thread_local! {
+        /// Slots whose views this thread has compared with the reference.
+        static VIEW_CHECKS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// The obviously-correct view construction: every view built from
+    /// freshly allocated vectors straight off the engine's ground truth —
+    /// no buffer reuse, no idle-VM skip.
+    fn reference_views(engine: &SlotEngine, full: bool) -> Vec<VmView> {
+        let depth = if full { VIEW_HISTORY_CAP } else { 1 };
+        let tail =
+            |series: &[ResourceVector]| series[series.len().saturating_sub(depth)..].to_vec();
+        let views = engine.cluster.vms.iter().map(|vm| {
+            let faults = engine.faults.as_ref();
+            if faults.is_some_and(|f| f.down[vm.id]) {
+                return VmView {
+                    id: vm.id,
+                    capacity: ResourceVector::ZERO,
+                    committed: ResourceVector::ZERO,
+                    free: ResourceVector::ZERO,
+                    jobs: Vec::new(),
+                    unused_history: Vec::new(),
+                };
+            }
+            let committed = engine.vm_committed[vm.id];
+            let mut unused_history = Vec::new();
+            engine.vm_unused_history[vm.id].copy_all(&mut unused_history);
+            let mut view = VmView {
+                id: vm.id,
+                capacity: vm.capacity,
+                committed,
+                free: vm.capacity.saturating_sub(&committed),
+                jobs: engine.vm_jobs[vm.id]
+                    .iter()
+                    .map(|&h| {
+                        let job = engine.store.job(h);
+                        crate::provisioner::RunningJobView {
+                            id: job.id(),
+                            requested: engine.store.requested(h),
+                            allocation: engine.store.allocation(h),
+                            recent_demand: tail(&job.observed_demand),
+                            recent_unused: tail(&job.observed_unused),
+                        }
+                    })
+                    .collect(),
+                unused_history: tail(&unused_history),
+            };
+            if let Some(kind) = faults.and_then(|f| f.poison[vm.id]) {
+                let tails = view
+                    .jobs
+                    .iter_mut()
+                    .flat_map(|j| [&mut j.recent_demand, &mut j.recent_unused])
+                    .chain([&mut view.unused_history]);
+                for newest in tails.filter_map(|t| t.last_mut()) {
+                    corrupt_vector(newest, kind);
+                }
+            }
+            view
+        });
+        views.collect()
+    }
+
+    /// Called by [`SlotEngine::step`] in this crate's test builds, every
+    /// slot of every test, right after the in-place view rewrite.
+    pub(super) fn check_views_against_reference(engine: &SlotEngine, full: bool) {
+        // Debug text, not `==`: poisoned views hold NaNs.
+        assert_eq!(
+            format!("{:?}", engine.vm_views),
+            format!("{:?}", reference_views(engine, full)),
+            "in-place views diverged from a fresh rebuild at slot {}",
+            engine.slot
+        );
+        VIEW_CHECKS.with(|n| n.set(n.get() + 1));
     }
 
     #[test]
@@ -1559,34 +1557,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_with_faults_matches_the_builder() {
-        use corp_faults::{FaultEvent, FaultTimeline, TimedFault};
-        let jobs = small_workload(15, 27);
-        let opts = SimulationOptions {
-            measure_decision_time: false,
-            ..SimulationOptions::default()
-        };
-        let timeline = || {
-            FaultTimeline::new(vec![TimedFault {
-                slot: 2,
-                event: FaultEvent::VmCrash { vm: 0 },
-            }])
-        };
-        let via_alias = Simulation::with_faults(cluster(), jobs.clone(), opts.clone(), timeline())
-            .run(&mut StaticPeakProvisioner);
-        let via_builder = Simulation::new(cluster(), jobs, opts)
-            .with_fault_timeline(timeline())
-            .run(&mut StaticPeakProvisioner);
-        assert_eq!(via_alias.faults, via_builder.faults);
-        assert_eq!(via_alias.completed, via_builder.completed);
-        assert_eq!(
-            via_alias.overall_utilization.to_bits(),
-            via_builder.overall_utilization.to_bits()
-        );
-    }
-
-    #[test]
     fn max_slots_bounds_runaway_runs() {
         /// Never places anything: jobs starve in the queue forever.
         struct DoNothing;
@@ -1695,35 +1665,117 @@ mod tests {
         assert_eq!(store.live(), 0, "everything completed and was released");
     }
 
+    /// Static peak behind a six-slot window: off-period slots get
+    /// newest-only views, so both view depths (and the switches between
+    /// them) run under the reference check.
+    struct Windowed(StaticPeakProvisioner);
+    impl Provisioner for Windowed {
+        fn name(&self) -> &str {
+            "windowed"
+        }
+        fn provision(&mut self, ctx: &SlotContext<'_>) -> crate::provisioner::ProvisionPlan {
+            self.0.provision(ctx)
+        }
+        fn full_view_period(&self) -> u64 {
+            6
+        }
+    }
+
+    /// Pumps `jobs` through a fresh engine until they drain, calling
+    /// `inspect` after every step, and asserts the reference check ran
+    /// once per slot.
+    fn run_checked(
+        cluster: Cluster,
+        mut jobs: Vec<JobSpec>,
+        timeline: Option<FaultTimeline>,
+        mut inspect: impl FnMut(&SlotEngine),
+    ) {
+        let checks_before = VIEW_CHECKS.with(Cell::get);
+        let mut engine = SlotEngine::new(cluster, SimulationOptions::default());
+        if let Some(timeline) = timeline {
+            engine = engine.with_fault_timeline(timeline);
+        }
+        jobs.sort_by_key(|j| j.arrival_slot);
+        let mut provisioner = Windowed(StaticPeakProvisioner);
+        let mut next = 0;
+        while next < jobs.len() || engine.active() > 0 {
+            while next < jobs.len() && jobs[next].arrival_slot <= engine.slot() {
+                engine.submit(jobs[next].clone());
+                next += 1;
+            }
+            engine.step(&mut provisioner);
+            inspect(&engine);
+        }
+        assert_eq!(
+            VIEW_CHECKS.with(Cell::get) - checks_before,
+            engine.slot(),
+            "every slot's views were compared with the reference"
+        );
+    }
+
     #[test]
-    fn idle_fleet_view_skip_is_byte_identical_to_legacy_views() {
+    fn in_place_views_match_reference_across_an_idle_gap() {
         // A long fully-idle gap (far beyond VIEW_HISTORY_CAP) between two
-        // waves exercises the idle-VM view skip on every VM; the legacy
-        // arm rebuilds every view every slot. Reports must agree exactly.
+        // waves puts every VM on the idle-view skip before the second wave
+        // dirties them again.
         let mut jobs = small_workload(24, 41);
         for (i, j) in jobs.iter_mut().enumerate() {
             j.arrival_slot = if i < 12 { 0 } else { 400 };
         }
-        let opts = SimulationOptions {
-            measure_decision_time: false,
-            ..SimulationOptions::default()
-        };
-        let pooled =
-            Simulation::new(cluster(), jobs.clone(), opts.clone()).run(&mut StaticPeakProvisioner);
-        let legacy = Simulation::new(
+        let mut skipping_everywhere = false;
+        run_checked(cluster(), jobs, None, |engine| {
+            skipping_everywhere |= engine.view_zero_ok.iter().all(|&ok| ok);
+        });
+        assert!(skipping_everywhere, "the gap must idle every VM");
+    }
+
+    #[test]
+    fn in_place_views_match_reference_on_a_saturated_fleet() {
+        // One burst on a small fleet: every VM fills, the rest queue, and
+        // view job lists shrink and regrow as completions admit the queue.
+        let mut jobs = small_workload(120, 42);
+        for j in &mut jobs {
+            j.arrival_slot = 0;
+        }
+        let small = Cluster::from_profile(EnvironmentProfile::palmetto_cluster().with_num_pms(2));
+        let mut saturated = false;
+        run_checked(small, jobs, None, |engine| {
+            saturated |=
+                !engine.pending.is_empty() && engine.vm_jobs.iter().all(|jobs| !jobs.is_empty());
+        });
+        assert!(saturated, "the burst must fill every VM with jobs queued");
+    }
+
+    #[test]
+    fn in_place_views_match_reference_under_faults() {
+        use corp_faults::{FaultEvent, PoisonKind, TimedFault};
+        // VM 0 is down for slots 3..20 while VMs 1 and 2 carry NaN and
+        // spike poison on the newest sample of every tail.
+        let at = |slot, event| TimedFault { slot, event };
+        let mut events = vec![
+            at(3, FaultEvent::VmCrash { vm: 0 }),
+            at(20, FaultEvent::VmRecover { vm: 0 }),
+        ];
+        for slot in 2..14 {
+            for (vm, kind) in [(1, PoisonKind::Nan), (2, PoisonKind::Spike(10.0))] {
+                events.push(at(slot, FaultEvent::PoisonViews { vm, kind }));
+            }
+        }
+        let mut saw_down = false;
+        let mut saw_poison = false;
+        run_checked(
             cluster(),
-            jobs,
-            SimulationOptions {
-                legacy_slot_views: true,
-                ..opts
+            small_workload(40, 43),
+            Some(FaultTimeline::new(events)),
+            |engine| {
+                saw_down |= engine.vm_views[0].capacity == ResourceVector::ZERO;
+                saw_poison |= engine.vm_views[1]
+                    .jobs
+                    .iter()
+                    .any(|j| j.recent_unused.iter().any(|u| !u.is_finite()));
             },
-        )
-        .run(&mut StaticPeakProvisioner);
-        assert_eq!(
-            serde::json::to_string(&pooled),
-            serde::json::to_string(&legacy),
-            "idle-VM view skip must not change what provisioners see"
         );
+        assert!(saw_down && saw_poison, "faults must reach the views");
     }
 
     #[test]

@@ -7,27 +7,19 @@
 //! [`VIEW_HISTORY_CAP`]-deep storage whose chronological contents are
 //! byte-identical to the tail of the unbounded series it replaces.
 //!
-//! The tail-copy helpers ([`tail_of`], [`copy_tail`], [`copy_newest`])
-//! are the single implementation shared by the legacy per-slot view
-//! rebuild, the pooled in-place rewrite, and the ring itself; they used
-//! to be duplicated between the two engine paths.
+//! The tail-copy helpers ([`copy_tail`], [`copy_newest`]) are what the
+//! engine's in-place view rewrite copies per-job histories with.
 
 use crate::provisioner::VIEW_HISTORY_CAP;
 use crate::resources::ResourceVector;
 
-/// The capped newest tail of `src`: the slice a view exposes.
-#[inline]
-pub fn tail_of(src: &[ResourceVector]) -> &[ResourceVector] {
-    &src[src.len().saturating_sub(VIEW_HISTORY_CAP)..]
-}
-
-/// Copies the capped newest tail of `src` into the reused `dst` buffer —
-/// same bytes as `tail_of(src).to_vec()`, no allocation once `dst` has
-/// grown to the cap.
+/// Copies the capped newest tail of `src` — the slice a view exposes —
+/// into the reused `dst` buffer: no allocation once `dst` has grown to
+/// the cap.
 #[inline]
 pub fn copy_tail(src: &[ResourceVector], dst: &mut Vec<ResourceVector>) {
     dst.clear();
-    dst.extend_from_slice(tail_of(src));
+    dst.extend_from_slice(&src[src.len().saturating_sub(VIEW_HISTORY_CAP)..]);
 }
 
 /// Copies only the newest sample of `src` into `dst` (off-period slots).
@@ -104,14 +96,6 @@ impl BoundedRing {
         dst.extend(self.newest());
     }
 
-    /// The retained samples as a fresh chronological `Vec` (legacy view
-    /// path, which allocates per slot by design).
-    pub fn to_tail_vec(&self) -> Vec<ResourceVector> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        self.copy_all(&mut out);
-        out
-    }
-
     /// Drops every retained sample.
     pub fn clear(&mut self) {
         self.buf.clear();
@@ -140,7 +124,6 @@ mod tests {
             copy_tail(&unbounded, &mut from_vec);
             assert_eq!(from_ring, from_vec, "diverged after {} pushes", i + 1);
             assert_eq!(ring.newest(), unbounded.last().copied());
-            assert_eq!(ring.to_tail_vec(), from_vec);
         }
         assert_eq!(ring.len(), VIEW_HISTORY_CAP);
     }
@@ -173,16 +156,19 @@ mod tests {
         assert!(ring.is_empty());
         assert_eq!(ring.newest(), None);
         ring.push(v(1.0));
-        assert_eq!(ring.to_tail_vec(), vec![v(1.0)]);
+        let mut after = Vec::new();
+        ring.copy_all(&mut after);
+        assert_eq!(after, vec![v(1.0)]);
     }
 
     #[test]
-    fn tail_of_is_the_view_window() {
+    fn copy_tail_is_the_view_window() {
         let series: Vec<ResourceVector> = (0..200).map(|i| v(i as f64)).collect();
-        let tail = tail_of(&series);
+        let mut tail = Vec::new();
+        copy_tail(&series, &mut tail);
         assert_eq!(tail.len(), VIEW_HISTORY_CAP);
         assert_eq!(tail.last(), series.last());
-        let short = vec![v(1.0); 3];
-        assert_eq!(tail_of(&short).len(), 3);
+        copy_tail(&[v(1.0); 3], &mut tail);
+        assert_eq!(tail.len(), 3);
     }
 }
