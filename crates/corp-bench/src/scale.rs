@@ -8,17 +8,20 @@
 //! [`reclaim_completed`](SimulationOptions::reclaim_completed) on, where
 //! engine memory must stay bounded by *concurrently live* jobs no matter
 //! how long the trace runs. The run reports throughput (slots/s, jobs/s),
-//! the arena high-water mark, and the process peak RSS; `--smoke` replays
-//! a small configuration and asserts the memory-boundedness invariant
-//! (`scripts/check.sh scale-smoke`). Citable numbers for this regime come
-//! from the `soak-50k` workload of `benchmark/`, not from here.
+//! the arena high-water mark, the process peak RSS, and the engine's
+//! deterministic work count (VM entries visited per slot beside the VMs
+//! actually occupied); `--smoke` replays a small configuration and
+//! asserts the memory-boundedness invariant and that the slot loop's work
+//! tracks occupied VMs, not the fleet (`scripts/check.sh scale-smoke`).
+//! Citable numbers for this regime come from the `soak-50k` workload of
+//! `benchmark/`, not from here.
 
 use crate::serve::parse_seed;
 use crate::{FigureTable, TextTable};
 use corp_cluster::{ShardConfig, ShardedProvisioner};
 use corp_sim::{
     Cluster, EnvironmentProfile, Provisioner, SimulationOptions, StaticPeakProvisioner,
-    StreamingSimulation,
+    StreamingSimulation, VIEW_HISTORY_CAP,
 };
 use corp_trace::{JobSource, SyntheticSource, WorkloadConfig};
 
@@ -157,7 +160,20 @@ pub struct ScaleResult {
     pub arena_ratio: f64,
     /// Process peak resident set (VmHWM) in MB; 0 where unavailable.
     pub peak_rss_mb: f64,
+    /// Mean VMs hosting a job per slot, over the slots after the first
+    /// [`VIEW_HISTORY_CAP`] (0 for a run no longer than that).
+    pub occupied_vms_per_slot: f64,
+    /// Mean VM entries the engine's slot loop touched per slot
+    /// ([`SlotEngine::vm_visits`](corp_sim::SlotEngine::vm_visits)) over
+    /// the same slots. Deterministic for a fixed seed.
+    pub vm_visits_per_slot: f64,
 }
+
+/// `--smoke` bound on VM visits per occupied VM after warm-up. A settled
+/// slot visits each occupied VM three times (view, advance, completion
+/// scan) and a just-vacated one twice more; a fleet walk on a fleet eight
+/// times the concurrency would read 8 or more.
+const VISITS_PER_OCCUPIED_VM_BOUND: f64 = 4.0;
 
 /// Process peak resident set in KB from `/proc/self/status` (`VmHWM`);
 /// `None` off Linux or if the field is missing.
@@ -226,9 +242,22 @@ pub fn run_scale(args: &ScaleArgs) -> ScaleResult {
         }
         None => Box::new(StaticPeakProvisioner),
     };
+    // Engine work past the first `VIEW_HISTORY_CAP` slots, while views
+    // are still filling: slots, occupied VMs summed over them, and the
+    // visit count they start from.
+    let (mut steady_slots, mut occupied_sum, mut warm_up_visits) = (0u64, 0u64, 0u64);
     let started = std::time::Instant::now();
-    let report = sim.run(provisioner.as_mut());
+    let report = sim.run_inspecting(provisioner.as_mut(), |engine| {
+        if engine.slot() <= VIEW_HISTORY_CAP as u64 {
+            warm_up_visits = engine.vm_visits();
+        } else {
+            steady_slots += 1;
+            occupied_sum += engine.occupied_vms() as u64;
+        }
+    });
     let run_secs = started.elapsed().as_secs_f64();
+    let steady_visits = sim.engine().vm_visits() - warm_up_visits;
+    let per_steady_slot = |total: u64| total as f64 / steady_slots.max(1) as f64;
     let wall = run_secs.max(1e-9);
     let arena_slots = sim.engine().store().capacity();
     let cp = report.control_plane.as_ref();
@@ -248,6 +277,8 @@ pub fn run_scale(args: &ScaleArgs) -> ScaleResult {
         arena_slots,
         arena_ratio: arena_slots as f64 / args.jobs.max(1) as f64,
         peak_rss_mb: peak_rss_kb().map_or(0.0, |kb| kb as f64 / 1024.0),
+        occupied_vms_per_slot: per_steady_slot(occupied_sum),
+        vm_visits_per_slot: per_steady_slot(steady_visits),
     }
 }
 
@@ -280,6 +311,18 @@ fn check_smoke(result: &ScaleResult, args: &ScaleArgs) -> Result<(), String> {
             "scale smoke: arena grew to {} slots for {} streamed jobs \
              (ratio {:.2}) — reclaim is not bounding memory",
             result.arena_slots, args.jobs, result.arena_ratio
+        ));
+    }
+    // The engine's slot loop walks occupied VMs, not the fleet. Both sides
+    // are deterministic counts, so this is exact, not a timing.
+    if result.occupied_vms_per_slot <= 0.0
+        || result.vm_visits_per_slot > VISITS_PER_OCCUPIED_VM_BOUND * result.occupied_vms_per_slot
+    {
+        return Err(format!(
+            "scale smoke: the slot loop visited {:.1} VM entries/slot for {:.1} occupied \
+             VMs/slot after the first {VIEW_HISTORY_CAP} slots (bound {VISITS_PER_OCCUPIED_VM_BOUND}x, \
+             fleet {} VMs) — per-slot engine work is tracking the fleet again",
+            result.vm_visits_per_slot, result.occupied_vms_per_slot, result.vms
         ));
     }
     let positive = |v: f64| v.is_finite() && v > 0.0;
@@ -338,6 +381,14 @@ pub fn scale_experiment(args: &ScaleArgs) -> Result<FigureTable, String> {
     );
     row("arena / trace ratio", format!("{:.4}", result.arena_ratio));
     row("peak RSS (MB)", format!("{:.1}", result.peak_rss_mb));
+    row(
+        "occupied VMs / slot",
+        format!("{:.1}", result.occupied_vms_per_slot),
+    );
+    row(
+        "engine VM visits / slot",
+        format!("{:.1}", result.vm_visits_per_slot),
+    );
     if result.shards > 0 {
         row("shards", format!("{}", result.shards));
         row("fast-path commits", format!("{}", result.fast_path_hits));
@@ -350,6 +401,11 @@ pub fn scale_experiment(args: &ScaleArgs) -> Result<FigureTable, String> {
             "arena high-water counts job slots ever allocated; with reclaim on it is \
              bounded by peak concurrent jobs, independent of trace length"
                 .into(),
+            format!(
+                "occupied VMs and engine VM visits (views written + VMs advanced + VMs \
+                 scanned for completions) are per-slot means after the first \
+                 {VIEW_HISTORY_CAP} slots; both are deterministic for a fixed seed"
+            ),
         ],
     })
 }

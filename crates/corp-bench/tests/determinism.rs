@@ -13,7 +13,7 @@ use corp_bench::env::{
 use corp_faults::FaultConfig;
 use corp_sim::{
     ControlPlaneStats, JobCompletion, ProvisionPlan, Provisioner, Simulation, SimulationOptions,
-    SlotContext,
+    SlotContext, StaticPeakProvisioner,
 };
 
 const JOBS: usize = 40;
@@ -230,8 +230,9 @@ fn declared_view_periods_hide_nothing_the_provisioners_read() {
     // slots of every window, and the engine skips those copies. Handing the
     // same provisioner full-depth views on every slot must therefore not
     // change a byte — for the four schemes (the baselines declare their
-    // 6-slot window, CORP its configured one) and for the sharded
-    // coordinator, which declares the gcd of its workers' periods.
+    // 6-slot window, CORP its configured one), for the sharded
+    // coordinator, which declares the gcd of its workers' periods, and for
+    // static peak, which declares that it never reads a history at all.
     let env = Environment::Cluster;
     let p = params();
     let report = |provisioner: &mut dyn Provisioner| {
@@ -266,6 +267,7 @@ fn declared_view_periods_hide_nothing_the_provisioners_read() {
     check("2-shard CORP", &|| {
         Box::new(build_sharded_provisioner(SchemeKind::Corp, env, &p, 2))
     });
+    check("static peak", &|| Box::new(StaticPeakProvisioner));
 }
 
 #[test]

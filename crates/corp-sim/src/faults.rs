@@ -44,15 +44,26 @@ pub struct FaultStats {
 }
 
 /// Mutable per-run fault state the engine threads through its slot loop.
+///
+/// VM health lives behind setters because the per-slot tallies are running
+/// counts kept current at each transition, so a slot's bookkeeping costs
+/// what its events cost, not a walk over the fleet.
 pub(crate) struct FaultRuntime {
     timeline: FaultTimeline,
     cursor: usize,
     /// Which VMs are currently crashed.
-    pub down: Vec<bool>,
+    down: Vec<bool>,
     /// Effective-capacity multiplier per VM (1.0 = healthy).
-    pub degrade: Vec<f64>,
-    /// Poison applied to this slot's views, cleared every slot.
-    pub poison: Vec<Option<PoisonKind>>,
+    degrade: Vec<f64>,
+    /// Poison applied to this slot's views.
+    poison: Vec<Option<PoisonKind>>,
+    /// The VMs `poison` marks — what the next `start_slot` clears.
+    poisoned: Vec<usize>,
+    /// VMs currently down: one slot's worth of `down_vm_slots`.
+    down_now: u64,
+    /// VMs currently degraded *and up*: one slot's worth of
+    /// `degraded_vm_slots` (a down straggler counts as down only).
+    degraded_now: u64,
     /// Kill slot of each killed job still awaiting re-placement.
     pub kill_slot: HashMap<JobId, u64>,
     /// Counters surfaced in the report.
@@ -68,35 +79,81 @@ impl FaultRuntime {
             down: vec![false; num_vms],
             degrade: vec![1.0; num_vms],
             poison: vec![None; num_vms],
+            poisoned: Vec::new(),
+            down_now: 0,
+            degraded_now: 0,
             kill_slot: HashMap::new(),
             stats: FaultStats::default(),
             total_replacement_latency: 0,
         }
     }
 
-    /// Clears per-slot poison marks and drains the events due at `slot`.
-    pub fn start_slot(&mut self, slot: u64) -> Vec<FaultEvent> {
-        for p in &mut self.poison {
-            *p = None;
+    /// Clears the poison marks of the slot before.
+    pub fn start_slot(&mut self) {
+        for vm in self.poisoned.drain(..) {
+            self.poison[vm] = None;
         }
-        let events = self.timeline.events();
-        let mut fired = Vec::new();
-        while self.cursor < events.len() && events[self.cursor].slot <= slot {
-            fired.push(events[self.cursor].event);
+    }
+
+    /// Takes the next event due at or before `slot` off the timeline.
+    pub fn next_due(&mut self, slot: u64) -> Option<FaultEvent> {
+        let next = self.timeline.events().get(self.cursor)?;
+        (next.slot <= slot).then(|| {
             self.cursor += 1;
-        }
-        fired
+            next.event
+        })
+    }
+
+    /// Whether `vm` is currently crashed.
+    pub fn is_down(&self, vm: usize) -> bool {
+        self.down[vm]
+    }
+
+    /// `vm`'s effective-capacity multiplier (1.0 = healthy).
+    pub fn degrade(&self, vm: usize) -> f64 {
+        self.degrade[vm]
+    }
+
+    /// The poison on `vm`'s view this slot, if any.
+    pub fn poison(&self, vm: usize) -> Option<PoisonKind> {
+        self.poison[vm]
+    }
+
+    /// Crashes (`true`) or recovers (`false`) `vm`.
+    pub fn set_down(&mut self, vm: usize, down: bool) {
+        self.set_health(vm, down, self.degrade[vm]);
+    }
+
+    /// Sets `vm`'s effective-capacity multiplier; 1.0 restores it.
+    pub fn set_degrade(&mut self, vm: usize, factor: f64) {
+        self.set_health(vm, self.down[vm], factor);
+    }
+
+    /// Poisons `vm`'s view for this slot only.
+    pub fn set_poison(&mut self, vm: usize, kind: PoisonKind) {
+        self.poison[vm] = Some(kind);
+        self.poisoned.push(vm);
+    }
+
+    /// The one place VM health changes: takes `vm` out of the running
+    /// counts under its old health and back in under the new one.
+    fn set_health(&mut self, vm: usize, down: bool, degrade: f64) {
+        self.down_now -= u64::from(self.down[vm]);
+        self.degraded_now -= u64::from(self.degraded_and_up(vm));
+        self.down[vm] = down;
+        self.degrade[vm] = degrade;
+        self.down_now += u64::from(down);
+        self.degraded_now += u64::from(self.degraded_and_up(vm));
+    }
+
+    fn degraded_and_up(&self, vm: usize) -> bool {
+        !self.down[vm] && self.degrade[vm] < 1.0
     }
 
     /// Tallies down/degraded VM-slots after this slot's events applied.
     pub fn tally_slot(&mut self) {
-        for vm in 0..self.down.len() {
-            if self.down[vm] {
-                self.stats.down_vm_slots += 1;
-            } else if self.degrade[vm] < 1.0 {
-                self.stats.degraded_vm_slots += 1;
-            }
-        }
+        self.stats.down_vm_slots += self.down_now;
+        self.stats.degraded_vm_slots += self.degraded_now;
     }
 
     /// Records a successful placement; if the job was previously killed,
@@ -129,6 +186,8 @@ pub(crate) fn corrupt_vector(v: &mut ResourceVector, kind: PoisonKind) {
 mod tests {
     use super::*;
     use corp_faults::TimedFault;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn start_slot_drains_due_events_in_order() {
@@ -143,10 +202,60 @@ mod tests {
             },
         ]);
         let mut rt = FaultRuntime::new(timeline, 2);
-        assert!(rt.start_slot(0).is_empty());
-        assert_eq!(rt.start_slot(1), vec![FaultEvent::VmCrash { vm: 0 }]);
-        assert!(rt.start_slot(2).is_empty());
-        assert_eq!(rt.start_slot(3), vec![FaultEvent::VmRecover { vm: 0 }]);
+        let mut due = |slot| -> Vec<FaultEvent> {
+            rt.start_slot();
+            std::iter::from_fn(|| rt.next_due(slot)).collect()
+        };
+        assert!(due(0).is_empty());
+        assert_eq!(due(1), vec![FaultEvent::VmCrash { vm: 0 }]);
+        assert!(due(2).is_empty());
+        assert_eq!(due(3), vec![FaultEvent::VmRecover { vm: 0 }]);
+    }
+
+    #[test]
+    fn running_tallies_match_a_fleet_recount_after_every_transition() {
+        // Includes the awkward ones: degrading an already-degraded VM,
+        // degrading and restoring a down VM, crashing a straggler,
+        // restoring a healthy VM, a factor of exactly 1.0.
+        let num_vms = 5;
+        let mut rt = FaultRuntime::new(FaultTimeline::default(), num_vms);
+        let mut recount = FaultStats::default();
+        let mut rng = StdRng::seed_from_u64(0xFA17);
+        for _ in 0..400 {
+            let vm = rng.gen_range(0..num_vms);
+            match rng.gen_range(0..6) {
+                0 => rt.set_down(vm, true),
+                1 => rt.set_down(vm, false),
+                2 => rt.set_degrade(vm, 0.3),
+                3 => rt.set_degrade(vm, 0.7),
+                4 => rt.set_degrade(vm, 1.0),
+                _ => {}
+            }
+            rt.tally_slot();
+            for vm in 0..num_vms {
+                if rt.is_down(vm) {
+                    recount.down_vm_slots += 1;
+                } else if rt.degrade(vm) < 1.0 {
+                    recount.degraded_vm_slots += 1;
+                }
+            }
+            assert_eq!(rt.stats, recount);
+        }
+        assert!(recount.down_vm_slots > 0 && recount.degraded_vm_slots > 0);
+    }
+
+    #[test]
+    fn poison_lasts_one_slot() {
+        let mut rt = FaultRuntime::new(FaultTimeline::default(), 3);
+        rt.set_poison(1, PoisonKind::Nan);
+        rt.set_poison(1, PoisonKind::Spike(2.0));
+        assert_eq!(rt.poison(1), Some(PoisonKind::Spike(2.0)));
+        assert_eq!(rt.poison(0), None);
+        rt.start_slot();
+        assert_eq!(
+            (rt.poison(0), rt.poison(1), rt.poison(2)),
+            (None, None, None)
+        );
     }
 
     #[test]

@@ -46,6 +46,7 @@ pub mod resources;
 pub mod ring;
 pub mod store;
 pub mod streaming;
+mod vm_set;
 
 pub use cluster::{Cluster, EnvironmentProfile};
 pub use control_plane::{BreakerStateName, BreakerTransition, ControlPlaneStats, ShardStats};

@@ -247,6 +247,12 @@ impl Provisioner for StaticPeakProvisioner {
         }
         plan
     }
+
+    /// First-fit reads each VM's `free` and no history at all, so views
+    /// never need more than the newest sample.
+    fn full_view_period(&self) -> u64 {
+        u64::MAX
+    }
 }
 
 #[cfg(test)]

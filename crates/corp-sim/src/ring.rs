@@ -7,6 +7,12 @@
 //! [`VIEW_HISTORY_CAP`]-deep storage whose chronological contents are
 //! byte-identical to the tail of the unbounded series it replaces.
 //!
+//! A VM with no job contributes a zero every slot. The engine does not
+//! push those: it remembers since when a VM has been idle and treats the
+//! VM's series as "ring ⧺ owed zeros" — read through
+//! [`BoundedRing::copy_view`], settled with [`BoundedRing::push_zeros`]
+//! when a job lands there. A VM that never hosts a job never allocates.
+//!
 //! The tail-copy helpers ([`copy_tail`], [`copy_newest`]) are what the
 //! engine's in-place view rewrite copies per-job histories with.
 
@@ -81,19 +87,37 @@ impl BoundedRing {
         }
     }
 
-    /// Copies the retained samples, oldest first, into `dst` — the same
-    /// bytes [`copy_tail`] would produce from the unbounded series.
-    pub fn copy_all(&self, dst: &mut Vec<ResourceVector>) {
-        dst.clear();
-        dst.extend_from_slice(&self.buf[self.head..]);
-        dst.extend_from_slice(&self.buf[..self.head]);
+    /// Appends `n` zero samples. Beyond a ring's worth the extra zeros
+    /// would only evict each other, so at most [`VIEW_HISTORY_CAP`] are
+    /// pushed however large `n` is.
+    pub fn push_zeros(&mut self, n: u64) {
+        for _ in 0..n.min(VIEW_HISTORY_CAP as u64) {
+            self.push(ResourceVector::ZERO);
+        }
     }
 
-    /// Copies only the newest sample into `dst` — the ring counterpart of
-    /// [`copy_newest`].
-    pub fn copy_newest(&self, dst: &mut Vec<ResourceVector>) {
+    /// Copies into `dst` what a view shows of the series "retained samples
+    /// ⧺ `owed` zeros" — its [`VIEW_HISTORY_CAP`] tail when `full`, else
+    /// its newest sample — without writing the zeros into the ring. This
+    /// is how an idle VM's history is read: the engine owes it one zero
+    /// per idle slot and settles the debt only when a job lands there.
+    pub fn copy_view(&self, owed: u64, full: bool, dst: &mut Vec<ResourceVector>) {
+        let zeros = owed.min(VIEW_HISTORY_CAP as u64) as usize;
         dst.clear();
-        dst.extend(self.newest());
+        if full {
+            // The zeros push the oldest `skip` samples out of the window.
+            let skip = (self.buf.len() + zeros).saturating_sub(VIEW_HISTORY_CAP);
+            let (older, newer) = (&self.buf[self.head..], &self.buf[..self.head]);
+            dst.extend_from_slice(&older[skip.min(older.len())..]);
+            dst.extend_from_slice(&newer[skip.saturating_sub(older.len())..]);
+            dst.extend(std::iter::repeat_n(ResourceVector::ZERO, zeros));
+        } else {
+            dst.extend(if zeros > 0 {
+                Some(ResourceVector::ZERO)
+            } else {
+                self.newest()
+            });
+        }
     }
 
     /// Drops every retained sample.
@@ -119,7 +143,7 @@ mod tests {
             ring.push(v(i as f64));
             unbounded.push(v(i as f64));
             let mut from_ring = Vec::new();
-            ring.copy_all(&mut from_ring);
+            ring.copy_view(0, true, &mut from_ring);
             let mut from_vec = Vec::new();
             copy_tail(&unbounded, &mut from_vec);
             assert_eq!(from_ring, from_vec, "diverged after {} pushes", i + 1);
@@ -134,15 +158,45 @@ mod tests {
         let mut unbounded = Vec::new();
         let mut a = Vec::new();
         let mut b = Vec::new();
-        ring.copy_newest(&mut a);
+        ring.copy_view(0, false, &mut a);
         copy_newest(&unbounded, &mut b);
         assert_eq!(a, b, "both empty before any push");
         for i in 0..(VIEW_HISTORY_CAP + 5) {
             ring.push(v(i as f64));
             unbounded.push(v(i as f64));
-            ring.copy_newest(&mut a);
+            ring.copy_view(0, false, &mut a);
             copy_newest(&unbounded, &mut b);
             assert_eq!(a, b);
+        }
+    }
+
+    #[test]
+    fn owed_zeros_read_and_settle_like_eagerly_pushed_ones() {
+        // Every ring fill level x every debt around the cap: reading
+        // "ring ⧺ owed zeros" and settling the debt with `push_zeros` must
+        // both match a series that received each zero as it fell due.
+        let debts = [0, 1, 2, 62, 63, 64, 65, 200, u64::MAX];
+        for filled in [0, 1, 5, 63, 64, 65, 130] {
+            for owed in debts {
+                let mut ring = BoundedRing::new();
+                let mut eager = Vec::new();
+                for i in 0..filled {
+                    ring.push(v(1.0 + i as f64));
+                    eager.push(v(1.0 + i as f64));
+                }
+                eager.extend(vec![v(0.0); owed.min(300) as usize]);
+                let (mut lazy, mut want) = (Vec::new(), Vec::new());
+                ring.copy_view(owed, true, &mut lazy);
+                copy_tail(&eager, &mut want);
+                assert_eq!(lazy, want, "full view, {filled} samples + {owed} owed");
+                ring.copy_view(owed, false, &mut lazy);
+                copy_newest(&eager, &mut want);
+                assert_eq!(lazy, want, "newest view, {filled} samples + {owed} owed");
+                ring.push_zeros(owed);
+                ring.copy_view(0, true, &mut lazy);
+                copy_tail(&eager, &mut want);
+                assert_eq!(lazy, want, "settled, {filled} samples + {owed} owed");
+            }
         }
     }
 
@@ -157,7 +211,7 @@ mod tests {
         assert_eq!(ring.newest(), None);
         ring.push(v(1.0));
         let mut after = Vec::new();
-        ring.copy_all(&mut after);
+        ring.copy_view(0, true, &mut after);
         assert_eq!(after, vec![v(1.0)]);
     }
 

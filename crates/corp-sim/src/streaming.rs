@@ -63,6 +63,17 @@ impl<I: Iterator<Item = JobSpec>> StreamingSimulation<I> {
     /// materializing them, which is exactly what this driver exists to
     /// avoid.
     pub fn run(&mut self, provisioner: &mut dyn Provisioner) -> SimulationReport {
+        self.run_inspecting(provisioner, |_| {})
+    }
+
+    /// [`run`](Self::run), calling `inspect` on the engine after every
+    /// slot — for callers that sample engine counters over the run (the
+    /// soak's visits-per-occupied-VM gate) without owning the loop.
+    pub fn run_inspecting(
+        &mut self,
+        provisioner: &mut dyn Provisioner,
+        mut inspect: impl FnMut(&SlotEngine),
+    ) -> SimulationReport {
         loop {
             while self
                 .source
@@ -75,6 +86,7 @@ impl<I: Iterator<Item = JobSpec>> StreamingSimulation<I> {
                 self.engine.submit(spec);
             }
             self.engine.step(provisioner);
+            inspect(&self.engine);
             let drained = self.source.peek().is_none();
             if (drained && self.engine.active() == 0)
                 || self.engine.slot() >= self.engine.options().max_slots + self.last_arrival
