@@ -11,7 +11,6 @@
 //!   per-slot churn (each iteration updates one VM's pool, then answers
 //!   one placement query, exactly the scheduler's steady-state rhythm).
 
-use corp_cluster::PlacementStore;
 use corp_core::{most_matched_vm, VolumeIndex};
 use corp_dnn::{Activation, BatchScratch, Network, TrainConfig, Trainer};
 use corp_sim::ResourceVector;
@@ -176,83 +175,5 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// Placement-store contention microbench backing DESIGN.md §15: one
-/// coordinator slot's worth of commits (a `begin_slot` reset then `OPS`
-/// round-robin claims) through each store shape. Capacities are huge so
-/// admission always succeeds — the arms measure lock-acquisition and
-/// bookkeeping cost, not conflict handling:
-///
-/// * `two_phase_per_op` — reserve then confirm, one lock pair per claim
-///   (the pre-striping coordinator rhythm), at 1 and 16 stripes;
-/// * `two_phase_batched` — one `reserve_batch` + one `confirm_batch`
-///   round (`O(stripes)` lock acquisitions for the whole slot);
-/// * `fast_commit_per_op` / `fast_commit_batched` — the optimistic
-///   epoch fast path, fusing both phases into a single acquisition.
-fn bench_store_contention(c: &mut Criterion) {
-    const VMS: usize = 1024;
-    const OPS: usize = 256;
-    let caps = vec![ResourceVector::splat(1e9); VMS];
-    let zeros = vec![ResourceVector::ZERO; VMS];
-    let demand = ResourceVector::splat(1.0);
-    let mut group = c.benchmark_group("store_1024vms");
-    for (label, stripes) in [("stripes1", 1usize), ("stripes16", 16usize)] {
-        let store = PlacementStore::with_stripes(caps.clone(), stripes);
-        group.bench_function(&format!("two_phase_per_op_{label}"), |b| {
-            b.iter(|| {
-                store.begin_slot(&zeros);
-                for op in 0..OPS {
-                    let id = store
-                        .reserve(0, black_box(op * 37 % VMS), demand)
-                        .expect("uncontended reserve");
-                    store.confirm(id).expect("open reservation");
-                }
-            })
-        });
-    }
-    let store = PlacementStore::with_stripes(caps.clone(), 16);
-    let requests: Vec<(usize, ResourceVector)> =
-        (0..OPS).map(|op| (op * 37 % VMS, demand)).collect();
-    group.bench_function("two_phase_batched_stripes16", |b| {
-        b.iter(|| {
-            store.begin_slot(&zeros);
-            let ids: Vec<_> = store
-                .reserve_batch(0, black_box(&requests))
-                .into_iter()
-                .map(|r| r.expect("uncontended reserve"))
-                .collect();
-            for r in store.confirm_batch(&ids) {
-                r.expect("open reservation");
-            }
-        })
-    });
-    group.bench_function("fast_commit_per_op_stripes16", |b| {
-        b.iter(|| {
-            store.begin_slot(&zeros);
-            for op in 0..OPS {
-                store
-                    .try_fast_commit(0, black_box(op * 37 % VMS), demand)
-                    .expect("uncontended fast commit");
-            }
-        })
-    });
-    let claims: Vec<(usize, usize, ResourceVector)> =
-        (0..OPS).map(|op| (0, op * 37 % VMS, demand)).collect();
-    group.bench_function("fast_commit_batched_stripes16", |b| {
-        b.iter(|| {
-            store.begin_slot(&zeros);
-            for r in store.fast_commit_batch(black_box(&claims)) {
-                r.expect("uncontended fast commit");
-            }
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_dnn_pretrain,
-    bench_best_fit,
-    bench_kernels,
-    bench_store_contention
-);
+criterion_group!(benches, bench_dnn_pretrain, bench_best_fit, bench_kernels);
 criterion_main!(benches);

@@ -34,9 +34,9 @@ pub struct ScaleArgs {
     pub jobs: usize,
     /// Workload seed (`--seed S`, non-zero).
     pub seed: u64,
-    /// Run the soak behind a `K`-shard striped-store control plane instead
-    /// of the direct monolithic provisioner (`--shards K`; `None` =
-    /// monolithic).
+    /// Run the soak behind a `K`-shard control plane (coordinator plus 2PC
+    /// placement store) instead of the direct monolithic provisioner
+    /// (`--shards K`; `None` = monolithic).
     pub shards: Option<usize>,
     /// Small CI configuration plus invariant assertions (`--smoke`).
     pub smoke: bool,
@@ -132,12 +132,9 @@ pub struct ScaleResult {
     /// Scheduler shards the soak ran behind (0 = direct monolithic
     /// provisioner, no control plane).
     pub shards: usize,
-    /// Placement-store claims committed via the optimistic fast path
-    /// (0 for monolithic runs).
+    /// Claims the placement store committed on the VM their shard proposed
+    /// (0 for monolithic runs); the rest met a capacity conflict there.
     pub fast_path_hits: u64,
-    /// Fast-path attempts refused by the per-VM writer check (0 for
-    /// monolithic runs).
-    pub stripe_conflicts: u64,
     /// Wall-clock seconds of the simulation loop.
     pub run_secs: f64,
     /// Slots simulated.
@@ -266,7 +263,6 @@ pub fn run_scale(args: &ScaleArgs) -> ScaleResult {
         jobs: sim.submitted(),
         shards: args.shards.unwrap_or(0),
         fast_path_hits: cp.map_or(0, |c| c.fast_path_hits),
-        stripe_conflicts: cp.map_or(0, |c| c.stripe_conflicts),
         run_secs,
         slots_run: report.slots_run,
         slots_per_sec: report.slots_run as f64 / wall,
@@ -353,7 +349,7 @@ pub fn scale_experiment(args: &ScaleArgs) -> Result<FigureTable, String> {
         check_smoke(&result, args)?;
     }
     let arm = match args.shards {
-        Some(k) => format!("{k}-shard striped store"),
+        Some(k) => format!("{k}-shard control plane"),
         None => "static-peak".to_string(),
     };
     let mut table = TextTable::new(
@@ -391,8 +387,10 @@ pub fn scale_experiment(args: &ScaleArgs) -> Result<FigureTable, String> {
     );
     if result.shards > 0 {
         row("shards", format!("{}", result.shards));
-        row("fast-path commits", format!("{}", result.fast_path_hits));
-        row("stripe conflicts", format!("{}", result.stripe_conflicts));
+        row(
+            "claims committed on the proposed VM",
+            format!("{}", result.fast_path_hits),
+        );
     }
     Ok(FigureTable {
         id: "scale".into(),
@@ -459,7 +457,7 @@ mod tests {
         assert_eq!(result.shards, 2);
         assert!(
             result.fast_path_hits > 0,
-            "sharded soak never took the fast path: {result:?}"
+            "sharded soak never committed a claim as proposed: {result:?}"
         );
     }
 

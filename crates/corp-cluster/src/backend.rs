@@ -7,80 +7,33 @@
 //! `DirectBackend`, the coordinator's arbitration places through this —
 //! same trait, same claim/commit contract.
 //!
-//! One `choose` call is one complete 2PC claim: `reserve` the proposed VM
+//! One `choose` call is one complete 2PC claim: `reserve` the target VM
 //! (phase 1), `confirm` on admission (phase 2), and on conflict retry
-//! against the store's best-fit VM up to the retry budget. The returned
-//! [`Claim`] carries the conflict/retry counts for the coordinator's
-//! control-plane statistics; `claim.vm == None` means the proposal
-//! aborted and its job stays pending (the queue is the backoff).
-//!
-//! With [`TwoPhaseBackend::defer_confirms`], phase 2 is *batched*: claims
-//! still reserve at their arbitration position (so admission ordering is
-//! unchanged — a hold blocks headroom exactly like a commitment), but the
-//! confirms accumulate and land as one
-//! [`confirm_batch`](PlacementStore::confirm_batch) round per slot, one
-//! stripe acquisition per touched stripe instead of one per claim. Moving
-//! a hold from reserved to committed never changes any VM's headroom, so
-//! deferral is invisible to every admission decision in between.
+//! against the store's best-fit VM up to the retry budget. The target is
+//! the upstream proposal's VM when the caller hints one and the store's
+//! Eq. 22 best fit otherwise. The returned [`Claim`] carries the
+//! conflict/retry counts for the coordinator's control-plane statistics;
+//! `claim.vm == None` means the proposal aborted and its job stays pending
+//! (the queue is the backoff).
 
 use corp_core::pipeline::{Claim, PlacementBackend};
 use corp_sim::ResourceVector;
 use rand::rngs::StdRng;
 
-use crate::store::{PlacementStore, ReservationId, ReserveError};
+use crate::store::{PlacementStore, ReserveError};
 
 /// A [`PlacementBackend`] whose claims are two-phase-commit reservations
 /// against a shared [`PlacementStore`].
 pub struct TwoPhaseBackend<'a> {
     store: &'a PlacementStore,
-    shard: usize,
     max_retries: usize,
-    /// `Some` once [`Self::defer_confirms`] has been called: admitted
-    /// reservations buffer here until [`Self::flush_confirms`].
-    deferred: Option<Vec<ReservationId>>,
 }
 
 impl<'a> TwoPhaseBackend<'a> {
-    /// Builds a backend claiming on behalf of shard 0; the coordinator
-    /// switches the origin per proposal with [`Self::set_origin`].
+    /// Builds a backend claiming against `store`, allowed `max_retries`
+    /// alternative VMs after a claim's first reservation conflicts.
     pub fn new(store: &'a PlacementStore, max_retries: usize) -> Self {
-        TwoPhaseBackend {
-            store,
-            shard: 0,
-            max_retries,
-            deferred: None,
-        }
-    }
-
-    /// Sets the shard subsequent claims are attributed to.
-    pub fn set_origin(&mut self, shard: usize) {
-        self.shard = shard;
-    }
-
-    /// Switches phase 2 to batched mode: subsequent claims reserve
-    /// immediately but confirm only at [`Self::flush_confirms`].
-    pub fn defer_confirms(&mut self) {
-        self.deferred.get_or_insert_with(Vec::new);
-    }
-
-    /// Commits every deferred reservation in one batched round and returns
-    /// how many were confirmed. No-op (zero) when nothing was deferred.
-    ///
-    /// Between a deferred reserve and its flush nothing can invalidate the
-    /// hold in the coordinator's sequential arbitration (crash rebases
-    /// happen between slots), so every confirm is expected to succeed;
-    /// a hold that vanished anyway (possible only for racing external
-    /// users of the store) is simply not counted.
-    pub fn flush_confirms(&mut self) -> u64 {
-        let Some(ids) = self.deferred.as_mut() else {
-            return 0;
-        };
-        if ids.is_empty() {
-            return 0;
-        }
-        let results = self.store.confirm_batch(ids);
-        ids.clear();
-        results.iter().filter(|r| r.is_ok()).count() as u64
+        TwoPhaseBackend { store, max_retries }
     }
 }
 
@@ -104,30 +57,30 @@ impl PlacementBackend for TwoPhaseBackend<'_> {
             conflicts: 0,
             retries: 0,
         };
-        let mut target = hint.unwrap_or(0);
-        let mut attempts = 0usize;
+        // No proposal to validate: start from Eq. 22's smallest-volume fit
+        // (nothing fitting is not a conflict, just an unplaced entity).
+        let Some(mut target) = hint.or_else(|| self.store.best_fit(fit, reference)) else {
+            return claim;
+        };
         loop {
-            match self.store.reserve(self.shard, target, *fit) {
+            // The store does not read the proposing shard (see `reserve`).
+            match self.store.reserve(0, target, *fit) {
                 Ok(id) => {
-                    if let Some(deferred) = self.deferred.as_mut() {
-                        deferred.push(id);
-                    } else if self.store.confirm(id).is_err() {
-                        // The hold vanished (cannot happen in sequential
-                        // arbitration, but typed handling beats a panic):
-                        // treat as an abort.
-                        break;
+                    // A hold can only vanish under racing external users
+                    // of the store; typed handling beats a panic, and the
+                    // claim then counts as aborted.
+                    if self.store.confirm(id).is_ok() {
+                        claim.vm = Some(target);
                     }
-                    claim.vm = Some(target);
                     break;
                 }
                 Err(ReserveError::Conflict) => {
                     claim.conflicts += 1;
-                    if attempts >= self.max_retries {
+                    if claim.retries as usize >= self.max_retries {
                         break;
                     }
                     match self.store.best_fit(fit, reference) {
                         Some(vm) => {
-                            attempts += 1;
                             claim.retries += 1;
                             target = vm;
                         }
@@ -142,5 +95,36 @@ impl PlacementBackend for TwoPhaseBackend<'_> {
 
     fn debit(&mut self, _vm: usize, _pool_after: &ResourceVector, _reference: &ResourceVector) {
         // `confirm` already committed the capacity inside the store.
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::SeedableRng;
+
+    fn rv(v: f64) -> ResourceVector {
+        ResourceVector::splat(v)
+    }
+
+    #[test]
+    fn hintless_claim_starts_at_the_best_fit_vm() {
+        // VM 0 is the roomiest, VM 2 the tightest that still fits.
+        let store = PlacementStore::new(vec![rv(4.0), rv(0.5), rv(2.0)]);
+        let mut backend = TwoPhaseBackend::new(&store, 3);
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut claim = |fit: f64, hint: Option<usize>| {
+            let c = backend.choose(&[], &rv(fit), hint, &rv(4.0), &mut rng);
+            (c.vm, c.conflicts, c.retries)
+        };
+        assert_eq!(claim(1.0, None), (Some(2), 0, 0), "Eq. 22, not VM 0");
+        // Nothing fits: unplaced, and not a conflict.
+        assert_eq!(claim(9.0, None), (None, 0, 0));
+        // A hinted VM with room is taken as proposed, roomier or not; one
+        // without costs a conflict and a retry onto the best fit.
+        assert_eq!(claim(1.0, Some(0)), (Some(0), 0, 0));
+        assert_eq!(claim(1.0, Some(1)), (Some(2), 1, 1));
+        assert_eq!(store.counters().conflicts, 1);
+        assert_eq!(store.outstanding(), 0, "every claim confirmed at once");
     }
 }

@@ -6,19 +6,22 @@
 //! overcommit a VM beyond capacity) or the repo's reproducibility bar
 //! (same seed → same report):
 //!
-//! * [`PlacementStore`] — the centralized capacity arbiter. Placements go
-//!   through a two-phase commit: `reserve` (admission-checks the request
-//!   against `committed + reserved` under one lock and opens a hold) then
-//!   `confirm` or `abort`. Racing schedulers can interleave arbitrarily;
-//!   no interleaving can overcommit a VM.
+//! * [`PlacementStore`] — the centralized capacity arbiter: one lock
+//!   around one ledger. Placements go through a two-phase commit:
+//!   `reserve` (admission-checks the request against `committed +
+//!   reserved` under the lock and opens a hold) then `confirm` or `abort`,
+//!   or both phases fused into one acquisition when the claim simply fits.
+//!   Racing callers can interleave arbitrarily; no interleaving can
+//!   overcommit a VM.
 //! * [`shard`] — deterministic job-to-shard ownership
 //!   (`job_id % num_shards`) and per-shard context narrowing, so shards
 //!   contend only on capacity, never on the same job.
 //! * [`ShardedProvisioner`] — the coordinator adapting N independent
 //!   scheduler shards (each a full `Provisioner` pipeline on its own
 //!   thread) to the engine's interface: parallel proposal generation,
-//!   then deterministic sequential arbitration through the store with
-//!   bounded best-fit retry on reservation conflicts.
+//!   then deterministic sequential arbitration through the store — the
+//!   store's only caller — with bounded best-fit retry on capacity
+//!   conflicts.
 //!
 //! With one shard the coordinator reproduces the wrapped scheduler's
 //! decisions exactly; with many it reports throughput and contention via
@@ -46,5 +49,4 @@ pub use health::{ShardHealth, ShardSlotOutcome};
 pub use provisioner::{ProvisionerFactory, ShardConfig, ShardedProvisioner};
 pub use store::{
     FastPathMiss, PlacementStore, ReservationId, ReserveError, StoreCounters, TxnError,
-    DEFAULT_STRIPES, PARALLEL_BATCH_CUTOFF,
 };

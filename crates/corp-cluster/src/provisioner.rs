@@ -12,30 +12,24 @@
 //!    [`crate::shard`] — runs its pipeline, and ships its
 //!    [`ProvisionPlan`] back on its reply channel.
 //! 2. **Arbitrate (sequential, deterministic).** The coordinator replays
-//!    the proposals against the striped [`PlacementStore`] in a fixed
-//!    order — allocation adjustments first (shrinks before grows, as the
-//!    engine applies them), then placements round-robin by (proposal
-//!    index, shard). Each placement first attempts the store's
-//!    **optimistic fast path**
-//!    ([`PlacementStore::try_fast_commit`]): when no other shard has
-//!    touched the proposed VM this slot, both 2PC phases fuse into one
-//!    commit under a single stripe lock. On any miss — foreign writer,
-//!    capacity conflict, unknown VM — the claim falls back to full
-//!    ordered 2PC at the same arbitration position: open a reservation
-//!    (phase 1), on conflict retry against the next-best-fit VM up to the
-//!    retry budget, after which the proposal aborts and the job stays
-//!    pending — the queue itself is the bounded backoff, since the owning
-//!    shard re-proposes next slot. Fallback confirms are deferred and land
-//!    as one batched round per slot
-//!    ([`PlacementStore::confirm_batch`], one acquisition per touched
-//!    stripe); a hold blocks headroom exactly like a commitment, so
-//!    deferral is invisible to admission. Either way the committed
-//!    sequence the store validated is exactly the sequence the engine will
-//!    apply: a store-approved plan can never trip the engine's validators.
-//!    The fast path takes claims in the same canonical order the fallback
-//!    does, so it changes per-claim cost, never outcomes — at one shard no
-//!    VM ever sees a foreign writer, every claim fast-commits, and reports
-//!    stay byte-identical to the monolithic path.
+//!    the proposals against the [`PlacementStore`] in a fixed order —
+//!    allocation adjustments first (shrinks before grows, as the engine
+//!    applies them), then placements round-robin by (proposal index,
+//!    shard). Each placement is one fused commit
+//!    ([`PlacementStore::try_fast_commit`]) on the VM its shard proposed.
+//!    Only when the claim no longer fits there — an earlier claim this
+//!    slot took the room — does it go through the full 2PC claim
+//!    ([`TwoPhaseBackend`]) at the same arbitration position: the refused
+//!    reservation is counted as a conflict, then the claim retries against
+//!    the next-best-fit VM up to the retry budget, after which the
+//!    proposal aborts and the job stays pending — the queue itself is the
+//!    bounded backoff, since the owning shard re-proposes next slot. The
+//!    committed sequence the store validated is exactly the sequence the
+//!    engine will apply: a store-approved plan can never trip the engine's
+//!    validators. At one shard a proposal only ever competes with its own
+//!    shard's earlier ones, which the pipeline already debited, so every
+//!    claim commits as proposed and reports stay byte-identical to the
+//!    monolithic path.
 //!
 //! ## Supervision
 //!
@@ -79,7 +73,7 @@ use crate::health::{ShardHealth, ShardSlotOutcome};
 use crate::shard::{
     copy_vm_views_into, owner_of, shard_pending, shard_vm_views, shard_vm_views_into,
 };
-use crate::store::PlacementStore;
+use crate::store::{FastPathMiss, PlacementStore};
 use corp_core::pipeline::PlacementBackend;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -293,8 +287,8 @@ pub struct ShardedProvisioner {
     errors: Vec<ClusterError>,
     /// Current brownout posture, re-applied to workers after a restart.
     service_level: u8,
-    /// Slots where at least one placement fell back from the optimistic
-    /// fast path to a full ordered 2PC round.
+    /// Slots where at least one placement did not fit the VM its shard
+    /// proposed (a capacity conflict) and went through the full 2PC claim.
     fallback_rounds: u64,
     /// Recycled fleet-snapshot buffers: once the workers of a previous
     /// slot drop their `Arc` clones, the coordinator regains exclusive
@@ -780,19 +774,15 @@ impl ShardedProvisioner {
             }
         }
 
-        // Placements: round-robin by (proposal index, shard). Each claim
-        // first attempts the store's optimistic fast path on its proposed
-        // VM — one stripe acquisition fusing both 2PC phases when no other
-        // shard has written that VM this slot. Any miss falls back, at the
-        // same canonical position, to a full 2PC claim through the same
-        // `PlacementBackend` stage contract the monolithic pipelines place
-        // through, with phase 2 deferred into one batched confirm round
-        // per slot. The fast path changes per-claim cost, never outcomes:
-        // a fast commit admits exactly what reserve+confirm would have.
+        // Placements: round-robin by (proposal index, shard). Each claim is
+        // one fused commit on its proposed VM; a claim that no longer fits
+        // there goes, at the same canonical position, through a full 2PC
+        // claim on the same `PlacementBackend` stage contract the
+        // monolithic pipelines place through, which counts the conflict
+        // and retries onto the best-fit VM within the retry budget.
         let pending_ids: HashSet<JobId> = ctx.pending.iter().map(|j| j.id).collect();
         let mut placed: HashSet<JobId> = HashSet::new();
         let mut backend = TwoPhaseBackend::new(store, self.config.max_retries);
-        backend.defer_confirms();
         // The trait threads an RNG for randomized selectors; 2PC claims
         // are deterministic and never draw from it.
         let mut rng = StdRng::seed_from_u64(0);
@@ -815,12 +805,9 @@ impl ShardedProvisioner {
                 let alloc = p.allocation.clamp_nonnegative();
                 let committed_vm = match store.try_fast_commit(shard, p.vm, alloc) {
                     Ok(()) => Some(p.vm),
-                    Err(_) => {
-                        // Foreign writer, capacity conflict, or unknown
-                        // VM: full ordered 2PC with bounded best-fit
-                        // retry, exactly the claim the fast path fused.
+                    Err(FastPathMiss::UnknownVm) => None,
+                    Err(FastPathMiss::Conflict) => {
                         fell_back = true;
-                        backend.set_origin(shard);
                         let claim =
                             backend.choose(&[], &alloc, Some(p.vm), &ctx.max_vm_capacity, &mut rng);
                         stats.conflicts += claim.conflicts;
@@ -842,7 +829,6 @@ impl ShardedProvisioner {
                 }
             }
         }
-        backend.flush_confirms();
         if fell_back {
             self.fallback_rounds += 1;
         }
@@ -971,7 +957,9 @@ impl Provisioner for ShardedProvisioner {
             retries: self.workers.iter().map(|s| s.stats.retries).sum(),
             fast_path_hits: counters.fast_commits,
             fallback_rounds: self.fallback_rounds,
-            stripe_conflicts: counters.epoch_conflicts,
+            // Nothing counts here any more; the field stays until
+            // `benchmark/` stops reading it (see its doc in corp-sim).
+            stripe_conflicts: 0,
             max_queue_depth: self.max_queue_depth,
             worker_kills: self.recovery.worker_kills,
             worker_panics: self.recovery.worker_panics,
@@ -1007,8 +995,10 @@ impl Drop for ShardedProvisioner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use corp_core::most_matched_vm;
     use corp_faults::SlotShard;
-    use corp_sim::{PendingJobView, StaticPeakProvisioner, VmView};
+    use corp_sim::{PendingJobView, RunningJobView, StaticPeakProvisioner, VmView};
+    use rand::Rng;
 
     fn rv(v: f64) -> ResourceVector {
         ResourceVector::splat(v)
@@ -1030,6 +1020,21 @@ mod tests {
 
     fn committed_of(vms: &[VmView]) -> Vec<ResourceVector> {
         vms.iter().map(|v| v.committed).collect()
+    }
+
+    fn slot_ctx<'a>(
+        slot: u64,
+        vms: &'a [VmView],
+        pending: &'a [PendingJobView],
+        committed: &'a [ResourceVector],
+    ) -> SlotContext<'a> {
+        SlotContext {
+            slot,
+            vms,
+            pending,
+            committed,
+            max_vm_capacity: rv(4.0),
+        }
     }
 
     fn job(id: JobId, req: f64) -> PendingJobView {
@@ -1073,13 +1078,7 @@ mod tests {
         let vms = fleet(&[2.0]);
         let committed = committed_of(&vms);
         let pending: Vec<PendingJobView> = (0..4).map(|i| job(i, 1.0)).collect();
-        let ctx = SlotContext {
-            slot: 0,
-            vms: &vms,
-            pending: &pending,
-            committed: &committed,
-            max_vm_capacity: rv(4.0),
-        };
+        let ctx = slot_ctx(0, &vms, &pending, &committed);
         let mut p = sharded(4);
         let plan = p.provision(&ctx);
         assert_eq!(plan.placements.len(), 2, "{plan:?}");
@@ -1097,13 +1096,7 @@ mod tests {
         let vms = fleet(&[1.0, 4.0]);
         let committed = committed_of(&vms);
         let pending = vec![job(0, 1.0), job(1, 1.0)];
-        let ctx = SlotContext {
-            slot: 0,
-            vms: &vms,
-            pending: &pending,
-            committed: &committed,
-            max_vm_capacity: rv(4.0),
-        };
+        let ctx = slot_ctx(0, &vms, &pending, &committed);
         let mut p = sharded(2);
         let plan = p.provision(&ctx);
         assert_eq!(plan.placements.len(), 2, "{plan:?}");
@@ -1123,13 +1116,7 @@ mod tests {
         let vms = fleet(&[1.0]);
         let committed = committed_of(&vms);
         let pending = vec![job(0, 1.0), job(1, 1.0)];
-        let ctx = SlotContext {
-            slot: 0,
-            vms: &vms,
-            pending: &pending,
-            committed: &committed,
-            max_vm_capacity: rv(4.0),
-        };
+        let ctx = slot_ctx(0, &vms, &pending, &committed);
         let mut p = sharded(2);
         let plan = p.provision(&ctx);
         assert_eq!(plan.placements.len(), 1);
@@ -1145,13 +1132,7 @@ mod tests {
         let vms = fleet(&[4.0, 4.0]);
         let committed = committed_of(&vms);
         let pending = vec![job(0, 1.0), job(1, 2.0)];
-        let ctx = SlotContext {
-            slot: 0,
-            vms: &vms,
-            pending: &pending,
-            committed: &committed,
-            max_vm_capacity: rv(4.0),
-        };
+        let ctx = slot_ctx(0, &vms, &pending, &committed);
         let mut baseline = StaticPeakProvisioner;
         let expected = baseline.provision(&ctx);
         let mut p = sharded(1);
@@ -1165,23 +1146,11 @@ mod tests {
         let vms = fleet(&[4.0]);
         let committed = committed_of(&vms);
         let pending: Vec<PendingJobView> = (0..3).map(|i| job(i, 0.5)).collect();
-        let ctx = SlotContext {
-            slot: 0,
-            vms: &vms,
-            pending: &pending,
-            committed: &committed,
-            max_vm_capacity: rv(4.0),
-        };
+        let ctx = slot_ctx(0, &vms, &pending, &committed);
         let mut p = sharded(2);
         let _ = p.provision(&ctx);
         let empty: Vec<PendingJobView> = Vec::new();
-        let ctx2 = SlotContext {
-            slot: 1,
-            vms: &vms,
-            pending: &empty,
-            committed: &committed,
-            max_vm_capacity: rv(4.0),
-        };
+        let ctx2 = slot_ctx(1, &vms, &empty, &committed);
         let _ = p.provision(&ctx2);
         let stats = p.control_plane_stats().unwrap();
         assert_eq!(stats.max_queue_depth, 3);
@@ -1197,13 +1166,7 @@ mod tests {
         let vms = fleet(&[4.0, 4.0]);
         let committed = committed_of(&vms);
         let pending = vec![job(0, 1.0), job(1, 1.0)];
-        let ctx = SlotContext {
-            slot: 0,
-            vms: &vms,
-            pending: &pending,
-            committed: &committed,
-            max_vm_capacity: rv(4.0),
-        };
+        let ctx = slot_ctx(0, &vms, &pending, &committed);
         let got = p.provision(&ctx);
         // Both jobs place: shard 0 via its worker, shard 1 inline.
         assert_eq!(got.placements.len(), 2, "{got:?}");
@@ -1214,13 +1177,7 @@ mod tests {
         assert_eq!(stats.per_shard[1].restarts, 1);
         assert_eq!(stats.per_shard[1].inline_slots, 1);
         // The restarted worker serves the next slot normally.
-        let ctx2 = SlotContext {
-            slot: 1,
-            vms: &vms,
-            pending: &pending,
-            committed: &committed,
-            max_vm_capacity: rv(4.0),
-        };
+        let ctx2 = slot_ctx(1, &vms, &pending, &committed);
         let again = p.provision(&ctx2);
         assert_eq!(again.placements.len(), 2, "{again:?}");
         assert_eq!(p.control_plane_stats().unwrap().inline_slots, 1);
@@ -1264,26 +1221,14 @@ mod tests {
         let vms = fleet(&[4.0, 4.0]);
         let committed = committed_of(&vms);
         let pending = vec![job(0, 1.0), job(1, 1.0)];
-        let ctx = SlotContext {
-            slot: 0,
-            vms: &vms,
-            pending: &pending,
-            committed: &committed,
-            max_vm_capacity: rv(4.0),
-        };
+        let ctx = slot_ctx(0, &vms, &pending, &committed);
         let got = p.provision(&ctx);
         assert_eq!(got.placements.len(), 2, "inline covers the panic: {got:?}");
         let stats = p.control_plane_stats().unwrap();
         assert_eq!(stats.worker_panics, 1, "{stats:?}");
         assert_eq!(stats.worker_restarts, 1, "{stats:?}");
         // Next slot, the rebuilt worker answers for itself.
-        let ctx2 = SlotContext {
-            slot: 1,
-            vms: &vms,
-            pending: &pending,
-            committed: &committed,
-            max_vm_capacity: rv(4.0),
-        };
+        let ctx2 = slot_ctx(1, &vms, &pending, &committed);
         let again = p.provision(&ctx2);
         assert_eq!(again.placements.len(), 2, "{again:?}");
         assert_eq!(p.control_plane_stats().unwrap().inline_slots, 1);
@@ -1301,13 +1246,7 @@ mod tests {
         let committed = committed_of(&vms);
         let pending = vec![job(0, 1.0), job(1, 1.0)];
         for slot in 0..3u64 {
-            let ctx = SlotContext {
-                slot,
-                vms: &vms,
-                pending: &pending,
-                committed: &committed,
-                max_vm_capacity: rv(4.0),
-            };
+            let ctx = slot_ctx(slot, &vms, &pending, &committed);
             let got = p.provision(&ctx);
             assert_eq!(got.placements.len(), 2, "slot {slot}: {got:?}");
         }
@@ -1339,13 +1278,7 @@ mod tests {
         let committed = committed_of(&vms);
         let pending = vec![job(0, 1.0), job(1, 1.0)];
         for slot in 0..3u64 {
-            let ctx = SlotContext {
-                slot,
-                vms: &vms,
-                pending: &pending,
-                committed: &committed,
-                max_vm_capacity: rv(4.0),
-            };
+            let ctx = slot_ctx(slot, &vms, &pending, &committed);
             let got = p.provision(&ctx);
             assert_eq!(got.placements.len(), 2, "slot {slot}: {got:?}");
         }
@@ -1368,13 +1301,7 @@ mod tests {
         let pending = vec![job(0, 1.0), job(1, 1.0)];
         p.set_forced_inline(1, true);
         for slot in 0..2u64 {
-            let ctx = SlotContext {
-                slot,
-                vms: &vms,
-                pending: &pending,
-                committed: &committed,
-                max_vm_capacity: rv(4.0),
-            };
+            let ctx = slot_ctx(slot, &vms, &pending, &committed);
             let got = p.provision(&ctx);
             assert_eq!(got.placements.len(), 2, "isolated shard places inline");
         }
@@ -1388,13 +1315,7 @@ mod tests {
         assert_eq!(stats.inline_slots, 0, "isolation is not a failure");
         // Release: the worker serves again immediately.
         p.set_forced_inline(1, false);
-        let ctx = SlotContext {
-            slot: 2,
-            vms: &vms,
-            pending: &pending,
-            committed: &committed,
-            max_vm_capacity: rv(4.0),
-        };
+        let ctx = slot_ctx(2, &vms, &pending, &committed);
         let _ = p.provision(&ctx);
         assert_eq!(
             p.shard_health()[1].last_outcome,
@@ -1431,17 +1352,211 @@ mod tests {
         let vms = fleet(&[4.0]);
         let committed = committed_of(&vms);
         let pending = vec![job(0, 1.0)];
-        let ctx = SlotContext {
-            slot: 0,
-            vms: &vms,
-            pending: &pending,
-            committed: &committed,
-            max_vm_capacity: rv(4.0),
-        };
+        let ctx = slot_ctx(0, &vms, &pending, &committed);
         let got = p.provision(&ctx);
         assert!(got.placements.is_empty(), "{got:?}");
         let stats = p.control_plane_stats().unwrap();
         assert_eq!(stats.per_shard[0].aborts, 1, "{stats:?}");
         assert!(p.store().unwrap().holds_invariants(1e-9));
+    }
+
+    // ---- differential test: store + arbiter against a plain vector ----
+
+    /// A shard that proposes whatever its script says for the slot, valid
+    /// or not.
+    struct Scripted(Vec<ProvisionPlan>);
+
+    impl Provisioner for Scripted {
+        fn name(&self) -> &str {
+            "scripted"
+        }
+        fn provision(&mut self, ctx: &SlotContext<'_>) -> ProvisionPlan {
+            self.0[ctx.slot as usize].clone()
+        }
+    }
+
+    /// The obviously correct arbiter `provision` must agree with: headrooms
+    /// in a plain vector, shrinks before grows, then placements round-robin
+    /// — committed where proposed if that fits, else on the linear
+    /// smallest-volume scan's VM (one claim at a time, a VM the scan finds
+    /// never needs a second retry). Adds each shard's `[commits, conflicts,
+    /// retries, aborts]` to `tally`.
+    fn reference_arbiter(
+        ctx: &SlotContext<'_>,
+        plans: &[ProvisionPlan],
+        max_retries: usize,
+        tally: &mut [[u64; 4]],
+    ) -> ProvisionPlan {
+        let mut free: Vec<_> = ctx.vms.iter().map(|v| v.capacity - v.committed).collect();
+        let running: HashMap<JobId, (usize, ResourceVector)> = ctx
+            .vms
+            .iter()
+            .flat_map(|vm| vm.jobs.iter().map(|j| (j.id, (vm.id, j.allocation))))
+            .collect();
+        let mut merged = ProvisionPlan::default();
+        for shrinks in [true, false] {
+            for (shard, plan) in plans.iter().enumerate() {
+                for &(job, new) in &plan.adjustments {
+                    let current = running.get(&job);
+                    if current.is_some_and(|(_, old)| new.fits_within(old)) != shrinks {
+                        continue;
+                    }
+                    match current {
+                        Some(&(vm, old))
+                            if new.is_finite() && new.fits_within(&(free[vm] + old)) =>
+                        {
+                            free[vm] = free[vm] + old - new;
+                            merged.adjustments.push((job, new));
+                        }
+                        _ => tally[shard][1] += 1,
+                    }
+                }
+            }
+        }
+        let deepest = plans.iter().map(|p| p.placements.len()).max().unwrap_or(0);
+        for index in 0..deepest {
+            for (shard, plan) in plans.iter().enumerate() {
+                let Some(p) = plan.placements.get(index) else {
+                    continue;
+                };
+                let placed = merged.placements.iter().any(|m| m.job == p.job);
+                if placed || !ctx.pending.iter().any(|j| j.id == p.job) {
+                    continue;
+                }
+                let allocation = p.allocation.clamp_nonnegative();
+                let mut vm = Some(p.vm).filter(|&vm| p.allocation.is_finite() && vm < free.len());
+                if vm.is_some_and(|vm| !allocation.fits_within(&free[vm])) {
+                    tally[shard][1] += 1;
+                    vm = most_matched_vm(&free, &allocation, &ctx.max_vm_capacity)
+                        .filter(|_| max_retries > 0);
+                    tally[shard][2] += u64::from(vm.is_some());
+                }
+                tally[shard][if vm.is_some() { 0 } else { 3 }] += 1;
+                if let Some(vm) = vm {
+                    free[vm] -= allocation;
+                    merged.placements.push(Placement {
+                        vm,
+                        allocation,
+                        ..p.clone()
+                    });
+                }
+            }
+        }
+        merged
+    }
+
+    /// Whole quarters per resource, none above `max`: every sum and
+    /// difference in either arbiter is then exact.
+    fn quarters(rng: &mut StdRng, max: ResourceVector) -> ResourceVector {
+        let draw = |m: f64| f64::from(rng.gen_range(0..=(m * 4.0) as u32)) * 0.25;
+        ResourceVector::new(max.as_array().map(draw))
+    }
+
+    /// One random slot: a fleet of uneven headroom (some VMs full) with
+    /// running jobs, a pending queue, and per-shard plans drawn to include
+    /// everything arbitration must refuse — duplicate and non-pending
+    /// jobs, NaN and negative allocations, unknown and full VMs, grows
+    /// listed before the shrinks that make room for them, unknown jobs.
+    fn random_slot(
+        rng: &mut StdRng,
+        shards: usize,
+        num_vms: usize,
+    ) -> (Vec<VmView>, Vec<PendingJobView>, Vec<ProvisionPlan>) {
+        let mut plans = vec![ProvisionPlan::default(); shards];
+        let mut vms = fleet(&vec![4.0; num_vms]);
+        let mut next_running: JobId = 1_000;
+        for vm in &mut vms {
+            for _ in 0..rng.gen_range(0..=3usize) {
+                let allocation = if rng.gen_bool(0.2) {
+                    vm.free // fills the VM
+                } else {
+                    quarters(rng, vm.free.scaled(0.5))
+                };
+                vm.free -= allocation;
+                vm.committed += allocation;
+                vm.jobs.push(RunningJobView {
+                    id: next_running,
+                    requested: allocation,
+                    allocation,
+                    recent_demand: Vec::new(),
+                    recent_unused: Vec::new(),
+                });
+                next_running += 1;
+                let new = match rng.gen_range(0..10u32) {
+                    0..=2 => quarters(rng, allocation),
+                    3..=5 => allocation + quarters(rng, rv(1.5)),
+                    6 => rv(f64::NAN),
+                    _ => continue,
+                };
+                let proposer = &mut plans[rng.gen_range(0..shards)];
+                proposer.adjustments.push((next_running - 1, new));
+            }
+        }
+        let num_pending = rng.gen_range(4..=16u64);
+        for plan in &mut plans {
+            if rng.gen_bool(0.3) {
+                plan.adjustments.push((9_000, rv(1.0))); // no such running job
+            }
+            for _ in 0..rng.gen_range(0..=10usize) {
+                let allocation = match rng.gen_range(0..10u32) {
+                    0 => rv(f64::NAN),
+                    1 => quarters(rng, rv(1.5)) - rv(0.25),
+                    _ => quarters(rng, rv(1.5)),
+                };
+                plan.placements.push(Placement {
+                    job: rng.gen_range(0..num_pending + 3), // the last three are not pending
+                    vm: rng.gen_range(0..num_vms + 2),      // the last two do not exist
+                    allocation,
+                });
+            }
+        }
+        let pending = (0..num_pending).map(|id| job(id, 1.0)).collect();
+        (vms, pending, plans)
+    }
+
+    #[test]
+    fn arbitration_matches_a_plain_vector_reference_arbiter() {
+        for seed in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let shards = rng.gen_range(2..=4usize);
+            let num_vms = rng.gen_range(4..=12usize);
+            let max_retries = rng.gen_range(0..=3usize);
+            let slots: Vec<_> = (0..3)
+                .map(|_| random_slot(&mut rng, shards, num_vms))
+                .collect();
+            let script = |s: usize| slots.iter().map(|slot| slot.2[s].clone()).collect();
+            let inners: Vec<Box<dyn Provisioner + Send>> = (0..shards)
+                .map(|s| Box::new(Scripted(script(s))) as _)
+                .collect();
+            let config = ShardConfig {
+                max_retries,
+                ..ShardConfig::default()
+            };
+            let mut p = ShardedProvisioner::new("scripted", inners, config);
+            let mut tally = vec![[0u64; 4]; shards];
+            for (slot, (vms, pending, plans)) in slots.iter().enumerate() {
+                let committed = committed_of(vms);
+                let ctx = slot_ctx(slot as u64, vms, pending, &committed);
+                let expected = reference_arbiter(&ctx, plans, max_retries, &mut tally);
+                let got = p.provision(&ctx);
+                assert_eq!(
+                    got.adjustments, expected.adjustments,
+                    "seed {seed} slot {slot}: adjustments"
+                );
+                assert_eq!(
+                    got.placements, expected.placements,
+                    "seed {seed} slot {slot}: placements"
+                );
+                assert!(p.store().unwrap().holds_invariants(1e-9));
+            }
+            let stats = p.control_plane_stats().unwrap();
+            for (shard, s) in stats.per_shard.iter().enumerate() {
+                assert_eq!(
+                    [s.commits, s.conflicts, s.retries, s.aborts],
+                    tally[shard],
+                    "seed {seed} shard {shard}: [commits, conflicts, retries, aborts]"
+                );
+            }
+        }
     }
 }

@@ -4,13 +4,13 @@
 //! `owner = job_id % num_shards` — so racing shards never propose
 //! conflicting actions for the *same* job; the only contention left is
 //! capacity, which the [`PlacementStore`](crate::PlacementStore)
-//! arbitrates. Each shard receives a narrowed [`SlotContext`]: the full VM
-//! fleet (capacity and commitment truth is global) but with each VM's
-//! running-job views and the pending queue filtered to the jobs the shard
-//! owns. VM-level series (`unused_history`) stay global, so VM-granular
-//! predictors see the physical signal regardless of sharding.
+//! arbitrates. Each shard receives a narrowed [`corp_sim::SlotContext`]:
+//! the full VM fleet (capacity and commitment truth is global) but with
+//! each VM's running-job views and the pending queue filtered to the jobs
+//! the shard owns. VM-level series (`unused_history`) stay global, so
+//! VM-granular predictors see the physical signal regardless of sharding.
 
-use corp_sim::{JobId, PendingJobView, RunningJobView, SlotContext, VmView};
+use corp_sim::{JobId, PendingJobView, RunningJobView, VmView};
 
 /// The shard that owns `job` in an `num_shards`-way partition.
 pub fn owner_of(job: JobId, num_shards: usize) -> usize {
@@ -28,17 +28,6 @@ pub fn shard_pending(
         .iter()
         .filter(|j| owner_of(j.id, num_shards) == shard)
         .cloned()
-        .collect()
-}
-
-/// Splits the pending queue into per-shard queues (arrival order preserved
-/// within each shard).
-pub fn partition_pending(
-    pending: &[PendingJobView],
-    num_shards: usize,
-) -> Vec<Vec<PendingJobView>> {
-    (0..num_shards)
-        .map(|s| shard_pending(pending, s, num_shards))
         .collect()
 }
 
@@ -150,33 +139,6 @@ fn copy_jobs_into(src: &[RunningJobView], dst: &mut Vec<RunningJobView>) {
     }
 }
 
-/// Builds every shard's fleet view at once (tests and single-threaded
-/// callers; the coordinator lets each shard thread call
-/// [`shard_vm_views`] itself).
-pub fn partition_vm_views(vms: &[VmView], num_shards: usize) -> Vec<Vec<VmView>> {
-    (0..num_shards)
-        .map(|s| shard_vm_views(vms, s, num_shards))
-        .collect()
-}
-
-/// A narrowed per-shard context borrowing the shard's partitioned slices.
-/// The raw committed column stays global (it is id-indexed by VM, and
-/// capacity truth is fleet-wide), exactly like the per-VM views' committed
-/// fields.
-pub fn shard_context<'a>(
-    base: &SlotContext<'a>,
-    vms: &'a [VmView],
-    pending: &'a [PendingJobView],
-) -> SlotContext<'a> {
-    SlotContext {
-        slot: base.slot,
-        vms,
-        pending,
-        committed: base.committed,
-        max_vm_capacity: base.max_vm_capacity,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,7 +167,7 @@ mod tests {
     #[test]
     fn ownership_partitions_all_jobs_exactly_once() {
         let jobs: Vec<PendingJobView> = (0..23).map(pending).collect();
-        let parts = partition_pending(&jobs, 4);
+        let parts: Vec<_> = (0..4).map(|s| shard_pending(&jobs, s, 4)).collect();
         assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), jobs.len());
         for (shard, part) in parts.iter().enumerate() {
             for j in part {
@@ -217,9 +179,7 @@ mod tests {
     #[test]
     fn single_shard_owns_everything_in_order() {
         let jobs: Vec<PendingJobView> = [5, 2, 9].into_iter().map(pending).collect();
-        let parts = partition_pending(&jobs, 1);
-        assert_eq!(parts.len(), 1);
-        let ids: Vec<JobId> = parts[0].iter().map(|j| j.id).collect();
+        let ids: Vec<JobId> = shard_pending(&jobs, 0, 1).iter().map(|j| j.id).collect();
         assert_eq!(ids, vec![5, 2, 9], "arrival order preserved");
     }
 
@@ -233,7 +193,8 @@ mod tests {
             jobs: vec![running(0), running(1), running(2)],
             unused_history: vec![ResourceVector::splat(0.5)],
         };
-        let per_shard = partition_vm_views(&[vm], 2);
+        let fleet = [vm];
+        let per_shard = [shard_vm_views(&fleet, 0, 2), shard_vm_views(&fleet, 1, 2)];
         assert_eq!(
             per_shard[0][0]
                 .jobs

@@ -266,107 +266,25 @@ proptest! {
     }
 
     #[test]
-    fn striped_store_is_equivalent_to_single_lock_reference(
-        stripes in 2usize..=8,
-        ops in prop::collection::vec((0usize..6, 0usize..VMS, 0u8..=6), 1..150),
-    ) {
-        // Striping is a locking strategy, not a semantic: any interleaving
-        // of reserve / confirm / abort / crash / recovery / whole-fleet
-        // rebase must answer exactly what a single-lock (stripes = 1)
-        // store answers — same admission outcomes, same free columns,
-        // same counters, same best-fit winners. Reservation ids are
-        // encoding-dependent, so both stores track their own open-hold
-        // lists positionally (confirm the oldest, abort the newest).
-        let caps = vec![ResourceVector::splat(CAPACITY); VMS];
-        let striped = PlacementStore::with_stripes(caps.clone(), stripes);
-        let single = PlacementStore::with_stripes(caps, 1);
-        let reference = ResourceVector::splat(CAPACITY);
-        let mut open_striped: Vec<ReservationId> = Vec::new();
-        let mut open_single: Vec<ReservationId> = Vec::new();
-        for &(kind, vm, q) in &ops {
-            let amt = ResourceVector::splat(q as f64 * 0.5);
-            match kind {
-                0 => {
-                    let a = striped.reserve(0, vm, amt);
-                    let b = single.reserve(0, vm, amt);
-                    prop_assert_eq!(a.is_ok(), b.is_ok(), "admission diverged on ({}, {})", vm, q);
-                    if let (Ok(a), Ok(b)) = (a, b) {
-                        open_striped.push(a);
-                        open_single.push(b);
-                    }
-                }
-                1 => {
-                    if !open_striped.is_empty() {
-                        prop_assert_eq!(
-                            striped.confirm(open_striped.remove(0)).is_ok(),
-                            single.confirm(open_single.remove(0)).is_ok()
-                        );
-                    }
-                }
-                2 => {
-                    if let (Some(a), Some(b)) = (open_striped.pop(), open_single.pop()) {
-                        prop_assert_eq!(striped.abort(a).is_ok(), single.abort(b).is_ok());
-                    }
-                }
-                3 => {
-                    striped.set_capacity(vm, ResourceVector::ZERO);
-                    single.set_capacity(vm, ResourceVector::ZERO);
-                }
-                4 => {
-                    striped.set_capacity(vm, ResourceVector::splat(CAPACITY));
-                    single.set_capacity(vm, ResourceVector::splat(CAPACITY));
-                }
-                _ => {
-                    let committed = [amt; VMS];
-                    striped.begin_slot_full(&[reference; VMS], &committed);
-                    single.begin_slot_full(&[reference; VMS], &committed);
-                    open_striped.clear();
-                    open_single.clear();
-                }
-            }
-            prop_assert_eq!(striped.free_all(), single.free_all());
-            prop_assert_eq!(striped.outstanding(), single.outstanding());
-            prop_assert_eq!(
-                striped.best_fit(&amt, &reference),
-                single.best_fit(&amt, &reference),
-                "best-fit diverged after op ({}, {}, {})", kind, vm, q
-            );
-            let (cs, c1) = (striped.counters(), single.counters());
-            prop_assert_eq!(cs.reservations, c1.reservations);
-            prop_assert_eq!(cs.commits, c1.commits);
-            prop_assert_eq!(cs.conflicts, c1.conflicts);
-            prop_assert_eq!(cs.aborts, c1.aborts);
-            prop_assert!(striped.holds_invariants(EPS));
-            prop_assert!(single.holds_invariants(EPS));
-        }
-    }
-
-    #[test]
     fn fast_path_fallback_preserves_no_overcommit_under_forced_conflicts(
-        stripes in 1usize..=8,
         ops in prop::collection::vec((0usize..2, 0usize..VMS, 1u8..=4), 1..120),
         rebase_every in 3usize..10,
     ) {
-        // Two shards hammer the same VMs through the optimistic fast path;
-        // interleaved writers force epoch conflicts, and every miss falls
-        // back to full 2PC (reserve + confirm) exactly as the coordinator
-        // does. Whatever the conflict pattern: no overcommit, and every
-        // admitted reservation resolves exactly once. Periodic slot
-        // rebases reset writer marks mid-sequence, so the properties also
-        // cover marks going stale across slot boundaries.
-        let caps = vec![ResourceVector::splat(CAPACITY); VMS];
-        let store = PlacementStore::with_stripes(caps, stripes);
-        let mut forced_conflicts = 0u64;
+        // Two shards hammer the same VMs through the fused commit until
+        // they fill, and every miss goes on to full 2PC (reserve +
+        // confirm) exactly as the coordinator does. Whatever the conflict
+        // pattern: no overcommit, and every admitted reservation resolves
+        // exactly once. Periodic slot rebases empty the fleet
+        // mid-sequence, so the properties also hold across slot
+        // boundaries.
+        let store = store();
         for (i, &(shard, vm, q)) in ops.iter().enumerate() {
             if i % rebase_every == 0 {
                 store.begin_slot(&[ResourceVector::ZERO; VMS]);
             }
             let amt = ResourceVector::splat(q as f64 * 0.5);
-            if let Err(miss) = store.try_fast_commit(shard, vm, amt) {
-                if miss == corp_cluster::FastPathMiss::Contended {
-                    forced_conflicts += 1;
-                }
-                // The coordinator's fallback: full 2PC at the same position.
+            if store.try_fast_commit(shard, vm, amt).is_err() {
+                // The coordinator's next step: full 2PC at the same position.
                 if let Ok(id) = store.reserve(shard, vm, amt) {
                     store.confirm(id).expect("own hold confirms");
                 }
@@ -375,8 +293,7 @@ proptest! {
         }
         let c = store.counters();
         prop_assert_eq!(c.commits + c.aborts, c.reservations);
-        prop_assert_eq!(c.epoch_conflicts, forced_conflicts, "every contended miss counted");
-        prop_assert_eq!(store.outstanding(), 0, "fast path leaves no dangling holds");
+        prop_assert_eq!(store.outstanding(), 0, "fused commits leave no dangling holds");
     }
 
     #[test]

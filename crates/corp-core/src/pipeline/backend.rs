@@ -5,8 +5,10 @@
 //! free pools (Eq. 22 volume best-fit through the incremental
 //! [`VolumeIndex`], random fitting VM, DRA's share-weighted choice, or
 //! plain first fit). The sharded control plane (`corp-cluster`) implements
-//! the same trait over its two-phase-commit `PlacementStore`, so one
-//! pipeline drives both the monolithic and the distributed paths.
+//! the same trait over its two-phase-commit `PlacementStore` — validating
+//! a hinted VM, or choosing by Eq. 22 from the store's own headrooms when
+//! there is no hint — so one pipeline drives both the monolithic and the
+//! distributed paths.
 
 use crate::placement::{random_fitting_vm, VolumeIndex};
 use crate::predictor::dra::ShareClass;
@@ -54,10 +56,10 @@ pub trait PlacementBackend {
     fn begin_slot(&mut self, pools: &[ResourceVector], reference: &ResourceVector);
 
     /// Chooses a VM fitting `fit`. `hint` carries an upstream proposal's
-    /// target VM (transactional backends validate it; direct backends
-    /// select fresh and ignore it). `rng` drives randomized selectors; a
-    /// backend draws from it only when its policy does, preserving the
-    /// scheme's exact random sequence.
+    /// target VM (transactional backends validate it, and select fresh
+    /// when there is none; direct backends always select fresh). `rng`
+    /// drives randomized selectors; a backend draws from it only when its
+    /// policy does, preserving the scheme's exact random sequence.
     fn choose(
         &mut self,
         pools: &[ResourceVector],

@@ -18,8 +18,9 @@
 //! [`corp_sim::Provisioner`] interface. The monolithic schemes in
 //! [`crate::scheduler`] are type aliases over concrete stage sets; the
 //! sharded control plane (`corp-cluster`) runs the *same* pipelines inside
-//! its shard workers and re-expresses its arbitration through a
-//! two-phase-commit [`PlacementBackend`] over the `PlacementStore`.
+//! its shard workers, and its arbitration settles capacity conflicts
+//! between their proposals through a two-phase-commit
+//! [`PlacementBackend`] over the `PlacementStore`.
 //!
 //! Determinism is a stage contract: predictors fan out through the
 //! [`PredictRuntime`] (the calling thread plus persistent pool workers)

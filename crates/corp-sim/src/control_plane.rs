@@ -84,15 +84,16 @@ pub struct ControlPlaneStats {
     pub aborts: u64,
     /// Placement retries across all shards.
     pub retries: u64,
-    /// Claims committed via the store's optimistic fast path: a single
-    /// stripe acquisition fusing both 2PC phases on an uncontended VM.
+    /// Claims committed on the VM their shard proposed, through the
+    /// store's fused commit (both 2PC phases in one lock acquisition).
     pub fast_path_hits: u64,
-    /// Arbitration slots where at least one claim fell back from the fast
-    /// path to a full ordered 2PC round (reserve, bounded best-fit retry,
-    /// batched confirm).
+    /// Arbitration slots where at least one claim no longer fit the VM its
+    /// shard proposed — a capacity conflict — and went through the full
+    /// 2PC claim (reserve, bounded best-fit retry, confirm).
     pub fallback_rounds: u64,
-    /// Fast-path attempts refused by the per-VM epoch/writer check because
-    /// another shard had written the VM that slot.
+    /// Always 0: the store mechanism this counted (a per-VM writer mark
+    /// that refused fused commits) is gone. The field is kept only because
+    /// `benchmark/` reads it; the next `benchmark` PR may drop it.
     pub stripe_conflicts: u64,
     /// Deepest store-wide pending queue observed in any slot.
     pub max_queue_depth: usize,
