@@ -1,7 +1,7 @@
 //! Typed control-plane failures.
 //!
-//! The coordinator never panics on a sick worker: every failure is either
-//! recovered in place (restart + inline scheduling) or recorded here and
+//! The coordinator never panics on a sick shard: every failure is either
+//! recovered in place (rebuild + inline scheduling) or recorded here and
 //! surfaced through [`ShardedProvisioner::errors`](crate::ShardedProvisioner::errors).
 
 use std::fmt;
@@ -9,43 +9,23 @@ use std::fmt;
 /// A control-plane failure observed by the shard supervisor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClusterError {
-    /// The OS refused to spawn a shard's worker thread.
-    SpawnFailed {
-        /// Shard whose worker could not be spawned.
-        shard: usize,
-        /// The underlying `io::Error`, stringified (io::Error: !Clone).
-        reason: String,
-    },
-    /// A worker died (panic, scheduled kill, or closed channel) and no
-    /// factory was registered to rebuild its provisioner, so the
-    /// coordinator schedules the shard inline permanently.
+    /// A shard died (panic or scheduled kill) and no factory was
+    /// registered to rebuild its provisioner, so the coordinator schedules
+    /// the shard inline permanently.
     WorkerUnrecoverable {
-        /// Shard left without a worker.
+        /// Shard left without a pipeline.
         shard: usize,
-    },
-    /// A worker's reply missed the real-time timeout safety net.
-    ReplyTimeout {
-        /// Shard whose reply timed out.
-        shard: usize,
-        /// Slot being provisioned when the timeout tripped.
-        slot: u64,
     },
 }
 
 impl fmt::Display for ClusterError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ClusterError::SpawnFailed { shard, reason } => {
-                write!(f, "failed to spawn worker for shard {shard}: {reason}")
-            }
             ClusterError::WorkerUnrecoverable { shard } => {
                 write!(
                     f,
                     "shard {shard} worker died with no factory to rebuild it; scheduling inline"
                 )
-            }
-            ClusterError::ReplyTimeout { shard, slot } => {
-                write!(f, "shard {shard} reply timed out at slot {slot}")
             }
         }
     }
@@ -61,7 +41,5 @@ mod tests {
     fn errors_render_the_shard_involved() {
         let e = ClusterError::WorkerUnrecoverable { shard: 3 };
         assert!(e.to_string().contains("shard 3"));
-        let t = ClusterError::ReplyTimeout { shard: 1, slot: 42 };
-        assert!(t.to_string().contains("slot 42"));
     }
 }

@@ -1,10 +1,10 @@
 //! Per-shard health snapshots for external supervisors.
 //!
-//! The coordinator already recovers from worker failures on its own
-//! (restart + inline scheduling, see [`crate::provisioner`]); this module
+//! The coordinator already recovers from shard failures on its own
+//! (rebuild + inline scheduling, see [`crate::provisioner`]); this module
 //! is the *observability* side of that machinery. After every slot the
 //! coordinator records what actually happened on each shard — did the
-//! worker's plan arrive, did the coordinator fall back inline, or was the
+//! shard's plan arrive, did the coordinator fall back inline, or was the
 //! shard deliberately isolated — and exposes it through
 //! [`ShardedProvisioner::shard_health`](crate::ShardedProvisioner::shard_health).
 //!
@@ -21,13 +21,13 @@
 pub enum ShardSlotOutcome {
     /// No slot has run yet.
     Idle,
-    /// The worker's plan arrived and was arbitrated normally.
+    /// The shard's plan arrived and was arbitrated normally.
     Served,
-    /// The coordinator had to schedule the shard inline: dead worker,
-    /// dropped request, delayed or missing reply — a *failure* fallback.
+    /// The coordinator had to schedule the shard inline: dead shard,
+    /// dropped request, delayed reply — a *failure* fallback.
     FellBack,
     /// The shard was deliberately isolated (forced inline) by an external
-    /// supervisor; nothing was dispatched to its worker.
+    /// supervisor; its pipeline was not run.
     Isolated,
 }
 
@@ -36,10 +36,11 @@ pub enum ShardSlotOutcome {
 pub struct ShardHealth {
     /// Shard index.
     pub shard: usize,
-    /// Whether the coordinator believes the worker thread is serving.
+    /// Whether the shard has a pipeline to run (it has not been killed or
+    /// panicked since its last rebuild).
     pub alive: bool,
-    /// Dead with no way back (no factory, or respawn failed): the shard
-    /// schedules inline forever.
+    /// Dead with no way back (no factory): the shard schedules inline
+    /// forever.
     pub failed: bool,
     /// What happened on the most recent slot.
     pub last_outcome: ShardSlotOutcome,

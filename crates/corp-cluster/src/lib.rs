@@ -14,11 +14,13 @@
 //!   Racing callers can interleave arbitrarily; no interleaving can
 //!   overcommit a VM.
 //! * [`shard`] — deterministic job-to-shard ownership
-//!   (`job_id % num_shards`) and per-shard context narrowing, so shards
-//!   contend only on capacity, never on the same job.
+//!   (`job_id % num_shards`), so shards contend only on capacity, never on
+//!   the same job. Ownership is a predicate a shard reads the engine's
+//!   fleet views through, not a filtered copy of them.
 //! * [`ShardedProvisioner`] — the coordinator adapting N independent
-//!   scheduler shards (each a full `Provisioner` pipeline on its own
-//!   thread) to the engine's interface: parallel proposal generation,
+//!   scheduler shards (each a full `Provisioner` pipeline the coordinator
+//!   owns) to the engine's interface: the shards propose in parallel —
+//!   one pool call a slot, the calling thread running a shard itself —
 //!   then deterministic sequential arbitration through the store — the
 //!   store's only caller — with bounded best-fit retry on capacity
 //!   conflicts.
@@ -27,11 +29,12 @@
 //! decisions exactly; with many it reports throughput and contention via
 //! [`corp_sim::ControlPlaneStats`] in the simulation report.
 //!
-//! The coordinator also supervises its workers: worker bodies run under
-//! `catch_unwind`, scheduled chaos (a [`corp_faults::ControlFaultPlan`])
-//! can kill workers and drop or delay messages, and every failure is
-//! either recovered (factory restart + inline scheduling for the missed
-//! slot) or recorded as a typed [`ClusterError`] — never a panic.
+//! The coordinator also supervises its shards: every call into a pipeline
+//! runs under `catch_unwind`, scheduled chaos (a
+//! [`corp_faults::ControlFaultPlan`]) can kill shards and drop or delay
+//! their slots, and every failure is either recovered (factory rebuild +
+//! inline scheduling for the missed slot) or recorded as a typed
+//! [`ClusterError`] — never a panic.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

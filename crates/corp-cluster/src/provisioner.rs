@@ -1,16 +1,18 @@
 //! The sharded control-plane coordinator, adapting N scheduler shards to
 //! the engine's single-`Provisioner` interface.
 //!
-//! Each shard is a long-lived worker thread owning one full scheduler
-//! pipeline, fed over crossbeam channels (spawning threads per slot would
-//! put coordination overhead on the critical path of every decision).
-//! Each slot then runs in two phases:
+//! A shard is plain data the coordinator owns: one full scheduler pipeline
+//! plus its supervision state. Each slot runs in two phases:
 //!
-//! 1. **Propose (parallel).** The coordinator snapshots the fleet once
-//!    (shared read-only via `Arc`) and posts it to every shard; each
-//!    worker builds its own narrowed view — only the jobs it owns, see
-//!    [`crate::shard`] — runs its pipeline, and ships its
-//!    [`ProvisionPlan`] back on its reply channel.
+//! 1. **Propose (parallel).** The serving shards are the task list of one
+//!    [`WorkerPool::run_chunks`] call — one participant per shard, the
+//!    calling thread among them, so it runs a shard instead of sleeping
+//!    until the others are done. Every shard reads the engine's fleet views
+//!    in place: its [`SlotContext`] borrows `ctx.vms` and `ctx.committed`
+//!    unchanged and carries the shard's [`JobShare`], through which the
+//!    pipelines walk only the running jobs the shard owns (see
+//!    [`crate::shard`]). The call returns when every participant is done,
+//!    so nothing outlives the borrow.
 //! 2. **Arbitrate (sequential, deterministic).** The coordinator replays
 //!    the proposals against the [`PlacementStore`] in a fixed order —
 //!    allocation adjustments first (shrinks before grows, as the engine
@@ -33,52 +35,52 @@
 //!
 //! ## Supervision
 //!
-//! The coordinator assumes workers can die at any point: worker bodies run
-//! under `catch_unwind`, replies are slot-tagged and waited on with a
-//! bounded timeout, and a scheduled [`ControlFaultPlan`] can kill workers,
-//! drop requests, or delay replies deterministically. Whenever a shard
-//! produces no usable plan for a slot — dead worker, lost request, late
-//! reply — the coordinator schedules that shard's jobs *inline* with a
-//! conservative static-peak pass (full-request first fit over the shard's
-//! narrowed view), merged at the shard's own index so arbitration order is
-//! unchanged. Dead workers are rebuilt from their
-//! [`ProvisionerFactory`] when one was registered
-//! ([`ShardedProvisioner::with_factories`]); without a factory the shard
-//! degrades to permanent inline scheduling and a typed
-//! [`ClusterError`] is recorded. No channel failure panics the
-//! coordinator.
+//! The coordinator assumes a shard can fail at any call: every call into a
+//! pipeline runs under `catch_unwind`, and a scheduled [`ControlFaultPlan`]
+//! can kill shards, drop requests, or delay replies deterministically. A
+//! kill or a caught panic drops the shard's pipeline on the spot (it may
+//! hold arbitrary state mid-panic); a dropped request is a slot the shard
+//! is not asked about; a delayed reply is a slot the shard does run — its
+//! predictor state advances — but whose plan arrives too late to be used.
+//! Whenever a shard produces no usable plan for a slot the coordinator
+//! schedules that shard's jobs *inline* with a conservative static-peak
+//! pass (full-request first fit over the shard's pending jobs), merged at
+//! the shard's own index so arbitration order is unchanged. Dead shards
+//! are rebuilt after the slot from their [`ProvisionerFactory`] when one
+//! was registered ([`ShardedProvisioner::with_factories`]); without a
+//! factory the shard degrades to permanent inline scheduling and a typed
+//! [`ClusterError`] is recorded. What supervision cannot do is time a
+//! shard out: a pipeline that never returns blocks the slot, exactly as a
+//! wedged monolithic pipeline blocks the engine.
 //!
 //! Determinism: proposal generation is per-shard deterministic (each shard
-//! owns its RNG/predictor state), arbitration order is a pure function
-//! of (shard index, proposal index), and fault injection follows a
-//! pre-computed plan — so identical seeds and configs yield byte-identical
-//! reports at any shard count, while the store itself stays fully
-//! thread-safe for genuinely racing users.
+//! owns its RNG/predictor state, and which thread runs it changes
+//! nothing), arbitration order is a pure function of (shard index,
+//! proposal index), and fault injection follows a pre-computed plan — so
+//! identical seeds and configs yield byte-identical reports at any shard
+//! count, while the store itself stays fully thread-safe for genuinely
+//! racing users.
 
+use corp_core::pipeline::{per_task, PlacementBackend, WorkerPool, WorkerScratch};
 use corp_faults::ControlFaultPlan;
 use corp_sim::control_plane::{ControlPlaneStats, ShardStats};
 use corp_sim::{
-    JobCompletion, JobId, PendingJobView, Placement, ProvisionPlan, Provisioner, ResourceVector,
-    SlotContext, StaticPeakProvisioner, VmView,
+    JobCompletion, JobId, JobShare, PendingJobView, Placement, ProvisionPlan, Provisioner,
+    ResourceVector, SlotContext, StaticPeakProvisioner,
 };
-use crossbeam::channel::RecvTimeoutError;
+use parking_lot::Mutex;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-use std::time::Duration;
 
 use crate::backend::TwoPhaseBackend;
 use crate::error::ClusterError;
 use crate::health::{ShardHealth, ShardSlotOutcome};
-use crate::shard::{
-    copy_vm_views_into, owner_of, shard_pending, shard_vm_views, shard_vm_views_into,
-};
+use crate::shard::{owner_of, shard_pending};
 use crate::store::{FastPathMiss, PlacementStore};
-use corp_core::pipeline::PlacementBackend;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-/// Rebuilds one shard's scheduler pipeline after its worker dies.
+/// Rebuilds one shard's scheduler pipeline after it dies.
 pub type ProvisionerFactory = Box<dyn Fn() -> Box<dyn Provisioner + Send> + Send>;
 
 /// Coordinator knobs.
@@ -87,11 +89,7 @@ pub struct ShardConfig {
     /// Alternative-VM attempts after a placement's first reservation
     /// conflicts; past the budget the proposal aborts to the pending queue.
     pub max_retries: usize,
-    /// Real-time safety net on worker replies. Deterministic chaos uses
-    /// explicit kill/delay events instead; this only trips for a genuinely
-    /// wedged worker, so it is generous by default.
-    pub recv_timeout: Duration,
-    /// Scheduled control-plane chaos (worker kills, request drops, reply
+    /// Scheduled control-plane chaos (shard kills, request drops, reply
     /// delays); `None` runs fault-free.
     pub fault_plan: Option<ControlFaultPlan>,
 }
@@ -100,63 +98,40 @@ impl Default for ShardConfig {
     fn default() -> Self {
         ShardConfig {
             max_retries: 3,
-            recv_timeout: Duration::from_secs(30),
             fault_plan: None,
         }
     }
 }
 
-/// Work posted to a shard's worker thread.
-enum ShardRequest {
-    /// Propose a plan for one slot over the shared fleet snapshot.
-    Provision {
-        slot: u64,
-        vms: Arc<Vec<VmView>>,
-        pending: Arc<Vec<PendingJobView>>,
-        committed: Arc<Vec<ResourceVector>>,
-        max_vm_capacity: ResourceVector,
-    },
-    /// Fold one slot's completed jobs (every completion owned by this
-    /// shard, in completion order) into the shard's training corpus — one
-    /// message per shard per slot rather than one per job.
-    JobsCompleted { jobs: Vec<JobCompletion> },
-    /// Brownout posture broadcast from the coordinator: the worker applies
-    /// it to its inner pipeline before the next provision request.
-    SetServiceLevel(u8),
-    /// Chaos: exit immediately, as an unplanned worker crash would.
-    Die,
+/// A shard's scheduler pipeline. The lock is never contended — one pool
+/// participant per slot, or the coordinator between slots — and is there
+/// only so the shards can be shared with the pool's threads.
+type Pipeline = Mutex<Box<dyn Provisioner + Send>>;
+
+/// Runs `call` on `pipeline`; `None` reports a caught panic, after which
+/// the pipeline may hold arbitrary state and must be dropped.
+fn guarded<R>(pipeline: &Pipeline, call: impl FnOnce(&mut dyn Provisioner) -> R) -> Option<R> {
+    let mut pipeline = pipeline.lock();
+    catch_unwind(AssertUnwindSafe(|| call(pipeline.as_mut()))).ok()
 }
 
-/// A worker's answer for one slot. `plan: None` reports a caught panic —
-/// the worker exits right after sending it and waits to be rebuilt.
-struct ShardReply {
-    slot: u64,
-    plan: Option<ProvisionPlan>,
-}
-
-/// One long-lived scheduler shard: its pipeline runs on a dedicated thread,
-/// driven by `requests`; slot-tagged replies come back on `replies`.
-struct Worker {
-    /// `None` once shutdown has begun (dropping the sender stops the loop)
-    /// or while the worker is dead awaiting restart.
-    requests: Option<crossbeam::channel::Sender<ShardRequest>>,
-    replies: crossbeam::channel::Receiver<ShardReply>,
-    handle: Option<std::thread::JoinHandle<()>>,
+/// One scheduler shard: its pipeline and what the supervisor knows of it.
+struct Shard {
+    /// `None` while the shard is dead: killed or panicked and not yet
+    /// rebuilt, or `failed` for good.
+    pipeline: Option<Pipeline>,
     stats: ShardStats,
-    /// Whether the coordinator believes the worker thread is serving.
-    alive: bool,
-    /// Dead with no way back (no factory, or respawn failed): the
-    /// coordinator schedules this shard inline permanently.
+    /// Dead with no way back (no factory): the coordinator schedules this
+    /// shard inline permanently.
     failed: bool,
-    /// Rebuilds the inner provisioner after a death, when registered.
+    /// Rebuilds the pipeline after a death, when registered.
     factory: Option<ProvisionerFactory>,
     /// External supervisor (circuit breaker) holds this shard isolated:
-    /// schedule it inline without dispatching to the worker.
+    /// schedule it inline without running its pipeline.
     forced_inline: bool,
     /// What happened on the most recent provisioning slot.
     last_outcome: ShardSlotOutcome,
-    /// The inner pipeline's [`Provisioner::full_view_period`], captured
-    /// before the pipeline moves onto its worker thread: the coordinator
+    /// The pipeline's [`Provisioner::full_view_period`]: the coordinator
     /// advertises the gcd of its shards' periods, so every shard still
     /// sees deep view histories exactly on its own window boundaries.
     view_period: u64,
@@ -172,164 +147,40 @@ struct RecoveryCounters {
     isolated_slots: u64,
     messages_dropped: u64,
     messages_delayed: u64,
-    recv_timeouts: u64,
-}
-
-type WorkerChannels = (
-    crossbeam::channel::Sender<ShardRequest>,
-    crossbeam::channel::Receiver<ShardReply>,
-    std::thread::JoinHandle<()>,
-);
-
-fn spawn_worker(
-    shard: usize,
-    num_shards: usize,
-    inner: Box<dyn Provisioner + Send>,
-) -> Result<WorkerChannels, ClusterError> {
-    let (req_tx, req_rx) = crossbeam::channel::unbounded();
-    let (reply_tx, reply_rx) = crossbeam::channel::unbounded();
-    std::thread::Builder::new()
-        .name(format!("corp-shard-{shard}"))
-        .spawn(move || worker_loop(shard, num_shards, inner, req_rx, reply_tx))
-        .map(|handle| (req_tx, reply_rx, handle))
-        .map_err(|e| ClusterError::SpawnFailed {
-            shard,
-            reason: e.to_string(),
-        })
-}
-
-fn worker_loop(
-    shard: usize,
-    num_shards: usize,
-    mut inner: Box<dyn Provisioner + Send>,
-    requests: crossbeam::channel::Receiver<ShardRequest>,
-    replies: crossbeam::channel::Sender<ShardReply>,
-) {
-    // Narrowed-view buffers persist across slots: steady state reuses every
-    // inner allocation (job vectors, history tails) instead of re-cloning
-    // the fleet each slot.
-    let mut my_vms: Vec<VmView> = Vec::new();
-    while let Ok(request) = requests.recv() {
-        match request {
-            ShardRequest::Provision {
-                slot,
-                vms,
-                pending,
-                committed,
-                max_vm_capacity,
-            } => {
-                // The pipeline may hold arbitrary state mid-panic, so a
-                // caught panic is terminal for this worker: report it and
-                // exit; the supervisor rebuilds from the factory.
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    shard_vm_views_into(&vms, shard, num_shards, &mut my_vms);
-                    let my_pending = shard_pending(&pending, shard, num_shards);
-                    let ctx = SlotContext {
-                        slot,
-                        vms: &my_vms,
-                        pending: &my_pending,
-                        committed: &committed,
-                        max_vm_capacity,
-                    };
-                    inner.provision(&ctx)
-                }));
-                match result {
-                    Ok(plan) => {
-                        if replies
-                            .send(ShardReply {
-                                slot,
-                                plan: Some(plan),
-                            })
-                            .is_err()
-                        {
-                            break; // coordinator gone
-                        }
-                    }
-                    Err(_) => {
-                        let _ = replies.send(ShardReply { slot, plan: None });
-                        break;
-                    }
-                }
-            }
-            ShardRequest::JobsCompleted { jobs } => {
-                if catch_unwind(AssertUnwindSafe(|| {
-                    inner.on_jobs_completed(&jobs);
-                }))
-                .is_err()
-                {
-                    break;
-                }
-            }
-            ShardRequest::SetServiceLevel(level) => {
-                if catch_unwind(AssertUnwindSafe(|| {
-                    inner.set_service_level(level);
-                }))
-                .is_err()
-                {
-                    break;
-                }
-            }
-            ShardRequest::Die => break,
-        }
-    }
 }
 
 /// N scheduler shards behind the engine's `Provisioner` interface (see
 /// module docs).
 pub struct ShardedProvisioner {
     name: String,
-    workers: Vec<Worker>,
+    shards: Vec<Shard>,
     config: ShardConfig,
     /// Built lazily from the first slot's fleet view.
     store: Option<PlacementStore>,
     max_queue_depth: usize,
     recovery: RecoveryCounters,
     errors: Vec<ClusterError>,
-    /// Current brownout posture, re-applied to workers after a restart.
+    /// Current brownout posture, re-applied to a shard rebuilt from its
+    /// factory.
     service_level: u8,
     /// Slots where at least one placement did not fit the VM its shard
     /// proposed (a capacity conflict) and went through the full 2PC claim.
     fallback_rounds: u64,
-    /// Recycled fleet-snapshot buffers: once the workers of a previous
-    /// slot drop their `Arc` clones, the coordinator regains exclusive
-    /// access and refreshes the buffer in place instead of re-cloning the
-    /// fleet (the view copy was the dominant per-slot coordination cost).
-    snap_vms: Vec<Arc<Vec<VmView>>>,
-    snap_pending: Vec<Arc<Vec<PendingJobView>>>,
-    snap_committed: Vec<Arc<Vec<ResourceVector>>>,
+    /// The threads that run shards next to the calling one, spawned on the
+    /// first slot that serves more than one shard.
+    pool: WorkerPool,
+    /// The calling thread's (empty) state for [`WorkerPool::run_chunks`].
+    scratch: WorkerScratch,
     /// Per-slot scratch for the store rebase (capacity/committed columns).
     rebase_scratch: (Vec<ResourceVector>, Vec<ResourceVector>),
 }
 
-/// Pulls a buffer with no outstanding readers from `pool`, or allocates a
-/// fresh one. Callers push the handle back after sharing it; a buffer
-/// still referenced by a slow worker simply stays in the pool until its
-/// refcount drains.
-fn checkout<T: Default>(pool: &mut Vec<Arc<T>>) -> Arc<T> {
-    for i in 0..pool.len() {
-        if Arc::get_mut(&mut pool[i]).is_some() {
-            return pool.swap_remove(i);
-        }
-    }
-    Arc::new(T::default())
-}
-
-/// Returns a shared snapshot to its pool, bounding the pool so a burst of
-/// slow slots cannot grow it without limit.
-fn check_in<T>(pool: &mut Vec<Arc<T>>, buf: Arc<T>) {
-    pool.push(buf);
-    if pool.len() > 4 {
-        pool.swap_remove(0);
-    }
-}
-
 impl ShardedProvisioner {
     /// Wraps `inners` (one per shard) under a display name of
-    /// `"<base>x<shards>"`, spawning one worker thread per shard. Workers
-    /// built this way cannot be rebuilt after a death (there is no
-    /// factory); the shard degrades to inline scheduling instead. Prefer
-    /// [`ShardedProvisioner::with_factories`] when running under fault
-    /// injection.
+    /// `"<base>x<shards>"`. Shards built this way cannot be rebuilt after a
+    /// death (there is no factory); the shard degrades to inline
+    /// scheduling instead. Prefer [`ShardedProvisioner::with_factories`]
+    /// when running under fault injection.
     ///
     /// # Panics
     ///
@@ -339,19 +190,14 @@ impl ShardedProvisioner {
         inners: Vec<Box<dyn Provisioner + Send>>,
         config: ShardConfig,
     ) -> Self {
-        assert!(!inners.is_empty(), "need at least one shard");
-        let num_shards = inners.len();
-        let mut this = Self::empty(base_name, num_shards, config);
-        for (shard, inner) in inners.into_iter().enumerate() {
-            this.push_worker(shard, num_shards, inner, None);
-        }
-        this
+        let shards = inners.into_iter().map(|inner| (inner, None)).collect();
+        Self::build(base_name, shards, config)
     }
 
     /// Like [`ShardedProvisioner::new`], but each shard's pipeline comes
-    /// from a factory the supervisor re-invokes to rebuild the worker
-    /// after a crash. Factories must be deterministic (same pipeline every
-    /// call) for fault-injected runs to replay byte-identically.
+    /// from a factory the supervisor re-invokes to rebuild the shard after
+    /// a crash. Factories must be deterministic (same pipeline every call)
+    /// for fault-injected runs to replay byte-identically.
     ///
     /// # Panics
     ///
@@ -361,20 +207,38 @@ impl ShardedProvisioner {
         factories: Vec<ProvisionerFactory>,
         config: ShardConfig,
     ) -> Self {
-        assert!(!factories.is_empty(), "need at least one shard");
-        let num_shards = factories.len();
-        let mut this = Self::empty(base_name, num_shards, config);
-        for (shard, factory) in factories.into_iter().enumerate() {
-            let inner = factory();
-            this.push_worker(shard, num_shards, inner, Some(factory));
-        }
-        this
+        let shards = factories
+            .into_iter()
+            .map(|factory| (factory(), Some(factory)))
+            .collect();
+        Self::build(base_name, shards, config)
     }
 
-    fn empty(base_name: &str, num_shards: usize, config: ShardConfig) -> Self {
+    fn build(
+        base_name: &str,
+        shards: Vec<(Box<dyn Provisioner + Send>, Option<ProvisionerFactory>)>,
+        config: ShardConfig,
+    ) -> Self {
+        assert!(!shards.is_empty(), "need at least one shard");
+        let shards: Vec<Shard> = shards
+            .into_iter()
+            .enumerate()
+            .map(|(shard, (inner, factory))| Shard {
+                view_period: inner.full_view_period().max(1),
+                pipeline: Some(Mutex::new(inner)),
+                stats: ShardStats {
+                    shard,
+                    ..Default::default()
+                },
+                failed: false,
+                factory,
+                forced_inline: false,
+                last_outcome: ShardSlotOutcome::Idle,
+            })
+            .collect();
         ShardedProvisioner {
-            name: format!("{}x{}", base_name, num_shards),
-            workers: Vec::new(),
+            name: format!("{}x{}", base_name, shards.len()),
+            shards,
             config,
             store: None,
             max_queue_depth: 0,
@@ -382,64 +246,15 @@ impl ShardedProvisioner {
             errors: Vec::new(),
             service_level: 0,
             fallback_rounds: 0,
-            snap_vms: Vec::new(),
-            snap_pending: Vec::new(),
-            snap_committed: Vec::new(),
+            pool: WorkerPool::new(),
+            scratch: WorkerScratch::new(),
             rebase_scratch: (Vec::new(), Vec::new()),
-        }
-    }
-
-    fn push_worker(
-        &mut self,
-        shard: usize,
-        num_shards: usize,
-        inner: Box<dyn Provisioner + Send>,
-        factory: Option<ProvisionerFactory>,
-    ) {
-        let stats = ShardStats {
-            shard,
-            ..Default::default()
-        };
-        let view_period = inner.full_view_period().max(1);
-        match spawn_worker(shard, num_shards, inner) {
-            Ok((requests, replies, handle)) => self.workers.push(Worker {
-                requests: Some(requests),
-                replies,
-                handle: Some(handle),
-                stats,
-                alive: true,
-                failed: false,
-                factory,
-                forced_inline: false,
-                last_outcome: ShardSlotOutcome::Idle,
-                view_period,
-            }),
-            Err(e) => {
-                // Dead on arrival: keep the slot in the shard map (job
-                // ownership is positional) and schedule it inline; a
-                // factory still allows a later restart attempt.
-                self.errors.push(e);
-                let (_, orphan_replies) = crossbeam::channel::unbounded();
-                let failed = factory.is_none();
-                self.workers.push(Worker {
-                    requests: None,
-                    replies: orphan_replies,
-                    handle: None,
-                    stats,
-                    alive: false,
-                    failed,
-                    factory,
-                    forced_inline: false,
-                    last_outcome: ShardSlotOutcome::Idle,
-                    view_period,
-                });
-            }
         }
     }
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.workers.len()
+        self.shards.len()
     }
 
     /// The shared placement store (after the first slot).
@@ -447,9 +262,9 @@ impl ShardedProvisioner {
         self.store.as_ref()
     }
 
-    /// Typed failures the supervisor recorded (spawn failures, timeouts,
-    /// unrecoverable workers). Recovered incidents appear only as
-    /// counters in [`Provisioner::control_plane_stats`].
+    /// Typed failures the supervisor recorded (unrecoverable shards).
+    /// Recovered incidents appear only as counters in
+    /// [`Provisioner::control_plane_stats`].
     pub fn errors(&self) -> &[ClusterError] {
         &self.errors
     }
@@ -457,259 +272,180 @@ impl ShardedProvisioner {
     /// Per-shard supervision snapshots after the most recent slot — the
     /// feed an external circuit-breaker layer keys its state machine on.
     pub fn shard_health(&self) -> Vec<ShardHealth> {
-        self.workers
+        self.shards
             .iter()
             .enumerate()
-            .map(|(shard, w)| ShardHealth {
+            .map(|(shard, s)| ShardHealth {
                 shard,
-                alive: w.alive,
-                failed: w.failed,
-                last_outcome: w.last_outcome,
+                alive: s.pipeline.is_some(),
+                failed: s.failed,
+                last_outcome: s.last_outcome,
             })
             .collect()
     }
 
     /// Isolates (or releases) one shard: while forced, the coordinator
-    /// schedules the shard inline every slot *without* dispatching to its
-    /// worker or waiting on its reply — the inline-fallback half of a
-    /// circuit breaker's Open state. The worker thread stays up (and keeps
-    /// receiving completion notifications) so a later probe finds it warm.
+    /// schedules the shard inline every slot *without* running its
+    /// pipeline — the inline-fallback half of a circuit breaker's Open
+    /// state. The pipeline stays (and keeps receiving completion
+    /// notifications) so a later probe finds it warm.
     ///
     /// Out-of-range shard indices are ignored.
     pub fn set_forced_inline(&mut self, shard: usize, forced: bool) {
-        if let Some(worker) = self.workers.get_mut(shard) {
-            worker.forced_inline = forced;
+        if let Some(shard) = self.shards.get_mut(shard) {
+            shard.forced_inline = forced;
         }
     }
 
-    /// Tears down a dead worker's thread and rebuilds it from its factory;
-    /// without one the shard is marked permanently failed.
-    fn restart_worker(&mut self, shard: usize) {
-        if self.workers[shard].failed {
+    /// Runs `call` on the shard's pipeline between slots. A panic is a
+    /// death: the pipeline is dropped there and then, so everything the
+    /// shard is told until the next slot rebuilds it is counted as lost —
+    /// the same on every run.
+    fn notify(&mut self, shard: usize, call: impl FnOnce(&mut dyn Provisioner)) -> bool {
+        let Some(pipeline) = &self.shards[shard].pipeline else {
+            return false;
+        };
+        if guarded(pipeline, call).is_none() {
+            self.shards[shard].pipeline = None;
+            self.recovery.worker_panics += 1;
+        }
+        true
+    }
+
+    /// Rebuilds a dead shard's pipeline from its factory; without one the
+    /// shard is marked permanently failed.
+    fn restart(&mut self, shard: usize) {
+        if self.shards[shard].failed {
             return;
         }
-        let num_shards = self.workers.len();
-        self.workers[shard].requests.take();
-        if let Some(handle) = self.workers[shard].handle.take() {
-            let _ = handle.join();
-        }
-        let Some(inner) = self.workers[shard].factory.as_ref().map(|f| f()) else {
-            self.workers[shard].failed = true;
+        let Some(inner) = self.shards[shard].factory.as_ref().map(|f| f()) else {
+            self.shards[shard].failed = true;
             self.errors
                 .push(ClusterError::WorkerUnrecoverable { shard });
             return;
         };
-        let view_period = inner.full_view_period().max(1);
-        match spawn_worker(shard, num_shards, inner) {
-            Ok((requests, replies, handle)) => {
-                let worker = &mut self.workers[shard];
-                worker.view_period = view_period;
-                worker.requests = Some(requests);
-                worker.replies = replies;
-                worker.handle = Some(handle);
-                worker.alive = true;
-                worker.stats.restarts += 1;
-                self.recovery.worker_restarts += 1;
-                // A factory rebuild starts at full service; re-apply the
-                // coordinator's current brownout posture.
-                if self.service_level != 0 {
-                    if let Some(tx) = self.workers[shard].requests.as_ref() {
-                        let _ = tx.send(ShardRequest::SetServiceLevel(self.service_level));
-                    }
-                }
-            }
-            Err(e) => {
-                self.workers[shard].failed = true;
-                self.errors.push(e);
-            }
+        let state = &mut self.shards[shard];
+        state.view_period = inner.full_view_period().max(1);
+        state.pipeline = Some(Mutex::new(inner));
+        state.stats.restarts += 1;
+        self.recovery.worker_restarts += 1;
+        // A factory rebuild starts at full service; re-apply the
+        // coordinator's current brownout posture.
+        let level = self.service_level;
+        if level != 0 {
+            self.notify(shard, |p| p.set_service_level(level));
         }
     }
 
     /// Conservative coordinator-side plan for a shard that produced none:
-    /// static-peak first fit over the shard's own narrowed view. Full-peak
-    /// allocations can never violate an SLO on their own, and the store
-    /// still arbitrates them against every other shard's proposals.
+    /// static-peak first fit of the shard's own pending jobs. Static peak
+    /// reads nothing of a VM but its free capacity, so the engine's views
+    /// pass through as they are. Full-peak allocations can never violate
+    /// an SLO on their own, and the store still arbitrates them against
+    /// every other shard's proposals.
     fn inline_plan(ctx: &SlotContext<'_>, shard: usize, num_shards: usize) -> ProvisionPlan {
-        let my_vms = shard_vm_views(ctx.vms, shard, num_shards);
         let my_pending = shard_pending(ctx.pending, shard, num_shards);
-        let narrowed = SlotContext {
-            slot: ctx.slot,
-            vms: &my_vms,
-            pending: &my_pending,
-            committed: ctx.committed,
-            max_vm_capacity: ctx.max_vm_capacity,
-        };
-        let mut fallback = StaticPeakProvisioner;
-        fallback.provision(&narrowed)
+        StaticPeakProvisioner.provision(&shard_context(ctx, &my_pending, shard, num_shards))
     }
 
-    /// Phase A: every shard proposes in parallel over the shared snapshot.
-    /// Scheduled chaos is applied here; any shard without a usable plan is
-    /// scheduled inline, and dead workers are restarted before returning.
+    /// Phase A: every serving shard proposes, in parallel, over the
+    /// engine's views. Scheduled chaos is applied here; any shard without
+    /// a usable plan is scheduled inline, and dead shards are rebuilt
+    /// before returning.
     fn propose(&mut self, ctx: &SlotContext<'_>) -> Vec<ProvisionPlan> {
-        let n = self.workers.len();
+        let n = self.shards.len();
         self.max_queue_depth = self.max_queue_depth.max(ctx.pending.len());
         let mut depths = vec![0usize; n];
         for job in ctx.pending {
             depths[owner_of(job.id, n)] += 1;
         }
-        for (worker, depth) in self.workers.iter_mut().zip(depths) {
-            worker.stats.max_queue_depth = worker.stats.max_queue_depth.max(depth);
+        for (shard, depth) in self.shards.iter_mut().zip(depths) {
+            shard.stats.max_queue_depth = shard.stats.max_queue_depth.max(depth);
         }
 
-        // Scheduled chaos for this slot.
-        let mut kill = vec![false; n];
-        let mut drop_request = vec![false; n];
-        let mut delay = vec![false; n];
-        if let Some(plan) = &self.config.fault_plan {
-            for shard in 0..n {
-                kill[shard] = plan.kill_scheduled(ctx.slot, shard);
-                drop_request[shard] = plan.drop_scheduled(ctx.slot, shard);
-                delay[shard] = plan.delay_scheduled(ctx.slot, shard);
-            }
-        }
-        for (shard, &killed) in kill.iter().enumerate() {
-            if killed && self.workers[shard].alive {
-                if let Some(tx) = self.workers[shard].requests.as_ref() {
-                    let _ = tx.send(ShardRequest::Die);
-                }
-                self.workers[shard].alive = false;
+        // Scheduled chaos for this slot. A killed shard loses its state
+        // now and is rebuilt below, after the slot it misses.
+        let faults = self.config.fault_plan.as_ref();
+        for (shard, state) in self.shards.iter_mut().enumerate() {
+            let killed = faults.is_some_and(|f| f.kill_scheduled(ctx.slot, shard));
+            if killed && state.pipeline.take().is_some() {
                 self.recovery.worker_kills += 1;
             }
         }
 
-        // Dispatch the snapshot to every serving shard, recycling a
-        // previous slot's buffers when their workers have let go: refresh
-        // in place instead of re-cloning the fleet.
-        let mut vms = checkout(&mut self.snap_vms);
-        copy_vm_views_into(
-            ctx.vms,
-            Arc::get_mut(&mut vms).expect("checked-out snapshot buffer is exclusive"),
-        );
-        let mut pending = checkout(&mut self.snap_pending);
-        {
-            let buf = Arc::get_mut(&mut pending).expect("checked-out snapshot buffer is exclusive");
-            buf.clear();
-            buf.extend_from_slice(ctx.pending);
-        }
-        let mut committed = checkout(&mut self.snap_committed);
-        {
-            let buf =
-                Arc::get_mut(&mut committed).expect("checked-out snapshot buffer is exclusive");
-            buf.clear();
-            buf.extend_from_slice(ctx.committed);
-        }
-        let mut sent = vec![false; n];
-        for shard in 0..n {
-            // Breaker-isolated shards get no dispatch at all: the whole
-            // point of Open is not paying the worker round-trip (or its
-            // timeout) while the shard is sick.
-            if self.workers[shard].forced_inline {
+        // The serving shards are one pool call's task list: a participant
+        // per shard, the calling thread one of them. The call returns only
+        // when every participant is done, so nothing reads `ctx` after
+        // `provision` returns.
+        let mut serving: Vec<(usize, &Pipeline)> = Vec::with_capacity(n);
+        for (shard, state) in self.shards.iter().enumerate() {
+            // Breaker-isolated shards are not run at all: the whole point
+            // of Open is not paying for the shard while it is sick.
+            let Some(pipeline) = state.pipeline.as_ref().filter(|_| !state.forced_inline) else {
                 continue;
-            }
-            if !self.workers[shard].alive {
-                continue;
-            }
-            if drop_request[shard] {
+            };
+            if faults.is_some_and(|f| f.drop_scheduled(ctx.slot, shard)) {
                 self.recovery.messages_dropped += 1;
                 continue;
             }
-            let request = ShardRequest::Provision {
-                slot: ctx.slot,
-                vms: Arc::clone(&vms),
-                pending: Arc::clone(&pending),
-                committed: Arc::clone(&committed),
-                max_vm_capacity: ctx.max_vm_capacity,
-            };
-            let delivered = self.workers[shard]
-                .requests
-                .as_ref()
-                .map(|tx| tx.send(request).is_ok())
-                .unwrap_or(false);
-            if delivered {
-                sent[shard] = true;
-            } else {
-                // The worker died between slots (e.g. panicked in a
-                // completion callback): recover below.
-                self.workers[shard].alive = false;
-            }
+            serving.push((shard, pipeline));
+        }
+        // `None` reports a caught panic.
+        let mut replies: Vec<Option<ProvisionPlan>> = vec![None; serving.len()];
+        if !serving.is_empty() {
+            self.pool.run_chunks(
+                &serving,
+                &mut replies,
+                serving.len(),
+                1,
+                &mut self.scratch,
+                &|| (),
+                &per_task(|&(shard, pipeline): &(usize, &Pipeline), _: &mut ()| {
+                    let my_pending = shard_pending(ctx.pending, shard, n);
+                    let ctx = shard_context(ctx, &my_pending, shard, n);
+                    guarded(pipeline, |p| p.provision(&ctx))
+                }),
+                &|_| (),
+            );
         }
 
-        // Collect in shard order: deterministic merge, full overlap while
-        // the slower shards finish. Replies are slot-tagged so a reply
-        // delayed past its slot is discarded when it finally surfaces.
-        let mut plans: Vec<Option<ProvisionPlan>> = (0..n).map(|_| None).collect();
-        for shard in 0..n {
-            if !sent[shard] {
-                continue;
-            }
-            if delay[shard] {
+        // Collect in shard order: a deterministic merge.
+        let served: Vec<usize> = serving.iter().map(|&(shard, _)| shard).collect();
+        let mut plans: Vec<Option<ProvisionPlan>> = vec![None; n];
+        for (shard, reply) in served.into_iter().zip(replies) {
+            if reply.is_none() {
+                self.shards[shard].pipeline = None;
+                self.recovery.worker_panics += 1;
+            } else if faults.is_some_and(|f| f.delay_scheduled(ctx.slot, shard)) {
+                // The shard ran the slot; its plan missed the deadline.
                 self.recovery.messages_delayed += 1;
-                continue;
-            }
-            loop {
-                let outcome = self.workers[shard]
-                    .replies
-                    .recv_timeout(self.config.recv_timeout);
-                match outcome {
-                    Ok(reply) if reply.slot == ctx.slot => {
-                        match reply.plan {
-                            Some(plan) => plans[shard] = Some(plan),
-                            None => {
-                                // The worker caught a panic and exited.
-                                self.workers[shard].alive = false;
-                                self.recovery.worker_panics += 1;
-                            }
-                        }
-                        break;
-                    }
-                    Ok(_stale_reply) => continue,
-                    Err(RecvTimeoutError::Timeout) => {
-                        self.workers[shard].alive = false;
-                        self.recovery.recv_timeouts += 1;
-                        self.errors.push(ClusterError::ReplyTimeout {
-                            shard,
-                            slot: ctx.slot,
-                        });
-                        break;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        self.workers[shard].alive = false;
-                        break;
-                    }
-                }
+            } else {
+                plans[shard] = reply;
             }
         }
 
-        // Recovery: restart what died, schedule inline what is missing,
+        // Recovery: rebuild what died, schedule inline what is missing,
         // and record each shard's slot outcome for shard_health().
         for (shard, plan) in plans.iter_mut().enumerate() {
-            if !self.workers[shard].alive {
-                self.restart_worker(shard);
+            if self.shards[shard].pipeline.is_none() {
+                self.restart(shard);
             }
+            let state = &mut self.shards[shard];
             if plan.is_some() {
-                self.workers[shard].last_outcome = ShardSlotOutcome::Served;
+                state.last_outcome = ShardSlotOutcome::Served;
             } else {
-                if self.workers[shard].forced_inline {
-                    self.workers[shard].stats.isolated_slots += 1;
+                if state.forced_inline {
+                    state.stats.isolated_slots += 1;
                     self.recovery.isolated_slots += 1;
-                    self.workers[shard].last_outcome = ShardSlotOutcome::Isolated;
+                    state.last_outcome = ShardSlotOutcome::Isolated;
                 } else {
-                    self.workers[shard].stats.inline_slots += 1;
+                    state.stats.inline_slots += 1;
                     self.recovery.inline_slots += 1;
-                    self.workers[shard].last_outcome = ShardSlotOutcome::FellBack;
+                    state.last_outcome = ShardSlotOutcome::FellBack;
                 }
                 *plan = Some(Self::inline_plan(ctx, shard, n));
             }
         }
-
-        // Return the snapshot handles to their pools. A worker that is
-        // still holding a clone (delayed reply) just parks the buffer until
-        // its refcount drains; checkout skips shared buffers.
-        check_in(&mut self.snap_vms, vms);
-        check_in(&mut self.snap_pending, pending);
-        check_in(&mut self.snap_committed, committed);
-
         plans.into_iter().map(Option::unwrap_or_default).collect()
     }
 
@@ -755,21 +491,27 @@ impl ShardedProvisioner {
                 .into_iter()
                 .partition(|(_, job, new)| is_shrink(job, new));
             for (shard, job, new) in shrinks.into_iter().chain(grows) {
+                if owner_of(job, plans.len()) != shard {
+                    // Nothing but convention keeps a pipeline that reads
+                    // the whole fleet's views off another shard's jobs.
+                    self.shards[shard].stats.conflicts += 1;
+                    continue;
+                }
                 let Some(&(vm, old)) = current.get(&job) else {
-                    self.workers[shard].stats.conflicts += 1;
+                    self.shards[shard].stats.conflicts += 1;
                     continue;
                 };
                 if !new.is_finite() {
                     // A poisoned pipeline may propose NaN; the engine would
                     // drop it anyway, but refusing here keeps the store's
                     // committed preview authoritative.
-                    self.workers[shard].stats.conflicts += 1;
+                    self.shards[shard].stats.conflicts += 1;
                     continue;
                 }
                 if store.adjust(vm, old, new) {
                     merged.adjustments.push((job, new));
                 } else {
-                    self.workers[shard].stats.conflicts += 1;
+                    self.shards[shard].stats.conflicts += 1;
                 }
             }
         }
@@ -793,10 +535,13 @@ impl ShardedProvisioner {
                 let Some(p) = plan.placements.get(index) else {
                     continue;
                 };
-                let stats = &mut self.workers[shard].stats;
+                let stats = &mut self.shards[shard].stats;
                 stats.proposals += 1;
-                if !pending_ids.contains(&p.job) || placed.contains(&p.job) {
-                    continue; // not placeable: duplicate or unknown job
+                if !pending_ids.contains(&p.job)
+                    || placed.contains(&p.job)
+                    || owner_of(p.job, plans.len()) != shard
+                {
+                    continue; // not placeable: duplicate, unknown or foreign job
                 }
                 if !p.allocation.is_finite() {
                     stats.aborts += 1;
@@ -864,8 +609,7 @@ impl Provisioner for ShardedProvisioner {
     fn full_view_period(&self) -> u64 {
         // The gcd of the shards' periods: every shard still receives deep
         // view histories on (at least) its own window boundaries, while
-        // off-period slots skip the engine's deep history copies — the
-        // dominant snapshot cost for window-driven pipelines.
+        // off-period slots skip the engine's deep history copies.
         fn gcd(a: u64, b: u64) -> u64 {
             if b == 0 {
                 a
@@ -873,52 +617,36 @@ impl Provisioner for ShardedProvisioner {
                 gcd(b, a % b)
             }
         }
-        self.workers
+        self.shards
             .iter()
-            .map(|w| w.view_period)
+            .map(|s| s.view_period)
             .fold(0, gcd)
             .max(1)
     }
 
     fn on_job_completed(&mut self, job: JobId, unused_history: &[Vec<f64>]) {
-        let single = [JobCompletion {
-            job,
-            handle: corp_sim::JobHandle::DETACHED,
-            unused_history: unused_history.to_vec(),
-        }];
-        self.on_jobs_completed(&single);
+        let owner = owner_of(job, self.shards.len());
+        if !self.notify(owner, |p| p.on_job_completed(job, unused_history)) {
+            self.recovery.messages_dropped += 1;
+        }
     }
 
     fn on_jobs_completed(&mut self, completed: &[JobCompletion]) {
-        // Group the slot's completions by owning shard, preserving
-        // completion order within each group, and forward one batch
-        // message per shard — the engine hands the whole slot at once, so
-        // channel traffic is O(shards) per slot instead of O(jobs).
-        let n = self.workers.len();
-        let mut batches: Vec<Vec<JobCompletion>> = vec![Vec::new(); n];
+        // Each completion goes to its owning shard by reference, in
+        // completion order — the per-job sequence a monolithic pipeline
+        // sees — and before the next `provision`, as the engine orders the
+        // calls. A dead shard's corpus misses the slot's samples (it is
+        // rebuilt on the next provision call); that is one lost message
+        // per shard per slot, however many jobs it held.
+        let n = self.shards.len();
+        let mut lost = vec![false; n];
         for c in completed {
-            batches[owner_of(c.job, n)].push(c.clone());
-        }
-        for (owner, jobs) in batches.into_iter().enumerate() {
-            if jobs.is_empty() {
-                continue;
-            }
-            // FIFO per worker: the notification lands before the next
-            // Provision request, exactly as the engine orders the calls.
-            let delivered = self.workers[owner]
-                .requests
-                .as_ref()
-                .map(|tx| tx.send(ShardRequest::JobsCompleted { jobs }).is_ok())
-                .unwrap_or(false);
-            if !delivered {
-                // The worker is dead: this shard's corpus misses one
-                // slot's samples (restart happens on the next provision
-                // call). Dropped messages are counted per batch — one
-                // message is what was actually lost on the wire.
-                self.workers[owner].alive = false;
-                self.recovery.messages_dropped += 1;
+            let owner = owner_of(c.job, n);
+            if !self.notify(owner, |p| p.on_jobs_completed(std::slice::from_ref(c))) {
+                lost[owner] = true;
             }
         }
+        self.recovery.messages_dropped += lost.iter().filter(|&&l| l).count() as u64;
     }
 
     fn set_service_level(&mut self, level: u8) {
@@ -926,19 +654,11 @@ impl Provisioner for ShardedProvisioner {
             return;
         }
         self.service_level = level;
-        // FIFO per worker: the posture change lands before the next
-        // Provision request, so every shard sees it at the same slot.
-        for worker in &mut self.workers {
-            let delivered = worker
-                .requests
-                .as_ref()
-                .map(|tx| tx.send(ShardRequest::SetServiceLevel(level)).is_ok())
-                .unwrap_or(false);
-            if !delivered {
-                // Dead worker: the restart path re-applies the current
-                // level once the factory rebuilds it.
-                worker.alive = false;
-            }
+        // Applied before the next `provision`, so every shard sees the
+        // posture change at the same slot; a dead shard gets the current
+        // level when its factory rebuilds it.
+        for shard in 0..self.shards.len() {
+            self.notify(shard, |p| p.set_service_level(level));
         }
     }
 
@@ -949,12 +669,12 @@ impl Provisioner for ShardedProvisioner {
             .map(|s| s.counters())
             .unwrap_or_default();
         Some(ControlPlaneStats {
-            shards: self.workers.len(),
+            shards: self.shards.len(),
             reservations: counters.reservations,
             commits: counters.commits,
             conflicts: counters.conflicts,
             aborts: counters.aborts,
-            retries: self.workers.iter().map(|s| s.stats.retries).sum(),
+            retries: self.shards.iter().map(|s| s.stats.retries).sum(),
             fast_path_hits: counters.fast_commits,
             fallback_rounds: self.fallback_rounds,
             // Nothing counts here any more; the field stays until
@@ -967,28 +687,37 @@ impl Provisioner for ShardedProvisioner {
             inline_slots: self.recovery.inline_slots,
             messages_dropped: self.recovery.messages_dropped,
             messages_delayed: self.recovery.messages_delayed,
-            recv_timeouts: self.recovery.recv_timeouts,
+            // Nothing to time out: shards run inside the slot's pool
+            // call, which returns when they do (see the field's doc).
+            recv_timeouts: 0,
             isolated_slots: self.recovery.isolated_slots,
             breaker_opens: 0,
             breaker_half_opens: 0,
             breaker_closes: 0,
             breaker_transitions: Vec::new(),
-            per_shard: self.workers.iter().map(|s| s.stats.clone()).collect(),
+            per_shard: self.shards.iter().map(|s| s.stats.clone()).collect(),
         })
     }
 }
 
-impl Drop for ShardedProvisioner {
-    fn drop(&mut self) {
-        // Closing every request channel stops the worker loops; then join.
-        for worker in &mut self.workers {
-            worker.requests.take();
-        }
-        for worker in &mut self.workers {
-            if let Some(handle) = worker.handle.take() {
-                let _ = handle.join();
-            }
-        }
+/// The slot as shard `shard` of `num_shards` reads it: the engine's views
+/// in place, its own pending jobs, and its share of the running ones.
+fn shard_context<'a>(
+    ctx: &SlotContext<'a>,
+    pending: &'a [PendingJobView],
+    shard: usize,
+    num_shards: usize,
+) -> SlotContext<'a> {
+    SlotContext {
+        slot: ctx.slot,
+        vms: ctx.vms,
+        pending,
+        committed: ctx.committed,
+        max_vm_capacity: ctx.max_vm_capacity,
+        share: JobShare {
+            shard,
+            of: num_shards,
+        },
     }
 }
 
@@ -1034,6 +763,7 @@ mod tests {
             pending,
             committed,
             max_vm_capacity: rv(4.0),
+            share: JobShare::ALL,
         }
     }
 
@@ -1360,6 +1090,113 @@ mod tests {
         assert!(p.store().unwrap().holds_invariants(1e-9));
     }
 
+    #[test]
+    fn shards_read_the_engines_views_in_place() {
+        type Seen = (u64, usize, usize, JobShare);
+        /// Records where the views it is shown live, and which share of
+        /// them it is told it owns.
+        struct Recorder(std::sync::Arc<std::sync::Mutex<Vec<Seen>>>);
+        impl Provisioner for Recorder {
+            fn name(&self) -> &str {
+                "recorder"
+            }
+            fn provision(&mut self, ctx: &SlotContext<'_>) -> ProvisionPlan {
+                let (vms, committed) = (ctx.vms.as_ptr(), ctx.committed.as_ptr());
+                let seen = (ctx.slot, vms as usize, committed as usize, ctx.share);
+                self.0.lock().unwrap().push(seen);
+                ProvisionPlan::default()
+            }
+        }
+        let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let inners: Vec<Box<dyn Provisioner + Send>> = (0..3)
+            .map(|_| Box::new(Recorder(log.clone())) as _)
+            .collect();
+        let mut p = ShardedProvisioner::new("recorder", inners, ShardConfig::default());
+        let vms = fleet(&[4.0, 4.0]);
+        let committed = committed_of(&vms);
+        let pending = vec![job(0, 1.0), job(1, 1.0)];
+        for slot in 0..3u64 {
+            let _ = p.provision(&slot_ctx(slot, &vms, &pending, &committed));
+        }
+        let mut seen = log.lock().unwrap().clone();
+        seen.sort_by_key(|&(slot, _, _, share)| (slot, share.shard));
+        let handed = (vms.as_ptr() as usize, committed.as_ptr() as usize);
+        let expected: Vec<Seen> = (0..3u64)
+            .flat_map(|slot| (0..3).map(move |shard| (slot, shard)))
+            .map(|(slot, shard)| (slot, handed.0, handed.1, JobShare { shard, of: 3 }))
+            .collect();
+        assert_eq!(
+            seen, expected,
+            "every shard, every slot: the caller's own views"
+        );
+    }
+
+    #[test]
+    fn a_shard_that_panics_in_a_callback_is_dead_there_and_then() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        /// Static peak that counts the completions it is told of and
+        /// panics on job 1's.
+        struct Trapped(std::sync::Arc<AtomicUsize>);
+        impl Provisioner for Trapped {
+            fn name(&self) -> &str {
+                "trapped"
+            }
+            fn provision(&mut self, ctx: &SlotContext<'_>) -> ProvisionPlan {
+                StaticPeakProvisioner.provision(ctx)
+            }
+            fn on_job_completed(&mut self, job: JobId, _: &[Vec<f64>]) {
+                assert_ne!(job, 1, "injected callback panic");
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let told = std::sync::Arc::new(AtomicUsize::new(0));
+        let factories: Vec<ProvisionerFactory> = (0..2)
+            .map(|_| {
+                let told = told.clone();
+                Box::new(move || Box::new(Trapped(told.clone())) as Box<dyn Provisioner + Send>)
+                    as _
+            })
+            .collect();
+        let mut p =
+            ShardedProvisioner::with_factories("trapped", factories, ShardConfig::default());
+        let done = |job: JobId| JobCompletion {
+            job,
+            handle: corp_sim::JobHandle::DETACHED,
+            unused_history: Vec::new(),
+        };
+        // Shard 1 owns jobs 1, 3 and 5: it dies on the first, so the rest
+        // of its batch is lost with it; shard 0 hears of jobs 2 and 4.
+        p.on_jobs_completed(&[done(1), done(2), done(3), done(4)]);
+        assert_eq!(told.load(Ordering::SeqCst), 2);
+        assert!(!p.shard_health()[1].alive, "dead before the next slot");
+        let stats = p.control_plane_stats().unwrap();
+        assert_eq!(
+            (stats.worker_panics, stats.messages_dropped),
+            (1, 1),
+            "{stats:?}"
+        );
+        // Still dead for the next batch: one more lost message, whatever
+        // it held.
+        p.on_jobs_completed(&[done(3), done(5)]);
+        assert_eq!(p.control_plane_stats().unwrap().messages_dropped, 2);
+        // The next slot misses the shard (scheduled inline) and rebuilds it.
+        let vms = fleet(&[4.0, 4.0]);
+        let committed = committed_of(&vms);
+        let pending = vec![job(6, 1.0), job(7, 1.0)];
+        let got = p.provision(&slot_ctx(0, &vms, &pending, &committed));
+        assert_eq!(got.placements.len(), 2, "{got:?}");
+        let stats = p.control_plane_stats().unwrap();
+        assert_eq!(
+            (stats.worker_restarts, stats.inline_slots),
+            (1, 1),
+            "{stats:?}"
+        );
+        assert!(p.shard_health()[1].alive);
+        p.on_jobs_completed(&[done(3)]);
+        assert_eq!(told.load(Ordering::SeqCst), 3, "the rebuilt shard listens");
+        assert_eq!(p.control_plane_stats().unwrap().messages_dropped, 2);
+    }
+
     // ---- differential test: store + arbiter against a plain vector ----
 
     /// A shard that proposes whatever its script says for the slot, valid
@@ -1373,6 +1210,45 @@ mod tests {
         fn provision(&mut self, ctx: &SlotContext<'_>) -> ProvisionPlan {
             self.0[ctx.slot as usize].clone()
         }
+    }
+
+    #[test]
+    fn proposals_for_another_shards_jobs_are_refused_in_arbitration() {
+        // Running job 1000 and pending job 0 are even: shard 0's. Shard 1
+        // reads the same views and proposes for both anyway.
+        let mut vms = fleet(&[3.0]);
+        vms[0].jobs.push(RunningJobView {
+            id: 1_000,
+            requested: rv(1.0),
+            allocation: rv(1.0),
+            recent_demand: Vec::new(),
+            recent_unused: Vec::new(),
+        });
+        let trespass = ProvisionPlan {
+            adjustments: vec![(1_000, rv(0.5))],
+            placements: vec![Placement {
+                job: 0,
+                vm: 0,
+                allocation: rv(1.0),
+            }],
+            predictions: Vec::new(),
+        };
+        let scripts = [ProvisionPlan::default(), trespass];
+        let inners: Vec<Box<dyn Provisioner + Send>> = scripts
+            .into_iter()
+            .map(|plan| Box::new(Scripted(vec![plan])) as _)
+            .collect();
+        let mut p = ShardedProvisioner::new("scripted", inners, ShardConfig::default());
+        let committed = committed_of(&vms);
+        let pending = vec![job(0, 1.0)];
+        let got = p.provision(&slot_ctx(0, &vms, &pending, &committed));
+        assert!(got.adjustments.is_empty(), "{got:?}");
+        assert!(got.placements.is_empty(), "{got:?}");
+        let stats = p.control_plane_stats().unwrap();
+        let shard = &stats.per_shard[1];
+        assert_eq!(shard.conflicts, 1, "the adjustment, as an unknown job's");
+        assert_eq!((shard.proposals, shard.commits, shard.aborts), (1, 0, 0));
+        assert_eq!(stats.commits, 0, "nothing reached the store: {stats:?}");
     }
 
     /// The obviously correct arbiter `provision` must agree with: headrooms
@@ -1393,6 +1269,7 @@ mod tests {
             .iter()
             .flat_map(|vm| vm.jobs.iter().map(|j| (j.id, (vm.id, j.allocation))))
             .collect();
+        let owns = |shard: usize, job: JobId| job % plans.len() as u64 == shard as u64;
         let mut merged = ProvisionPlan::default();
         for shrinks in [true, false] {
             for (shard, plan) in plans.iter().enumerate() {
@@ -1403,7 +1280,9 @@ mod tests {
                     }
                     match current {
                         Some(&(vm, old))
-                            if new.is_finite() && new.fits_within(&(free[vm] + old)) =>
+                            if owns(shard, job)
+                                && new.is_finite()
+                                && new.fits_within(&(free[vm] + old)) =>
                         {
                             free[vm] = free[vm] + old - new;
                             merged.adjustments.push((job, new));
@@ -1420,7 +1299,7 @@ mod tests {
                     continue;
                 };
                 let placed = merged.placements.iter().any(|m| m.job == p.job);
-                if placed || !ctx.pending.iter().any(|j| j.id == p.job) {
+                if placed || !owns(shard, p.job) || !ctx.pending.iter().any(|j| j.id == p.job) {
                     continue;
                 }
                 let allocation = p.allocation.clamp_nonnegative();
@@ -1456,7 +1335,8 @@ mod tests {
     /// running jobs, a pending queue, and per-shard plans drawn to include
     /// everything arbitration must refuse — duplicate and non-pending
     /// jobs, NaN and negative allocations, unknown and full VMs, grows
-    /// listed before the shrinks that make room for them, unknown jobs.
+    /// listed before the shrinks that make room for them, unknown jobs,
+    /// and one proposal in five from a shard that does not own the job.
     fn random_slot(
         rng: &mut StdRng,
         shards: usize,
@@ -1488,12 +1368,17 @@ mod tests {
                     6 => rv(f64::NAN),
                     _ => continue,
                 };
-                let proposer = &mut plans[rng.gen_range(0..shards)];
-                proposer.adjustments.push((next_running - 1, new));
+                let job = next_running - 1;
+                let proposer = if rng.gen_bool(0.8) {
+                    owner_of(job, shards)
+                } else {
+                    rng.gen_range(0..shards)
+                };
+                plans[proposer].adjustments.push((job, new));
             }
         }
         let num_pending = rng.gen_range(4..=16u64);
-        for plan in &mut plans {
+        for (shard, plan) in plans.iter_mut().enumerate() {
             if rng.gen_bool(0.3) {
                 plan.adjustments.push((9_000, rv(1.0))); // no such running job
             }
@@ -1503,9 +1388,14 @@ mod tests {
                     1 => quarters(rng, rv(1.5)) - rv(0.25),
                     _ => quarters(rng, rv(1.5)),
                 };
+                // Past `num_pending` a job is not pending.
+                let mut job = rng.gen_range(0..num_pending + 3);
+                if rng.gen_bool(0.8) {
+                    job = job - job % shards as u64 + shard as u64; // one of the shard's own
+                }
                 plan.placements.push(Placement {
-                    job: rng.gen_range(0..num_pending + 3), // the last three are not pending
-                    vm: rng.gen_range(0..num_vms + 2),      // the last two do not exist
+                    job,
+                    vm: rng.gen_range(0..num_vms + 2), // the last two do not exist
                     allocation,
                 });
             }

@@ -1,21 +1,22 @@
-//! Job-to-shard partitioning and per-shard context construction.
+//! Job-to-shard ownership and the one piece of a slot a shard gets by copy.
 //!
 //! Every job is owned by exactly one shard for its whole lifetime —
-//! `owner = job_id % num_shards` — so racing shards never propose
-//! conflicting actions for the *same* job; the only contention left is
-//! capacity, which the [`PlacementStore`](crate::PlacementStore)
-//! arbitrates. Each shard receives a narrowed [`corp_sim::SlotContext`]:
-//! the full VM fleet (capacity and commitment truth is global) but with
-//! each VM's running-job views and the pending queue filtered to the jobs
-//! the shard owns. VM-level series (`unused_history`) stay global, so
-//! VM-granular predictors see the physical signal regardless of sharding.
+//! `owner = job_id % num_shards`, the rule [`corp_sim::JobShare`] defines —
+//! so racing shards never propose conflicting actions for the *same* job;
+//! the only contention left is capacity, which the
+//! [`PlacementStore`](crate::PlacementStore) arbitrates. A shard reads the
+//! engine's fleet views in place: its [`corp_sim::SlotContext`] carries the
+//! shard's share, and every pipeline walks a VM's running jobs through
+//! [`corp_sim::SlotContext::owned_jobs`]. VM-level state (capacity,
+//! commitment, `unused_history`) is global truth either way, so VM-granular
+//! predictors see the physical signal regardless of sharding. Only the
+//! pending queue — a few small records a slot — is narrowed by copy.
 
-use corp_sim::{JobId, PendingJobView, RunningJobView, VmView};
+use corp_sim::{JobId, JobShare, PendingJobView};
 
 /// The shard that owns `job` in an `num_shards`-way partition.
 pub fn owner_of(job: JobId, num_shards: usize) -> usize {
-    debug_assert!(num_shards > 0);
-    (job % num_shards as u64) as usize
+    JobShare::owner_of(job, num_shards)
 }
 
 /// One shard's pending queue: the jobs it owns, arrival order preserved.
@@ -31,118 +32,38 @@ pub fn shard_pending(
         .collect()
 }
 
-/// One shard's view of the fleet: global capacity/commitment and VM-level
-/// history, with running-job views filtered to the shard's own jobs. Each
-/// shard thread builds its own view from the shared fleet snapshot, so the
-/// copying cost parallelizes with the shard count.
-pub fn shard_vm_views(vms: &[VmView], shard: usize, num_shards: usize) -> Vec<VmView> {
-    let mut views = Vec::new();
-    shard_vm_views_into(vms, shard, num_shards, &mut views);
-    views
-}
-
-/// [`shard_vm_views`] into a caller-owned buffer, reusing every inner
-/// allocation (per-VM job vectors, per-job history tails) from the previous
-/// slot — long-lived shard workers narrow the fleet snapshot once per slot,
-/// and with buffer reuse the steady-state cost is pure copying, no
-/// allocator traffic.
-pub fn shard_vm_views_into(vms: &[VmView], shard: usize, num_shards: usize, out: &mut Vec<VmView>) {
-    out.truncate(vms.len());
-    let filled = out.len();
-    for (dst, src) in out.iter_mut().zip(vms) {
-        dst.id = src.id;
-        dst.capacity = src.capacity;
-        dst.committed = src.committed;
-        dst.free = src.free;
-        copy_owned_jobs_into(&src.jobs, shard, num_shards, &mut dst.jobs);
-        dst.unused_history.clear();
-        dst.unused_history.extend_from_slice(&src.unused_history);
-    }
-    for src in &vms[filled..] {
-        out.push(VmView {
-            id: src.id,
-            capacity: src.capacity,
-            committed: src.committed,
-            free: src.free,
-            jobs: src
-                .jobs
-                .iter()
-                .filter(|j| owner_of(j.id, num_shards) == shard)
-                .cloned()
-                .collect(),
-            unused_history: src.unused_history.clone(),
-        });
-    }
-}
-
-/// Filters `src` to the shard's own jobs, cloning into `dst` while reusing
-/// its job entries' history allocations.
-fn copy_owned_jobs_into(
-    src: &[RunningJobView],
+/// Test oracle: the fleet as a filtered *copy* — running-job views narrowed
+/// to the shard's own jobs, everything else cloned. A pipeline reading the
+/// engine's views through its share must plan exactly as it would on this.
+#[cfg(test)]
+pub(crate) fn shard_vm_views(
+    vms: &[corp_sim::VmView],
     shard: usize,
     num_shards: usize,
-    dst: &mut Vec<RunningJobView>,
-) {
-    let mut kept = 0usize;
-    for job in src.iter().filter(|j| owner_of(j.id, num_shards) == shard) {
-        if kept < dst.len() {
-            let slot = &mut dst[kept];
-            slot.id = job.id;
-            slot.requested = job.requested;
-            slot.allocation = job.allocation;
-            slot.recent_demand.clear();
-            slot.recent_demand.extend_from_slice(&job.recent_demand);
-            slot.recent_unused.clear();
-            slot.recent_unused.extend_from_slice(&job.recent_unused);
-        } else {
-            dst.push(job.clone());
-        }
-        kept += 1;
-    }
-    dst.truncate(kept);
-}
-
-/// Copies a whole fleet snapshot into a caller-owned buffer, reusing inner
-/// allocations — the coordinator's per-slot snapshot of the engine's views,
-/// recycled across slots instead of freshly cloned.
-pub fn copy_vm_views_into(vms: &[VmView], out: &mut Vec<VmView>) {
-    out.truncate(vms.len());
-    let filled = out.len();
-    for (dst, src) in out.iter_mut().zip(vms) {
-        dst.id = src.id;
-        dst.capacity = src.capacity;
-        dst.committed = src.committed;
-        dst.free = src.free;
-        copy_jobs_into(&src.jobs, &mut dst.jobs);
-        dst.unused_history.clear();
-        dst.unused_history.extend_from_slice(&src.unused_history);
-    }
-    for src in &vms[filled..] {
-        out.push(src.clone());
-    }
-}
-
-fn copy_jobs_into(src: &[RunningJobView], dst: &mut Vec<RunningJobView>) {
-    dst.truncate(src.len());
-    let filled = dst.len();
-    for (slot, job) in dst.iter_mut().zip(src) {
-        slot.id = job.id;
-        slot.requested = job.requested;
-        slot.allocation = job.allocation;
-        slot.recent_demand.clear();
-        slot.recent_demand.extend_from_slice(&job.recent_demand);
-        slot.recent_unused.clear();
-        slot.recent_unused.extend_from_slice(&job.recent_unused);
-    }
-    for job in &src[filled..] {
-        dst.push(job.clone());
-    }
+) -> Vec<corp_sim::VmView> {
+    let owned = |j: &&corp_sim::RunningJobView| owner_of(j.id, num_shards) == shard;
+    vms.iter()
+        .map(|vm| corp_sim::VmView {
+            id: vm.id,
+            capacity: vm.capacity,
+            committed: vm.committed,
+            free: vm.free,
+            jobs: vm.jobs.iter().filter(owned).cloned().collect(),
+            unused_history: vm.unused_history.clone(),
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use corp_sim::{ResourceVector, RunningJobView};
+    use corp_core::{CooperativeProvisioner, CorpConfig};
+    use corp_sim::{
+        JobCompletion, ProvisionPlan, Provisioner, ResourceVector, RunningJobView, SlotContext,
+        VmView,
+    };
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn pending(id: JobId) -> PendingJobView {
         PendingJobView {
@@ -194,57 +115,213 @@ mod tests {
             unused_history: vec![ResourceVector::splat(0.5)],
         };
         let fleet = [vm];
-        let per_shard = [shard_vm_views(&fleet, 0, 2), shard_vm_views(&fleet, 1, 2)];
-        assert_eq!(
-            per_shard[0][0]
-                .jobs
-                .iter()
-                .map(|j| j.id)
-                .collect::<Vec<_>>(),
-            vec![0, 2]
-        );
-        assert_eq!(
-            per_shard[1][0]
-                .jobs
-                .iter()
-                .map(|j| j.id)
-                .collect::<Vec<_>>(),
-            vec![1]
-        );
-        for views in &per_shard {
-            assert_eq!(views[0].committed, ResourceVector::splat(3.0));
-            assert_eq!(views[0].unused_history.len(), 1);
+        for (shard, owned) in [vec![0, 2], vec![1]].into_iter().enumerate() {
+            let ctx = context(0, &fleet, &[], &[], JobShare { shard, of: 2 });
+            let ids = |vm| ctx.owned_jobs(vm).map(|j| j.id).collect::<Vec<JobId>>();
+            assert_eq!(ids(&fleet[0]), owned, "the predicate, view order kept");
+            let copy = shard_vm_views(&fleet, shard, 2);
+            let ids: Vec<JobId> = copy[0].jobs.iter().map(|j| j.id).collect();
+            assert_eq!(ids, owned, "the oracle agrees");
+            assert_eq!(copy[0].committed, ResourceVector::splat(3.0));
+            assert_eq!(copy[0].unused_history.len(), 1);
         }
     }
 
+    fn context<'a>(
+        slot: u64,
+        vms: &'a [VmView],
+        pending: &'a [PendingJobView],
+        committed: &'a [ResourceVector],
+        share: JobShare,
+    ) -> SlotContext<'a> {
+        SlotContext {
+            slot,
+            vms,
+            pending,
+            committed,
+            max_vm_capacity: CAPACITY,
+            share,
+        }
+    }
+
+    // ---- differential test: the ownership predicate against the copy ----
+
+    const CAPACITY: ResourceVector = ResourceVector([4.0, 16.0, 180.0]);
+    const SLOTS: u64 = 20; // windows start at slots 0, 6, 12 and 18
+
+    /// A small engine stand-in: a fleet of uneven occupancy whose jobs come,
+    /// run with random usage for a few slots, and go.
+    struct World {
+        rng: StdRng,
+        vms: Vec<VmView>,
+        pending: Vec<PendingJobView>,
+        next_id: JobId,
+        /// Slot each running job completes at.
+        ends: std::collections::HashMap<JobId, u64>,
+    }
+
+    impl World {
+        fn new(seed: u64) -> Self {
+            let vms = (0..10).map(|id| VmView {
+                id,
+                capacity: CAPACITY,
+                committed: ResourceVector::ZERO,
+                free: CAPACITY,
+                jobs: Vec::new(),
+                unused_history: Vec::new(),
+            });
+            World {
+                rng: StdRng::seed_from_u64(seed),
+                vms: vms.collect(),
+                pending: Vec::new(),
+                next_id: 0,
+                ends: Default::default(),
+            }
+        }
+
+        /// A few arrivals; every eighth is long-lived by its SLO horizon.
+        fn arrive(&mut self, slot: u64) {
+            for _ in 0..self.rng.gen_range(0..6) {
+                let size = self.rng.gen_range(0.05..0.4);
+                self.pending.push(PendingJobView {
+                    id: self.next_id,
+                    requested: CAPACITY.scaled(size),
+                    arrival_slot: slot,
+                    slo_slots: if self.next_id % 8 == 7 { 100 } else { 10 },
+                    handle: corp_sim::JobHandle::DETACHED,
+                });
+                self.next_id += 1;
+            }
+        }
+
+        /// Applies the shards' plans the way arbitration and the engine
+        /// would (first claim wins; VMs 8 and 9 refuse everything, so the
+        /// fleet keeps empty VMs), completes due jobs, and records one
+        /// slot of usage. Jobs with `id % 5 == 4` never report any, so they
+        /// reach the window boundaries with empty histories.
+        fn step(&mut self, slot: u64, plans: &[ProvisionPlan]) -> Vec<JobCompletion> {
+            for (job, new) in plans.iter().flat_map(|p| &p.adjustments) {
+                for j in self.vms.iter_mut().flat_map(|vm| &mut vm.jobs) {
+                    if j.id == *job {
+                        j.allocation = *new;
+                    }
+                }
+            }
+            for p in plans.iter().flat_map(|p| &p.placements) {
+                let Some(at) = self.pending.iter().position(|j| j.id == p.job) else {
+                    continue;
+                };
+                if p.vm >= 8 || !p.allocation.fits_within(&self.vms[p.vm].free) {
+                    continue;
+                }
+                let job = self.pending.remove(at);
+                self.vms[p.vm].free -= p.allocation;
+                self.ends
+                    .insert(job.id, slot + self.rng.gen_range(3..14u64));
+                self.vms[p.vm].jobs.push(RunningJobView {
+                    allocation: p.allocation,
+                    requested: job.requested,
+                    ..running(job.id)
+                });
+            }
+            let mut completed = Vec::new();
+            for vm in &mut self.vms {
+                let mut unused_total = ResourceVector::ZERO;
+                for j in vm.jobs.iter_mut().filter(|j| j.id % 5 != 4) {
+                    let demand = j.allocation.scaled(self.rng.gen_range(0.2..1.0));
+                    j.recent_demand.push(demand);
+                    j.recent_unused.push(j.allocation - demand);
+                    unused_total += j.allocation - demand;
+                }
+                vm.unused_history.push(unused_total);
+                let ends = &self.ends;
+                let (done, keep) = vm.jobs.drain(..).partition(|j| ends[&j.id] <= slot);
+                vm.jobs = keep;
+                completed.extend(done.into_iter().map(|j: RunningJobView| {
+                    JobCompletion {
+                        job: j.id,
+                        handle: corp_sim::JobHandle::DETACHED,
+                        unused_history: (0..3)
+                            .map(|k| j.recent_unused.iter().map(|u| u[k]).collect())
+                            .collect(),
+                    }
+                }));
+                vm.committed = vm
+                    .jobs
+                    .iter()
+                    .fold(ResourceVector::ZERO, |c, j| c + j.allocation);
+                vm.free = vm.capacity - vm.committed;
+            }
+            completed
+        }
+    }
+
+    type Fleet = Vec<Box<dyn Provisioner + Send>>;
+
+    /// Every scheduling pipeline a shard can run, `shards` of each.
+    fn pipelines(shards: usize) -> Vec<(&'static str, Fleet)> {
+        let corpus: Vec<Vec<Vec<f64>>> = (0..3)
+            .map(|k| {
+                let wave = |j: usize, t: usize| 0.3 + 0.2 * ((j + k + t) as f64).sin();
+                (0..8)
+                    .map(|j| (0..32).map(|t| wave(j, t)).collect())
+                    .collect()
+            })
+            .collect();
+        let coop = (0..shards).map(|_| {
+            let mut p = CooperativeProvisioner::new(CorpConfig::fast(), 4);
+            p.pretrain(&corpus);
+            Box::new(p) as Box<dyn Provisioner + Send>
+        });
+        vec![
+            (
+                "corp",
+                corp_core::corp_fleet(&CorpConfig::fast(), &corpus, shards),
+            ),
+            ("coop", coop.collect()),
+            ("rccr", corp_core::rccr_fleet(0.9, 7, shards)),
+            ("cloudscale", corp_core::cloudscale_fleet(7, shards)),
+            ("dra", corp_core::dra_fleet(7, shards)),
+        ]
+    }
+
     #[test]
-    fn reused_buffers_match_fresh_narrowing() {
-        let fleet = |n: usize, hist: usize| -> Vec<VmView> {
-            (0..n)
-                .map(|id| VmView {
-                    id,
-                    capacity: ResourceVector::splat(8.0),
-                    committed: ResourceVector::splat(id as f64),
-                    free: ResourceVector::splat(8.0 - id as f64),
-                    jobs: (0..id as u64).map(running).collect(),
-                    unused_history: vec![ResourceVector::splat(0.5); hist],
-                })
-                .collect()
-        };
-        // Narrow a big deep fleet into the buffer, then a smaller shallow
-        // one: stale entries, jobs, and history tails must all be dropped.
-        let mut buf = Vec::new();
-        shard_vm_views_into(&fleet(6, 4), 0, 2, &mut buf);
-        let second = fleet(3, 1);
-        shard_vm_views_into(&second, 0, 2, &mut buf);
-        assert_eq!(
-            format!("{buf:?}"),
-            format!("{:?}", shard_vm_views(&second, 0, 2))
-        );
-        // Whole-snapshot copy: same reuse contract.
-        let mut snap = Vec::new();
-        copy_vm_views_into(&fleet(2, 3), &mut snap);
-        copy_vm_views_into(&second, &mut snap);
-        assert_eq!(format!("{snap:?}"), format!("{second:?}"));
+    fn plans_over_the_engines_views_match_plans_over_narrowed_copies() {
+        for shards in 1..=4usize {
+            let in_place = pipelines(shards);
+            let on_copies = pipelines(shards);
+            for ((name, mut in_place), (_, mut on_copies)) in in_place.into_iter().zip(on_copies) {
+                let mut world = World::new(shards as u64);
+                for slot in 0..SLOTS {
+                    world.arrive(slot);
+                    let committed: Vec<_> = world.vms.iter().map(|v| v.committed).collect();
+                    let mut plans = Vec::new();
+                    for shard in 0..shards {
+                        let mine = shard_pending(&world.pending, shard, shards);
+                        let share = JobShare { shard, of: shards };
+                        let ctx = context(slot, &world.vms, &mine, &committed, share);
+                        let plan = in_place[shard].provision(&ctx);
+                        let copy = shard_vm_views(&world.vms, shard, shards);
+                        let ctx = context(slot, &copy, &mine, &committed, JobShare::ALL);
+                        let expected = on_copies[shard].provision(&ctx);
+                        // `{:?}` prints an f64 exactly: equal text is
+                        // equal bits, field for field.
+                        assert_eq!(
+                            format!("{plan:?}"),
+                            format!("{expected:?}"),
+                            "{name}: shard {shard} of {shards}, slot {slot}"
+                        );
+                        plans.push(plan);
+                    }
+                    for c in world.step(slot, &plans) {
+                        let owner = owner_of(c.job, shards);
+                        in_place[owner].on_jobs_completed(std::slice::from_ref(&c));
+                        on_copies[owner].on_jobs_completed(std::slice::from_ref(&c));
+                    }
+                }
+                let ran = world.next_id - world.pending.len() as u64;
+                assert!(ran > 20, "{name}: the fleet stayed idle ({ran} jobs ran)");
+            }
+        }
     }
 }

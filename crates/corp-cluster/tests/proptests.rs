@@ -13,7 +13,8 @@ use corp_cluster::{
 };
 use corp_faults::{ControlFaultPlan, SlotShard};
 use corp_sim::{
-    PendingJobView, Provisioner, ResourceVector, SlotContext, StaticPeakProvisioner, VmView,
+    JobShare, PendingJobView, Provisioner, ResourceVector, SlotContext, StaticPeakProvisioner,
+    VmView,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -361,6 +362,7 @@ proptest! {
                 pending: &views,
                 committed: &committed_col,
                 max_vm_capacity: cap,
+                share: JobShare::ALL,
             };
             let slot_plan = p.provision(&ctx);
             for pl in &slot_plan.placements {

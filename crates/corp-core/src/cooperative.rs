@@ -147,7 +147,7 @@ impl Provisioner for CooperativeProvisioner {
         let long_jobs: Vec<&corp_sim::RunningJobView> = ctx
             .vms
             .iter()
-            .flat_map(|v| v.jobs.iter())
+            .flat_map(|v| ctx.owned_jobs(v))
             .filter(|j| self.long_lived.contains(&j.id))
             .collect();
         for job in &long_jobs {
@@ -159,7 +159,7 @@ impl Provisioner for CooperativeProvisioner {
 
         if ctx.slot % window == 0 {
             for vm in ctx.vms {
-                for job in &vm.jobs {
+                for job in ctx.owned_jobs(vm) {
                     if job.recent_unused.is_empty() {
                         continue;
                     }

@@ -120,10 +120,7 @@ impl ReallocationGate for CorpReclaimGate {
         };
         let mut next_task = 0usize;
         for vm in ctx.vms {
-            if vm.jobs.is_empty() {
-                continue;
-            }
-            for job in &vm.jobs {
+            for job in ctx.owned_jobs(vm) {
                 if job.recent_unused.is_empty() {
                     continue;
                 }
@@ -218,16 +215,17 @@ impl ReallocationGate for CorpReclaimGate {
 /// the VM's jobs proportionally to their allocations, with floor and
 /// demand-pressure restore.
 fn baseline_reclaim(
+    ctx: &SlotContext<'_>,
     vm: &VmView,
     vm_unused_prediction: &ResourceVector,
     pools: &mut [ResourceVector],
     plan: &mut ProvisionPlan,
 ) {
     let mut total_alloc = ResourceVector::ZERO;
-    for job in &vm.jobs {
+    for job in ctx.owned_jobs(vm) {
         total_alloc += job.allocation;
     }
-    for job in &vm.jobs {
+    for job in ctx.owned_jobs(vm) {
         let mut last_d = job
             .recent_demand
             .last()
@@ -296,13 +294,13 @@ impl ReallocationGate for BaselineReclaimGate {
             return;
         };
         for (i, vm) in ctx.vms.iter().enumerate() {
-            if vm.jobs.is_empty() {
+            if ctx.owned_jobs(vm).next().is_none() {
                 continue;
             }
             let Some(prediction) = preds[i] else {
                 continue;
             };
-            baseline_reclaim(vm, &prediction, pools, plan);
+            baseline_reclaim(ctx, vm, &prediction, pools, plan);
             let target = ctx.slot + window - 1;
             push_vm_prediction(plan, vm.id, ctx.slot, target, &prediction);
             outcomes.push(PendingOutcome {
@@ -338,7 +336,7 @@ impl ReallocationGate for RecordOnlyGate {
             return;
         };
         for (i, vm) in ctx.vms.iter().enumerate() {
-            if vm.jobs.is_empty() {
+            if ctx.owned_jobs(vm).next().is_none() {
                 continue;
             }
             if let Some(prediction) = preds[i] {

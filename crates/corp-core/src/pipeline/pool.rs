@@ -27,7 +27,7 @@
 //! determinism suite and the pool-equivalence tests in `corp-bench`.
 
 pub use corp_pool::{per_task, WorkerPool, WorkerScratch};
-use corp_sim::{ResourceVector, VmView};
+use corp_sim::{ResourceVector, SlotContext, VmView};
 use std::any::Any;
 use std::sync::OnceLock;
 
@@ -176,16 +176,18 @@ impl PredictRuntime {
     }
 
     /// Fans the per-VM predictions of one window, returning one slot per
-    /// VM position (`None` for VMs with no jobs or no forecast). When every
-    /// VM has jobs — the common case under load — the fleet slice itself is
-    /// the task list, skipping the intermediate index vector and the
-    /// scatter copy.
+    /// VM position (`None` for VMs running none of the reader's jobs, or
+    /// with no forecast). When every VM runs one — the common case under
+    /// load — the fleet slice itself is the task list, skipping the
+    /// intermediate index vector and the scatter copy.
     pub fn fan_out_vms(
         &mut self,
-        vms: &[VmView],
+        ctx: &SlotContext<'_>,
         predict: impl Fn(&VmView) -> Option<ResourceVector> + Sync,
     ) -> Vec<Option<ResourceVector>> {
-        if vms.iter().all(|v| !v.jobs.is_empty()) {
+        let vms = ctx.vms;
+        let occupied = |vm: &VmView| ctx.owned_jobs(vm).next().is_some();
+        if vms.iter().all(occupied) {
             let (results, _) = self.fan_out(
                 vms,
                 VM_GRAIN,
@@ -199,7 +201,7 @@ impl PredictRuntime {
         let tasks: Vec<usize> = vms
             .iter()
             .enumerate()
-            .filter(|(_, v)| !v.jobs.is_empty())
+            .filter(|(_, v)| occupied(v))
             .map(|(i, _)| i)
             .collect();
         let (results, _) = self.fan_out(
@@ -272,6 +274,53 @@ mod tests {
                 |acc| *acc,
             );
             assert_eq!(deltas, vec![round * 5], "scratch persists across windows");
+        }
+    }
+
+    #[test]
+    fn vm_fan_out_predicts_only_for_vms_running_the_readers_jobs() {
+        use corp_sim::{JobShare, RunningJobView};
+        let vm = |id: usize, jobs: &[u64]| VmView {
+            id,
+            capacity: ResourceVector::splat(4.0),
+            committed: ResourceVector::ZERO,
+            free: ResourceVector::splat(4.0),
+            jobs: jobs
+                .iter()
+                .map(|&id| RunningJobView {
+                    id,
+                    requested: ResourceVector::splat(1.0),
+                    allocation: ResourceVector::splat(1.0),
+                    recent_demand: Vec::new(),
+                    recent_unused: Vec::new(),
+                })
+                .collect(),
+            unused_history: Vec::new(),
+        };
+        // VM 0 runs only odd jobs, VM 1 one of each, VM 2 none at all.
+        let vms = [vm(0, &[1, 3]), vm(1, &[2, 5]), vm(2, &[])];
+        let odd = JobShare { shard: 1, of: 2 };
+        let even = JobShare { shard: 0, of: 2 };
+        for (fleet, share, expected) in [
+            (&vms[..], JobShare::ALL, vec![true, true, false]),
+            (&vms[..], even, vec![false, true, false]),
+            (&vms[..], odd, vec![true, true, false]),
+            // Every VM runs one of the reader's jobs: the fleet slice
+            // itself is the task list.
+            (&vms[..2], odd, vec![true, true]),
+        ] {
+            let ctx = SlotContext {
+                slot: 0,
+                vms: fleet,
+                pending: &[],
+                committed: &[],
+                max_vm_capacity: ResourceVector::splat(4.0),
+                share,
+            };
+            let forecast =
+                pinned(1).fan_out_vms(&ctx, |vm| Some(ResourceVector::splat(vm.id as f64)));
+            let predicted: Vec<bool> = forecast.iter().map(Option::is_some).collect();
+            assert_eq!(predicted, expected, "{share:?} over {} VMs", fleet.len());
         }
     }
 

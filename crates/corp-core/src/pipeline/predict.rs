@@ -41,10 +41,12 @@ pub struct PendingOutcome {
 #[derive(Debug, Clone)]
 pub enum WindowForecast {
     /// One predicted-unused vector per (vm, job) task, in fleet scan order
-    /// over jobs with a non-empty unused history — CORP's granularity.
+    /// over the owned jobs with a non-empty unused history — CORP's
+    /// granularity.
     PerJob(Vec<ResourceVector>),
     /// One optional predicted-unused vector per VM position (`None` for
-    /// idle VMs or cold predictors) — the baselines' granularity.
+    /// VMs running no owned job, or cold predictors) — the baselines'
+    /// granularity.
     PerVm(Vec<Option<ResourceVector>>),
 }
 
@@ -187,7 +189,7 @@ impl UsagePredictor for CorpUsagePredictor {
         }
         let mut job_views: HashMap<u64, &RunningJobView> = HashMap::new();
         for vm in ctx.vms {
-            for job in &vm.jobs {
+            for job in ctx.owned_jobs(vm) {
                 job_views.insert(job.id, job);
             }
         }
@@ -241,10 +243,13 @@ impl UsagePredictor for CorpUsagePredictor {
         let tasks = &mut self.tasks;
         tasks.clear();
         tasks.extend(ctx.vms.iter().enumerate().flat_map(|(vi, vm)| {
+            // `ji` indexes the VM's whole job list (a shard reads the
+            // engine's views in place); only owned jobs become tasks, in
+            // view order.
             vm.jobs
                 .iter()
                 .enumerate()
-                .filter(|(_, job)| !job.recent_unused.is_empty())
+                .filter(|(_, job)| ctx.share.owns(job.id) && !job.recent_unused.is_empty())
                 .map(move |(ji, _)| (vi, ji))
         }));
         let (u_hats, deltas) = runtime.fan_out(
@@ -428,7 +433,7 @@ impl<P: VmPredictorCore> UsagePredictor for VmWindowPredictor<P> {
     fn forecast(&mut self, ctx: &SlotContext<'_>) -> WindowForecast {
         let core = &self.core;
         let runtime = &mut self.runtime;
-        WindowForecast::PerVm(runtime.fan_out_vms(ctx.vms, |vm| core.predict(vm.id)))
+        WindowForecast::PerVm(runtime.fan_out_vms(ctx, |vm| core.predict(vm.id)))
     }
 }
 

@@ -1,4 +1,4 @@
-//! Control-plane chaos: the schedule of worker kills, dropped requests,
+//! Control-plane chaos: the schedule of shard kills, dropped requests,
 //! and delayed replies consumed by the `corp-cluster` shard supervisor.
 
 use serde::{Deserialize, Serialize};
@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 pub struct SlotShard {
     /// Slot at which the fault fires.
     pub slot: u64,
-    /// Shard worker it targets.
+    /// Shard it targets.
     pub shard: usize,
 }
 
@@ -16,13 +16,14 @@ pub struct SlotShard {
 /// (slot, shard) coordinates the supervisor looks up by binary search.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ControlFaultPlan {
-    /// The worker thread exits at the start of this slot, as if crashed.
+    /// The shard loses its pipeline (and all it learned) at the start of
+    /// this slot, as if crashed.
     pub kills: Vec<SlotShard>,
     /// The provision request to this shard is lost; the coordinator
     /// schedules the shard inline.
     pub drop_requests: Vec<SlotShard>,
-    /// The shard's reply arrives after the slot deadline; the coordinator
-    /// schedules inline and discards the stale reply when it surfaces.
+    /// The shard runs the slot but its reply arrives after the slot
+    /// deadline; the coordinator schedules inline and discards the plan.
     pub delay_replies: Vec<SlotShard>,
 }
 
@@ -48,7 +49,7 @@ impl ControlFaultPlan {
         list.binary_search(&SlotShard { slot, shard }).is_ok()
     }
 
-    /// True when this shard's worker is scheduled to die at `slot`.
+    /// True when this shard is scheduled to die at `slot`.
     pub fn kill_scheduled(&self, slot: u64, shard: usize) -> bool {
         Self::scheduled(&self.kills, slot, shard)
     }

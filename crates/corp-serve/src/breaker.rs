@@ -1,8 +1,8 @@
 //! Per-shard circuit breakers over the sharded control plane.
 //!
 //! corp-cluster's supervisor already *recovers* from shard failures —
-//! restart the worker, schedule the missed slot inline — but it retries a
-//! flapping shard every single slot, paying a dispatch, a timeout wait,
+//! rebuild the shard, schedule the missed slot inline — but it retries a
+//! flapping shard every single slot, paying a failed attempt, a rebuild
 //! and an inline fallback each time. [`BreakerSupervisor`] layers the
 //! classic circuit-breaker state machine on top:
 //!
@@ -11,7 +11,7 @@
 //! * **Open** — after [`BreakerConfig::failure_threshold`] consecutive
 //!   fallbacks the shard is isolated via
 //!   [`ShardedProvisioner::set_forced_inline`]: the coordinator schedules
-//!   its jobs inline *without* dispatching or waiting on the worker, for a
+//!   its jobs inline *without* running the shard's pipeline, for a
 //!   backoff measured in virtual slots (deterministic by construction —
 //!   no wall clocks anywhere).
 //! * **Half-open** — when the backoff expires the shard gets one probe
@@ -20,7 +20,7 @@
 //!   [`BreakerConfig::max_backoff_slots`]).
 //!
 //! A shard the coordinator marks permanently `failed` latches Open forever
-//! — no point probing a worker that cannot be respawned. Every transition
+//! — no point probing a shard that cannot be rebuilt. Every transition
 //! is a [`corp_sim::BreakerTransition`] carried in the control-plane stats
 //! of the serve report, alongside open/half-open/close counters.
 //!

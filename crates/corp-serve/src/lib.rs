@@ -37,7 +37,7 @@
 //!   consecutive calm ticks.
 //! * [`breaker`] — per-shard circuit breakers over the `corp-cluster`
 //!   coordinator: K consecutive failure fallbacks isolate a shard (forced
-//!   inline, no dispatch or timeout wait) until a half-open probe in
+//!   inline, its pipeline not run) until a half-open probe in
 //!   virtual-slot backoff succeeds.
 //!
 //! Reports ([`ServeReport`]) extend the engine report with placement-

@@ -33,21 +33,21 @@ pub struct ShardStats {
     pub aborts: u64,
     /// Deepest pending-job queue this shard saw in any slot.
     pub max_queue_depth: usize,
-    /// Times this shard's worker was restarted after dying.
+    /// Times this shard was rebuilt after dying.
     pub restarts: u64,
     /// Slots where the coordinator scheduled this shard inline because no
-    /// worker plan arrived (dead worker, dropped request, or late reply).
+    /// plan arrived from it (dead shard, dropped request, or late reply).
     pub inline_slots: u64,
     /// Slots where a circuit breaker held this shard isolated: the
-    /// coordinator scheduled it inline *by design*, without dispatching to
-    /// (or waiting on) its worker.
+    /// coordinator scheduled it inline *by design*, without running its
+    /// pipeline.
     pub isolated_slots: u64,
 }
 
 /// A circuit-breaker state, as surfaced in reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BreakerStateName {
-    /// Traffic flows to the shard's worker normally.
+    /// The shard's pipeline runs normally.
     Closed,
     /// The shard is isolated; its slots are scheduled inline.
     Open,
@@ -97,21 +97,26 @@ pub struct ControlPlaneStats {
     pub stripe_conflicts: u64,
     /// Deepest store-wide pending queue observed in any slot.
     pub max_queue_depth: usize,
-    /// Worker threads killed by the fault schedule.
+    /// Shards killed by the fault schedule.
     pub worker_kills: u64,
-    /// Worker panics caught by the supervisor.
+    /// Shard pipeline panics caught by the supervisor.
     pub worker_panics: u64,
-    /// Workers restarted from their provisioner factories.
+    /// Shards rebuilt from their provisioner factories.
     pub worker_restarts: u64,
     /// Slots where the coordinator scheduled a shard inline for lack of a
-    /// worker plan.
+    /// plan from it.
     pub inline_slots: u64,
-    /// Control-plane messages lost (scheduled request drops plus
-    /// completion notifications to dead workers).
+    /// Control-plane messages lost (scheduled request drops plus, per
+    /// slot, each dead shard's batch of completion notifications).
     pub messages_dropped: u64,
     /// Shard replies delayed past their slot deadline by the schedule.
     pub messages_delayed: u64,
-    /// Reply waits that tripped the real-time timeout safety net.
+    /// Always 0: there is no reply to wait for any more — shards run
+    /// inside the coordinator's per-slot pool call, which returns when they
+    /// do — and the timeout this counted could only delay a hang (its
+    /// recovery joined the thread it had just declared wedged). The field
+    /// stays serialized so reports keep their bytes and because
+    /// `benchmark/` compiles against it.
     pub recv_timeouts: u64,
     /// Slots a circuit breaker held a shard isolated (scheduled inline by
     /// design rather than by failure).

@@ -28,7 +28,7 @@ use crate::faults::{corrupt_vector, FaultRuntime, FaultStats};
 use crate::job::{JobId, JobState, RunningJob};
 use crate::metrics::{MetricsCollector, PredictionOutcome, UtilizationSample};
 use crate::provisioner::{
-    JobCompletion, PendingJobView, PredictionRecord, Provisioner, SlotContext, VmView,
+    JobCompletion, JobShare, PendingJobView, PredictionRecord, Provisioner, SlotContext, VmView,
     VIEW_HISTORY_CAP,
 };
 use crate::resources::ResourceVector;
@@ -525,6 +525,7 @@ impl SlotEngine {
                 pending: &self.pending_views,
                 committed: &self.vm_committed,
                 max_vm_capacity: self.max_capacity,
+                share: JobShare::ALL,
             };
             let started = Instant::now();
             let plan = provisioner.provision(&ctx);

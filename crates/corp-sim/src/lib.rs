@@ -55,8 +55,8 @@ pub use faults::FaultStats;
 pub use job::{JobId, JobState, RunningJob};
 pub use metrics::{MetricsCollector, PredictionOutcome, UtilizationSample};
 pub use provisioner::{
-    JobCompletion, PendingJobView, Placement, PredictionRecord, ProvisionPlan, Provisioner,
-    RunningJobView, SlotContext, StaticPeakProvisioner, VmView, VIEW_HISTORY_CAP,
+    JobCompletion, JobShare, PendingJobView, Placement, PredictionRecord, ProvisionPlan,
+    Provisioner, RunningJobView, SlotContext, StaticPeakProvisioner, VmView, VIEW_HISTORY_CAP,
 };
 pub use resources::{ResourceVector, RESOURCE_WEIGHTS};
 pub use ring::BoundedRing;

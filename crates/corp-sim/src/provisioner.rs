@@ -127,12 +127,43 @@ pub struct ProvisionPlan {
     pub predictions: Vec<PredictionRecord>,
 }
 
+/// The share of the job-id space one scheduler owns: job `id` belongs to
+/// share `shard` of `of` exactly when `id % of == shard`. The rule lives
+/// here, once, so a sharded control plane and the pipelines it runs can
+/// never disagree about who owns a job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JobShare {
+    /// Which share, `0..of`.
+    pub shard: usize,
+    /// How many shares the id space is cut into (at least 1).
+    pub of: usize,
+}
+
+impl JobShare {
+    /// The only share of an unsharded scheduler: it owns every job.
+    pub const ALL: JobShare = JobShare { shard: 0, of: 1 };
+
+    /// The share that owns `job` when the id space is cut `of` ways.
+    pub fn owner_of(job: JobId, of: usize) -> usize {
+        debug_assert!(of > 0);
+        (job % of as u64) as usize
+    }
+
+    /// Whether `job` belongs to this share.
+    pub fn owns(&self, job: JobId) -> bool {
+        Self::owner_of(job, self.of) == self.shard
+    }
+}
+
 /// Read-only context handed to the provisioner each slot.
 #[derive(Debug)]
 pub struct SlotContext<'a> {
     /// Current slot index.
     pub slot: u64,
-    /// Views of all VMs, id-indexed.
+    /// Views of all VMs, id-indexed. Every VM lists *all* of its running
+    /// jobs; a provisioner acts only on the ones [`share`](Self::share)
+    /// owns — walk them with [`owned_jobs`](Self::owned_jobs) rather than
+    /// `vm.jobs`.
     pub vms: &'a [VmView],
     /// Jobs awaiting placement, arrival-ordered.
     pub pending: &'a [PendingJobView],
@@ -142,6 +173,22 @@ pub struct SlotContext<'a> {
     pub committed: &'a [ResourceVector],
     /// The `C'` reference vector (per-resource max VM capacity, Eq. 22).
     pub max_vm_capacity: ResourceVector,
+    /// Which running jobs the reader of this context owns:
+    /// [`JobShare::ALL`] from the engine; a sharded coordinator hands each
+    /// shard the engine's views unchanged and that shard's share instead of
+    /// a filtered copy of the fleet.
+    pub share: JobShare,
+}
+
+impl SlotContext<'_> {
+    /// The running jobs on `vm` that this context's reader owns, in view
+    /// order — so a sum or a task list built over them is, bit for bit and
+    /// index for index, the one a copy of the views filtered to
+    /// [`share`](Self::share) would give.
+    pub fn owned_jobs<'v>(&self, vm: &'v VmView) -> impl Iterator<Item = &'v RunningJobView> + 'v {
+        let share = self.share;
+        vm.jobs.iter().filter(move |job| share.owns(job.id))
+    }
 }
 
 /// One completed job's identity and full per-resource unused history —
@@ -295,6 +342,7 @@ mod tests {
             pending: &jobs,
             committed: &committed,
             max_vm_capacity: ResourceVector::new([4.0, 16.0, 180.0]),
+            share: JobShare::ALL,
         };
         let plan = StaticPeakProvisioner.provision(&ctx);
         assert_eq!(plan.placements.len(), 1);
@@ -317,6 +365,7 @@ mod tests {
             pending: &jobs,
             committed: &committed,
             max_vm_capacity: ResourceVector::new([4.0, 16.0, 180.0]),
+            share: JobShare::ALL,
         };
         let plan = StaticPeakProvisioner.provision(&ctx);
         assert_eq!(plan.placements.len(), 1, "second job must wait");
@@ -333,6 +382,7 @@ mod tests {
             pending: &jobs,
             committed: &committed,
             max_vm_capacity: ResourceVector::new([4.0, 16.0, 180.0]),
+            share: JobShare::ALL,
         };
         let plan = StaticPeakProvisioner.provision(&ctx);
         assert!(plan.placements.is_empty());

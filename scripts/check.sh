@@ -39,7 +39,10 @@
 # The serve / resilience / scale smoke modes are bare `corp-exp ... --smoke`
 # calls whose own assertions set the exit code; no mode writes a file
 # into the repo, so the standard gate leaves `git status` clean. Performance is measured by
-# `benchmark/` (see BENCHMARK.json), never here.
+# `benchmark/` (see BENCHMARK.json), never here; to compare a change with
+# its parent use `scripts/bench-pairs.sh <parent-ref> <workload>`
+# (alternated parent/change pairs of the unchanged benchmark, built outside
+# the repo — see its header).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
