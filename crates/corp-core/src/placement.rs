@@ -111,15 +111,10 @@ impl VolumeIndex {
     }
 
     /// The lowest-volume VM for which `fits(vm)` holds, walking candidates
-    /// in ascending `(volume, index)` order.
-    pub fn first_fit<F: FnMut(usize) -> bool>(&self, fits: F) -> Option<usize> {
-        self.first_fit_from(0, fits)
-    }
-
-    /// Like [`first_fit`](Self::first_fit), but starts the walk at the
-    /// first entry whose volume bits are `>= min_volume_bits`, seeking into
-    /// the sorted set in O(log V) instead of wading through entries the
-    /// caller knows cannot fit.
+    /// in ascending `(volume, index)` order from the first entry whose
+    /// volume bits are `>= min_volume_bits` — seeking into the sorted set
+    /// in O(log V) instead of wading through entries the caller knows
+    /// cannot fit.
     pub fn first_fit_from<F: FnMut(usize) -> bool>(
         &self,
         min_volume_bits: u64,

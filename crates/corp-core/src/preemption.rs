@@ -34,14 +34,6 @@ impl PreemptionGate {
         }
     }
 
-    /// Replaces the per-resource tolerances, keeping accumulated evidence
-    /// (used once, when the reference capacity becomes known).
-    pub fn set_tolerances(&mut self, eps: &[f64; NUM_RESOURCES]) {
-        for (t, &e) in self.trackers.iter_mut().zip(eps) {
-            t.set_tolerance(e.max(f64::MIN_POSITIVE));
-        }
-    }
-
     /// Records one resolved prediction for `resource`. Non-finite samples
     /// are ignored: one NaN in the window would wedge `sigma_hat` (and
     /// with it every subsequent gate decision) at NaN.
@@ -58,12 +50,6 @@ impl PreemptionGate {
     /// DESIGN.md).
     pub fn unlocked(&self, resource: usize) -> bool {
         self.trackers[resource].unlocked_symmetric()
-    }
-
-    /// The paper-literal gate `Pr(0 <= delta < eps) >= P_th` (kept for the
-    /// ablation bench comparing band semantics).
-    pub fn unlocked_conservative(&self, resource: usize) -> bool {
-        self.trackers[resource].unlocked()
     }
 
     /// Estimated prediction-error standard deviation for `resource`

@@ -12,9 +12,7 @@
 //!
 //! Table II fixes the architecture at `h = 4` layers of `N_n = 50` units.
 //! Training runs in epochs until a held-out validation error converges,
-//! exactly as Section III-A describes; an autoencoder mode ("the algorithm
-//! autoencodes the input and generates the output") is provided for
-//! unsupervised pre-training.
+//! exactly as Section III-A describes.
 //!
 //! No ML crates exist in the offline registry, so the numerics here —
 //! a minimal dense [`matrix`] layer, [`activation`] functions, the
@@ -29,18 +27,14 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod activation;
-pub mod autoencoder;
 pub mod matrix;
 pub mod network;
-pub mod parallel;
 pub mod predictor;
 pub mod train;
 
 pub use activation::Activation;
-pub use autoencoder::Autoencoder;
 pub use matrix::Matrix;
-pub use network::{BatchScratch, LaneScratch, Network, Scratch};
-pub use parallel::ParallelTrainer;
+pub use network::{LaneScratch, Network, Scratch};
 pub use predictor::{
     PredictBatchScratch, PredictScratch, UnusedResourcePredictor, WindowPredictorConfig,
 };

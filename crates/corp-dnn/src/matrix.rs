@@ -74,24 +74,6 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
-    /// Writes `self^T` into `out` (which must already be `cols x rows`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn transpose_into(&self, out: &mut Matrix) {
-        assert_eq!(
-            (out.rows, out.cols),
-            (self.cols, self.rows),
-            "transpose shape mismatch"
-        );
-        for (r, row) in self.data.chunks_exact(self.cols).enumerate() {
-            for (c, &v) in row.iter().enumerate() {
-                out.data[c * self.rows + r] = v;
-            }
-        }
-    }
-
     /// Resizes to `cols` columns (row count unchanged), zero-filling and
     /// reusing the existing allocation — shrinking then growing back never
     /// reallocates, which keeps scratch buffers warm across alternating
@@ -305,187 +287,6 @@ impl Matrix {
         }
     }
 
-    /// `out = self^T * e` over feature-major batches (the batched
-    /// counterpart of
-    /// [`mul_vec_transposed_into`](Self::mul_vec_transposed_into), used to
-    /// back-propagate a whole minibatch of error terms at once). `out` is
-    /// overwritten.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e.rows() != rows`, `out.rows() != cols`, or
-    /// `out.cols() != e.cols()`.
-    pub fn matmul_transposed_into(&self, e: &Matrix, out: &mut Matrix) {
-        assert_eq!(e.rows, self.rows, "input row mismatch");
-        assert_eq!(out.rows, self.cols, "output row mismatch");
-        assert_eq!(out.cols, e.cols, "batch width mismatch");
-        let n = e.cols;
-        let cols = self.cols;
-        let r_body = self.rows - self.rows % 4;
-        // Out-row-outer with the reduction over upper rows r-blocked by 4:
-        // each output row stays resident while four error rows stream
-        // through, instead of every (r, j) pair re-walking `out`. The adds
-        // are left-associated in ascending r — the same order the row-outer
-        // formulation accumulates in — so results are bit-identical.
-        for (j, out_row) in out.data.chunks_exact_mut(n).enumerate() {
-            out_row.iter_mut().for_each(|o| *o = 0.0);
-            let mut r = 0;
-            while r + 8 <= self.rows {
-                let w0 = self.data[r * cols + j];
-                let w1 = self.data[(r + 1) * cols + j];
-                let w2 = self.data[(r + 2) * cols + j];
-                let w3 = self.data[(r + 3) * cols + j];
-                let w4 = self.data[(r + 4) * cols + j];
-                let w5 = self.data[(r + 5) * cols + j];
-                let w6 = self.data[(r + 6) * cols + j];
-                let w7 = self.data[(r + 7) * cols + j];
-                let e0 = &e.data[r * n..(r + 1) * n];
-                let e1 = &e.data[(r + 1) * n..(r + 2) * n];
-                let e2 = &e.data[(r + 2) * n..(r + 3) * n];
-                let e3 = &e.data[(r + 3) * n..(r + 4) * n];
-                let e4 = &e.data[(r + 4) * n..(r + 5) * n];
-                let e5 = &e.data[(r + 5) * n..(r + 6) * n];
-                let e6 = &e.data[(r + 6) * n..(r + 7) * n];
-                let e7 = &e.data[(r + 7) * n..(r + 8) * n];
-                for ((((((((o, &a0), &a1), &a2), &a3), &a4), &a5), &a6), &a7) in out_row
-                    .iter_mut()
-                    .zip(e0)
-                    .zip(e1)
-                    .zip(e2)
-                    .zip(e3)
-                    .zip(e4)
-                    .zip(e5)
-                    .zip(e6)
-                    .zip(e7)
-                {
-                    *o = (((((((*o + w0 * a0) + w1 * a1) + w2 * a2) + w3 * a3) + w4 * a4)
-                        + w5 * a5)
-                        + w6 * a6)
-                        + w7 * a7;
-                }
-                r += 8;
-            }
-            while r < r_body {
-                let w0 = self.data[r * cols + j];
-                let w1 = self.data[(r + 1) * cols + j];
-                let w2 = self.data[(r + 2) * cols + j];
-                let w3 = self.data[(r + 3) * cols + j];
-                let e0 = &e.data[r * n..(r + 1) * n];
-                let e1 = &e.data[(r + 1) * n..(r + 2) * n];
-                let e2 = &e.data[(r + 2) * n..(r + 3) * n];
-                let e3 = &e.data[(r + 3) * n..(r + 4) * n];
-                for ((((o, &a0), &a1), &a2), &a3) in
-                    out_row.iter_mut().zip(e0).zip(e1).zip(e2).zip(e3)
-                {
-                    *o = (((*o + w0 * a0) + w1 * a1) + w2 * a2) + w3 * a3;
-                }
-                r += 4;
-            }
-            for (e_row, w_row) in e.data[r_body * n..]
-                .chunks_exact(n)
-                .zip(self.data[r_body * cols..].chunks_exact(cols))
-            {
-                let w = w_row[j];
-                for (o, &ev) in out_row.iter_mut().zip(e_row) {
-                    *o += w * ev;
-                }
-            }
-        }
-    }
-
-    /// Accumulates `self += e * g^T` over feature-major batches: the
-    /// minibatch gradient `dW[i][j] += sum_b e[i][b] * g[j][b]` (Eq. 8
-    /// summed over the batch). Rows of `e` and `g` are contiguous; the
-    /// inner sum is a lane-blocked dot product of two slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e.rows() != rows`, `g.rows() != cols`, or the batch
-    /// widths differ.
-    pub fn add_batch_outer(&mut self, e: &Matrix, g: &Matrix) {
-        assert_eq!(e.rows, self.rows, "row factor mismatch");
-        assert_eq!(g.rows, self.cols, "column factor mismatch");
-        assert_eq!(e.cols, g.cols, "batch width mismatch");
-        const LANES: usize = 8;
-        let n = e.cols;
-        let body = n - n % LANES;
-        for (w_row, e_row) in self
-            .data
-            .chunks_exact_mut(self.cols)
-            .zip(e.data.chunks_exact(n))
-        {
-            for (w, g_row) in w_row.iter_mut().zip(g.data.chunks_exact(n)) {
-                // Eight independent partial sums break the sequential FP
-                // dependency chain a plain `.sum()` dot would serialize on,
-                // letting the reduction vectorize. Lane assignment is fixed
-                // (b mod LANES), so results are deterministic; batches
-                // narrower than a lane block take only the tail path, which
-                // is the plain ascending dot.
-                let mut acc = [0.0f64; LANES];
-                for (ea, ga) in e_row[..body]
-                    .chunks_exact(LANES)
-                    .zip(g_row[..body].chunks_exact(LANES))
-                {
-                    for l in 0..LANES {
-                        acc[l] += ea[l] * ga[l];
-                    }
-                }
-                let mut dot = ((acc[0] + acc[4]) + (acc[2] + acc[6]))
-                    + ((acc[1] + acc[5]) + (acc[3] + acc[7]));
-                for (a, b) in e_row[body..].iter().zip(&g_row[body..]) {
-                    dot += a * b;
-                }
-                *w += dot;
-            }
-        }
-    }
-
-    /// Accumulates `self += e * gt` where `gt` is already the *transpose*
-    /// of the feature-major activation batch (`gt[b][j] = g[j][b]`): the
-    /// same minibatch gradient as
-    /// [`add_batch_outer`](Self::add_batch_outer), but with the reduction
-    /// over the batch expressed as contiguous axpys into each gradient row
-    /// instead of per-weight horizontal dots — the faster shape when the
-    /// caller can afford one transpose of `g` per batch. The batch axis is
-    /// blocked by 4 with left-associated adds in ascending `b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e.rows() != rows`, `gt.cols() != cols`, or
-    /// `gt.rows() != e.cols()`.
-    pub fn add_batch_outer_pretransposed(&mut self, e: &Matrix, gt: &Matrix) {
-        assert_eq!(e.rows, self.rows, "row factor mismatch");
-        assert_eq!(gt.cols, self.cols, "column factor mismatch");
-        assert_eq!(gt.rows, e.cols, "batch width mismatch");
-        let n = e.cols;
-        let m = self.cols;
-        let b_body = n - n % 4;
-        for (w_row, e_row) in self.data.chunks_exact_mut(m).zip(e.data.chunks_exact(n)) {
-            let mut b = 0;
-            while b < b_body {
-                let ev = &e_row[b..b + 4];
-                let g0 = &gt.data[b * m..(b + 1) * m];
-                let g1 = &gt.data[(b + 1) * m..(b + 2) * m];
-                let g2 = &gt.data[(b + 2) * m..(b + 3) * m];
-                let g3 = &gt.data[(b + 3) * m..(b + 4) * m];
-                for ((((w, &a0), &a1), &a2), &a3) in
-                    w_row.iter_mut().zip(g0).zip(g1).zip(g2).zip(g3)
-                {
-                    *w = (((*w + ev[0] * a0) + ev[1] * a1) + ev[2] * a2) + ev[3] * a3;
-                }
-                b += 4;
-            }
-            for (&ev, g_row) in e_row[b_body..]
-                .iter()
-                .zip(gt.data[b_body * m..].chunks_exact(m))
-            {
-                for (w, &gv) in w_row.iter_mut().zip(g_row) {
-                    *w += ev * gv;
-                }
-            }
-        }
-    }
-
     /// `out = self^T * x` (transposed matrix-vector product), used to
     /// back-propagate error terms (paper Eq. 7 sums over the *upper* layer's
     /// errors weighted by `w_ji`). `out` is overwritten.
@@ -598,39 +399,7 @@ impl Matrix {
         }
     }
 
-    /// Fused momentum update for the minibatch path:
-    /// `velocity = momentum * velocity + scale * grad` followed by
-    /// `self += velocity`, where `grad` is an accumulated minibatch
-    /// gradient (e.g. from [`add_batch_outer`](Self::add_batch_outer)).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn momentum_step_from(
-        &mut self,
-        velocity: &mut Matrix,
-        grad: &Matrix,
-        momentum: f64,
-        scale: f64,
-    ) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (velocity.rows, velocity.cols),
-            "velocity shape mismatch"
-        );
-        assert_eq!(
-            (self.rows, self.cols),
-            (grad.rows, grad.cols),
-            "gradient shape mismatch"
-        );
-        for ((w, v), g) in self.data.iter_mut().zip(&mut velocity.data).zip(&grad.data) {
-            *v = momentum * *v + scale * g;
-            *w += *v;
-        }
-    }
-
-    /// Sets every element to `value` (used to reset preallocated gradient
-    /// scratch between minibatches without reallocating).
+    /// Sets every element to `value`.
     pub fn fill(&mut self, value: f64) {
         self.data.iter_mut().for_each(|v| *v = value);
     }
@@ -760,41 +529,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_transposed_matmul_matches_per_sample_columns() {
-        let m = Matrix::from_fn(4, 6, |r, c| ((r * 5 + c) as f64 * 0.21).sin());
-        let e = Matrix::from_fn(4, 3, |r, c| ((r + c * 2) as f64 * 0.4).cos());
-        let mut out = Matrix::zeros(6, 3);
-        m.matmul_transposed_into(&e, &mut out);
-        for b in 0..3 {
-            let col: Vec<f64> = (0..4).map(|k| e.get(k, b)).collect();
-            let mut single = vec![0.0; 6];
-            m.mul_vec_transposed_into(&col, &mut single);
-            for (j, s) in single.iter().enumerate() {
-                assert!((out.get(j, b) - s).abs() < 1e-12, "col {b} row {j}");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_outer_sums_per_sample_outer_products() {
-        let e = Matrix::from_fn(3, 4, |r, c| (r as f64 + 1.0) * (c as f64 - 1.5));
-        let g = Matrix::from_fn(2, 4, |r, c| (r as f64 - 0.5) * (c as f64 + 0.3));
-        let mut batched = Matrix::zeros(3, 2);
-        batched.add_batch_outer(&e, &g);
-        let mut reference = Matrix::zeros(3, 2);
-        for b in 0..4 {
-            let ecol: Vec<f64> = (0..3).map(|r| e.get(r, b)).collect();
-            let gcol: Vec<f64> = (0..2).map(|r| g.get(r, b)).collect();
-            reference.add_outer_scaled(&ecol, &gcol, 1.0);
-        }
-        for r in 0..3 {
-            for c in 0..2 {
-                assert!((batched.get(r, c) - reference.get(r, c)).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
     fn momentum_step_is_bit_identical_to_three_pass_update() {
         let mut w_fused = Matrix::from_fn(3, 4, |r, c| ((r + c) as f64 * 0.1).sin());
         let mut v_fused = Matrix::from_fn(3, 4, |r, c| ((r * c) as f64 * 0.05).cos());
@@ -836,16 +570,6 @@ mod tests {
                 .map(|v| v.to_bits())
                 .collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn momentum_step_from_applies_batch_gradient() {
-        let mut w = Matrix::zeros(2, 2);
-        let mut v = Matrix::from_vec(2, 2, vec![1.0, -1.0, 2.0, -2.0]);
-        let g = Matrix::from_vec(2, 2, vec![10.0, 20.0, 30.0, 40.0]);
-        w.momentum_step_from(&mut v, &g, 0.5, 0.1);
-        assert_eq!(v.as_slice(), &[1.5, 1.5, 4.0, 3.0]);
-        assert_eq!(w.as_slice(), &[1.5, 1.5, 4.0, 3.0]);
     }
 
     #[test]

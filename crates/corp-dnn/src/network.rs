@@ -74,81 +74,9 @@ impl Scratch {
     }
 }
 
-/// Preallocated feature-major buffers for the minibatch kernels
-/// ([`Network::train_minibatches`], [`Network::mse_batched`]). Column `b` of
-/// every matrix holds sample `b` of the current batch. Reused across
-/// batches and epochs, so steady-state training allocates nothing.
-#[derive(Debug, Clone, Default)]
-pub struct BatchScratch {
-    /// Activations per layer; `acts[0]` is the gathered input batch.
-    acts: Vec<Matrix>,
-    /// Error terms per non-input layer.
-    errs: Vec<Matrix>,
-    /// Gathered target batch.
-    targets: Option<Matrix>,
-    /// Transposed activation batch, rebuilt per layer inside the gradient
-    /// step (see [`Matrix::add_batch_outer_pretransposed`]).
-    acts_t: Option<Matrix>,
-    /// Accumulated minibatch weight gradients per layer.
-    grad_w: Vec<Matrix>,
-    /// Accumulated minibatch bias gradients per layer.
-    grad_b: Vec<Vec<f64>>,
-    /// Batch width the buffers are currently sized for.
-    cols: usize,
-}
-
-impl BatchScratch {
-    /// An empty scratch; sized lazily on first use.
-    pub fn new() -> Self {
-        BatchScratch::default()
-    }
-
-    fn ensure(&mut self, net: &Network, cols: usize) {
-        debug_assert!(cols > 0, "batch width must be positive");
-        if self.cols == cols && self.acts.len() == net.layers.len() + 1 {
-            return;
-        }
-        let sizes: Vec<usize> = std::iter::once(net.input_len())
-            .chain(net.layers.iter().map(|l| l.weights.rows()))
-            .collect();
-        // Same architecture, different batch width: reshape in place so
-        // alternating widths (full chunks vs. the epoch's tail chunk)
-        // never reallocate.
-        if self.acts.len() == sizes.len()
-            && self.acts.iter().zip(&sizes).all(|(m, &s)| m.rows() == s)
-        {
-            for m in self.acts.iter_mut().chain(&mut self.errs) {
-                m.reshape_cols(cols);
-            }
-            if let Some(t) = self.targets.as_mut() {
-                t.reshape_cols(cols);
-            }
-            self.cols = cols;
-            return;
-        }
-        self.acts = sizes.iter().map(|&s| Matrix::zeros(s, cols)).collect();
-        self.errs = sizes[1..].iter().map(|&s| Matrix::zeros(s, cols)).collect();
-        self.targets = Some(Matrix::zeros(net.output_len(), cols));
-        let widest = sizes.iter().copied().max().expect("layers exist");
-        self.acts_t = Some(Matrix::zeros(cols, widest));
-        self.grad_w = net
-            .layers
-            .iter()
-            .map(|l| Matrix::zeros(l.weights.rows(), l.weights.cols()))
-            .collect();
-        self.grad_b = net
-            .layers
-            .iter()
-            .map(|l| vec![0.0; l.biases.len()])
-            .collect();
-        self.cols = cols;
-    }
-}
-
 /// Activations-only feature-major buffers for
 /// [`Network::forward_batch_with`]: one matrix per weight layer, column `b`
-/// holding lane `b`. No error or gradient buffers — this is the inference
-/// counterpart of [`BatchScratch`]. Reshaped, never reallocated, when the
+/// holding lane `b`. Reshaped, never reallocated, when the
 /// lane count changes, so a worker walking full lanes plus one short tail
 /// allocates only on its first use.
 #[derive(Debug, Clone, Default)]
@@ -489,200 +417,6 @@ impl Network {
         sq_err
     }
 
-    /// One minibatch gradient step over the examples selected by `idx`:
-    /// batched forward (blocked matrix-matrix kernel with the activation
-    /// fused into the epilogue), batched back-propagation, then a single
-    /// momentum update using the *mean* gradient (`mu / batch` scaling), so
-    /// the effective step size is comparable to `batch` per-sample steps.
-    ///
-    /// Returns the sum of squared errors over the batch (before the
-    /// update).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is empty, any index is out of range, or any
-    /// example's shape mismatches the architecture.
-    pub fn train_batch(
-        &mut self,
-        inputs: &[Vec<f64>],
-        targets: &[Vec<f64>],
-        idx: &[usize],
-        mu: f64,
-        momentum: f64,
-        scratch: &mut BatchScratch,
-    ) -> f64 {
-        assert!(!idx.is_empty(), "empty minibatch");
-        let n = idx.len();
-        scratch.ensure(self, n);
-
-        // Gather the batch feature-major: column b = example idx[b].
-        {
-            let x = &mut scratch.acts[0];
-            let t = scratch.targets.as_mut().expect("sized by ensure");
-            for (b, &i) in idx.iter().enumerate() {
-                assert_eq!(inputs[i].len(), x.rows(), "input length mismatch");
-                assert_eq!(targets[i].len(), t.rows(), "target length mismatch");
-                for (k, &v) in inputs[i].iter().enumerate() {
-                    x.as_mut_slice()[k * n + b] = v;
-                }
-                for (k, &v) in targets[i].iter().enumerate() {
-                    t.as_mut_slice()[k * n + b] = v;
-                }
-            }
-        }
-
-        // Batched forward (Eq. 5 over the whole batch).
-        let (x, upper) = scratch.acts.split_first_mut().expect("sized by ensure");
-        forward_layers(&self.layers, x, upper);
-
-        // Output-layer error terms (Eq. 6) for every sample at once,
-        // row-sliced so the inner loops skip per-element bounds checks.
-        let out_idx = self.layers.len() - 1;
-        let mut sq_err = 0.0;
-        {
-            let g_out = scratch.acts.last().expect("layers exist");
-            let t = scratch.targets.as_ref().expect("sized by ensure");
-            let act = self.layers[out_idx].activation;
-            let e_out = &mut scratch.errs[out_idx];
-            for ((e_row, g_row), t_row) in e_out
-                .as_mut_slice()
-                .chunks_exact_mut(n)
-                .zip(g_out.as_slice().chunks_exact(n))
-                .zip(t.as_slice().chunks_exact(n))
-            {
-                for ((e, &g), &tv) in e_row.iter_mut().zip(g_row).zip(t_row) {
-                    let diff = tv - g;
-                    sq_err += diff * diff;
-                    *e = diff * act.derivative_from_output(g);
-                }
-            }
-        }
-
-        // Hidden-layer error terms (Eq. 7), batched top-down.
-        for d in (0..out_idx).rev() {
-            let (lower_errs, upper_errs) = scratch.errs.split_at_mut(d + 1);
-            let e_cur = &mut lower_errs[d];
-            self.layers[d + 1]
-                .weights
-                .matmul_transposed_into(&upper_errs[0], e_cur);
-            let act = self.layers[d].activation;
-            let g = &scratch.acts[d + 1];
-            for (e_row, g_row) in e_cur
-                .as_mut_slice()
-                .chunks_exact_mut(n)
-                .zip(g.as_slice().chunks_exact(n))
-            {
-                for (e, &gv) in e_row.iter_mut().zip(g_row) {
-                    *e *= act.derivative_from_output(gv);
-                }
-            }
-        }
-
-        // Mean-gradient momentum update (Eq. 8 summed over the batch,
-        // scaled by mu / n).
-        let step = mu / n as f64;
-        for (d, layer) in self.layers.iter_mut().enumerate() {
-            let errs = &scratch.errs[d];
-            let grad = &mut scratch.grad_w[d];
-            grad.fill(0.0);
-            let acts = &scratch.acts[d];
-            let gt = scratch.acts_t.as_mut().expect("sized by ensure");
-            gt.reshape(acts.cols(), acts.rows());
-            acts.transpose_into(gt);
-            grad.add_batch_outer_pretransposed(errs, gt);
-            layer
-                .weights
-                .momentum_step_from(&mut layer.weight_velocity, grad, momentum, step);
-            let gb = &mut scratch.grad_b[d];
-            for (g, e_row) in gb.iter_mut().zip(errs.as_slice().chunks_exact(n)) {
-                *g = e_row.iter().sum();
-            }
-            for ((b, v), g) in layer
-                .biases
-                .iter_mut()
-                .zip(&mut layer.bias_velocity)
-                .zip(gb.iter())
-            {
-                *v = momentum * *v + step * g;
-                *b += *v;
-            }
-        }
-        sq_err
-    }
-
-    /// Runs one epoch of minibatch SGD over `order`, chunking it into
-    /// batches of at most `batch_size` and calling
-    /// [`train_batch`](Self::train_batch) on each. Returns the summed
-    /// squared error across the epoch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn train_minibatches(
-        &mut self,
-        inputs: &[Vec<f64>],
-        targets: &[Vec<f64>],
-        order: &[usize],
-        batch_size: usize,
-        mu: f64,
-        momentum: f64,
-        scratch: &mut BatchScratch,
-    ) -> f64 {
-        assert!(batch_size > 0, "batch size must be positive");
-        let mut total = 0.0;
-        for chunk in order.chunks(batch_size) {
-            total += self.train_batch(inputs, targets, chunk, mu, momentum, scratch);
-        }
-        total
-    }
-
-    /// Batched counterpart of [`mse`](Self::mse): evaluates the dataset
-    /// through the blocked forward kernel. Bit-identical to `mse` — the
-    /// batched forward matches the per-sample forward lane for lane, and
-    /// per-sample squared errors are reduced in the same order.
-    pub fn mse_batched(
-        &mut self,
-        inputs: &[Vec<f64>],
-        targets: &[Vec<f64>],
-        batch_size: usize,
-        scratch: &mut BatchScratch,
-    ) -> f64 {
-        assert_eq!(inputs.len(), targets.len(), "dataset length mismatch");
-        assert!(batch_size > 0, "batch size must be positive");
-        if inputs.is_empty() {
-            return 0.0;
-        }
-        let idx: Vec<usize> = (0..inputs.len()).collect();
-        let mut total = 0.0;
-        for chunk in idx.chunks(batch_size) {
-            let n = chunk.len();
-            scratch.ensure(self, n);
-            {
-                let x = &mut scratch.acts[0];
-                for (b, &i) in chunk.iter().enumerate() {
-                    assert_eq!(inputs[i].len(), x.rows(), "input length mismatch");
-                    for (k, &v) in inputs[i].iter().enumerate() {
-                        *x.get_mut(k, b) = v;
-                    }
-                }
-            }
-            let (x, upper) = scratch.acts.split_first_mut().expect("sized by ensure");
-            forward_layers(&self.layers, x, upper);
-            let y = scratch.acts.last().expect("layers exist");
-            for (b, &i) in chunk.iter().enumerate() {
-                let t = &targets[i];
-                assert_eq!(t.len(), y.rows(), "target length mismatch");
-                let sample: f64 = t
-                    .iter()
-                    .enumerate()
-                    .map(|(r, &tv)| {
-                        let d = y.get(r, b) - tv;
-                        d * d
-                    })
-                    .sum();
-                total += sample;
-            }
-        }
-        total / inputs.len() as f64
-    }
-
     /// Mean squared error of the network over a dataset, without updating
     /// weights.
     pub fn mse(&mut self, inputs: &[Vec<f64>], targets: &[Vec<f64>]) -> f64 {
@@ -709,14 +443,9 @@ impl Network {
         &mut self.layers[d].weights
     }
 
-    /// Access to a layer's bias vector (replica averaging).
+    /// Access to a layer's bias vector (tests).
     pub fn layer_biases(&self, d: usize) -> &[f64] {
         &self.layers[d].biases
-    }
-
-    /// Mutable access to a layer's bias vector (replica averaging).
-    pub fn layer_biases_mut(&mut self, d: usize) -> &mut [f64] {
-        &mut self.layers[d].biases
     }
 }
 
@@ -897,53 +626,6 @@ mod tests {
             let owned: Vec<u64> = net.forward(&x).iter().map(|v| v.to_bits()).collect();
             assert_eq!(shared, owned);
         }
-    }
-
-    #[test]
-    fn minibatch_training_converges_on_linear_task() {
-        let mut net = Network::new(&[2, 8, 1], Activation::Sigmoid, Activation::Identity, 5);
-        let (inputs, targets) = toy_dataset(50);
-        let order: Vec<usize> = (0..inputs.len()).collect();
-        let mut scratch = BatchScratch::new();
-        let before = net.mse(&inputs, &targets);
-        for _ in 0..400 {
-            net.train_minibatches(&inputs, &targets, &order, 8, 0.5, 0.5, &mut scratch);
-        }
-        let after = net.mse(&inputs, &targets);
-        assert!(after < before * 0.2, "MSE {before} -> {after} insufficient");
-    }
-
-    #[test]
-    fn batch_of_one_matches_per_sample_gradient_direction() {
-        // A 1-wide minibatch at momentum 0 is exactly one per-sample step
-        // (mean over one sample), so weights must land bit-identically.
-        let mut batched = Network::new(&[2, 5, 1], Activation::Sigmoid, Activation::Identity, 8);
-        let mut single = batched.clone();
-        let (inputs, targets) = toy_dataset(12);
-        let mut scratch = BatchScratch::new();
-        for i in 0..inputs.len() {
-            batched.train_batch(&inputs, &targets, &[i], 0.1, 0.5, &mut scratch);
-            single.train_on(&inputs[i], &targets[i], 0.1, 0.5);
-        }
-        for d in 0..batched.depth() {
-            let bw = batched.layer_weights(d).as_slice();
-            let sw = single.layer_weights(d).as_slice();
-            for (a, b) in bw.iter().zip(sw) {
-                // `mu * (e*g)` vs `(mu*e) * g` round differently by design,
-                // so allow ulp-level drift.
-                assert!((a - b).abs() < 1e-9, "layer {d}: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn mse_batched_is_bit_identical_to_mse() {
-        let mut net = Network::new(&[2, 9, 1], Activation::Sigmoid, Activation::Identity, 31);
-        let (inputs, targets) = toy_dataset(23);
-        let mut scratch = BatchScratch::new();
-        let plain = net.mse(&inputs, &targets);
-        let batched = net.mse_batched(&inputs, &targets, 8, &mut scratch);
-        assert_eq!(plain.to_bits(), batched.to_bits());
     }
 
     #[test]

@@ -37,9 +37,6 @@ pub struct TrainConfig {
     /// are bit-identical; this switch exists so the determinism suite can
     /// A/B them end-to-end.
     pub reference_kernels: bool,
-    /// Minibatch width for [`Trainer::train_minibatched`] and the parallel
-    /// trainer's shards.
-    pub batch_size: usize,
 }
 
 impl Default for TrainConfig {
@@ -53,7 +50,6 @@ impl Default for TrainConfig {
             patience: 5,
             seed: 0x5EED,
             reference_kernels: false,
-            batch_size: 4,
         }
     }
 }
@@ -98,11 +94,6 @@ impl Trainer {
         assert!(config.learning_rate > 0.0, "learning rate must be positive");
         assert!(config.patience > 0, "patience must be at least 1");
         Trainer { config }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &TrainConfig {
-        &self.config
     }
 
     /// Trains `net` on `(inputs, targets)` and returns a report.
@@ -151,49 +142,8 @@ impl Trainer {
         stop.into_report()
     }
 
-    /// Minibatch variant of [`train`](Self::train): identical shuffle,
-    /// split, and early-stopping protocol, but each epoch applies one
-    /// mean-gradient update per `batch_size` examples through the blocked
-    /// kernels ([`Network::train_minibatches`]). This is the throughput
-    /// path — fewer, wider updates — and is *not* numerically interchangeable
-    /// with per-sample SGD, so callers pick explicitly.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`train`](Self::train).
-    pub fn train_minibatched(
-        &self,
-        net: &mut Network,
-        inputs: &[Vec<f64>],
-        targets: &[Vec<f64>],
-        scratch: &mut crate::network::BatchScratch,
-    ) -> TrainReport {
-        let (mut rng, mut train_order, val_inputs, val_targets) = self.split(inputs, targets);
-        let mut stop = Convergence::new(self.config.tolerance, self.config.patience);
-        let batch = self.config.batch_size.max(1);
-
-        for _epoch in 0..self.config.max_epochs {
-            train_order.shuffle(&mut rng);
-            net.train_minibatches(
-                inputs,
-                targets,
-                &train_order,
-                batch,
-                self.config.learning_rate,
-                self.config.momentum,
-                scratch,
-            );
-            let val_mse = net.mse_batched(&val_inputs, &val_targets, batch, scratch);
-            if stop.record(val_mse) {
-                break;
-            }
-        }
-        stop.into_report()
-    }
-
     /// Shuffles once, carves off the validation split, and returns the RNG
-    /// mid-stream so per-epoch shuffles continue the same sequence for
-    /// every training variant.
+    /// mid-stream so per-epoch shuffles continue the same sequence.
     fn split(&self, inputs: &[Vec<f64>], targets: &[Vec<f64>]) -> Split {
         assert_eq!(inputs.len(), targets.len(), "dataset length mismatch");
         assert!(!inputs.is_empty(), "cannot train on an empty dataset");
@@ -216,8 +166,8 @@ impl Trainer {
     }
 }
 
-/// The validation-convergence state machine shared by the per-sample and
-/// minibatch trainers (relative-improvement tolerance with patience).
+/// The validation-convergence state machine (relative-improvement
+/// tolerance with patience).
 struct Convergence {
     tolerance: f64,
     patience: usize,
@@ -384,42 +334,6 @@ mod tests {
         let (ref_hist, ref_w) = run(true);
         assert_eq!(fused_hist, ref_hist);
         assert_eq!(fused_w, ref_w);
-    }
-
-    #[test]
-    fn minibatched_training_converges_on_learnable_task() {
-        let (inputs, targets) = toy_dataset(80);
-        let mut net = Network::new(&[2, 10, 1], Activation::Sigmoid, Activation::Identity, 2);
-        let trainer = Trainer::new(TrainConfig {
-            max_epochs: 400,
-            learning_rate: 0.2,
-            ..TrainConfig::default()
-        });
-        let mut scratch = crate::network::BatchScratch::new();
-        let report = trainer.train_minibatched(&mut net, &inputs, &targets, &mut scratch);
-        assert!(
-            report.final_validation_mse < 0.01,
-            "validation MSE too high: {}",
-            report.final_validation_mse
-        );
-    }
-
-    #[test]
-    fn minibatched_training_is_deterministic_per_seed() {
-        let (inputs, targets) = toy_dataset(40);
-        let run = || {
-            let mut net = Network::new(&[2, 6, 1], Activation::Sigmoid, Activation::Identity, 5);
-            let trainer = Trainer::new(TrainConfig {
-                max_epochs: 20,
-                patience: 50,
-                ..TrainConfig::default()
-            });
-            let mut scratch = crate::network::BatchScratch::new();
-            trainer
-                .train_minibatched(&mut net, &inputs, &targets, &mut scratch)
-                .final_validation_mse
-        };
-        assert_eq!(run().to_bits(), run().to_bits());
     }
 
     #[test]

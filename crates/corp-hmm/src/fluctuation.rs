@@ -106,11 +106,6 @@ impl FluctuationPredictor {
         }
     }
 
-    /// Whether [`fit`](Self::fit) has succeeded.
-    pub fn is_fitted(&self) -> bool {
-        self.fitted
-    }
-
     /// The underlying model (inspection/tests).
     pub fn hmm(&self) -> &Hmm {
         &self.hmm
@@ -291,14 +286,12 @@ mod tests {
     fn fit_succeeds_on_reasonable_history() {
         let mut p = FluctuationPredictor::new(4);
         assert!(p.fit(&mixed_history(240)).is_some());
-        assert!(p.is_fitted());
     }
 
     #[test]
     fn fit_on_empty_history_returns_none() {
         let mut p = FluctuationPredictor::new(4);
         assert!(p.fit(&[]).is_none());
-        assert!(!p.is_fitted());
     }
 
     #[test]

@@ -38,11 +38,6 @@ impl ReplaySpeed {
             },
         }
     }
-
-    /// Whether this speed involves wall-clock pacing at all.
-    pub fn is_paced(&self) -> bool {
-        matches!(self, ReplaySpeed::Times(_))
-    }
 }
 
 /// The daemon's clock: monotone virtual time plus optional wall pacing.
@@ -78,11 +73,6 @@ impl VirtualClock {
     /// The virtual timestamp at which `slot` begins.
     pub fn time_of_slot(&self, slot: u64) -> u64 {
         slot.saturating_mul(self.slot_micros)
-    }
-
-    /// The slot containing virtual time `micros`.
-    pub fn slot_of(&self, micros: u64) -> u64 {
-        micros / self.slot_micros
     }
 
     /// Advances virtual time to `micros` (monotone: earlier targets are
@@ -123,8 +113,6 @@ mod tests {
         let mut c = VirtualClock::new(10 * MICROS_PER_SEC, ReplaySpeed::Infinite);
         assert_eq!(c.now(), 0);
         assert_eq!(c.time_of_slot(3), 30 * MICROS_PER_SEC);
-        assert_eq!(c.slot_of(29_999_999), 2);
-        assert_eq!(c.slot_of(30_000_000), 3);
         c.advance_to(5_000_000);
         assert_eq!(c.now(), 5_000_000);
         c.advance_to(1_000_000); // going backwards is a no-op

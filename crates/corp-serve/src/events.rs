@@ -77,7 +77,6 @@ impl Ord for QueuedEvent {
 pub struct EventQueue {
     heap: BinaryHeap<QueuedEvent>,
     next_seq: u64,
-    pushed: u64,
 }
 
 impl EventQueue {
@@ -90,7 +89,6 @@ impl EventQueue {
     pub fn push(&mut self, time: u64, event: ServeEvent) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pushed += 1;
         self.heap.push(QueuedEvent {
             time,
             class: event.class(),
@@ -112,12 +110,6 @@ impl EventQueue {
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total events ever pushed (the daemon's events-processed counter
-    /// once the loop drains the queue).
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
     }
 }
 
@@ -187,9 +179,7 @@ mod tests {
         q.push(1, ServeEvent::Tick);
         q.push(2, ServeEvent::Tick);
         assert_eq!(q.len(), 2);
-        assert_eq!(q.total_pushed(), 2);
         q.pop();
         assert_eq!(q.len(), 1);
-        assert_eq!(q.total_pushed(), 2);
     }
 }

@@ -6,13 +6,13 @@
 //! running jobs under the strict-reservation execution model, resolves any
 //! predictions targeting this slot, and records metrics.
 //!
-//! Two drivers share the same core. [`Simulation`] is the batch driver: it
-//! owns a complete workload up front and steps the engine slot by slot
-//! until the workload drains (the paper's evaluation mode). [`SlotEngine`]
-//! is the core itself, exposed so event-driven callers (the `corp-serve`
-//! daemon) can submit jobs as they arrive on a live stream and pump slots
-//! one [`step`](SlotEngine::step) at a time — the decisions are the same
-//! either way, byte for byte, because the slot body is the same code.
+//! [`SlotEngine`] is the core, exposed so drivers can submit jobs as they
+//! arrive and pump slots one [`step`](SlotEngine::step) at a time: the
+//! slot loop in [`crate::streaming`] feeds it from an arrival-ordered
+//! iterator, the `corp-serve` daemon from a timestamped event queue.
+//! [`Simulation`] is the batch form of the former — a complete workload
+//! held in memory (the paper's evaluation mode). The decisions are the
+//! same either way, byte for byte, because the slot body is the same code.
 //!
 //! ## Validation rules
 //!
@@ -34,6 +34,7 @@ use crate::provisioner::{
 use crate::resources::ResourceVector;
 use crate::ring::{copy_newest, copy_tail, BoundedRing};
 use crate::store::{JobHandle, JobStore};
+use crate::streaming::StreamingSimulation;
 use crate::vm_set::{ids_in, VmSet};
 use corp_faults::{FaultEvent, FaultTimeline};
 use corp_trace::{JobSpec, NUM_RESOURCES};
@@ -45,7 +46,9 @@ use std::time::Instant;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimulationOptions {
     /// Hard stop: slots simulated past the last arrival before declaring
-    /// remaining jobs unfinished.
+    /// remaining jobs unfinished. The cap is measured only once every
+    /// arrival has been submitted, so `0` means "stop the slot after the
+    /// last arrival", never "stop before it".
     pub max_slots: u64,
     /// Include measured wall-clock decision time in the overhead metric
     /// (always true for overhead experiments; harmless elsewhere).
@@ -147,10 +150,11 @@ pub struct SlotOutcome {
 /// Jobs enter through [`submit`](Self::submit) (queued for admission at the
 /// next step) and the engine advances through [`step`](Self::step); when
 /// the caller decides the run is over, [`report`](Self::report) folds the
-/// accumulated metrics into a [`SimulationReport`]. [`Simulation`] drives
-/// this from a pre-sorted arrival list; the `corp-serve` daemon drives it
-/// from a timestamped event queue. Both produce identical decisions for
-/// identical admission sequences because this is the only slot body.
+/// accumulated metrics into a [`SimulationReport`]. [`StreamingSimulation`]
+/// drives this from an arrival-ordered stream; the `corp-serve` daemon
+/// drives it from a timestamped event queue. Both produce identical
+/// decisions for identical admission sequences because this is the only
+/// slot body.
 pub struct SlotEngine {
     cluster: Cluster,
     options: SimulationOptions,
@@ -263,7 +267,7 @@ impl SlotEngine {
     /// Registers a job for admission at the start of the next
     /// [`step`](Self::step). Admission (and oversized-request rejection)
     /// happens inside the step so that fault events scheduled for the slot
-    /// apply first, exactly as in the batch loop.
+    /// apply first.
     pub fn submit(&mut self, spec: JobSpec) {
         let id = spec.id;
         let handle = self.store.insert(spec);
@@ -861,31 +865,18 @@ impl SlotEngine {
     }
 }
 
-/// The batch simulator: a [`SlotEngine`] plus a complete, pre-sorted
-/// workload, stepped until the workload drains or the slot cap trips.
+/// The batch simulator: the streaming driver over a complete workload,
+/// stably sorted by arrival slot (the paper's evaluation mode).
 pub struct Simulation {
-    engine: SlotEngine,
-    /// Specs not yet submitted, `None` once handed to the engine.
-    specs: Vec<Option<JobSpec>>,
-    /// Arrival slots sorted ascending alongside spec indices.
-    arrivals: Vec<(u64, usize)>,
-    next_arrival: usize,
+    inner: StreamingSimulation<std::vec::IntoIter<JobSpec>>,
 }
 
 impl Simulation {
     /// Builds a simulation over `cluster` with the given workload.
-    pub fn new(cluster: Cluster, specs: Vec<JobSpec>, options: SimulationOptions) -> Self {
-        let mut arrivals: Vec<(u64, usize)> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, j)| (j.arrival_slot, i))
-            .collect();
-        arrivals.sort_by_key(|&(slot, _)| slot);
+    pub fn new(cluster: Cluster, mut specs: Vec<JobSpec>, options: SimulationOptions) -> Self {
+        specs.sort_by_key(|s| s.arrival_slot);
         Simulation {
-            engine: SlotEngine::new(cluster, options),
-            specs: specs.into_iter().map(Some).collect(),
-            arrivals,
-            next_arrival: 0,
+            inner: StreamingSimulation::new(cluster, specs.into_iter(), options),
         }
     }
 
@@ -895,54 +886,25 @@ impl Simulation {
     /// behaves exactly like a plain [`Simulation::new`] run except that
     /// the report carries zeroed [`FaultStats`] instead of `None`.
     pub fn with_fault_timeline(mut self, timeline: FaultTimeline) -> Self {
-        self.engine = self.engine.with_fault_timeline(timeline);
+        self.inner.engine = self.inner.engine.with_fault_timeline(timeline);
         self
     }
 
     /// Read access to the metrics collected so far (or after `run`).
     pub fn metrics(&self) -> &MetricsCollector {
-        self.engine.metrics()
+        self.inner.engine.metrics()
     }
 
-    /// Read access to job states after `run` (tests, detailed analyses).
-    /// Arrival-ordered (stable by arrival slot); jobs never submitted
-    /// because the slot cap tripped first keep their initial pending
-    /// state.
+    /// Read access to job states after `run` (tests, detailed analyses),
+    /// arrival-ordered (stable by arrival slot).
     pub fn jobs(&self) -> &[RunningJob] {
-        self.engine.jobs()
+        self.inner.engine.jobs()
     }
 
     /// Runs the simulation to completion under `provisioner` and returns
     /// the report.
     pub fn run(&mut self, provisioner: &mut dyn Provisioner) -> SimulationReport {
-        let last_arrival = self.arrivals.iter().map(|&(s, _)| s).max().unwrap_or(0);
-        let max_slot = self.engine.options.max_slots + last_arrival;
-        loop {
-            while self.next_arrival < self.arrivals.len()
-                && self.arrivals[self.next_arrival].0 <= self.engine.slot()
-            {
-                let idx = self.arrivals[self.next_arrival].1;
-                self.next_arrival += 1;
-                let spec = self.specs[idx].take().expect("each spec submitted once");
-                self.engine.submit(spec);
-            }
-            self.engine.step(provisioner);
-            let arrivals_done = self.next_arrival == self.arrivals.len();
-            if (arrivals_done && self.engine.active() == 0) || self.engine.slot() >= max_slot {
-                break;
-            }
-        }
-        // A slot-cap stop can (in the degenerate `max_slots == 0` setup)
-        // precede the last arrivals; register the stragglers so the report
-        // still counts every spec as submitted-and-unfinished.
-        while self.next_arrival < self.arrivals.len() {
-            let idx = self.arrivals[self.next_arrival].1;
-            self.next_arrival += 1;
-            if let Some(spec) = self.specs[idx].take() {
-                self.engine.submit(spec);
-            }
-        }
-        self.engine.report(provisioner)
+        self.inner.run(provisioner)
     }
 }
 
@@ -1776,7 +1738,7 @@ mod tests {
             serde::json::to_string(&reclaimed),
             "slot reclamation must not change a single report byte"
         );
-        let store = sim.engine.store();
+        let store = sim.inner.engine.store();
         assert_eq!(store.total_inserted(), 30);
         assert!(
             store.capacity() <= 15,

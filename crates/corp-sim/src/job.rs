@@ -105,11 +105,6 @@ impl RunningJob {
     pub fn unused_series(&self, resource: usize) -> Vec<f64> {
         self.observed_unused.iter().map(|u| u[resource]).collect()
     }
-
-    /// Demand series for one resource index.
-    pub fn demand_series(&self, resource: usize) -> Vec<f64> {
-        self.observed_demand.iter().map(|d| d[resource]).collect()
-    }
 }
 
 #[cfg(test)]

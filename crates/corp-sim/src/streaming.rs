@@ -1,21 +1,15 @@
 //! Streaming simulation driver: a [`SlotEngine`] fed from a job iterator
 //! instead of a pre-materialized workload vector.
 //!
-//! [`Simulation`](crate::Simulation) owns its whole workload up front —
-//! fine for the paper's figure sweeps (hundreds of jobs), fatal for
-//! soak-scale runs where the trace outweighs memory. This driver pulls
-//! arrivals lazily from any `Iterator<Item = JobSpec>` (in practice a
-//! `corp_trace::JobSource` adapted via `into_specs()`), so combined with
-//! [`SimulationOptions::reclaim_completed`](crate::SimulationOptions) the
-//! resident set is bounded by *concurrently live* jobs, independent of the
-//! trace length.
-//!
-//! ## Equivalence
-//!
-//! With an arrival-ordered stream, the driver submits exactly the spec
-//! sequence [`Simulation`](crate::Simulation) would (its stable sort is a
-//! no-op on sorted input), so reports are byte-identical to the batch
-//! driver's — asserted by the tests below and the corp-trace proptests.
+//! The driver pulls arrivals lazily from any `Iterator<Item = JobSpec>`
+//! (in practice a `corp_trace::JobSource` adapted via `into_specs()`), so
+//! with [`SimulationOptions::reclaim_completed`](crate::SimulationOptions)
+//! the resident set is bounded by *concurrently live* jobs, independent of
+//! the trace length. [`Simulation`](crate::Simulation) is this driver over a
+//! workload held in memory and stably sorted by arrival slot, so an
+//! arrival-ordered stream and the batch driver on the same specs produce
+//! byte-identical reports — asserted by the tests below and the
+//! corp-trace proptests.
 
 use crate::cluster::Cluster;
 use crate::engine::{SimulationOptions, SimulationReport, SlotEngine};
@@ -29,7 +23,7 @@ use corp_trace::JobSpec;
 /// the past is submitted immediately, which only affects its queueing-time
 /// accounting, never engine safety.
 pub struct StreamingSimulation<I: Iterator<Item = JobSpec>> {
-    engine: SlotEngine,
+    pub(crate) engine: SlotEngine,
     source: std::iter::Peekable<I>,
     last_arrival: u64,
     submitted: usize,
@@ -56,12 +50,12 @@ impl<I: Iterator<Item = JobSpec>> StreamingSimulation<I> {
         &self.engine
     }
 
-    /// Runs until the stream drains and every submitted job reaches a
-    /// terminal state, or the slot cap (`max_slots` past the newest
-    /// arrival seen) trips. On a cap trip the unread tail of the stream is
-    /// left unread — counting unseen arrivals as unfinished would require
-    /// materializing them, which is exactly what this driver exists to
-    /// avoid.
+    /// Runs until the stream is exhausted and then either every submitted
+    /// job has reached a terminal state or the slot cap (`max_slots` past
+    /// the last arrival) trips. The cap is not consulted while the stream
+    /// still has arrivals to give: the engine idling through a gap longer
+    /// than `max_slots` is waiting, not stalled, so every spec in the
+    /// stream is submitted whatever the gaps between them.
     pub fn run(&mut self, provisioner: &mut dyn Provisioner) -> SimulationReport {
         self.run_inspecting(provisioner, |_| {})
     }
@@ -88,8 +82,9 @@ impl<I: Iterator<Item = JobSpec>> StreamingSimulation<I> {
             self.engine.step(provisioner);
             inspect(&self.engine);
             let drained = self.source.peek().is_none();
-            if (drained && self.engine.active() == 0)
-                || self.engine.slot() >= self.engine.options().max_slots + self.last_arrival
+            if drained
+                && (self.engine.active() == 0
+                    || self.engine.slot() >= self.engine.options().max_slots + self.last_arrival)
             {
                 break;
             }
@@ -176,6 +171,50 @@ mod tests {
             "arena grew to trace size ({} slots for {n} jobs) — reclaim is not bounding memory",
             sim.engine().store().capacity()
         );
+    }
+
+    #[test]
+    fn a_gap_longer_than_the_cap_does_not_truncate_the_stream() {
+        // The first arrival sits beyond the cap measured from slot 0: the
+        // driver must idle up to it, not stop with the stream unread.
+        let specs: Vec<JobSpec> = WorkloadGenerator::new(config(6), 80)
+            .generate()
+            .into_iter()
+            .map(|mut s| {
+                s.arrival_slot += 50;
+                s
+            })
+            .collect();
+        let options = SimulationOptions {
+            max_slots: 20,
+            ..untimed()
+        };
+        let batch = crate::engine::Simulation::new(cluster(), specs.clone(), options.clone())
+            .run(&mut StaticPeakProvisioner);
+        let streamed = StreamingSimulation::new(cluster(), specs.iter().cloned(), options)
+            .run(&mut StaticPeakProvisioner);
+        assert_eq!(streamed.num_jobs, 6);
+        assert!(streamed.completed > 0);
+        assert_eq!(
+            serde::json::to_string(&batch),
+            serde::json::to_string(&streamed),
+            "a sparse stream diverged from the batch driver"
+        );
+
+        // A zero cap still reads the whole stream: it stops the slot after
+        // the last arrival.
+        let last_arrival = specs
+            .iter()
+            .map(|s| s.arrival_slot)
+            .max()
+            .expect("six specs");
+        let zero_cap = SimulationOptions {
+            max_slots: 0,
+            ..untimed()
+        };
+        let report = StreamingSimulation::new(cluster(), specs.into_iter(), zero_cap)
+            .run(&mut StaticPeakProvisioner);
+        assert_eq!((report.num_jobs, report.slots_run), (6, last_arrival + 1));
     }
 
     #[test]

@@ -64,14 +64,6 @@ impl ErrorWindow {
         s.stddev()
     }
 
-    /// Mean error (bias) of the stored samples.
-    pub fn bias(&self) -> f64 {
-        let (a, b) = self.errors.as_slices();
-        let mut s = Summary::of(a);
-        s.extend(b);
-        s.mean
-    }
-
     /// Empirical `Pr(0 <= delta < eps)` over the stored samples — the
     /// left-hand side of the preemption condition, paper Eq. 21.
     ///
@@ -135,15 +127,6 @@ impl PredictionErrorTracker {
             tolerance: eps,
             threshold: p_th,
         }
-    }
-
-    /// Replaces the tolerance `eps` without discarding accumulated error
-    /// samples (used when the tolerance becomes known only after warm-up,
-    /// e.g. capacity-relative tolerances resolved on first cluster
-    /// contact).
-    pub fn set_tolerance(&mut self, eps: f64) {
-        assert!(eps > 0.0, "tolerance must be positive, got {eps}");
-        self.tolerance = eps;
     }
 
     /// Records the errors for one prediction window: `actuals` holds the

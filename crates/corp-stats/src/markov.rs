@@ -111,17 +111,6 @@ impl MarkovChain {
                 .sum(),
         )
     }
-
-    /// The most likely next bin from the current state, if any observation
-    /// has been made.
-    pub fn most_likely_next_bin(&self) -> Option<usize> {
-        let start = self.last_bin?;
-        (0..self.bins).max_by(|&a, &b| {
-            self.transition_prob(start, a)
-                .partial_cmp(&self.transition_prob(start, b))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -165,7 +154,6 @@ mod tests {
             mc.observe_all(&[0.5, 1.5, 2.5]);
         }
         // Last observation was bin 2, so the next most-likely bin is 0.
-        assert_eq!(mc.most_likely_next_bin(), Some(0));
         let f = mc.forecast(1).unwrap();
         assert!(
             (f - 0.5).abs() < 0.5,
@@ -188,7 +176,6 @@ mod tests {
     fn forecast_none_without_observations() {
         let mc = MarkovChain::new(3, 0.0, 1.0);
         assert_eq!(mc.forecast(1), None);
-        assert_eq!(mc.most_likely_next_bin(), None);
     }
 
     #[test]

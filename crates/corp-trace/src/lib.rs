@@ -54,8 +54,8 @@ pub use recorded::{
 };
 pub use series::{fluctuation_spreads, peaks_and_valleys, window_spread};
 pub use source::{
-    records_to_jobs, streaming_filter_short_lived, streaming_resample_trace, IngestConfig,
-    IntoSpecs, JobSource, JobWindow, JobWindows, SpecSource, SyntheticSource, TraceJobSource,
+    records_to_jobs, IngestConfig, IntoSpecs, JobSource, JobWindow, JobWindows, SpecSource,
+    SyntheticSource, TraceJobSource,
 };
 pub use stream::{AzureVmReader, GoogleCsvReader, ReadError, AZURE_FIELDS};
 pub use workload::{

@@ -225,42 +225,6 @@ where
     }
 }
 
-/// Streaming long-job filter: drops whole windows whose lifetime exceeds
-/// `max_lifetime_secs`, delegating the predicate to [`filter_short_lived`]
-/// so the inclusive boundary matches the batch path exactly.
-pub fn streaming_filter_short_lived<I>(
-    windows: I,
-    max_lifetime_secs: u64,
-) -> impl Iterator<Item = Result<JobWindow, ReadError>>
-where
-    I: Iterator<Item = Result<JobWindow, ReadError>>,
-{
-    windows.filter_map(move |w| match w {
-        Ok(window) => {
-            let kept = filter_short_lived(&window, max_lifetime_secs);
-            if kept.is_empty() {
-                None
-            } else {
-                Some(Ok(kept))
-            }
-        }
-        Err(e) => Some(Err(e)),
-    })
-}
-
-/// Streaming re-slotter: applies [`resample_trace`] to each window
-/// independently. Because the batch resampler processes each `(job, task)`
-/// group independently too, per-record output is identical.
-pub fn streaming_resample_trace<I>(
-    windows: I,
-    target_slot_secs: u64,
-) -> impl Iterator<Item = Result<JobWindow, ReadError>>
-where
-    I: Iterator<Item = Result<JobWindow, ReadError>>,
-{
-    windows.map(move |w| w.map(|window| resample_trace(&window, target_slot_secs)))
-}
-
 /// A streaming source of jobs: any fallible [`JobSpec`] iterator.
 ///
 /// Blanket-implemented, so every composed adapter in this module is a

@@ -35,6 +35,15 @@
 #                                 # timings it prints mean nothing
 #   scripts/check.sh doc          # rustdoc gate only: every public item
 #                                 # documented, no broken intra-doc links
+#   scripts/check.sh reach        # advisory, not part of the gate: prints
+#                                 # `crate::name` for every name a crate's
+#                                 # lib.rs re-exports that no .rs file
+#                                 # outside that crate's own src/ and tests/
+#                                 # mentions (its src/bin/ counts as
+#                                 # outside). A hit is a candidate for
+#                                 # deletion or `pub(crate)`, to be
+#                                 # confirmed with the compiler; always
+#                                 # exits 0
 #
 # The serve / resilience / scale smoke modes are bare `corp-exp ... --smoke`
 # calls whose own assertions set the exit code; no mode writes a file
@@ -60,6 +69,20 @@ doc_gate() {
 if [[ "${1:-}" == "doc" ]]; then
     doc_gate
     echo "Doc gate passed."
+    exit 0
+fi
+
+if [[ "${1:-}" == "reach" ]]; then
+    for lib in crates/*/src/lib.rs; do
+        crate=$(basename "${lib%/src/lib.rs}")
+        mapfile -t outside < <(find crates benchmark/src examples tests -name '*.rs' \
+            \( -path "crates/$crate/src/bin/*" -o -not -path "crates/$crate/*" \))
+        tr '\n' ' ' <"$lib" | { grep -o 'pub use [^;]*;' || true; } |
+            sed -E 's/pub use [a-z_:]*//; s/[{},;]/ /g' | tr -s ' ' '\n' | sort -u |
+            while read -r name; do
+                [[ -z "$name" ]] || grep -qw "$name" "${outside[@]}" || echo "$crate::$name"
+            done
+    done
     exit 0
 fi
 

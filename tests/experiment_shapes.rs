@@ -148,6 +148,55 @@ fn fig11_shape_utilization_ordering_ec2() {
     );
 }
 
+/// Fig. 12 shape: the Fig. 8 frontier on EC2 — loosening CORP's
+/// (eta, P_th) buys a clear utilization gap, on every seed.
+#[test]
+fn fig12_shape_corp_frontier_moves_with_knob_ec2() {
+    for seed in [7, 8, 9] {
+        let corp_at = |confidence, prob_threshold| {
+            let params = SchemeParams {
+                fast_dnn: true,
+                confidence,
+                prob_threshold,
+                seed,
+                ..Default::default()
+            };
+            run_cell(Environment::Ec2, SchemeKind::Corp, 200, &params, false)
+        };
+        let conservative = corp_at(0.95, 0.99);
+        let aggressive = corp_at(0.5, 0.4);
+        assert!(
+            aggressive.overall_utilization > conservative.overall_utilization + 0.05,
+            "seed {seed}: aggressive {} !>> conservative {}",
+            aggressive.overall_utilization,
+            conservative.overall_utilization
+        );
+    }
+}
+
+/// Fig. 13 shape (levels): under heavy load on EC2, CORP violates less
+/// than DRA and no more than RCCR, on every seed.
+#[test]
+fn fig13_shape_slo_levels_ec2() {
+    for seed in [7, 8, 9] {
+        let corp = report(Environment::Ec2, SchemeKind::Corp, 300, seed);
+        let rccr = report(Environment::Ec2, SchemeKind::Rccr, 300, seed);
+        let dra = report(Environment::Ec2, SchemeKind::Dra, 300, seed);
+        assert!(
+            corp.slo_violation_rate < dra.slo_violation_rate,
+            "seed {seed}: CORP {} !< DRA {}",
+            corp.slo_violation_rate,
+            dra.slo_violation_rate
+        );
+        assert!(
+            corp.slo_violation_rate <= rccr.slo_violation_rate,
+            "seed {seed}: CORP {} !<= RCCR {}",
+            corp.slo_violation_rate,
+            rccr.slo_violation_rate
+        );
+    }
+}
+
 /// Figs. 10/14 shape: the same workload costs more to schedule on EC2 than
 /// on the cluster (communication overhead), for every scheme.
 #[test]
