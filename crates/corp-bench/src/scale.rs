@@ -167,10 +167,11 @@ pub struct ScaleResult {
 }
 
 /// `--smoke` bound on VM visits per occupied VM after warm-up. A settled
-/// slot visits each occupied VM three times (view, advance, completion
-/// scan) and a just-vacated one twice more; a fleet walk on a fleet eight
-/// times the concurrency would read 8 or more.
-const VISITS_PER_OCCUPIED_VM_BOUND: f64 = 4.0;
+/// slot visits each occupied VM twice (view, advance), once more if a job
+/// finished there, and a just-vacated one twice more; a completion scan
+/// of every occupied VM would read 3 or more, a fleet walk on a fleet
+/// eight times the concurrency 8 or more.
+const VISITS_PER_OCCUPIED_VM_BOUND: f64 = 3.0;
 
 /// Process peak resident set in KB from `/proc/self/status` (`VmHWM`);
 /// `None` off Linux or if the field is missing.

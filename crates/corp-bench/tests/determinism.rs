@@ -223,16 +223,40 @@ impl Provisioner for FullDepthViews {
     }
 }
 
+/// Static peak that declares a six-slot view period and then, three slots
+/// into every window, trims each running job it finds listed to 90 % of
+/// its request — a read of `vm.jobs` its declaration says it never makes.
+struct OffPeriodJobReader;
+
+impl Provisioner for OffPeriodJobReader {
+    fn name(&self) -> &str {
+        "off-period-job-reader"
+    }
+    fn provision(&mut self, ctx: &SlotContext<'_>) -> ProvisionPlan {
+        let mut plan = StaticPeakProvisioner.provision(ctx);
+        if ctx.slot % 6 == 3 {
+            let listed = ctx.vms.iter().flat_map(|vm| &vm.jobs);
+            plan.adjustments
+                .extend(listed.map(|job| (job.id, job.requested.scaled(0.9))));
+        }
+        plan
+    }
+    fn full_view_period(&self) -> u64 {
+        6
+    }
+}
+
 #[test]
 fn declared_view_periods_hide_nothing_the_provisioners_read() {
-    // A provisioner that declares `full_view_period() == L` promises it
-    // reads no history deeper than the newest sample on the other L - 1
-    // slots of every window, and the engine skips those copies. Handing the
-    // same provisioner full-depth views on every slot must therefore not
-    // change a byte — for the four schemes (the baselines declare their
-    // 6-slot window, CORP its configured one), for the sharded
-    // coordinator, which declares the gcd of its workers' periods, and for
-    // static peak, which declares that it never reads a history at all.
+    // A provisioner that declares `full_view_period() == L` promises that
+    // on the other L - 1 slots of every window it reads no per-job view
+    // and no history deeper than the newest VM sample, and the engine
+    // skips building them. Handing the same provisioner full views on
+    // every slot must therefore not change a byte — for the four schemes
+    // (the baselines declare their 6-slot window, CORP its configured
+    // one), for the sharded coordinator, which declares the gcd of its
+    // workers' periods, and for static peak, which declares that it never
+    // reads either. A provisioner that breaks the promise is caught.
     let env = Environment::Cluster;
     let p = params();
     let report = |provisioner: &mut dyn Provisioner| {
@@ -246,16 +270,21 @@ fn declared_view_periods_hide_nothing_the_provisioners_read() {
         );
         serde::json::to_string(&sim.run(provisioner))
     };
-    let check = |label: &str, build: &dyn Fn() -> Box<dyn Provisioner + Send>| {
+    // The report under the views the provisioner declared, and under full
+    // views on every slot.
+    let both = |label: &str, build: &dyn Fn() -> Box<dyn Provisioner + Send>| {
         let mut declared = build();
         assert!(
             declared.full_view_period() > 1,
             "{label}: nothing to check unless the provisioner declares a window"
         );
         let mut full_depth = FullDepthViews(build());
+        (report(declared.as_mut()), report(&mut full_depth))
+    };
+    let check = |label: &str, build: &dyn Fn() -> Box<dyn Provisioner + Send>| {
+        let (declared, full_depth) = both(label, build);
         assert_eq!(
-            report(declared.as_mut()),
-            report(&mut full_depth),
+            declared, full_depth,
             "{label}: reads deeper views than its full_view_period declares"
         );
     };
@@ -268,6 +297,11 @@ fn declared_view_periods_hide_nothing_the_provisioners_read() {
         Box::new(build_sharded_provisioner(SchemeKind::Corp, env, &p, 2))
     });
     check("static peak", &|| Box::new(StaticPeakProvisioner));
+    let (declared, full_depth) = both("cheater", &|| Box::new(OffPeriodJobReader));
+    assert_ne!(
+        declared, full_depth,
+        "an off-period read of `vm.jobs` must show up as a diverging report"
+    );
 }
 
 #[test]

@@ -1090,6 +1090,40 @@ mod tests {
         assert!(p.store().unwrap().holds_invariants(1e-9));
     }
 
+    proptest::proptest! {
+        #[test]
+        fn inline_plans_place_as_a_first_fit_over_a_copy_of_the_fleet(
+            // Half units of free capacity per VM, and of request per job.
+            free in proptest::collection::vec(0u8..=8, 1..40),
+            requests in proptest::collection::vec(1u8..=8, 0..30),
+            num_shards in 1usize..5,
+        ) {
+            let free: Vec<f64> = free.into_iter().map(|f| f64::from(f) * 0.5).collect();
+            let vms = fleet(&free);
+            let committed = committed_of(&vms);
+            let pending: Vec<PendingJobView> = requests
+                .iter()
+                .enumerate()
+                .map(|(id, &r)| job(id as JobId, f64::from(r) * 0.5))
+                .collect();
+            let ctx = slot_ctx(0, &vms, &pending, &committed);
+            for shard in 0..num_shards {
+                // What static peak did before it stopped copying the
+                // fleet: every job scans a full copy of the pools.
+                let mut pools: Vec<ResourceVector> = vms.iter().map(|v| v.free).collect();
+                let mut expected = Vec::new();
+                for j in shard_pending(&pending, shard, num_shards) {
+                    if let Some(vm) = pools.iter().position(|p| j.requested.fits_within(p)) {
+                        pools[vm] -= j.requested;
+                        expected.push(Placement { job: j.id, vm, allocation: j.requested });
+                    }
+                }
+                let plan = ShardedProvisioner::inline_plan(&ctx, shard, num_shards);
+                proptest::prop_assert_eq!(plan.placements, expected);
+            }
+        }
+    }
+
     #[test]
     fn shards_read_the_engines_views_in_place() {
         type Seen = (u64, usize, usize, JobShare);

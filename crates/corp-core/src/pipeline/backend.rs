@@ -89,31 +89,29 @@ pub enum VmSelector {
     FirstFit,
 }
 
-/// Share-weighted random choice among fitting VMs.
+/// Share-weighted random choice among fitting VMs: sum the fitting VMs'
+/// weights in id order, draw once, walk the same order to the drawn one.
 fn share_weighted_vm(
     pools: &[ResourceVector],
     demand: &ResourceVector,
     rng: &mut StdRng,
 ) -> Option<usize> {
-    let fitting: Vec<usize> = pools
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| demand.fits_within(p))
-        .map(|(i, _)| i)
-        .collect();
-    if fitting.is_empty() {
-        return None;
+    let fitting = || (0..pools.len()).filter(|&i| demand.fits_within(&pools[i]));
+    let (mut total, mut last) = (0.0, None);
+    for i in fitting() {
+        total += ShareClass::of_vm(i).weight();
+        last = Some(i);
     }
-    let total: f64 = fitting.iter().map(|&i| ShareClass::of_vm(i).weight()).sum();
+    let last = last?;
     let mut x = rng.gen_range(0.0..total);
-    for &i in &fitting {
+    for i in fitting() {
         let w = ShareClass::of_vm(i).weight();
         if x < w {
             return Some(i);
         }
         x -= w;
     }
-    fitting.last().copied()
+    Some(last)
 }
 
 /// The monolithic placement backend: selects against the slot's free pools
@@ -191,6 +189,65 @@ impl AdmissionPolicy {
         match self {
             AdmissionPolicy::FullRequest => *total_demand,
             AdmissionPolicy::Overcommit(factor) => total_demand.scaled(*factor),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::{RngCore, SeedableRng};
+
+    /// The selection `share_weighted_vm` replaces: collect the fitting
+    /// indices, sum their weights, draw, walk the list.
+    fn share_weighted_from_collected_fits(
+        pools: &[ResourceVector],
+        demand: &ResourceVector,
+        rng: &mut StdRng,
+    ) -> Option<usize> {
+        let fitting: Vec<usize> = pools
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| demand.fits_within(p))
+            .map(|(i, _)| i)
+            .collect();
+        if fitting.is_empty() {
+            return None;
+        }
+        let total: f64 = fitting.iter().map(|&i| ShareClass::of_vm(i).weight()).sum();
+        let mut x = rng.gen_range(0.0..total);
+        for &i in &fitting {
+            let w = ShareClass::of_vm(i).weight();
+            if x < w {
+                return Some(i);
+            }
+            x -= w;
+        }
+        fitting.last().copied()
+    }
+
+    proptest! {
+        #[test]
+        fn summed_share_weighted_choice_equals_the_collected_one_draw_for_draw(
+            pools in prop::collection::vec((0u8..=8, 0u8..=8, 0u8..=8), 0..40),
+            demands in prop::collection::vec((0u8..=8, 0u8..=8, 0u8..=8), 1..12),
+            seed in 0u64..1_000,
+        ) {
+            let rv = |(a, b, c): (u8, u8, u8)| {
+                ResourceVector::new([a, b, c].map(|x| f64::from(x) * 0.5))
+            };
+            let pools: Vec<ResourceVector> = pools.into_iter().map(rv).collect();
+            let (mut summed, mut collected) =
+                (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            for demand in demands.into_iter().map(rv) {
+                prop_assert_eq!(
+                    share_weighted_vm(&pools, &demand, &mut summed),
+                    share_weighted_from_collected_fits(&pools, &demand, &mut collected)
+                );
+            }
+            // Neither side drew more than the other.
+            prop_assert_eq!(summed.next_u64(), collected.next_u64());
         }
     }
 }

@@ -147,30 +147,74 @@ impl VolumeIndex {
 }
 
 /// Returns a uniformly random index of a pool that fits `demand`, or
-/// `None` if none does.
+/// `None` if none does: count the fitting pools, draw once, walk to the
+/// drawn one.
 pub fn random_fitting_vm<R: Rng>(
     pools: &[ResourceVector],
     demand: &ResourceVector,
     rng: &mut R,
 ) -> Option<usize> {
-    let fitting: Vec<usize> = pools
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| demand.fits_within(p))
-        .map(|(i, _)| i)
-        .collect();
-    if fitting.is_empty() {
+    let fitting = || (0..pools.len()).filter(|&i| demand.fits_within(&pools[i]));
+    let count = fitting().count();
+    if count == 0 {
         None
     } else {
-        Some(fitting[rng.gen_range(0..fitting.len())])
+        fitting().nth(rng.gen_range(0..count))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// The selection `random_fitting_vm` replaces: collect the fitting
+    /// indices, then index the list with one draw.
+    fn random_from_collected_fits(
+        pools: &[ResourceVector],
+        demand: &ResourceVector,
+        rng: &mut StdRng,
+    ) -> Option<usize> {
+        let fitting: Vec<usize> = pools
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| demand.fits_within(p))
+            .map(|(i, _)| i)
+            .collect();
+        if fitting.is_empty() {
+            None
+        } else {
+            Some(fitting[rng.gen_range(0..fitting.len())])
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn counted_random_choice_equals_the_collected_one_draw_for_draw(
+            // Half-unit components: demands that fit some pools exactly
+            // (the `1e-9` edge of `fits_within`), many or none.
+            pools in prop::collection::vec((0u8..=8, 0u8..=8, 0u8..=8), 0..40),
+            demands in prop::collection::vec((0u8..=8, 0u8..=8, 0u8..=8), 1..12),
+            seed in 0u64..1_000,
+        ) {
+            let rv = |(a, b, c): (u8, u8, u8)| {
+                ResourceVector::new([a, b, c].map(|x| f64::from(x) * 0.5))
+            };
+            let pools: Vec<ResourceVector> = pools.into_iter().map(rv).collect();
+            let (mut counted, mut collected) =
+                (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            for demand in demands.into_iter().map(rv) {
+                prop_assert_eq!(
+                    random_fitting_vm(&pools, &demand, &mut counted),
+                    random_from_collected_fits(&pools, &demand, &mut collected)
+                );
+            }
+            // Neither side drew more than the other.
+            prop_assert_eq!(counted.next_u64(), collected.next_u64());
+        }
+    }
 
     #[test]
     fn reproduces_paper_fig5_first_entity() {

@@ -228,7 +228,9 @@ impl CorpJobPredictor {
     /// Adds one completed job's per-resource unused histories to the
     /// training corpus. Histories carrying non-finite samples (poisoned
     /// telemetry) are refused whole — one NaN in the corpus would spread
-    /// through every gradient of the next training pass.
+    /// through every gradient of the next training pass. Once trained the
+    /// corpus is never read again, so histories are screened and counted
+    /// but no longer kept.
     pub fn add_history(&mut self, histories: &[Vec<f64>]) {
         for (k, h) in histories.iter().enumerate().take(NUM_RESOURCES) {
             if h.len() < 2 {
@@ -238,7 +240,9 @@ impl CorpJobPredictor {
                 self.fallbacks.poisoned_histories += 1;
                 continue;
             }
-            self.corpus[k].push(h.clone());
+            if !self.trained {
+                self.corpus[k].push(h.clone());
+            }
         }
     }
 
@@ -625,6 +629,12 @@ mod tests {
         assert!(p.maybe_train());
         assert!(p.is_trained());
         assert!(!p.maybe_train(), "training happens once");
+        // Nothing reads the corpus again: later histories are screened
+        // for poison and counted, not kept.
+        let kept = p.corpus[1].len();
+        p.add_history(&[vec![1.0, f64::NAN], vec![1.0, 1.0], vec![1.0, 1.0]]);
+        assert_eq!(p.corpus[1].len(), kept);
+        assert_eq!(p.fallbacks().poisoned_histories, 1);
     }
 
     #[test]

@@ -28,11 +28,11 @@ use crate::faults::{corrupt_vector, FaultRuntime, FaultStats};
 use crate::job::{JobId, JobState, RunningJob};
 use crate::metrics::{MetricsCollector, PredictionOutcome, UtilizationSample};
 use crate::provisioner::{
-    JobCompletion, JobShare, PendingJobView, PredictionRecord, Provisioner, SlotContext, VmView,
-    VIEW_HISTORY_CAP,
+    JobCompletion, JobShare, PendingJobView, PredictionRecord, Provisioner, RunningJobView,
+    SlotContext, VmView, VIEW_HISTORY_CAP,
 };
 use crate::resources::ResourceVector;
-use crate::ring::{copy_newest, copy_tail, BoundedRing};
+use crate::ring::{copy_tail, BoundedRing};
 use crate::store::{JobHandle, JobStore};
 use crate::streaming::StreamingSimulation;
 use crate::vm_set::{ids_in, VmSet};
@@ -41,6 +41,12 @@ use corp_trace::{JobSpec, NUM_RESOURCES};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::time::Instant;
+
+/// Samples reserved in a job's histories at placement beyond its
+/// `duration_slots`, for a job throttled a slot or two. With 0 most
+/// reclaimed jobs regrow (doubling); past 2 the room costs more than the
+/// regrowths it saves (EXPERIMENTS.md, "The slot loop pays per job").
+const HISTORY_SLACK_SLOTS: usize = 2;
 
 /// Engine knobs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -179,9 +185,9 @@ pub struct SlotEngine {
     active: usize,
     slot: u64,
     /// The VMs with `!vm_jobs[vm].is_empty()`, updated where `vm_jobs`
-    /// changes (placement, completion, crash). Advance and the completion
-    /// scan walk it instead of the fleet, in ascending VM id — the order
-    /// the f64 slot totals and the completion batch depend on.
+    /// changes (placement, completion, crash). Advance walks it instead
+    /// of the fleet, in ascending VM id — the order the f64 slot totals
+    /// and the completion batch depend on.
     occupied: VmSet,
     /// Per unoccupied VM, the first slot whose zero sample is not on its
     /// ring yet: its history at slot `s` is "ring ⧺ (s − idle_from)
@@ -199,7 +205,14 @@ pub struct SlotEngine {
     /// This slot's unused total per VM; zero for every unoccupied VM.
     slot_vm_unused: Vec<ResourceVector>,
     vm_views: Vec<VmView>,
+    /// `(vm, vm_views[vm].jobs)`: entries and their history buffers, taken
+    /// out while off-period slots list no jobs, put back at the next full.
+    parked_jobs: Vec<(usize, Vec<RunningJobView>)>,
     pending_views: Vec<PendingJobView>,
+    /// VMs where advance saw a job reach `work_done()` this slot,
+    /// ascending: the only ones the completion phase visits.
+    finished_vms: Vec<usize>,
+    /// Reused completion records; a slot delivers the prefix it filled.
     completions: Vec<JobCompletion>,
     /// Every VM's unused total for every slot, eagerly and unbounded: the
     /// ground truth the lazy rings are checked against.
@@ -249,7 +262,9 @@ impl SlotEngine {
             vm_visits: 0,
             slot_vm_unused: vec![ResourceVector::ZERO; num_vms],
             vm_views,
+            parked_jobs: Vec::new(),
             pending_views: Vec::new(),
+            finished_vms: Vec::new(),
             completions: Vec::new(),
             #[cfg(test)]
             shadow_unused: vec![Vec::new(); num_vms],
@@ -344,7 +359,8 @@ impl SlotEngine {
         self.slot_vm_unused[vm] = ResourceVector::ZERO;
     }
 
-    /// Rebuilds `vm`'s view for the current slot from ground truth.
+    /// Rebuilds `vm`'s view for the current slot from ground truth: the
+    /// VM-level fields always, the per-job entries on `full` slots only.
     fn write_view(&mut self, vm: usize, full: bool) {
         self.vm_visits += 1;
         let owed = self.owed_zeros(vm);
@@ -364,31 +380,27 @@ impl SlotEngine {
         view.capacity = capacity;
         view.committed = self.vm_committed[vm];
         view.free = capacity.saturating_sub(&self.vm_committed[vm]);
-        // Match the view list to the VM's occupancy, keeping the history
-        // buffers of surviving entries alive.
         let occupants = &self.vm_jobs[vm];
-        view.jobs.truncate(occupants.len());
-        while view.jobs.len() < occupants.len() {
-            view.jobs.push(crate::provisioner::RunningJobView {
-                id: 0,
-                requested: ResourceVector::ZERO,
-                allocation: ResourceVector::ZERO,
-                recent_demand: Vec::new(),
-                recent_unused: Vec::new(),
-            });
-        }
-        let copy_history = if full { copy_tail } else { copy_newest };
-        for (jv, &h) in view.jobs.iter_mut().zip(occupants) {
-            let j = self.store.job(h);
-            jv.id = j.id();
-            jv.requested = self.store.requested(h);
-            jv.allocation = self.store.allocation(h);
-            copy_history(&j.observed_demand, &mut jv.recent_demand);
-            copy_history(&j.observed_unused, &mut jv.recent_unused);
+        if full {
+            // Match the view list to the VM's occupancy, keeping the
+            // history buffers of surviving entries alive.
+            view.jobs
+                .resize_with(occupants.len(), RunningJobView::default);
+            for (jv, &h) in view.jobs.iter_mut().zip(occupants) {
+                let j = self.store.job(h);
+                jv.id = j.id();
+                jv.requested = self.store.requested(h);
+                jv.allocation = self.store.allocation(h);
+                copy_tail(&j.observed_demand, &mut jv.recent_demand);
+                copy_tail(&j.observed_unused, &mut jv.recent_unused);
+            }
+        } else if !view.jobs.is_empty() {
+            // The slot after a full one: park the entries.
+            self.parked_jobs.push((vm, std::mem::take(&mut view.jobs)));
         }
         self.vm_unused_history[vm].copy_view(owed, full, &mut view.unused_history);
         // An idle VM's view stops changing once the owed zeros fill the
-        // depth on show: one in newest-only mode, a whole tail in full.
+        // depth on show: one sample off-period, a whole tail in full.
         let settles_at = if full { VIEW_HISTORY_CAP as u64 } else { 1 };
         self.unsettled
             .set(vm, occupants.is_empty() && owed < settles_at);
@@ -484,12 +496,12 @@ impl SlotEngine {
 
         // 2. Ask the provisioner for a plan.
         let plan = {
-            // How often the provisioner reads deep history tails (see
-            // `Provisioner::full_view_period`). Off-period slots carry
-            // only the newest sample of each history, skipping the deep
-            // copies. The period-1 equivalence test in `corp-bench`'s
-            // determinism suite is what holds window-driven provisioners
-            // to their declared period.
+            // How often the provisioner reads per-job views and deep
+            // history tails (see `Provisioner::full_view_period`).
+            // Off-period slots carry the VM-level fields and the newest
+            // VM sample only. The period-1 equivalence test in
+            // `corp-bench`'s determinism suite is what holds window-driven
+            // provisioners to their declared period.
             let full_view_period = provisioner.full_view_period().max(1);
             let full = slot % full_view_period == 0;
             // Only occupied VMs and idle ones still absorbing owed zeros
@@ -498,6 +510,14 @@ impl SlotEngine {
             // bypass this bookkeeping): then every view is rebuilt.
             let whole_fleet = self.faults.is_some() || self.view_full != Some(full);
             self.view_full = Some(full);
+            if full {
+                // Off-period slots list no jobs, so nothing has taken the
+                // parked entries' place.
+                for (vm, jobs) in self.parked_jobs.drain(..) {
+                    debug_assert!(self.vm_views[vm].jobs.is_empty());
+                    self.vm_views[vm].jobs = jobs;
+                }
+            }
             if whole_fleet {
                 for vm in 0..self.cluster.vms.len() {
                     self.write_view(vm, full);
@@ -634,6 +654,12 @@ impl SlotEngine {
             self.vm_jobs[p.vm].push(h);
             self.store.set_allocation(h, alloc);
             let job = self.store.job_mut(h);
+            // One sample a slot from here to completion: sized now, so
+            // advance appends without reallocating (a throttled job
+            // outgrows the slack and grows as any `Vec`).
+            let samples = job.spec.duration_slots + HISTORY_SLACK_SLOTS;
+            job.observed_demand.reserve_exact(samples);
+            job.observed_unused.reserve_exact(samples);
             job.state = JobState::Running { vm: p.vm };
             job.placed_vm = Some(p.vm);
             if job.placed_slot.is_none() {
@@ -681,6 +707,7 @@ impl SlotEngine {
                     }
                 }
                 let mut vm_unused = ResourceVector::ZERO;
+                let mut finished = false;
                 for &h in jobs_here {
                     let demand = self.store.job(h).current_demand();
                     let allocation = self.store.allocation(h);
@@ -690,9 +717,13 @@ impl SlotEngine {
                     job.progress += rate;
                     job.observed_demand.push(demand);
                     job.observed_unused.push(unused);
+                    finished |= job.work_done();
                     vm_unused += unused;
                     slot_allocated += allocation;
                     slot_demanded += demand;
+                }
+                if finished {
+                    self.finished_vms.push(vm_id);
                 }
                 self.slot_vm_unused[vm_id] = vm_unused;
                 self.vm_unused_history[vm_id].push(vm_unused);
@@ -742,68 +773,82 @@ impl SlotEngine {
                     None => self.slot_vm_unused.get(p.vm).map(|u| u[p.resource]),
                 };
                 if let Some(actual) = actual {
-                    self.metrics.predictions.push(PredictionOutcome {
+                    let outcome = PredictionOutcome {
                         vm: p.vm,
                         resource: p.resource,
                         target_slot: slot,
                         predicted: p.predicted,
                         actual,
-                    });
+                    };
+                    let eps = self.options.prediction_eps_frac * self.max_capacity[p.resource];
+                    self.metrics.record_prediction(&outcome, eps);
                 }
             }
         }
 
-        // 7. Completions — collected across the fleet in completion
-        // order (VM id ascending, scan order within a VM) and delivered
-        // as one batch per slot, so distributed provisioners can send
-        // one message per shard instead of one per job.
-        self.completions.clear();
-        for w in 0..self.occupied.num_words() {
-            for vm_id in ids_in(w, self.occupied.word(w)) {
-                self.vm_visits += 1;
-                let jobs_here = &mut self.vm_jobs[vm_id];
-                let mut i = 0;
-                while i < jobs_here.len() {
-                    let h = jobs_here[i];
-                    if !self.store.job(h).work_done() {
-                        i += 1;
-                        continue;
-                    }
-                    let id = self.store.job(h).id();
-                    let violated = self.store.job(h).violates_slo(slot);
-                    let response = self.store.job(h).response_slots(slot);
-                    self.vm_committed[vm_id] =
-                        (self.vm_committed[vm_id] - self.store.allocation(h)).clamp_nonnegative();
-                    self.store.set_allocation(h, ResourceVector::ZERO);
-                    self.store.job_mut(h).state = JobState::Completed {
-                        finish_slot: slot,
-                        violated,
-                    };
-                    self.metrics.record_completion(response, violated);
+        // 7. Completions — collected in completion order (VM id
+        // ascending, scan order within a VM) from the VMs advance noted,
+        // and delivered as one batch per slot, so distributed provisioners
+        // can send one message per shard instead of one per job.
+        #[cfg(test)]
+        tests::check_finished_vms_against_full_scan(self);
+        for noted in 0..self.finished_vms.len() {
+            let vm_id = self.finished_vms[noted];
+            self.vm_visits += 1;
+            let jobs_here = &mut self.vm_jobs[vm_id];
+            let mut i = 0;
+            while i < jobs_here.len() {
+                let h = jobs_here[i];
+                let job = self.store.job(h);
+                if !job.work_done() {
+                    i += 1;
+                    continue;
+                }
+                let id = job.id();
+                let violated = job.violates_slo(slot);
+                let response = job.response_slots(slot);
+                // This slot's completions so far index the record to fill.
+                if outcome.completed.len() == self.completions.len() {
                     self.completions.push(JobCompletion {
                         job: id,
                         handle: h,
-                        unused_history: (0..NUM_RESOURCES)
-                            .map(|r| self.store.job(h).unused_series(r))
-                            .collect(),
+                        unused_history: vec![Vec::new(); NUM_RESOURCES],
                     });
-                    outcome.completed.push(id);
-                    jobs_here.swap_remove(i);
-                    self.active -= 1;
-                    if self.options.reclaim_completed {
-                        self.index_of.remove(&id);
-                        self.store.release(h);
-                    }
                 }
-                if self.vm_jobs[vm_id].is_empty() {
-                    // This slot's sample is on the ring; zeros are owed
-                    // from the next one.
-                    self.vacate(vm_id, slot + 1);
+                let completion = &mut self.completions[outcome.completed.len()];
+                completion.job = id;
+                completion.handle = h;
+                for (r, series) in completion.unused_history.iter_mut().enumerate() {
+                    series.clear();
+                    series.extend(job.observed_unused.iter().map(|u| u[r]));
+                }
+                #[cfg(test)]
+                tests::check_completion_against_fresh(job, completion);
+                self.vm_committed[vm_id] =
+                    (self.vm_committed[vm_id] - self.store.allocation(h)).clamp_nonnegative();
+                self.store.set_allocation(h, ResourceVector::ZERO);
+                self.store.job_mut(h).state = JobState::Completed {
+                    finish_slot: slot,
+                    violated,
+                };
+                self.metrics.record_completion(response, violated);
+                outcome.completed.push(id);
+                jobs_here.swap_remove(i);
+                self.active -= 1;
+                if self.options.reclaim_completed {
+                    self.index_of.remove(&id);
+                    self.store.release(h);
                 }
             }
+            if self.vm_jobs[vm_id].is_empty() {
+                // This slot's sample is on the ring; zeros are owed
+                // from the next one.
+                self.vacate(vm_id, slot + 1);
+            }
         }
-        if !self.completions.is_empty() {
-            provisioner.on_jobs_completed(&self.completions);
+        self.finished_vms.clear();
+        if !outcome.completed.is_empty() {
+            provisioner.on_jobs_completed(&self.completions[..outcome.completed.len()]);
         }
 
         self.slot += 1;
@@ -843,13 +888,8 @@ impl SlotEngine {
             utilization: self.metrics.aggregate_utilization(),
             overall_utilization: self.metrics.aggregate_overall_utilization(),
             slo_violation_rate: slo_rate,
-            prediction_error_rate: {
-                let eps: [f64; NUM_RESOURCES] = std::array::from_fn(|k| {
-                    self.options.prediction_eps_frac * self.max_capacity[k]
-                });
-                self.metrics.prediction_error_rate_per_resource(&eps)
-            },
-            predictions_resolved: self.metrics.predictions.len(),
+            prediction_error_rate: self.metrics.prediction_error_rate(),
+            predictions_resolved: self.metrics.predictions_resolved(),
             overhead_ms: self.metrics.overhead_ms(),
             completed: self.metrics.completed,
             violated: self.metrics.violated,
@@ -936,12 +976,15 @@ mod tests {
     thread_local! {
         /// Slots whose views this thread has compared with the reference.
         static VIEW_CHECKS: Cell<u64> = const { Cell::new(0) };
+        /// Slots whose noted VMs this thread has compared with a full scan.
+        static FINISH_CHECKS: Cell<u64> = const { Cell::new(0) };
     }
 
     /// The obviously-correct view construction: every view built from
     /// freshly allocated vectors straight off the engine's ground truth —
-    /// no buffer reuse, no VM skipped, and VM histories read from the
-    /// eager shadow series rather than the lazy rings.
+    /// no buffer reuse, no parking, no VM skipped, and VM histories read
+    /// from the eager shadow series rather than the lazy rings. Off-period
+    /// views list no jobs.
     fn reference_views(engine: &SlotEngine, full: bool) -> Vec<VmView> {
         let depth = if full { VIEW_HISTORY_CAP } else { 1 };
         let tail =
@@ -966,6 +1009,7 @@ mod tests {
                 free: vm.capacity.saturating_sub(&committed),
                 jobs: engine.vm_jobs[vm.id]
                     .iter()
+                    .filter(|_| full)
                     .map(|&h| {
                         let job = engine.store.job(h);
                         crate::provisioner::RunningJobView {
@@ -1006,6 +1050,31 @@ mod tests {
             engine.slot
         );
         VIEW_CHECKS.with(|n| n.set(n.get() + 1));
+    }
+
+    /// Called by [`SlotEngine::step`] in this crate's test builds, every
+    /// slot of every test, between advance and the completion phase: the
+    /// VMs advance noted are exactly the ones a scan of every VM's jobs
+    /// finds a finished job on, in the same ascending order.
+    pub(super) fn check_finished_vms_against_full_scan(engine: &SlotEngine) {
+        let done = |h: &JobHandle| engine.store.job(*h).work_done();
+        let scanned: Vec<usize> = (0..engine.vm_jobs.len())
+            .filter(|&vm| engine.vm_jobs[vm].iter().any(done))
+            .collect();
+        assert_eq!(
+            engine.finished_vms, scanned,
+            "VMs noted by advance at slot {}",
+            engine.slot
+        );
+        FINISH_CHECKS.with(|n| n.set(n.get() + 1));
+    }
+
+    /// Called for every completion record the engine fills: the reused
+    /// record reads as one built from freshly allocated series.
+    pub(super) fn check_completion_against_fresh(job: &RunningJob, completion: &JobCompletion) {
+        assert_eq!(completion.job, job.id());
+        let fresh: Vec<Vec<f64>> = (0..NUM_RESOURCES).map(|r| job.unused_series(r)).collect();
+        assert_eq!(completion.unused_history, fresh, "job {}", job.id());
     }
 
     /// The lazy per-VM state against its eager ground truth: the occupied
@@ -1362,8 +1431,13 @@ mod tests {
         );
         // Predictions for jobs that completed before their target slot are
         // dropped, never mis-scored: resolved <= registered.
-        let registered = sim.metrics().predictions.len();
-        assert_eq!(registered, report.predictions_resolved);
+        let metrics = sim.metrics();
+        assert_eq!(metrics.predictions_resolved(), report.predictions_resolved);
+        assert_eq!(
+            metrics.resolved_predictions,
+            [report.predictions_resolved, 0, 0],
+            "every record registered was for resource 0"
+        );
     }
 
     #[test]
@@ -1749,9 +1823,9 @@ mod tests {
     }
 
     /// Static peak behind a window of the given length: slots off the
-    /// period get newest-only views. Six exercises both view depths and
+    /// period get VM-level views. Six exercises both view depths and
     /// the switches between them under the reference check; 1 is full
-    /// depth every slot, `u64::MAX` newest-only after slot 0.
+    /// depth every slot, `u64::MAX` VM-level only after slot 0.
     struct Windowed(u64);
     impl Provisioner for Windowed {
         fn name(&self) -> &str {
@@ -1767,14 +1841,15 @@ mod tests {
 
     /// Pumps `jobs` through `engine` under `Windowed(period)` until they
     /// drain, calling `inspect` with every step's outcome, and asserts
-    /// the reference check ran once per slot.
+    /// the reference checks ran once per slot.
     fn pump_checked(
         mut engine: SlotEngine,
         mut jobs: Vec<JobSpec>,
         period: u64,
         mut inspect: impl FnMut(&SlotEngine, &SlotOutcome),
     ) -> SimulationReport {
-        let checks_before = VIEW_CHECKS.with(Cell::get);
+        let checks = || (VIEW_CHECKS.with(Cell::get), FINISH_CHECKS.with(Cell::get));
+        let (views_before, finishes_before) = checks();
         jobs.sort_by_key(|j| j.arrival_slot);
         let mut provisioner = Windowed(period);
         let mut next = 0;
@@ -1787,9 +1862,12 @@ mod tests {
             inspect(&engine, &outcome);
         }
         assert_eq!(
-            VIEW_CHECKS.with(Cell::get) - checks_before,
-            engine.slot(),
-            "every slot's views were compared with the reference"
+            checks(),
+            (
+                views_before + engine.slot(),
+                finishes_before + engine.slot()
+            ),
+            "every slot's views and noted VMs were compared with their references"
         );
         engine.report(&provisioner)
     }
@@ -1931,7 +2009,7 @@ mod tests {
         assert!(idle_slots > 10, "the bursts must leave fully idle slots");
         assert!(steady_occupied > 0);
         assert!(
-            steady_visits <= 4 * steady_occupied,
+            steady_visits <= 3 * steady_occupied,
             "{steady_visits} VM visits for {steady_occupied} occupied VM-slots"
         );
     }
@@ -2098,6 +2176,90 @@ mod tests {
             },
         );
         assert!(saw_down && saw_poison, "faults must reach the views");
+    }
+
+    #[test]
+    fn off_period_views_list_no_jobs_and_park_them_through_faults() {
+        use corp_faults::{FaultEvent, PoisonKind, TimedFault};
+        // Five long hogs, one per VM, behind the six-slot window. Slot 6
+        // is full, so slot 7 parks every job entry; at slot 8 — off the
+        // period — VM 1 crashes with its entry parked and VM 2's
+        // monitoring is poisoned. Slot 12 un-parks: VM 1's stale entry
+        // must go, VM 2's must be refilled.
+        let at = |slot, event| TimedFault { slot, event };
+        let nan = PoisonKind::Nan;
+        let timeline = FaultTimeline::new(vec![
+            at(8, FaultEvent::VmCrash { vm: 1 }),
+            at(8, FaultEvent::PoisonViews { vm: 2, kind: nan }),
+            at(9, FaultEvent::PoisonViews { vm: 2, kind: nan }),
+            at(10, FaultEvent::VmRecover { vm: 1 }),
+        ]);
+        let jobs = (0..5).map(|id| hog(id, 0, 20)).collect();
+        let fleet = Cluster::from_profile(EnvironmentProfile::palmetto_cluster().with_num_pms(2));
+        let (mut crashed_while_parked, mut poisoned_off_period, mut refilled) = (false, false, 0);
+        run_checked(fleet, jobs, Some(timeline), |engine| {
+            let slot = engine.slot() - 1;
+            let listed = |vm: usize| engine.vm_views[vm].jobs.len();
+            if slot % 6 != 0 {
+                assert!(
+                    (0..8).all(|vm| listed(vm) == 0),
+                    "slot {slot} is off-period"
+                );
+            } else if slot > 0 {
+                refilled += (0..8).filter(|&vm| listed(vm) == 1).count();
+            }
+            if slot == 8 {
+                crashed_while_parked = engine.vm_views[1].capacity == ResourceVector::ZERO
+                    && engine
+                        .parked_jobs
+                        .iter()
+                        .any(|(vm, jobs)| *vm == 1 && jobs.len() == 1);
+                let newest = engine.vm_views[2].unused_history.last();
+                poisoned_off_period = newest.is_some_and(|u| !u.is_finite());
+            }
+            if slot == 12 {
+                assert!(engine.parked_jobs.is_empty());
+                assert_eq!(listed(1), 0, "the killed job restarted elsewhere");
+            }
+        });
+        assert!(crashed_while_parked && poisoned_off_period);
+        assert!(
+            refilled >= 10,
+            "slots 6 and 12 list all five jobs: {refilled}"
+        );
+    }
+
+    #[test]
+    fn a_throttled_job_outgrows_its_history_reservation() {
+        use corp_faults::{FaultEvent, TimedFault};
+        // Two ten-slot hogs. VM 0 delivers a tenth of its capacity from
+        // slot 1 on, so job 0 crawls far past `duration_slots` plus slack
+        // and its histories regrow; job 1 on VM 1 finishes on time inside
+        // the buffers it got at placement. Every completion record is
+        // compared with freshly built series by the engine's test hook.
+        let reserved = 10 + HISTORY_SLACK_SLOTS;
+        let timeline = FaultTimeline::new(vec![TimedFault {
+            slot: 1,
+            event: FaultEvent::VmDegrade { vm: 0, factor: 0.1 },
+        }]);
+        let (mut longest, mut regrown) = ([0; 2], [false; 2]);
+        run_checked(
+            cluster(),
+            vec![hog(0, 0, 10), hog(1, 0, 10)],
+            Some(timeline),
+            |engine| {
+                for (id, job) in engine.jobs().iter().enumerate() {
+                    assert_eq!(job.observed_demand.len(), job.observed_unused.len());
+                    let histories = [&job.observed_demand, &job.observed_unused];
+                    assert!(histories.iter().all(|h| h.capacity() >= reserved));
+                    longest[id] = job.observed_unused.len();
+                    regrown[id] |= histories.iter().any(|h| h.capacity() >= 2 * reserved);
+                }
+            },
+        );
+        assert!(longest[0] > reserved, "job 0 ran {} slots", longest[0]);
+        assert_eq!(longest[1], 10);
+        assert_eq!(regrown, [true, false]);
     }
 
     #[test]

@@ -101,7 +101,9 @@ impl RunningJob {
         self.response_slots(finish_slot) > self.spec.slo_slots as u64
     }
 
-    /// Unused series for one resource index (for predictor training).
+    /// Unused series for one resource index, freshly allocated: what the
+    /// engine's reused completion records are checked against.
+    #[cfg(test)]
     pub fn unused_series(&self, resource: usize) -> Vec<f64> {
         self.observed_unused.iter().map(|u| u[resource]).collect()
     }

@@ -95,8 +95,10 @@ impl PredictionOutcome {
 pub struct MetricsCollector {
     /// Per-slot utilization samples.
     pub samples: Vec<UtilizationSample>,
-    /// Resolved predictions.
-    pub predictions: Vec<PredictionOutcome>,
+    /// Predictions resolved so far, per resource.
+    pub resolved_predictions: [usize; NUM_RESOURCES],
+    /// Of those, the ones scored outside their correctness band.
+    pub wrong_predictions: [usize; NUM_RESOURCES],
     /// Completed job count.
     pub completed: usize,
     /// Completed jobs that violated their SLO.
@@ -185,24 +187,28 @@ impl MetricsCollector {
         (self.violated + self.rejected) as f64 / total as f64
     }
 
-    /// Prediction error rate: fraction of resolved predictions *not*
-    /// falling in `[0, eps)` (Fig. 6; lower is better).
-    pub fn prediction_error_rate(&self, eps: f64) -> f64 {
-        self.prediction_error_rate_per_resource(&[eps; NUM_RESOURCES])
+    /// Scores one resolved prediction against its resource's tolerance
+    /// `eps` (see [`PredictionOutcome::correct`]).
+    pub fn record_prediction(&mut self, outcome: &PredictionOutcome, eps: f64) {
+        self.resolved_predictions[outcome.resource] += 1;
+        if !outcome.correct(eps) {
+            self.wrong_predictions[outcome.resource] += 1;
+        }
     }
 
-    /// Prediction error rate with a per-resource tolerance (resource types
-    /// live on different scales).
-    pub fn prediction_error_rate_per_resource(&self, eps: &[f64; NUM_RESOURCES]) -> f64 {
-        if self.predictions.is_empty() {
+    /// Number of predictions resolved, all resources together.
+    pub fn predictions_resolved(&self) -> usize {
+        self.resolved_predictions.iter().sum()
+    }
+
+    /// Prediction error rate: fraction of resolved predictions *not*
+    /// falling in `[0, eps)` (Fig. 6; lower is better).
+    pub fn prediction_error_rate(&self) -> f64 {
+        let resolved = self.predictions_resolved();
+        if resolved == 0 {
             return 0.0;
         }
-        let wrong = self
-            .predictions
-            .iter()
-            .filter(|p| !p.correct(eps[p.resource]))
-            .count();
-        wrong as f64 / self.predictions.len() as f64
+        self.wrong_predictions.iter().sum::<usize>() as f64 / resolved as f64
     }
 
     /// Total allocation overhead in milliseconds (Figs. 10/14).
@@ -328,17 +334,24 @@ mod tests {
     #[test]
     fn prediction_error_rate_counts_misses() {
         let mut m = MetricsCollector::new();
-        for (p, a) in [(5.0, 5.1), (5.0, 5.2), (5.0, 4.0), (5.0, 9.0)] {
-            m.predictions.push(PredictionOutcome {
+        assert_eq!(m.prediction_error_rate(), 0.0, "nothing resolved yet");
+        // Resource 0 at eps 0.5: two correct, two wrong; resource 2 at
+        // eps 5.0 would accept the same 4.0-off miss.
+        let outcomes = [(0, 5.0, 5.1), (0, 5.0, 5.2), (0, 5.0, 4.0), (0, 5.0, 9.0)];
+        for (resource, predicted, actual) in outcomes.into_iter().chain([(2, 5.0, 9.0)]) {
+            let outcome = PredictionOutcome {
                 vm: 0,
-                resource: 0,
+                resource,
                 target_slot: 0,
-                predicted: p,
-                actual: a,
-            });
+                predicted,
+                actual,
+            };
+            m.record_prediction(&outcome, if resource == 0 { 0.5 } else { 5.0 });
         }
-        // eps = 0.5: first two correct, last two wrong.
-        assert!((m.prediction_error_rate(0.5) - 0.5).abs() < 1e-12);
+        assert_eq!(m.resolved_predictions, [4, 0, 1]);
+        assert_eq!(m.wrong_predictions, [2, 0, 0]);
+        assert_eq!(m.predictions_resolved(), 5);
+        assert!((m.prediction_error_rate() - 0.4).abs() < 1e-12);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 pub const VIEW_HISTORY_CAP: usize = 64;
 
 /// Read-only view of one running job for provisioning decisions.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunningJobView {
     /// Job id.
     pub id: JobId,
@@ -51,13 +51,15 @@ pub struct VmView {
     pub committed: ResourceVector,
     /// `capacity - committed`, never negative.
     pub free: ResourceVector,
-    /// Jobs currently running here.
+    /// Jobs currently running here, on the slots the provisioner declared
+    /// ([`Provisioner::full_view_period`]); off-period the list is empty,
+    /// not stale.
     pub jobs: Vec<RunningJobView>,
     /// Per-resource total *observed unused* allocation on this VM over the
     /// most recent slots (newest last, capped at [`VIEW_HISTORY_CAP`]) —
     /// the series VM-level predictors (RCCR, CloudScale, DRA) forecast.
-    /// Predictors needing longer memory maintain their own state from the
-    /// newest element each slot.
+    /// Off-period: the newest sample alone. Predictors needing longer
+    /// memory maintain their own state from the newest element each slot.
     pub unused_history: Vec<ResourceVector>,
 }
 
@@ -160,10 +162,10 @@ impl JobShare {
 pub struct SlotContext<'a> {
     /// Current slot index.
     pub slot: u64,
-    /// Views of all VMs, id-indexed. Every VM lists *all* of its running
-    /// jobs; a provisioner acts only on the ones [`share`](Self::share)
-    /// owns — walk them with [`owned_jobs`](Self::owned_jobs) rather than
-    /// `vm.jobs`.
+    /// Views of all VMs, id-indexed. On period slots every VM lists *all*
+    /// of its running jobs; a provisioner acts only on the ones
+    /// [`share`](Self::share) owns — walk them with
+    /// [`owned_jobs`](Self::owned_jobs) rather than `vm.jobs`.
     pub vms: &'a [VmView],
     /// Jobs awaiting placement, arrival-ordered.
     pub pending: &'a [PendingJobView],
@@ -252,15 +254,17 @@ pub trait Provisioner {
         let _ = level;
     }
 
-    /// Slot period at which this provisioner reads *deep* view histories —
-    /// `recent_demand`, `recent_unused`, or `unused_history` beyond the
-    /// newest sample. On slots not divisible by the period the engine fills
-    /// each view history with only its newest sample, skipping the deep
-    /// tail copies; on divisible slots (and slot 0) views carry the full
-    /// [`VIEW_HISTORY_CAP`] tail as always. Window-driven pipelines return
-    /// their window length (forecast, reallocation, and outcome scoring all
-    /// land on window boundaries); any provisioner that reads deep tails
-    /// every slot must keep the default of 1 (full depth every slot).
+    /// Slot period at which this provisioner reads per-job views and deep
+    /// histories. The contract: per-job views and deep histories on period
+    /// slots only. On slots divisible by the period (slot 0 included) every
+    /// [`VmView::jobs`] lists the VM's running jobs and every history
+    /// carries its [`VIEW_HISTORY_CAP`] tail; off-period `jobs` is empty,
+    /// not stale, and `unused_history` holds its newest sample alone, while
+    /// capacity, commitment and the pending queue are current on every
+    /// slot. Window-driven pipelines return their window length (forecast,
+    /// reallocation and outcome scoring all land on window boundaries); a
+    /// provisioner that reads running jobs or deep tails on every slot
+    /// must keep the default of 1.
     fn full_view_period(&self) -> u64 {
         1
     }
@@ -280,23 +284,37 @@ impl Provisioner for StaticPeakProvisioner {
 
     fn provision(&mut self, ctx: &SlotContext<'_>) -> ProvisionPlan {
         let mut plan = ProvisionPlan::default();
-        // Track free capacity as we commit placements within this slot.
-        let mut free: Vec<ResourceVector> = ctx.vms.iter().map(|v| v.free).collect();
+        // A VM too full for the componentwise-smallest request is too
+        // full for every pending job, and receiving none it stays so: the
+        // leading run of such VMs is out of every scan.
+        let smallest = ctx.pending.iter().map(|job| job.requested);
+        let smallest = smallest.reduce(|least, request| least.min(&request));
+        let start = smallest.and_then(|s| ctx.vms.iter().position(|v| s.fits_within(&v.free)));
+        let Some(start) = start else { return plan };
+        // Free capacity of VMs `start..` as this slot's placements commit
+        // it, copied out of the views only as far as some scan has reached.
+        let mut free: Vec<ResourceVector> = Vec::new();
         for job in ctx.pending {
-            if let Some(vm) = free.iter().position(|f| job.requested.fits_within(f)) {
-                free[vm] -= job.requested;
-                plan.placements.push(Placement {
-                    job: job.id,
-                    vm,
-                    allocation: job.requested,
-                });
+            for (i, view) in ctx.vms[start..].iter().enumerate() {
+                if i == free.len() {
+                    free.push(view.free);
+                }
+                if job.requested.fits_within(&free[i]) {
+                    free[i] -= job.requested;
+                    plan.placements.push(Placement {
+                        job: job.id,
+                        vm: start + i,
+                        allocation: job.requested,
+                    });
+                    break;
+                }
             }
         }
         plan
     }
 
-    /// First-fit reads each VM's `free` and no history at all, so views
-    /// never need more than the newest sample.
+    /// First-fit reads each VM's `free` and nothing else: no per-job view
+    /// and no history, on any slot.
     fn full_view_period(&self) -> u64 {
         u64::MAX
     }
@@ -305,6 +323,7 @@ impl Provisioner for StaticPeakProvisioner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn vm_view(id: usize, free: [f64; 3]) -> VmView {
         VmView {
@@ -329,6 +348,64 @@ mod tests {
 
     fn committed_of(vms: &[VmView]) -> Vec<ResourceVector> {
         vms.iter().map(|v| v.committed).collect()
+    }
+
+    /// The first-fit static peak replaces: copy every VM's free pool,
+    /// then scan the whole copy from VM 0 for each job.
+    fn copy_the_fleet_first_fit(ctx: &SlotContext<'_>) -> Vec<Placement> {
+        let mut placements = Vec::new();
+        let mut free: Vec<ResourceVector> = ctx.vms.iter().map(|v| v.free).collect();
+        for job in ctx.pending {
+            if let Some(vm) = free.iter().position(|f| job.requested.fits_within(f)) {
+                free[vm] -= job.requested;
+                placements.push(Placement {
+                    job: job.id,
+                    vm,
+                    allocation: job.requested,
+                });
+            }
+        }
+        placements
+    }
+
+    /// Half-unit components in `[0, 4]`: exact fits, ties and VMs with
+    /// nothing free are common instead of measure-zero.
+    fn quantized() -> impl Strategy<Value = [f64; 3]> {
+        (0u8..=8, 0u8..=8, 0u8..=8).prop_map(|(a, b, c)| [a, b, c].map(|x| f64::from(x) * 0.5))
+    }
+
+    proptest! {
+        #[test]
+        fn lazy_first_fit_places_exactly_as_the_fleet_copy_did(
+            free in prop::collection::vec(quantized(), 1..40),
+            // Leading VMs too full for any request below.
+            full_prefix in 0usize..12,
+            requests in prop::collection::vec(quantized(), 0..30),
+            floor in 0u8..=3,
+        ) {
+            let vms: Vec<VmView> = std::iter::repeat_n([0.0; 3], full_prefix)
+                .chain(free)
+                .enumerate()
+                .map(|(id, free)| vm_view(id, free))
+                .collect();
+            let jobs: Vec<PendingJobView> = requests
+                .iter()
+                .enumerate()
+                .map(|(id, r)| pending(id as JobId, r.map(|x| x.max(f64::from(floor) * 0.5))))
+                .collect();
+            let committed = committed_of(&vms);
+            let ctx = SlotContext {
+                slot: 0,
+                vms: &vms,
+                pending: &jobs,
+                committed: &committed,
+                max_vm_capacity: ResourceVector::new([4.0, 16.0, 180.0]),
+                share: JobShare::ALL,
+            };
+            let plan = StaticPeakProvisioner.provision(&ctx);
+            prop_assert_eq!(plan.placements, copy_the_fleet_first_fit(&ctx));
+            prop_assert!(plan.adjustments.is_empty() && plan.predictions.is_empty());
+        }
     }
 
     #[test]

@@ -40,7 +40,10 @@ impl ResourceVector {
     /// True iff every component of `self` is `<= other + eps`.
     pub fn fits_within(&self, other: &ResourceVector) -> bool {
         const EPS: f64 = 1e-9;
-        self.0.iter().zip(&other.0).all(|(a, b)| *a <= b + EPS)
+        // `&`, not `&&`: three compares cost less than the mispredicted
+        // exits of a scan over pools that mostly almost fit.
+        let components = self.0.iter().zip(&other.0);
+        components.fold(true, |fits, (a, b)| fits & (*a <= b + EPS))
     }
 
     /// True iff every component is (numerically) non-negative.

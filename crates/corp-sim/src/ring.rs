@@ -1,4 +1,4 @@
-//! Bounded history rings and the shared view-tail copy helpers.
+//! Bounded history rings and the view-tail copy helper.
 //!
 //! Provisioner views never expose more than [`VIEW_HISTORY_CAP`] samples
 //! of any history, so the engine has no reason to retain more. VM-level
@@ -13,8 +13,8 @@
 //! [`BoundedRing::copy_view`], settled with [`BoundedRing::push_zeros`]
 //! when a job lands there. A VM that never hosts a job never allocates.
 //!
-//! The tail-copy helpers ([`copy_tail`], [`copy_newest`]) are what the
-//! engine's in-place view rewrite copies per-job histories with.
+//! [`copy_tail`] is what the engine's in-place view rewrite copies per-job
+//! histories with, on the slots that show per-job views at all.
 
 use crate::provisioner::VIEW_HISTORY_CAP;
 use crate::resources::ResourceVector;
@@ -26,13 +26,6 @@ use crate::resources::ResourceVector;
 pub fn copy_tail(src: &[ResourceVector], dst: &mut Vec<ResourceVector>) {
     dst.clear();
     dst.extend_from_slice(&src[src.len().saturating_sub(VIEW_HISTORY_CAP)..]);
-}
-
-/// Copies only the newest sample of `src` into `dst` (off-period slots).
-#[inline]
-pub fn copy_newest(src: &[ResourceVector], dst: &mut Vec<ResourceVector>) {
-    dst.clear();
-    dst.extend(src.last().copied());
 }
 
 /// A fixed-capacity ring over the newest [`VIEW_HISTORY_CAP`] samples of a
@@ -133,6 +126,12 @@ mod tests {
 
     fn v(x: f64) -> ResourceVector {
         ResourceVector::splat(x)
+    }
+
+    /// What a newest-only view shows of an unbounded series.
+    fn copy_newest(src: &[ResourceVector], dst: &mut Vec<ResourceVector>) {
+        dst.clear();
+        dst.extend(src.last().copied());
     }
 
     #[test]
