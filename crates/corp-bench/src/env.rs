@@ -12,7 +12,7 @@ use corp_cluster::{ShardConfig, ShardedProvisioner};
 use corp_core::{
     CloudScaleProvisioner, CorpConfig, CorpProvisioner, DraProvisioner, RccrProvisioner,
 };
-use corp_faults::{generate, FaultConfig, FaultSchedule};
+use corp_faults::{generate, ControlFaultPlan, FaultConfig, FaultSchedule};
 use corp_sim::{Cluster, EnvironmentProfile, Provisioner, Simulation, SimulationOptions};
 use corp_trace::{JobSpec, WorkloadConfig, WorkloadGenerator};
 
@@ -163,6 +163,22 @@ impl Default for SchemeParams {
     }
 }
 
+/// CORP's configuration for one experiment cell: Table II (or the cheap
+/// DNN) with the swept knobs of `params` applied.
+fn corp_config(params: &SchemeParams) -> CorpConfig {
+    let mut config = if params.fast_dnn {
+        CorpConfig::fast()
+    } else {
+        CorpConfig::default()
+    };
+    config.confidence_level = params.confidence;
+    config.prob_threshold = params.prob_threshold;
+    config.seed = params.seed;
+    config.train.reference_kernels = params.reference_dnn;
+    config.prediction_pool_width = params.pool_width;
+    config
+}
+
 /// Builds (and for CORP, pretrains) a provisioner.
 pub fn build_provisioner(
     scheme: SchemeKind,
@@ -171,17 +187,7 @@ pub fn build_provisioner(
 ) -> Box<dyn Provisioner + Send> {
     match scheme {
         SchemeKind::Corp => {
-            let mut config = if params.fast_dnn {
-                CorpConfig::fast()
-            } else {
-                CorpConfig::default()
-            };
-            config.confidence_level = params.confidence;
-            config.prob_threshold = params.prob_threshold;
-            config.seed = params.seed;
-            config.train.reference_kernels = params.reference_dnn;
-            config.prediction_pool_width = params.pool_width;
-            let mut corp = CorpProvisioner::new(config);
+            let mut corp = CorpProvisioner::new(corp_config(params));
             corp.pretrain(&historical_histories(env, 40));
             Box::new(corp)
         }
@@ -207,53 +213,19 @@ pub fn build_provisioner(
 /// behind a [`ShardedProvisioner`] coordinator, with per-shard decorrelated
 /// seeds (shard 0 keeps `params.seed`, so one shard reproduces the
 /// monolithic scheduler exactly). Each shard runs the scheme at its default
-/// posture (`aggressiveness` applies only to monolithic builds).
+/// posture (`aggressiveness` applies only to monolithic builds) and is
+/// built from a factory, so the supervisor rebuilds a shard that dies —
+/// whether `fault_plan`'s control-plane chaos killed it or it panicked.
 pub fn build_sharded_provisioner(
     scheme: SchemeKind,
     env: Environment,
     params: &SchemeParams,
     shards: usize,
-) -> ShardedProvisioner {
-    let inners = match scheme {
-        SchemeKind::Corp => {
-            let mut config = if params.fast_dnn {
-                CorpConfig::fast()
-            } else {
-                CorpConfig::default()
-            };
-            config.confidence_level = params.confidence;
-            config.prob_threshold = params.prob_threshold;
-            config.seed = params.seed;
-            corp_core::corp_fleet(&config, &historical_histories(env, 40), shards)
-        }
-        SchemeKind::Rccr => corp_core::rccr_fleet(params.confidence, params.seed, shards),
-        SchemeKind::CloudScale => corp_core::cloudscale_fleet(params.seed, shards),
-        SchemeKind::Dra => corp_core::dra_fleet(params.seed, shards),
-    };
-    ShardedProvisioner::new(scheme.name(), inners, ShardConfig::default())
-}
-
-/// Like [`build_sharded_provisioner`], but every shard is built from a
-/// factory so the supervisor can rebuild workers the fault schedule kills,
-/// and the coordinator follows `fault_plan`'s control-plane chaos.
-pub fn build_supervised_provisioner(
-    scheme: SchemeKind,
-    env: Environment,
-    params: &SchemeParams,
-    shards: usize,
-    fault_plan: Option<corp_faults::ControlFaultPlan>,
+    fault_plan: Option<ControlFaultPlan>,
 ) -> ShardedProvisioner {
     let factories = match scheme {
         SchemeKind::Corp => {
-            let mut config = if params.fast_dnn {
-                CorpConfig::fast()
-            } else {
-                CorpConfig::default()
-            };
-            config.confidence_level = params.confidence;
-            config.prob_threshold = params.prob_threshold;
-            config.seed = params.seed;
-            corp_core::corp_factories(&config, &historical_histories(env, 40), shards)
+            corp_core::corp_factories(&corp_config(params), &historical_histories(env, 40), shards)
         }
         SchemeKind::Rccr => corp_core::rccr_factories(params.confidence, params.seed, shards),
         SchemeKind::CloudScale => corp_core::cloudscale_factories(params.seed, shards),
@@ -269,10 +241,23 @@ pub fn build_supervised_provisioner(
     )
 }
 
+/// The engine one (environment, #jobs, seed) cell runs on — the same fleet
+/// and the same arrivals whichever scheme provisions it.
+fn cell_simulation(env: Environment, num_jobs: usize, seed: u64, measure_time: bool) -> Simulation {
+    Simulation::new(
+        env.cluster(),
+        env.workload(num_jobs, seed.wrapping_add(num_jobs as u64)),
+        SimulationOptions {
+            measure_decision_time: measure_time,
+            ..Default::default()
+        },
+    )
+}
+
 /// Runs one cell under a deterministic fault schedule: `fault_config`'s
 /// engine-side timeline (VM crashes, stragglers, view poisoning) drives
 /// the simulation while its control-plane plan (worker kills, message
-/// drops/delays) drives the supervised `shards`-way coordinator. The same
+/// drops/delays) drives the `shards`-way coordinator. The same
 /// `fault_config` yields the same schedule for every scheme, so schemes
 /// are compared under identical chaos.
 pub fn run_cell_faulty(
@@ -283,20 +268,12 @@ pub fn run_cell_faulty(
     shards: usize,
     fault_config: &FaultConfig,
 ) -> corp_sim::SimulationReport {
-    let cluster = env.cluster();
-    let schedule: FaultSchedule = generate(fault_config, cluster.vms.len(), shards);
+    let schedule: FaultSchedule = generate(fault_config, env.cluster().vms.len(), shards);
     let mut provisioner =
-        build_supervised_provisioner(scheme, env, params, shards, Some(schedule.control));
-    let mut sim = Simulation::new(
-        cluster,
-        env.workload(num_jobs, params.seed.wrapping_add(num_jobs as u64)),
-        SimulationOptions {
-            measure_decision_time: false,
-            ..Default::default()
-        },
-    )
-    .with_fault_timeline(schedule.timeline);
-    sim.run(&mut provisioner)
+        build_sharded_provisioner(scheme, env, params, shards, Some(schedule.control));
+    cell_simulation(env, num_jobs, params.seed, false)
+        .with_fault_timeline(schedule.timeline)
+        .run(&mut provisioner)
 }
 
 /// Runs one (environment, scheme, #jobs) cell through a `shards`-way
@@ -311,15 +288,8 @@ pub fn run_cell_sharded(
     shards: usize,
     measure_time: bool,
 ) -> (corp_sim::SimulationReport, f64) {
-    let mut provisioner = build_sharded_provisioner(scheme, env, params, shards);
-    let mut sim = Simulation::new(
-        env.cluster(),
-        env.workload(num_jobs, params.seed.wrapping_add(num_jobs as u64)),
-        SimulationOptions {
-            measure_decision_time: measure_time,
-            ..Default::default()
-        },
-    );
+    let mut provisioner = build_sharded_provisioner(scheme, env, params, shards, None);
+    let mut sim = cell_simulation(env, num_jobs, params.seed, measure_time);
     let started = std::time::Instant::now();
     let report = sim.run(&mut provisioner);
     (report, started.elapsed().as_secs_f64())
@@ -334,15 +304,7 @@ pub fn run_cell(
     measure_time: bool,
 ) -> corp_sim::SimulationReport {
     let mut provisioner = build_provisioner(scheme, env, params);
-    let mut sim = Simulation::new(
-        env.cluster(),
-        env.workload(num_jobs, params.seed.wrapping_add(num_jobs as u64)),
-        SimulationOptions {
-            measure_decision_time: measure_time,
-            ..Default::default()
-        },
-    );
-    sim.run(provisioner.as_mut())
+    cell_simulation(env, num_jobs, params.seed, measure_time).run(provisioner.as_mut())
 }
 
 /// Scalar metrics of one cell averaged over several workload seeds — the

@@ -152,7 +152,7 @@ fn jobs_sweep_figure(
         .iter()
         .flat_map(|&s| JOB_COUNTS.iter().map(move |&n| (s, n)))
         .collect();
-    let reports = parallel_map(cells.clone(), |(scheme, n)| {
+    let reports = parallel_map(cells, |(scheme, n)| {
         let params = SchemeParams {
             fast_dnn: fast,
             ..Default::default()
@@ -175,41 +175,17 @@ fn jobs_sweep_figure(
 }
 
 fn utilization_figure(id: &str, env: Environment, fast: bool) -> FigureTable {
-    let cells: Vec<(SchemeKind, usize)> = ALL_SCHEMES
-        .iter()
-        .flat_map(|&s| JOB_COUNTS.iter().map(move |&n| (s, n)))
-        .collect();
-    let reports = parallel_map(cells, |(scheme, n)| {
-        let params = SchemeParams {
-            fast_dnn: fast,
-            ..Default::default()
-        };
-        run_cell(env, scheme, n, &params, false)
-    });
-    let mut table = TextTable::new(
-        format!(
-            "Fig. {} — Resource utilization vs #jobs ({}); cells: CPU / MEM / STORAGE / overall",
-            if id == "fig7" { "7" } else { "11(a-c)" },
-            env.name()
-        ),
-        &["#jobs", "CORP", "RCCR", "CloudScale", "DRA"],
+    let title = format!(
+        "Fig. {} — Resource utilization vs #jobs ({}); cells: CPU / MEM / STORAGE / overall",
+        if id == "fig7" { "7" } else { "11(a-c)" },
+        env.name()
     );
-    for (j, &n) in JOB_COUNTS.iter().enumerate() {
-        let mut row = vec![n.to_string()];
-        for (s, _) in ALL_SCHEMES.iter().enumerate() {
-            let r = &reports[s * JOB_COUNTS.len() + j];
-            row.push(format!(
-                "{:.2}/{:.2}/{:.2}/{:.2}",
-                r.utilization[0], r.utilization[1], r.utilization[2], r.overall_utilization
-            ));
-        }
-        table.push_row(row);
-    }
-    FigureTable {
-        id: id.into(),
-        table,
-        notes: vec![],
-    }
+    jobs_sweep_figure(id, &title, env, fast, |r| {
+        format!(
+            "{:.2}/{:.2}/{:.2}/{:.2}",
+            r.utilization[0], r.utilization[1], r.utilization[2], r.overall_utilization
+        )
+    })
 }
 
 /// Aggressiveness grid per scheme for the utilization-vs-SLO trade-off of

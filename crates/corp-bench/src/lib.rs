@@ -29,22 +29,12 @@
 
 pub mod env;
 pub mod experiments;
+mod flags;
 pub mod resilience;
 pub mod scale;
 pub mod serve;
 pub mod table;
 
-pub use env::{
-    build_sharded_provisioner, historical_histories, run_cell_sharded, Environment, SchemeKind,
-    ALL_SCHEMES,
-};
-pub use experiments::{
-    ablations, fig10, fig11, fig12, fig13, fig14, fig6, fig7, fig8, fig9, scalability, table2,
-    FigureTable, SHARD_COUNTS,
-};
-pub use resilience::{chaos_workload, resilience_experiment, run_resilience, ResilienceArgs};
-pub use scale::{run_scale, scale_experiment, ScaleArgs, ScaleResult};
-pub use serve::{
-    parse_seed, run_serve, run_serve_sharded, serve_experiment, serve_workload, ServeArgs,
-};
+pub use env::{historical_histories, Environment, SchemeKind, ALL_SCHEMES};
+pub use experiments::FigureTable;
 pub use table::TextTable;

@@ -24,16 +24,16 @@
 //! zero-jobs-lost conservation law and a full breaker cycle
 //! (`scripts/check.sh resilience-smoke`).
 
-use crate::env::{build_supervised_provisioner, Environment, SchemeKind, SchemeParams};
-use crate::serve::{parse_seed, serve_workload};
+use crate::env::{build_sharded_provisioner, Environment, SchemeKind, SchemeParams};
+use crate::flags::Flags;
+use crate::serve::{cell_daemon, parse_seed, serve_workload};
 use crate::FigureTable;
 use crate::TextTable;
 use corp_faults::{generate, ControlFaultPlan, FaultConfig, SlotShard, StormConfig, StormPlan};
 use corp_serve::{
-    BackpressurePolicy, BreakerConfig, BreakerSupervisor, BrownoutConfig, DeadlineConfig,
-    ReplaySpeed, ServeConfig, ServeDaemon, ServeOutcome,
+    BackpressurePolicy, BreakerSupervisor, BrownoutConfig, DeadlineConfig, ReplaySpeed,
+    ServeConfig, ServeOutcome,
 };
-use corp_sim::SimulationOptions;
 use corp_trace::JobSpec;
 
 /// The guaranteed breaker exercise: eight consecutive request drops on one
@@ -82,63 +82,22 @@ impl ResilienceArgs {
     /// flags produce an error string for the caller to print (exit 2).
     pub fn parse(args: &[String]) -> Result<Self, String> {
         let mut out = ResilienceArgs::default();
-        let mut i = 0;
-        let value = |args: &[String], i: usize, flag: &str| -> Result<String, String> {
-            args.get(i + 1)
-                .cloned()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        while i < args.len() {
-            match args[i].as_str() {
-                "--seed" => {
-                    out.seed = parse_seed(&value(args, i, "--seed")?)?;
-                    i += 2;
-                }
-                "--jobs" => {
-                    out.jobs = value(args, i, "--jobs")?
-                        .parse::<usize>()
-                        .map_err(|_| "invalid --jobs: expected a count".to_string())?;
-                    i += 2;
-                }
-                "--shards" => {
-                    let s = value(args, i, "--shards")?
-                        .parse::<usize>()
-                        .map_err(|_| "invalid --shards: expected a count".to_string())?;
-                    if s == 0 {
-                        return Err("invalid --shards: must be at least 1".to_string());
-                    }
-                    out.shards = s;
-                    i += 2;
-                }
+        let mut flags = Flags::new("resilience", args);
+        while let Some(flag) = flags.next_flag() {
+            match flag {
+                "--seed" => out.seed = parse_seed(flags.value(flag)?)?,
+                "--jobs" => out.jobs = flags.count(flag, 0)?,
+                "--shards" => out.shards = flags.count(flag, 1)?,
                 "--intensity" => {
-                    let x = value(args, i, "--intensity")?
-                        .parse::<f64>()
-                        .map_err(|_| "invalid --intensity: expected a number".to_string())?;
+                    let x: f64 = flags.parsed(flag, "a number")?;
                     if !x.is_finite() || x < 0.0 {
                         return Err("invalid --intensity: must be finite and >= 0".to_string());
                     }
                     out.intensity = x;
-                    i += 2;
                 }
-                "--width" => {
-                    let w = value(args, i, "--width")?
-                        .parse::<usize>()
-                        .map_err(|_| "invalid --width: expected a count".to_string())?;
-                    if w == 0 {
-                        return Err("invalid --width: must be at least 1".to_string());
-                    }
-                    out.width = Some(w);
-                    i += 2;
-                }
-                "--smoke" => {
-                    out.smoke = true;
-                    i += 1;
-                }
-                // Global corp-exp flags that may trail the subcommand.
-                "--fast" | "--json" => {
-                    i += 1;
-                }
-                other => return Err(format!("unknown resilience flag `{other}`")),
+                "--width" => out.width = Some(flags.count(flag, 1)?),
+                "--smoke" => out.smoke = true,
+                other => return Err(flags.unknown(other)),
             }
         }
         Ok(out)
@@ -177,7 +136,6 @@ fn chaos_config() -> ServeConfig {
             latency_high_micros: 20_000_000,
             recovery_ticks: 2,
         }),
-        ..ServeConfig::default()
     }
 }
 
@@ -214,18 +172,11 @@ pub fn run_resilience(fast: bool, args: &ResilienceArgs) -> (ServeOutcome, Vec<S
         ..Default::default()
     };
     let inner =
-        build_supervised_provisioner(SchemeKind::Corp, env, &params, args.shards, Some(control));
-    let mut breaker = BreakerSupervisor::new(inner, BreakerConfig::default());
-    let mut daemon = ServeDaemon::new(
-        env.cluster(),
-        SimulationOptions {
-            measure_decision_time: false,
-            ..Default::default()
-        },
-        chaos_config(),
-    )
-    .with_fault_timeline(schedule.timeline);
-    let outcome = daemon.run(&mut breaker, jobs);
+        build_sharded_provisioner(SchemeKind::Corp, env, &params, args.shards, Some(control));
+    let mut breaker = BreakerSupervisor::new(inner);
+    let outcome = cell_daemon(env, chaos_config())
+        .with_fault_timeline(schedule.timeline)
+        .run(&mut breaker, jobs);
     let errors = breaker
         .inner()
         .errors()

@@ -16,6 +16,7 @@
 //! Citable numbers for this regime come from the `soak-50k` workload of
 //! `benchmark/`, not from here.
 
+use crate::flags::Flags;
 use crate::serve::parse_seed;
 use crate::{FigureTable, TextTable};
 use corp_cluster::{ShardConfig, ShardedProvisioner};
@@ -60,48 +61,13 @@ impl ScaleArgs {
     /// to print (exit 2), never a panic.
     pub fn parse(args: &[String]) -> Result<Self, String> {
         let mut out = ScaleArgs::default();
-        let mut i = 0;
-        let value = |args: &[String], i: usize, flag: &str| -> Result<String, String> {
-            args.get(i + 1)
-                .cloned()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        while i < args.len() {
-            match args[i].as_str() {
-                "--vms" => {
-                    let v = value(args, i, "--vms")?
-                        .parse::<usize>()
-                        .map_err(|_| "invalid --vms: expected a count".to_string())?;
-                    if v == 0 {
-                        return Err("invalid --vms: must be at least 1".to_string());
-                    }
-                    out.vms = v;
-                    i += 2;
-                }
-                "--jobs" => {
-                    let j = value(args, i, "--jobs")?
-                        .parse::<usize>()
-                        .map_err(|_| "invalid --jobs: expected a count".to_string())?;
-                    if j == 0 {
-                        return Err("invalid --jobs: must be at least 1".to_string());
-                    }
-                    out.jobs = j;
-                    i += 2;
-                }
-                "--seed" => {
-                    out.seed = parse_seed(&value(args, i, "--seed")?)?;
-                    i += 2;
-                }
-                "--shards" => {
-                    let k = value(args, i, "--shards")?
-                        .parse::<usize>()
-                        .map_err(|_| "invalid --shards: expected a count".to_string())?;
-                    if k == 0 {
-                        return Err("invalid --shards: must be at least 1".to_string());
-                    }
-                    out.shards = Some(k);
-                    i += 2;
-                }
+        let mut flags = Flags::new("scale", args);
+        while let Some(flag) = flags.next_flag() {
+            match flag {
+                "--vms" => out.vms = flags.count(flag, 1)?,
+                "--jobs" => out.jobs = flags.count(flag, 1)?,
+                "--seed" => out.seed = parse_seed(flags.value(flag)?)?,
+                "--shards" => out.shards = Some(flags.count(flag, 1)?),
                 "--smoke" => {
                     // The CI configuration: small enough to finish in
                     // seconds, large enough that an unbounded arena would
@@ -109,13 +75,8 @@ impl ScaleArgs {
                     out.smoke = true;
                     out.vms = 256;
                     out.jobs = 5_000;
-                    i += 1;
                 }
-                // Global corp-exp flags that may trail the subcommand.
-                "--fast" | "--json" => {
-                    i += 1;
-                }
-                other => return Err(format!("unknown scale flag `{other}`")),
+                other => return Err(flags.unknown(other)),
             }
         }
         Ok(out)

@@ -13,12 +13,15 @@
 use crate::env::{
     build_provisioner, build_sharded_provisioner, Environment, SchemeKind, SchemeParams,
 };
+use crate::flags::Flags;
 use crate::FigureTable;
 use crate::TextTable;
 use corp_serve::{BackpressurePolicy, ReplaySpeed, ServeConfig, ServeDaemon, ServeOutcome};
 use corp_sim::SimulationOptions;
 use corp_trace::JobSpec;
+use std::cell::{Cell, RefCell};
 use std::path::PathBuf;
+use std::rc::Rc;
 
 /// Validates a `--seed` value: it must parse as `u64` and be non-zero
 /// (seed 0 is reserved as "unset" by several vendored-RNG call sites, and
@@ -91,87 +94,35 @@ impl ServeArgs {
     /// to print (exit 2), never a panic.
     pub fn parse(args: &[String]) -> Result<Self, String> {
         let mut out = ServeArgs::default();
-        let mut i = 0;
-        let value = |args: &[String], i: usize, flag: &str| -> Result<String, String> {
-            args.get(i + 1)
-                .cloned()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        while i < args.len() {
-            match args[i].as_str() {
-                "--trace" => {
-                    out.trace = Some(PathBuf::from(value(args, i, "--trace")?));
-                    i += 2;
-                }
-                "--replay" => {
-                    out.replay = Some(PathBuf::from(value(args, i, "--replay")?));
-                    i += 2;
-                }
-                "--record" => {
-                    out.record = Some(PathBuf::from(value(args, i, "--record")?));
-                    i += 2;
-                }
-                "--speed" => {
-                    out.speed = ReplaySpeed::parse(&value(args, i, "--speed")?)?;
-                    i += 2;
-                }
-                "--seed" => {
-                    out.seed = parse_seed(&value(args, i, "--seed")?)?;
-                    i += 2;
-                }
-                "--jobs" => {
-                    out.jobs = value(args, i, "--jobs")?
-                        .parse::<usize>()
-                        .map_err(|_| "invalid --jobs: expected a count".to_string())?;
-                    i += 2;
-                }
-                "--queue-cap" => {
-                    let cap = value(args, i, "--queue-cap")?
-                        .parse::<usize>()
-                        .map_err(|_| "invalid --queue-cap: expected a count".to_string())?;
-                    if cap == 0 {
-                        return Err("invalid --queue-cap: must be at least 1".to_string());
-                    }
-                    out.queue_cap = cap;
-                    i += 2;
-                }
-                "--policy" => {
-                    out.policy = BackpressurePolicy::parse(&value(args, i, "--policy")?)?;
-                    i += 2;
-                }
-                "--width" => {
-                    let w = value(args, i, "--width")?
-                        .parse::<usize>()
-                        .map_err(|_| "invalid --width: expected a count".to_string())?;
-                    if w == 0 {
-                        return Err("invalid --width: must be at least 1".to_string());
-                    }
-                    out.width = Some(w);
-                    i += 2;
-                }
-                "--shards" => {
-                    let s = value(args, i, "--shards")?
-                        .parse::<usize>()
-                        .map_err(|_| "invalid --shards: expected a count".to_string())?;
-                    if s == 0 {
-                        return Err("invalid --shards: must be at least 1".to_string());
-                    }
-                    out.shards = Some(s);
-                    i += 2;
-                }
-                "--smoke" => {
-                    out.smoke = true;
-                    i += 1;
-                }
-                // Global corp-exp flags that may trail the subcommand.
-                "--fast" | "--json" => {
-                    i += 1;
-                }
-                other => return Err(format!("unknown serve flag `{other}`")),
+        let mut flags = Flags::new("serve", args);
+        while let Some(flag) = flags.next_flag() {
+            match flag {
+                "--trace" => out.trace = Some(PathBuf::from(flags.value(flag)?)),
+                "--replay" => out.replay = Some(PathBuf::from(flags.value(flag)?)),
+                "--record" => out.record = Some(PathBuf::from(flags.value(flag)?)),
+                "--speed" => out.speed = ReplaySpeed::parse(flags.value(flag)?)?,
+                "--seed" => out.seed = parse_seed(flags.value(flag)?)?,
+                "--jobs" => out.jobs = flags.count(flag, 0)?,
+                "--queue-cap" => out.queue_cap = flags.count(flag, 1)?,
+                "--policy" => out.policy = BackpressurePolicy::parse(flags.value(flag)?)?,
+                "--width" => out.width = Some(flags.count(flag, 1)?),
+                "--shards" => out.shards = Some(flags.count(flag, 1)?),
+                "--smoke" => out.smoke = true,
+                other => return Err(flags.unknown(other)),
             }
         }
         Ok(out)
     }
+}
+
+/// The daemon one serving cell runs on: the environment's fleet, engine
+/// decision timing off (serve reports are byte-deterministic).
+pub(crate) fn cell_daemon(env: Environment, config: ServeConfig) -> ServeDaemon {
+    let options = SimulationOptions {
+        measure_decision_time: false,
+        ..Default::default()
+    };
+    ServeDaemon::new(env.cluster(), options, config)
 }
 
 /// Runs one serving-mode cell: builds the scheme provisioner exactly as
@@ -187,15 +138,7 @@ pub fn run_serve(
     config: ServeConfig,
 ) -> ServeOutcome {
     let mut provisioner = build_provisioner(scheme, env, params);
-    let mut daemon = ServeDaemon::new(
-        env.cluster(),
-        SimulationOptions {
-            measure_decision_time: false,
-            ..Default::default()
-        },
-        config,
-    );
-    daemon.run(provisioner.as_mut(), jobs)
+    cell_daemon(env, config).run(provisioner.as_mut(), jobs)
 }
 
 /// Like [`run_serve`], but behind a `shards`-way sharded control plane.
@@ -210,16 +153,8 @@ pub fn run_serve_sharded(
     shards: usize,
     config: ServeConfig,
 ) -> (ServeOutcome, Vec<String>) {
-    let mut provisioner = build_sharded_provisioner(scheme, env, params, shards);
-    let mut daemon = ServeDaemon::new(
-        env.cluster(),
-        SimulationOptions {
-            measure_decision_time: false,
-            ..Default::default()
-        },
-        config,
-    );
-    let outcome = daemon.run(&mut provisioner, jobs);
+    let mut provisioner = build_sharded_provisioner(scheme, env, params, shards, None);
+    let outcome = cell_daemon(env, config).run(&mut provisioner, jobs);
     let errors = provisioner.errors().iter().map(|e| e.to_string()).collect();
     (outcome, errors)
 }
@@ -231,15 +166,21 @@ pub fn serve_workload(env: Environment, num_jobs: usize, seed: u64) -> Vec<JobSp
     env.workload(num_jobs, seed.wrapping_add(num_jobs as u64))
 }
 
+/// Where a lazily decoded `--trace` feed leaves the error that ended it.
+type DecodeFailure = Rc<RefCell<Option<String>>>;
+
 /// Opens `--trace PATH` as a job feed: a recorded corp trace (sniffed by
 /// its header line, loaded whole — the format is one job per few lines)
 /// or a Google-style task-event CSV decoded lazily through the
 /// `JobSource` pipeline, so arbitrarily long CSVs stream into the daemon
-/// in bounded memory. A malformed CSV row panics mid-stream with its byte
-/// offset and line number — the daemon has no way to surface a decode
-/// error once serving has started.
-fn open_trace_feed(path: &std::path::Path) -> Result<Box<dyn Iterator<Item = JobSpec>>, String> {
-    use corp_trace::JobSource;
+/// in bounded memory. The daemon's arrival stream cannot carry an error,
+/// so a malformed CSV row ends the feed there and leaves its message
+/// (path, line number, byte offset) in `failed` for the caller to return
+/// once the stream has been consumed.
+fn open_trace_feed(
+    path: &std::path::Path,
+    failed: &DecodeFailure,
+) -> Result<Box<dyn Iterator<Item = JobSpec>>, String> {
     use std::io::BufRead;
     let open = || std::fs::File::open(path).map_err(|e| format!("--trace {}: {e}", path.display()));
     // The recorded format allows comment/blank preamble lines before the
@@ -259,7 +200,11 @@ fn open_trace_feed(path: &std::path::Path) -> Result<Box<dyn Iterator<Item = Job
     } else {
         let records = corp_trace::GoogleCsvReader::new(std::io::BufReader::new(open()?));
         let source = corp_trace::TraceJobSource::new(records, corp_trace::IngestConfig::default());
-        Ok(Box::new(source.into_specs()))
+        let (failed, path) = (Rc::clone(failed), path.display().to_string());
+        Ok(Box::new(source.map_while(move |spec| {
+            spec.map_err(|e| *failed.borrow_mut() = Some(format!("--trace {path}: {e}")))
+                .ok()
+        })))
     }
 }
 
@@ -271,8 +216,9 @@ pub fn serve_experiment(fast: bool, args: &ServeArgs) -> Result<FigureTable, Str
     if args.trace.is_some() && args.replay.is_some() {
         return Err("pick one of --trace / --replay".to_string());
     }
+    let failed = DecodeFailure::default();
     let feed: Box<dyn Iterator<Item = JobSpec>> = match (&args.trace, &args.replay) {
-        (Some(path), _) => open_trace_feed(path)?,
+        (Some(path), _) => open_trace_feed(path, &failed)?,
         (None, Some(path)) => Box::new(
             corp_trace::load_trace(path)
                 .map_err(|e| e.to_string())?
@@ -280,20 +226,26 @@ pub fn serve_experiment(fast: bool, args: &ServeArgs) -> Result<FigureTable, Str
         ),
         (None, None) => Box::new(serve_workload(env, args.jobs, args.seed).into_iter()),
     };
+    // The feed is consumed lazily, so the job count — and whether a
+    // `--trace` row failed to decode — is only known once the stream has
+    // been drained; count arrivals as they pass.
+    let submitted = Rc::new(Cell::new(0usize));
+    let counter = Rc::clone(&submitted);
+    let feed = feed.inspect(move |_| counter.set(counter.get() + 1));
+    let decode_failure = || match failed.borrow_mut().take() {
+        Some(e) => Err(format!("{e} (after {} jobs)", submitted.get())),
+        None => Ok(()),
+    };
     // Recording needs the whole workload in hand, so it materializes the
     // feed — it also doubles as a CSV → recorded-trace converter.
     let feed: Box<dyn Iterator<Item = JobSpec>> = if let Some(path) = &args.record {
         let jobs: Vec<JobSpec> = feed.collect();
+        decode_failure()?;
         corp_trace::save_trace(path, &jobs).map_err(|e| e.to_string())?;
         Box::new(jobs.into_iter())
     } else {
-        feed
+        Box::new(feed)
     };
-    // The daemon consumes the feed lazily, so the job count is only known
-    // once the run drains the stream; count arrivals as they pass.
-    let submitted = std::rc::Rc::new(std::cell::Cell::new(0usize));
-    let counter = std::rc::Rc::clone(&submitted);
-    let feed = feed.inspect(move |_| counter.set(counter.get() + 1));
     let params = SchemeParams {
         fast_dnn: fast,
         seed: args.seed,
@@ -313,6 +265,7 @@ pub fn serve_experiment(fast: bool, args: &ServeArgs) -> Result<FigureTable, Str
             Vec::new(),
         ),
     };
+    decode_failure()?;
     let num_jobs = submitted.get();
     let r = &outcome.report;
 
@@ -544,17 +497,39 @@ mod tests {
              0,100,1,1,0.5,1.0,1.5\n",
         )
         .unwrap();
-        let jobs: Vec<JobSpec> = open_trace_feed(&csv).expect("csv feed").collect();
+        let failed = DecodeFailure::default();
+        let feed = |path| open_trace_feed(path, &failed).expect("trace feed");
+        let jobs: Vec<JobSpec> = feed(&csv).collect();
         assert_eq!(jobs.len(), 1, "two tasks of one job assemble to one spec");
         assert_eq!(jobs[0].id, 1);
         // The same jobs via the recorded format must round-trip.
         let recorded = dir.join("corp-serve-test.trace");
         corp_trace::save_trace(&recorded, &jobs).unwrap();
-        let replayed: Vec<JobSpec> = open_trace_feed(&recorded).expect("recorded feed").collect();
+        let replayed: Vec<JobSpec> = feed(&recorded).collect();
         assert_eq!(
             serde::json::to_string(&jobs),
             serde::json::to_string(&replayed),
             "recorded round-trip diverged from the CSV decode"
+        );
+        assert_eq!(*failed.borrow(), None);
+    }
+
+    #[test]
+    fn a_malformed_trace_row_is_an_error_not_a_panic() {
+        let csv = std::env::temp_dir().join("corp-serve-test-malformed.csv");
+        std::fs::write(&csv, "0,100,1,0,1.0,2.0,3.0\n0,100,2,0,1,2,3\nbad,row\n").unwrap();
+        let args = ServeArgs {
+            trace: Some(csv.clone()),
+            ..ServeArgs::default()
+        };
+        let err = serve_experiment(true, &args).unwrap_err();
+        assert_eq!(
+            err,
+            format!(
+                "--trace {}: trace decode failed: line 3 (byte 38): \
+                 expected 7 fields, found 2 (after 1 jobs)",
+                csv.display()
+            )
         );
     }
 

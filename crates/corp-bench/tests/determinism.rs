@@ -294,7 +294,13 @@ fn declared_view_periods_hide_nothing_the_provisioners_read() {
         });
     }
     check("2-shard CORP", &|| {
-        Box::new(build_sharded_provisioner(SchemeKind::Corp, env, &p, 2))
+        Box::new(build_sharded_provisioner(
+            SchemeKind::Corp,
+            env,
+            &p,
+            2,
+            None,
+        ))
     });
     check("static peak", &|| Box::new(StaticPeakProvisioner));
     let (declared, full_depth) = both("cheater", &|| Box::new(OffPeriodJobReader));

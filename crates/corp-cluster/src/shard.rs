@@ -273,15 +273,21 @@ mod tests {
             p.pretrain(&corpus);
             Box::new(p) as Box<dyn Provisioner + Send>
         });
+        let built = |factories: Vec<corp_core::ShardFactory>| -> Fleet {
+            factories.iter().map(|build| build()).collect()
+        };
         vec![
             (
                 "corp",
                 corp_core::corp_fleet(&CorpConfig::fast(), &corpus, shards),
             ),
             ("coop", coop.collect()),
-            ("rccr", corp_core::rccr_fleet(0.9, 7, shards)),
-            ("cloudscale", corp_core::cloudscale_fleet(7, shards)),
-            ("dra", corp_core::dra_fleet(7, shards)),
+            ("rccr", built(corp_core::rccr_factories(0.9, 7, shards))),
+            (
+                "cloudscale",
+                built(corp_core::cloudscale_factories(7, shards)),
+            ),
+            ("dra", built(corp_core::dra_factories(7, shards))),
         ]
     }
 

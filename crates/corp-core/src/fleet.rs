@@ -11,9 +11,11 @@
 //! * **Shard 0 keeps the base seed** — so a one-shard fleet reproduces the
 //!   monolithic scheduler bit-for-bit: `shard_seed(base, 0) == base`.
 //!
-//! The `*_fleet` constructors apply both rules for the four schemes and
-//! return `Box<dyn Provisioner + Send>` shards, ready to hand to a
-//! sharded coordinator. CORP shards are pretrained on the *same* shared
+//! The `*_factories` constructors apply both rules for the four schemes
+//! and return one [`ShardFactory`] per shard, ready to hand to a sharded
+//! coordinator, which invokes each once to build the shard and again to
+//! rebuild it after a crash; a fleet is its factories invoked once
+//! ([`corp_fleet`]). CORP shards are pretrained on the *same* shared
 //! historical corpus — in production every scheduler bootstraps from the
 //! same trace archive; only online learning diverges, and it diverges
 //! deterministically because job ownership is deterministic.
@@ -38,17 +40,6 @@ const SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 /// single-shard fleets reproduce monolithic runs exactly.
 pub fn shard_seed(base: u64, shard: usize) -> u64 {
     base.wrapping_add(SEED_STRIDE.wrapping_mul(shard as u64))
-}
-
-/// One pipeline per shard, each built from its decorrelated seed.
-fn seeded_fleet<P, F>(base: u64, shards: usize, build: F) -> Vec<Box<dyn Provisioner + Send>>
-where
-    P: Provisioner + Send + 'static,
-    F: Fn(u64) -> P,
-{
-    (0..shards)
-        .map(|shard| Box::new(build(shard_seed(base, shard))) as Box<dyn Provisioner + Send>)
-        .collect()
 }
 
 /// One restart factory per shard; each invocation rebuilds the shard's
@@ -77,38 +68,12 @@ fn corp_shard(config: &CorpConfig, histories: &[Vec<Vec<f64>>], seed: u64) -> Co
     p
 }
 
-/// `shards` CORP pipelines, each pretrained on the shared historical
-/// corpus `histories_per_resource` (same layout as
-/// [`CorpProvisioner::pretrain`]), with per-shard decorrelated seeds.
-pub fn corp_fleet(
-    config: &CorpConfig,
-    histories_per_resource: &[Vec<Vec<f64>>],
-    shards: usize,
-) -> Vec<Box<dyn Provisioner + Send>> {
-    seeded_fleet(config.seed, shards, |s| {
-        corp_shard(config, histories_per_resource, s)
-    })
-}
-
-/// `shards` RCCR baselines with per-shard decorrelated seeds.
-pub fn rccr_fleet(confidence: f64, seed: u64, shards: usize) -> Vec<Box<dyn Provisioner + Send>> {
-    seeded_fleet(seed, shards, |s| RccrProvisioner::new(confidence, s))
-}
-
-/// `shards` CloudScale baselines with per-shard decorrelated seeds.
-pub fn cloudscale_fleet(seed: u64, shards: usize) -> Vec<Box<dyn Provisioner + Send>> {
-    seeded_fleet(seed, shards, CloudScaleProvisioner::new)
-}
-
-/// `shards` DRA baselines with per-shard decorrelated seeds.
-pub fn dra_fleet(seed: u64, shards: usize) -> Vec<Box<dyn Provisioner + Send>> {
-    seeded_fleet(seed, shards, DraProvisioner::new)
-}
-
-/// Factory form of [`corp_fleet`]: each factory rebuilds its shard's
-/// pretrained CORP pipeline (the pretraining corpus is shared and
-/// immutable, so a restarted shard bootstraps exactly like the original
-/// did — only its online learning since the crash is lost).
+/// One factory per CORP shard, with per-shard decorrelated seeds: each
+/// builds its shard's pipeline pretrained on the shared historical corpus
+/// `histories_per_resource` (same layout as [`CorpProvisioner::pretrain`]).
+/// The corpus is shared and immutable, so a restarted shard bootstraps
+/// exactly like the original did — only its online learning since the
+/// crash is lost.
 pub fn corp_factories(
     config: &CorpConfig,
     histories_per_resource: &[Vec<Vec<f64>>],
@@ -120,17 +85,27 @@ pub fn corp_factories(
     seeded_factories(base, shards, move |s| corp_shard(&config, &histories, s))
 }
 
-/// Factory form of [`rccr_fleet`].
+/// `shards` CORP pipelines: [`corp_factories`], each invoked once.
+pub fn corp_fleet(
+    config: &CorpConfig,
+    histories_per_resource: &[Vec<Vec<f64>>],
+    shards: usize,
+) -> Vec<Box<dyn Provisioner + Send>> {
+    let factories = corp_factories(config, histories_per_resource, shards);
+    factories.iter().map(|build| build()).collect()
+}
+
+/// One factory per RCCR baseline shard, with per-shard decorrelated seeds.
 pub fn rccr_factories(confidence: f64, seed: u64, shards: usize) -> Vec<ShardFactory> {
     seeded_factories(seed, shards, move |s| RccrProvisioner::new(confidence, s))
 }
 
-/// Factory form of [`cloudscale_fleet`].
+/// One factory per CloudScale baseline shard, with per-shard decorrelated seeds.
 pub fn cloudscale_factories(seed: u64, shards: usize) -> Vec<ShardFactory> {
     seeded_factories(seed, shards, CloudScaleProvisioner::new)
 }
 
-/// Factory form of [`dra_fleet`].
+/// One factory per DRA baseline shard, with per-shard decorrelated seeds.
 pub fn dra_factories(seed: u64, shards: usize) -> Vec<ShardFactory> {
     seeded_factories(seed, shards, DraProvisioner::new)
 }
@@ -156,9 +131,9 @@ mod tests {
 
     #[test]
     fn fleets_have_the_requested_size() {
-        assert_eq!(rccr_fleet(0.9, 7, 4).len(), 4);
-        assert_eq!(cloudscale_fleet(7, 3).len(), 3);
-        assert_eq!(dra_fleet(7, 2).len(), 2);
+        assert_eq!(rccr_factories(0.9, 7, 4).len(), 4);
+        assert_eq!(cloudscale_factories(7, 3).len(), 3);
+        assert_eq!(dra_factories(7, 2).len(), 2);
     }
 
     #[test]

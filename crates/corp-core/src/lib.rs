@@ -55,8 +55,8 @@ pub mod scheduler;
 pub use config::CorpConfig;
 pub use cooperative::CooperativeProvisioner;
 pub use fleet::{
-    cloudscale_factories, cloudscale_fleet, corp_factories, corp_fleet, dra_factories, dra_fleet,
-    rccr_factories, rccr_fleet, shard_seed, ShardFactory,
+    cloudscale_factories, corp_factories, corp_fleet, dra_factories, rccr_factories, shard_seed,
+    ShardFactory,
 };
 pub use packing::{deviation_score, pack_complementary, JobEntity, PackableJob};
 pub use pipeline::{

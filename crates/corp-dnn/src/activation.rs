@@ -1,10 +1,9 @@
 //! Activation functions and their derivatives.
 //!
 //! The paper uses the sigmoid ("Equ. (5) is a sigmoid function, ... more
-//! accurate"), so [`Activation::Sigmoid`] is the default throughout; tanh
-//! and ReLU are provided for the ablation benches, and [`Activation::Identity`]
-//! is used on the output layer of the regression head so predictions are
-//! not squashed into `(0, 1)`.
+//! accurate"), so [`Activation::Sigmoid`] is every hidden layer's function,
+//! and [`Activation::Identity`] is used on the output layer of the
+//! regression head so predictions are not squashed into `(0, 1)`.
 //!
 //! Derivatives are expressed in terms of the *activation value* `g` (not
 //! the pre-activation), matching the paper's `F'(g_i(d))` notation in
@@ -17,10 +16,6 @@ use serde::{Deserialize, Serialize};
 pub enum Activation {
     /// Logistic sigmoid `1 / (1 + e^-x)` — the paper's `F`.
     Sigmoid,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// Rectified linear unit.
-    Relu,
     /// Identity (linear), for regression output layers.
     Identity,
 }
@@ -31,8 +26,6 @@ impl Activation {
     pub fn apply(self, x: f64) -> f64 {
         match self {
             Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            Activation::Tanh => x.tanh(),
-            Activation::Relu => x.max(0.0),
             Activation::Identity => x,
         }
     }
@@ -42,22 +35,7 @@ impl Activation {
     pub fn derivative_from_output(self, g: f64) -> f64 {
         match self {
             Activation::Sigmoid => g * (1.0 - g),
-            Activation::Tanh => 1.0 - g * g,
-            Activation::Relu => {
-                if g > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
             Activation::Identity => 1.0,
-        }
-    }
-
-    /// Applies the function to every element of `xs` in place.
-    pub fn apply_slice(self, xs: &mut [f64]) {
-        for x in xs {
-            *x = self.apply(*x);
         }
     }
 }
@@ -82,7 +60,7 @@ mod tests {
     #[test]
     fn derivatives_match_finite_differences() {
         let eps = 1e-6;
-        for act in [Activation::Sigmoid, Activation::Tanh, Activation::Identity] {
+        for act in [Activation::Sigmoid, Activation::Identity] {
             for &x in &[-2.0, -0.5, 0.1, 1.3, 3.0] {
                 let g = act.apply(x);
                 let numeric = (act.apply(x + eps) - act.apply(x - eps)) / (2.0 * eps);
@@ -93,28 +71,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn relu_derivative_matches_finite_difference_away_from_kink() {
-        let eps = 1e-6;
-        for &x in &[-2.0, -0.5, 0.5, 2.0] {
-            let g = Activation::Relu.apply(x);
-            let numeric =
-                (Activation::Relu.apply(x + eps) - Activation::Relu.apply(x - eps)) / (2.0 * eps);
-            assert!((numeric - Activation::Relu.derivative_from_output(g)).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn tanh_is_odd() {
-        assert!((Activation::Tanh.apply(1.3) + Activation::Tanh.apply(-1.3)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn apply_slice_transforms_everything() {
-        let mut xs = [-1.0, 0.0, 1.0];
-        Activation::Relu.apply_slice(&mut xs);
-        assert_eq!(xs, [0.0, 0.0, 1.0]);
     }
 }

@@ -398,16 +398,6 @@ impl Matrix {
             }
         }
     }
-
-    /// Sets every element to `value`.
-    pub fn fill(&mut self, value: f64) {
-        self.data.iter_mut().for_each(|v| *v = value);
-    }
-
-    /// Frobenius norm, handy for diagnosing exploding weights in tests.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -478,12 +468,6 @@ mod tests {
         assert_eq!(a.as_slice(), &[4.0, 6.0]);
         a.scale(0.5);
         assert_eq!(a.as_slice(), &[2.0, 3.0]);
-    }
-
-    #[test]
-    fn frobenius_norm_of_unit_rows() {
-        let m = Matrix::from_vec(2, 2, vec![3.0, 0.0, 0.0, 4.0]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -570,13 +554,6 @@ mod tests {
                 .map(|v| v.to_bits())
                 .collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn fill_resets_every_element() {
-        let mut m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        m.fill(0.0);
-        assert!(m.as_slice().iter().all(|&v| v == 0.0));
     }
 
     #[test]

@@ -164,18 +164,6 @@ impl Network {
         }
     }
 
-    /// Convenience constructor for the paper's Table II architecture:
-    /// `h = 4` sigmoid layers of `units` neurons between `inputs` and
-    /// `outputs` (identity output for regression).
-    pub fn paper_architecture(inputs: usize, units: usize, outputs: usize, seed: u64) -> Self {
-        Self::new(
-            &[inputs, units, units, units, units, outputs],
-            Activation::Sigmoid,
-            Activation::Identity,
-            seed,
-        )
-    }
-
     /// Input dimension.
     pub fn input_len(&self) -> usize {
         self.activations[0].len()
@@ -475,14 +463,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_architecture_has_four_hidden_layers() {
-        let net = Network::paper_architecture(12, 50, 3, 1);
-        assert_eq!(net.depth(), 5, "4 hidden + 1 output weight layers");
-        assert_eq!(net.input_len(), 12);
-        assert_eq!(net.output_len(), 3);
-    }
-
-    #[test]
     fn training_reduces_error_on_linear_task() {
         // y = 0.5*x0 - 0.25*x1 is learnable by a tiny net.
         let mut net = Network::new(&[2, 8, 1], Activation::Sigmoid, Activation::Identity, 5);
@@ -507,7 +487,7 @@ mod tests {
 
     #[test]
     fn momentum_training_also_converges() {
-        let mut net = Network::new(&[1, 6, 1], Activation::Tanh, Activation::Identity, 9);
+        let mut net = Network::new(&[1, 6, 1], Activation::Sigmoid, Activation::Identity, 9);
         let inputs: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64 / 20.0]).collect();
         let targets: Vec<Vec<f64>> = inputs.iter().map(|x| vec![x[0] * x[0]]).collect();
         for _ in 0..300 {

@@ -41,41 +41,6 @@ impl HmmScratch {
     }
 }
 
-/// Hidden provisioning states of the paper's HMM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ProvisioningState {
-    /// Over-provisioning: much allocated resource is idle.
-    Over,
-    /// Normal provisioning.
-    Normal,
-    /// Under-provisioning: allocation is tight.
-    Under,
-}
-
-impl ProvisioningState {
-    /// State index in the 3-state model.
-    pub fn index(self) -> usize {
-        match self {
-            ProvisioningState::Over => 0,
-            ProvisioningState::Normal => 1,
-            ProvisioningState::Under => 2,
-        }
-    }
-
-    /// State for an index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= 3`.
-    pub fn from_index(i: usize) -> Self {
-        [
-            ProvisioningState::Over,
-            ProvisioningState::Normal,
-            ProvisioningState::Under,
-        ][i]
-    }
-}
-
 /// Predicts the next fluctuation symbol of an unused-resource series and
 /// corrects DNN predictions for imminent peaks/valleys.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -198,23 +163,6 @@ impl FluctuationPredictor {
             }
         }
         FluctuationSymbol::from_index(best_k)
-    }
-
-    /// The most likely current provisioning state for a recent series,
-    /// via Viterbi. `None` when unfitted or without observations.
-    pub fn current_state(&self, recent: &[f64]) -> Option<ProvisioningState> {
-        let quantizer = self.quantizer.as_ref()?;
-        if !self.fitted {
-            return None;
-        }
-        let obs = quantizer.observations(recent, self.window_len);
-        if obs.is_empty() {
-            return None;
-        }
-        let path = viterbi(&self.hmm, &obs);
-        Some(ProvisioningState::from_index(
-            *path.states.last().expect("non-empty"),
-        ))
     }
 
     /// The conservative correction magnitude `min(h - m, m - l)` computed
@@ -358,24 +306,6 @@ mod tests {
     fn adjust_without_fit_is_identity_for_positive_input() {
         let p = FluctuationPredictor::new(4);
         assert_eq!(p.adjust(7.0, &[1.0, 2.0, 3.0]), 7.0);
-    }
-
-    #[test]
-    fn current_state_reports_some_after_fit() {
-        let mut p = FluctuationPredictor::new(4);
-        p.fit(&mixed_history(240)).unwrap();
-        assert!(p.current_state(&mixed_history(60)).is_some());
-    }
-
-    #[test]
-    fn provisioning_state_round_trip() {
-        for s in [
-            ProvisioningState::Over,
-            ProvisioningState::Normal,
-            ProvisioningState::Under,
-        ] {
-            assert_eq!(ProvisioningState::from_index(s.index()), s);
-        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod quantize;
 pub mod viterbi;
 
 pub use baum_welch::baum_welch;
-pub use fluctuation::{FluctuationPredictor, HmmScratch, ProvisioningState};
+pub use fluctuation::{FluctuationPredictor, HmmScratch};
 pub use forward_backward::{backward_scaled, forward_scaled, log_likelihood, state_posteriors};
 pub use model::Hmm;
 pub use quantize::{FluctuationSymbol, SpreadQuantizer};

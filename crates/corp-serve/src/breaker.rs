@@ -8,16 +8,16 @@
 //!
 //! * **Closed** — normal operation; consecutive failure fallbacks
 //!   ([`ShardSlotOutcome::FellBack`]) are counted.
-//! * **Open** — after [`BreakerConfig::failure_threshold`] consecutive
+//! * **Open** — after [`FAILURE_THRESHOLD`] consecutive
 //!   fallbacks the shard is isolated via
 //!   [`ShardedProvisioner::set_forced_inline`]: the coordinator schedules
 //!   its jobs inline *without* running the shard's pipeline, for a
-//!   backoff measured in virtual slots (deterministic by construction —
-//!   no wall clocks anywhere).
+//!   backoff of [`BACKOFF_SLOTS`] virtual slots (deterministic by
+//!   construction — no wall clocks anywhere).
 //! * **Half-open** — when the backoff expires the shard gets one probe
 //!   slot. Success closes the breaker and resets the backoff; another
 //!   fallback reopens it with the backoff doubled (capped at
-//!   [`BreakerConfig::max_backoff_slots`]).
+//!   [`MAX_BACKOFF_SLOTS`]).
 //!
 //! A shard the coordinator marks permanently `failed` latches Open forever
 //! — no point probing a shard that cannot be rebuilt. Every transition
@@ -35,28 +35,13 @@ use corp_sim::{
     Provisioner, SlotContext,
 };
 
-/// Breaker thresholds, in deterministic units (slots, not seconds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Consecutive failure fallbacks that trip a Closed breaker.
-    pub failure_threshold: u32,
-    /// Initial Open backoff, in virtual slots.
-    pub backoff_slots: u64,
-    /// Backoff cap for the exponential reopen schedule.
-    pub max_backoff_slots: u64,
-}
-
-impl Default for BreakerConfig {
-    /// Trip after 3 consecutive fallbacks; back off 4 slots, doubling to
-    /// at most 32.
-    fn default() -> Self {
-        BreakerConfig {
-            failure_threshold: 3,
-            backoff_slots: 4,
-            max_backoff_slots: 32,
-        }
-    }
-}
+/// Consecutive failure fallbacks that trip a Closed breaker.
+pub const FAILURE_THRESHOLD: u32 = 3;
+/// Initial Open backoff, in virtual slots (deterministic units, not
+/// seconds).
+pub const BACKOFF_SLOTS: u64 = 4;
+/// Cap of the backoff, which doubles each time a half-open probe fails.
+pub const MAX_BACKOFF_SLOTS: u64 = 32;
 
 /// One shard's breaker state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,7 +64,6 @@ impl BreakerState {
 /// A [`ShardedProvisioner`] wrapped in per-shard circuit breakers.
 pub struct BreakerSupervisor {
     inner: ShardedProvisioner,
-    config: BreakerConfig,
     states: Vec<BreakerState>,
     transitions: Vec<BreakerTransition>,
     opens: u64,
@@ -89,11 +73,10 @@ pub struct BreakerSupervisor {
 
 impl BreakerSupervisor {
     /// Wraps `inner` with breakers in the Closed state.
-    pub fn new(inner: ShardedProvisioner, config: BreakerConfig) -> Self {
+    pub fn new(inner: ShardedProvisioner) -> Self {
         let shards = inner.num_shards();
         BreakerSupervisor {
             inner,
-            config,
             states: vec![
                 BreakerState::Closed {
                     consecutive_failures: 0
@@ -173,7 +156,7 @@ impl BreakerSupervisor {
                         shard,
                         BreakerState::Open {
                             until_slot: u64::MAX,
-                            backoff: self.config.max_backoff_slots.max(1),
+                            backoff: MAX_BACKOFF_SLOTS,
                         },
                     );
                 }
@@ -192,15 +175,14 @@ impl BreakerSupervisor {
                     ShardSlotOutcome::FellBack,
                 ) => {
                     let failures = consecutive_failures + 1;
-                    if failures >= self.config.failure_threshold.max(1) {
-                        let backoff = self.config.backoff_slots.max(1);
+                    if failures >= FAILURE_THRESHOLD {
                         self.inner.set_forced_inline(shard, true);
                         self.transition(
                             slot,
                             shard,
                             BreakerState::Open {
-                                until_slot: slot + backoff,
-                                backoff,
+                                until_slot: slot + BACKOFF_SLOTS,
+                                backoff: BACKOFF_SLOTS,
                             },
                         );
                     } else {
@@ -219,7 +201,7 @@ impl BreakerSupervisor {
                     );
                 }
                 (BreakerState::HalfOpen { backoff }, ShardSlotOutcome::FellBack) => {
-                    let backoff = (backoff * 2).min(self.config.max_backoff_slots.max(1));
+                    let backoff = (backoff * 2).min(MAX_BACKOFF_SLOTS);
                     self.inner.set_forced_inline(shard, true);
                     self.transition(
                         slot,
@@ -294,7 +276,7 @@ mod tests {
             vec![Box::new(StaticPeakProvisioner)],
             ShardConfig::default(),
         );
-        let mut s = BreakerSupervisor::new(inner, BreakerConfig::default());
+        let mut s = BreakerSupervisor::new(inner);
         s.states = vec![state];
         s
     }

@@ -1,8 +1,8 @@
 //! Virtual time for the serving daemon.
 //!
 //! All event timestamps are virtual microseconds from daemon start; one
-//! provisioning slot spans [`ServeConfig::slot_micros`](crate::ServeConfig)
-//! of virtual time (10 s by default, the paper's slot length). Virtual time
+//! provisioning slot spans [`SLOT_MICROS`](crate::daemon::SLOT_MICROS) of
+//! virtual time (10 s, the paper's slot length). Virtual time
 //! is what reports and latency percentiles are measured in, so runs are
 //! byte-identical no matter how fast the host executes them. Wall time
 //! enters only through [`ReplaySpeed`] pacing, which *sleeps* to slow a

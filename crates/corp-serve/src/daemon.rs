@@ -28,23 +28,25 @@ use corp_trace::JobSpec;
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// Daemon knobs. The defaults describe the paper's setting: 10-second
-/// slots, an effectively open admission queue, no pacing, no deadlines,
-/// no degradation ladder.
+/// Virtual microseconds per provisioning slot: 10 s, the paper's slot
+/// length.
+pub const SLOT_MICROS: u64 = 10_000_000;
+
+/// Rank accuracy of the placement-latency percentile sketch.
+const LATENCY_EPS: f64 = 0.005;
+
+/// Daemon knobs. The defaults describe the paper's setting: an
+/// effectively open admission queue, no pacing, no deadlines, no
+/// degradation ladder.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Virtual microseconds per provisioning slot (default 10 s, the
-    /// paper's slot length).
-    pub slot_micros: u64,
     /// Admission-queue capacity (requests buffered between ticks).
     pub queue_capacity: usize,
     /// What happens when an arrival finds the queue full.
     pub policy: BackpressurePolicy,
     /// Replay pacing against the wall clock.
     pub speed: ReplaySpeed,
-    /// Rank accuracy of the latency percentile sketch.
-    pub latency_eps: f64,
-    /// Per-class placement deadlines; unbounded by default (nothing
+    /// Placement deadline; unbounded by default (nothing
     /// expires, nothing is classified).
     pub deadlines: DeadlineConfig,
     /// Overload degradation ladder; `None` (the default) disables the
@@ -55,11 +57,9 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            slot_micros: 10_000_000,
             queue_capacity: 4096,
             policy: BackpressurePolicy::Block,
             speed: ReplaySpeed::Infinite,
-            latency_eps: 0.005,
             deadlines: DeadlineConfig::unbounded(),
             brownout: None,
         }
@@ -74,8 +74,7 @@ pub struct ServeDaemon {
 
 impl ServeDaemon {
     /// Builds a daemon over `cluster`. `options` is the engine
-    /// configuration shared with batch mode (slot cap, prediction
-    /// tolerance, …).
+    /// configuration shared with batch mode (slot cap, arena reclaim, …).
     pub fn new(cluster: Cluster, options: SimulationOptions, config: ServeConfig) -> Self {
         ServeDaemon {
             engine: SlotEngine::new(cluster, options),
@@ -113,13 +112,12 @@ impl ServeDaemon {
         I: IntoIterator<Item = JobSpec>,
     {
         let wall_start = Instant::now();
-        let slot_micros = self.config.slot_micros.max(1);
         let deadlines = self.config.deadlines;
         let base_policy = self.config.policy;
-        let mut clock = VirtualClock::new(slot_micros, self.config.speed);
+        let mut clock = VirtualClock::new(SLOT_MICROS, self.config.speed);
         let mut events = EventQueue::new();
         let mut admission = AdmissionQueue::new(self.config.queue_capacity, base_policy);
-        let mut latency = QuantileSketch::new(self.config.latency_eps);
+        let mut latency = QuantileSketch::new(LATENCY_EPS);
         let mut slo = SloStats::default();
         let mut ladder = self.config.brownout.clone().map(BrownoutController::new);
         // Virtual arrival stamp and class deadline of each job still
@@ -235,7 +233,7 @@ impl ServeDaemon {
                     if drained || capped {
                         events.push(time, ServeEvent::Drain);
                     } else {
-                        events.push(time + slot_micros, ServeEvent::Tick);
+                        events.push(time + SLOT_MICROS, ServeEvent::Tick);
                     }
                 }
                 ServeEvent::Completion(_) => {

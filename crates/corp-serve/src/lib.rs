@@ -27,7 +27,7 @@
 //! Overload is a first-class concern (DESIGN.md §13), handled by three
 //! cooperating layers, each deterministic and fully accounted:
 //!
-//! * [`slo`] — per-class placement deadlines: jobs that out-wait their
+//! * [`slo`] — placement deadlines: jobs that out-wait their
 //!   deadline in the queue are expired before ever reaching the engine,
 //!   and placements are classified as deadline hits or misses.
 //! * [`brownout`] — an adaptive degradation ladder watching queue depth
@@ -59,7 +59,7 @@ pub mod report;
 pub mod slo;
 
 pub use admission::{Admission, AdmissionQueue, BackpressurePolicy, QueueStats};
-pub use breaker::{BreakerConfig, BreakerSupervisor};
+pub use breaker::BreakerSupervisor;
 pub use brownout::{
     BrownoutConfig, BrownoutController, BrownoutLevel, BrownoutSummary, BrownoutTransition,
     BrownoutTrigger,

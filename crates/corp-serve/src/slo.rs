@@ -1,42 +1,31 @@
-//! Placement deadlines: per-class admission SLOs and their accounting.
+//! Placement deadlines: the admission SLO and its accounting.
 //!
 //! A short-lived job that waits too long for placement is often worthless
 //! by the time it runs — the paper's motivation for treating placement
-//! latency as a first-class SLO. [`DeadlineConfig`] attaches an optional
-//! placement deadline (virtual microseconds from arrival) to each
-//! [`IntensityClass`]; the daemon consults it twice:
+//! latency as a first-class SLO. [`DeadlineConfig`] is an optional
+//! placement deadline (virtual microseconds from arrival), the same for
+//! every [`IntensityClass`]; the daemon consults it twice:
 //!
 //! * **At every tick, before draining**: a queued job whose wait already
 //!   *exceeds* its deadline is expired — removed from the queue, counted
 //!   in [`SloStats::expired`], and never submitted to the engine. Shedding
 //!   it early frees queue capacity for jobs that can still make it.
 //! * **At placement**: the measured latency is classified as a deadline
-//!   hit (`latency <= deadline`) or miss. Jobs of a class with no deadline
-//!   are not classified.
+//!   hit (`latency <= deadline`) or miss. Without a deadline nothing is
+//!   classified.
 //!
-//! With every deadline `None` (the default) nothing expires, nothing is
+//! With no deadline (the default) nothing expires, nothing is
 //! classified, and serve reports stay byte-identical to pre-deadline
 //! builds modulo the zeroed counters — the acceptance bar for this layer.
 
 use corp_trace::IntensityClass;
 use serde::Serialize;
 
-/// Position of a class in per-class arrays (mirrors
-/// [`IntensityClass::ALL`] order).
-fn class_index(class: IntensityClass) -> usize {
-    match class {
-        IntensityClass::CpuIntensive => 0,
-        IntensityClass::MemoryIntensive => 1,
-        IntensityClass::StorageIntensive => 2,
-        IntensityClass::Balanced => 3,
-    }
-}
-
-/// Optional placement deadline per intensity class, in virtual
-/// microseconds from the arrival event.
+/// Optional placement deadline, in virtual microseconds from the arrival
+/// event; every intensity class gets the same one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeadlineConfig {
-    deadline_micros: [Option<u64>; IntensityClass::ALL.len()],
+    deadline_micros: Option<u64>,
 }
 
 impl DeadlineConfig {
@@ -48,25 +37,19 @@ impl DeadlineConfig {
     /// The same deadline for every class.
     pub fn uniform(micros: u64) -> Self {
         DeadlineConfig {
-            deadline_micros: [Some(micros); IntensityClass::ALL.len()],
+            deadline_micros: Some(micros),
         }
     }
 
-    /// Sets one class's deadline (builder style).
-    pub fn with_deadline(mut self, class: IntensityClass, micros: u64) -> Self {
-        self.deadline_micros[class_index(class)] = Some(micros);
-        self
-    }
-
     /// The deadline for `class`, if it has one.
-    pub fn deadline_for(&self, class: IntensityClass) -> Option<u64> {
-        self.deadline_micros[class_index(class)]
+    pub fn deadline_for(&self, _class: IntensityClass) -> Option<u64> {
+        self.deadline_micros
     }
 
     /// True when no class has a deadline (the fast path: the daemon skips
     /// expiry scans entirely).
     pub fn is_unbounded(&self) -> bool {
-        self.deadline_micros.iter().all(|d| d.is_none())
+        self.deadline_micros.is_none()
     }
 }
 
@@ -108,15 +91,12 @@ mod tests {
     }
 
     #[test]
-    fn uniform_and_per_class_overrides() {
-        let cfg =
-            DeadlineConfig::uniform(5_000_000).with_deadline(IntensityClass::Balanced, 20_000_000);
+    fn uniform_applies_to_every_class() {
+        let cfg = DeadlineConfig::uniform(5_000_000);
         assert!(!cfg.is_unbounded());
-        assert_eq!(
-            cfg.deadline_for(IntensityClass::CpuIntensive),
-            Some(5_000_000)
-        );
-        assert_eq!(cfg.deadline_for(IntensityClass::Balanced), Some(20_000_000));
+        for class in IntensityClass::ALL {
+            assert_eq!(cfg.deadline_for(class), Some(5_000_000));
+        }
     }
 
     #[test]

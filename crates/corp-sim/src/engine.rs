@@ -48,6 +48,12 @@ use std::time::Instant;
 /// regrowths it saves (EXPERIMENTS.md, "The slot loop pays per job").
 const HISTORY_SLACK_SLOTS: usize = 2;
 
+/// Prediction-error tolerance for the error-rate metric, as a fraction
+/// of each resource's maximum VM capacity (`eps_k = frac * C'_k`) —
+/// resource types live on very different scales (cores vs. hundreds of
+/// GB), so a relative tolerance is the only meaningful one.
+const PREDICTION_EPS_FRAC: f64 = 0.25;
+
 /// Engine knobs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimulationOptions {
@@ -59,11 +65,6 @@ pub struct SimulationOptions {
     /// Include measured wall-clock decision time in the overhead metric
     /// (always true for overhead experiments; harmless elsewhere).
     pub measure_decision_time: bool,
-    /// Prediction-error tolerance for the error-rate metric, as a fraction
-    /// of each resource's maximum VM capacity (`eps_k = frac * C'_k`) —
-    /// resource types live on very different scales (cores vs. hundreds of
-    /// GB), so a relative tolerance is the only meaningful one.
-    pub prediction_eps_frac: f64,
     /// Recycle each job's arena slot (record, histories, SoA columns)
     /// as soon as it completes or is rejected, bounding engine memory by
     /// *active* jobs instead of total jobs submitted. Reports are
@@ -79,7 +80,6 @@ impl Default for SimulationOptions {
         SimulationOptions {
             max_slots: 100_000,
             measure_decision_time: true,
-            prediction_eps_frac: 0.25,
             reclaim_completed: false,
         }
     }
@@ -780,7 +780,7 @@ impl SlotEngine {
                         predicted: p.predicted,
                         actual,
                     };
-                    let eps = self.options.prediction_eps_frac * self.max_capacity[p.resource];
+                    let eps = PREDICTION_EPS_FRAC * self.max_capacity[p.resource];
                     self.metrics.record_prediction(&outcome, eps);
                 }
             }

@@ -129,16 +129,7 @@ impl PredictionErrorTracker {
         }
     }
 
-    /// Records the errors for one prediction window: `actuals` holds the
-    /// observed unused resource at each slot `tau` in `(t, t+L]` and
-    /// `predicted` is the (single) window forecast, per paper Eq. 20.
-    pub fn record_window(&mut self, actuals: &[f64], predicted: f64) {
-        for &u in actuals {
-            self.window.push(u - predicted);
-        }
-    }
-
-    /// Records a single slot's error directly.
+    /// Records one slot's error `actual - predicted` (paper Eq. 20).
     pub fn record(&mut self, actual: f64, predicted: f64) {
         self.window.push(actual - predicted);
     }
@@ -148,15 +139,10 @@ impl PredictionErrorTracker {
         self.window.sigma_hat()
     }
 
-    /// The preemption gate of paper Eq. 21: true iff
-    /// `Pr(0 <= delta < eps) >= P_th` over the recent error window.
-    pub fn unlocked(&self) -> bool {
-        self.window.prob_within(self.tolerance) >= self.threshold
-    }
-
-    /// The symmetric-band preemption gate: true iff
-    /// `Pr(|delta| < eps) >= P_th`. Use this when predictions carry the
-    /// Eq. 19 conservatism bias (see [`ErrorWindow::prob_abs_within`]).
+    /// The preemption gate of paper Eq. 21 on the symmetric band: true iff
+    /// `Pr(|delta| < eps) >= P_th` over the recent error window. The band
+    /// is symmetric because predictions carry the Eq. 19 conservatism
+    /// bias (see [`ErrorWindow::prob_abs_within`]).
     pub fn unlocked_symmetric(&self) -> bool {
         self.window.prob_abs_within(self.tolerance) >= self.threshold
     }
@@ -230,11 +216,11 @@ mod tests {
     #[test]
     fn tracker_unlocks_when_errors_are_small_nonnegative() {
         let mut t = PredictionErrorTracker::new(16, 0.5, 0.95);
-        assert!(!t.unlocked(), "no evidence -> locked");
+        assert!(!t.unlocked_symmetric(), "no evidence -> locked");
         for _ in 0..16 {
             t.record(10.0, 9.9); // delta = +0.1, inside [0, 0.5)
         }
-        assert!(t.unlocked());
+        assert!(t.unlocked_symmetric());
     }
 
     #[test]
@@ -245,7 +231,7 @@ mod tests {
         for _ in 0..16 {
             t.record(9.0, 10.0); // delta = -1.0
         }
-        assert!(!t.unlocked());
+        assert!(!t.unlocked_symmetric());
         assert_eq!(t.prob_within_tolerance(), 0.0);
     }
 
@@ -257,16 +243,10 @@ mod tests {
         t.record(1.3, 1.0); // +0.3 inside
         t.record(0.0, 1.0); // -1.0 outside
         assert_eq!(t.prob_within_tolerance(), 0.75);
-        assert!(t.unlocked(), "Eq. 21 uses >=, so exactly P_th unlocks");
-    }
-
-    #[test]
-    fn record_window_applies_eq20_per_slot() {
-        let mut t = PredictionErrorTracker::new(8, 0.5, 0.9);
-        t.record_window(&[5.0, 5.2, 5.4], 5.0);
-        assert_eq!(t.samples(), 3);
-        // deltas: 0.0, 0.2, 0.4 — all within [0, 0.5).
-        assert_eq!(t.prob_within_tolerance(), 1.0);
+        assert!(
+            t.unlocked_symmetric(),
+            "Eq. 21 uses >=, so exactly P_th unlocks"
+        );
     }
 
     #[test]

@@ -3,16 +3,15 @@
 //! The RCCR baseline in the paper "used a time series forecasting technique,
 //! i.e., Exponential Smoothing (ETS), to predict the amount of unused
 //! resource of VMs" and then took the lower bound of a confidence interval.
-//! We provide the three classic members of the family:
+//! We provide two members of the family:
 //!
-//! * [`SimpleExp`] — simple exponential smoothing (level only), the default
+//! * [`SimpleExp`] — simple exponential smoothing (level only), the
 //!   RCCR forecaster for patternless series.
-//! * [`DoubleExp`] — Holt's linear method (level + trend).
 //! * [`HoltWinters`] — additive seasonal Holt-Winters, which is the variant
 //!   that *does* exploit patterns; experiments use it to show why
 //!   pattern-based forecasting fails on short-lived jobs.
 //!
-//! All smoothers are incremental: `observe` folds one sample in O(1) and
+//! Both smoothers are incremental: `observe` folds one sample in O(1) and
 //! `forecast(h)` extrapolates `h` steps ahead without touching history.
 
 use serde::{Deserialize, Serialize};
@@ -62,66 +61,6 @@ impl SimpleExp {
     /// Current smoothed level, if any observation has been seen.
     pub fn level(&self) -> Option<f64> {
         self.level
-    }
-}
-
-/// Holt's linear (double exponential) smoothing with level and trend.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DoubleExp {
-    alpha: f64,
-    beta: f64,
-    state: Option<(f64, f64)>, // (level, trend)
-    prev: Option<f64>,
-}
-
-impl DoubleExp {
-    /// Creates a Holt smoother with level factor `alpha` and trend factor
-    /// `beta`, both in `(0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either factor is outside `(0, 1]`.
-    pub fn new(alpha: f64, beta: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha <= 1.0,
-            "alpha must be in (0,1], got {alpha}"
-        );
-        assert!(
-            beta > 0.0 && beta <= 1.0,
-            "beta must be in (0,1], got {beta}"
-        );
-        DoubleExp {
-            alpha,
-            beta,
-            state: None,
-            prev: None,
-        }
-    }
-
-    /// Folds one observation into level and trend.
-    pub fn observe(&mut self, x: f64) {
-        match (self.state, self.prev) {
-            (None, None) => self.prev = Some(x),
-            (None, Some(p)) => self.state = Some((x, x - p)),
-            (Some((level, trend)), _) => {
-                let new_level = self.alpha * x + (1.0 - self.alpha) * (level + trend);
-                let new_trend = self.beta * (new_level - level) + (1.0 - self.beta) * trend;
-                self.state = Some((new_level, new_trend));
-            }
-        }
-    }
-
-    /// Folds a whole slice of observations.
-    pub fn observe_all(&mut self, xs: &[f64]) {
-        for &x in xs {
-            self.observe(x);
-        }
-    }
-
-    /// Forecast `h >= 1` steps ahead: `level + h * trend`. Returns `None`
-    /// until two observations have initialized the trend.
-    pub fn forecast(&self, h: usize) -> Option<f64> {
-        self.state.map(|(level, trend)| level + h as f64 * trend)
     }
 }
 
@@ -262,31 +201,6 @@ mod tests {
     #[should_panic]
     fn ses_rejects_zero_alpha() {
         SimpleExp::new(0.0);
-    }
-
-    #[test]
-    fn holt_tracks_linear_trend() {
-        let mut s = DoubleExp::new(0.8, 0.8);
-        for t in 0..100 {
-            s.observe(2.0 * t as f64 + 1.0);
-        }
-        // A linear series should be extrapolated almost exactly.
-        let f = s.forecast(5).unwrap();
-        let expected = 2.0 * 104.0 + 1.0;
-        assert!(
-            (f - expected).abs() < 0.5,
-            "forecast {f} vs expected {expected}"
-        );
-    }
-
-    #[test]
-    fn holt_needs_two_observations() {
-        let mut s = DoubleExp::new(0.5, 0.5);
-        assert_eq!(s.forecast(1), None);
-        s.observe(1.0);
-        assert_eq!(s.forecast(1), None);
-        s.observe(2.0);
-        assert!(s.forecast(1).is_some());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!   resource-usage series.
 //! * [`quantile`] — the standard-normal inverse CDF used for the
 //!   `z_{theta/2}` term of CORP's confidence intervals (paper Eq. 18).
-//! * [`ets`] — the exponential-smoothing family (simple/Holt/Holt-Winters)
+//! * [`ets`] — the exponential-smoothing family (simple and Holt-Winters)
 //!   used by the RCCR baseline's time-series forecaster.
 //! * [`markov`] — a discrete-time Markov-chain predictor, the multi-step
 //!   fallback predictor of the CloudScale baseline.
@@ -39,7 +39,7 @@ pub mod sketch;
 
 pub use descriptive::{max, mean, min, percentile, stddev, variance, Summary};
 pub use error::{ErrorWindow, PredictionErrorTracker};
-pub use ets::{DoubleExp, HoltWinters, SimpleExp};
+pub use ets::{HoltWinters, SimpleExp};
 pub use fft::{dominant_period, fft_magnitudes};
 pub use markov::MarkovChain;
 pub use quantile::{normal_cdf, normal_quantile, z_for_confidence};

@@ -1,56 +1,16 @@
-//! Job arrival processes.
+//! Bursty job arrivals.
 //!
 //! The paper varies the number of submitted jobs (`n_t` per slot, 50–300
-//! total) but does not fix an arrival law; short-lived cloud queries are
-//! commonly modeled as Poisson with occasional correlated bursts (flash
-//! crowds). Both are provided so experiments can stress the provisioners
-//! under smooth and bursty submission.
+//! total) but does not fix an arrival law. The
+//! [`WorkloadGenerator`](crate::WorkloadGenerator) submits on its own
+//! Poisson clock; [`BurstyArrivals`] is the other shape short-lived cloud
+//! queries arrive in — correlated bursts (flash crowds) — so a provisioner
+//! can be stressed under bursty submission
+//! ([`generate_one`](crate::WorkloadGenerator::generate_one) takes the
+//! slot).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// A source of job arrival slots.
-pub trait ArrivalProcess {
-    /// Returns the arrival slots for `n` jobs, non-decreasing.
-    fn arrivals(&mut self, n: usize) -> Vec<u64>;
-}
-
-/// Homogeneous Poisson arrivals: exponential inter-arrival gaps with the
-/// given mean (in slots).
-#[derive(Debug)]
-pub struct PoissonArrivals {
-    mean_gap_slots: f64,
-    rng: StdRng,
-}
-
-impl PoissonArrivals {
-    /// Creates a Poisson process with mean inter-arrival gap
-    /// `mean_gap_slots` (must be positive) and deterministic seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean_gap_slots <= 0`.
-    pub fn new(mean_gap_slots: f64, seed: u64) -> Self {
-        assert!(mean_gap_slots > 0.0, "mean gap must be positive");
-        PoissonArrivals {
-            mean_gap_slots,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl ArrivalProcess for PoissonArrivals {
-    fn arrivals(&mut self, n: usize) -> Vec<u64> {
-        let mut t = 0.0f64;
-        (0..n)
-            .map(|_| {
-                let u: f64 = self.rng.gen_range(1e-12..1.0);
-                t += -self.mean_gap_slots * u.ln();
-                t as u64
-            })
-            .collect()
-    }
-}
 
 /// Bursty arrivals: jobs arrive in clusters of geometric size separated by
 /// longer quiet gaps — a flash-crowd model for IoT/online query floods.
@@ -81,10 +41,9 @@ impl BurstyArrivals {
             rng: StdRng::seed_from_u64(seed),
         }
     }
-}
 
-impl ArrivalProcess for BurstyArrivals {
-    fn arrivals(&mut self, n: usize) -> Vec<u64> {
+    /// Returns the arrival slots for `n` jobs, non-decreasing.
+    pub fn arrivals(&mut self, n: usize) -> Vec<u64> {
         let mut out = Vec::with_capacity(n);
         let mut t = 0u64;
         let p = 1.0 / self.mean_burst_size;
@@ -112,32 +71,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn poisson_arrivals_nondecreasing() {
-        let mut p = PoissonArrivals::new(0.7, 1);
-        let a = p.arrivals(200);
-        assert_eq!(a.len(), 200);
-        for w in a.windows(2) {
-            assert!(w[0] <= w[1]);
-        }
-    }
-
-    #[test]
-    fn poisson_mean_gap_is_respected() {
-        let mut p = PoissonArrivals::new(2.0, 2);
-        let a = p.arrivals(5_000);
-        let span = *a.last().unwrap() as f64;
-        let mean_gap = span / a.len() as f64;
-        assert!((mean_gap - 2.0).abs() < 0.3, "observed mean gap {mean_gap}");
-    }
-
-    #[test]
-    fn poisson_deterministic_per_seed() {
-        let a = PoissonArrivals::new(1.0, 9).arrivals(50);
-        let b = PoissonArrivals::new(1.0, 9).arrivals(50);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn bursty_arrivals_cluster() {
         let mut b = BurstyArrivals::new(8.0, 50.0, 3);
         let a = b.arrivals(400);
@@ -157,12 +90,6 @@ mod tests {
         for w in a.windows(2) {
             assert!(w[0] <= w[1]);
         }
-    }
-
-    #[test]
-    #[should_panic]
-    fn poisson_rejects_zero_gap() {
-        PoissonArrivals::new(0.0, 1);
     }
 
     #[test]

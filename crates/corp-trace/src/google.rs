@@ -172,7 +172,7 @@ pub fn parse_line(
     Ok(Some(rec))
 }
 
-pub(crate) fn parse_field<T: std::str::FromStr>(
+fn parse_field<T: std::str::FromStr>(
     s: &str,
     line: usize,
     byte: usize,

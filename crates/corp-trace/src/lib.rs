@@ -13,14 +13,14 @@
 //!   valleys), stratified by resource-intensity class (CPU-, memory-, or
 //!   storage-dominant) so the complementary-packing machinery has real work
 //!   to do.
-//! * [`arrival`] — Poisson and bursty arrival processes for submission
-//!   times.
+//! * [`arrival`] — a bursty (flash-crowd) arrival process for submission
+//!   times; the generator's own clock is Poisson.
 //! * [`google`] — a Google-trace-like record format with CSV parsing and
 //!   serialization, the 5-minute to 10-second re-slotting transform, and
 //!   the long-job filter from Section IV.
 //! * [`series`] — time-series helpers shared with the HMM quantizer:
-//!   peak/valley detection and window fluctuation spreads (the `Delta_j`
-//!   of the paper's observation-symbol construction).
+//!   window fluctuation spreads (the `Delta_j` of the paper's
+//!   observation-symbol construction).
 //! * [`recorded`] — a versioned on-disk text format for generated
 //!   workloads, so the `corp-serve` daemon can replay the exact same
 //!   arrival stream across runs and machines.
@@ -43,7 +43,7 @@ pub mod source;
 pub mod stream;
 pub mod workload;
 
-pub use arrival::{ArrivalProcess, BurstyArrivals, PoissonArrivals};
+pub use arrival::BurstyArrivals;
 pub use google::{
     filter_short_lived, parse_csv, parse_line, resample_trace, to_csv, TaskRecord, TraceError,
     GOOGLE_FIELDS,
@@ -52,12 +52,12 @@ pub use longlived::{LongLivedConfig, LongLivedGenerator};
 pub use recorded::{
     format_trace, load_trace, parse_trace, save_trace, RecordedTraceError, TRACE_HEADER,
 };
-pub use series::{fluctuation_spreads, peaks_and_valleys, window_spread};
+pub use series::{fluctuation_spreads, window_spread};
 pub use source::{
-    records_to_jobs, IngestConfig, IntoSpecs, JobSource, JobWindow, JobWindows, SpecSource,
-    SyntheticSource, TraceJobSource,
+    records_to_jobs, IngestConfig, IntoSpecs, JobSource, JobWindow, JobWindows, SyntheticSource,
+    TraceJobSource,
 };
-pub use stream::{AzureVmReader, GoogleCsvReader, ReadError, AZURE_FIELDS};
+pub use stream::{GoogleCsvReader, ReadError};
 pub use workload::{
     IntensityClass, JobSpec, ResourceKind, WorkloadConfig, WorkloadGenerator, NUM_RESOURCES,
 };

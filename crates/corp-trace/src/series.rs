@@ -4,7 +4,7 @@
 //! The paper's HMM observation symbols are built from the *spread*
 //! `Delta_j` — the difference between the maximum and minimum unused
 //! resource inside each inter-observation window. These helpers compute
-//! those spreads and locate local peaks/valleys of a series.
+//! those spreads.
 
 /// Spread (max - min) of one window of values. Returns 0.0 for windows with
 /// fewer than two samples: a single sample cannot fluctuate.
@@ -35,21 +35,6 @@ pub fn fluctuation_spreads(series: &[f64], window_len: usize) -> Vec<f64> {
         .filter(|c| c.len() >= 2)
         .map(window_spread)
         .collect()
-}
-
-/// Indices of local peaks and valleys of `series` (strictly greater/less
-/// than both neighbors). Returns `(peaks, valleys)`.
-pub fn peaks_and_valleys(series: &[f64]) -> (Vec<usize>, Vec<usize>) {
-    let mut peaks = Vec::new();
-    let mut valleys = Vec::new();
-    for i in 1..series.len().saturating_sub(1) {
-        if series[i] > series[i - 1] && series[i] > series[i + 1] {
-            peaks.push(i);
-        } else if series[i] < series[i - 1] && series[i] < series[i + 1] {
-            valleys.push(i);
-        }
-    }
-    (peaks, valleys)
 }
 
 #[cfg(test)]
@@ -84,30 +69,6 @@ mod tests {
         let series = [0.0, 4.0, 9.0];
         let spreads = fluctuation_spreads(&series, 2);
         assert_eq!(spreads, vec![4.0]);
-    }
-
-    #[test]
-    fn peaks_and_valleys_of_triangle_wave() {
-        let series = [0.0, 1.0, 2.0, 1.0, 0.0, 1.0, 2.0, 1.0];
-        let (peaks, valleys) = peaks_and_valleys(&series);
-        assert_eq!(peaks, vec![2, 6]);
-        assert_eq!(valleys, vec![4]);
-    }
-
-    #[test]
-    fn flat_series_has_no_extrema() {
-        let series = [1.0; 10];
-        let (peaks, valleys) = peaks_and_valleys(&series);
-        assert!(peaks.is_empty());
-        assert!(valleys.is_empty());
-    }
-
-    #[test]
-    fn endpoints_are_never_extrema() {
-        let series = [10.0, 1.0, 10.0];
-        let (peaks, valleys) = peaks_and_valleys(&series);
-        assert_eq!(peaks, Vec::<usize>::new());
-        assert_eq!(valleys, vec![1]);
     }
 
     #[test]

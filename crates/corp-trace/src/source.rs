@@ -19,12 +19,12 @@
 //! is job-contiguous and job groups appear in `(first start, job id)`
 //! order, which sorted trace exports satisfy.
 //!
-//! A [`JobSource`] is any fallible `JobSpec` iterator; it is directly an
-//! arrival stream for the `corp-serve` daemon (via
-//! [`into_specs`](JobSource::into_specs)) and chunked ingest for batch
-//! runs (via [`read_chunk`](JobSource::read_chunk)). [`SyntheticSource`]
-//! and [`SpecSource`] wrap the existing generators and recorded traces in
-//! the same interface.
+//! A [`JobSource`] is any fallible `JobSpec` iterator. A consumer that can
+//! report a decode error iterates it directly (`corp-exp serve --trace`
+//! ends the feed at the first `Err` and exits with it);
+//! [`into_specs`](JobSource::into_specs) is the adapter for sources that
+//! cannot fail. [`SyntheticSource`] wraps the workload generator in the
+//! same interface.
 
 use crate::google::{filter_short_lived, resample_trace, TaskRecord};
 use crate::stream::ReadError;
@@ -228,28 +228,14 @@ where
 /// A streaming source of jobs: any fallible [`JobSpec`] iterator.
 ///
 /// Blanket-implemented, so every composed adapter in this module is a
-/// `JobSource`. The provided methods are the two consumption shapes the
-/// rest of the workspace uses: bounded chunks for batch ingest and an
-/// infallible adapter for the serve daemon's `IntoIterator` arrival feed.
+/// `JobSource`. The one provided method is the infallible adapter the
+/// synthetic sources feed the engine's and the serve daemon's
+/// `IntoIterator` arrival streams through.
 pub trait JobSource: Iterator<Item = Result<JobSpec, ReadError>> {
-    /// Pulls up to `max` jobs into `out` (cleared first). Returns the
-    /// number appended; `0` means the stream is exhausted. Errors abort
-    /// the chunk.
-    fn read_chunk(&mut self, max: usize, out: &mut Vec<JobSpec>) -> Result<usize, ReadError> {
-        out.clear();
-        while out.len() < max {
-            match self.next() {
-                Some(Ok(spec)) => out.push(spec),
-                Some(Err(e)) => return Err(e),
-                None => break,
-            }
-        }
-        Ok(out.len())
-    }
-
-    /// Adapts the source into a plain `JobSpec` iterator for consumers
-    /// that cannot surface errors mid-stream (the serve daemon's arrival
-    /// feed). Panics with the decode error's message if the stream fails.
+    /// Adapts the source into a plain `JobSpec` iterator, for sources
+    /// that cannot fail ([`SyntheticSource`]). Panics with the decode
+    /// error's message if the stream does fail — a source reading outside
+    /// input is iterated directly so its error can be returned.
     fn into_specs(self) -> IntoSpecs<Self>
     where
         Self: Sized,
@@ -291,8 +277,7 @@ where
     I: Iterator<Item = Result<TaskRecord, ReadError>>,
 {
     /// Builds the pipeline over a record stream (e.g. a
-    /// [`GoogleCsvReader`](crate::GoogleCsvReader) or
-    /// [`AzureVmReader`](crate::AzureVmReader)).
+    /// [`GoogleCsvReader`](crate::GoogleCsvReader)).
     pub fn new(records: I, cfg: IngestConfig) -> Self {
         TraceJobSource {
             windows: JobWindows::new(records),
@@ -344,11 +329,8 @@ pub struct SyntheticSource {
 impl SyntheticSource {
     /// Wraps a generator; yields `config.num_jobs` jobs.
     pub fn new(config: WorkloadConfig, seed: u64) -> Self {
-        let remaining = config.num_jobs;
-        SyntheticSource {
-            gen: WorkloadGenerator::new(config, seed),
-            remaining,
-        }
+        let total_jobs = config.num_jobs;
+        Self::with_total(config, seed, total_jobs)
     }
 
     /// Wraps a generator but yields `total_jobs` jobs regardless of
@@ -371,31 +353,6 @@ impl Iterator for SyntheticSource {
         }
         self.remaining -= 1;
         Some(Ok(self.gen.generate_next()))
-    }
-}
-
-/// Adapts pre-built specs (a recorded trace, a
-/// [`LongLivedGenerator`](crate::LongLivedGenerator) batch, a test
-/// fixture) into a [`JobSource`].
-#[derive(Debug)]
-pub struct SpecSource {
-    specs: std::vec::IntoIter<JobSpec>,
-}
-
-impl SpecSource {
-    /// Wraps an already-materialized workload.
-    pub fn new(specs: Vec<JobSpec>) -> Self {
-        SpecSource {
-            specs: specs.into_iter(),
-        }
-    }
-}
-
-impl Iterator for SpecSource {
-    type Item = Result<JobSpec, ReadError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.specs.next().map(Ok)
     }
 }
 
@@ -554,35 +511,5 @@ mod tests {
             serde::json::to_string(&streamed),
             serde::json::to_string(&batch)
         );
-    }
-
-    #[test]
-    fn read_chunk_bounds_and_drains() {
-        let cfg = WorkloadConfig {
-            num_jobs: 10,
-            ..WorkloadConfig::default()
-        };
-        let mut src = SyntheticSource::new(cfg, 3);
-        let mut chunk = Vec::new();
-        let mut total = 0;
-        let mut chunks = 0;
-        loop {
-            let n = src.read_chunk(4, &mut chunk).unwrap();
-            if n == 0 {
-                break;
-            }
-            assert!(n <= 4);
-            total += n;
-            chunks += 1;
-        }
-        assert_eq!(total, 10);
-        assert_eq!(chunks, 3);
-    }
-
-    #[test]
-    fn spec_source_round_trips() {
-        let specs = WorkloadGenerator::with_seed(5).generate();
-        let out: Vec<JobSpec> = SpecSource::new(specs.clone()).into_specs().collect();
-        assert_eq!(serde::json::to_string(&out), serde::json::to_string(&specs));
     }
 }

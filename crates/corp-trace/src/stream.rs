@@ -1,24 +1,20 @@
 //! Line-streaming trace readers over `io::BufRead`.
 //!
 //! [`parse_csv`](crate::parse_csv) demands the whole trace as one `&str`,
-//! which caps runs at whatever fits in RAM. The readers here decode one
+//! which caps runs at whatever fits in RAM. The reader here decodes one
 //! line at a time from any [`BufRead`] — a file, a decompressor, a socket —
 //! holding only the current line buffer, so trace length never affects
-//! resident memory. Both readers fuse after the first error (a corrupt
+//! resident memory. The reader fuses after the first error (a corrupt
 //! line poisons everything downstream of it, exactly like the in-memory
 //! parser's early return).
 //!
-//! Two on-disk schemas are supported:
-//!
-//! * [`GoogleCsvReader`] — the repo's Google `task_usage`-like layout
-//!   (`start,end,job_id,task_index,cpu,memory,storage`), sharing
-//!   [`parse_line`] with [`parse_csv`](crate::parse_csv) so records and
-//!   errors are byte-identical.
-//! * [`AzureVmReader`] — an Azure-VM-style lifetime table
-//!   (`vmid,start,end,core,memory`), mapped onto [`TaskRecord`] with the
-//!   VM id as the job id and storage pinned to zero.
+//! One on-disk schema is read: [`GoogleCsvReader`] decodes the repo's
+//! Google `task_usage`-like layout
+//! (`start,end,job_id,task_index,cpu,memory,storage`), sharing
+//! [`parse_line`] with [`parse_csv`](crate::parse_csv) so records and
+//! errors are byte-identical.
 
-use crate::google::{parse_field, parse_line, TaskRecord, TraceError};
+use crate::google::{parse_line, TaskRecord, TraceError};
 use std::fmt;
 use std::io::BufRead;
 
@@ -141,131 +137,6 @@ impl<R: BufRead> Iterator for GoogleCsvReader<R> {
     }
 }
 
-/// Number of comma-separated fields in the Azure-VM-style layout.
-pub const AZURE_FIELDS: usize = 5;
-
-/// Streams an Azure-VM-style lifetime table
-/// (`vmid,start,end,core,memory` per line) as [`TaskRecord`]s.
-///
-/// Mapping: `job_id` is the VM id (numeric ids pass through; opaque
-/// string ids are hashed with FNV-1a so the mapping is deterministic
-/// across runs and machines), `task_index` is 0 (one task per VM),
-/// `cpu`/`memory` carry the core count and memory, and `storage` is 0
-/// (the Azure schema does not report local disk). An optional header
-/// line starting with `vmid` (or `#`) is skipped.
-#[derive(Debug)]
-pub struct AzureVmReader<R> {
-    inner: R,
-    buf: String,
-    line_no: usize,
-    byte: usize,
-    done: bool,
-}
-
-impl<R: BufRead> AzureVmReader<R> {
-    /// Wraps a buffered reader positioned at the start of the table.
-    pub fn new(inner: R) -> Self {
-        AzureVmReader {
-            inner,
-            buf: String::new(),
-            line_no: 0,
-            byte: 0,
-            done: false,
-        }
-    }
-
-    fn parse_azure_line(
-        line: &str,
-        line_no: usize,
-        byte: usize,
-    ) -> Result<Option<TaskRecord>, TraceError> {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            return Ok(None);
-        }
-        // Tolerate the dataset's own header row.
-        if line_no == 1 && line.to_ascii_lowercase().starts_with("vmid") {
-            return Ok(None);
-        }
-        let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-        if fields.len() != AZURE_FIELDS {
-            return Err(TraceError::FieldCount {
-                line: line_no,
-                byte,
-                expected: AZURE_FIELDS,
-                found: fields.len(),
-            });
-        }
-        let job_id = match fields[0].parse::<u64>() {
-            Ok(id) => id,
-            // Public Azure traces use opaque base64-ish VM ids; hash them
-            // deterministically so the same id maps to the same job.
-            Err(_) => fnv1a(fields[0].as_bytes()),
-        };
-        let rec = TaskRecord {
-            start_secs: parse_field(fields[1], line_no, byte, 1)?,
-            end_secs: parse_field(fields[2], line_no, byte, 2)?,
-            job_id,
-            task_index: 0,
-            cpu: parse_field(fields[3], line_no, byte, 3)?,
-            memory: parse_field(fields[4], line_no, byte, 4)?,
-            storage: 0.0,
-        };
-        if rec.end_secs <= rec.start_secs {
-            return Err(TraceError::EmptyInterval {
-                line: line_no,
-                byte,
-            });
-        }
-        Ok(Some(rec))
-    }
-}
-
-impl<R: BufRead> Iterator for AzureVmReader<R> {
-    type Item = Result<TaskRecord, ReadError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while !self.done {
-            self.buf.clear();
-            let n = match self.inner.read_line(&mut self.buf) {
-                Ok(n) => n,
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(ReadError::Io(e)));
-                }
-            };
-            if n == 0 {
-                self.done = true;
-                return None;
-            }
-            self.line_no += 1;
-            let line_start = self.byte;
-            self.byte += n;
-            let line = self.buf.strip_suffix('\n').unwrap_or(&self.buf);
-            match Self::parse_azure_line(line, self.line_no, line_start) {
-                Ok(Some(rec)) => return Some(Ok(rec)),
-                Ok(None) => continue,
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(ReadError::Trace(e)));
-                }
-            }
-        }
-        None
-    }
-}
-
-/// 64-bit FNV-1a — a tiny, dependency-free, stable hash for mapping
-/// opaque VM-id strings to numeric job ids.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,47 +185,5 @@ mod tests {
             .unwrap();
         assert_eq!(streamed, parse_csv(csv).unwrap());
         assert_eq!(streamed.len(), 1);
-    }
-
-    #[test]
-    fn azure_reader_maps_schema() {
-        let csv = "vmid,start,end,core,memory\n42,0,600,2,7.5\n";
-        let recs: Vec<TaskRecord> = AzureVmReader::new(csv.as_bytes())
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(recs.len(), 1);
-        let r = &recs[0];
-        assert_eq!((r.job_id, r.task_index), (42, 0));
-        assert_eq!((r.start_secs, r.end_secs), (0, 600));
-        assert_eq!((r.cpu, r.memory, r.storage), (2.0, 7.5, 0.0));
-    }
-
-    #[test]
-    fn azure_reader_hashes_opaque_ids_deterministically() {
-        let csv = "abc+XY=,0,60,1,1.75\nabc+XY=,60,120,1,1.75\nother,0,60,1,1.0\n";
-        let recs: Vec<TaskRecord> = AzureVmReader::new(csv.as_bytes())
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(recs[0].job_id, recs[1].job_id);
-        assert_ne!(recs[0].job_id, recs[2].job_id);
-        let again: Vec<TaskRecord> = AzureVmReader::new(csv.as_bytes())
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(recs, again);
-    }
-
-    #[test]
-    fn azure_reader_rejects_bad_rows_with_offsets() {
-        let csv = "1,0,600,2,7.5\n2,600,600,2,7.5\n";
-        let err = AzureVmReader::new(csv.as_bytes())
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap_err();
-        match err {
-            ReadError::Trace(TraceError::EmptyInterval { line, byte }) => {
-                assert_eq!(line, 2);
-                assert_eq!(byte, "1,0,600,2,7.5\n".len());
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
     }
 }

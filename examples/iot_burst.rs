@@ -13,9 +13,7 @@
 
 use corp_core::{CorpConfig, CorpProvisioner};
 use corp_sim::{Cluster, EnvironmentProfile, Simulation, SimulationOptions, StaticPeakProvisioner};
-use corp_trace::{
-    ArrivalProcess, BurstyArrivals, WorkloadConfig, WorkloadGenerator, NUM_RESOURCES,
-};
+use corp_trace::{BurstyArrivals, WorkloadConfig, WorkloadGenerator, NUM_RESOURCES};
 
 fn main() {
     let config = WorkloadConfig {

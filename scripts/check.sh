@@ -44,6 +44,12 @@
 #                                 # deletion or `pub(crate)`, to be
 #                                 # confirmed with the compiler; always
 #                                 # exits 0
+#   scripts/check.sh size         # advisory, writes nothing: per crate and
+#                                 # in total, the lines of `crates/*/src`
+#                                 # (`*.rs` and one directory down) and the
+#                                 # part of them outside test modules (each
+#                                 # file up to its last `#[cfg(test)]`) — the
+#                                 # number ROADMAP's code-diet budget is in
 #
 # The serve / resilience / scale smoke modes are bare `corp-exp ... --smoke`
 # calls whose own assertions set the exit code; no mode writes a file
@@ -83,6 +89,21 @@ if [[ "${1:-}" == "reach" ]]; then
                 [[ -z "$name" ]] || grep -qw "$name" "${outside[@]}" || echo "$crate::$name"
             done
     done
+    exit 0
+fi
+
+if [[ "${1:-}" == "size" ]]; then
+    shopt -s nullglob
+    size_of() { # name files...: all lines, and lines up to each file's last `#[cfg(test)]`
+        awk -v name="$1" 'FNR == 1 { n += cut ? cut : len; cut = 0 }
+            /^#\[cfg\(test\)\]/ { cut = FNR } { len = FNR }
+            END { printf "%7d %13d  %s\n", NR, n + (cut ? cut : len), name }' "${@:2}"
+    }
+    printf '%7s %13s  %s\n' lines outside-tests crate
+    for d in crates/*/; do
+        size_of "$(basename "$d")" "$d"src/*.rs "$d"src/*/*.rs
+    done
+    size_of total crates/*/src/*.rs crates/*/src/*/*.rs
     exit 0
 fi
 
