@@ -15,7 +15,7 @@
 //! file unless a flag names one (`serve --record PATH`); performance
 //! numbers come from `benchmark/`, not from this binary.
 //!
-//! `serve` runs the event-driven daemon and takes its own flags
+//! `serve` runs the serving daemon and takes its own flags
 //! (`--replay PATH`, `--record PATH`, `--speed inf|N`, `--seed S`,
 //! `--jobs N`, `--queue-cap C`, `--policy block|shed-oldest|reject-new`,
 //! `--width W`, `--shards K`, `--smoke`):
@@ -108,12 +108,21 @@ impl FigureArgs {
     }
 }
 
+/// The first argument that is not a global flag, and the arguments after
+/// it: where a subcommand's name stands, `--fast` / `--json` on either
+/// side of it.
+fn first_word(args: &[String]) -> Option<(&str, &[String])> {
+    let at = args
+        .iter()
+        .position(|a| !matches!(a.as_str(), "--fast" | "--json"))?;
+    Some((&args[at], &args[at + 1..]))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args
-        .split_first()
-        .is_some_and(|(name, rest)| run_subcommand(name, rest))
-    {
+    let fast = args.iter().any(|a| a == "--fast");
+    let json = args.iter().any(|a| a == "--json");
+    if first_word(&args).is_some_and(|(name, rest)| run_subcommand(name, rest, fast, json)) {
         return;
     }
     let parsed = FigureArgs::parse(&args).unwrap_or_else(|e| {
@@ -146,9 +155,7 @@ fn main() {
 /// Runs `name` if it is one of the flag-taking subcommands and renders its
 /// table; returns `false` for anything else. Bad flags and failed smoke
 /// assertions exit 2, matching the unknown-experiment path.
-fn run_subcommand(name: &str, rest: &[String]) -> bool {
-    let fast = rest.iter().any(|a| a == "--fast");
-    let json = rest.iter().any(|a| a == "--json");
+fn run_subcommand(name: &str, rest: &[String], fast: bool, json: bool) -> bool {
     let started = std::time::Instant::now();
     let result = match name {
         "serve" => ServeArgs::parse(rest).and_then(|a| serve_experiment(fast, &a)),
@@ -192,6 +199,19 @@ mod tests {
         let everything = parse(&[]).unwrap();
         assert!(RUNNERS.iter().all(|(n, _)| everything.wants(n)));
         assert!(parse(&["fig6", "all"]).unwrap().wants("faults"));
+    }
+
+    #[test]
+    fn a_subcommand_may_follow_the_global_flags() {
+        let strings = |args: &[&str]| args.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        // `--fast serve --jobs 10` used to be "unknown experiment `serve`".
+        let args = strings(&["--fast", "--json", "serve", "--jobs", "10", "--fast"]);
+        assert_eq!(first_word(&args), Some(("serve", &args[3..])));
+        assert_eq!(first_word(&args[2..]), Some(("serve", &args[3..])));
+        let figures = strings(&["--fast", "fig6", "fig7"]);
+        assert_eq!(first_word(&figures), Some(("fig6", &figures[2..])));
+        assert_eq!(first_word(&strings(&["--json", "--fast"])), None);
+        assert_eq!(first_word(&[]), None);
     }
 
     #[test]

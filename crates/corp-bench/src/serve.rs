@@ -169,6 +169,12 @@ pub fn serve_workload(env: Environment, num_jobs: usize, seed: u64) -> Vec<JobSp
 /// Where a lazily decoded `--trace` feed leaves the error that ended it.
 type DecodeFailure = Rc<RefCell<Option<String>>>;
 
+/// `error` as the failure of `flag PATH`: every path-taking flag names
+/// itself and its path in front of what went wrong.
+fn path_error(flag: &str, path: &std::path::Path, error: impl std::fmt::Display) -> String {
+    format!("{flag} {}: {error}", path.display())
+}
+
 /// Opens `--trace PATH` as a job feed: a recorded corp trace (sniffed by
 /// its header line, loaded whole — the format is one job per few lines)
 /// or a Google-style task-event CSV decoded lazily through the
@@ -182,12 +188,12 @@ fn open_trace_feed(
     failed: &DecodeFailure,
 ) -> Result<Box<dyn Iterator<Item = JobSpec>>, String> {
     use std::io::BufRead;
-    let open = || std::fs::File::open(path).map_err(|e| format!("--trace {}: {e}", path.display()));
+    let open = || std::fs::File::open(path).map_err(|e| path_error("--trace", path, e));
     // The recorded format allows comment/blank preamble lines before the
     // header, so sniff past them.
     let mut header = String::new();
     for line in std::io::BufReader::new(open()?).lines() {
-        let line = line.map_err(|e| format!("--trace {}: {e}", path.display()))?;
+        let line = line.map_err(|e| path_error("--trace", path, e))?;
         let t = line.trim();
         if !t.is_empty() && !t.starts_with('#') {
             header = t.to_string();
@@ -195,14 +201,14 @@ fn open_trace_feed(
         }
     }
     if header == corp_trace::TRACE_HEADER {
-        let jobs = corp_trace::load_trace(path).map_err(|e| e.to_string())?;
+        let jobs = corp_trace::load_trace(path).map_err(|e| path_error("--trace", path, e))?;
         Ok(Box::new(jobs.into_iter()))
     } else {
         let records = corp_trace::GoogleCsvReader::new(std::io::BufReader::new(open()?));
         let source = corp_trace::TraceJobSource::new(records, corp_trace::IngestConfig::default());
-        let (failed, path) = (Rc::clone(failed), path.display().to_string());
+        let (failed, path) = (Rc::clone(failed), path.to_path_buf());
         Ok(Box::new(source.map_while(move |spec| {
-            spec.map_err(|e| *failed.borrow_mut() = Some(format!("--trace {path}: {e}")))
+            spec.map_err(|e| *failed.borrow_mut() = Some(path_error("--trace", &path, e)))
                 .ok()
         })))
     }
@@ -221,7 +227,7 @@ pub fn serve_experiment(fast: bool, args: &ServeArgs) -> Result<FigureTable, Str
         (Some(path), _) => open_trace_feed(path, &failed)?,
         (None, Some(path)) => Box::new(
             corp_trace::load_trace(path)
-                .map_err(|e| e.to_string())?
+                .map_err(|e| path_error("--replay", path, e))?
                 .into_iter(),
         ),
         (None, None) => Box::new(serve_workload(env, args.jobs, args.seed).into_iter()),
@@ -241,7 +247,7 @@ pub fn serve_experiment(fast: bool, args: &ServeArgs) -> Result<FigureTable, Str
     let feed: Box<dyn Iterator<Item = JobSpec>> = if let Some(path) = &args.record {
         let jobs: Vec<JobSpec> = feed.collect();
         decode_failure()?;
-        corp_trace::save_trace(path, &jobs).map_err(|e| e.to_string())?;
+        corp_trace::save_trace(path, &jobs).map_err(|e| path_error("--record", path, e))?;
         Box::new(jobs.into_iter())
     } else {
         Box::new(feed)
@@ -531,6 +537,27 @@ mod tests {
                 csv.display()
             )
         );
+    }
+
+    #[test]
+    fn an_unreadable_replay_names_the_flag_and_the_path() {
+        let args = ServeArgs {
+            replay: Some(PathBuf::from("/nonexistent/t.trace")),
+            ..ServeArgs::default()
+        };
+        let err = serve_experiment(true, &args).unwrap_err();
+        assert!(err.starts_with("--replay /nonexistent/t.trace: "), "{err}");
+    }
+
+    #[test]
+    fn an_unwritable_record_names_the_flag_and_the_path() {
+        let args = ServeArgs {
+            record: Some(PathBuf::from("/nonexistent/t.trace")),
+            jobs: 3,
+            ..ServeArgs::default()
+        };
+        let err = serve_experiment(true, &args).unwrap_err();
+        assert!(err.starts_with("--record /nonexistent/t.trace: "), "{err}");
     }
 
     #[test]

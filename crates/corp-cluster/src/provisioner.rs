@@ -8,7 +8,7 @@
 //!    [`WorkerPool::run_chunks`] call — one participant per shard, the
 //!    calling thread among them, so it runs a shard instead of sleeping
 //!    until the others are done. Every shard reads the engine's fleet views
-//!    in place: its [`SlotContext`] borrows `ctx.vms` and `ctx.committed`
+//!    in place: its [`SlotContext`] borrows `ctx.vms`
 //!    unchanged and carries the shard's [`JobShare`], through which the
 //!    pipelines walk only the running jobs the shard owns (see
 //!    [`crate::shard`]). The call returns when every participant is done,
@@ -712,7 +712,6 @@ fn shard_context<'a>(
         slot: ctx.slot,
         vms: ctx.vms,
         pending,
-        committed: ctx.committed,
         max_vm_capacity: ctx.max_vm_capacity,
         share: JobShare {
             shard,
@@ -747,21 +746,15 @@ mod tests {
             .collect()
     }
 
-    fn committed_of(vms: &[VmView]) -> Vec<ResourceVector> {
-        vms.iter().map(|v| v.committed).collect()
-    }
-
     fn slot_ctx<'a>(
         slot: u64,
         vms: &'a [VmView],
         pending: &'a [PendingJobView],
-        committed: &'a [ResourceVector],
     ) -> SlotContext<'a> {
         SlotContext {
             slot,
             vms,
             pending,
-            committed,
             max_vm_capacity: rv(4.0),
             share: JobShare::ALL,
         }
@@ -773,7 +766,6 @@ mod tests {
             requested: rv(req),
             arrival_slot: 0,
             slo_slots: 10,
-            handle: corp_sim::JobHandle::DETACHED,
         }
     }
 
@@ -806,9 +798,8 @@ mod tests {
         // propose their own job for it (static-peak first-fit all pick VM
         // 0). The store must admit exactly two and abort the rest.
         let vms = fleet(&[2.0]);
-        let committed = committed_of(&vms);
         let pending: Vec<PendingJobView> = (0..4).map(|i| job(i, 1.0)).collect();
-        let ctx = slot_ctx(0, &vms, &pending, &committed);
+        let ctx = slot_ctx(0, &vms, &pending);
         let mut p = sharded(4);
         let plan = p.provision(&ctx);
         assert_eq!(plan.placements.len(), 2, "{plan:?}");
@@ -824,9 +815,8 @@ mod tests {
         // VM 0 (first fit); the loser must land on VM 1 via retry, and the
         // tighter VM is preferred when several fit.
         let vms = fleet(&[1.0, 4.0]);
-        let committed = committed_of(&vms);
         let pending = vec![job(0, 1.0), job(1, 1.0)];
-        let ctx = slot_ctx(0, &vms, &pending, &committed);
+        let ctx = slot_ctx(0, &vms, &pending);
         let mut p = sharded(2);
         let plan = p.provision(&ctx);
         assert_eq!(plan.placements.len(), 2, "{plan:?}");
@@ -844,9 +834,8 @@ mod tests {
         // alternative, so it aborts immediately instead of burning the
         // whole retry budget on hopeless VMs; its job stays pending.
         let vms = fleet(&[1.0]);
-        let committed = committed_of(&vms);
         let pending = vec![job(0, 1.0), job(1, 1.0)];
-        let ctx = slot_ctx(0, &vms, &pending, &committed);
+        let ctx = slot_ctx(0, &vms, &pending);
         let mut p = sharded(2);
         let plan = p.provision(&ctx);
         assert_eq!(plan.placements.len(), 1);
@@ -860,9 +849,8 @@ mod tests {
     #[test]
     fn single_shard_passes_plans_through_unchanged() {
         let vms = fleet(&[4.0, 4.0]);
-        let committed = committed_of(&vms);
         let pending = vec![job(0, 1.0), job(1, 2.0)];
-        let ctx = slot_ctx(0, &vms, &pending, &committed);
+        let ctx = slot_ctx(0, &vms, &pending);
         let mut baseline = StaticPeakProvisioner;
         let expected = baseline.provision(&ctx);
         let mut p = sharded(1);
@@ -874,13 +862,12 @@ mod tests {
     #[test]
     fn queue_depths_track_the_deepest_slot() {
         let vms = fleet(&[4.0]);
-        let committed = committed_of(&vms);
         let pending: Vec<PendingJobView> = (0..3).map(|i| job(i, 0.5)).collect();
-        let ctx = slot_ctx(0, &vms, &pending, &committed);
+        let ctx = slot_ctx(0, &vms, &pending);
         let mut p = sharded(2);
         let _ = p.provision(&ctx);
         let empty: Vec<PendingJobView> = Vec::new();
-        let ctx2 = slot_ctx(1, &vms, &empty, &committed);
+        let ctx2 = slot_ctx(1, &vms, &empty);
         let _ = p.provision(&ctx2);
         let stats = p.control_plane_stats().unwrap();
         assert_eq!(stats.max_queue_depth, 3);
@@ -894,9 +881,8 @@ mod tests {
         let plan = ControlFaultPlan::new(vec![SlotShard { slot: 0, shard: 1 }], vec![], vec![]);
         let mut p = sharded_with_plan(2, plan);
         let vms = fleet(&[4.0, 4.0]);
-        let committed = committed_of(&vms);
         let pending = vec![job(0, 1.0), job(1, 1.0)];
-        let ctx = slot_ctx(0, &vms, &pending, &committed);
+        let ctx = slot_ctx(0, &vms, &pending);
         let got = p.provision(&ctx);
         // Both jobs place: shard 0 via its worker, shard 1 inline.
         assert_eq!(got.placements.len(), 2, "{got:?}");
@@ -907,7 +893,7 @@ mod tests {
         assert_eq!(stats.per_shard[1].restarts, 1);
         assert_eq!(stats.per_shard[1].inline_slots, 1);
         // The restarted worker serves the next slot normally.
-        let ctx2 = slot_ctx(1, &vms, &pending, &committed);
+        let ctx2 = slot_ctx(1, &vms, &pending);
         let again = p.provision(&ctx2);
         assert_eq!(again.placements.len(), 2, "{again:?}");
         assert_eq!(p.control_plane_stats().unwrap().inline_slots, 1);
@@ -949,16 +935,15 @@ mod tests {
         let mut p =
             ShardedProvisioner::with_factories("static-peak", factories, ShardConfig::default());
         let vms = fleet(&[4.0, 4.0]);
-        let committed = committed_of(&vms);
         let pending = vec![job(0, 1.0), job(1, 1.0)];
-        let ctx = slot_ctx(0, &vms, &pending, &committed);
+        let ctx = slot_ctx(0, &vms, &pending);
         let got = p.provision(&ctx);
         assert_eq!(got.placements.len(), 2, "inline covers the panic: {got:?}");
         let stats = p.control_plane_stats().unwrap();
         assert_eq!(stats.worker_panics, 1, "{stats:?}");
         assert_eq!(stats.worker_restarts, 1, "{stats:?}");
         // Next slot, the rebuilt worker answers for itself.
-        let ctx2 = slot_ctx(1, &vms, &pending, &committed);
+        let ctx2 = slot_ctx(1, &vms, &pending);
         let again = p.provision(&ctx2);
         assert_eq!(again.placements.len(), 2, "{again:?}");
         assert_eq!(p.control_plane_stats().unwrap().inline_slots, 1);
@@ -973,10 +958,9 @@ mod tests {
         );
         let mut p = sharded_with_plan(2, plan);
         let vms = fleet(&[4.0, 4.0]);
-        let committed = committed_of(&vms);
         let pending = vec![job(0, 1.0), job(1, 1.0)];
         for slot in 0..3u64 {
-            let ctx = slot_ctx(slot, &vms, &pending, &committed);
+            let ctx = slot_ctx(slot, &vms, &pending);
             let got = p.provision(&ctx);
             assert_eq!(got.placements.len(), 2, "slot {slot}: {got:?}");
         }
@@ -1005,10 +989,9 @@ mod tests {
             },
         );
         let vms = fleet(&[4.0, 4.0]);
-        let committed = committed_of(&vms);
         let pending = vec![job(0, 1.0), job(1, 1.0)];
         for slot in 0..3u64 {
-            let ctx = slot_ctx(slot, &vms, &pending, &committed);
+            let ctx = slot_ctx(slot, &vms, &pending);
             let got = p.provision(&ctx);
             assert_eq!(got.placements.len(), 2, "slot {slot}: {got:?}");
         }
@@ -1027,11 +1010,10 @@ mod tests {
     fn forced_inline_isolates_a_shard_without_failure_accounting() {
         let mut p = sharded(2);
         let vms = fleet(&[4.0, 4.0]);
-        let committed = committed_of(&vms);
         let pending = vec![job(0, 1.0), job(1, 1.0)];
         p.set_forced_inline(1, true);
         for slot in 0..2u64 {
-            let ctx = slot_ctx(slot, &vms, &pending, &committed);
+            let ctx = slot_ctx(slot, &vms, &pending);
             let got = p.provision(&ctx);
             assert_eq!(got.placements.len(), 2, "isolated shard places inline");
         }
@@ -1045,7 +1027,7 @@ mod tests {
         assert_eq!(stats.inline_slots, 0, "isolation is not a failure");
         // Release: the worker serves again immediately.
         p.set_forced_inline(1, false);
-        let ctx = slot_ctx(2, &vms, &pending, &committed);
+        let ctx = slot_ctx(2, &vms, &pending);
         let _ = p.provision(&ctx);
         assert_eq!(
             p.shard_health()[1].last_outcome,
@@ -1080,9 +1062,8 @@ mod tests {
             ShardConfig::default(),
         );
         let vms = fleet(&[4.0]);
-        let committed = committed_of(&vms);
         let pending = vec![job(0, 1.0)];
-        let ctx = slot_ctx(0, &vms, &pending, &committed);
+        let ctx = slot_ctx(0, &vms, &pending);
         let got = p.provision(&ctx);
         assert!(got.placements.is_empty(), "{got:?}");
         let stats = p.control_plane_stats().unwrap();
@@ -1100,13 +1081,12 @@ mod tests {
         ) {
             let free: Vec<f64> = free.into_iter().map(|f| f64::from(f) * 0.5).collect();
             let vms = fleet(&free);
-            let committed = committed_of(&vms);
             let pending: Vec<PendingJobView> = requests
                 .iter()
                 .enumerate()
                 .map(|(id, &r)| job(id as JobId, f64::from(r) * 0.5))
                 .collect();
-            let ctx = slot_ctx(0, &vms, &pending, &committed);
+            let ctx = slot_ctx(0, &vms, &pending);
             for shard in 0..num_shards {
                 // What static peak did before it stopped copying the
                 // fleet: every job scans a full copy of the pools.
@@ -1126,7 +1106,7 @@ mod tests {
 
     #[test]
     fn shards_read_the_engines_views_in_place() {
-        type Seen = (u64, usize, usize, JobShare);
+        type Seen = (u64, usize, JobShare);
         /// Records where the views it is shown live, and which share of
         /// them it is told it owns.
         struct Recorder(std::sync::Arc<std::sync::Mutex<Vec<Seen>>>);
@@ -1135,8 +1115,7 @@ mod tests {
                 "recorder"
             }
             fn provision(&mut self, ctx: &SlotContext<'_>) -> ProvisionPlan {
-                let (vms, committed) = (ctx.vms.as_ptr(), ctx.committed.as_ptr());
-                let seen = (ctx.slot, vms as usize, committed as usize, ctx.share);
+                let seen = (ctx.slot, ctx.vms.as_ptr() as usize, ctx.share);
                 self.0.lock().unwrap().push(seen);
                 ProvisionPlan::default()
             }
@@ -1147,17 +1126,16 @@ mod tests {
             .collect();
         let mut p = ShardedProvisioner::new("recorder", inners, ShardConfig::default());
         let vms = fleet(&[4.0, 4.0]);
-        let committed = committed_of(&vms);
         let pending = vec![job(0, 1.0), job(1, 1.0)];
         for slot in 0..3u64 {
-            let _ = p.provision(&slot_ctx(slot, &vms, &pending, &committed));
+            let _ = p.provision(&slot_ctx(slot, &vms, &pending));
         }
         let mut seen = log.lock().unwrap().clone();
-        seen.sort_by_key(|&(slot, _, _, share)| (slot, share.shard));
-        let handed = (vms.as_ptr() as usize, committed.as_ptr() as usize);
+        seen.sort_by_key(|&(slot, _, share)| (slot, share.shard));
+        let handed = vms.as_ptr() as usize;
         let expected: Vec<Seen> = (0..3u64)
             .flat_map(|slot| (0..3).map(move |shard| (slot, shard)))
-            .map(|(slot, shard)| (slot, handed.0, handed.1, JobShare { shard, of: 3 }))
+            .map(|(slot, shard)| (slot, handed, JobShare { shard, of: 3 }))
             .collect();
         assert_eq!(
             seen, expected,
@@ -1195,7 +1173,6 @@ mod tests {
             ShardedProvisioner::with_factories("trapped", factories, ShardConfig::default());
         let done = |job: JobId| JobCompletion {
             job,
-            handle: corp_sim::JobHandle::DETACHED,
             unused_history: Vec::new(),
         };
         // Shard 1 owns jobs 1, 3 and 5: it dies on the first, so the rest
@@ -1215,9 +1192,8 @@ mod tests {
         assert_eq!(p.control_plane_stats().unwrap().messages_dropped, 2);
         // The next slot misses the shard (scheduled inline) and rebuilds it.
         let vms = fleet(&[4.0, 4.0]);
-        let committed = committed_of(&vms);
         let pending = vec![job(6, 1.0), job(7, 1.0)];
-        let got = p.provision(&slot_ctx(0, &vms, &pending, &committed));
+        let got = p.provision(&slot_ctx(0, &vms, &pending));
         assert_eq!(got.placements.len(), 2, "{got:?}");
         let stats = p.control_plane_stats().unwrap();
         assert_eq!(
@@ -1273,9 +1249,8 @@ mod tests {
             .map(|plan| Box::new(Scripted(vec![plan])) as _)
             .collect();
         let mut p = ShardedProvisioner::new("scripted", inners, ShardConfig::default());
-        let committed = committed_of(&vms);
         let pending = vec![job(0, 1.0)];
-        let got = p.provision(&slot_ctx(0, &vms, &pending, &committed));
+        let got = p.provision(&slot_ctx(0, &vms, &pending));
         assert!(got.adjustments.is_empty(), "{got:?}");
         assert!(got.placements.is_empty(), "{got:?}");
         let stats = p.control_plane_stats().unwrap();
@@ -1459,8 +1434,7 @@ mod tests {
             let mut p = ShardedProvisioner::new("scripted", inners, config);
             let mut tally = vec![[0u64; 4]; shards];
             for (slot, (vms, pending, plans)) in slots.iter().enumerate() {
-                let committed = committed_of(vms);
-                let ctx = slot_ctx(slot as u64, vms, pending, &committed);
+                let ctx = slot_ctx(slot as u64, vms, pending);
                 let expected = reference_arbiter(&ctx, plans, max_retries, &mut tally);
                 let got = p.provision(&ctx);
                 assert_eq!(

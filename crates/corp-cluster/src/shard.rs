@@ -71,7 +71,6 @@ mod tests {
             requested: ResourceVector::splat(1.0),
             arrival_slot: 0,
             slo_slots: 10,
-            handle: corp_sim::JobHandle::DETACHED,
         }
     }
 
@@ -116,7 +115,7 @@ mod tests {
         };
         let fleet = [vm];
         for (shard, owned) in [vec![0, 2], vec![1]].into_iter().enumerate() {
-            let ctx = context(0, &fleet, &[], &[], JobShare { shard, of: 2 });
+            let ctx = context(0, &fleet, &[], JobShare { shard, of: 2 });
             let ids = |vm| ctx.owned_jobs(vm).map(|j| j.id).collect::<Vec<JobId>>();
             assert_eq!(ids(&fleet[0]), owned, "the predicate, view order kept");
             let copy = shard_vm_views(&fleet, shard, 2);
@@ -131,14 +130,12 @@ mod tests {
         slot: u64,
         vms: &'a [VmView],
         pending: &'a [PendingJobView],
-        committed: &'a [ResourceVector],
         share: JobShare,
     ) -> SlotContext<'a> {
         SlotContext {
             slot,
             vms,
             pending,
-            committed,
             max_vm_capacity: CAPACITY,
             share,
         }
@@ -188,7 +185,6 @@ mod tests {
                     requested: CAPACITY.scaled(size),
                     arrival_slot: slot,
                     slo_slots: if self.next_id % 8 == 7 { 100 } else { 10 },
-                    handle: corp_sim::JobHandle::DETACHED,
                 });
                 self.next_id += 1;
             }
@@ -240,7 +236,6 @@ mod tests {
                 completed.extend(done.into_iter().map(|j: RunningJobView| {
                     JobCompletion {
                         job: j.id,
-                        handle: corp_sim::JobHandle::DETACHED,
                         unused_history: (0..3)
                             .map(|k| j.recent_unused.iter().map(|u| u[k]).collect())
                             .collect(),
@@ -300,15 +295,14 @@ mod tests {
                 let mut world = World::new(shards as u64);
                 for slot in 0..SLOTS {
                     world.arrive(slot);
-                    let committed: Vec<_> = world.vms.iter().map(|v| v.committed).collect();
                     let mut plans = Vec::new();
                     for shard in 0..shards {
                         let mine = shard_pending(&world.pending, shard, shards);
                         let share = JobShare { shard, of: shards };
-                        let ctx = context(slot, &world.vms, &mine, &committed, share);
+                        let ctx = context(slot, &world.vms, &mine, share);
                         let plan = in_place[shard].provision(&ctx);
                         let copy = shard_vm_views(&world.vms, shard, shards);
-                        let ctx = context(slot, &copy, &mine, &committed, JobShare::ALL);
+                        let ctx = context(slot, &copy, &mine, JobShare::ALL);
                         let expected = on_copies[shard].provision(&ctx);
                         // `{:?}` prints an f64 exactly: equal text is
                         // equal bits, field for field.

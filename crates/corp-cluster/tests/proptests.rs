@@ -352,15 +352,12 @@ proptest! {
                     requested: ResourceVector::splat(1.0),
                     arrival_slot: 0,
                     slo_slots: 10,
-                    handle: corp_sim::JobHandle::DETACHED,
                 })
                 .collect();
-            let committed_col: Vec<ResourceVector> = committed.to_vec();
             let ctx = SlotContext {
                 slot,
                 vms: &vms,
                 pending: &views,
-                committed: &committed_col,
                 max_vm_capacity: cap,
                 share: JobShare::ALL,
             };

@@ -313,7 +313,6 @@ mod tests {
                 slot: 0,
                 vms: fleet,
                 pending: &[],
-                committed: &[],
                 max_vm_capacity: ResourceVector::splat(4.0),
                 share,
             };

@@ -1,23 +1,19 @@
-//! Virtual time for the serving daemon.
+//! Replay pacing for the serving daemon.
 //!
-//! All event timestamps are virtual microseconds from daemon start; one
-//! provisioning slot spans [`SLOT_MICROS`](crate::daemon::SLOT_MICROS) of
-//! virtual time (10 s, the paper's slot length). Virtual time
-//! is what reports and latency percentiles are measured in, so runs are
-//! byte-identical no matter how fast the host executes them. Wall time
-//! enters only through [`ReplaySpeed`] pacing, which *sleeps* to slow a
-//! replay down to N× real time but never feeds wall readings back into the
-//! simulation.
+//! The daemon's time is virtual: slot `s` begins at
+//! `s × `[`SLOT_MICROS`](crate::daemon::SLOT_MICROS) microseconds (10 s a
+//! slot, the paper's slot length), and that is what reports and latency
+//! percentiles are measured in, so runs are byte-identical no matter how
+//! fast the host executes them. Wall time enters only through
+//! [`ReplaySpeed`] pacing, which *sleeps* to slow a replay down to N× real
+//! time but never feeds wall readings back into the simulation.
 
 use std::time::{Duration, Instant};
-
-/// Virtual microseconds per simulated second.
-pub const MICROS_PER_SEC: u64 = 1_000_000;
 
 /// How fast to replay virtual time against the wall clock.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReplaySpeed {
-    /// No pacing: consume events as fast as the host allows (virtual-time
+    /// No pacing: serve slots as fast as the host allows (virtual-time
     /// batch mode, the only mode the determinism gates exercise).
     Infinite,
     /// N× real time: one virtual second passes in `1/N` wall seconds.
@@ -38,55 +34,15 @@ impl ReplaySpeed {
             },
         }
     }
-}
 
-/// The daemon's clock: monotone virtual time plus optional wall pacing.
-#[derive(Debug)]
-pub struct VirtualClock {
-    now_micros: u64,
-    slot_micros: u64,
-    speed: ReplaySpeed,
-    wall_start: Instant,
-}
-
-impl VirtualClock {
-    /// Starts a clock at virtual time zero.
-    pub fn new(slot_micros: u64, speed: ReplaySpeed) -> Self {
-        VirtualClock {
-            now_micros: 0,
-            slot_micros: slot_micros.max(1),
-            speed,
-            wall_start: Instant::now(),
-        }
-    }
-
-    /// Current virtual time in microseconds.
-    pub fn now(&self) -> u64 {
-        self.now_micros
-    }
-
-    /// Virtual microseconds per slot.
-    pub fn slot_micros(&self) -> u64 {
-        self.slot_micros
-    }
-
-    /// The virtual timestamp at which `slot` begins.
-    pub fn time_of_slot(&self, slot: u64) -> u64 {
-        slot.saturating_mul(self.slot_micros)
-    }
-
-    /// Advances virtual time to `micros` (monotone: earlier targets are
-    /// no-ops) and, when paced, sleeps until the wall clock catches up to
-    /// `virtual elapsed / speed`.
-    pub fn advance_to(&mut self, micros: u64) {
-        if micros > self.now_micros {
-            self.now_micros = micros;
-        }
-        if let ReplaySpeed::Times(speed) = self.speed {
-            let target_wall = Duration::from_secs_f64(self.now_micros as f64 / 1e6 / speed);
-            let elapsed = self.wall_start.elapsed();
-            if target_wall > elapsed {
-                std::thread::sleep(target_wall - elapsed);
+    /// Sleeps until a replay started at `wall_start` is due to reach
+    /// virtual time `micros` at this speed; returns at once when unpaced
+    /// or already late.
+    pub fn pace(self, wall_start: Instant, micros: u64) {
+        if let ReplaySpeed::Times(speed) = self {
+            let due = Duration::from_secs_f64(micros as f64 / 1e6 / speed);
+            if let Some(early) = due.checked_sub(wall_start.elapsed()) {
+                std::thread::sleep(early);
             }
         }
     }
@@ -109,25 +65,15 @@ mod tests {
     }
 
     #[test]
-    fn virtual_time_is_monotone_and_slot_math_holds() {
-        let mut c = VirtualClock::new(10 * MICROS_PER_SEC, ReplaySpeed::Infinite);
-        assert_eq!(c.now(), 0);
-        assert_eq!(c.time_of_slot(3), 30 * MICROS_PER_SEC);
-        c.advance_to(5_000_000);
-        assert_eq!(c.now(), 5_000_000);
-        c.advance_to(1_000_000); // going backwards is a no-op
-        assert_eq!(c.now(), 5_000_000);
-    }
-
-    #[test]
     fn paced_clock_sleeps_towards_wall_target() {
         // 1 virtual second at 100x => ~10ms wall.
-        let mut c = VirtualClock::new(MICROS_PER_SEC, ReplaySpeed::Times(100.0));
         let start = Instant::now();
-        c.advance_to(MICROS_PER_SEC);
+        ReplaySpeed::Times(100.0).pace(start, 1_000_000);
         assert!(
             start.elapsed() >= Duration::from_millis(8),
             "pacing must actually sleep"
         );
+        // Unpaced never sleeps, however far ahead virtual time is.
+        ReplaySpeed::Infinite.pace(start, u64::MAX);
     }
 }

@@ -1,11 +1,12 @@
-//! The serving daemon: an event loop over the slot engine.
+//! The serving daemon: the engine's slot loop with a front door.
 //!
-//! Where the batch `Simulation` walks a pre-sorted workload slot by slot,
-//! the daemon consumes a timestamped event stream — arrivals hit a bounded
-//! admission queue, provisioning-window ticks drain it into the
-//! [`SlotEngine`] and run one slot, completions flow back out as
-//! notification events, and drain/shutdown events close the stream. Virtual
-//! time keeps the whole thing byte-deterministic; wall time appears only as
+//! The batch `Simulation` submits each slot's arrivals straight to the
+//! [`SlotEngine`] and steps it; the daemon runs the same loop with a
+//! bounded admission queue in between. Each slot it offers the arrivals
+//! that are due to the queue, expires the waiters whose deadline has
+//! passed, drains the queue into the engine, steps it, and records how
+//! long each placed job waited. Virtual time (slot × [`SLOT_MICROS`])
+//! keeps the whole thing byte-deterministic; wall time appears only as
 //! optional replay pacing ([`ReplaySpeed`]) and in the measured throughput
 //! that travels *outside* the report.
 //!
@@ -17,8 +18,7 @@
 
 use crate::admission::{Admission, AdmissionQueue, BackpressurePolicy, QueuedJob};
 use crate::brownout::{BrownoutConfig, BrownoutController, BrownoutLevel};
-use crate::clock::{ReplaySpeed, VirtualClock};
-use crate::events::{EventQueue, ServeEvent};
+use crate::clock::ReplaySpeed;
 use crate::report::{LatencySummary, ServeOutcome, ServeReport};
 use crate::slo::{DeadlineConfig, SloStats};
 use corp_faults::FaultTimeline;
@@ -97,16 +97,17 @@ impl ServeDaemon {
         self
     }
 
-    /// Replays `jobs` through the event loop under `provisioner` and
+    /// Replays `jobs` through the slot loop under `provisioner` and
     /// returns the report plus wall-clock throughput.
     ///
     /// `jobs` is any arrival stream — a `Vec`, a generator adapter, a
-    /// decoded trace reader — consumed lazily with exactly one arrival in
-    /// flight, so memory stays O(1) in the trace length. The stream is
-    /// expected in arrival order (every recorded or generated workload
-    /// is); a spec arriving out of order is clamped forward to the stream
-    /// frontier, the way a live front door would see it — a daemon cannot
-    /// admit into the past.
+    /// decoded trace reader — pulled lazily, at most one spec ahead of the
+    /// slot being served, so memory stays O(1) in the trace length. The
+    /// stream is expected in arrival order (every recorded or generated
+    /// workload is); a spec arriving out of order is already due when it
+    /// is read, so it is stamped with the slot the stream had reached, the
+    /// way a live front door would see it — a daemon cannot admit into the
+    /// past.
     pub fn run<I>(&mut self, provisioner: &mut dyn Provisioner, jobs: I) -> ServeOutcome
     where
         I: IntoIterator<Item = JobSpec>,
@@ -114,8 +115,6 @@ impl ServeDaemon {
         let wall_start = Instant::now();
         let deadlines = self.config.deadlines;
         let base_policy = self.config.policy;
-        let mut clock = VirtualClock::new(SLOT_MICROS, self.config.speed);
-        let mut events = EventQueue::new();
         let mut admission = AdmissionQueue::new(self.config.queue_capacity, base_policy);
         let mut latency = QuantileSketch::new(LATENCY_EPS);
         let mut slo = SloStats::default();
@@ -130,139 +129,92 @@ impl ServeDaemon {
         let mut drain_buf: Vec<QueuedJob> = Vec::new();
         let mut expired_buf: Vec<JobId> = Vec::new();
 
-        // Arrivals feed the heap lazily, one in flight at a time, in
-        // stream order: the heap stays O(1)-deep in arrivals no matter how
-        // long the trace is. `frontier_slot` tracks the newest arrival
-        // slot pushed so far — the slot cap is measured from it, and only
-        // once the stream is exhausted, which reproduces the batch
-        // driver's `max_slots + last_arrival` horizon exactly.
-        let mut arrivals = jobs.into_iter();
-        let mut frontier_slot: u64 = 0;
-        let mut in_flight = false;
-        let mut exhausted = false;
-        if let Some(first) = arrivals.next() {
-            frontier_slot = first.arrival_slot;
-            let at = clock.time_of_slot(frontier_slot);
-            events.push(at, ServeEvent::Arrival(Box::new(first)));
-            in_flight = true;
-        } else {
-            exhausted = true;
-        }
-        events.push(0, ServeEvent::Tick);
-
-        let mut events_processed: u64 = 0;
+        let mut arrivals = jobs.into_iter().peekable();
+        // Newest arrival slot pulled so far; the slot cap is measured from
+        // it, the batch driver's `max_slots + last_arrival` horizon.
+        let mut last_arrival: u64 = 0;
+        let mut pulled: u64 = 0;
+        let mut completed: u64 = 0;
         let mut ticks: u64 = 0;
-        while let Some((time, event)) = events.pop() {
-            clock.advance_to(time);
-            events_processed += 1;
-            match event {
-                ServeEvent::Arrival(spec) => {
-                    in_flight = false;
-                    arrival_stamp.insert(spec.id, (time, deadlines.deadline_for(spec.class)));
-                    match admission.offer(spec, time) {
-                        Admission::EnqueuedAfterShed(victim) => {
-                            arrival_stamp.remove(&victim);
-                        }
-                        Admission::Rejected(id) => {
-                            arrival_stamp.remove(&id);
-                        }
-                        Admission::Enqueued | Admission::Blocked => {}
-                    }
-                    match arrivals.next() {
-                        Some(next) => {
-                            frontier_slot = frontier_slot.max(next.arrival_slot);
-                            let at = clock.time_of_slot(frontier_slot);
-                            events.push(at, ServeEvent::Arrival(Box::new(next)));
-                            in_flight = true;
-                        }
-                        None => exhausted = true,
-                    }
-                }
-                ServeEvent::Tick => {
-                    // Depth before the drain is the demand signal the
-                    // brownout controller keys on: how much piled up since
-                    // the last tick.
-                    let depth_before = admission.depth();
-                    if !deadlines.is_unbounded() {
-                        expired_buf.clear();
-                        admission.expire(time, &deadlines, &mut expired_buf);
-                        for id in &expired_buf {
-                            arrival_stamp.remove(id);
-                        }
-                        slo.expired += expired_buf.len() as u64;
-                    }
-                    drain_buf.clear();
-                    admission.drain_into(&mut drain_buf);
-                    for queued in drain_buf.drain(..) {
-                        self.engine.submit(*queued.spec);
-                    }
-                    let outcome = self.engine.step(provisioner);
-                    ticks += 1;
-                    let mut tick_max_latency: u64 = 0;
-                    for (job, _vm) in &outcome.placements {
-                        if let Some((stamp, deadline)) = arrival_stamp.remove(job) {
-                            let waited = time.saturating_sub(stamp);
-                            latency.insert(waited as f64);
-                            slo.record_placement(waited, deadline);
-                            tick_max_latency = tick_max_latency.max(waited);
-                        }
-                    }
-                    for job in &outcome.rejected {
-                        arrival_stamp.remove(job);
-                    }
-                    for job in outcome.completed {
-                        events.push(time, ServeEvent::Completion(job));
-                    }
-                    if let Some(controller) = ladder.as_mut() {
-                        let p95 = latency.query(0.95).unwrap_or(0.0);
-                        if let Some(level) =
-                            controller.observe_tick(time, depth_before, tick_max_latency, p95)
-                        {
-                            provisioner.set_service_level(level.service_level());
-                            admission.set_policy(if level == BrownoutLevel::RejectNew {
-                                BackpressurePolicy::RejectNew
-                            } else {
-                                base_policy
-                            });
-                        }
-                    }
-                    let arrivals_done = exhausted && !in_flight;
-                    let drained = arrivals_done && self.engine.active() == 0 && admission.is_idle();
-                    let capped = arrivals_done
-                        && self.engine.slot() >= self.engine.options().max_slots + frontier_slot;
-                    if drained || capped {
-                        events.push(time, ServeEvent::Drain);
-                    } else {
-                        events.push(time + SLOT_MICROS, ServeEvent::Tick);
-                    }
-                }
-                ServeEvent::Completion(_) => {
-                    // Notification only: the completion is already folded
-                    // into the engine metrics by the tick that emitted it.
-                }
-                ServeEvent::Drain => {
-                    events.push(time, ServeEvent::Shutdown);
-                }
-                ServeEvent::Shutdown => break,
-            }
-        }
+        let virtual_end_micros = loop {
+            let slot = self.engine.slot();
+            let time = slot.saturating_mul(SLOT_MICROS);
+            self.config.speed.pace(wall_start, time);
 
-        // A slot-cap stop leaves later arrivals unprocessed in the heap
-        // and possibly requests parked in the admission queue. Register
-        // them with the engine (without stepping) so the report counts
-        // every offered job, exactly as the batch driver does.
-        while let Some((_, event)) = events.pop() {
-            if let ServeEvent::Arrival(spec) = event {
-                self.engine.submit(*spec);
+            // The slot's arrivals reach the door before its tick drains it.
+            while let Some(spec) = arrivals.next_if(|s| s.arrival_slot <= slot) {
+                last_arrival = last_arrival.max(spec.arrival_slot);
+                pulled += 1;
+                arrival_stamp.insert(spec.id, (time, deadlines.deadline_for(spec.class)));
+                match admission.offer(Box::new(spec), time) {
+                    Admission::EnqueuedAfterShed(id) | Admission::Rejected(id) => {
+                        arrival_stamp.remove(&id);
+                    }
+                    Admission::Enqueued | Admission::Blocked => {}
+                }
             }
-        }
-        for spec in arrivals {
-            self.engine.submit(spec);
-        }
+
+            // Depth before the drain is the demand signal the brownout
+            // controller keys on: how much piled up since the last tick.
+            let depth_before = admission.depth();
+            if !deadlines.is_unbounded() {
+                expired_buf.clear();
+                admission.expire(time, &deadlines, &mut expired_buf);
+                for id in &expired_buf {
+                    arrival_stamp.remove(id);
+                }
+                slo.expired += expired_buf.len() as u64;
+            }
+            drain_buf.clear();
+            admission.drain_into(&mut drain_buf);
+            for queued in drain_buf.drain(..) {
+                self.engine.submit(*queued.spec);
+            }
+            let outcome = self.engine.step(provisioner);
+            ticks += 1;
+            completed += outcome.completed.len() as u64;
+            let mut tick_max_latency: u64 = 0;
+            for (job, _vm) in &outcome.placements {
+                if let Some((stamp, deadline)) = arrival_stamp.remove(job) {
+                    let waited = time.saturating_sub(stamp);
+                    latency.insert(waited as f64);
+                    slo.record_placement(waited, deadline);
+                    tick_max_latency = tick_max_latency.max(waited);
+                }
+            }
+            for job in &outcome.rejected {
+                arrival_stamp.remove(job);
+            }
+            if let Some(controller) = ladder.as_mut() {
+                let p95 = latency.query(0.95).unwrap_or(0.0);
+                if let Some(level) =
+                    controller.observe_tick(time, depth_before, tick_max_latency, p95)
+                {
+                    provisioner.set_service_level(level.service_level());
+                    admission.set_policy(if level == BrownoutLevel::RejectNew {
+                        BackpressurePolicy::RejectNew
+                    } else {
+                        base_policy
+                    });
+                }
+            }
+            let drained = self.engine.active() == 0 && admission.is_idle();
+            if arrivals.peek().is_none() && (drained || self.engine.past_cap(last_arrival)) {
+                break time;
+            }
+        };
+
+        // A slot-cap stop can leave requests parked in the admission
+        // queue. Register them with the engine (without stepping) so the
+        // report counts every admitted job, exactly as the batch driver
+        // does.
         for queued in admission.drain() {
             self.engine.submit(*queued.spec);
         }
 
+        // One event per arrival, tick and completion, plus the drain and
+        // shutdown that close the stream.
+        let events_processed = pulled + ticks + completed + 2;
         let report = ServeReport {
             sim: self.engine.report(provisioner),
             placement_latency: LatencySummary::from_sketch(&latency),
@@ -273,7 +225,7 @@ impl ServeDaemon {
                 .unwrap_or_default(),
             events_processed,
             ticks,
-            virtual_end_micros: clock.now(),
+            virtual_end_micros,
         };
         let wall_secs = wall_start.elapsed().as_secs_f64();
         ServeOutcome {
@@ -600,6 +552,83 @@ mod tests {
         let r = &out.report;
         assert_eq!(r.sim.completed, 4, "{r:?}");
         assert_eq!(r.queue.admitted, 4);
+        // Stamped at the frontier and placed by its tick: a stamp at the
+        // spec's own slot 2 would read as three slots of waiting.
+        let placed: Vec<_> = daemon.jobs().iter().map(|j| j.placed_slot).collect();
+        assert_eq!(placed, [Some(5), Some(5), Some(6), Some(6)]);
+        assert_eq!(r.placement_latency.max_micros, 0.0, "{r:?}");
+    }
+
+    #[test]
+    fn arrivals_of_a_slot_are_offered_before_its_tick_and_no_earlier() {
+        // The job stamped slot 3 is in the queue when tick 3 drains it
+        // (placed by that tick, latency 0); the one stamped slot 4 is not
+        // (an early offer would place it at 3, a late one would make the
+        // first wait a slot).
+        let mut jobs = workload(2, 15);
+        jobs[0].arrival_slot = 3;
+        jobs[1].arrival_slot = 4;
+        let mut daemon = ServeDaemon::new(cluster(), quiet_options(), ServeConfig::default());
+        let out = daemon.run(&mut StaticPeakProvisioner, jobs);
+        let r = &out.report;
+        let placed: Vec<_> = daemon.jobs().iter().map(|j| j.placed_slot).collect();
+        assert_eq!(placed, [Some(3), Some(4)]);
+        assert_eq!(r.placement_latency.count, 2);
+        assert_eq!(r.placement_latency.max_micros, 0.0, "{r:?}");
+        assert_eq!(r.queue.high_water, 1, "never both in the queue: {r:?}");
+    }
+
+    #[test]
+    fn every_arrival_tick_and_completion_is_one_event() {
+        // Six arrivals at slot 0 and four at slot 5 (a gap of several
+        // slots) through a 2-deep queue: whatever the door does with an
+        // arrival — admit, block, shed, reject, expire — it counts once,
+        // and the run ends on the last tick's time.
+        let mut jobs = workload(10, 16);
+        for (i, j) in jobs.iter_mut().enumerate() {
+            j.arrival_slot = if i < 6 { 0 } else { 5 };
+        }
+        let policies = [
+            BackpressurePolicy::Block,
+            BackpressurePolicy::ShedOldest,
+            BackpressurePolicy::RejectNew,
+        ];
+        for policy in policies {
+            for deadlines in [
+                DeadlineConfig::unbounded(),
+                DeadlineConfig::uniform(5_000_000),
+            ] {
+                let config = ServeConfig {
+                    queue_capacity: 2,
+                    policy,
+                    deadlines,
+                    ..ServeConfig::default()
+                };
+                let mut daemon = ServeDaemon::new(cluster(), quiet_options(), config);
+                let out = daemon.run(&mut StaticPeakProvisioner, jobs.clone());
+                let r = &out.report;
+                let case = format!("{policy:?} {deadlines:?}: {r:?}");
+                assert_eq!(
+                    r.events_processed,
+                    10 + r.ticks + r.sim.completed as u64 + 2,
+                    "{case}"
+                );
+                assert_eq!(r.virtual_end_micros, (r.ticks - 1) * SLOT_MICROS, "{case}");
+                let q = &r.queue;
+                let (turned_away, lost) = match policy {
+                    BackpressurePolicy::Block => (q.blocked, q.expired),
+                    BackpressurePolicy::ShedOldest => (q.shed, q.shed),
+                    BackpressurePolicy::RejectNew => (q.rejected, q.rejected),
+                };
+                assert!(turned_away > 0, "{case}");
+                assert_eq!(
+                    lost > 0,
+                    policy != BackpressurePolicy::Block || !deadlines.is_unbounded(),
+                    "{case}"
+                );
+                assert_eq!(r.sim.num_jobs as u64 + lost, 10, "{case}");
+            }
+        }
     }
 
     #[test]

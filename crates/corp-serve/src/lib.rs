@@ -1,28 +1,26 @@
-//! Event-driven online provisioning daemon for the CORP reproduction.
+//! Online provisioning daemon for the CORP reproduction.
 //!
 //! The paper's evaluation runs its four schemes in a lockstep slot loop,
 //! but the system it describes is a live control plane: short-lived jobs
 //! arrive on a stream, admission happens under backpressure, and placement
 //! latency is a first-class SLO. This crate is that serving mode
-//! (DESIGN.md §12), built from four pieces:
+//! (DESIGN.md §12), built from three pieces:
 //!
-//! * [`clock`] — virtual time in microseconds plus [`ReplaySpeed`] pacing:
-//!   `inf` consumes the trace as fast as the host allows (the
-//!   byte-deterministic batch mode), `N` paces one virtual second per
-//!   `1/N` wall seconds without ever feeding wall readings back into the
-//!   simulation.
-//! * [`events`] — a binary-heap event queue over `(time, class, seq)`:
-//!   arrivals sort before the tick that admits them, completion
-//!   notifications after it, drain/shutdown close the stream. The order is
-//!   total, so runs are reproducible bit for bit.
+//! * [`daemon`] — the slot loop, driving the *same*
+//!   [`corp_sim::SlotEngine`] the batch simulation uses: each slot, the
+//!   arrivals that are due go to the admission queue, then the tick
+//!   expires, drains, steps the engine and records placement latency.
+//!   Time is virtual (slot × 10 s), so runs are reproducible bit for bit.
+//!   At unbounded queue capacity and infinite speed it reproduces the
+//!   batch run byte for byte — same jobs on the same VMs — which is what
+//!   makes serving mode a mode, not a fork.
 //! * [`admission`] — a bounded FIFO between arrivals and the engine with
 //!   three backpressure ladders (block, shed-oldest, reject-new) and full
 //!   admission/shed/high-water accounting.
-//! * [`daemon`] — the event loop itself, driving the *same*
-//!   [`corp_sim::SlotEngine`] the batch simulation uses. At unbounded
-//!   queue capacity and infinite speed it reproduces the batch run byte
-//!   for byte — same jobs on the same VMs — which is what makes serving
-//!   mode a mode, not a fork.
+//! * [`clock`] — [`ReplaySpeed`] pacing: `inf` serves the trace as fast
+//!   as the host allows (the byte-deterministic batch mode), `N` paces one
+//!   virtual second per `1/N` wall seconds without ever feeding wall
+//!   readings back into the simulation.
 //!
 //! Overload is a first-class concern (DESIGN.md §13), handled by three
 //! cooperating layers, each deterministic and fully accounted:
@@ -54,7 +52,6 @@ pub mod breaker;
 pub mod brownout;
 pub mod clock;
 pub mod daemon;
-pub mod events;
 pub mod report;
 pub mod slo;
 
@@ -64,8 +61,7 @@ pub use brownout::{
     BrownoutConfig, BrownoutController, BrownoutLevel, BrownoutSummary, BrownoutTransition,
     BrownoutTrigger,
 };
-pub use clock::{ReplaySpeed, VirtualClock, MICROS_PER_SEC};
+pub use clock::ReplaySpeed;
 pub use daemon::{ServeConfig, ServeDaemon};
-pub use events::{EventQueue, ServeEvent};
 pub use report::{LatencySummary, ServeOutcome, ServeReport};
 pub use slo::{DeadlineConfig, SloStats};

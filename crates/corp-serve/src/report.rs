@@ -1,7 +1,7 @@
 //! Serving-mode reports.
 //!
 //! [`ServeReport`] extends the engine's `SimulationReport` with the
-//! request-level view only an event-driven driver has: placement-latency
+//! request-level view only a driver with a front door has: placement-latency
 //! percentiles, admission-queue counters, and event totals. Everything in
 //! it is derived from virtual time and deterministic counters, so two runs
 //! with the same seed and trace serialize to identical bytes — the

@@ -9,7 +9,7 @@
 //! [`SlotEngine`] is the core, exposed so drivers can submit jobs as they
 //! arrive and pump slots one [`step`](SlotEngine::step) at a time: the
 //! slot loop in [`crate::streaming`] feeds it from an arrival-ordered
-//! iterator, the `corp-serve` daemon from a timestamped event queue.
+//! iterator, the `corp-serve` daemon through its admission queue.
 //! [`Simulation`] is the batch form of the former — a complete workload
 //! held in memory (the paper's evaluation mode). The decisions are the
 //! same either way, byte for byte, because the slot body is the same code.
@@ -158,7 +158,7 @@ pub struct SlotOutcome {
 /// the caller decides the run is over, [`report`](Self::report) folds the
 /// accumulated metrics into a [`SimulationReport`]. [`StreamingSimulation`]
 /// drives this from an arrival-ordered stream; the `corp-serve` daemon
-/// drives it from a timestamped event queue. Both produce identical
+/// runs the same loop behind an admission queue. Both produce identical
 /// decisions for identical admission sequences because this is the only
 /// slot body.
 pub struct SlotEngine {
@@ -296,10 +296,12 @@ impl SlotEngine {
         self.slot
     }
 
-    /// The options this engine was built with (external drivers read the
-    /// slot cap from here).
-    pub fn options(&self) -> &SimulationOptions {
-        &self.options
+    /// Whether the slot cap has tripped: `max_slots` slots simulated past
+    /// `last_arrival`, the newest arrival slot the driver has submitted.
+    /// A driver asks only once its stream is exhausted — an engine idling
+    /// through a gap between arrivals is waiting, not stalled.
+    pub fn past_cap(&self, last_arrival: u64) -> bool {
+        self.slot >= self.options.max_slots + last_arrival
     }
 
     /// Jobs currently admitted but not finished (pending + running).
@@ -540,14 +542,12 @@ impl SlotEngine {
                     requested: store.requested(h),
                     arrival_slot: j.spec.arrival_slot,
                     slo_slots: j.spec.slo_slots,
-                    handle: h,
                 }
             }));
             let ctx = SlotContext {
                 slot,
                 vms: &self.vm_views,
                 pending: &self.pending_views,
-                committed: &self.vm_committed,
                 max_vm_capacity: self.max_capacity,
                 share: JobShare::ALL,
             };
@@ -811,13 +811,11 @@ impl SlotEngine {
                 if outcome.completed.len() == self.completions.len() {
                     self.completions.push(JobCompletion {
                         job: id,
-                        handle: h,
                         unused_history: vec![Vec::new(); NUM_RESOURCES],
                     });
                 }
                 let completion = &mut self.completions[outcome.completed.len()];
                 completion.job = id;
-                completion.handle = h;
                 for (r, series) in completion.unused_history.iter_mut().enumerate() {
                     series.clear();
                     series.extend(job.observed_unused.iter().map(|u| u[r]));

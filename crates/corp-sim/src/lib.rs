@@ -60,5 +60,5 @@ pub use provisioner::{
 };
 pub use resources::{ResourceVector, RESOURCE_WEIGHTS};
 pub use ring::BoundedRing;
-pub use store::{JobHandle, JobStore};
+pub use store::JobStore;
 pub use streaming::StreamingSimulation;

@@ -15,7 +15,6 @@
 
 use crate::job::JobId;
 use crate::resources::ResourceVector;
-use crate::store::JobHandle;
 use serde::{Deserialize, Serialize};
 
 /// Cap on the per-job history tail copied into views each slot; bounds the
@@ -74,11 +73,6 @@ pub struct PendingJobView {
     pub arrival_slot: u64,
     /// The job's SLO threshold in slots.
     pub slo_slots: usize,
-    /// The engine's arena handle for this job — an opaque token sharded
-    /// provisioners may thread through their messages to index per-job
-    /// state without a hash lookup. Views built outside an engine carry
-    /// [`JobHandle::DETACHED`].
-    pub handle: JobHandle,
 }
 
 /// One placement decision.
@@ -169,10 +163,6 @@ pub struct SlotContext<'a> {
     pub vms: &'a [VmView],
     /// Jobs awaiting placement, arrival-ordered.
     pub pending: &'a [PendingJobView],
-    /// Per-VM committed totals, id-indexed — the raw SoA column behind
-    /// each [`VmView::committed`], exposed so sharded provisioners can
-    /// read commitments without walking the views.
-    pub committed: &'a [ResourceVector],
     /// The `C'` reference vector (per-resource max VM capacity, Eq. 22).
     pub max_vm_capacity: ResourceVector,
     /// Which running jobs the reader of this context owns:
@@ -199,10 +189,6 @@ impl SlotContext<'_> {
 pub struct JobCompletion {
     /// The completed job.
     pub job: JobId,
-    /// The arena handle the job held while running (stale once the slot
-    /// is reclaimed; [`JobHandle::DETACHED`] for completions fabricated
-    /// outside an engine).
-    pub handle: JobHandle,
     /// Full unused-resource history, one series per resource.
     pub unused_history: Vec<Vec<f64>>,
 }
@@ -225,9 +211,9 @@ pub trait Provisioner {
     /// Notifies the provisioner of every job that completed this slot, in
     /// completion order (VM id ascending, scan order within a VM). The
     /// engine calls this once per slot with the slot's batch instead of one
-    /// [`on_job_completed`](Self::on_job_completed) call per job, letting
-    /// distributed provisioners forward one message per shard per slot.
-    /// Default: deliver each completion through `on_job_completed`, so
+    /// [`on_job_completed`](Self::on_job_completed) call per job, so a
+    /// sharded provisioner routes the slot's batch to its shards in one
+    /// pass. Default: deliver each completion through `on_job_completed`, so
     /// monolithic provisioners observe the exact per-job sequence they
     /// always did.
     fn on_jobs_completed(&mut self, completed: &[JobCompletion]) {
@@ -342,12 +328,7 @@ mod tests {
             requested: ResourceVector::new(req),
             arrival_slot: 0,
             slo_slots: 10,
-            handle: JobHandle::DETACHED,
         }
-    }
-
-    fn committed_of(vms: &[VmView]) -> Vec<ResourceVector> {
-        vms.iter().map(|v| v.committed).collect()
     }
 
     /// The first-fit static peak replaces: copy every VM's free pool,
@@ -393,12 +374,10 @@ mod tests {
                 .enumerate()
                 .map(|(id, r)| pending(id as JobId, r.map(|x| x.max(f64::from(floor) * 0.5))))
                 .collect();
-            let committed = committed_of(&vms);
             let ctx = SlotContext {
                 slot: 0,
                 vms: &vms,
                 pending: &jobs,
-                committed: &committed,
                 max_vm_capacity: ResourceVector::new([4.0, 16.0, 180.0]),
                 share: JobShare::ALL,
             };
@@ -412,12 +391,10 @@ mod tests {
     fn static_peak_places_first_fit() {
         let vms = vec![vm_view(0, [1.0, 1.0, 1.0]), vm_view(1, [4.0, 16.0, 180.0])];
         let jobs = vec![pending(7, [2.0, 2.0, 2.0])];
-        let committed = committed_of(&vms);
         let ctx = SlotContext {
             slot: 0,
             vms: &vms,
             pending: &jobs,
-            committed: &committed,
             max_vm_capacity: ResourceVector::new([4.0, 16.0, 180.0]),
             share: JobShare::ALL,
         };
@@ -435,12 +412,10 @@ mod tests {
         // One VM with room for exactly one of the two jobs.
         let vms = vec![vm_view(0, [2.0, 2.0, 2.0])];
         let jobs = vec![pending(1, [2.0, 2.0, 2.0]), pending(2, [2.0, 2.0, 2.0])];
-        let committed = committed_of(&vms);
         let ctx = SlotContext {
             slot: 0,
             vms: &vms,
             pending: &jobs,
-            committed: &committed,
             max_vm_capacity: ResourceVector::new([4.0, 16.0, 180.0]),
             share: JobShare::ALL,
         };
@@ -452,12 +427,10 @@ mod tests {
     fn static_peak_leaves_unplaceable_jobs_pending() {
         let vms = vec![vm_view(0, [1.0, 1.0, 1.0])];
         let jobs = vec![pending(1, [9.0, 9.0, 9.0])];
-        let committed = committed_of(&vms);
         let ctx = SlotContext {
             slot: 3,
             vms: &vms,
             pending: &jobs,
-            committed: &committed,
             max_vm_capacity: ResourceVector::new([4.0, 16.0, 180.0]),
             share: JobShare::ALL,
         };

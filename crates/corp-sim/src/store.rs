@@ -33,14 +33,6 @@ pub struct JobHandle {
 }
 
 impl JobHandle {
-    /// A handle that never resolves: the placeholder for contexts built
-    /// outside an engine (unit tests, sharded-coordinator completions
-    /// fabricated from ids alone).
-    pub const DETACHED: JobHandle = JobHandle {
-        index: u32::MAX,
-        generation: u32::MAX,
-    };
-
     /// The arena index this handle points at.
     #[inline]
     pub fn index(self) -> usize {
@@ -263,8 +255,12 @@ mod tests {
 
     #[test]
     fn detached_handle_is_never_live() {
+        // A handle this arena never minted — one past its end, from a
+        // larger store — resolves to nothing, not to an index out of range.
         let mut store = JobStore::new(true);
         store.insert(specs(1).remove(0));
-        assert!(!store.is_live(JobHandle::DETACHED));
+        let mut larger = JobStore::new(true);
+        let foreign: Vec<_> = specs(2).into_iter().map(|s| larger.insert(s)).collect();
+        assert!(!store.is_live(foreign[1]));
     }
 }

@@ -69,22 +69,16 @@ impl<I: Iterator<Item = JobSpec>> StreamingSimulation<I> {
         mut inspect: impl FnMut(&SlotEngine),
     ) -> SimulationReport {
         loop {
-            while self
-                .source
-                .peek()
-                .is_some_and(|s| s.arrival_slot <= self.engine.slot())
-            {
-                let spec = self.source.next().expect("peeked");
+            let slot = self.engine.slot();
+            while let Some(spec) = self.source.next_if(|s| s.arrival_slot <= slot) {
                 self.last_arrival = self.last_arrival.max(spec.arrival_slot);
                 self.submitted += 1;
                 self.engine.submit(spec);
             }
             self.engine.step(provisioner);
             inspect(&self.engine);
-            let drained = self.source.peek().is_none();
-            if drained
-                && (self.engine.active() == 0
-                    || self.engine.slot() >= self.engine.options().max_slots + self.last_arrival)
+            if self.source.peek().is_none()
+                && (self.engine.active() == 0 || self.engine.past_cap(self.last_arrival))
             {
                 break;
             }

@@ -2,7 +2,9 @@
 # Repo-wide quality gate: formatting, lints, build, and the full test
 # suite. Run before every push.
 #
-#   scripts/check.sh              # the standard gate
+#   scripts/check.sh              # the standard gate: fmt, clippy, doc,
+#                                 # release build, tests, then the serve,
+#                                 # resilience, scale and bench smokes
 #   scripts/check.sh chaos-soak   # heavy fault-injection soak (release,
 #                                 # end-to-end chaos runs; see
 #                                 # crates/corp-faults/tests/soak.rs)
@@ -114,17 +116,25 @@ if [[ "${1:-}" == "chaos-soak" ]]; then
     exit 0
 fi
 
-if [[ "${1:-}" == "serve-smoke" ]]; then
+serve_smoke() {
     echo "==> cargo run --release -p corp-bench --bin corp-exp -- serve --fast --jobs 60 --speed inf --seed 7 --smoke"
     cargo run --release -p corp-bench --bin corp-exp -- serve --fast --jobs 60 --speed inf --seed 7 --smoke
     echo "Serve smoke passed."
+}
+
+if [[ "${1:-}" == "serve-smoke" ]]; then
+    serve_smoke
     exit 0
 fi
 
-if [[ "${1:-}" == "resilience-smoke" ]]; then
+resilience_smoke() {
     echo "==> cargo run --release -p corp-bench --bin corp-exp -- resilience --fast --smoke"
     cargo run --release -p corp-bench --bin corp-exp -- resilience --fast --smoke
     echo "Resilience smoke passed."
+}
+
+if [[ "${1:-}" == "resilience-smoke" ]]; then
+    resilience_smoke
     exit 0
 fi
 
@@ -171,6 +181,10 @@ cargo build --release
 
 echo "==> cargo test -q"
 cargo test -q
+
+serve_smoke
+
+resilience_smoke
 
 scale_smoke
 
