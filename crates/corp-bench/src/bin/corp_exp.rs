@@ -46,30 +46,11 @@
 //! corp-exp scale --shards 8     # soak behind the sharded control plane
 //! ```
 
-use corp_bench::experiments;
+use corp_bench::experiments::RUNNERS;
 use corp_bench::resilience::{resilience_experiment, ResilienceArgs};
 use corp_bench::scale::{scale_experiment, ScaleArgs};
 use corp_bench::serve::{serve_experiment, ServeArgs};
 use corp_bench::FigureTable;
-
-type Runner = fn(bool) -> FigureTable;
-
-/// Every experiment the figure loop knows, in `all` order.
-const RUNNERS: [(&str, Runner); 13] = [
-    ("table2", |_| experiments::table2()),
-    ("fig6", experiments::fig6),
-    ("fig7", experiments::fig7),
-    ("fig8", experiments::fig8),
-    ("fig9", experiments::fig9),
-    ("fig10", experiments::fig10),
-    ("fig11", experiments::fig11),
-    ("fig12", experiments::fig12),
-    ("fig13", experiments::fig13),
-    ("fig14", experiments::fig14),
-    ("ablations", experiments::ablations),
-    ("scalability", experiments::scalability),
-    ("faults", experiments::availability),
-];
 
 /// The figure loop's command line: `[--fast] [--json] [all | NAME...]`.
 #[derive(Debug, PartialEq)]

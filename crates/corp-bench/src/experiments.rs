@@ -49,6 +49,26 @@ pub const CONFIDENCE_LEVELS: [f64; 5] = [0.5, 0.6, 0.7, 0.8, 0.9];
 /// Workload seeds averaged by the small-count (SLO-rate) figures.
 pub const AVERAGING_SEEDS: [u64; 3] = [7, 1007, 2007];
 
+/// A figure runner; its argument selects the small DNN (`--fast`).
+pub type Runner = fn(bool) -> FigureTable;
+
+/// Every experiment `corp-exp`'s figure loop knows, in `all` order.
+pub const RUNNERS: [(&str, Runner); 13] = [
+    ("table2", |_| table2()),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("fig14", fig14),
+    ("ablations", ablations),
+    ("scalability", scalability),
+    ("faults", availability),
+];
+
 /// Runs `work` items in parallel, preserving order.
 fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where

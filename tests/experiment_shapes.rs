@@ -1,9 +1,93 @@
 //! Shape assertions for the reproduced evaluation: who wins on which
 //! metric, per the paper's Figs. 6-14. These are the contract the
 //! experiment harness must keep; absolute values are simulator-specific.
+//! The absolute values are pinned too, by a golden of every figure
+//! (`fast_figures_match_the_golden`).
 
+use corp_bench::experiments::RUNNERS;
 use corp_bench::{env::run_cell, env::SchemeParams, Environment, SchemeKind};
+use corp_bench::{FigureTable, TextTable};
 use corp_sim::SimulationReport;
+
+/// What `corp-exp --fast --json all` prints, one figure per line, with
+/// the cells that time the host blanked.
+const GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/golden/corp_exp_fast.json"
+);
+
+/// `(figure, column)` cells measured on the wall clock: they change from
+/// run to run and between debug and release builds.
+const WALL_CLOCK_COLUMNS: [(&str, &str); 4] = [
+    ("fig10", "latency (ms)"),
+    ("fig14", "latency (ms)"),
+    ("scalability", "throughput (jobs/s)"),
+    ("scalability", "latency (ms)"),
+];
+
+/// `figure` with its wall-clock cells emptied, and the core count in the
+/// scalability note (it names the host) replaced by `N`.
+fn without_host(figure: FigureTable) -> FigureTable {
+    let FigureTable { id, table, notes } = figure;
+    let wall_clock: Vec<bool> = table
+        .header()
+        .iter()
+        .map(|h| WALL_CLOCK_COLUMNS.contains(&(id.as_str(), h.as_str())))
+        .collect();
+    let header: Vec<&str> = table.header().iter().map(String::as_str).collect();
+    let mut blanked = TextTable::new(table.title(), &header);
+    for row in table.rows() {
+        let cells = row.iter().zip(&wall_clock);
+        blanked.push_row(
+            cells
+                .map(|(c, &wall)| if wall { String::new() } else { c.clone() })
+                .collect(),
+        );
+    }
+    let notes = notes
+        .into_iter()
+        .map(|n| match n.strip_prefix("host parallelism: ") {
+            Some(rest) => format!(
+                "host parallelism: N{}",
+                rest.trim_start_matches(char::is_numeric)
+            ),
+            None => n,
+        })
+        .collect();
+    FigureTable {
+        id,
+        table: blanked,
+        notes,
+    }
+}
+
+fn fast_figures_json() -> String {
+    let lines: Vec<String> = RUNNERS
+        .iter()
+        .map(|(_, run)| serde::json::to_string(&without_host(run(true))))
+        .collect();
+    format!("[\n{}\n]\n", lines.join(",\n"))
+}
+
+/// Every number of every figure `corp-exp --fast` regenerates, against
+/// the committed golden. A change that moves one on purpose (a decision
+/// or numerics epoch) re-baselines it in the same commit with
+/// `cargo test -p corp-bench --test experiment_shapes -- --ignored regenerate_fast_figures_golden`.
+#[test]
+fn fast_figures_match_the_golden() {
+    let golden = std::fs::read_to_string(GOLDEN).expect("tests/golden/corp_exp_fast.json");
+    let now = fast_figures_json();
+    for (line, (now, golden)) in now.lines().zip(golden.lines()).enumerate() {
+        assert_eq!(now, golden, "figure line {line} differs from the golden");
+    }
+    assert_eq!(now, golden);
+}
+
+#[test]
+#[ignore = "rewrites tests/golden/corp_exp_fast.json"]
+fn regenerate_fast_figures_golden() {
+    std::fs::write(GOLDEN, fast_figures_json()).expect("write the golden");
+}
 
 fn report(env: Environment, scheme: SchemeKind, jobs: usize, seed: u64) -> SimulationReport {
     let params = SchemeParams {
