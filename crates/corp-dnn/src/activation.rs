@@ -8,7 +8,12 @@
 //! Derivatives are expressed in terms of the *activation value* `g` (not
 //! the pre-activation), matching the paper's `F'(g_i(d))` notation in
 //! Eqs. 6-7 and avoiding a second buffer for pre-activations.
+//!
+//! The sigmoid's `e^-x` is the crate's port of libm's `exp` (module
+//! `exp`): the same bits as `f64::exp` without the call, which lets a whole
+//! row of a batched forward run as one branch-free loop.
 
+use crate::exp;
 use serde::{Deserialize, Serialize};
 
 /// Supported activation functions.
@@ -25,8 +30,30 @@ impl Activation {
     #[inline]
     pub fn apply(self, x: f64) -> f64 {
         match self {
-            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
+            Activation::Sigmoid => 1.0 / (1.0 + exp::exp(-x)),
             Activation::Identity => x,
+        }
+    }
+
+    /// [`apply`](Self::apply) to every element of `row`, bit-identical to
+    /// it element by element. A sigmoid row takes two passes: one checks,
+    /// without an early exit, that every input is on `exp`'s fast path (in
+    /// practice all are), the second evaluates them branch-free — both
+    /// vectorise; a row with any input off it goes element by element.
+    pub(crate) fn apply_row(self, row: &mut [f64]) {
+        match self {
+            Activation::Sigmoid => {
+                if row.iter().fold(true, |ok, &x| ok & exp::in_range(x)) {
+                    for x in row {
+                        *x = 1.0 / (1.0 + exp::exp_in_range(-*x));
+                    }
+                } else {
+                    for x in row {
+                        *x = self.apply(*x);
+                    }
+                }
+            }
+            Activation::Identity => {}
         }
     }
 
@@ -55,6 +82,29 @@ mod tests {
     fn sigmoid_derivative_peaks_at_half() {
         let d = Activation::Sigmoid.derivative_from_output(0.5);
         assert!((d - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sigmoid_rows_are_bit_identical_to_apply_at_every_width() {
+        // Inputs off exp's fast path: zero, tiny, huge, infinite, NaN.
+        let off = [0.0, -1e-17, 600.0, -800.0, f64::INFINITY, f64::NAN];
+        for width in 1..=130 {
+            for mixed in [false, true] {
+                let mut row: Vec<f64> = (0..width)
+                    .map(|i| ((i * 37 + width) as f64 * 0.61).sin() * 40.0)
+                    .collect();
+                if mixed {
+                    row[width / 2] = off[width % off.len()];
+                }
+                let want: Vec<u64> = row
+                    .iter()
+                    .map(|&x| Activation::Sigmoid.apply(x).to_bits())
+                    .collect();
+                Activation::Sigmoid.apply_row(&mut row);
+                let got: Vec<u64> = row.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, want, "width {width}, mixed {mixed}");
+            }
+        }
     }
 
     #[test]

@@ -27,6 +27,7 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod activation;
+mod exp;
 pub mod matrix;
 pub mod network;
 pub mod predictor;

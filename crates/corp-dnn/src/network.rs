@@ -28,6 +28,10 @@ struct Layer {
 }
 
 /// A feed-forward neural network with dense layers.
+///
+/// `layers` is never empty ([`Network::new`] asserts it): the activation
+/// buffers of the network and of a [`Scratch`] are `depth() + 1`, the last
+/// one the output, and a [`LaneScratch`] holds one matrix per weight layer.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Network {
     layers: Vec<Layer>,
@@ -113,15 +117,22 @@ impl LaneScratch {
 
 /// Eq. 5 over a feature-major batch: `acts[d]` receives layer `d`'s
 /// activations, layer 0 reading `input`. Every lane accumulates in the
-/// scalar dot-product order (see [`Matrix::matmul_fused_into`]), so lane `b`
-/// is bit-identical to [`Network::forward_with`] on column `b`.
+/// scalar dot-product order (see [`Matrix::matmul_fused_into`]), whose
+/// epilogue adds the bias; the activation then runs over each output row
+/// (one neuron, every lane) at once. Both are elementwise the operations
+/// [`Network::forward_with`] performs, so lane `b` is bit-identical to it
+/// on column `b`.
 fn forward_layers(layers: &[Layer], input: &Matrix, acts: &mut [Matrix]) {
     for (d, layer) in layers.iter().enumerate() {
         let (lower, upper) = acts.split_at_mut(d);
         let x = lower.last().unwrap_or(input);
-        layer.weights.matmul_fused_into(x, &mut upper[0], |i, acc| {
-            layer.activation.apply(acc + layer.biases[i])
-        });
+        let out = &mut upper[0];
+        layer
+            .weights
+            .matmul_fused_into(x, out, |i, acc| acc + layer.biases[i]);
+        for row in out.as_mut_slice().chunks_exact_mut(x.cols()) {
+            layer.activation.apply_row(row);
+        }
     }
 }
 
@@ -171,7 +182,7 @@ impl Network {
 
     /// Output dimension.
     pub fn output_len(&self) -> usize {
-        self.activations.last().expect("networks have layers").len()
+        self.layers[self.depth() - 1].weights.rows()
     }
 
     /// Number of weight layers.
@@ -211,7 +222,7 @@ impl Network {
                     layer.activation.apply(acc + layer.biases[i])
                 });
         }
-        self.activations.last().expect("networks have layers")
+        &self.activations[self.depth()]
     }
 
     /// Feed-forward evaluation through caller-provided scratch, leaving the
@@ -234,7 +245,7 @@ impl Network {
                     layer.activation.apply(acc + layer.biases[i])
                 });
         }
-        scratch.activations.last().expect("networks have layers")
+        &scratch.activations[self.depth()]
     }
 
     /// Inference over a feature-major batch (`input` is `input_len x lanes`,
@@ -255,7 +266,7 @@ impl Network {
         assert_eq!(input.rows(), self.input_len(), "input length mismatch");
         scratch.ensure(self, input.cols());
         forward_layers(&self.layers, input, &mut scratch.acts);
-        scratch.acts.last().expect("networks have layers")
+        &scratch.acts[self.depth() - 1]
     }
 
     /// One stochastic training step on a single example: forward pass,
@@ -276,7 +287,7 @@ impl Network {
         let out_idx = self.layers.len() - 1;
         let mut sq_err = 0.0;
         {
-            let g_out = self.activations.last().expect("layers exist");
+            let g_out = &self.activations[out_idx + 1];
             let act = self.layers[out_idx].activation;
             for ((e, &g), &t) in self.errors[out_idx].iter_mut().zip(g_out).zip(target) {
                 let diff = t - g;
@@ -357,7 +368,7 @@ impl Network {
         let out_idx = self.layers.len() - 1;
         let mut sq_err = 0.0;
         {
-            let g_out = self.activations.last().expect("layers exist");
+            let g_out = &self.activations[out_idx + 1];
             let act = self.layers[out_idx].activation;
             for ((e, &g), &t) in self.errors[out_idx].iter_mut().zip(g_out).zip(target) {
                 let diff = t - g;

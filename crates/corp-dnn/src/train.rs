@@ -85,13 +85,14 @@ impl Trainer {
     /// # Panics
     ///
     /// Panics if the validation fraction is outside `(0, 1)`, the learning
-    /// rate is not positive, or patience is zero.
+    /// rate is not positive, or the epoch cap or patience is zero.
     pub fn new(config: TrainConfig) -> Self {
         assert!(
             config.validation_fraction > 0.0 && config.validation_fraction < 1.0,
             "validation fraction must be in (0,1)"
         );
         assert!(config.learning_rate > 0.0, "learning rate must be positive");
+        assert!(config.max_epochs > 0, "max_epochs must be at least 1");
         assert!(config.patience > 0, "patience must be at least 1");
         Trainer { config }
     }
@@ -218,7 +219,8 @@ impl Convergence {
     fn into_report(self) -> TrainReport {
         TrainReport {
             epochs_run: self.history.len(),
-            final_validation_mse: *self.history.last().expect("at least one epoch runs"),
+            // `Trainer::new` asserts `max_epochs >= 1`, so an epoch ran.
+            final_validation_mse: self.history.last().copied().unwrap_or(f64::NAN),
             validation_history: self.history,
             converged: self.converged,
         }
@@ -341,6 +343,15 @@ mod tests {
     fn empty_dataset_rejected() {
         let mut net = Network::new(&[2, 3, 1], Activation::Sigmoid, Activation::Identity, 1);
         Trainer::new(TrainConfig::default()).train(&mut net, &[], &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "max_epochs")]
+    fn zero_epoch_cap_rejected() {
+        Trainer::new(TrainConfig {
+            max_epochs: 0,
+            ..TrainConfig::default()
+        });
     }
 
     #[test]

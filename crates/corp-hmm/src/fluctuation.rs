@@ -20,8 +20,7 @@
 use crate::baum_welch::baum_welch;
 use crate::model::Hmm;
 use crate::quantize::{FluctuationSymbol, SpreadQuantizer};
-use crate::viterbi::{viterbi, viterbi_last_in, ViterbiScratch};
-use serde::{Deserialize, Serialize};
+use crate::viterbi::{viterbi, viterbi_last_in, LogHmm, ViterbiScratch};
 
 /// Reusable buffers for the scratch-variant prediction entry points
 /// ([`FluctuationPredictor::adjust_with`] and friends): the observation
@@ -43,9 +42,12 @@ impl HmmScratch {
 
 /// Predicts the next fluctuation symbol of an unused-resource series and
 /// corrects DNN predictions for imminent peaks/valleys.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FluctuationPredictor {
     hmm: Hmm,
+    /// The logarithms of `hmm`'s parameters, for the scratch-variant
+    /// decode. Rebuilt wherever `hmm` is set (`new` and `fit`).
+    log_hmm: LogHmm,
     quantizer: Option<SpreadQuantizer>,
     /// Window length (slots) over which each observation's spread is taken;
     /// the paper divides the inter-observation window into `L - 1`
@@ -63,8 +65,10 @@ impl FluctuationPredictor {
     /// Panics if `window_len < 2` (a spread needs two samples).
     pub fn new(window_len: usize) -> Self {
         assert!(window_len >= 2, "spread windows need at least two samples");
+        let hmm = Hmm::paper_default();
         FluctuationPredictor {
-            hmm: Hmm::paper_default(),
+            log_hmm: LogHmm::new(&hmm),
+            hmm,
             quantizer: None,
             window_len,
             fitted: false,
@@ -92,6 +96,7 @@ impl FluctuationPredictor {
             return None;
         }
         let report = baum_welch(&mut self.hmm, &obs, 40, 1e-6);
+        self.log_hmm = LogHmm::new(&self.hmm);
         self.quantizer = Some(quantizer);
         self.fitted = true;
         Some(report.iterations)
@@ -111,11 +116,16 @@ impl FluctuationPredictor {
         if obs.is_empty() {
             return FluctuationSymbol::Center;
         }
-        // Single best state path (Eq. 16 / Viterbi), last state q_L*.
+        // Single best state path (Eq. 16 / Viterbi), last state q_L*: one
+        // per observation, and there is at least one.
         let path = viterbi(&self.hmm, &obs);
-        let q_last = *path.states.last().expect("non-empty path");
+        let q_last = path.states[obs.len() - 1];
+        self.next_symbol_after(q_last)
+    }
 
-        // Eq. 17: expected next-symbol distribution.
+    /// Eq. 17: the arg-max symbol of the expected next-symbol distribution
+    /// from last state `q_last`.
+    fn next_symbol_after(&self, q_last: usize) -> FluctuationSymbol {
         let mut best_k = 0;
         let mut best_p = f64::NEG_INFINITY;
         for k in 0..self.hmm.num_symbols {
@@ -131,9 +141,9 @@ impl FluctuationPredictor {
     }
 
     /// [`predict_next_symbol`](Self::predict_next_symbol) through
-    /// caller-provided scratch: no allocation on the hot path, bit-identical
-    /// symbol (same quantization, same Viterbi recurrence, same Eq. 17
-    /// arg-max).
+    /// caller-provided scratch: no allocation and no logarithm on the hot
+    /// path, bit-identical symbol (same quantization, same Viterbi
+    /// recurrence over the stored logarithms, same Eq. 17 arg-max).
     pub fn predict_next_symbol_with(
         &self,
         recent: &[f64],
@@ -149,20 +159,8 @@ impl FluctuationPredictor {
         if scratch.obs.is_empty() {
             return FluctuationSymbol::Center;
         }
-        let (q_last, _) = viterbi_last_in(&self.hmm, &scratch.obs, &mut scratch.viterbi);
-
-        let mut best_k = 0;
-        let mut best_p = f64::NEG_INFINITY;
-        for k in 0..self.hmm.num_symbols {
-            let p: f64 = (0..self.hmm.num_states)
-                .map(|j| self.hmm.a[q_last][j] * self.hmm.b[j][k])
-                .sum();
-            if p > best_p {
-                best_p = p;
-                best_k = k;
-            }
-        }
-        FluctuationSymbol::from_index(best_k)
+        let (q_last, _) = viterbi_last_in(&self.log_hmm, &scratch.obs, &mut scratch.viterbi);
+        self.next_symbol_after(q_last)
     }
 
     /// The conservative correction magnitude `min(h - m, m - l)` computed

@@ -35,4 +35,4 @@ pub use fluctuation::{FluctuationPredictor, HmmScratch};
 pub use forward_backward::{backward_scaled, forward_scaled, log_likelihood, state_posteriors};
 pub use model::Hmm;
 pub use quantize::{FluctuationSymbol, SpreadQuantizer};
-pub use viterbi::{viterbi, viterbi_last_in, ViterbiScratch};
+pub use viterbi::{viterbi, viterbi_last_in, LogHmm, ViterbiScratch};

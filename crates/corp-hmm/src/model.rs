@@ -1,7 +1,5 @@
 //! The HMM parameter triple `lambda = (A, B, pi)` (paper Eqs. 9-11).
 
-use serde::{Deserialize, Serialize};
-
 /// A discrete hidden Markov model with `H` states and `M` observation
 /// symbols.
 ///
@@ -11,7 +9,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Rows are validated to be stochastic on construction; Baum-Welch
 /// re-estimation preserves the invariant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Hmm {
     /// Number of hidden states `H`.
     pub num_states: usize,

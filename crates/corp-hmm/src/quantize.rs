@@ -59,7 +59,7 @@ impl FluctuationSymbol {
 
 /// Maps window spreads `Delta_j` to [`FluctuationSymbol`]s using thresholds
 /// derived from a historical unused-resource series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpreadQuantizer {
     /// Lower threshold `min + (m - min)/2`.
     pub low: f64,

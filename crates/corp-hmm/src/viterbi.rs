@@ -3,8 +3,50 @@
 //! "In implementation, we use Viterbi algorithm to find the single best
 //! state sequence (path) ... maximizing P(Q, O | lambda)." Log-space
 //! recursion avoids underflow on long sequences.
+//!
+//! [`viterbi`] decodes the whole path from an [`Hmm`], taking logarithms
+//! as it goes; [`viterbi_last_in`], the per-window prediction path, reads
+//! a [`LogHmm`] built once per model instead and returns only the last
+//! state. Both run the same recurrence on the same logarithms, so their
+//! last states and log-probabilities are bit-identical.
 
 use crate::model::Hmm;
+
+/// `ln p`, with `ln 0 = -inf` (an impossible transition or emission).
+fn ln(p: f64) -> f64 {
+    if p > 0.0 {
+        p.ln()
+    } else {
+        f64::NEG_INFINITY
+    }
+}
+
+/// The logarithm of every parameter of an [`Hmm`] — what a Viterbi decode
+/// reads, computed once per model instead of once per trellis step.
+#[derive(Debug, Clone)]
+pub struct LogHmm {
+    num_states: usize,
+    num_symbols: usize,
+    /// `ln pi[i]`.
+    ln_pi: Vec<f64>,
+    /// `ln a[i][j]`, row-major.
+    ln_a: Vec<f64>,
+    /// `ln b[j][k]`, row-major.
+    ln_b: Vec<f64>,
+}
+
+impl LogHmm {
+    /// Takes the logarithm of every parameter of `hmm`.
+    pub fn new(hmm: &Hmm) -> Self {
+        LogHmm {
+            num_states: hmm.num_states,
+            num_symbols: hmm.num_symbols,
+            ln_pi: hmm.pi.iter().map(|&p| ln(p)).collect(),
+            ln_a: hmm.a.iter().flatten().map(|&p| ln(p)).collect(),
+            ln_b: hmm.b.iter().flatten().map(|&p| ln(p)).collect(),
+        }
+    }
+}
 
 /// Result of Viterbi decoding.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,7 +67,6 @@ pub fn viterbi(hmm: &Hmm, obs: &[usize]) -> ViterbiPath {
     hmm.check_observations(obs);
     let h = hmm.num_states;
     let t_len = obs.len();
-    let ln = |p: f64| if p > 0.0 { p.ln() } else { f64::NEG_INFINITY };
 
     // delta[t][i]: best log-prob of any path ending in state i at t.
     let mut delta = vec![vec![f64::NEG_INFINITY; h]; t_len];
@@ -82,23 +123,28 @@ impl ViterbiScratch {
 }
 
 /// The final state of the single best path and `log P(Q*, O | lambda)`,
-/// computed through caller-provided scratch without allocating.
+/// computed from the model's logarithms through caller-provided scratch
+/// without allocating.
 ///
 /// Runs the same log-space recurrence as [`viterbi`] in the same
-/// arithmetic order, so the returned pair is bit-identical to
-/// `(*path.states.last().unwrap(), path.log_prob)`; it just keeps only the
-/// rolling `delta` rows instead of the full trellis (the last state is the
-/// arg-max of the final row — no backtrack needed).
+/// arithmetic order on the same logarithms, so the returned pair is
+/// bit-identical to the last state and `log_prob` of [`viterbi`]'s path;
+/// it keeps only the rolling `delta` rows instead of the full trellis (the
+/// last state is the arg-max of the final row — no backtrack needed).
+///
+/// Symbols are not range-checked outside debug builds: callers pass
+/// quantizer output, which is always in the alphabet.
 ///
 /// # Panics
 ///
-/// Panics if `obs` is empty or contains out-of-range symbols.
-pub fn viterbi_last_in(hmm: &Hmm, obs: &[usize], scratch: &mut ViterbiScratch) -> (usize, f64) {
+/// Panics if `obs` is empty.
+pub fn viterbi_last_in(log: &LogHmm, obs: &[usize], scratch: &mut ViterbiScratch) -> (usize, f64) {
     assert!(!obs.is_empty(), "observation sequence must be non-empty");
-    hmm.check_observations(obs);
-    let h = hmm.num_states;
-    let t_len = obs.len();
-    let ln = |p: f64| if p > 0.0 { p.ln() } else { f64::NEG_INFINITY };
+    debug_assert!(
+        obs.iter().all(|&o| o < log.num_symbols),
+        "observation outside the alphabet"
+    );
+    let (h, m) = (log.num_states, log.num_symbols);
 
     let prev = &mut scratch.prev;
     let cur = &mut scratch.cur;
@@ -108,18 +154,18 @@ pub fn viterbi_last_in(hmm: &Hmm, obs: &[usize], scratch: &mut ViterbiScratch) -
     cur.resize(h, f64::NEG_INFINITY);
 
     for i in 0..h {
-        prev[i] = ln(hmm.pi[i]) + ln(hmm.b[i][obs[0]]);
+        prev[i] = log.ln_pi[i] + log.ln_b[i * m + obs[0]];
     }
-    for t in 1..t_len {
+    for &o in &obs[1..] {
         for j in 0..h {
             let mut best = f64::NEG_INFINITY;
             for i in 0..h {
-                let cand = prev[i] + ln(hmm.a[i][j]);
+                let cand = prev[i] + log.ln_a[i * h + j];
                 if cand > best {
                     best = cand;
                 }
             }
-            cur[j] = best + ln(hmm.b[j][obs[t]]);
+            cur[j] = best + log.ln_b[j * m + o];
         }
         std::mem::swap(prev, cur);
     }
@@ -243,28 +289,36 @@ mod tests {
 
     #[test]
     fn last_state_in_is_bit_identical_to_full_decode() {
-        let hmm = test_model();
+        // Zero transitions and emissions exercise the -inf logarithms.
+        let sparse = Hmm::new(
+            vec![vec![1.0, 0.0], vec![0.3, 0.7]],
+            vec![vec![0.9, 0.1], vec![0.0, 1.0]],
+            vec![0.5, 0.5],
+        );
         let mut scratch = ViterbiScratch::new();
-        // Reusing one scratch across calls of different lengths must keep
-        // every result bit-identical to the allocating path.
-        for obs in [
-            vec![0],
-            vec![1, 0],
-            vec![0, 1, 1],
-            vec![1, 1, 0, 0, 1],
-            vec![0, 0, 0, 1, 1, 1],
-            (0..500).map(|t| (t / 7) % 2).collect::<Vec<_>>(),
-        ] {
-            let full = viterbi(&hmm, &obs);
-            let (last, log_prob) = viterbi_last_in(&hmm, &obs, &mut scratch);
-            assert_eq!(last, *full.states.last().unwrap(), "obs {obs:?}");
-            assert_eq!(log_prob.to_bits(), full.log_prob.to_bits(), "obs {obs:?}");
+        for hmm in [test_model(), sparse] {
+            let log = LogHmm::new(&hmm);
+            // Reusing one scratch across calls of different lengths must
+            // keep every result bit-identical to the allocating path.
+            for obs in [
+                vec![0],
+                vec![1, 0],
+                vec![0, 1, 1],
+                vec![1, 1, 0, 0, 1],
+                vec![0, 0, 0, 1, 1, 1],
+                (0..500).map(|t| (t / 7) % 2).collect::<Vec<_>>(),
+            ] {
+                let full = viterbi(&hmm, &obs);
+                let (last, log_prob) = viterbi_last_in(&log, &obs, &mut scratch);
+                assert_eq!(Some(&last), full.states.last(), "obs {obs:?}");
+                assert_eq!(log_prob.to_bits(), full.log_prob.to_bits(), "obs {obs:?}");
+            }
         }
     }
 
     #[test]
     #[should_panic]
     fn last_state_in_rejects_empty_sequence() {
-        viterbi_last_in(&test_model(), &[], &mut ViterbiScratch::new());
+        viterbi_last_in(&LogHmm::new(&test_model()), &[], &mut ViterbiScratch::new());
     }
 }

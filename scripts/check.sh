@@ -52,6 +52,14 @@
 #                                 # part of them outside test modules (each
 #                                 # file up to its last `#[cfg(test)]`) — the
 #                                 # number ROADMAP's code-diet budget is in
+#   scripts/check.sh libm         # advisory, not part of the gate: the
+#                                 # sigmoid's in-crate `exp` (corp-dnn's
+#                                 # exp.rs, a port of glibc's) against libm's
+#                                 # on 10^9 random inputs, in release;
+#                                 # prints the mismatch count, exits non-zero
+#                                 # on any. Meaningful on glibc >= 2.28 with
+#                                 # FMA hardware, the host the pinned digests
+#                                 # come from
 #
 # The serve / resilience / scale smoke modes are bare `corp-exp ... --smoke`
 # calls whose own assertions set the exit code; no mode writes a file
@@ -106,6 +114,12 @@ if [[ "${1:-}" == "size" ]]; then
         size_of "$(basename "$d")" "$d"src/*.rs "$d"src/*/*.rs
     done
     size_of total crates/*/src/*.rs crates/*/src/*/*.rs
+    exit 0
+fi
+
+if [[ "${1:-}" == "libm" ]]; then
+    echo "==> cargo test -p corp-dnn --release --lib -- --ignored --nocapture exp_matches_libm_on_a_billion_random_inputs"
+    cargo test -p corp-dnn --release --lib -- --ignored --nocapture exp_matches_libm_on_a_billion_random_inputs
     exit 0
 fi
 
