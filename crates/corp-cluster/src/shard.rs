@@ -57,7 +57,7 @@ pub(crate) fn shard_vm_views(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use corp_core::{CooperativeProvisioner, CorpConfig};
+    use corp_core::CorpConfig;
     use corp_sim::{
         JobCompletion, ProvisionPlan, Provisioner, ResourceVector, RunningJobView, SlotContext,
         VmView,
@@ -176,7 +176,7 @@ mod tests {
             }
         }
 
-        /// A few arrivals; every eighth is long-lived by its SLO horizon.
+        /// A few arrivals.
         fn arrive(&mut self, slot: u64) {
             for _ in 0..self.rng.gen_range(0..6) {
                 let size = self.rng.gen_range(0.05..0.4);
@@ -184,7 +184,7 @@ mod tests {
                     id: self.next_id,
                     requested: CAPACITY.scaled(size),
                     arrival_slot: slot,
-                    slo_slots: if self.next_id % 8 == 7 { 100 } else { 10 },
+                    slo_slots: 10,
                 });
                 self.next_id += 1;
             }
@@ -263,11 +263,6 @@ mod tests {
                     .collect()
             })
             .collect();
-        let coop = (0..shards).map(|_| {
-            let mut p = CooperativeProvisioner::new(CorpConfig::fast(), 4);
-            p.pretrain(&corpus);
-            Box::new(p) as Box<dyn Provisioner + Send>
-        });
         let built = |factories: Vec<corp_core::ShardFactory>| -> Fleet {
             factories.iter().map(|build| build()).collect()
         };
@@ -276,7 +271,6 @@ mod tests {
                 "corp",
                 corp_core::corp_fleet(&CorpConfig::fast(), &corpus, shards),
             ),
-            ("coop", coop.collect()),
             ("rccr", built(corp_core::rccr_factories(0.9, 7, shards))),
             (
                 "cloudscale",

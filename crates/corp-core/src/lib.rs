@@ -43,7 +43,6 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
-pub mod cooperative;
 pub mod fleet;
 pub mod packing;
 pub mod pipeline;
@@ -53,7 +52,6 @@ pub mod preemption;
 pub mod scheduler;
 
 pub use config::CorpConfig;
-pub use cooperative::CooperativeProvisioner;
 pub use fleet::{
     cloudscale_factories, corp_factories, corp_fleet, dra_factories, rccr_factories, shard_seed,
     ShardFactory,

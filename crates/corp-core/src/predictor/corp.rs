@@ -107,7 +107,7 @@ impl LaneStage {
     }
 }
 
-/// Per-thread scratch for the immutable prediction entry points
+/// Per-thread scratch for the prediction entry points
 /// ([`CorpJobPredictor::predict_jobs_in`] and its one-job form
 /// [`predict_job_in`](CorpJobPredictor::predict_job_in)): the lane staging
 /// per resource, the DNN's lane buffers, the HMM decode buffers, the
@@ -172,8 +172,6 @@ pub struct CorpJobPredictor {
     gate: PreemptionGate,
     trained: bool,
     fallbacks: FallbackCounters,
-    /// Owned scratch backing the `&mut self` prediction entry points.
-    scratch: Option<PredictionScratch>,
 }
 
 impl std::fmt::Debug for CorpJobPredictor {
@@ -216,7 +214,6 @@ impl CorpJobPredictor {
             ),
             trained: false,
             fallbacks: FallbackCounters::default(),
-            scratch: None,
         }
     }
 
@@ -337,26 +334,13 @@ impl CorpJobPredictor {
     /// Until trained, falls back to persistence per resource (the paper's
     /// cold-start has the Google-trace history, so this path only covers
     /// the first jobs of a cold system).
-    pub fn predict_job(
-        &mut self,
-        recent: &[Vec<f64>],
-        requested: &ResourceVector,
-    ) -> ResourceVector {
-        let mut scratch = self.scratch.take().unwrap_or_default();
-        let out = self.predict_job_in(recent, requested, &mut scratch);
-        self.fallbacks.absorb(&scratch.fallbacks);
-        scratch.fallbacks = FallbackCounters::default();
-        self.scratch = Some(scratch);
-        out
-    }
-
-    /// [`predict_job`](Self::predict_job) through caller-provided scratch,
-    /// leaving the predictor immutable so the runtime's threads can fan a fleet's
-    /// predictions over one shared `&CorpJobPredictor`. This is the one-lane
-    /// case of [`predict_jobs_in`](Self::predict_jobs_in). Values are
-    /// bit-identical to the `&mut self` path; fallback-rung increments
-    /// accumulate in `scratch.fallbacks` for the owner to merge after the
-    /// join ([`merge_fallbacks`](Self::merge_fallbacks)).
+    ///
+    /// The predictor stays immutable, so the runtime's threads can fan a
+    /// fleet's predictions over one shared `&CorpJobPredictor`. This is the
+    /// one-lane case of [`predict_jobs_in`](Self::predict_jobs_in).
+    /// Fallback-rung increments accumulate in `scratch.fallbacks` for the
+    /// owner to merge after the join
+    /// ([`merge_fallbacks`](Self::merge_fallbacks)).
     pub fn predict_job_in(
         &self,
         recent: &[Vec<f64>],
@@ -593,6 +577,19 @@ mod tests {
         CorpJobPredictor::new(&CorpConfig::fast())
     }
 
+    /// One job through `predict_job_in`, its fallback increments merged
+    /// into the predictor's counters.
+    fn predict(
+        p: &mut CorpJobPredictor,
+        recent: &[Vec<f64>],
+        requested: &ResourceVector,
+    ) -> ResourceVector {
+        let mut scratch = PredictionScratch::new();
+        let out = p.predict_job_in(recent, requested, &mut scratch);
+        p.merge_fallbacks(&scratch.fallbacks);
+        out
+    }
+
     fn synthetic_histories(n: usize, level: f64) -> Vec<Vec<f64>> {
         (0..n)
             .map(|j| {
@@ -608,7 +605,7 @@ mod tests {
         let mut p = fast_predictor();
         assert!(!p.is_trained());
         let recent = vec![vec![4.0, 4.0, 4.0], vec![2.0, 2.0], vec![1.0]];
-        let out = p.predict_job(&recent, &ResourceVector::new([10.0, 10.0, 10.0]));
+        let out = predict(&mut p, &recent, &ResourceVector::new([10.0, 10.0, 10.0]));
         assert!((out[0] - 4.0).abs() < 1e-9);
         assert!((out[1] - 2.0).abs() < 1e-9);
         assert!((out[2] - 1.0).abs() < 1e-9);
@@ -644,7 +641,7 @@ mod tests {
         p.pretrain(&[hs.clone(), hs.clone(), hs]);
         assert!(p.is_trained());
         let recent = vec![vec![6.0; 8], vec![6.0; 8], vec![6.0; 8]];
-        let out = p.predict_job(&recent, &ResourceVector::new([10.0, 10.0, 10.0]));
+        let out = predict(&mut p, &recent, &ResourceVector::new([10.0, 10.0, 10.0]));
         for k in 0..NUM_RESOURCES {
             assert!(out[k] >= 0.0 && out[k] < 12.0, "resource {k}: {}", out[k]);
         }
@@ -656,12 +653,12 @@ mod tests {
         let hs = synthetic_histories(10, 6.0);
         p.pretrain(&[hs.clone(), hs.clone(), hs]);
         let recent = vec![vec![6.0; 8], vec![6.0; 8], vec![6.0; 8]];
-        let before = p.predict_job(&recent, &ResourceVector::new([10.0, 10.0, 10.0]));
+        let before = predict(&mut p, &recent, &ResourceVector::new([10.0, 10.0, 10.0]));
         // Noisy outcomes raise sigma_hat.
         for (a, pr) in [(6.0, 4.0), (2.0, 4.0), (7.0, 4.0), (1.0, 4.0)] {
             p.record_outcome_scaled(0, a, pr, 10.0);
         }
-        let after = p.predict_job(&recent, &ResourceVector::new([10.0, 10.0, 10.0]));
+        let after = predict(&mut p, &recent, &ResourceVector::new([10.0, 10.0, 10.0]));
         assert!(
             after[0] < before[0],
             "CI must shave: {} -> {}",
@@ -686,7 +683,7 @@ mod tests {
         for (a, pr) in [(9.0, 4.0), (0.0, 4.0)] {
             p.record_outcome_scaled(0, a, pr, 10.0);
         }
-        let out = p.predict_job(&recent, &ResourceVector::new([10.0, 10.0, 10.0]));
+        let out = predict(&mut p, &recent, &ResourceVector::new([10.0, 10.0, 10.0]));
         assert!((out[0] - 5.0).abs() < 1e-9);
     }
 
@@ -704,7 +701,8 @@ mod tests {
     #[test]
     fn empty_recent_series_predicts_zero() {
         let mut p = fast_predictor();
-        let out = p.predict_job(
+        let out = predict(
+            &mut p,
             &[vec![], vec![], vec![]],
             &ResourceVector::new([10.0, 10.0, 10.0]),
         );
@@ -715,7 +713,7 @@ mod tests {
     fn nan_series_degrades_to_a_finite_fallback() {
         let mut p = fast_predictor();
         let recent = vec![vec![4.0, f64::NAN], vec![f64::NAN], vec![2.0, 2.0]];
-        let out = p.predict_job(&recent, &ResourceVector::new([10.0, 10.0, 10.0]));
+        let out = predict(&mut p, &recent, &ResourceVector::new([10.0, 10.0, 10.0]));
         for k in 0..NUM_RESOURCES {
             assert!(out[k].is_finite(), "resource {k}: {}", out[k]);
             assert!(out[k] >= 0.0);
@@ -741,7 +739,7 @@ mod tests {
             p.record_outcome_scaled(0, a, pr, 1.0);
         }
         let recent = vec![vec![4.0, 4.0], vec![4.0, 4.0], vec![4.0, 4.0]];
-        let out = p.predict_job(&recent, &ResourceVector::new([10.0, 10.0, 10.0]));
+        let out = predict(&mut p, &recent, &ResourceVector::new([10.0, 10.0, 10.0]));
         assert!(out[0].is_finite());
         assert!(p.fallbacks().dnn_rejected >= 1, "{:?}", p.fallbacks());
         // The unpoisoned resources still take the exact normal path.
@@ -781,7 +779,8 @@ mod tests {
         for _ in 0..70 {
             p.record_outcome_scaled(0, 0.0, 100.0, 10.0); // huge sigma
         }
-        let out = p.predict_job(
+        let out = predict(
+            &mut p,
             &[vec![0.1, 0.1], vec![0.1], vec![0.1]],
             &ResourceVector::new([10.0, 10.0, 10.0]),
         );

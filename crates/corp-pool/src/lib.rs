@@ -75,6 +75,7 @@ impl WorkerScratch {
             .entry(TypeId::of::<S>())
             .or_insert_with(|| Box::new(init()))
             .downcast_mut::<S>()
+            // Only `init()`'s `S` is ever stored under `TypeId::of::<S>()`.
             .expect("scratch slot keyed by its own TypeId")
     }
 
@@ -139,6 +140,7 @@ impl WorkerPool {
                         task(&mut scratch);
                     }
                 })
+                // Only the OS refusing a thread fails here; no input reaches it.
                 .expect("failed to spawn prediction worker");
             self.workers.push(PoolWorker {
                 tasks: Some(tx),
@@ -311,6 +313,7 @@ impl WorkerPool {
         );
         deltas
             .into_iter()
+            // No panic was caught and every helper replied: all slots are set.
             .map(|d| d.expect("every participant reported a reduction"))
             .collect()
     }

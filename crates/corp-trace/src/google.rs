@@ -209,6 +209,7 @@ pub fn to_csv(records: &[TaskRecord]) -> String {
             "{},{},{},{},{},{},{}",
             r.start_secs, r.end_secs, r.job_id, r.task_index, r.cpu, r.memory, r.storage
         )
+        // `fmt::Write` for `String` never returns an error.
         .expect("writing to a String cannot fail");
     }
     s
@@ -256,12 +257,11 @@ pub fn resample_trace(records: &[TaskRecord], target_slot_secs: u64) -> Vec<Task
     for r in records {
         by_task.entry((r.job_id, r.task_index)).or_default().push(r);
     }
-    let mut keys: Vec<(u64, u32)> = by_task.keys().copied().collect();
-    keys.sort_unstable();
+    let mut groups: Vec<((u64, u32), Vec<&TaskRecord>)> = by_task.into_iter().collect();
+    groups.sort_unstable_by_key(|&(key, _)| key);
 
     let mut out = Vec::new();
-    for key in keys {
-        let mut samples = by_task.remove(&key).expect("key taken from map");
+    for (_, mut samples) in groups {
         samples.sort_by_key(|r| r.start_secs);
         for (i, cur) in samples.iter().enumerate() {
             let next = samples.get(i + 1);

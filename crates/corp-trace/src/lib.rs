@@ -36,7 +36,6 @@
 
 pub mod arrival;
 pub mod google;
-pub mod longlived;
 pub mod recorded;
 pub mod series;
 pub mod source;
@@ -48,7 +47,6 @@ pub use google::{
     filter_short_lived, parse_csv, parse_line, resample_trace, to_csv, TaskRecord, TraceError,
     GOOGLE_FIELDS,
 };
-pub use longlived::{LongLivedConfig, LongLivedGenerator};
 pub use recorded::{
     format_trace, load_trace, parse_trace, save_trace, RecordedTraceError, TRACE_HEADER,
 };

@@ -80,19 +80,16 @@ pub fn records_to_jobs(records: &[TaskRecord], cfg: &IngestConfig) -> Vec<JobSpe
     for r in records {
         groups.entry(r.job_id).or_default().push(r);
     }
-    let mut keys: Vec<(u64, u64)> = groups
-        .iter()
-        .map(|(&id, recs)| {
-            let first = recs.iter().map(|r| r.start_secs).min().expect("non-empty");
-            (first, id)
+    let mut jobs: Vec<(u64, u64, Vec<&TaskRecord>)> = groups
+        .into_iter()
+        .map(|(id, recs)| {
+            let first = recs.iter().fold(u64::MAX, |m, r| m.min(r.start_secs));
+            (first, id, recs)
         })
         .collect();
-    keys.sort_unstable();
-    keys.into_iter()
-        .map(|(_, id)| {
-            let mut recs = groups.remove(&id).expect("key taken from map");
-            assemble_job(id, &mut recs, cfg)
-        })
+    jobs.sort_unstable_by_key(|&(first, id, _)| (first, id));
+    jobs.into_iter()
+        .map(|(_, id, mut recs)| assemble_job(id, &mut recs, cfg))
         .collect()
 }
 
@@ -101,7 +98,7 @@ pub fn records_to_jobs(records: &[TaskRecord], cfg: &IngestConfig) -> Vec<JobSpe
 fn assemble_job(id: u64, recs: &mut [&TaskRecord], cfg: &IngestConfig) -> JobSpec {
     recs.sort_by_key(|r| (r.start_secs, r.task_index, r.end_secs));
     let first = recs[0].start_secs;
-    let last_end = recs.iter().map(|r| r.end_secs).max().expect("non-empty");
+    let last_end = recs.iter().fold(0, |m, r| m.max(r.end_secs));
     let arrival_slot = first / cfg.slot_secs;
     let origin = arrival_slot * cfg.slot_secs;
     let duration_slots = (last_end - origin).div_ceil(cfg.slot_secs).max(1) as usize;
@@ -258,6 +255,7 @@ impl<S: JobSource> Iterator for IntoSpecs<S> {
     fn next(&mut self) -> Option<Self::Item> {
         match self.inner.next() {
             Some(Ok(spec)) => Some(spec),
+            // Documented on `into_specs`: only infallible sources use this.
             Some(Err(e)) => panic!("job source failed mid-stream: {e}"),
             None => None,
         }

@@ -2,9 +2,15 @@
 # Repo-wide quality gate: formatting, lints, build, and the full test
 # suite. Run before every push.
 #
-#   scripts/check.sh              # the standard gate: fmt, clippy, doc,
-#                                 # release build, tests, then the serve,
-#                                 # resilience, scale and bench smokes
+#   scripts/check.sh              # the standard gate: examples, fmt, clippy,
+#                                 # doc, release build, tests, then the
+#                                 # serve, resilience, scale and bench smokes
+#   scripts/check.sh examples     # grep only, no build: fails when an
+#                                 # examples/*.rs file is not the `path` of
+#                                 # some crate's `[[example]]`, or when a
+#                                 # `cargo run --release --example NAME`
+#                                 # line in README.md names no registered
+#                                 # example
 #   scripts/check.sh chaos-soak   # heavy fault-injection soak (release,
 #                                 # end-to-end chaos runs; see
 #                                 # crates/corp-faults/tests/soak.rs)
@@ -81,6 +87,33 @@ doc_gate() {
     echo "==> RUSTDOCFLAGS='-D warnings' cargo doc --no-deps ${own_crates[*]}"
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${own_crates[@]}"
 }
+
+example_field() { # the `$1` value of every `[[example]]` table in crates/*/Cargo.toml
+    awk -v key="$1" '/^\[/ { ex = ($0 == "[[example]]") }
+        ex && $1 == key { gsub(/"/, "", $3); print $3 }' crates/*/Cargo.toml
+}
+
+examples_gate() {
+    echo "==> examples/*.rs and README.md's \`--example\` lines against the [[example]] tables"
+    local names files f name failed=0
+    names=$(example_field name)
+    files=$(example_field path | sed 's|.*/||')
+    for f in examples/*.rs; do
+        grep -qxF "$(basename "$f")" <<<"$files" || { echo "not an [[example]] path: $f"; failed=1; }
+    done
+    for name in $(grep -o 'cargo run --release --example [A-Za-z0-9_-]*' README.md | awk '{ print $NF }'); do
+        grep -qxF "$name" <<<"$names" || { echo "README.md runs an unregistered example: $name"; failed=1; }
+    done
+    if ((failed)); then
+        exit 1
+    fi
+    echo "Examples gate passed."
+}
+
+if [[ "${1:-}" == "examples" ]]; then
+    examples_gate
+    exit 0
+fi
 
 if [[ "${1:-}" == "doc" ]]; then
     doc_gate
@@ -181,6 +214,8 @@ if [[ "${1:-}" == "bench-smoke" ]]; then
     bench_smoke
     exit 0
 fi
+
+examples_gate
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -98,138 +98,139 @@ fn report(env: Environment, scheme: SchemeKind, jobs: usize, seed: u64) -> Simul
     run_cell(env, scheme, jobs, &params, false)
 }
 
-/// Fig. 6 shape: prediction error rate CORP < RCCR, CloudScale < DRA.
+/// Fig. 6 shape: prediction error rate CORP < RCCR, CloudScale < DRA, on
+/// every seed.
 #[test]
 fn fig6_shape_prediction_error_ordering() {
-    let corp = report(Environment::Cluster, SchemeKind::Corp, 200, 7);
-    let rccr = report(Environment::Cluster, SchemeKind::Rccr, 200, 7);
-    let cloudscale = report(Environment::Cluster, SchemeKind::CloudScale, 200, 7);
-    let dra = report(Environment::Cluster, SchemeKind::Dra, 200, 7);
-    assert!(
-        corp.prediction_error_rate < rccr.prediction_error_rate,
-        "CORP {} !< RCCR {}",
-        corp.prediction_error_rate,
-        rccr.prediction_error_rate
-    );
-    assert!(
-        corp.prediction_error_rate < cloudscale.prediction_error_rate,
-        "CORP {} !< CloudScale {}",
-        corp.prediction_error_rate,
-        cloudscale.prediction_error_rate
-    );
-    assert!(
-        rccr.prediction_error_rate < dra.prediction_error_rate,
-        "RCCR {} !< DRA {}",
-        rccr.prediction_error_rate,
-        dra.prediction_error_rate
-    );
-    assert!(
-        cloudscale.prediction_error_rate < dra.prediction_error_rate,
-        "CloudScale {} !< DRA {}",
-        cloudscale.prediction_error_rate,
-        dra.prediction_error_rate
-    );
+    for seed in [7, 8, 9] {
+        let corp = report(Environment::Cluster, SchemeKind::Corp, 200, seed);
+        let rccr = report(Environment::Cluster, SchemeKind::Rccr, 200, seed);
+        let cloudscale = report(Environment::Cluster, SchemeKind::CloudScale, 200, seed);
+        let dra = report(Environment::Cluster, SchemeKind::Dra, 200, seed);
+        assert!(
+            corp.prediction_error_rate < rccr.prediction_error_rate,
+            "seed {seed}: CORP {} !< RCCR {}",
+            corp.prediction_error_rate,
+            rccr.prediction_error_rate
+        );
+        assert!(
+            corp.prediction_error_rate < cloudscale.prediction_error_rate,
+            "seed {seed}: CORP {} !< CloudScale {}",
+            corp.prediction_error_rate,
+            cloudscale.prediction_error_rate
+        );
+        assert!(
+            rccr.prediction_error_rate < dra.prediction_error_rate,
+            "seed {seed}: RCCR {} !< DRA {}",
+            rccr.prediction_error_rate,
+            dra.prediction_error_rate
+        );
+        assert!(
+            cloudscale.prediction_error_rate < dra.prediction_error_rate,
+            "seed {seed}: CloudScale {} !< DRA {}",
+            cloudscale.prediction_error_rate,
+            dra.prediction_error_rate
+        );
+    }
 }
 
 /// Fig. 7 shape: overall utilization CORP > RCCR, CloudScale > DRA
-/// (cluster).
+/// (cluster), on every seed.
 #[test]
 fn fig7_shape_utilization_ordering_cluster() {
-    let corp = report(Environment::Cluster, SchemeKind::Corp, 200, 7);
-    let rccr = report(Environment::Cluster, SchemeKind::Rccr, 200, 7);
-    let cloudscale = report(Environment::Cluster, SchemeKind::CloudScale, 200, 7);
-    let dra = report(Environment::Cluster, SchemeKind::Dra, 200, 7);
-    assert!(
-        corp.overall_utilization > rccr.overall_utilization,
-        "CORP {} !> RCCR {}",
-        corp.overall_utilization,
-        rccr.overall_utilization
-    );
-    assert!(
-        corp.overall_utilization > cloudscale.overall_utilization,
-        "CORP {} !> CloudScale {}",
-        corp.overall_utilization,
-        cloudscale.overall_utilization
-    );
-    assert!(
-        rccr.overall_utilization > dra.overall_utilization + 0.03,
-        "RCCR {} !>> DRA {}",
-        rccr.overall_utilization,
-        dra.overall_utilization
-    );
-    assert!(
-        cloudscale.overall_utilization > dra.overall_utilization + 0.03,
-        "CloudScale {} !>> DRA {}",
-        cloudscale.overall_utilization,
-        dra.overall_utilization
-    );
+    for seed in [7, 8, 9] {
+        let corp = report(Environment::Cluster, SchemeKind::Corp, 200, seed);
+        let rccr = report(Environment::Cluster, SchemeKind::Rccr, 200, seed);
+        let cloudscale = report(Environment::Cluster, SchemeKind::CloudScale, 200, seed);
+        let dra = report(Environment::Cluster, SchemeKind::Dra, 200, seed);
+        assert!(
+            corp.overall_utilization > rccr.overall_utilization,
+            "seed {seed}: CORP {} !> RCCR {}",
+            corp.overall_utilization,
+            rccr.overall_utilization
+        );
+        assert!(
+            corp.overall_utilization > cloudscale.overall_utilization,
+            "seed {seed}: CORP {} !> CloudScale {}",
+            corp.overall_utilization,
+            cloudscale.overall_utilization
+        );
+        assert!(
+            rccr.overall_utilization > dra.overall_utilization + 0.03,
+            "seed {seed}: RCCR {} !>> DRA {}",
+            rccr.overall_utilization,
+            dra.overall_utilization
+        );
+        assert!(
+            cloudscale.overall_utilization > dra.overall_utilization + 0.03,
+            "seed {seed}: CloudScale {} !>> DRA {}",
+            cloudscale.overall_utilization,
+            dra.overall_utilization
+        );
+    }
 }
 
 /// Fig. 9 shape (levels): under heavy load, CORP violates least and DRA
-/// most.
+/// most, on every seed.
 #[test]
 fn fig9_shape_slo_levels_cluster() {
-    let corp = report(Environment::Cluster, SchemeKind::Corp, 300, 7);
-    let dra = report(Environment::Cluster, SchemeKind::Dra, 300, 7);
-    assert!(
-        corp.slo_violation_rate < dra.slo_violation_rate,
-        "CORP {} !< DRA {}",
-        corp.slo_violation_rate,
-        dra.slo_violation_rate
-    );
-    assert!(
-        dra.slo_violation_rate > 0.02,
-        "heavy load must hurt DRA: {}",
-        dra.slo_violation_rate
-    );
+    for seed in [7, 8, 9] {
+        let corp = report(Environment::Cluster, SchemeKind::Corp, 300, seed);
+        let dra = report(Environment::Cluster, SchemeKind::Dra, 300, seed);
+        assert!(
+            corp.slo_violation_rate < dra.slo_violation_rate,
+            "seed {seed}: CORP {} !< DRA {}",
+            corp.slo_violation_rate,
+            dra.slo_violation_rate
+        );
+        assert!(
+            dra.slo_violation_rate > 0.02,
+            "seed {seed}: heavy load must hurt DRA: {}",
+            dra.slo_violation_rate
+        );
+    }
 }
 
-/// Fig. 8 shape: within CORP, loosening (eta, P_th) raises utilization.
+/// Fig. 8 shape: within CORP, loosening (eta, P_th) raises utilization, on
+/// every seed.
 #[test]
 fn fig8_shape_corp_frontier_moves_with_knob() {
-    let conservative = run_cell(
-        Environment::Cluster,
-        SchemeKind::Corp,
-        200,
-        &SchemeParams {
-            fast_dnn: true,
-            confidence: 0.95,
-            prob_threshold: 0.99,
-            ..Default::default()
-        },
-        false,
-    );
-    let aggressive = run_cell(
-        Environment::Cluster,
-        SchemeKind::Corp,
-        200,
-        &SchemeParams {
-            fast_dnn: true,
-            confidence: 0.5,
-            prob_threshold: 0.4,
-            ..Default::default()
-        },
-        false,
-    );
-    assert!(
-        aggressive.overall_utilization > conservative.overall_utilization,
-        "aggressive {} !> conservative {}",
-        aggressive.overall_utilization,
-        conservative.overall_utilization
-    );
+    for seed in [7, 8, 9] {
+        let corp_at = |confidence, prob_threshold| {
+            let params = SchemeParams {
+                fast_dnn: true,
+                confidence,
+                prob_threshold,
+                seed,
+                ..Default::default()
+            };
+            run_cell(Environment::Cluster, SchemeKind::Corp, 200, &params, false)
+        };
+        let conservative = corp_at(0.95, 0.99);
+        let aggressive = corp_at(0.5, 0.4);
+        assert!(
+            aggressive.overall_utilization > conservative.overall_utilization,
+            "seed {seed}: aggressive {} !> conservative {}",
+            aggressive.overall_utilization,
+            conservative.overall_utilization
+        );
+    }
 }
 
-/// Fig. 11 shape: EC2 mirrors the cluster's utilization ordering.
+/// Fig. 11 shape: EC2 mirrors the cluster's utilization ordering, on every
+/// seed.
 #[test]
 fn fig11_shape_utilization_ordering_ec2() {
-    let corp = report(Environment::Ec2, SchemeKind::Corp, 200, 7);
-    let dra = report(Environment::Ec2, SchemeKind::Dra, 200, 7);
-    assert!(
-        corp.overall_utilization > dra.overall_utilization + 0.03,
-        "CORP {} !>> DRA {}",
-        corp.overall_utilization,
-        dra.overall_utilization
-    );
+    for seed in [7, 8, 9] {
+        let corp = report(Environment::Ec2, SchemeKind::Corp, 200, seed);
+        let dra = report(Environment::Ec2, SchemeKind::Dra, 200, seed);
+        assert!(
+            corp.overall_utilization > dra.overall_utilization + 0.03,
+            "seed {seed}: CORP {} !>> DRA {}",
+            corp.overall_utilization,
+            dra.overall_utilization
+        );
+    }
 }
 
 /// Fig. 12 shape: the Fig. 8 frontier on EC2 — loosening CORP's
@@ -282,22 +283,21 @@ fn fig13_shape_slo_levels_ec2() {
 }
 
 /// Figs. 10/14 shape: the same workload costs more to schedule on EC2 than
-/// on the cluster (communication overhead), for every scheme.
+/// on the cluster (communication overhead), for every scheme and seed.
+/// `overhead_ms` is simulated, so it repeats exactly.
 #[test]
 fn fig10_fig14_shape_ec2_overhead_exceeds_cluster() {
-    for scheme in [SchemeKind::Corp, SchemeKind::Dra] {
-        let params = SchemeParams {
-            fast_dnn: true,
-            ..Default::default()
-        };
-        let cluster = run_cell(Environment::Cluster, scheme, 100, &params, false);
-        let ec2 = run_cell(Environment::Ec2, scheme, 100, &params, false);
-        assert!(
-            ec2.overhead_ms > cluster.overhead_ms,
-            "{scheme:?}: EC2 {} !> cluster {}",
-            ec2.overhead_ms,
-            cluster.overhead_ms
-        );
+    for seed in [7, 8, 9] {
+        for scheme in [SchemeKind::Corp, SchemeKind::Dra] {
+            let cluster = report(Environment::Cluster, scheme, 100, seed);
+            let ec2 = report(Environment::Ec2, scheme, 100, seed);
+            assert!(
+                ec2.overhead_ms > cluster.overhead_ms,
+                "seed {seed}, {scheme:?}: EC2 {} !> cluster {}",
+                ec2.overhead_ms,
+                cluster.overhead_ms
+            );
+        }
     }
 }
 

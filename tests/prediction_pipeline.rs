@@ -4,7 +4,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use corp_bench::{historical_histories, Environment};
-use corp_core::{CorpConfig, CorpJobPredictor};
+use corp_core::{CorpConfig, CorpJobPredictor, PredictionScratch};
 use corp_sim::ResourceVector;
 use corp_trace::NUM_RESOURCES;
 
@@ -28,12 +28,13 @@ fn pretraining_trains_and_warms_the_gate() {
 
 #[test]
 fn predictions_track_the_recent_unused_level() {
-    let mut p = pretrained();
+    let p = pretrained();
+    let mut scratch = PredictionScratch::new();
     let low: Vec<Vec<f64>> = (0..NUM_RESOURCES).map(|_| vec![0.5; 12]).collect();
     let high: Vec<Vec<f64>> = (0..NUM_RESOURCES).map(|_| vec![5.0; 12]).collect();
     let req = ResourceVector::new([8.0, 8.0, 8.0]);
-    let u_low = p.predict_job(&low, &req);
-    let u_high = p.predict_job(&high, &req);
+    let u_low = p.predict_job_in(&low, &req, &mut scratch);
+    let u_high = p.predict_job_in(&high, &req, &mut scratch);
     for k in 0..NUM_RESOURCES {
         assert!(
             u_high[k] > u_low[k],
@@ -53,7 +54,11 @@ fn higher_confidence_predicts_less_unused() {
         let mut p = CorpJobPredictor::new(&cfg);
         p.pretrain(&historical_histories(Environment::Cluster, 40));
         let recent: Vec<Vec<f64>> = (0..NUM_RESOURCES).map(|_| vec![3.0; 12]).collect();
-        p.predict_job(&recent, &ResourceVector::new([8.0, 8.0, 8.0]))
+        p.predict_job_in(
+            &recent,
+            &ResourceVector::new([8.0, 8.0, 8.0]),
+            &mut PredictionScratch::new(),
+        )
     };
     let conservative = predict_at(0.95);
     let aggressive = predict_at(0.5);
