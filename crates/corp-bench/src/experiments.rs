@@ -76,18 +76,22 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let mut out: Vec<Option<R>> = Vec::new();
-    out.resize_with(items.len(), || None);
+    let f = &f;
     std::thread::scope(|scope| {
-        for (slot, item) in out.iter_mut().zip(items) {
-            scope.spawn(|| {
-                *slot = Some(f(item));
-            });
-        }
-    });
-    out.into_iter()
-        .map(|r| r.expect("worker finished"))
-        .collect()
+        let workers: Vec<_> = items
+            .into_iter()
+            .map(|item| scope.spawn(move || f(item)))
+            .collect();
+        // Joined in spawn order, so results land in item order; a worker's
+        // panic goes on to the caller.
+        workers
+            .into_iter()
+            .map(|w| {
+                w.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
 }
 
 fn pct(x: f64) -> String {
@@ -428,6 +432,7 @@ pub fn scalability(fast: bool) -> FigureTable {
             shards,
             true,
         );
+        // Invariant: `ShardedProvisioner::control_plane_stats` is always `Some`.
         let cp = r
             .control_plane
             .as_ref()

@@ -101,6 +101,8 @@ impl VolumeIndex {
     ///
     /// Panics if `i` was not part of the indexed fleet.
     pub fn update(&mut self, i: usize, pool: &ResourceVector, reference: &ResourceVector) {
+        // Invariant: both callers pass a VM of the fleet this index was
+        // built over (the pipeline backend's pools, the store's VMs).
         let slot = self.keys.get_mut(i).expect("VM index out of range");
         if let Some(old) = slot.take() {
             self.entries.remove(&(old, i));

@@ -143,6 +143,7 @@ impl AdmissionQueue {
                 Admission::Blocked
             }
             BackpressurePolicy::ShedOldest => {
+                // Invariant: `queue.len() >= capacity >= 1` here (`new` clamps the cap to 1).
                 let victim = self.queue.pop_front().expect("full queue is non-empty");
                 self.stats.shed += 1;
                 self.enqueue(job);

@@ -3,8 +3,10 @@
 //! Per slot the engine: admits arrivals, asks the [`Provisioner`] for a
 //! plan (timing the decision and charging modeled communication latency per
 //! action message), applies validated adjustments and placements, advances
-//! running jobs under the strict-reservation execution model, resolves any
-//! predictions targeting this slot, and records metrics.
+//! running jobs under the strict-reservation execution model (recording
+//! each job's usage history unless the provisioner declares it never reads
+//! one), resolves any predictions targeting this slot, and records
+//! metrics.
 //!
 //! [`SlotEngine`] is the core, exposed so drivers can submit jobs as they
 //! arrive and pump slots one [`step`](SlotEngine::step) at a time: the
@@ -497,15 +499,17 @@ impl SlotEngine {
         self.incoming.clear();
 
         // 2. Ask the provisioner for a plan.
+        // How often the provisioner reads per-job views and deep history
+        // tails (see `Provisioner::full_view_period`). Off-period slots
+        // carry the VM-level fields and the newest VM sample only; under
+        // `u64::MAX` no per-job history is kept at all, since nothing
+        // would ever read it. The period-1 equivalence test in
+        // `corp-bench`'s determinism suite is what holds provisioners to
+        // their declared period.
+        let full_view_period = provisioner.full_view_period();
+        let keeps_history = full_view_period != u64::MAX;
         let plan = {
-            // How often the provisioner reads per-job views and deep
-            // history tails (see `Provisioner::full_view_period`).
-            // Off-period slots carry the VM-level fields and the newest
-            // VM sample only. The period-1 equivalence test in
-            // `corp-bench`'s determinism suite is what holds window-driven
-            // provisioners to their declared period.
-            let full_view_period = provisioner.full_view_period().max(1);
-            let full = slot % full_view_period == 0;
+            let full = slot % full_view_period.max(1) == 0;
             // Only occupied VMs and idle ones still absorbing owed zeros
             // can differ from last slot's views — unless the depth flipped
             // or a fault timeline is armed (crashes, recoveries and poison
@@ -654,12 +658,14 @@ impl SlotEngine {
             self.vm_jobs[p.vm].push(h);
             self.store.set_allocation(h, alloc);
             let job = self.store.job_mut(h);
-            // One sample a slot from here to completion: sized now, so
-            // advance appends without reallocating (a throttled job
-            // outgrows the slack and grows as any `Vec`).
-            let samples = job.spec.duration_slots + HISTORY_SLACK_SLOTS;
-            job.observed_demand.reserve_exact(samples);
-            job.observed_unused.reserve_exact(samples);
+            if keeps_history {
+                // One sample a slot from here to completion: sized now, so
+                // advance appends without reallocating (a throttled job
+                // outgrows the slack and grows as any `Vec`).
+                let samples = job.spec.duration_slots + HISTORY_SLACK_SLOTS;
+                job.observed_demand.reserve_exact(samples);
+                job.observed_unused.reserve_exact(samples);
+            }
             job.state = JobState::Running { vm: p.vm };
             job.placed_vm = Some(p.vm);
             if job.placed_slot.is_none() {
@@ -713,10 +719,13 @@ impl SlotEngine {
                     let allocation = self.store.allocation(h);
                     let rate = congestion.min(allocation.coverage_of(&demand));
                     let unused = allocation.saturating_sub(&demand);
+                    self.store.set_last_unused(h, unused);
                     let job = self.store.job_mut(h);
                     job.progress += rate;
-                    job.observed_demand.push(demand);
-                    job.observed_unused.push(unused);
+                    if keeps_history {
+                        job.observed_demand.push(demand);
+                        job.observed_unused.push(unused);
+                    }
                     finished |= job.work_done();
                     vm_unused += unused;
                     slot_allocated += allocation;
@@ -740,14 +749,14 @@ impl SlotEngine {
         });
 
         // 6. Resolve predictions targeting this slot: job-targeted
-        // records score against that job's observed unused (dropped if
-        // the job already finished), VM-targeted ones against the VM
-        // total. Removal is swap_remove-style: matured records are
-        // plucked without shifting the (much longer) still-pending
-        // tail, so resolution costs O(matured) per slot instead of a
-        // compaction of the whole queue. Resolved outcomes feed only
-        // order-independent aggregates (counts and error rates), so the
-        // removal order never reaches the report.
+        // records score against the unused sample advance just wrote for
+        // that job (dropped unless the job is running), VM-targeted ones
+        // against the VM total. Removal is swap_remove-style: matured
+        // records are plucked without shifting the (much longer)
+        // still-pending tail, so resolution costs O(matured) per slot
+        // instead of a compaction of the whole queue. Resolved outcomes
+        // feed only order-independent aggregates (counts and error rates),
+        // so the removal order never reaches the report.
         {
             let mut i = 0;
             while i < self.pending_predictions.len() {
@@ -762,11 +771,7 @@ impl SlotEngine {
                 let actual = match p.job {
                     Some(job_id) => match self.index_of.get(&job_id) {
                         Some(&h) if matches!(self.store.job(h).state, JobState::Running { .. }) => {
-                            self.store
-                                .job(h)
-                                .observed_unused
-                                .last()
-                                .map(|u| u[p.resource])
+                            Some(self.store.last_unused(h)[p.resource])
                         }
                         _ => None,
                     },
@@ -1436,6 +1441,99 @@ mod tests {
             [report.predictions_resolved, 0, 0],
             "every record registered was for resource 0"
         );
+    }
+
+    /// Static peak that also predicts, for every job it has placed and not
+    /// yet seen complete, that half its request goes unused — job-targeted
+    /// records built from its own placements, so it reads no view and can
+    /// declare any period. Records the series lengths of every completion.
+    struct BlindJobPredictor {
+        period: u64,
+        /// `(job, vm, request)` of the jobs it placed that are running.
+        running: Vec<(JobId, usize, ResourceVector)>,
+        completions: Vec<(JobId, Vec<usize>)>,
+    }
+    impl Provisioner for BlindJobPredictor {
+        fn name(&self) -> &str {
+            "blind-job-predictor"
+        }
+        fn provision(&mut self, ctx: &SlotContext<'_>) -> crate::provisioner::ProvisionPlan {
+            let mut plan = StaticPeakProvisioner.provision(ctx);
+            let placed = plan.placements.iter();
+            self.running
+                .extend(placed.map(|p| (p.job, p.vm, p.allocation)));
+            for &(job, vm, request) in &self.running {
+                for resource in 0..NUM_RESOURCES {
+                    plan.predictions.push(PredictionRecord {
+                        vm,
+                        job: Some(job),
+                        resource,
+                        made_at: ctx.slot,
+                        // This slot, where the job was placed in it, and
+                        // the next one on alternate jobs.
+                        target_slot: ctx.slot + job % 2,
+                        predicted: request[resource] * 0.5,
+                    });
+                }
+            }
+            plan
+        }
+        fn on_job_completed(&mut self, job: JobId, unused_history: &[Vec<f64>]) {
+            self.running.retain(|&(id, ..)| id != job);
+            let lengths = unused_history.iter().map(Vec::len).collect();
+            self.completions.push((job, lengths));
+        }
+        fn full_view_period(&self) -> u64 {
+            self.period
+        }
+    }
+
+    #[test]
+    fn a_provisioner_that_reads_no_history_gets_none_and_the_same_scores() {
+        // The same job-targeted predictions, declared under `u64::MAX`
+        // (the engine keeps no per-job history) and under 1 (it keeps all
+        // of it): every report byte, prediction scores included, agrees,
+        // while only the second run's completions carry series.
+        let run = |period| {
+            let mut sim = Simulation::new(
+                cluster(),
+                small_workload(40, 16),
+                SimulationOptions {
+                    measure_decision_time: false,
+                    ..SimulationOptions::default()
+                },
+            );
+            let mut p = BlindJobPredictor {
+                period,
+                running: Vec::new(),
+                completions: Vec::new(),
+            };
+            let report = sim.run(&mut p);
+            let histories = sim.jobs().iter().map(|j| j.observed_unused.len());
+            (
+                serde::json::to_string(&report),
+                report,
+                p.completions,
+                histories.sum::<usize>(),
+            )
+        };
+        let (never_json, never, never_done, never_kept) = run(u64::MAX);
+        let (every_json, _, every_done, every_kept) = run(1);
+        assert_eq!(never_json, every_json);
+        assert!(never.predictions_resolved > 0, "{never:?}");
+        assert!(
+            never.prediction_error_rate > 0.0 && never.prediction_error_rate < 1.0,
+            "the scores must tell right from wrong: {never:?}"
+        );
+        assert_eq!(never.completed, 40);
+        assert_eq!((never_done.len(), every_done.len()), (40, 40));
+        assert_eq!(never_kept, 0, "no per-job history under u64::MAX");
+        assert!(every_kept > 0);
+        for ((id, never), (every_id, every)) in never_done.iter().zip(&every_done) {
+            assert_eq!(id, every_id);
+            assert_eq!(never, &[0; NUM_RESOURCES], "job {id}");
+            assert!(every.iter().all(|&n| n > 0 && n == every[0]), "job {id}");
+        }
     }
 
     #[test]

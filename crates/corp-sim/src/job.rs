@@ -50,10 +50,13 @@ pub struct RunningJob {
     pub placed_vm: Option<usize>,
     /// Demand actually exhibited at each past slot while running (what a
     /// monitoring agent would have observed) — provisioners train on this.
+    /// Empty throughout under a provisioner whose
+    /// [`full_view_period`](crate::Provisioner::full_view_period) is
+    /// `u64::MAX`: nothing would read it.
     pub observed_demand: Vec<ResourceVector>,
     /// Unused allocated resource observed at each past running slot
     /// (`allocation - demand`, clamped at zero), the series the paper's
-    /// DNN+HMM predicts.
+    /// DNN+HMM predicts. Kept under the same rule as `observed_demand`.
     pub observed_unused: Vec<ResourceVector>,
 }
 

@@ -14,7 +14,7 @@
 //! "reservation-based" reference point from the paper's introduction.
 
 use crate::job::JobId;
-use crate::resources::ResourceVector;
+use crate::resources::{FreeLanes, ResourceVector, LANES};
 use serde::{Deserialize, Serialize};
 
 /// Cap on the per-job history tail copied into views each slot; bounds the
@@ -189,7 +189,10 @@ impl SlotContext<'_> {
 pub struct JobCompletion {
     /// The completed job.
     pub job: JobId,
-    /// Full unused-resource history, one series per resource.
+    /// Full unused-resource history, one series per resource. Each series
+    /// is empty when the provisioner declared a
+    /// [`full_view_period`](Provisioner::full_view_period) of `u64::MAX`:
+    /// the engine kept no history for it to read.
     pub unused_history: Vec<Vec<f64>>,
 }
 
@@ -251,6 +254,13 @@ pub trait Provisioner {
     /// reallocation and outcome scoring all land on window boundaries); a
     /// provisioner that reads running jobs or deep tails on every slot
     /// must keep the default of 1.
+    ///
+    /// `u64::MAX` means never, in full: the provisioner reads no per-job
+    /// view or history on any slot, completion included. The engine then
+    /// records no per-job history, and each [`JobCompletion`] carries one
+    /// empty series per resource. Job-targeted [`PredictionRecord`]s are
+    /// still scored, against the newest sample the engine keeps for every
+    /// running job whatever the period.
     fn full_view_period(&self) -> u64 {
         1
     }
@@ -260,6 +270,11 @@ pub trait Provisioner {
 /// the first VM with room; never reclaim. The paper's description of
 /// classic reservation-based allocation — guaranteed SLO, wasteful
 /// utilization.
+///
+/// It reads nothing but each VM's `free`, and says so with a
+/// [`full_view_period`](Provisioner::full_view_period) of `u64::MAX`: the
+/// engine keeps no per-job history while it runs, and every
+/// [`JobCompletion`] it receives carries empty series.
 #[derive(Debug, Default)]
 pub struct StaticPeakProvisioner;
 
@@ -278,29 +293,38 @@ impl Provisioner for StaticPeakProvisioner {
         let start = smallest.and_then(|s| ctx.vms.iter().position(|v| s.fits_within(&v.free)));
         let Some(start) = start else { return plan };
         // Free capacity of VMs `start..` as this slot's placements commit
-        // it, copied out of the views only as far as some scan has reached.
-        let mut free: Vec<ResourceVector> = Vec::new();
+        // it, copied out of the views a chunk of LANES VMs at a time and
+        // only as far as some scan has reached: a job copies the next
+        // chunk only once every copied one failed it. Each chunk is one
+        // test of all its VMs; the job goes to the first VM that fits.
+        let mut uncopied = ctx.vms[start..].chunks(LANES);
+        let mut free: Vec<FreeLanes> = Vec::new();
         for job in ctx.pending {
-            for (i, view) in ctx.vms[start..].iter().enumerate() {
-                if i == free.len() {
-                    free.push(view.free);
-                }
-                if job.requested.fits_within(&free[i]) {
-                    free[i] -= job.requested;
-                    plan.placements.push(Placement {
-                        job: job.id,
-                        vm: start + i,
-                        allocation: job.requested,
-                    });
-                    break;
-                }
+            let fits = |lanes: &FreeLanes| lanes.fits(&job.requested);
+            let copied = free.iter().position(|lanes| fits(lanes) != 0);
+            let hit = copied.or_else(|| {
+                uncopied.by_ref().find_map(|views| {
+                    let lanes = FreeLanes::new(views.iter().map(|v| v.free));
+                    free.push(lanes);
+                    (fits(&lanes) != 0).then_some(free.len() - 1)
+                })
+            });
+            if let Some(c) = hit {
+                let lane = fits(&free[c]).trailing_zeros() as usize;
+                free[c].take(lane, &job.requested);
+                plan.placements.push(Placement {
+                    job: job.id,
+                    vm: start + c * LANES + lane,
+                    allocation: job.requested,
+                });
             }
         }
         plan
     }
 
     /// First-fit reads each VM's `free` and nothing else: no per-job view
-    /// and no history, on any slot.
+    /// and no history, on any slot — so the engine keeps no per-job
+    /// history for it at all, and its completions carry empty series.
     fn full_view_period(&self) -> u64 {
         u64::MAX
     }
@@ -349,31 +373,79 @@ mod tests {
         placements
     }
 
-    /// Half-unit components in `[0, 4]`: exact fits, ties and VMs with
-    /// nothing free are common instead of measure-zero.
-    fn quantized() -> impl Strategy<Value = [f64; 3]> {
-        (0u8..=8, 0u8..=8, 0u8..=8).prop_map(|(a, b, c)| [a, b, c].map(|x| f64::from(x) * 0.5))
+    /// Half-unit amounts in `[0, 4]`, so exact fits, ties and VMs with
+    /// nothing free are common instead of measure-zero; then the edges:
+    /// `-0.0`, pools within and just beyond `EPS` of a half unit, `+∞`
+    /// and, from index 15, NaN.
+    fn amount(index: u8) -> f64 {
+        match index {
+            0..=8 => f64::from(index) * 0.5,
+            9 => -0.0,
+            10 => 1.0 - 1e-9,
+            11 => 1.0 - 2e-9,
+            12 => 0.5 + 1e-9,
+            13 => 2.0 - 5e-10,
+            14 => f64::INFINITY,
+            _ => f64::NAN,
+        }
+    }
+
+    /// Three amounts drawn from [`amount`]'s first `kinds` indices.
+    fn amounts(kinds: u8) -> impl Strategy<Value = [f64; 3]> {
+        let index = move || 0..kinds;
+        (index(), index(), index()).prop_map(|(a, b, c)| [a, b, c].map(amount))
+    }
+
+    #[test]
+    fn free_lanes_fit_exactly_where_fits_within_does() {
+        let values: Vec<f64> = (0..=15).map(amount).chain([f64::NEG_INFINITY]).collect();
+        for (i, &request) in values.iter().enumerate() {
+            let request = ResourceVector::new([request, values[(i + 3) % values.len()], 0.0]);
+            for chunk in values.chunks(LANES) {
+                let pools: Vec<ResourceVector> = (0..LANES)
+                    .map(|lane| ResourceVector::new([chunk[lane % chunk.len()], 4.0, -0.0]))
+                    .collect();
+                let fits = FreeLanes::new(pools.iter().copied()).fits(&request);
+                for (lane, pool) in pools.iter().enumerate() {
+                    let expected = request.fits_within(pool);
+                    assert_eq!(fits >> lane & 1 == 1, expected, "{request:?} in {pool:?}");
+                }
+            }
+        }
+        // Padding takes nothing, `-0.0` and `-∞` included.
+        let padding = FreeLanes::new(std::iter::empty());
+        for request in [0.0, -0.0, -1e300, f64::NEG_INFINITY, f64::NAN] {
+            assert_eq!(padding.fits(&ResourceVector::splat(request)), 0);
+        }
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
         #[test]
         fn lazy_first_fit_places_exactly_as_the_fleet_copy_did(
-            free in prop::collection::vec(quantized(), 1..40),
-            // Leading VMs too full for any request below.
+            // Zero to four chunks of VMs, any remainder.
+            free in prop::collection::vec(amounts(16), 0..=4 * LANES),
+            // Leading VMs too full for any request with no zero component.
             full_prefix in 0usize..12,
-            requests in prop::collection::vec(quantized(), 0..30),
+            requests in prop::collection::vec(amounts(15), 0..30),
             floor in 0u8..=3,
+            // A request of `-∞` everywhere fits every non-NaN pool.
+            minus_infinity in 0usize..60,
         ) {
             let vms: Vec<VmView> = std::iter::repeat_n([0.0; 3], full_prefix)
                 .chain(free)
                 .enumerate()
                 .map(|(id, free)| vm_view(id, free))
                 .collect();
-            let jobs: Vec<PendingJobView> = requests
+            let mut jobs: Vec<PendingJobView> = requests
                 .iter()
                 .enumerate()
                 .map(|(id, r)| pending(id as JobId, r.map(|x| x.max(f64::from(floor) * 0.5))))
                 .collect();
+            if let Some(job) = jobs.get_mut(minus_infinity) {
+                job.requested = ResourceVector::splat(f64::NEG_INFINITY);
+            }
             let ctx = SlotContext {
                 slot: 0,
                 vms: &vms,

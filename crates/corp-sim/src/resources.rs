@@ -14,6 +14,62 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Sub, SubAssign};
 /// "we set the weights for CPU, MEM and storage as 0.4, 0.4 and 0.2").
 pub const RESOURCE_WEIGHTS: [f64; NUM_RESOURCES] = [0.4, 0.4, 0.2];
 
+/// Round-off an amount may exceed its pool by and still fit.
+const EPS: f64 = 1e-9;
+
+/// Whether amount `a` fits a pool of `b`: the one definition of "fits",
+/// shared by [`ResourceVector::fits_within`] and [`FreeLanes::fits`].
+#[inline(always)]
+fn fits(a: f64, b: f64) -> bool {
+    a <= b + EPS
+}
+
+/// VMs per [`FreeLanes`] chunk.
+pub(crate) const LANES: usize = 8;
+
+/// The free pools of [`LANES`] VMs in structure-of-arrays form, one row per
+/// resource, so a request is tested against all of them in one branch-free
+/// pass. Lanes past the end of a fleet hold NaN, which no amount fits,
+/// not even `-∞`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FreeLanes([[f64; LANES]; NUM_RESOURCES]);
+
+impl FreeLanes {
+    /// Transposes up to [`LANES`] pools; missing lanes are padding.
+    pub(crate) fn new(pools: impl Iterator<Item = ResourceVector>) -> Self {
+        let mut lanes = [[f64::NAN; LANES]; NUM_RESOURCES];
+        for (lane, pool) in pools.take(LANES).enumerate() {
+            for (row, amount) in lanes.iter_mut().zip(pool.0) {
+                row[lane] = amount;
+            }
+        }
+        FreeLanes(lanes)
+    }
+
+    /// Bit `i` is set iff `request` fits lane `i`, by
+    /// [`fits_within`](ResourceVector::fits_within)'s rule.
+    #[inline]
+    pub(crate) fn fits(&self, request: &ResourceVector) -> u32 {
+        let mut all = [true; LANES];
+        for (row, &amount) in self.0.iter().zip(&request.0) {
+            for (fit, &pool) in all.iter_mut().zip(row) {
+                *fit &= fits(amount, pool);
+            }
+        }
+        all.iter()
+            .enumerate()
+            .fold(0, |mask, (lane, &fit)| mask | u32::from(fit) << lane)
+    }
+
+    /// Commits `request` out of lane `lane`.
+    #[inline]
+    pub(crate) fn take(&mut self, lane: usize, request: &ResourceVector) {
+        for (row, amount) in self.0.iter_mut().zip(request.0) {
+            row[lane] -= amount;
+        }
+    }
+}
+
 /// A vector of amounts over the managed resource types.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct ResourceVector(pub [f64; NUM_RESOURCES]);
@@ -39,11 +95,10 @@ impl ResourceVector {
 
     /// True iff every component of `self` is `<= other + eps`.
     pub fn fits_within(&self, other: &ResourceVector) -> bool {
-        const EPS: f64 = 1e-9;
         // `&`, not `&&`: three compares cost less than the mispredicted
         // exits of a scan over pools that mostly almost fit.
         let components = self.0.iter().zip(&other.0);
-        components.fold(true, |fits, (a, b)| fits & (*a <= b + EPS))
+        components.fold(true, |all, (a, b)| all & fits(*a, *b))
     }
 
     /// True iff every component is (numerically) non-negative.

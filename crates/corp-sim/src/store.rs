@@ -8,9 +8,9 @@
 //!
 //! * an arena of [`RunningJob`] records addressed by [`JobHandle`]s
 //!   (index + generation, so a recycled slot invalidates stale handles);
-//! * SoA columns for the hot per-slot scalars — `requested` and
-//!   `allocation` as parallel `ResourceVector` arrays the engine and
-//!   view builder index directly.
+//! * SoA columns for the hot per-slot scalars — `requested`,
+//!   `allocation` and the newest unused sample as parallel
+//!   `ResourceVector` arrays the engine and view builder index directly.
 //!
 //! In the default append-only mode handles are submission-ordered indices
 //! and [`as_slice`](JobStore::as_slice) is exactly the old `Vec` —
@@ -53,6 +53,7 @@ pub struct JobStore {
     generations: Vec<u32>,
     requested: Vec<ResourceVector>,
     allocation: Vec<ResourceVector>,
+    last_unused: Vec<ResourceVector>,
     free: Vec<u32>,
     live: usize,
     total_inserted: usize,
@@ -97,6 +98,7 @@ impl JobStore {
             self.jobs[i] = RunningJob::new(spec);
             self.requested[i] = requested;
             self.allocation[i] = ResourceVector::ZERO;
+            self.last_unused[i] = ResourceVector::ZERO;
             JobHandle {
                 index,
                 generation: self.generations[i],
@@ -107,6 +109,7 @@ impl JobStore {
             self.generations.push(0);
             self.requested.push(requested);
             self.allocation.push(ResourceVector::ZERO);
+            self.last_unused.push(ResourceVector::ZERO);
             JobHandle {
                 index,
                 generation: 0,
@@ -125,6 +128,7 @@ impl JobStore {
             let i = h.index();
             self.jobs[i] = tombstone();
             self.allocation[i] = ResourceVector::ZERO;
+            self.last_unused[i] = ResourceVector::ZERO;
             self.requested[i] = ResourceVector::ZERO;
             self.generations[i] = self.generations[i].wrapping_add(1);
             self.free.push(h.index);
@@ -169,6 +173,21 @@ impl JobStore {
     #[inline]
     pub fn set_allocation(&mut self, h: JobHandle, v: ResourceVector) {
         self.allocation[h.index()] = v;
+    }
+
+    /// The unused allocation the job showed on the newest slot it ran
+    /// (SoA column read): what job-targeted predictions are scored
+    /// against, whether or not the engine keeps the job's history.
+    #[inline]
+    pub fn last_unused(&self, h: JobHandle) -> ResourceVector {
+        self.last_unused[h.index()]
+    }
+
+    /// Records the unused allocation the job showed this slot (SoA column
+    /// write).
+    #[inline]
+    pub fn set_last_unused(&mut self, h: JobHandle, v: ResourceVector) {
+        self.last_unused[h.index()] = v;
     }
 
     /// Jobs currently resident (admitted or terminal-but-unreclaimed).
@@ -245,12 +264,19 @@ mod tests {
     }
 
     #[test]
-    fn allocation_column_tracks_writes() {
-        let mut store = JobStore::new(false);
+    fn allocation_and_unused_columns_track_writes_and_reset_on_reuse() {
+        let mut store = JobStore::new(true);
         let h = store.insert(specs(1).remove(0));
         assert_eq!(store.allocation(h), ResourceVector::ZERO);
+        assert_eq!(store.last_unused(h), ResourceVector::ZERO);
         store.set_allocation(h, ResourceVector::splat(2.0));
+        store.set_last_unused(h, ResourceVector::splat(0.5));
         assert_eq!(store.allocation(h), ResourceVector::splat(2.0));
+        assert_eq!(store.last_unused(h), ResourceVector::splat(0.5));
+        store.release(h);
+        let reused = store.insert(specs(1).remove(0));
+        assert_eq!(reused.index(), h.index());
+        assert_eq!(store.last_unused(reused), ResourceVector::ZERO);
     }
 
     #[test]

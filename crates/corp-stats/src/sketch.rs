@@ -30,8 +30,8 @@ struct Tuple {
 /// for i in 0..1000 {
 ///     q.insert(i as f64);
 /// }
-/// let p50 = q.query(0.50).unwrap();
-/// assert!((p50 - 500.0).abs() <= 20.0);
+/// let p50 = q.query(0.50);
+/// assert!(p50.is_some_and(|p50| (p50 - 500.0).abs() <= 20.0));
 /// ```
 #[derive(Debug, Clone)]
 pub struct QuantileSketch {

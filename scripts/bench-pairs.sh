@@ -8,7 +8,8 @@
 # Builds benchmark/ twice, once for the whole invocation — <parent-ref>
 # from a `git archive` export, the change from the working tree as it
 # stands — into target directories under ${TMPDIR:-/tmp}/corp-bench-pairs
-# (kept, so the next invocation reuses them), then for each workload named
+# (kept, so the next invocation reuses them; scripts/bench-sides.sh), then
+# for each workload named
 # (`all`: every workload in BENCHMARK.json, in its order) runs the
 # contract form
 #
@@ -41,37 +42,10 @@ parent_ref=$1
 pairs=${3:-10}
 first_seed=${4:-901}
 seconds=${5:-22}
-known=$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
-if [[ $2 == all ]]; then
-    workloads=$known
-else
-    workloads=${2//,/ }
-    for workload in $workloads; do
-        if [[ " $known " != *" $workload "* ]]; then
-            echo "unknown workload '$workload' (BENCHMARK.json has: $known)" >&2
-            exit 2
-        fi
-    done
-fi
-
-sha=$(git rev-parse --verify "$parent_ref^{commit}")
-base="${TMPDIR:-/tmp}/corp-bench-pairs"
-parent_src="$base/parent-$sha"
+source scripts/bench-sides.sh
+pick_workloads "$2"
+build_sides "$parent_ref"
 mkdir -p "$base/runs"
-
-if [[ ! -d "$parent_src" ]]; then
-    echo "==> exporting $parent_ref ($sha) to $parent_src" >&2
-    mkdir -p "$parent_src.partial"
-    git archive "$sha" | tar -x -C "$parent_src.partial"
-    mv "$parent_src.partial" "$parent_src"
-fi
-build() { # <source dir> <target dir>
-    echo "==> building $1/benchmark into $2" >&2
-    (cd "$1" && CARGO_TARGET_DIR="$2" cargo build --release --offline --quiet \
-        --manifest-path benchmark/Cargo.toml)
-}
-build "$parent_src" "$base/target-$sha"
-build "$PWD" "$base/target-change"
 
 run() { # <side> <source dir> <binary> <workload> <seed>
     local out="$runs/$4/$1-$5.json"
@@ -86,11 +60,11 @@ for workload in $workloads; do
         seed=$((first_seed + i))
         echo "==> $workload: pair $((i + 1))/$pairs, seed $seed" >&2
         if ((i % 2 == 0)); then
-            run parent "$parent_src" "$base/target-$sha/release/corp-benchmark" "$workload" "$seed"
-            run change "$PWD" "$base/target-change/release/corp-benchmark" "$workload" "$seed"
+            run parent "$parent_src" "$parent_bin" "$workload" "$seed"
+            run change "$PWD" "$change_bin" "$workload" "$seed"
         else
-            run change "$PWD" "$base/target-change/release/corp-benchmark" "$workload" "$seed"
-            run parent "$parent_src" "$base/target-$sha/release/corp-benchmark" "$workload" "$seed"
+            run change "$PWD" "$change_bin" "$workload" "$seed"
+            run parent "$parent_src" "$parent_bin" "$workload" "$seed"
         fi
     done
 done

@@ -73,7 +73,10 @@
 # `benchmark/` (see BENCHMARK.json), never here; to compare a change with
 # its parent use `scripts/bench-pairs.sh <parent-ref> <workload>`
 # (alternated parent/change pairs of the unchanged benchmark, built outside
-# the repo — see its header).
+# the repo — see its header), and to check that it left every decision
+# bit-identical `scripts/bench-digests.sh <parent-ref> all` (one digest
+# line per workload and seed, parent → change; exits non-zero on any
+# mismatch).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
