@@ -2,11 +2,15 @@
 //! metric, per the paper's Figs. 6-14. These are the contract the
 //! experiment harness must keep; absolute values are simulator-specific.
 //! The absolute values are pinned too, by a golden of every figure
-//! (`fast_figures_match_the_golden`).
+//! (`fast_figures_match_the_golden`) and one of the sharded serving
+//! reports (`serve_reports_match_the_golden`).
 
 use corp_bench::experiments::RUNNERS;
+use corp_bench::resilience::{run_resilience, ResilienceArgs};
+use corp_bench::serve::{run_serve_sharded, serve_workload};
 use corp_bench::{env::run_cell, env::SchemeParams, Environment, SchemeKind};
 use corp_bench::{FigureTable, TextTable};
+use corp_serve::ServeConfig;
 use corp_sim::SimulationReport;
 
 /// What `corp-exp --fast --json all` prints, one figure per line, with
@@ -87,6 +91,60 @@ fn fast_figures_match_the_golden() {
 #[ignore = "rewrites tests/golden/corp_exp_fast.json"]
 fn regenerate_fast_figures_golden() {
     std::fs::write(GOLDEN, fast_figures_json()).expect("write the golden");
+}
+
+/// One serialized `ServeReport` per line, for the sharded serving paths.
+const SERVE_GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/golden/serve_fast.json"
+);
+
+/// `corp-exp --fast resilience`, the same with `--shards 2 --intensity 2`,
+/// and `corp-exp --fast serve --shards 3 --jobs 120`: breaker
+/// transitions, the supervisor's recovery counters and arbitration under
+/// control-plane faults, as report bytes.
+fn serve_reports_json() -> String {
+    let chaos = |args: ResilienceArgs| run_resilience(true, &args).0.report;
+    let env = Environment::Cluster;
+    let params = SchemeParams {
+        fast_dnn: true,
+        ..Default::default()
+    };
+    let jobs = serve_workload(env, 120, params.seed);
+    let config = ServeConfig::default();
+    let (served, _) = run_serve_sharded(env, SchemeKind::Corp, jobs, &params, 3, config);
+    let reports = [
+        chaos(ResilienceArgs::default()),
+        chaos(ResilienceArgs {
+            shards: 2,
+            intensity: 2.0,
+            ..ResilienceArgs::default()
+        }),
+        served.report,
+    ];
+    reports
+        .iter()
+        .map(|r| serde::json::to_string(r) + "\n")
+        .collect()
+}
+
+/// The sharded serving reports against the committed golden; re-baseline
+/// with `cargo test -p corp-bench --test experiment_shapes -- --ignored
+/// regenerate_serve_golden`.
+#[test]
+fn serve_reports_match_the_golden() {
+    let golden = std::fs::read_to_string(SERVE_GOLDEN).expect("tests/golden/serve_fast.json");
+    let now = serve_reports_json();
+    for (line, (now, golden)) in now.lines().zip(golden.lines()).enumerate() {
+        assert_eq!(now, golden, "serve report {line} differs from the golden");
+    }
+    assert_eq!(now, golden);
+}
+
+#[test]
+#[ignore = "rewrites tests/golden/serve_fast.json"]
+fn regenerate_serve_golden() {
+    std::fs::write(SERVE_GOLDEN, serve_reports_json()).expect("write the golden");
 }
 
 fn report(env: Environment, scheme: SchemeKind, jobs: usize, seed: u64) -> SimulationReport {
