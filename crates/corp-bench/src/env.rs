@@ -231,14 +231,7 @@ pub fn build_sharded_provisioner(
         SchemeKind::CloudScale => corp_core::cloudscale_factories(params.seed, shards),
         SchemeKind::Dra => corp_core::dra_factories(params.seed, shards),
     };
-    ShardedProvisioner::with_factories(
-        scheme.name(),
-        factories,
-        ShardConfig {
-            fault_plan,
-            ..ShardConfig::default()
-        },
-    )
+    ShardedProvisioner::with_factories(scheme.name(), factories, ShardConfig { fault_plan })
 }
 
 /// The engine one (environment, #jobs, seed) cell runs on — the same fleet

@@ -7,12 +7,12 @@
 //! (same seed → same report):
 //!
 //! * [`PlacementStore`] — the centralized capacity arbiter: one lock
-//!   around one ledger. Placements go through a two-phase commit:
-//!   `reserve` (admission-checks the request against `committed +
-//!   reserved` under the lock and opens a hold) then `confirm` or `abort`,
-//!   or both phases fused into one acquisition when the claim simply fits.
-//!   Racing callers can interleave arbitrarily; no interleaving can
-//!   overcommit a VM.
+//!   around one ledger. A claim is a fused commit: it admission-checks the
+//!   request against `committed + reserved` and commits it in one
+//!   acquisition, or misses and changes nothing. The two-phase
+//!   `reserve` / `confirm` / `abort` with its holds is kept for the tests
+//!   and the benchmark's store kernel. Racing callers can interleave
+//!   arbitrarily; no interleaving can overcommit a VM.
 //! * [`shard`] — deterministic job-to-shard ownership
 //!   (`job_id % num_shards`), so shards contend only on capacity, never on
 //!   the same job. Ownership is a predicate a shard reads the engine's
@@ -22,8 +22,8 @@
 //!   owns) to the engine's interface: the shards propose in parallel —
 //!   one pool call a slot, the calling thread running a shard itself —
 //!   then deterministic sequential arbitration through the store — the
-//!   store's only caller — with bounded best-fit retry on capacity
-//!   conflicts.
+//!   store's only caller — which commits each placement on its proposed
+//!   VM or, after a capacity conflict, on its one Eq. 22 best-fit retry.
 //!
 //! With one shard the coordinator reproduces the wrapped scheduler's
 //! decisions exactly; with many it reports throughput and contention via
@@ -39,14 +39,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod backend;
 pub mod error;
 pub mod health;
 pub mod provisioner;
 pub mod shard;
 pub mod store;
 
-pub use backend::TwoPhaseBackend;
 pub use error::ClusterError;
 pub use health::{ShardHealth, ShardSlotOutcome};
 pub use provisioner::{ProvisionerFactory, ShardConfig, ShardedProvisioner};

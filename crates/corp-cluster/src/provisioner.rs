@@ -19,14 +19,14 @@
 //!    applies them), then placements round-robin by (proposal index,
 //!    shard). Each placement is one fused commit
 //!    ([`PlacementStore::try_fast_commit`]) on the VM its shard proposed.
-//!    Only when the claim no longer fits there — an earlier claim this
-//!    slot took the room — does it go through the full 2PC claim
-//!    ([`TwoPhaseBackend`]) at the same arbitration position: the refused
-//!    reservation is counted as a conflict, then the claim retries against
-//!    the next-best-fit VM up to the retry budget, after which the
-//!    proposal aborts and the job stays pending — the queue itself is the
-//!    bounded backoff, since the owning shard re-proposes next slot. The
-//!    committed sequence the store validated is exactly the sequence the
+//!    When the claim no longer fits there — an earlier claim this slot
+//!    took the room — the conflict is counted and the claim makes one
+//!    more fused commit, at the same arbitration position, on Eq. 22's
+//!    best fit over the store's headrooms ([`PlacementStore::best_fit`]).
+//!    That VM fits by construction, so the retry cannot conflict; when no
+//!    VM fits, the proposal aborts and the job stays pending — the queue
+//!    itself is the backoff, since the owning shard re-proposes next slot.
+//!    The committed sequence the store validated is exactly the sequence the
 //!    engine will apply: a store-approved plan can never trip the engine's
 //!    validators. At one shard a proposal only ever competes with its own
 //!    shard's earlier ones, which the pipeline already debited, so every
@@ -61,7 +61,7 @@
 //! count, while the store itself stays fully thread-safe for genuinely
 //! racing users.
 
-use corp_core::pipeline::{per_task, PlacementBackend, WorkerPool, WorkerScratch};
+use corp_core::pipeline::{per_task, WorkerPool, WorkerScratch};
 use corp_faults::ControlFaultPlan;
 use corp_sim::control_plane::{ControlPlaneStats, ShardStats};
 use corp_sim::{
@@ -69,12 +69,9 @@ use corp_sim::{
     ResourceVector, SlotContext, StaticPeakProvisioner,
 };
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crate::backend::TwoPhaseBackend;
 use crate::error::ClusterError;
 use crate::health::{ShardHealth, ShardSlotOutcome};
 use crate::shard::{owner_of, shard_pending};
@@ -84,23 +81,11 @@ use crate::store::{FastPathMiss, PlacementStore};
 pub type ProvisionerFactory = Box<dyn Fn() -> Box<dyn Provisioner + Send> + Send>;
 
 /// Coordinator knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardConfig {
-    /// Alternative-VM attempts after a placement's first reservation
-    /// conflicts; past the budget the proposal aborts to the pending queue.
-    pub max_retries: usize,
     /// Scheduled control-plane chaos (shard kills, request drops, reply
     /// delays); `None` runs fault-free.
     pub fault_plan: Option<ControlFaultPlan>,
-}
-
-impl Default for ShardConfig {
-    fn default() -> Self {
-        ShardConfig {
-            max_retries: 3,
-            fault_plan: None,
-        }
-    }
 }
 
 /// A shard's scheduler pipeline. The lock is never contended — one pool
@@ -164,7 +149,7 @@ pub struct ShardedProvisioner {
     /// factory.
     service_level: u8,
     /// Slots where at least one placement did not fit the VM its shard
-    /// proposed (a capacity conflict) and went through the full 2PC claim.
+    /// proposed (a capacity conflict) and went to the best-fit retry.
     fallback_rounds: u64,
     /// The threads that run shards next to the calling one, spawned on the
     /// first slot that serves more than one shard.
@@ -517,17 +502,11 @@ impl ShardedProvisioner {
         }
 
         // Placements: round-robin by (proposal index, shard). Each claim is
-        // one fused commit on its proposed VM; a claim that no longer fits
-        // there goes, at the same canonical position, through a full 2PC
-        // claim on the same `PlacementBackend` stage contract the
-        // monolithic pipelines place through, which counts the conflict
-        // and retries onto the best-fit VM within the retry budget.
+        // one fused commit on its proposed VM, or, after a capacity
+        // conflict there, one on the store's Eq. 22 best fit at the same
+        // canonical position.
         let pending_ids: HashSet<JobId> = ctx.pending.iter().map(|j| j.id).collect();
         let mut placed: HashSet<JobId> = HashSet::new();
-        let mut backend = TwoPhaseBackend::new(store, self.config.max_retries);
-        // The trait threads an RNG for randomized selectors; 2PC claims
-        // are deterministic and never draw from it.
-        let mut rng = StdRng::seed_from_u64(0);
         let mut fell_back = false;
         let deepest = plans.iter().map(|p| p.placements.len()).max().unwrap_or(0);
         for index in 0..deepest {
@@ -553,11 +532,14 @@ impl ShardedProvisioner {
                     Err(FastPathMiss::UnknownVm) => None,
                     Err(FastPathMiss::Conflict) => {
                         fell_back = true;
-                        let claim =
-                            backend.choose(&[], &alloc, Some(p.vm), &ctx.max_vm_capacity, &mut rng);
-                        stats.conflicts += claim.conflicts;
-                        stats.retries += claim.retries;
-                        claim.vm
+                        stats.conflicts += 1;
+                        // The best fit has room by construction, so the
+                        // retry commits; with nothing fitting, it aborts.
+                        let retried = store
+                            .best_fit(&alloc, &ctx.max_vm_capacity)
+                            .filter(|&vm| store.try_fast_commit(shard, vm, alloc).is_ok());
+                        stats.retries += u64::from(retried.is_some());
+                        retried
                     }
                 };
                 match committed_vm {
@@ -668,14 +650,16 @@ impl Provisioner for ShardedProvisioner {
             .as_ref()
             .map(|s| s.counters())
             .unwrap_or_default();
+        // Every retry commits; every other commit landed as proposed.
+        let retries: u64 = self.shards.iter().map(|s| s.stats.retries).sum();
         Some(ControlPlaneStats {
             shards: self.shards.len(),
             reservations: counters.reservations,
             commits: counters.commits,
             conflicts: counters.conflicts,
             aborts: counters.aborts,
-            retries: self.shards.iter().map(|s| s.stats.retries).sum(),
-            fast_path_hits: counters.fast_commits,
+            retries,
+            fast_path_hits: counters.commits - retries,
             fallback_rounds: self.fallback_rounds,
             // Nothing counts here any more; the field stays until
             // `benchmark/` stops reading it (see its doc in corp-sim).
@@ -726,7 +710,8 @@ mod tests {
     use corp_core::most_matched_vm;
     use corp_faults::SlotShard;
     use corp_sim::{PendingJobView, RunningJobView, StaticPeakProvisioner, VmView};
-    use rand::Rng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn rv(v: f64) -> ResourceVector {
         ResourceVector::splat(v)
@@ -787,7 +772,6 @@ mod tests {
             factories,
             ShardConfig {
                 fault_plan: Some(fault_plan),
-                ..ShardConfig::default()
             },
         )
     }
@@ -830,9 +814,8 @@ mod tests {
     #[test]
     fn retry_budget_bounds_attempts_and_aborts_to_pending() {
         // One VM with room for one job, two shards each proposing theirs.
-        // The loser's reservation conflicts and best-fit finds no
-        // alternative, so it aborts immediately instead of burning the
-        // whole retry budget on hopeless VMs; its job stays pending.
+        // The loser's claim conflicts and best fit finds no alternative,
+        // so it aborts without a retry; its job stays pending.
         let vms = fleet(&[1.0]);
         let pending = vec![job(0, 1.0), job(1, 1.0)];
         let ctx = slot_ctx(0, &vms, &pending);
@@ -985,7 +968,6 @@ mod tests {
             inners,
             ShardConfig {
                 fault_plan: Some(plan),
-                ..ShardConfig::default()
             },
         );
         let vms = fleet(&[4.0, 4.0]);
@@ -1269,7 +1251,6 @@ mod tests {
     fn reference_arbiter(
         ctx: &SlotContext<'_>,
         plans: &[ProvisionPlan],
-        max_retries: usize,
         tally: &mut [[u64; 4]],
     ) -> ProvisionPlan {
         let mut free: Vec<_> = ctx.vms.iter().map(|v| v.capacity - v.committed).collect();
@@ -1315,8 +1296,7 @@ mod tests {
                 let mut vm = Some(p.vm).filter(|&vm| p.allocation.is_finite() && vm < free.len());
                 if vm.is_some_and(|vm| !allocation.fits_within(&free[vm])) {
                     tally[shard][1] += 1;
-                    vm = most_matched_vm(&free, &allocation, &ctx.max_vm_capacity)
-                        .filter(|_| max_retries > 0);
+                    vm = most_matched_vm(&free, &allocation, &ctx.max_vm_capacity);
                     tally[shard][2] += u64::from(vm.is_some());
                 }
                 tally[shard][if vm.is_some() { 0 } else { 3 }] += 1;
@@ -1419,7 +1399,6 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let shards = rng.gen_range(2..=4usize);
             let num_vms = rng.gen_range(4..=12usize);
-            let max_retries = rng.gen_range(0..=3usize);
             let slots: Vec<_> = (0..3)
                 .map(|_| random_slot(&mut rng, shards, num_vms))
                 .collect();
@@ -1427,15 +1406,11 @@ mod tests {
             let inners: Vec<Box<dyn Provisioner + Send>> = (0..shards)
                 .map(|s| Box::new(Scripted(script(s))) as _)
                 .collect();
-            let config = ShardConfig {
-                max_retries,
-                ..ShardConfig::default()
-            };
-            let mut p = ShardedProvisioner::new("scripted", inners, config);
+            let mut p = ShardedProvisioner::new("scripted", inners, ShardConfig::default());
             let mut tally = vec![[0u64; 4]; shards];
             for (slot, (vms, pending, plans)) in slots.iter().enumerate() {
                 let ctx = slot_ctx(slot as u64, vms, pending);
-                let expected = reference_arbiter(&ctx, plans, max_retries, &mut tally);
+                let expected = reference_arbiter(&ctx, plans, &mut tally);
                 let got = p.provision(&ctx);
                 assert_eq!(
                     got.adjustments, expected.adjustments,

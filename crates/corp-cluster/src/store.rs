@@ -15,8 +15,8 @@
 //! Everything — the per-VM ledgers, the open-reservation map, the sequence
 //! counter, the counters and the lazily built Eq. 22 volume index — sits
 //! behind one mutex, following the "centralized database" that resolves
-//! placement conflicts in dslab-iaas. Shards never touch the store (they
-//! return plans over channels); its one caller outside tests is the
+//! placement conflicts in dslab-iaas. Shards never touch the store (the
+//! slot's pool call returns their plans); its one caller outside tests is the
 //! coordinator's sequential arbitration
 //! ([`ShardedProvisioner`](crate::ShardedProvisioner)), which spends well
 //! under 1 % of a sharded run inside the store. DESIGN.md §15 has the
@@ -26,11 +26,12 @@
 //! ## The fused commit
 //!
 //! [`PlacementStore::try_fast_commit`] runs both phases in one lock
-//! acquisition with no hold bookkeeping, for the common claim whose
-//! proposed VM simply has room. It admits exactly what `reserve` followed
-//! by `confirm` would admit, and a miss leaves the store untouched, so a
-//! caller can go on to the full protocol (reserve → best-fit retry →
-//! confirm) at the same position.
+//! acquisition with no hold bookkeeping. It admits exactly what `reserve`
+//! followed by `confirm` would admit, and a miss changes no ledger, so the
+//! coordinator claims through it alone: once on the proposed VM and, after
+//! a capacity conflict, once on the [`PlacementStore::best_fit`] VM, which
+//! fits by construction. `reserve` / `confirm` / `abort` and their holds
+//! have no caller outside tests and the benchmark's store kernel.
 //!
 //! The store tracks capacity only; job identity, retry policy, and commit
 //! ordering belong to the coordinator. Allocation *adjustments* to running
@@ -83,13 +84,11 @@ pub struct StoreCounters {
     pub reservations: u64,
     /// Reservations confirmed (phase 2 commits), including fused commits.
     pub commits: u64,
-    /// Reservation attempts refused (would-be overcommits), including
-    /// denied growing adjustments.
+    /// Claims refused for capacity (would-be overcommits) by `reserve` or
+    /// the fused commit, and denied growing adjustments.
     pub conflicts: u64,
     /// Reservations rolled back.
     pub aborts: u64,
-    /// Claims committed through [`PlacementStore::try_fast_commit`].
-    pub fast_commits: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -131,7 +130,7 @@ struct Ledger {
 
 impl Ledger {
     /// Repositions `vm`'s index entry after any mutation that changed its
-    /// headroom (reserve/confirm/abort/adjust/set_capacity).
+    /// headroom (reserve/confirm/abort/adjust/fused commit).
     fn reindex(&mut self, vm: usize) {
         if let Some((reference, index)) = self.index.as_mut() {
             index.update(vm, &self.vms[vm].headroom(), reference);
@@ -193,6 +192,7 @@ impl PlacementStore {
     /// [`begin_slot`](Self::begin_slot) that also re-bases per-VM
     /// capacities — required under fault injection, where a crashed VM's
     /// view capacity drops to zero and rejoins at nominal on recovery.
+    /// This is the store's only crash path; no capacity changes mid-slot.
     /// With unchanged capacities this is exactly `begin_slot`.
     ///
     /// # Panics
@@ -224,35 +224,14 @@ impl PlacementStore {
         ledger.index = None;
     }
 
-    /// Sets one VM's capacity mid-slot — the crash/recovery primitive. If
-    /// the new capacity no longer covers the VM's commitments and open
-    /// holds (a crash), the durable commitments are wiped (they died with
-    /// the VM) and every open hold on it is aborted, so the no-overcommit
-    /// invariant holds by construction. Returns `false` for an unknown VM.
-    pub fn set_capacity(&self, vm: usize, capacity: ResourceVector) -> bool {
-        let mut guard = self.ledger.lock();
-        let ledger = &mut *guard;
-        let Some(entry) = ledger.vms.get_mut(vm) else {
-            return false;
-        };
-        entry.capacity = capacity;
-        if !(entry.committed + entry.reserved).fits_within(&capacity) {
-            entry.committed = ResourceVector::ZERO;
-            entry.reserved = ResourceVector::ZERO;
-            let open_before = ledger.open.len();
-            ledger.open.retain(|_, r| r.vm != vm);
-            ledger.counters.aborts += (open_before - ledger.open.len()) as u64;
-        }
-        ledger.reindex(vm);
-        true
-    }
-
     /// Phase 1: holds `amount` on `vm`. Admitted only if the VM's durable
-    /// commitments plus all open holds still leave room.
+    /// commitments plus all open holds still leave room. The coordinator
+    /// never opens a hold; the tests and `benchmark/`'s
+    /// `store.reserve_confirm_ns` kernel do.
     ///
     /// `_shard` is unread: holds are not attributed to their proposer. The
     /// argument is kept only because `benchmark/` compiles against this
-    /// signature; the next `benchmark` PR may drop it (ROADMAP item 2).
+    /// signature; the next `benchmark` PR may drop it (ROADMAP item 4(a)).
     pub fn reserve(
         &self,
         _shard: usize,
@@ -298,9 +277,9 @@ impl PlacementStore {
     /// Both 2PC phases in one lock acquisition: if `amount` fits `vm`'s
     /// headroom it is durably committed, exactly as
     /// [`reserve`](Self::reserve) followed by [`confirm`](Self::confirm)
-    /// would, without ever opening a hold. A miss leaves the store
-    /// untouched and uncounted — a caller that goes on to `reserve` has the
-    /// refusal counted there.
+    /// would, without ever opening a hold. A miss changes no ledger; a
+    /// [`FastPathMiss::Conflict`] is counted in
+    /// [`StoreCounters::conflicts`], as `reserve` counts its refusals.
     ///
     /// `_shard` is unread, and kept for the same reason as in
     /// [`reserve`](Self::reserve).
@@ -315,12 +294,12 @@ impl PlacementStore {
         let entry = ledger.vms.get_mut(vm).ok_or(FastPathMiss::UnknownVm)?;
         let amount = amount.clamp_nonnegative();
         if !amount.fits_within(&entry.headroom()) {
+            ledger.counters.conflicts += 1;
             return Err(FastPathMiss::Conflict);
         }
         entry.committed += amount;
         ledger.counters.reservations += 1;
         ledger.counters.commits += 1;
-        ledger.counters.fast_commits += 1;
         ledger.reindex(vm);
         Ok(())
     }
@@ -515,30 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn set_capacity_crash_wipes_commitments_and_aborts_holds() {
-        let store = store_one_vm();
-        let committed = store.reserve(0, 0, rv(2.0, 2.0, 2.0)).unwrap();
-        store.confirm(committed).unwrap();
-        let open = store.reserve(0, 0, rv(1.0, 1.0, 1.0)).unwrap();
-        // Crash: zero capacity can no longer cover the ledger.
-        assert!(store.set_capacity(0, ResourceVector::ZERO));
-        assert!(store.holds_invariants(1e-9));
-        assert_eq!(store.outstanding(), 0, "open hold died with the VM");
-        assert_eq!(store.confirm(open), Err(TxnError::UnknownReservation));
-        // A fused commit validates against the wiped capacity like any
-        // other claim.
-        assert_eq!(
-            store.try_fast_commit(0, 0, rv(1.0, 1.0, 1.0)),
-            Err(FastPathMiss::Conflict)
-        );
-        // Recovery on an emptied ledger changes nothing but capacity.
-        assert!(store.set_capacity(0, rv(4.0, 16.0, 180.0)));
-        assert_eq!(store.free(0).unwrap(), rv(4.0, 16.0, 180.0));
-        store.try_fast_commit(0, 0, rv(1.0, 1.0, 1.0)).unwrap();
-        assert!(!store.set_capacity(7, ResourceVector::ZERO), "unknown VM");
-    }
-
-    #[test]
     fn racing_reservations_never_overcommit() {
         use std::sync::Arc;
         // 8 threads fight for one VM that fits exactly 4 unit reservations;
@@ -571,7 +526,7 @@ mod tests {
         assert_eq!(store.free(5).unwrap(), rv(2.0, 2.0, 2.0));
         assert_eq!(store.outstanding(), 0, "no hold is ever opened");
         let c = store.counters();
-        assert_eq!((c.fast_commits, c.commits, c.reservations), (2, 2, 2));
+        assert_eq!((c.commits, c.reservations, c.conflicts), (2, 2, 0));
         assert!(store.holds_invariants(1e-9));
     }
 
@@ -587,7 +542,8 @@ mod tests {
             Err(FastPathMiss::UnknownVm)
         );
         let c = store.counters();
-        assert_eq!((c.fast_commits, c.commits, c.conflicts), (0, 0, 0));
+        // The capacity miss is a conflict; an unknown VM is not.
+        assert_eq!((c.reservations, c.commits, c.conflicts), (0, 0, 1));
         assert_eq!(store.free(0).unwrap(), rv(4.0, 4.0, 4.0), "miss is a no-op");
     }
 

@@ -143,58 +143,6 @@ proptest! {
     }
 
     #[test]
-    fn crash_recovery_interleavings_preserve_invariants(
-        ops in prop::collection::vec((0usize..5, 0usize..VMS, 0.0f64..3.0), 1..150),
-    ) {
-        // Crashes (capacity -> zero) wipe a VM's commitments and abort its
-        // open holds; recoveries restore nominal capacity. Under arbitrary
-        // interleavings with reserve/confirm/abort the ledger must never
-        // overcommit, and every admitted reservation must still resolve
-        // exactly once — whether by the shard or by the crash itself.
-        let store = store();
-        let mut open: Vec<ReservationId> = Vec::new();
-        for &(kind, vm, amt) in &ops {
-            match kind {
-                0 => {
-                    if let Ok(id) = store.reserve(0, vm, ResourceVector::splat(amt)) {
-                        open.push(id);
-                    }
-                }
-                // A crash may already have aborted a tracked hold, so
-                // confirm/abort answering UnknownReservation is legitimate
-                // here (and counts nothing twice).
-                1 => {
-                    if !open.is_empty() {
-                        let _ = store.confirm(open.remove(0));
-                    }
-                }
-                2 => {
-                    if let Some(id) = open.pop() {
-                        let _ = store.abort(id);
-                    }
-                }
-                3 => {
-                    store.set_capacity(vm, ResourceVector::ZERO);
-                }
-                _ => {
-                    store.set_capacity(vm, ResourceVector::splat(CAPACITY));
-                }
-            }
-            prop_assert!(store.holds_invariants(EPS), "invariant broken mid-sequence");
-        }
-        for id in open.drain(..) {
-            let _ = store.abort(id);
-        }
-        prop_assert_eq!(store.outstanding(), 0);
-        prop_assert!(store.holds_invariants(EPS));
-        let c = store.counters();
-        prop_assert_eq!(
-            c.commits + c.aborts, c.reservations,
-            "crash-aborted holds still resolve exactly once"
-        );
-    }
-
-    #[test]
     fn indexed_best_fit_matches_linear_scan_across_interleavings(
         ops in prop::collection::vec((0usize..8, 0usize..VMS, 0u8..=6), 1..150),
         demand in (0u8..=6).prop_map(|d| ResourceVector::splat(d as f64 * 0.5)),
@@ -203,8 +151,8 @@ proptest! {
         // linear smallest-volume scan over free_all() answers — including
         // ties (quantized amounts make equal headrooms common, and both
         // sides must break toward the lower VM id) — after any interleaving
-        // of reserve / confirm / abort / adjust / crash / recovery /
-        // begin_slot rebases.
+        // of reserve / confirm / abort / adjust / fused commits and
+        // begin_slot rebases, a crashed VM's among them.
         let reference = ResourceVector::splat(CAPACITY);
         let linear = |store: &PlacementStore, demand: &ResourceVector| -> Option<usize> {
             let mut best: Option<(f64, usize)> = None;
@@ -243,10 +191,17 @@ proptest! {
                     let _ = store.adjust(vm, ResourceVector::ZERO, amt);
                 }
                 5 => {
-                    store.set_capacity(vm, ResourceVector::ZERO);
+                    let _ = store.try_fast_commit(0, vm, amt);
                 }
                 6 => {
-                    store.set_capacity(vm, ResourceVector::splat(CAPACITY));
+                    // A crash as the coordinator sees one: the slot's
+                    // rebase reads the VM at zero capacity, nothing on it.
+                    let mut capacities = [ResourceVector::splat(CAPACITY); VMS];
+                    let mut committed = [amt; VMS];
+                    capacities[vm] = ResourceVector::ZERO;
+                    committed[vm] = ResourceVector::ZERO;
+                    store.begin_slot_full(&capacities, &committed);
+                    open.clear();
                 }
                 _ => {
                     // Whole-fleet rebase (capacities restored to nominal so
@@ -272,28 +227,31 @@ proptest! {
         rebase_every in 3usize..10,
     ) {
         // Two shards hammer the same VMs through the fused commit until
-        // they fill, and every miss goes on to full 2PC (reserve +
-        // confirm) exactly as the coordinator does. Whatever the conflict
-        // pattern: no overcommit, and every admitted reservation resolves
-        // exactly once. Periodic slot rebases empty the fleet
+        // they fill, and every capacity miss retries once on the best fit,
+        // exactly as the coordinator does. Whatever the conflict pattern:
+        // the retry never conflicts, nothing overcommits, and each miss is
+        // one conflict. Periodic slot rebases empty the fleet
         // mid-sequence, so the properties also hold across slot
         // boundaries.
         let store = store();
+        let reference = ResourceVector::splat(CAPACITY);
+        let mut misses = 0;
         for (i, &(shard, vm, q)) in ops.iter().enumerate() {
             if i % rebase_every == 0 {
                 store.begin_slot(&[ResourceVector::ZERO; VMS]);
             }
             let amt = ResourceVector::splat(q as f64 * 0.5);
             if store.try_fast_commit(shard, vm, amt).is_err() {
-                // The coordinator's next step: full 2PC at the same position.
-                if let Ok(id) = store.reserve(shard, vm, amt) {
-                    store.confirm(id).expect("own hold confirms");
+                misses += 1;
+                if let Some(best) = store.best_fit(&amt, &reference) {
+                    prop_assert!(store.try_fast_commit(shard, best, amt).is_ok());
                 }
             }
             prop_assert!(store.holds_invariants(EPS), "overcommit after op {}", i);
         }
         let c = store.counters();
-        prop_assert_eq!(c.commits + c.aborts, c.reservations);
+        prop_assert_eq!(c.conflicts, misses);
+        prop_assert_eq!((c.commits, c.aborts), (c.reservations, 0));
         prop_assert_eq!(store.outstanding(), 0, "fused commits leave no dangling holds");
     }
 
@@ -326,7 +284,6 @@ proptest! {
             factories,
             ShardConfig {
                 fault_plan: Some(plan),
-                ..ShardConfig::default()
             },
         );
         let mut committed = [ResourceVector::ZERO; FLEET];

@@ -1,14 +1,12 @@
 //! The placement stage: choose a VM for each entity and commit capacity.
 //!
-//! [`PlacementBackend`] is the pipeline's final stage. The monolithic
-//! schemes use [`DirectBackend`] — an in-process selector over the slot's
-//! free pools (Eq. 22 volume best-fit through the incremental
+//! [`PlacementBackend`] is the pipeline's final stage, and
+//! [`DirectBackend`] its one implementation: an in-process selector over
+//! the slot's free pools (Eq. 22 volume best-fit through the incremental
 //! [`VolumeIndex`], random fitting VM, DRA's share-weighted choice, or
-//! plain first fit). The sharded control plane (`corp-cluster`) implements
-//! the same trait over its two-phase-commit `PlacementStore` — validating
-//! a hinted VM, or choosing by Eq. 22 from the store's own headrooms when
-//! there is no hint — so one pipeline drives both the monolithic and the
-//! distributed paths.
+//! plain first fit). A sharded run places through the same stage inside
+//! each shard; the coordinator in `corp-cluster` then arbitrates the
+//! shards' placements against its store on its own.
 
 use crate::placement::{random_fitting_vm, VolumeIndex};
 use crate::predictor::dra::ShareClass;
@@ -17,30 +15,10 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 /// The outcome of one placement attempt.
-///
-/// Direct backends either succeed or fail; a transactional backend
-/// additionally reports how much contention the claim saw, which the
-/// coordinator folds into its control-plane statistics.
 #[derive(Debug, Clone, Copy)]
 pub struct Claim {
-    /// The VM the entity landed on, or `None` if nothing fit (or every
-    /// reservation attempt aborted).
+    /// The VM the entity landed on, or `None` if nothing fit.
     pub vm: Option<usize>,
-    /// Reservation conflicts encountered while claiming (2PC backends).
-    pub conflicts: u64,
-    /// Successful retries onto an alternative VM (2PC backends).
-    pub retries: u64,
-}
-
-impl Claim {
-    /// A contention-free claim (the direct path).
-    pub fn direct(vm: Option<usize>) -> Self {
-        Claim {
-            vm,
-            conflicts: 0,
-            retries: 0,
-        }
-    }
 }
 
 /// Stage 4 of the provisioning pipeline: VM choice and capacity commit.
@@ -55,11 +33,13 @@ pub trait PlacementBackend {
     /// current free pools.
     fn begin_slot(&mut self, pools: &[ResourceVector], reference: &ResourceVector);
 
-    /// Chooses a VM fitting `fit`. `hint` carries an upstream proposal's
-    /// target VM (transactional backends validate it, and select fresh
-    /// when there is none; direct backends always select fresh). `rng`
-    /// drives randomized selectors; a backend draws from it only when its
-    /// policy does, preserving the scheme's exact random sequence.
+    /// Chooses a VM fitting `fit`. `rng` drives randomized selectors; a
+    /// backend draws from it only when its policy does, preserving the
+    /// scheme's exact random sequence.
+    ///
+    /// `hint` is unread: the driver always passes `None`, and no backend
+    /// validates an upstream proposal. It stays because `benchmark/`'s
+    /// timing decorator implements this signature (ROADMAP item 4(a)).
     fn choose(
         &mut self,
         pools: &[ResourceVector],
@@ -159,7 +139,7 @@ impl PlacementBackend for DirectBackend {
             VmSelector::ShareWeighted => share_weighted_vm(pools, fit, rng),
             VmSelector::FirstFit => pools.iter().position(|p| fit.fits_within(p)),
         };
-        Claim::direct(vm)
+        Claim { vm }
     }
 
     fn debit(&mut self, vm: usize, pool_after: &ResourceVector, reference: &ResourceVector) {

@@ -19,8 +19,7 @@
 //! [`crate::scheduler`] are type aliases over concrete stage sets; the
 //! sharded control plane (`corp-cluster`) runs the *same* pipelines inside
 //! its shard workers, and its arbitration settles capacity conflicts
-//! between their proposals through a two-phase-commit
-//! [`PlacementBackend`] over the `PlacementStore`.
+//! between their proposals against its `PlacementStore`.
 //!
 //! Determinism is a stage contract: predictors fan out through the
 //! [`PredictRuntime`] (the calling thread plus persistent pool workers)

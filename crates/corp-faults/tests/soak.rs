@@ -80,7 +80,6 @@ fn soak_cell(scheme: &str, seed: u64, intensity: f64) -> SimulationReport {
         factories_for(scheme, seed),
         ShardConfig {
             fault_plan: Some(schedule.control),
-            ..ShardConfig::default()
         },
     );
     let mut sim = Simulation::new(
