@@ -578,7 +578,7 @@ pub fn ablations(fast: bool) -> FigureTable {
         sim.run(&mut corp)
     });
     let mut table = TextTable::new(
-        "Ablations — CORP components (cluster, 300 jobs)",
+        format!("Ablations — CORP components (cluster, {JOBS} jobs)"),
         &[
             "variant",
             "overall utilization",
