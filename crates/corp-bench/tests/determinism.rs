@@ -109,63 +109,6 @@ fn one_shard_reproduces_the_monolithic_scheduler() {
 }
 
 #[test]
-fn fifth_scheme_pipeline_is_identical_monolithic_and_sharded() {
-    // The plug-in bar for the stage-trait pipeline: a trivial fifth scheme
-    // (static peak rebuilt as a pipeline configuration) must report
-    // identically whether driven monolithically or through the sharded
-    // coordinator — field for field, with only the "x1" name tag differing.
-    use corp_cluster::{ShardConfig, ShardedProvisioner};
-    use corp_core::StaticPeakPipeline;
-    use corp_sim::{Provisioner, Simulation, SimulationOptions};
-
-    let env = Environment::Cluster;
-    let opts = || SimulationOptions {
-        measure_decision_time: false,
-        ..Default::default()
-    };
-    let jobs = env.workload(JOBS, 0x5EED);
-
-    let mut mono = StaticPeakPipeline::static_peak();
-    let mono_report = Simulation::new(env.cluster(), jobs.clone(), opts()).run(&mut mono);
-
-    let shards: Vec<Box<dyn Provisioner + Send>> =
-        vec![Box::new(StaticPeakPipeline::static_peak())];
-    let mut sharded = ShardedProvisioner::new("static-peak", shards, ShardConfig::default());
-    let sharded_report = Simulation::new(env.cluster(), jobs, opts()).run(&mut sharded);
-
-    assert_eq!(
-        sharded_report.provisioner,
-        format!("{}x1", mono_report.provisioner)
-    );
-    assert_eq!(sharded_report.utilization, mono_report.utilization);
-    assert_eq!(
-        sharded_report.overall_utilization,
-        mono_report.overall_utilization
-    );
-    assert_eq!(
-        sharded_report.slo_violation_rate,
-        mono_report.slo_violation_rate
-    );
-    assert_eq!(sharded_report.completed, mono_report.completed);
-    assert_eq!(sharded_report.violated, mono_report.violated);
-    assert_eq!(sharded_report.rejected, mono_report.rejected);
-    assert_eq!(sharded_report.unfinished, mono_report.unfinished);
-    assert_eq!(sharded_report.slots_run, mono_report.slots_run);
-    assert_eq!(
-        sharded_report.mean_response_slots,
-        mono_report.mean_response_slots
-    );
-    assert_eq!(sharded_report.invalid_actions, 0);
-    assert_eq!(mono_report.invalid_actions, 0);
-    let cp = sharded_report
-        .control_plane
-        .expect("sharded run reports control-plane stats");
-    assert_eq!(cp.shards, 1);
-    assert_eq!(cp.conflicts, 0);
-    assert!(mono_report.control_plane.is_none());
-}
-
-#[test]
 fn hot_path_optimizations_do_not_change_a_single_decision() {
     // The perf tier must be invisible in the results: fan-out prediction
     // across pool threads plus the fused DNN kernels must reproduce the

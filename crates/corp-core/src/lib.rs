@@ -67,6 +67,4 @@ pub use predictor::{
     RccrPredictor,
 };
 pub use preemption::PreemptionGate;
-pub use scheduler::{
-    CloudScaleProvisioner, CorpProvisioner, DraProvisioner, RccrProvisioner, StaticPeakPipeline,
-};
+pub use scheduler::{CloudScaleProvisioner, CorpProvisioner, DraProvisioner, RccrProvisioner};

@@ -3,8 +3,7 @@
 //! [`PlacementBackend`] is the pipeline's final stage, and
 //! [`DirectBackend`] its one implementation: an in-process selector over
 //! the slot's free pools (Eq. 22 volume best-fit through the incremental
-//! [`VolumeIndex`], random fitting VM, DRA's share-weighted choice, or
-//! plain first fit). A sharded run places through the same stage inside
+//! [`VolumeIndex`], random fitting VM, or DRA's share-weighted choice). A sharded run places through the same stage inside
 //! each shard; the coordinator in `corp-cluster` then arbitrates the
 //! shards' placements against its store on its own.
 
@@ -65,8 +64,6 @@ pub enum VmSelector {
     /// DRA's share-weighted random choice among fitting VMs (4:2:1 share
     /// classes).
     ShareWeighted,
-    /// The first fitting VM by id (static peak).
-    FirstFit,
 }
 
 /// Share-weighted random choice among fitting VMs: sum the fitting VMs'
@@ -137,7 +134,6 @@ impl PlacementBackend for DirectBackend {
                 .and_then(|idx| idx.best_fit(pools, fit, reference)),
             VmSelector::Random => random_fitting_vm(pools, fit, rng),
             VmSelector::ShareWeighted => share_weighted_vm(pools, fit, rng),
-            VmSelector::FirstFit => pools.iter().position(|p| fit.fits_within(p)),
         };
         Claim { vm }
     }
@@ -154,7 +150,7 @@ impl PlacementBackend for DirectBackend {
 #[derive(Debug, Clone, Copy)]
 pub enum AdmissionPolicy {
     /// A job fits when its full request does, and is granted its full
-    /// request (every opportunistic scheme and static peak).
+    /// request (every opportunistic scheme).
     FullRequest,
     /// DRA's overbooking: a job is admitted when `factor * requested` fits
     /// the VM's free pool; its allocation is then capped at what is

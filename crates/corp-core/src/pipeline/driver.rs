@@ -27,8 +27,8 @@ use std::collections::HashMap;
 ///    policy; unplaceable pairs fall back to individual placement (the
 ///    paper's split rule).
 ///
-/// The four paper schemes — and any fifth — are pure stage configurations
-/// of this one driver (see [`crate::scheduler`]).
+/// The four paper schemes are pure stage configurations of this one
+/// driver (see [`crate::scheduler`]).
 pub struct ProvisioningPipeline<U, G, K, B> {
     name: String,
     window_slots: u64,

@@ -345,21 +345,3 @@ impl ReallocationGate for RecordOnlyGate {
         }
     }
 }
-
-/// A gate that never adjusts anything — reservation-based schemes.
-#[derive(Debug, Default)]
-pub struct NoopGate;
-
-impl ReallocationGate for NoopGate {
-    fn reallocate(
-        &mut self,
-        _ctx: &SlotContext<'_>,
-        _forecast: &WindowForecast,
-        _unlocked: &[bool; NUM_RESOURCES],
-        _window: u64,
-        _pools: &mut [ResourceVector],
-        _outcomes: &mut Vec<PendingOutcome>,
-        _plan: &mut ProvisionPlan,
-    ) {
-    }
-}

@@ -40,13 +40,13 @@ mod predict;
 
 pub use backend::{AdmissionPolicy, Claim, DirectBackend, PlacementBackend, VmSelector};
 pub use driver::ProvisioningPipeline;
-pub use gate::{BaselineReclaimGate, CorpReclaimGate, NoopGate, ReallocationGate, RecordOnlyGate};
+pub use gate::{BaselineReclaimGate, CorpReclaimGate, ReallocationGate, RecordOnlyGate};
 pub use pack::{JobPacker, Packing};
 pub use pool::{
     configured_pool_width, hardware_parallelism, per_task, prediction_threads, PredictRuntime,
     WorkerPool, WorkerScratch, SERIAL_FANOUT_CUTOFF,
 };
 pub use predict::{
-    CorpUsagePredictor, FiniteGuard, NoopUsagePredictor, PendingOutcome, UsagePredictor,
-    VmPredictorCore, VmWindowPredictor, WindowForecast,
+    CorpUsagePredictor, FiniteGuard, PendingOutcome, UsagePredictor, VmPredictorCore,
+    VmWindowPredictor, WindowForecast,
 };

@@ -436,27 +436,3 @@ impl<P: VmPredictorCore> UsagePredictor for VmWindowPredictor<P> {
         WindowForecast::PerVm(runtime.fan_out_vms(ctx, |vm| core.predict(vm.id)))
     }
 }
-
-// ---------------------------------------------------------------------------
-// No-op (reservation-based schemes)
-// ---------------------------------------------------------------------------
-
-/// A predictor that never predicts — the stage configuration of pure
-/// reservation-based schemes (static peak), which place at full request
-/// and never reclaim.
-#[derive(Debug, Default)]
-pub struct NoopUsagePredictor;
-
-impl UsagePredictor for NoopUsagePredictor {
-    fn ingest(
-        &mut self,
-        _ctx: &SlotContext<'_>,
-        _window: u64,
-        _outcomes: &mut Vec<PendingOutcome>,
-    ) {
-    }
-
-    fn forecast(&mut self, _ctx: &SlotContext<'_>) -> WindowForecast {
-        WindowForecast::PerVm(Vec::new())
-    }
-}

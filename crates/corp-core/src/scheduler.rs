@@ -31,8 +31,7 @@
 use crate::config::CorpConfig;
 use crate::pipeline::{
     AdmissionPolicy, BaselineReclaimGate, CorpReclaimGate, CorpUsagePredictor, DirectBackend,
-    FiniteGuard, NoopGate, NoopUsagePredictor, Packing, ProvisioningPipeline, RecordOnlyGate,
-    VmSelector, VmWindowPredictor,
+    FiniteGuard, Packing, ProvisioningPipeline, RecordOnlyGate, VmSelector, VmWindowPredictor,
 };
 use crate::predictor::{CloudScalePredictor, CorpJobPredictor, DraPredictor, RccrPredictor};
 
@@ -220,34 +219,6 @@ impl DraProvisioner {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Static peak (the trivial fifth scheme)
-// ---------------------------------------------------------------------------
-
-/// Reservation-based first-fit as a pipeline configuration: no prediction,
-/// no reclaim, no packing, full-request first-fit placement — the same
-/// decisions as [`corp_sim::StaticPeakProvisioner`], proving the plug-in
-/// path: a fifth scheme is a stage wiring, not a fifth copy of the slot
-/// loop.
-pub type StaticPeakPipeline =
-    ProvisioningPipeline<NoopUsagePredictor, NoopGate, Packing, DirectBackend>;
-
-impl StaticPeakPipeline {
-    /// Creates the static-peak pipeline configuration.
-    pub fn static_peak() -> Self {
-        Self::compose(
-            "static-peak",
-            1,
-            0,
-            NoopUsagePredictor,
-            NoopGate,
-            Packing::Passthrough,
-            DirectBackend::new(VmSelector::FirstFit),
-            AdmissionPolicy::FullRequest,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,17 +385,5 @@ mod tests {
         assert_eq!(RccrProvisioner::new(0.9, 1).name(), "RCCR");
         assert_eq!(CloudScaleProvisioner::new(1).name(), "CloudScale");
         assert_eq!(DraProvisioner::new(1).name(), "DRA");
-    }
-
-    #[test]
-    fn static_peak_pipeline_matches_the_reference_provisioner() {
-        // The pipeline wiring of the trivial fifth scheme reproduces the
-        // hand-written StaticPeakProvisioner decision for decision.
-        let mut pipeline = StaticPeakPipeline::static_peak();
-        let mut reference = corp_sim::StaticPeakProvisioner;
-        assert_eq!(pipeline.name(), reference.name());
-        let a = run_contended(&mut pipeline, 120, 11);
-        let b = run_contended(&mut reference, 120, 11);
-        assert_eq!(serde::json::to_string(&a), serde::json::to_string(&b));
     }
 }
