@@ -16,13 +16,13 @@
 //! numbers come from `benchmark/`, not from this binary.
 //!
 //! `serve` runs the serving daemon and takes its own flags
-//! (`--replay PATH`, `--record PATH`, `--speed inf|N`, `--seed S`,
+//! (`--trace PATH`, `--record PATH`, `--speed inf|N`, `--seed S`,
 //! `--jobs N`, `--queue-cap C`, `--policy block|shed-oldest|reject-new`,
 //! `--width W`, `--shards K`, `--smoke`):
 //!
 //! ```text
 //! corp-exp serve --fast --jobs 120 --speed inf --seed 7
-//! corp-exp serve --replay t.trace --policy shed-oldest --queue-cap 16
+//! corp-exp serve --trace t.trace --policy shed-oldest --queue-cap 16
 //! ```
 //!
 //! `resilience` is chaos-serve: the daemon under combined control-plane

@@ -2,7 +2,7 @@
 //! experiment cell, and its report table.
 //!
 //! `serve` is a different shape from the figure runners: it takes flags
-//! (`--replay`, `--speed`, `--seed`, …), so `corp_exp` special-cases it
+//! (`--trace`, `--speed`, `--seed`, …), so `corp_exp` special-cases it
 //! before the figure loop and hands the raw argument list to
 //! [`ServeArgs::parse`]. The actual run goes through [`run_serve`] (or
 //! [`run_serve_sharded`] under `--shards`, which also surfaces coordinator
@@ -42,11 +42,9 @@ pub struct ServeArgs {
     /// External trace to stream (`--trace PATH`): a recorded corp trace
     /// (loaded whole — the format is line-oriented jobs) or a Google-style
     /// task-event CSV, decoded lazily through the `JobSource` pipeline so
-    /// arbitrarily long CSVs feed the daemon in bounded memory.
+    /// arbitrarily long CSVs feed the daemon in bounded memory. The
+    /// synthesized workload when absent.
     pub trace: Option<PathBuf>,
-    /// Recorded trace to replay (`--replay PATH`); synthesized workload
-    /// when absent.
-    pub replay: Option<PathBuf>,
     /// Record the (synthesized) workload to this path before serving
     /// (`--record PATH`).
     pub record: Option<PathBuf>,
@@ -74,7 +72,6 @@ impl Default for ServeArgs {
     fn default() -> Self {
         ServeArgs {
             trace: None,
-            replay: None,
             record: None,
             speed: ReplaySpeed::Infinite,
             seed: SchemeParams::default().seed,
@@ -98,7 +95,6 @@ impl ServeArgs {
         while let Some(flag) = flags.next_flag() {
             match flag {
                 "--trace" => out.trace = Some(PathBuf::from(flags.value(flag)?)),
-                "--replay" => out.replay = Some(PathBuf::from(flags.value(flag)?)),
                 "--record" => out.record = Some(PathBuf::from(flags.value(flag)?)),
                 "--speed" => out.speed = ReplaySpeed::parse(flags.value(flag)?)?,
                 "--seed" => out.seed = parse_seed(flags.value(flag)?)?,
@@ -159,8 +155,7 @@ pub fn run_serve_sharded(
     (outcome, errors)
 }
 
-/// The workload a `serve` invocation uses when not replaying a recorded
-/// file: the standard CORP cluster workload under the CLI seed (the same
+/// The workload a `serve` invocation uses without `--trace`: the standard CORP cluster workload under the CLI seed (the same
 /// generator `run_cell` drives, so cross-mode comparisons are meaningful).
 pub fn serve_workload(env: Environment, num_jobs: usize, seed: u64) -> Vec<JobSpec> {
     env.workload(num_jobs, seed.wrapping_add(num_jobs as u64))
@@ -219,18 +214,10 @@ fn open_trace_feed(
 /// smoke assertions.
 pub fn serve_experiment(fast: bool, args: &ServeArgs) -> Result<FigureTable, String> {
     let env = Environment::Cluster;
-    if args.trace.is_some() && args.replay.is_some() {
-        return Err("pick one of --trace / --replay".to_string());
-    }
     let failed = DecodeFailure::default();
-    let feed: Box<dyn Iterator<Item = JobSpec>> = match (&args.trace, &args.replay) {
-        (Some(path), _) => open_trace_feed(path, &failed)?,
-        (None, Some(path)) => Box::new(
-            corp_trace::load_trace(path)
-                .map_err(|e| path_error("--replay", path, e))?
-                .into_iter(),
-        ),
-        (None, None) => Box::new(serve_workload(env, args.jobs, args.seed).into_iter()),
+    let feed: Box<dyn Iterator<Item = JobSpec>> = match &args.trace {
+        Some(path) => open_trace_feed(path, &failed)?,
+        None => Box::new(serve_workload(env, args.jobs, args.seed).into_iter()),
     };
     // The feed is consumed lazily, so the job count — and whether a
     // `--trace` row failed to decode — is only known once the stream has
@@ -434,7 +421,7 @@ mod tests {
     #[test]
     fn serve_args_parse_full_flag_set() {
         let args = ServeArgs::parse(&strings(&[
-            "--replay",
+            "--trace",
             "/tmp/t.trace",
             "--speed",
             "inf",
@@ -449,7 +436,7 @@ mod tests {
             "--smoke",
         ]))
         .expect("parse");
-        assert_eq!(args.replay, Some(PathBuf::from("/tmp/t.trace")));
+        assert_eq!(args.trace, Some(PathBuf::from("/tmp/t.trace")));
         assert_eq!(args.speed, ReplaySpeed::Infinite);
         assert_eq!(args.seed, 9);
         assert_eq!(args.queue_cap, 32);
@@ -481,14 +468,12 @@ mod tests {
     fn trace_flag_parses_and_conflicts_with_replay() {
         let args = ServeArgs::parse(&strings(&["--trace", "/tmp/t.csv"])).expect("parse");
         assert_eq!(args.trace, Some(PathBuf::from("/tmp/t.csv")));
-        let both = ServeArgs {
-            trace: Some(PathBuf::from("a")),
-            replay: Some(PathBuf::from("b")),
-            ..ServeArgs::default()
-        };
-        assert!(serve_experiment(true, &both)
-            .unwrap_err()
-            .contains("pick one"));
+        // `--trace` reads recorded traces too; there is no second flag.
+        assert!(
+            ServeArgs::parse(&strings(&["--trace", "a", "--replay", "b"]))
+                .unwrap_err()
+                .contains("unknown serve flag `--replay`")
+        );
     }
 
     #[test]
@@ -542,11 +527,11 @@ mod tests {
     #[test]
     fn an_unreadable_replay_names_the_flag_and_the_path() {
         let args = ServeArgs {
-            replay: Some(PathBuf::from("/nonexistent/t.trace")),
+            trace: Some(PathBuf::from("/nonexistent/t.trace")),
             ..ServeArgs::default()
         };
         let err = serve_experiment(true, &args).unwrap_err();
-        assert!(err.starts_with("--replay /nonexistent/t.trace: "), "{err}");
+        assert!(err.starts_with("--trace /nonexistent/t.trace: "), "{err}");
     }
 
     #[test]
