@@ -52,6 +52,14 @@
 #                                 # deletion or `pub(crate)`, to be
 #                                 # confirmed with the compiler; always
 #                                 # exits 0
+#   scripts/check.sh deps         # advisory, grep only, always exits 0:
+#                                 # prints `crate: dep` for every
+#                                 # `[dependencies]` line of crates/*/Cargo.toml
+#                                 # whose name (`-` read as `_`) the crate's
+#                                 # source outside test modules never
+#                                 # mentions — a candidate to delete or to
+#                                 # move to `[dev-dependencies]` (either may
+#                                 # rewrite a lockfile)
 #   scripts/check.sh size         # advisory, writes nothing: per crate and
 #                                 # in total, the lines of `crates/*/src`
 #                                 # (`*.rs` and one directory down) and the
@@ -133,6 +141,26 @@ if [[ "${1:-}" == "reach" ]]; then
             sed -E 's/pub use [a-z_:]*//; s/[{},;]/ /g' | tr -s ' ' '\n' | sort -u |
             while read -r name; do
                 [[ -z "$name" ]] || grep -qw "$name" "${outside[@]}" || echo "$crate::$name"
+            done
+    done
+    exit 0
+fi
+
+if [[ "${1:-}" == "deps" ]]; then
+    for manifest in crates/*/Cargo.toml; do
+        dir=${manifest%/Cargo.toml}
+        # The crate's source outside test modules: each file up to its last
+        # `#[cfg(test)]`, as `size` counts it.
+        source=$(find "$dir/src" -name '*.rs' -exec awk '
+            function flush(   i) { for (i = 1; i <= (cut ? cut - 1 : n); i++) print line[i]; n = cut = 0 }
+            FNR == 1 && NR > 1 { flush() }
+            { line[++n] = $0 }
+            /^#\[cfg\(test\)\]/ { cut = FNR }
+            END { flush() }' {} +)
+        awk '/^\[/ { deps = ($0 == "[dependencies]") }
+            deps && /^[A-Za-z0-9_-]+[ .=]/ { sub(/[ .=].*/, ""); print }' "$manifest" |
+            while read -r dep; do
+                grep -qw "${dep//-/_}" <<<"$source" || echo "$(basename "$dir"): $dep"
             done
     done
     exit 0
