@@ -402,9 +402,9 @@ fn overhead_figure(id: &str, env: Environment, fast: bool) -> FigureTable {
 pub const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Control-plane scalability: the CORP pipeline behind 1→8 scheduler
-/// shards coordinated through the two-phase-commit placement store
-/// (`corp-cluster`). Cells run sequentially — not fanned out — so each
-/// wall-clock throughput measurement owns the machine's cores.
+/// shards coordinated through the placement store (`corp-cluster`). Cells
+/// run sequentially — not fanned out — so each wall-clock throughput
+/// measurement owns the machine's cores.
 pub fn scalability(fast: bool) -> FigureTable {
     const JOBS: usize = 300;
     let params = SchemeParams {

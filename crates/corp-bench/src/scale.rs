@@ -35,7 +35,7 @@ pub struct ScaleArgs {
     pub jobs: usize,
     /// Workload seed (`--seed S`, non-zero).
     pub seed: u64,
-    /// Run the soak behind a `K`-shard control plane (coordinator plus 2PC
+    /// Run the soak behind a `K`-shard control plane (coordinator plus
     /// placement store) instead of the direct monolithic provisioner
     /// (`--shards K`; `None` = monolithic).
     pub shards: Option<usize>,

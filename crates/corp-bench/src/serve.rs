@@ -42,8 +42,8 @@ pub struct ServeArgs {
     /// External trace to stream (`--trace PATH`): a recorded corp trace
     /// (loaded whole — the format is line-oriented jobs) or a Google-style
     /// task-event CSV, decoded lazily through the `JobSource` pipeline so
-    /// arbitrarily long CSVs feed the daemon in bounded memory. The
-    /// synthesized workload when absent.
+    /// arbitrarily long CSVs feed the daemon in bounded memory. Without
+    /// it, the daemon serves the synthesized workload.
     pub trace: Option<PathBuf>,
     /// Record the (synthesized) workload to this path before serving
     /// (`--record PATH`).
@@ -155,8 +155,9 @@ pub fn run_serve_sharded(
     (outcome, errors)
 }
 
-/// The workload a `serve` invocation uses without `--trace`: the standard CORP cluster workload under the CLI seed (the same
-/// generator `run_cell` drives, so cross-mode comparisons are meaningful).
+/// The workload a `serve` invocation uses without `--trace`: the standard
+/// CORP cluster workload under the CLI seed (the same generator
+/// `run_cell` drives, so cross-mode comparisons are meaningful).
 pub fn serve_workload(env: Environment, num_jobs: usize, seed: u64) -> Vec<JobSpec> {
     env.workload(num_jobs, seed.wrapping_add(num_jobs as u64))
 }

@@ -1,4 +1,4 @@
-//! The two-phase-commit placement store.
+//! The placement store: one capacity ledger behind one lock.
 //!
 //! Scheduler shards propose placements onto a shared VM fleet, and the
 //! store is the single arbiter of capacity: a claim first **reserves** the

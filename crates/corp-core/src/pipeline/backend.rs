@@ -3,9 +3,10 @@
 //! [`PlacementBackend`] is the pipeline's final stage, and
 //! [`DirectBackend`] its one implementation: an in-process selector over
 //! the slot's free pools (Eq. 22 volume best-fit through the incremental
-//! [`VolumeIndex`], random fitting VM, or DRA's share-weighted choice). A sharded run places through the same stage inside
-//! each shard; the coordinator in `corp-cluster` then arbitrates the
-//! shards' placements against its store on its own.
+//! [`VolumeIndex`], random fitting VM, or DRA's share-weighted choice). A
+//! sharded run places through the same stage inside each shard; the
+//! coordinator in `corp-cluster` then arbitrates the shards' placements
+//! against its store on its own.
 
 use crate::placement::{random_fitting_vm, VolumeIndex};
 use crate::predictor::dra::ShareClass;

@@ -110,7 +110,7 @@ fn soak_cell(scheme: &str, seed: u64, intensity: f64) -> SimulationReport {
         report.nonfinite_actions, 0,
         "{label}: non-finite action leaked through arbitration"
     );
-    // The two-phase-commit ledger never overcommitted.
+    // The placement store's ledger never overcommitted.
     let store = provisioner.store().expect("store exists after first slot");
     assert!(
         store.holds_invariants(EPS),

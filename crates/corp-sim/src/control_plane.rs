@@ -23,13 +23,15 @@ pub struct ShardStats {
     pub shard: usize,
     /// Placement proposals this shard emitted.
     pub proposals: u64,
-    /// Proposals that committed (possibly after retries).
+    /// Proposals that committed (possibly on their retry).
     pub commits: u64,
-    /// Reservation conflicts this shard's proposals hit.
+    /// Capacity conflicts this shard's proposals hit, plus refused
+    /// adjustments.
     pub conflicts: u64,
-    /// Retry attempts after a conflict.
+    /// Proposals committed on their one best-fit retry after a conflict.
     pub retries: u64,
-    /// Proposals abandoned after the retry budget was exhausted.
+    /// Proposals that committed nowhere: a non-finite allocation, an
+    /// unknown VM, or no VM with room after a conflict.
     pub aborts: u64,
     /// Deepest pending-job queue this shard saw in any slot.
     pub max_queue_depth: usize,
@@ -74,22 +76,23 @@ pub struct BreakerTransition {
 pub struct ControlPlaneStats {
     /// Number of scheduler shards.
     pub shards: usize,
-    /// Reservations opened on the placement store (phase 1 of 2PC).
+    /// Claims the placement store admitted.
     pub reservations: u64,
-    /// Reservations confirmed (phase 2 commit).
+    /// Claims the placement store committed.
     pub commits: u64,
-    /// Reservation attempts refused because they would overcommit a VM.
+    /// Claims and growing adjustments refused because they would
+    /// overcommit a VM.
     pub conflicts: u64,
-    /// Reservations explicitly rolled back.
+    /// Open holds rolled back; the coordinator opens none.
     pub aborts: u64,
-    /// Placement retries across all shards.
+    /// Claims committed on their one best-fit retry, across all shards.
     pub retries: u64,
-    /// Claims committed on the VM their shard proposed, through the
-    /// store's fused commit (both 2PC phases in one lock acquisition).
+    /// Claims committed on the VM their shard proposed (`commits -
+    /// retries`).
     pub fast_path_hits: u64,
     /// Arbitration slots where at least one claim no longer fit the VM its
-    /// shard proposed — a capacity conflict — and went through the full
-    /// 2PC claim (reserve, bounded best-fit retry, confirm).
+    /// shard proposed — a capacity conflict — and went to the best-fit
+    /// retry.
     pub fallback_rounds: u64,
     /// Always 0: the store mechanism this counted (a per-VM writer mark
     /// that refused fused commits) is gone. The field is kept only because
