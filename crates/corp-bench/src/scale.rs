@@ -4,10 +4,8 @@
 //! The figure runners materialize their workloads — hundreds of jobs, so
 //! who cares. This runner exists to prove the opposite regime: tens of
 //! thousands of VMs and a million-job arrival stream pulled lazily through
-//! [`StreamingSimulation`] with
-//! [`reclaim_completed`](SimulationOptions::reclaim_completed) on, where
-//! engine memory must stay bounded by *concurrently live* jobs no matter
-//! how long the trace runs. The run reports throughput (slots/s, jobs/s),
+//! [`StreamingSimulation`], where engine memory must stay bounded by
+//! *concurrently live* jobs no matter how long the trace runs. The run reports throughput (slots/s, jobs/s),
 //! the arena high-water mark, the process peak RSS, and the engine's
 //! deterministic work count (VM entries visited per slot beside the VMs
 //! actually occupied); `--smoke` replays a small configuration and
@@ -110,9 +108,9 @@ pub struct ScaleResult {
     pub rejected: usize,
     /// Jobs unfinished at the slot cap (0 for a drained soak).
     pub unfinished: usize,
-    /// Arena high-water mark: job slots ever allocated. With reclaim on,
-    /// this is bounded by peak *concurrent* jobs — the memory-boundedness
-    /// headline — while `jobs` counts everything that streamed through.
+    /// Arena high-water mark: job slots ever allocated, bounded by peak
+    /// *concurrent* jobs — the memory-boundedness headline — while `jobs`
+    /// counts everything that streamed through.
     pub arena_slots: usize,
     /// `arena_slots / jobs`: how far below trace scale the store stayed.
     pub arena_ratio: f64,
@@ -171,7 +169,7 @@ fn scale_config(vms: usize, jobs: usize) -> WorkloadConfig {
     }
 }
 
-/// Runs one soak: streams the workload through the reclaiming engine and
+/// Runs one soak: streams the workload through the engine and
 /// measures throughput, the arena high-water mark, and peak RSS. Pure
 /// measurement — no assertions — so tests can drive it directly.
 pub fn run_scale(args: &ScaleArgs) -> ScaleResult {
@@ -184,7 +182,6 @@ pub fn run_scale(args: &ScaleArgs) -> ScaleResult {
         source,
         SimulationOptions {
             measure_decision_time: false,
-            reclaim_completed: true,
             ..Default::default()
         },
     );
@@ -206,7 +203,7 @@ pub fn run_scale(args: &ScaleArgs) -> ScaleResult {
     // visit count they start from.
     let (mut steady_slots, mut occupied_sum, mut warm_up_visits) = (0u64, 0u64, 0u64);
     let started = std::time::Instant::now();
-    let report = sim.run_inspecting(provisioner.as_mut(), |engine| {
+    let report = sim.run_inspecting(provisioner.as_mut(), |engine, _| {
         if engine.slot() <= VIEW_HISTORY_CAP as u64 {
             warm_up_visits = engine.vm_visits();
         } else {

@@ -12,7 +12,7 @@ use corp_bench::resilience::{run_resilience, ResilienceArgs};
 use corp_bench::serve::{run_serve, serve_workload};
 use corp_core::pipeline::hardware_parallelism;
 use corp_serve::{ReplaySpeed, ServeConfig, ServeDaemon, ServeOutcome};
-use corp_sim::{JobState, RunningJob, Simulation, SimulationOptions};
+use corp_sim::{Simulation, SimulationOptions, SlotEngine, SlotOutcome};
 
 const JOBS: usize = 30;
 const SEED: u64 = 7;
@@ -78,12 +78,12 @@ fn serve_reports_are_byte_identical_across_replay_speeds() {
     );
 }
 
-/// Job id → final placement VM for every job that was ever placed.
-fn placement_map(jobs: &[RunningJob]) -> Vec<(u64, Option<usize>)> {
-    let mut map: Vec<(u64, Option<usize>)> =
-        jobs.iter().map(|j| (j.spec.id, j.placed_vm)).collect();
-    map.sort_unstable();
-    map
+/// Collects `(slot, job, vm)` for every placement a driver applies.
+fn recorder(placements: &mut Vec<(u64, u64, usize)>) -> impl FnMut(&SlotEngine, &SlotOutcome) + '_ {
+    |engine, outcome| {
+        let slot = engine.slot() - 1;
+        placements.extend(outcome.placements.iter().map(|&(job, vm)| (slot, job, vm)));
+    }
 }
 
 #[test]
@@ -106,7 +106,10 @@ fn serve_at_infinite_speed_matches_the_batch_slot_loop() {
             ..Default::default()
         },
     );
-    let batch_report = serde::json::to_string(&sim.run(batch_provisioner.as_mut()));
+    let mut batch_placements = Vec::new();
+    let batch_report = serde::json::to_string(
+        &sim.run_inspecting(batch_provisioner.as_mut(), recorder(&mut batch_placements)),
+    );
 
     // Serve arm: fresh provisioner (same seed), same workload, through the
     // event loop.
@@ -119,7 +122,12 @@ fn serve_at_infinite_speed_matches_the_batch_slot_loop() {
         },
         ServeConfig::default(),
     );
-    let outcome = daemon.run(serve_provisioner.as_mut(), workload);
+    let mut served_placements = Vec::new();
+    let outcome = daemon.run_inspecting(
+        serve_provisioner.as_mut(),
+        workload,
+        recorder(&mut served_placements),
+    );
 
     assert_eq!(
         serde::json::to_string(&outcome.report.sim),
@@ -127,22 +135,16 @@ fn serve_at_infinite_speed_matches_the_batch_slot_loop() {
         "serving mode diverged from the batch simulation report"
     );
     assert_eq!(
-        placement_map(daemon.jobs()),
-        placement_map(sim.jobs()),
-        "serving mode placed jobs on different VMs than the batch loop"
+        served_placements, batch_placements,
+        "serving mode placed jobs on different VMs or slots than the batch loop"
     );
-    // The map comparison must be about real placements, not vacuous
-    // Nones: at this load the scheme places essentially everything.
-    let placed = daemon
-        .jobs()
-        .iter()
-        .filter(|j| j.placed_vm.is_some())
-        .count();
+    // The comparison must be about real placements: at this load the
+    // scheme places essentially everything.
+    let placed = served_placements.len();
     assert!(placed > JOBS / 2, "only {placed}/{JOBS} jobs ever placed");
-    assert!(daemon
-        .jobs()
-        .iter()
-        .all(|j| !matches!(j.state, JobState::Pending)));
+    // Both drivers released every job and grew the same arena.
+    assert_eq!(daemon.jobs().len(), sim.jobs().len());
+    assert!(daemon.jobs().iter().all(|j| j.id() == u64::MAX));
 }
 
 // --- chaos-serve: determinism and accounting under combined faults ---

@@ -22,7 +22,7 @@ use crate::clock::ReplaySpeed;
 use crate::report::{LatencySummary, ServeOutcome, ServeReport};
 use crate::slo::{DeadlineConfig, SloStats};
 use corp_faults::FaultTimeline;
-use corp_sim::{Cluster, JobId, Provisioner, SimulationOptions, SlotEngine};
+use corp_sim::{Cluster, JobId, Provisioner, SimulationOptions, SlotEngine, SlotOutcome};
 use corp_stats::QuantileSketch;
 use corp_trace::JobSpec;
 use std::collections::HashMap;
@@ -82,9 +82,10 @@ impl ServeDaemon {
         }
     }
 
-    /// Read access to every submitted job's state, submission-ordered —
-    /// the same view [`corp_sim::Simulation::jobs`] exposes, so cross-mode
-    /// tests can compare job→VM placement maps between the two drivers.
+    /// The engine's job arena, the view [`corp_sim::Simulation::jobs`]
+    /// exposes: after a run, a tombstone per slot, as many as jobs were
+    /// ever resident at once. Where and when jobs were placed is in the
+    /// slot outcomes [`run_inspecting`](Self::run_inspecting) hands out.
     pub fn jobs(&self) -> &[corp_sim::RunningJob] {
         self.engine.jobs()
     }
@@ -109,6 +110,21 @@ impl ServeDaemon {
     /// way a live front door would see it — a daemon cannot admit into the
     /// past.
     pub fn run<I>(&mut self, provisioner: &mut dyn Provisioner, jobs: I) -> ServeOutcome
+    where
+        I: IntoIterator<Item = JobSpec>,
+    {
+        self.run_inspecting(provisioner, jobs, |_, _| {})
+    }
+
+    /// [`run`](Self::run), calling `inspect` with the engine and the
+    /// slot's [`SlotOutcome`] after every tick, as
+    /// [`corp_sim::StreamingSimulation::run_inspecting`] does.
+    pub fn run_inspecting<I>(
+        &mut self,
+        provisioner: &mut dyn Provisioner,
+        jobs: I,
+        mut inspect: impl FnMut(&SlotEngine, &SlotOutcome),
+    ) -> ServeOutcome
     where
         I: IntoIterator<Item = JobSpec>,
     {
@@ -171,6 +187,7 @@ impl ServeDaemon {
                 self.engine.submit(*queued.spec);
             }
             let outcome = self.engine.step(provisioner);
+            inspect(&self.engine, &outcome);
             ticks += 1;
             completed += outcome.completed.len() as u64;
             let mut tick_max_latency: u64 = 0;
@@ -538,6 +555,19 @@ mod tests {
         assert_eq!(from_vec, from_iter);
     }
 
+    /// Serves `jobs` under static peak with the default config and returns
+    /// the outcome with each job's placement slot.
+    fn run_placing(jobs: Vec<JobSpec>) -> (ServeOutcome, HashMap<JobId, u64>) {
+        let mut placed = HashMap::new();
+        let mut daemon = ServeDaemon::new(cluster(), quiet_options(), ServeConfig::default());
+        let out = daemon.run_inspecting(&mut StaticPeakProvisioner, jobs, |engine, outcome| {
+            for &(job, _) in &outcome.placements {
+                placed.entry(job).or_insert(engine.slot() - 1);
+            }
+        });
+        (out, placed)
+    }
+
     #[test]
     fn out_of_order_arrivals_clamp_to_the_stream_frontier() {
         // A straggler spec behind the frontier is admitted at the frontier
@@ -547,15 +577,15 @@ mod tests {
         jobs[1].arrival_slot = 2; // behind the frontier: clamps to 5
         jobs[2].arrival_slot = 6;
         jobs[3].arrival_slot = 6;
-        let mut daemon = ServeDaemon::new(cluster(), quiet_options(), ServeConfig::default());
-        let out = daemon.run(&mut StaticPeakProvisioner, jobs);
+        let ids: Vec<JobId> = jobs.iter().map(|j| j.id).collect();
+        let (out, placed) = run_placing(jobs);
         let r = &out.report;
         assert_eq!(r.sim.completed, 4, "{r:?}");
         assert_eq!(r.queue.admitted, 4);
         // Stamped at the frontier and placed by its tick: a stamp at the
         // spec's own slot 2 would read as three slots of waiting.
-        let placed: Vec<_> = daemon.jobs().iter().map(|j| j.placed_slot).collect();
-        assert_eq!(placed, [Some(5), Some(5), Some(6), Some(6)]);
+        let slots: Vec<_> = ids.iter().map(|id| placed[id]).collect();
+        assert_eq!(slots, [5, 5, 6, 6]);
         assert_eq!(r.placement_latency.max_micros, 0.0, "{r:?}");
     }
 
@@ -568,11 +598,11 @@ mod tests {
         let mut jobs = workload(2, 15);
         jobs[0].arrival_slot = 3;
         jobs[1].arrival_slot = 4;
-        let mut daemon = ServeDaemon::new(cluster(), quiet_options(), ServeConfig::default());
-        let out = daemon.run(&mut StaticPeakProvisioner, jobs);
+        let ids: Vec<JobId> = jobs.iter().map(|j| j.id).collect();
+        let (out, placed) = run_placing(jobs);
         let r = &out.report;
-        let placed: Vec<_> = daemon.jobs().iter().map(|j| j.placed_slot).collect();
-        assert_eq!(placed, [Some(3), Some(4)]);
+        let slots: Vec<_> = ids.iter().map(|id| placed[id]).collect();
+        assert_eq!(slots, [3, 4]);
         assert_eq!(r.placement_latency.count, 2);
         assert_eq!(r.placement_latency.max_micros, 0.0, "{r:?}");
         assert_eq!(r.queue.high_water, 1, "never both in the queue: {r:?}");

@@ -67,13 +67,11 @@ pub struct SimulationOptions {
     /// Include measured wall-clock decision time in the overhead metric
     /// (always true for overhead experiments; harmless elsewhere).
     pub measure_decision_time: bool,
-    /// Recycle each job's arena slot (record, histories, SoA columns)
-    /// as soon as it completes or is rejected, bounding engine memory by
-    /// *active* jobs instead of total jobs submitted. Reports are
-    /// byte-identical either way; the cost is that
-    /// [`SlotEngine::jobs`] no longer retains terminal jobs for post-run
-    /// inspection. `false` by default; the streaming soak runs set it
-    /// (`corp-exp scale`, the benchmark's `soak-50k`).
+    /// Has no effect: every engine releases a job's arena slot (record,
+    /// demand series, histories, SoA columns) in the slot the job
+    /// completes or is rejected, so engine memory is bounded by resident
+    /// jobs in every driver. The field remains so that option literals
+    /// which set it still build.
     pub reclaim_completed: bool,
 }
 
@@ -137,9 +135,10 @@ pub struct SimulationReport {
 }
 
 /// What one [`SlotEngine::step`] did: the placements it applied, the jobs
-/// that finished, and the arrivals it rejected. Event-driven drivers turn
-/// these into `Completion` events and per-request placement latencies; the
-/// batch driver ignores them.
+/// that finished, and the arrivals it rejected. The engine keeps nothing
+/// of a job that has left, so this is where a caller learns where and
+/// when each job ran: every driver's `run_inspecting` hands it out slot
+/// by slot, and the serving daemon measures placement latency from it.
 #[derive(Debug, Clone, Default)]
 pub struct SlotOutcome {
     /// `(job, vm)` for every placement applied this slot, application
@@ -241,7 +240,7 @@ impl SlotEngine {
             .collect();
         SlotEngine {
             cluster,
-            store: JobStore::new(options.reclaim_completed),
+            store: JobStore::new(),
             options,
             index_of: HashMap::new(),
             metrics: MetricsCollector::new(),
@@ -316,11 +315,10 @@ impl SlotEngine {
         &self.metrics
     }
 
-    /// Read access to the job arena. With the default append-only store
-    /// this is every submitted job's state, submission-ordered; under
-    /// [`SimulationOptions::reclaim_completed`] terminal jobs are
-    /// recycled, so slots hold tombstones (id `u64::MAX`) or reused
-    /// records and order carries no meaning.
+    /// The job arena, one entry per slot ([`JobStore::as_slice`]):
+    /// resident jobs, and tombstones (id `u64::MAX`) where a job has left.
+    /// Its length is the arena's high-water mark. What happened to a job
+    /// that left is in the [`SlotOutcome`] of the slot it left in.
     pub fn jobs(&self) -> &[RunningJob] {
         self.store.as_slice()
     }
@@ -483,14 +481,9 @@ impl SlotEngine {
         for i in 0..self.incoming.len() {
             let h = self.incoming[i];
             if !self.store.requested(h).fits_within(&self.max_capacity) {
-                let id = self.store.job(h).id();
-                self.store.job_mut(h).state = JobState::Rejected;
                 self.metrics.record_rejection();
-                outcome.rejected.push(id);
-                if self.options.reclaim_completed {
-                    self.index_of.remove(&id);
-                    self.store.release(h);
-                }
+                outcome.rejected.push(self.store.job(h).id());
+                retire(&mut self.index_of, &mut self.store, h);
             } else {
                 self.pending.push(h);
                 self.active += 1;
@@ -667,10 +660,6 @@ impl SlotEngine {
                 job.observed_unused.reserve_exact(samples);
             }
             job.state = JobState::Running { vm: p.vm };
-            job.placed_vm = Some(p.vm);
-            if job.placed_slot.is_none() {
-                job.placed_slot = Some(slot);
-            }
             outcome.placements.push((p.job, p.vm));
             if let Some(faults) = self.faults.as_mut() {
                 faults.note_placement(p.job, slot);
@@ -829,19 +818,11 @@ impl SlotEngine {
                 tests::check_completion_against_fresh(job, completion);
                 self.vm_committed[vm_id] =
                     (self.vm_committed[vm_id] - self.store.allocation(h)).clamp_nonnegative();
-                self.store.set_allocation(h, ResourceVector::ZERO);
-                self.store.job_mut(h).state = JobState::Completed {
-                    finish_slot: slot,
-                    violated,
-                };
                 self.metrics.record_completion(response, violated);
                 outcome.completed.push(id);
                 jobs_here.swap_remove(i);
                 self.active -= 1;
-                if self.options.reclaim_completed {
-                    self.index_of.remove(&id);
-                    self.store.release(h);
-                }
+                retire(&mut self.index_of, &mut self.store, h);
             }
             if self.vm_jobs[vm_id].is_empty() {
                 // This slot's sample is on the ring; zeros are owed
@@ -908,6 +889,17 @@ impl SlotEngine {
     }
 }
 
+/// Drops the index entry of a job that completed or was rejected and
+/// releases its arena slot. A later job may have reused the id; its entry
+/// stays.
+fn retire(index_of: &mut HashMap<JobId, JobHandle>, store: &mut JobStore, h: JobHandle) {
+    let id = store.job(h).id();
+    if index_of.get(&id) == Some(&h) {
+        index_of.remove(&id);
+    }
+    store.release(h);
+}
+
 /// The batch simulator: the streaming driver over a complete workload,
 /// stably sorted by arrival slot (the paper's evaluation mode).
 pub struct Simulation {
@@ -938,8 +930,8 @@ impl Simulation {
         self.inner.engine.metrics()
     }
 
-    /// Read access to job states after `run` (tests, detailed analyses),
-    /// arrival-ordered (stable by arrival slot).
+    /// The engine's job arena ([`SlotEngine::jobs`]): after `run`, a
+    /// tombstone per slot, as many as jobs were ever resident at once.
     pub fn jobs(&self) -> &[RunningJob] {
         self.inner.engine.jobs()
     }
@@ -948,6 +940,16 @@ impl Simulation {
     /// the report.
     pub fn run(&mut self, provisioner: &mut dyn Provisioner) -> SimulationReport {
         self.inner.run(provisioner)
+    }
+
+    /// [`run`](Self::run), handing every slot's engine and outcome to
+    /// `inspect` ([`StreamingSimulation::run_inspecting`]).
+    pub fn run_inspecting(
+        &mut self,
+        provisioner: &mut dyn Provisioner,
+        inspect: impl FnMut(&SlotEngine, &SlotOutcome),
+    ) -> SimulationReport {
+        self.inner.run_inspecting(provisioner, inspect)
     }
 }
 
@@ -1508,14 +1510,16 @@ mod tests {
                 running: Vec::new(),
                 completions: Vec::new(),
             };
-            let report = sim.run(&mut p);
-            let histories = sim.jobs().iter().map(|j| j.observed_unused.len());
-            (
-                serde::json::to_string(&report),
-                report,
-                p.completions,
-                histories.sum::<usize>(),
-            )
+            // Samples held in resident jobs' histories, summed over slots.
+            let mut kept = 0;
+            let report = sim.run_inspecting(&mut p, |engine, _| {
+                kept += engine
+                    .jobs()
+                    .iter()
+                    .map(|j| j.observed_unused.len())
+                    .sum::<usize>();
+            });
+            (serde::json::to_string(&report), report, p.completions, kept)
         };
         let (never_json, never, never_done, never_kept) = run(u64::MAX);
         let (every_json, _, every_done, every_kept) = run(1);
@@ -1564,20 +1568,24 @@ mod tests {
             inner: StaticPeakProvisioner,
             saw_history: false,
         };
-        let mut sim = Simulation::new(
-            cluster(),
-            small_workload(20, 15),
-            SimulationOptions::default(),
-        );
-        let report = sim.run(&mut p);
+        let jobs = small_workload(20, 15);
+        let arrival: HashMap<JobId, u64> = jobs.iter().map(|j| (j.id, j.arrival_slot)).collect();
+        let mut sim = Simulation::new(cluster(), jobs, SimulationOptions::default());
+        // First placement slot of each job, from the slots' outcomes.
+        let mut placed_slot: HashMap<JobId, u64> = HashMap::new();
+        let mut finished: Vec<JobId> = Vec::new();
+        let report = sim.run_inspecting(&mut p, |engine, outcome| {
+            for &(job, _) in &outcome.placements {
+                placed_slot.entry(job).or_insert(engine.slot() - 1);
+            }
+            finished.extend(&outcome.completed);
+        });
         assert!(p.saw_history, "views must carry usage history");
         assert_eq!(report.completed, 20);
-        for j in sim.jobs() {
-            if matches!(j.state, JobState::Completed { .. }) {
-                let placed = j.placed_slot.expect("completed jobs were placed");
-                assert!(placed >= j.spec.arrival_slot);
-                assert!(j.placed_vm.is_some(), "completed jobs record a host VM");
-            }
+        assert_eq!(finished.len(), 20);
+        for job in finished {
+            let placed = placed_slot[&job];
+            assert!(placed >= arrival[&job], "job {job} placed at {placed}");
         }
     }
 
@@ -1846,7 +1854,10 @@ mod tests {
             ..SimulationOptions::default()
         };
         let mut sim = Simulation::new(cluster(), jobs.clone(), opts.clone());
-        let batch = sim.run(&mut StaticPeakProvisioner);
+        let mut batch_placements = Vec::new();
+        let batch = sim.run_inspecting(&mut StaticPeakProvisioner, |_, outcome| {
+            batch_placements.extend(&outcome.placements)
+        });
 
         let mut engine = SlotEngine::new(cluster(), opts);
         let mut provisioner = StaticPeakProvisioner;
@@ -1872,50 +1883,71 @@ mod tests {
             "stepped and batch drivers must agree byte for byte"
         );
         assert_eq!(placements.len(), batch.completed);
-        for j in sim.jobs() {
-            if let Some(vm) = j.placed_vm {
-                assert!(placements.contains(&(j.id(), vm)));
-            }
-        }
+        assert_eq!(placements, batch_placements);
     }
 
     #[test]
     fn reclaim_mode_report_is_byte_identical_and_arena_is_bounded() {
-        // Two well-separated waves: with reclamation on, the second wave
-        // reuses the first wave's arena slots, so the arena never grows to
-        // the full job count — while the report stays bit-for-bit equal.
+        // Two well-separated waves: the second wave reuses the first
+        // wave's arena slots, so the arena never grows to the full job
+        // count, with or without the (now inert) `reclaim_completed`.
         let mut jobs = small_workload(30, 40);
         for (i, j) in jobs.iter_mut().enumerate() {
             j.arrival_slot = if i < 15 { 0 } else { 500 };
         }
-        let opts = SimulationOptions {
-            measure_decision_time: false,
-            ..SimulationOptions::default()
-        };
-        let baseline =
-            Simulation::new(cluster(), jobs.clone(), opts.clone()).run(&mut StaticPeakProvisioner);
+        let reports = [false, true].map(|reclaim_completed| {
+            let options = SimulationOptions {
+                measure_decision_time: false,
+                reclaim_completed,
+                ..SimulationOptions::default()
+            };
+            let mut sim = Simulation::new(cluster(), jobs.clone(), options);
+            let report = sim.run(&mut StaticPeakProvisioner);
+            let store = sim.inner.engine.store();
+            assert_eq!(store.total_inserted(), 30);
+            assert!(
+                store.capacity() <= 15,
+                "arena must be bounded by concurrently-live jobs, got {}",
+                store.capacity()
+            );
+            assert_eq!(sim.jobs().len(), store.capacity());
+            assert_eq!(store.live(), 0, "everything completed and was released");
+            assert!(sim.inner.engine.index_of.is_empty());
+            serde::json::to_string(&report)
+        });
+        assert_eq!(reports[0], reports[1]);
+    }
+
+    #[test]
+    fn a_repeated_job_id_keeps_the_resident_jobs_entry() {
+        // Two hogs share id 7: the first runs slots 0-2, the second is
+        // placed at slot 1 and runs to slot 10. From slot 3 on, static
+        // peak plus an adjustment of job 7 to its own request every slot:
+        // the first job's departure must not unmap the second, or those
+        // adjustments would be refused.
+        struct AdjustSeven;
+        impl Provisioner for AdjustSeven {
+            fn name(&self) -> &str {
+                "adjust-seven"
+            }
+            fn provision(&mut self, ctx: &SlotContext<'_>) -> crate::provisioner::ProvisionPlan {
+                let mut plan = StaticPeakProvisioner.provision(ctx);
+                if ctx.slot >= 3 && ctx.slot < 10 {
+                    plan.adjustments
+                        .push((7, ResourceVector::new([3.0, 4.0, 20.0])));
+                }
+                plan
+            }
+        }
+        let fleet = Cluster::from_profile(EnvironmentProfile::palmetto_cluster().with_num_pms(2));
         let mut sim = Simulation::new(
-            cluster(),
-            jobs,
-            SimulationOptions {
-                reclaim_completed: true,
-                ..opts
-            },
+            fleet,
+            vec![hog(7, 0, 3), hog(7, 1, 10)],
+            SimulationOptions::default(),
         );
-        let reclaimed = sim.run(&mut StaticPeakProvisioner);
-        assert_eq!(
-            serde::json::to_string(&baseline),
-            serde::json::to_string(&reclaimed),
-            "slot reclamation must not change a single report byte"
-        );
-        let store = sim.inner.engine.store();
-        assert_eq!(store.total_inserted(), 30);
-        assert!(
-            store.capacity() <= 15,
-            "arena must be bounded by concurrently-live jobs, got {}",
-            store.capacity()
-        );
-        assert_eq!(store.live(), 0, "everything completed and was released");
+        let report = sim.run(&mut AdjustSeven);
+        assert_eq!(report.completed, 2, "{report:?}");
+        assert_eq!(report.invalid_actions, 0, "{report:?}");
     }
 
     /// Static peak behind a window of the given length: slots off the
@@ -2019,7 +2051,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x0CC0_91ED);
         for gap in [1u64, 63, 64, 65, 200] {
             for period in [1, 6, u64::MAX] {
-                for variant in ["plain", "reclaim", "faulted"] {
+                for variant in ["plain", "faulted"] {
                     let mut middle = || rng.gen_range(4..11usize);
                     let durations = [3, middle(), middle(), middle(), 12];
                     let mut jobs: Vec<JobSpec> = durations
@@ -2032,13 +2064,7 @@ mod tests {
                     jobs.extend((6..11).map(|id| hog(id, second_wave, rng.gen_range(3..10usize))));
                     let total = jobs.len();
 
-                    let mut engine = SlotEngine::new(
-                        fleet(),
-                        SimulationOptions {
-                            reclaim_completed: variant == "reclaim",
-                            ..SimulationOptions::default()
-                        },
-                    );
+                    let mut engine = SlotEngine::new(fleet(), SimulationOptions::default());
                     if variant == "faulted" {
                         // VM 1 is hosting a wave-one job when it crashes;
                         // VM 6 has never hosted anything.
@@ -2145,31 +2171,26 @@ mod tests {
 
     #[test]
     fn repeated_and_non_pending_placements_each_count_one_invalid_action() {
-        for reclaim_completed in [false, true] {
-            let mut jobs: Vec<JobSpec> = (0..6).map(|id| hog(id, id / 2, 4)).collect();
-            jobs.push(JobSpec {
-                requested: [999.0, 999.0, 999.0],
-                ..hog(6, 0, 4)
-            });
-            let mut sim = Simulation::new(
-                Cluster::from_profile(EnvironmentProfile::palmetto_cluster().with_num_pms(2)),
-                jobs,
-                SimulationOptions {
-                    reclaim_completed,
-                    ..SimulationOptions::default()
-                },
-            );
-            let mut provisioner = Misplacer {
-                rejected_job: 6,
-                expected_invalid: 0,
-            };
-            let report = sim.run(&mut provisioner);
-            assert_eq!(report.completed, 6, "{report:?}");
-            assert_eq!(report.rejected, 1);
-            assert!(provisioner.expected_invalid >= 6 + 6 + 2 * report.slots_run as usize);
-            assert_eq!(report.invalid_actions, provisioner.expected_invalid);
-            assert_eq!(report.nonfinite_actions, 0);
-        }
+        let mut jobs: Vec<JobSpec> = (0..6).map(|id| hog(id, id / 2, 4)).collect();
+        jobs.push(JobSpec {
+            requested: [999.0, 999.0, 999.0],
+            ..hog(6, 0, 4)
+        });
+        let mut sim = Simulation::new(
+            Cluster::from_profile(EnvironmentProfile::palmetto_cluster().with_num_pms(2)),
+            jobs,
+            SimulationOptions::default(),
+        );
+        let mut provisioner = Misplacer {
+            rejected_job: 6,
+            expected_invalid: 0,
+        };
+        let report = sim.run(&mut provisioner);
+        assert_eq!(report.completed, 6, "{report:?}");
+        assert_eq!(report.rejected, 1);
+        assert!(provisioner.expected_invalid >= 6 + 6 + 2 * report.slots_run as usize);
+        assert_eq!(report.invalid_actions, provisioner.expected_invalid);
+        assert_eq!(report.nonfinite_actions, 0);
     }
 
     #[test]
@@ -2344,7 +2365,8 @@ mod tests {
             vec![hog(0, 0, 10), hog(1, 0, 10)],
             Some(timeline),
             |engine| {
-                for (id, job) in engine.jobs().iter().enumerate() {
+                for job in engine.jobs().iter().filter(|j| j.id() != u64::MAX) {
+                    let id = job.id() as usize;
                     assert_eq!(job.observed_demand.len(), job.observed_unused.len());
                     let histories = [&job.observed_demand, &job.observed_unused];
                     assert!(histories.iter().all(|h| h.capacity() >= reserved));
@@ -2353,8 +2375,10 @@ mod tests {
                 }
             },
         );
+        // Seen after each step: a job's last sample is written in the
+        // slot it completes and leaves, so job 1 shows at most nine.
         assert!(longest[0] > reserved, "job 0 ran {} slots", longest[0]);
-        assert_eq!(longest[1], 10);
+        assert_eq!(longest[1], 9);
         assert_eq!(regrown, [true, false]);
     }
 

@@ -1,9 +1,11 @@
 //! Runtime job state.
 //!
 //! Wraps a [`corp_trace::JobSpec`] with everything the engine tracks while
-//! the job moves through the system: queueing, placement, fractional
-//! progress under throttling, and the observed demand history that
-//! provisioners learn from.
+//! the job is in the system: queueing, placement, fractional progress
+//! under throttling, and the observed demand history that provisioners
+//! learn from. A job leaves the engine when it completes or is rejected:
+//! what it leaves behind is its share of the report's counts and the
+//! [`SlotOutcome`](crate::SlotOutcome) entry of the slot it left in.
 
 use crate::resources::ResourceVector;
 use corp_trace::JobSpec;
@@ -12,7 +14,8 @@ use serde::{Deserialize, Serialize};
 /// Identifies a job within one simulation (the spec's id).
 pub type JobId = u64;
 
-/// Lifecycle state of a job.
+/// Lifecycle state of a job in the engine. Completion and rejection are
+/// not states: they are the moments a job leaves.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum JobState {
     /// Submitted, waiting for placement.
@@ -22,15 +25,6 @@ pub enum JobState {
         /// Hosting VM.
         vm: usize,
     },
-    /// Finished; `violated` records the SLO outcome.
-    Completed {
-        /// Slot at which the job finished.
-        finish_slot: u64,
-        /// Whether the response time exceeded the SLO threshold.
-        violated: bool,
-    },
-    /// Rejected on arrival (request larger than any VM — cannot ever run).
-    Rejected,
 }
 
 /// A job plus its runtime bookkeeping.
@@ -42,12 +36,6 @@ pub struct RunningJob {
     pub state: JobState,
     /// Fractional execution progress in slots of work completed.
     pub progress: f64,
-    /// Slot at which the job was first placed on a VM, if ever.
-    pub placed_slot: Option<u64>,
-    /// VM hosting the most recent placement, if ever placed. Unlike the
-    /// `Running { vm }` state this survives completion, so cross-mode
-    /// equivalence tests can compare job→VM maps after the run.
-    pub placed_vm: Option<usize>,
     /// Demand actually exhibited at each past slot while running (what a
     /// monitoring agent would have observed) — provisioners train on this.
     /// Empty throughout under a provisioner whose
@@ -67,8 +55,6 @@ impl RunningJob {
             spec,
             state: JobState::Pending,
             progress: 0.0,
-            placed_slot: None,
-            placed_vm: None,
             observed_demand: Vec::new(),
             observed_unused: Vec::new(),
         }

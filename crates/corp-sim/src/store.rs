@@ -1,10 +1,7 @@
 //! Generational slab job store with SoA resource columns.
 //!
-//! The engine used to keep every job in one append-only
-//! `Vec<RunningJob>`, so a soak run's memory grew with the total number
-//! of jobs ever submitted and the per-slot hot loops (view building,
-//! adjustment application, congestion math) chased allocations through
-//! full `RunningJob` structs. [`JobStore`] splits the layout:
+//! [`JobStore`] holds the jobs the engine has admitted and not yet seen
+//! leave:
 //!
 //! * an arena of [`RunningJob`] records addressed by [`JobHandle`]s
 //!   (index + generation, so a recycled slot invalidates stale handles);
@@ -12,12 +9,10 @@
 //!   `allocation` and the newest unused sample as parallel
 //!   `ResourceVector` arrays the engine and view builder index directly.
 //!
-//! In the default append-only mode handles are submission-ordered indices
-//! and [`as_slice`](JobStore::as_slice) is exactly the old `Vec` —
-//! byte-identical behavior for every existing driver. With
-//! [`reclaim`](JobStore::new) enabled, terminal jobs release their slots
-//! for reuse, bounding memory by *active* jobs instead of trace length
-//! (the `corp-exp scale` soak mode).
+//! A job that completes or is rejected releases its slot, demand series
+//! and histories at once, and the next insert reuses the slot, so the
+//! arena's high-water mark is the peak number of resident jobs, whatever
+//! the trace length.
 
 use crate::job::RunningJob;
 use crate::resources::ResourceVector;
@@ -57,7 +52,6 @@ pub struct JobStore {
     free: Vec<u32>,
     live: usize,
     total_inserted: usize,
-    reclaim: bool,
 }
 
 /// What a released slot holds until reused: an id no workload generates,
@@ -76,16 +70,9 @@ fn tombstone() -> RunningJob {
 }
 
 impl JobStore {
-    /// An empty store. `reclaim` controls whether
-    /// [`release`](Self::release) recycles slots (soak mode) or leaves the
-    /// arena
-    /// append-only (default; keeps [`as_slice`](Self::as_slice)
-    /// submission-ordered for post-run inspection).
-    pub fn new(reclaim: bool) -> Self {
-        JobStore {
-            reclaim,
-            ..JobStore::default()
-        }
+    /// An empty store.
+    pub fn new() -> Self {
+        JobStore::default()
     }
 
     /// Inserts a job in the pending state and returns its handle.
@@ -117,22 +104,20 @@ impl JobStore {
         }
     }
 
-    /// Releases a terminal job's slot. In reclaim mode the slot's
-    /// generation bumps (staling every outstanding handle) and the arena
-    /// record is replaced by a tombstone; append-only mode keeps the
-    /// record for post-run inspection and only updates the live count.
+    /// Releases a terminal job's slot: the record is replaced by a
+    /// tombstone (dropping its demand series and histories), the columns
+    /// are zeroed and the generation bumps, staling every outstanding
+    /// handle. The next insert reuses the slot.
     pub fn release(&mut self, h: JobHandle) {
         debug_assert!(self.is_live(h), "releasing a stale handle");
         self.live -= 1;
-        if self.reclaim {
-            let i = h.index();
-            self.jobs[i] = tombstone();
-            self.allocation[i] = ResourceVector::ZERO;
-            self.last_unused[i] = ResourceVector::ZERO;
-            self.requested[i] = ResourceVector::ZERO;
-            self.generations[i] = self.generations[i].wrapping_add(1);
-            self.free.push(h.index);
-        }
+        let i = h.index();
+        self.jobs[i] = tombstone();
+        self.allocation[i] = ResourceVector::ZERO;
+        self.last_unused[i] = ResourceVector::ZERO;
+        self.requested[i] = ResourceVector::ZERO;
+        self.generations[i] = self.generations[i].wrapping_add(1);
+        self.free.push(h.index);
     }
 
     /// Whether `h` still addresses the job it was minted for.
@@ -190,7 +175,7 @@ impl JobStore {
         self.last_unused[h.index()] = v;
     }
 
-    /// Jobs currently resident (admitted or terminal-but-unreclaimed).
+    /// Jobs currently resident: inserted and not yet released.
     pub fn live(&self) -> usize {
         self.live
     }
@@ -200,16 +185,14 @@ impl JobStore {
         self.total_inserted
     }
 
-    /// Arena slots currently allocated (the resident high-water mark in
-    /// reclaim mode).
+    /// Arena slots currently allocated: the resident high-water mark.
     pub fn capacity(&self) -> usize {
         self.jobs.len()
     }
 
-    /// The arena as a slice. In the default append-only mode this is the
-    /// submission-ordered job list the pre-arena engine exposed; in
-    /// reclaim mode released slots hold tombstones (id `u64::MAX`) until
-    /// reused, so order and occupancy carry no meaning.
+    /// The arena as a slice, one entry per slot: resident jobs, and
+    /// tombstones (id `u64::MAX`) in released slots until they are
+    /// reused. Order carries no meaning.
     pub fn as_slice(&self) -> &[RunningJob] {
         &self.jobs
     }
@@ -226,34 +209,22 @@ mod tests {
     }
 
     #[test]
-    fn append_only_mode_preserves_submission_order() {
-        let mut store = JobStore::new(false);
-        let specs = specs(5);
-        let handles: Vec<JobHandle> = specs.iter().cloned().map(|s| store.insert(s)).collect();
-        for (i, (h, s)) in handles.iter().zip(&specs).enumerate() {
-            assert_eq!(h.index(), i);
-            assert_eq!(store.job(*h).id(), s.id);
-            assert_eq!(store.requested(*h), ResourceVector::new(s.requested));
-        }
-        store.release(handles[2]);
-        assert_eq!(store.live(), 4);
-        assert_eq!(store.total_inserted(), 5);
-        // Append-only: the record survives release, no slot reuse.
-        assert_eq!(store.as_slice().len(), 5);
-        assert_eq!(store.as_slice()[2].id(), specs[2].id);
-        let h = store.insert(specs[0].clone());
-        assert_eq!(h.index(), 5);
-    }
-
-    #[test]
     fn reclaim_mode_recycles_slots_and_stales_handles() {
-        let mut store = JobStore::new(true);
+        let mut store = JobStore::new();
         let specs = specs(3);
         let h0 = store.insert(specs[0].clone());
         let h1 = store.insert(specs[1].clone());
+        assert_eq!(store.requested(h1), ResourceVector::new(specs[1].requested));
         store.release(h0);
         assert!(!store.is_live(h0), "released handle must go stale");
         assert!(store.is_live(h1));
+        assert_eq!(store.live(), 1);
+        let tombstone = &store.as_slice()[h0.index()];
+        assert_eq!(tombstone.id(), u64::MAX);
+        assert!(
+            tombstone.spec.demand.capacity() == 0,
+            "the released job's demand series is dropped"
+        );
         let h2 = store.insert(specs[2].clone());
         assert_eq!(h2.index(), h0.index(), "slot recycled");
         assert_ne!(h2.generation(), h0.generation());
@@ -265,7 +236,7 @@ mod tests {
 
     #[test]
     fn allocation_and_unused_columns_track_writes_and_reset_on_reuse() {
-        let mut store = JobStore::new(true);
+        let mut store = JobStore::new();
         let h = store.insert(specs(1).remove(0));
         assert_eq!(store.allocation(h), ResourceVector::ZERO);
         assert_eq!(store.last_unused(h), ResourceVector::ZERO);
@@ -283,9 +254,9 @@ mod tests {
     fn detached_handle_is_never_live() {
         // A handle this arena never minted — one past its end, from a
         // larger store — resolves to nothing, not to an index out of range.
-        let mut store = JobStore::new(true);
+        let mut store = JobStore::new();
         store.insert(specs(1).remove(0));
-        let mut larger = JobStore::new(true);
+        let mut larger = JobStore::new();
         let foreign: Vec<_> = specs(2).into_iter().map(|s| larger.insert(s)).collect();
         assert!(!store.is_live(foreign[1]));
     }

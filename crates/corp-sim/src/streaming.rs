@@ -2,17 +2,17 @@
 //! instead of a pre-materialized workload vector.
 //!
 //! The driver pulls arrivals lazily from any `Iterator<Item = JobSpec>`
-//! (in practice a `corp_trace::JobSource` adapted via `into_specs()`), so
-//! with [`SimulationOptions::reclaim_completed`](crate::SimulationOptions)
-//! the resident set is bounded by *concurrently live* jobs, independent of
-//! the trace length. [`Simulation`](crate::Simulation) is this driver over a
+//! (in practice a `corp_trace::JobSource` adapted via `into_specs()`) and
+//! the engine releases every job that leaves, so the resident set is
+//! bounded by *concurrently live* jobs, independent of the trace length.
+//! [`Simulation`](crate::Simulation) is this driver over a
 //! workload held in memory and stably sorted by arrival slot, so an
 //! arrival-ordered stream and the batch driver on the same specs produce
 //! byte-identical reports — asserted by the tests below and the
 //! corp-trace proptests.
 
 use crate::cluster::Cluster;
-use crate::engine::{SimulationOptions, SimulationReport, SlotEngine};
+use crate::engine::{SimulationOptions, SimulationReport, SlotEngine, SlotOutcome};
 use crate::provisioner::Provisioner;
 use corp_trace::JobSpec;
 
@@ -57,16 +57,18 @@ impl<I: Iterator<Item = JobSpec>> StreamingSimulation<I> {
     /// than `max_slots` is waiting, not stalled, so every spec in the
     /// stream is submitted whatever the gaps between them.
     pub fn run(&mut self, provisioner: &mut dyn Provisioner) -> SimulationReport {
-        self.run_inspecting(provisioner, |_| {})
+        self.run_inspecting(provisioner, |_, _| {})
     }
 
-    /// [`run`](Self::run), calling `inspect` on the engine after every
-    /// slot — for callers that sample engine counters over the run (the
-    /// soak's visits-per-occupied-VM gate) without owning the loop.
+    /// [`run`](Self::run), calling `inspect` with the engine and the
+    /// slot's [`SlotOutcome`] after every slot — for callers that sample
+    /// engine counters over the run (the soak's visits-per-occupied-VM
+    /// gate) or want to know where and when jobs were placed, finished or
+    /// rejected: the engine keeps nothing of a job once it has left.
     pub fn run_inspecting(
         &mut self,
         provisioner: &mut dyn Provisioner,
-        mut inspect: impl FnMut(&SlotEngine),
+        mut inspect: impl FnMut(&SlotEngine, &SlotOutcome),
     ) -> SimulationReport {
         loop {
             let slot = self.engine.slot();
@@ -75,8 +77,8 @@ impl<I: Iterator<Item = JobSpec>> StreamingSimulation<I> {
                 self.submitted += 1;
                 self.engine.submit(spec);
             }
-            self.engine.step(provisioner);
-            inspect(&self.engine);
+            let outcome = self.engine.step(provisioner);
+            inspect(&self.engine, &outcome);
             if self.source.peek().is_none()
                 && (self.engine.active() == 0 || self.engine.past_cap(self.last_arrival))
             {
@@ -145,14 +147,7 @@ mod tests {
             sim.run(&mut StaticPeakProvisioner)
         };
         let source = SyntheticSource::new(config(n), seed).into_specs();
-        let mut sim = StreamingSimulation::new(
-            cluster(),
-            source,
-            SimulationOptions {
-                reclaim_completed: true,
-                ..untimed()
-            },
-        );
+        let mut sim = StreamingSimulation::new(cluster(), source, untimed());
         let streamed = sim.run(&mut StaticPeakProvisioner);
         assert_eq!(
             serde::json::to_string(&batch),
