@@ -90,11 +90,18 @@ impl PredictionOutcome {
     }
 }
 
-/// Accumulates all run-level metrics.
+/// Accumulates all run-level metrics as running totals: its size does not
+/// grow with slots or jobs. Each total adds its terms in slot (or
+/// completion) order, the order a fold over every sample would.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct MetricsCollector {
-    /// Per-slot utilization samples.
-    pub samples: Vec<UtilizationSample>,
+    /// `sum_t sum_i r_ij,t` per resource.
+    pub allocated: [f64; NUM_RESOURCES],
+    /// `sum_t min(sum_i d_ij,t, sum_i r_ij,t)` per resource: demand up to
+    /// allocation, as the utilization ratio counts it.
+    pub served: [f64; NUM_RESOURCES],
+    /// `sum_t w_j sum_i r_ij,t` per resource, `w_j` the resource weight.
+    pub weighted_allocated: [f64; NUM_RESOURCES],
     /// Predictions resolved so far, per resource.
     pub resolved_predictions: [usize; NUM_RESOURCES],
     /// Of those, the ones scored outside their correctness band.
@@ -108,8 +115,8 @@ pub struct MetricsCollector {
     /// Accumulated provisioning overhead in microseconds (measured decision
     /// time + modeled communication).
     pub overhead_us: f64,
-    /// Per-job response times in slots, completion-ordered.
-    pub response_slots: Vec<u64>,
+    /// Response times of the completed jobs, in slots, summed.
+    pub response_slots_total: u64,
 }
 
 impl MetricsCollector {
@@ -120,13 +127,17 @@ impl MetricsCollector {
 
     /// Records one slot's totals.
     pub fn record_slot(&mut self, sample: UtilizationSample) {
-        self.samples.push(sample);
+        for (k, weight) in RESOURCE_WEIGHTS.iter().enumerate() {
+            self.allocated[k] += sample.allocated[k];
+            self.served[k] += sample.demanded[k].min(sample.allocated[k]);
+            self.weighted_allocated[k] += sample.allocated[k] * weight;
+        }
     }
 
     /// Records a completion.
     pub fn record_completion(&mut self, response_slots: u64, violated: bool) {
         self.completed += 1;
-        self.response_slots.push(response_slots);
+        self.response_slots_total += response_slots;
         if violated {
             self.violated += 1;
         }
@@ -141,35 +152,20 @@ impl MetricsCollector {
     /// Aggregate per-resource utilization over the whole run:
     /// `sum_t sum_i d / sum_t sum_i r` (time-aggregated Eq. 1).
     pub fn aggregate_utilization(&self) -> [f64; NUM_RESOURCES] {
-        let mut alloc = [0.0; NUM_RESOURCES];
-        let mut dem = [0.0; NUM_RESOURCES];
-        for s in &self.samples {
-            for k in 0..NUM_RESOURCES {
-                alloc[k] += s.allocated[k];
-                dem[k] += s.demanded[k].min(s.allocated[k]);
-            }
-        }
-        let mut out = [0.0; NUM_RESOURCES];
-        for k in 0..NUM_RESOURCES {
-            out[k] = if alloc[k] > 0.0 {
-                dem[k] / alloc[k]
+        std::array::from_fn(|k| {
+            if self.allocated[k] > 0.0 {
+                self.served[k] / self.allocated[k]
             } else {
                 1.0
-            };
-        }
-        out
+            }
+        })
     }
 
     /// Aggregate overall utilization with the paper's weights
     /// (time-aggregated Eq. 2).
     pub fn aggregate_overall_utilization(&self) -> f64 {
         let u = self.aggregate_utilization();
-        let mut alloc_w = [0.0; NUM_RESOURCES];
-        for s in &self.samples {
-            for k in 0..NUM_RESOURCES {
-                alloc_w[k] += s.allocated[k] * RESOURCE_WEIGHTS[k];
-            }
-        }
+        let alloc_w = &self.weighted_allocated;
         let den: f64 = alloc_w.iter().sum();
         if den <= 0.0 {
             return 1.0;
@@ -218,10 +214,10 @@ impl MetricsCollector {
 
     /// Mean response time in slots over completed jobs.
     pub fn mean_response_slots(&self) -> f64 {
-        if self.response_slots.is_empty() {
+        if self.completed == 0 {
             return 0.0;
         }
-        self.response_slots.iter().sum::<u64>() as f64 / self.response_slots.len() as f64
+        self.response_slots_total as f64 / self.completed as f64
     }
 }
 
