@@ -61,7 +61,7 @@ pub use pipeline::{
     AdmissionPolicy, Claim, JobPacker, Packing, PlacementBackend, ProvisioningPipeline,
     ReallocationGate, UsagePredictor, VmSelector,
 };
-pub use placement::{most_matched_vm, random_fitting_vm, VolumeIndex};
+pub use placement::{most_matched_vm, VolumeIndex};
 pub use predictor::{
     CloudScalePredictor, CorpJobPredictor, DraPredictor, FallbackCounters, PredictionScratch,
     RccrPredictor,

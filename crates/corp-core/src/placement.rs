@@ -5,8 +5,11 @@
 //! the smallest *unused resource volume* `sum_k pool_k / C'_k` — the "most
 //! matched" VM, leaving large pools intact for future large entities.
 //!
-//! [`random_fitting_vm`] is the placement rule all three baselines share
-//! ("we randomly chose a VM that can satisfy the resource demands").
+//! The baselines' random choices ("we randomly chose a VM that can
+//! satisfy the resource demands" — uniform for RCCR and CloudScale,
+//! share-weighted for DRA) live in the pipeline's placement backend, which
+//! answers them from one fit pass per claim; `random_fitting_vm` here is
+//! the test reference for the uniform one.
 //!
 //! [`VolumeIndex`] makes the Eq. 22 argmin incremental: a sorted set keyed
 //! by `(volume bits, VM index)` that is updated in O(log V) whenever one
@@ -14,7 +17,6 @@
 //! order instead of rescanning the whole fleet.
 
 use corp_sim::ResourceVector;
-use rand::Rng;
 use std::collections::BTreeSet;
 
 /// Returns the index (into `pools`) of the fitting VM with the smallest
@@ -148,33 +150,34 @@ impl VolumeIndex {
     }
 }
 
-/// Returns a uniformly random index of a pool that fits `demand`, or
-/// `None` if none does: count the fitting pools, draw once, walk to the
-/// drawn one.
-pub fn random_fitting_vm<R: Rng>(
-    pools: &[ResourceVector],
-    demand: &ResourceVector,
-    rng: &mut R,
-) -> Option<usize> {
-    let fitting = || (0..pools.len()).filter(|&i| demand.fits_within(&pools[i]));
-    let count = fitting().count();
-    if count == 0 {
-        None
-    } else {
-        fitting().nth(rng.gen_range(0..count))
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::{RngCore, SeedableRng};
+    use rand::{Rng, RngCore, SeedableRng};
 
-    /// The selection `random_fitting_vm` replaces: collect the fitting
-    /// indices, then index the list with one draw.
-    fn random_from_collected_fits(
+    /// Returns a uniformly random index of a pool that fits `demand`, or
+    /// `None` if none does: count the fitting pools, draw once, walk to the
+    /// drawn one. The scan the placement backend's uniform claim replaced,
+    /// kept as a test reference.
+    fn random_fitting_vm<R: Rng>(
+        pools: &[ResourceVector],
+        demand: &ResourceVector,
+        rng: &mut R,
+    ) -> Option<usize> {
+        let fitting = || (0..pools.len()).filter(|&i| demand.fits_within(&pools[i]));
+        let count = fitting().count();
+        if count == 0 {
+            None
+        } else {
+            fitting().nth(rng.gen_range(0..count))
+        }
+    }
+
+    /// The plainest uniform choice: collect the fitting indices, then
+    /// index the list with one draw.
+    pub(crate) fn random_from_collected_fits(
         pools: &[ResourceVector],
         demand: &ResourceVector,
         rng: &mut StdRng,

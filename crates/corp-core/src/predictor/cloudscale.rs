@@ -11,10 +11,11 @@
 //! confidence-level machinery — the paper calls this out as the reason
 //! CloudScale's error rate sits above both.
 
+use super::{entry, VmWindow};
 use corp_sim::ResourceVector;
 use corp_stats::{dominant_period, ErrorWindow, MarkovChain};
 use corp_trace::NUM_RESOURCES;
-use std::collections::HashMap;
+use std::cell::RefCell;
 
 /// Length of per-(VM, resource) history kept for signature detection.
 const HISTORY_CAP: usize = 128;
@@ -23,11 +24,28 @@ const SIGNATURE_STRENGTH: f64 = 0.35;
 /// Markov chain bins.
 const BINS: usize = 8;
 
+/// Per-thread forecast state: one resource's series, copied out of a VM's
+/// window oldest first, and the Markov chain refit to it.
+struct ForecastScratch {
+    series: Vec<f64>,
+    chain: MarkovChain,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<ForecastScratch> = RefCell::new(ForecastScratch {
+        series: Vec::with_capacity(HISTORY_CAP),
+        chain: MarkovChain::new(BINS, 0.0, 1.0),
+    });
+}
+
 /// PRESS-style signature + Markov forecaster with adaptive padding.
 #[derive(Debug)]
 pub struct CloudScalePredictor {
-    histories: HashMap<usize, [Vec<f64>; NUM_RESOURCES]>,
+    /// Per VM id; empty for a VM never observed.
+    histories: Vec<VmWindow<HISTORY_CAP>>,
     errors: [ErrorWindow; NUM_RESOURCES],
+    /// Adaptive pad per resource, refreshed as outcomes arrive.
+    pads: [f64; NUM_RESOURCES],
     /// Multiplier on the adaptive pad (1.0 = CloudScale default; lower
     /// values make reclaiming more aggressive — the knob experiments sweep
     /// to trade SLO violations for utilization, paper Fig. 8).
@@ -54,60 +72,52 @@ impl CloudScalePredictor {
     pub fn with_padding_scale(pad_scale: f64) -> Self {
         assert!(pad_scale >= 0.0, "pad scale must be non-negative");
         CloudScalePredictor {
-            histories: HashMap::new(),
+            histories: Vec::new(),
             errors: std::array::from_fn(|_| ErrorWindow::new(64)),
+            pads: [0.0; NUM_RESOURCES],
             pad_scale,
         }
     }
 
     /// Folds one slot's observed unused totals for `vm`.
     pub fn observe(&mut self, vm: usize, unused: &ResourceVector) {
-        let entry = self
-            .histories
-            .entry(vm)
-            .or_insert_with(|| std::array::from_fn(|_| Vec::new()));
-        for (k, h) in entry.iter_mut().enumerate() {
-            if h.len() == HISTORY_CAP {
-                h.remove(0);
-            }
-            h.push(unused[k]);
-        }
+        entry(&mut self.histories, vm, VmWindow::default).push(*unused);
     }
 
-    /// Records a resolved prediction outcome for adaptive padding.
+    /// Records a resolved prediction outcome and refreshes the resource's
+    /// adaptive pad: the magnitude of the worst recent over-estimation
+    /// (predicted more unused than existed), which is the burst signal
+    /// CloudScale reacts to. Zero with no evidence.
     pub fn record_outcome(&mut self, resource: usize, actual: f64, predicted: f64) {
-        self.errors[resource].push(actual - predicted);
-    }
-
-    /// Adaptive pad for one resource: the magnitude of the worst recent
-    /// over-estimation (predicted more unused than existed), which is the
-    /// burst signal CloudScale reacts to. Zero with no evidence.
-    fn padding(&self, resource: usize) -> f64 {
-        self.pad_scale
-            * self.errors[resource]
-                .iter()
-                .filter(|d| *d < 0.0)
-                .fold(0.0f64, |acc, d| acc.max(-d))
+        let errors = &mut self.errors[resource];
+        errors.push(actual - predicted);
+        let worst = errors
+            .iter()
+            .filter(|d| *d < 0.0)
+            .fold(0.0f64, |acc, d| acc.max(-d));
+        self.pads[resource] = self.pad_scale * worst;
     }
 
     /// Predicts `vm`'s unused vector one window ahead. `None` before any
     /// observation for the VM.
     pub fn predict(&self, vm: usize) -> Option<ResourceVector> {
-        let histories = self.histories.get(&vm)?;
+        let history = self.histories.get(vm).filter(|h| h.len() > 0)?;
         let mut out = ResourceVector::ZERO;
-        for k in 0..NUM_RESOURCES {
-            let h = &histories[k];
-            if h.is_empty() {
-                return None;
+        SCRATCH.with(|s| {
+            let s = &mut *s.borrow_mut();
+            for k in 0..NUM_RESOURCES {
+                s.series.clear();
+                s.series.extend(history.iter().map(|u| u[k]));
+                let raw = Self::raw_forecast(&s.series, &mut s.chain);
+                out[k] = (raw - self.pads[k]).max(0.0);
             }
-            let raw = Self::raw_forecast(h);
-            out[k] = (raw - self.padding(k)).max(0.0);
-        }
+        });
         Some(out)
     }
 
-    /// Signature-first raw forecast of the next value of `h`.
-    fn raw_forecast(h: &[f64]) -> f64 {
+    /// Signature-first raw forecast of the next value of `h`, its Markov
+    /// fallback refitting `chain`.
+    fn raw_forecast(h: &[f64], chain: &mut MarkovChain) -> f64 {
         if let Some(period) = dominant_period(h, SIGNATURE_STRENGTH) {
             if period <= h.len() {
                 // Signature-driven: repeat the value one period ago.
@@ -120,15 +130,97 @@ impl CloudScalePredictor {
         if hi <= lo || !(hi - lo).is_finite() {
             return h[h.len() - 1]; // constant series
         }
-        let mut mc = MarkovChain::new(BINS, lo, hi);
-        mc.observe_all(h);
-        mc.forecast(1).unwrap_or(h[h.len() - 1])
+        chain.refit(lo, hi, h);
+        chain.forecast(1).unwrap_or(h[h.len() - 1])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predictor::reference_stream::{bits, observation, outcome, ASKED, OBSERVED};
+    use std::collections::HashMap;
+
+    /// The forecaster before the per-VM windows: a map of shifted `Vec`s,
+    /// the pad folded at every prediction, a fresh chain per fallback.
+    struct Reference {
+        histories: HashMap<usize, [Vec<f64>; NUM_RESOURCES]>,
+        errors: [ErrorWindow; NUM_RESOURCES],
+        pad_scale: f64,
+    }
+
+    impl Reference {
+        fn observe(&mut self, vm: usize, unused: &ResourceVector) {
+            let entry = self
+                .histories
+                .entry(vm)
+                .or_insert_with(|| std::array::from_fn(|_| Vec::new()));
+            for (k, h) in entry.iter_mut().enumerate() {
+                if h.len() == HISTORY_CAP {
+                    h.remove(0);
+                }
+                h.push(unused[k]);
+            }
+        }
+
+        fn predict(&self, vm: usize) -> Option<ResourceVector> {
+            let histories = self.histories.get(&vm)?;
+            let mut out = ResourceVector::ZERO;
+            for k in 0..NUM_RESOURCES {
+                let h = &histories[k];
+                let pad = self.pad_scale
+                    * self.errors[k]
+                        .iter()
+                        .filter(|d| *d < 0.0)
+                        .fold(0.0f64, |acc, d| acc.max(-d));
+                let raw = match dominant_period(h, SIGNATURE_STRENGTH) {
+                    Some(period) => h[h.len() - period],
+                    None => {
+                        let lo = h.iter().cloned().fold(f64::INFINITY, f64::min);
+                        let hi = h.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                        if hi <= lo || !(hi - lo).is_finite() {
+                            h[h.len() - 1]
+                        } else {
+                            let mut mc = MarkovChain::new(BINS, lo, hi);
+                            mc.observe_all(h);
+                            mc.forecast(1).unwrap_or(h[h.len() - 1])
+                        }
+                    }
+                };
+                out[k] = (raw - pad).max(0.0);
+            }
+            Some(out)
+        }
+    }
+
+    #[test]
+    fn windows_equal_the_hashmap_reference_bit_for_bit() {
+        let mut fast = CloudScalePredictor::with_padding_scale(0.75);
+        let mut slow = Reference {
+            histories: HashMap::new(),
+            errors: std::array::from_fn(|_| ErrorWindow::new(64)),
+            pad_scale: 0.75,
+        };
+        for round in 0..2 * HISTORY_CAP + 40 {
+            for vm in OBSERVED {
+                let u = observation(vm, round);
+                fast.observe(vm, &u);
+                slow.observe(vm, &u);
+            }
+            for k in 0..NUM_RESOURCES {
+                let (actual, predicted) = outcome(k, round);
+                fast.record_outcome(k, actual, predicted);
+                slow.errors[k].push(actual - predicted);
+            }
+            if round % 9 == 0 || round + 1 == 2 * HISTORY_CAP {
+                for vm in ASKED {
+                    let want = slow.predict(vm);
+                    assert_eq!(bits(fast.predict(vm)), bits(want), "vm {vm} round {round}");
+                    assert_eq!(want.is_some(), OBSERVED.contains(&vm));
+                }
+            }
+        }
+    }
 
     #[test]
     fn no_prediction_before_observation() {

@@ -8,9 +8,9 @@
 //! fluctuation handling, no confidence levels, and no error correction.
 //! That makes it the weakest predictor of the four (Fig. 6's top curve).
 
+use super::{entry, VmWindow};
 use corp_sim::ResourceVector;
 use corp_trace::NUM_RESOURCES;
-use std::collections::HashMap;
 
 /// Length of the recent-mean window.
 const WINDOW: usize = 32;
@@ -18,7 +18,8 @@ const WINDOW: usize = 32;
 /// Plain recent-mean unused estimator with 4:2:1 share bookkeeping.
 #[derive(Debug, Default)]
 pub struct DraPredictor {
-    histories: HashMap<usize, [Vec<f64>; NUM_RESOURCES]>,
+    /// Per VM id; empty for a VM never observed.
+    histories: Vec<VmWindow<WINDOW>>,
 }
 
 /// Share classes of DRA's VMs ("a mix of high, medium and low shares that
@@ -62,28 +63,17 @@ impl DraPredictor {
 
     /// Folds one slot's observed unused totals for `vm`.
     pub fn observe(&mut self, vm: usize, unused: &ResourceVector) {
-        let entry = self
-            .histories
-            .entry(vm)
-            .or_insert_with(|| std::array::from_fn(|_| Vec::new()));
-        for (k, h) in entry.iter_mut().enumerate() {
-            if h.len() == WINDOW {
-                h.remove(0);
-            }
-            h.push(unused[k]);
-        }
+        entry(&mut self.histories, vm, VmWindow::default).push(*unused);
     }
 
     /// Predicts `vm`'s unused vector as the plain mean of the recent
     /// window. `None` before any observation.
     pub fn predict(&self, vm: usize) -> Option<ResourceVector> {
-        let histories = self.histories.get(&vm)?;
+        let history = self.histories.get(vm).filter(|h| h.len() > 0)?;
         let mut out = ResourceVector::ZERO;
         for k in 0..NUM_RESOURCES {
-            if histories[k].is_empty() {
-                return None;
-            }
-            out[k] = corp_stats::mean(&histories[k]).max(0.0);
+            let sum: f64 = history.iter().map(|u| u[k]).sum();
+            out[k] = (sum / history.len() as f64).max(0.0);
         }
         Some(out)
     }
@@ -92,6 +82,55 @@ impl DraPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predictor::reference_stream::{bits, observation, ASKED, OBSERVED};
+    use std::collections::HashMap;
+
+    /// The estimator before the per-VM windows: a map of shifted `Vec`s.
+    #[derive(Default)]
+    struct Reference {
+        histories: HashMap<usize, [Vec<f64>; NUM_RESOURCES]>,
+    }
+
+    impl Reference {
+        fn observe(&mut self, vm: usize, unused: &ResourceVector) {
+            let entry = self
+                .histories
+                .entry(vm)
+                .or_insert_with(|| std::array::from_fn(|_| Vec::new()));
+            for (k, h) in entry.iter_mut().enumerate() {
+                if h.len() == WINDOW {
+                    h.remove(0);
+                }
+                h.push(unused[k]);
+            }
+        }
+
+        fn predict(&self, vm: usize) -> Option<ResourceVector> {
+            let histories = self.histories.get(&vm)?;
+            let mut out = ResourceVector::ZERO;
+            for k in 0..NUM_RESOURCES {
+                out[k] = corp_stats::mean(&histories[k]).max(0.0);
+            }
+            Some(out)
+        }
+    }
+
+    #[test]
+    fn windows_equal_the_hashmap_reference_bit_for_bit() {
+        let (mut fast, mut slow) = (DraPredictor::new(), Reference::default());
+        for round in 0..3 * WINDOW + 5 {
+            for vm in OBSERVED {
+                let u = observation(vm, round);
+                fast.observe(vm, &u);
+                slow.observe(vm, &u);
+            }
+            for vm in ASKED {
+                let want = slow.predict(vm);
+                assert_eq!(bits(fast.predict(vm)), bits(want), "vm {vm} round {round}");
+                assert_eq!(want.is_some(), OBSERVED.contains(&vm));
+            }
+        }
+    }
 
     #[test]
     fn share_mix_covers_all_classes_in_ratio() {

@@ -6,18 +6,22 @@
 //! calculated confidence intervals and chose the lower bound of the
 //! confidence interval as the predicted value for a time window".
 
+use super::entry;
 use corp_sim::ResourceVector;
 use corp_stats::{z_for_confidence, ErrorWindow, SimpleExp};
 use corp_trace::NUM_RESOURCES;
-use std::collections::HashMap;
 
 /// Exponential-smoothing VM-unused forecaster with CI lower bound.
 #[derive(Debug)]
 pub struct RccrPredictor {
     alpha: f64,
-    confidence: f64,
-    smoothers: HashMap<usize, [SimpleExp; NUM_RESOURCES]>,
+    /// `z_{theta/2}` of the confidence level.
+    z: f64,
+    /// Per VM id; a VM never observed has no level.
+    smoothers: Vec<[SimpleExp; NUM_RESOURCES]>,
     errors: [ErrorWindow; NUM_RESOURCES],
+    /// `sigma_hat` of each error window, refreshed as outcomes arrive.
+    sigma: [f64; NUM_RESOURCES],
 }
 
 impl RccrPredictor {
@@ -30,20 +34,18 @@ impl RccrPredictor {
         );
         RccrPredictor {
             alpha,
-            confidence,
-            smoothers: HashMap::new(),
+            z: z_for_confidence(confidence),
+            smoothers: Vec::new(),
             errors: std::array::from_fn(|_| ErrorWindow::new(64)),
+            sigma: [0.0; NUM_RESOURCES],
         }
     }
 
     /// Folds one slot's observed unused totals for `vm`.
     pub fn observe(&mut self, vm: usize, unused: &ResourceVector) {
         let alpha = self.alpha;
-        let entry = self
-            .smoothers
-            .entry(vm)
-            .or_insert_with(|| std::array::from_fn(|_| SimpleExp::new(alpha)));
-        for (k, s) in entry.iter_mut().enumerate() {
+        let fresh = || std::array::from_fn(|_| SimpleExp::new(alpha));
+        for (k, s) in entry(&mut self.smoothers, vm, fresh).iter_mut().enumerate() {
             s.observe(unused[k]);
         }
     }
@@ -51,6 +53,7 @@ impl RccrPredictor {
     /// Records a resolved prediction outcome to calibrate `sigma_hat`.
     pub fn record_outcome(&mut self, resource: usize, actual: f64, predicted: f64) {
         self.errors[resource].push(actual - predicted);
+        self.sigma[resource] = self.errors[resource].sigma_hat();
     }
 
     /// Predicts `vm`'s unused vector one window ahead: SES forecast minus
@@ -58,20 +61,18 @@ impl RccrPredictor {
     /// conservative in reclaiming), clamped non-negative. `None` before any
     /// observation for the VM.
     pub fn predict(&self, vm: usize) -> Option<ResourceVector> {
-        let smoothers = self.smoothers.get(&vm)?;
-        let z = z_for_confidence(self.confidence);
+        let smoothers = self.smoothers.get(vm)?;
         let mut out = ResourceVector::ZERO;
         for k in 0..NUM_RESOURCES {
             let level = smoothers[k].forecast(1)?;
-            let sigma = self.errors[k].sigma_hat();
-            out[k] = (level - sigma * z).max(0.0);
+            out[k] = (level - self.sigma[k] * self.z).max(0.0);
         }
         Some(out)
     }
 
     /// The raw SES forecast without the CI adjustment (tests/diagnostics).
     pub fn predict_raw(&self, vm: usize) -> Option<ResourceVector> {
-        let smoothers = self.smoothers.get(&vm)?;
+        let smoothers = self.smoothers.get(vm)?;
         let mut out = ResourceVector::ZERO;
         for k in 0..NUM_RESOURCES {
             out[k] = smoothers[k].forecast(1)?.max(0.0);
@@ -83,6 +84,65 @@ impl RccrPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predictor::reference_stream::{bits, observation, outcome, ASKED, OBSERVED};
+    use std::collections::HashMap;
+
+    /// The forecaster before the per-VM table: a map of smoothers, `z` and
+    /// `sigma_hat` recomputed at every prediction.
+    struct Reference {
+        confidence: f64,
+        smoothers: HashMap<usize, [SimpleExp; NUM_RESOURCES]>,
+        errors: [ErrorWindow; NUM_RESOURCES],
+    }
+
+    impl Reference {
+        fn predict(&self, vm: usize) -> Option<ResourceVector> {
+            let smoothers = self.smoothers.get(&vm)?;
+            let z = z_for_confidence(self.confidence);
+            let mut out = ResourceVector::ZERO;
+            for k in 0..NUM_RESOURCES {
+                let level = smoothers[k].forecast(1)?;
+                let sigma = self.errors[k].sigma_hat();
+                out[k] = (level - sigma * z).max(0.0);
+            }
+            Some(out)
+        }
+    }
+
+    #[test]
+    fn table_equals_the_hashmap_reference_bit_for_bit() {
+        let mut fast = RccrPredictor::new(0.3, 0.9);
+        let mut slow = Reference {
+            confidence: 0.9,
+            smoothers: HashMap::new(),
+            errors: std::array::from_fn(|_| ErrorWindow::new(64)),
+        };
+        for round in 0..200 {
+            for vm in OBSERVED {
+                let u = observation(vm, round);
+                fast.observe(vm, &u);
+                let smoothers = slow
+                    .smoothers
+                    .entry(vm)
+                    .or_insert_with(|| std::array::from_fn(|_| SimpleExp::new(0.3)));
+                for (k, s) in smoothers.iter_mut().enumerate() {
+                    s.observe(u[k]);
+                }
+            }
+            if round % 3 == 0 {
+                for k in 0..NUM_RESOURCES {
+                    let (actual, predicted) = outcome(k, round);
+                    fast.record_outcome(k, actual, predicted);
+                    slow.errors[k].push(actual - predicted);
+                }
+            }
+            for vm in ASKED {
+                let want = slow.predict(vm);
+                assert_eq!(bits(fast.predict(vm)), bits(want), "vm {vm} round {round}");
+                assert_eq!(want.is_some(), OBSERVED.contains(&vm));
+            }
+        }
+    }
 
     #[test]
     fn no_prediction_before_observation() {

@@ -562,18 +562,21 @@ impl SlotEngine {
         // 3. Apply allocation adjustments to running jobs. Shrinking
         // adjustments run first so that reclaim-and-restore bundles in
         // one plan never transit through a spuriously over-committed
-        // state.
-        let mut adjustments = plan.adjustments;
-        adjustments.sort_by_key(|(job_id, new_alloc)| {
-            let shrinking = self
-                .index_of
-                .get(job_id)
-                .map(|&h| new_alloc.fits_within(&self.store.allocation(h)))
-                .unwrap_or(false);
-            !shrinking
-        });
-        for (job_id, new_alloc) in adjustments {
-            let Some(&h) = self.index_of.get(&job_id) else {
+        // state: a stable partition, each job looked up once.
+        let mut adjustments = Vec::with_capacity(plan.adjustments.len());
+        let mut grows = Vec::new();
+        for (job_id, new_alloc) in plan.adjustments {
+            let h = self.index_of.get(&job_id).copied();
+            let shrinking = h.is_some_and(|h| new_alloc.fits_within(&self.store.allocation(h)));
+            if shrinking {
+                adjustments.push((h, new_alloc));
+            } else {
+                grows.push((h, new_alloc));
+            }
+        }
+        adjustments.append(&mut grows);
+        for (h, new_alloc) in adjustments {
+            let Some(h) = h else {
                 self.invalid_actions += 1;
                 continue;
             };

@@ -58,7 +58,7 @@ pub use provisioner::{
     JobCompletion, JobShare, PendingJobView, Placement, PredictionRecord, ProvisionPlan,
     Provisioner, RunningJobView, SlotContext, StaticPeakProvisioner, VmView, VIEW_HISTORY_CAP,
 };
-pub use resources::{ResourceVector, RESOURCE_WEIGHTS};
+pub use resources::{FreeLanes, ResourceVector, LANES, RESOURCE_WEIGHTS};
 pub use ring::BoundedRing;
 pub use store::JobStore;
 pub use streaming::StreamingSimulation;

@@ -25,18 +25,18 @@ fn fits(a: f64, b: f64) -> bool {
 }
 
 /// VMs per [`FreeLanes`] chunk.
-pub(crate) const LANES: usize = 8;
+pub const LANES: usize = 8;
 
 /// The free pools of [`LANES`] VMs in structure-of-arrays form, one row per
 /// resource, so a request is tested against all of them in one branch-free
 /// pass. Lanes past the end of a fleet hold NaN, which no amount fits,
 /// not even `-∞`.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct FreeLanes([[f64; LANES]; NUM_RESOURCES]);
+pub struct FreeLanes([[f64; LANES]; NUM_RESOURCES]);
 
 impl FreeLanes {
     /// Transposes up to [`LANES`] pools; missing lanes are padding.
-    pub(crate) fn new(pools: impl Iterator<Item = ResourceVector>) -> Self {
+    pub fn new(pools: impl Iterator<Item = ResourceVector>) -> Self {
         let mut lanes = [[f64::NAN; LANES]; NUM_RESOURCES];
         for (lane, pool) in pools.take(LANES).enumerate() {
             for (row, amount) in lanes.iter_mut().zip(pool.0) {
@@ -49,7 +49,7 @@ impl FreeLanes {
     /// Bit `i` is set iff `request` fits lane `i`, by
     /// [`fits_within`](ResourceVector::fits_within)'s rule.
     #[inline]
-    pub(crate) fn fits(&self, request: &ResourceVector) -> u32 {
+    pub fn fits(&self, request: &ResourceVector) -> u32 {
         let mut all = [true; LANES];
         for (row, &amount) in self.0.iter().zip(&request.0) {
             for (fit, &pool) in all.iter_mut().zip(row) {
@@ -63,9 +63,17 @@ impl FreeLanes {
 
     /// Commits `request` out of lane `lane`.
     #[inline]
-    pub(crate) fn take(&mut self, lane: usize, request: &ResourceVector) {
+    pub fn take(&mut self, lane: usize, request: &ResourceVector) {
         for (row, amount) in self.0.iter_mut().zip(request.0) {
             row[lane] -= amount;
+        }
+    }
+
+    /// Overwrites lane `lane` with `pool`.
+    #[inline]
+    pub fn set(&mut self, lane: usize, pool: &ResourceVector) {
+        for (row, amount) in self.0.iter_mut().zip(pool.0) {
+            row[lane] = amount;
         }
     }
 }

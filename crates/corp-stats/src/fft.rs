@@ -7,6 +7,8 @@
 //! [`crate::markov`]. We implement an in-place iterative Cooley-Tukey FFT
 //! over `f64` pairs — no external numerics crates are available offline.
 
+use std::cell::RefCell;
+
 /// A complex number represented as `(re, im)`; kept as a plain tuple struct
 /// to stay `Copy` and friendly to auto-vectorization.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,17 +51,44 @@ impl Complex {
     }
 }
 
-/// In-place iterative radix-2 Cooley-Tukey FFT.
-///
-/// # Panics
-///
-/// Panics if `buf.len()` is not a power of two.
-pub fn fft_in_place(buf: &mut [Complex]) {
+/// Per-thread FFT state — the twiddle table and the transform buffers — so
+/// a call allocates nothing once its size has been seen.
+#[derive(Default)]
+struct FftScratch {
+    /// The twiddles of every butterfly stage up to the largest size seen:
+    /// the stage of half-width `h` holds `w^0 .. w^(h-1)` of its `wlen` at
+    /// `[h - 1, 2h - 1)`, so a size-`n` transform reads the prefix
+    /// `[0, n - 1)`.
+    twiddles: Vec<Complex>,
+    buf: Vec<Complex>,
+    mags: Vec<f64>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<FftScratch> = RefCell::default();
+}
+
+/// The twiddles of a size-`n` transform, extending `table` by the missing
+/// stages. Each stage runs the `w = w * wlen` recurrence the butterflies
+/// once ran per chunk, so every entry has the bits that recurrence gave.
+fn twiddles(table: &mut Vec<Complex>, n: usize) -> &[Complex] {
+    let len = n.saturating_sub(1);
+    while table.len() < len {
+        let half = table.len() + 1;
+        let angle = -2.0 * std::f64::consts::PI / (2 * half) as f64;
+        let wlen = Complex::new(angle.cos(), angle.sin());
+        let mut w = Complex::new(1.0, 0.0);
+        for _ in 0..half {
+            table.push(w);
+            w = w.mul(wlen);
+        }
+    }
+    &table[..len]
+}
+
+/// The radix-2 passes over `buf`, reading the twiddles of its size.
+fn fft_with(buf: &mut [Complex], twiddles: &[Complex]) {
     let n = buf.len();
-    assert!(
-        n.is_power_of_two(),
-        "FFT length must be a power of two, got {n}"
-    );
     if n <= 1 {
         return;
     }
@@ -74,23 +103,53 @@ pub fn fft_in_place(buf: &mut [Complex]) {
     }
 
     // Butterfly passes.
-    let mut len = 2;
-    while len <= n {
-        let angle = -2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex::new(angle.cos(), angle.sin());
-        for chunk in buf.chunks_exact_mut(len) {
-            let mut w = Complex::new(1.0, 0.0);
-            let (lo, hi) = chunk.split_at_mut(len / 2);
-            for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
+    let mut half = 1;
+    while half < n {
+        let stage = &twiddles[half - 1..2 * half - 1];
+        for chunk in buf.chunks_exact_mut(2 * half) {
+            let (lo, hi) = chunk.split_at_mut(half);
+            for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
                 let u = *a;
                 let v = b.mul(w);
                 *a = u.add(v);
                 *b = u.sub(v);
-                w = w.mul(wlen);
             }
         }
-        len <<= 1;
+        half <<= 1;
     }
+}
+
+impl FftScratch {
+    /// The magnitude spectrum of `signal` (non-empty), zero-padded to the
+    /// next power of two and mean-centred.
+    fn magnitudes(&mut self, signal: &[f64]) -> &[f64] {
+        let n = signal.len().next_power_of_two();
+        let mean = signal.iter().sum::<f64>() / signal.len() as f64;
+        self.buf.clear();
+        self.buf
+            .extend(signal.iter().map(|&x| Complex::new(x - mean, 0.0)));
+        self.buf.resize(n, Complex::new(0.0, 0.0));
+        fft_with(&mut self.buf, twiddles(&mut self.twiddles, n));
+        self.mags.clear();
+        self.mags
+            .extend(self.buf.iter().map(|c| c.norm_sq().sqrt()));
+        &self.mags
+    }
+}
+
+/// In-place iterative radix-2 Cooley-Tukey FFT. The twiddles come from a
+/// per-thread table built once per size.
+///
+/// # Panics
+///
+/// Panics if `buf.len()` is not a power of two.
+pub fn fft_in_place(buf: &mut [Complex]) {
+    let n = buf.len();
+    assert!(
+        n.is_power_of_two(),
+        "FFT length must be a power of two, got {n}"
+    );
+    SCRATCH.with(|s| fft_with(buf, twiddles(&mut s.borrow_mut().twiddles, n)));
 }
 
 /// Returns the magnitude spectrum of `signal`, zero-padded to the next power
@@ -100,16 +159,7 @@ pub fn fft_magnitudes(signal: &[f64]) -> Vec<f64> {
     if signal.is_empty() {
         return Vec::new();
     }
-    let n = signal.len().next_power_of_two();
-    let mean = signal.iter().sum::<f64>() / signal.len() as f64;
-    let mut buf: Vec<Complex> = signal
-        .iter()
-        .map(|&x| Complex::new(x - mean, 0.0))
-        .chain(std::iter::repeat(Complex::new(0.0, 0.0)))
-        .take(n)
-        .collect();
-    fft_in_place(&mut buf);
-    buf.iter().map(|c| c.norm_sq().sqrt()).collect()
+    SCRATCH.with(|s| s.borrow_mut().magnitudes(signal).to_vec())
 }
 
 /// Detects the dominant period (in samples) of `signal`, if one exists.
@@ -123,7 +173,18 @@ pub fn dominant_period(signal: &[f64], strength_threshold: f64) -> Option<usize>
     if signal.len() < 8 {
         return None;
     }
-    let mags = fft_magnitudes(signal);
+    SCRATCH.with(|s| {
+        period_of(
+            s.borrow_mut().magnitudes(signal),
+            signal.len(),
+            strength_threshold,
+        )
+    })
+}
+
+/// [`dominant_period`]'s test on the magnitude spectrum `mags` of a signal
+/// of `len` samples.
+fn period_of(mags: &[f64], len: usize, strength_threshold: f64) -> Option<usize> {
     let n = mags.len();
     let half = &mags[1..n / 2];
     let total_energy: f64 = half.iter().map(|m| m * m).sum();
@@ -142,7 +203,7 @@ pub fn dominant_period(signal: &[f64], strength_threshold: f64) -> Option<usize>
     let period = (n as f64 / freq_bin as f64).round() as usize;
     // Periods longer than the observed window are extrapolation, not
     // signature detection.
-    if period >= signal.len() {
+    if period >= len {
         None
     } else {
         Some(period)
@@ -165,6 +226,95 @@ mod tests {
                 acc
             })
             .collect()
+    }
+
+    /// The FFT before the twiddle table: every chunk of every pass runs
+    /// the `w = w * wlen` recurrence from one.
+    fn fft_by_recurrence(buf: &mut [Complex]) {
+        let n = buf.len();
+        if n <= 1 {
+            return;
+        }
+        let bits = n.trailing_zeros();
+        for i in 0..n {
+            let j = i.reverse_bits() >> (usize::BITS - bits);
+            if i < j {
+                buf.swap(i, j);
+            }
+        }
+        let mut len = 2;
+        while len <= n {
+            let angle = -2.0 * std::f64::consts::PI / len as f64;
+            let wlen = Complex::new(angle.cos(), angle.sin());
+            for chunk in buf.chunks_exact_mut(len) {
+                let mut w = Complex::new(1.0, 0.0);
+                let (lo, hi) = chunk.split_at_mut(len / 2);
+                for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
+                    let u = *a;
+                    let v = b.mul(w);
+                    *a = u.add(v);
+                    *b = u.sub(v);
+                    w = w.mul(wlen);
+                }
+            }
+            len <<= 1;
+        }
+    }
+
+    /// `fft_magnitudes` over [`fft_by_recurrence`], allocating as it once did.
+    fn magnitudes_by_recurrence(signal: &[f64]) -> Vec<f64> {
+        let n = signal.len().next_power_of_two();
+        let mean = signal.iter().sum::<f64>() / signal.len() as f64;
+        let mut buf: Vec<Complex> = signal
+            .iter()
+            .map(|&x| Complex::new(x - mean, 0.0))
+            .chain(std::iter::repeat(Complex::new(0.0, 0.0)))
+            .take(n)
+            .collect();
+        fft_by_recurrence(&mut buf);
+        buf.iter().map(|c| c.norm_sq().sqrt()).collect()
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn tabled_fft_equals_the_recurrence_bit_for_bit() {
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut noise = || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 11) as f64 / (1u64 << 53) as f64 * 20.0 - 5.0
+        };
+        // Ascending lengths grow the table stage by stage; descending ones
+        // read prefixes of the full table.
+        for len in (1..=256usize).chain((1..=256).rev()) {
+            let signal: Vec<f64> = (0..len).map(|_| noise()).collect();
+            assert_eq!(
+                bits(&fft_magnitudes(&signal)),
+                bits(&magnitudes_by_recurrence(&signal)),
+                "magnitudes of length {len}"
+            );
+            if len.is_power_of_two() {
+                let complex: Vec<Complex> =
+                    signal.iter().map(|&re| Complex::new(re, noise())).collect();
+                let (mut tabled, mut recurred) = (complex.clone(), complex);
+                fft_in_place(&mut tabled);
+                fft_by_recurrence(&mut recurred);
+                let parts = |c: &[Complex]| -> Vec<u64> {
+                    c.iter()
+                        .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+                        .collect()
+                };
+                assert_eq!(
+                    parts(&tabled),
+                    parts(&recurred),
+                    "transform of length {len}"
+                );
+            }
+        }
     }
 
     #[test]

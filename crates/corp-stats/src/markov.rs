@@ -39,6 +39,22 @@ impl MarkovChain {
         }
     }
 
+    /// Refits the chain in place: the range becomes `[lo, hi]` and the
+    /// counts those of `xs` alone — the state `MarkovChain::new(self.bins(),
+    /// lo, hi)` then `observe_all(xs)` reaches, without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hi <= lo`.
+    pub fn refit(&mut self, lo: f64, hi: f64, xs: &[f64]) {
+        assert!(hi > lo, "range must be non-empty: [{lo}, {hi}]");
+        self.lo = lo;
+        self.hi = hi;
+        self.counts.fill(0.0);
+        self.last_bin = None;
+        self.observe_all(xs);
+    }
+
     /// Number of states (bins).
     pub fn bins(&self) -> usize {
         self.bins
@@ -89,6 +105,16 @@ impl MarkovChain {
     pub fn forecast(&self, h: usize) -> Option<f64> {
         let start = self.last_bin?;
         let k = self.bins;
+        if h <= 1 {
+            // One step from the point mass at `start` is `start`'s row.
+            let row = &self.counts[start * k..(start + 1) * k];
+            let total: f64 = row.iter().sum();
+            let expected = row
+                .iter()
+                .enumerate()
+                .map(|(b, &count)| (count + 1.0) / (total + k as f64) * self.midpoint(b));
+            return Some(expected.sum());
+        }
         let mut dist = vec![0.0; k];
         dist[start] = 1.0;
         let mut next = vec![0.0; k];
@@ -188,6 +214,46 @@ mod tests {
         // Bin of 5.0 in [0,10) with 5 bins is bin 2, midpoint 5.0. Smoothing
         // pulls slightly toward the global mean but should stay close.
         assert!((f - 5.0).abs() < 1.0, "forecast {f}");
+    }
+
+    #[test]
+    fn refit_equals_a_fresh_chain_and_one_step_equals_the_matrix_walk() {
+        let mut x: u64 = 7;
+        let mut series = |len: usize| -> Vec<f64> {
+            (0..len)
+                .map(|_| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    (x >> 11) as f64 / (1u64 << 53) as f64 * 10.0 - 2.0
+                })
+                .collect()
+        };
+        let mut reused = MarkovChain::new(8, 0.0, 1.0);
+        for len in [1, 2, 17, 128, 3, 64] {
+            let xs = series(len);
+            let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
+            let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max) + 1e-3;
+            reused.refit(lo, hi, &xs);
+            let mut fresh = MarkovChain::new(8, lo, hi);
+            fresh.observe_all(&xs);
+            assert_eq!(reused.counts, fresh.counts);
+            assert_eq!(reused.last_bin, fresh.last_bin);
+            for h in 0..4 {
+                let forecast = reused.forecast(h).map(f64::to_bits);
+                assert_eq!(forecast, fresh.forecast(h).map(f64::to_bits));
+            }
+            // One step through the general loop: distribution times matrix.
+            let start = fresh.last_bin.unwrap();
+            let mut next = [0.0; 8];
+            for (j, v) in next.iter_mut().enumerate() {
+                *v += 1.0 * fresh.transition_prob(start, j);
+            }
+            let walked: f64 = next
+                .iter()
+                .enumerate()
+                .map(|(b, &p)| p * fresh.midpoint(b))
+                .sum();
+            assert_eq!(fresh.forecast(1).map(f64::to_bits), Some(walked.to_bits()));
+        }
     }
 
     #[test]

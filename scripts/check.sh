@@ -84,7 +84,10 @@
 # the repo — see its header), and to check that it left every decision
 # bit-identical `scripts/bench-digests.sh <parent-ref> all` (one digest
 # line per workload and seed, parent → change; exits non-zero on any
-# mismatch).
+# mismatch). To see which layer moved, `scripts/bench-layers.sh
+# <parent-ref> <workload> [rounds=5] [seed=11]` alternates traced runs of
+# both sides on one seed and prints each layer's median for the parent,
+# the change and their ratio; it exits non-zero if a `count` layer differs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
