@@ -18,7 +18,7 @@
 //! `serve` runs the serving daemon and takes its own flags
 //! (`--trace PATH`, `--record PATH`, `--speed inf|N`, `--seed S`,
 //! `--jobs N`, `--queue-cap C`, `--policy block|shed-oldest|reject-new`,
-//! `--width W`, `--shards K`, `--smoke`):
+//! `--shards K`, `--smoke`):
 //!
 //! ```text
 //! corp-exp serve --fast --jobs 120 --speed inf --seed 7
@@ -28,7 +28,7 @@
 //! `resilience` is chaos-serve: the daemon under combined control-plane
 //! faults and arrival storms with deadlines, the brownout ladder, and
 //! per-shard circuit breakers armed (`--seed S`, `--jobs N`,
-//! `--shards K`, `--intensity X`, `--width W`, `--smoke`):
+//! `--shards K`, `--intensity X`, `--smoke`):
 //!
 //! ```text
 //! corp-exp resilience --fast --smoke     # rerun byte-identity + conservation
@@ -45,6 +45,11 @@
 //! corp-exp scale                # 50k VMs, 1M jobs
 //! corp-exp scale --shards 8     # soak behind the sharded control plane
 //! ```
+//!
+//! No subcommand takes a thread count: the prediction fan-out runs as wide
+//! as the `CORP_THREADS` environment variable says (the host's
+//! parallelism when unset), and every report is byte-identical at any
+//! width.
 
 use corp_bench::experiments::RUNNERS;
 use corp_bench::resilience::{resilience_experiment, ResilienceArgs};

@@ -115,6 +115,9 @@ mod tests {
             }
             let err = parse(&strings(&["--json", "--bogus"])).unwrap_err();
             assert_eq!(err, format!("unknown {name} flag `--bogus`"));
+            // The fan-out width is `CORP_THREADS`'s alone.
+            let err = parse(&strings(&["--width", "2"])).unwrap_err();
+            assert_eq!(err, format!("unknown {name} flag `--width`"));
             assert_eq!(parse(&strings(&["--fast", "--smoke", "--json"])), Ok(()));
         }
     }

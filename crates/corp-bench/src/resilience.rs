@@ -29,7 +29,7 @@ use crate::flags::Flags;
 use crate::serve::{cell_daemon, parse_seed, serve_workload};
 use crate::FigureTable;
 use crate::TextTable;
-use corp_faults::{generate, ControlFaultPlan, FaultConfig, SlotShard, StormConfig, StormPlan};
+use corp_faults::{generate, ControlFaultPlan, FaultConfig, SlotShard, StormPlan};
 use corp_serve::{
     BackpressurePolicy, BreakerSupervisor, BrownoutConfig, DeadlineConfig, ReplaySpeed,
     ServeConfig, ServeOutcome,
@@ -58,8 +58,6 @@ pub struct ResilienceArgs {
     /// Chaos intensity for the seeded fault scenario (`--intensity X`);
     /// the fixed drop burst rides on top regardless.
     pub intensity: f64,
-    /// Worker-pool width override (`--width W`).
-    pub width: Option<usize>,
     /// Assert determinism + conservation after the run (`--smoke`).
     pub smoke: bool,
 }
@@ -71,7 +69,6 @@ impl Default for ResilienceArgs {
             jobs: 120,
             shards: 3,
             intensity: 1.0,
-            width: None,
             smoke: false,
         }
     }
@@ -95,7 +92,6 @@ impl ResilienceArgs {
                     }
                     out.intensity = x;
                 }
-                "--width" => out.width = Some(flags.count(flag, 1)?),
                 "--smoke" => out.smoke = true,
                 other => return Err(flags.unknown(other)),
             }
@@ -111,7 +107,7 @@ impl ResilienceArgs {
 pub fn chaos_workload(env: Environment, jobs: usize, seed: u64) -> Vec<JobSpec> {
     let base = serve_workload(env, jobs, seed);
     let last = base.iter().map(|j| j.arrival_slot).max().unwrap_or(0);
-    let storm = StormPlan::generate(&StormConfig::scenario(seed, last + 1));
+    let storm = StormPlan::generate(seed, last + 1);
     base.into_iter()
         .map(|mut j| {
             j.arrival_slot = storm.compress(j.arrival_slot);
@@ -142,8 +138,14 @@ fn chaos_config() -> ServeConfig {
 /// Runs one chaos-serve cell and returns the outcome plus every
 /// unrecovered control-plane error the coordinator surfaced (stringified
 /// — [`corp_cluster::ClusterError`] is not serializable and the list is
-/// usually empty).
-pub fn run_resilience(fast: bool, args: &ResilienceArgs) -> (ServeOutcome, Vec<String>) {
+/// usually empty). `pool_width` pins the prediction fan-out as
+/// [`SchemeParams::pool_width`] does (`None`: the `CORP_THREADS` default);
+/// the report is byte-identical at any width.
+pub fn run_resilience(
+    fast: bool,
+    args: &ResilienceArgs,
+    pool_width: Option<usize>,
+) -> (ServeOutcome, Vec<String>) {
     let env = Environment::Cluster;
     let jobs = chaos_workload(env, args.jobs, args.seed);
     let compressed_last = jobs.iter().map(|j| j.arrival_slot).max().unwrap_or(0);
@@ -168,7 +170,7 @@ pub fn run_resilience(fast: bool, args: &ResilienceArgs) -> (ServeOutcome, Vec<S
     let params = SchemeParams {
         fast_dnn: fast,
         seed: args.seed,
-        pool_width: args.width,
+        pool_width,
         ..Default::default()
     };
     let inner =
@@ -201,7 +203,7 @@ fn jobs_lost(offered: usize, outcome: &ServeOutcome) -> i64 {
 /// table. Returns an error string (for exit 2) on failed smoke
 /// assertions.
 pub fn resilience_experiment(fast: bool, args: &ResilienceArgs) -> Result<FigureTable, String> {
-    let (outcome, errors) = run_resilience(fast, args);
+    let (outcome, errors) = run_resilience(fast, args, None);
     let serialized = serde::json::to_string(&outcome.report);
     let r = &outcome.report;
     let lost = jobs_lost(args.jobs, &outcome);
@@ -211,7 +213,7 @@ pub fn resilience_experiment(fast: bool, args: &ResilienceArgs) -> Result<Figure
     // schedule, the storm, the breakers, and the ladder are all pure
     // functions of the seed, so a single differing byte is a bug.
     if args.smoke {
-        let (again, _) = run_resilience(fast, args);
+        let (again, _) = run_resilience(fast, args, None);
         if serde::json::to_string(&again.report) != serialized {
             return Err("resilience smoke: rerun produced a different report".to_string());
         }
@@ -338,8 +340,6 @@ mod tests {
             "2",
             "--intensity",
             "0.5",
-            "--width",
-            "2",
             "--smoke",
         ]))
         .expect("parse");
@@ -347,7 +347,6 @@ mod tests {
         assert_eq!(args.jobs, 50);
         assert_eq!(args.shards, 2);
         assert_eq!(args.intensity, 0.5);
-        assert_eq!(args.width, Some(2));
         assert!(args.smoke);
     }
 

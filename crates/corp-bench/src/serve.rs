@@ -58,8 +58,6 @@ pub struct ServeArgs {
     pub queue_cap: usize,
     /// Backpressure policy (`--policy block|shed-oldest|reject-new`).
     pub policy: BackpressurePolicy,
-    /// Worker-pool width override (`--width W`).
-    pub width: Option<usize>,
     /// Run behind a sharded control plane (`--shards K`); monolithic when
     /// absent. Sharded runs surface coordinator errors and recovery
     /// counters in the summary.
@@ -78,7 +76,6 @@ impl Default for ServeArgs {
             jobs: 200,
             queue_cap: ServeConfig::default().queue_capacity,
             policy: BackpressurePolicy::Block,
-            width: None,
             shards: None,
             smoke: false,
         }
@@ -101,7 +98,6 @@ impl ServeArgs {
                 "--jobs" => out.jobs = flags.count(flag, 0)?,
                 "--queue-cap" => out.queue_cap = flags.count(flag, 1)?,
                 "--policy" => out.policy = BackpressurePolicy::parse(flags.value(flag)?)?,
-                "--width" => out.width = Some(flags.count(flag, 1)?),
                 "--shards" => out.shards = Some(flags.count(flag, 1)?),
                 "--smoke" => out.smoke = true,
                 other => return Err(flags.unknown(other)),
@@ -243,7 +239,6 @@ pub fn serve_experiment(fast: bool, args: &ServeArgs) -> Result<FigureTable, Str
     let params = SchemeParams {
         fast_dnn: fast,
         seed: args.seed,
-        pool_width: args.width,
         ..Default::default()
     };
     let config = ServeConfig {
@@ -432,8 +427,6 @@ mod tests {
             "32",
             "--policy",
             "shed-oldest",
-            "--width",
-            "2",
             "--smoke",
         ]))
         .expect("parse");
@@ -442,7 +435,6 @@ mod tests {
         assert_eq!(args.seed, 9);
         assert_eq!(args.queue_cap, 32);
         assert_eq!(args.policy, BackpressurePolicy::ShedOldest);
-        assert_eq!(args.width, Some(2));
         assert!(args.smoke);
     }
 

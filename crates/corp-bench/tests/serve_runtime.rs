@@ -149,17 +149,16 @@ fn serve_at_infinite_speed_matches_the_batch_slot_loop() {
 
 // --- chaos-serve: determinism and accounting under combined faults ---
 
-fn chaos_args(width: Option<usize>) -> ResilienceArgs {
+fn chaos_args() -> ResilienceArgs {
     ResilienceArgs {
         jobs: 40,
         shards: 2,
-        width,
         ..ResilienceArgs::default()
     }
 }
 
 fn chaos_report_json(width: Option<usize>) -> String {
-    serde::json::to_string(&run_resilience(true, &chaos_args(width)).0.report)
+    serde::json::to_string(&run_resilience(true, &chaos_args(), width).0.report)
 }
 
 #[test]
@@ -186,8 +185,8 @@ fn chaos_serve_reports_are_byte_identical_across_pool_widths() {
 
 #[test]
 fn chaos_serve_loses_no_jobs_and_cycles_the_breakers() {
-    let args = chaos_args(None);
-    let (outcome, errors) = run_resilience(true, &args);
+    let args = chaos_args();
+    let (outcome, errors) = run_resilience(true, &args, None);
     let r = &outcome.report;
 
     // Zero jobs lost: every offered job lands in exactly one terminal
@@ -222,5 +221,37 @@ fn chaos_serve_loses_no_jobs_and_cycles_the_breakers() {
     assert!(
         errors.is_empty(),
         "supervisor should recover from scheduled chaos: {errors:?}"
+    );
+}
+
+// --- the CLI: a trace the engine could not serve exits before it runs ---
+
+#[test]
+fn serve_refuses_a_recorded_trace_that_repeats_a_job_id() {
+    let path = std::env::temp_dir().join(format!(
+        "corp-serve-duplicate-id-{}.trace",
+        std::process::id()
+    ));
+    std::fs::write(
+        &path,
+        "corp-trace-v1\n\
+         job,1,0,2,cpu,3,0.02,1,1,1\nd,0.5,0.5,0.5\nd,0.5,0.5,0.5\n\
+         job,1,0,2,cpu,3,0.02,1,1,1\nd,0.5,0.5,0.5\nd,0.5,0.5,0.5\n",
+    )
+    .expect("write trace");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_corp-exp"))
+        .args(["serve", "--fast", "--trace"])
+        .arg(&path)
+        .output()
+        .expect("run corp-exp");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing was served");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr).trim_end(),
+        format!(
+            "--trace {}: line 5: job id already used by an earlier job",
+            path.display()
+        )
     );
 }

@@ -61,7 +61,7 @@
 //! count, while the store itself stays fully thread-safe for genuinely
 //! racing users.
 
-use corp_core::pipeline::{per_task, WorkerPool, WorkerScratch};
+use corp_core::pipeline::{per_task, WorkerPool};
 use corp_faults::ControlFaultPlan;
 use corp_sim::control_plane::{ControlPlaneStats, ShardStats};
 use corp_sim::{
@@ -154,8 +154,6 @@ pub struct ShardedProvisioner {
     /// The threads that run shards next to the calling one, spawned on the
     /// first slot that serves more than one shard.
     pool: WorkerPool,
-    /// The calling thread's (empty) state for [`WorkerPool::run_chunks`].
-    scratch: WorkerScratch,
     /// Per-slot scratch for the store rebase (capacity/committed columns).
     rebase_scratch: (Vec<ResourceVector>, Vec<ResourceVector>),
 }
@@ -232,7 +230,6 @@ impl ShardedProvisioner {
             service_level: 0,
             fallback_rounds: 0,
             pool: WorkerPool::new(),
-            scratch: WorkerScratch::new(),
             rebase_scratch: (Vec::new(), Vec::new()),
         }
     }
@@ -381,16 +378,13 @@ impl ShardedProvisioner {
             self.pool.run_chunks(
                 &serving,
                 &mut replies,
-                serving.len(),
                 1,
-                &mut self.scratch,
-                &|| (),
+                &mut vec![(); serving.len()],
                 &per_task(|&(shard, pipeline): &(usize, &Pipeline), _: &mut ()| {
                     let my_pending = shard_pending(ctx.pending, shard, n);
                     let ctx = shard_context(ctx, &my_pending, shard, n);
                     guarded(pipeline, |p| p.provision(&ctx))
                 }),
-                &|_| (),
             );
         }
 

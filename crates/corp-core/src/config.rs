@@ -11,8 +11,6 @@ pub struct CorpConfig {
     /// slots for the window `(t, t+L]`. The paper uses a 1-minute window on
     /// a 10-second trace, i.e. 6 slots.
     pub window_slots: usize,
-    /// DNN input window `Delta` in slots.
-    pub input_slots: usize,
     /// Hidden layers `h` in the DNN (Table II: 4).
     pub dnn_layers: usize,
     /// Units per hidden layer `N_n` (Table II: 50).
@@ -21,12 +19,6 @@ pub struct CorpConfig {
     pub confidence_level: f64,
     /// Probability threshold `P_th` of Eq. 21 (Table II: 0.95).
     pub prob_threshold: f64,
-    /// Prediction-error tolerance `eps` of Eq. 21, as a fraction of each
-    /// resource's maximum VM capacity (`eps_k = frac * C'_k`).
-    pub error_tolerance_frac: f64,
-    /// Size of the sliding prediction-error window backing `sigma_hat` and
-    /// the Eq. 21 gate.
-    pub error_window: usize,
     /// Minimum completed-job histories per resource before the DNN trains;
     /// until then CORP predicts by persistence (cold start).
     pub min_training_histories: usize,
@@ -62,13 +54,10 @@ impl Default for CorpConfig {
     fn default() -> Self {
         CorpConfig {
             window_slots: 6,
-            input_slots: 6,
             dnn_layers: 4,
             dnn_units: 50,
             confidence_level: 0.90,
             prob_threshold: 0.95,
-            error_tolerance_frac: 0.75,
-            error_window: 64,
             min_training_histories: 12,
             hmm_window: 3,
             use_hmm_correction: true,
@@ -86,11 +75,15 @@ impl Default for CorpConfig {
     }
 }
 
+/// DNN input window `Delta` in slots: the DNN reads a job's last six
+/// unused samples, one window `L` of history.
+const INPUT_SLOTS: usize = 6;
+
 impl CorpConfig {
     /// The DNN predictor configuration implied by this config.
     pub fn dnn_config(&self) -> WindowPredictorConfig {
         WindowPredictorConfig {
-            window: self.input_slots,
+            window: INPUT_SLOTS,
             horizon: self.window_slots,
             units: self.dnn_units,
             hidden_layers: self.dnn_layers,
@@ -121,7 +114,6 @@ impl CorpConfig {
     /// Panics on out-of-range parameters.
     pub fn validate(&self) {
         assert!(self.window_slots > 0, "window must be positive");
-        assert!(self.input_slots > 0, "input window must be positive");
         assert!(
             self.confidence_level > 0.0 && self.confidence_level < 1.0,
             "confidence level must be in (0,1)"
@@ -129,10 +121,6 @@ impl CorpConfig {
         assert!(
             (0.0..=1.0).contains(&self.prob_threshold),
             "P_th must be in [0,1]"
-        );
-        assert!(
-            self.error_tolerance_frac > 0.0,
-            "tolerance must be positive"
         );
         assert!(
             (0.0..=1.0).contains(&self.reclaim_floor),
@@ -177,7 +165,7 @@ mod tests {
         let d = c.dnn_config();
         assert_eq!(d.units, 50);
         assert_eq!(d.hidden_layers, 4);
-        assert_eq!(d.window, c.input_slots);
+        assert_eq!(d.window, INPUT_SLOTS);
         assert_eq!(d.horizon, c.window_slots);
     }
 

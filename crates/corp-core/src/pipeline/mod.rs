@@ -44,7 +44,7 @@ pub use gate::{BaselineReclaimGate, CorpReclaimGate, ReallocationGate, RecordOnl
 pub use pack::{JobPacker, Packing};
 pub use pool::{
     configured_pool_width, hardware_parallelism, per_task, prediction_threads, PredictRuntime,
-    WorkerPool, WorkerScratch, SERIAL_FANOUT_CUTOFF,
+    WorkerPool, SERIAL_FANOUT_CUTOFF,
 };
 pub use predict::{
     CorpUsagePredictor, FiniteGuard, PendingOutcome, UsagePredictor, VmPredictorCore,

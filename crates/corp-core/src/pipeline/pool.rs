@@ -1,7 +1,7 @@
 //! The persistent prediction runtime: one [`PredictRuntime`] per predictor
-//! stage, owning a lazily-spawned [`WorkerPool`] and the per-participant
-//! scratch that persists across provisioning windows, plus the width
-//! policy that decides how many threads a window gets.
+//! stage, owning a lazily-spawned [`WorkerPool`] and the width policy that
+//! decides how many threads a window gets. The stage owns the
+//! participants' states and keeps them across windows.
 //!
 //! ## Execution
 //!
@@ -20,15 +20,14 @@
 //!
 //! `f` is handed contiguous runs of tasks and writes results by task
 //! index; predictor states only carry buffers that are fully overwritten
-//! before they are read plus order-independent counters (u64 adds)
-//! extracted per window by `finish`. So it does not matter which thread
+//! before they are read plus order-independent counters (u64 adds) the
+//! stage merges after each window. So it does not matter which thread
 //! computes a task, nor where the runs are cut: reports are byte-identical
 //! across widths, grains and hosts — pinned against width 1 by the
 //! determinism suite and the pool-equivalence tests in `corp-bench`.
 
-pub use corp_pool::{per_task, WorkerPool, WorkerScratch};
+pub use corp_pool::{per_task, WorkerPool};
 use corp_sim::{ResourceVector, SlotContext, VmView};
-use std::any::Any;
 use std::sync::OnceLock;
 
 /// VMs per claimed chunk in [`PredictRuntime::fan_out_vms`]: a per-VM
@@ -79,13 +78,11 @@ pub fn prediction_threads(tasks: usize) -> usize {
     configured_pool_width().min(tasks)
 }
 
-/// The per-stage prediction runtime: fan-out width policy, the
-/// lazily-spawned worker pool, and the calling thread's own scratch (the
-/// caller takes part in every fan-out).
+/// The per-stage prediction runtime: fan-out width policy and the
+/// lazily-spawned worker pool (the caller takes part in every fan-out).
 pub struct PredictRuntime {
     width_override: Option<usize>,
     pool: Option<WorkerPool>,
-    local: WorkerScratch,
 }
 
 impl std::fmt::Debug for PredictRuntime {
@@ -107,7 +104,6 @@ impl PredictRuntime {
         let mut runtime = PredictRuntime {
             width_override: None,
             pool: None,
-            local: WorkerScratch::new(),
         };
         runtime.set_width(width);
         runtime
@@ -136,43 +132,34 @@ impl PredictRuntime {
     /// closure), so a thread may batch across neighbouring tasks. A chunk
     /// is `grain` tasks — pick the batch `f` works in — and the threads
     /// claim chunks as they go. The width policy
-    /// ([`effective_width`](Self::effective_width)) counts tasks. Each
-    /// thread threads its calls through a state of type `S` (`init` on
-    /// first use, once per thread) and `finish` extracts the window's
-    /// side-product from each state once the chunks are gone (e.g.
-    /// `mem::take` of fallback counters). Which thread ran which chunk is
-    /// not fixed, so merge the extractions commutatively.
-    pub fn fan_out<I, T, S, D>(
+    /// ([`effective_width`](Self::effective_width)) counts tasks. Thread
+    /// `i` threads its calls through `states[i]`; `states` grows (by
+    /// `S::default()`) to the window's width and is never shrunk, so the
+    /// caller can keep it across windows. Which thread ran which chunk is
+    /// not fixed, so merge anything the states accumulate commutatively.
+    pub fn fan_out<I, T, S>(
         &mut self,
         tasks: &[I],
         grain: usize,
         fill: T,
-        init: impl Fn() -> S + Sync,
+        states: &mut Vec<S>,
         f: impl Fn(&[I], &mut [T], &mut S) + Sync,
-        finish: impl Fn(&mut S) -> D + Sync,
-    ) -> (Vec<T>, Vec<D>)
+    ) -> Vec<T>
     where
         I: Sync,
         T: Send + Clone,
-        S: Any + Send,
-        D: Send,
+        S: Send + Default,
     {
         // At width 1 the caller is the only participant: no worker is
         // spawned or woken.
         let width = self.effective_width(tasks.len());
+        if states.len() < width {
+            states.resize_with(width, S::default);
+        }
         let mut results = vec![fill; tasks.len()];
         let pool = self.pool.get_or_insert_with(WorkerPool::new);
-        let deltas = pool.run_chunks(
-            tasks,
-            &mut results,
-            width,
-            grain,
-            &mut self.local,
-            &init,
-            &f,
-            &finish,
-        );
-        (results, deltas)
+        pool.run_chunks(tasks, &mut results, grain, &mut states[..width], &f);
+        results
     }
 
     /// Fans the per-VM predictions of one window, returning one slot per
@@ -188,15 +175,13 @@ impl PredictRuntime {
         let vms = ctx.vms;
         let occupied = |vm: &VmView| ctx.owned_jobs(vm).next().is_some();
         if vms.iter().all(occupied) {
-            let (results, _) = self.fan_out(
+            return self.fan_out(
                 vms,
                 VM_GRAIN,
                 None,
-                || (),
+                &mut Vec::new(),
                 per_task(|vm, _: &mut ()| predict(vm)),
-                |_| (),
             );
-            return results;
         }
         let tasks: Vec<usize> = vms
             .iter()
@@ -204,13 +189,12 @@ impl PredictRuntime {
             .filter(|(_, v)| occupied(v))
             .map(|(i, _)| i)
             .collect();
-        let (results, _) = self.fan_out(
+        let results = self.fan_out(
             &tasks,
             VM_GRAIN,
             None,
-            || (),
+            &mut Vec::new(),
             per_task(|&i, _: &mut ()| predict(&vms[i])),
-            |_| (),
         );
         let mut out: Vec<Option<ResourceVector>> = vec![None; vms.len()];
         for (&i, r) in tasks.iter().zip(results) {
@@ -232,25 +216,27 @@ mod tests {
     fn wider_results_match_width_one_results() {
         let tasks: Vec<u64> = (0..200).collect();
         let run = |rt: &mut PredictRuntime| {
-            rt.fan_out(
+            let mut counts = Vec::new();
+            let results = rt.fan_out(
                 &tasks,
                 16,
                 0u64,
-                || 0u64,
+                &mut counts,
                 per_task(|&t, acc: &mut u64| {
                     *acc += 1;
                     t * t
                 }),
-                std::mem::take,
-            )
+            );
+            (results, counts)
         };
-        let (serial, serial_deltas) = run(&mut pinned(1));
-        assert_eq!(serial_deltas, vec![200], "width 1 is one participant");
+        let (serial, serial_counts) = run(&mut pinned(1));
+        assert_eq!(serial_counts, vec![200], "width 1 is one participant");
         for width in [2, 5] {
-            let (pooled, deltas) = run(&mut pinned(width));
+            let (pooled, counts) = run(&mut pinned(width));
             assert_eq!(pooled, serial, "width {width}");
+            assert_eq!(counts.len(), width, "one state per participant");
             assert_eq!(
-                deltas.iter().sum::<u64>(),
+                counts.iter().sum::<u64>(),
                 200,
                 "every task processed exactly once at width {width}"
             );
@@ -261,19 +247,19 @@ mod tests {
     fn width_one_runs_inline_with_persistent_scratch() {
         let mut rt = pinned(1);
         let tasks = [(); 5];
+        let mut counts = Vec::new();
         for round in 1u64..=3 {
-            let (_, deltas) = rt.fan_out(
+            rt.fan_out(
                 &tasks,
                 2,
                 0u64,
-                || 0u64,
+                &mut counts,
                 per_task(|_, acc: &mut u64| {
                     *acc += 1;
                     *acc
                 }),
-                |acc| *acc,
             );
-            assert_eq!(deltas, vec![round * 5], "scratch persists across windows");
+            assert_eq!(counts, vec![round * 5], "scratch persists across windows");
         }
     }
 

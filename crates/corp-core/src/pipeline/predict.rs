@@ -147,6 +147,8 @@ const FORECAST_LANES: usize = 64;
 pub struct CorpUsagePredictor {
     predictor: CorpJobPredictor,
     runtime: PredictRuntime,
+    /// One scratch per fan-out participant, kept across windows.
+    scratch: Vec<PredictionScratch>,
     /// Reused per-window (vm, job) task list — cleared, never dropped.
     tasks: Vec<(usize, usize)>,
 }
@@ -157,6 +159,7 @@ impl CorpUsagePredictor {
         CorpUsagePredictor {
             predictor: CorpJobPredictor::new(config),
             runtime: PredictRuntime::new(config.prediction_pool_width),
+            scratch: Vec::new(),
             tasks: Vec::new(),
         }
     }
@@ -240,6 +243,7 @@ impl UsagePredictor for CorpUsagePredictor {
         // (reset-not-reallocate).
         let predictor = &self.predictor;
         let runtime = &mut self.runtime;
+        let scratch = &mut self.scratch;
         let tasks = &mut self.tasks;
         tasks.clear();
         tasks.extend(ctx.vms.iter().enumerate().flat_map(|(vi, vm)| {
@@ -252,11 +256,11 @@ impl UsagePredictor for CorpUsagePredictor {
                 .filter(|(_, job)| ctx.share.owns(job.id) && !job.recent_unused.is_empty())
                 .map(move |(ji, _)| (vi, ji))
         }));
-        let (u_hats, deltas) = runtime.fan_out(
+        let u_hats = runtime.fan_out(
             tasks.as_slice(),
             FORECAST_LANES,
             ResourceVector::ZERO,
-            PredictionScratch::new,
+            scratch,
             |chunk: &[(usize, usize)], out: &mut [ResourceVector], scratch| {
                 for (lane, u_hats) in chunk
                     .chunks(FORECAST_LANES)
@@ -269,10 +273,10 @@ impl UsagePredictor for CorpUsagePredictor {
                     predictor.predict_jobs_in(jobs, u_hats, scratch);
                 }
             },
-            |scratch| std::mem::take(&mut scratch.fallbacks),
         );
-        for delta in &deltas {
-            self.predictor.merge_fallbacks(delta);
+        for scratch in &mut self.scratch {
+            self.predictor
+                .merge_fallbacks(&std::mem::take(&mut scratch.fallbacks));
         }
         WindowForecast::PerJob(u_hats)
     }

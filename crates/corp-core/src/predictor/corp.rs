@@ -40,6 +40,15 @@ const SIGMA_BLOWUP: f64 = 10.0;
 /// baseline's smoothing, a deliberately boring estimator).
 const FALLBACK_ETS_ALPHA: f64 = 0.5;
 
+/// Prediction-error tolerance `eps` of Eq. 21. Errors enter the gate
+/// normalized by the job's requested amount, so this is a fraction of the
+/// request.
+const ERROR_TOLERANCE_FRAC: f64 = 0.75;
+
+/// Resolved prediction errors per resource in the sliding window behind
+/// `sigma_hat` and the Eq. 21 gate.
+const ERROR_WINDOW: usize = 64;
+
 /// How often each rung of the prediction fallback ladder fired.
 ///
 /// Rung 0 (the full DNN + HMM + CI pipeline) is the normal path and is
@@ -116,8 +125,8 @@ impl LaneStage {
 /// [`CorpJobPredictor::merge_fallbacks`] after joining its threads.
 ///
 /// Every buffer is reset, not reallocated, per use and fully rewritten
-/// before it is read, so a scratch that lives across windows (a pool
-/// worker's) predicts bit-identically to a fresh one.
+/// before it is read, so a scratch that lives across windows (a fan-out
+/// participant's) predicts bit-identically to a fresh one.
 #[derive(Debug, Clone, Default)]
 pub struct PredictionScratch {
     stage: [LaneStage; NUM_RESOURCES],
@@ -141,7 +150,8 @@ impl PredictionScratch {
     }
 
     /// Same as [`new`](Self::new): every scratch reuses its buffers, so
-    /// the pool runtime's worker-owned scratch needs no flavour of its own.
+    /// the scratch a stage keeps per fan-out participant needs no flavour
+    /// of its own.
     pub fn persistent() -> Self {
         PredictionScratch::default()
     }
@@ -207,11 +217,7 @@ impl CorpJobPredictor {
                 .map(|_| FluctuationPredictor::new(config.hmm_window.max(2)))
                 .collect(),
             corpus: vec![Vec::new(); NUM_RESOURCES],
-            gate: PreemptionGate::new(
-                config.error_window,
-                config.error_tolerance_frac,
-                config.prob_threshold,
-            ),
+            gate: PreemptionGate::new(ERROR_WINDOW, ERROR_TOLERANCE_FRAC, config.prob_threshold),
             trained: false,
             fallbacks: FallbackCounters::default(),
         }

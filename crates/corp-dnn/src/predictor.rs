@@ -298,7 +298,6 @@ mod tests {
             hidden_layers: 2,
             train: TrainConfig {
                 max_epochs: 150,
-                learning_rate: 0.1,
                 ..TrainConfig::default()
             },
             seed: 3,

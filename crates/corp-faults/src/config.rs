@@ -1,70 +1,37 @@
-//! Knobs describing how much chaos to generate.
+//! How much chaos to generate.
 
 use serde::{Deserialize, Serialize};
 
-/// Expected fault counts over a run, scaled into a concrete schedule by
-/// [`generate`](crate::generate).
+/// A chaos scenario: the seed, the horizon, and how hostile it is.
 ///
+/// [`generate`](crate::generate) scales one fixed fault mix by
+/// `intensity` (`0.0` = no faults, `1.0` = the baseline mix, `2.0` = twice
+/// as hostile): expected counts grow linearly with it while window lengths
+/// and magnitudes stay fixed, so sweeps vary *how often*, not *how bad*.
 /// Counts are *expectations across the whole fleet over the horizon*, not
-/// per-VM rates: `expected_crashes = 6.0` means about six crash windows
-/// will be drawn regardless of fleet size, so sweeps stay comparable
-/// across environments. Fractional parts are resolved by one seeded coin
-/// flip, keeping the expansion deterministic.
+/// per-VM rates — intensity 1 draws about six crash windows regardless of
+/// fleet size, so sweeps stay comparable across environments.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultConfig {
     /// Seed controlling every draw in the schedule expansion.
     pub seed: u64,
     /// Number of slots the schedule spans; events land in `[1, horizon)`.
     pub horizon_slots: u64,
-    /// Expected VM crash windows over the horizon.
-    pub expected_crashes: f64,
-    /// Inclusive range of crash-window lengths in slots.
-    pub crash_duration: (u64, u64),
-    /// Expected straggler (degradation) windows over the horizon.
-    pub expected_degradations: f64,
-    /// Inclusive range of effective-capacity multipliers for stragglers.
-    pub degrade_factor: (f64, f64),
-    /// Inclusive range of degradation-window lengths in slots.
-    pub degrade_duration: (u64, u64),
-    /// Expected poisoned (VM, slot) monitoring views over the horizon.
-    pub expected_poisons: f64,
-    /// Fraction of poisons that inject NaN; the rest inject spikes.
-    pub nan_fraction: f64,
-    /// Multiplier used by spike poisons (`(|v| + 1) * spike_scale`).
-    pub spike_scale: f64,
-    /// Expected shard-worker kills over the horizon.
-    pub expected_shard_kills: f64,
-    /// Expected dropped provision requests over the horizon.
-    pub expected_request_drops: f64,
-    /// Expected delayed shard replies over the horizon.
-    pub expected_reply_delays: f64,
+    /// Multiplier on every expected fault count (negative reads as 0).
+    pub intensity: f64,
 }
 
 impl FaultConfig {
-    /// The default chaos scenario at a given `intensity` (`0.0` = no
-    /// faults, `1.0` = the baseline mix, `2.0` = twice as hostile). All
-    /// expected counts scale linearly with intensity; window lengths and
-    /// magnitudes stay fixed so sweeps vary *how often*, not *how bad*.
+    /// The chaos scenario at `intensity` over a 400-slot horizon.
     pub fn scenario(seed: u64, intensity: f64) -> Self {
-        let intensity = intensity.max(0.0);
         Self {
             seed,
             horizon_slots: 400,
-            expected_crashes: 6.0 * intensity,
-            crash_duration: (20, 60),
-            expected_degradations: 8.0 * intensity,
-            degrade_factor: (0.3, 0.8),
-            degrade_duration: (15, 45),
-            expected_poisons: 30.0 * intensity,
-            nan_fraction: 0.5,
-            spike_scale: 50.0,
-            expected_shard_kills: 4.0 * intensity,
-            expected_request_drops: 6.0 * intensity,
-            expected_reply_delays: 6.0 * intensity,
+            intensity,
         }
     }
 
-    /// A scenario with every expected count at zero:
+    /// A scenario at intensity zero:
     /// [`generate`](crate::schedule::generate) expands it to an empty
     /// schedule.
     pub fn disabled(seed: u64) -> Self {
@@ -75,16 +42,34 @@ impl FaultConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{generate, FaultEvent, PoisonKind};
 
     #[test]
     fn intensity_scales_counts_not_magnitudes() {
-        let one = FaultConfig::scenario(7, 1.0);
-        let two = FaultConfig::scenario(7, 2.0);
-        assert_eq!(two.expected_crashes, 2.0 * one.expected_crashes);
-        assert_eq!(two.crash_duration, one.crash_duration);
-        assert_eq!(two.spike_scale, one.spike_scale);
-        let off = FaultConfig::disabled(7);
-        assert_eq!(off.expected_crashes, 0.0);
-        assert_eq!(off.expected_reply_delays, 0.0);
+        let one = generate(&FaultConfig::scenario(7, 1.0), 64, 4);
+        let two = generate(&FaultConfig::scenario(7, 2.0), 64, 4);
+        // Whole expected counts need no coin flip: 4 kills and 6 drops at
+        // intensity 1, twice that at 2.
+        assert_eq!(one.control.kills.len(), 4);
+        assert_eq!(two.control.kills.len(), 8);
+        assert_eq!(
+            two.control.drop_requests.len(),
+            2 * one.control.drop_requests.len()
+        );
+        for schedule in [&one, &two] {
+            for e in schedule.timeline.events() {
+                match e.event {
+                    FaultEvent::PoisonViews {
+                        kind: PoisonKind::Spike(scale),
+                        ..
+                    } => assert_eq!(scale, 50.0),
+                    FaultEvent::VmDegrade { factor, .. } => {
+                        assert!((0.3..=0.8).contains(&factor), "factor {factor}")
+                    }
+                    _ => {}
+                }
+            }
+        }
+        assert!(generate(&FaultConfig::disabled(7), 64, 4).is_empty());
     }
 }

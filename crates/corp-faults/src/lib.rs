@@ -28,9 +28,10 @@
 //!   compression windows that pack arrivals into bursts, consumed by the
 //!   `corp-serve` resilience experiment.
 //!
-//! [`generate`] expands a [`FaultConfig`] (expected event counts scaled by
-//! an intensity knob) into a [`FaultSchedule`]; intensity `0.0` yields an
-//! empty schedule, and a fixed seed always yields the same bytes.
+//! [`generate`] expands a [`FaultConfig`] (one fixed fault mix whose
+//! expected event counts scale with its intensity) into a
+//! [`FaultSchedule`]; intensity `0.0` yields an empty schedule, and a fixed
+//! seed always yields the same bytes.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -45,4 +46,4 @@ pub use config::FaultConfig;
 pub use control::{ControlFaultPlan, SlotShard};
 pub use events::{FaultEvent, FaultTimeline, PoisonKind, TimedFault};
 pub use schedule::{generate, FaultSchedule};
-pub use storm::{StormConfig, StormPlan, StormWindow};
+pub use storm::{StormPlan, StormWindow};

@@ -25,6 +25,26 @@ impl FaultSchedule {
     }
 }
 
+/// The fault mix at intensity 1: expected events over the horizon, across
+/// the whole fleet. [`generate`] multiplies each by the intensity.
+const EXPECTED_CRASHES: f64 = 6.0;
+const EXPECTED_DEGRADATIONS: f64 = 8.0;
+const EXPECTED_POISONS: f64 = 30.0;
+const EXPECTED_SHARD_KILLS: f64 = 4.0;
+const EXPECTED_REQUEST_DROPS: f64 = 6.0;
+const EXPECTED_REPLY_DELAYS: f64 = 6.0;
+
+/// Inclusive crash-window lengths in slots.
+const CRASH_DURATION: (u64, u64) = (20, 60);
+/// Inclusive straggler-window lengths in slots, and the range of
+/// effective-capacity multipliers a straggler runs at.
+const DEGRADE_DURATION: (u64, u64) = (15, 45);
+const DEGRADE_FACTOR: (f64, f64) = (0.3, 0.8);
+/// Share of poisons that inject NaN; the rest inject spikes of
+/// `(|v| + 1) * SPIKE_SCALE`.
+const NAN_FRACTION: f64 = 0.5;
+const SPIKE_SCALE: f64 = 50.0;
+
 /// Resolves a fractional expected count into a concrete one with a single
 /// seeded coin flip (always drawn, so the rng stream shape is stable).
 fn draw_count(rng: &mut StdRng, expected: f64) -> usize {
@@ -45,16 +65,14 @@ fn draw_windows(
     busy: &mut [Vec<(u64, u64)>],
     count: usize,
     horizon: u64,
-    duration: (u64, u64),
+    (shortest, longest): (u64, u64),
     begin: impl Fn(&mut StdRng, usize) -> FaultEvent,
     end: impl Fn(usize) -> FaultEvent,
 ) {
     let num_vms = busy.len();
     for _ in 0..count {
         let vm = rng.gen_range(0..num_vms);
-        let dur = rng
-            .gen_range(duration.0.min(duration.1)..=duration.0.max(duration.1))
-            .max(1);
+        let dur = rng.gen_range(shortest..=longest);
         let start = rng.gen_range(1..horizon);
         let stop = start.saturating_add(dur);
         let event = begin(rng, vm);
@@ -88,10 +106,11 @@ fn draw_coords(rng: &mut StdRng, count: usize, horizon: u64, num_shards: usize) 
 pub fn generate(config: &FaultConfig, num_vms: usize, num_shards: usize) -> FaultSchedule {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let horizon = config.horizon_slots;
+    let intensity = config.intensity.max(0.0);
     let mut events = Vec::new();
 
     if num_vms > 0 && horizon > 1 {
-        let crashes = draw_count(&mut rng, config.expected_crashes);
+        let crashes = draw_count(&mut rng, EXPECTED_CRASHES * intensity);
         let mut crash_busy = vec![Vec::new(); num_vms];
         draw_windows(
             &mut rng,
@@ -99,13 +118,13 @@ pub fn generate(config: &FaultConfig, num_vms: usize, num_shards: usize) -> Faul
             &mut crash_busy,
             crashes,
             horizon,
-            config.crash_duration,
+            CRASH_DURATION,
             |_, vm| FaultEvent::VmCrash { vm },
             |vm| FaultEvent::VmRecover { vm },
         );
 
-        let degradations = draw_count(&mut rng, config.expected_degradations);
-        let (f_lo, f_hi) = config.degrade_factor;
+        let degradations = draw_count(&mut rng, EXPECTED_DEGRADATIONS * intensity);
+        let (f_lo, f_hi) = DEGRADE_FACTOR;
         let mut degrade_busy = vec![Vec::new(); num_vms];
         draw_windows(
             &mut rng,
@@ -113,24 +132,22 @@ pub fn generate(config: &FaultConfig, num_vms: usize, num_shards: usize) -> Faul
             &mut degrade_busy,
             degradations,
             horizon,
-            config.degrade_duration,
+            DEGRADE_DURATION,
             |rng, vm| FaultEvent::VmDegrade {
                 vm,
-                factor: rng
-                    .gen_range(f_lo.min(f_hi)..=f_lo.max(f_hi))
-                    .clamp(0.05, 1.0),
+                factor: rng.gen_range(f_lo..=f_hi).clamp(0.05, 1.0),
             },
             |vm| FaultEvent::VmRestore { vm },
         );
 
-        let poisons = draw_count(&mut rng, config.expected_poisons);
+        let poisons = draw_count(&mut rng, EXPECTED_POISONS * intensity);
         for _ in 0..poisons {
             let slot = rng.gen_range(1..horizon);
             let vm = rng.gen_range(0..num_vms);
-            let kind = if rng.gen_bool(config.nan_fraction.clamp(0.0, 1.0)) {
+            let kind = if rng.gen_bool(NAN_FRACTION) {
                 PoisonKind::Nan
             } else {
-                PoisonKind::Spike(config.spike_scale)
+                PoisonKind::Spike(SPIKE_SCALE)
             };
             events.push(TimedFault {
                 slot,
@@ -140,9 +157,9 @@ pub fn generate(config: &FaultConfig, num_vms: usize, num_shards: usize) -> Faul
     }
 
     let control = if num_shards > 0 && horizon > 1 {
-        let kills = draw_count(&mut rng, config.expected_shard_kills);
-        let drops = draw_count(&mut rng, config.expected_request_drops);
-        let delays = draw_count(&mut rng, config.expected_reply_delays);
+        let kills = draw_count(&mut rng, EXPECTED_SHARD_KILLS * intensity);
+        let drops = draw_count(&mut rng, EXPECTED_REQUEST_DROPS * intensity);
+        let delays = draw_count(&mut rng, EXPECTED_REPLY_DELAYS * intensity);
         ControlFaultPlan::new(
             draw_coords(&mut rng, kills, horizon, num_shards),
             draw_coords(&mut rng, drops, horizon, num_shards),
@@ -210,10 +227,8 @@ mod tests {
 
     #[test]
     fn crash_windows_never_overlap_on_one_vm() {
-        let config = FaultConfig {
-            expected_crashes: 40.0,
-            ..FaultConfig::scenario(17, 1.0)
-        };
+        // About 40 crash windows on three VMs: most candidates collide.
+        let config = FaultConfig::scenario(17, 7.0);
         let schedule = generate(&config, 3, 1);
         let mut down = [false; 3];
         for e in schedule.timeline.events() {

@@ -10,7 +10,7 @@
 //! ladders.
 //!
 //! Like every other schedule in this crate, a plan is pure data expanded
-//! from a seed: the same [`StormConfig`] always yields the same windows,
+//! from a seed: the same seed and horizon always yield the same windows,
 //! and [`StormPlan::compress`] is a pure, monotone slot mapping — applying
 //! it to an arrival-ordered trace keeps the trace arrival-ordered, which
 //! the serve daemon's lazy arrival feed relies on.
@@ -19,36 +19,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// Knobs describing how stormy a run should be.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StormConfig {
-    /// Seed controlling every draw in the expansion.
-    pub seed: u64,
-    /// Number of slots the plan spans; windows land in `[0, horizon)`.
-    pub horizon_slots: u64,
-    /// Number of storm windows to draw (overlapping candidates are
-    /// skipped, so the realized count may be lower).
-    pub bursts: usize,
-    /// Inclusive range of window lengths in slots.
-    pub burst_len: (u64, u64),
-    /// Arrival-time compression inside a window (≥ 1): a factor of 4
-    /// packs a window's arrivals into the first quarter of the window.
-    pub compression: u64,
-}
-
-impl StormConfig {
-    /// The default storm mix over `horizon_slots`: three 8–16 slot
-    /// windows, arrivals packed 4× tighter.
-    pub fn scenario(seed: u64, horizon_slots: u64) -> Self {
-        StormConfig {
-            seed,
-            horizon_slots,
-            bursts: 3,
-            burst_len: (8, 16),
-            compression: 4,
-        }
-    }
-}
+/// Storm windows [`StormPlan::generate`] draws (overlapping candidates
+/// are skipped, so the realized count may be lower).
+const BURSTS: usize = 3;
+/// Inclusive range of window lengths in slots.
+const BURST_LEN: (u64, u64) = (8, 16);
+/// Arrival-time compression inside a window: a factor of 4 packs a
+/// window's arrivals into its first quarter.
+const COMPRESSION: u64 = 4;
 
 /// One storm window: arrivals in `[start, start + len)` are compressed
 /// toward `start` by `factor`.
@@ -70,19 +48,16 @@ pub struct StormPlan {
 }
 
 impl StormPlan {
-    /// Expands `config` into a concrete plan. Pure function of the config:
-    /// identical configs yield identical windows.
-    pub fn generate(config: &StormConfig) -> Self {
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let horizon = config.horizon_slots.max(1);
-        let factor = config.compression.max(1);
-        let (lo, hi) = (
-            config.burst_len.0.min(config.burst_len.1),
-            config.burst_len.0.max(config.burst_len.1),
-        );
+    /// The storm mix over `[0, horizon_slots)`: up to three 8–16 slot
+    /// windows, arrivals packed 4× tighter. A pure function of its
+    /// arguments: the same seed and horizon yield the same windows.
+    pub fn generate(seed: u64, horizon_slots: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let horizon = horizon_slots.max(1);
+        let (lo, hi) = BURST_LEN;
         let mut windows: Vec<StormWindow> = Vec::new();
-        for _ in 0..config.bursts {
-            let len = rng.gen_range(lo..=hi).max(1);
+        for _ in 0..BURSTS {
+            let len = rng.gen_range(lo..=hi);
             let start = rng.gen_range(0..horizon);
             let stop = start.saturating_add(len);
             if windows
@@ -91,7 +66,11 @@ impl StormPlan {
             {
                 continue;
             }
-            windows.push(StormWindow { start, len, factor });
+            windows.push(StormWindow {
+                start,
+                len,
+                factor: COMPRESSION,
+            });
         }
         windows.sort_by_key(|w| w.start);
         StormPlan { windows }
@@ -122,10 +101,9 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic_and_disjoint() {
-        let config = StormConfig::scenario(11, 100);
-        let a = StormPlan::generate(&config);
-        let b = StormPlan::generate(&config);
-        assert_eq!(a, b, "same config must expand to the same plan");
+        let a = StormPlan::generate(11, 100);
+        let b = StormPlan::generate(11, 100);
+        assert_eq!(a, b, "same seed and horizon must expand to the same plan");
         assert!(!a.is_empty());
         for pair in a.windows.windows(2) {
             assert!(

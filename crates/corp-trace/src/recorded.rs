@@ -18,6 +18,7 @@
 //! ```
 
 use crate::workload::{IntensityClass, JobSpec, NUM_RESOURCES};
+use std::collections::HashSet;
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
@@ -58,6 +59,13 @@ pub enum RecordedTraceError {
         /// 1-based line number where the mismatch was detected.
         line: usize,
     },
+    /// A `job` line reused the id of an earlier job. Job ids are the
+    /// engine's and the plan protocol's identity for a job: of two jobs
+    /// with one id, only one could ever be placed.
+    DuplicateJob {
+        /// 1-based line number of the second job line.
+        line: usize,
+    },
 }
 
 impl fmt::Display for RecordedTraceError {
@@ -76,6 +84,9 @@ impl fmt::Display for RecordedTraceError {
             }
             RecordedTraceError::DemandMismatch { line } => {
                 write!(f, "line {line}: demand lines do not match job duration")
+            }
+            RecordedTraceError::DuplicateJob { line } => {
+                write!(f, "line {line}: job id already used by an earlier job")
             }
         }
     }
@@ -132,9 +143,10 @@ pub fn format_trace(jobs: &[JobSpec]) -> String {
 
 /// Parses a recorded trace from its text form. Blank lines and `#`
 /// comments are skipped (the header must still be the first significant
-/// line).
+/// line), and every job id must be unique.
 pub fn parse_trace(text: &str) -> Result<Vec<JobSpec>, RecordedTraceError> {
     let mut jobs: Vec<JobSpec> = Vec::new();
+    let mut ids: HashSet<u64> = HashSet::new();
     let mut saw_header = false;
     let mut last_line = 0;
     for (idx, raw) in text.lines().enumerate() {
@@ -186,14 +198,21 @@ pub fn parse_trace(text: &str) -> Result<Vec<JobSpec>, RecordedTraceError> {
                     field: 4,
                 })?;
                 let duration = int(3)? as usize;
+                let id = int(1)?;
+                let (arrival_slot, slo_slots) = (int(2)?, int(5)? as usize);
+                let bandwidth_mbps = num(6)?;
+                let requested = [num(7)?, num(8)?, num(9)?];
+                if !ids.insert(id) {
+                    return Err(RecordedTraceError::DuplicateJob { line: line_no });
+                }
                 jobs.push(JobSpec {
-                    id: int(1)?,
-                    arrival_slot: int(2)?,
+                    id,
+                    arrival_slot,
                     duration_slots: duration,
                     class,
-                    slo_slots: int(5)? as usize,
-                    bandwidth_mbps: num(6)?,
-                    requested: [num(7)?, num(8)?, num(9)?],
+                    slo_slots,
+                    bandwidth_mbps,
+                    requested,
                     demand: Vec::with_capacity(duration),
                 });
             }
@@ -345,6 +364,23 @@ mod tests {
             parse_trace(&orphan),
             Err(RecordedTraceError::DemandMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn a_repeated_job_id_is_rejected_at_its_line() {
+        // Two specs with one id: the engine keys jobs by id, so the older
+        // one could never be placed. The whole file is refused instead.
+        let text = format!(
+            "{TRACE_HEADER}\njob,4,0,1,cpu,5,0.02,1,1,1\nd,0.5,0.5,0.5\n\
+             job,5,0,1,cpu,5,0.02,1,1,1\nd,0.5,0.5,0.5\n\
+             job,4,0,1,mem,5,0.02,1,1,1\nd,0.5,0.5,0.5\n"
+        );
+        let err = parse_trace(&text).unwrap_err();
+        assert_eq!(err, RecordedTraceError::DuplicateJob { line: 6 });
+        assert_eq!(
+            err.to_string(),
+            "line 6: job id already used by an earlier job"
+        );
     }
 
     #[test]

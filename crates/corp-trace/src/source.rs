@@ -29,12 +29,17 @@
 use crate::google::{filter_short_lived, resample_trace, TaskRecord};
 use crate::stream::ReadError;
 use crate::workload::{
-    IntensityClass, JobSpec, ResourceKind, WorkloadConfig, WorkloadGenerator, NUM_RESOURCES,
+    IntensityClass, JobSpec, ResourceKind, WorkloadConfig, WorkloadGenerator, BANDWIDTH_MBPS,
+    NUM_RESOURCES, SLO_SLACK,
 };
 use std::collections::HashSet;
 
-/// How raw trace records become [`JobSpec`]s: slotting, the short-lived
-/// cutoff, and the reference frame for classifying jobs.
+/// Reference VM capacity an ingested job's dominant resource is picked
+/// against: the cluster profile's 4 cores / 16 GB / 180 GB.
+const REFERENCE_CAPACITY: [f64; NUM_RESOURCES] = [4.0, 16.0, 180.0];
+
+/// How raw trace records become [`JobSpec`]s: slotting and the short-lived
+/// cutoff.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IngestConfig {
     /// Fine slot length in seconds (the paper re-slots to 10 s).
@@ -42,13 +47,6 @@ pub struct IngestConfig {
     /// Drop jobs whose lifetime exceeds this (the paper's 5-minute
     /// long-job cutoff); `None` keeps everything.
     pub max_lifetime_secs: Option<u64>,
-    /// Reference VM capacity used to pick each job's dominant resource
-    /// (defaults to the cluster profile's 4 cores / 16 GB / 180 GB).
-    pub reference_capacity: [f64; NUM_RESOURCES],
-    /// SLO slack multiplier: `slo_slots = ceil(duration * slack)`.
-    pub slo_slack: f64,
-    /// Constant bandwidth term per job in MB/s (0.02 in the paper).
-    pub bandwidth_mbps: f64,
 }
 
 impl Default for IngestConfig {
@@ -56,9 +54,6 @@ impl Default for IngestConfig {
         IngestConfig {
             slot_secs: 10,
             max_lifetime_secs: Some(300),
-            reference_capacity: [4.0, 16.0, 180.0],
-            slo_slack: 1.2,
-            bandwidth_mbps: 0.02,
         }
     }
 }
@@ -71,8 +66,8 @@ impl Default for IngestConfig {
 /// slots starting at the job's arrival slot. Concurrent tasks of the same
 /// job sum. `requested` is the per-resource peak of the assembled demand
 /// (a real cloud request is sized for the worst case), the class is the
-/// dominant resource against `reference_capacity`, and jobs are emitted
-/// sorted by `(first start, job id)`.
+/// dominant resource against the cluster profile's VM (4 cores / 16 GB /
+/// 180 GB), and jobs are emitted sorted by `(first start, job id)`.
 pub fn records_to_jobs(records: &[TaskRecord], cfg: &IngestConfig) -> Vec<JobSpec> {
     assert!(cfg.slot_secs > 0, "slot length must be positive");
     use std::collections::HashMap;
@@ -124,7 +119,7 @@ fn assemble_job(id: u64, recs: &mut [&TaskRecord], cfg: &IngestConfig) -> JobSpe
             *req = req.max(v);
         }
     }
-    let slo_slots = (duration_slots as f64 * cfg.slo_slack).ceil() as usize;
+    let slo_slots = (duration_slots as f64 * SLO_SLACK).ceil() as usize;
     let mut spec = JobSpec {
         id,
         arrival_slot,
@@ -133,9 +128,9 @@ fn assemble_job(id: u64, recs: &mut [&TaskRecord], cfg: &IngestConfig) -> JobSpe
         requested,
         demand,
         slo_slots,
-        bandwidth_mbps: cfg.bandwidth_mbps,
+        bandwidth_mbps: BANDWIDTH_MBPS,
     };
-    spec.class = match spec.dominant_resource(&cfg.reference_capacity) {
+    spec.class = match spec.dominant_resource(&REFERENCE_CAPACITY) {
         ResourceKind::Cpu => IntensityClass::CpuIntensive,
         ResourceKind::Memory => IntensityClass::MemoryIntensive,
         ResourceKind::Storage => IntensityClass::StorageIntensive,

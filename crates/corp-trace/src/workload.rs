@@ -16,6 +16,22 @@ use serde::{Deserialize, Serialize};
 /// Number of managed resource types (`l` in the paper): CPU, MEM, storage.
 pub const NUM_RESOURCES: usize = 3;
 
+/// SLO slack multiplier, for generated and ingested jobs alike:
+/// `slo_slots = ceil(duration * SLO_SLACK)`.
+pub(crate) const SLO_SLACK: f64 = 1.2;
+
+/// Constant bandwidth term of every job in MB/s (0.02 in the paper).
+pub(crate) const BANDWIDTH_MBPS: f64 = 0.02;
+
+/// Probability that a generated job's slot carries a transient demand
+/// burst, and that it dips into a demand valley instead.
+const BURST_PROBABILITY: f64 = 0.03;
+const VALLEY_PROBABILITY: f64 = 0.03;
+
+/// Step of a generated job's demand random walk, as a fraction of its
+/// base demand.
+const WALK_STEP_FRAC: f64 = 0.04;
+
 /// Identifies one of the managed resource types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ResourceKind {
@@ -190,17 +206,9 @@ pub struct WorkloadConfig {
     pub max_duration_secs: f64,
     /// Mean inter-arrival gap in slots for the default Poisson submission.
     pub mean_interarrival_slots: f64,
-    /// Probability that a slot carries a transient demand burst.
-    pub burst_probability: f64,
-    /// Probability that a slot dips into a demand valley.
-    pub valley_probability: f64,
-    /// Random-walk step size as a fraction of the base demand.
-    pub walk_step_frac: f64,
     /// Mix of intensity classes as relative weights
     /// `[cpu, mem, storage, balanced]`.
     pub class_weights: [f64; 4],
-    /// SLO slack multiplier: `slo_slots = ceil(duration * slack)`.
-    pub slo_slack: f64,
     /// Global multiplier applied to every class's base demand — used to fit
     /// the same workload mix onto smaller machines (the EC2 profile's 4 GB
     /// nodes vs. the cluster's 64 GB servers).
@@ -215,11 +223,7 @@ impl Default for WorkloadConfig {
             min_duration_secs: 10.0,
             max_duration_secs: 300.0,
             mean_interarrival_slots: 0.5,
-            burst_probability: 0.03,
-            valley_probability: 0.03,
-            walk_step_frac: 0.04,
             class_weights: [1.0, 1.0, 1.0, 1.0],
-            slo_slack: 1.2,
             demand_scale: 1.0,
         }
     }
@@ -299,12 +303,12 @@ impl WorkloadGenerator {
             *lvl = base[r] * scale * self.rng.gen_range(0.35..0.65);
         }
         for _ in 0..duration_slots {
-            let burst = self.rng.gen_bool(self.config.burst_probability);
-            let valley = !burst && self.rng.gen_bool(self.config.valley_probability);
+            let burst = self.rng.gen_bool(BURST_PROBABILITY);
+            let valley = !burst && self.rng.gen_bool(VALLEY_PROBABILITY);
             let mut d = [0.0f64; NUM_RESOURCES];
             for r in 0..NUM_RESOURCES {
                 let cap = base[r] * scale;
-                let step = cap * self.config.walk_step_frac;
+                let step = cap * WALK_STEP_FRAC;
                 level[r] += self.rng.gen_range(-step..=step);
                 level[r] = level[r].clamp(0.05 * cap, cap);
                 d[r] = if burst {
@@ -326,7 +330,7 @@ impl WorkloadGenerator {
             requested[r] = base[r] * scale;
         }
 
-        let slo_slots = ((duration_slots as f64) * self.config.slo_slack).ceil() as usize;
+        let slo_slots = ((duration_slots as f64) * SLO_SLACK).ceil() as usize;
         let id = self.next_id;
         self.next_id += 1;
         JobSpec {
@@ -337,7 +341,7 @@ impl WorkloadGenerator {
             requested,
             demand,
             slo_slots,
-            bandwidth_mbps: 0.02,
+            bandwidth_mbps: BANDWIDTH_MBPS,
         }
     }
 

@@ -113,7 +113,6 @@ proptest! {
         let cfg = IngestConfig {
             slot_secs: slot,
             max_lifetime_secs: Some(cutoff),
-            ..IngestConfig::default()
         };
         let csv = to_csv(&records);
         let reader = GoogleCsvReader::new(BufReader::with_capacity(cap, csv.as_bytes()));

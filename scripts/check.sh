@@ -2,15 +2,23 @@
 # Repo-wide quality gate: formatting, lints, build, and the full test
 # suite. Run before every push.
 #
-#   scripts/check.sh              # the standard gate: examples, fmt, clippy,
-#                                 # doc, release build, tests, then the
-#                                 # serve, resilience, scale and bench smokes
+#   scripts/check.sh              # the standard gate: examples, unsafe, fmt,
+#                                 # clippy, doc, release build, tests, then
+#                                 # the serve, resilience, scale and bench
+#                                 # smokes
 #   scripts/check.sh examples     # grep only, no build: fails when an
 #                                 # examples/*.rs file is not the `path` of
 #                                 # some crate's `[[example]]`, or when a
 #                                 # `cargo run --release --example NAME`
 #                                 # line in README.md names no registered
 #                                 # example
+#   scripts/check.sh unsafe       # grep only, no build: fails when a
+#                                 # crates/*/src/lib.rs other than corp-pool's
+#                                 # lacks `#![forbid(unsafe_code)]`, or when
+#                                 # corp-pool's source uses the `unsafe`
+#                                 # keyword outside comments more than once
+#                                 # (its one block, the pool's lifetime
+#                                 # erasure)
 #   scripts/check.sh chaos-soak   # heavy fault-injection soak (release,
 #                                 # end-to-end chaos runs; see
 #                                 # crates/corp-faults/tests/soak.rs)
@@ -124,8 +132,32 @@ examples_gate() {
     echo "Examples gate passed."
 }
 
+unsafe_gate() {
+    echo "==> #![forbid(unsafe_code)] in every crate but corp-pool, one \`unsafe\` in corp-pool"
+    local lib uses failed=0
+    for lib in crates/*/src/lib.rs; do
+        [[ $lib == crates/corp-pool/src/lib.rs ]] && continue
+        grep -qxF '#![forbid(unsafe_code)]' "$lib" || { echo "no #![forbid(unsafe_code)]: $lib"; failed=1; }
+    done
+    # Comment text is dropped first: the SAFETY argument may say `unsafe`.
+    uses=$(find crates/corp-pool/src -name '*.rs' -exec sed 's|//.*||' {} + | grep -ow 'unsafe' | wc -l)
+    if ((uses > 1)); then
+        echo "corp-pool uses \`unsafe\` $uses times; it keeps one block"
+        failed=1
+    fi
+    if ((failed)); then
+        exit 1
+    fi
+    echo "Unsafe gate passed."
+}
+
 if [[ "${1:-}" == "examples" ]]; then
     examples_gate
+    exit 0
+fi
+
+if [[ "${1:-}" == "unsafe" ]]; then
+    unsafe_gate
     exit 0
 fi
 
@@ -250,6 +282,8 @@ if [[ "${1:-}" == "bench-smoke" ]]; then
 fi
 
 examples_gate
+
+unsafe_gate
 
 echo "==> cargo fmt --check"
 cargo fmt --check

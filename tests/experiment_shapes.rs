@@ -104,7 +104,7 @@ const SERVE_GOLDEN: &str = concat!(
 /// transitions, the supervisor's recovery counters and arbitration under
 /// control-plane faults, as report bytes.
 fn serve_reports_json() -> String {
-    let chaos = |args: ResilienceArgs| run_resilience(true, &args).0.report;
+    let chaos = |args: ResilienceArgs| run_resilience(true, &args, None).0.report;
     let env = Environment::Cluster;
     let params = SchemeParams {
         fast_dnn: true,
