@@ -8,7 +8,7 @@
 //! *concurrently live* jobs no matter how long the trace runs. The run reports throughput (slots/s, jobs/s),
 //! the arena high-water mark, the process peak RSS, and the engine's
 //! deterministic work count (VM entries visited per slot beside the VMs
-//! actually occupied); `--smoke` replays a small configuration and
+//! actually occupied) and the wall time of each engine phase; `--smoke` replays a small configuration and
 //! asserts the memory-boundedness invariant and that the slot loop's work
 //! tracks occupied VMs, not the fleet (`scripts/check.sh scale-smoke`).
 //! Citable numbers for this regime come from the `soak-50k` workload of
@@ -19,7 +19,7 @@ use crate::serve::parse_seed;
 use crate::{FigureTable, TextTable};
 use corp_cluster::{ShardConfig, ShardedProvisioner};
 use corp_sim::{
-    Cluster, EnvironmentProfile, Provisioner, SimulationOptions, StaticPeakProvisioner,
+    Cluster, EnvironmentProfile, PhaseTimes, Provisioner, SimulationOptions, StaticPeakProvisioner,
     StreamingSimulation, VIEW_HISTORY_CAP,
 };
 use corp_trace::{JobSource, SyntheticSource, WorkloadConfig};
@@ -123,6 +123,9 @@ pub struct ScaleResult {
     /// ([`SlotEngine::vm_visits`](corp_sim::SlotEngine::vm_visits)) over
     /// the same slots. Deterministic for a fixed seed.
     pub vm_visits_per_slot: f64,
+    /// Wall time of each phase of the engine's slot loop over the run
+    /// ([`SlotEngine::phase_times`](corp_sim::SlotEngine::phase_times)).
+    pub phases: PhaseTimes,
 }
 
 /// `--smoke` bound on VM visits per occupied VM after warm-up. A settled
@@ -234,6 +237,7 @@ pub fn run_scale(args: &ScaleArgs) -> ScaleResult {
         peak_rss_mb: peak_rss_kb().map_or(0.0, |kb| kb as f64 / 1024.0),
         occupied_vms_per_slot: per_steady_slot(occupied_sum),
         vm_visits_per_slot: per_steady_slot(steady_visits),
+        phases: sim.engine().phase_times(),
     }
 }
 
@@ -344,6 +348,12 @@ pub fn scale_experiment(args: &ScaleArgs) -> Result<FigureTable, String> {
         "engine VM visits / slot",
         format!("{:.1}", result.vm_visits_per_slot),
     );
+    for (phase, time) in result.phases.named() {
+        row(
+            &format!("engine {phase} (s)"),
+            format!("{:.3}", time.as_secs_f64()),
+        );
+    }
     if result.shards > 0 {
         row("shards", format!("{}", result.shards));
         row(
@@ -363,6 +373,9 @@ pub fn scale_experiment(args: &ScaleArgs) -> Result<FigureTable, String> {
                  scanned for completions) are per-slot means after the first \
                  {VIEW_HISTORY_CAP} slots; both are deterministic for a fixed seed"
             ),
+            "engine phase rows are wall time summed over the run, the provisioner's \
+             own calls excluded; they vary run to run"
+                .into(),
         ],
     })
 }
@@ -396,7 +409,7 @@ mod tests {
     }
 
     #[test]
-    fn parse_shards_selects_the_striped_control_plane() {
+    fn parse_shards_takes_a_positive_shard_count() {
         let args = ScaleArgs::parse(&["--shards".to_string(), "4".to_string()]).unwrap();
         assert_eq!(args.shards, Some(4));
         assert!(ScaleArgs::parse(&["--shards".to_string(), "0".to_string()]).is_err());

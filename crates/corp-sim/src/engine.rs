@@ -6,7 +6,8 @@
 //! running jobs under the strict-reservation execution model (recording
 //! each job's usage history unless the provisioner declares it never reads
 //! one), resolves any predictions targeting this slot, and records
-//! metrics.
+//! metrics. [`SlotEngine::phase_times`] says how long each of those
+//! phases has taken.
 //!
 //! [`SlotEngine`] is the core, exposed so drivers can submit jobs as they
 //! arrive and pump slots one [`step`](SlotEngine::step) at a time: the
@@ -41,8 +42,9 @@ use crate::vm_set::{ids_in, VmSet};
 use corp_faults::{FaultEvent, FaultTimeline};
 use corp_trace::{JobSpec, NUM_RESOURCES};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Samples reserved in a job's histories at placement beyond its
 /// `duration_slots`, for a job throttled a slot or two. With 0 most
@@ -134,6 +136,50 @@ pub struct SimulationReport {
     pub faults: Option<FaultStats>,
 }
 
+/// Wall time a [`SlotEngine`] has spent in each phase of
+/// [`step`](SlotEngine::step) since it was built. The clock is always on
+/// (one `Instant` read per phase boundary per slot) and never reaches the
+/// report; the provisioner's own calls (`provision`,
+/// `on_jobs_completed`) are in no phase.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PhaseTimes {
+    /// Fault events due this slot and admission of submitted jobs.
+    pub admit: Duration,
+    /// VM and job views and the pending queue's views, and handing the
+    /// histories lent to the views back after `provision`.
+    pub views: Duration,
+    /// Validating and applying the plan: predictions, adjustments,
+    /// placements.
+    pub apply: Duration,
+    /// Advancing running jobs and the slot's utilization totals.
+    pub advance: Duration,
+    /// Scoring the predictions that target the slot.
+    pub resolve: Duration,
+    /// Collecting the slot's completions.
+    pub completions: Duration,
+}
+
+impl PhaseTimes {
+    /// The phases' names and times, in step order.
+    pub fn named(&self) -> [(&'static str, Duration); 6] {
+        [
+            ("admit", self.admit),
+            ("views", self.views),
+            ("apply", self.apply),
+            ("advance", self.advance),
+            ("resolve", self.resolve),
+            ("completions", self.completions),
+        ]
+    }
+}
+
+/// Adds the time since `*mark` to `phase` and moves the mark to now.
+fn lap(phase: &mut Duration, mark: &mut Instant) {
+    let now = Instant::now();
+    *phase += now - *mark;
+    *mark = now;
+}
+
 /// What one [`SlotEngine::step`] did: the placements it applied, the jobs
 /// that finished, and the arrivals it rejected. The engine keeps nothing
 /// of a job that has left, so this is where a caller learns where and
@@ -171,7 +217,11 @@ pub struct SlotEngine {
     /// Per-VM unused totals per slot; an idle VM's zeros are owed, not
     /// written (see `idle_from`).
     vm_unused_history: Vec<BoundedRing>,
-    pending_predictions: Vec<PredictionRecord>,
+    /// Registered predictions by target slot: the slot takes its bucket
+    /// and nothing else is looked at.
+    predictions_due: HashMap<u64, Vec<PredictionRecord>>,
+    /// Emptied buckets, reused for later target slots.
+    spare_buckets: Vec<Vec<PredictionRecord>>,
     invalid_actions: usize,
     nonfinite_actions: usize,
     faults: Option<FaultRuntime>,
@@ -209,16 +259,28 @@ pub struct SlotEngine {
     /// `(vm, vm_views[vm].jobs)`: entries and their history buffers, taken
     /// out while off-period slots list no jobs, put back at the next full.
     parked_jobs: Vec<(usize, Vec<RunningJobView>)>,
+    /// `(vm, i)` for every view entry `vm_views[vm].jobs[i]` holding its
+    /// job's own history buffers (swapped with the entry's) for this
+    /// slot's `provision` call; swapped back right after it. Empty
+    /// between steps.
+    lent: Vec<(usize, usize)>,
     pending_views: Vec<PendingJobView>,
     /// VMs where advance saw a job reach `work_done()` this slot,
     /// ascending: the only ones the completion phase visits.
     finished_vms: Vec<usize>,
     /// Reused completion records; a slot delivers the prefix it filled.
     completions: Vec<JobCompletion>,
+    /// See [`phase_times`](Self::phase_times).
+    phase_times: PhaseTimes,
     /// Every VM's unused total for every slot, eagerly and unbounded: the
     /// ground truth the lazy rings are checked against.
     #[cfg(test)]
     shadow_unused: Vec<Vec<ResourceVector>>,
+    /// Every resident job's observed demand and unused series, kept apart
+    /// from its record: the ground truth lent histories are checked
+    /// against.
+    #[cfg(test)]
+    shadow_histories: HashMap<JobHandle, [Vec<ResourceVector>; 2]>,
 }
 
 impl SlotEngine {
@@ -245,7 +307,8 @@ impl SlotEngine {
             index_of: HashMap::new(),
             metrics: MetricsCollector::new(),
             vm_unused_history: vec![BoundedRing::new(); num_vms],
-            pending_predictions: Vec::new(),
+            predictions_due: HashMap::new(),
+            spare_buckets: Vec::new(),
             invalid_actions: 0,
             nonfinite_actions: 0,
             faults: None,
@@ -264,11 +327,15 @@ impl SlotEngine {
             slot_vm_unused: vec![ResourceVector::ZERO; num_vms],
             vm_views,
             parked_jobs: Vec::new(),
+            lent: Vec::new(),
             pending_views: Vec::new(),
             finished_vms: Vec::new(),
             completions: Vec::new(),
+            phase_times: PhaseTimes::default(),
             #[cfg(test)]
             shadow_unused: vec![Vec::new(); num_vms],
+            #[cfg(test)]
+            shadow_histories: HashMap::new(),
         }
     }
 
@@ -315,8 +382,9 @@ impl SlotEngine {
         &self.metrics
     }
 
-    /// The job arena, one entry per slot ([`JobStore::as_slice`]):
-    /// resident jobs, and tombstones (id `u64::MAX`) where a job has left.
+    /// The job arena's cold records, one entry per slot
+    /// ([`JobStore::as_slice`]): resident jobs, and tombstones (id
+    /// `u64::MAX`) where a job has left.
     /// Its length is the arena's high-water mark. What happened to a job
     /// that left is in the [`SlotOutcome`] of the slot it left in.
     pub fn jobs(&self) -> &[RunningJob] {
@@ -326,6 +394,11 @@ impl SlotEngine {
     /// The backing job store (arena occupancy and lifetime counters).
     pub fn store(&self) -> &JobStore {
         &self.store
+    }
+
+    /// Wall time spent in each phase of [`step`](Self::step) so far.
+    pub fn phase_times(&self) -> PhaseTimes {
+        self.phase_times
     }
 
     /// VMs currently hosting at least one job.
@@ -363,9 +436,13 @@ impl SlotEngine {
 
     /// Rebuilds `vm`'s view for the current slot from ground truth: the
     /// VM-level fields always, the per-job entries on `full` slots only.
+    /// A job entry takes the job's own history buffers for the slot (see
+    /// `lent`) unless the history is longer than a view shows or the VM's
+    /// monitoring is poisoned: then it gets a copy of the tail.
     fn write_view(&mut self, vm: usize, full: bool) {
         self.vm_visits += 1;
         let owed = self.owed_zeros(vm);
+        let poison = self.faults.as_ref().and_then(|f| f.poison(vm));
         let view = &mut self.vm_views[vm];
         // A down VM presents as zero capacity with nothing running:
         // provisioners cannot place onto it, and sharded stores rebase it
@@ -388,13 +465,19 @@ impl SlotEngine {
             // history buffers of surviving entries alive.
             view.jobs
                 .resize_with(occupants.len(), RunningJobView::default);
-            for (jv, &h) in view.jobs.iter_mut().zip(occupants) {
-                let j = self.store.job(h);
-                jv.id = j.id();
-                jv.requested = self.store.requested(h);
-                jv.allocation = self.store.allocation(h);
-                copy_tail(&j.observed_demand, &mut jv.recent_demand);
-                copy_tail(&j.observed_unused, &mut jv.recent_unused);
+            for (i, (jv, &h)) in view.jobs.iter_mut().zip(occupants).enumerate() {
+                let job = self.store.job(h);
+                (jv.id, jv.requested) = (job.id, job.requested);
+                let hot = self.store.hot_mut(h);
+                jv.allocation = hot.allocation;
+                if poison.is_none() && hot.observed_demand.len() <= VIEW_HISTORY_CAP {
+                    std::mem::swap(&mut jv.recent_demand, &mut hot.observed_demand);
+                    std::mem::swap(&mut jv.recent_unused, &mut hot.observed_unused);
+                    self.lent.push((vm, i));
+                } else {
+                    copy_tail(&hot.observed_demand, &mut jv.recent_demand);
+                    copy_tail(&hot.observed_unused, &mut jv.recent_unused);
+                }
             }
         } else if !view.jobs.is_empty() {
             // The slot after a full one: park the entries.
@@ -407,9 +490,9 @@ impl SlotEngine {
         self.unsettled
             .set(vm, occupants.is_empty() && owed < settles_at);
         // Poisoning corrupts only the monitoring tails the provisioner
-        // sees this slot; ground truth stays intact (a fault-armed engine
-        // rewrites every view from it each slot).
-        if let Some(kind) = self.faults.as_ref().and_then(|f| f.poison(vm)) {
+        // sees this slot, which are copies; ground truth stays intact (a
+        // fault-armed engine rewrites every view from it each slot).
+        if let Some(kind) = poison {
             for job in &mut view.jobs {
                 if let Some(v) = job.recent_demand.last_mut() {
                     corrupt_vector(v, kind);
@@ -428,6 +511,7 @@ impl SlotEngine {
     pub fn step(&mut self, provisioner: &mut dyn Provisioner) -> SlotOutcome {
         let mut outcome = SlotOutcome::default();
         let slot = self.slot;
+        let mut mark = Instant::now();
 
         // 0. Apply the faults scheduled for this slot, before arrivals
         // and provisioning: a crash kills the VM's running jobs
@@ -448,10 +532,11 @@ impl SlotEngine {
                         for h in self.vm_jobs[vm].drain(..) {
                             faults.stats.jobs_killed += 1;
                             faults.kill_slot.insert(self.store.job(h).id(), slot);
-                            let job = self.store.job_mut(h);
-                            job.state = JobState::Pending;
-                            job.progress = 0.0;
-                            self.store.set_allocation(h, ResourceVector::ZERO);
+                            self.store.job_mut(h).state = JobState::Pending;
+                            let hot = self.store.hot_mut(h);
+                            hot.progress = 0.0;
+                            hot.demand_now = hot.current_demand();
+                            hot.allocation = ResourceVector::ZERO;
                             self.pending.push(h);
                         }
                         self.vm_committed[vm] = ResourceVector::ZERO;
@@ -490,6 +575,7 @@ impl SlotEngine {
             }
         }
         self.incoming.clear();
+        lap(&mut self.phase_times.admit, &mut mark);
 
         // 2. Ask the provisioner for a plan.
         // How often the provisioner reads per-job views and deep history
@@ -535,10 +621,10 @@ impl SlotEngine {
             self.pending_views.extend(self.pending.iter().map(|&h| {
                 let j = store.job(h);
                 PendingJobView {
-                    id: j.id(),
-                    requested: store.requested(h),
-                    arrival_slot: j.spec.arrival_slot,
-                    slo_slots: j.spec.slo_slots,
+                    id: j.id,
+                    requested: j.requested,
+                    arrival_slot: j.arrival_slot,
+                    slo_slots: j.slo_slots,
                 }
             }));
             let ctx = SlotContext {
@@ -548,16 +634,44 @@ impl SlotEngine {
                 max_vm_capacity: self.max_capacity,
                 share: JobShare::ALL,
             };
-            let started = Instant::now();
+            lap(&mut self.phase_times.views, &mut mark);
             let plan = provisioner.provision(&ctx);
+            let decided = Instant::now();
             if self.options.measure_decision_time {
-                self.metrics.overhead_us += started.elapsed().as_secs_f64() * 1e6;
+                self.metrics.overhead_us += (decided - mark).as_secs_f64() * 1e6;
             }
+            mark = decided;
             plan
         };
+        // Every history lent to a view goes back to its job.
+        for (vm, i) in self.lent.drain(..) {
+            let view = &mut self.vm_views[vm].jobs[i];
+            let hot = self.store.hot_mut(self.vm_jobs[vm][i]);
+            std::mem::swap(&mut view.recent_demand, &mut hot.observed_demand);
+            std::mem::swap(&mut view.recent_unused, &mut hot.observed_unused);
+        }
+        lap(&mut self.phase_times.views, &mut mark);
         let messages = plan.adjustments.len() + plan.placements.len();
         self.metrics.overhead_us += messages as f64 * self.cluster.profile.comm_latency_us;
-        self.pending_predictions.extend(plan.predictions);
+        // A record for a past slot could never be scored. Plans list
+        // their records in runs of one target slot: one bucket lookup a run.
+        let mut predictions = plan
+            .predictions
+            .into_iter()
+            .filter(|p| p.target_slot >= slot)
+            .peekable();
+        while let Some(first) = predictions.next() {
+            let target = first.target_slot;
+            let spare = &mut self.spare_buckets;
+            let bucket = self
+                .predictions_due
+                .entry(target)
+                .or_insert_with(|| spare.pop().unwrap_or_default());
+            bucket.push(first);
+            while let Some(p) = predictions.next_if(|p| p.target_slot == target) {
+                bucket.push(p);
+            }
+        }
 
         // 3. Apply allocation adjustments to running jobs. Shrinking
         // adjustments run first so that reclaim-and-restore bundles in
@@ -652,17 +766,18 @@ impl SlotEngine {
                 self.occupied.set(p.vm, true);
             }
             self.vm_jobs[p.vm].push(h);
-            self.store.set_allocation(h, alloc);
-            let job = self.store.job_mut(h);
+            let hot = self.store.hot_mut(h);
+            hot.allocation = alloc;
             if keeps_history {
                 // One sample a slot from here to completion: sized now, so
                 // advance appends without reallocating (a throttled job
-                // outgrows the slack and grows as any `Vec`).
-                let samples = job.spec.duration_slots + HISTORY_SLACK_SLOTS;
-                job.observed_demand.reserve_exact(samples);
-                job.observed_unused.reserve_exact(samples);
+                // outgrows the slack and grows as any `Vec`). A buffer
+                // inherited from the slot's last tenant may be room enough.
+                let samples = hot.duration as usize + HISTORY_SLACK_SLOTS;
+                hot.observed_demand.reserve_exact(samples);
+                hot.observed_unused.reserve_exact(samples);
             }
-            job.state = JobState::Running { vm: p.vm };
+            self.store.job_mut(h).state = JobState::Running { vm: p.vm };
             outcome.placements.push((p.job, p.vm));
             if let Some(faults) = self.faults.as_mut() {
                 faults.note_placement(p.job, slot);
@@ -676,8 +791,12 @@ impl SlotEngine {
                 .retain(|&h| matches!(store.job(h).state, JobState::Pending));
         }
 
+        lap(&mut self.phase_times.apply, &mut mark);
+
         // 5. Advance running jobs and collect per-slot totals. Unoccupied
-        // VMs are not visited: their sample is an owed zero.
+        // VMs are not visited: their sample is an owed zero. Each job's
+        // hot record holds all advance reads; the congestion sum needs
+        // only its first line.
         let mut slot_allocated = ResourceVector::ZERO;
         let mut slot_demanded = ResourceVector::ZERO;
         for w in 0..self.occupied.num_words() {
@@ -687,7 +806,7 @@ impl SlotEngine {
                 // Physical congestion: total true demand vs capacity.
                 let mut total_demand = ResourceVector::ZERO;
                 for &h in jobs_here {
-                    total_demand += self.store.job(h).current_demand();
+                    total_demand += self.store.hot(h).demand_now;
                 }
                 // A degraded VM physically delivers only a fraction of its
                 // nominal capacity; commitments are contractual and stay
@@ -707,18 +826,28 @@ impl SlotEngine {
                 let mut vm_unused = ResourceVector::ZERO;
                 let mut finished = false;
                 for &h in jobs_here {
-                    let demand = self.store.job(h).current_demand();
-                    let allocation = self.store.allocation(h);
+                    let hot = self.store.hot_mut(h);
+                    let (demand, allocation) = (hot.demand_now, hot.allocation);
                     let rate = congestion.min(allocation.coverage_of(&demand));
                     let unused = allocation.saturating_sub(&demand);
-                    self.store.set_last_unused(h, unused);
-                    let job = self.store.job_mut(h);
-                    job.progress += rate;
+                    hot.progress += rate;
+                    hot.demand_now = hot.current_demand();
                     if keeps_history {
-                        job.observed_demand.push(demand);
-                        job.observed_unused.push(unused);
+                        hot.observed_demand.push(demand);
+                        hot.observed_unused.push(unused);
+                        #[cfg(test)]
+                        for (series, sample) in self
+                            .shadow_histories
+                            .entry(h)
+                            .or_default()
+                            .iter_mut()
+                            .zip([demand, unused])
+                        {
+                            series.push(sample);
+                        }
                     }
-                    finished |= job.work_done();
+                    finished |= hot.work_done();
+                    self.store.set_last_unused(h, unused);
                     vm_unused += unused;
                     slot_allocated += allocation;
                     slot_demanded += demand;
@@ -739,26 +868,17 @@ impl SlotEngine {
             allocated: slot_allocated,
             demanded: slot_demanded,
         });
+        lap(&mut self.phase_times.advance, &mut mark);
 
-        // 6. Resolve predictions targeting this slot: job-targeted
+        // 6. Resolve the predictions targeting this slot: job-targeted
         // records score against the unused sample advance just wrote for
         // that job (dropped unless the job is running), VM-targeted ones
-        // against the VM total. Removal is swap_remove-style: matured
-        // records are plucked without shifting the (much longer)
-        // still-pending tail, so resolution costs O(matured) per slot
-        // instead of a compaction of the whole queue. Resolved outcomes
-        // feed only order-independent aggregates (counts and error rates),
-        // so the removal order never reaches the report.
-        {
-            let mut i = 0;
-            while i < self.pending_predictions.len() {
-                if self.pending_predictions[i].target_slot > slot {
-                    i += 1;
-                    continue;
-                }
-                let p = self.pending_predictions.swap_remove(i);
-                if p.target_slot != slot || p.resource >= NUM_RESOURCES {
-                    continue; // stale or malformed: dropped unscored
+        // against the VM total. Resolved outcomes feed only counts, so
+        // the order records are scored in never reaches the report.
+        if let Some(mut due) = self.predictions_due.remove(&slot) {
+            for p in due.drain(..) {
+                if p.resource >= NUM_RESOURCES {
+                    continue; // malformed: dropped unscored
                 }
                 let actual = match p.job {
                     Some(job_id) => match self.index_of.get(&job_id) {
@@ -781,7 +901,9 @@ impl SlotEngine {
                     self.metrics.record_prediction(&outcome, eps);
                 }
             }
+            self.spare_buckets.push(due);
         }
+        lap(&mut self.phase_times.resolve, &mut mark);
 
         // 7. Completions — collected in completion order (VM id
         // ascending, scan order within a VM) from the VMs advance noted,
@@ -796,12 +918,12 @@ impl SlotEngine {
             let mut i = 0;
             while i < jobs_here.len() {
                 let h = jobs_here[i];
-                let job = self.store.job(h);
-                if !job.work_done() {
+                let (job, hot) = (self.store.job(h), self.store.hot(h));
+                if !hot.work_done() {
                     i += 1;
                     continue;
                 }
-                let id = job.id();
+                let id = job.id;
                 let violated = job.violates_slo(slot);
                 let response = job.response_slots(slot);
                 // This slot's completions so far index the record to fill.
@@ -815,12 +937,12 @@ impl SlotEngine {
                 completion.job = id;
                 for (r, series) in completion.unused_history.iter_mut().enumerate() {
                     series.clear();
-                    series.extend(job.observed_unused.iter().map(|u| u[r]));
+                    series.extend(hot.observed_unused.iter().map(|u| u[r]));
                 }
                 #[cfg(test)]
-                tests::check_completion_against_fresh(job, completion);
+                tests::check_completion_against_fresh(id, hot, completion);
                 self.vm_committed[vm_id] =
-                    (self.vm_committed[vm_id] - self.store.allocation(h)).clamp_nonnegative();
+                    (self.vm_committed[vm_id] - hot.allocation).clamp_nonnegative();
                 self.metrics.record_completion(response, violated);
                 outcome.completed.push(id);
                 jobs_here.swap_remove(i);
@@ -834,10 +956,13 @@ impl SlotEngine {
             }
         }
         self.finished_vms.clear();
+        lap(&mut self.phase_times.completions, &mut mark);
         if !outcome.completed.is_empty() {
             provisioner.on_jobs_completed(&self.completions[..outcome.completed.len()]);
         }
 
+        #[cfg(test)]
+        tests::check_invariants(self);
         self.slot += 1;
         outcome
     }
@@ -896,9 +1021,10 @@ impl SlotEngine {
 /// releases its arena slot. A later job may have reused the id; its entry
 /// stays.
 fn retire(index_of: &mut HashMap<JobId, JobHandle>, store: &mut JobStore, h: JobHandle) {
-    let id = store.job(h).id();
-    if index_of.get(&id) == Some(&h) {
-        index_of.remove(&id);
+    if let Entry::Occupied(entry) = index_of.entry(store.job(h).id) {
+        if *entry.get() == h {
+            entry.remove();
+        }
     }
     store.release(h);
 }
@@ -960,7 +1086,7 @@ impl Simulation {
 mod tests {
     use super::*;
     use crate::cluster::EnvironmentProfile;
-    use crate::provisioner::StaticPeakProvisioner;
+    use crate::provisioner::{JobShare, StaticPeakProvisioner};
     use corp_trace::{WorkloadConfig, WorkloadGenerator};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -986,13 +1112,15 @@ mod tests {
         static VIEW_CHECKS: Cell<u64> = const { Cell::new(0) };
         /// Slots whose noted VMs this thread has compared with a full scan.
         static FINISH_CHECKS: Cell<u64> = const { Cell::new(0) };
+        /// Slots this thread has checked the engine's invariants after.
+        static INVARIANT_CHECKS: Cell<u64> = const { Cell::new(0) };
     }
 
     /// The obviously-correct view construction: every view built from
     /// freshly allocated vectors straight off the engine's ground truth —
-    /// no buffer reuse, no parking, no VM skipped, and VM histories read
-    /// from the eager shadow series rather than the lazy rings. Off-period
-    /// views list no jobs.
+    /// no buffer reuse, no parking, no lending, no VM skipped, and VM and
+    /// job histories read from the eager shadow series rather than the
+    /// lazy rings and the job records. Off-period views list no jobs.
     fn reference_views(engine: &SlotEngine, full: bool) -> Vec<VmView> {
         let depth = if full { VIEW_HISTORY_CAP } else { 1 };
         let tail =
@@ -1020,12 +1148,14 @@ mod tests {
                     .filter(|_| full)
                     .map(|&h| {
                         let job = engine.store.job(h);
+                        let [demand, unused] =
+                            &engine.shadow_histories.get(&h).cloned().unwrap_or_default();
                         crate::provisioner::RunningJobView {
-                            id: job.id(),
-                            requested: engine.store.requested(h),
+                            id: job.id,
+                            requested: job.requested,
                             allocation: engine.store.allocation(h),
-                            recent_demand: tail(&job.observed_demand),
-                            recent_unused: tail(&job.observed_unused),
+                            recent_demand: tail(demand),
+                            recent_unused: tail(unused),
                         }
                     })
                     .collect(),
@@ -1065,7 +1195,7 @@ mod tests {
     /// VMs advance noted are exactly the ones a scan of every VM's jobs
     /// finds a finished job on, in the same ascending order.
     pub(super) fn check_finished_vms_against_full_scan(engine: &SlotEngine) {
-        let done = |h: &JobHandle| engine.store.job(*h).work_done();
+        let done = |h: &JobHandle| engine.store.hot(*h).work_done();
         let scanned: Vec<usize> = (0..engine.vm_jobs.len())
             .filter(|&vm| engine.vm_jobs[vm].iter().any(done))
             .collect();
@@ -1079,10 +1209,99 @@ mod tests {
 
     /// Called for every completion record the engine fills: the reused
     /// record reads as one built from freshly allocated series.
-    pub(super) fn check_completion_against_fresh(job: &RunningJob, completion: &JobCompletion) {
-        assert_eq!(completion.job, job.id());
+    pub(super) fn check_completion_against_fresh(
+        id: JobId,
+        job: &crate::job::HotJob,
+        completion: &JobCompletion,
+    ) {
+        assert_eq!(completion.job, id);
         let fresh: Vec<Vec<f64>> = (0..NUM_RESOURCES).map(|r| job.unused_series(r)).collect();
-        assert_eq!(completion.unused_history, fresh, "job {}", job.id());
+        assert_eq!(completion.unused_history, fresh, "job {id}");
+    }
+
+    /// Called by [`SlotEngine::step`] in this crate's test builds at the
+    /// end of every slot of every test: the bookkeeping the slot loop
+    /// keeps incrementally agrees with a full recount.
+    pub(super) fn check_invariants(engine: &mut SlotEngine) {
+        let slot = engine.slot;
+        let store = &engine.store;
+        engine.shadow_histories.retain(|&h, _| store.is_live(h));
+        // Job conservation: every job ever submitted is in exactly one
+        // place, or has left through a counted door.
+        let running: usize = engine.vm_jobs.iter().map(Vec::len).sum();
+        let (pending, incoming) = (engine.pending.len(), engine.incoming.len());
+        let metrics = &engine.metrics;
+        assert_eq!(
+            store.total_inserted(),
+            incoming + pending + running + metrics.completed + metrics.rejected,
+            "job conservation at slot {slot}"
+        );
+        assert_eq!(store.live(), incoming + pending + running, "slot {slot}");
+        assert_eq!(engine.active, pending + running, "slot {slot}");
+        for &h in &engine.pending {
+            assert_eq!(store.job(h).state, JobState::Pending, "slot {slot}");
+        }
+        let mut hosting = Vec::new();
+        for (vm, jobs) in engine.vm_jobs.iter().enumerate() {
+            if !jobs.is_empty() {
+                hosting.push(vm);
+            }
+            // Per VM: the committed total is the sum of its jobs'
+            // allocations, within capacity; no job holds more than it
+            // asked for.
+            let mut sum = ResourceVector::ZERO;
+            for &h in jobs {
+                let (job, allocation) = (store.job(h), store.allocation(h));
+                assert_eq!(job.state, JobState::Running { vm }, "slot {slot}");
+                assert!(
+                    allocation.fits_within(&(job.requested + ResourceVector::splat(1e-9))),
+                    "job {} holds {allocation:?} of a {:?} request at slot {slot}",
+                    job.id,
+                    job.requested
+                );
+                sum += allocation;
+            }
+            let committed = engine.vm_committed[vm];
+            for k in 0..NUM_RESOURCES {
+                assert!(
+                    (committed[k] - sum[k]).abs() <= 1e-9,
+                    "VM {vm} commits {committed:?}, its jobs hold {sum:?} at slot {slot}"
+                );
+            }
+            let capacity = engine.cluster.vms[vm].capacity + ResourceVector::splat(1e-9);
+            assert!(
+                sum.fits_within(&capacity),
+                "VM {vm} over capacity at slot {slot}"
+            );
+        }
+        // The occupied set is exactly the VMs with jobs.
+        let occupied: Vec<usize> = (0..engine.occupied.num_words())
+            .flat_map(|w| ids_in(w, engine.occupied.word(w)))
+            .collect();
+        assert_eq!(occupied, hosting, "occupied set at slot {slot}");
+        // Every index entry addresses a live job with that id.
+        for (&id, &h) in &engine.index_of {
+            assert!(
+                store.is_live(h),
+                "stale index entry for job {id} at slot {slot}"
+            );
+            assert_eq!(store.job(h).id, id);
+        }
+        // Every lent history is back in its job's record, and every
+        // cached demand row is the one progress points at.
+        assert!(engine.lent.is_empty(), "slot {slot}");
+        for &h in engine.vm_jobs.iter().flatten().chain(&engine.pending) {
+            let hot = store.hot(h);
+            assert_eq!(hot.demand_now, hot.current_demand(), "slot {slot}");
+            let shadow = engine.shadow_histories.get(&h).cloned().unwrap_or_default();
+            assert_eq!(
+                [&hot.observed_demand, &hot.observed_unused],
+                [&shadow[0], &shadow[1]],
+                "job {}'s histories at slot {slot}",
+                store.job(h).id
+            );
+        }
+        INVARIANT_CHECKS.with(|n| n.set(n.get() + 1));
     }
 
     /// The lazy per-VM state against its eager ground truth: the occupied
@@ -1391,6 +1610,56 @@ mod tests {
         assert!(report.prediction_error_rate > 0.3, "{report:?}");
     }
 
+    /// Static peak that registers, every slot, VM-targeted records for
+    /// the next slot, the last one, this one, the next one again and five
+    /// ahead, in that order; keeps every record it made.
+    struct ScatteredTargets(Vec<PredictionRecord>);
+    impl Provisioner for ScatteredTargets {
+        fn name(&self) -> &str {
+            "scattered-targets"
+        }
+        fn provision(&mut self, ctx: &SlotContext<'_>) -> crate::provisioner::ProvisionPlan {
+            let mut plan = StaticPeakProvisioner.provision(ctx);
+            for target in [
+                ctx.slot + 1,
+                ctx.slot.saturating_sub(1),
+                ctx.slot,
+                ctx.slot + 1,
+                ctx.slot + 5,
+            ] {
+                plan.predictions.push(PredictionRecord {
+                    vm: 0,
+                    job: None,
+                    resource: 0,
+                    made_at: ctx.slot,
+                    target_slot: target,
+                    predicted: 0.0,
+                });
+            }
+            self.0.extend(plan.predictions.iter().cloned());
+            plan
+        }
+    }
+
+    #[test]
+    fn predictions_resolve_in_their_target_slot_and_past_targets_never() {
+        // VM-targeted records always have an actual, so exactly the ones
+        // whose target is neither before the slot they were made in nor
+        // past the end of the run are scored, whatever order plans list
+        // them in.
+        let mut sim = Simulation::new(
+            cluster(),
+            small_workload(20, 17),
+            SimulationOptions::default(),
+        );
+        let mut p = ScatteredTargets(Vec::new());
+        let report = sim.run(&mut p);
+        let due =
+            |r: &&PredictionRecord| r.target_slot >= r.made_at && r.target_slot < report.slots_run;
+        assert_eq!(report.predictions_resolved, p.0.iter().filter(due).count());
+        assert!(p.0.iter().any(|r| r.target_slot < r.made_at));
+    }
+
     /// Registers per-job predictions equal to the job's last observed
     /// unused value (a persistence predictor — should score very well).
     struct JobPersistencePredictor(StaticPeakProvisioner);
@@ -1517,7 +1786,8 @@ mod tests {
             let mut kept = 0;
             let report = sim.run_inspecting(&mut p, |engine, _| {
                 kept += engine
-                    .jobs()
+                    .store()
+                    .hot_slice()
                     .iter()
                     .map(|j| j.observed_unused.len())
                     .sum::<usize>();
@@ -1970,37 +2240,43 @@ mod tests {
         }
     }
 
-    /// Pumps `jobs` through `engine` under `Windowed(period)` until they
+    /// Pumps `jobs` through `engine` under `provisioner` until they
     /// drain, calling `inspect` with every step's outcome, and asserts
     /// the reference checks ran once per slot.
     fn pump_checked(
         mut engine: SlotEngine,
         mut jobs: Vec<JobSpec>,
-        period: u64,
+        provisioner: &mut dyn Provisioner,
         mut inspect: impl FnMut(&SlotEngine, &SlotOutcome),
     ) -> SimulationReport {
-        let checks = || (VIEW_CHECKS.with(Cell::get), FINISH_CHECKS.with(Cell::get));
-        let (views_before, finishes_before) = checks();
+        let checks = || {
+            (
+                VIEW_CHECKS.with(Cell::get),
+                FINISH_CHECKS.with(Cell::get),
+                INVARIANT_CHECKS.with(Cell::get),
+            )
+        };
+        let (views_before, finishes_before, invariants_before) = checks();
         jobs.sort_by_key(|j| j.arrival_slot);
-        let mut provisioner = Windowed(period);
         let mut next = 0;
         while next < jobs.len() || engine.active() > 0 {
             while next < jobs.len() && jobs[next].arrival_slot <= engine.slot() {
                 engine.submit(jobs[next].clone());
                 next += 1;
             }
-            let outcome = engine.step(&mut provisioner);
+            let outcome = engine.step(provisioner);
             inspect(&engine, &outcome);
         }
         assert_eq!(
             checks(),
             (
                 views_before + engine.slot(),
-                finishes_before + engine.slot()
+                finishes_before + engine.slot(),
+                invariants_before + engine.slot()
             ),
-            "every slot's views and noted VMs were compared with their references"
+            "every slot's views, noted VMs and invariants were checked"
         );
-        engine.report(&provisioner)
+        engine.report(provisioner)
     }
 
     /// [`pump_checked`] on a fresh default-options engine behind the
@@ -2015,7 +2291,7 @@ mod tests {
         if let Some(timeline) = timeline {
             engine = engine.with_fault_timeline(timeline);
         }
-        pump_checked(engine, jobs, 6, |engine, _| inspect(engine));
+        pump_checked(engine, jobs, &mut Windowed(6), |engine, _| inspect(engine));
     }
 
     /// A job that takes a whole VM to itself (3 of 4 cores) for exactly
@@ -2081,11 +2357,12 @@ mod tests {
                     }
                     // Idle slots owed to each VM a job landed on.
                     let mut landed_after = BTreeSet::new();
-                    let report = pump_checked(engine, jobs, period, |engine, outcome| {
-                        for &(_, vm) in &outcome.placements {
-                            landed_after.insert(engine.slot() - 1 - engine.idle_from[vm]);
-                        }
-                    });
+                    let report =
+                        pump_checked(engine, jobs, &mut Windowed(period), |engine, outcome| {
+                            for &(_, vm) in &outcome.placements {
+                                landed_after.insert(engine.slot() - 1 - engine.idle_from[vm]);
+                            }
+                        });
                     let case = format!("gap {gap}, period {period}, {variant}");
                     assert_eq!(report.completed, total, "{case}: {report:?}");
                     assert_eq!(report.invalid_actions, 0, "{case}");
@@ -2116,7 +2393,7 @@ mod tests {
         // with every view settled.
         let (mut visits_before, mut quiet_before) = (0, false);
         let (mut steady_visits, mut steady_occupied, mut idle_slots) = (0u64, 0u64, 0);
-        pump_checked(engine, jobs, u64::MAX, |engine, _| {
+        pump_checked(engine, jobs, &mut Windowed(u64::MAX), |engine, _| {
             let visits = engine.vm_visits() - visits_before;
             let quiet = engine.occupied_vms() == 0 && engine.unsettled.len() == 0;
             if engine.slot() > warm_up {
@@ -2368,8 +2645,11 @@ mod tests {
             vec![hog(0, 0, 10), hog(1, 0, 10)],
             Some(timeline),
             |engine| {
-                for job in engine.jobs().iter().filter(|j| j.id() != u64::MAX) {
-                    let id = job.id() as usize;
+                let store = engine.store();
+                let resident = store.as_slice().iter().zip(store.hot_slice());
+                for (job, job_hot) in resident.filter(|(j, _)| j.id != u64::MAX) {
+                    let id = job.id as usize;
+                    let job = job_hot;
                     assert_eq!(job.observed_demand.len(), job.observed_unused.len());
                     let histories = [&job.observed_demand, &job.observed_unused];
                     assert!(histories.iter().all(|h| h.capacity() >= reserved));
@@ -2383,6 +2663,184 @@ mod tests {
         assert!(longest[0] > reserved, "job 0 ran {} slots", longest[0]);
         assert_eq!(longest[1], 9);
         assert_eq!(regrown, [true, false]);
+    }
+
+    #[test]
+    fn a_history_longer_than_a_view_is_copied_not_lent() {
+        use corp_faults::{FaultEvent, TimedFault};
+        // A 30-slot hog on a VM delivering a twentieth of its capacity
+        // runs for about 230 slots; from slot 66 on its history is longer
+        // than a view shows, so full slots copy its tail into the view
+        // (which keeps the copy after the step) instead of lending.
+        let timeline = FaultTimeline::new(vec![TimedFault {
+            slot: 1,
+            event: FaultEvent::VmDegrade {
+                vm: 0,
+                factor: 0.05,
+            },
+        }]);
+        let mut copied_slots = 0;
+        run_checked(cluster(), vec![hog(0, 0, 30)], Some(timeline), |engine| {
+            let slot = engine.slot() - 1;
+            let Some(&h) = engine.vm_jobs[0].first() else {
+                return;
+            };
+            let history = &engine.store.hot(h).observed_unused;
+            if slot % 6 == 0 && history.len() > VIEW_HISTORY_CAP + 1 {
+                let view = &engine.vm_views[0].jobs[0];
+                // The view was written before this slot's sample landed.
+                let shown = &history[history.len() - 1 - VIEW_HISTORY_CAP..history.len() - 1];
+                assert_eq!(view.recent_unused, shown, "slot {slot}");
+                copied_slots += 1;
+            }
+        });
+        assert!(copied_slots >= 10, "{copied_slots} full slots past the cap");
+    }
+
+    /// Static peak behind the six-slot window that records, per slot,
+    /// whether any job history it was shown held a non-finite sample.
+    struct NanWatcher(Vec<bool>);
+    impl Provisioner for NanWatcher {
+        fn name(&self) -> &str {
+            "nan-watcher"
+        }
+        fn provision(&mut self, ctx: &SlotContext<'_>) -> crate::provisioner::ProvisionPlan {
+            let jobs = ctx.vms.iter().flat_map(|vm| &vm.jobs);
+            let histories = jobs.flat_map(|j| j.recent_demand.iter().chain(&j.recent_unused));
+            self.0.push(histories.into_iter().any(|u| !u.is_finite()));
+            StaticPeakProvisioner.provision(ctx)
+        }
+        fn full_view_period(&self) -> u64 {
+            6
+        }
+    }
+
+    #[test]
+    fn a_poisoned_full_slot_corrupts_a_copy_and_the_next_slot_reads_clean() {
+        use corp_faults::{FaultEvent, PoisonKind, TimedFault};
+        // VM 0's monitoring is poisoned on full slot 6 only. Its view gets
+        // copies with the newest samples corrupted; the job's own history
+        // (compared with the shadow after every step) stays clean, and the
+        // next full slot lends it, clean, to the view again.
+        let timeline = FaultTimeline::new(vec![TimedFault {
+            slot: 6,
+            event: FaultEvent::PoisonViews {
+                vm: 0,
+                kind: PoisonKind::Nan,
+            },
+        }]);
+        let engine =
+            SlotEngine::new(cluster(), SimulationOptions::default()).with_fault_timeline(timeline);
+        let mut watcher = NanWatcher(Vec::new());
+        let report = pump_checked(engine, vec![hog(0, 0, 20)], &mut watcher, |engine, _| {
+            for &h in &engine.vm_jobs[0] {
+                let own = &engine.store.hot(h).observed_unused;
+                assert!(own.iter().all(ResourceVector::is_finite));
+            }
+        });
+        assert_eq!(report.completed, 1);
+        let saw_nan: Vec<usize> = (0..watcher.0.len()).filter(|&s| watcher.0[s]).collect();
+        assert_eq!(saw_nan, [6], "only the poisoned slot shows NaN");
+    }
+
+    #[test]
+    fn a_crash_between_two_full_slots_returns_every_lent_history() {
+        use corp_faults::{FaultEvent, TimedFault};
+        // Every slot is full, so every slot lends. Half-size hogs fill
+        // VMs two at a time; VM 1 crashes at slot 4 with two jobs whose
+        // histories were lent the slot before. They restart elsewhere
+        // with their histories intact (the invariant check compares them
+        // with the shadow after every step) and finish.
+        let at = |slot, event| TimedFault { slot, event };
+        let timeline = FaultTimeline::new(vec![
+            at(4, FaultEvent::VmCrash { vm: 1 }),
+            at(9, FaultEvent::VmRecover { vm: 1 }),
+        ]);
+        let engine =
+            SlotEngine::new(cluster(), SimulationOptions::default()).with_fault_timeline(timeline);
+        let jobs = (0..6)
+            .map(|id| {
+                let mut job = hog(id, 0, 12);
+                job.requested = [1.5, 2.0, 10.0];
+                for row in &mut job.demand {
+                    row.iter_mut().for_each(|d| *d *= 0.5);
+                }
+                job
+            })
+            .collect();
+        let mut killed = Vec::new();
+        let report = pump_checked(engine, jobs, &mut Windowed(1), |engine, _| {
+            if engine.slot() == 4 {
+                // Seen after slot 3: who is on VM 1 when it crashes.
+                killed.extend(engine.vm_jobs[1].iter().map(|&h| engine.store.job(h).id));
+            }
+        });
+        let faults = report.faults.as_ref().expect("fault stats present");
+        assert_eq!(report.completed, 6, "{report:?}");
+        assert_eq!(killed.len(), 2);
+        assert_eq!(faults.jobs_killed, 2, "{report:?}");
+    }
+
+    #[test]
+    fn sharded_readers_share_the_lent_histories_in_place() {
+        // Three scoped threads read one slot's views at once, each through
+        // its own share, as a sharded coordinator's shards do: together
+        // they see every job once and every lent sample.
+        struct ShardedReader {
+            full_slots_read: u64,
+        }
+        impl Provisioner for ShardedReader {
+            fn name(&self) -> &str {
+                "sharded-reader"
+            }
+            fn provision(&mut self, ctx: &SlotContext<'_>) -> crate::provisioner::ProvisionPlan {
+                let whole = |vms: &[VmView]| {
+                    let jobs = vms.iter().flat_map(|vm| &vm.jobs);
+                    let samples = jobs.clone().map(|j| j.recent_unused.len()).sum::<usize>();
+                    (jobs.count(), samples)
+                };
+                let per_shard: Vec<(usize, usize)> = std::thread::scope(|scope| {
+                    let readers: Vec<_> = (0..3)
+                        .map(|shard| {
+                            scope.spawn(move || {
+                                let share = JobShare { shard, of: 3 };
+                                let view = SlotContext {
+                                    slot: ctx.slot,
+                                    vms: ctx.vms,
+                                    pending: ctx.pending,
+                                    max_vm_capacity: ctx.max_vm_capacity,
+                                    share,
+                                };
+                                let owned = ctx.vms.iter().flat_map(|vm| view.owned_jobs(vm));
+                                owned.fold((0, 0), |(jobs, samples), j| {
+                                    (jobs + 1, samples + j.recent_unused.len())
+                                })
+                            })
+                        })
+                        .collect();
+                    readers.into_iter().map(|r| r.join().unwrap()).collect()
+                });
+                let summed = per_shard
+                    .iter()
+                    .fold((0, 0), |(a, b), &(c, d)| (a + c, b + d));
+                let (jobs, samples) = whole(ctx.vms);
+                assert_eq!(summed, (jobs, samples), "slot {}", ctx.slot);
+                self.full_slots_read += (samples > 0) as u64;
+                StaticPeakProvisioner.provision(ctx)
+            }
+            fn full_view_period(&self) -> u64 {
+                2
+            }
+        }
+        let mut provisioner = ShardedReader { full_slots_read: 0 };
+        let engine = SlotEngine::new(cluster(), SimulationOptions::default());
+        let report = pump_checked(engine, small_workload(30, 45), &mut provisioner, |_, _| {});
+        assert_eq!(report.completed, 30);
+        assert!(
+            provisioner.full_slots_read > 5,
+            "{}",
+            provisioner.full_slots_read
+        );
     }
 
     #[test]

@@ -50,7 +50,9 @@ mod vm_set;
 
 pub use cluster::{Cluster, EnvironmentProfile};
 pub use control_plane::{BreakerStateName, BreakerTransition, ControlPlaneStats, ShardStats};
-pub use engine::{Simulation, SimulationOptions, SimulationReport, SlotEngine, SlotOutcome};
+pub use engine::{
+    PhaseTimes, Simulation, SimulationOptions, SimulationReport, SlotEngine, SlotOutcome,
+};
 pub use faults::FaultStats;
 pub use job::{JobId, JobState, RunningJob};
 pub use metrics::{MetricsCollector, PredictionOutcome, UtilizationSample};

@@ -13,8 +13,12 @@
 //! [`BoundedRing::copy_view`], settled with [`BoundedRing::push_zeros`]
 //! when a job lands there. A VM that never hosts a job never allocates.
 //!
-//! [`copy_tail`] is what the engine's in-place view rewrite copies per-job
-//! histories with, on the slots that show per-job views at all.
+//! Per-job histories are not copied into views on the common path: on a
+//! full-view slot each job's view takes the job's own history buffers for
+//! the `provision` call and hands them back before advance.
+//! [`copy_tail`] is the exception's copy — a history longer than a view
+//! shows, or one on a VM whose monitoring is poisoned this slot, whose
+//! view gets its own corruptible copy of the tail.
 
 use crate::provisioner::VIEW_HISTORY_CAP;
 use crate::resources::ResourceVector;

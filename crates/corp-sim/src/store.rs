@@ -1,22 +1,26 @@
-//! Generational slab job store with SoA resource columns.
+//! Generational slab job store: one cold and one hot record per job.
 //!
 //! [`JobStore`] holds the jobs the engine has admitted and not yet seen
-//! leave:
+//! leave, as an arena addressed by [`JobHandle`]s (index + generation, so
+//! a recycled slot invalidates stale handles) with two columns:
 //!
-//! * an arena of [`RunningJob`] records addressed by [`JobHandle`]s
-//!   (index + generation, so a recycled slot invalidates stale handles);
-//! * SoA columns for the hot per-slot scalars — `requested`,
-//!   `allocation` and the newest unused sample as parallel
-//!   `ResourceVector` arrays the engine and view builder index directly.
+//! * [`RunningJob`] — identity, request, SLO, lifecycle state;
+//! * `HotJob` — allocation, this slot's demand row, progress, duration,
+//!   the demand series and the two history buffers: everything the
+//!   engine's advance phase reads, in one record;
 //!
-//! A job that completes or is rejected releases its slot, demand series
-//! and histories at once, and the next insert reuses the slot, so the
-//! arena's high-water mark is the peak number of resident jobs, whatever
-//! the trace length.
+//! and one dense column, the newest unused sample of each job, which
+//! advance writes and the same slot's prediction scoring reads.
+//!
+//! A job that completes or is rejected releases its slot and demand
+//! series at once; its history buffers stay in the slot, cleared, for the
+//! next tenant, and the next insert reuses the slot. The arena's
+//! high-water mark is the peak number of resident jobs, whatever the
+//! trace length.
 
-use crate::job::RunningJob;
+use crate::job::{HotJob, RunningJob};
 use crate::resources::ResourceVector;
-use corp_trace::{IntensityClass, JobSpec};
+use corp_trace::JobSpec;
 
 /// Stable reference to a job slot: arena index plus the generation the
 /// slot had when the job was inserted. A handle whose generation no
@@ -41,33 +45,30 @@ impl JobHandle {
     }
 }
 
-/// The arena + SoA job store backing a [`SlotEngine`](crate::SlotEngine).
+/// The arena job store backing a [`SlotEngine`](crate::SlotEngine).
 #[derive(Debug, Default)]
 pub struct JobStore {
     jobs: Vec<RunningJob>,
-    generations: Vec<u32>,
-    requested: Vec<ResourceVector>,
-    allocation: Vec<ResourceVector>,
+    hot: Vec<HotJob>,
+    /// The unused allocation each job showed on the newest slot it ran:
+    /// written by advance, read only by the same slot's prediction
+    /// scoring, so a dense column that stays in cache.
     last_unused: Vec<ResourceVector>,
+    generations: Vec<u32>,
     free: Vec<u32>,
     live: usize,
     total_inserted: usize,
 }
 
-/// What a released slot holds until reused: an id no workload generates,
-/// zero extent, no history.
-fn tombstone() -> RunningJob {
-    RunningJob::new(JobSpec {
-        id: u64::MAX,
-        arrival_slot: 0,
-        duration_slots: 0,
-        class: IntensityClass::Balanced,
-        requested: [0.0; 3],
-        demand: Vec::new(),
-        slo_slots: 0,
-        bandwidth_mbps: 0.0,
-    })
-}
+/// What a released slot's cold record holds until reused: an id no
+/// workload generates.
+const TOMBSTONE: RunningJob = RunningJob {
+    id: u64::MAX,
+    arrival_slot: 0,
+    slo_slots: 0,
+    requested: ResourceVector::ZERO,
+    state: crate::job::JobState::Pending,
+};
 
 impl JobStore {
     /// An empty store.
@@ -75,16 +76,19 @@ impl JobStore {
         JobStore::default()
     }
 
-    /// Inserts a job in the pending state and returns its handle.
+    /// Inserts a job in the pending state and returns its handle. A
+    /// recycled slot's history buffers go to the new job.
     pub fn insert(&mut self, spec: JobSpec) -> JobHandle {
         self.total_inserted += 1;
         self.live += 1;
-        let requested = ResourceVector::new(spec.requested);
         if let Some(index) = self.free.pop() {
             let i = index as usize;
-            self.jobs[i] = RunningJob::new(spec);
-            self.requested[i] = requested;
-            self.allocation[i] = ResourceVector::ZERO;
+            let slot = &mut self.hot[i];
+            let histories = [
+                std::mem::take(&mut slot.observed_demand),
+                std::mem::take(&mut slot.observed_unused),
+            ];
+            (self.jobs[i], self.hot[i]) = RunningJob::new(spec, histories);
             self.last_unused[i] = ResourceVector::ZERO;
             JobHandle {
                 index,
@@ -92,11 +96,11 @@ impl JobStore {
             }
         } else {
             let index = self.jobs.len() as u32;
-            self.jobs.push(RunningJob::new(spec));
-            self.generations.push(0);
-            self.requested.push(requested);
-            self.allocation.push(ResourceVector::ZERO);
+            let (cold, hot) = RunningJob::new(spec, Default::default());
+            self.jobs.push(cold);
+            self.hot.push(hot);
             self.last_unused.push(ResourceVector::ZERO);
+            self.generations.push(0);
             JobHandle {
                 index,
                 generation: 0,
@@ -104,18 +108,20 @@ impl JobStore {
         }
     }
 
-    /// Releases a terminal job's slot: the record is replaced by a
-    /// tombstone (dropping its demand series and histories), the columns
-    /// are zeroed and the generation bumps, staling every outstanding
-    /// handle. The next insert reuses the slot.
+    /// Releases a terminal job's slot: the cold record becomes a
+    /// tombstone, the hot one drops its demand series and empties its
+    /// histories (keeping their room; the next insert rewrites the rest),
+    /// and the generation bumps, staling every outstanding handle. The
+    /// next insert reuses the slot.
     pub fn release(&mut self, h: JobHandle) {
         debug_assert!(self.is_live(h), "releasing a stale handle");
         self.live -= 1;
         let i = h.index();
-        self.jobs[i] = tombstone();
-        self.allocation[i] = ResourceVector::ZERO;
-        self.last_unused[i] = ResourceVector::ZERO;
-        self.requested[i] = ResourceVector::ZERO;
+        self.jobs[i] = TOMBSTONE;
+        let hot = &mut self.hot[i];
+        hot.demand = Box::default();
+        hot.observed_demand.clear();
+        hot.observed_unused.clear();
         self.generations[i] = self.generations[i].wrapping_add(1);
         self.free.push(h.index);
     }
@@ -128,50 +134,65 @@ impl JobStore {
             .is_some_and(|&g| g == h.generation)
     }
 
-    /// The job behind a live handle.
+    /// The cold record behind a live handle.
     #[inline]
     pub fn job(&self, h: JobHandle) -> &RunningJob {
         debug_assert!(self.is_live(h), "stale job handle");
         &self.jobs[h.index()]
     }
 
-    /// Mutable access to the job behind a live handle.
+    /// Mutable access to the cold record behind a live handle.
     #[inline]
     pub fn job_mut(&mut self, h: JobHandle) -> &mut RunningJob {
         debug_assert!(self.is_live(h), "stale job handle");
         &mut self.jobs[h.index()]
     }
 
-    /// The job's admission-time peak request (SoA column read).
+    /// The hot record behind a live handle.
+    #[inline]
+    pub(crate) fn hot(&self, h: JobHandle) -> &HotJob {
+        debug_assert!(self.is_live(h), "stale job handle");
+        &self.hot[h.index()]
+    }
+
+    /// Mutable access to the hot record behind a live handle.
+    #[inline]
+    pub(crate) fn hot_mut(&mut self, h: JobHandle) -> &mut HotJob {
+        debug_assert!(self.is_live(h), "stale job handle");
+        &mut self.hot[h.index()]
+    }
+
+    /// The job's admission-time peak request.
     #[inline]
     pub fn requested(&self, h: JobHandle) -> ResourceVector {
-        self.requested[h.index()]
+        self.job(h).requested
     }
 
-    /// The job's current allocation (SoA column read).
+    /// The job's current allocation.
     #[inline]
     pub fn allocation(&self, h: JobHandle) -> ResourceVector {
-        self.allocation[h.index()]
+        self.hot(h).allocation
     }
 
-    /// Overwrites the job's current allocation (SoA column write).
+    /// Overwrites the job's current allocation.
     #[inline]
     pub fn set_allocation(&mut self, h: JobHandle, v: ResourceVector) {
-        self.allocation[h.index()] = v;
+        self.hot_mut(h).allocation = v;
     }
 
-    /// The unused allocation the job showed on the newest slot it ran
-    /// (SoA column read): what job-targeted predictions are scored
-    /// against, whether or not the engine keeps the job's history.
+    /// The unused allocation the job showed on the newest slot it ran:
+    /// what job-targeted predictions are scored against, whether or not
+    /// the engine keeps the job's history.
     #[inline]
     pub fn last_unused(&self, h: JobHandle) -> ResourceVector {
+        debug_assert!(self.is_live(h), "stale job handle");
         self.last_unused[h.index()]
     }
 
-    /// Records the unused allocation the job showed this slot (SoA column
-    /// write).
+    /// Records the unused allocation the job showed this slot.
     #[inline]
-    pub fn set_last_unused(&mut self, h: JobHandle, v: ResourceVector) {
+    pub(crate) fn set_last_unused(&mut self, h: JobHandle, v: ResourceVector) {
+        debug_assert!(self.is_live(h), "stale job handle");
         self.last_unused[h.index()] = v;
     }
 
@@ -190,11 +211,17 @@ impl JobStore {
         self.jobs.len()
     }
 
-    /// The arena as a slice, one entry per slot: resident jobs, and
-    /// tombstones (id `u64::MAX`) in released slots until they are
-    /// reused. Order carries no meaning.
+    /// The arena's cold records as a slice, one entry per slot: resident
+    /// jobs, and tombstones (id `u64::MAX`) in released slots until they
+    /// are reused. Order carries no meaning.
     pub fn as_slice(&self) -> &[RunningJob] {
         &self.jobs
+    }
+
+    /// The arena's hot records, indexed like [`as_slice`](Self::as_slice).
+    #[cfg(test)]
+    pub(crate) fn hot_slice(&self) -> &[HotJob] {
+        &self.hot
     }
 }
 
@@ -221,12 +248,14 @@ mod tests {
         assert_eq!(store.live(), 1);
         let tombstone = &store.as_slice()[h0.index()];
         assert_eq!(tombstone.id(), u64::MAX);
+        let released = &store.hot_slice()[h0.index()];
         assert!(
-            tombstone.spec.demand.capacity() == 0,
+            released.demand.is_empty(),
             "the released job's demand series is dropped"
         );
         let h2 = store.insert(specs[2].clone());
         assert_eq!(h2.index(), h0.index(), "slot recycled");
+        assert_eq!(store.hot(h2).demand.len(), specs[2].demand.len());
         assert_ne!(h2.generation(), h0.generation());
         assert!(store.is_live(h2));
         assert_eq!(store.capacity(), 2, "arena bounded by live jobs");
@@ -248,6 +277,29 @@ mod tests {
         let reused = store.insert(specs(1).remove(0));
         assert_eq!(reused.index(), h.index());
         assert_eq!(store.last_unused(reused), ResourceVector::ZERO);
+        assert_eq!(store.allocation(reused), ResourceVector::ZERO);
+    }
+
+    #[test]
+    fn a_released_slot_keeps_its_history_buffers_for_the_next_tenant() {
+        let mut store = JobStore::new();
+        let h = store.insert(specs(1).remove(0));
+        let hot = store.hot_mut(h);
+        hot.observed_demand.extend([ResourceVector::splat(1.0); 30]);
+        hot.observed_unused.extend([ResourceVector::splat(2.0); 30]);
+        let rooms = [hot.observed_demand.as_ptr(), hot.observed_unused.as_ptr()];
+        store.release(h);
+        let released = &store.hot_slice()[h.index()];
+        assert!(released.observed_demand.is_empty() && released.observed_unused.is_empty());
+        let next = store.insert(specs(2).remove(1));
+        let hot = store.hot(next);
+        assert!(hot.observed_demand.is_empty() && hot.observed_unused.is_empty());
+        assert!(hot.observed_unused.capacity() >= 30);
+        assert_eq!(
+            [hot.observed_demand.as_ptr(), hot.observed_unused.as_ptr()],
+            rooms,
+            "the same buffers, not new ones"
+        );
     }
 
     #[test]
