@@ -8,13 +8,14 @@
 //! fleet under 300 sub-VM jobs never contends, which would flatten every
 //! curve; see EXPERIMENTS.md).
 
-use corp_cluster::{ShardConfig, ShardedProvisioner};
+use corp_cluster::{ProvisionerFactory, ShardConfig, ShardedProvisioner};
 use corp_core::{
-    CloudScaleProvisioner, CorpConfig, CorpProvisioner, DraProvisioner, RccrProvisioner,
+    shard_seed, CloudScaleProvisioner, CorpConfig, CorpProvisioner, DraProvisioner, RccrProvisioner,
 };
 use corp_faults::{generate, ControlFaultPlan, FaultConfig, FaultSchedule};
 use corp_sim::{Cluster, EnvironmentProfile, Provisioner, Simulation, SimulationOptions};
 use corp_trace::{JobSpec, WorkloadConfig, WorkloadGenerator};
+use std::sync::Arc;
 
 /// Which testbed an experiment models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,10 +186,27 @@ pub fn build_provisioner(
     env: Environment,
     params: &SchemeParams,
 ) -> Box<dyn Provisioner + Send> {
+    provisioner_from(scheme, params, &pretraining_corpus(scheme, env))
+}
+
+/// What CORP pretrains on; the baselines learn online only.
+fn pretraining_corpus(scheme: SchemeKind, env: Environment) -> Vec<Vec<Vec<f64>>> {
+    match scheme {
+        SchemeKind::Corp => historical_histories(env, 40),
+        _ => Vec::new(),
+    }
+}
+
+/// [`build_provisioner`] over an already computed pretraining corpus.
+fn provisioner_from(
+    scheme: SchemeKind,
+    params: &SchemeParams,
+    corpus: &[Vec<Vec<f64>>],
+) -> Box<dyn Provisioner + Send> {
     match scheme {
         SchemeKind::Corp => {
             let mut corp = CorpProvisioner::new(corp_config(params));
-            corp.pretrain(&historical_histories(env, 40));
+            corp.pretrain(corpus);
             Box::new(corp)
         }
         SchemeKind::Rccr => {
@@ -210,12 +228,13 @@ pub fn build_provisioner(
 }
 
 /// Builds a sharded control plane: `shards` independent copies of `scheme`
-/// behind a [`ShardedProvisioner`] coordinator, with per-shard decorrelated
-/// seeds (shard 0 keeps `params.seed`, so one shard reproduces the
-/// monolithic scheduler exactly). Each shard runs the scheme at its default
-/// posture (`aggressiveness` applies only to monolithic builds) and is
-/// built from a factory, so the supervisor rebuilds a shard that dies —
-/// whether `fault_plan`'s control-plane chaos killed it or it panicked.
+/// behind a [`ShardedProvisioner`] coordinator. Each shard is what
+/// [`build_provisioner`] builds from `params` at the shard's decorrelated
+/// seed (shard 0 keeps `params.seed`, so one shard reproduces the
+/// monolithic scheduler exactly); CORP's shards share one pretraining
+/// corpus. Each shard is built from a factory, so the supervisor rebuilds a
+/// shard that dies — whether `fault_plan`'s control-plane chaos killed it
+/// or it panicked.
 pub fn build_sharded_provisioner(
     scheme: SchemeKind,
     env: Environment,
@@ -223,14 +242,17 @@ pub fn build_sharded_provisioner(
     shards: usize,
     fault_plan: Option<ControlFaultPlan>,
 ) -> ShardedProvisioner {
-    let factories = match scheme {
-        SchemeKind::Corp => {
-            corp_core::corp_factories(&corp_config(params), &historical_histories(env, 40), shards)
-        }
-        SchemeKind::Rccr => corp_core::rccr_factories(params.confidence, params.seed, shards),
-        SchemeKind::CloudScale => corp_core::cloudscale_factories(params.seed, shards),
-        SchemeKind::Dra => corp_core::dra_factories(params.seed, shards),
-    };
+    let corpus = Arc::new(pretraining_corpus(scheme, env));
+    let factories = (0..shards)
+        .map(|shard| {
+            let params = SchemeParams {
+                seed: shard_seed(params.seed, shard),
+                ..params.clone()
+            };
+            let corpus = Arc::clone(&corpus);
+            Box::new(move || provisioner_from(scheme, &params, &corpus)) as ProvisionerFactory
+        })
+        .collect();
     ShardedProvisioner::with_factories(scheme.name(), factories, ShardConfig { fault_plan })
 }
 

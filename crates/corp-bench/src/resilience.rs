@@ -368,8 +368,8 @@ mod tests {
         let a = chaos_workload(Environment::Cluster, 60, 7);
         let b = chaos_workload(Environment::Cluster, 60, 7);
         assert_eq!(
-            serde::json::to_string(&a),
-            serde::json::to_string(&b),
+            format!("{a:?}"),
+            format!("{b:?}"),
             "same seed must yield the same compressed workload"
         );
         for pair in a.windows(2) {

@@ -491,8 +491,8 @@ mod tests {
         corp_trace::save_trace(&recorded, &jobs).unwrap();
         let replayed: Vec<JobSpec> = feed(&recorded).collect();
         assert_eq!(
-            serde::json::to_string(&jobs),
-            serde::json::to_string(&replayed),
+            format!("{jobs:?}"),
+            format!("{replayed:?}"),
             "recorded round-trip diverged from the CSV decode"
         );
         assert_eq!(*failed.borrow(), None);

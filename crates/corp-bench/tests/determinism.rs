@@ -54,55 +54,58 @@ fn multi_shard_reports_are_byte_identical_across_runs() {
 fn one_shard_reproduces_the_monolithic_scheduler() {
     // Acceptance bar for the sharded control plane: with shards = 1 the
     // coordinator must be a transparent wrapper. Every report field except
-    // the provisioner label and the control-plane block matches exactly.
-    for scheme in [
-        SchemeKind::Corp,
-        SchemeKind::Rccr,
-        SchemeKind::CloudScale,
-        SchemeKind::Dra,
-    ] {
-        let p = params();
-        let mono = run_cell(Environment::Cluster, scheme, JOBS, &p, false);
-        let (sharded, _) = run_cell_sharded(Environment::Cluster, scheme, JOBS, &p, 1, false);
+    // the provisioner label and the control-plane block matches exactly,
+    // at every setting of the knobs the shards are built with.
+    let aggressive = SchemeParams {
+        aggressiveness: 0.5,
+        ..params()
+    };
+    for (p, scheme) in [params(), aggressive]
+        .iter()
+        .flat_map(|p| ALL_SCHEMES.map(|scheme| (p, scheme)))
+    {
+        let label = format!("{scheme:?} at aggressiveness {}", p.aggressiveness);
+        let mono = run_cell(Environment::Cluster, scheme, JOBS, p, false);
+        let (sharded, _) = run_cell_sharded(Environment::Cluster, scheme, JOBS, p, 1, false);
         assert_eq!(sharded.provisioner, format!("{}x1", mono.provisioner));
-        assert_eq!(sharded.environment, mono.environment, "{scheme:?}");
-        assert_eq!(sharded.num_jobs, mono.num_jobs, "{scheme:?}");
-        assert_eq!(sharded.utilization, mono.utilization, "{scheme:?}");
+        assert_eq!(sharded.environment, mono.environment, "{label}");
+        assert_eq!(sharded.num_jobs, mono.num_jobs, "{label}");
+        assert_eq!(sharded.utilization, mono.utilization, "{label}");
         assert_eq!(
             sharded.overall_utilization, mono.overall_utilization,
-            "{scheme:?}"
+            "{label}"
         );
         assert_eq!(
             sharded.slo_violation_rate, mono.slo_violation_rate,
-            "{scheme:?}"
+            "{label}"
         );
         assert_eq!(
             sharded.prediction_error_rate, mono.prediction_error_rate,
-            "{scheme:?}"
+            "{label}"
         );
         assert_eq!(
             sharded.predictions_resolved, mono.predictions_resolved,
-            "{scheme:?}"
+            "{label}"
         );
-        assert_eq!(sharded.overhead_ms, mono.overhead_ms, "{scheme:?}");
-        assert_eq!(sharded.completed, mono.completed, "{scheme:?}");
-        assert_eq!(sharded.violated, mono.violated, "{scheme:?}");
-        assert_eq!(sharded.rejected, mono.rejected, "{scheme:?}");
-        assert_eq!(sharded.unfinished, mono.unfinished, "{scheme:?}");
-        assert_eq!(sharded.slots_run, mono.slots_run, "{scheme:?}");
+        assert_eq!(sharded.overhead_ms, mono.overhead_ms, "{label}");
+        assert_eq!(sharded.completed, mono.completed, "{label}");
+        assert_eq!(sharded.violated, mono.violated, "{label}");
+        assert_eq!(sharded.rejected, mono.rejected, "{label}");
+        assert_eq!(sharded.unfinished, mono.unfinished, "{label}");
+        assert_eq!(sharded.slots_run, mono.slots_run, "{label}");
         assert_eq!(
             sharded.mean_response_slots, mono.mean_response_slots,
-            "{scheme:?}"
+            "{label}"
         );
-        assert_eq!(sharded.invalid_actions, 0, "{scheme:?}");
-        assert_eq!(mono.invalid_actions, 0, "{scheme:?}");
+        assert_eq!(sharded.invalid_actions, 0, "{label}");
+        assert_eq!(mono.invalid_actions, 0, "{label}");
         let cp = sharded
             .control_plane
             .expect("sharded run reports control-plane stats");
         assert_eq!(cp.shards, 1);
         assert_eq!(
             cp.conflicts, 0,
-            "{scheme:?}: a lone shard cannot conflict with itself"
+            "{label}: a lone shard cannot conflict with itself"
         );
         assert!(mono.control_plane.is_none());
     }

@@ -50,7 +50,8 @@ fn every_width_matches_width_one_for_every_scheme() {
 
 /// Runs CORP on the small cluster cell with a third of the fleet's views
 /// poisoned every slot — NaN and finite-spike corruption alternating — and
-/// serializes the report together with the predictor's fallback counters.
+/// serializes the report, followed by the `{:?}` text of the predictor's
+/// fallback counters (`Debug` prints every `u64` exactly).
 fn poisoned_corp_json(width: Option<usize>) -> String {
     const POISONED_SLOTS: u64 = 400;
     let env = Environment::Cluster;
@@ -94,11 +95,7 @@ fn poisoned_corp_json(width: Option<usize>) -> String {
         fallbacks.dnn_rejected > 0 && fallbacks.hmm_last_value > 0,
         "poisoned views must have sent lanes down the ladder: {fallbacks:?}"
     );
-    format!(
-        "{}\n{}",
-        serde::json::to_string(&report),
-        serde::json::to_string(fallbacks)
-    )
+    format!("{}\n{fallbacks:?}", serde::json::to_string(&report))
 }
 
 #[test]

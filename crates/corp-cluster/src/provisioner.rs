@@ -579,7 +579,10 @@ impl Provisioner for ShardedProvisioner {
         // capacity is zero) leaving and rejoining the fleet.
         store.begin_slot_full(capacities, committed);
         let plans = self.propose(ctx);
-        self.arbitrate(ctx, plans)
+        let merged = self.arbitrate(ctx, plans);
+        #[cfg(test)]
+        tests::check_arbitration(self, &merged);
+        merged
     }
 
     fn full_view_period(&self) -> u64 {
@@ -706,6 +709,22 @@ mod tests {
     use corp_sim::{PendingJobView, RunningJobView, StaticPeakProvisioner, VmView};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The arbitration invariants, checked after every slot of every
+    /// coordinator test: the store never commits a VM past its capacity,
+    /// and no job is placed twice.
+    pub(super) fn check_arbitration(p: &ShardedProvisioner, plan: &ProvisionPlan) {
+        let store = p.store().expect("provision builds the store");
+        assert!(store.holds_invariants(1e-9), "store overcommitted a VM");
+        let mut placed = HashSet::new();
+        for placement in &plan.placements {
+            assert!(
+                placed.insert(placement.job),
+                "job {} placed twice",
+                placement.job
+            );
+        }
+    }
 
     fn rv(v: f64) -> ResourceVector {
         ResourceVector::splat(v)

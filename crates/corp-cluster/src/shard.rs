@@ -57,7 +57,9 @@ pub(crate) fn shard_vm_views(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use corp_core::CorpConfig;
+    use corp_core::{
+        shard_seed, CloudScaleProvisioner, CorpConfig, DraProvisioner, RccrProvisioner,
+    };
     use corp_sim::{
         JobCompletion, ProvisionPlan, Provisioner, ResourceVector, RunningJobView, SlotContext,
         VmView,
@@ -263,20 +265,23 @@ mod tests {
                     .collect()
             })
             .collect();
-        let built = |factories: Vec<corp_core::ShardFactory>| -> Fleet {
-            factories.iter().map(|build| build()).collect()
+        let seeded = |build: &dyn Fn(u64) -> Box<dyn Provisioner + Send>| -> Fleet {
+            (0..shards).map(|s| build(shard_seed(7, s))).collect()
         };
         vec![
             (
                 "corp",
                 corp_core::corp_fleet(&CorpConfig::fast(), &corpus, shards),
             ),
-            ("rccr", built(corp_core::rccr_factories(0.9, 7, shards))),
+            (
+                "rccr",
+                seeded(&|seed| Box::new(RccrProvisioner::new(0.9, seed))),
+            ),
             (
                 "cloudscale",
-                built(corp_core::cloudscale_factories(7, shards)),
+                seeded(&|seed| Box::new(CloudScaleProvisioner::new(seed))),
             ),
-            ("dra", built(corp_core::dra_factories(7, shards))),
+            ("dra", seeded(&|seed| Box::new(DraProvisioner::new(seed)))),
         ]
     }
 

@@ -2,10 +2,9 @@
 //! parameters the paper leaves implicit.
 
 use corp_dnn::{TrainConfig, WindowPredictorConfig};
-use serde::{Deserialize, Serialize};
 
 /// All tunables of the CORP provisioner. Defaults reproduce Table II.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CorpConfig {
     /// Prediction window `L` in slots: predictions are refreshed every `L`
     /// slots for the window `(t, t+L]`. The paper uses a 1-minute window on

@@ -52,10 +52,7 @@ pub mod preemption;
 pub mod scheduler;
 
 pub use config::CorpConfig;
-pub use fleet::{
-    cloudscale_factories, corp_factories, corp_fleet, dra_factories, rccr_factories, shard_seed,
-    ShardFactory,
-};
+pub use fleet::{corp_fleet, shard_seed};
 pub use packing::{deviation_score, pack_complementary, JobEntity, PackableJob};
 pub use pipeline::{
     AdmissionPolicy, Claim, JobPacker, Packing, PlacementBackend, ProvisioningPipeline,

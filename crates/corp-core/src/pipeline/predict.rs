@@ -98,28 +98,35 @@ fn resolve_window_outcomes(
             return true;
         }
         if ctx.slot == due {
-            if let Some(v) = ctx.vms.get(outcome.key as usize) {
-                let h = &v.unused_history;
-                let n = (window as usize).min(h.len());
-                if n > 0 {
-                    let mut mean = ResourceVector::ZERO;
-                    for u in &h[h.len() - n..] {
-                        mean += *u;
-                    }
-                    mean = mean.scaled(1.0 / n as f64);
-                    for k in 0..NUM_RESOURCES {
-                        // Poisoned telemetry in the window makes the mean
-                        // non-finite; discard rather than feed the error
-                        // trackers a NaN they can never recover from.
-                        if mean[k].is_finite() && outcome.predicted[k].is_finite() {
-                            record(k, mean[k], outcome.predicted[k]);
-                        }
+            let vm = ctx.vms.get(outcome.key as usize);
+            if let Some(mean) = vm.and_then(|v| window_mean(&v.unused_history, window)) {
+                for k in 0..NUM_RESOURCES {
+                    // Poisoned telemetry in the window makes the mean
+                    // non-finite; discard rather than feed the error
+                    // trackers a NaN they can never recover from.
+                    if mean[k].is_finite() && outcome.predicted[k].is_finite() {
+                        record(k, mean[k], outcome.predicted[k]);
                     }
                 }
             }
         }
         false
     });
+}
+
+/// The mean of the newest `window` samples of `history` (all of them when
+/// fewer), the level a window prediction is scored against (Eq. 20); `None`
+/// for an empty history.
+fn window_mean(history: &[ResourceVector], window: u64) -> Option<ResourceVector> {
+    let n = (window as usize).min(history.len());
+    if n == 0 {
+        return None;
+    }
+    let mut mean = ResourceVector::ZERO;
+    for u in &history[history.len() - n..] {
+        mean += *u;
+    }
+    Some(mean.scaled(1.0 / n as f64))
 }
 
 // ---------------------------------------------------------------------------
@@ -204,14 +211,7 @@ impl UsagePredictor for CorpUsagePredictor {
             }
             if ctx.slot == due {
                 if let Some(job) = job_views.get(&outcome.key) {
-                    let h = &job.recent_unused;
-                    let n = (window as usize).min(h.len());
-                    if n > 0 {
-                        let mut mean = ResourceVector::ZERO;
-                        for u in &h[h.len() - n..] {
-                            mean += *u;
-                        }
-                        mean = mean.scaled(1.0 / n as f64);
+                    if let Some(mean) = window_mean(&job.recent_unused, window) {
                         for k in 0..NUM_RESOURCES {
                             predictor.record_outcome_scaled(
                                 k,

@@ -26,7 +26,6 @@ use corp_hmm::{FluctuationPredictor, HmmScratch};
 use corp_sim::ResourceVector;
 use corp_stats::{z_for_confidence, SimpleExp};
 use corp_trace::NUM_RESOURCES;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Scale-normalized `sigma_hat` above which the DNN's error window is
@@ -54,7 +53,7 @@ const ERROR_WINDOW: usize = 64;
 /// Rung 0 (the full DNN + HMM + CI pipeline) is the normal path and is
 /// not counted; every counter here is a degradation event. In a
 /// fault-free run all counters stay zero.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FallbackCounters {
     /// Predictions where the DNN path was rejected (non-finite input
     /// series, blown-up or non-finite `sigma_hat`, or non-finite output).

@@ -8,10 +8,9 @@
 
 use corp_stats::PredictionErrorTracker;
 use corp_trace::NUM_RESOURCES;
-use serde::{Deserialize, Serialize};
 
 /// Per-resource preemption gates.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PreemptionGate {
     trackers: Vec<PredictionErrorTracker>,
 }

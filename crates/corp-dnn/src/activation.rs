@@ -14,10 +14,9 @@
 //! row of a batched forward run as one branch-free loop.
 
 use crate::exp;
-use serde::{Deserialize, Serialize};
 
 /// Supported activation functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
     /// Logistic sigmoid `1 / (1 + e^-x)` — the paper's `F`.
     Sigmoid,

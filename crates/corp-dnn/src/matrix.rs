@@ -7,10 +7,8 @@
 //! iterate rows via `chunks_exact` so the optimizer can elide per-element
 //! checks.
 
-use serde::{Deserialize, Serialize};
-
 /// A dense row-major matrix of `f64`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

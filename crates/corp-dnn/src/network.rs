@@ -11,10 +11,9 @@ use crate::activation::Activation;
 use crate::matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One fully-connected layer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Layer {
     /// `weights[i][j]` = `w_ij(d-1, d)`: connection from neuron `j` in the
     /// lower layer to neuron `i` in this layer.
@@ -32,14 +31,12 @@ struct Layer {
 /// `layers` is never empty ([`Network::new`] asserts it): the activation
 /// buffers of the network and of a [`Scratch`] are `depth() + 1`, the last
 /// one the output, and a [`LaneScratch`] holds one matrix per weight layer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Network {
     layers: Vec<Layer>,
     /// Activations per layer, `activations[0]` is the input copy.
-    #[serde(skip)]
     activations: Vec<Vec<f64>>,
     /// Error terms `E_i(d)` per non-input layer.
-    #[serde(skip)]
     errors: Vec<Vec<f64>>,
 }
 
@@ -190,28 +187,12 @@ impl Network {
         self.layers.len()
     }
 
-    /// Re-creates the scratch buffers after deserialization (serde skips
-    /// them). Called lazily by the passes; public for completeness.
-    pub fn ensure_scratch(&mut self) {
-        if self.activations.len() == self.layers.len() + 1 {
-            return;
-        }
-        let mut sizes = Vec::with_capacity(self.layers.len() + 1);
-        sizes.push(self.layers[0].weights.cols());
-        for l in &self.layers {
-            sizes.push(l.weights.rows());
-        }
-        self.activations = sizes.iter().map(|&s| vec![0.0; s]).collect();
-        self.errors = sizes[1..].iter().map(|&s| vec![0.0; s]).collect();
-    }
-
     /// Feed-forward evaluation (paper Eq. 5). Returns the output slice.
     ///
     /// # Panics
     ///
     /// Panics if `input.len()` does not match the input layer.
     pub fn forward(&mut self, input: &[f64]) -> &[f64] {
-        self.ensure_scratch();
         assert_eq!(input.len(), self.input_len(), "input length mismatch");
         self.activations[0].copy_from_slice(input);
         for (d, layer) in self.layers.iter().enumerate() {
@@ -353,7 +334,6 @@ impl Network {
         momentum: f64,
     ) -> f64 {
         assert_eq!(target.len(), self.output_len(), "target length mismatch");
-        self.ensure_scratch();
         assert_eq!(input.len(), self.input_len(), "input length mismatch");
         self.activations[0].copy_from_slice(input);
         for (d, layer) in self.layers.iter().enumerate() {

@@ -17,7 +17,6 @@
 use crate::matrix::Matrix;
 use crate::network::{LaneScratch, Network, Scratch};
 use crate::train::{TrainConfig, TrainReport, Trainer};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Reusable buffers for [`UnusedResourcePredictor::predict_with`]: the
@@ -57,7 +56,7 @@ impl PredictBatchScratch {
 }
 
 /// Configuration for a windowed DNN predictor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WindowPredictorConfig {
     /// Input window length `Delta` (slots of history per example).
     pub window: usize,
@@ -88,13 +87,12 @@ impl Default for WindowPredictorConfig {
 
 /// A DNN that predicts the amount of unused resource `horizon` slots ahead
 /// from the last `window` slots of usage history.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UnusedResourcePredictor {
     config: WindowPredictorConfig,
     net: Network,
     trained: bool,
     /// Scratch for the owned-access [`predict`](Self::predict) entry point.
-    #[serde(skip)]
     scratch: PredictScratch,
 }
 

@@ -12,7 +12,6 @@ use crate::network::Network;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Learning rate `mu` of paper Eq. 8.
 const LEARNING_RATE: f64 = 0.05;
@@ -28,7 +27,7 @@ const TOLERANCE: f64 = 1e-4;
 const PATIENCE: usize = 5;
 
 /// Training hyper-parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainConfig {
     /// Maximum number of epochs.
     pub max_epochs: usize,
@@ -52,7 +51,7 @@ impl Default for TrainConfig {
 }
 
 /// Outcome of a training run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainReport {
     /// Number of epochs actually executed.
     pub epochs_run: usize,

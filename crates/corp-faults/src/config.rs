@@ -1,7 +1,5 @@
 //! How much chaos to generate.
 
-use serde::{Deserialize, Serialize};
-
 /// A chaos scenario: the seed, the horizon, and how hostile it is.
 ///
 /// [`generate`](crate::generate) scales one fixed fault mix by
@@ -11,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// Counts are *expectations across the whole fleet over the horizon*, not
 /// per-VM rates — intensity 1 draws about six crash windows regardless of
 /// fleet size, so sweeps stay comparable across environments.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultConfig {
     /// Seed controlling every draw in the schedule expansion.
     pub seed: u64,

@@ -1,10 +1,8 @@
 //! Control-plane chaos: the schedule of shard kills, dropped requests,
 //! and delayed replies consumed by the `corp-cluster` shard supervisor.
 
-use serde::{Deserialize, Serialize};
-
 /// A (slot, shard) coordinate in the control-plane fault plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SlotShard {
     /// Slot at which the fault fires.
     pub slot: u64,
@@ -14,7 +12,7 @@ pub struct SlotShard {
 
 /// Scheduled control-plane faults, each a sorted, deduplicated list of
 /// (slot, shard) coordinates the supervisor looks up by binary search.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ControlFaultPlan {
     /// The shard loses its pipeline (and all it learned) at the start of
     /// this slot, as if crashed.

@@ -1,9 +1,7 @@
 //! Engine-facing fault events and the sorted timeline that carries them.
 
-use serde::{Deserialize, Serialize};
-
 /// How a poisoned monitoring sample is corrupted.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PoisonKind {
     /// The sample becomes NaN — the classic broken-exporter signal.
     Nan,
@@ -23,7 +21,7 @@ impl PoisonKind {
 }
 
 /// One fault taking effect at a scheduled slot.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultEvent {
     /// The VM goes down: capacity leaves the fleet and its running jobs
     /// are killed and re-enqueued.
@@ -61,7 +59,7 @@ pub enum FaultEvent {
 }
 
 /// A [`FaultEvent`] bound to the slot where it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimedFault {
     /// Slot at which the event takes effect (applied before arrivals).
     pub slot: u64,
@@ -70,7 +68,7 @@ pub struct TimedFault {
 }
 
 /// A slot-sorted sequence of faults, consumed front-to-back by the engine.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultTimeline {
     events: Vec<TimedFault>,
 }

@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::{
     ControlFaultPlan, FaultConfig, FaultEvent, FaultTimeline, PoisonKind, SlotShard, TimedFault,
@@ -10,7 +9,7 @@ use crate::{
 
 /// A fully expanded fault schedule: the engine-facing timeline plus the
 /// control-plane chaos plan. Pure data — replaying it is byte-identical.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultSchedule {
     /// VM-level events consumed by the simulation engine.
     pub timeline: FaultTimeline,
@@ -191,7 +190,7 @@ mod tests {
         let a = generate(&config, 16, 4);
         let b = generate(&config, 16, 4);
         assert_eq!(a, b);
-        assert_eq!(serde::json::to_string(&a), serde::json::to_string(&b));
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]

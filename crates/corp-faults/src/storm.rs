@@ -17,7 +17,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Storm windows [`StormPlan::generate`] draws (overlapping candidates
 /// are skipped, so the realized count may be lower).
@@ -30,7 +29,7 @@ const COMPRESSION: u64 = 4;
 
 /// One storm window: arrivals in `[start, start + len)` are compressed
 /// toward `start` by `factor`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StormWindow {
     /// First slot of the window.
     pub start: u64,
@@ -41,7 +40,7 @@ pub struct StormWindow {
 }
 
 /// A fully expanded storm plan: sorted, non-overlapping windows.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StormPlan {
     /// Start-ordered, pairwise disjoint windows.
     pub windows: Vec<StormWindow>,

@@ -16,9 +16,15 @@
 //! ```
 
 use corp_cluster::{ProvisionerFactory, ShardConfig, ShardedProvisioner};
+use corp_core::{
+    shard_seed, CloudScaleProvisioner, CorpConfig, CorpProvisioner, DraProvisioner, RccrProvisioner,
+};
 use corp_faults::{generate, FaultConfig};
-use corp_sim::{Cluster, EnvironmentProfile, Simulation, SimulationOptions, SimulationReport};
+use corp_sim::{
+    Cluster, EnvironmentProfile, Provisioner, Simulation, SimulationOptions, SimulationReport,
+};
 use corp_trace::{JobSpec, WorkloadConfig, WorkloadGenerator};
+use std::sync::Arc;
 
 const EPS: f64 = 1e-9;
 const JOBS: usize = 160;
@@ -54,21 +60,38 @@ fn histories() -> Vec<Vec<Vec<f64>>> {
         .collect()
 }
 
-fn factories_for(scheme: &str, seed: u64) -> Vec<ProvisionerFactory> {
+/// One shard's pipeline of `scheme` at `seed`.
+fn shard_for(scheme: &str, seed: u64, histories: &[Vec<Vec<f64>>]) -> Box<dyn Provisioner + Send> {
     match scheme {
         "CORP" => {
-            let mut config = corp_core::CorpConfig::fast();
-            config.seed = seed;
-            corp_core::corp_factories(&config, &histories(), SHARDS)
+            let mut corp = CorpProvisioner::new(CorpConfig {
+                seed,
+                ..CorpConfig::fast()
+            });
+            corp.pretrain(histories);
+            Box::new(corp)
         }
-        "RCCR" => corp_core::rccr_factories(0.9, seed, SHARDS),
-        "CloudScale" => corp_core::cloudscale_factories(seed, SHARDS),
-        _ => corp_core::dra_factories(seed, SHARDS),
+        "RCCR" => Box::new(RccrProvisioner::new(0.9, seed)),
+        "CloudScale" => Box::new(CloudScaleProvisioner::new(seed)),
+        _ => Box::new(DraProvisioner::new(seed)),
     }
 }
 
+/// One restart factory per shard, each at its decorrelated seed; CORP's
+/// shards share one pretraining corpus.
+fn factories_for(scheme: &'static str, seed: u64) -> Vec<ProvisionerFactory> {
+    let histories = Arc::new(histories());
+    (0..SHARDS)
+        .map(|shard| {
+            let seed = shard_seed(seed, shard);
+            let histories = Arc::clone(&histories);
+            Box::new(move || shard_for(scheme, seed, &histories)) as ProvisionerFactory
+        })
+        .collect()
+}
+
 /// Runs one chaos cell end-to-end and checks the per-run contract.
-fn soak_cell(scheme: &str, seed: u64, intensity: f64) -> SimulationReport {
+fn soak_cell(scheme: &'static str, seed: u64, intensity: f64) -> SimulationReport {
     let cluster = cluster();
     let schedule = generate(
         &FaultConfig::scenario(seed, intensity),

@@ -15,10 +15,9 @@
 //! algorithm executes — is the one above, and we follow it.)
 
 use corp_trace::fluctuation_spreads;
-use serde::{Deserialize, Serialize};
 
 /// HMM observation symbols for unused-resource fluctuations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FluctuationSymbol {
     /// Strong fluctuation: unused resource is spiking.
     Peak,

@@ -28,7 +28,7 @@ use serde::Serialize;
 use std::collections::VecDeque;
 
 /// What to do when an arrival finds the admission queue full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackpressurePolicy {
     /// Hold the arrival at the door until a drain frees space.
     Block,
@@ -196,14 +196,11 @@ impl AdmissionQueue {
         deadlines: &crate::slo::DeadlineConfig,
         expired_ids: &mut Vec<JobId>,
     ) {
-        if deadlines.is_unbounded() {
+        let Some(deadline) = deadlines.deadline() else {
             return;
-        }
-        let before = expired_ids.len();
-        let overdue = |job: &QueuedJob| match deadlines.deadline_for(job.spec.class) {
-            Some(d) => now_micros.saturating_sub(job.arrival_micros) > d,
-            None => false,
         };
+        let before = expired_ids.len();
+        let overdue = |job: &QueuedJob| now_micros.saturating_sub(job.arrival_micros) > deadline;
         self.queue.retain(|job| {
             if overdue(job) {
                 expired_ids.push(job.spec.id);

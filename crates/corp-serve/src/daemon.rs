@@ -161,7 +161,7 @@ impl ServeDaemon {
             while let Some(spec) = arrivals.next_if(|s| s.arrival_slot <= slot) {
                 last_arrival = last_arrival.max(spec.arrival_slot);
                 pulled += 1;
-                arrival_stamp.insert(spec.id, (time, deadlines.deadline_for(spec.class)));
+                arrival_stamp.insert(spec.id, (time, deadlines.deadline()));
                 match admission.offer(Box::new(spec), time) {
                     Admission::EnqueuedAfterShed(id) | Admission::Rejected(id) => {
                         arrival_stamp.remove(&id);
@@ -187,6 +187,8 @@ impl ServeDaemon {
                 self.engine.submit(*queued.spec);
             }
             let outcome = self.engine.step(provisioner);
+            #[cfg(test)]
+            tests::check_conservation(pulled, &self.engine, &admission);
             inspect(&self.engine, &outcome);
             ticks += 1;
             completed += outcome.completed.len() as u64;
@@ -272,6 +274,26 @@ mod tests {
             seed,
         )
         .generate()
+    }
+
+    /// Job conservation through the admission queue, checked after every
+    /// tick of every daemon test: each job pulled from the feed was
+    /// submitted to the engine, waits in the queue or at its door, or was
+    /// shed, rejected or expired.
+    pub(super) fn check_conservation(pulled: u64, engine: &SlotEngine, admission: &AdmissionQueue) {
+        let stats = admission.stats();
+        let accounted = engine.store().total_inserted() as u64
+            + admission.depth() as u64
+            + admission.door_depth() as u64
+            + stats.shed
+            + stats.rejected
+            + stats.expired;
+        assert_eq!(
+            pulled,
+            accounted,
+            "admission conservation at slot {}: {stats:?}",
+            engine.slot()
+        );
     }
 
     fn quiet_options() -> SimulationOptions {

@@ -4,7 +4,7 @@
 //! by the time it runs — the paper's motivation for treating placement
 //! latency as a first-class SLO. [`DeadlineConfig`] is an optional
 //! placement deadline (virtual microseconds from arrival), the same for
-//! every [`IntensityClass`]; the daemon consults it twice:
+//! every [`IntensityClass`](corp_trace::IntensityClass); the daemon consults it twice:
 //!
 //! * **At every tick, before draining**: a queued job whose wait already
 //!   *exceeds* its deadline is expired — removed from the queue, counted
@@ -18,7 +18,6 @@
 //! classified, and serve reports stay byte-identical to pre-deadline
 //! builds modulo the zeroed counters — the acceptance bar for this layer.
 
-use corp_trace::IntensityClass;
 use serde::Serialize;
 
 /// Optional placement deadline, in virtual microseconds from the arrival
@@ -41,8 +40,8 @@ impl DeadlineConfig {
         }
     }
 
-    /// The deadline for `class`, if it has one.
-    pub fn deadline_for(&self, _class: IntensityClass) -> Option<u64> {
+    /// The deadline every job gets, if there is one.
+    pub fn deadline(&self) -> Option<u64> {
         self.deadline_micros
     }
 
@@ -85,18 +84,14 @@ mod tests {
     fn unbounded_has_no_deadlines() {
         let cfg = DeadlineConfig::unbounded();
         assert!(cfg.is_unbounded());
-        for class in IntensityClass::ALL {
-            assert_eq!(cfg.deadline_for(class), None);
-        }
+        assert_eq!(cfg.deadline(), None);
     }
 
     #[test]
     fn uniform_applies_to_every_class() {
         let cfg = DeadlineConfig::uniform(5_000_000);
         assert!(!cfg.is_unbounded());
-        for class in IntensityClass::ALL {
-            assert_eq!(cfg.deadline_for(class), Some(5_000_000));
-        }
+        assert_eq!(cfg.deadline(), Some(5_000_000));
     }
 
     #[test]

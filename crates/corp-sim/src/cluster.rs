@@ -12,10 +12,9 @@
 //!   paper Figs. 10 and 14).
 
 use crate::resources::ResourceVector;
-use serde::{Deserialize, Serialize};
 
 /// Describes the hardware and communication characteristics of a testbed.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EnvironmentProfile {
     /// Human-readable profile name.
     pub name: String,
@@ -79,7 +78,7 @@ impl EnvironmentProfile {
 }
 
 /// One virtual machine's static description.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VmDescriptor {
     /// VM index.
     pub id: usize,
@@ -90,7 +89,7 @@ pub struct VmDescriptor {
 }
 
 /// The fleet of PMs and VMs for one simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cluster {
     /// The profile this fleet was built from.
     pub profile: EnvironmentProfile,

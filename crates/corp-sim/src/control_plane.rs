@@ -14,10 +14,10 @@
 //! [`Provisioner::control_plane_stats`](crate::Provisioner::control_plane_stats),
 //! which defaults to `None` for monolithic schedulers.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Counters for one scheduler shard.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct ShardStats {
     /// Shard index.
     pub shard: usize,
@@ -47,7 +47,7 @@ pub struct ShardStats {
 }
 
 /// A circuit-breaker state, as surfaced in reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum BreakerStateName {
     /// The shard's pipeline runs normally.
     Closed,
@@ -59,7 +59,7 @@ pub enum BreakerStateName {
 
 /// One deterministic breaker state transition, recorded at the slot it
 /// happened.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct BreakerTransition {
     /// Slot index of the transition.
     pub slot: u64,
@@ -72,7 +72,7 @@ pub struct BreakerTransition {
 }
 
 /// Aggregate counters for a sharded control plane plus its shared store.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct ControlPlaneStats {
     /// Number of scheduler shards.
     pub shards: usize,

@@ -41,7 +41,7 @@ use crate::streaming::StreamingSimulation;
 use crate::vm_set::{ids_in, VmSet};
 use corp_faults::{FaultEvent, FaultTimeline};
 use corp_trace::{JobSpec, NUM_RESOURCES};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -59,7 +59,7 @@ const HISTORY_SLACK_SLOTS: usize = 2;
 const PREDICTION_EPS_FRAC: f64 = 0.25;
 
 /// Engine knobs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimulationOptions {
     /// Hard stop: slots simulated past the last arrival before declaring
     /// remaining jobs unfinished. The cap is measured only once every
@@ -88,7 +88,7 @@ impl Default for SimulationOptions {
 }
 
 /// Final report of one run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SimulationReport {
     /// Provisioner name.
     pub provisioner: String,

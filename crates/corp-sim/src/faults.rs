@@ -17,11 +17,11 @@ use crate::job::JobId;
 use crate::resources::ResourceVector;
 use corp_faults::{FaultEvent, FaultTimeline, PoisonKind};
 use corp_trace::NUM_RESOURCES;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// Counters from a fault-injected run, surfaced in the report.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct FaultStats {
     /// VM crash windows that took effect.
     pub vm_crashes: u64,

@@ -18,14 +18,13 @@
 
 use crate::resources::ResourceVector;
 use corp_trace::{JobSpec, NUM_RESOURCES};
-use serde::{Deserialize, Serialize};
 
 /// Identifies a job within one simulation (the spec's id).
 pub type JobId = u64;
 
 /// Lifecycle state of a job in the engine. Completion and rejection are
 /// not states: they are the moments a job leaves.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum JobState {
     /// Submitted, waiting for placement.
     Pending,
@@ -38,7 +37,7 @@ pub enum JobState {
 
 /// The cold half of a resident job: what identifies it and what its
 /// response is judged against. One cache line.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 #[repr(align(64))]
 pub struct RunningJob {
     /// The spec's id.

@@ -4,10 +4,9 @@
 
 use crate::resources::{ResourceVector, RESOURCE_WEIGHTS};
 use corp_trace::NUM_RESOURCES;
-use serde::{Deserialize, Serialize};
 
 /// One slot's aggregate allocated/demanded totals over all running jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UtilizationSample {
     /// Slot index.
     pub slot: u64,
@@ -61,7 +60,7 @@ impl UtilizationSample {
 
 /// A resolved prediction and its error `delta = actual - predicted`
 /// (paper Eq. 20 orientation: positive = under-estimation of unused).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PredictionOutcome {
     /// VM concerned.
     pub vm: usize,
@@ -93,7 +92,7 @@ impl PredictionOutcome {
 /// Accumulates all run-level metrics as running totals: its size does not
 /// grow with slots or jobs. Each total adds its terms in slot (or
 /// completion) order, the order a fold over every sample would.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricsCollector {
     /// `sum_t sum_i r_ij,t` per resource.
     pub allocated: [f64; NUM_RESOURCES],

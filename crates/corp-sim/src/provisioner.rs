@@ -15,7 +15,6 @@
 
 use crate::job::JobId;
 use crate::resources::{FreeLanes, ResourceVector, LANES};
-use serde::{Deserialize, Serialize};
 
 /// Cap on the per-job history tail copied into views each slot; bounds the
 /// per-slot copying cost while comfortably exceeding any predictor's input
@@ -76,7 +75,7 @@ pub struct PendingJobView {
 }
 
 /// One placement decision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     /// Which pending job.
     pub job: JobId,
@@ -95,7 +94,7 @@ pub struct Placement {
 /// records, VM-granular schemes (RCCR/CloudScale/DRA) per-VM ones — each
 /// scheme is scored at its native prediction granularity, which is exactly
 /// the comparison the paper makes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PredictionRecord {
     /// VM the prediction concerns.
     pub vm: usize,

@@ -7,7 +7,6 @@
 //! [`RESOURCE_WEIGHTS`].
 
 use corp_trace::NUM_RESOURCES;
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Index, IndexMut, Sub, SubAssign};
 
 /// The paper's overall-utilization weights for CPU, MEM, storage (Fig. 8:
@@ -79,7 +78,7 @@ impl FreeLanes {
 }
 
 /// A vector of amounts over the managed resource types.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResourceVector(pub [f64; NUM_RESOURCES]);
 
 impl ResourceVector {

@@ -7,8 +7,6 @@
 //! against `&[f64]` so callers can pass windows of larger buffers without
 //! copying.
 
-use serde::{Deserialize, Serialize};
-
 /// Arithmetic mean of `xs`. Returns 0.0 for an empty slice (the CORP
 /// pipeline treats "no history" as "no unused resource observed").
 #[inline]
@@ -90,7 +88,7 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
 
 /// One-pass summary of a series: count, mean, min, max, and standard
 /// deviation (Welford's algorithm, numerically stable for long traces).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of accumulated samples.
     pub count: usize,

@@ -12,11 +12,10 @@
 //!   for reallocation only when that probability reaches `P_th` (Eq. 21).
 
 use crate::descriptive::Summary;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Fixed-capacity sliding window of prediction errors.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ErrorWindow {
     capacity: usize,
     errors: VecDeque<f64>,
@@ -100,7 +99,7 @@ impl ErrorWindow {
 /// Tracks prediction errors for one (job, resource-type) stream and answers
 /// the two questions CORP asks of it: "how wide should the confidence
 /// interval be" and "may this prediction's unused resource be unlocked".
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PredictionErrorTracker {
     window: ErrorWindow,
     /// Pre-specified prediction-error tolerance `eps` of Eq. 21.

@@ -8,10 +8,8 @@
 //! uses it too. It is incremental: `observe` folds one sample in O(1) and
 //! `forecast(h)` extrapolates `h` steps ahead without touching history.
 
-use serde::{Deserialize, Serialize};
-
 /// Simple exponential smoothing: `level <- alpha * x + (1 - alpha) * level`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimpleExp {
     alpha: f64,
     level: Option<f64>,

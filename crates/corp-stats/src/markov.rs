@@ -7,10 +7,8 @@
 //! sequence, and forecasts by pushing the current state distribution through
 //! the matrix `h` times, returning the expected bin midpoint.
 
-use serde::{Deserialize, Serialize};
-
 /// A first-order discrete-time Markov chain over `k` equal-width value bins.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MarkovChain {
     bins: usize,
     lo: f64,

@@ -17,12 +17,11 @@
 //! round-trip the format so synthetic traces can be persisted and re-read
 //! exactly as a downloaded trace would be.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One usage sample of one task, mirroring the Google `task_usage` schema
 /// (subset: the fields the paper's pipeline consumes).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskRecord {
     /// Sample start time in seconds since trace start.
     pub start_secs: u64,

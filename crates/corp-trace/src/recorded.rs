@@ -3,10 +3,9 @@
 //! replayed bit-for-bit by the `corp-serve` daemon (or shipped between
 //! machines) without rerunning the generator.
 //!
-//! The vendored `serde` provides serialization only (no deserializer), so
-//! the format is hand-rolled text in the same spirit as the Google-trace
-//! CSV in [`crate::google`]: human-diffable, versioned by a header line,
-//! parsed with explicit errors. Floats are written with Rust's shortest
+//! Nothing in the workspace parses JSON back, so the format is hand-rolled
+//! text in the same spirit as the Google-trace CSV in [`crate::google`]:
+//! human-diffable, versioned by a header line, parsed with explicit errors. Floats are written with Rust's shortest
 //! round-trip formatting, which makes save → load → save a fixed point —
 //! the determinism tests depend on replayed specs being *equal*, not
 //! merely close.

@@ -486,8 +486,8 @@ mod tests {
         let streamed = streamed_pipeline(&records, &cfg);
         assert_eq!(batch.len(), 3);
         assert_eq!(
-            serde::json::to_string(&streamed),
-            serde::json::to_string(&batch),
+            format!("{streamed:?}"),
+            format!("{batch:?}"),
             "streaming and batch ingest must be byte-identical"
         );
     }
@@ -500,9 +500,6 @@ mod tests {
         };
         let batch = WorkloadGenerator::new(cfg.clone(), 11).generate();
         let streamed: Vec<JobSpec> = SyntheticSource::new(cfg, 11).into_specs().collect();
-        assert_eq!(
-            serde::json::to_string(&streamed),
-            serde::json::to_string(&batch)
-        );
+        assert_eq!(format!("{streamed:?}"), format!("{batch:?}"));
     }
 }

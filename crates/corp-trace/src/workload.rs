@@ -11,7 +11,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Number of managed resource types (`l` in the paper): CPU, MEM, storage.
 pub const NUM_RESOURCES: usize = 3;
@@ -33,7 +32,7 @@ const VALLEY_PROBABILITY: f64 = 0.03;
 const WALK_STEP_FRAC: f64 = 0.04;
 
 /// Identifies one of the managed resource types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResourceKind {
     /// CPU, in normalized cores.
     Cpu,
@@ -86,7 +85,7 @@ impl ResourceKind {
 /// The packing strategy of Section III-B leverages jobs with *different*
 /// dominant resources (Fig. 1/4 of the paper), so the generator stratifies
 /// jobs across these classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IntensityClass {
     /// High CPU demand, modest memory/storage.
     CpuIntensive,
@@ -124,7 +123,7 @@ impl IntensityClass {
 
 /// One generated short-lived job: its arrival, SLO, and the *actual* demand
 /// series it will exhibit on each resource while running.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JobSpec {
     /// Stable job identifier.
     pub id: u64,
@@ -194,7 +193,7 @@ impl JobSpec {
 }
 
 /// Configuration for the synthetic workload generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadConfig {
     /// Number of jobs to generate.
     pub num_jobs: usize,

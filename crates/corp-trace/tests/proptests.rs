@@ -97,8 +97,8 @@ proptest! {
                 .unwrap();
         let batch = parse_csv(&csv).unwrap();
         prop_assert_eq!(
-            serde::json::to_string(&streamed),
-            serde::json::to_string(&batch),
+            format!("{streamed:?}"),
+            format!("{batch:?}"),
             "streaming reader must be byte-identical to parse_csv"
         );
     }
@@ -121,8 +121,8 @@ proptest! {
             .unwrap();
         let batch = batch_jobs(&records, &cfg);
         prop_assert_eq!(
-            serde::json::to_string(&streamed),
-            serde::json::to_string(&batch),
+            format!("{streamed:?}"),
+            format!("{batch:?}"),
             "streaming ingest must be byte-identical to the batch pipeline"
         );
     }

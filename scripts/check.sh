@@ -2,7 +2,7 @@
 # Repo-wide quality gate: formatting, lints, build, and the full test
 # suite. Run before every push.
 #
-#   scripts/check.sh              # the standard gate: examples, unsafe, fmt,
+#   scripts/check.sh              # the standard gate: examples, unsafe, serde, fmt,
 #                                 # clippy, doc, release build, tests, then
 #                                 # the serve, resilience, scale and bench
 #                                 # smokes
@@ -19,6 +19,15 @@
 #                                 # keyword outside comments more than once
 #                                 # (its one block, the pool's lifetime
 #                                 # erasure)
+#   scripts/check.sh serde        # grep only, no build: fails when
+#                                 # `Deserialize` or a `#[serde(` attribute
+#                                 # appears under crates/, vendor/, tests/
+#                                 # or examples/, or when a
+#                                 # `#[derive(...Serialize...)]` stands on a
+#                                 # type outside REPORT_TYPES below (the 16
+#                                 # types a SimulationReport, ServeReport or
+#                                 # FigureTable carries: serialization is
+#                                 # for reports only)
 #   scripts/check.sh chaos-soak   # heavy fault-injection soak (release,
 #                                 # end-to-end chaos runs; see
 #                                 # crates/corp-faults/tests/soak.rs)
@@ -150,6 +159,40 @@ unsafe_gate() {
     fi
     echo "Unsafe gate passed."
 }
+
+# The types a report carries: the only ones that may derive `Serialize`.
+REPORT_TYPES="SimulationReport ControlPlaneStats ShardStats BreakerTransition BreakerStateName
+FaultStats ServeReport LatencySummary QueueStats SloStats BrownoutSummary BrownoutTransition
+BrownoutLevel BrownoutTrigger FigureTable TextTable"
+
+serde_gate() {
+    echo "==> no Deserialize, no #[serde(...)], Serialize derived on report types only"
+    local dirs=(crates vendor tests examples) hits name failed=0
+    hits=$(grep -rn --include='*.rs' -e 'Deserialize' -e '#\[serde(' "${dirs[@]}" || true)
+    if [[ -n $hits ]]; then
+        echo "$hits"
+        failed=1
+    fi
+    # The name of the struct or enum under each `#[derive(...)]` that lists
+    # `Serialize` (the attribute may span lines).
+    while read -r name; do
+        grep -qw "$name" <<<"$REPORT_TYPES" || { echo "Serialize derived on a non-report type: $name"; failed=1; }
+    done < <(find "${dirs[@]}" -name '*.rs' -exec awk '
+        /^[ \t]*#\[derive\(/ { attr = ""; open = 1 }
+        open { attr = attr $0; if (/\)\]/) { open = 0; want = attr ~ /[(, :]Serialize[,) ]/ } next }
+        want && /^[ \t]*(pub[^ \t]*[ \t]+)?(struct|enum)[ \t]/ {
+            sub(/^[ \t]*(pub[^ \t]*[ \t]+)?(struct|enum)[ \t]+/, ""); sub(/[^A-Za-z0-9_].*/, ""); print; want = 0
+        }' {} +)
+    if ((failed)); then
+        exit 1
+    fi
+    echo "Serde gate passed."
+}
+
+if [[ "${1:-}" == "serde" ]]; then
+    serde_gate
+    exit 0
+fi
 
 if [[ "${1:-}" == "examples" ]]; then
     examples_gate
@@ -284,6 +327,8 @@ fi
 examples_gate
 
 unsafe_gate
+
+serde_gate
 
 echo "==> cargo fmt --check"
 cargo fmt --check
