@@ -51,11 +51,10 @@
 //! parallelism when unset), and every report is byte-identical at any
 //! width.
 
-use corp_bench::experiments::RUNNERS;
-use corp_bench::resilience::{resilience_experiment, ResilienceArgs};
-use corp_bench::scale::{scale_experiment, ScaleArgs};
-use corp_bench::serve::{serve_experiment, ServeArgs};
-use corp_bench::FigureTable;
+use corp_bench::{
+    resilience_experiment, scale_experiment, serve_experiment, FigureTable, ResilienceArgs,
+    ScaleArgs, ServeArgs, RUNNERS,
+};
 
 /// The figure loop's command line: `[--fast] [--json] [all | NAME...]`.
 #[derive(Debug, PartialEq)]

@@ -28,7 +28,7 @@ pub enum Environment {
 
 impl Environment {
     /// Display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Environment::Cluster => "cluster",
             Environment::Ec2 => "ec2",
@@ -54,7 +54,7 @@ impl Environment {
 
     /// Workload configuration for this environment: EC2's 2-core / 4 GB
     /// nodes host proportionally smaller jobs.
-    pub fn workload_config(self, num_jobs: usize) -> WorkloadConfig {
+    pub(crate) fn workload_config(self, num_jobs: usize) -> WorkloadConfig {
         WorkloadConfig {
             num_jobs,
             mean_interarrival_slots: Self::ARRIVAL_WINDOW_SLOTS / num_jobs.max(1) as f64,
@@ -101,7 +101,7 @@ pub const ALL_SCHEMES: [SchemeKind; 4] = [
 
 impl SchemeKind {
     /// Display name matching the paper.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             SchemeKind::Corp => "CORP",
             SchemeKind::Rccr => "RCCR",

@@ -32,12 +32,14 @@ impl TextTable {
     }
 
     /// Number of data rows.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.rows.len()
     }
 
     /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
 

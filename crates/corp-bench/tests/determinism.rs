@@ -6,7 +6,7 @@
 //! Decision wall-clock measurement is off throughout — it is the one
 //! intentionally non-deterministic report input.
 
-use corp_bench::env::{
+use corp_bench::{
     build_provisioner, build_sharded_provisioner, run_cell, run_cell_faulty, run_cell_sharded,
     Environment, SchemeKind, SchemeParams, ALL_SCHEMES,
 };

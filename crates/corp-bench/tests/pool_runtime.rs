@@ -8,7 +8,7 @@
 //! order-independent counters). A single differing byte in a serialized
 //! report fails the suite.
 
-use corp_bench::env::{
+use corp_bench::{
     historical_histories, run_cell, Environment, SchemeKind, SchemeParams, ALL_SCHEMES,
 };
 use corp_core::pipeline::hardware_parallelism;

@@ -7,9 +7,10 @@
 //! the same jobs on the same VMs as the batch slot-loop simulation. A
 //! single differing byte fails the suite.
 
-use corp_bench::env::{build_provisioner, Environment, SchemeKind, SchemeParams};
-use corp_bench::resilience::{run_resilience, ResilienceArgs};
-use corp_bench::serve::{run_serve, serve_workload};
+use corp_bench::{
+    build_provisioner, run_resilience, run_serve, serve_workload, Environment, ResilienceArgs,
+    SchemeKind, SchemeParams,
+};
 use corp_core::pipeline::hardware_parallelism;
 use corp_serve::{ReplaySpeed, ServeConfig, ServeDaemon, ServeOutcome};
 use corp_sim::{Simulation, SimulationOptions, SlotEngine, SlotOutcome};

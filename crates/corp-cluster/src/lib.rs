@@ -13,7 +13,7 @@
 //!   `reserve` / `confirm` / `abort` with its holds is kept for the tests
 //!   and the benchmark's store kernel. Racing callers can interleave
 //!   arbitrarily; no interleaving can overcommit a VM.
-//! * [`shard`] — deterministic job-to-shard ownership
+//! * job ownership — each job belongs to one shard
 //!   (`job_id % num_shards`), so shards contend only on capacity, never on
 //!   the same job. Ownership is a predicate a shard reads the engine's
 //!   fleet views through, not a filtered copy of them.
@@ -39,11 +39,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod error;
-pub mod health;
-pub mod provisioner;
-pub mod shard;
-pub mod store;
+mod error;
+mod health;
+mod provisioner;
+mod shard;
+mod store;
 
 pub use error::ClusterError;
 pub use health::{ShardHealth, ShardSlotOutcome};

@@ -63,10 +63,9 @@
 
 use corp_core::pipeline::{per_task, WorkerPool};
 use corp_faults::ControlFaultPlan;
-use corp_sim::control_plane::{ControlPlaneStats, ShardStats};
 use corp_sim::{
-    JobCompletion, JobId, JobShare, PendingJobView, Placement, ProvisionPlan, Provisioner,
-    ResourceVector, SlotContext, StaticPeakProvisioner,
+    ControlPlaneStats, JobCompletion, JobId, JobShare, PendingJobView, Placement, ProvisionPlan,
+    Provisioner, ResourceVector, ShardStats, SlotContext, StaticPeakProvisioner,
 };
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};

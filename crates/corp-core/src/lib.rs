@@ -9,7 +9,7 @@
 //!
 //! 1. **Predict** each job's temporarily-unused resource with a deep neural
 //!    network over the job's last `Delta` slots of usage
-//!    ([`predictor::corp`], built on `corp-dnn`).
+//!    ([`CorpJobPredictor`], built on `corp-dnn`).
 //! 2. **Correct for fluctuations** with a 3-state HMM that forecasts
 //!    whether the unused amount is entering a peak or valley and shifts the
 //!    estimate by the conservative `min(h-m, m-l)` magnitude (`corp-hmm`).
@@ -17,21 +17,21 @@
 //!    `sigma_hat * z_{theta/2}` (Eq. 19) so under-estimation protects SLOs.
 //! 4. **Gate preemption** probabilistically: reclaimed ("unlocked")
 //!    resources require `Pr(0 <= delta < eps) >= P_th` over the recent
-//!    prediction-error window (Eq. 21, [`preemption`]).
+//!    prediction-error window (Eq. 21, [`PreemptionGate`]).
 //! 5. **Pack complementary jobs** whose dominant resources differ,
-//!    maximizing the demand-deviation score `DV` ([`packing`]).
+//!    maximizing the demand-deviation score `DV` ([`pack_complementary`]).
 //! 6. **Place** each job entity on the fitting VM with the smallest unused
-//!    resource volume (Eq. 22, [`placement`]).
+//!    resource volume (Eq. 22, [`most_matched_vm`]).
 //!
 //! ## Baselines (Section IV)
 //!
-//! * [`predictor::rccr`] / `RccrProvisioner` — exponential-smoothing
+//! * [`RccrPredictor`] / [`RccrProvisioner`] — exponential-smoothing
 //!   forecast of VM unused resources with confidence-interval lower bound;
 //!   random fitting VM; no packing.
-//! * [`predictor::cloudscale`] / `CloudScaleProvisioner` — PRESS-style
+//! * [`CloudScalePredictor`] / [`CloudScaleProvisioner`] — PRESS-style
 //!   FFT-signature + Markov-chain prediction with burst-based adaptive
 //!   padding; random fitting VM; no packing.
-//! * [`predictor::dra`] / `DraProvisioner` — share/demand equitable
+//! * [`DraPredictor`] / [`DraProvisioner`] — share/demand equitable
 //!   capacity redistribution (shares mixed 4:2:1); never reallocates unused
 //!   resources.
 //!
@@ -42,18 +42,18 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod config;
-pub mod fleet;
-pub mod packing;
+mod config;
+mod fleet;
+mod packing;
 pub mod pipeline;
-pub mod placement;
-pub mod predictor;
-pub mod preemption;
-pub mod scheduler;
+mod placement;
+mod predictor;
+mod preemption;
+mod scheduler;
 
 pub use config::CorpConfig;
 pub use fleet::{corp_fleet, shard_seed};
-pub use packing::{deviation_score, pack_complementary, JobEntity, PackableJob};
+pub use packing::{pack_complementary, JobEntity, PackableJob};
 pub use pipeline::{
     AdmissionPolicy, Claim, JobPacker, Packing, PlacementBackend, ProvisioningPipeline,
     ReallocationGate, UsagePredictor, VmSelector,

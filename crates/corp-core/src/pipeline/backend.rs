@@ -9,7 +9,7 @@
 //! against its store on its own.
 
 use crate::placement::VolumeIndex;
-use crate::predictor::dra::ShareClass;
+use crate::predictor::ShareClass;
 use corp_sim::{FreeLanes, ResourceVector, LANES};
 use rand::rngs::StdRng;
 use rand::Rng;

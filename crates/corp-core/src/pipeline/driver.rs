@@ -28,7 +28,7 @@ use std::collections::HashMap;
 ///    paper's split rule).
 ///
 /// The four paper schemes are pure stage configurations of this one
-/// driver (see [`crate::scheduler`]).
+/// driver (see [`crate::CorpProvisioner`] and the baselines' aliases).
 pub struct ProvisioningPipeline<U, G, K, B> {
     name: String,
     window_slots: u64,
@@ -85,18 +85,8 @@ impl<U, G, K, B> ProvisioningPipeline<U, G, K, B> {
         }
     }
 
-    /// The provisioning-window period in slots: how often the forecast and
-    /// reallocation stages run (`slot % window_slots == 0`). This is the
-    /// event-stream entry point for external drivers — the `corp-serve`
-    /// daemon reads it to label window ticks, and it always equals
-    /// [`Provisioner::full_view_period`](corp_sim::Provisioner::full_view_period)
-    /// for a pipeline-backed scheme.
-    pub fn window_slots(&self) -> u64 {
-        self.window_slots
-    }
-
     /// The prediction stage (diagnostics and scheme-specific knobs).
-    pub fn stage_predictor(&self) -> &U {
+    pub(crate) fn stage_predictor(&self) -> &U {
         &self.predictor
     }
 

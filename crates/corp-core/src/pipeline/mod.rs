@@ -15,14 +15,15 @@
 //! | 4. place             | [`PlacementBackend`] | Eq. 22 volume best-fit |
 //!
 //! [`ProvisioningPipeline`] composes the four behind the engine's
-//! [`corp_sim::Provisioner`] interface. The monolithic schemes in
-//! [`crate::scheduler`] are type aliases over concrete stage sets; the
+//! [`corp_sim::Provisioner`] interface. The monolithic schemes
+//! ([`crate::CorpProvisioner`] and the three baselines) are type aliases
+//! over concrete stage sets; the
 //! sharded control plane (`corp-cluster`) runs the *same* pipelines inside
 //! its shard workers, and its arbitration settles capacity conflicts
 //! between their proposals against its `PlacementStore`.
 //!
 //! Determinism is a stage contract: predictors fan out through the
-//! [`PredictRuntime`] (the calling thread plus persistent pool workers)
+//! `PredictRuntime` (the calling thread plus persistent pool workers)
 //! writing by task index, gates mutate pools in fleet scan order, and
 //! backends draw from the pipeline RNG only when their policy does — so
 //! reports are byte-identical across thread counts and the
@@ -42,10 +43,7 @@ pub use backend::{AdmissionPolicy, Claim, DirectBackend, PlacementBackend, VmSel
 pub use driver::ProvisioningPipeline;
 pub use gate::{BaselineReclaimGate, CorpReclaimGate, ReallocationGate, RecordOnlyGate};
 pub use pack::{JobPacker, Packing};
-pub use pool::{
-    configured_pool_width, hardware_parallelism, per_task, prediction_threads, PredictRuntime,
-    WorkerPool, SERIAL_FANOUT_CUTOFF,
-};
+pub use pool::{configured_pool_width, hardware_parallelism, per_task, WorkerPool};
 pub use predict::{
     CorpUsagePredictor, FiniteGuard, PendingOutcome, UsagePredictor, VmPredictorCore,
     VmWindowPredictor, WindowForecast,

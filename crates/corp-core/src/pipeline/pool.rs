@@ -100,7 +100,7 @@ impl PredictRuntime {
     /// cutoff, `Some(1)` is the serial path (everything on the calling
     /// thread). The width only shapes the chunking — results are
     /// byte-identical at any width.
-    pub fn new(width: Option<usize>) -> Self {
+    pub(crate) fn new(width: Option<usize>) -> Self {
         let mut runtime = PredictRuntime {
             width_override: None,
             pool: None,
@@ -110,13 +110,13 @@ impl PredictRuntime {
     }
 
     /// Re-pins the fan-out width (see [`new`](Self::new)).
-    pub fn set_width(&mut self, width: Option<usize>) {
+    pub(crate) fn set_width(&mut self, width: Option<usize>) {
         assert!(width != Some(0), "pool width must be at least 1");
         self.width_override = width;
     }
 
     /// The effective fan-out width for a window of `tasks` tasks.
-    pub fn effective_width(&self, tasks: usize) -> usize {
+    pub(crate) fn effective_width(&self, tasks: usize) -> usize {
         match self.width_override {
             // An explicit width skips the serial cutoff: equivalence tests
             // pin widths {1, 2, N} and must actually exercise them.
@@ -137,7 +137,7 @@ impl PredictRuntime {
     /// `S::default()`) to the window's width and is never shrunk, so the
     /// caller can keep it across windows. Which thread ran which chunk is
     /// not fixed, so merge anything the states accumulate commutatively.
-    pub fn fan_out<I, T, S>(
+    pub(crate) fn fan_out<I, T, S>(
         &mut self,
         tasks: &[I],
         grain: usize,
@@ -167,7 +167,7 @@ impl PredictRuntime {
     /// with no forecast). When every VM runs one — the common case under
     /// load — the fleet slice itself is the task list, skipping the
     /// intermediate index vector and the scatter copy.
-    pub fn fan_out_vms(
+    pub(crate) fn fan_out_vms(
         &mut self,
         ctx: &SlotContext<'_>,
         predict: impl Fn(&VmView) -> Option<ResourceVector> + Sync,

@@ -180,7 +180,7 @@ impl CorpUsagePredictor {
     }
 
     /// The underlying predictor (diagnostics).
-    pub fn inner(&self) -> &CorpJobPredictor {
+    pub(crate) fn inner(&self) -> &CorpJobPredictor {
         &self.predictor
     }
 }
@@ -347,21 +347,15 @@ impl VmPredictorCore for crate::predictor::DraPredictor {
 /// Decorator dropping non-finite observations before they reach the core —
 /// the fault-tolerance hook poisoned telemetry (see `corp-faults`) is
 /// filtered through: a smoother that absorbed a NaN could never flush it,
-/// so the guard holds the previous state instead and counts the drop.
+/// so the guard holds the previous state instead.
 pub struct FiniteGuard<P> {
     inner: P,
-    dropped: u64,
 }
 
 impl<P> FiniteGuard<P> {
     /// Wraps `inner`.
     pub fn new(inner: P) -> Self {
-        FiniteGuard { inner, dropped: 0 }
-    }
-
-    /// Observations discarded for carrying non-finite components.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
+        FiniteGuard { inner }
     }
 }
 
@@ -369,8 +363,6 @@ impl<P: VmPredictorCore> VmPredictorCore for FiniteGuard<P> {
     fn observe(&mut self, vm: usize, unused: &ResourceVector) {
         if unused.is_finite() {
             self.inner.observe(vm, unused);
-        } else {
-            self.dropped += 1;
         }
     }
     fn record_outcome(&mut self, resource: usize, actual: f64, predicted: f64) {
@@ -383,7 +375,7 @@ impl<P: VmPredictorCore> VmPredictorCore for FiniteGuard<P> {
 
 /// The baselines' prediction stage: one shared resolve/observe/forecast
 /// window loop over any [`VmPredictorCore`]. Outcome keys are VM ids;
-/// forecasts fan out per VM through the stage's [`PredictRuntime`].
+/// forecasts fan out per VM through the stage's `PredictRuntime`.
 pub struct VmWindowPredictor<P> {
     core: P,
     runtime: PredictRuntime,
@@ -409,13 +401,8 @@ impl<P> VmWindowPredictor<P> {
     }
 
     /// The prediction runtime (the width pin).
-    pub fn runtime_mut(&mut self) -> &mut PredictRuntime {
+    pub(crate) fn runtime_mut(&mut self) -> &mut PredictRuntime {
         &mut self.runtime
-    }
-
-    /// The underlying forecaster core (diagnostics).
-    pub fn core(&self) -> &P {
-        &self.core
     }
 }
 

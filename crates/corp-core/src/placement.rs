@@ -88,13 +88,9 @@ impl VolumeIndex {
     }
 
     /// Number of indexed VMs.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.keys.len()
-    }
-
-    /// True if no VM is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
     }
 
     /// Reposition VM `i` after its pool changed: O(log V).

@@ -60,7 +60,7 @@ impl Default for CloudScalePredictor {
 
 impl CloudScalePredictor {
     /// Creates an empty forecaster.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_padding_scale(1.0)
     }
 
@@ -80,7 +80,7 @@ impl CloudScalePredictor {
     }
 
     /// Folds one slot's observed unused totals for `vm`.
-    pub fn observe(&mut self, vm: usize, unused: &ResourceVector) {
+    pub(crate) fn observe(&mut self, vm: usize, unused: &ResourceVector) {
         entry(&mut self.histories, vm, VmWindow::default).push(*unused);
     }
 
@@ -88,7 +88,7 @@ impl CloudScalePredictor {
     /// adaptive pad: the magnitude of the worst recent over-estimation
     /// (predicted more unused than existed), which is the burst signal
     /// CloudScale reacts to. Zero with no evidence.
-    pub fn record_outcome(&mut self, resource: usize, actual: f64, predicted: f64) {
+    pub(crate) fn record_outcome(&mut self, resource: usize, actual: f64, predicted: f64) {
         let errors = &mut self.errors[resource];
         errors.push(actual - predicted);
         let worst = errors
@@ -100,7 +100,7 @@ impl CloudScalePredictor {
 
     /// Predicts `vm`'s unused vector one window ahead. `None` before any
     /// observation for the VM.
-    pub fn predict(&self, vm: usize) -> Option<ResourceVector> {
+    pub(crate) fn predict(&self, vm: usize) -> Option<ResourceVector> {
         let history = self.histories.get(vm).filter(|h| h.len() > 0)?;
         let mut out = ResourceVector::ZERO;
         SCRATCH.with(|s| {

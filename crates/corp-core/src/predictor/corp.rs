@@ -77,7 +77,7 @@ impl FallbackCounters {
     /// Adds another counter set onto this one — used to merge per-thread
     /// deltas after a parallel prediction fan-out. `u64` additions are
     /// order-independent, so merged totals match the serial path exactly.
-    pub fn absorb(&mut self, other: &FallbackCounters) {
+    pub(crate) fn absorb(&mut self, other: &FallbackCounters) {
         self.dnn_rejected += other.dnn_rejected;
         self.hmm_last_value += other.hmm_last_value;
         self.ets += other.ets;
@@ -121,7 +121,7 @@ impl LaneStage {
 /// per resource, the DNN's lane buffers, the HMM decode buffers, the
 /// fallback ladder's filter buffer, and a local [`FallbackCounters`] delta
 /// that the owner merges back via
-/// [`CorpJobPredictor::merge_fallbacks`] after joining its threads.
+/// `CorpJobPredictor::merge_fallbacks` after joining its threads.
 ///
 /// Every buffer is reset, not reallocated, per use and fully rewritten
 /// before it is read, so a scratch that lives across windows (a fan-out
@@ -153,14 +153,6 @@ impl PredictionScratch {
     /// of its own.
     pub fn persistent() -> Self {
         PredictionScratch::default()
-    }
-
-    /// Resets the scratch to its post-construction observable state:
-    /// counters cleared, buffers kept (their contents are fully rewritten
-    /// before every read, so predictions after a reset are bit-identical
-    /// to predictions through a fresh scratch — pinned by proptest).
-    pub fn reset(&mut self) {
-        self.fallbacks = FallbackCounters::default();
     }
 }
 
@@ -345,7 +337,7 @@ impl CorpJobPredictor {
     /// one-lane case of [`predict_jobs_in`](Self::predict_jobs_in).
     /// Fallback-rung increments accumulate in `scratch.fallbacks` for the
     /// owner to merge after the join
-    /// ([`merge_fallbacks`](Self::merge_fallbacks)).
+    /// (`merge_fallbacks`).
     pub fn predict_job_in(
         &self,
         recent: &[Vec<f64>],
@@ -400,7 +392,7 @@ impl CorpJobPredictor {
 
     /// Merges a thread's fallback-counter delta back into the predictor's
     /// own counters.
-    pub fn merge_fallbacks(&mut self, delta: &FallbackCounters) {
+    pub(crate) fn merge_fallbacks(&mut self, delta: &FallbackCounters) {
         self.fallbacks.absorb(delta);
     }
 

@@ -36,7 +36,7 @@ pub enum ShareClass {
 
 impl ShareClass {
     /// The share weight.
-    pub fn weight(self) -> f64 {
+    pub(crate) fn weight(self) -> f64 {
         match self {
             ShareClass::High => 4.0,
             ShareClass::Medium => 2.0,
@@ -46,7 +46,7 @@ impl ShareClass {
 
     /// Statically assigns the class of VM `id` so the fleet has the paper's
     /// high/medium/low mix.
-    pub fn of_vm(id: usize) -> Self {
+    pub(crate) fn of_vm(id: usize) -> Self {
         match id % 3 {
             0 => ShareClass::High,
             1 => ShareClass::Medium,
@@ -62,13 +62,13 @@ impl DraPredictor {
     }
 
     /// Folds one slot's observed unused totals for `vm`.
-    pub fn observe(&mut self, vm: usize, unused: &ResourceVector) {
+    pub(crate) fn observe(&mut self, vm: usize, unused: &ResourceVector) {
         entry(&mut self.histories, vm, VmWindow::default).push(*unused);
     }
 
     /// Predicts `vm`'s unused vector as the plain mean of the recent
     /// window. `None` before any observation.
-    pub fn predict(&self, vm: usize) -> Option<ResourceVector> {
+    pub(crate) fn predict(&self, vm: usize) -> Option<ResourceVector> {
         let history = self.histories.get(vm).filter(|h| h.len() > 0)?;
         let mut out = ResourceVector::ZERO;
         for k in 0..NUM_RESOURCES {

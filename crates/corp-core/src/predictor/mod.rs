@@ -14,14 +14,14 @@
 //! and a read walks the window oldest first, as the shifted `Vec` it
 //! replaces did.
 
-pub mod cloudscale;
-pub mod corp;
-pub mod dra;
-pub mod rccr;
+mod cloudscale;
+mod corp;
+mod dra;
+mod rccr;
 
 pub use cloudscale::CloudScalePredictor;
 pub use corp::{CorpJobPredictor, FallbackCounters, PredictionScratch};
-pub use dra::DraPredictor;
+pub use dra::{DraPredictor, ShareClass};
 pub use rccr::RccrPredictor;
 
 use corp_sim::ResourceVector;

@@ -42,7 +42,7 @@ impl RccrPredictor {
     }
 
     /// Folds one slot's observed unused totals for `vm`.
-    pub fn observe(&mut self, vm: usize, unused: &ResourceVector) {
+    pub(crate) fn observe(&mut self, vm: usize, unused: &ResourceVector) {
         let alpha = self.alpha;
         let fresh = || std::array::from_fn(|_| SimpleExp::new(alpha));
         for (k, s) in entry(&mut self.smoothers, vm, fresh).iter_mut().enumerate() {
@@ -51,7 +51,7 @@ impl RccrPredictor {
     }
 
     /// Records a resolved prediction outcome to calibrate `sigma_hat`.
-    pub fn record_outcome(&mut self, resource: usize, actual: f64, predicted: f64) {
+    pub(crate) fn record_outcome(&mut self, resource: usize, actual: f64, predicted: f64) {
         self.errors[resource].push(actual - predicted);
         self.sigma[resource] = self.errors[resource].sigma_hat();
     }
@@ -60,7 +60,7 @@ impl RccrPredictor {
     /// the CI half-width `sigma_hat * z_{theta/2}` (the lower bound, to be
     /// conservative in reclaiming), clamped non-negative. `None` before any
     /// observation for the VM.
-    pub fn predict(&self, vm: usize) -> Option<ResourceVector> {
+    pub(crate) fn predict(&self, vm: usize) -> Option<ResourceVector> {
         let smoothers = self.smoothers.get(vm)?;
         let mut out = ResourceVector::ZERO;
         for k in 0..NUM_RESOURCES {
@@ -71,7 +71,8 @@ impl RccrPredictor {
     }
 
     /// The raw SES forecast without the CI adjustment (tests/diagnostics).
-    pub fn predict_raw(&self, vm: usize) -> Option<ResourceVector> {
+    #[cfg(test)]
+    fn predict_raw(&self, vm: usize) -> Option<ResourceVector> {
         let smoothers = self.smoothers.get(vm)?;
         let mut out = ResourceVector::ZERO;
         for k in 0..NUM_RESOURCES {

@@ -18,13 +18,13 @@ pub struct PreemptionGate {
 impl PreemptionGate {
     /// Creates gates with window `capacity`, tolerance `eps`, and threshold
     /// `p_th` for every resource type.
-    pub fn new(capacity: usize, eps: f64, p_th: f64) -> Self {
+    pub(crate) fn new(capacity: usize, eps: f64, p_th: f64) -> Self {
         Self::with_tolerances(capacity, &[eps; NUM_RESOURCES], p_th)
     }
 
     /// Creates gates with per-resource tolerances (resource types live on
     /// different scales: cores vs. GB vs. hundreds of GB).
-    pub fn with_tolerances(capacity: usize, eps: &[f64; NUM_RESOURCES], p_th: f64) -> Self {
+    pub(crate) fn with_tolerances(capacity: usize, eps: &[f64; NUM_RESOURCES], p_th: f64) -> Self {
         PreemptionGate {
             trackers: eps
                 .iter()
@@ -36,7 +36,7 @@ impl PreemptionGate {
     /// Records one resolved prediction for `resource`. Non-finite samples
     /// are ignored: one NaN in the window would wedge `sigma_hat` (and
     /// with it every subsequent gate decision) at NaN.
-    pub fn record(&mut self, resource: usize, actual_unused: f64, predicted_unused: f64) {
+    pub(crate) fn record(&mut self, resource: usize, actual_unused: f64, predicted_unused: f64) {
         if !actual_unused.is_finite() || !predicted_unused.is_finite() {
             return;
         }
@@ -47,26 +47,14 @@ impl PreemptionGate {
     /// Eq. 21 with the symmetric tolerance band `|delta| < eps` (the
     /// variant compatible with Eq. 19's deliberate conservatism bias; see
     /// DESIGN.md).
-    pub fn unlocked(&self, resource: usize) -> bool {
+    pub(crate) fn unlocked(&self, resource: usize) -> bool {
         self.trackers[resource].unlocked_symmetric()
     }
 
     /// Estimated prediction-error standard deviation for `resource`
     /// (`sigma_hat` of Eq. 18).
-    pub fn sigma_hat(&self, resource: usize) -> f64 {
+    pub(crate) fn sigma_hat(&self, resource: usize) -> f64 {
         self.trackers[resource].sigma_hat()
-    }
-
-    /// Empirical in-tolerance probability for `resource` (paper-literal
-    /// `[0, eps)` band).
-    pub fn prob_within(&self, resource: usize) -> f64 {
-        self.trackers[resource].prob_within_tolerance()
-    }
-
-    /// Empirical symmetric-band probability `Pr(|delta| < eps)` for
-    /// `resource`.
-    pub fn prob_abs_within(&self, resource: usize) -> f64 {
-        self.trackers[resource].prob_abs_within_tolerance()
     }
 
     /// Number of recorded samples for `resource`.

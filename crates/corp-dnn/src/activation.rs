@@ -58,7 +58,7 @@ impl Activation {
 
     /// Derivative expressed in terms of the activation value `g = F(x)`.
     #[inline]
-    pub fn derivative_from_output(self, g: f64) -> f64 {
+    pub(crate) fn derivative_from_output(self, g: f64) -> f64 {
         match self {
             Activation::Sigmoid => g * (1.0 - g),
             Activation::Identity => 1.0,

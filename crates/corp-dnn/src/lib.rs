@@ -15,8 +15,9 @@
 //! exactly as Section III-A describes.
 //!
 //! No ML crates exist in the offline registry, so the numerics here —
-//! a minimal dense [`matrix`] layer, [`activation`] functions, the
-//! [`network`] forward/backward passes, and the [`train`]ing loop — are all
+//! a minimal dense [`Matrix`] layer, [`Activation`] functions, the
+//! [`Network`] forward/backward passes, and the training loop
+//! ([`TrainConfig`]) — are all
 //! implemented locally and verified against finite-difference gradient
 //! checks in the test suite.
 
@@ -26,12 +27,12 @@
 // index-based loops are clearer than zipped iterator chains there.
 #![allow(clippy::needless_range_loop)]
 
-pub mod activation;
+mod activation;
 mod exp;
-pub mod matrix;
-pub mod network;
-pub mod predictor;
-pub mod train;
+mod matrix;
+mod network;
+mod predictor;
+mod train;
 
 pub use activation::Activation;
 pub use matrix::Matrix;
@@ -39,4 +40,4 @@ pub use network::{LaneScratch, Network, Scratch};
 pub use predictor::{
     PredictBatchScratch, PredictScratch, UnusedResourcePredictor, WindowPredictorConfig,
 };
-pub use train::{TrainConfig, TrainReport, Trainer};
+pub use train::{TrainConfig, TrainReport};

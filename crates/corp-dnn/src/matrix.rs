@@ -21,7 +21,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         assert!(
             rows > 0 && cols > 0,
             "matrix dimensions must be positive: {rows}x{cols}"
@@ -38,7 +38,8 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `data.len() != rows * cols` or a dimension is zero.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
         assert!(rows > 0 && cols > 0, "matrix dimensions must be positive");
         assert_eq!(data.len(), rows * cols, "data length must equal rows*cols");
         Matrix { rows, cols, data }
@@ -62,7 +63,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub fn reshape(&mut self, rows: usize, cols: usize) {
+    pub(crate) fn reshape(&mut self, rows: usize, cols: usize) {
         assert!(
             rows > 0 && cols > 0,
             "matrix dimensions must be positive: {rows}x{cols}"
@@ -81,7 +82,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `cols` is zero.
-    pub fn reshape_cols(&mut self, cols: usize) {
+    pub(crate) fn reshape_cols(&mut self, cols: usize) {
         assert!(cols > 0, "matrix dimensions must be positive");
         if cols == self.cols {
             return;
@@ -124,7 +125,8 @@ impl Matrix {
     ///
     /// Panics on out-of-bounds indices.
     #[inline]
-    pub fn get_mut(&mut self, r: usize, c: usize) -> &mut f64 {
+    #[cfg(test)]
+    pub(crate) fn get_mut(&mut self, r: usize, c: usize) -> &mut f64 {
         assert!(
             r < self.rows && c < self.cols,
             "index ({r},{c}) out of {}x{}",
@@ -136,17 +138,18 @@ impl Matrix {
 
     /// Borrow of row `r` as a slice.
     #[inline]
-    pub fn row(&self, r: usize) -> &[f64] {
+    pub(crate) fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// The raw row-major buffer.
-    pub fn as_slice(&self) -> &[f64] {
+    #[cfg(test)]
+    pub(crate) fn as_slice(&self) -> &[f64] {
         &self.data
     }
 
     /// Mutable raw row-major buffer.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
     }
 
@@ -172,7 +175,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `x.len() != cols` or `out.len() != rows`.
-    pub fn mul_vec_fused_into<F>(&self, x: &[f64], out: &mut [f64], mut epilogue: F)
+    pub(crate) fn mul_vec_fused_into<F>(&self, x: &[f64], out: &mut [f64], mut epilogue: F)
     where
         F: FnMut(usize, f64) -> f64,
     {
@@ -201,7 +204,7 @@ impl Matrix {
     ///
     /// Panics if `x.rows() != cols`, `out.rows() != rows`, or
     /// `out.cols() != x.cols()`.
-    pub fn matmul_fused_into<F>(&self, x: &Matrix, out: &mut Matrix, mut epilogue: F)
+    pub(crate) fn matmul_fused_into<F>(&self, x: &Matrix, out: &mut Matrix, mut epilogue: F)
     where
         F: FnMut(usize, f64) -> f64,
     {
@@ -292,7 +295,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `x.len() != rows` or `out.len() != cols`.
-    pub fn mul_vec_transposed_into(&self, x: &[f64], out: &mut [f64]) {
+    pub(crate) fn mul_vec_transposed_into(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.rows, "input length mismatch");
         assert_eq!(out.len(), self.cols, "output length mismatch");
         out.iter_mut().for_each(|o| *o = 0.0);
@@ -313,7 +316,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `a.len() != rows` or `b.len() != cols`.
-    pub fn add_outer_scaled(&mut self, a: &[f64], b: &[f64], scale: f64) {
+    pub(crate) fn add_outer_scaled(&mut self, a: &[f64], b: &[f64], scale: f64) {
         assert_eq!(a.len(), self.rows, "row factor length mismatch");
         assert_eq!(b.len(), self.cols, "column factor length mismatch");
         for (ai, row) in a.iter().zip(self.data.chunks_exact_mut(self.cols)) {
@@ -328,7 +331,7 @@ impl Matrix {
     }
 
     /// Scales every element in place (used for momentum decay).
-    pub fn scale(&mut self, s: f64) {
+    pub(crate) fn scale(&mut self, s: f64) {
         for v in &mut self.data {
             *v *= s;
         }
@@ -339,7 +342,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics on shape mismatch.
-    pub fn add_assign(&mut self, other: &Matrix) {
+    pub(crate) fn add_assign(&mut self, other: &Matrix) {
         assert_eq!(
             (self.rows, self.cols),
             (other.rows, other.cols),
@@ -362,7 +365,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics on shape mismatch between `self`, `velocity`, `a`, and `b`.
-    pub fn momentum_step(
+    pub(crate) fn momentum_step(
         &mut self,
         velocity: &mut Matrix,
         a: &[f64],

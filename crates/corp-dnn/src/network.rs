@@ -173,17 +173,17 @@ impl Network {
     }
 
     /// Input dimension.
-    pub fn input_len(&self) -> usize {
+    pub(crate) fn input_len(&self) -> usize {
         self.activations[0].len()
     }
 
     /// Output dimension.
-    pub fn output_len(&self) -> usize {
+    pub(crate) fn output_len(&self) -> usize {
         self.layers[self.depth() - 1].weights.rows()
     }
 
     /// Number of weight layers.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.layers.len()
     }
 
@@ -326,7 +326,7 @@ impl Network {
     /// (unfused forward, three-pass momentum update) as the reference
     /// implementation the determinism suite A/Bs the fused kernels
     /// against. Selected via `TrainConfig::reference_kernels`.
-    pub fn train_on_reference(
+    pub(crate) fn train_on_reference(
         &mut self,
         input: &[f64],
         target: &[f64],
@@ -398,7 +398,7 @@ impl Network {
 
     /// Mean squared error of the network over a dataset, without updating
     /// weights.
-    pub fn mse(&mut self, inputs: &[Vec<f64>], targets: &[Vec<f64>]) -> f64 {
+    pub(crate) fn mse(&mut self, inputs: &[Vec<f64>], targets: &[Vec<f64>]) -> f64 {
         assert_eq!(inputs.len(), targets.len(), "dataset length mismatch");
         if inputs.is_empty() {
             return 0.0;
@@ -412,18 +412,21 @@ impl Network {
     }
 
     /// Access to a layer's weight matrix (tests, gradient checks).
-    pub fn layer_weights(&self, d: usize) -> &Matrix {
+    #[cfg(test)]
+    pub(crate) fn layer_weights(&self, d: usize) -> &Matrix {
         &self.layers[d].weights
     }
 
     /// Mutable access to a layer's weight matrix (gradient checks perturb
     /// single weights).
-    pub fn layer_weights_mut(&mut self, d: usize) -> &mut Matrix {
+    #[cfg(test)]
+    pub(crate) fn layer_weights_mut(&mut self, d: usize) -> &mut Matrix {
         &mut self.layers[d].weights
     }
 
     /// Access to a layer's bias vector (tests).
-    pub fn layer_biases(&self, d: usize) -> &[f64] {
+    #[cfg(test)]
+    pub(crate) fn layer_biases(&self, d: usize) -> &[f64] {
         &self.layers[d].biases
     }
 }

@@ -34,7 +34,7 @@ pub struct TrainConfig {
     /// Shuffle seed (training is deterministic per seed).
     pub seed: u64,
     /// Run the pre-optimization per-sample kernels
-    /// ([`Network::train_on_reference`]) instead of the fused ones. The two
+    /// (`Network::train_on_reference`) instead of the fused ones. The two
     /// are bit-identical; this switch exists so the determinism suite can
     /// A/B them end-to-end.
     pub reference_kernels: bool,
@@ -81,7 +81,7 @@ impl Trainer {
     /// # Panics
     ///
     /// Panics if the epoch cap is zero.
-    pub fn new(config: TrainConfig) -> Self {
+    pub(crate) fn new(config: TrainConfig) -> Self {
         assert!(config.max_epochs > 0, "max_epochs must be at least 1");
         Trainer { config }
     }
@@ -96,7 +96,7 @@ impl Trainer {
     ///
     /// Panics if the dataset is empty, lengths mismatch, or the dataset is
     /// too small to produce both splits.
-    pub fn train(
+    pub(crate) fn train(
         &self,
         net: &mut Network,
         inputs: &[Vec<f64>],

@@ -89,7 +89,8 @@ impl StormPlan {
     }
 
     /// True when no storm is scheduled.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.windows.is_empty()
     }
 }

@@ -75,11 +75,6 @@ impl FluctuationPredictor {
         }
     }
 
-    /// The underlying model (inspection/tests).
-    pub fn hmm(&self) -> &Hmm {
-        &self.hmm
-    }
-
     /// Fits the quantizer thresholds and re-estimates the HMM from an
     /// unused-resource history. Returns the number of Baum-Welch iterations
     /// run, or `None` when the history is too short to produce at least two
@@ -105,7 +100,7 @@ impl FluctuationPredictor {
     /// Predicts the next fluctuation symbol from the most recent
     /// unused-resource values (Eqs. 16-17). Falls back to `Center` when the
     /// predictor is unfitted or the recent series yields no observations.
-    pub fn predict_next_symbol(&self, recent: &[f64]) -> FluctuationSymbol {
+    pub(crate) fn predict_next_symbol(&self, recent: &[f64]) -> FluctuationSymbol {
         let Some(quantizer) = &self.quantizer else {
             return FluctuationSymbol::Center;
         };
@@ -144,7 +139,7 @@ impl FluctuationPredictor {
     /// caller-provided scratch: no allocation and no logarithm on the hot
     /// path, bit-identical symbol (same quantization, same Viterbi
     /// recurrence over the stored logarithms, same Eq. 17 arg-max).
-    pub fn predict_next_symbol_with(
+    pub(crate) fn predict_next_symbol_with(
         &self,
         recent: &[f64],
         scratch: &mut HmmScratch,

@@ -23,16 +23,16 @@
 // index-based loops are clearer than zipped iterator chains there.
 #![allow(clippy::needless_range_loop)]
 
-pub mod baum_welch;
-pub mod fluctuation;
-pub mod forward_backward;
-pub mod model;
-pub mod quantize;
-pub mod viterbi;
+mod baum_welch;
+mod fluctuation;
+mod forward_backward;
+mod model;
+mod quantize;
+mod viterbi;
 
-pub use baum_welch::baum_welch;
+pub use baum_welch::{baum_welch, BaumWelchReport};
 pub use fluctuation::{FluctuationPredictor, HmmScratch};
-pub use forward_backward::{backward_scaled, forward_scaled, log_likelihood, state_posteriors};
+pub use forward_backward::{forward_scaled, log_likelihood, state_posteriors, ScaledForward};
 pub use model::Hmm;
 pub use quantize::{FluctuationSymbol, SpreadQuantizer};
-pub use viterbi::{viterbi, viterbi_last_in, LogHmm, ViterbiScratch};
+pub use viterbi::{viterbi, viterbi_last_in, LogHmm, ViterbiPath, ViterbiScratch};

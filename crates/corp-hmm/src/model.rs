@@ -72,7 +72,8 @@ impl Hmm {
     /// A uniform model: every transition, emission, and initial probability
     /// equal — the standard agnostic starting point for Baum-Welch when
     /// nothing is known.
-    pub fn uniform(num_states: usize, num_symbols: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn uniform(num_states: usize, num_symbols: usize) -> Self {
         assert!(num_states > 0 && num_symbols > 0);
         Hmm {
             num_states,
@@ -87,7 +88,8 @@ impl Hmm {
     /// fixed point of Baum-Welch (all states indistinguishable), so
     /// re-estimation needs symmetry breaking; the perturbation is
     /// deterministic in `seed`.
-    pub fn near_uniform(num_states: usize, num_symbols: usize, seed: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn near_uniform(num_states: usize, num_symbols: usize, seed: u64) -> Self {
         let mut m = Self::uniform(num_states, num_symbols);
         let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
         let mut noise = || {
@@ -112,7 +114,7 @@ impl Hmm {
     /// provisioning model, initialized with a sticky-diagonal prior: the
     /// provisioning regime tends to persist, and each regime prefers its
     /// namesake symbol (OP -> peak of unused resource, UP -> valley).
-    pub fn paper_default() -> Self {
+    pub(crate) fn paper_default() -> Self {
         Hmm::new(
             vec![
                 vec![0.6, 0.3, 0.1],
@@ -133,7 +135,7 @@ impl Hmm {
     /// # Panics
     ///
     /// Panics if any symbol is out of range.
-    pub fn check_observations(&self, obs: &[usize]) {
+    pub(crate) fn check_observations(&self, obs: &[usize]) {
         for (t, &o) in obs.iter().enumerate() {
             assert!(
                 o < self.num_symbols,

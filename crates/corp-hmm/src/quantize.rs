@@ -37,7 +37,7 @@ impl FluctuationSymbol {
 
     /// Alphabet index (`M = 3` in Table II).
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             FluctuationSymbol::Peak => 0,
             FluctuationSymbol::Center => 1,
@@ -51,7 +51,7 @@ impl FluctuationSymbol {
     ///
     /// Panics if `i >= 3`.
     #[inline]
-    pub fn from_index(i: usize) -> Self {
+    pub(crate) fn from_index(i: usize) -> Self {
         Self::ALL[i]
     }
 }
@@ -107,7 +107,7 @@ impl SpreadQuantizer {
     /// windows of `window_len` slots (the paper's `L - 1` subwindow
     /// construction between consecutive observation times), computes each
     /// window's spread, and classifies it.
-    pub fn observations(&self, series: &[f64], window_len: usize) -> Vec<usize> {
+    pub(crate) fn observations(&self, series: &[f64], window_len: usize) -> Vec<usize> {
         fluctuation_spreads(series, window_len)
             .into_iter()
             .map(|d| self.classify(d).index())
@@ -122,7 +122,12 @@ impl SpreadQuantizer {
     /// # Panics
     ///
     /// Panics if `window_len == 0`.
-    pub fn observations_into(&self, series: &[f64], window_len: usize, out: &mut Vec<usize>) {
+    pub(crate) fn observations_into(
+        &self,
+        series: &[f64],
+        window_len: usize,
+        out: &mut Vec<usize>,
+    ) {
         assert!(window_len > 0, "window length must be positive");
         out.clear();
         out.extend(

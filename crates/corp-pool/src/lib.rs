@@ -53,7 +53,7 @@ struct PoolWorker {
 }
 
 /// Long-lived prediction workers, parked on a blocking channel receive
-/// while idle. Workers are spawned lazily by [`ensure`](Self::ensure) and
+/// while idle. Workers are spawned lazily by `ensure` and
 /// joined on drop.
 #[derive(Default)]
 pub struct WorkerPool {
@@ -69,7 +69,7 @@ impl std::fmt::Debug for WorkerPool {
 }
 
 impl WorkerPool {
-    /// An empty pool; workers spawn on first [`ensure`](Self::ensure).
+    /// An empty pool; workers spawn on first `ensure`.
     pub fn new() -> Self {
         WorkerPool::default()
     }
@@ -80,7 +80,7 @@ impl WorkerPool {
     }
 
     /// Grows the pool to at least `width` workers (never shrinks).
-    pub fn ensure(&mut self, width: usize) {
+    pub(crate) fn ensure(&mut self, width: usize) {
         while self.workers.len() < width {
             let i = self.workers.len();
             let (tx, rx) = unbounded::<PoolTask>();

@@ -164,13 +164,13 @@ impl AdmissionQueue {
 
     /// Empties the queue (FIFO) for submission to the engine, then lets
     /// door-blocked arrivals claim the freed space, oldest first.
-    pub fn drain(&mut self) -> Vec<QueuedJob> {
+    pub(crate) fn drain(&mut self) -> Vec<QueuedJob> {
         let mut drained = Vec::new();
         self.drain_into(&mut drained);
         drained
     }
 
-    /// [`drain`](Self::drain) into a caller-owned buffer: appends the
+    /// `drain` into a caller-owned buffer: appends the
     /// queued jobs (FIFO) to `out` without allocating, then lets
     /// door-blocked arrivals claim the freed space, oldest first. The
     /// daemon calls this once per tick with one reused buffer, so steady
@@ -229,12 +229,13 @@ impl AdmissionQueue {
     /// Swaps the backpressure policy at runtime — the brownout ladder's
     /// reject-new rung uses this, restoring the configured policy on
     /// recovery.
-    pub fn set_policy(&mut self, policy: BackpressurePolicy) {
+    pub(crate) fn set_policy(&mut self, policy: BackpressurePolicy) {
         self.policy = policy;
     }
 
     /// The policy currently in force.
-    pub fn policy(&self) -> BackpressurePolicy {
+    #[cfg(test)]
+    pub(crate) fn policy(&self) -> BackpressurePolicy {
         self.policy
     }
 
@@ -250,7 +251,7 @@ impl AdmissionQueue {
     }
 
     /// Whether both the queue and the door are empty.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.queue.is_empty() && self.door.is_empty()
     }
 

@@ -95,16 +95,6 @@ impl BreakerSupervisor {
         &self.inner
     }
 
-    /// Breaker transitions so far, in slot order.
-    pub fn transitions(&self) -> &[BreakerTransition] {
-        &self.transitions
-    }
-
-    /// `(opens, half_opens, closes)` counters so far.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (self.opens, self.half_opens, self.closes)
-    }
-
     fn transition(&mut self, slot: u64, shard: usize, to: BreakerState) {
         let from = self.states[shard].name();
         let to_name = to.name();

@@ -50,7 +50,7 @@ impl BrownoutLevel {
     ];
 
     /// Ladder rung index (0 = full service).
-    pub fn rung(self) -> u8 {
+    pub(crate) fn rung(self) -> u8 {
         match self {
             BrownoutLevel::Normal => 0,
             BrownoutLevel::SkipGate => 1,
@@ -59,10 +59,10 @@ impl BrownoutLevel {
         }
     }
 
-    /// The [`crate::daemon`]-to-provisioner service level for this rung:
+    /// The [`ServeDaemon`](crate::ServeDaemon)-to-provisioner service level for this rung:
     /// rung 3 is an admission-side measure, so the provisioner stays at
     /// its level-2 posture.
-    pub fn service_level(self) -> u8 {
+    pub(crate) fn service_level(self) -> u8 {
         self.rung().min(2)
     }
 
@@ -159,7 +159,7 @@ pub struct BrownoutController {
 
 impl BrownoutController {
     /// A controller at full service.
-    pub fn new(config: BrownoutConfig) -> Self {
+    pub(crate) fn new(config: BrownoutConfig) -> Self {
         BrownoutController {
             config,
             level: BrownoutLevel::Normal,
@@ -168,16 +168,11 @@ impl BrownoutController {
         }
     }
 
-    /// Current ladder level.
-    pub fn level(&self) -> BrownoutLevel {
-        self.level
-    }
-
     /// Feeds one tick's signals; returns the new level if this tick moved
     /// the ladder. `tick_max_latency_micros` is the worst placement
     /// latency measured in *this* tick (0 when nothing placed);
     /// `sketch_p95_micros` is recorded into the transition for context.
-    pub fn observe_tick(
+    pub(crate) fn observe_tick(
         &mut self,
         at_micros: u64,
         queue_depth: usize,
@@ -249,7 +244,7 @@ impl BrownoutController {
     }
 
     /// Consumes the controller into its report summary.
-    pub fn into_summary(mut self) -> BrownoutSummary {
+    pub(crate) fn into_summary(mut self) -> BrownoutSummary {
         self.summary.final_rung = self.level.rung();
         self.summary
     }

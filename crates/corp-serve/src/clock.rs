@@ -38,7 +38,7 @@ impl ReplaySpeed {
     /// Sleeps until a replay started at `wall_start` is due to reach
     /// virtual time `micros` at this speed; returns at once when unpaced
     /// or already late.
-    pub fn pace(self, wall_start: Instant, micros: u64) {
+    pub(crate) fn pace(self, wall_start: Instant, micros: u64) {
         if let ReplaySpeed::Times(speed) = self {
             let due = Duration::from_secs_f64(micros as f64 / 1e6 / speed);
             if let Some(early) = due.checked_sub(wall_start.elapsed()) {

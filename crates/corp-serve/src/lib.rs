@@ -6,7 +6,7 @@
 //! latency is a first-class SLO. This crate is that serving mode
 //! (DESIGN.md §12), built from three pieces:
 //!
-//! * [`daemon`] — the slot loop, driving the *same*
+//! * [`ServeDaemon`] — the slot loop, driving the *same*
 //!   [`corp_sim::SlotEngine`] the batch simulation uses: each slot, the
 //!   arrivals that are due go to the admission queue, then the tick
 //!   expires, drains, steps the engine and records placement latency.
@@ -14,10 +14,10 @@
 //!   At unbounded queue capacity and infinite speed it reproduces the
 //!   batch run byte for byte — same jobs on the same VMs — which is what
 //!   makes serving mode a mode, not a fork.
-//! * [`admission`] — a bounded FIFO between arrivals and the engine with
+//! * [`AdmissionQueue`] — a bounded FIFO between arrivals and the engine with
 //!   three backpressure ladders (block, shed-oldest, reject-new) and full
 //!   admission/shed/high-water accounting.
-//! * [`clock`] — [`ReplaySpeed`] pacing: `inf` serves the trace as fast
+//! * [`ReplaySpeed`] — pacing: `inf` serves the trace as fast
 //!   as the host allows (the byte-deterministic batch mode), `N` paces one
 //!   virtual second per `1/N` wall seconds without ever feeding wall
 //!   readings back into the simulation.
@@ -25,15 +25,15 @@
 //! Overload is a first-class concern (DESIGN.md §13), handled by three
 //! cooperating layers, each deterministic and fully accounted:
 //!
-//! * [`slo`] — placement deadlines: jobs that out-wait their
+//! * [`DeadlineConfig`] — placement deadlines: jobs that out-wait their
 //!   deadline in the queue are expired before ever reaching the engine,
 //!   and placements are classified as deadline hits or misses.
-//! * [`brownout`] — an adaptive degradation ladder watching queue depth
+//! * [`BrownoutConfig`] — an adaptive degradation ladder watching queue depth
 //!   and per-tick placement latency, trading scheduling quality for
 //!   survival one explicit rung at a time (skip the reallocation gate →
 //!   skip forecasting → reject new work) and stepping back down after
 //!   consecutive calm ticks.
-//! * [`breaker`] — per-shard circuit breakers over the `corp-cluster`
+//! * [`BreakerSupervisor`] — per-shard circuit breakers over the `corp-cluster`
 //!   coordinator: K consecutive failure fallbacks isolate a shard (forced
 //!   inline, its pipeline not run) until a half-open probe in
 //!   virtual-slot backoff succeeds.
@@ -47,19 +47,18 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod admission;
-pub mod breaker;
-pub mod brownout;
-pub mod clock;
-pub mod daemon;
-pub mod report;
-pub mod slo;
+mod admission;
+mod breaker;
+mod brownout;
+mod clock;
+mod daemon;
+mod report;
+mod slo;
 
-pub use admission::{Admission, AdmissionQueue, BackpressurePolicy, QueueStats};
+pub use admission::{Admission, AdmissionQueue, BackpressurePolicy, QueueStats, QueuedJob};
 pub use breaker::BreakerSupervisor;
 pub use brownout::{
-    BrownoutConfig, BrownoutController, BrownoutLevel, BrownoutSummary, BrownoutTransition,
-    BrownoutTrigger,
+    BrownoutConfig, BrownoutLevel, BrownoutSummary, BrownoutTransition, BrownoutTrigger,
 };
 pub use clock::ReplaySpeed;
 pub use daemon::{ServeConfig, ServeDaemon};

@@ -36,7 +36,7 @@ pub struct LatencySummary {
 impl LatencySummary {
     /// Summarizes a latency sketch; an empty sketch yields zeroed
     /// percentiles with `count = 0`.
-    pub fn from_sketch(sketch: &QuantileSketch) -> Self {
+    pub(crate) fn from_sketch(sketch: &QuantileSketch) -> Self {
         LatencySummary {
             count: sketch.count(),
             p50_micros: sketch.query(0.50).unwrap_or(0.0),

@@ -41,13 +41,13 @@ impl DeadlineConfig {
     }
 
     /// The deadline every job gets, if there is one.
-    pub fn deadline(&self) -> Option<u64> {
+    pub(crate) fn deadline(&self) -> Option<u64> {
         self.deadline_micros
     }
 
     /// True when no class has a deadline (the fast path: the daemon skips
     /// expiry scans entirely).
-    pub fn is_unbounded(&self) -> bool {
+    pub(crate) fn is_unbounded(&self) -> bool {
         self.deadline_micros.is_none()
     }
 }
@@ -67,7 +67,7 @@ pub struct SloStats {
 impl SloStats {
     /// Classifies one placement latency against `deadline` (no-op when the
     /// class has no deadline).
-    pub fn record_placement(&mut self, latency_micros: u64, deadline: Option<u64>) {
+    pub(crate) fn record_placement(&mut self, latency_micros: u64, deadline: Option<u64>) {
         match deadline {
             Some(d) if latency_micros <= d => self.deadline_hits += 1,
             Some(_) => self.deadline_misses += 1,

@@ -61,12 +61,12 @@ impl EnvironmentProfile {
     }
 
     /// Capacity of one VM under this profile (PM capacity split evenly).
-    pub fn vm_capacity(&self) -> ResourceVector {
+    pub(crate) fn vm_capacity(&self) -> ResourceVector {
         self.pm_capacity.scaled(1.0 / self.vms_per_pm as f64)
     }
 
     /// Total number of VMs (`N_v`, Table II: 100-400).
-    pub fn num_vms(&self) -> usize {
+    pub(crate) fn num_vms(&self) -> usize {
         self.num_pms * self.vms_per_pm
     }
 

@@ -378,12 +378,13 @@ impl SlotEngine {
     }
 
     /// Read access to the metrics collected so far.
-    pub fn metrics(&self) -> &MetricsCollector {
+    #[cfg(test)]
+    pub(crate) fn metrics(&self) -> &MetricsCollector {
         &self.metrics
     }
 
     /// The job arena's cold records, one entry per slot
-    /// ([`JobStore::as_slice`]): resident jobs, and tombstones (id
+    /// (`JobStore::as_slice`): resident jobs, and tombstones (id
     /// `u64::MAX`) where a job has left.
     /// Its length is the arena's high-water mark. What happened to a job
     /// that left is in the [`SlotOutcome`] of the slot it left in.
@@ -1055,7 +1056,8 @@ impl Simulation {
     }
 
     /// Read access to the metrics collected so far (or after `run`).
-    pub fn metrics(&self) -> &MetricsCollector {
+    #[cfg(test)]
+    pub(crate) fn metrics(&self) -> &MetricsCollector {
         self.inner.engine.metrics()
     }
 
@@ -1238,6 +1240,22 @@ mod tests {
         );
         assert_eq!(store.live(), incoming + pending + running, "slot {slot}");
         assert_eq!(engine.active, pending + running, "slot {slot}");
+        // Generation safety: every handle in the VM lists and the two
+        // queues addresses a live job, and no arena slot is held twice.
+        let mut held = vec![false; store.capacity()];
+        for &h in engine
+            .vm_jobs
+            .iter()
+            .flatten()
+            .chain(&engine.pending)
+            .chain(&engine.incoming)
+        {
+            assert!(store.is_live(h), "stale handle {h:?} at slot {slot}");
+            assert!(
+                !std::mem::replace(&mut held[h.index()], true),
+                "{h:?} held twice at slot {slot}"
+            );
+        }
         for &h in &engine.pending {
             assert_eq!(store.job(h).state, JobState::Pending, "slot {slot}");
         }

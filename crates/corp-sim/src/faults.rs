@@ -72,7 +72,7 @@ pub(crate) struct FaultRuntime {
 }
 
 impl FaultRuntime {
-    pub fn new(timeline: FaultTimeline, num_vms: usize) -> Self {
+    pub(crate) fn new(timeline: FaultTimeline, num_vms: usize) -> Self {
         FaultRuntime {
             timeline,
             cursor: 0,
@@ -89,14 +89,14 @@ impl FaultRuntime {
     }
 
     /// Clears the poison marks of the slot before.
-    pub fn start_slot(&mut self) {
+    pub(crate) fn start_slot(&mut self) {
         for vm in self.poisoned.drain(..) {
             self.poison[vm] = None;
         }
     }
 
     /// Takes the next event due at or before `slot` off the timeline.
-    pub fn next_due(&mut self, slot: u64) -> Option<FaultEvent> {
+    pub(crate) fn next_due(&mut self, slot: u64) -> Option<FaultEvent> {
         let next = self.timeline.events().get(self.cursor)?;
         (next.slot <= slot).then(|| {
             self.cursor += 1;
@@ -105,32 +105,32 @@ impl FaultRuntime {
     }
 
     /// Whether `vm` is currently crashed.
-    pub fn is_down(&self, vm: usize) -> bool {
+    pub(crate) fn is_down(&self, vm: usize) -> bool {
         self.down[vm]
     }
 
     /// `vm`'s effective-capacity multiplier (1.0 = healthy).
-    pub fn degrade(&self, vm: usize) -> f64 {
+    pub(crate) fn degrade(&self, vm: usize) -> f64 {
         self.degrade[vm]
     }
 
     /// The poison on `vm`'s view this slot, if any.
-    pub fn poison(&self, vm: usize) -> Option<PoisonKind> {
+    pub(crate) fn poison(&self, vm: usize) -> Option<PoisonKind> {
         self.poison[vm]
     }
 
     /// Crashes (`true`) or recovers (`false`) `vm`.
-    pub fn set_down(&mut self, vm: usize, down: bool) {
+    pub(crate) fn set_down(&mut self, vm: usize, down: bool) {
         self.set_health(vm, down, self.degrade[vm]);
     }
 
     /// Sets `vm`'s effective-capacity multiplier; 1.0 restores it.
-    pub fn set_degrade(&mut self, vm: usize, factor: f64) {
+    pub(crate) fn set_degrade(&mut self, vm: usize, factor: f64) {
         self.set_health(vm, self.down[vm], factor);
     }
 
     /// Poisons `vm`'s view for this slot only.
-    pub fn set_poison(&mut self, vm: usize, kind: PoisonKind) {
+    pub(crate) fn set_poison(&mut self, vm: usize, kind: PoisonKind) {
         self.poison[vm] = Some(kind);
         self.poisoned.push(vm);
     }
@@ -151,14 +151,14 @@ impl FaultRuntime {
     }
 
     /// Tallies down/degraded VM-slots after this slot's events applied.
-    pub fn tally_slot(&mut self) {
+    pub(crate) fn tally_slot(&mut self) {
         self.stats.down_vm_slots += self.down_now;
         self.stats.degraded_vm_slots += self.degraded_now;
     }
 
     /// Records a successful placement; if the job was previously killed,
     /// accounts its re-placement latency.
-    pub fn note_placement(&mut self, job: JobId, slot: u64) {
+    pub(crate) fn note_placement(&mut self, job: JobId, slot: u64) {
         if let Some(killed_at) = self.kill_slot.remove(&job) {
             self.stats.replacements += 1;
             self.total_replacement_latency += slot.saturating_sub(killed_at);
@@ -166,7 +166,7 @@ impl FaultRuntime {
     }
 
     /// Finalizes derived metrics (call once, at end of run).
-    pub fn finish(&mut self) {
+    pub(crate) fn finish(&mut self) {
         self.stats.mean_replacement_latency_slots = if self.stats.replacements > 0 {
             self.total_replacement_latency as f64 / self.stats.replacements as f64
         } else {

@@ -86,12 +86,12 @@ impl RunningJob {
     }
 
     /// Response time in slots if the job finished at `finish_slot`.
-    pub fn response_slots(&self, finish_slot: u64) -> u64 {
+    pub(crate) fn response_slots(&self, finish_slot: u64) -> u64 {
         finish_slot.saturating_sub(self.arrival_slot) + 1
     }
 
     /// Whether finishing at `finish_slot` violates the SLO.
-    pub fn violates_slo(&self, finish_slot: u64) -> bool {
+    pub(crate) fn violates_slo(&self, finish_slot: u64) -> bool {
         self.response_slots(finish_slot) > self.slo_slots as u64
     }
 }
@@ -133,7 +133,7 @@ impl HotJob {
     /// True demand at the job's current (integer) progress point; past
     /// the series' end, its last row; zero for an empty series.
     #[inline]
-    pub fn current_demand(&self) -> ResourceVector {
+    pub(crate) fn current_demand(&self) -> ResourceVector {
         let row = match self.demand.len() {
             0 => [0.0; NUM_RESOURCES],
             n => self.demand[(self.progress as usize).min(n - 1)],
@@ -143,14 +143,14 @@ impl HotJob {
 
     /// Whether the job has completed all its work.
     #[inline]
-    pub fn work_done(&self) -> bool {
+    pub(crate) fn work_done(&self) -> bool {
         self.progress + 1e-9 >= self.duration
     }
 
     /// Unused series for one resource index, freshly allocated: what the
     /// engine's reused completion records are checked against.
     #[cfg(test)]
-    pub fn unused_series(&self, resource: usize) -> Vec<f64> {
+    pub(crate) fn unused_series(&self, resource: usize) -> Vec<f64> {
         self.observed_unused.iter().map(|u| u[resource]).collect()
     }
 }

@@ -8,7 +8,8 @@
 //! paper's metrics actually measure:
 //!
 //! * per-slot allocated (`r_ij,t`) vs. demanded (`d_ij,t`) resources and the
-//!   derived utilization/wastage ratios (Eqs. 1-4) in [`metrics`];
+//!   derived utilization/wastage ratios (Eqs. 1-4), per slot in
+//!   [`UtilizationSample`] and per run in [`SimulationReport`];
 //! * SLO accounting — a job violates its SLO when its response time
 //!   (queueing + possibly-throttled execution) exceeds its threshold;
 //! * an allocation-overhead model combining the *measured* wall-clock cost
@@ -35,32 +36,31 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cluster;
-pub mod control_plane;
-pub mod engine;
-pub mod faults;
-pub mod job;
-pub mod metrics;
-pub mod provisioner;
-pub mod resources;
-pub mod ring;
-pub mod store;
-pub mod streaming;
+mod cluster;
+mod control_plane;
+mod engine;
+mod faults;
+mod job;
+mod metrics;
+mod provisioner;
+mod resources;
+mod ring;
+mod store;
+mod streaming;
 mod vm_set;
 
-pub use cluster::{Cluster, EnvironmentProfile};
+pub use cluster::{Cluster, EnvironmentProfile, VmDescriptor};
 pub use control_plane::{BreakerStateName, BreakerTransition, ControlPlaneStats, ShardStats};
 pub use engine::{
     PhaseTimes, Simulation, SimulationOptions, SimulationReport, SlotEngine, SlotOutcome,
 };
 pub use faults::FaultStats;
 pub use job::{JobId, JobState, RunningJob};
-pub use metrics::{MetricsCollector, PredictionOutcome, UtilizationSample};
+pub use metrics::UtilizationSample;
 pub use provisioner::{
     JobCompletion, JobShare, PendingJobView, Placement, PredictionRecord, ProvisionPlan,
     Provisioner, RunningJobView, SlotContext, StaticPeakProvisioner, VmView, VIEW_HISTORY_CAP,
 };
 pub use resources::{FreeLanes, ResourceVector, LANES, RESOURCE_WEIGHTS};
-pub use ring::BoundedRing;
 pub use store::JobStore;
 pub use streaming::StreamingSimulation;

@@ -43,7 +43,8 @@ impl UtilizationSample {
     }
 
     /// Per-resource wastage `w_j,t` (Eq. 3) — the complement of Eq. 1.
-    pub fn wastage(&self) -> [f64; NUM_RESOURCES] {
+    #[cfg(test)]
+    pub(crate) fn wastage(&self) -> [f64; NUM_RESOURCES] {
         let u = self.utilization();
         let mut out = [0.0; NUM_RESOURCES];
         for k in 0..NUM_RESOURCES {
@@ -76,14 +77,14 @@ pub struct PredictionOutcome {
 
 impl PredictionOutcome {
     /// The signed prediction error `delta`.
-    pub fn delta(&self) -> f64 {
+    pub(crate) fn delta(&self) -> f64 {
         self.actual - self.predicted
     }
 
     /// Whether the prediction counts as *correct* under the paper's
     /// criterion: error within `[0, eps)` — conservative (no
     /// over-estimation) and tight.
-    pub fn correct(&self, eps: f64) -> bool {
+    pub(crate) fn correct(&self, eps: f64) -> bool {
         let d = self.delta();
         d >= 0.0 && d < eps
     }
@@ -120,12 +121,12 @@ pub struct MetricsCollector {
 
 impl MetricsCollector {
     /// Creates an empty collector.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records one slot's totals.
-    pub fn record_slot(&mut self, sample: UtilizationSample) {
+    pub(crate) fn record_slot(&mut self, sample: UtilizationSample) {
         for (k, weight) in RESOURCE_WEIGHTS.iter().enumerate() {
             self.allocated[k] += sample.allocated[k];
             self.served[k] += sample.demanded[k].min(sample.allocated[k]);
@@ -134,7 +135,7 @@ impl MetricsCollector {
     }
 
     /// Records a completion.
-    pub fn record_completion(&mut self, response_slots: u64, violated: bool) {
+    pub(crate) fn record_completion(&mut self, response_slots: u64, violated: bool) {
         self.completed += 1;
         self.response_slots_total += response_slots;
         if violated {
@@ -144,13 +145,13 @@ impl MetricsCollector {
 
     /// Records an arrival-time rejection. Rejected jobs count as SLO
     /// violations — the user never got service.
-    pub fn record_rejection(&mut self) {
+    pub(crate) fn record_rejection(&mut self) {
         self.rejected += 1;
     }
 
     /// Aggregate per-resource utilization over the whole run:
     /// `sum_t sum_i d / sum_t sum_i r` (time-aggregated Eq. 1).
-    pub fn aggregate_utilization(&self) -> [f64; NUM_RESOURCES] {
+    pub(crate) fn aggregate_utilization(&self) -> [f64; NUM_RESOURCES] {
         std::array::from_fn(|k| {
             if self.allocated[k] > 0.0 {
                 self.served[k] / self.allocated[k]
@@ -162,7 +163,7 @@ impl MetricsCollector {
 
     /// Aggregate overall utilization with the paper's weights
     /// (time-aggregated Eq. 2).
-    pub fn aggregate_overall_utilization(&self) -> f64 {
+    pub(crate) fn aggregate_overall_utilization(&self) -> f64 {
         let u = self.aggregate_utilization();
         let alloc_w = &self.weighted_allocated;
         let den: f64 = alloc_w.iter().sum();
@@ -174,7 +175,8 @@ impl MetricsCollector {
 
     /// SLO violation rate over all submitted jobs that reached a terminal
     /// state (completed or rejected).
-    pub fn slo_violation_rate(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn slo_violation_rate(&self) -> f64 {
         let total = self.completed + self.rejected;
         if total == 0 {
             return 0.0;
@@ -184,7 +186,7 @@ impl MetricsCollector {
 
     /// Scores one resolved prediction against its resource's tolerance
     /// `eps` (see [`PredictionOutcome::correct`]).
-    pub fn record_prediction(&mut self, outcome: &PredictionOutcome, eps: f64) {
+    pub(crate) fn record_prediction(&mut self, outcome: &PredictionOutcome, eps: f64) {
         self.resolved_predictions[outcome.resource] += 1;
         if !outcome.correct(eps) {
             self.wrong_predictions[outcome.resource] += 1;
@@ -192,13 +194,13 @@ impl MetricsCollector {
     }
 
     /// Number of predictions resolved, all resources together.
-    pub fn predictions_resolved(&self) -> usize {
+    pub(crate) fn predictions_resolved(&self) -> usize {
         self.resolved_predictions.iter().sum()
     }
 
     /// Prediction error rate: fraction of resolved predictions *not*
     /// falling in `[0, eps)` (Fig. 6; lower is better).
-    pub fn prediction_error_rate(&self) -> f64 {
+    pub(crate) fn prediction_error_rate(&self) -> f64 {
         let resolved = self.predictions_resolved();
         if resolved == 0 {
             return 0.0;
@@ -207,12 +209,12 @@ impl MetricsCollector {
     }
 
     /// Total allocation overhead in milliseconds (Figs. 10/14).
-    pub fn overhead_ms(&self) -> f64 {
+    pub(crate) fn overhead_ms(&self) -> f64 {
         self.overhead_us / 1000.0
     }
 
     /// Mean response time in slots over completed jobs.
-    pub fn mean_response_slots(&self) -> f64 {
+    pub(crate) fn mean_response_slots(&self) -> f64 {
         if self.completed == 0 {
             return 0.0;
         }

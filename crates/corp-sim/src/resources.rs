@@ -62,7 +62,7 @@ impl FreeLanes {
 
     /// Commits `request` out of lane `lane`.
     #[inline]
-    pub fn take(&mut self, lane: usize, request: &ResourceVector) {
+    pub(crate) fn take(&mut self, lane: usize, request: &ResourceVector) {
         for (row, amount) in self.0.iter_mut().zip(request.0) {
             row[lane] -= amount;
         }
@@ -169,7 +169,7 @@ impl ResourceVector {
 
     /// Weighted sum with the paper's resource weights (numerators and
     /// denominators of Eqs. 2 and 4).
-    pub fn weighted_total(&self) -> f64 {
+    pub(crate) fn weighted_total(&self) -> f64 {
         self.0
             .iter()
             .zip(&RESOURCE_WEIGHTS)

@@ -45,25 +45,15 @@ pub struct BoundedRing {
 
 impl BoundedRing {
     /// An empty ring.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         BoundedRing {
             buf: Vec::new(),
             head: 0,
         }
     }
 
-    /// Number of retained samples (`<= VIEW_HISTORY_CAP`).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether no samples have been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Appends a sample, evicting the oldest once at capacity.
-    pub fn push(&mut self, v: ResourceVector) {
+    pub(crate) fn push(&mut self, v: ResourceVector) {
         if self.buf.len() < VIEW_HISTORY_CAP {
             self.buf.push(v);
         } else {
@@ -73,7 +63,7 @@ impl BoundedRing {
     }
 
     /// The newest sample, if any.
-    pub fn newest(&self) -> Option<ResourceVector> {
+    pub(crate) fn newest(&self) -> Option<ResourceVector> {
         if self.buf.is_empty() {
             None
         } else if self.buf.len() < VIEW_HISTORY_CAP {
@@ -87,7 +77,7 @@ impl BoundedRing {
     /// Appends `n` zero samples. Beyond a ring's worth the extra zeros
     /// would only evict each other, so at most [`VIEW_HISTORY_CAP`] are
     /// pushed however large `n` is.
-    pub fn push_zeros(&mut self, n: u64) {
+    pub(crate) fn push_zeros(&mut self, n: u64) {
         for _ in 0..n.min(VIEW_HISTORY_CAP as u64) {
             self.push(ResourceVector::ZERO);
         }
@@ -98,7 +88,7 @@ impl BoundedRing {
     /// its newest sample — without writing the zeros into the ring. This
     /// is how an idle VM's history is read: the engine owes it one zero
     /// per idle slot and settles the debt only when a job lands there.
-    pub fn copy_view(&self, owed: u64, full: bool, dst: &mut Vec<ResourceVector>) {
+    pub(crate) fn copy_view(&self, owed: u64, full: bool, dst: &mut Vec<ResourceVector>) {
         let zeros = owed.min(VIEW_HISTORY_CAP as u64) as usize;
         dst.clear();
         if full {
@@ -115,12 +105,6 @@ impl BoundedRing {
                 self.newest()
             });
         }
-    }
-
-    /// Drops every retained sample.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-        self.head = 0;
     }
 }
 
@@ -152,7 +136,7 @@ mod tests {
             assert_eq!(from_ring, from_vec, "diverged after {} pushes", i + 1);
             assert_eq!(ring.newest(), unbounded.last().copied());
         }
-        assert_eq!(ring.len(), VIEW_HISTORY_CAP);
+        assert_eq!(ring.buf.len(), VIEW_HISTORY_CAP);
     }
 
     #[test]
@@ -201,21 +185,6 @@ mod tests {
                 assert_eq!(lazy, want, "settled, {filled} samples + {owed} owed");
             }
         }
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut ring = BoundedRing::new();
-        for i in 0..100 {
-            ring.push(v(i as f64));
-        }
-        ring.clear();
-        assert!(ring.is_empty());
-        assert_eq!(ring.newest(), None);
-        ring.push(v(1.0));
-        let mut after = Vec::new();
-        ring.copy_view(0, true, &mut after);
-        assert_eq!(after, vec![v(1.0)]);
     }
 
     #[test]

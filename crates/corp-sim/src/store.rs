@@ -34,14 +34,8 @@ pub struct JobHandle {
 impl JobHandle {
     /// The arena index this handle points at.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.index as usize
-    }
-
-    /// The slot generation this handle was minted with.
-    #[inline]
-    pub fn generation(self) -> u32 {
-        self.generation
     }
 }
 
@@ -72,13 +66,13 @@ const TOMBSTONE: RunningJob = RunningJob {
 
 impl JobStore {
     /// An empty store.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         JobStore::default()
     }
 
     /// Inserts a job in the pending state and returns its handle. A
     /// recycled slot's history buffers go to the new job.
-    pub fn insert(&mut self, spec: JobSpec) -> JobHandle {
+    pub(crate) fn insert(&mut self, spec: JobSpec) -> JobHandle {
         self.total_inserted += 1;
         self.live += 1;
         if let Some(index) = self.free.pop() {
@@ -113,7 +107,7 @@ impl JobStore {
     /// histories (keeping their room; the next insert rewrites the rest),
     /// and the generation bumps, staling every outstanding handle. The
     /// next insert reuses the slot.
-    pub fn release(&mut self, h: JobHandle) {
+    pub(crate) fn release(&mut self, h: JobHandle) {
         debug_assert!(self.is_live(h), "releasing a stale handle");
         self.live -= 1;
         let i = h.index();
@@ -128,7 +122,7 @@ impl JobStore {
 
     /// Whether `h` still addresses the job it was minted for.
     #[inline]
-    pub fn is_live(&self, h: JobHandle) -> bool {
+    pub(crate) fn is_live(&self, h: JobHandle) -> bool {
         self.generations
             .get(h.index())
             .is_some_and(|&g| g == h.generation)
@@ -136,14 +130,14 @@ impl JobStore {
 
     /// The cold record behind a live handle.
     #[inline]
-    pub fn job(&self, h: JobHandle) -> &RunningJob {
+    pub(crate) fn job(&self, h: JobHandle) -> &RunningJob {
         debug_assert!(self.is_live(h), "stale job handle");
         &self.jobs[h.index()]
     }
 
     /// Mutable access to the cold record behind a live handle.
     #[inline]
-    pub fn job_mut(&mut self, h: JobHandle) -> &mut RunningJob {
+    pub(crate) fn job_mut(&mut self, h: JobHandle) -> &mut RunningJob {
         debug_assert!(self.is_live(h), "stale job handle");
         &mut self.jobs[h.index()]
     }
@@ -164,19 +158,19 @@ impl JobStore {
 
     /// The job's admission-time peak request.
     #[inline]
-    pub fn requested(&self, h: JobHandle) -> ResourceVector {
+    pub(crate) fn requested(&self, h: JobHandle) -> ResourceVector {
         self.job(h).requested
     }
 
     /// The job's current allocation.
     #[inline]
-    pub fn allocation(&self, h: JobHandle) -> ResourceVector {
+    pub(crate) fn allocation(&self, h: JobHandle) -> ResourceVector {
         self.hot(h).allocation
     }
 
     /// Overwrites the job's current allocation.
     #[inline]
-    pub fn set_allocation(&mut self, h: JobHandle, v: ResourceVector) {
+    pub(crate) fn set_allocation(&mut self, h: JobHandle, v: ResourceVector) {
         self.hot_mut(h).allocation = v;
     }
 
@@ -184,7 +178,7 @@ impl JobStore {
     /// what job-targeted predictions are scored against, whether or not
     /// the engine keeps the job's history.
     #[inline]
-    pub fn last_unused(&self, h: JobHandle) -> ResourceVector {
+    pub(crate) fn last_unused(&self, h: JobHandle) -> ResourceVector {
         debug_assert!(self.is_live(h), "stale job handle");
         self.last_unused[h.index()]
     }
@@ -197,7 +191,8 @@ impl JobStore {
     }
 
     /// Jobs currently resident: inserted and not yet released.
-    pub fn live(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn live(&self) -> usize {
         self.live
     }
 
@@ -214,7 +209,7 @@ impl JobStore {
     /// The arena's cold records as a slice, one entry per slot: resident
     /// jobs, and tombstones (id `u64::MAX`) in released slots until they
     /// are reused. Order carries no meaning.
-    pub fn as_slice(&self) -> &[RunningJob] {
+    pub(crate) fn as_slice(&self) -> &[RunningJob] {
         &self.jobs
     }
 
@@ -256,7 +251,7 @@ mod tests {
         let h2 = store.insert(specs[2].clone());
         assert_eq!(h2.index(), h0.index(), "slot recycled");
         assert_eq!(store.hot(h2).demand.len(), specs[2].demand.len());
-        assert_ne!(h2.generation(), h0.generation());
+        assert_ne!(h2, h0, "a recycled slot mints a new handle");
         assert!(store.is_live(h2));
         assert_eq!(store.capacity(), 2, "arena bounded by live jobs");
         assert_eq!(store.total_inserted(), 3);

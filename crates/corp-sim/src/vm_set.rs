@@ -15,14 +15,14 @@ pub(crate) struct VmSet {
 
 impl VmSet {
     /// The empty set over `num_vms` ids.
-    pub fn empty(num_vms: usize) -> Self {
+    pub(crate) fn empty(num_vms: usize) -> Self {
         VmSet {
             words: vec![0; num_vms.div_ceil(64)],
         }
     }
 
     /// Adds or removes `vm`.
-    pub fn set(&mut self, vm: usize, present: bool) {
+    pub(crate) fn set(&mut self, vm: usize, present: bool) {
         let bit = 1u64 << (vm % 64);
         if present {
             self.words[vm / 64] |= bit;
@@ -32,17 +32,17 @@ impl VmSet {
     }
 
     /// Number of members.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Number of 64-id words; [`word`](Self::word) takes `0..num_words()`.
-    pub fn num_words(&self) -> usize {
+    pub(crate) fn num_words(&self) -> usize {
         self.words.len()
     }
 
     /// The membership bits of ids `64 * w .. 64 * w + 64`.
-    pub fn word(&self, w: usize) -> u64 {
+    pub(crate) fn word(&self, w: usize) -> u64 {
         self.words[w]
     }
 }

@@ -109,7 +109,7 @@ impl Default for Summary {
 
 impl Summary {
     /// Creates an empty summary.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Summary {
             count: 0,
             mean: 0.0,
@@ -120,7 +120,7 @@ impl Summary {
     }
 
     /// Accumulates one sample.
-    pub fn push(&mut self, x: f64) {
+    pub(crate) fn push(&mut self, x: f64) {
         if self.count == 0 {
             self.min = x;
             self.max = x;
@@ -139,7 +139,7 @@ impl Summary {
     }
 
     /// Accumulates every sample in `xs`.
-    pub fn extend(&mut self, xs: &[f64]) {
+    pub(crate) fn extend(&mut self, xs: &[f64]) {
         for &x in xs {
             self.push(x);
         }
@@ -162,7 +162,7 @@ impl Summary {
     }
 
     /// Population standard deviation of the accumulated samples.
-    pub fn stddev(&self) -> f64 {
+    pub(crate) fn stddev(&self) -> f64 {
         self.variance().sqrt()
     }
 

@@ -44,13 +44,8 @@ impl ErrorWindow {
     }
 
     /// Number of stored samples.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.errors.len()
-    }
-
-    /// Whether the window holds no samples yet.
-    pub fn is_empty(&self) -> bool {
-        self.errors.is_empty()
     }
 
     /// Estimated standard deviation `sigma_hat` of the stored errors
@@ -82,7 +77,7 @@ impl ErrorWindow {
     /// positive (the bias shifts `delta`'s mean to `sigma_hat * z`, placing
     /// a `1 - eta` tail below zero *by design*), so reproductions gate on
     /// the symmetric band instead; see DESIGN.md.
-    pub fn prob_abs_within(&self, eps: f64) -> f64 {
+    pub(crate) fn prob_abs_within(&self, eps: f64) -> f64 {
         if self.errors.is_empty() {
             return 0.0;
         }
@@ -141,18 +136,14 @@ impl PredictionErrorTracker {
     /// The preemption gate of paper Eq. 21 on the symmetric band: true iff
     /// `Pr(|delta| < eps) >= P_th` over the recent error window. The band
     /// is symmetric because predictions carry the Eq. 19 conservatism
-    /// bias (see [`ErrorWindow::prob_abs_within`]).
+    /// bias (see `ErrorWindow::prob_abs_within`).
     pub fn unlocked_symmetric(&self) -> bool {
         self.window.prob_abs_within(self.tolerance) >= self.threshold
     }
 
-    /// Empirical probability that `|delta| < eps`.
-    pub fn prob_abs_within_tolerance(&self) -> f64 {
-        self.window.prob_abs_within(self.tolerance)
-    }
-
     /// Empirical probability that errors fall in `[0, eps)`.
-    pub fn prob_within_tolerance(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn prob_within_tolerance(&self) -> f64 {
         self.window.prob_within(self.tolerance)
     }
 

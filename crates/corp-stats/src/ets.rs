@@ -51,7 +51,8 @@ impl SimpleExp {
     }
 
     /// Current smoothed level, if any observation has been seen.
-    pub fn level(&self) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn level(&self) -> Option<f64> {
         self.level
     }
 }

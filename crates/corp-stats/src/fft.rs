@@ -22,13 +22,13 @@ pub struct Complex {
 impl Complex {
     /// Creates a complex number.
     #[inline]
-    pub fn new(re: f64, im: f64) -> Self {
+    pub(crate) fn new(re: f64, im: f64) -> Self {
         Complex { re, im }
     }
 
     /// Squared magnitude `re^2 + im^2`.
     #[inline]
-    pub fn norm_sq(self) -> f64 {
+    pub(crate) fn norm_sq(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 
@@ -143,7 +143,8 @@ impl FftScratch {
 /// # Panics
 ///
 /// Panics if `buf.len()` is not a power of two.
-pub fn fft_in_place(buf: &mut [Complex]) {
+#[cfg(test)]
+fn fft_in_place(buf: &mut [Complex]) {
     let n = buf.len();
     assert!(
         n.is_power_of_two(),

@@ -3,20 +3,20 @@
 //! This crate collects the numerical building blocks that the CORP scheduler
 //! and its baselines (RCCR, CloudScale, DRA) rely on:
 //!
-//! * [`descriptive`] — means, variances, percentiles, min/max summaries of
-//!   resource-usage series.
-//! * [`quantile`] — the standard-normal inverse CDF used for the
+//! * [`mean`], [`stddev`], [`percentile`], [`Summary`] — descriptive
+//!   statistics of resource-usage series.
+//! * [`normal_quantile`] — the standard-normal inverse CDF used for the
 //!   `z_{theta/2}` term of CORP's confidence intervals (paper Eq. 18).
-//! * [`ets`] — simple exponential smoothing, the RCCR baseline's
+//! * [`SimpleExp`] — simple exponential smoothing, the RCCR baseline's
 //!   time-series forecaster.
-//! * [`markov`] — a discrete-time Markov-chain predictor, the multi-step
+//! * [`MarkovChain`] — a discrete-time Markov-chain predictor, the multi-step
 //!   fallback predictor of the CloudScale baseline.
-//! * [`fft`] — a radix-2 FFT used for CloudScale/PRESS-style signature
-//!   (dominant-period) detection in resource-usage histories.
-//! * [`error`] — prediction-error bookkeeping: the sliding error windows of
+//! * [`dominant_period`] — a radix-2 FFT used for CloudScale/PRESS-style
+//!   signature (dominant-period) detection in resource-usage histories.
+//! * [`ErrorWindow`], [`PredictionErrorTracker`] — prediction-error bookkeeping: the sliding error windows of
 //!   paper Eq. 20 and the empirical `Pr(0 <= delta < eps)` estimate that
 //!   feeds the probabilistic preemption gate of Eq. 21.
-//! * [`sketch`] — a deterministic Greenwald–Khanna streaming quantile
+//! * [`QuantileSketch`] — a deterministic Greenwald–Khanna streaming quantile
 //!   sketch, used by the `corp-serve` daemon for placement-latency
 //!   percentiles over unbounded request streams.
 //!
@@ -29,15 +29,15 @@
 // index-based loops are clearer than zipped iterator chains there.
 #![allow(clippy::needless_range_loop)]
 
-pub mod descriptive;
-pub mod error;
-pub mod ets;
-pub mod fft;
-pub mod markov;
-pub mod quantile;
-pub mod sketch;
+mod descriptive;
+mod error;
+mod ets;
+mod fft;
+mod markov;
+mod quantile;
+mod sketch;
 
-pub use descriptive::{max, mean, min, percentile, stddev, variance, Summary};
+pub use descriptive::{max, mean, min, percentile, stddev, Summary};
 pub use error::{ErrorWindow, PredictionErrorTracker};
 pub use ets::SimpleExp;
 pub use fft::{dominant_period, fft_magnitudes};

@@ -53,27 +53,22 @@ impl MarkovChain {
         self.observe_all(xs);
     }
 
-    /// Number of states (bins).
-    pub fn bins(&self) -> usize {
-        self.bins
-    }
-
     /// Maps a value to its bin, clamping out-of-range values to the edges.
-    pub fn bin_of(&self, x: f64) -> usize {
+    pub(crate) fn bin_of(&self, x: f64) -> usize {
         let width = (self.hi - self.lo) / self.bins as f64;
         let idx = ((x - self.lo) / width).floor();
         (idx.max(0.0) as usize).min(self.bins - 1)
     }
 
     /// Midpoint value represented by bin `b`.
-    pub fn midpoint(&self, b: usize) -> f64 {
+    pub(crate) fn midpoint(&self, b: usize) -> f64 {
         let width = (self.hi - self.lo) / self.bins as f64;
         self.lo + (b as f64 + 0.5) * width
     }
 
     /// Folds one observation, updating the transition count from the
     /// previously observed bin.
-    pub fn observe(&mut self, x: f64) {
+    pub(crate) fn observe(&mut self, x: f64) {
         let b = self.bin_of(x);
         if let Some(prev) = self.last_bin {
             self.counts[prev * self.bins + b] += 1.0;

@@ -62,13 +62,15 @@ impl QuantileSketch {
     }
 
     /// Whether no values have been inserted yet.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.count == 0
     }
 
     /// Current summary size in tuples (diagnostics; bounded by
     /// `O((1/eps) log(eps n))`).
-    pub fn summary_len(&self) -> usize {
+    #[cfg(test)]
+    fn summary_len(&self) -> usize {
         self.tuples.len()
     }
 

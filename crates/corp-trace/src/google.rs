@@ -57,7 +57,8 @@ pub enum TraceError {
         /// Number of fields found.
         found: usize,
     },
-    /// A field failed numeric parsing.
+    /// A field failed numeric parsing, or a resource field (`cpu`,
+    /// `memory`, `storage`) is negative or not finite.
     BadField {
         /// 1-based line number.
         line: usize,
@@ -73,26 +74,6 @@ pub enum TraceError {
         /// Byte offset of the start of the line within the input.
         byte: usize,
     },
-}
-
-impl TraceError {
-    /// The 1-based line number the error occurred on.
-    pub fn line(&self) -> usize {
-        match self {
-            TraceError::FieldCount { line, .. }
-            | TraceError::BadField { line, .. }
-            | TraceError::EmptyInterval { line, .. } => *line,
-        }
-    }
-
-    /// Byte offset of the start of the offending line.
-    pub fn byte(&self) -> usize {
-        match self {
-            TraceError::FieldCount { byte, .. }
-            | TraceError::BadField { byte, .. }
-            | TraceError::EmptyInterval { byte, .. } => *byte,
-        }
-    }
 }
 
 impl fmt::Display for TraceError {
@@ -112,7 +93,7 @@ impl fmt::Display for TraceError {
             TraceError::BadField { line, byte, field } => {
                 write!(
                     f,
-                    "line {line} (byte {byte}): field {field} is not a valid number"
+                    "line {line} (byte {byte}): field {field} is not a valid value"
                 )
             }
             TraceError::EmptyInterval { line, byte } => {
@@ -158,9 +139,9 @@ pub fn parse_line(
         end_secs: parse_field(fields[1], line_no, byte, 1)?,
         job_id: parse_field(fields[2], line_no, byte, 2)?,
         task_index: parse_field(fields[3], line_no, byte, 3)?,
-        cpu: parse_field(fields[4], line_no, byte, 4)?,
-        memory: parse_field(fields[5], line_no, byte, 5)?,
-        storage: parse_field(fields[6], line_no, byte, 6)?,
+        cpu: parse_resource(fields[4], line_no, byte, 4)?,
+        memory: parse_resource(fields[5], line_no, byte, 5)?,
+        storage: parse_resource(fields[6], line_no, byte, 6)?,
     };
     if rec.end_secs <= rec.start_secs {
         return Err(TraceError::EmptyInterval {
@@ -179,6 +160,17 @@ fn parse_field<T: std::str::FromStr>(
 ) -> Result<T, TraceError> {
     s.parse::<T>()
         .map_err(|_| TraceError::BadField { line, byte, field })
+}
+
+fn parse_resource(s: &str, line: usize, byte: usize, field: usize) -> Result<f64, TraceError> {
+    resource_amount(s).ok_or(TraceError::BadField { line, byte, field })
+}
+
+/// A resource amount a job can have: a finite, non-negative number (`0`
+/// included). `None` for anything else — `nan`, `inf` and negative values
+/// too, which would otherwise leak into the utilization sums (Eqs. 1–4).
+pub(crate) fn resource_amount(s: &str) -> Option<f64> {
+    s.parse::<f64>().ok().filter(|v| v.is_finite() && *v >= 0.0)
 }
 
 /// Parses a headerless CSV trace
@@ -357,6 +349,27 @@ mod tests {
                 field: 2
             }
         );
+    }
+
+    #[test]
+    fn parse_rejects_negative_and_non_finite_resources() {
+        for field in 4..GOOGLE_FIELDS {
+            for bad in ["-4.0", "nan", "inf", "-inf"] {
+                let mut cols = ["0", "300", "1", "0", "0.5", "1", "2"];
+                cols[field] = bad;
+                assert_eq!(
+                    parse_csv(&format!("{}\n", cols.join(","))).unwrap_err(),
+                    TraceError::BadField {
+                        line: 1,
+                        byte: 0,
+                        field
+                    },
+                    "{bad} as field {field}"
+                );
+            }
+        }
+        let idle = parse_csv("0,300,1,0,0.0,0,0\n").unwrap();
+        assert_eq!([idle[0].cpu, idle[0].memory, idle[0].storage], [0.0; 3]);
     }
 
     #[test]

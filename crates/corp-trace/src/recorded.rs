@@ -16,6 +16,7 @@
 //! d,<cpu>,<mem>,<sto>          # one line per running slot, duration_slots of them
 //! ```
 
+use crate::google::resource_amount;
 use crate::workload::{IntensityClass, JobSpec, NUM_RESOURCES};
 use std::collections::HashSet;
 use std::fmt;
@@ -45,7 +46,8 @@ pub enum RecordedTraceError {
         /// Number of fields found.
         found: usize,
     },
-    /// A field failed numeric or class parsing.
+    /// A field failed numeric or class parsing, a bandwidth, request or
+    /// demand is negative or not finite, or a duration is zero.
     BadField {
         /// 1-based line number.
         line: usize,
@@ -79,7 +81,7 @@ impl fmt::Display for RecordedTraceError {
                 write!(f, "line {line}: wrong field count ({found})")
             }
             RecordedTraceError::BadField { line, field } => {
-                write!(f, "line {line}: unparseable field {field}")
+                write!(f, "line {line}: invalid field {field}")
             }
             RecordedTraceError::DemandMismatch { line } => {
                 write!(f, "line {line}: demand lines do not match job duration")
@@ -177,12 +179,10 @@ pub fn parse_trace(text: &str) -> Result<Vec<JobSpec>, RecordedTraceError> {
                     });
                 }
                 let num = |i: usize| -> Result<f64, RecordedTraceError> {
-                    fields[i]
-                        .parse::<f64>()
-                        .map_err(|_| RecordedTraceError::BadField {
-                            line: line_no,
-                            field: i,
-                        })
+                    resource_amount(fields[i]).ok_or(RecordedTraceError::BadField {
+                        line: line_no,
+                        field: i,
+                    })
                 };
                 let int = |i: usize| -> Result<u64, RecordedTraceError> {
                     fields[i]
@@ -196,7 +196,13 @@ pub fn parse_trace(text: &str) -> Result<Vec<JobSpec>, RecordedTraceError> {
                     line: line_no,
                     field: 4,
                 })?;
-                let duration = int(3)? as usize;
+                let duration =
+                    Some(int(3)?)
+                        .filter(|&d| d > 0)
+                        .ok_or(RecordedTraceError::BadField {
+                            line: line_no,
+                            field: 3,
+                        })? as usize;
                 let id = int(1)?;
                 let (arrival_slot, slo_slots) = (int(2)?, int(5)? as usize);
                 let bandwidth_mbps = num(6)?;
@@ -230,13 +236,10 @@ pub fn parse_trace(text: &str) -> Result<Vec<JobSpec>, RecordedTraceError> {
                 }
                 let mut d = [0.0; NUM_RESOURCES];
                 for (k, item) in d.iter_mut().enumerate() {
-                    *item =
-                        fields[1 + k]
-                            .parse::<f64>()
-                            .map_err(|_| RecordedTraceError::BadField {
-                                line: line_no,
-                                field: 1 + k,
-                            })?;
+                    *item = resource_amount(fields[1 + k]).ok_or(RecordedTraceError::BadField {
+                        line: line_no,
+                        field: 1 + k,
+                    })?;
                 }
                 job.demand.push(d);
             }
@@ -399,5 +402,30 @@ mod tests {
             parse_trace(&text).err(),
             Some(RecordedTraceError::BadTag { line: 2 })
         );
+    }
+
+    #[test]
+    fn impossible_amounts_and_empty_jobs_are_refused() {
+        // (job line, demand line, the line and field to be named)
+        let cases = [
+            ("job,1,0,1,cpu,5,0.02,nan,1,1", "d,0.5,0.5,0.5", 2, 7),
+            ("job,1,0,1,cpu,5,0.02,1,-4,1", "d,0.5,0.5,0.5", 2, 8),
+            ("job,1,0,1,cpu,5,0.02,1,1,inf", "d,0.5,0.5,0.5", 2, 9),
+            ("job,1,0,1,cpu,5,-0.02,1,1,1", "d,0.5,0.5,0.5", 2, 6),
+            ("job,1,0,1,cpu,5,0.02,1,1,1", "d,-0.5,0.5,0.5", 3, 1),
+            ("job,1,0,1,cpu,5,0.02,1,1,1", "d,0.5,NaN,0.5", 3, 2),
+            ("job,1,0,1,cpu,5,0.02,1,1,1", "d,0.5,0.5,-inf", 3, 3),
+            ("job,1,0,0,cpu,5,0.02,1,1,1", "", 2, 3),
+        ];
+        for (job, demand, line, field) in cases {
+            let text = format!("{TRACE_HEADER}\n{job}\n{demand}\n");
+            assert_eq!(
+                parse_trace(&text).err(),
+                Some(RecordedTraceError::BadField { line, field }),
+                "{job} / {demand}"
+            );
+        }
+        let idle = format!("{TRACE_HEADER}\njob,1,0,1,cpu,5,0,0,0,0\nd,0,0,0\n");
+        assert_eq!(parse_trace(&idle).unwrap()[0].requested, [0.0; 3]);
     }
 }

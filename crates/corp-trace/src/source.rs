@@ -163,7 +163,7 @@ where
 {
     /// Wraps a record stream (e.g. a
     /// [`GoogleCsvReader`](crate::GoogleCsvReader)).
-    pub fn new(inner: I) -> Self {
+    pub(crate) fn new(inner: I) -> Self {
         JobWindows {
             inner,
             current: None,

@@ -157,6 +157,9 @@ mod tests {
             "0,300,1,0,0.5,1,2\n0,300,1,0,0.5,1\n",     // field count
             "0,300,1,0,0.5,1,2\nx,300,1,0,0.5,1,2\n",   // bad numeric
             "0,300,1,0,0.5,1,2\n300,300,1,0,0.5,1,2\n", // empty interval
+            "0,300,1,0,-4.0,1,2\n",                     // negative demand
+            "0,300,1,0,0.5,nan,2\n",                    // NaN demand
+            "0,300,1,0,0.5,1,inf\n",                    // infinite demand
         ] {
             let expected = parse_csv(bad).unwrap_err();
             let got = GoogleCsvReader::new(bad.as_bytes())

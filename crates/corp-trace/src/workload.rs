@@ -50,33 +50,14 @@ impl ResourceKind {
         ResourceKind::Storage,
     ];
 
-    /// Index of this kind into demand/capacity vectors.
-    #[inline]
-    pub fn index(self) -> usize {
-        match self {
-            ResourceKind::Cpu => 0,
-            ResourceKind::Memory => 1,
-            ResourceKind::Storage => 2,
-        }
-    }
-
     /// Kind for a vector index.
     ///
     /// # Panics
     ///
     /// Panics if `i >= NUM_RESOURCES`.
     #[inline]
-    pub fn from_index(i: usize) -> Self {
+    pub(crate) fn from_index(i: usize) -> Self {
         Self::ALL[i]
-    }
-
-    /// Short display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ResourceKind::Cpu => "CPU",
-            ResourceKind::Memory => "MEM",
-            ResourceKind::Storage => "STORAGE",
-        }
     }
 }
 
@@ -154,7 +135,10 @@ impl JobSpec {
     /// relative to a reference capacity (Section III-B "the one that
     /// requires the most amount of resource", normalized so storage GB and
     /// CPU cores are comparable).
-    pub fn dominant_resource(&self, reference_capacity: &[f64; NUM_RESOURCES]) -> ResourceKind {
+    pub(crate) fn dominant_resource(
+        &self,
+        reference_capacity: &[f64; NUM_RESOURCES],
+    ) -> ResourceKind {
         let mut best = 0;
         let mut best_frac = f64::NEG_INFINITY;
         for (i, (&req, &cap)) in self.requested.iter().zip(reference_capacity).enumerate() {
@@ -251,11 +235,6 @@ impl WorkloadGenerator {
     /// Convenience constructor with default configuration.
     pub fn with_seed(seed: u64) -> Self {
         Self::new(WorkloadConfig::default(), seed)
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &WorkloadConfig {
-        &self.config
     }
 
     /// Generates the configured number of jobs, arrival-ordered.

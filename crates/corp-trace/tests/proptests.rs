@@ -2,11 +2,10 @@
 
 #![allow(clippy::needless_range_loop)]
 
-use corp_trace::google::{parse_csv, to_csv};
 use corp_trace::{
-    filter_short_lived, fluctuation_spreads, records_to_jobs, resample_trace, window_spread,
-    GoogleCsvReader, IngestConfig, JobSpec, ReadError, TaskRecord, TraceError, TraceJobSource,
-    WorkloadConfig, WorkloadGenerator, NUM_RESOURCES,
+    filter_short_lived, fluctuation_spreads, parse_csv, records_to_jobs, resample_trace, to_csv,
+    window_spread, GoogleCsvReader, IngestConfig, JobSpec, ReadError, TaskRecord, TraceError,
+    TraceJobSource, WorkloadConfig, WorkloadGenerator, NUM_RESOURCES,
 };
 use proptest::prelude::*;
 use std::io::BufReader;

@@ -5,7 +5,7 @@
 //! cargo run --release --example baseline_faceoff [num_jobs]
 //! ```
 
-use corp_bench::{env::run_cell, env::SchemeParams, Environment, ALL_SCHEMES};
+use corp_bench::{run_cell, Environment, SchemeParams, ALL_SCHEMES};
 
 fn main() {
     let num_jobs: usize = std::env::args()

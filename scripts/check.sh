@@ -60,15 +60,20 @@
 #                                 # timings it prints mean nothing
 #   scripts/check.sh doc          # rustdoc gate only: every public item
 #                                 # documented, no broken intra-doc links
-#   scripts/check.sh reach        # advisory, not part of the gate: prints
-#                                 # `crate::name` for every name a crate's
-#                                 # lib.rs re-exports that no .rs file
-#                                 # outside that crate's own src/ and tests/
-#                                 # mentions (its src/bin/ counts as
-#                                 # outside). A hit is a candidate for
-#                                 # deletion or `pub(crate)`, to be
-#                                 # confirmed with the compiler; always
-#                                 # exits 0
+#   scripts/check.sh reach        # advisory, always exits 0: prints
+#                                 # `crate::name` for each name a crate's
+#                                 # lib.rs (or a `pub mod` of it)
+#                                 # re-exports, and `crate::Type::method`
+#                                 # for each `pub fn` method in its src/,
+#                                 # that no .rs file outside the crate's
+#                                 # src/ mentions (its own tests/ and
+#                                 # src/bin/ count as outside). A hit is a
+#                                 # type a public signature reaches (kept
+#                                 # by the `unnameable_types` lint) or a
+#                                 # candidate for deletion or `pub(crate)`.
+#                                 # Name matching misses methods whose name
+#                                 # another type's method shares: narrowing
+#                                 # and rebuilding is the sure test
 #   scripts/check.sh deps         # advisory, grep only, always exits 0:
 #                                 # prints `crate: dep` for every
 #                                 # `[dependencies]` line of crates/*/Cargo.toml
@@ -212,13 +217,28 @@ fi
 
 if [[ "${1:-}" == "reach" ]]; then
     for lib in crates/*/src/lib.rs; do
-        crate=$(basename "${lib%/src/lib.rs}")
+        src=${lib%/lib.rs}
+        crate=$(basename "${src%/src}")
         mapfile -t outside < <(find crates benchmark/src examples tests -name '*.rs' \
-            \( -path "crates/$crate/src/bin/*" -o -not -path "crates/$crate/*" \))
-        tr '\n' ' ' <"$lib" | { grep -o 'pub use [^;]*;' || true; } |
-            sed -E 's/pub use [a-z_:]*//; s/[{},;]/ /g' | tr -s ' ' '\n' | sort -u |
+            \( -path "$src/bin/*" -o -not -path "$src/*" \))
+        mentioned() { grep -qw "$1" "${outside[@]}"; }
+        # The API lists: lib.rs and the `mod.rs` of each `pub mod` it declares.
+        mapfile -t api < <(echo "$lib"; sed -n 's/^pub mod \([a-z_]*\);/\1/p' "$lib" |
+            while read -r m; do ls "$src/$m.rs" "$src/$m/mod.rs" 2>/dev/null; done)
+        cat "${api[@]}" | tr '\n' ' ' | { grep -o 'pub use [^;]*;' || true; } |
+            sed -E 's/pub use ([a-z_]+::)*//; s/[{},;]/ /g' | tr -s ' ' '\n' | sort -u |
             while read -r name; do
-                [[ -z "$name" ]] || grep -qw "$name" "${outside[@]}" || echo "$crate::$name"
+                [[ -z "$name" ]] || mentioned "$name" || echo "$crate::$name"
+            done
+        # `Type method` for each indented `pub fn` under the impl block it sits in.
+        find "$src" -name '*.rs' -not -path "$src/bin/*" -exec awk '
+            /^impl/ { t = $0; sub(/^impl */, "", t)
+                if (t ~ /^</) { d = 0; for (i = 1; i <= length(t); i++) { c = substr(t, i, 1)
+                    d += (c == "<") - (c == ">"); if (!d) break }; t = substr(t, i + 1) }
+                sub(/^ */, "", t); sub(/[^A-Za-z0-9_].*/, "", t) }
+            /^[ \t]+pub fn / { f = $0; sub(/.*pub fn /, "", f); sub(/[^A-Za-z0-9_].*/, "", f); print t, f }' {} + |
+            sort -u | while read -r type method; do
+                mentioned "$method" || echo "$crate::$type::$method"
             done
     done
     exit 0

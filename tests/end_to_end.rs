@@ -1,7 +1,7 @@
 //! End-to-end integration: trace generation -> cluster simulation -> every
 //! provisioner -> report invariants.
 
-use corp_bench::{env::run_cell, env::SchemeParams, Environment, SchemeKind, ALL_SCHEMES};
+use corp_bench::{run_cell, Environment, SchemeKind, SchemeParams, ALL_SCHEMES};
 use corp_core::{CorpConfig, CorpProvisioner};
 use corp_sim::{Cluster, EnvironmentProfile, Simulation, SimulationOptions, StaticPeakProvisioner};
 use corp_trace::{WorkloadConfig, WorkloadGenerator};

@@ -5,11 +5,10 @@
 //! (`fast_figures_match_the_golden`) and one of the sharded serving
 //! reports (`serve_reports_match_the_golden`).
 
-use corp_bench::experiments::RUNNERS;
-use corp_bench::resilience::{run_resilience, ResilienceArgs};
-use corp_bench::serve::{run_serve_sharded, serve_workload};
-use corp_bench::{env::run_cell, env::SchemeParams, Environment, SchemeKind};
-use corp_bench::{FigureTable, TextTable};
+use corp_bench::{
+    run_cell, run_resilience, run_serve_sharded, serve_workload, Environment, FigureTable,
+    ResilienceArgs, SchemeKind, SchemeParams, TextTable, RUNNERS,
+};
 use corp_serve::ServeConfig;
 use corp_sim::SimulationReport;
 

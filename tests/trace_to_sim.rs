@@ -2,9 +2,9 @@
 //! records -> filter -> re-slot -> job specs -> simulation.
 
 use corp_sim::{Cluster, EnvironmentProfile, Simulation, SimulationOptions, StaticPeakProvisioner};
-use corp_trace::google::{parse_csv, to_csv};
 use corp_trace::{
-    filter_short_lived, resample_trace, JobSpec, TaskRecord, WorkloadConfig, WorkloadGenerator,
+    filter_short_lived, parse_csv, resample_trace, to_csv, JobSpec, TaskRecord, WorkloadConfig,
+    WorkloadGenerator,
 };
 
 /// Serializes generated jobs into the Google-trace format (5-minute
