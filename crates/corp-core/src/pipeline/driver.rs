@@ -40,7 +40,8 @@ pub struct ProvisioningPipeline<U, G, K, B> {
     rng: StdRng,
     outcomes: Vec<PendingOutcome>,
     /// Brownout posture (see [`Provisioner::set_service_level`]): at `1`
-    /// the reallocation gate is skipped, at `2` the forecast is too.
+    /// and above the reallocation gate and the forecast feeding it are
+    /// skipped.
     service_level: u8,
     // Per-slot working buffers, cleared and refilled every slot instead of
     // reallocated (the driver runs once per slot for the whole fleet, so
@@ -156,36 +157,25 @@ where
         pools.clear();
         pools.extend(ctx.vms.iter().map(|v| v.free));
 
-        if ctx.slot % self.window_slots == 0 {
-            match self.service_level {
-                0 => {
-                    let forecast = self.predictor.forecast(ctx);
-                    // Snapshot the Eq. 21 verdict once: gate state only
-                    // changes when outcomes resolve (during ingest), never
-                    // mid-window.
-                    let unlocked: [bool; NUM_RESOURCES] =
-                        std::array::from_fn(|k| self.predictor.unlocked(k));
-                    self.gate.reallocate(
-                        ctx,
-                        &forecast,
-                        &unlocked,
-                        self.window_slots,
-                        pools,
-                        &mut self.outcomes,
-                        &mut plan,
-                    );
-                }
-                // Brownout level 1: no reallocation (and no new prediction
-                // records), but the forecast still runs so the predictor's
-                // state stays warm for a fast step-down.
-                1 => {
-                    let _ = self.predictor.forecast(ctx);
-                }
-                // Level 2+: the forecast itself is the expensive part
-                // (DNN/ETS inference); skip it entirely. Ingest above keeps
-                // maturing previously registered outcomes.
-                _ => {}
-            }
+        // Brownout level 1 and up skips reallocation, and with it the
+        // forecast: a forecast writes nothing a later slot reads (CORP's
+        // scratch is per window, the baselines predict through `&self`).
+        // Ingest above keeps maturing previously registered outcomes.
+        if ctx.slot % self.window_slots == 0 && self.service_level == 0 {
+            let forecast = self.predictor.forecast(ctx);
+            // Snapshot the Eq. 21 verdict once: gate state only changes
+            // when outcomes resolve (during ingest), never mid-window.
+            let unlocked: [bool; NUM_RESOURCES] =
+                std::array::from_fn(|k| self.predictor.unlocked(k));
+            self.gate.reallocate(
+                ctx,
+                &forecast,
+                &unlocked,
+                self.window_slots,
+                pools,
+                &mut self.outcomes,
+                &mut plan,
+            );
         }
 
         // Placement: pack, then choose/debit per entity.
@@ -257,5 +247,65 @@ where
     /// sample of each history, so the engine may skip the deep tail copies.
     fn full_view_period(&self) -> u64 {
         self.window_slots
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pipeline::backend::{DirectBackend, VmSelector};
+    use crate::pipeline::gate::BaselineReclaimGate;
+    use crate::pipeline::pack::Packing;
+    use crate::pipeline::predict::WindowForecast;
+    use corp_sim::{Cluster, EnvironmentProfile, Simulation, SimulationOptions};
+    use corp_trace::{WorkloadConfig, WorkloadGenerator};
+
+    /// A predictor that forecasts nothing and counts how often it is asked.
+    #[derive(Default)]
+    struct CountingPredictor {
+        forecasts: usize,
+    }
+
+    impl UsagePredictor for CountingPredictor {
+        fn ingest(&mut self, _: &SlotContext<'_>, _: u64, _: &mut Vec<PendingOutcome>) {}
+
+        fn forecast(&mut self, ctx: &SlotContext<'_>) -> WindowForecast {
+            self.forecasts += 1;
+            WindowForecast::PerVm(vec![None; ctx.vms.len()])
+        }
+    }
+
+    /// Forecast calls over a 40-job run at brownout `level`.
+    fn forecasts_at(level: u8) -> usize {
+        let mut pipeline = ProvisioningPipeline::compose(
+            "counting",
+            6,
+            1,
+            CountingPredictor::default(),
+            BaselineReclaimGate,
+            Packing::Passthrough,
+            DirectBackend::new(VmSelector::Random),
+            AdmissionPolicy::FullRequest,
+        );
+        pipeline.set_service_level(level);
+        let jobs = WorkloadGenerator::new(
+            WorkloadConfig {
+                num_jobs: 40,
+                ..WorkloadConfig::default()
+            },
+            3,
+        )
+        .generate();
+        let cluster = Cluster::from_profile(EnvironmentProfile::palmetto_cluster());
+        Simulation::new(cluster, jobs, SimulationOptions::default()).run(&mut pipeline);
+        pipeline.stage_predictor().forecasts
+    }
+
+    #[test]
+    fn brownout_levels_one_and_up_never_forecast() {
+        assert!(forecasts_at(0) > 0, "full service forecasts every window");
+        for level in 1..=3 {
+            assert_eq!(forecasts_at(level), 0, "level {level}");
+        }
     }
 }

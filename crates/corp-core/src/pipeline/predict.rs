@@ -133,15 +133,18 @@ fn window_mean(history: &[ResourceVector], window: u64) -> Option<ResourceVector
 // CORP: per-job DNN + HMM + CI
 // ---------------------------------------------------------------------------
 
-/// Jobs per batched DNN forward in [`CorpUsagePredictor::forecast`]. Wide
-/// enough that the blocked matmul vectorises across lanes and amortises
-/// its weight loads: on the benchmark's `corp-steady-1k` (seed 11, three
-/// alternated runs each) 8 / 32 / 64 / 128 lanes gave 183-198 / 220-246 /
-/// 231-244 / 235-248 slots/s. 64 and 128 tie within the run-to-run
-/// spread and 64 needs half the lane buffers. It is also the grain the
-/// pooled runtime hands work out in: a thread claims one lane at a time,
-/// so the last one to finish a window idles for at most a lane's work.
-/// Results do not depend on it.
+/// Jobs per lane of [`CorpUsagePredictor::forecast`]: per resource, the
+/// lane's jobs that the Eq. 19 bound does not settle (about 60 % of them
+/// on a saturated fleet) share one batched DNN forward, so the lane must
+/// stay wide enough to fill the kernel's 8-lane register tiles. On the
+/// benchmark's `corp-steady-1k` (six alternated pairs, seeds 7001–7006)
+/// 64 against 128 lanes read `decision_ms_p95` 13.0 [12.5, 13.3] against
+/// 12.4 [12.2, 12.9] ms and 255 [248, 266] against 260 [244, 270] slots/s
+/// (median [quartiles]): a tie inside the run-to-run spread, and 64 needs
+/// half the lane buffers.
+/// It is also the grain the pooled runtime hands work out in: a thread
+/// claims one lane at a time, so the last one to finish a window idles for
+/// at most a lane's work. Results do not depend on it.
 const FORECAST_LANES: usize = 64;
 
 /// CORP's prediction stage: the per-job DNN forecast with HMM fluctuation

@@ -22,7 +22,7 @@
 use crate::config::CorpConfig;
 use crate::preemption::PreemptionGate;
 use corp_dnn::{PredictBatchScratch, UnusedResourcePredictor};
-use corp_hmm::{FluctuationPredictor, HmmScratch};
+use corp_hmm::{Correction, FluctuationPredictor, HmmScratch};
 use corp_sim::ResourceVector;
 use corp_stats::{z_for_confidence, SimpleExp};
 use corp_trace::NUM_RESOURCES;
@@ -129,10 +129,12 @@ impl LaneStage {
 #[derive(Debug, Clone, Default)]
 pub struct PredictionScratch {
     stage: [LaneStage; NUM_RESOURCES],
-    /// Series ranges and DNN outputs of the lanes healthy enough for the
-    /// DNN path, in lane order.
+    /// Series ranges and DNN outputs of the lanes that need the DNN's
+    /// forward, in lane order, and each one's lane index and HMM
+    /// correction.
     healthy: Vec<Range<usize>>,
     dnn_out: Vec<f64>,
+    waiting: Vec<(usize, Option<Correction>)>,
     net: PredictBatchScratch,
     hmm: HmmScratch,
     /// Finite-subset filter buffer for the fallback ladder.
@@ -140,6 +142,9 @@ pub struct PredictionScratch {
     /// Fallback-rung increments recorded by predictions through this
     /// scratch.
     pub fallbacks: FallbackCounters,
+    /// Lanes whose zero the bound proved without a forward.
+    #[cfg(test)]
+    proven: u64,
 }
 
 impl PredictionScratch {
@@ -356,7 +361,8 @@ impl CorpJobPredictor {
     /// (newest last) and its request, and job `b`'s corrected,
     /// confidence-adjusted vector lands in `out[b]`. Per resource the
     /// jobs' series are gathered into one flat buffer and run as lanes of
-    /// one batch, so the DNN does one blocked forward for all of them.
+    /// one batch, so the DNN does one blocked forward for all of them that
+    /// its output bound does not settle.
     /// Lanes do not interact: `out[b]` and the `scratch.fallbacks`
     /// increments are bit-identical to calling
     /// [`predict_job_in`](Self::predict_job_in) job by job, however the
@@ -418,19 +424,28 @@ impl CorpJobPredictor {
     ///
     /// The DNN path is served only to lanes that are healthy: finite
     /// input series, finite and non-blown-up `sigma_hat`, finite output.
-    /// The healthy lanes share one batched DNN forward; every other step
-    /// runs lane by lane. An unhealthy lane degrades down the fallback
-    /// ladder ([`fallback_estimate`](Self::fallback_estimate)) instead of
+    /// An unhealthy lane degrades down the fallback ladder
+    /// ([`fallback_estimate`](Self::fallback_estimate)) instead of
     /// emitting a poisoned number.
+    ///
+    /// A healthy lane first runs its own steps on the DNN's upper bound
+    /// ([`UnusedResourcePredictor::upper_bound`]) in place of the DNN's
+    /// output. Every step is non-decreasing in that value, so when the
+    /// bound's result is finite and negative the real one is too, and the
+    /// clamp returns exactly 0.0 either way: the lane gets 0.0 without a
+    /// forward. The rest share one batched DNN forward.
     fn predict_staged(&self, k: usize, scratch: &mut PredictionScratch) {
         let PredictionScratch {
             stage,
             healthy,
             dnn_out,
+            waiting,
             net,
             hmm,
             finite,
             fallbacks,
+            #[cfg(test)]
+            proven,
         } = scratch;
         let LaneStage {
             flat,
@@ -440,51 +455,68 @@ impl CorpJobPredictor {
         } = &mut stage[k];
         let sigma = self.gate.sigma_hat(k);
         let sigma_ok = sigma.is_finite() && sigma <= SIGMA_BLOWUP;
+        // Steps 2 and 3 on a DNN prediction `u`: the HMM peak/valley
+        // correction and the confidence-interval lower bound (Eq. 19), on
+        // the job's own scale.
+        let finish = |u: f64, correction: Option<Correction>, scale: f64| {
+            let u = correction.map_or(u, |c| c.apply(u));
+            if self.use_ci {
+                u - sigma * self.confidence_z * scale
+            } else {
+                u
+            }
+        };
 
-        // Step 1: DNN prediction (persistence fallback if untrained), one
-        // forward for every healthy lane.
         healthy.clear();
-        healthy.extend(
-            lanes
-                .iter()
-                .filter(|lane| {
-                    let series = &flat[(*lane).clone()];
-                    sigma_ok && !series.is_empty() && series.iter().all(|v| v.is_finite())
-                })
-                .cloned(),
-        );
-        dnn_out.clear();
-        dnn_out.resize(healthy.len(), 0.0);
-        self.dnn[k].predict_batch_with(flat, healthy, dnn_out, net);
-
-        // Non-empty lanes start at distinct offsets, so a lane was served
-        // by the DNN iff its range is the next healthy one.
-        let mut served = healthy.iter().zip(dnn_out.iter()).peekable();
+        waiting.clear();
         u_hat.clear();
-        for (lane, &scale) in lanes.iter().zip(scales.iter()) {
+        for (b, (lane, &scale)) in lanes.iter().zip(scales.iter()).enumerate() {
             let series = &flat[lane.clone()];
             if series.is_empty() {
                 u_hat.push(0.0);
                 continue;
             }
-            if let Some((_, &dnn)) = served.next_if(|(h, _)| *h == lane) {
-                let mut u = dnn;
-                // Step 2: HMM peak/valley correction.
-                if self.use_hmm {
-                    u = self.hmm[k].adjust_with(u, series, hmm);
-                }
-                // Step 3: confidence-interval lower bound (Eq. 19), on the
-                // job's own scale.
-                if self.use_ci {
-                    u -= sigma * self.confidence_z * scale;
-                }
-                if u.is_finite() {
-                    u_hat.push(u.max(0.0));
-                    continue;
+            if !sigma_ok || !series.iter().all(|v| v.is_finite()) {
+                fallbacks.dnn_rejected += 1;
+                u_hat.push(self.fallback_estimate(k, series, hmm, finite, fallbacks));
+                continue;
+            }
+            let correction = self
+                .use_hmm
+                .then(|| self.hmm[k].correction_with(series, hmm));
+            if self.use_ci {
+                if let Some(bound) = self.dnn[k].upper_bound(series) {
+                    let u = finish(bound, correction, scale);
+                    if u < 0.0 && u.is_finite() {
+                        #[cfg(test)]
+                        {
+                            *proven += 1;
+                        }
+                        u_hat.push(0.0);
+                        continue;
+                    }
                 }
             }
-            fallbacks.dnn_rejected += 1;
-            u_hat.push(self.fallback_estimate(k, series, hmm, finite, fallbacks));
+            // Filled in after the forward.
+            u_hat.push(0.0);
+            healthy.push(lane.clone());
+            waiting.push((b, correction));
+        }
+
+        // Step 1: DNN prediction (persistence fallback if untrained), one
+        // forward for every lane still waiting.
+        dnn_out.clear();
+        dnn_out.resize(healthy.len(), 0.0);
+        self.dnn[k].predict_batch_with(flat, healthy, dnn_out, net);
+        for (&(b, correction), &dnn) in waiting.iter().zip(dnn_out.iter()) {
+            let u = finish(dnn, correction, scales[b]);
+            u_hat[b] = if u.is_finite() {
+                u.max(0.0)
+            } else {
+                fallbacks.dnn_rejected += 1;
+                let series = &flat[lanes[b].clone()];
+                self.fallback_estimate(k, series, hmm, finite, fallbacks)
+            };
         }
     }
 
@@ -569,9 +601,205 @@ impl CorpJobPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use corp_dnn::PredictScratch;
+    use proptest::prelude::*;
 
     fn fast_predictor() -> CorpJobPredictor {
         CorpJobPredictor::new(&CorpConfig::fast())
+    }
+
+    /// The shortcut-free reference for one job: per resource,
+    /// `predict_with`, then `adjust_with`, then the CI, the clamp and the
+    /// fallback ladder, one series at a time — no bound, no lanes, no
+    /// split HMM. Fallback increments land in `scratch.fallbacks`.
+    fn predict_job_reference(
+        p: &CorpJobPredictor,
+        recent: &[Vec<f64>],
+        requested: &ResourceVector,
+        scratch: &mut PredictionScratch,
+    ) -> ResourceVector {
+        let mut net = PredictScratch::new();
+        let mut out = ResourceVector::ZERO;
+        for k in 0..NUM_RESOURCES {
+            let series: &[f64] = recent.get(k).map_or(&[], Vec::as_slice);
+            if series.is_empty() {
+                continue;
+            }
+            let sigma = p.gate.sigma_hat(k);
+            let healthy =
+                sigma.is_finite() && sigma <= SIGMA_BLOWUP && series.iter().all(|v| v.is_finite());
+            let dnn_path = healthy.then(|| {
+                let mut u = p.dnn[k].predict_with(series, &mut net);
+                if p.use_hmm {
+                    u = p.hmm[k].adjust_with(u, series, &mut scratch.hmm);
+                }
+                if p.use_ci {
+                    u -= sigma * p.confidence_z * requested[k].max(1e-9);
+                }
+                u
+            });
+            out[k] = match dnn_path.filter(|u| u.is_finite()) {
+                Some(u) => u.max(0.0),
+                None => {
+                    scratch.fallbacks.dnn_rejected += 1;
+                    p.fallback_estimate(
+                        k,
+                        series,
+                        &mut scratch.hmm,
+                        &mut scratch.finite,
+                        &mut scratch.fallbacks,
+                    )
+                }
+            };
+        }
+        out
+    }
+
+    type Job = (Vec<ResourceVector>, ResourceVector);
+
+    /// A pretrained predictor whose `sigma_hat` recorded outcomes drive
+    /// into `(0, SIGMA_BLOWUP)` on every resource: normalized errors of
+    /// `±spread`.
+    fn calibrated(cfg: CorpConfig, spread: f64) -> CorpJobPredictor {
+        let mut p = CorpJobPredictor::new(&cfg);
+        let hs: Vec<Vec<f64>> = (0..10)
+            .map(|j| (0..30).map(|t| 6.0 + ((t + j) % 3) as f64 * 0.3).collect())
+            .collect();
+        p.pretrain(&[hs.clone(), hs.clone(), hs]);
+        for k in 0..NUM_RESOURCES {
+            for i in 0..ERROR_WINDOW {
+                let error = if i % 2 == 0 { spread } else { -spread };
+                p.record_outcome_scaled(k, 10.0 * (0.5 + error), 5.0, 10.0);
+            }
+            let sigma = p.gate.sigma_hat(k);
+            assert!(sigma > 0.0 && sigma < SIGMA_BLOWUP, "sigma_hat {sigma}");
+        }
+        p
+    }
+
+    /// Reference and lane-batched predictions of `jobs` (lanes of
+    /// `width`), each with the fallback counters it left, and the number
+    /// of lanes the bound proved zero.
+    fn both_paths(
+        p: &CorpJobPredictor,
+        jobs: &[Job],
+        width: usize,
+    ) -> ([Vec<[u64; NUM_RESOURCES]>; 2], [FallbackCounters; 2], u64) {
+        let mut reference = PredictionScratch::new();
+        let want: Vec<ResourceVector> = jobs
+            .iter()
+            .map(|(recent, requested)| {
+                let series: Vec<Vec<f64>> = (0..NUM_RESOURCES)
+                    .map(|k| recent.iter().map(|u| u[k]).collect())
+                    .collect();
+                predict_job_reference(p, &series, requested, &mut reference)
+            })
+            .collect();
+        let mut lanes = PredictionScratch::new();
+        let mut got = vec![ResourceVector::ZERO; jobs.len()];
+        for (chunk, out) in jobs.chunks(width).zip(got.chunks_mut(width)) {
+            p.predict_jobs_in(
+                chunk
+                    .iter()
+                    .map(|(recent, requested)| (recent.as_slice(), requested)),
+                out,
+                &mut lanes,
+            );
+        }
+        let bits = |out: &[ResourceVector]| {
+            out.iter()
+                .map(|u| std::array::from_fn(|k| u[k].to_bits()))
+                .collect()
+        };
+        (
+            [bits(&want), bits(&got)],
+            [reference.fallbacks, lanes.fallbacks],
+            lanes.proven,
+        )
+    }
+
+    /// One sample: mostly a non-negative level up to `high`, sometimes
+    /// negative, NaN or infinite.
+    fn sample(high: f64) -> impl Strategy<Value = f64> {
+        (0u8..40, 0.0f64..1.0).prop_map(move |(kind, v)| match kind {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 | 4 => -high * v,
+            5 | 6 => 0.0,
+            _ => high * v,
+        })
+    }
+
+    /// A job: 0..12 slots of history (empty and one-sample included),
+    /// samples up to `high`, and its request.
+    fn job(high: f64) -> impl Strategy<Value = Job> {
+        (
+            prop::collection::vec((sample(high), sample(high), sample(high)), 0..12),
+            (0.5f64..30.0, 0.5f64..30.0, 0.5f64..30.0),
+        )
+            .prop_map(|(recent, (a, b, c))| {
+                (
+                    recent
+                        .into_iter()
+                        .map(|(x, y, z)| ResourceVector::new([x, y, z]))
+                        .collect(),
+                    ResourceVector::new([a, b, c]),
+                )
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn lane_batched_forecast_equals_the_shortcut_free_reference(
+            jobs in prop::collection::vec(job(8.0), 1..90),
+            spread in 0.05f64..0.6,
+            ablation in 0u8..3,
+            width in 1usize..70,
+        ) {
+            let mut cfg = CorpConfig::fast();
+            cfg.use_hmm_correction = ablation != 1;
+            cfg.use_confidence_interval = ablation != 2;
+            let p = calibrated(cfg, spread);
+            let ([want, got], [want_counters, counters], _) = both_paths(&p, &jobs, width);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(counters, want_counters);
+        }
+    }
+
+    #[test]
+    fn the_bound_proves_a_quarter_of_the_lanes_and_moves_no_bit() {
+        // Unused levels from none to most of the request, as on a saturated
+        // fleet, with the CI's margin at a realistic sigma_hat.
+        let jobs: Vec<Job> = (0..400)
+            .map(|j| {
+                let level = |k: usize| ((j * 7 + k * 13) % 17) as f64;
+                let recent = (0..1 + j % 11)
+                    .map(|t| {
+                        ResourceVector::new(std::array::from_fn(|k| {
+                            level(k) * (1.0 + ((t + k) % 3) as f64 * 0.1)
+                        }))
+                    })
+                    .collect();
+                (recent, ResourceVector::new([20.0, 30.0, 25.0]))
+            })
+            .collect();
+        let p = calibrated(CorpConfig::fast(), 0.3);
+        let ([want, got], [want_counters, counters], proven) = both_paths(&p, &jobs, 64);
+        let mismatched = want.iter().zip(&got).filter(|(a, b)| a != b).count();
+        assert_eq!(mismatched, 0, "{mismatched} of {} jobs differ", jobs.len());
+        let lanes = (jobs.len() * NUM_RESOURCES) as u64;
+        assert!(
+            proven * 4 >= lanes,
+            "proof fired on {proven} of {lanes} lanes"
+        );
+        assert!(
+            proven < lanes,
+            "every lane proven: the forward went untested"
+        );
+        assert_eq!(counters, want_counters);
     }
 
     /// One job through `predict_job_in`, its fallback increments merged

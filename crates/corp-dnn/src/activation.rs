@@ -15,6 +15,13 @@
 
 use crate::exp;
 
+/// Relative and absolute widening of every interval bound
+/// ([`Activation::bounds`], `Network::output_upper_bound`): orders of
+/// magnitude above the rounding of a forward pass (a 50-term dot product
+/// rounds by under 1e-14 of its terms' magnitude), far below anything a
+/// prediction resolves.
+pub(crate) const BOUND_SLACK: f64 = 1e-9;
+
 /// Supported activation functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
@@ -53,6 +60,23 @@ impl Activation {
                 }
             }
             Activation::Identity => {}
+        }
+    }
+
+    /// Bounds on the activation of any pre-activation in `[lo, hi]`: the
+    /// function is non-decreasing, so the ends map to the ends. A sigmoid
+    /// bound is padded by [`BOUND_SLACK`] (relative and absolute) so the
+    /// few ulps `apply`'s rounding may move a value cannot cross it.
+    pub(crate) fn bounds(self, lo: f64, hi: f64) -> (f64, f64) {
+        match self {
+            Activation::Sigmoid => {
+                let (lo, hi) = (self.apply(lo), self.apply(hi));
+                (
+                    lo - BOUND_SLACK * (lo.abs() + 1.0),
+                    hi + BOUND_SLACK * (hi.abs() + 1.0),
+                )
+            }
+            Activation::Identity => (lo, hi),
         }
     }
 

@@ -7,6 +7,15 @@
 //! iterate rows via `chunks_exact` so the optimizer can elide per-element
 //! checks.
 
+/// Output rows per register tile of [`Matrix::matmul_fused_into`]: Table
+/// II's 50-unit layers cut into ten tiles with no short one.
+const TILE_ROWS: usize = 5;
+
+/// Batch lanes per register tile of [`Matrix::matmul_fused_into`]: with
+/// [`TILE_ROWS`] rows, 40 sums — ten 4-wide AVX2 registers, leaving room
+/// for the two input vectors and the broadcast weight.
+pub(crate) const TILE_LANES: usize = 8;
+
 /// A dense row-major matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
@@ -191,14 +200,16 @@ impl Matrix {
         }
     }
 
-    /// Blocked matrix-matrix product with a fused per-element epilogue:
-    /// `out[i][b] = epilogue(i, row_i . col_b(x))`. `x` and `out` are
-    /// *feature-major batches*: column `b` holds sample `b`, so each output
-    /// row accumulates as a sequence of `w * x_row` axpys over contiguous
-    /// batch rows. Every batch lane still accumulates over `k` in exactly
-    /// the scalar dot-product order — evaluating a batch is bit-identical
-    /// to evaluating its samples one by one through
-    /// [`mul_vec_fused_into`](Self::mul_vec_fused_into).
+    /// Register-blocked matrix-matrix product with a fused per-element
+    /// epilogue: `out[i][b] = epilogue(i, row_i . col_b(x))`. `x` and `out`
+    /// are *feature-major batches*: column `b` holds sample `b`. The output
+    /// is cut into tiles of [`TILE_ROWS`] rows × [`TILE_LANES`] lanes
+    /// (smaller at the edges) whose sums stay in registers across the whole
+    /// `k` loop, so each weight and each input is loaded once per tile
+    /// rather than once per output element. Every lane still adds
+    /// `w_k * x_k` onto 0.0 in ascending `k` — the scalar dot-product order
+    /// — so evaluating a batch is bit-identical to evaluating its samples
+    /// one by one through [`mul_vec_fused_into`](Self::mul_vec_fused_into).
     ///
     /// # Panics
     ///
@@ -213,77 +224,72 @@ impl Matrix {
         assert_eq!(out.cols, x.cols, "batch width mismatch");
         let n = x.cols;
         if n == 1 {
-            // A one-column batch *is* a vector: the blocked loops below
-            // spend a single lane's time on slice set-up (measured ~3x the
-            // plain dot product), and the results are the same bits.
+            // A one-column batch *is* a vector: the same bits from the
+            // plain dot product, without the tile set-up.
             return self.mul_vec_fused_into(&x.data, &mut out.data, epilogue);
         }
-        let k_body = self.cols - self.cols % 4;
-        for (i, (out_row, w_row)) in out
-            .data
-            .chunks_exact_mut(n)
-            .zip(self.data.chunks_exact(self.cols))
-            .enumerate()
-        {
-            out_row.iter_mut().for_each(|o| *o = 0.0);
-            // k-blocked by 8: each pass over the output row applies eight
-            // weights, cutting the out-row load/store traffic the plain
-            // one-weight axpy is bound by. The adds stay left-associated in
-            // ascending k order, so every lane accumulates bit-identically
-            // to the scalar dot product.
-            let mut k = 0;
-            while k + 8 <= self.cols {
-                let w = &w_row[k..k + 8];
-                let x0 = &x.data[k * n..(k + 1) * n];
-                let x1 = &x.data[(k + 1) * n..(k + 2) * n];
-                let x2 = &x.data[(k + 2) * n..(k + 3) * n];
-                let x3 = &x.data[(k + 3) * n..(k + 4) * n];
-                let x4 = &x.data[(k + 4) * n..(k + 5) * n];
-                let x5 = &x.data[(k + 5) * n..(k + 6) * n];
-                let x6 = &x.data[(k + 6) * n..(k + 7) * n];
-                let x7 = &x.data[(k + 7) * n..(k + 8) * n];
-                for ((((((((o, &a0), &a1), &a2), &a3), &a4), &a5), &a6), &a7) in out_row
-                    .iter_mut()
-                    .zip(x0)
-                    .zip(x1)
-                    .zip(x2)
-                    .zip(x3)
-                    .zip(x4)
-                    .zip(x5)
-                    .zip(x6)
-                    .zip(x7)
-                {
-                    *o = (((((((*o + w[0] * a0) + w[1] * a1) + w[2] * a2) + w[3] * a3)
-                        + w[4] * a4)
-                        + w[5] * a5)
-                        + w[6] * a6)
-                        + w[7] * a7;
+        for b in (0..n).step_by(TILE_LANES) {
+            let mut i = 0;
+            while i < self.rows {
+                // Full-height tiles, then one lower tile for the rest.
+                let height = (self.rows - i).min(TILE_ROWS);
+                let full = n - b >= TILE_LANES;
+                let e = &mut epilogue;
+                match (height, full) {
+                    (5, true) => self.tile::<5, false, F>(x, out, i, b, e),
+                    (5, false) => self.tile::<5, true, F>(x, out, i, b, e),
+                    (4, true) => self.tile::<4, false, F>(x, out, i, b, e),
+                    (4, false) => self.tile::<4, true, F>(x, out, i, b, e),
+                    (3, true) => self.tile::<3, false, F>(x, out, i, b, e),
+                    (3, false) => self.tile::<3, true, F>(x, out, i, b, e),
+                    (2, true) => self.tile::<2, false, F>(x, out, i, b, e),
+                    (2, false) => self.tile::<2, true, F>(x, out, i, b, e),
+                    (_, true) => self.tile::<1, false, F>(x, out, i, b, e),
+                    (_, false) => self.tile::<1, true, F>(x, out, i, b, e),
                 }
-                k += 8;
+                i += height;
             }
-            while k < k_body {
-                let w = &w_row[k..k + 4];
-                let x0 = &x.data[k * n..(k + 1) * n];
-                let x1 = &x.data[(k + 1) * n..(k + 2) * n];
-                let x2 = &x.data[(k + 2) * n..(k + 3) * n];
-                let x3 = &x.data[(k + 3) * n..(k + 4) * n];
-                for ((((o, &a0), &a1), &a2), &a3) in
-                    out_row.iter_mut().zip(x0).zip(x1).zip(x2).zip(x3)
-                {
-                    *o = (((*o + w[0] * a0) + w[1] * a1) + w[2] * a2) + w[3] * a3;
-                }
-                k += 4;
-            }
-            for (&w, x_row) in w_row[k_body..]
-                .iter()
-                .zip(x.data[k_body * n..].chunks_exact(n))
-            {
-                for (o, &xv) in out_row.iter_mut().zip(x_row) {
-                    *o += w * xv;
+        }
+    }
+
+    /// One tile of [`matmul_fused_into`](Self::matmul_fused_into): rows
+    /// `i..i + R`, lanes `b..b + TILE_LANES` (fewer at the batch's end),
+    /// `out[i + r][b + l] = epilogue(i + r, row_{i+r} . col_{b+l}(x))`, each
+    /// sum starting at 0.0 and adding in ascending `k`. A `SHORT` tile
+    /// fills its missing lanes with zeros and drops their sums.
+    #[inline(always)]
+    fn tile<const R: usize, const SHORT: bool, F>(
+        &self,
+        x: &Matrix,
+        out: &mut Matrix,
+        i: usize,
+        b: usize,
+        epilogue: &mut F,
+    ) where
+        F: FnMut(usize, f64) -> f64,
+    {
+        let (n, k_len) = (x.cols, self.cols);
+        let lanes = (n - b).min(TILE_LANES);
+        let w = &self.data[i * k_len..(i + R) * k_len];
+        let mut acc = [[0.0f64; TILE_LANES]; R];
+        for (k, x_row) in x.data.chunks_exact(n).enumerate() {
+            let x_row = &x_row[b..];
+            let xk: [f64; TILE_LANES] = if SHORT {
+                std::array::from_fn(|l| if l < lanes { x_row[l] } else { 0.0 })
+            } else {
+                let x_row = &x_row[..TILE_LANES];
+                std::array::from_fn(|l| x_row[l])
+            };
+            for r in 0..R {
+                let wk = w[r * k_len + k];
+                for l in 0..TILE_LANES {
+                    acc[r][l] += wk * xk[l];
                 }
             }
-            for o in out_row.iter_mut() {
-                *o = epilogue(i, *o);
+        }
+        for (r, sums) in acc.iter().enumerate() {
+            for (o, &sum) in out.data[(i + r) * n + b..][..lanes].iter_mut().zip(sums) {
+                *o = epilogue(i + r, sum);
             }
         }
     }
@@ -493,22 +499,33 @@ mod tests {
 
     #[test]
     fn batched_matmul_is_bit_identical_to_per_sample_columns() {
-        // 7 columns exercises both the 4-lane block and the remainder loop.
-        let m = Matrix::from_fn(6, 5, |r, c| ((r * 3 + c) as f64 * 0.37).cos());
-        let x = Matrix::from_fn(5, 7, |r, c| ((r + c * 11) as f64 * 0.13).sin());
-        let bias = [0.05, -0.1, 0.15, -0.2, 0.25, -0.3];
-        let mut out = Matrix::zeros(6, 7);
-        m.matmul_fused_into(&x, &mut out, |i, acc| {
-            1.0 / (1.0 + (-(acc + bias[i])).exp())
-        });
-        for b in 0..7 {
-            let col: Vec<f64> = (0..5).map(|k| x.get(k, b)).collect();
-            let mut single = vec![0.0; 6];
-            m.mul_vec_fused_into(&col, &mut single, |i, acc| {
-                1.0 / (1.0 + (-(acc + bias[i])).exp())
-            });
-            for (i, s) in single.iter().enumerate() {
-                assert_eq!(out.get(i, b).to_bits(), s.to_bits(), "col {b} row {i}");
+        // Row counts around the 4-row tile and lane counts around the 8-
+        // and 4-lane tiles exercise every tile shape and both tails.
+        for rows in [1, 3, 4, 6, 9] {
+            for cols in [1, 5, 8] {
+                let m = Matrix::from_fn(rows, cols, |r, c| ((r * 3 + c) as f64 * 0.37).cos());
+                let bias: Vec<f64> = (0..rows).map(|i| (i as f64 - 2.5) * 0.05).collect();
+                for n in [2, 3, 4, 7, 8, 12, 13, 21] {
+                    let x = Matrix::from_fn(cols, n, |r, c| ((r + c * 11) as f64 * 0.13).sin());
+                    let mut out = Matrix::zeros(rows, n);
+                    m.matmul_fused_into(&x, &mut out, |i, acc| {
+                        1.0 / (1.0 + (-(acc + bias[i])).exp())
+                    });
+                    for b in 0..n {
+                        let col: Vec<f64> = (0..cols).map(|k| x.get(k, b)).collect();
+                        let mut single = vec![0.0; rows];
+                        m.mul_vec_fused_into(&col, &mut single, |i, acc| {
+                            1.0 / (1.0 + (-(acc + bias[i])).exp())
+                        });
+                        for (i, s) in single.iter().enumerate() {
+                            assert_eq!(
+                                out.get(i, b).to_bits(),
+                                s.to_bits(),
+                                "{rows}x{cols} by {n}: col {b} row {i}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -7,7 +7,7 @@
 //! [`Network::train_on`]; epoch orchestration and validation-convergence
 //! stopping live in [`crate::train`].
 
-use crate::activation::Activation;
+use crate::activation::{Activation, BOUND_SLACK};
 use crate::matrix::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -185,6 +185,43 @@ impl Network {
     /// Number of weight layers.
     pub(crate) fn depth(&self) -> usize {
         self.layers.len()
+    }
+
+    /// An upper bound on output 0 of [`forward_with`](Self::forward_with)
+    /// and [`forward_batch_with`](Self::forward_batch_with) for every input
+    /// in the box `[0, 1]^input_len`, by interval propagation through every
+    /// layer. Each pre-activation interval is `bias + sum_j` of the ends of
+    /// `w_ij * [lo_j, hi_j]`, widened by [`BOUND_SLACK`] times the terms'
+    /// magnitude plus [`BOUND_SLACK`], which covers both the forward's
+    /// rounding and this sum's own; each activation bound is padded the
+    /// same way ([`Activation::bounds`]). `None` when a weight, a bias or
+    /// the bound is not finite.
+    pub(crate) fn output_upper_bound(&self) -> Option<f64> {
+        let mut lo = vec![0.0; self.input_len()];
+        let mut hi = vec![1.0; self.input_len()];
+        for layer in &self.layers {
+            let rows = layer.biases.len();
+            let (mut next_lo, mut next_hi) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
+            for (i, &bias) in layer.biases.iter().enumerate() {
+                let (mut z_lo, mut z_hi, mut magnitude) = (bias, bias, bias.abs());
+                for ((&w, &l), &h) in layer.weights.row(i).iter().zip(&lo).zip(&hi) {
+                    let (a, b) = (w * l, w * h);
+                    z_lo += a.min(b);
+                    z_hi += a.max(b);
+                    magnitude += w.abs() * l.abs().max(h.abs());
+                }
+                if !magnitude.is_finite() {
+                    return None;
+                }
+                let slack = BOUND_SLACK * magnitude + BOUND_SLACK;
+                let (a_lo, a_hi) = layer.activation.bounds(z_lo - slack, z_hi + slack);
+                next_lo.push(a_lo);
+                next_hi.push(a_hi);
+            }
+            lo = next_lo;
+            hi = next_hi;
+        }
+        Some(hi[0]).filter(|y| y.is_finite())
     }
 
     /// Feed-forward evaluation (paper Eq. 5). Returns the output slice.
@@ -434,6 +471,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn forward_output_has_right_shape() {
@@ -626,6 +664,66 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A sigmoid network with `Network::new`'s weights and biases drawn
+    /// from `±1`, every parameter multiplied by `gain`: at 10 and 100 most
+    /// hidden units saturate.
+    fn random_network(sizes: &[usize], seed: u64, gain: f64) -> Network {
+        let mut net = Network::new(sizes, Activation::Sigmoid, Activation::Identity, seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xB1A5);
+        for layer in &mut net.layers {
+            layer.weights.scale(gain);
+            for b in &mut layer.biases {
+                *b = gain * rng.gen_range(-1.0..1.0);
+            }
+        }
+        net
+    }
+
+    /// The 64 corners of `[0, 1]^6` followed by `random` uniform points, as
+    /// the columns of a feature-major batch.
+    fn unit_box_batch(random: usize, seed: u64) -> Matrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        Matrix::from_fn(6, 64 + random, |r, c| {
+            if c < 64 {
+                ((c >> r) & 1) as f64
+            } else {
+                rng.gen_range(0.0..=1.0)
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn no_input_in_the_unit_box_exceeds_the_output_bound(
+            seed in 0u64..u64::MAX,
+            table2 in 0u8..2,
+            gain_exp in 0i32..3,
+        ) {
+            // Table II's shape and `CorpConfig::fast()`'s.
+            let sizes: &[usize] = if table2 == 1 { &[6, 50, 50, 50, 50, 1] } else { &[6, 12, 12, 1] };
+            let net = random_network(sizes, seed, 10f64.powi(gain_exp));
+            let y_hi = net.output_upper_bound().expect("finite weights have a finite bound");
+            let x = unit_box_batch(192, seed);
+            let mut lanes = LaneScratch::new();
+            let y = net.forward_batch_with(&x, &mut lanes);
+            for b in 0..x.cols() {
+                prop_assert!(y.get(0, b) <= y_hi, "lane {}: {} > bound {}", b, y.get(0, b), y_hi);
+            }
+        }
+    }
+
+    #[test]
+    fn a_non_finite_weight_has_no_bound() {
+        let mut net = random_network(&[6, 12, 12, 1], 5, 1.0);
+        assert!(net.output_upper_bound().is_some());
+        *net.layer_weights_mut(1).get_mut(3, 4) = f64::INFINITY;
+        assert_eq!(net.output_upper_bound(), None);
+        *net.layer_weights_mut(1).get_mut(3, 4) = f64::NAN;
+        assert_eq!(net.output_upper_bound(), None);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! population. Predictions are mapped back to resource units and clamped
 //! non-negative (negative unused resource is meaningless).
 
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, TILE_LANES};
 use crate::network::{LaneScratch, Network, Scratch};
 use crate::train::{TrainConfig, TrainReport, Trainer};
 use std::ops::Range;
@@ -92,6 +92,11 @@ pub struct UnusedResourcePredictor {
     config: WindowPredictorConfig,
     net: Network,
     trained: bool,
+    /// After [`fit`](Self::fit), an upper bound on the network's normalized
+    /// output over every window in `[0, 1]^window`
+    /// (`Network::output_upper_bound`); `None` before, or when no finite
+    /// bound exists.
+    y_hi: Option<f64>,
     /// Scratch for the owned-access [`predict`](Self::predict) entry point.
     scratch: PredictScratch,
 }
@@ -121,6 +126,7 @@ impl UnusedResourcePredictor {
             config,
             net,
             trained: false,
+            y_hi: None,
             scratch: PredictScratch::new(),
         }
     }
@@ -167,6 +173,7 @@ impl UnusedResourcePredictor {
         let report =
             Trainer::new(self.config.train.clone()).train(&mut self.net, &inputs, &targets);
         self.trained = true;
+        self.y_hi = self.net.output_upper_bound();
         Some(report)
     }
 
@@ -218,6 +225,29 @@ impl UnusedResourcePredictor {
         y.max(0.0)
     }
 
+    /// An upper bound on [`predict_with`](Self::predict_with)`(recent)`,
+    /// without the forward: `(y_hi * scale).max(0.0)` with `scale` the
+    /// query window's normalization scale. A window of non-negative values
+    /// normalizes into `[0, 1]^window`, where the network's output is at
+    /// most `y_hi`, and `predict_with` maps the output through the same
+    /// two non-decreasing steps. `None` when untrained, without a finite
+    /// `y_hi`, or when the window holds a negative (or NaN) value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `recent` is empty.
+    pub fn upper_bound(&self, recent: &[f64]) -> Option<f64> {
+        assert!(!recent.is_empty(), "need at least one recent observation");
+        let y_hi = self.y_hi?;
+        // The query window's values: the last `window` samples, or the
+        // whole series when left-padding repeats its first value.
+        let window = &recent[recent.len().saturating_sub(self.config.window)..];
+        if !window.iter().all(|&v| v >= 0.0) {
+            return None;
+        }
+        Some((y_hi * Self::window_scale(window)).max(0.0))
+    }
+
     /// Assembles the query window of a non-empty `recent` series — its last
     /// `w` values, left-padded with the first value when shorter — into
     /// `window` and returns the window's normalization scale.
@@ -267,15 +297,26 @@ impl UnusedResourcePredictor {
             return;
         }
         let (w, n) = (self.config.window, lanes.len());
-        let input = scratch.input.get_or_insert_with(|| Matrix::zeros(w, n));
-        input.reshape(w, n);
+        // Zero lanes pad the batch to whole register tiles: a short tile
+        // costs as much as a full one, and lanes never mix. One lane
+        // stays one (the forward's dot-product path).
+        let cols = if n == 1 {
+            1
+        } else {
+            n.next_multiple_of(TILE_LANES)
+        };
+        let input = scratch.input.get_or_insert_with(|| Matrix::zeros(w, cols));
+        input.reshape(w, cols);
         let x = input.as_mut_slice();
         for (b, (o, lane)) in out.iter_mut().zip(lanes).enumerate() {
             // `out[b]` carries the lane's scale until the forward is done.
             *o = Self::fill_window(series(lane), w, &mut scratch.window);
             for (j, v) in scratch.window.iter().enumerate() {
-                x[j * n + b] = v / *o;
+                x[j * cols + b] = v / *o;
             }
+        }
+        for row in x.chunks_exact_mut(cols) {
+            row[n..].fill(0.0);
         }
         let y = self.net.forward_batch_with(input, &mut scratch.net);
         for (o, &y) in out.iter_mut().zip(y.row(0)) {
@@ -287,6 +328,9 @@ impl UnusedResourcePredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn small_config() -> WindowPredictorConfig {
         WindowPredictorConfig {
@@ -379,6 +423,90 @@ mod tests {
             let owned = p.predict(recent);
             assert_eq!(shared.to_bits(), owned.to_bits());
         }
+    }
+
+    /// Trains a predictor of `window` inputs and `hidden_layers` x `units`
+    /// on noisy series at random levels (seeded by `seed`).
+    fn trained(
+        window: usize,
+        units: usize,
+        hidden_layers: usize,
+        seed: u64,
+    ) -> UnusedResourcePredictor {
+        let mut p = UnusedResourcePredictor::new(WindowPredictorConfig {
+            window,
+            horizon: 3,
+            units,
+            hidden_layers,
+            train: TrainConfig {
+                max_epochs: 10,
+                ..TrainConfig::default()
+            },
+            seed,
+        });
+        let mut rng = StdRng::seed_from_u64(seed);
+        let histories: Vec<Vec<f64>> = (0..8)
+            .map(|_| {
+                let level = rng.gen_range(0.0..20.0);
+                (0..30).map(|_| level * rng.gen_range(0.0..=1.0)).collect()
+            })
+            .collect();
+        p.fit(&histories).expect("enough examples");
+        p
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn trained_predictions_never_exceed_their_upper_bound(
+            seed in 0u64..u64::MAX,
+            table2 in 0u8..2,
+            scale in 1e-3f64..1e3,
+        ) {
+            let p = if table2 == 1 { trained(6, 50, 4, seed) } else { trained(6, 12, 2, seed) };
+            let y_hi = p.y_hi.expect("a trained network has a finite bound");
+            // Forward outputs over the normalized box: its 64 corners and
+            // uniform points.
+            let mut rng = StdRng::seed_from_u64(!seed);
+            let x = Matrix::from_fn(6, 256, |r, c| {
+                if c < 64 { ((c >> r) & 1) as f64 } else { rng.gen_range(0.0..=1.0) }
+            });
+            let mut lanes = LaneScratch::new();
+            let y = p.net.forward_batch_with(&x, &mut lanes);
+            for b in 0..x.cols() {
+                prop_assert!(y.get(0, b) <= y_hi, "lane {}: {} > {}", b, y.get(0, b), y_hi);
+            }
+            // Predictions on raw non-negative series of every length.
+            let mut scratch = PredictScratch::new();
+            for len in 1..=9 {
+                for corner in 0..8usize {
+                    let recent: Vec<f64> = (0..len)
+                        .map(|t| match (corner >> (t % 3)) & 1 {
+                            0 if t % 2 == 0 => 0.0,
+                            0 => scale * rng.gen_range(0.0..=1.0),
+                            _ => scale,
+                        })
+                        .collect();
+                    let bound = p.upper_bound(&recent).expect("a non-negative window is bounded");
+                    let got = p.predict_with(&recent, &mut scratch);
+                    prop_assert!(got <= bound, "{:?}: {} > {}", recent, got, bound);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn upper_bound_needs_training_and_a_non_negative_window() {
+        let untrained = UnusedResourcePredictor::new(small_config());
+        assert_eq!(untrained.upper_bound(&[1.0, 2.0]), None);
+        let p = trained(4, 12, 2, 9);
+        assert!(p.upper_bound(&[1.0, 2.0, 3.0, 4.0]).is_some());
+        // Only the query window counts: an older negative sample is
+        // outside it.
+        assert!(p.upper_bound(&[-1.0, 1.0, 2.0, 3.0, 4.0]).is_some());
+        assert_eq!(p.upper_bound(&[1.0, -2.0, 3.0]), None);
+        assert_eq!(p.upper_bound(&[1.0, f64::NAN, 3.0]), None);
     }
 
     #[test]

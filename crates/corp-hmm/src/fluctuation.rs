@@ -175,23 +175,48 @@ impl FluctuationPredictor {
     /// `u_hat`: `+min(h-m, m-l)` for a predicted peak, `-...` for a valley,
     /// unchanged for center. The corrected value is clamped non-negative.
     pub fn adjust(&self, u_hat: f64, recent: &[f64]) -> f64 {
-        let mag = Self::correction_magnitude(recent);
-        let corrected = match self.predict_next_symbol(recent) {
-            FluctuationSymbol::Peak => u_hat + mag,
-            FluctuationSymbol::Valley => u_hat - mag,
-            FluctuationSymbol::Center => u_hat,
-        };
-        corrected.max(0.0)
+        Correction {
+            symbol: self.predict_next_symbol(recent),
+            magnitude: Self::correction_magnitude(recent),
+        }
+        .apply(u_hat)
     }
 
     /// [`adjust`](Self::adjust) through caller-provided scratch — the
     /// allocation-free form the persistent prediction runtime calls once
-    /// per (job, resource) per window. Bit-identical to `adjust`.
+    /// per (job, resource) per window. Bit-identical to `adjust`. It is
+    /// [`correction_with`](Self::correction_with) applied to `u_hat`.
     pub fn adjust_with(&self, u_hat: f64, recent: &[f64], scratch: &mut HmmScratch) -> f64 {
-        let mag = Self::correction_magnitude(recent);
-        let corrected = match self.predict_next_symbol_with(recent, scratch) {
-            FluctuationSymbol::Peak => u_hat + mag,
-            FluctuationSymbol::Valley => u_hat - mag,
+        self.correction_with(recent, scratch).apply(u_hat)
+    }
+
+    /// The half of [`adjust_with`](Self::adjust_with) that reads only the
+    /// series: the forecast symbol and the correction magnitude. Computed
+    /// once, it can be applied to several candidate `u_hat`s.
+    pub fn correction_with(&self, recent: &[f64], scratch: &mut HmmScratch) -> Correction {
+        Correction {
+            symbol: self.predict_next_symbol_with(recent, scratch),
+            magnitude: Self::correction_magnitude(recent),
+        }
+    }
+}
+
+/// A series' peak/valley correction, ready to apply to a DNN prediction
+/// ([`FluctuationPredictor::correction_with`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Correction {
+    symbol: FluctuationSymbol,
+    magnitude: f64,
+}
+
+impl Correction {
+    /// `u_hat + magnitude` for a forecast peak, `u_hat - magnitude` for a
+    /// valley, `u_hat` for center, clamped non-negative. Non-decreasing in
+    /// `u_hat`.
+    pub fn apply(self, u_hat: f64) -> f64 {
+        let corrected = match self.symbol {
+            FluctuationSymbol::Peak => u_hat + self.magnitude,
+            FluctuationSymbol::Valley => u_hat - self.magnitude,
             FluctuationSymbol::Center => u_hat,
         };
         corrected.max(0.0)

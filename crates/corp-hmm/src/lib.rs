@@ -31,7 +31,7 @@ mod quantize;
 mod viterbi;
 
 pub use baum_welch::{baum_welch, BaumWelchReport};
-pub use fluctuation::{FluctuationPredictor, HmmScratch};
+pub use fluctuation::{Correction, FluctuationPredictor, HmmScratch};
 pub use forward_backward::{forward_scaled, log_likelihood, state_posteriors, ScaledForward};
 pub use model::Hmm;
 pub use quantize::{FluctuationSymbol, SpreadQuantizer};

@@ -9,11 +9,12 @@
 //!
 //! * [`SkipGate`](BrownoutLevel::SkipGate) — the provisioning pipeline
 //!   skips the opportunistic reallocation gate (service level 1): no more
-//!   window rewrites, but forecasts keep running so stepping back down is
-//!   instant.
+//!   window rewrites, and no forecast, since the pipeline forecasts only
+//!   for the gate.
 //! * [`CheapPredict`](BrownoutLevel::CheapPredict) — forecasting itself is
-//!   skipped (service level 2): the expensive DNN/ETS inference disappears
-//!   from the tick path.
+//!   skipped (service level 2). The provisioning pipeline already does
+//!   that at level 1, so there the two rungs behave alike; a provisioner
+//!   that forecasts for more than the gate could tell them apart.
 //! * [`RejectNew`](BrownoutLevel::RejectNew) — the admission queue's
 //!   backpressure policy is overridden to reject-new: queue-full arrivals
 //!   fail fast instead of piling up at the door.
@@ -33,9 +34,11 @@ use serde::Serialize;
 pub enum BrownoutLevel {
     /// Full service.
     Normal,
-    /// Pipeline skips the reallocation gate (service level 1).
+    /// Pipeline skips the reallocation gate and the forecast that feeds it
+    /// (service level 1).
     SkipGate,
-    /// Pipeline also skips forecasting (service level 2).
+    /// Forecasting skipped (service level 2): for the pipeline, the same
+    /// as level 1.
     CheapPredict,
     /// Admission backpressure overridden to reject-new.
     RejectNew,

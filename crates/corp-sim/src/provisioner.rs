@@ -237,7 +237,9 @@ pub trait Provisioner {
     /// paying for expensive forecasting and fall back to its cheapest
     /// prediction path. Levels are cumulative and may be raised or lowered
     /// at any slot boundary. Default: ignore — a provisioner with no
-    /// degradable stages simply keeps serving at full fidelity.
+    /// degradable stages simply keeps serving at full fidelity. The
+    /// provisioning pipeline forecasts only to reallocate, so levels 1 and
+    /// 2 do the same thing there: no reallocation and no forecast.
     fn set_service_level(&mut self, level: u8) {
         let _ = level;
     }

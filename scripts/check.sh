@@ -5,7 +5,7 @@
 #   scripts/check.sh              # the standard gate: examples, unsafe, serde, fmt,
 #                                 # clippy, doc, release build, tests, then
 #                                 # the serve, resilience, scale and bench
-#                                 # smokes
+#                                 # smokes, then portable
 #   scripts/check.sh examples     # grep only, no build: fails when an
 #                                 # examples/*.rs file is not the `path` of
 #                                 # some crate's `[[example]]`, or when a
@@ -58,6 +58,22 @@
 #                                 # digest repeatability, no invalid
 #                                 # actions) on all five workloads; the
 #                                 # timings it prints mean nothing
+#   scripts/check.sh portable     # the numerics at the baseline x86-64
+#                                 # target: builds with RUSTFLAGS="-C
+#                                 # target-cpu=x86-64" (no AVX2, no FMA)
+#                                 # into its own target directory
+#                                 # (target/portable) and runs
+#                                 # tests/experiment_shapes.rs, figure and
+#                                 # serve goldens included, then the
+#                                 # corp-dnn and corp-core tests. It pins
+#                                 # that the DNN kernels' bits do not
+#                                 # depend on the x86-64-v3 level
+#                                 # .cargo/config.toml selects. Timing
+#                                 # trap: that file applies only to cargo
+#                                 # run from the repo root (or below), so
+#                                 # a benchmark built from elsewhere
+#                                 # silently drops x86-64-v3 — same
+#                                 # digests, forecast about 4x slower
 #   scripts/check.sh doc          # rustdoc gate only: every public item
 #                                 # documented, no broken intra-doc links
 #   scripts/check.sh reach        # advisory, always exits 0: prints
@@ -344,6 +360,22 @@ if [[ "${1:-}" == "bench-smoke" ]]; then
     exit 0
 fi
 
+portable() {
+    # RUSTFLAGS takes precedence over .cargo/config.toml's rustflags; its
+    # own target directory keeps the default build's artifacts intact.
+    local env=(env RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/portable)
+    echo "==> RUSTFLAGS='-C target-cpu=x86-64' cargo test -p corp-bench --test experiment_shapes"
+    "${env[@]}" cargo test -q -p corp-bench --test experiment_shapes
+    echo "==> RUSTFLAGS='-C target-cpu=x86-64' cargo test -p corp-dnn -p corp-core"
+    "${env[@]}" cargo test -q -p corp-dnn -p corp-core
+    echo "Portable gate passed."
+}
+
+if [[ "${1:-}" == "portable" ]]; then
+    portable
+    exit 0
+fi
+
 examples_gate
 
 unsafe_gate
@@ -371,5 +403,7 @@ resilience_smoke
 scale_smoke
 
 bench_smoke
+
+portable
 
 echo "All checks passed."
