@@ -8,9 +8,13 @@
 //! *concurrently live* jobs no matter how long the trace runs. The run reports throughput (slots/s, jobs/s),
 //! the arena high-water mark, the process peak RSS, and the engine's
 //! deterministic work count (VM entries visited per slot beside the VMs
-//! actually occupied) and the wall time of each engine phase; `--smoke` replays a small configuration and
-//! asserts the memory-boundedness invariant and that the slot loop's work
-//! tracks occupied VMs, not the fleet (`scripts/check.sh scale-smoke`).
+//! actually occupied) and the wall time of each engine phase, in total and
+//! per job-slot (one running job advanced through one slot); `--check`
+//! turns on the engine's per-step invariant checks
+//! ([`SimulationOptions::check`]); `--smoke` replays a small configuration
+//! with the checks on and asserts the memory-boundedness invariant and
+//! that the slot loop's work tracks occupied VMs, not the fleet
+//! (`scripts/check.sh scale-smoke`).
 //! Citable numbers for this regime come from the `soak-50k` workload of
 //! `benchmark/`, not from here.
 
@@ -37,7 +41,11 @@ pub struct ScaleArgs {
     /// placement store) instead of the direct monolithic provisioner
     /// (`--shards K`; `None` = monolithic).
     pub shards: Option<usize>,
-    /// Small CI configuration plus invariant assertions (`--smoke`).
+    /// Check the engine's bookkeeping after every slot (`--check`; see
+    /// [`SimulationOptions::check`]). A violation panics.
+    pub check: bool,
+    /// Small CI configuration plus invariant assertions (`--smoke`);
+    /// implies `check`.
     pub smoke: bool,
 }
 
@@ -48,6 +56,7 @@ impl Default for ScaleArgs {
             jobs: 1_000_000,
             seed: 0x5CA1E,
             shards: None,
+            check: false,
             smoke: false,
         }
     }
@@ -66,11 +75,13 @@ impl ScaleArgs {
                 "--jobs" => out.jobs = flags.count(flag, 1)?,
                 "--seed" => out.seed = parse_seed(flags.value(flag)?)?,
                 "--shards" => out.shards = Some(flags.count(flag, 1)?),
+                "--check" => out.check = true,
                 "--smoke" => {
                     // The CI configuration: small enough to finish in
                     // seconds, large enough that an unbounded arena would
                     // be unmistakable against the concurrency level.
                     out.smoke = true;
+                    out.check = true;
                     out.vms = 256;
                     out.jobs = 5_000;
                 }
@@ -126,6 +137,10 @@ pub struct ScaleResult {
     /// Wall time of each phase of the engine's slot loop over the run
     /// ([`SlotEngine::phase_times`](corp_sim::SlotEngine::phase_times)).
     pub phases: PhaseTimes,
+    /// Running jobs advanced, summed over every slot: what each phase's
+    /// time is divided by for its cost per job-slot. Deterministic for a
+    /// fixed seed.
+    pub job_slots: u64,
 }
 
 /// `--smoke` bound on VM visits per occupied VM after warm-up. A settled
@@ -185,6 +200,7 @@ pub fn run_scale(args: &ScaleArgs) -> ScaleResult {
         source,
         SimulationOptions {
             measure_decision_time: false,
+            check: args.check,
             ..Default::default()
         },
     );
@@ -205,8 +221,12 @@ pub fn run_scale(args: &ScaleArgs) -> ScaleResult {
     // are still filling: slots, occupied VMs summed over them, and the
     // visit count they start from.
     let (mut steady_slots, mut occupied_sum, mut warm_up_visits) = (0u64, 0u64, 0u64);
+    // Jobs advanced in a slot: those running after it, and those that
+    // completed in it.
+    let mut job_slots = 0u64;
     let started = std::time::Instant::now();
-    let report = sim.run_inspecting(provisioner.as_mut(), |engine, _| {
+    let report = sim.run_inspecting(provisioner.as_mut(), |engine, outcome| {
+        job_slots += (engine.running_jobs() + outcome.completed.len()) as u64;
         if engine.slot() <= VIEW_HISTORY_CAP as u64 {
             warm_up_visits = engine.vm_visits();
         } else {
@@ -238,6 +258,7 @@ pub fn run_scale(args: &ScaleArgs) -> ScaleResult {
         occupied_vms_per_slot: per_steady_slot(occupied_sum),
         vm_visits_per_slot: per_steady_slot(steady_visits),
         phases: sim.engine().phase_times(),
+        job_slots,
     }
 }
 
@@ -348,10 +369,13 @@ pub fn scale_experiment(args: &ScaleArgs) -> Result<FigureTable, String> {
         "engine VM visits / slot",
         format!("{:.1}", result.vm_visits_per_slot),
     );
+    row("job-slots advanced", format!("{}", result.job_slots));
+    let per_job_slot = |time: f64| time * 1e9 / result.job_slots.max(1) as f64;
     for (phase, time) in result.phases.named() {
+        let secs = time.as_secs_f64();
         row(
-            &format!("engine {phase} (s)"),
-            format!("{:.3}", time.as_secs_f64()),
+            &format!("engine {phase} (s, ns/job-slot)"),
+            format!("{secs:.3}, {:.1}", per_job_slot(secs)),
         );
     }
     if result.shards > 0 {
@@ -374,7 +398,8 @@ pub fn scale_experiment(args: &ScaleArgs) -> Result<FigureTable, String> {
                  {VIEW_HISTORY_CAP} slots; both are deterministic for a fixed seed"
             ),
             "engine phase rows are wall time summed over the run, the provisioner's \
-             own calls excluded; they vary run to run"
+             own calls excluded, and that time over the job-slots advanced (running \
+             jobs summed over slots, deterministic); the times vary run to run"
                 .into(),
         ],
     })
@@ -389,7 +414,7 @@ mod tests {
         let args =
             ScaleArgs::parse(&["--smoke".to_string(), "--seed".to_string(), "7".to_string()])
                 .unwrap();
-        assert!(args.smoke);
+        assert!(args.smoke && args.check, "the smoke run checks invariants");
         assert_eq!(args.vms, 256);
         assert_eq!(args.jobs, 5_000);
         assert_eq!(args.seed, 7);
@@ -422,6 +447,7 @@ mod tests {
             jobs: 400,
             seed: 11,
             shards: Some(2),
+            check: true,
             smoke: true,
         };
         let result = run_scale(&args);
@@ -440,6 +466,7 @@ mod tests {
             jobs: 400,
             seed: 11,
             shards: None,
+            check: true,
             smoke: true,
         };
         let result = run_scale(&args);

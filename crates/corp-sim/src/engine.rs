@@ -9,6 +9,12 @@
 //! metrics. [`SlotEngine::phase_times`] says how long each of those
 //! phases has taken.
 //!
+//! Running jobs live in one table (`RunTable`, in `store.rs`), a row
+//! per job in the order every phase walks them: VM id ascending, and
+//! within a VM the order its jobs were placed in, with `swap_remove` on
+//! completion. Advance, the views, the completion scan and the crash
+//! drain read each VM's jobs as one contiguous run of rows.
+//!
 //! [`SlotEngine`] is the core, exposed so drivers can submit jobs as they
 //! arrive and pump slots one [`step`](SlotEngine::step) at a time: the
 //! slot loop in [`crate::streaming`] feeds it from an arrival-ordered
@@ -35,8 +41,8 @@ use crate::provisioner::{
     SlotContext, VmView, VIEW_HISTORY_CAP,
 };
 use crate::resources::ResourceVector;
-use crate::ring::{copy_tail, BoundedRing};
-use crate::store::{JobHandle, JobStore};
+use crate::ring::{copy_newest, copy_tail, BoundedRing};
+use crate::store::{JobHandle, JobStore, RunTable};
 use crate::streaming::StreamingSimulation;
 use crate::vm_set::{ids_in, VmSet};
 use corp_faults::{FaultEvent, FaultTimeline};
@@ -75,6 +81,13 @@ pub struct SimulationOptions {
     /// jobs in every driver. The field remains so that option literals
     /// which set it still build.
     pub reclaim_completed: bool,
+    /// Check the engine's bookkeeping after every step, in any build:
+    /// job conservation, per-VM commitments, allocations within requests,
+    /// the occupied set, and the run table's rows, order and `row_of`
+    /// index. A violation panics with the slot and what broke. Off by
+    /// default; off, it costs one branch per step. (Test builds of this
+    /// crate run the same checks, and the shadow-based ones, always.)
+    pub check: bool,
 }
 
 impl Default for SimulationOptions {
@@ -83,6 +96,7 @@ impl Default for SimulationOptions {
             max_slots: 100_000,
             measure_decision_time: true,
             reclaim_completed: false,
+            check: false,
         }
     }
 }
@@ -214,8 +228,15 @@ pub struct SlotEngine {
     store: JobStore,
     index_of: HashMap<JobId, JobHandle>,
     metrics: MetricsCollector,
-    /// Per-VM unused totals per slot; an idle VM's zeros are owed, not
-    /// written (see `idle_from`).
+    /// The running jobs, a row each, in slot-loop order.
+    rows: RunTable,
+    /// The provisioner's [`full_view_period`](Provisioner::full_view_period),
+    /// read at the first step and held for the run.
+    view_period: Option<u64>,
+    /// Per-VM unused totals per slot, the tails full views show; an idle
+    /// VM's zeros are owed, not written (see `idle_from`). Empty, with no
+    /// ring allocated, under a `view_period` of `u64::MAX`: no view after
+    /// slot 0 shows more than `newest_unused`.
     vm_unused_history: Vec<BoundedRing>,
     /// Registered predictions by target slot: the slot takes its bucket
     /// and nothing else is looked at.
@@ -227,7 +248,6 @@ pub struct SlotEngine {
     faults: Option<FaultRuntime>,
     max_capacity: ResourceVector,
     vm_committed: Vec<ResourceVector>,
-    vm_jobs: Vec<Vec<JobHandle>>,
     /// Admitted jobs awaiting placement (engine-side pending queue).
     pending: Vec<JobHandle>,
     /// Jobs submitted since the last step, admitted (or rejected) at the
@@ -235,10 +255,9 @@ pub struct SlotEngine {
     incoming: Vec<JobHandle>,
     active: usize,
     slot: u64,
-    /// The VMs with `!vm_jobs[vm].is_empty()`, updated where `vm_jobs`
-    /// changes (placement, completion, crash). Advance walks it instead
-    /// of the fleet, in ascending VM id — the order the f64 slot totals
-    /// and the completion batch depend on.
+    /// The VMs that have rows, updated where rows come and go
+    /// (placement, completion, crash). The view phase walks it instead of
+    /// the fleet, in ascending VM id.
     occupied: VmSet,
     /// Per unoccupied VM, the first slot whose zero sample is not on its
     /// ring yet: its history at slot `s` is "ring ⧺ (s − idle_from)
@@ -252,22 +271,26 @@ pub struct SlotEngine {
     view_full: Option<bool>,
     /// See [`vm_visits`](Self::vm_visits).
     vm_visits: u64,
+    /// Each VM's unused total on the newest slot advance visited it: the
+    /// sample a newest-only view shows unless zeros are owed, and, for
+    /// the VMs occupied this slot, the actual VM-targeted predictions are
+    /// scored against.
+    newest_unused: Vec<ResourceVector>,
     // Per-slot scratch, reused across steps instead of reallocated.
-    /// This slot's unused total per VM; zero for every unoccupied VM.
-    slot_vm_unused: Vec<ResourceVector>,
     vm_views: Vec<VmView>,
     /// `(vm, vm_views[vm].jobs)`: entries and their history buffers, taken
     /// out while off-period slots list no jobs, put back at the next full.
     parked_jobs: Vec<(usize, Vec<RunningJobView>)>,
-    /// `(vm, i)` for every view entry `vm_views[vm].jobs[i]` holding its
-    /// job's own history buffers (swapped with the entry's) for this
-    /// slot's `provision` call; swapped back right after it. Empty
-    /// between steps.
+    /// `(row, i)` for every view entry `vm_views[vm].jobs[i]` (`vm` the
+    /// row's) holding the history buffers of the row's job (swapped with
+    /// the entry's) for this slot's `provision` call; swapped back right
+    /// after it. Empty between steps.
     lent: Vec<(usize, usize)>,
     pending_views: Vec<PendingJobView>,
-    /// VMs where advance saw a job reach `work_done()` this slot,
-    /// ascending: the only ones the completion phase visits.
-    finished_vms: Vec<usize>,
+    /// `(vm, first row, end row)` of each VM where advance saw a job reach
+    /// `work_done()` this slot, ascending: the only runs the completion
+    /// phase visits.
+    finished: Vec<(usize, usize, usize)>,
     /// Reused completion records; a slot delivers the prefix it filled.
     completions: Vec<JobCompletion>,
     /// See [`phase_times`](Self::phase_times).
@@ -281,6 +304,11 @@ pub struct SlotEngine {
     /// against.
     #[cfg(test)]
     shadow_histories: HashMap<JobHandle, [Vec<ResourceVector>; 2]>,
+    /// Each VM's jobs as a `Vec` kept the obvious way — pushed on
+    /// placement, `swap_remove`d on completion, drained on a crash: the
+    /// ground truth the run table's order is checked against.
+    #[cfg(test)]
+    shadow_vm_jobs: Vec<Vec<JobHandle>>,
 }
 
 impl SlotEngine {
@@ -306,7 +334,9 @@ impl SlotEngine {
             options,
             index_of: HashMap::new(),
             metrics: MetricsCollector::new(),
-            vm_unused_history: vec![BoundedRing::new(); num_vms],
+            rows: RunTable::default(),
+            view_period: None,
+            vm_unused_history: Vec::new(),
             predictions_due: HashMap::new(),
             spare_buckets: Vec::new(),
             invalid_actions: 0,
@@ -314,7 +344,6 @@ impl SlotEngine {
             faults: None,
             max_capacity,
             vm_committed: vec![ResourceVector::ZERO; num_vms],
-            vm_jobs: vec![Vec::new(); num_vms],
             pending: Vec::new(),
             incoming: Vec::new(),
             active: 0,
@@ -324,18 +353,20 @@ impl SlotEngine {
             unsettled: VmSet::empty(num_vms),
             view_full: None,
             vm_visits: 0,
-            slot_vm_unused: vec![ResourceVector::ZERO; num_vms],
+            newest_unused: vec![ResourceVector::ZERO; num_vms],
             vm_views,
             parked_jobs: Vec::new(),
             lent: Vec::new(),
             pending_views: Vec::new(),
-            finished_vms: Vec::new(),
+            finished: Vec::new(),
             completions: Vec::new(),
             phase_times: PhaseTimes::default(),
             #[cfg(test)]
             shadow_unused: vec![Vec::new(); num_vms],
             #[cfg(test)]
             shadow_histories: HashMap::new(),
+            #[cfg(test)]
+            shadow_vm_jobs: vec![Vec::new(); num_vms],
         }
     }
 
@@ -416,31 +447,37 @@ impl SlotEngine {
         self.vm_visits
     }
 
-    /// Zero samples `vm`'s ring is owed as of the current slot: one per
-    /// slot since it went idle, none while it hosts a job.
+    /// Jobs running after the last step: the run table's running rows.
+    pub fn running_jobs(&self) -> usize {
+        self.rows.live()
+    }
+
+    /// Zero samples `vm`'s history is owed as of the current slot: one
+    /// per slot since it went idle, none while it hosts a job.
     fn owed_zeros(&self, vm: usize) -> u64 {
-        if self.vm_jobs[vm].is_empty() {
-            self.slot - self.idle_from[vm]
-        } else {
+        if self.occupied.contains(vm) {
             0
+        } else {
+            self.slot - self.idle_from[vm]
         }
     }
 
-    /// Marks `vm` as having just lost its last job: its ring has samples
-    /// through slot `idle_from − 1` and is owed zeros from there on.
+    /// Marks `vm` as having just lost its last job: its history has
+    /// samples through slot `idle_from − 1` and is owed zeros from there
+    /// on.
     fn vacate(&mut self, vm: usize, idle_from: u64) {
         self.occupied.set(vm, false);
         self.unsettled.set(vm, true);
         self.idle_from[vm] = idle_from;
-        self.slot_vm_unused[vm] = ResourceVector::ZERO;
     }
 
     /// Rebuilds `vm`'s view for the current slot from ground truth: the
-    /// VM-level fields always, the per-job entries on `full` slots only.
-    /// A job entry takes the job's own history buffers for the slot (see
-    /// `lent`) unless the history is longer than a view shows or the VM's
-    /// monitoring is poisoned: then it gets a copy of the tail.
-    fn write_view(&mut self, vm: usize, full: bool) {
+    /// VM-level fields always, the per-job entries on `full` slots only,
+    /// from `run`, the VM's rows. A job entry takes the job's own history
+    /// buffers for the slot (see `lent`) unless the history is longer
+    /// than a view shows or the VM's monitoring is poisoned: then it gets
+    /// a copy of the tail.
+    fn write_view(&mut self, vm: usize, run: std::ops::Range<usize>, full: bool) {
         self.vm_visits += 1;
         let owed = self.owed_zeros(vm);
         let poison = self.faults.as_ref().and_then(|f| f.poison(vm));
@@ -460,13 +497,13 @@ impl SlotEngine {
         view.capacity = capacity;
         view.committed = self.vm_committed[vm];
         view.free = capacity.saturating_sub(&self.vm_committed[vm]);
-        let occupants = &self.vm_jobs[vm];
+        let idle = run.is_empty();
         if full {
             // Match the view list to the VM's occupancy, keeping the
             // history buffers of surviving entries alive.
-            view.jobs
-                .resize_with(occupants.len(), RunningJobView::default);
-            for (i, (jv, &h)) in view.jobs.iter_mut().zip(occupants).enumerate() {
+            view.jobs.resize_with(run.len(), RunningJobView::default);
+            for (i, (jv, r)) in view.jobs.iter_mut().zip(run).enumerate() {
+                let h = self.rows.handle[r];
                 let job = self.store.job(h);
                 (jv.id, jv.requested) = (job.id, job.requested);
                 let hot = self.store.hot_mut(h);
@@ -474,7 +511,7 @@ impl SlotEngine {
                 if poison.is_none() && hot.observed_demand.len() <= VIEW_HISTORY_CAP {
                     std::mem::swap(&mut jv.recent_demand, &mut hot.observed_demand);
                     std::mem::swap(&mut jv.recent_unused, &mut hot.observed_unused);
-                    self.lent.push((vm, i));
+                    self.lent.push((r, i));
                 } else {
                     copy_tail(&hot.observed_demand, &mut jv.recent_demand);
                     copy_tail(&hot.observed_unused, &mut jv.recent_unused);
@@ -484,12 +521,19 @@ impl SlotEngine {
             // The slot after a full one: park the entries.
             self.parked_jobs.push((vm, std::mem::take(&mut view.jobs)));
         }
-        self.vm_unused_history[vm].copy_view(owed, full, &mut view.unused_history);
+        match self.vm_unused_history.get(vm) {
+            Some(ring) if full => ring.copy_view(owed, &mut view.unused_history),
+            // Every VM has been advanced or owed a zero since slot 0.
+            _ => copy_newest(
+                (self.slot > 0).then(|| self.newest_unused[vm]),
+                owed,
+                &mut view.unused_history,
+            ),
+        }
         // An idle VM's view stops changing once the owed zeros fill the
         // depth on show: one sample off-period, a whole tail in full.
         let settles_at = if full { VIEW_HISTORY_CAP as u64 } else { 1 };
-        self.unsettled
-            .set(vm, occupants.is_empty() && owed < settles_at);
+        self.unsettled.set(vm, idle && owed < settles_at);
         // Poisoning corrupts only the monitoring tails the provisioner
         // sees this slot, which are copies; ground truth stays intact (a
         // fault-armed engine rewrites every view from it each slot).
@@ -513,6 +557,25 @@ impl SlotEngine {
         let mut outcome = SlotOutcome::default();
         let slot = self.slot;
         let mut mark = Instant::now();
+        // How often the provisioner reads per-job views and deep history
+        // tails (see `Provisioner::full_view_period`), declared for the
+        // run. Off-period slots carry the VM-level fields and the newest
+        // VM sample only; under `u64::MAX` no history is kept at all,
+        // per job or per VM, since nothing would ever read it. The
+        // period-1 equivalence test in `corp-bench`'s determinism suite is
+        // what holds provisioners to their declared period.
+        let full_view_period = match self.view_period {
+            Some(period) => period,
+            None => {
+                let period = provisioner.full_view_period();
+                if period != u64::MAX {
+                    self.vm_unused_history = vec![BoundedRing::new(); self.cluster.vms.len()];
+                }
+                self.view_period = Some(period);
+                period
+            }
+        };
+        let keeps_history = full_view_period != u64::MAX;
 
         // 0. Apply the faults scheduled for this slot, before arrivals
         // and provisioning: a crash kills the VM's running jobs
@@ -526,20 +589,25 @@ impl SlotEngine {
                     FaultEvent::VmCrash { vm } if vm < num_vms && !faults.is_down(vm) => {
                         faults.set_down(vm, true);
                         faults.stats.vm_crashes += 1;
-                        if !self.vm_jobs[vm].is_empty() {
-                            // Its ring holds samples through last slot.
+                        let run = self.rows.run_of(vm);
+                        if !run.is_empty() {
+                            // Its history has samples through last slot.
                             self.vacate(vm, slot);
                         }
-                        for h in self.vm_jobs[vm].drain(..) {
+                        for r in run {
+                            let h = self.rows.handle[r];
                             faults.stats.jobs_killed += 1;
                             faults.kill_slot.insert(self.store.job(h).id(), slot);
                             self.store.job_mut(h).state = JobState::Pending;
+                            self.rows.vacate(r);
                             let hot = self.store.hot_mut(h);
                             hot.progress = 0.0;
                             hot.demand_now = hot.current_demand();
                             hot.allocation = ResourceVector::ZERO;
                             self.pending.push(h);
                         }
+                        #[cfg(test)]
+                        self.shadow_vm_jobs[vm].clear();
                         self.vm_committed[vm] = ResourceVector::ZERO;
                     }
                     FaultEvent::VmRecover { vm } if vm < num_vms && faults.is_down(vm) => {
@@ -579,15 +647,6 @@ impl SlotEngine {
         lap(&mut self.phase_times.admit, &mut mark);
 
         // 2. Ask the provisioner for a plan.
-        // How often the provisioner reads per-job views and deep history
-        // tails (see `Provisioner::full_view_period`). Off-period slots
-        // carry the VM-level fields and the newest VM sample only; under
-        // `u64::MAX` no per-job history is kept at all, since nothing
-        // would ever read it. The period-1 equivalence test in
-        // `corp-bench`'s determinism suite is what holds provisioners to
-        // their declared period.
-        let full_view_period = provisioner.full_view_period();
-        let keeps_history = full_view_period != u64::MAX;
         let plan = {
             let full = slot % full_view_period.max(1) == 0;
             // Only occupied VMs and idle ones still absorbing owed zeros
@@ -604,14 +663,21 @@ impl SlotEngine {
                     self.vm_views[vm].jobs = jobs;
                 }
             }
+            // Either walk visits every VM with rows, in ascending id, so
+            // each VM's run starts where the previous one's ended.
+            let mut next_row = 0;
             if whole_fleet {
                 for vm in 0..self.cluster.vms.len() {
-                    self.write_view(vm, full);
+                    let (run, block_end) = self.rows.run_from(next_row, vm);
+                    next_row = block_end;
+                    self.write_view(vm, run, full);
                 }
             } else {
                 for w in 0..self.occupied.num_words() {
                     for vm in ids_in(w, self.occupied.word(w) | self.unsettled.word(w)) {
-                        self.write_view(vm, full);
+                        let (run, block_end) = self.rows.run_from(next_row, vm);
+                        next_row = block_end;
+                        self.write_view(vm, run, full);
                     }
                 }
             }
@@ -645,9 +711,9 @@ impl SlotEngine {
             plan
         };
         // Every history lent to a view goes back to its job.
-        for (vm, i) in self.lent.drain(..) {
-            let view = &mut self.vm_views[vm].jobs[i];
-            let hot = self.store.hot_mut(self.vm_jobs[vm][i]);
+        for (r, i) in self.lent.drain(..) {
+            let view = &mut self.vm_views[self.rows.vm[r] as usize].jobs[i];
+            let hot = self.store.hot_mut(self.rows.handle[r]);
             std::mem::swap(&mut view.recent_demand, &mut hot.observed_demand);
             std::mem::swap(&mut view.recent_unused, &mut hot.observed_unused);
         }
@@ -695,10 +761,12 @@ impl SlotEngine {
                 self.invalid_actions += 1;
                 continue;
             };
-            let JobState::Running { vm } = self.store.job(h).state else {
+            // Only a running job has a row.
+            let Some(r) = self.rows.row_of(h) else {
                 self.invalid_actions += 1;
                 continue;
             };
+            let vm = self.rows.vm[r] as usize;
             if !new_alloc.is_finite() {
                 self.invalid_actions += 1;
                 self.nonfinite_actions += 1;
@@ -716,7 +784,7 @@ impl SlotEngine {
                 .fits_within(&self.cluster.vms[vm].capacity)
             {
                 self.vm_committed[vm] = candidate.clamp_nonnegative();
-                self.store.set_allocation(h, new_alloc);
+                self.store.hot_mut(h).allocation = new_alloc;
             } else {
                 self.invalid_actions += 1;
             }
@@ -759,14 +827,17 @@ impl SlotEngine {
                 continue;
             }
             self.vm_committed[p.vm] += alloc;
-            if self.vm_jobs[p.vm].is_empty() {
+            if !self.occupied.contains(p.vm) {
                 // Real samples resume this slot: settle the zeros owed
                 // for the idle slots before it.
                 let owed = self.owed_zeros(p.vm);
-                self.vm_unused_history[p.vm].push_zeros(owed);
+                if let Some(ring) = self.vm_unused_history.get_mut(p.vm) {
+                    ring.push_zeros(owed);
+                }
                 self.occupied.set(p.vm, true);
             }
-            self.vm_jobs[p.vm].push(h);
+            #[cfg(test)]
+            self.shadow_vm_jobs[p.vm].push(h);
             let hot = self.store.hot_mut(h);
             hot.allocation = alloc;
             if keeps_history {
@@ -778,6 +849,7 @@ impl SlotEngine {
                 hot.observed_demand.reserve_exact(samples);
                 hot.observed_unused.reserve_exact(samples);
             }
+            self.rows.place(p.vm, h);
             self.store.job_mut(h).state = JobState::Running { vm: p.vm };
             outcome.placements.push((p.job, p.vm));
             if let Some(faults) = self.faults.as_mut() {
@@ -786,83 +858,96 @@ impl SlotEngine {
         }
         if !outcome.placements.is_empty() {
             // One pass drops everything just placed; the survivors keep
-            // their arrival order.
+            // their arrival order. One more gives rows to the placed jobs
+            // that found no room in their VM's block.
             let store = &self.store;
             self.pending
                 .retain(|&h| matches!(store.job(h).state, JobState::Pending));
+            self.rows.insert_staged();
         }
 
         lap(&mut self.phase_times.apply, &mut mark);
 
-        // 5. Advance running jobs and collect per-slot totals. Unoccupied
-        // VMs are not visited: their sample is an owed zero. Each job's
-        // hot record holds all advance reads; the congestion sum needs
-        // only its first line.
+        // 5. Advance running jobs and collect per-slot totals, one VM's
+        // run of rows at a time, top to bottom. Unoccupied VMs are not
+        // visited: their sample is an owed zero. The congestion sum needs
+        // only the first line of each hot record.
         let mut slot_allocated = ResourceVector::ZERO;
         let mut slot_demanded = ResourceVector::ZERO;
-        for w in 0..self.occupied.num_words() {
-            for vm_id in ids_in(w, self.occupied.word(w)) {
-                self.vm_visits += 1;
-                let jobs_here = &self.vm_jobs[vm_id];
-                // Physical congestion: total true demand vs capacity.
-                let mut total_demand = ResourceVector::ZERO;
-                for &h in jobs_here {
-                    total_demand += self.store.hot(h).demand_now;
+        let mut start = 0;
+        while start < self.rows.len() {
+            let vm_id = self.rows.vm[start] as usize;
+            let (run, block_end) = self.rows.run_from(start, vm_id);
+            start = block_end;
+            if run.is_empty() {
+                continue;
+            }
+            self.vm_visits += 1;
+            // Physical congestion: total true demand vs capacity.
+            let mut total_demand = ResourceVector::ZERO;
+            for &h in &self.rows.handle[run.clone()] {
+                total_demand += self.store.hot(h).demand_now;
+            }
+            // A degraded VM physically delivers only a fraction of its
+            // nominal capacity; commitments are contractual and stay
+            // against nominal, so only the congestion math scales.
+            let cap = match self.faults.as_ref() {
+                Some(f) if f.degrade(vm_id) < 1.0 => {
+                    self.cluster.vms[vm_id].capacity.scaled(f.degrade(vm_id))
                 }
-                // A degraded VM physically delivers only a fraction of its
-                // nominal capacity; commitments are contractual and stay
-                // against nominal, so only the congestion math scales.
-                let cap = match self.faults.as_ref() {
-                    Some(f) if f.degrade(vm_id) < 1.0 => {
-                        self.cluster.vms[vm_id].capacity.scaled(f.degrade(vm_id))
+                _ => self.cluster.vms[vm_id].capacity,
+            };
+            let mut congestion = 1.0f64;
+            for k in 0..NUM_RESOURCES {
+                if total_demand[k] > cap[k] && total_demand[k] > 0.0 {
+                    congestion = congestion.min(cap[k] / total_demand[k]);
+                }
+            }
+            let mut vm_unused = ResourceVector::ZERO;
+            let mut finished = false;
+            for r in run.clone() {
+                let hot = self.store.hot_mut(self.rows.handle[r]);
+                let (demand, allocation) = (hot.demand_now, hot.allocation);
+                let rate = congestion.min(allocation.coverage_of(&demand));
+                let unused = allocation.saturating_sub(&demand);
+                hot.progress += rate;
+                hot.demand_now = hot.current_demand();
+                if keeps_history {
+                    hot.observed_demand.push(demand);
+                    hot.observed_unused.push(unused);
+                    #[cfg(test)]
+                    for (series, sample) in self
+                        .shadow_histories
+                        .entry(self.rows.handle[r])
+                        .or_default()
+                        .iter_mut()
+                        .zip([demand, unused])
+                    {
+                        series.push(sample);
                     }
-                    _ => self.cluster.vms[vm_id].capacity,
-                };
-                let mut congestion = 1.0f64;
-                for k in 0..NUM_RESOURCES {
-                    if total_demand[k] > cap[k] && total_demand[k] > 0.0 {
-                        congestion = congestion.min(cap[k] / total_demand[k]);
-                    }
                 }
-                let mut vm_unused = ResourceVector::ZERO;
-                let mut finished = false;
-                for &h in jobs_here {
-                    let hot = self.store.hot_mut(h);
-                    let (demand, allocation) = (hot.demand_now, hot.allocation);
-                    let rate = congestion.min(allocation.coverage_of(&demand));
-                    let unused = allocation.saturating_sub(&demand);
-                    hot.progress += rate;
-                    hot.demand_now = hot.current_demand();
-                    if keeps_history {
-                        hot.observed_demand.push(demand);
-                        hot.observed_unused.push(unused);
-                        #[cfg(test)]
-                        for (series, sample) in self
-                            .shadow_histories
-                            .entry(h)
-                            .or_default()
-                            .iter_mut()
-                            .zip([demand, unused])
-                        {
-                            series.push(sample);
-                        }
-                    }
-                    finished |= hot.work_done();
-                    self.store.set_last_unused(h, unused);
-                    vm_unused += unused;
-                    slot_allocated += allocation;
-                    slot_demanded += demand;
-                }
-                if finished {
-                    self.finished_vms.push(vm_id);
-                }
-                self.slot_vm_unused[vm_id] = vm_unused;
-                self.vm_unused_history[vm_id].push(vm_unused);
+                finished |= hot.work_done();
+                self.rows.unused[r] = unused;
+                vm_unused += unused;
+                slot_allocated += allocation;
+                slot_demanded += demand;
+            }
+            if finished {
+                self.finished.push((vm_id, run.start, run.end));
+            }
+            self.newest_unused[vm_id] = vm_unused;
+            if let Some(ring) = self.vm_unused_history.get_mut(vm_id) {
+                ring.push(vm_unused);
             }
         }
         #[cfg(test)]
-        for (series, &unused) in self.shadow_unused.iter_mut().zip(&self.slot_vm_unused) {
-            series.push(unused);
+        for (vm, series) in self.shadow_unused.iter_mut().enumerate() {
+            let occupied = self.occupied.contains(vm);
+            series.push(if occupied {
+                self.newest_unused[vm]
+            } else {
+                ResourceVector::ZERO
+            });
         }
         self.metrics.record_slot(UtilizationSample {
             slot,
@@ -882,13 +967,20 @@ impl SlotEngine {
                     continue; // malformed: dropped unscored
                 }
                 let actual = match p.job {
-                    Some(job_id) => match self.index_of.get(&job_id) {
-                        Some(&h) if matches!(self.store.job(h).state, JobState::Running { .. }) => {
-                            Some(self.store.last_unused(h)[p.resource])
+                    Some(job_id) => self
+                        .index_of
+                        .get(&job_id)
+                        .and_then(|&h| self.rows.row_of(h))
+                        .map(|r| self.rows.unused[r][p.resource]),
+                    None => (p.vm < self.newest_unused.len()).then(|| {
+                        // An unoccupied VM's sample this slot is zero.
+                        let occupied = self.occupied.contains(p.vm);
+                        if occupied {
+                            self.newest_unused[p.vm][p.resource]
+                        } else {
+                            0.0
                         }
-                        _ => None,
-                    },
-                    None => self.slot_vm_unused.get(p.vm).map(|u| u[p.resource]),
+                    }),
                 };
                 if let Some(actual) = actual {
                     let outcome = PredictionOutcome {
@@ -912,16 +1004,18 @@ impl SlotEngine {
         // can send one message per shard instead of one per job.
         #[cfg(test)]
         tests::check_finished_vms_against_full_scan(self);
-        for noted in 0..self.finished_vms.len() {
-            let vm_id = self.finished_vms[noted];
+        for noted in 0..self.finished.len() {
+            let (vm_id, start, mut end) = self.finished[noted];
             self.vm_visits += 1;
-            let jobs_here = &mut self.vm_jobs[vm_id];
-            let mut i = 0;
-            while i < jobs_here.len() {
-                let h = jobs_here[i];
+            // Completed rows leave the way `Vec::swap_remove` would: the
+            // run's last running row takes the place, and the row it
+            // vacates stays in the block as room for the VM's next job.
+            let mut r = start;
+            while r < end {
+                let h = self.rows.handle[r];
                 let (job, hot) = (self.store.job(h), self.store.hot(h));
                 if !hot.work_done() {
-                    i += 1;
+                    r += 1;
                     continue;
                 }
                 let id = job.id;
@@ -936,9 +1030,9 @@ impl SlotEngine {
                 }
                 let completion = &mut self.completions[outcome.completed.len()];
                 completion.job = id;
-                for (r, series) in completion.unused_history.iter_mut().enumerate() {
+                for (k, series) in completion.unused_history.iter_mut().enumerate() {
                     series.clear();
-                    series.extend(hot.observed_unused.iter().map(|u| u[r]));
+                    series.extend(hot.observed_unused.iter().map(|u| u[k]));
                 }
                 #[cfg(test)]
                 tests::check_completion_against_fresh(id, hot, completion);
@@ -946,26 +1040,165 @@ impl SlotEngine {
                     (self.vm_committed[vm_id] - hot.allocation).clamp_nonnegative();
                 self.metrics.record_completion(response, violated);
                 outcome.completed.push(id);
-                jobs_here.swap_remove(i);
+                end -= 1;
+                self.rows.swap_remove(r, end);
+                #[cfg(test)]
+                {
+                    let jobs = &mut self.shadow_vm_jobs[vm_id];
+                    if let Some(i) = jobs.iter().position(|&j| j == h) {
+                        jobs.swap_remove(i);
+                    }
+                }
                 self.active -= 1;
                 retire(&mut self.index_of, &mut self.store, h);
             }
-            if self.vm_jobs[vm_id].is_empty() {
-                // This slot's sample is on the ring; zeros are owed
-                // from the next one.
+            if start == end {
+                // This slot's sample is in; zeros are owed from the next
+                // one.
                 self.vacate(vm_id, slot + 1);
             }
         }
-        self.finished_vms.clear();
+        self.finished.clear();
+        self.rows.trim();
         lap(&mut self.phase_times.completions, &mut mark);
         if !outcome.completed.is_empty() {
             provisioner.on_jobs_completed(&self.completions[..outcome.completed.len()]);
         }
 
+        if cfg!(test) || self.options.check {
+            self.check_invariants();
+        }
         #[cfg(test)]
-        tests::check_invariants(self);
+        tests::check_against_shadows(self);
         self.slot += 1;
         outcome
+    }
+
+    /// The bookkeeping the slot loop keeps incrementally, against a full
+    /// recount; panics at the first disagreement. Run after every step
+    /// under [`SimulationOptions::check`] and in this crate's test builds.
+    fn check_invariants(&self) {
+        let slot = self.slot;
+        let (store, rows) = (&self.store, &self.rows);
+        // Job conservation: every job ever submitted is in exactly one
+        // place, or has left through a counted door.
+        let running = rows.live();
+        let (pending, incoming) = (self.pending.len(), self.incoming.len());
+        let metrics = &self.metrics;
+        assert_eq!(
+            store.total_inserted(),
+            incoming + pending + running + metrics.completed + metrics.rejected,
+            "job conservation at slot {slot}"
+        );
+        assert_eq!(store.live(), incoming + pending + running, "slot {slot}");
+        assert_eq!(self.active, pending + running, "slot {slot}");
+        // Generation safety: every handle in the rows and the two queues
+        // addresses a live job, and no arena slot is held twice.
+        let mut held = vec![false; store.capacity()];
+        let running_handles = rows.handle.iter().filter(|&&h| h != JobHandle::VACANT);
+        for &h in running_handles.chain(&self.pending).chain(&self.incoming) {
+            assert!(store.is_live(h), "stale handle {h:?} at slot {slot}");
+            assert!(
+                !std::mem::replace(&mut held[h.index()], true),
+                "{h:?} held twice at slot {slot}"
+            );
+        }
+        for &h in self.pending.iter().chain(&self.incoming) {
+            assert_eq!(store.job(h).state, JobState::Pending, "slot {slot}");
+            assert_eq!(
+                rows.row_of(h),
+                None,
+                "pending {h:?} has a row at slot {slot}"
+            );
+        }
+        // The rows: in VM order, each VM's running rows ahead of its vacant
+        // ones; each running row its job's one row, on the VM the job is
+        // running on, holding no more than the job asked for. Per VM, the
+        // committed total is the sum of its rows' allocations, within
+        // capacity, and the occupied set is exactly the VMs with running
+        // rows.
+        let mut sums = vec![ResourceVector::ZERO; self.cluster.vms.len()];
+        let mut hosting = Vec::new();
+        let mut live = 0;
+        for r in 0..rows.len() {
+            let (h, vm) = (rows.handle[r], rows.vm[r] as usize);
+            let same_block = r > 0 && rows.vm[r - 1] as usize == vm;
+            if r > 0 {
+                assert!(
+                    rows.vm[r - 1] as usize <= vm,
+                    "row {r} out of VM order at slot {slot}"
+                );
+            }
+            if h == JobHandle::VACANT {
+                continue;
+            }
+            if same_block {
+                assert_ne!(
+                    rows.handle[r - 1],
+                    JobHandle::VACANT,
+                    "row {r} after a vacant one at slot {slot}"
+                );
+            }
+            live += 1;
+            assert_eq!(rows.row_of(h), Some(r), "row_of of {h:?} at slot {slot}");
+            if hosting.last() != Some(&vm) {
+                hosting.push(vm);
+            }
+            let (job, hot) = (store.job(h), store.hot(h));
+            assert_eq!(
+                job.state,
+                JobState::Running { vm },
+                "row {r} at slot {slot}"
+            );
+            assert!(
+                hot.allocation
+                    .fits_within(&(job.requested + ResourceVector::splat(1e-9))),
+                "job {} holds {:?} of a {:?} request at slot {slot}",
+                job.id,
+                hot.allocation,
+                job.requested
+            );
+            assert_eq!(
+                hot.demand_now,
+                hot.current_demand(),
+                "row {r} at slot {slot}"
+            );
+            sums[vm] += hot.allocation;
+        }
+        assert_eq!(live, running, "running rows at slot {slot}");
+        for (vm, sum) in sums.iter().enumerate() {
+            let committed = self.vm_committed[vm];
+            for k in 0..NUM_RESOURCES {
+                assert!(
+                    (committed[k] - sum[k]).abs() <= 1e-9,
+                    "VM {vm} commits {committed:?}, its rows hold {sum:?} at slot {slot}"
+                );
+            }
+            let capacity = self.cluster.vms[vm].capacity + ResourceVector::splat(1e-9);
+            assert!(
+                sum.fits_within(&capacity),
+                "VM {vm} over capacity at slot {slot}"
+            );
+        }
+        let occupied: Vec<usize> = (0..self.occupied.num_words())
+            .flat_map(|w| ids_in(w, self.occupied.word(w)))
+            .collect();
+        assert_eq!(occupied, hosting, "occupied set at slot {slot}");
+        // Every index entry addresses a live job with that id, every lent
+        // history is back in its job's record, and every pending job's
+        // cached demand row is the one its progress points at.
+        for (&id, &h) in &self.index_of {
+            assert!(
+                store.is_live(h),
+                "stale index entry for job {id} at slot {slot}"
+            );
+            assert_eq!(store.job(h).id, id);
+        }
+        assert!(self.lent.is_empty(), "slot {slot}");
+        for &h in &self.pending {
+            let hot = store.hot(h);
+            assert_eq!(hot.demand_now, hot.current_demand(), "slot {slot}");
+        }
     }
 
     /// Folds the accumulated metrics into a [`SimulationReport`]. Call
@@ -1120,9 +1353,10 @@ mod tests {
 
     /// The obviously-correct view construction: every view built from
     /// freshly allocated vectors straight off the engine's ground truth —
-    /// no buffer reuse, no parking, no lending, no VM skipped, and VM and
-    /// job histories read from the eager shadow series rather than the
-    /// lazy rings and the job records. Off-period views list no jobs.
+    /// no buffer reuse, no parking, no lending, no VM skipped, each VM's
+    /// jobs in the order of its shadow `Vec`, and VM and job histories
+    /// read from the eager shadow series rather than the lazy rings and
+    /// the rows. Off-period views list no jobs.
     fn reference_views(engine: &SlotEngine, full: bool) -> Vec<VmView> {
         let depth = if full { VIEW_HISTORY_CAP } else { 1 };
         let tail =
@@ -1145,7 +1379,7 @@ mod tests {
                 capacity: vm.capacity,
                 committed,
                 free: vm.capacity.saturating_sub(&committed),
-                jobs: engine.vm_jobs[vm.id]
+                jobs: engine.shadow_vm_jobs[vm.id]
                     .iter()
                     .filter(|_| full)
                     .map(|&h| {
@@ -1197,15 +1431,23 @@ mod tests {
     /// VMs advance noted are exactly the ones a scan of every VM's jobs
     /// finds a finished job on, in the same ascending order.
     pub(super) fn check_finished_vms_against_full_scan(engine: &SlotEngine) {
-        let done = |h: &JobHandle| engine.store.hot(*h).work_done();
-        let scanned: Vec<usize> = (0..engine.vm_jobs.len())
-            .filter(|&vm| engine.vm_jobs[vm].iter().any(done))
+        let done = |h: &JobHandle| {
+            let r = engine.rows.row_of(*h).expect("a running job has a row");
+            engine.store.hot(engine.rows.handle[r]).work_done()
+        };
+        let jobs = &engine.shadow_vm_jobs;
+        let scanned: Vec<usize> = (0..jobs.len())
+            .filter(|&vm| jobs[vm].iter().any(done))
             .collect();
+        let noted: Vec<usize> = engine.finished.iter().map(|&(vm, ..)| vm).collect();
         assert_eq!(
-            engine.finished_vms, scanned,
+            noted, scanned,
             "VMs noted by advance at slot {}",
             engine.slot
         );
+        for &(vm, start, end) in &engine.finished {
+            assert_eq!(engine.rows.run_of(vm), start..end, "slot {}", engine.slot);
+        }
         FINISH_CHECKS.with(|n| n.set(n.get() + 1));
     }
 
@@ -1221,138 +1463,86 @@ mod tests {
         assert_eq!(completion.unused_history, fresh, "job {id}");
     }
 
+    /// The handles of `vm`'s rows, top to bottom.
+    fn rows_on(engine: &SlotEngine, vm: usize) -> Vec<JobHandle> {
+        engine
+            .rows
+            .run_of(vm)
+            .map(|r| engine.rows.handle[r])
+            .collect()
+    }
+
     /// Called by [`SlotEngine::step`] in this crate's test builds at the
-    /// end of every slot of every test: the bookkeeping the slot loop
-    /// keeps incrementally agrees with a full recount.
-    pub(super) fn check_invariants(engine: &mut SlotEngine) {
+    /// end of every slot of every test, after
+    /// [`SlotEngine::check_invariants`]: the state the engine keeps
+    /// against its eager shadows. Each VM's rows are its shadow `Vec`, in
+    /// order, and every job's histories are its shadow series.
+    pub(super) fn check_against_shadows(engine: &mut SlotEngine) {
         let slot = engine.slot;
         let store = &engine.store;
         engine.shadow_histories.retain(|&h, _| store.is_live(h));
-        // Job conservation: every job ever submitted is in exactly one
-        // place, or has left through a counted door.
-        let running: usize = engine.vm_jobs.iter().map(Vec::len).sum();
-        let (pending, incoming) = (engine.pending.len(), engine.incoming.len());
-        let metrics = &engine.metrics;
-        assert_eq!(
-            store.total_inserted(),
-            incoming + pending + running + metrics.completed + metrics.rejected,
-            "job conservation at slot {slot}"
-        );
-        assert_eq!(store.live(), incoming + pending + running, "slot {slot}");
-        assert_eq!(engine.active, pending + running, "slot {slot}");
-        // Generation safety: every handle in the VM lists and the two
-        // queues addresses a live job, and no arena slot is held twice.
-        let mut held = vec![false; store.capacity()];
-        for &h in engine
-            .vm_jobs
+        for (vm, shadow) in engine.shadow_vm_jobs.iter().enumerate() {
+            assert_eq!(
+                &rows_on(engine, vm),
+                shadow,
+                "VM {vm}'s rows at slot {slot}"
+            );
+        }
+        let running = engine
+            .rows
+            .handle
             .iter()
-            .flatten()
-            .chain(&engine.pending)
-            .chain(&engine.incoming)
-        {
-            assert!(store.is_live(h), "stale handle {h:?} at slot {slot}");
-            assert!(
-                !std::mem::replace(&mut held[h.index()], true),
-                "{h:?} held twice at slot {slot}"
-            );
-        }
-        for &h in &engine.pending {
-            assert_eq!(store.job(h).state, JobState::Pending, "slot {slot}");
-        }
-        let mut hosting = Vec::new();
-        for (vm, jobs) in engine.vm_jobs.iter().enumerate() {
-            if !jobs.is_empty() {
-                hosting.push(vm);
-            }
-            // Per VM: the committed total is the sum of its jobs'
-            // allocations, within capacity; no job holds more than it
-            // asked for.
-            let mut sum = ResourceVector::ZERO;
-            for &h in jobs {
-                let (job, allocation) = (store.job(h), store.allocation(h));
-                assert_eq!(job.state, JobState::Running { vm }, "slot {slot}");
-                assert!(
-                    allocation.fits_within(&(job.requested + ResourceVector::splat(1e-9))),
-                    "job {} holds {allocation:?} of a {:?} request at slot {slot}",
-                    job.id,
-                    job.requested
-                );
-                sum += allocation;
-            }
-            let committed = engine.vm_committed[vm];
-            for k in 0..NUM_RESOURCES {
-                assert!(
-                    (committed[k] - sum[k]).abs() <= 1e-9,
-                    "VM {vm} commits {committed:?}, its jobs hold {sum:?} at slot {slot}"
-                );
-            }
-            let capacity = engine.cluster.vms[vm].capacity + ResourceVector::splat(1e-9);
-            assert!(
-                sum.fits_within(&capacity),
-                "VM {vm} over capacity at slot {slot}"
-            );
-        }
-        // The occupied set is exactly the VMs with jobs.
-        let occupied: Vec<usize> = (0..engine.occupied.num_words())
-            .flat_map(|w| ids_in(w, engine.occupied.word(w)))
-            .collect();
-        assert_eq!(occupied, hosting, "occupied set at slot {slot}");
-        // Every index entry addresses a live job with that id.
-        for (&id, &h) in &engine.index_of {
-            assert!(
-                store.is_live(h),
-                "stale index entry for job {id} at slot {slot}"
-            );
-            assert_eq!(store.job(h).id, id);
-        }
-        // Every lent history is back in its job's record, and every
-        // cached demand row is the one progress points at.
-        assert!(engine.lent.is_empty(), "slot {slot}");
-        for &h in engine.vm_jobs.iter().flatten().chain(&engine.pending) {
-            let hot = store.hot(h);
-            assert_eq!(hot.demand_now, hot.current_demand(), "slot {slot}");
+            .filter(|&&h| h != JobHandle::VACANT);
+        for &h in running.chain(&engine.pending) {
+            let hot = engine.store.hot(h);
             let shadow = engine.shadow_histories.get(&h).cloned().unwrap_or_default();
             assert_eq!(
                 [&hot.observed_demand, &hot.observed_unused],
                 [&shadow[0], &shadow[1]],
                 "job {}'s histories at slot {slot}",
-                store.job(h).id
+                engine.store.job(h).id
             );
         }
         INVARIANT_CHECKS.with(|n| n.set(n.get() + 1));
     }
 
     /// The lazy per-VM state against its eager ground truth: the occupied
-    /// set is exactly the VMs with jobs, unoccupied VMs carry no unused
-    /// total, and every ring plus the zeros it is owed reads as the tail
-    /// of the series that got one sample per VM per slot.
+    /// set is exactly the VMs with rows, every VM's newest-only view reads
+    /// as the newest sample of the series that got one sample per VM per
+    /// slot, and, where the engine keeps rings, every ring plus the zeros
+    /// it is owed reads as that series' tail. Under a view period of
+    /// `u64::MAX` the engine keeps no ring: the newest sample is all any
+    /// view after slot 0 can show.
     fn check_lazy_state_against_shadow(engine: &SlotEngine) {
         let slot = engine.slot;
         let occupied: Vec<usize> = (0..engine.occupied.num_words())
             .flat_map(|w| ids_in(w, engine.occupied.word(w)))
             .collect();
-        let hosting: Vec<usize> = (0..engine.vm_jobs.len())
-            .filter(|&vm| !engine.vm_jobs[vm].is_empty())
+        let hosting: Vec<usize> = (0..engine.shadow_vm_jobs.len())
+            .filter(|&vm| !engine.shadow_vm_jobs[vm].is_empty())
             .collect();
         assert_eq!(occupied, hosting, "occupied set at slot {slot}");
         assert_eq!(engine.occupied_vms(), hosting.len());
+        let keeps_rings = engine.view_period != Some(u64::MAX);
+        assert_eq!(engine.vm_unused_history.is_empty(), !keeps_rings);
         let (mut lazy, mut eager) = (Vec::new(), Vec::new());
-        for vm in 0..engine.vm_jobs.len() {
-            let idle = engine.vm_jobs[vm].is_empty();
-            if idle {
+        for (vm, shadow) in engine.shadow_unused.iter().enumerate() {
+            let owed = engine.owed_zeros(vm);
+            let newest = (slot > 0).then(|| engine.newest_unused[vm]);
+            copy_newest(newest, owed, &mut lazy);
+            assert_eq!(
+                lazy.as_slice(),
+                &shadow[shadow.len().saturating_sub(1)..],
+                "VM {vm} at slot {slot}: newest sample + {owed} owed zeros"
+            );
+            if keeps_rings {
+                engine.vm_unused_history[vm].copy_view(owed, &mut lazy);
+                copy_tail(shadow, &mut eager);
                 assert_eq!(
-                    engine.slot_vm_unused[vm],
-                    ResourceVector::ZERO,
-                    "unoccupied VM {vm} kept an unused total at slot {slot}"
+                    lazy, eager,
+                    "VM {vm} at slot {slot}: ring + {owed} owed zeros is not its eager history"
                 );
             }
-            let owed = engine.owed_zeros(vm);
-            engine.vm_unused_history[vm].copy_view(owed, true, &mut lazy);
-            copy_tail(&engine.shadow_unused[vm], &mut eager);
-            assert_eq!(
-                lazy, eager,
-                "VM {vm} at slot {slot}: ring + {owed} owed zeros is not its eager history"
-            );
         }
     }
 
@@ -1803,12 +1993,8 @@ mod tests {
             // Samples held in resident jobs' histories, summed over slots.
             let mut kept = 0;
             let report = sim.run_inspecting(&mut p, |engine, _| {
-                kept += engine
-                    .store()
-                    .hot_slice()
-                    .iter()
-                    .map(|j| j.observed_unused.len())
-                    .sum::<usize>();
+                let records = engine.store.hot_slice().iter();
+                kept += records.map(|j| j.observed_unused.len()).sum::<usize>();
             });
             (serde::json::to_string(&report), report, p.completions, kept)
         };
@@ -2259,8 +2445,9 @@ mod tests {
     }
 
     /// Pumps `jobs` through `engine` under `provisioner` until they
-    /// drain, calling `inspect` with every step's outcome, and asserts
-    /// the reference checks ran once per slot.
+    /// drain or the engine's slot cap trips, calling `inspect` with every
+    /// step's outcome, and asserts the reference checks ran once per
+    /// slot.
     fn pump_checked(
         mut engine: SlotEngine,
         mut jobs: Vec<JobSpec>,
@@ -2277,7 +2464,8 @@ mod tests {
         let (views_before, finishes_before, invariants_before) = checks();
         jobs.sort_by_key(|j| j.arrival_slot);
         let mut next = 0;
-        while next < jobs.len() || engine.active() > 0 {
+        let last_arrival = jobs.last().map_or(0, |j| j.arrival_slot);
+        while next < jobs.len() || (engine.active() > 0 && !engine.past_cap(last_arrival)) {
             while next < jobs.len() && jobs[next].arrival_slot <= engine.slot() {
                 engine.submit(jobs[next].clone());
                 next += 1;
@@ -2556,7 +2744,7 @@ mod tests {
         let mut saturated = false;
         run_checked(small, jobs, None, |engine| {
             saturated |=
-                !engine.pending.is_empty() && engine.vm_jobs.iter().all(|jobs| !jobs.is_empty());
+                !engine.pending.is_empty() && engine.occupied_vms() == engine.vm_views.len();
         });
         assert!(saturated, "the burst must fill every VM with jobs queued");
     }
@@ -2663,11 +2851,10 @@ mod tests {
             vec![hog(0, 0, 10), hog(1, 0, 10)],
             Some(timeline),
             |engine| {
-                let store = engine.store();
-                let resident = store.as_slice().iter().zip(store.hot_slice());
-                for (job, job_hot) in resident.filter(|(j, _)| j.id != u64::MAX) {
-                    let id = job.id as usize;
-                    let job = job_hot;
+                let rows = &engine.rows;
+                for r in (0..rows.len()).filter(|&r| rows.handle[r] != JobHandle::VACANT) {
+                    let id = engine.store.job(rows.handle[r]).id as usize;
+                    let job = engine.store.hot(rows.handle[r]);
                     assert_eq!(job.observed_demand.len(), job.observed_unused.len());
                     let histories = [&job.observed_demand, &job.observed_unused];
                     assert!(histories.iter().all(|h| h.capacity() >= reserved));
@@ -2700,10 +2887,10 @@ mod tests {
         let mut copied_slots = 0;
         run_checked(cluster(), vec![hog(0, 0, 30)], Some(timeline), |engine| {
             let slot = engine.slot() - 1;
-            let Some(&h) = engine.vm_jobs[0].first() else {
+            let Some(r) = engine.rows.run_of(0).next() else {
                 return;
             };
-            let history = &engine.store.hot(h).observed_unused;
+            let history = &engine.store.hot(engine.rows.handle[r]).observed_unused;
             if slot % 6 == 0 && history.len() > VIEW_HISTORY_CAP + 1 {
                 let view = &engine.vm_views[0].jobs[0];
                 // The view was written before this slot's sample landed.
@@ -2751,8 +2938,8 @@ mod tests {
             SlotEngine::new(cluster(), SimulationOptions::default()).with_fault_timeline(timeline);
         let mut watcher = NanWatcher(Vec::new());
         let report = pump_checked(engine, vec![hog(0, 0, 20)], &mut watcher, |engine, _| {
-            for &h in &engine.vm_jobs[0] {
-                let own = &engine.store.hot(h).observed_unused;
+            for r in engine.rows.run_of(0) {
+                let own = &engine.store.hot(engine.rows.handle[r]).observed_unused;
                 assert!(own.iter().all(ResourceVector::is_finite));
             }
         });
@@ -2790,7 +2977,8 @@ mod tests {
         let report = pump_checked(engine, jobs, &mut Windowed(1), |engine, _| {
             if engine.slot() == 4 {
                 // Seen after slot 3: who is on VM 1 when it crashes.
-                killed.extend(engine.vm_jobs[1].iter().map(|&h| engine.store.job(h).id));
+                let on_vm_1 = rows_on(engine, 1).into_iter();
+                killed.extend(on_vm_1.map(|h| engine.store.job(h).id));
             }
         });
         let faults = report.faults.as_ref().expect("fault stats present");
@@ -2880,5 +3068,183 @@ mod tests {
             completed.extend(engine.step(&mut provisioner).completed);
         }
         assert_eq!(completed, vec![survivor]);
+    }
+
+    /// One slot of a [`Scripted`] plan: placements as `(pending job pick,
+    /// VM pick, allocation as a fraction of the request)` and adjustments
+    /// as `(placed job pick, kind, fraction)`.
+    type SlotScript = (Vec<(u8, u8, f64)>, Vec<(u8, u8, f64)>);
+
+    /// Plays a random plan, one [`SlotScript`] a slot, then static peak
+    /// once the plan runs out so the jobs can drain. A VM pick may name
+    /// one past the fleet, which does not exist; adjustment kinds are 0 and 1
+    /// a new allocation of the fraction of the request (growing or
+    /// shrinking), 2 a negative one, 3 NaN, 4 infinity. It reads no view
+    /// of a running job: it adjusts the jobs it placed and has not seen
+    /// complete, so it may declare any period.
+    struct Scripted {
+        period: u64,
+        script: Vec<SlotScript>,
+        num_vms: usize,
+        /// `(job, request)` of every job it placed, accepted or not.
+        placed: Vec<(JobId, ResourceVector)>,
+    }
+    impl Provisioner for Scripted {
+        fn name(&self) -> &str {
+            "scripted"
+        }
+        fn provision(&mut self, ctx: &SlotContext<'_>) -> crate::provisioner::ProvisionPlan {
+            let Some((placements, adjustments)) = self.script.get(ctx.slot as usize) else {
+                return StaticPeakProvisioner.provision(ctx);
+            };
+            let mut plan = crate::provisioner::ProvisionPlan::default();
+            for &(pick, kind, fraction) in adjustments {
+                let Some(&(job, request)) =
+                    self.placed.get(pick as usize % self.placed.len().max(1))
+                else {
+                    break;
+                };
+                let allocation = match kind {
+                    0 | 1 => request.scaled(fraction),
+                    2 => request.scaled(-fraction),
+                    3 => ResourceVector::splat(f64::NAN),
+                    _ => ResourceVector::splat(f64::INFINITY),
+                };
+                plan.adjustments.push((job, allocation));
+            }
+            for &(pick, vm, fraction) in placements {
+                let Some(job) = ctx.pending.get(pick as usize % ctx.pending.len().max(1)) else {
+                    break;
+                };
+                // Half the picks crowd the first eight VMs, the faults'
+                // targets; the rest range over the fleet and one past it.
+                let vm = match vm {
+                    0..128 => vm as usize % self.num_vms.min(8),
+                    _ => vm as usize % (self.num_vms + 1),
+                };
+                plan.placements.push(crate::provisioner::Placement {
+                    job: job.id,
+                    vm,
+                    allocation: job.requested.scaled(fraction),
+                });
+                self.placed.push((job.id, job.requested));
+            }
+            plan
+        }
+        fn on_jobs_completed(&mut self, completed: &[JobCompletion]) {
+            self.placed
+                .retain(|(id, _)| completed.iter().all(|c| c.job != *id));
+        }
+        fn full_view_period(&self) -> u64 {
+            self.period
+        }
+    }
+
+    /// A short job: `duration` slots of demand between a fifth and four
+    /// fifths of its request, varying slot to slot.
+    fn short_job(id: u64, arrival_slot: u64, duration: usize, requested: [f64; 3]) -> JobSpec {
+        JobSpec {
+            id,
+            arrival_slot,
+            duration_slots: duration,
+            class: corp_trace::IntensityClass::Balanced,
+            requested,
+            demand: (0..duration)
+                .map(|s| {
+                    let share = 0.2 + 0.6 * ((id as usize * 7 + s * 3) % 10) as f64 / 10.0;
+                    requested.map(|r| r * share)
+                })
+                .collect(),
+            slo_slots: 10_000,
+            bandwidth_mbps: 0.02,
+        }
+    }
+
+    /// Faults as `(slot, VM pick, kind, factor)` on the fleet's first
+    /// eight VMs, where first-fit packs jobs: kinds 0–5 are crash,
+    /// recover, degrade by the factor, restore, NaN poison, spike poison.
+    fn fault_timeline(faults: &[(u64, u8, u8, f64)], num_vms: usize) -> FaultTimeline {
+        use corp_faults::{PoisonKind, TimedFault};
+        let events = faults.iter().map(|&(slot, vm, kind, factor)| {
+            let vm = vm as usize % num_vms.min(8);
+            let event = match kind {
+                0 => FaultEvent::VmCrash { vm },
+                1 => FaultEvent::VmRecover { vm },
+                2 => FaultEvent::VmDegrade { vm, factor },
+                3 => FaultEvent::VmRestore { vm },
+                4 => FaultEvent::PoisonViews {
+                    vm,
+                    kind: PoisonKind::Nan,
+                },
+                _ => FaultEvent::PoisonViews {
+                    vm,
+                    kind: PoisonKind::Spike(10.0),
+                },
+            };
+            TimedFault { slot, event }
+        });
+        FaultTimeline::new(events.collect())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Random plans against every test-build check, every slot:
+        /// reference views, the full scan of finished VMs, fresh
+        /// completion records, the invariants and the shadows — the run
+        /// table's order among them. A failed check panics inside the
+        /// engine; the panic fails the case, which then shrinks to a
+        /// minimal plan.
+        #[test]
+        fn random_plans_keep_every_check(
+            num_pms in 1usize..=16,
+            period in 0usize..3,
+            jobs in proptest::collection::vec(
+                (0u64..10, 1usize..12, 0.2f64..2.0, 0.2f64..2.5, 1.0f64..8.0, 0u8..16),
+                1..60,
+            ),
+            script in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0u8..=255, 0u8..=255, 0.05f64..=1.0), 0..5),
+                    proptest::collection::vec((0u8..=255, 0u8..5, 0.0f64..=1.0), 0..4),
+                ),
+                0..30,
+            ),
+            faults in proptest::collection::vec((0u64..24, 0u8..=255, 0u8..6, 0.05f64..1.0), 0..10),
+        ) {
+            let fleet = Cluster::from_profile(
+                EnvironmentProfile::palmetto_cluster().with_num_pms(num_pms),
+            );
+            let num_vms = fleet.vms.len();
+            let specs: Vec<JobSpec> = jobs
+                .iter()
+                .enumerate()
+                .map(|(id, &(arrival, duration, cpu, mem, disk, oversized))| {
+                    // One job in sixteen asks for more than any VM has.
+                    let scale = if oversized == 0 { 100.0 } else { 1.0 };
+                    short_job(id as u64, arrival, duration, [cpu * scale, mem, disk])
+                })
+                .collect();
+            let options = SimulationOptions { max_slots: 80, ..SimulationOptions::default() };
+            let engine = SlotEngine::new(fleet, options)
+                .with_fault_timeline(fault_timeline(&faults, num_vms));
+            let period = [1, 6, u64::MAX][period];
+            let mut provisioner = Scripted { period, script, num_vms, placed: Vec::new() };
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pump_checked(engine, specs, &mut provisioner, |_, _| {})
+            }));
+            let report = match run {
+                Ok(report) => report,
+                Err(panic) => {
+                    let message = panic
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()));
+                    return Err(proptest::TestCaseError::fail(message.unwrap_or_default()));
+                }
+            };
+            let terminal = report.completed + report.rejected + report.unfinished;
+            proptest::prop_assert_eq!(terminal, jobs.len());
+        }
     }
 }

@@ -254,14 +254,16 @@ pub trait Provisioner {
     /// slot. Window-driven pipelines return their window length (forecast,
     /// reallocation and outcome scoring all land on window boundaries); a
     /// provisioner that reads running jobs or deep tails on every slot
-    /// must keep the default of 1.
+    /// must keep the default of 1. The period is declared for the run: the
+    /// engine reads it at its first step and holds it.
     ///
     /// `u64::MAX` means never, in full: the provisioner reads no per-job
     /// view or history on any slot, completion included. The engine then
-    /// records no per-job history, and each [`JobCompletion`] carries one
-    /// empty series per resource. Job-targeted [`PredictionRecord`]s are
-    /// still scored, against the newest sample the engine keeps for every
-    /// running job whatever the period.
+    /// records no per-job history and no VM history beyond each VM's
+    /// newest sample, and each [`JobCompletion`] carries one empty series
+    /// per resource. Job-targeted [`PredictionRecord`]s are still scored,
+    /// against the newest sample the engine keeps for every running job
+    /// whatever the period.
     fn full_view_period(&self) -> u64 {
         1
     }

@@ -12,6 +12,10 @@
 //! VM's series as "ring ⧺ owed zeros" — read through
 //! [`BoundedRing::copy_view`], settled with [`BoundedRing::push_zeros`]
 //! when a job lands there. A VM that never hosts a job never allocates.
+//! Rings are read only on full-view slots: a newest-only view is the
+//! engine's newest sample of the VM, or an owed zero. Under a provisioner
+//! that never takes a full view after slot 0 (`full_view_period` of
+//! `u64::MAX`) the engine keeps no ring at all.
 //!
 //! Per-job histories are not copied into views on the common path: on a
 //! full-view slot each job's view takes the job's own history buffers for
@@ -30,6 +34,25 @@ use crate::resources::ResourceVector;
 pub fn copy_tail(src: &[ResourceVector], dst: &mut Vec<ResourceVector>) {
     dst.clear();
     dst.extend_from_slice(&src[src.len().saturating_sub(VIEW_HISTORY_CAP)..]);
+}
+
+/// Copies into `dst` what a newest-only view shows of the series
+/// "samples ⧺ `owed` zeros" whose newest sample is `newest` (`None`
+/// before the first): an owed zero, else that sample, else nothing.
+/// Equal to the last element of the full view whenever one exists, so a
+/// VM's newest-only view needs no ring behind it.
+#[inline]
+pub(crate) fn copy_newest(
+    newest: Option<ResourceVector>,
+    owed: u64,
+    dst: &mut Vec<ResourceVector>,
+) {
+    dst.clear();
+    dst.extend(if owed > 0 {
+        Some(ResourceVector::ZERO)
+    } else {
+        newest
+    });
 }
 
 /// A fixed-capacity ring over the newest [`VIEW_HISTORY_CAP`] samples of a
@@ -62,18 +85,6 @@ impl BoundedRing {
         }
     }
 
-    /// The newest sample, if any.
-    pub(crate) fn newest(&self) -> Option<ResourceVector> {
-        if self.buf.is_empty() {
-            None
-        } else if self.buf.len() < VIEW_HISTORY_CAP {
-            self.buf.last().copied()
-        } else {
-            let i = (self.head + VIEW_HISTORY_CAP - 1) % VIEW_HISTORY_CAP;
-            Some(self.buf[i])
-        }
-    }
-
     /// Appends `n` zero samples. Beyond a ring's worth the extra zeros
     /// would only evict each other, so at most [`VIEW_HISTORY_CAP`] are
     /// pushed however large `n` is.
@@ -83,28 +94,20 @@ impl BoundedRing {
         }
     }
 
-    /// Copies into `dst` what a view shows of the series "retained samples
-    /// ⧺ `owed` zeros" — its [`VIEW_HISTORY_CAP`] tail when `full`, else
-    /// its newest sample — without writing the zeros into the ring. This
-    /// is how an idle VM's history is read: the engine owes it one zero
-    /// per idle slot and settles the debt only when a job lands there.
-    pub(crate) fn copy_view(&self, owed: u64, full: bool, dst: &mut Vec<ResourceVector>) {
+    /// Copies into `dst` what a full view shows of the series "retained
+    /// samples ⧺ `owed` zeros" — its [`VIEW_HISTORY_CAP`] tail — without
+    /// writing the zeros into the ring. This is how an idle VM's history
+    /// is read: the engine owes it one zero per idle slot and settles the
+    /// debt only when a job lands there.
+    pub(crate) fn copy_view(&self, owed: u64, dst: &mut Vec<ResourceVector>) {
         let zeros = owed.min(VIEW_HISTORY_CAP as u64) as usize;
         dst.clear();
-        if full {
-            // The zeros push the oldest `skip` samples out of the window.
-            let skip = (self.buf.len() + zeros).saturating_sub(VIEW_HISTORY_CAP);
-            let (older, newer) = (&self.buf[self.head..], &self.buf[..self.head]);
-            dst.extend_from_slice(&older[skip.min(older.len())..]);
-            dst.extend_from_slice(&newer[skip.saturating_sub(older.len())..]);
-            dst.extend(std::iter::repeat_n(ResourceVector::ZERO, zeros));
-        } else {
-            dst.extend(if zeros > 0 {
-                Some(ResourceVector::ZERO)
-            } else {
-                self.newest()
-            });
-        }
+        // The zeros push the oldest `skip` samples out of the window.
+        let skip = (self.buf.len() + zeros).saturating_sub(VIEW_HISTORY_CAP);
+        let (older, newer) = (&self.buf[self.head..], &self.buf[..self.head]);
+        dst.extend_from_slice(&older[skip.min(older.len())..]);
+        dst.extend_from_slice(&newer[skip.saturating_sub(older.len())..]);
+        dst.extend(std::iter::repeat_n(ResourceVector::ZERO, zeros));
     }
 }
 
@@ -116,12 +119,6 @@ mod tests {
         ResourceVector::splat(x)
     }
 
-    /// What a newest-only view shows of an unbounded series.
-    fn copy_newest(src: &[ResourceVector], dst: &mut Vec<ResourceVector>) {
-        dst.clear();
-        dst.extend(src.last().copied());
-    }
-
     #[test]
     fn ring_matches_unbounded_tail_at_every_length() {
         let mut ring = BoundedRing::new();
@@ -130,29 +127,31 @@ mod tests {
             ring.push(v(i as f64));
             unbounded.push(v(i as f64));
             let mut from_ring = Vec::new();
-            ring.copy_view(0, true, &mut from_ring);
+            ring.copy_view(0, &mut from_ring);
             let mut from_vec = Vec::new();
             copy_tail(&unbounded, &mut from_vec);
             assert_eq!(from_ring, from_vec, "diverged after {} pushes", i + 1);
-            assert_eq!(ring.newest(), unbounded.last().copied());
         }
         assert_eq!(ring.buf.len(), VIEW_HISTORY_CAP);
     }
 
+    /// What a newest-only view shows of an unbounded series.
+    fn newest_of(src: &[ResourceVector], dst: &mut Vec<ResourceVector>) {
+        dst.clear();
+        dst.extend(src.last().copied());
+    }
+
     #[test]
     fn copy_newest_matches_slice_helper() {
-        let mut ring = BoundedRing::new();
         let mut unbounded = Vec::new();
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        ring.copy_view(0, false, &mut a);
-        copy_newest(&unbounded, &mut b);
-        assert_eq!(a, b, "both empty before any push");
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        copy_newest(None, 0, &mut a);
+        newest_of(&unbounded, &mut b);
+        assert_eq!(a, b, "both empty before any sample");
         for i in 0..(VIEW_HISTORY_CAP + 5) {
-            ring.push(v(i as f64));
             unbounded.push(v(i as f64));
-            ring.copy_view(0, false, &mut a);
-            copy_newest(&unbounded, &mut b);
+            copy_newest(unbounded.last().copied(), 0, &mut a);
+            newest_of(&unbounded, &mut b);
             assert_eq!(a, b);
         }
     }
@@ -173,14 +172,15 @@ mod tests {
                 }
                 eager.extend(vec![v(0.0); owed.min(300) as usize]);
                 let (mut lazy, mut want) = (Vec::new(), Vec::new());
-                ring.copy_view(owed, true, &mut lazy);
+                ring.copy_view(owed, &mut lazy);
                 copy_tail(&eager, &mut want);
                 assert_eq!(lazy, want, "full view, {filled} samples + {owed} owed");
-                ring.copy_view(owed, false, &mut lazy);
-                copy_newest(&eager, &mut want);
+                let newest = (filled > 0).then(|| v(filled as f64));
+                copy_newest(newest, owed, &mut lazy);
+                newest_of(&eager, &mut want);
                 assert_eq!(lazy, want, "newest view, {filled} samples + {owed} owed");
                 ring.push_zeros(owed);
-                ring.copy_view(0, true, &mut lazy);
+                ring.copy_view(0, &mut lazy);
                 copy_tail(&eager, &mut want);
                 assert_eq!(lazy, want, "settled, {filled} samples + {owed} owed");
             }

@@ -1,4 +1,6 @@
-//! Generational slab job store: one cold and one hot record per job.
+//! The engine's job state: a generational arena of every resident job,
+//! and a dense table of the running ones in the order the slot loop
+//! walks them.
 //!
 //! [`JobStore`] holds the jobs the engine has admitted and not yet seen
 //! leave, as an arena addressed by [`JobHandle`]s (index + generation, so
@@ -7,20 +9,34 @@
 //! * [`RunningJob`] — identity, request, SLO, lifecycle state;
 //! * `HotJob` — allocation, this slot's demand row, progress, duration,
 //!   the demand series and the two history buffers: everything the
-//!   engine's advance phase reads, in one record;
-//!
-//! and one dense column, the newest unused sample of each job, which
-//! advance writes and the same slot's prediction scoring reads.
+//!   engine's advance phase reads, in one record.
 //!
 //! A job that completes or is rejected releases its slot and demand
 //! series at once; its history buffers stay in the slot, cleared, for the
 //! next tenant, and the next insert reuses the slot. The arena's
 //! high-water mark is the peak number of resident jobs, whatever the
 //! trace length.
+//!
+//! [`RunTable`] lists the running jobs, a row each — the handle, the VM,
+//! and the unused sample advance wrote for the job this slot — in VM id
+//! order, and within a VM in the order its jobs were placed, with
+//! `swap_remove` on completion. That is the order advance sums in, so
+//! the f64 totals and the completion batch come out the same as from
+//! per-VM job lists, while every phase that walks running jobs reads one
+//! contiguous run of rows per VM instead of a list per VM. A dense
+//! `row_of` column, indexed by arena slot, finds a handle's row.
+//! Each VM's rows are a block with room at its end: a completion or a
+//! crash vacates rows in place, and the VM's next placement fills one
+//! ([`RunTable::place`]). Placements into full blocks land in one pass
+//! per slot, which doubles those blocks and moves the rows after them
+//! only as far as it takes to absorb spare vacant rows
+//! ([`RunTable::insert_staged`]); the blocks of idle VMs are dropped in
+//! one pass once vacant rows outnumber running ones ([`RunTable::trim`]).
 
 use crate::job::{HotJob, RunningJob};
 use crate::resources::ResourceVector;
 use corp_trace::JobSpec;
+use std::ops::Range;
 
 /// Stable reference to a job slot: arena index plus the generation the
 /// slot had when the job was inserted. A handle whose generation no
@@ -32,6 +48,13 @@ pub struct JobHandle {
 }
 
 impl JobHandle {
+    /// What a vacant row of the run table holds: no arena has a slot at
+    /// its index, so it is never live.
+    pub(crate) const VACANT: JobHandle = JobHandle {
+        index: u32::MAX,
+        generation: u32::MAX,
+    };
+
     /// The arena index this handle points at.
     #[inline]
     pub(crate) fn index(self) -> usize {
@@ -44,10 +67,6 @@ impl JobHandle {
 pub struct JobStore {
     jobs: Vec<RunningJob>,
     hot: Vec<HotJob>,
-    /// The unused allocation each job showed on the newest slot it ran:
-    /// written by advance, read only by the same slot's prediction
-    /// scoring, so a dense column that stays in cache.
-    last_unused: Vec<ResourceVector>,
     generations: Vec<u32>,
     free: Vec<u32>,
     live: usize,
@@ -83,7 +102,6 @@ impl JobStore {
                 std::mem::take(&mut slot.observed_unused),
             ];
             (self.jobs[i], self.hot[i]) = RunningJob::new(spec, histories);
-            self.last_unused[i] = ResourceVector::ZERO;
             JobHandle {
                 index,
                 generation: self.generations[i],
@@ -93,7 +111,6 @@ impl JobStore {
             let (cold, hot) = RunningJob::new(spec, Default::default());
             self.jobs.push(cold);
             self.hot.push(hot);
-            self.last_unused.push(ResourceVector::ZERO);
             self.generations.push(0);
             JobHandle {
                 index,
@@ -156,42 +173,19 @@ impl JobStore {
         &mut self.hot[h.index()]
     }
 
+    /// The job's current allocation: zero until it is placed.
+    #[inline]
+    pub(crate) fn allocation(&self, h: JobHandle) -> ResourceVector {
+        self.hot(h).allocation
+    }
+
     /// The job's admission-time peak request.
     #[inline]
     pub(crate) fn requested(&self, h: JobHandle) -> ResourceVector {
         self.job(h).requested
     }
 
-    /// The job's current allocation.
-    #[inline]
-    pub(crate) fn allocation(&self, h: JobHandle) -> ResourceVector {
-        self.hot(h).allocation
-    }
-
-    /// Overwrites the job's current allocation.
-    #[inline]
-    pub(crate) fn set_allocation(&mut self, h: JobHandle, v: ResourceVector) {
-        self.hot_mut(h).allocation = v;
-    }
-
-    /// The unused allocation the job showed on the newest slot it ran:
-    /// what job-targeted predictions are scored against, whether or not
-    /// the engine keeps the job's history.
-    #[inline]
-    pub(crate) fn last_unused(&self, h: JobHandle) -> ResourceVector {
-        debug_assert!(self.is_live(h), "stale job handle");
-        self.last_unused[h.index()]
-    }
-
-    /// Records the unused allocation the job showed this slot.
-    #[inline]
-    pub(crate) fn set_last_unused(&mut self, h: JobHandle, v: ResourceVector) {
-        debug_assert!(self.is_live(h), "stale job handle");
-        self.last_unused[h.index()] = v;
-    }
-
     /// Jobs currently resident: inserted and not yet released.
-    #[cfg(test)]
     pub(crate) fn live(&self) -> usize {
         self.live
     }
@@ -217,6 +211,299 @@ impl JobStore {
     #[cfg(test)]
     pub(crate) fn hot_slice(&self) -> &[HotJob] {
         &self.hot
+    }
+}
+
+/// `row_of` entry of an arena slot whose job is not running.
+const NO_ROW: u32 = u32::MAX;
+
+/// The running jobs, one row each, in slot-loop order (see the module
+/// docs). Each VM that has hosted a job owns a block of rows: its running
+/// jobs first, in order, then vacant rows its departed jobs left, which
+/// its next placements fill in place. The columns are public to the
+/// engine, which reads them and writes the unused samples in place; rows
+/// are added, vacated and moved only through the methods, which keep
+/// `row_of` in step.
+#[derive(Debug, Default)]
+pub(crate) struct RunTable {
+    /// Per row: the unused allocation the job showed on the newest slot
+    /// it ran — written by advance, read by the same slot's prediction
+    /// scoring.
+    pub unused: Vec<ResourceVector>,
+    /// Per row: the job's handle; `JobHandle::VACANT` in a vacant row.
+    pub handle: Vec<JobHandle>,
+    /// Per row: the VM whose block the row is in. Non-decreasing down the
+    /// table.
+    pub vm: Vec<u32>,
+    /// Rows holding a running job.
+    live: usize,
+    /// Per arena slot: the row of the slot's job while it runs, `NO_ROW`
+    /// otherwise. Grows on demand, so it never outruns the arena.
+    row_of: Vec<u32>,
+    /// Placements that found no vacant row in their VM's block, waiting
+    /// for [`insert_staged`](Self::insert_staged): `(vm, handle)` in
+    /// application order.
+    staged: Vec<(u32, JobHandle)>,
+}
+
+impl RunTable {
+    /// Rows, vacant ones included.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.vm.len()
+    }
+
+    /// Rows holding a running job.
+    #[inline]
+    pub(crate) fn live(&self) -> usize {
+        self.live
+    }
+
+    /// The row of a running job, `None` for any other.
+    #[inline]
+    pub(crate) fn row_of(&self, h: JobHandle) -> Option<usize> {
+        match self.row_of.get(h.index()) {
+            Some(&r) if r != NO_ROW => Some(r as usize),
+            _ => None,
+        }
+    }
+
+    /// `vm`'s running rows, and the end of its block, looked for from row
+    /// `start` on: blocks of lower VMs in between must hold no running
+    /// job. Walking VMs in ascending id and starting each from the
+    /// previous block's end visits every row once.
+    #[inline]
+    pub(crate) fn run_from(&self, start: usize, vm: usize) -> (Range<usize>, usize) {
+        let vm = vm as u32;
+        let below = self.vm[start..].iter().take_while(|&&v| v < vm).count();
+        let start = start + below;
+        debug_assert!(self.handle[start - below..start]
+            .iter()
+            .all(|&h| h == JobHandle::VACANT));
+        let block = self.vm[start..].iter().take_while(|&&v| v == vm).count();
+        let running = self.handle[start..start + block]
+            .iter()
+            .take_while(|&&h| h != JobHandle::VACANT)
+            .count();
+        (start..start + running, start + block)
+    }
+
+    /// `vm`'s running rows and the end of its block, found by binary
+    /// search.
+    fn block_of(&self, vm: usize) -> (Range<usize>, usize) {
+        let start = self.vm.partition_point(|&v| (v as usize) < vm);
+        self.run_from(start, vm)
+    }
+
+    /// `vm`'s running rows, found by binary search.
+    pub(crate) fn run_of(&self, vm: usize) -> Range<usize> {
+        self.block_of(vm).0
+    }
+
+    /// Gives a job placed on `vm` the first vacant row of `vm`'s block,
+    /// after its running rows. With none, the job waits for
+    /// [`insert_staged`](Self::insert_staged), which puts it after the
+    /// block and after the jobs staged for `vm` before it.
+    pub(crate) fn place(&mut self, vm: usize, h: JobHandle) {
+        let (run, end) = self.block_of(vm);
+        if run.end == end {
+            self.staged.push((vm as u32, h));
+            return;
+        }
+        let r = run.end;
+        self.handle[r] = h;
+        self.live += 1;
+        self.point(h, r);
+    }
+
+    /// Gives every staged job its row at the end of its VM's block. A
+    /// block that grows grows to a power of two rows, at least two, so a
+    /// VM's next placements find room in place. The rows after a growing
+    /// block move down only as far as it takes to absorb as many spare
+    /// vacant rows of later blocks — rows whose block keeps another — or
+    /// to the table's end, which grows by the rest: one read-only pass
+    /// finds those rows, one pass back up moves each row in between once,
+    /// a run at a time.
+    pub(crate) fn insert_staged(&mut self) {
+        if self.staged.is_empty() {
+            return;
+        }
+        // A stable sort: jobs staged for one VM keep their placement order.
+        self.staged.sort_by_key(|&(vm, ..)| vm);
+        let mut staged = std::mem::take(&mut self.staged);
+        self.live += staged.len();
+        // Per staged VM: where its block ends, and the rows it gains.
+        let groups: Vec<(usize, usize)> = staged
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|group| {
+                let (run, end) = self.block_of(group[0].0 as usize);
+                let size = (run.len() + group.len()).next_power_of_two().max(2);
+                (end, size - run.len())
+            })
+            .collect();
+        // Down the table: the vacant rows the new ones absorb.
+        let mut absorbed = Vec::new();
+        let (mut shift, mut next, mut pos) = (0, 0, groups[0].0);
+        loop {
+            while next < groups.len() && groups[next].0 == pos {
+                shift += groups[next].1;
+                next += 1;
+            }
+            if shift == 0 {
+                match groups.get(next) {
+                    Some(&(at, _)) => pos = at,
+                    None => break,
+                }
+            } else if pos == self.len() {
+                break;
+            } else {
+                // A vacant row is absorbed only if its block keeps another:
+                // taking a block's last room would stage its next job.
+                let spare = |r: usize| self.handle.get(r) == Some(&JobHandle::VACANT);
+                if spare(pos) && spare(pos + 1) && self.vm[pos + 1] == self.vm[pos] {
+                    absorbed.push(pos);
+                    shift -= 1;
+                }
+                pos += 1;
+            }
+        }
+        // The rest of the shift grows the table: holes after its end.
+        let grown = self.len() + shift;
+        self.unused.resize(grown, ResourceVector::ZERO);
+        self.handle.resize(grown, JobHandle::VACANT);
+        self.vm.resize(grown, 0);
+        // Back up the table: rows from `done` on are placed, and the
+        // `shift` rows from `done` are holes for what is still to place.
+        let mut done = pos;
+        let mut jobs = staged.chunk_by(|a, b| a.0 == b.0).rev();
+        let mut groups = groups.iter().rev().peekable();
+        let mut absorbed = absorbed.iter().rev().peekable();
+        loop {
+            // The next event up: an absorbed row, or a block's end, which
+            // comes before an absorbed row at the same place.
+            let row = absorbed.peek().map(|&&q| q);
+            let end = groups.peek().map(|&&(at, _)| at);
+            let (from, absorbs) = match (row, end) {
+                (Some(q), Some(at)) if q >= at => (q + 1, true),
+                (Some(q), None) => (q + 1, true),
+                (_, Some(at)) => (at, false),
+                (None, None) => break,
+            };
+            self.shift_down(from..done, shift);
+            done = from;
+            if absorbs {
+                absorbed.next();
+                done -= 1;
+                shift += 1;
+            } else if let (Some(&(_, gained)), Some(group)) = (groups.next(), jobs.next()) {
+                let vm = group[0].0;
+                let mut r = done + shift - gained;
+                for &(_, h) in group.iter() {
+                    self.unused[r] = ResourceVector::ZERO;
+                    self.handle[r] = h;
+                    self.point(h, r);
+                    r += 1;
+                }
+                self.handle[r..done + shift].fill(JobHandle::VACANT);
+                self.vm[done + shift - gained..done + shift].fill(vm);
+                shift -= gained;
+            }
+        }
+        debug_assert_eq!(shift, 0);
+        staged.clear();
+        self.staged = staged;
+    }
+
+    /// Moves `rows` down by `by` rows into the holes right after them,
+    /// which come out at their start.
+    fn shift_down(&mut self, rows: Range<usize>, by: usize) {
+        if by == 0 || rows.is_empty() {
+            return;
+        }
+        let span = rows.start..rows.end + by;
+        self.unused[span.clone()].rotate_right(by);
+        self.handle[span.clone()].rotate_right(by);
+        self.vm[span].rotate_right(by);
+        for r in rows.start + by..rows.end + by {
+            let h = self.handle[r];
+            if h != JobHandle::VACANT {
+                self.point(h, r);
+            }
+        }
+    }
+
+    /// Vacates row `r`; its job no longer has one. A block's running
+    /// rows must be a prefix of it again by the next walk: vacate its
+    /// last running row, or all of them (a crash).
+    pub(crate) fn vacate(&mut self, r: usize) {
+        let h = std::mem::replace(&mut self.handle[r], JobHandle::VACANT);
+        self.row_of[h.index()] = NO_ROW;
+        self.live -= 1;
+    }
+
+    /// Takes row `r`'s job out the way `Vec::swap_remove` would within
+    /// its block: the block's last running row, `last`, moves into `r`
+    /// and is left vacant.
+    pub(crate) fn swap_remove(&mut self, r: usize, last: usize) {
+        debug_assert_eq!(self.vm[r], self.vm[last]);
+        self.row_of[self.handle[r].index()] = NO_ROW;
+        if r != last {
+            self.unused[r] = self.unused[last];
+            self.handle[r] = self.handle[last];
+            self.point(self.handle[r], r);
+        }
+        self.handle[last] = JobHandle::VACANT;
+        self.live -= 1;
+    }
+
+    /// Once vacant rows outnumber running ones, drops the blocks of VMs
+    /// that run no job and cuts every other block back to the size it
+    /// would have grown to, in one pass: afterwards no more than half the
+    /// rows are vacant.
+    pub(crate) fn trim(&mut self) {
+        if self.len() - self.live <= self.live {
+            return;
+        }
+        let (mut write, mut read) = (0, 0);
+        while read < self.len() {
+            let (run, end) = self.run_from(read, self.vm[read] as usize);
+            let kept = if run.is_empty() {
+                0
+            } else {
+                run.len().next_power_of_two().max(2).min(end - read)
+            };
+            for from in read..read + kept {
+                if from != write {
+                    self.move_row(from, write);
+                }
+                write += 1;
+            }
+            read = end;
+        }
+        self.unused.truncate(write);
+        self.handle.truncate(write);
+        self.vm.truncate(write);
+    }
+
+    /// Moves row `from` into row `to`, a vacant row; `from` is left
+    /// vacant.
+    fn move_row(&mut self, from: usize, to: usize) {
+        self.unused[to] = self.unused[from];
+        self.vm[to] = self.vm[from];
+        let h = std::mem::replace(&mut self.handle[from], JobHandle::VACANT);
+        self.handle[to] = h;
+        if h != JobHandle::VACANT {
+            self.point(h, to);
+        }
+    }
+
+    /// Records that `h`'s job is in row `r`.
+    fn point(&mut self, h: JobHandle, r: usize) {
+        let i = h.index();
+        if i >= self.row_of.len() {
+            self.row_of.resize(i + 1, NO_ROW);
+        }
+        self.row_of[i] = r as u32;
     }
 }
 
@@ -259,23 +546,6 @@ mod tests {
     }
 
     #[test]
-    fn allocation_and_unused_columns_track_writes_and_reset_on_reuse() {
-        let mut store = JobStore::new();
-        let h = store.insert(specs(1).remove(0));
-        assert_eq!(store.allocation(h), ResourceVector::ZERO);
-        assert_eq!(store.last_unused(h), ResourceVector::ZERO);
-        store.set_allocation(h, ResourceVector::splat(2.0));
-        store.set_last_unused(h, ResourceVector::splat(0.5));
-        assert_eq!(store.allocation(h), ResourceVector::splat(2.0));
-        assert_eq!(store.last_unused(h), ResourceVector::splat(0.5));
-        store.release(h);
-        let reused = store.insert(specs(1).remove(0));
-        assert_eq!(reused.index(), h.index());
-        assert_eq!(store.last_unused(reused), ResourceVector::ZERO);
-        assert_eq!(store.allocation(reused), ResourceVector::ZERO);
-    }
-
-    #[test]
     fn a_released_slot_keeps_its_history_buffers_for_the_next_tenant() {
         let mut store = JobStore::new();
         let h = store.insert(specs(1).remove(0));
@@ -295,6 +565,92 @@ mod tests {
             rooms,
             "the same buffers, not new ones"
         );
+    }
+
+    /// `(vm, job id)` of every row, top to bottom, checking `row_of`;
+    /// `None` for a vacant row.
+    fn rows(table: &RunTable, store: &JobStore) -> Vec<(u32, Option<u64>)> {
+        (0..table.len())
+            .map(|r| {
+                let h = table.handle[r];
+                if h == JobHandle::VACANT {
+                    return (table.vm[r], None);
+                }
+                assert_eq!(table.row_of(h), Some(r), "row_of of row {r}");
+                (table.vm[r], Some(store.job(h).id))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rows_keep_vm_order_and_placement_order_within_a_vm() {
+        let mut store = JobStore::new();
+        let mut table = RunTable::default();
+        let handles: Vec<JobHandle> = specs(10).into_iter().map(|s| store.insert(s)).collect();
+        let ids: Vec<u64> = handles.iter().map(|&h| store.job(h).id).collect();
+        // `(vm, job index)` per row, `None` for a vacant one.
+        let expect = |pairs: &[(u32, Option<usize>)]| -> Vec<(u32, Option<u64>)> {
+            pairs
+                .iter()
+                .map(|&(vm, i)| (vm, i.map(|i| ids[i])))
+                .collect()
+        };
+        let (o, x) = (Some, None::<usize>);
+        let place = |table: &mut RunTable, vm: usize, i: usize| table.place(vm, handles[i]);
+        // Slot one: every block is new, so each placement waits for the
+        // pass, and each block gets at least two rows.
+        for (vm, i) in [(5, 0), (2, 1), (5, 2)] {
+            place(&mut table, vm, i);
+        }
+        assert_eq!(table.len(), 0);
+        table.insert_staged();
+        assert_eq!(
+            rows(&table, &store),
+            expect(&[(2, o(1)), (2, x), (5, o(0)), (5, o(2))])
+        );
+        // Slot two: VM 2's job lands in its block's room at once; VM 5's
+        // full block doubles.
+        for (vm, i) in [(3, 3), (5, 4), (0, 5), (2, 6), (9, 7)] {
+            place(&mut table, vm, i);
+        }
+        assert_eq!(table.run_of(2), 0..2);
+        table.insert_staged();
+        let placed = [(0, o(5)), (0, x), (2, o(1)), (2, o(6)), (3, o(3)), (3, x)];
+        let placed = [
+            &placed[..],
+            &[(5, o(0)), (5, o(2)), (5, o(4)), (5, x), (9, o(7)), (9, x)],
+        ];
+        assert_eq!(rows(&table, &store), expect(&placed.concat()));
+        assert_eq!(
+            (table.live(), table.run_of(5), table.run_of(4)),
+            (8, 6..9, 6..6)
+        );
+        assert_eq!(table.run_from(6, 5), (6..9, 10));
+        // VM 5's first job leaves the way `Vec::swap_remove` would and VM
+        // 2 loses its last: the vacated rows stay as room in their blocks,
+        // and VM 5's next job takes one.
+        table.swap_remove(6, 8);
+        table.vacate(3);
+        assert_eq!(table.row_of(handles[0]), None);
+        place(&mut table, 5, 8);
+        let left = [(0, o(5)), (0, x), (2, o(1)), (2, x), (3, o(3)), (3, x)];
+        let left = [
+            &left[..],
+            &[(5, o(4)), (5, o(2)), (5, o(8)), (5, x), (9, o(7)), (9, x)],
+        ];
+        assert_eq!(rows(&table, &store), expect(&left.concat()));
+        // A walk steps over a block left with no running row.
+        table.vacate(0);
+        assert_eq!(table.run_from(0, 2), (2..3, 4));
+        // Once vacant rows outnumber running ones, idle blocks go and the
+        // rest are cut back to two rows, or a power of two.
+        for r in [4, 8] {
+            table.vacate(r);
+        }
+        assert_eq!(table.live(), 4);
+        table.trim();
+        let trimmed = [(2, o(1)), (2, x), (5, o(4)), (5, o(2)), (9, o(7)), (9, x)];
+        assert_eq!(rows(&table, &store), expect(&trimmed));
     }
 
     #[test]

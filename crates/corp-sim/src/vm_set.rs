@@ -31,6 +31,12 @@ impl VmSet {
         }
     }
 
+    /// Whether `vm` is a member.
+    #[inline]
+    pub(crate) fn contains(&self, vm: usize) -> bool {
+        self.words[vm / 64] & (1u64 << (vm % 64)) != 0
+    }
+
     /// Number of members.
     pub(crate) fn len(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -78,6 +84,7 @@ mod tests {
         }
         assert_eq!(members(&set), vec![0, 7, 63, 64, 65, 128, 199]);
         assert_eq!(set.len(), 7);
+        assert!(set.contains(64) && set.contains(199) && !set.contains(62));
         set.set(64, false);
         set.set(64, false);
         assert_eq!(members(&set), vec![0, 7, 63, 65, 128, 199]);
