@@ -176,7 +176,8 @@ pub fn run_resilience(
     let inner =
         build_sharded_provisioner(SchemeKind::Corp, env, &params, args.shards, Some(control));
     let mut breaker = BreakerSupervisor::new(inner);
-    let outcome = cell_daemon(env, chaos_config())
+    // `--smoke` runs the engine's invariant checks every step.
+    let outcome = cell_daemon(env, chaos_config(), args.smoke)
         .with_fault_timeline(schedule.timeline)
         .run(&mut breaker, jobs);
     let errors = breaker

@@ -4,11 +4,12 @@
 //! `serve` is a different shape from the figure runners: it takes flags
 //! (`--trace`, `--speed`, `--seed`, …), so `corp_exp` special-cases it
 //! before the figure loop and hands the raw argument list to
-//! [`ServeArgs::parse`]. The actual run goes through [`run_serve`] (or
-//! [`run_serve_sharded`] under `--shards`, which also surfaces coordinator
-//! errors and recovery counters), which tests reuse to pin
-//! byte-determinism across pool widths and replay speeds and cross-mode
-//! equivalence against the batch simulation.
+//! [`ServeArgs::parse`]. The actual run goes through the cell that
+//! [`run_serve`] (and [`run_serve_sharded`] under `--shards`, which also
+//! surfaces coordinator errors and recovery counters) wraps, with the
+//! engine's invariant checks on under `--smoke`; tests reuse the two to
+//! pin byte-determinism across pool widths and replay speeds and
+//! cross-mode equivalence against the batch simulation.
 
 use crate::env::{
     build_provisioner, build_sharded_provisioner, Environment, SchemeKind, SchemeParams,
@@ -108,10 +109,13 @@ impl ServeArgs {
 }
 
 /// The daemon one serving cell runs on: the environment's fleet, engine
-/// decision timing off (serve reports are byte-deterministic).
-pub(crate) fn cell_daemon(env: Environment, config: ServeConfig) -> ServeDaemon {
+/// decision timing off (serve reports are byte-deterministic), and the
+/// engine's per-step invariant checks ([`SimulationOptions::check`]) on
+/// if `check` is (the `--smoke` runs).
+pub(crate) fn cell_daemon(env: Environment, config: ServeConfig, check: bool) -> ServeDaemon {
     let options = SimulationOptions {
         measure_decision_time: false,
+        check,
         ..Default::default()
     };
     ServeDaemon::new(env.cluster(), options, config)
@@ -129,8 +133,7 @@ pub fn run_serve(
     params: &SchemeParams,
     config: ServeConfig,
 ) -> ServeOutcome {
-    let mut provisioner = build_provisioner(scheme, env, params);
-    cell_daemon(env, config).run(provisioner.as_mut(), jobs)
+    serve_cell(env, scheme, jobs, params, None, config, false).0
 }
 
 /// Like [`run_serve`], but behind a `shards`-way sharded control plane.
@@ -145,10 +148,33 @@ pub fn run_serve_sharded(
     shards: usize,
     config: ServeConfig,
 ) -> (ServeOutcome, Vec<String>) {
-    let mut provisioner = build_sharded_provisioner(scheme, env, params, shards, None);
-    let outcome = cell_daemon(env, config).run(&mut provisioner, jobs);
-    let errors = provisioner.errors().iter().map(|e| e.to_string()).collect();
-    (outcome, errors)
+    serve_cell(env, scheme, jobs, params, Some(shards), config, false)
+}
+
+/// [`run_serve`] (`shards` `None`) or [`run_serve_sharded`], with the
+/// engine's invariant checks on if `check` is.
+fn serve_cell(
+    env: Environment,
+    scheme: SchemeKind,
+    jobs: impl IntoIterator<Item = JobSpec>,
+    params: &SchemeParams,
+    shards: Option<usize>,
+    config: ServeConfig,
+    check: bool,
+) -> (ServeOutcome, Vec<String>) {
+    let mut daemon = cell_daemon(env, config, check);
+    match shards {
+        Some(shards) => {
+            let mut provisioner = build_sharded_provisioner(scheme, env, params, shards, None);
+            let outcome = daemon.run(&mut provisioner, jobs);
+            let errors = provisioner.errors().iter().map(|e| e.to_string()).collect();
+            (outcome, errors)
+        }
+        None => {
+            let mut provisioner = build_provisioner(scheme, env, params);
+            (daemon.run(provisioner.as_mut(), jobs), Vec::new())
+        }
+    }
 }
 
 /// The workload a `serve` invocation uses without `--trace`: the standard
@@ -247,13 +273,16 @@ pub fn serve_experiment(fast: bool, args: &ServeArgs) -> Result<FigureTable, Str
         speed: args.speed,
         ..ServeConfig::default()
     };
-    let (outcome, errors) = match args.shards {
-        Some(shards) => run_serve_sharded(env, SchemeKind::Corp, feed, &params, shards, config),
-        None => (
-            run_serve(env, SchemeKind::Corp, feed, &params, config),
-            Vec::new(),
-        ),
-    };
+    // The smoke runs the engine's invariant checks every step.
+    let (outcome, errors) = serve_cell(
+        env,
+        SchemeKind::Corp,
+        feed,
+        &params,
+        args.shards,
+        config,
+        args.smoke,
+    );
     decode_failure()?;
     let num_jobs = submitted.get();
     let r = &outcome.report;

@@ -9,11 +9,11 @@
 //! metrics. [`SlotEngine::phase_times`] says how long each of those
 //! phases has taken.
 //!
-//! Running jobs live in one table (`RunTable`, in `store.rs`), a row
-//! per job in the order every phase walks them: VM id ascending, and
-//! within a VM the order its jobs were placed in, with `swap_remove` on
-//! completion. Advance, the views, the completion scan and the crash
-//! drain read each VM's jobs as one contiguous run of rows.
+//! Running jobs are one list per VM (`RunLists`, in `store.rs`), in the
+//! order its jobs were placed, with `swap_remove` order on completion.
+//! Advance and the views walk the occupied VMs in ascending id and each
+//! one's list; the completion scan visits the VMs advance noted, and a
+//! crash drains its VM's list in order.
 //!
 //! [`SlotEngine`] is the core, exposed so drivers can submit jobs as they
 //! arrive and pump slots one [`step`](SlotEngine::step) at a time: the
@@ -29,6 +29,8 @@
 //!   may not be negative; invalid adjustments are dropped (counted).
 //! * A placement must reference a pending job and fit the VM's free
 //!   capacity at application time; invalid placements are dropped.
+//! * Neither may allocate a job more than it requested (to within 1e-9
+//!   per resource); such actions are dropped too.
 //! * Jobs whose peak request exceeds every VM's capacity are rejected at
 //!   arrival (they could never run) and count as SLO violations.
 
@@ -42,7 +44,7 @@ use crate::provisioner::{
 };
 use crate::resources::ResourceVector;
 use crate::ring::{copy_newest, copy_tail, BoundedRing};
-use crate::store::{JobHandle, JobStore, RunTable};
+use crate::store::{JobHandle, JobStore, RunLists};
 use crate::streaming::StreamingSimulation;
 use crate::vm_set::{ids_in, VmSet};
 use corp_faults::{FaultEvent, FaultTimeline};
@@ -83,8 +85,8 @@ pub struct SimulationOptions {
     pub reclaim_completed: bool,
     /// Check the engine's bookkeeping after every step, in any build:
     /// job conservation, per-VM commitments, allocations within requests,
-    /// the occupied set, and the run table's rows, order and `row_of`
-    /// index. A violation panics with the slot and what broke. Off by
+    /// the occupied set, and the per-VM job lists' links and membership.
+    /// A violation panics with the slot and what broke. Off by
     /// default; off, it costs one branch per step. (Test builds of this
     /// crate run the same checks, and the shadow-based ones, always.)
     pub check: bool,
@@ -228,8 +230,8 @@ pub struct SlotEngine {
     store: JobStore,
     index_of: HashMap<JobId, JobHandle>,
     metrics: MetricsCollector,
-    /// The running jobs, a row each, in slot-loop order.
-    rows: RunTable,
+    /// Each VM's running jobs, in slot-loop order.
+    runs: RunLists,
     /// The provisioner's [`full_view_period`](Provisioner::full_view_period),
     /// read at the first step and held for the run.
     view_period: Option<u64>,
@@ -255,9 +257,9 @@ pub struct SlotEngine {
     incoming: Vec<JobHandle>,
     active: usize,
     slot: u64,
-    /// The VMs that have rows, updated where rows come and go
-    /// (placement, completion, crash). The view phase walks it instead of
-    /// the fleet, in ascending VM id.
+    /// The VMs whose job lists are not empty, updated where jobs come and
+    /// go (placement, completion, crash). Advance and the view phase walk
+    /// it instead of the fleet, in ascending VM id.
     occupied: VmSet,
     /// Per unoccupied VM, the first slot whose zero sample is not on its
     /// ring yet: its history at slot `s` is "ring ⧺ (s − idle_from)
@@ -281,16 +283,15 @@ pub struct SlotEngine {
     /// `(vm, vm_views[vm].jobs)`: entries and their history buffers, taken
     /// out while off-period slots list no jobs, put back at the next full.
     parked_jobs: Vec<(usize, Vec<RunningJobView>)>,
-    /// `(row, i)` for every view entry `vm_views[vm].jobs[i]` (`vm` the
-    /// row's) holding the history buffers of the row's job (swapped with
-    /// the entry's) for this slot's `provision` call; swapped back right
-    /// after it. Empty between steps.
-    lent: Vec<(usize, usize)>,
+    /// `(job, vm, i)` for every view entry `vm_views[vm].jobs[i]` holding
+    /// the history buffers of `job` (swapped with the entry's) for this
+    /// slot's `provision` call; swapped back right after it. Empty between
+    /// steps.
+    lent: Vec<(JobHandle, usize, usize)>,
     pending_views: Vec<PendingJobView>,
-    /// `(vm, first row, end row)` of each VM where advance saw a job reach
-    /// `work_done()` this slot, ascending: the only runs the completion
-    /// phase visits.
-    finished: Vec<(usize, usize, usize)>,
+    /// The VMs where advance saw a job reach `work_done()` this slot,
+    /// ascending: the only lists the completion phase visits.
+    finished: Vec<usize>,
     /// Reused completion records; a slot delivers the prefix it filled.
     completions: Vec<JobCompletion>,
     /// See [`phase_times`](Self::phase_times).
@@ -306,7 +307,7 @@ pub struct SlotEngine {
     shadow_histories: HashMap<JobHandle, [Vec<ResourceVector>; 2]>,
     /// Each VM's jobs as a `Vec` kept the obvious way — pushed on
     /// placement, `swap_remove`d on completion, drained on a crash: the
-    /// ground truth the run table's order is checked against.
+    /// ground truth the lists' order is checked against.
     #[cfg(test)]
     shadow_vm_jobs: Vec<Vec<JobHandle>>,
 }
@@ -334,7 +335,7 @@ impl SlotEngine {
             options,
             index_of: HashMap::new(),
             metrics: MetricsCollector::new(),
-            rows: RunTable::default(),
+            runs: RunLists::new(num_vms),
             view_period: None,
             vm_unused_history: Vec::new(),
             predictions_due: HashMap::new(),
@@ -447,9 +448,9 @@ impl SlotEngine {
         self.vm_visits
     }
 
-    /// Jobs running after the last step: the run table's running rows.
+    /// Jobs running after the last step: the jobs on the VMs' lists.
     pub fn running_jobs(&self) -> usize {
-        self.rows.live()
+        self.runs.running()
     }
 
     /// Zero samples `vm`'s history is owed as of the current slot: one
@@ -471,13 +472,19 @@ impl SlotEngine {
         self.idle_from[vm] = idle_from;
     }
 
+    /// Whether `allocation` is within `h`'s request, to within 1e-9 per
+    /// resource: what a placement or an adjustment may give a job.
+    fn within_request(&self, h: JobHandle, allocation: ResourceVector) -> bool {
+        allocation.fits_within(&(self.store.requested(h) + ResourceVector::splat(1e-9)))
+    }
+
     /// Rebuilds `vm`'s view for the current slot from ground truth: the
     /// VM-level fields always, the per-job entries on `full` slots only,
-    /// from `run`, the VM's rows. A job entry takes the job's own history
+    /// from the VM's list. A job entry takes the job's own history
     /// buffers for the slot (see `lent`) unless the history is longer
     /// than a view shows or the VM's monitoring is poisoned: then it gets
     /// a copy of the tail.
-    fn write_view(&mut self, vm: usize, run: std::ops::Range<usize>, full: bool) {
+    fn write_view(&mut self, vm: usize, full: bool) {
         self.vm_visits += 1;
         let owed = self.owed_zeros(vm);
         let poison = self.faults.as_ref().and_then(|f| f.poison(vm));
@@ -497,13 +504,14 @@ impl SlotEngine {
         view.capacity = capacity;
         view.committed = self.vm_committed[vm];
         view.free = capacity.saturating_sub(&self.vm_committed[vm]);
-        let idle = run.is_empty();
+        let idle = self.runs.first(vm).is_none();
         if full {
             // Match the view list to the VM's occupancy, keeping the
             // history buffers of surviving entries alive.
-            view.jobs.resize_with(run.len(), RunningJobView::default);
-            for (i, (jv, r)) in view.jobs.iter_mut().zip(run).enumerate() {
-                let h = self.rows.handle[r];
+            view.jobs
+                .resize_with(self.runs.jobs(vm).count(), RunningJobView::default);
+            for (i, (jv, j)) in view.jobs.iter_mut().zip(self.runs.jobs(vm)).enumerate() {
+                let h = self.store.handle_at(j);
                 let job = self.store.job(h);
                 (jv.id, jv.requested) = (job.id, job.requested);
                 let hot = self.store.hot_mut(h);
@@ -511,7 +519,7 @@ impl SlotEngine {
                 if poison.is_none() && hot.observed_demand.len() <= VIEW_HISTORY_CAP {
                     std::mem::swap(&mut jv.recent_demand, &mut hot.observed_demand);
                     std::mem::swap(&mut jv.recent_unused, &mut hot.observed_unused);
-                    self.lent.push((r, i));
+                    self.lent.push((h, vm, i));
                 } else {
                     copy_tail(&hot.observed_demand, &mut jv.recent_demand);
                     copy_tail(&hot.observed_unused, &mut jv.recent_unused);
@@ -589,17 +597,15 @@ impl SlotEngine {
                     FaultEvent::VmCrash { vm } if vm < num_vms && !faults.is_down(vm) => {
                         faults.set_down(vm, true);
                         faults.stats.vm_crashes += 1;
-                        let run = self.rows.run_of(vm);
-                        if !run.is_empty() {
+                        if self.occupied.contains(vm) {
                             // Its history has samples through last slot.
                             self.vacate(vm, slot);
                         }
-                        for r in run {
-                            let h = self.rows.handle[r];
+                        while let Some(i) = self.runs.pop_front(vm) {
+                            let h = self.store.handle_at(i);
                             faults.stats.jobs_killed += 1;
                             faults.kill_slot.insert(self.store.job(h).id(), slot);
                             self.store.job_mut(h).state = JobState::Pending;
-                            self.rows.vacate(r);
                             let hot = self.store.hot_mut(h);
                             hot.progress = 0.0;
                             hot.demand_now = hot.current_demand();
@@ -663,21 +669,14 @@ impl SlotEngine {
                     self.vm_views[vm].jobs = jobs;
                 }
             }
-            // Either walk visits every VM with rows, in ascending id, so
-            // each VM's run starts where the previous one's ended.
-            let mut next_row = 0;
             if whole_fleet {
                 for vm in 0..self.cluster.vms.len() {
-                    let (run, block_end) = self.rows.run_from(next_row, vm);
-                    next_row = block_end;
-                    self.write_view(vm, run, full);
+                    self.write_view(vm, full);
                 }
             } else {
                 for w in 0..self.occupied.num_words() {
                     for vm in ids_in(w, self.occupied.word(w) | self.unsettled.word(w)) {
-                        let (run, block_end) = self.rows.run_from(next_row, vm);
-                        next_row = block_end;
-                        self.write_view(vm, run, full);
+                        self.write_view(vm, full);
                     }
                 }
             }
@@ -711,9 +710,9 @@ impl SlotEngine {
             plan
         };
         // Every history lent to a view goes back to its job.
-        for (r, i) in self.lent.drain(..) {
-            let view = &mut self.vm_views[self.rows.vm[r] as usize].jobs[i];
-            let hot = self.store.hot_mut(self.rows.handle[r]);
+        for (h, vm, i) in self.lent.drain(..) {
+            let view = &mut self.vm_views[vm].jobs[i];
+            let hot = self.store.hot_mut(h);
             std::mem::swap(&mut view.recent_demand, &mut hot.observed_demand);
             std::mem::swap(&mut view.recent_unused, &mut hot.observed_unused);
         }
@@ -761,18 +760,16 @@ impl SlotEngine {
                 self.invalid_actions += 1;
                 continue;
             };
-            // Only a running job has a row.
-            let Some(r) = self.rows.row_of(h) else {
+            let JobState::Running { vm } = self.store.job(h).state else {
                 self.invalid_actions += 1;
                 continue;
             };
-            let vm = self.rows.vm[r] as usize;
             if !new_alloc.is_finite() {
                 self.invalid_actions += 1;
                 self.nonfinite_actions += 1;
                 continue;
             }
-            if !new_alloc.is_nonnegative() {
+            if !new_alloc.is_nonnegative() || !self.within_request(h, new_alloc) {
                 self.invalid_actions += 1;
                 continue;
             }
@@ -805,7 +802,11 @@ impl SlotEngine {
             // (arrivals and crash re-enqueues put it there), so the state
             // alone says whether this one is still placeable.
             let is_pending = matches!(self.store.job(h).state, JobState::Pending);
-            if !is_pending || p.vm >= self.cluster.vms.len() || !p.allocation.is_nonnegative() {
+            if !is_pending
+                || p.vm >= self.cluster.vms.len()
+                || !p.allocation.is_nonnegative()
+                || !self.within_request(h, p.allocation)
+            {
                 self.invalid_actions += 1;
                 continue;
             }
@@ -849,7 +850,7 @@ impl SlotEngine {
                 hot.observed_demand.reserve_exact(samples);
                 hot.observed_unused.reserve_exact(samples);
             }
-            self.rows.place(p.vm, h);
+            self.runs.push(p.vm, h.index());
             self.store.job_mut(h).state = JobState::Running { vm: p.vm };
             outcome.placements.push((p.job, p.vm));
             if let Some(faults) = self.faults.as_mut() {
@@ -858,35 +859,26 @@ impl SlotEngine {
         }
         if !outcome.placements.is_empty() {
             // One pass drops everything just placed; the survivors keep
-            // their arrival order. One more gives rows to the placed jobs
-            // that found no room in their VM's block.
+            // their arrival order.
             let store = &self.store;
             self.pending
                 .retain(|&h| matches!(store.job(h).state, JobState::Pending));
-            self.rows.insert_staged();
         }
 
         lap(&mut self.phase_times.apply, &mut mark);
 
-        // 5. Advance running jobs and collect per-slot totals, one VM's
-        // run of rows at a time, top to bottom. Unoccupied VMs are not
-        // visited: their sample is an owed zero. The congestion sum needs
-        // only the first line of each hot record.
+        // 5. Advance running jobs and collect per-slot totals, one
+        // occupied VM's list at a time, in ascending VM id. Unoccupied VMs
+        // are not visited: their sample is an owed zero. The congestion
+        // sum needs only the first line of each hot record.
         let mut slot_allocated = ResourceVector::ZERO;
         let mut slot_demanded = ResourceVector::ZERO;
-        let mut start = 0;
-        while start < self.rows.len() {
-            let vm_id = self.rows.vm[start] as usize;
-            let (run, block_end) = self.rows.run_from(start, vm_id);
-            start = block_end;
-            if run.is_empty() {
-                continue;
-            }
+        for vm_id in self.occupied.iter() {
             self.vm_visits += 1;
             // Physical congestion: total true demand vs capacity.
             let mut total_demand = ResourceVector::ZERO;
-            for &h in &self.rows.handle[run.clone()] {
-                total_demand += self.store.hot(h).demand_now;
+            for i in self.runs.jobs(vm_id) {
+                total_demand += self.store.hot(self.store.handle_at(i)).demand_now;
             }
             // A degraded VM physically delivers only a fraction of its
             // nominal capacity; commitments are contractual and stay
@@ -905,8 +897,11 @@ impl SlotEngine {
             }
             let mut vm_unused = ResourceVector::ZERO;
             let mut finished = false;
-            for r in run.clone() {
-                let hot = self.store.hot_mut(self.rows.handle[r]);
+            let mut at = self.runs.first(vm_id);
+            while let Some(i) = at {
+                at = self.runs.next(i);
+                let h = self.store.handle_at(i);
+                let hot = self.store.hot_mut(h);
                 let (demand, allocation) = (hot.demand_now, hot.allocation);
                 let rate = congestion.min(allocation.coverage_of(&demand));
                 let unused = allocation.saturating_sub(&demand);
@@ -918,7 +913,7 @@ impl SlotEngine {
                     #[cfg(test)]
                     for (series, sample) in self
                         .shadow_histories
-                        .entry(self.rows.handle[r])
+                        .entry(h)
                         .or_default()
                         .iter_mut()
                         .zip([demand, unused])
@@ -927,13 +922,13 @@ impl SlotEngine {
                     }
                 }
                 finished |= hot.work_done();
-                self.rows.unused[r] = unused;
+                self.runs.unused[i] = unused;
                 vm_unused += unused;
                 slot_allocated += allocation;
                 slot_demanded += demand;
             }
             if finished {
-                self.finished.push((vm_id, run.start, run.end));
+                self.finished.push(vm_id);
             }
             self.newest_unused[vm_id] = vm_unused;
             if let Some(ring) = self.vm_unused_history.get_mut(vm_id) {
@@ -970,8 +965,8 @@ impl SlotEngine {
                     Some(job_id) => self
                         .index_of
                         .get(&job_id)
-                        .and_then(|&h| self.rows.row_of(h))
-                        .map(|r| self.rows.unused[r][p.resource]),
+                        .filter(|&&h| matches!(self.store.job(h).state, JobState::Running { .. }))
+                        .map(|&h| self.runs.unused[h.index()][p.resource]),
                     None => (p.vm < self.newest_unused.len()).then(|| {
                         // An unoccupied VM's sample this slot is zero.
                         let occupied = self.occupied.contains(p.vm);
@@ -1005,17 +1000,16 @@ impl SlotEngine {
         #[cfg(test)]
         tests::check_finished_vms_against_full_scan(self);
         for noted in 0..self.finished.len() {
-            let (vm_id, start, mut end) = self.finished[noted];
+            let vm_id = self.finished[noted];
             self.vm_visits += 1;
-            // Completed rows leave the way `Vec::swap_remove` would: the
-            // run's last running row takes the place, and the row it
-            // vacates stays in the block as room for the VM's next job.
-            let mut r = start;
-            while r < end {
-                let h = self.rows.handle[r];
+            // Completed jobs leave the way `Vec::swap_remove` would: the
+            // VM's last job takes the place, and is looked at next.
+            let mut at = self.runs.first(vm_id);
+            while let Some(i) = at {
+                let h = self.store.handle_at(i);
                 let (job, hot) = (self.store.job(h), self.store.hot(h));
                 if !hot.work_done() {
-                    r += 1;
+                    at = self.runs.next(i);
                     continue;
                 }
                 let id = job.id;
@@ -1040,8 +1034,7 @@ impl SlotEngine {
                     (self.vm_committed[vm_id] - hot.allocation).clamp_nonnegative();
                 self.metrics.record_completion(response, violated);
                 outcome.completed.push(id);
-                end -= 1;
-                self.rows.swap_remove(r, end);
+                at = self.runs.swap_remove(vm_id, i);
                 #[cfg(test)]
                 {
                     let jobs = &mut self.shadow_vm_jobs[vm_id];
@@ -1052,14 +1045,13 @@ impl SlotEngine {
                 self.active -= 1;
                 retire(&mut self.index_of, &mut self.store, h);
             }
-            if start == end {
+            if self.runs.first(vm_id).is_none() {
                 // This slot's sample is in; zeros are owed from the next
                 // one.
                 self.vacate(vm_id, slot + 1);
             }
         }
         self.finished.clear();
-        self.rows.trim();
         lap(&mut self.phase_times.completions, &mut mark);
         if !outcome.completed.is_empty() {
             provisioner.on_jobs_completed(&self.completions[..outcome.completed.len()]);
@@ -1079,10 +1071,10 @@ impl SlotEngine {
     /// under [`SimulationOptions::check`] and in this crate's test builds.
     fn check_invariants(&self) {
         let slot = self.slot;
-        let (store, rows) = (&self.store, &self.rows);
+        let (store, runs) = (&self.store, &self.runs);
         // Job conservation: every job ever submitted is in exactly one
         // place, or has left through a counted door.
-        let running = rows.live();
+        let running = runs.running();
         let (pending, incoming) = (self.pending.len(), self.incoming.len());
         let metrics = &self.metrics;
         assert_eq!(
@@ -1092,11 +1084,14 @@ impl SlotEngine {
         );
         assert_eq!(store.live(), incoming + pending + running, "slot {slot}");
         assert_eq!(self.active, pending + running, "slot {slot}");
-        // Generation safety: every handle in the rows and the two queues
+        // The lists' links, before anything walks them.
+        runs.check_links(slot);
+        // Generation safety: every handle on a list or in the two queues
         // addresses a live job, and no arena slot is held twice.
+        let num_vms = self.cluster.vms.len();
         let mut held = vec![false; store.capacity()];
-        let running_handles = rows.handle.iter().filter(|&&h| h != JobHandle::VACANT);
-        for &h in running_handles.chain(&self.pending).chain(&self.incoming) {
+        let listed = (0..num_vms).flat_map(|vm| runs.jobs(vm).map(|i| store.handle_at(i)));
+        for h in listed.chain(self.pending.iter().chain(&self.incoming).copied()) {
             assert!(store.is_live(h), "stale handle {h:?} at slot {slot}");
             assert!(
                 !std::mem::replace(&mut held[h.index()], true),
@@ -1105,73 +1100,47 @@ impl SlotEngine {
         }
         for &h in self.pending.iter().chain(&self.incoming) {
             assert_eq!(store.job(h).state, JobState::Pending, "slot {slot}");
-            assert_eq!(
-                rows.row_of(h),
-                None,
-                "pending {h:?} has a row at slot {slot}"
-            );
         }
-        // The rows: in VM order, each VM's running rows ahead of its vacant
-        // ones; each running row its job's one row, on the VM the job is
-        // running on, holding no more than the job asked for. Per VM, the
-        // committed total is the sum of its rows' allocations, within
-        // capacity, and the occupied set is exactly the VMs with running
-        // rows.
-        let mut sums = vec![ResourceVector::ZERO; self.cluster.vms.len()];
+        // Each VM's list: every job on it running on that VM, holding no
+        // more than it asked for. Per VM, the committed total is the sum
+        // of its jobs' allocations, within capacity, and the occupied set
+        // is exactly the VMs whose lists are not empty.
+        let mut sums = vec![ResourceVector::ZERO; num_vms];
         let mut hosting = Vec::new();
-        let mut live = 0;
-        for r in 0..rows.len() {
-            let (h, vm) = (rows.handle[r], rows.vm[r] as usize);
-            let same_block = r > 0 && rows.vm[r - 1] as usize == vm;
-            if r > 0 {
-                assert!(
-                    rows.vm[r - 1] as usize <= vm,
-                    "row {r} out of VM order at slot {slot}"
-                );
-            }
-            if h == JobHandle::VACANT {
-                continue;
-            }
-            if same_block {
-                assert_ne!(
-                    rows.handle[r - 1],
-                    JobHandle::VACANT,
-                    "row {r} after a vacant one at slot {slot}"
-                );
-            }
-            live += 1;
-            assert_eq!(rows.row_of(h), Some(r), "row_of of {h:?} at slot {slot}");
-            if hosting.last() != Some(&vm) {
+        for (vm, sum) in sums.iter_mut().enumerate() {
+            if runs.first(vm).is_some() {
                 hosting.push(vm);
             }
-            let (job, hot) = (store.job(h), store.hot(h));
-            assert_eq!(
-                job.state,
-                JobState::Running { vm },
-                "row {r} at slot {slot}"
-            );
-            assert!(
-                hot.allocation
-                    .fits_within(&(job.requested + ResourceVector::splat(1e-9))),
-                "job {} holds {:?} of a {:?} request at slot {slot}",
-                job.id,
-                hot.allocation,
-                job.requested
-            );
-            assert_eq!(
-                hot.demand_now,
-                hot.current_demand(),
-                "row {r} at slot {slot}"
-            );
-            sums[vm] += hot.allocation;
+            for i in runs.jobs(vm) {
+                let h = store.handle_at(i);
+                let (job, hot) = (store.job(h), store.hot(h));
+                assert_eq!(
+                    job.state,
+                    JobState::Running { vm },
+                    "job slot {i} on VM {vm}'s list at slot {slot}"
+                );
+                assert!(
+                    self.within_request(h, hot.allocation),
+                    "job {} holds {:?} of a {:?} request at slot {slot}",
+                    job.id,
+                    hot.allocation,
+                    job.requested
+                );
+                assert_eq!(
+                    hot.demand_now,
+                    hot.current_demand(),
+                    "job {} at slot {slot}",
+                    job.id
+                );
+                *sum += hot.allocation;
+            }
         }
-        assert_eq!(live, running, "running rows at slot {slot}");
         for (vm, sum) in sums.iter().enumerate() {
             let committed = self.vm_committed[vm];
             for k in 0..NUM_RESOURCES {
                 assert!(
                     (committed[k] - sum[k]).abs() <= 1e-9,
-                    "VM {vm} commits {committed:?}, its rows hold {sum:?} at slot {slot}"
+                    "VM {vm} commits {committed:?}, its jobs hold {sum:?} at slot {slot}"
                 );
             }
             let capacity = self.cluster.vms[vm].capacity + ResourceVector::splat(1e-9);
@@ -1180,9 +1149,7 @@ impl SlotEngine {
                 "VM {vm} over capacity at slot {slot}"
             );
         }
-        let occupied: Vec<usize> = (0..self.occupied.num_words())
-            .flat_map(|w| ids_in(w, self.occupied.word(w)))
-            .collect();
+        let occupied: Vec<usize> = self.occupied.iter().collect();
         assert_eq!(occupied, hosting, "occupied set at slot {slot}");
         // Every index entry addresses a live job with that id, every lent
         // history is back in its job's record, and every pending job's
@@ -1356,7 +1323,7 @@ mod tests {
     /// no buffer reuse, no parking, no lending, no VM skipped, each VM's
     /// jobs in the order of its shadow `Vec`, and VM and job histories
     /// read from the eager shadow series rather than the lazy rings and
-    /// the rows. Off-period views list no jobs.
+    /// the lists. Off-period views list no jobs.
     fn reference_views(engine: &SlotEngine, full: bool) -> Vec<VmView> {
         let depth = if full { VIEW_HISTORY_CAP } else { 1 };
         let tail =
@@ -1431,23 +1398,16 @@ mod tests {
     /// VMs advance noted are exactly the ones a scan of every VM's jobs
     /// finds a finished job on, in the same ascending order.
     pub(super) fn check_finished_vms_against_full_scan(engine: &SlotEngine) {
-        let done = |h: &JobHandle| {
-            let r = engine.rows.row_of(*h).expect("a running job has a row");
-            engine.store.hot(engine.rows.handle[r]).work_done()
-        };
+        let done = |h: &JobHandle| engine.store.hot(*h).work_done();
         let jobs = &engine.shadow_vm_jobs;
         let scanned: Vec<usize> = (0..jobs.len())
             .filter(|&vm| jobs[vm].iter().any(done))
             .collect();
-        let noted: Vec<usize> = engine.finished.iter().map(|&(vm, ..)| vm).collect();
         assert_eq!(
-            noted, scanned,
+            engine.finished, scanned,
             "VMs noted by advance at slot {}",
             engine.slot
         );
-        for &(vm, start, end) in &engine.finished {
-            assert_eq!(engine.rows.run_of(vm), start..end, "slot {}", engine.slot);
-        }
         FINISH_CHECKS.with(|n| n.set(n.get() + 1));
     }
 
@@ -1463,19 +1423,23 @@ mod tests {
         assert_eq!(completion.unused_history, fresh, "job {id}");
     }
 
-    /// The handles of `vm`'s rows, top to bottom.
-    fn rows_on(engine: &SlotEngine, vm: usize) -> Vec<JobHandle> {
-        engine
-            .rows
-            .run_of(vm)
-            .map(|r| engine.rows.handle[r])
+    /// The handles on `vm`'s list, in order.
+    fn jobs_on(engine: &SlotEngine, vm: usize) -> Vec<JobHandle> {
+        let store = &engine.store;
+        engine.runs.jobs(vm).map(|i| store.handle_at(i)).collect()
+    }
+
+    /// Every running job's handle, VM by VM.
+    fn running(engine: &SlotEngine) -> Vec<JobHandle> {
+        (0..engine.cluster.vms.len())
+            .flat_map(|vm| jobs_on(engine, vm))
             .collect()
     }
 
     /// Called by [`SlotEngine::step`] in this crate's test builds at the
     /// end of every slot of every test, after
     /// [`SlotEngine::check_invariants`]: the state the engine keeps
-    /// against its eager shadows. Each VM's rows are its shadow `Vec`, in
+    /// against its eager shadows. Each VM's list is its shadow `Vec`, in
     /// order, and every job's histories are its shadow series.
     pub(super) fn check_against_shadows(engine: &mut SlotEngine) {
         let slot = engine.slot;
@@ -1483,17 +1447,12 @@ mod tests {
         engine.shadow_histories.retain(|&h, _| store.is_live(h));
         for (vm, shadow) in engine.shadow_vm_jobs.iter().enumerate() {
             assert_eq!(
-                &rows_on(engine, vm),
+                &jobs_on(engine, vm),
                 shadow,
-                "VM {vm}'s rows at slot {slot}"
+                "VM {vm}'s list at slot {slot}"
             );
         }
-        let running = engine
-            .rows
-            .handle
-            .iter()
-            .filter(|&&h| h != JobHandle::VACANT);
-        for &h in running.chain(&engine.pending) {
+        for h in running(engine).into_iter().chain(engine.pending.clone()) {
             let hot = engine.store.hot(h);
             let shadow = engine.shadow_histories.get(&h).cloned().unwrap_or_default();
             assert_eq!(
@@ -1507,7 +1466,7 @@ mod tests {
     }
 
     /// The lazy per-VM state against its eager ground truth: the occupied
-    /// set is exactly the VMs with rows, every VM's newest-only view reads
+    /// set is exactly the VMs with jobs, every VM's newest-only view reads
     /// as the newest sample of the series that got one sample per VM per
     /// slot, and, where the engine keeps rings, every ring plus the zeros
     /// it is owed reads as that series' tail. Under a view period of
@@ -1515,9 +1474,7 @@ mod tests {
     /// view after slot 0 can show.
     fn check_lazy_state_against_shadow(engine: &SlotEngine) {
         let slot = engine.slot;
-        let occupied: Vec<usize> = (0..engine.occupied.num_words())
-            .flat_map(|w| ids_in(w, engine.occupied.word(w)))
-            .collect();
+        let occupied: Vec<usize> = engine.occupied.iter().collect();
         let hosting: Vec<usize> = (0..engine.shadow_vm_jobs.len())
             .filter(|&vm| !engine.shadow_vm_jobs[vm].is_empty())
             .collect();
@@ -2851,10 +2808,9 @@ mod tests {
             vec![hog(0, 0, 10), hog(1, 0, 10)],
             Some(timeline),
             |engine| {
-                let rows = &engine.rows;
-                for r in (0..rows.len()).filter(|&r| rows.handle[r] != JobHandle::VACANT) {
-                    let id = engine.store.job(rows.handle[r]).id as usize;
-                    let job = engine.store.hot(rows.handle[r]);
+                for h in running(engine) {
+                    let id = engine.store.job(h).id as usize;
+                    let job = engine.store.hot(h);
                     assert_eq!(job.observed_demand.len(), job.observed_unused.len());
                     let histories = [&job.observed_demand, &job.observed_unused];
                     assert!(histories.iter().all(|h| h.capacity() >= reserved));
@@ -2887,10 +2843,10 @@ mod tests {
         let mut copied_slots = 0;
         run_checked(cluster(), vec![hog(0, 0, 30)], Some(timeline), |engine| {
             let slot = engine.slot() - 1;
-            let Some(r) = engine.rows.run_of(0).next() else {
+            let Some(&h) = jobs_on(engine, 0).first() else {
                 return;
             };
-            let history = &engine.store.hot(engine.rows.handle[r]).observed_unused;
+            let history = &engine.store.hot(h).observed_unused;
             if slot % 6 == 0 && history.len() > VIEW_HISTORY_CAP + 1 {
                 let view = &engine.vm_views[0].jobs[0];
                 // The view was written before this slot's sample landed.
@@ -2938,8 +2894,8 @@ mod tests {
             SlotEngine::new(cluster(), SimulationOptions::default()).with_fault_timeline(timeline);
         let mut watcher = NanWatcher(Vec::new());
         let report = pump_checked(engine, vec![hog(0, 0, 20)], &mut watcher, |engine, _| {
-            for r in engine.rows.run_of(0) {
-                let own = &engine.store.hot(engine.rows.handle[r]).observed_unused;
+            for h in jobs_on(engine, 0) {
+                let own = &engine.store.hot(h).observed_unused;
                 assert!(own.iter().all(ResourceVector::is_finite));
             }
         });
@@ -2977,7 +2933,7 @@ mod tests {
         let report = pump_checked(engine, jobs, &mut Windowed(1), |engine, _| {
             if engine.slot() == 4 {
                 // Seen after slot 3: who is on VM 1 when it crashes.
-                let on_vm_1 = rows_on(engine, 1).into_iter();
+                let on_vm_1 = jobs_on(engine, 1).into_iter();
                 killed.extend(on_vm_1.map(|h| engine.store.job(h).id));
             }
         });
@@ -3068,6 +3024,47 @@ mod tests {
             completed.extend(engine.step(&mut provisioner).completed);
         }
         assert_eq!(completed, vec![survivor]);
+    }
+
+    /// Static peak that offers 1.2 × the request: in every placement on
+    /// even slots (odd slots place the request itself, so the jobs run),
+    /// and in an adjustment of every running job every slot.
+    struct OverAsker {
+        over_asks: usize,
+    }
+    impl Provisioner for OverAsker {
+        fn name(&self) -> &str {
+            "over-asker"
+        }
+        fn provision(&mut self, ctx: &SlotContext<'_>) -> crate::provisioner::ProvisionPlan {
+            let mut plan = StaticPeakProvisioner.provision(ctx);
+            if ctx.slot % 2 == 0 {
+                for p in &mut plan.placements {
+                    p.allocation = p.allocation.scaled(1.2);
+                }
+                self.over_asks += plan.placements.len();
+            }
+            for job in ctx.vms.iter().flat_map(|vm| &vm.jobs) {
+                plan.adjustments.push((job.id, job.requested.scaled(1.2)));
+                self.over_asks += 1;
+            }
+            plan
+        }
+    }
+
+    #[test]
+    fn allocations_above_the_request_are_invalid_actions() {
+        let options = SimulationOptions {
+            check: true,
+            ..SimulationOptions::default()
+        };
+        let mut sim = Simulation::new(cluster(), small_workload(12, 5), options);
+        let mut provisioner = OverAsker { over_asks: 0 };
+        let report = sim.run(&mut provisioner);
+        assert_eq!(report.completed, 12, "{report:?}");
+        assert!(provisioner.over_asks > 12, "{}", provisioner.over_asks);
+        assert_eq!(report.invalid_actions, provisioner.over_asks);
+        assert_eq!(report.nonfinite_actions, 0);
     }
 
     /// One slot of a [`Scripted`] plan: placements as `(pending job pick,
@@ -3191,10 +3188,10 @@ mod tests {
 
         /// Random plans against every test-build check, every slot:
         /// reference views, the full scan of finished VMs, fresh
-        /// completion records, the invariants and the shadows — the run
-        /// table's order among them. A failed check panics inside the
-        /// engine; the panic fails the case, which then shrinks to a
-        /// minimal plan.
+        /// completion records, the invariants and the shadows — the lists'
+        /// order among them. Allocations reach 1.5 × the request, which the
+        /// engine must refuse. A failed check panics inside the engine; the
+        /// panic fails the case, which then shrinks to a minimal plan.
         #[test]
         fn random_plans_keep_every_check(
             num_pms in 1usize..=16,
@@ -3205,8 +3202,8 @@ mod tests {
             ),
             script in proptest::collection::vec(
                 (
-                    proptest::collection::vec((0u8..=255, 0u8..=255, 0.05f64..=1.0), 0..5),
-                    proptest::collection::vec((0u8..=255, 0u8..5, 0.0f64..=1.0), 0..4),
+                    proptest::collection::vec((0u8..=255, 0u8..=255, 0.05f64..=1.5), 0..5),
+                    proptest::collection::vec((0u8..=255, 0u8..5, 0.0f64..=1.5), 0..4),
                 ),
                 0..30,
             ),
@@ -3230,19 +3227,7 @@ mod tests {
                 .with_fault_timeline(fault_timeline(&faults, num_vms));
             let period = [1, 6, u64::MAX][period];
             let mut provisioner = Scripted { period, script, num_vms, placed: Vec::new() };
-            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                pump_checked(engine, specs, &mut provisioner, |_, _| {})
-            }));
-            let report = match run {
-                Ok(report) => report,
-                Err(panic) => {
-                    let message = panic
-                        .downcast_ref::<String>()
-                        .cloned()
-                        .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()));
-                    return Err(proptest::TestCaseError::fail(message.unwrap_or_default()));
-                }
-            };
+            let report = pump_checked(engine, specs, &mut provisioner, |_, _| {});
             let terminal = report.completed + report.rejected + report.unfinished;
             proptest::prop_assert_eq!(terminal, jobs.len());
         }

@@ -12,9 +12,8 @@
 //!   advance reaches one record per job, and the congestion sum over a
 //!   VM's jobs only its first line.
 //!
-//! A running job also has a row in the engine's run table: its handle,
-//! its VM and its newest unused sample, in the order the slot loop walks
-//! running jobs.
+//! A running job is also on its VM's job list, which keeps its two
+//! neighbours and its newest unused sample in columns beside the arena.
 //!
 //! A job leaves the engine when it completes or is rejected: what it
 //! leaves behind is its share of the report's counts and the
@@ -250,14 +249,11 @@ mod tests {
 
     #[test]
     fn records_fill_whole_cache_lines() {
-        // A running job's row of the run table is its newest unused
-        // sample, its handle and its VM: 36 bytes, which is what a
-        // placement or a departure moves.
+        // Beside the records, an arena slot's list columns hold its two
+        // neighbours and its newest unused sample: 32 bytes.
         assert_eq!(std::mem::size_of::<RunningJob>(), 64);
         assert_eq!(std::mem::size_of::<HotJob>(), 128);
-        let row = std::mem::size_of::<ResourceVector>()
-            + std::mem::size_of::<crate::store::JobHandle>()
-            + std::mem::size_of::<u32>();
-        assert_eq!(row, 36);
+        let links = 2 * std::mem::size_of::<u32>() + std::mem::size_of::<ResourceVector>();
+        assert_eq!(links, 32);
     }
 }

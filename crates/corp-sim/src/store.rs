@@ -1,6 +1,5 @@
 //! The engine's job state: a generational arena of every resident job,
-//! and a dense table of the running ones in the order the slot loop
-//! walks them.
+//! and the running ones as one list per VM threaded through it.
 //!
 //! [`JobStore`] holds the jobs the engine has admitted and not yet seen
 //! leave, as an arena addressed by [`JobHandle`]s (index + generation, so
@@ -17,26 +16,17 @@
 //! high-water mark is the peak number of resident jobs, whatever the
 //! trace length.
 //!
-//! [`RunTable`] lists the running jobs, a row each — the handle, the VM,
-//! and the unused sample advance wrote for the job this slot — in VM id
-//! order, and within a VM in the order its jobs were placed, with
-//! `swap_remove` on completion. That is the order advance sums in, so
-//! the f64 totals and the completion batch come out the same as from
-//! per-VM job lists, while every phase that walks running jobs reads one
-//! contiguous run of rows per VM instead of a list per VM. A dense
-//! `row_of` column, indexed by arena slot, finds a handle's row.
-//! Each VM's rows are a block with room at its end: a completion or a
-//! crash vacates rows in place, and the VM's next placement fills one
-//! ([`RunTable::place`]). Placements into full blocks land in one pass
-//! per slot, which doubles those blocks and moves the rows after them
-//! only as far as it takes to absorb spare vacant rows
-//! ([`RunTable::insert_staged`]); the blocks of idle VMs are dropped in
-//! one pass once vacant rows outnumber running ones ([`RunTable::trim`]).
+//! [`RunLists`] lists each VM's running jobs, in the order they were
+//! placed, with `Vec::swap_remove` order on completion (the VM's last job
+//! takes the finished one's place) and an in-order drain on a crash. That
+//! is the order advance sums in, so the f64 totals and the completion
+//! batch come out as from per-VM `Vec`s, without a `Vec` header and heap
+//! block per VM: a VM costs two `u32`s (its first and last job) and a job
+//! slot two more (its neighbours), plus the slot's newest unused sample.
 
 use crate::job::{HotJob, RunningJob};
 use crate::resources::ResourceVector;
 use corp_trace::JobSpec;
-use std::ops::Range;
 
 /// Stable reference to a job slot: arena index plus the generation the
 /// slot had when the job was inserted. A handle whose generation no
@@ -48,13 +38,6 @@ pub struct JobHandle {
 }
 
 impl JobHandle {
-    /// What a vacant row of the run table holds: no arena has a slot at
-    /// its index, so it is never live.
-    pub(crate) const VACANT: JobHandle = JobHandle {
-        index: u32::MAX,
-        generation: u32::MAX,
-    };
-
     /// The arena index this handle points at.
     #[inline]
     pub(crate) fn index(self) -> usize {
@@ -137,6 +120,15 @@ impl JobStore {
         self.free.push(h.index);
     }
 
+    /// The handle of the job in arena slot `index` now.
+    #[inline]
+    pub(crate) fn handle_at(&self, index: usize) -> JobHandle {
+        JobHandle {
+            index: index as u32,
+            generation: self.generations[index],
+        }
+    }
+
     /// Whether `h` still addresses the job it was minted for.
     #[inline]
     pub(crate) fn is_live(&self, h: JobHandle) -> bool {
@@ -214,296 +206,164 @@ impl JobStore {
     }
 }
 
-/// `row_of` entry of an arena slot whose job is not running.
-const NO_ROW: u32 = u32::MAX;
+/// A list end, or a job slot that is on no list.
+const NIL: u32 = u32::MAX;
 
-/// The running jobs, one row each, in slot-loop order (see the module
-/// docs). Each VM that has hosted a job owns a block of rows: its running
-/// jobs first, in order, then vacant rows its departed jobs left, which
-/// its next placements fill in place. The columns are public to the
-/// engine, which reads them and writes the unused samples in place; rows
-/// are added, vacated and moved only through the methods, which keep
-/// `row_of` in step.
-#[derive(Debug, Default)]
-pub(crate) struct RunTable {
-    /// Per row: the unused allocation the job showed on the newest slot
-    /// it ran — written by advance, read by the same slot's prediction
-    /// scoring.
+/// The running jobs as one doubly linked list per VM, threaded through
+/// the arena (see the module docs). Every method takes arena indices
+/// ([`JobHandle::index`]); a job is on at most one list.
+#[derive(Debug)]
+pub(crate) struct RunLists {
+    /// Per VM: the arena index of its first and of its last running job,
+    /// `NIL` while it runs none.
+    first: Vec<u32>,
+    last: Vec<u32>,
+    /// Per arena slot: the next and the previous job on the same VM's
+    /// list, `NIL` past either end and for a job on no list. Grown on
+    /// demand, so they never outrun the arena.
+    next: Vec<u32>,
+    prev: Vec<u32>,
+    /// Per arena slot: the unused allocation the job showed on the newest
+    /// slot it ran — written by advance, read by the same slot's
+    /// prediction scoring.
     pub unused: Vec<ResourceVector>,
-    /// Per row: the job's handle; `JobHandle::VACANT` in a vacant row.
-    pub handle: Vec<JobHandle>,
-    /// Per row: the VM whose block the row is in. Non-decreasing down the
-    /// table.
-    pub vm: Vec<u32>,
-    /// Rows holding a running job.
-    live: usize,
-    /// Per arena slot: the row of the slot's job while it runs, `NO_ROW`
-    /// otherwise. Grows on demand, so it never outruns the arena.
-    row_of: Vec<u32>,
-    /// Placements that found no vacant row in their VM's block, waiting
-    /// for [`insert_staged`](Self::insert_staged): `(vm, handle)` in
-    /// application order.
-    staged: Vec<(u32, JobHandle)>,
+    /// Jobs on some list.
+    running: usize,
 }
 
-impl RunTable {
-    /// Rows, vacant ones included.
+/// `Some(index)` unless `link` is `NIL`.
+#[inline]
+fn linked(link: u32) -> Option<usize> {
+    (link != NIL).then_some(link as usize)
+}
+
+impl RunLists {
+    /// Empty lists for `num_vms` VMs.
+    pub(crate) fn new(num_vms: usize) -> Self {
+        RunLists {
+            first: vec![NIL; num_vms],
+            last: vec![NIL; num_vms],
+            next: Vec::new(),
+            prev: Vec::new(),
+            unused: Vec::new(),
+            running: 0,
+        }
+    }
+
+    /// Jobs on some list.
     #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.vm.len()
+    pub(crate) fn running(&self) -> usize {
+        self.running
     }
 
-    /// Rows holding a running job.
+    /// `vm`'s first job.
     #[inline]
-    pub(crate) fn live(&self) -> usize {
-        self.live
+    pub(crate) fn first(&self, vm: usize) -> Option<usize> {
+        linked(self.first[vm])
     }
 
-    /// The row of a running job, `None` for any other.
+    /// The job after `i` on its VM's list.
     #[inline]
-    pub(crate) fn row_of(&self, h: JobHandle) -> Option<usize> {
-        match self.row_of.get(h.index()) {
-            Some(&r) if r != NO_ROW => Some(r as usize),
-            _ => None,
+    pub(crate) fn next(&self, i: usize) -> Option<usize> {
+        linked(self.next[i])
+    }
+
+    /// `vm`'s jobs, in list order.
+    pub(crate) fn jobs(&self, vm: usize) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.first(vm), |&i| self.next(i))
+    }
+
+    /// Appends job `i` to `vm`'s list.
+    pub(crate) fn push(&mut self, vm: usize, i: usize) {
+        if i >= self.next.len() {
+            self.next.resize(i + 1, NIL);
+            self.prev.resize(i + 1, NIL);
+            self.unused.resize(i + 1, ResourceVector::ZERO);
         }
-    }
-
-    /// `vm`'s running rows, and the end of its block, looked for from row
-    /// `start` on: blocks of lower VMs in between must hold no running
-    /// job. Walking VMs in ascending id and starting each from the
-    /// previous block's end visits every row once.
-    #[inline]
-    pub(crate) fn run_from(&self, start: usize, vm: usize) -> (Range<usize>, usize) {
-        let vm = vm as u32;
-        let below = self.vm[start..].iter().take_while(|&&v| v < vm).count();
-        let start = start + below;
-        debug_assert!(self.handle[start - below..start]
-            .iter()
-            .all(|&h| h == JobHandle::VACANT));
-        let block = self.vm[start..].iter().take_while(|&&v| v == vm).count();
-        let running = self.handle[start..start + block]
-            .iter()
-            .take_while(|&&h| h != JobHandle::VACANT)
-            .count();
-        (start..start + running, start + block)
-    }
-
-    /// `vm`'s running rows and the end of its block, found by binary
-    /// search.
-    fn block_of(&self, vm: usize) -> (Range<usize>, usize) {
-        let start = self.vm.partition_point(|&v| (v as usize) < vm);
-        self.run_from(start, vm)
-    }
-
-    /// `vm`'s running rows, found by binary search.
-    pub(crate) fn run_of(&self, vm: usize) -> Range<usize> {
-        self.block_of(vm).0
-    }
-
-    /// Gives a job placed on `vm` the first vacant row of `vm`'s block,
-    /// after its running rows. With none, the job waits for
-    /// [`insert_staged`](Self::insert_staged), which puts it after the
-    /// block and after the jobs staged for `vm` before it.
-    pub(crate) fn place(&mut self, vm: usize, h: JobHandle) {
-        let (run, end) = self.block_of(vm);
-        if run.end == end {
-            self.staged.push((vm as u32, h));
-            return;
+        let tail = self.last[vm];
+        match linked(tail) {
+            Some(t) => self.next[t] = i as u32,
+            None => self.first[vm] = i as u32,
         }
-        let r = run.end;
-        self.handle[r] = h;
-        self.live += 1;
-        self.point(h, r);
+        (self.prev[i], self.next[i]) = (tail, NIL);
+        self.last[vm] = i as u32;
+        self.running += 1;
     }
 
-    /// Gives every staged job its row at the end of its VM's block. A
-    /// block that grows grows to a power of two rows, at least two, so a
-    /// VM's next placements find room in place. The rows after a growing
-    /// block move down only as far as it takes to absorb as many spare
-    /// vacant rows of later blocks — rows whose block keeps another — or
-    /// to the table's end, which grows by the rest: one read-only pass
-    /// finds those rows, one pass back up moves each row in between once,
-    /// a run at a time.
-    pub(crate) fn insert_staged(&mut self) {
-        if self.staged.is_empty() {
-            return;
+    /// Takes job `i` off `vm`'s list the way `Vec::swap_remove` would:
+    /// the list's last job takes its place. Returns the job now in that
+    /// place, `None` if `i` was the last — what a walk that removes as it
+    /// goes looks at next.
+    pub(crate) fn swap_remove(&mut self, vm: usize, i: usize) -> Option<usize> {
+        self.running -= 1;
+        // Unlink the tail; unless it is `i`, it then takes `i`'s links.
+        let tail = self.last[vm] as usize;
+        let before = self.prev[tail];
+        match linked(before) {
+            Some(b) => self.next[b] = NIL,
+            None => self.first[vm] = NIL,
         }
-        // A stable sort: jobs staged for one VM keep their placement order.
-        self.staged.sort_by_key(|&(vm, ..)| vm);
-        let mut staged = std::mem::take(&mut self.staged);
-        self.live += staged.len();
-        // Per staged VM: where its block ends, and the rows it gains.
-        let groups: Vec<(usize, usize)> = staged
-            .chunk_by(|a, b| a.0 == b.0)
-            .map(|group| {
-                let (run, end) = self.block_of(group[0].0 as usize);
-                let size = (run.len() + group.len()).next_power_of_two().max(2);
-                (end, size - run.len())
-            })
-            .collect();
-        // Down the table: the vacant rows the new ones absorb.
-        let mut absorbed = Vec::new();
-        let (mut shift, mut next, mut pos) = (0, 0, groups[0].0);
-        loop {
-            while next < groups.len() && groups[next].0 == pos {
-                shift += groups[next].1;
-                next += 1;
+        self.last[vm] = before;
+        self.prev[tail] = NIL;
+        if tail == i {
+            return None;
+        }
+        let (p, n) = (self.prev[i], self.next[i]);
+        (self.prev[tail], self.next[tail]) = (p, n);
+        match linked(p) {
+            Some(p) => self.next[p] = tail as u32,
+            None => self.first[vm] = tail as u32,
+        }
+        match linked(n) {
+            Some(n) => self.prev[n] = tail as u32,
+            None => self.last[vm] = tail as u32,
+        }
+        (self.prev[i], self.next[i]) = (NIL, NIL);
+        Some(tail)
+    }
+
+    /// Takes `vm`'s first job off its list.
+    pub(crate) fn pop_front(&mut self, vm: usize) -> Option<usize> {
+        let head = self.first(vm)?;
+        let after = std::mem::replace(&mut self.next[head], NIL);
+        self.first[vm] = after;
+        match linked(after) {
+            Some(a) => self.prev[a] = NIL,
+            None => self.last[vm] = NIL,
+        }
+        self.running -= 1;
+        Some(head)
+    }
+
+    /// Walks every list from its `first` and panics, naming `slot`, at
+    /// the first link that disagrees: a `prev` that is not the job walked
+    /// before, a `last` that is not where the walk ended, a job on two
+    /// lists or twice on one, a count that is not `running`, or a job on
+    /// no list that keeps a link.
+    pub(crate) fn check_links(&self, slot: u64) {
+        let mut listed = vec![false; self.next.len()];
+        let mut count = 0;
+        for vm in 0..self.first.len() {
+            let mut before = NIL;
+            for i in self.jobs(vm) {
+                assert!(
+                    !std::mem::replace(&mut listed[i], true),
+                    "job slot {i} listed twice (VM {vm}) at slot {slot}"
+                );
+                assert_eq!(self.prev[i], before, "VM {vm}: prev of {i} at slot {slot}");
+                before = i as u32;
+                count += 1;
             }
-            if shift == 0 {
-                match groups.get(next) {
-                    Some(&(at, _)) => pos = at,
-                    None => break,
-                }
-            } else if pos == self.len() {
-                break;
-            } else {
-                // A vacant row is absorbed only if its block keeps another:
-                // taking a block's last room would stage its next job.
-                let spare = |r: usize| self.handle.get(r) == Some(&JobHandle::VACANT);
-                if spare(pos) && spare(pos + 1) && self.vm[pos + 1] == self.vm[pos] {
-                    absorbed.push(pos);
-                    shift -= 1;
-                }
-                pos += 1;
-            }
+            assert_eq!(self.last[vm], before, "VM {vm}'s last at slot {slot}");
         }
-        // The rest of the shift grows the table: holes after its end.
-        let grown = self.len() + shift;
-        self.unused.resize(grown, ResourceVector::ZERO);
-        self.handle.resize(grown, JobHandle::VACANT);
-        self.vm.resize(grown, 0);
-        // Back up the table: rows from `done` on are placed, and the
-        // `shift` rows from `done` are holes for what is still to place.
-        let mut done = pos;
-        let mut jobs = staged.chunk_by(|a, b| a.0 == b.0).rev();
-        let mut groups = groups.iter().rev().peekable();
-        let mut absorbed = absorbed.iter().rev().peekable();
-        loop {
-            // The next event up: an absorbed row, or a block's end, which
-            // comes before an absorbed row at the same place.
-            let row = absorbed.peek().map(|&&q| q);
-            let end = groups.peek().map(|&&(at, _)| at);
-            let (from, absorbs) = match (row, end) {
-                (Some(q), Some(at)) if q >= at => (q + 1, true),
-                (Some(q), None) => (q + 1, true),
-                (_, Some(at)) => (at, false),
-                (None, None) => break,
-            };
-            self.shift_down(from..done, shift);
-            done = from;
-            if absorbs {
-                absorbed.next();
-                done -= 1;
-                shift += 1;
-            } else if let (Some(&(_, gained)), Some(group)) = (groups.next(), jobs.next()) {
-                let vm = group[0].0;
-                let mut r = done + shift - gained;
-                for &(_, h) in group.iter() {
-                    self.unused[r] = ResourceVector::ZERO;
-                    self.handle[r] = h;
-                    self.point(h, r);
-                    r += 1;
-                }
-                self.handle[r..done + shift].fill(JobHandle::VACANT);
-                self.vm[done + shift - gained..done + shift].fill(vm);
-                shift -= gained;
-            }
+        assert_eq!(count, self.running, "listed jobs at slot {slot}");
+        for i in (0..listed.len()).filter(|&i| !listed[i]) {
+            assert_eq!(
+                (self.next[i], self.prev[i]),
+                (NIL, NIL),
+                "job slot {i} is on no list but keeps links at slot {slot}"
+            );
         }
-        debug_assert_eq!(shift, 0);
-        staged.clear();
-        self.staged = staged;
-    }
-
-    /// Moves `rows` down by `by` rows into the holes right after them,
-    /// which come out at their start.
-    fn shift_down(&mut self, rows: Range<usize>, by: usize) {
-        if by == 0 || rows.is_empty() {
-            return;
-        }
-        let span = rows.start..rows.end + by;
-        self.unused[span.clone()].rotate_right(by);
-        self.handle[span.clone()].rotate_right(by);
-        self.vm[span].rotate_right(by);
-        for r in rows.start + by..rows.end + by {
-            let h = self.handle[r];
-            if h != JobHandle::VACANT {
-                self.point(h, r);
-            }
-        }
-    }
-
-    /// Vacates row `r`; its job no longer has one. A block's running
-    /// rows must be a prefix of it again by the next walk: vacate its
-    /// last running row, or all of them (a crash).
-    pub(crate) fn vacate(&mut self, r: usize) {
-        let h = std::mem::replace(&mut self.handle[r], JobHandle::VACANT);
-        self.row_of[h.index()] = NO_ROW;
-        self.live -= 1;
-    }
-
-    /// Takes row `r`'s job out the way `Vec::swap_remove` would within
-    /// its block: the block's last running row, `last`, moves into `r`
-    /// and is left vacant.
-    pub(crate) fn swap_remove(&mut self, r: usize, last: usize) {
-        debug_assert_eq!(self.vm[r], self.vm[last]);
-        self.row_of[self.handle[r].index()] = NO_ROW;
-        if r != last {
-            self.unused[r] = self.unused[last];
-            self.handle[r] = self.handle[last];
-            self.point(self.handle[r], r);
-        }
-        self.handle[last] = JobHandle::VACANT;
-        self.live -= 1;
-    }
-
-    /// Once vacant rows outnumber running ones, drops the blocks of VMs
-    /// that run no job and cuts every other block back to the size it
-    /// would have grown to, in one pass: afterwards no more than half the
-    /// rows are vacant.
-    pub(crate) fn trim(&mut self) {
-        if self.len() - self.live <= self.live {
-            return;
-        }
-        let (mut write, mut read) = (0, 0);
-        while read < self.len() {
-            let (run, end) = self.run_from(read, self.vm[read] as usize);
-            let kept = if run.is_empty() {
-                0
-            } else {
-                run.len().next_power_of_two().max(2).min(end - read)
-            };
-            for from in read..read + kept {
-                if from != write {
-                    self.move_row(from, write);
-                }
-                write += 1;
-            }
-            read = end;
-        }
-        self.unused.truncate(write);
-        self.handle.truncate(write);
-        self.vm.truncate(write);
-    }
-
-    /// Moves row `from` into row `to`, a vacant row; `from` is left
-    /// vacant.
-    fn move_row(&mut self, from: usize, to: usize) {
-        self.unused[to] = self.unused[from];
-        self.vm[to] = self.vm[from];
-        let h = std::mem::replace(&mut self.handle[from], JobHandle::VACANT);
-        self.handle[to] = h;
-        if h != JobHandle::VACANT {
-            self.point(h, to);
-        }
-    }
-
-    /// Records that `h`'s job is in row `r`.
-    fn point(&mut self, h: JobHandle, r: usize) {
-        let i = h.index();
-        if i >= self.row_of.len() {
-            self.row_of.resize(i + 1, NO_ROW);
-        }
-        self.row_of[i] = r as u32;
     }
 }
 
@@ -567,90 +427,94 @@ mod tests {
         );
     }
 
-    /// `(vm, job id)` of every row, top to bottom, checking `row_of`;
-    /// `None` for a vacant row.
-    fn rows(table: &RunTable, store: &JobStore) -> Vec<(u32, Option<u64>)> {
-        (0..table.len())
-            .map(|r| {
-                let h = table.handle[r];
-                if h == JobHandle::VACANT {
-                    return (table.vm[r], None);
-                }
-                assert_eq!(table.row_of(h), Some(r), "row_of of row {r}");
-                (table.vm[r], Some(store.job(h).id))
-            })
-            .collect()
+    /// `vm`'s jobs, walked from its list, as handles.
+    fn listed(lists: &RunLists, store: &JobStore, vm: usize) -> Vec<JobHandle> {
+        lists.jobs(vm).map(|i| store.handle_at(i)).collect()
     }
 
-    #[test]
-    fn rows_keep_vm_order_and_placement_order_within_a_vm() {
-        let mut store = JobStore::new();
-        let mut table = RunTable::default();
-        let handles: Vec<JobHandle> = specs(10).into_iter().map(|s| store.insert(s)).collect();
-        let ids: Vec<u64> = handles.iter().map(|&h| store.job(h).id).collect();
-        // `(vm, job index)` per row, `None` for a vacant one.
-        let expect = |pairs: &[(u32, Option<usize>)]| -> Vec<(u32, Option<u64>)> {
-            pairs
-                .iter()
-                .map(|&(vm, i)| (vm, i.map(|i| ids[i])))
-                .collect()
-        };
-        let (o, x) = (Some, None::<usize>);
-        let place = |table: &mut RunTable, vm: usize, i: usize| table.place(vm, handles[i]);
-        // Slot one: every block is new, so each placement waits for the
-        // pass, and each block gets at least two rows.
-        for (vm, i) in [(5, 0), (2, 1), (5, 2)] {
-            place(&mut table, vm, i);
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Random placements, completions and crashes on four VMs, against
+        /// per-VM `Vec`s kept the obvious way: pushed on placement,
+        /// `swap_remove`d on completion, drained on a crash. A completion
+        /// walks the list as the engine's completion phase does and
+        /// releases the job's arena slot, which a later placement reuses
+        /// under a new handle; a crashed job waits to be placed again.
+        /// After every operation each VM's list is its `Vec`, the walk over
+        /// all VMs in ascending id is the `Vec`s concatenated, and the
+        /// links check.
+        #[test]
+        fn lists_match_per_vm_vecs_through_random_operations(
+            ops in proptest::collection::vec((0u8..4, 0usize..4, 0u8..=255), 1..120),
+        ) {
+            const VMS: usize = 4;
+            let mut generator = WorkloadGenerator::with_seed(9);
+            let mut store = JobStore::new();
+            let mut lists = RunLists::new(VMS);
+            let mut model: Vec<Vec<JobHandle>> = vec![Vec::new(); VMS];
+            let mut crashed: Vec<JobHandle> = Vec::new();
+            for (step, &(kind, vm, pick)) in ops.iter().enumerate() {
+                // Kinds and picks nearer zero place and complete more, so
+                // a shrunk case keeps doing both.
+                match kind {
+                    // Place a crashed job again, or a new one.
+                    0 | 3 => {
+                        let h = if kind == 0 && !crashed.is_empty() {
+                            crashed.swap_remove(pick as usize % crashed.len())
+                        } else {
+                            store.insert(generator.generate_next())
+                        };
+                        lists.push(vm, h.index());
+                        model[vm].push(h);
+                    }
+                    // Complete the jobs whose slot's bit is clear in `pick`.
+                    1 => {
+                        let done = |h: JobHandle| (pick >> (h.index() % 8)) & 1 == 0;
+                        let mut at = lists.first(vm);
+                        while let Some(i) = at {
+                            let h = store.handle_at(i);
+                            if done(h) {
+                                at = lists.swap_remove(vm, i);
+                                store.release(h);
+                            } else {
+                                at = lists.next(i);
+                            }
+                        }
+                        let jobs = &mut model[vm];
+                        let mut r = 0;
+                        while r < jobs.len() {
+                            if done(jobs[r]) {
+                                jobs.swap_remove(r);
+                            } else {
+                                r += 1;
+                            }
+                        }
+                    }
+                    // Crash: drain the list in order.
+                    _ => {
+                        let drained: Vec<JobHandle> = std::iter::from_fn(|| lists.pop_front(vm))
+                            .map(|i| store.handle_at(i))
+                            .collect();
+                        proptest::prop_assert_eq!(&drained, &model[vm], "VM {}'s drain", vm);
+                        crashed.append(&mut model[vm]);
+                    }
+                }
+                lists.check_links(step as u64);
+                for (v, jobs) in model.iter().enumerate() {
+                    proptest::prop_assert_eq!(
+                        &listed(&lists, &store, v),
+                        jobs,
+                        "VM {} after step {}",
+                        v,
+                        step
+                    );
+                }
+                let walk: Vec<JobHandle> = (0..VMS).flat_map(|v| listed(&lists, &store, v)).collect();
+                proptest::prop_assert_eq!(&walk, &model.concat(), "walk after step {}", step);
+                proptest::prop_assert_eq!(lists.running(), walk.len());
+            }
         }
-        assert_eq!(table.len(), 0);
-        table.insert_staged();
-        assert_eq!(
-            rows(&table, &store),
-            expect(&[(2, o(1)), (2, x), (5, o(0)), (5, o(2))])
-        );
-        // Slot two: VM 2's job lands in its block's room at once; VM 5's
-        // full block doubles.
-        for (vm, i) in [(3, 3), (5, 4), (0, 5), (2, 6), (9, 7)] {
-            place(&mut table, vm, i);
-        }
-        assert_eq!(table.run_of(2), 0..2);
-        table.insert_staged();
-        let placed = [(0, o(5)), (0, x), (2, o(1)), (2, o(6)), (3, o(3)), (3, x)];
-        let placed = [
-            &placed[..],
-            &[(5, o(0)), (5, o(2)), (5, o(4)), (5, x), (9, o(7)), (9, x)],
-        ];
-        assert_eq!(rows(&table, &store), expect(&placed.concat()));
-        assert_eq!(
-            (table.live(), table.run_of(5), table.run_of(4)),
-            (8, 6..9, 6..6)
-        );
-        assert_eq!(table.run_from(6, 5), (6..9, 10));
-        // VM 5's first job leaves the way `Vec::swap_remove` would and VM
-        // 2 loses its last: the vacated rows stay as room in their blocks,
-        // and VM 5's next job takes one.
-        table.swap_remove(6, 8);
-        table.vacate(3);
-        assert_eq!(table.row_of(handles[0]), None);
-        place(&mut table, 5, 8);
-        let left = [(0, o(5)), (0, x), (2, o(1)), (2, x), (3, o(3)), (3, x)];
-        let left = [
-            &left[..],
-            &[(5, o(4)), (5, o(2)), (5, o(8)), (5, x), (9, o(7)), (9, x)],
-        ];
-        assert_eq!(rows(&table, &store), expect(&left.concat()));
-        // A walk steps over a block left with no running row.
-        table.vacate(0);
-        assert_eq!(table.run_from(0, 2), (2..3, 4));
-        // Once vacant rows outnumber running ones, idle blocks go and the
-        // rest are cut back to two rows, or a power of two.
-        for r in [4, 8] {
-            table.vacate(r);
-        }
-        assert_eq!(table.live(), 4);
-        table.trim();
-        let trimmed = [(2, o(1)), (2, x), (5, o(4)), (5, o(2)), (9, o(7)), (9, x)];
-        assert_eq!(rows(&table, &store), expect(&trimmed));
     }
 
     #[test]

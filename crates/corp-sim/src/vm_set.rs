@@ -51,6 +51,11 @@ impl VmSet {
     pub(crate) fn word(&self, w: usize) -> u64 {
         self.words[w]
     }
+
+    /// The members, in ascending id.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.words.len()).flat_map(|w| ids_in(w, self.words[w]))
+    }
 }
 
 /// The ids in word `w` whose bit is set in `bits`, ascending. Takes the
