@@ -8,7 +8,7 @@
 //! fleet under 300 sub-VM jobs never contends, which would flatten every
 //! curve; see EXPERIMENTS.md).
 
-use corp_cluster::{ProvisionerFactory, ShardConfig, ShardedProvisioner};
+use corp_cluster::{CoordinatorPhases, ProvisionerFactory, ShardConfig, ShardedProvisioner};
 use corp_core::{
     shard_seed, CloudScaleProvisioner, CorpConfig, CorpProvisioner, DraProvisioner, RccrProvisioner,
 };
@@ -292,9 +292,11 @@ pub fn run_cell_faulty(
 }
 
 /// Runs one (environment, scheme, #jobs) cell through a `shards`-way
-/// control plane. Returns the report and the simulation loop's wall-clock
-/// seconds — kept out of the report so reports stay byte-deterministic
-/// while throughput (placements committed / second) stays measurable.
+/// control plane. Returns the report, the simulation loop's wall-clock
+/// seconds and the coordinator's phase split
+/// ([`ShardedProvisioner::phase_times`]) — kept out of the report so
+/// reports stay byte-deterministic while throughput (placements committed
+/// / second) and where the coordinator spends it stay measurable.
 pub fn run_cell_sharded(
     env: Environment,
     scheme: SchemeKind,
@@ -302,12 +304,13 @@ pub fn run_cell_sharded(
     params: &SchemeParams,
     shards: usize,
     measure_time: bool,
-) -> (corp_sim::SimulationReport, f64) {
+) -> (corp_sim::SimulationReport, f64, CoordinatorPhases) {
     let mut provisioner = build_sharded_provisioner(scheme, env, params, shards, None);
     let mut sim = cell_simulation(env, num_jobs, params.seed, measure_time);
     let started = std::time::Instant::now();
     let report = sim.run(&mut provisioner);
-    (report, started.elapsed().as_secs_f64())
+    let wall = started.elapsed().as_secs_f64();
+    (report, wall, provisioner.phase_times())
 }
 
 /// Runs one (environment, scheme, #jobs) cell and returns the report.

@@ -404,7 +404,8 @@ pub const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Control-plane scalability: the CORP pipeline behind 1→8 scheduler
 /// shards coordinated through the placement store (`corp-cluster`). Cells
 /// run sequentially — not fanned out — so each wall-clock throughput
-/// measurement owns the machine's cores.
+/// measurement owns the machine's cores. Each cell's coordinator phase
+/// split (rebase, propose, arbitrate) goes to stderr, not into the table.
 pub fn scalability(fast: bool) -> FigureTable {
     const JOBS: usize = 300;
     let params = SchemeParams {
@@ -424,7 +425,7 @@ pub fn scalability(fast: bool) -> FigureTable {
         ],
     );
     for &shards in &SHARD_COUNTS {
-        let (r, wall) = run_cell_sharded(
+        let (r, wall, phases) = run_cell_sharded(
             Environment::Cluster,
             SchemeKind::Corp,
             JOBS,
@@ -438,6 +439,17 @@ pub fn scalability(fast: bool) -> FigureTable {
             .as_ref()
             .expect("sharded runs report control-plane stats");
         let throughput = cp.commits as f64 / wall.max(1e-9);
+        // Wall-clock, so on stderr with the progress lines, never in the
+        // table: the coordinator's own time against its shards'.
+        let split: Vec<String> = phases
+            .named()
+            .iter()
+            .map(|(phase, time)| format!("{phase} {:.1} ms", time.as_secs_f64() * 1e3))
+            .collect();
+        eprintln!(
+            "[scalability, {shards} shard(s): coordinator {}]",
+            split.join(", ")
+        );
         table.push_row(vec![
             shards.to_string(),
             format!("{throughput:.0}"),

@@ -28,8 +28,8 @@ fn params() -> SchemeParams {
 #[test]
 fn single_shard_reports_are_byte_identical_across_runs() {
     let p = params();
-    let (a, _) = run_cell_sharded(Environment::Cluster, SchemeKind::Corp, JOBS, &p, 1, false);
-    let (b, _) = run_cell_sharded(Environment::Cluster, SchemeKind::Corp, JOBS, &p, 1, false);
+    let (a, _, _) = run_cell_sharded(Environment::Cluster, SchemeKind::Corp, JOBS, &p, 1, false);
+    let (b, _, _) = run_cell_sharded(Environment::Cluster, SchemeKind::Corp, JOBS, &p, 1, false);
     assert_eq!(serde::json::to_string(&a), serde::json::to_string(&b));
 }
 
@@ -40,8 +40,8 @@ fn multi_shard_reports_are_byte_identical_across_runs() {
     // per-shard deterministic and arbitration order is fixed.
     for scheme in [SchemeKind::Corp, SchemeKind::Rccr] {
         let p = params();
-        let (a, _) = run_cell_sharded(Environment::Cluster, scheme, JOBS, &p, 4, false);
-        let (b, _) = run_cell_sharded(Environment::Cluster, scheme, JOBS, &p, 4, false);
+        let (a, _, _) = run_cell_sharded(Environment::Cluster, scheme, JOBS, &p, 4, false);
+        let (b, _, _) = run_cell_sharded(Environment::Cluster, scheme, JOBS, &p, 4, false);
         assert_eq!(
             serde::json::to_string(&a),
             serde::json::to_string(&b),
@@ -66,7 +66,7 @@ fn one_shard_reproduces_the_monolithic_scheduler() {
     {
         let label = format!("{scheme:?} at aggressiveness {}", p.aggressiveness);
         let mono = run_cell(Environment::Cluster, scheme, JOBS, p, false);
-        let (sharded, _) = run_cell_sharded(Environment::Cluster, scheme, JOBS, p, 1, false);
+        let (sharded, _, _) = run_cell_sharded(Environment::Cluster, scheme, JOBS, p, 1, false);
         assert_eq!(sharded.provisioner, format!("{}x1", mono.provisioner));
         assert_eq!(sharded.environment, mono.environment, "{label}");
         assert_eq!(sharded.num_jobs, mono.num_jobs, "{label}");
@@ -286,7 +286,7 @@ fn disabled_faults_match_the_fault_free_supervised_run() {
         let p = params();
         let cfg = FaultConfig::disabled(0xFA17);
         let faulty = run_cell_faulty(Environment::Cluster, scheme, JOBS, &p, 2, &cfg);
-        let (plain, _) = run_cell_sharded(Environment::Cluster, scheme, JOBS, &p, 2, false);
+        let (plain, _, _) = run_cell_sharded(Environment::Cluster, scheme, JOBS, &p, 2, false);
         assert_eq!(faulty.utilization, plain.utilization, "{scheme:?}");
         assert_eq!(
             faulty.overall_utilization, plain.overall_utilization,
@@ -312,7 +312,7 @@ fn disabled_faults_match_the_fault_free_supervised_run() {
 #[test]
 fn multi_shard_never_overcommits_and_reports_contention() {
     let p = params();
-    let (r, _) = run_cell_sharded(Environment::Cluster, SchemeKind::Corp, 120, &p, 4, false);
+    let (r, _, _) = run_cell_sharded(Environment::Cluster, SchemeKind::Corp, 120, &p, 4, false);
     // The engine independently validates every action; a store-approved
     // plan must never be rejected downstream.
     assert_eq!(r.invalid_actions, 0, "{r:?}");

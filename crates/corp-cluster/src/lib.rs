@@ -47,7 +47,7 @@ mod store;
 
 pub use error::ClusterError;
 pub use health::{ShardHealth, ShardSlotOutcome};
-pub use provisioner::{ProvisionerFactory, ShardConfig, ShardedProvisioner};
+pub use provisioner::{CoordinatorPhases, ProvisionerFactory, ShardConfig, ShardedProvisioner};
 pub use store::{
     FastPathMiss, PlacementStore, ReservationId, ReserveError, StoreCounters, TxnError,
 };

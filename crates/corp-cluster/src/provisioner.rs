@@ -68,8 +68,8 @@ use corp_sim::{
     Provisioner, ResourceVector, ShardStats, SlotContext, StaticPeakProvisioner,
 };
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::{Duration, Instant};
 
 use crate::error::ClusterError;
 use crate::health::{ShardHealth, ShardSlotOutcome};
@@ -133,6 +133,42 @@ struct RecoveryCounters {
     messages_delayed: u64,
 }
 
+/// Wall time a [`ShardedProvisioner`] has spent in each phase of its
+/// `provision` calls since it was built. The clock is always on (one
+/// `Instant` read per phase boundary per slot) and never reaches the
+/// report: it splits `provision` into the coordinator's own work and the
+/// shards' proposing, which the report's decision time cannot.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct CoordinatorPhases {
+    /// Re-basing the store from the engine's capacity and committed
+    /// columns.
+    pub rebase: Duration,
+    /// The shards' parallel proposals, with supervision, chaos and the
+    /// inline plans of shards that produced none.
+    pub propose: Duration,
+    /// Sequential arbitration through the store: adjustments, fused
+    /// commits and best-fit retries.
+    pub arbitrate: Duration,
+}
+
+impl CoordinatorPhases {
+    /// The phases' names and times, in slot order.
+    pub fn named(&self) -> [(&'static str, Duration); 3] {
+        [
+            ("rebase", self.rebase),
+            ("propose", self.propose),
+            ("arbitrate", self.arbitrate),
+        ]
+    }
+}
+
+/// Adds the time since `*mark` to `phase` and moves the mark to now.
+fn lap(phase: &mut Duration, mark: &mut Instant) {
+    let now = Instant::now();
+    *phase += now - *mark;
+    *mark = now;
+}
+
 /// N scheduler shards behind the engine's `Provisioner` interface (see
 /// module docs).
 pub struct ShardedProvisioner {
@@ -155,6 +191,8 @@ pub struct ShardedProvisioner {
     pool: WorkerPool,
     /// Per-slot scratch for the store rebase (capacity/committed columns).
     rebase_scratch: (Vec<ResourceVector>, Vec<ResourceVector>),
+    /// See [`phase_times`](Self::phase_times).
+    phase_times: CoordinatorPhases,
 }
 
 impl ShardedProvisioner {
@@ -230,6 +268,7 @@ impl ShardedProvisioner {
             fallback_rounds: 0,
             pool: WorkerPool::new(),
             rebase_scratch: (Vec::new(), Vec::new()),
+            phase_times: CoordinatorPhases::default(),
         }
     }
 
@@ -241,6 +280,11 @@ impl ShardedProvisioner {
     /// The shared placement store (after the first slot).
     pub fn store(&self) -> Option<&PlacementStore> {
         self.store.as_ref()
+    }
+
+    /// Wall time spent in each phase of `provision` so far.
+    pub fn phase_times(&self) -> CoordinatorPhases {
+        self.phase_times
     }
 
     /// Typed failures the supervisor recorded (unrecoverable shards).
@@ -439,11 +483,11 @@ impl ShardedProvisioner {
 
         // Adjustments: shrinks release capacity before grows claim it —
         // the same stable ordering the engine applies, so the store's
-        // committed sequence previews the engine's exactly. The per-job
-        // allocation map is only built when some plan actually proposes an
+        // committed sequence previews the engine's exactly. The running
+        // jobs are only walked when some plan actually proposes an
         // adjustment; pure-placement slots (the common case for
         // non-reallocating schemes) skip the fleet walk entirely.
-        let all_adjustments: Vec<(usize, JobId, ResourceVector)> = plans
+        let adjustments: Vec<(usize, JobId, ResourceVector)> = plans
             .iter()
             .enumerate()
             .flat_map(|(s, plan)| {
@@ -452,30 +496,42 @@ impl ShardedProvisioner {
                     .map(move |(job, alloc)| (s, *job, *alloc))
             })
             .collect();
-        if !all_adjustments.is_empty() {
-            // Current allocations of running jobs, for adjustment rebasing.
-            let current: HashMap<JobId, (usize, ResourceVector)> = ctx
-                .vms
+        if !adjustments.is_empty() {
+            // Current allocations of the adjusted jobs, for rebasing: one
+            // walk over the running jobs, each binary-searched into the
+            // adjusted ids. A job listed twice keeps its last listing.
+            let mut adjusted: Vec<(JobId, usize)> = adjustments
                 .iter()
-                .flat_map(|vm| vm.jobs.iter().map(|j| (j.id, (vm.id, j.allocation))))
+                .enumerate()
+                .map(|(k, a)| (a.1, k))
                 .collect();
-            let is_shrink = |job: &JobId, new: &ResourceVector| {
-                current
-                    .get(job)
-                    .map(|(_, old)| new.fits_within(old))
-                    .unwrap_or(false)
-            };
-            let (shrinks, grows): (Vec<_>, Vec<_>) = all_adjustments
-                .into_iter()
-                .partition(|(_, job, new)| is_shrink(job, new));
-            for (shard, job, new) in shrinks.into_iter().chain(grows) {
+            adjusted.sort_unstable();
+            let mut current: Vec<Option<(usize, ResourceVector)>> = vec![None; adjustments.len()];
+            for vm in ctx.vms {
+                for job in &vm.jobs {
+                    let from = adjusted.partition_point(|&(id, _)| id < job.id);
+                    let same = adjusted[from..].iter().take_while(|&&(id, _)| id == job.id);
+                    for &(_, k) in same {
+                        current[k] = Some((vm.id, job.allocation));
+                    }
+                }
+            }
+            let is_shrink =
+                |k: &usize| current[*k].is_some_and(|(_, old)| adjustments[*k].2.fits_within(&old));
+            let all = 0..adjustments.len();
+            let shrinks_then_grows = all
+                .clone()
+                .filter(is_shrink)
+                .chain(all.filter(|k| !is_shrink(k)));
+            for k in shrinks_then_grows {
+                let (shard, job, new) = adjustments[k];
                 if owner_of(job, plans.len()) != shard {
                     // Nothing but convention keeps a pipeline that reads
                     // the whole fleet's views off another shard's jobs.
                     self.shards[shard].stats.conflicts += 1;
                     continue;
                 }
-                let Some(&(vm, old)) = current.get(&job) else {
+                let Some((vm, old)) = current[k] else {
                     self.shards[shard].stats.conflicts += 1;
                     continue;
                 };
@@ -497,9 +553,12 @@ impl ShardedProvisioner {
         // Placements: round-robin by (proposal index, shard). Each claim is
         // one fused commit on its proposed VM, or, after a capacity
         // conflict there, one on the store's Eq. 22 best fit at the same
-        // canonical position.
-        let pending_ids: HashSet<JobId> = ctx.pending.iter().map(|j| j.id).collect();
-        let mut placed: HashSet<JobId> = HashSet::new();
+        // canonical position. A job is placeable once, and only if it is
+        // pending: its id's first position in the sorted pending ids marks
+        // it placed.
+        let mut pending: Vec<JobId> = ctx.pending.iter().map(|j| j.id).collect();
+        pending.sort_unstable();
+        let mut placed = vec![false; pending.len()];
         let mut fell_back = false;
         let deepest = plans.iter().map(|p| p.placements.len()).max().unwrap_or(0);
         for index in 0..deepest {
@@ -509,8 +568,9 @@ impl ShardedProvisioner {
                 };
                 let stats = &mut self.shards[shard].stats;
                 stats.proposals += 1;
-                if !pending_ids.contains(&p.job)
-                    || placed.contains(&p.job)
+                let at = pending.partition_point(|&id| id < p.job);
+                if pending.get(at) != Some(&p.job)
+                    || placed[at]
                     || owner_of(p.job, plans.len()) != shard
                 {
                     continue; // not placeable: duplicate, unknown or foreign job
@@ -538,7 +598,7 @@ impl ShardedProvisioner {
                 match committed_vm {
                     Some(vm) => {
                         stats.commits += 1;
-                        placed.insert(p.job);
+                        placed[at] = true;
                         merged.placements.push(Placement {
                             job: p.job,
                             vm,
@@ -566,6 +626,7 @@ impl Provisioner for ShardedProvisioner {
     }
 
     fn provision(&mut self, ctx: &SlotContext<'_>) -> ProvisionPlan {
+        let mut mark = Instant::now();
         let (capacities, committed) = &mut self.rebase_scratch;
         capacities.clear();
         capacities.extend(ctx.vms.iter().map(|vm| vm.capacity));
@@ -577,8 +638,11 @@ impl Provisioner for ShardedProvisioner {
         // Re-basing capacities every slot tracks crashed VMs (whose view
         // capacity is zero) leaving and rejoining the fleet.
         store.begin_slot_full(capacities, committed);
+        lap(&mut self.phase_times.rebase, &mut mark);
         let plans = self.propose(ctx);
+        lap(&mut self.phase_times.propose, &mut mark);
         let merged = self.arbitrate(ctx, plans);
+        lap(&mut self.phase_times.arbitrate, &mut mark);
         #[cfg(test)]
         tests::check_arbitration(self, &merged);
         merged
@@ -708,6 +772,7 @@ mod tests {
     use corp_sim::{PendingJobView, RunningJobView, StaticPeakProvisioner, VmView};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::{HashMap, HashSet};
 
     /// The arbitration invariants, checked after every slot of every
     /// coordinator test: the store never commits a VM past its capacity,

@@ -18,8 +18,9 @@
 //! placement conflicts in dslab-iaas. Shards never touch the store (the
 //! slot's pool call returns their plans); its one caller outside tests is the
 //! coordinator's sequential arbitration
-//! ([`ShardedProvisioner`](crate::ShardedProvisioner)), which spends well
-//! under 1 % of a sharded run inside the store. DESIGN.md §15 has the
+//! ([`ShardedProvisioner`](crate::ShardedProvisioner)), so the lock is
+//! never contended. On `sharded-2-1k` the store's calls take 0.076 s of a
+//! 1.1 s repetition, half of it best-fit retries. DESIGN.md §15 has the
 //! numbers, the finer-grained locking this replaced and the measurement
 //! that removed it.
 //!
@@ -121,19 +122,26 @@ struct Ledger {
     open: HashMap<u64, Reservation>,
     next_seq: u64,
     counters: StoreCounters,
-    /// Lazily built Eq. 22 headroom index: the reference capacity it was
-    /// built against plus a sorted volume index. Whole-fleet rebases drop
-    /// it (rebuilt on the next [`PlacementStore::best_fit`]); single-VM
-    /// mutations reposition just that VM's entry in O(log V).
-    index: Option<(ResourceVector, VolumeIndex)>,
+    /// Lazily built Eq. 22 headroom index over [`Ledger::headrooms`].
+    /// Whole-fleet rebases mark it stale (re-sorted, in its own buffers,
+    /// on the next [`PlacementStore::best_fit`]); single-VM mutations
+    /// shift just that VM's entry.
+    index: VolumeIndex,
+    /// The reference capacity `index` was sorted against; `None` while it
+    /// is stale.
+    indexed_against: Option<ResourceVector>,
+    /// Every VM's headroom as of the last index rebuild or update, VM-id
+    /// ordered: the pools `index` is sorted over.
+    headrooms: Vec<ResourceVector>,
 }
 
 impl Ledger {
     /// Repositions `vm`'s index entry after any mutation that changed its
     /// headroom (reserve/confirm/abort/adjust/fused commit).
     fn reindex(&mut self, vm: usize) {
-        if let Some((reference, index)) = self.index.as_mut() {
-            index.update(vm, &self.vms[vm].headroom(), reference);
+        if let Some(reference) = &self.indexed_against {
+            self.headrooms[vm] = self.vms[vm].headroom();
+            self.index.update(vm, &self.headrooms[vm], reference);
         }
     }
 
@@ -172,7 +180,9 @@ impl PlacementStore {
                 open: HashMap::new(),
                 next_seq: 0,
                 counters: StoreCounters::default(),
-                index: None,
+                index: VolumeIndex::default(),
+                indexed_against: None,
+                headrooms: Vec::new(),
             }),
         }
     }
@@ -220,8 +230,8 @@ impl PlacementStore {
         ledger.counters.aborts += ledger.open.len() as u64;
         ledger.open.clear();
         // Every headroom changed at once; per-entry repositioning would be
-        // wasted work, so drop the index and rebuild lazily.
-        ledger.index = None;
+        // wasted work, so mark the index stale and rebuild lazily.
+        ledger.indexed_against = None;
     }
 
     /// Phase 1: holds `amount` on `vm`. Admitted only if the VM's durable
@@ -333,23 +343,22 @@ impl PlacementStore {
     /// Eq. 22 best-fit over the store's current headrooms: the VM fitting
     /// `demand` with the smallest unused volume relative to `reference`,
     /// ties toward the lower VM id — exactly the choice a linear scan over
-    /// [`free_all`](Self::free_all) would make, served from an
-    /// incrementally maintained sorted index (rebuilt lazily after
-    /// whole-fleet rebases or when `reference` changes).
+    /// [`free_all`](Self::free_all) would make, served from the flat
+    /// sorted blocks of a [`VolumeIndex`] over the headroom column. The
+    /// first call after a whole-fleet rebase, or with a new `reference`,
+    /// re-sorts them in their own buffers; every commit or adjustment
+    /// after that moves one entry.
     pub fn best_fit(&self, demand: &ResourceVector, reference: &ResourceVector) -> Option<usize> {
         let mut guard = self.ledger.lock();
-        let Ledger { vms, index, .. } = &mut *guard;
-        if matches!(index, Some((built_against, _)) if built_against != reference) {
-            *index = None;
+        let ledger = &mut *guard;
+        if ledger.indexed_against.as_ref() != Some(reference) {
+            ledger.headrooms.clear();
+            let headrooms = ledger.vms.iter().map(VmLedger::headroom);
+            ledger.headrooms.extend(headrooms);
+            ledger.index.rebuild(&ledger.headrooms, reference);
+            ledger.indexed_against = Some(*reference);
         }
-        let (_, index) = index.get_or_insert_with(|| {
-            let headrooms: Vec<ResourceVector> = vms.iter().map(VmLedger::headroom).collect();
-            (*reference, VolumeIndex::new(&headrooms, reference))
-        });
-        // A fitting headroom dominates the demand componentwise, so its
-        // volume is at least the demand's: seek straight to that floor.
-        let floor = demand.volume(reference).to_bits();
-        index.first_fit_from(floor, |vm| demand.fits_within(&vms[vm].headroom()))
+        ledger.index.best_fit(&ledger.headrooms, demand, reference)
     }
 
     /// Capacity net of durable commitments and open holds on one VM.

@@ -342,3 +342,74 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    // Each case replays up to 60 slots of a fleet of hundreds of VMs.
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn best_fit_matches_a_linear_scan_on_a_many_block_fleet_across_crashes(
+        vms in 130usize..450,
+        ops in prop::collection::vec((0u8..7, 0usize..450, 0u8..=6), 1..60),
+    ) {
+        // A fleet several of the volume index's blocks long, mutated the
+        // way a coordinator's slots mutate it: fused commits and adjustments
+        // reposition single VMs, and each rebase either crashes a stripe of
+        // VMs (capacity 0, nothing committed) or brings the fleet back at
+        // nominal capacity. Quantized amounts make equal headrooms — equal
+        // volume bits on different VMs — common. Queried after every step,
+        // so the index is live between rebases and every mutation goes
+        // through its update.
+        let reference = ResourceVector::splat(CAPACITY);
+        let linear = |free: &[ResourceVector], demand: &ResourceVector| -> Option<usize> {
+            let fits = |vm: &usize| demand.fits_within(&free[*vm]);
+            let volume = |vm: usize| free[vm].volume(&reference);
+            (0..free.len()).filter(fits).fold(None, |best: Option<usize>, vm| match best {
+                Some(b) if volume(b) <= volume(vm) => Some(b),
+                _ => Some(vm),
+            })
+        };
+        let store = PlacementStore::new(vec![ResourceVector::splat(CAPACITY); vms]);
+        for (step, &(kind, vm, q)) in ops.iter().enumerate() {
+            let vm = vm % vms;
+            let amt = ResourceVector::splat(f64::from(q) * 0.5);
+            match kind {
+                0..=2 => {
+                    let _ = store.try_fast_commit(0, vm, amt);
+                }
+                3 => {
+                    let _ = store.adjust(vm, ResourceVector::ZERO, amt);
+                }
+                4 => {
+                    let _ = store.adjust(vm, amt, ResourceVector::ZERO);
+                }
+                5 => {
+                    let stripe = usize::from(q) + 2;
+                    let crashed = |v: usize| v % stripe == vm % stripe;
+                    let capacities: Vec<ResourceVector> = (0..vms)
+                        .map(|v| if crashed(v) { ResourceVector::ZERO } else { ResourceVector::splat(CAPACITY) })
+                        .collect();
+                    let committed: Vec<ResourceVector> = (0..vms)
+                        .map(|v| if crashed(v) { ResourceVector::ZERO } else { ResourceVector::splat((v % 5) as f64 * 0.5) })
+                        .collect();
+                    store.begin_slot_full(&capacities, &committed);
+                }
+                _ => {
+                    let committed: Vec<ResourceVector> = (0..vms)
+                        .map(|v| ResourceVector::splat((v % 3) as f64 * 0.5))
+                        .collect();
+                    store.begin_slot_full(&vec![ResourceVector::splat(CAPACITY); vms], &committed);
+                }
+            }
+            let free = store.free_all();
+            for demand in [amt, ResourceVector::splat(0.5), ResourceVector::ZERO] {
+                prop_assert_eq!(
+                    store.best_fit(&demand, &reference),
+                    linear(&free, &demand),
+                    "step {} (kind {}, vm {}, q {})", step, kind, vm, q
+                );
+            }
+            prop_assert!(store.holds_invariants(EPS));
+        }
+    }
+}

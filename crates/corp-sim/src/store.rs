@@ -206,20 +206,22 @@ impl JobStore {
     }
 }
 
-/// A list end, or a job slot that is on no list.
-const NIL: u32 = u32::MAX;
+/// A list end, or a job slot that is on no list. Every other link is an
+/// arena index plus one, so a new column is all `END` and `vec![END; n]`
+/// leaves the pages of VMs that never run a job untouched.
+const END: u32 = 0;
 
 /// The running jobs as one doubly linked list per VM, threaded through
 /// the arena (see the module docs). Every method takes arena indices
 /// ([`JobHandle::index`]); a job is on at most one list.
 #[derive(Debug)]
 pub(crate) struct RunLists {
-    /// Per VM: the arena index of its first and of its last running job,
-    /// `NIL` while it runs none.
+    /// Per VM: links to its first and to its last running job, `END`
+    /// while it runs none.
     first: Vec<u32>,
     last: Vec<u32>,
-    /// Per arena slot: the next and the previous job on the same VM's
-    /// list, `NIL` past either end and for a job on no list. Grown on
+    /// Per arena slot: links to the next and the previous job on the same
+    /// VM's list, `END` past either end and for a job on no list. Grown on
     /// demand, so they never outrun the arena.
     next: Vec<u32>,
     prev: Vec<u32>,
@@ -231,18 +233,24 @@ pub(crate) struct RunLists {
     running: usize,
 }
 
-/// `Some(index)` unless `link` is `NIL`.
+/// The arena index `link` points at, `None` for `END`.
 #[inline]
 fn linked(link: u32) -> Option<usize> {
-    (link != NIL).then_some(link as usize)
+    link.checked_sub(1).map(|i| i as usize)
+}
+
+/// The link that points at arena index `i`.
+#[inline]
+fn link(i: usize) -> u32 {
+    i as u32 + 1
 }
 
 impl RunLists {
     /// Empty lists for `num_vms` VMs.
     pub(crate) fn new(num_vms: usize) -> Self {
         RunLists {
-            first: vec![NIL; num_vms],
-            last: vec![NIL; num_vms],
+            first: vec![END; num_vms],
+            last: vec![END; num_vms],
             next: Vec::new(),
             prev: Vec::new(),
             unused: Vec::new(),
@@ -276,17 +284,17 @@ impl RunLists {
     /// Appends job `i` to `vm`'s list.
     pub(crate) fn push(&mut self, vm: usize, i: usize) {
         if i >= self.next.len() {
-            self.next.resize(i + 1, NIL);
-            self.prev.resize(i + 1, NIL);
+            self.next.resize(i + 1, END);
+            self.prev.resize(i + 1, END);
             self.unused.resize(i + 1, ResourceVector::ZERO);
         }
         let tail = self.last[vm];
         match linked(tail) {
-            Some(t) => self.next[t] = i as u32,
-            None => self.first[vm] = i as u32,
+            Some(t) => self.next[t] = link(i),
+            None => self.first[vm] = link(i),
         }
-        (self.prev[i], self.next[i]) = (tail, NIL);
-        self.last[vm] = i as u32;
+        (self.prev[i], self.next[i]) = (tail, END);
+        self.last[vm] = link(i);
         self.running += 1;
     }
 
@@ -297,39 +305,40 @@ impl RunLists {
     pub(crate) fn swap_remove(&mut self, vm: usize, i: usize) -> Option<usize> {
         self.running -= 1;
         // Unlink the tail; unless it is `i`, it then takes `i`'s links.
-        let tail = self.last[vm] as usize;
+        // Invariant: `i` is on `vm`'s list, so the list is not empty.
+        let tail = linked(self.last[vm]).expect("a job on vm's list");
         let before = self.prev[tail];
         match linked(before) {
-            Some(b) => self.next[b] = NIL,
-            None => self.first[vm] = NIL,
+            Some(b) => self.next[b] = END,
+            None => self.first[vm] = END,
         }
         self.last[vm] = before;
-        self.prev[tail] = NIL;
+        self.prev[tail] = END;
         if tail == i {
             return None;
         }
         let (p, n) = (self.prev[i], self.next[i]);
         (self.prev[tail], self.next[tail]) = (p, n);
         match linked(p) {
-            Some(p) => self.next[p] = tail as u32,
-            None => self.first[vm] = tail as u32,
+            Some(p) => self.next[p] = link(tail),
+            None => self.first[vm] = link(tail),
         }
         match linked(n) {
-            Some(n) => self.prev[n] = tail as u32,
-            None => self.last[vm] = tail as u32,
+            Some(n) => self.prev[n] = link(tail),
+            None => self.last[vm] = link(tail),
         }
-        (self.prev[i], self.next[i]) = (NIL, NIL);
+        (self.prev[i], self.next[i]) = (END, END);
         Some(tail)
     }
 
     /// Takes `vm`'s first job off its list.
     pub(crate) fn pop_front(&mut self, vm: usize) -> Option<usize> {
         let head = self.first(vm)?;
-        let after = std::mem::replace(&mut self.next[head], NIL);
+        let after = std::mem::replace(&mut self.next[head], END);
         self.first[vm] = after;
         match linked(after) {
-            Some(a) => self.prev[a] = NIL,
-            None => self.last[vm] = NIL,
+            Some(a) => self.prev[a] = END,
+            None => self.last[vm] = END,
         }
         self.running -= 1;
         Some(head)
@@ -344,14 +353,14 @@ impl RunLists {
         let mut listed = vec![false; self.next.len()];
         let mut count = 0;
         for vm in 0..self.first.len() {
-            let mut before = NIL;
+            let mut before = END;
             for i in self.jobs(vm) {
                 assert!(
                     !std::mem::replace(&mut listed[i], true),
                     "job slot {i} listed twice (VM {vm}) at slot {slot}"
                 );
                 assert_eq!(self.prev[i], before, "VM {vm}: prev of {i} at slot {slot}");
-                before = i as u32;
+                before = link(i);
                 count += 1;
             }
             assert_eq!(self.last[vm], before, "VM {vm}'s last at slot {slot}");
@@ -360,7 +369,7 @@ impl RunLists {
         for i in (0..listed.len()).filter(|&i| !listed[i]) {
             assert_eq!(
                 (self.next[i], self.prev[i]),
-                (NIL, NIL),
+                (END, END),
                 "job slot {i} is on no list but keeps links at slot {slot}"
             );
         }
@@ -442,8 +451,9 @@ mod tests {
         /// releases the job's arena slot, which a later placement reuses
         /// under a new handle; a crashed job waits to be placed again.
         /// After every operation each VM's list is its `Vec`, the walk over
-        /// all VMs in ascending id is the `Vec`s concatenated, and the
-        /// links check.
+        /// all VMs in ascending id is the `Vec`s concatenated, the links
+        /// check, and a fifth VM no operation names still has both of its
+        /// links at `END`, the zero `RunLists::new` left there.
         #[test]
         fn lists_match_per_vm_vecs_through_random_operations(
             ops in proptest::collection::vec((0u8..4, 0usize..4, 0u8..=255), 1..120),
@@ -451,7 +461,7 @@ mod tests {
             const VMS: usize = 4;
             let mut generator = WorkloadGenerator::with_seed(9);
             let mut store = JobStore::new();
-            let mut lists = RunLists::new(VMS);
+            let mut lists = RunLists::new(VMS + 1);
             let mut model: Vec<Vec<JobHandle>> = vec![Vec::new(); VMS];
             let mut crashed: Vec<JobHandle> = Vec::new();
             for (step, &(kind, vm, pick)) in ops.iter().enumerate() {
@@ -513,6 +523,7 @@ mod tests {
                 let walk: Vec<JobHandle> = (0..VMS).flat_map(|v| listed(&lists, &store, v)).collect();
                 proptest::prop_assert_eq!(&walk, &model.concat(), "walk after step {}", step);
                 proptest::prop_assert_eq!(lists.running(), walk.len());
+                proptest::prop_assert_eq!((lists.first[VMS], lists.last[VMS]), (END, END));
             }
         }
     }
