@@ -46,14 +46,18 @@
 //! corp-exp scale --shards 8     # soak behind the sharded control plane
 //! ```
 //!
+//! `attribute [--fast]` splits violated jobs' lateness into wait, restarts
+//! and stretch for Fig. 9's and 13's CORP cells and the ablation variants,
+//! each run checked against a per-job ledger.
+//!
 //! No subcommand takes a thread count: the prediction fan-out runs as wide
 //! as the `CORP_THREADS` environment variable says (the host's
 //! parallelism when unset), and every report is byte-identical at any
 //! width.
 
 use corp_bench::{
-    resilience_experiment, scale_experiment, serve_experiment, FigureTable, ResilienceArgs,
-    ScaleArgs, ServeArgs, RUNNERS,
+    attribute_experiment, resilience_experiment, scale_experiment, serve_experiment, FigureTable,
+    ResilienceArgs, ScaleArgs, ServeArgs, RUNNERS,
 };
 
 /// The figure loop's command line: `[--fast] [--json] [all | NAME...]`.
@@ -113,7 +117,7 @@ fn main() {
     let parsed = FigureArgs::parse(&args).unwrap_or_else(|e| {
         let names: Vec<&str> = RUNNERS.iter().map(|(n, _)| *n).collect();
         eprintln!(
-            "{e}; available: {}, all (subcommands: serve, resilience, scale)",
+            "{e}; available: {}, all (subcommands: serve, resilience, scale, attribute)",
             names.join(", ")
         );
         std::process::exit(2);
@@ -146,6 +150,7 @@ fn run_subcommand(name: &str, rest: &[String], fast: bool, json: bool) -> bool {
         "serve" => ServeArgs::parse(rest).and_then(|a| serve_experiment(fast, &a)),
         "resilience" => ResilienceArgs::parse(rest).and_then(|a| resilience_experiment(fast, &a)),
         "scale" => ScaleArgs::parse(rest).and_then(|a| scale_experiment(&a)),
+        "attribute" => attribute_experiment(fast, rest),
         _ => return false,
     };
     match result {

@@ -137,10 +137,6 @@ pub struct SchemeParams {
     /// Use the cheaper DNN (tests) instead of the paper's 4x50
     /// architecture.
     pub fast_dnn: bool,
-    /// Train CORP's DNNs through the per-sample reference kernels instead
-    /// of the fused ones (bit-identical outputs; the reference the
-    /// determinism suite compares the fused path against).
-    pub reference_dnn: bool,
     /// Pins the prediction fan-out width for CORP, RCCR, and CloudScale
     /// (`None` = the `CORP_THREADS` / hardware default, `Some(1)` = every
     /// forecast serially on the calling thread). Width only shapes
@@ -157,7 +153,6 @@ impl Default for SchemeParams {
             prob_threshold: 0.95,
             aggressiveness: 1.0,
             fast_dnn: false,
-            reference_dnn: false,
             pool_width: None,
             seed: 7,
         }
@@ -175,7 +170,6 @@ fn corp_config(params: &SchemeParams) -> CorpConfig {
     config.confidence_level = params.confidence;
     config.prob_threshold = params.prob_threshold;
     config.seed = params.seed;
-    config.train.reference_kernels = params.reference_dnn;
     config.prediction_pool_width = params.pool_width;
     config
 }
@@ -256,12 +250,22 @@ pub fn build_sharded_provisioner(
     ShardedProvisioner::with_factories(scheme.name(), factories, ShardConfig { fault_plan })
 }
 
+/// The arrivals of one (environment, #jobs, seed) cell.
+pub(crate) fn cell_workload(env: Environment, num_jobs: usize, seed: u64) -> Vec<JobSpec> {
+    env.workload(num_jobs, seed.wrapping_add(num_jobs as u64))
+}
+
 /// The engine one (environment, #jobs, seed) cell runs on — the same fleet
 /// and the same arrivals whichever scheme provisions it.
-fn cell_simulation(env: Environment, num_jobs: usize, seed: u64, measure_time: bool) -> Simulation {
+pub(crate) fn cell_simulation(
+    env: Environment,
+    num_jobs: usize,
+    seed: u64,
+    measure_time: bool,
+) -> Simulation {
     Simulation::new(
         env.cluster(),
-        env.workload(num_jobs, seed.wrapping_add(num_jobs as u64)),
+        cell_workload(env, num_jobs, seed),
         SimulationOptions {
             measure_decision_time: measure_time,
             ..Default::default()

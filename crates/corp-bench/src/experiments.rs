@@ -9,13 +9,13 @@
 //! target, and `tests/experiment_shapes.rs` asserts them.
 
 use crate::env::{
-    run_cell, run_cell_averaged, run_cell_faulty, run_cell_sharded, Environment, SchemeKind,
-    SchemeParams, ALL_SCHEMES,
+    cell_simulation, run_cell, run_cell_averaged, run_cell_faulty, run_cell_sharded, Environment,
+    SchemeKind, SchemeParams, ALL_SCHEMES,
 };
 use crate::table::TextTable;
 use corp_core::CorpConfig;
 use corp_faults::FaultConfig;
-use corp_sim::{Simulation, SimulationOptions, SimulationReport};
+use corp_sim::SimulationReport;
 use serde::Serialize;
 
 /// A regenerated figure/table plus free-form notes.
@@ -42,6 +42,9 @@ impl std::fmt::Display for FigureTable {
 /// Job counts swept by the #jobs figures (paper: "varied the number of jobs
 /// from 50 to 300 with step size of 50").
 pub const JOB_COUNTS: [usize; 6] = [50, 100, 150, 200, 250, 300];
+
+/// Jobs in each Fig. 9/13 cell.
+pub(crate) const CONFIDENCE_JOBS: usize = 300;
 
 /// Confidence levels swept by Figs. 9/13 (Table II: 50%-90%).
 pub const CONFIDENCE_LEVELS: [f64; 5] = [0.5, 0.6, 0.7, 0.8, 0.9];
@@ -70,7 +73,7 @@ pub const RUNNERS: [(&str, Runner); 13] = [
 ];
 
 /// Runs `work` items in parallel, preserving order.
-fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
+pub(crate) fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
@@ -94,7 +97,7 @@ where
     })
 }
 
-fn pct(x: f64) -> String {
+pub(crate) fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
@@ -320,7 +323,7 @@ pub fn fig13(fast: bool) -> FigureTable {
 }
 
 fn confidence_figure(id: &str, env: Environment, fast: bool) -> FigureTable {
-    const JOBS: usize = 300;
+    const JOBS: usize = CONFIDENCE_JOBS;
     let cells: Vec<(SchemeKind, f64)> = ALL_SCHEMES
         .iter()
         .flat_map(|&s| CONFIDENCE_LEVELS.iter().map(move |&c| (s, c)))
@@ -548,12 +551,15 @@ pub fn availability(fast: bool) -> FigureTable {
     }
 }
 
-/// Ablations of CORP's design choices (DESIGN.md §6): each row disables one
-/// component and reports the damage.
-pub fn ablations(fast: bool) -> FigureTable {
-    const JOBS: usize = 200;
-    type ConfigTweak = Box<dyn Fn(&mut CorpConfig) + Send + Sync>;
-    let variants: Vec<(&'static str, ConfigTweak)> = vec![
+/// Jobs in each ablation cell.
+pub(crate) const ABLATION_JOBS: usize = 200;
+
+/// Switches one CORP component off.
+pub(crate) type ConfigTweak = Box<dyn Fn(&mut CorpConfig) + Send + Sync>;
+
+/// The ablation variants, full CORP first, each named by what it removes.
+pub(crate) fn ablation_variants() -> Vec<(&'static str, ConfigTweak)> {
+    vec![
         ("full CORP", Box::new(|_| {})),
         (
             "no HMM correction",
@@ -568,29 +574,34 @@ pub fn ablations(fast: bool) -> FigureTable {
             "random placement",
             Box::new(|c| c.use_volume_placement = false),
         ),
-    ];
+    ]
+}
+
+/// CORP with `tweak` applied, pretrained as every ablation cell is; it runs
+/// on the cluster cell of [`ABLATION_JOBS`] jobs at seed 7.
+pub(crate) fn ablation_corp(fast: bool, tweak: &ConfigTweak) -> corp_core::CorpProvisioner {
+    let mut config = if fast {
+        CorpConfig::fast()
+    } else {
+        CorpConfig::default()
+    };
+    tweak(&mut config);
+    let mut corp = corp_core::CorpProvisioner::new(config);
+    corp.pretrain(&crate::env::historical_histories(Environment::Cluster, 40));
+    corp
+}
+
+/// Ablations of CORP's design choices (DESIGN.md §6): each row disables one
+/// component and reports the damage.
+pub fn ablations(fast: bool) -> FigureTable {
+    let variants = ablation_variants();
     let names: Vec<&'static str> = variants.iter().map(|(n, _)| *n).collect();
     let reports = parallel_map(variants, |(_, tweak)| {
-        let mut config = if fast {
-            CorpConfig::fast()
-        } else {
-            CorpConfig::default()
-        };
-        tweak(&mut config);
-        let mut corp = corp_core::CorpProvisioner::new(config);
-        corp.pretrain(&crate::env::historical_histories(Environment::Cluster, 40));
-        let mut sim = Simulation::new(
-            Environment::Cluster.cluster(),
-            Environment::Cluster.workload(JOBS, 7u64.wrapping_add(JOBS as u64)),
-            SimulationOptions {
-                measure_decision_time: false,
-                ..Default::default()
-            },
-        );
-        sim.run(&mut corp)
+        let mut corp = ablation_corp(fast, &tweak);
+        cell_simulation(Environment::Cluster, ABLATION_JOBS, 7, false).run(&mut corp)
     });
     let mut table = TextTable::new(
-        format!("Ablations — CORP components (cluster, {JOBS} jobs)"),
+        format!("Ablations — CORP components (cluster, {ABLATION_JOBS} jobs)"),
         &[
             "variant",
             "overall utilization",

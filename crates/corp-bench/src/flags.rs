@@ -1,5 +1,5 @@
-//! The flag cursor the `serve`, `resilience` and `scale` subcommands
-//! parse their arguments with.
+//! The flag cursor the `serve`, `resilience`, `scale` and `attribute`
+//! subcommands parse their arguments with.
 //!
 //! A flag either stands alone (`--smoke`) or takes the next argument as
 //! its value. Every malformed input is an error string for `corp-exp` to

@@ -31,6 +31,7 @@
 mod env;
 mod experiments;
 mod flags;
+mod ledger;
 mod resilience;
 mod scale;
 mod serve;
@@ -41,6 +42,7 @@ pub use env::{
     run_cell_sharded, Environment, SchemeKind, SchemeParams, ALL_SCHEMES,
 };
 pub use experiments::{FigureTable, RUNNERS};
+pub use ledger::attribute_experiment;
 pub use resilience::{resilience_experiment, run_resilience, ResilienceArgs};
 pub use scale::{scale_experiment, ScaleArgs};
 pub use serve::{run_serve, run_serve_sharded, serve_experiment, serve_workload, ServeArgs};

@@ -7,7 +7,8 @@
 //! [`ServeArgs::parse`]. The actual run goes through the cell that
 //! [`run_serve`] (and [`run_serve_sharded`] under `--shards`, which also
 //! surfaces coordinator errors and recovery counters) wraps, with the
-//! engine's invariant checks on under `--smoke`; tests reuse the two to
+//! engine's invariant checks and the daemon's admission conservation
+//! check on under `--smoke`; tests reuse the two to
 //! pin byte-determinism across pool widths and replay speeds and
 //! cross-mode equivalence against the batch simulation.
 
@@ -110,8 +111,9 @@ impl ServeArgs {
 
 /// The daemon one serving cell runs on: the environment's fleet, engine
 /// decision timing off (serve reports are byte-deterministic), and the
-/// engine's per-step invariant checks ([`SimulationOptions::check`]) on
-/// if `check` is (the `--smoke` runs).
+/// engine's per-step invariant checks and the daemon's per-tick admission
+/// conservation check ([`SimulationOptions::check`]) on if `check` is (the
+/// `--smoke` runs).
 pub(crate) fn cell_daemon(env: Environment, config: ServeConfig, check: bool) -> ServeDaemon {
     let options = SimulationOptions {
         measure_decision_time: false,
@@ -152,7 +154,7 @@ pub fn run_serve_sharded(
 }
 
 /// [`run_serve`] (`shards` `None`) or [`run_serve_sharded`], with the
-/// engine's invariant checks on if `check` is.
+/// engine's and the daemon's checks on if `check` is.
 fn serve_cell(
     env: Environment,
     scheme: SchemeKind,
@@ -273,7 +275,8 @@ pub fn serve_experiment(fast: bool, args: &ServeArgs) -> Result<FigureTable, Str
         speed: args.speed,
         ..ServeConfig::default()
     };
-    // The smoke runs the engine's invariant checks every step.
+    // The smoke runs the engine's invariant checks every step and the
+    // daemon's conservation check every tick.
     let (outcome, errors) = serve_cell(
         env,
         SchemeKind::Corp,

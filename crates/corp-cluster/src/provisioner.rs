@@ -16,8 +16,9 @@
 //! 2. **Arbitrate (sequential, deterministic).** The coordinator replays
 //!    the proposals against the [`PlacementStore`] in a fixed order —
 //!    allocation adjustments first (shrinks before grows, as the engine
-//!    applies them), then placements round-robin by (proposal index,
-//!    shard). Each placement is one fused commit
+//!    applies them; each read off the view of the VM it names, with no
+//!    walk over the fleet's running jobs), then placements round-robin by
+//!    (proposal index, shard). Each placement is one fused commit
 //!    ([`PlacementStore::try_fast_commit`]) on the VM its shard proposed.
 //!    When the claim no longer fits there — an earlier claim this slot
 //!    took the room — the conflict is counted and the claim makes one
@@ -140,8 +141,8 @@ struct RecoveryCounters {
 /// shards' proposing, which the report's decision time cannot.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CoordinatorPhases {
-    /// Re-basing the store from the engine's capacity and committed
-    /// columns.
+    /// Re-basing the store from the engine's views: one pass over the
+    /// fleet for capacities and commitments.
     pub rebase: Duration,
     /// The shards' parallel proposals, with supervision, chaos and the
     /// inline plans of shards that produced none.
@@ -189,8 +190,6 @@ pub struct ShardedProvisioner {
     /// The threads that run shards next to the calling one, spawned on the
     /// first slot that serves more than one shard.
     pool: WorkerPool,
-    /// Per-slot scratch for the store rebase (capacity/committed columns).
-    rebase_scratch: (Vec<ResourceVector>, Vec<ResourceVector>),
     /// See [`phase_times`](Self::phase_times).
     phase_times: CoordinatorPhases,
 }
@@ -267,7 +266,6 @@ impl ShardedProvisioner {
             service_level: 0,
             fallback_rounds: 0,
             pool: WorkerPool::new(),
-            rebase_scratch: (Vec::new(), Vec::new()),
             phase_times: CoordinatorPhases::default(),
         }
     }
@@ -483,70 +481,35 @@ impl ShardedProvisioner {
 
         // Adjustments: shrinks release capacity before grows claim it —
         // the same stable ordering the engine applies, so the store's
-        // committed sequence previews the engine's exactly. The running
-        // jobs are only walked when some plan actually proposes an
-        // adjustment; pure-placement slots (the common case for
-        // non-reallocating schemes) skip the fleet walk entirely.
-        let adjustments: Vec<(usize, JobId, ResourceVector)> = plans
+        // committed sequence previews the engine's exactly. Each names the
+        // VM its proposer read, and its current allocation comes from that
+        // VM's view alone; a job that view does not list is unknown there.
+        let adjustments: Vec<(usize, &Placement, Option<ResourceVector>)> = plans
             .iter()
             .enumerate()
-            .flat_map(|(s, plan)| {
-                plan.adjustments
-                    .iter()
-                    .map(move |(job, alloc)| (s, *job, *alloc))
+            .flat_map(|(shard, plan)| plan.adjustments.iter().map(move |a| (shard, a)))
+            .map(|(shard, a)| {
+                let mut listed = ctx.vms.get(a.vm).into_iter().flat_map(|vm| &vm.jobs);
+                let old = listed.find(|job| job.id == a.job).map(|job| job.allocation);
+                (shard, a, old)
             })
             .collect();
-        if !adjustments.is_empty() {
-            // Current allocations of the adjusted jobs, for rebasing: one
-            // walk over the running jobs, each binary-searched into the
-            // adjusted ids. A job listed twice keeps its last listing.
-            let mut adjusted: Vec<(JobId, usize)> = adjustments
-                .iter()
-                .enumerate()
-                .map(|(k, a)| (a.1, k))
-                .collect();
-            adjusted.sort_unstable();
-            let mut current: Vec<Option<(usize, ResourceVector)>> = vec![None; adjustments.len()];
-            for vm in ctx.vms {
-                for job in &vm.jobs {
-                    let from = adjusted.partition_point(|&(id, _)| id < job.id);
-                    let same = adjusted[from..].iter().take_while(|&&(id, _)| id == job.id);
-                    for &(_, k) in same {
-                        current[k] = Some((vm.id, job.allocation));
-                    }
+        let is_shrink = |&&(_, a, old): &&(usize, &Placement, Option<ResourceVector>)| {
+            old.is_some_and(|old| a.allocation.fits_within(&old))
+        };
+        let grows = adjustments.iter().filter(|a| !is_shrink(a));
+        for &(shard, a, old) in adjustments.iter().filter(is_shrink).chain(grows) {
+            // Nothing but convention keeps a pipeline that reads the whole
+            // fleet's views off another shard's jobs. A poisoned pipeline
+            // may propose NaN; the engine would drop it anyway, but
+            // refusing here keeps the store's committed preview
+            // authoritative.
+            let valid = owner_of(a.job, plans.len()) == shard && a.allocation.is_finite();
+            match old.filter(|_| valid) {
+                Some(old) if store.adjust(a.vm, old, a.allocation) => {
+                    merged.adjustments.push(a.clone());
                 }
-            }
-            let is_shrink =
-                |k: &usize| current[*k].is_some_and(|(_, old)| adjustments[*k].2.fits_within(&old));
-            let all = 0..adjustments.len();
-            let shrinks_then_grows = all
-                .clone()
-                .filter(is_shrink)
-                .chain(all.filter(|k| !is_shrink(k)));
-            for k in shrinks_then_grows {
-                let (shard, job, new) = adjustments[k];
-                if owner_of(job, plans.len()) != shard {
-                    // Nothing but convention keeps a pipeline that reads
-                    // the whole fleet's views off another shard's jobs.
-                    self.shards[shard].stats.conflicts += 1;
-                    continue;
-                }
-                let Some((vm, old)) = current[k] else {
-                    self.shards[shard].stats.conflicts += 1;
-                    continue;
-                };
-                if !new.is_finite() {
-                    // A poisoned pipeline may propose NaN; the engine would
-                    // drop it anyway, but refusing here keeps the store's
-                    // committed preview authoritative.
-                    self.shards[shard].stats.conflicts += 1;
-                    continue;
-                }
-                if store.adjust(vm, old, new) {
-                    merged.adjustments.push((job, new));
-                } else {
-                    self.shards[shard].stats.conflicts += 1;
-                }
+                _ => self.shards[shard].stats.conflicts += 1,
             }
         }
 
@@ -627,17 +590,12 @@ impl Provisioner for ShardedProvisioner {
 
     fn provision(&mut self, ctx: &SlotContext<'_>) -> ProvisionPlan {
         let mut mark = Instant::now();
-        let (capacities, committed) = &mut self.rebase_scratch;
-        capacities.clear();
-        capacities.extend(ctx.vms.iter().map(|vm| vm.capacity));
-        committed.clear();
-        committed.extend(ctx.vms.iter().map(|vm| vm.committed));
-        let store = self
-            .store
-            .get_or_insert_with(|| PlacementStore::new(capacities.clone()));
+        let store = self.store.get_or_insert_with(|| {
+            PlacementStore::new(ctx.vms.iter().map(|vm| vm.capacity).collect())
+        });
         // Re-basing capacities every slot tracks crashed VMs (whose view
         // capacity is zero) leaving and rejoining the fleet.
-        store.begin_slot_full(capacities, committed);
+        store.begin_slot_full(ctx.vms.iter().map(|vm| (vm.capacity, vm.committed)));
         lap(&mut self.phase_times.rebase, &mut mark);
         let plans = self.propose(ctx);
         lap(&mut self.phase_times.propose, &mut mark);
@@ -1294,7 +1252,11 @@ mod tests {
             recent_unused: Vec::new(),
         });
         let trespass = ProvisionPlan {
-            adjustments: vec![(1_000, rv(0.5))],
+            adjustments: vec![Placement {
+                job: 1_000,
+                vm: 0,
+                allocation: rv(0.5),
+            }],
             placements: vec![Placement {
                 job: 0,
                 vm: 0,
@@ -1319,8 +1281,48 @@ mod tests {
         assert_eq!(stats.commits, 0, "nothing reached the store: {stats:?}");
     }
 
+    #[test]
+    fn an_adjustment_named_on_another_vm_is_a_conflict() {
+        // Job 1000 runs on VM 0. Slot 0 shrinks it named on VM 1, slot 1
+        // named on VM 0: only the second is the job's.
+        let mut vms = fleet(&[3.0, 4.0]);
+        vms[0].jobs.push(RunningJobView {
+            id: 1_000,
+            requested: rv(1.0),
+            allocation: rv(1.0),
+            recent_demand: Vec::new(),
+            recent_unused: Vec::new(),
+        });
+        let shrink = |vm| ProvisionPlan {
+            adjustments: vec![Placement {
+                job: 1_000,
+                vm,
+                allocation: rv(0.5),
+            }],
+            ..ProvisionPlan::default()
+        };
+        let script = Scripted(vec![shrink(1), shrink(0)]);
+        let mut p =
+            ShardedProvisioner::new("scripted", vec![Box::new(script)], ShardConfig::default());
+        let got = p.provision(&slot_ctx(0, &vms, &[]));
+        assert!(got.adjustments.is_empty(), "{got:?}");
+        let stats = p.control_plane_stats().unwrap();
+        assert_eq!(stats.per_shard[0].conflicts, 1, "{stats:?}");
+        let store = p.store().unwrap();
+        assert_eq!(
+            store.free_all(),
+            vec![rv(3.0), rv(4.0)],
+            "the store is untouched"
+        );
+        let got = p.provision(&slot_ctx(1, &vms, &[]));
+        assert_eq!(got.adjustments, shrink(0).adjustments);
+        assert_eq!(p.control_plane_stats().unwrap().per_shard[0].conflicts, 1);
+        assert_eq!(p.store().unwrap().free(0), Some(rv(3.5)));
+    }
+
     /// The obviously correct arbiter `provision` must agree with: headrooms
-    /// in a plain vector, shrinks before grows, then placements round-robin
+    /// in a plain vector, shrinks before grows (each adjustment's job looked
+    /// up on the VM it names), then placements round-robin
     /// — committed where proposed if that fits, else on the linear
     /// smallest-volume scan's VM (one claim at a time, a VM the scan finds
     /// never needs a second retry). Adds each shard's `[commits, conflicts,
@@ -1331,28 +1333,29 @@ mod tests {
         tally: &mut [[u64; 4]],
     ) -> ProvisionPlan {
         let mut free: Vec<_> = ctx.vms.iter().map(|v| v.capacity - v.committed).collect();
-        let running: HashMap<JobId, (usize, ResourceVector)> = ctx
+        let running: HashMap<(usize, JobId), ResourceVector> = ctx
             .vms
             .iter()
-            .flat_map(|vm| vm.jobs.iter().map(|j| (j.id, (vm.id, j.allocation))))
+            .flat_map(|vm| vm.jobs.iter().map(|j| ((vm.id, j.id), j.allocation)))
             .collect();
         let owns = |shard: usize, job: JobId| job % plans.len() as u64 == shard as u64;
         let mut merged = ProvisionPlan::default();
         for shrinks in [true, false] {
             for (shard, plan) in plans.iter().enumerate() {
-                for &(job, new) in &plan.adjustments {
-                    let current = running.get(&job);
-                    if current.is_some_and(|(_, old)| new.fits_within(old)) != shrinks {
+                for a in &plan.adjustments {
+                    let (vm, new) = (a.vm, a.allocation);
+                    let current = running.get(&(vm, a.job));
+                    if current.is_some_and(|old| new.fits_within(old)) != shrinks {
                         continue;
                     }
                     match current {
-                        Some(&(vm, old))
-                            if owns(shard, job)
+                        Some(&old)
+                            if owns(shard, a.job)
                                 && new.is_finite()
                                 && new.fits_within(&(free[vm] + old)) =>
                         {
                             free[vm] = free[vm] + old - new;
-                            merged.adjustments.push((job, new));
+                            merged.adjustments.push(a.clone());
                         }
                         _ => tally[shard][1] += 1,
                     }
@@ -1402,7 +1405,9 @@ mod tests {
     /// everything arbitration must refuse — duplicate and non-pending
     /// jobs, NaN and negative allocations, unknown and full VMs, grows
     /// listed before the shrinks that make room for them, unknown jobs,
-    /// and one proposal in five from a shard that does not own the job.
+    /// adjustments that name a VM other than their job's (some past the
+    /// fleet), and one proposal in five from a shard that does not own the
+    /// job.
     fn random_slot(
         rng: &mut StdRng,
         shards: usize,
@@ -1440,13 +1445,26 @@ mod tests {
                 } else {
                     rng.gen_range(0..shards)
                 };
-                plans[proposer].adjustments.push((job, new));
+                let named = if rng.gen_bool(0.8) {
+                    vm.id
+                } else {
+                    rng.gen_range(0..num_vms + 2) // the last two do not exist
+                };
+                plans[proposer].adjustments.push(Placement {
+                    job,
+                    vm: named,
+                    allocation: new,
+                });
             }
         }
         let num_pending = rng.gen_range(4..=16u64);
         for (shard, plan) in plans.iter_mut().enumerate() {
             if rng.gen_bool(0.3) {
-                plan.adjustments.push((9_000, rv(1.0))); // no such running job
+                plan.adjustments.push(Placement {
+                    job: 9_000, // no such running job
+                    vm: rng.gen_range(0..num_vms),
+                    allocation: rv(1.0),
+                });
             }
             for _ in 0..rng.gen_range(0..=10usize) {
                 let allocation = match rng.gen_range(0..10u32) {

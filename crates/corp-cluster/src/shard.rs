@@ -198,11 +198,9 @@ mod tests {
         /// slot of usage. Jobs with `id % 5 == 4` never report any, so they
         /// reach the window boundaries with empty histories.
         fn step(&mut self, slot: u64, plans: &[ProvisionPlan]) -> Vec<JobCompletion> {
-            for (job, new) in plans.iter().flat_map(|p| &p.adjustments) {
-                for j in self.vms.iter_mut().flat_map(|vm| &mut vm.jobs) {
-                    if j.id == *job {
-                        j.allocation = *new;
-                    }
+            for a in plans.iter().flat_map(|p| &p.adjustments) {
+                for j in self.vms[a.vm].jobs.iter_mut().filter(|j| j.id == a.job) {
+                    j.allocation = a.allocation;
                 }
             }
             for p in plans.iter().flat_map(|p| &p.placements) {

@@ -196,34 +196,34 @@ impl PlacementStore {
     ///
     /// If `committed` has a different length than the fleet.
     pub fn begin_slot(&self, committed: &[ResourceVector]) {
-        self.rebase(None, committed);
+        self.rebase(committed.iter().map(|&committed| (None, committed)));
     }
 
     /// [`begin_slot`](Self::begin_slot) that also re-bases per-VM
-    /// capacities — required under fault injection, where a crashed VM's
-    /// view capacity drops to zero and rejoins at nominal on recovery.
-    /// This is the store's only crash path; no capacity changes mid-slot.
-    /// With unchanged capacities this is exactly `begin_slot`.
+    /// capacities, from one `(capacity, committed)` pair per VM in VM-id
+    /// order — required under fault injection, where a crashed VM's view
+    /// capacity drops to zero and rejoins at nominal on recovery. This is
+    /// the store's only crash path; no capacity changes mid-slot. With
+    /// unchanged capacities this is exactly `begin_slot`.
     ///
     /// # Panics
     ///
-    /// If `capacities` or `committed` has a different length than the
-    /// fleet.
-    pub fn begin_slot_full(&self, capacities: &[ResourceVector], committed: &[ResourceVector]) {
-        self.rebase(Some(capacities), committed);
+    /// If `fleet` yields a different number of VMs than the fleet has.
+    pub fn begin_slot_full(
+        &self,
+        fleet: impl ExactSizeIterator<Item = (ResourceVector, ResourceVector)>,
+    ) {
+        self.rebase(fleet.map(|(capacity, committed)| (Some(capacity), committed)));
     }
 
-    fn rebase(&self, capacities: Option<&[ResourceVector]>, committed: &[ResourceVector]) {
+    fn rebase(
+        &self,
+        fleet: impl ExactSizeIterator<Item = (Option<ResourceVector>, ResourceVector)>,
+    ) {
         let mut ledger = self.ledger.lock();
-        let fleet = ledger.vms.len();
-        assert_eq!(fleet, committed.len(), "fleet size changed mid-run");
-        if let Some(caps) = capacities {
-            assert_eq!(fleet, caps.len(), "fleet size changed mid-run");
-            for (entry, &capacity) in ledger.vms.iter_mut().zip(caps) {
-                entry.capacity = capacity;
-            }
-        }
-        for (entry, &committed) in ledger.vms.iter_mut().zip(committed) {
+        assert_eq!(ledger.vms.len(), fleet.len(), "fleet size changed mid-run");
+        for (entry, (capacity, committed)) in ledger.vms.iter_mut().zip(fleet) {
+            entry.capacity = capacity.unwrap_or(entry.capacity);
             entry.committed = committed;
             entry.reserved = ResourceVector::ZERO;
         }
@@ -491,13 +491,13 @@ mod tests {
     fn begin_slot_full_rebases_capacities() {
         let store = store_one_vm();
         // The VM crashed: zero capacity, nothing committed.
-        store.begin_slot_full(&[ResourceVector::ZERO], &[ResourceVector::ZERO]);
+        store.begin_slot_full([(ResourceVector::ZERO, ResourceVector::ZERO)].into_iter());
         assert_eq!(
             store.reserve(0, 0, rv(1.0, 1.0, 1.0)),
             Err(ReserveError::Conflict)
         );
         // Recovery restores nominal capacity.
-        store.begin_slot_full(&[rv(4.0, 16.0, 180.0)], &[ResourceVector::ZERO]);
+        store.begin_slot_full([(rv(4.0, 16.0, 180.0), ResourceVector::ZERO)].into_iter());
         assert!(store.reserve(0, 0, rv(1.0, 1.0, 1.0)).is_ok());
         assert!(store.holds_invariants(1e-9));
     }

@@ -196,11 +196,9 @@ proptest! {
                 6 => {
                     // A crash as the coordinator sees one: the slot's
                     // rebase reads the VM at zero capacity, nothing on it.
-                    let mut capacities = [ResourceVector::splat(CAPACITY); VMS];
-                    let mut committed = [amt; VMS];
-                    capacities[vm] = ResourceVector::ZERO;
-                    committed[vm] = ResourceVector::ZERO;
-                    store.begin_slot_full(&capacities, &committed);
+                    let mut fleet = [(ResourceVector::splat(CAPACITY), amt); VMS];
+                    fleet[vm] = (ResourceVector::ZERO, ResourceVector::ZERO);
+                    store.begin_slot_full(fleet.into_iter());
                     open.clear();
                 }
                 _ => {
@@ -208,7 +206,7 @@ proptest! {
                     // the authoritative committed snapshot fits even after
                     // crashes): drops the index, forcing a lazy rebuild on
                     // the next query.
-                    store.begin_slot_full(&[ResourceVector::splat(CAPACITY); VMS], &[amt; VMS]);
+                    store.begin_slot_full([(ResourceVector::splat(CAPACITY), amt); VMS].into_iter());
                     open.clear();
                 }
             }
@@ -386,19 +384,18 @@ proptest! {
                 5 => {
                     let stripe = usize::from(q) + 2;
                     let crashed = |v: usize| v % stripe == vm % stripe;
-                    let capacities: Vec<ResourceVector> = (0..vms)
-                        .map(|v| if crashed(v) { ResourceVector::ZERO } else { ResourceVector::splat(CAPACITY) })
-                        .collect();
-                    let committed: Vec<ResourceVector> = (0..vms)
-                        .map(|v| if crashed(v) { ResourceVector::ZERO } else { ResourceVector::splat((v % 5) as f64 * 0.5) })
-                        .collect();
-                    store.begin_slot_full(&capacities, &committed);
+                    store.begin_slot_full((0..vms).map(|v| {
+                        if crashed(v) {
+                            (ResourceVector::ZERO, ResourceVector::ZERO)
+                        } else {
+                            (ResourceVector::splat(CAPACITY), ResourceVector::splat((v % 5) as f64 * 0.5))
+                        }
+                    }));
                 }
                 _ => {
-                    let committed: Vec<ResourceVector> = (0..vms)
-                        .map(|v| ResourceVector::splat((v % 3) as f64 * 0.5))
-                        .collect();
-                    store.begin_slot_full(&vec![ResourceVector::splat(CAPACITY); vms], &committed);
+                    store.begin_slot_full((0..vms).map(|v| {
+                        (ResourceVector::splat(CAPACITY), ResourceVector::splat((v % 3) as f64 * 0.5))
+                    }));
                 }
             }
             let free = store.free_all();

@@ -11,7 +11,7 @@
 //! pass — plus a no-op for reservation-based schemes.
 
 use crate::pipeline::predict::{PendingOutcome, WindowForecast};
-use corp_sim::{PredictionRecord, ProvisionPlan, ResourceVector, SlotContext, VmView};
+use corp_sim::{Placement, PredictionRecord, ProvisionPlan, ResourceVector, SlotContext, VmView};
 use corp_trace::NUM_RESOURCES;
 
 /// Floor fraction of the request that baseline reclaim never goes below.
@@ -200,7 +200,11 @@ impl ReallocationGate for CorpReclaimGate {
                 }
                 if new_alloc != job.allocation {
                     apply_delta(&mut pools[vm.id], &job.allocation, &new_alloc);
-                    plan.adjustments.push((job.id, new_alloc));
+                    plan.adjustments.push(Placement {
+                        job: job.id,
+                        vm: vm.id,
+                        allocation: new_alloc,
+                    });
                 }
             }
         }
@@ -267,7 +271,11 @@ fn baseline_reclaim(
         }
         if new_alloc != job.allocation {
             apply_delta(&mut pools[vm.id], &job.allocation, &new_alloc);
-            plan.adjustments.push((job.id, new_alloc));
+            plan.adjustments.push(Placement {
+                job: job.id,
+                vm: vm.id,
+                allocation: new_alloc,
+            });
         }
     }
 }

@@ -336,7 +336,9 @@ impl Matrix {
         }
     }
 
-    /// Scales every element in place (used for momentum decay).
+    /// Scales every element in place (the reference training step's
+    /// momentum decay).
+    #[cfg(test)]
     pub(crate) fn scale(&mut self, s: f64) {
         for v in &mut self.data {
             *v *= s;
@@ -348,6 +350,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics on shape mismatch.
+    #[cfg(test)]
     pub(crate) fn add_assign(&mut self, other: &Matrix) {
         assert_eq!(
             (self.rows, self.cols),

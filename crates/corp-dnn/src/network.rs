@@ -359,80 +359,6 @@ impl Network {
         sq_err
     }
 
-    /// The pre-optimization per-sample training step, kept verbatim
-    /// (unfused forward, three-pass momentum update) as the reference
-    /// implementation the determinism suite A/Bs the fused kernels
-    /// against. Selected via `TrainConfig::reference_kernels`.
-    pub(crate) fn train_on_reference(
-        &mut self,
-        input: &[f64],
-        target: &[f64],
-        mu: f64,
-        momentum: f64,
-    ) -> f64 {
-        assert_eq!(target.len(), self.output_len(), "target length mismatch");
-        assert_eq!(input.len(), self.input_len(), "input length mismatch");
-        self.activations[0].copy_from_slice(input);
-        for (d, layer) in self.layers.iter().enumerate() {
-            let (lower, upper) = self.activations.split_at_mut(d + 1);
-            let g_cur = &mut upper[0];
-            layer.weights.mul_vec_into(&lower[d], g_cur);
-            for (g, b) in g_cur.iter_mut().zip(&layer.biases) {
-                *g = layer.activation.apply(*g + b);
-            }
-        }
-
-        let out_idx = self.layers.len() - 1;
-        let mut sq_err = 0.0;
-        {
-            let g_out = &self.activations[out_idx + 1];
-            let act = self.layers[out_idx].activation;
-            for ((e, &g), &t) in self.errors[out_idx].iter_mut().zip(g_out).zip(target) {
-                let diff = t - g;
-                sq_err += diff * diff;
-                *e = diff * act.derivative_from_output(g);
-            }
-        }
-
-        for d in (0..out_idx).rev() {
-            let (lower_errs, upper_errs) = self.errors.split_at_mut(d + 1);
-            let e_cur = &mut lower_errs[d];
-            let e_up = &upper_errs[0];
-            self.layers[d + 1]
-                .weights
-                .mul_vec_transposed_into(e_up, e_cur);
-            let act = self.layers[d].activation;
-            for (e, &g) in e_cur.iter_mut().zip(&self.activations[d + 1]) {
-                *e *= act.derivative_from_output(g);
-            }
-        }
-
-        for (d, layer) in self.layers.iter_mut().enumerate() {
-            let errs = &self.errors[d];
-            let g_prev = &self.activations[d];
-            if momentum > 0.0 {
-                layer.weight_velocity.scale(momentum);
-                layer.weight_velocity.add_outer_scaled(errs, g_prev, mu);
-                layer.weights.add_assign(&layer.weight_velocity);
-                for ((b, v), e) in layer
-                    .biases
-                    .iter_mut()
-                    .zip(&mut layer.bias_velocity)
-                    .zip(errs)
-                {
-                    *v = momentum * *v + mu * e;
-                    *b += *v;
-                }
-            } else {
-                layer.weights.add_outer_scaled(errs, g_prev, mu);
-                for (b, e) in layer.biases.iter_mut().zip(errs) {
-                    *b += mu * e;
-                }
-            }
-        }
-        sq_err
-    }
-
     /// Mean squared error of the network over a dataset, without updating
     /// weights.
     pub(crate) fn mse(&mut self, inputs: &[Vec<f64>], targets: &[Vec<f64>]) -> f64 {
@@ -472,6 +398,79 @@ impl Network {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The pre-optimization per-sample training step, kept verbatim
+    /// (unfused forward, three-pass momentum update) as the reference the
+    /// fused [`Network::train_on`] is held to bit for bit.
+    fn train_on_reference(
+        net: &mut Network,
+        input: &[f64],
+        target: &[f64],
+        mu: f64,
+        momentum: f64,
+    ) -> f64 {
+        assert_eq!(target.len(), net.output_len(), "target length mismatch");
+        assert_eq!(input.len(), net.input_len(), "input length mismatch");
+        net.activations[0].copy_from_slice(input);
+        for (d, layer) in net.layers.iter().enumerate() {
+            let (lower, upper) = net.activations.split_at_mut(d + 1);
+            let g_cur = &mut upper[0];
+            layer.weights.mul_vec_into(&lower[d], g_cur);
+            for (g, b) in g_cur.iter_mut().zip(&layer.biases) {
+                *g = layer.activation.apply(*g + b);
+            }
+        }
+
+        let out_idx = net.layers.len() - 1;
+        let mut sq_err = 0.0;
+        {
+            let g_out = &net.activations[out_idx + 1];
+            let act = net.layers[out_idx].activation;
+            for ((e, &g), &t) in net.errors[out_idx].iter_mut().zip(g_out).zip(target) {
+                let diff = t - g;
+                sq_err += diff * diff;
+                *e = diff * act.derivative_from_output(g);
+            }
+        }
+
+        for d in (0..out_idx).rev() {
+            let (lower_errs, upper_errs) = net.errors.split_at_mut(d + 1);
+            let e_cur = &mut lower_errs[d];
+            let e_up = &upper_errs[0];
+            net.layers[d + 1]
+                .weights
+                .mul_vec_transposed_into(e_up, e_cur);
+            let act = net.layers[d].activation;
+            for (e, &g) in e_cur.iter_mut().zip(&net.activations[d + 1]) {
+                *e *= act.derivative_from_output(g);
+            }
+        }
+
+        for (d, layer) in net.layers.iter_mut().enumerate() {
+            let errs = &net.errors[d];
+            let g_prev = &net.activations[d];
+            if momentum > 0.0 {
+                layer.weight_velocity.scale(momentum);
+                layer.weight_velocity.add_outer_scaled(errs, g_prev, mu);
+                layer.weights.add_assign(&layer.weight_velocity);
+                for ((b, v), e) in layer
+                    .biases
+                    .iter_mut()
+                    .zip(&mut layer.bias_velocity)
+                    .zip(errs)
+                {
+                    *v = momentum * *v + mu * e;
+                    *b += *v;
+                }
+            } else {
+                layer.weights.add_outer_scaled(errs, g_prev, mu);
+                for (b, e) in layer.biases.iter_mut().zip(errs) {
+                    *b += mu * e;
+                }
+            }
+        }
+        sq_err
+    }
 
     #[test]
     fn forward_output_has_right_shape() {
@@ -585,27 +584,60 @@ mod tests {
         (inputs, targets)
     }
 
+    /// Window-6 examples of a wavy unused series, each target 6 slots past
+    /// its window's end and both scaled by the window's maximum: the
+    /// dataset `UnusedResourcePredictor::fit` builds.
+    fn window_dataset(series_len: usize) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+        let (window, horizon) = (6, 6);
+        let series: Vec<f64> = (0..series_len)
+            .map(|t| 0.4 + 0.3 * (t as f64 * 0.7).sin() + 0.05 * ((t * 7) % 5) as f64)
+            .collect();
+        (0..=series_len - window - horizon)
+            .map(|start| {
+                let recent = &series[start..start + window];
+                let scale = recent.iter().cloned().fold(0.0f64, f64::max).max(1e-9);
+                let target = series[start + window + horizon - 1] / scale;
+                (recent.iter().map(|v| v / scale).collect(), vec![target])
+            })
+            .unzip()
+    }
+
     #[test]
     fn fused_train_on_is_bit_identical_to_reference_kernels() {
-        let mut fused = Network::new(&[2, 8, 4, 1], Activation::Sigmoid, Activation::Identity, 13);
-        let mut reference = fused.clone();
-        let (inputs, targets) = toy_dataset(30);
-        for _ in 0..5 {
-            for (x, t) in inputs.iter().zip(&targets) {
-                let a = fused.train_on(x, t, 0.1, 0.5);
-                let b = reference.train_on_reference(x, t, 0.1, 0.5);
-                assert_eq!(a.to_bits(), b.to_bits());
+        // A toy shape, then the two CORP ships — Table II's 4x50 and
+        // `CorpConfig::fast()`'s 2x12 on a 6-slot window with a 6-slot
+        // horizon — at the trainer's learning rate and momentum 0.5.
+        use crate::train::{LEARNING_RATE, MOMENTUM};
+        let toy = toy_dataset(30);
+        let windows = window_dataset(60);
+        let cases: [(&[usize], _, f64); 3] = [
+            (&[2, 8, 4, 1], &toy, 0.1),
+            (&[6, 50, 50, 50, 50, 1], &windows, LEARNING_RATE),
+            (&[6, 12, 12, 1], &windows, LEARNING_RATE),
+        ];
+        let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (sizes, (inputs, targets), mu) in cases {
+            let mut fused = Network::new(sizes, Activation::Sigmoid, Activation::Identity, 13);
+            let mut reference = fused.clone();
+            for _ in 0..5 {
+                for (x, t) in inputs.iter().zip(targets) {
+                    let a = fused.train_on(x, t, mu, MOMENTUM);
+                    let b = train_on_reference(&mut reference, x, t, mu, MOMENTUM);
+                    assert_eq!(a.to_bits(), b.to_bits(), "{sizes:?}: loss diverged");
+                }
             }
-        }
-        for d in 0..fused.depth() {
-            let fw = fused.layer_weights(d).as_slice();
-            let rw = reference.layer_weights(d).as_slice();
-            assert_eq!(
-                fw.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                rw.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "layer {d} weights diverged"
-            );
-            assert_eq!(fused.layer_biases(d), reference.layer_biases(d));
+            for d in 0..fused.depth() {
+                assert_eq!(
+                    bits(fused.layer_weights(d).as_slice()),
+                    bits(reference.layer_weights(d).as_slice()),
+                    "{sizes:?}: layer {d} weights diverged"
+                );
+                assert_eq!(
+                    bits(fused.layer_biases(d)),
+                    bits(reference.layer_biases(d)),
+                    "{sizes:?}: layer {d} biases diverged"
+                );
+            }
         }
     }
 
@@ -616,7 +648,7 @@ mod tests {
         let (inputs, targets) = toy_dataset(20);
         for (x, t) in inputs.iter().zip(&targets) {
             let a = fused.train_on(x, t, 0.1, 0.0);
-            let b = reference.train_on_reference(x, t, 0.1, 0.0);
+            let b = train_on_reference(&mut reference, x, t, 0.1, 0.0);
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert_eq!(

@@ -14,10 +14,10 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// Learning rate `mu` of paper Eq. 8.
-const LEARNING_RATE: f64 = 0.05;
+pub(crate) const LEARNING_RATE: f64 = 0.05;
 /// Classical momentum factor. Eq. 8 is plain SGD (momentum 0); 0.5 is a
 /// departure that steadies training on the noisy unused-resource series.
-const MOMENTUM: f64 = 0.5;
+pub(crate) const MOMENTUM: f64 = 0.5;
 /// Share of the dataset held out for validation.
 const VALIDATION_FRACTION: f64 = 0.2;
 /// Relative validation-MSE improvement below which an epoch counts as
@@ -33,11 +33,6 @@ pub struct TrainConfig {
     pub max_epochs: usize,
     /// Shuffle seed (training is deterministic per seed).
     pub seed: u64,
-    /// Run the pre-optimization per-sample kernels
-    /// (`Network::train_on_reference`) instead of the fused ones. The two
-    /// are bit-identical; this switch exists so the determinism suite can
-    /// A/B them end-to-end.
-    pub reference_kernels: bool,
 }
 
 impl Default for TrainConfig {
@@ -45,7 +40,6 @@ impl Default for TrainConfig {
         TrainConfig {
             max_epochs: 200,
             seed: 0x5EED,
-            reference_kernels: false,
         }
     }
 }
@@ -108,11 +102,7 @@ impl Trainer {
         for _epoch in 0..self.config.max_epochs {
             train_order.shuffle(&mut rng);
             for &i in &train_order {
-                if self.config.reference_kernels {
-                    net.train_on_reference(&inputs[i], &targets[i], LEARNING_RATE, MOMENTUM);
-                } else {
-                    net.train_on(&inputs[i], &targets[i], LEARNING_RATE, MOMENTUM);
-                }
+                net.train_on(&inputs[i], &targets[i], LEARNING_RATE, MOMENTUM);
             }
             let val_mse = net.mse(&val_inputs, &val_targets);
             if stop.record(val_mse) {
@@ -298,39 +288,12 @@ mod tests {
             let trainer = Trainer::new(TrainConfig {
                 seed,
                 max_epochs: 20,
-                ..TrainConfig::default()
             });
             trainer
                 .train(&mut net, &inputs, &targets)
                 .final_validation_mse
         };
         assert_eq!(run(7), run(7));
-    }
-
-    #[test]
-    fn reference_kernels_reproduce_fused_training_bit_for_bit() {
-        let (inputs, targets) = toy_dataset(50);
-        let run = |reference_kernels| {
-            let mut net = Network::new(&[2, 8, 1], Activation::Sigmoid, Activation::Identity, 6);
-            let trainer = Trainer::new(TrainConfig {
-                reference_kernels,
-                max_epochs: 15,
-                ..TrainConfig::default()
-            });
-            let report = trainer.train(&mut net, &inputs, &targets);
-            (
-                report
-                    .validation_history
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                net.layer_weights(0).as_slice().to_vec(),
-            )
-        };
-        let (fused_hist, fused_w) = run(false);
-        let (ref_hist, ref_w) = run(true);
-        assert_eq!(fused_hist, ref_hist);
-        assert_eq!(fused_w, ref_w);
     }
 
     #[test]

@@ -70,6 +70,10 @@ impl Default for ServeConfig {
 pub struct ServeDaemon {
     engine: SlotEngine,
     config: ServeConfig,
+    /// [`SimulationOptions::check`] as built: check job conservation
+    /// through the admission queue after every tick (always in test
+    /// builds).
+    check: bool,
 }
 
 impl ServeDaemon {
@@ -77,6 +81,7 @@ impl ServeDaemon {
     /// configuration shared with batch mode (slot cap, arena reclaim, …).
     pub fn new(cluster: Cluster, options: SimulationOptions, config: ServeConfig) -> Self {
         ServeDaemon {
+            check: options.check,
             engine: SlotEngine::new(cluster, options),
             config,
         }
@@ -187,8 +192,9 @@ impl ServeDaemon {
                 self.engine.submit(*queued.spec);
             }
             let outcome = self.engine.step(provisioner);
-            #[cfg(test)]
-            tests::check_conservation(pulled, &self.engine, &admission);
+            if cfg!(test) || self.check {
+                check_conservation(pulled, &self.engine, &admission);
+            }
             inspect(&self.engine, &outcome);
             ticks += 1;
             completed += outcome.completed.len() as u64;
@@ -255,6 +261,29 @@ impl ServeDaemon {
     }
 }
 
+/// Job conservation through the admission queue: each job pulled from the
+/// feed was submitted to the engine, waits in the queue or at its door, or
+/// was shed, rejected or expired.
+///
+/// # Panics
+///
+/// If a job is unaccounted for, naming the slot.
+fn check_conservation(pulled: u64, engine: &SlotEngine, admission: &AdmissionQueue) {
+    let stats = admission.stats();
+    let accounted = engine.store().total_inserted() as u64
+        + admission.depth() as u64
+        + admission.door_depth() as u64
+        + stats.shed
+        + stats.rejected
+        + stats.expired;
+    assert_eq!(
+        pulled,
+        accounted,
+        "admission conservation at slot {}: {stats:?}",
+        engine.slot()
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,26 +303,6 @@ mod tests {
             seed,
         )
         .generate()
-    }
-
-    /// Job conservation through the admission queue, checked after every
-    /// tick of every daemon test: each job pulled from the feed was
-    /// submitted to the engine, waits in the queue or at its door, or was
-    /// shed, rejected or expired.
-    pub(super) fn check_conservation(pulled: u64, engine: &SlotEngine, admission: &AdmissionQueue) {
-        let stats = admission.stats();
-        let accounted = engine.store().total_inserted() as u64
-            + admission.depth() as u64
-            + admission.door_depth() as u64
-            + stats.shed
-            + stats.rejected
-            + stats.expired;
-        assert_eq!(
-            pulled,
-            accounted,
-            "admission conservation at slot {}: {stats:?}",
-            engine.slot()
-        );
     }
 
     fn quiet_options() -> SimulationOptions {

@@ -25,8 +25,9 @@
 //!
 //! ## Validation rules
 //!
-//! * An adjustment may not push a VM's committed total above capacity and
-//!   may not be negative; invalid adjustments are dropped (counted).
+//! * An adjustment must name a running job and the VM it runs on, may not
+//!   push that VM's committed total above capacity and may not be
+//!   negative; invalid adjustments are dropped (counted).
 //! * A placement must reference a pending job and fit the VM's free
 //!   capacity at application time; invalid placements are dropped.
 //! * Neither may allocate a job more than it requested (to within 1e-9
@@ -88,7 +89,9 @@ pub struct SimulationOptions {
     /// the occupied set, and the per-VM job lists' links and membership.
     /// A violation panics with the slot and what broke. Off by
     /// default; off, it costs one branch per step. (Test builds of this
-    /// crate run the same checks, and the shadow-based ones, always.)
+    /// crate run the same checks, and the shadow-based ones, always.) A
+    /// `corp_serve::ServeDaemon` built with it also checks job
+    /// conservation through its admission queue after every tick.
     pub check: bool,
 }
 
@@ -745,24 +748,29 @@ impl SlotEngine {
         // state: a stable partition, each job looked up once.
         let mut adjustments = Vec::with_capacity(plan.adjustments.len());
         let mut grows = Vec::new();
-        for (job_id, new_alloc) in plan.adjustments {
-            let h = self.index_of.get(&job_id).copied();
-            let shrinking = h.is_some_and(|h| new_alloc.fits_within(&self.store.allocation(h)));
+        for a in plan.adjustments {
+            let h = self.index_of.get(&a.job).copied();
+            let shrinking = h.is_some_and(|h| a.allocation.fits_within(&self.store.allocation(h)));
             if shrinking {
-                adjustments.push((h, new_alloc));
+                adjustments.push((h, a.vm, a.allocation));
             } else {
-                grows.push((h, new_alloc));
+                grows.push((h, a.vm, a.allocation));
             }
         }
         adjustments.append(&mut grows);
-        for (h, new_alloc) in adjustments {
+        for (h, named_vm, new_alloc) in adjustments {
             let Some(h) = h else {
                 self.invalid_actions += 1;
                 continue;
             };
-            let JobState::Running { vm } = self.store.job(h).state else {
-                self.invalid_actions += 1;
-                continue;
+            // An adjustment names the VM its job runs on, as the proposer
+            // read it; any other VM is refused like a bad placement's.
+            let vm = match self.store.job(h).state {
+                JobState::Running { vm } if vm == named_vm => vm,
+                _ => {
+                    self.invalid_actions += 1;
+                    continue;
+                }
             };
             if !new_alloc.is_finite() {
                 self.invalid_actions += 1;
@@ -1644,8 +1652,11 @@ mod tests {
         fn provision(&mut self, ctx: &SlotContext<'_>) -> crate::provisioner::ProvisionPlan {
             let mut plan = crate::provisioner::ProvisionPlan::default();
             // Bogus adjustment for a job that does not exist.
-            plan.adjustments
-                .push((u64::MAX, ResourceVector::splat(1.0)));
+            plan.adjustments.push(crate::provisioner::Placement {
+                job: u64::MAX,
+                vm: 0,
+                allocation: ResourceVector::splat(1.0),
+            });
             // Place pending jobs on a bogus VM id, then correctly.
             for j in ctx.pending {
                 plan.placements.push(crate::provisioner::Placement {
@@ -2111,10 +2122,13 @@ mod tests {
                 let mut plan = crate::provisioner::ProvisionPlan::default();
                 for vm in ctx.vms {
                     for job in &vm.jobs {
-                        plan.adjustments
-                            .push((job.id, ResourceVector::splat(f64::NAN)));
-                        plan.adjustments
-                            .push((job.id, ResourceVector::splat(f64::INFINITY)));
+                        for poison in [f64::NAN, f64::INFINITY] {
+                            plan.adjustments.push(crate::provisioner::Placement {
+                                job: job.id,
+                                vm: vm.id,
+                                allocation: ResourceVector::splat(poison),
+                            });
+                        }
                     }
                 }
                 for j in ctx.pending {
@@ -2367,8 +2381,14 @@ mod tests {
             fn provision(&mut self, ctx: &SlotContext<'_>) -> crate::provisioner::ProvisionPlan {
                 let mut plan = StaticPeakProvisioner.provision(ctx);
                 if ctx.slot >= 3 && ctx.slot < 10 {
-                    plan.adjustments
-                        .push((7, ResourceVector::new([3.0, 4.0, 20.0])));
+                    // The views list every running job, whatever the
+                    // engine's id map holds.
+                    let host = ctx.vms.iter().find(|vm| vm.jobs.iter().any(|j| j.id == 7));
+                    plan.adjustments.push(crate::provisioner::Placement {
+                        job: 7,
+                        vm: host.expect("job 7 runs").id,
+                        allocation: ResourceVector::new([3.0, 4.0, 20.0]),
+                    });
                 }
                 plan
             }
@@ -3044,9 +3064,15 @@ mod tests {
                 }
                 self.over_asks += plan.placements.len();
             }
-            for job in ctx.vms.iter().flat_map(|vm| &vm.jobs) {
-                plan.adjustments.push((job.id, job.requested.scaled(1.2)));
-                self.over_asks += 1;
+            for vm in ctx.vms {
+                for job in &vm.jobs {
+                    plan.adjustments.push(crate::provisioner::Placement {
+                        job: job.id,
+                        vm: vm.id,
+                        allocation: job.requested.scaled(1.2),
+                    });
+                    self.over_asks += 1;
+                }
             }
             plan
         }
@@ -3067,6 +3093,54 @@ mod tests {
         assert_eq!(report.nonfinite_actions, 0);
     }
 
+    #[test]
+    fn an_adjustment_that_names_another_vm_is_an_invalid_action() {
+        /// Static peak plus, for every running job, a shrink to half its
+        /// request named on the VM `offset` places past the job's own.
+        struct Halver {
+            offset: usize,
+        }
+        impl Provisioner for Halver {
+            fn name(&self) -> &str {
+                "halver"
+            }
+            fn provision(&mut self, ctx: &SlotContext<'_>) -> crate::provisioner::ProvisionPlan {
+                let mut plan = StaticPeakProvisioner.provision(ctx);
+                for vm in ctx.vms {
+                    for job in &vm.jobs {
+                        plan.adjustments.push(crate::provisioner::Placement {
+                            job: job.id,
+                            vm: (vm.id + self.offset) % ctx.vms.len(),
+                            allocation: job.requested.scaled(0.5),
+                        });
+                    }
+                }
+                plan
+            }
+        }
+        for (offset, refused) in [(0, 0), (1, 1)] {
+            let mut engine = SlotEngine::new(cluster(), SimulationOptions::default());
+            engine.submit(hog(1, 0, 5));
+            let mut provisioner = Halver { offset };
+            engine.step(&mut provisioner);
+            let h = engine.index_of[&1];
+            assert!(matches!(
+                engine.store.job(h).state,
+                JobState::Running { vm: 0 }
+            ));
+            let before = (engine.store.allocation(h), engine.vm_committed[0]);
+            engine.step(&mut provisioner);
+            assert_eq!(engine.invalid_actions, refused, "offset {offset}");
+            let after = (engine.store.allocation(h), engine.vm_committed[0]);
+            if refused == 1 {
+                assert_eq!(after, before, "a refused adjustment changes nothing");
+            } else {
+                let halved = ResourceVector::new([1.5, 2.0, 10.0]);
+                assert_eq!(after, (halved, halved), "named on its own VM, it applies");
+            }
+        }
+    }
+
     /// One slot of a [`Scripted`] plan: placements as `(pending job pick,
     /// VM pick, allocation as a fraction of the request)` and adjustments
     /// as `(placed job pick, kind, fraction)`.
@@ -3083,8 +3157,9 @@ mod tests {
         period: u64,
         script: Vec<SlotScript>,
         num_vms: usize,
-        /// `(job, request)` of every job it placed, accepted or not.
-        placed: Vec<(JobId, ResourceVector)>,
+        /// `(job, VM, request)` of every placement it made, accepted or
+        /// not.
+        placed: Vec<(JobId, usize, ResourceVector)>,
     }
     impl Provisioner for Scripted {
         fn name(&self) -> &str {
@@ -3096,7 +3171,7 @@ mod tests {
             };
             let mut plan = crate::provisioner::ProvisionPlan::default();
             for &(pick, kind, fraction) in adjustments {
-                let Some(&(job, request)) =
+                let Some(&(job, vm, request)) =
                     self.placed.get(pick as usize % self.placed.len().max(1))
                 else {
                     break;
@@ -3107,7 +3182,11 @@ mod tests {
                     3 => ResourceVector::splat(f64::NAN),
                     _ => ResourceVector::splat(f64::INFINITY),
                 };
-                plan.adjustments.push((job, allocation));
+                plan.adjustments.push(crate::provisioner::Placement {
+                    job,
+                    vm,
+                    allocation,
+                });
             }
             for &(pick, vm, fraction) in placements {
                 let Some(job) = ctx.pending.get(pick as usize % ctx.pending.len().max(1)) else {
@@ -3124,13 +3203,13 @@ mod tests {
                     vm,
                     allocation: job.requested.scaled(fraction),
                 });
-                self.placed.push((job.id, job.requested));
+                self.placed.push((job.id, vm, job.requested));
             }
             plan
         }
         fn on_jobs_completed(&mut self, completed: &[JobCompletion]) {
             self.placed
-                .retain(|(id, _)| completed.iter().all(|c| c.job != *id));
+                .retain(|(id, ..)| completed.iter().all(|c| c.job != *id));
         }
         fn full_view_period(&self) -> u64 {
             self.period

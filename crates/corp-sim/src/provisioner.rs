@@ -74,14 +74,16 @@ pub struct PendingJobView {
     pub slo_slots: usize,
 }
 
-/// One placement decision.
+/// One (job, VM, allocation) action: the placement of a pending job, or
+/// the adjustment of a running job on the VM it runs on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
-    /// Which pending job.
+    /// Which job.
     pub job: JobId,
-    /// Destination VM.
+    /// A placement's destination VM; an adjustment's, the job's own VM.
     pub vm: usize,
-    /// Initial allocation `r_ij` granted to the job.
+    /// The allocation `r_ij` granted to the job: initial for a placement,
+    /// the new one for an adjustment.
     pub allocation: ResourceVector,
 }
 
@@ -113,9 +115,11 @@ pub struct PredictionRecord {
 /// Everything a provisioner may do in one slot.
 #[derive(Debug, Clone, Default)]
 pub struct ProvisionPlan {
-    /// New allocations for running jobs (reclaim/restore). Applied before
-    /// placements, so freed resources are placeable in the same slot.
-    pub adjustments: Vec<(JobId, ResourceVector)>,
+    /// New allocations for running jobs (reclaim/restore), each naming the
+    /// VM the job runs on as the proposer read it from the views. Applied
+    /// before placements, so freed resources are placeable in the same
+    /// slot; one that names another VM is an invalid action.
+    pub adjustments: Vec<Placement>,
     /// Placements of pending jobs onto VMs.
     pub placements: Vec<Placement>,
     /// Predictions to score later.

@@ -2,8 +2,8 @@
 # Repo-wide quality gate: formatting, lints, build, and the full test
 # suite. Run before every push.
 #
-#   scripts/check.sh              # the standard gate: examples, unsafe, serde, fmt,
-#                                 # clippy, doc, release build, tests, then
+#   scripts/check.sh              # the standard gate: examples, unsafe, serde, size,
+#                                 # fmt, clippy, doc, release build, tests, then
 #                                 # the serve, resilience, scale and bench
 #                                 # smokes, then portable
 #   scripts/check.sh examples     # grep only, no build: fails when an
@@ -98,12 +98,18 @@
 #                                 # mentions — a candidate to delete or to
 #                                 # move to `[dev-dependencies]` (either may
 #                                 # rewrite a lockfile)
-#   scripts/check.sh size         # advisory, writes nothing: per crate and
+#   scripts/check.sh size         # no build, writes nothing: per crate and
 #                                 # in total, the lines of `crates/*/src`
 #                                 # (`*.rs` and one directory down) and the
 #                                 # part of them outside test modules (each
-#                                 # file up to its last `#[cfg(test)]`) — the
-#                                 # number ROADMAP's code-diet budget is in
+#                                 # file up to its last `#[cfg(test)]`), and
+#                                 # the bytes of DESIGN.md and EXPERIMENTS.md;
+#                                 # fails when any of them is above its
+#                                 # ceiling in scripts/size-ceilings.txt
+#                                 # (part of the default gate). Lowering a
+#                                 # ceiling is free; raising one needs a
+#                                 # CHANGES.md line, in the change that
+#                                 # raises it, giving the reason
 #   scripts/check.sh libm         # advisory, not part of the gate: the
 #                                 # sigmoid's in-crate `exp` (corp-dnn's
 #                                 # exp.rs, a port of glibc's) against libm's
@@ -280,18 +286,37 @@ if [[ "${1:-}" == "deps" ]]; then
     exit 0
 fi
 
-if [[ "${1:-}" == "size" ]]; then
+size_gate() {
     shopt -s nullglob
     size_of() { # name files...: all lines, and lines up to each file's last `#[cfg(test)]`
         awk -v name="$1" 'FNR == 1 { n += cut ? cut : len; cut = 0 }
             /^#\[cfg\(test\)\]/ { cut = FNR } { len = FNR }
-            END { printf "%7d %13d  %s\n", NR, n + (cut ? cut : len), name }' "${@:2}"
+            END { print NR, n + (cut ? cut : len), name }' "${@:2}"
     }
-    printf '%7s %13s  %s\n' lines outside-tests crate
-    for d in crates/*/; do
-        size_of "$(basename "$d")" "$d"src/*.rs "$d"src/*/*.rs
-    done
-    size_of total crates/*/src/*.rs crates/*/src/*/*.rs
+    local over=0 lines measured name ceiling
+    echo "==> size against scripts/size-ceilings.txt"
+    printf '%7s %13s %9s  %s\n' lines outside-tests ceiling crate
+    while read -r lines measured name; do
+        ceiling=$(awk -v name="$name" '$1 == name { print $2 }' scripts/size-ceilings.txt)
+        printf '%7s %13s %9s  %s\n' "$lines" "$measured" "${ceiling:-none}" "$name"
+        if [[ -z $ceiling ]] || ((measured > ceiling)); then
+            echo "size: $name is $measured, above its ceiling (${ceiling:-none})" >&2
+            over=1
+        fi
+    done < <(
+        for d in crates/*/; do
+            size_of "$(basename "$d")" "$d"src/*.rs "$d"src/*/*.rs
+        done
+        size_of total crates/*/src/*.rs crates/*/src/*/*.rs
+        for doc in DESIGN.md EXPERIMENTS.md; do
+            echo "bytes $(wc -c <"$doc") $doc"
+        done
+    )
+    return "$over"
+}
+
+if [[ "${1:-}" == "size" ]]; then
+    size_gate
     exit 0
 fi
 
@@ -381,6 +406,8 @@ examples_gate
 unsafe_gate
 
 serde_gate
+
+size_gate
 
 echo "==> cargo fmt --check"
 cargo fmt --check
