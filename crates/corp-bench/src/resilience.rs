@@ -116,16 +116,24 @@ pub fn chaos_workload(env: Environment, jobs: usize, seed: u64) -> Vec<JobSpec> 
         .collect()
 }
 
+/// The placement deadline of a chaos run: 30 seconds.
+const DEADLINE_MICROS: u64 = 30_000_000;
+
+/// The deadline of `--smoke`'s extra run: 5 seconds, below the storms'
+/// queueing delay, so that jobs expire and the daemon's per-tick
+/// conservation check runs through expiry.
+const SMOKE_EXPIRY_DEADLINE_MICROS: u64 = 5_000_000;
+
 /// The serve configuration a chaos run uses: a tight queue, uniform
-/// 30-second placement deadlines, and a hair-trigger brownout ladder, so
-/// the overload machinery actually engages under the storm bursts instead
-/// of idling through them.
-fn chaos_config() -> ServeConfig {
+/// placement deadlines, and a hair-trigger brownout ladder, so the
+/// overload machinery actually engages under the storm bursts instead of
+/// idling through them.
+fn chaos_config(deadline_micros: u64) -> ServeConfig {
     ServeConfig {
         queue_capacity: 12,
         policy: BackpressurePolicy::Block,
         speed: ReplaySpeed::Infinite,
-        deadlines: DeadlineConfig::uniform(30_000_000),
+        deadlines: DeadlineConfig::uniform(deadline_micros),
         brownout: Some(BrownoutConfig {
             high_depth: 6,
             low_depth: 2,
@@ -145,6 +153,16 @@ pub fn run_resilience(
     fast: bool,
     args: &ResilienceArgs,
     pool_width: Option<usize>,
+) -> (ServeOutcome, Vec<String>) {
+    run_chaos(fast, args, pool_width, DEADLINE_MICROS)
+}
+
+/// [`run_resilience`] with the given placement deadline.
+fn run_chaos(
+    fast: bool,
+    args: &ResilienceArgs,
+    pool_width: Option<usize>,
+    deadline_micros: u64,
 ) -> (ServeOutcome, Vec<String>) {
     let env = Environment::Cluster;
     let jobs = chaos_workload(env, args.jobs, args.seed);
@@ -177,7 +195,7 @@ pub fn run_resilience(
         build_sharded_provisioner(SchemeKind::Corp, env, &params, args.shards, Some(control));
     let mut breaker = BreakerSupervisor::new(inner);
     // `--smoke` runs the engine's invariant checks every step.
-    let outcome = cell_daemon(env, chaos_config(), args.smoke)
+    let outcome = cell_daemon(env, chaos_config(deadline_micros), args.smoke)
         .with_fault_timeline(schedule.timeline)
         .run(&mut breaker, jobs);
     let errors = breaker
@@ -229,6 +247,14 @@ pub fn resilience_experiment(fast: bool, args: &ResilienceArgs) -> Result<Figure
         }
         if r.placement_latency.count == 0 {
             return Err("resilience smoke: no placement latencies measured".to_string());
+        }
+        let (expiring, _) = run_chaos(fast, args, None, SMOKE_EXPIRY_DEADLINE_MICROS);
+        let lost = jobs_lost(args.jobs, &expiring);
+        if expiring.report.queue.expired == 0 || lost != 0 {
+            return Err(format!(
+                "resilience smoke: the 5 s-deadline run expired {} jobs and lost {lost}",
+                expiring.report.queue.expired
+            ));
         }
     }
 

@@ -310,6 +310,11 @@ pub trait VmPredictorCore: Send + Sync {
         let _ = (resource, actual, predicted);
     }
 
+    /// Folds the outcomes recorded since the last call into the
+    /// statistics `predict` reads; called once per window, before any
+    /// forecast. Default: nothing to fold.
+    fn settle(&mut self) {}
+
     /// The forecast for `vm`, or `None` while cold.
     fn predict(&self, vm: usize) -> Option<ResourceVector>;
 }
@@ -320,6 +325,9 @@ impl VmPredictorCore for crate::predictor::RccrPredictor {
     }
     fn record_outcome(&mut self, resource: usize, actual: f64, predicted: f64) {
         crate::predictor::RccrPredictor::record_outcome(self, resource, actual, predicted);
+    }
+    fn settle(&mut self) {
+        crate::predictor::RccrPredictor::settle(self);
     }
     fn predict(&self, vm: usize) -> Option<ResourceVector> {
         crate::predictor::RccrPredictor::predict(self, vm)
@@ -332,6 +340,9 @@ impl VmPredictorCore for crate::predictor::CloudScalePredictor {
     }
     fn record_outcome(&mut self, resource: usize, actual: f64, predicted: f64) {
         crate::predictor::CloudScalePredictor::record_outcome(self, resource, actual, predicted);
+    }
+    fn settle(&mut self) {
+        crate::predictor::CloudScalePredictor::settle(self);
     }
     fn predict(&self, vm: usize) -> Option<ResourceVector> {
         crate::predictor::CloudScalePredictor::predict(self, vm)
@@ -370,6 +381,9 @@ impl<P: VmPredictorCore> VmPredictorCore for FiniteGuard<P> {
     }
     fn record_outcome(&mut self, resource: usize, actual: f64, predicted: f64) {
         self.inner.record_outcome(resource, actual, predicted);
+    }
+    fn settle(&mut self) {
+        self.inner.settle();
     }
     fn predict(&self, vm: usize) -> Option<ResourceVector> {
         self.inner.predict(vm)
@@ -415,6 +429,7 @@ impl<P: VmPredictorCore> UsagePredictor for VmWindowPredictor<P> {
         resolve_window_outcomes(outcomes, ctx, window, |k, actual, predicted| {
             core.record_outcome(k, actual, predicted);
         });
+        core.settle();
         // Feed the newest observation per VM; the FiniteGuard decorator
         // (when present) drops poisoned samples here.
         for vm in ctx.vms {

@@ -44,8 +44,10 @@ pub struct CloudScalePredictor {
     /// Per VM id; empty for a VM never observed.
     histories: Vec<VmWindow<HISTORY_CAP>>,
     errors: [ErrorWindow; NUM_RESOURCES],
-    /// Adaptive pad per resource, refreshed as outcomes arrive.
+    /// Adaptive pad per resource, refreshed by [`settle`](Self::settle)
+    /// for the windows an outcome changed.
     pads: [f64; NUM_RESOURCES],
+    stale: [bool; NUM_RESOURCES],
     /// Multiplier on the adaptive pad (1.0 = CloudScale default; lower
     /// values make reclaiming more aggressive — the knob experiments sweep
     /// to trade SLO violations for utilization, paper Fig. 8).
@@ -75,6 +77,7 @@ impl CloudScalePredictor {
             histories: Vec::new(),
             errors: std::array::from_fn(|_| ErrorWindow::new(64)),
             pads: [0.0; NUM_RESOURCES],
+            stale: [false; NUM_RESOURCES],
             pad_scale,
         }
     }
@@ -84,23 +87,33 @@ impl CloudScalePredictor {
         entry(&mut self.histories, vm, VmWindow::default).push(*unused);
     }
 
-    /// Records a resolved prediction outcome and refreshes the resource's
-    /// adaptive pad: the magnitude of the worst recent over-estimation
-    /// (predicted more unused than existed), which is the burst signal
-    /// CloudScale reacts to. Zero with no evidence.
+    /// Records a resolved prediction outcome; [`settle`](Self::settle)
+    /// refreshes the resource's pad before the next forecast.
     pub(crate) fn record_outcome(&mut self, resource: usize, actual: f64, predicted: f64) {
-        let errors = &mut self.errors[resource];
-        errors.push(actual - predicted);
-        let worst = errors
-            .iter()
-            .filter(|d| *d < 0.0)
-            .fold(0.0f64, |acc, d| acc.max(-d));
-        self.pads[resource] = self.pad_scale * worst;
+        self.errors[resource].push(actual - predicted);
+        self.stale[resource] = true;
+    }
+
+    /// Refreshes the adaptive pad of every resource an outcome changed
+    /// since the last call: the magnitude of the worst recent
+    /// over-estimation (predicted more unused than existed), which is the
+    /// burst signal CloudScale reacts to. Zero with no evidence.
+    pub(crate) fn settle(&mut self) {
+        for k in 0..NUM_RESOURCES {
+            if std::mem::take(&mut self.stale[k]) {
+                let worst = self.errors[k]
+                    .iter()
+                    .filter(|d| *d < 0.0)
+                    .fold(0.0f64, |acc, d| acc.max(-d));
+                self.pads[k] = self.pad_scale * worst;
+            }
+        }
     }
 
     /// Predicts `vm`'s unused vector one window ahead. `None` before any
     /// observation for the VM.
     pub(crate) fn predict(&self, vm: usize) -> Option<ResourceVector> {
+        debug_assert!(!self.stale.contains(&true), "predict before settle");
         let history = self.histories.get(vm).filter(|h| h.len() > 0)?;
         let mut out = ResourceVector::ZERO;
         SCRATCH.with(|s| {
@@ -212,12 +225,42 @@ mod tests {
                 fast.record_outcome(k, actual, predicted);
                 slow.errors[k].push(actual - predicted);
             }
+            fast.settle();
             if round % 9 == 0 || round + 1 == 2 * HISTORY_CAP {
                 for vm in ASKED {
                     let want = slow.predict(vm);
                     assert_eq!(bits(fast.predict(vm)), bits(want), "vm {vm} round {round}");
                     assert_eq!(want.is_some(), OBSERVED.contains(&vm));
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn several_outcomes_between_forecasts_equal_the_per_outcome_refresh() {
+        // `per_outcome` settles after every outcome, as the pad was once
+        // refreshed; `fast` settles once per forecast, after 0 to 4
+        // outcomes per resource.
+        let mut fast = CloudScalePredictor::with_padding_scale(0.75);
+        let mut per_outcome = CloudScalePredictor::with_padding_scale(0.75);
+        for round in 0..120 {
+            for vm in OBSERVED {
+                let u = observation(vm, round);
+                fast.observe(vm, &u);
+                per_outcome.observe(vm, &u);
+            }
+            for k in 0..NUM_RESOURCES {
+                for i in 0..(round + k) % 5 {
+                    let (actual, predicted) = outcome(k, 5 * round + i);
+                    fast.record_outcome(k, actual, predicted);
+                    per_outcome.record_outcome(k, actual, predicted);
+                    per_outcome.settle();
+                }
+            }
+            fast.settle();
+            for vm in ASKED {
+                let want = per_outcome.predict(vm);
+                assert_eq!(bits(fast.predict(vm)), bits(want), "vm {vm} round {round}");
             }
         }
     }
@@ -264,6 +307,7 @@ mod tests {
         }
         let before = p.predict(0).unwrap()[0];
         p.record_outcome(0, 7.0, 10.0); // over-estimated by 3
+        p.settle();
         let after = p.predict(0).unwrap()[0];
         assert!(
             (before - after - 3.0).abs() < 1e-9,
@@ -278,6 +322,7 @@ mod tests {
             p.observe(0, &ResourceVector::splat(10.0));
         }
         p.record_outcome(0, 12.0, 10.0); // under-estimated: no pad needed
+        p.settle();
         let f = p.predict(0).unwrap();
         assert!((f[0] - 10.0).abs() < 1e-9);
     }
@@ -289,6 +334,7 @@ mod tests {
             p.observe(0, &ResourceVector::splat(0.5));
         }
         p.record_outcome(0, 0.0, 50.0); // massive overestimate -> huge pad
+        p.settle();
         let f = p.predict(0).unwrap();
         assert!(f.is_nonnegative());
     }

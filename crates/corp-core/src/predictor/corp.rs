@@ -22,7 +22,7 @@
 use crate::config::CorpConfig;
 use crate::preemption::PreemptionGate;
 use corp_dnn::{PredictBatchScratch, UnusedResourcePredictor};
-use corp_hmm::{Correction, FluctuationPredictor, HmmScratch};
+use corp_hmm::{Correction, FluctuationPredictor};
 use corp_sim::ResourceVector;
 use corp_stats::{z_for_confidence, SimpleExp};
 use corp_trace::NUM_RESOURCES;
@@ -118,10 +118,9 @@ impl LaneStage {
 /// Per-thread scratch for the prediction entry points
 /// ([`CorpJobPredictor::predict_jobs_in`] and its one-job form
 /// [`predict_job_in`](CorpJobPredictor::predict_job_in)): the lane staging
-/// per resource, the DNN's lane buffers, the HMM decode buffers, the
-/// fallback ladder's filter buffer, and a local [`FallbackCounters`] delta
-/// that the owner merges back via
-/// `CorpJobPredictor::merge_fallbacks` after joining its threads.
+/// per resource, the DNN's lane buffers, the fallback ladder's filter
+/// buffer, and a local [`FallbackCounters`] delta that the owner merges
+/// back via `CorpJobPredictor::merge_fallbacks` after joining its threads.
 ///
 /// Every buffer is reset, not reallocated, per use and fully rewritten
 /// before it is read, so a scratch that lives across windows (a fan-out
@@ -136,7 +135,6 @@ pub struct PredictionScratch {
     dnn_out: Vec<f64>,
     waiting: Vec<(usize, Option<Correction>)>,
     net: PredictBatchScratch,
-    hmm: HmmScratch,
     /// Finite-subset filter buffer for the fallback ladder.
     finite: Vec<f64>,
     /// Fallback-rung increments recorded by predictions through this
@@ -441,7 +439,6 @@ impl CorpJobPredictor {
             dnn_out,
             waiting,
             net,
-            hmm,
             finite,
             fallbacks,
             #[cfg(test)]
@@ -476,14 +473,16 @@ impl CorpJobPredictor {
                 u_hat.push(0.0);
                 continue;
             }
-            if !sigma_ok || !series.iter().all(|v| v.is_finite()) {
+            // One pass reads the HMM correction and whether every sample
+            // is finite; the ablation without the correction reads only
+            // the flag from it.
+            let read = self.hmm[k].correction(series);
+            if !sigma_ok || !read.series_finite() {
                 fallbacks.dnn_rejected += 1;
-                u_hat.push(self.fallback_estimate(k, series, hmm, finite, fallbacks));
+                u_hat.push(self.fallback_estimate(k, series, finite, fallbacks));
                 continue;
             }
-            let correction = self
-                .use_hmm
-                .then(|| self.hmm[k].correction_with(series, hmm));
+            let correction = self.use_hmm.then_some(read);
             if self.use_ci {
                 if let Some(bound) = self.dnn[k].upper_bound(series) {
                     let u = finish(bound, correction, scale);
@@ -515,7 +514,7 @@ impl CorpJobPredictor {
             } else {
                 fallbacks.dnn_rejected += 1;
                 let series = &flat[lanes[b].clone()];
-                self.fallback_estimate(k, series, hmm, finite, fallbacks)
+                self.fallback_estimate(k, series, finite, fallbacks)
             };
         }
     }
@@ -531,7 +530,6 @@ impl CorpJobPredictor {
         &self,
         k: usize,
         series: &[f64],
-        hmm: &mut HmmScratch,
         finite: &mut Vec<f64>,
         fallbacks: &mut FallbackCounters,
     ) -> f64 {
@@ -539,7 +537,7 @@ impl CorpJobPredictor {
         finite.extend(series.iter().copied().filter(|v| v.is_finite()));
         if let Some(&last) = finite.last() {
             let adjusted = if self.use_hmm {
-                self.hmm[k].adjust_with(last, finite, hmm)
+                self.hmm[k].correction(finite).apply(last)
             } else {
                 last
             };
@@ -609,9 +607,10 @@ mod tests {
     }
 
     /// The shortcut-free reference for one job: per resource,
-    /// `predict_with`, then `adjust_with`, then the CI, the clamp and the
-    /// fallback ladder, one series at a time — no bound, no lanes, no
-    /// split HMM. Fallback increments land in `scratch.fallbacks`.
+    /// `predict_with`, then `adjust` (the HMM's separate passes), then the
+    /// CI, the clamp and the fallback ladder, one series at a time — no
+    /// bound, no lanes, no one-pass HMM read. Fallback increments land in
+    /// `scratch.fallbacks`.
     fn predict_job_reference(
         p: &CorpJobPredictor,
         recent: &[Vec<f64>],
@@ -631,7 +630,7 @@ mod tests {
             let dnn_path = healthy.then(|| {
                 let mut u = p.dnn[k].predict_with(series, &mut net);
                 if p.use_hmm {
-                    u = p.hmm[k].adjust_with(u, series, &mut scratch.hmm);
+                    u = p.hmm[k].adjust(u, series);
                 }
                 if p.use_ci {
                     u -= sigma * p.confidence_z * requested[k].max(1e-9);
@@ -642,13 +641,7 @@ mod tests {
                 Some(u) => u.max(0.0),
                 None => {
                     scratch.fallbacks.dnn_rejected += 1;
-                    p.fallback_estimate(
-                        k,
-                        series,
-                        &mut scratch.hmm,
-                        &mut scratch.finite,
-                        &mut scratch.fallbacks,
-                    )
+                    p.fallback_estimate(k, series, &mut scratch.finite, &mut scratch.fallbacks)
                 }
             };
         }
@@ -719,23 +712,26 @@ mod tests {
     }
 
     /// One sample: mostly a non-negative level up to `high`, sometimes
-    /// negative, NaN or infinite.
+    /// negative, a signed zero, near `f64::MAX`, NaN or infinite.
     fn sample(high: f64) -> impl Strategy<Value = f64> {
-        (0u8..40, 0.0f64..1.0).prop_map(move |(kind, v)| match kind {
+        (0u8..60, 0.0f64..1.0).prop_map(move |(kind, v)| match kind {
             0 => f64::NAN,
             1 => f64::INFINITY,
             2 => f64::NEG_INFINITY,
-            3 | 4 => -high * v,
-            5 | 6 => 0.0,
+            3 => f64::MAX * v,
+            4 | 5 => -high * v,
+            6 | 7 => 0.0,
+            8 => -0.0,
             _ => high * v,
         })
     }
 
-    /// A job: 0..12 slots of history (empty and one-sample included),
-    /// samples up to `high`, and its request.
+    /// A job: 0..31 slots of history (empty and one-sample included, and
+    /// every trailing-chunk length of the HMM's windows), samples up to
+    /// `high`, and its request.
     fn job(high: f64) -> impl Strategy<Value = Job> {
         (
-            prop::collection::vec((sample(high), sample(high), sample(high)), 0..12),
+            prop::collection::vec((sample(high), sample(high), sample(high)), 0..31),
             (0.5f64..30.0, 0.5f64..30.0, 0.5f64..30.0),
         )
             .prop_map(|(recent, (a, b, c))| {

@@ -20,8 +20,10 @@ pub struct RccrPredictor {
     /// Per VM id; a VM never observed has no level.
     smoothers: Vec<[SimpleExp; NUM_RESOURCES]>,
     errors: [ErrorWindow; NUM_RESOURCES],
-    /// `sigma_hat` of each error window, refreshed as outcomes arrive.
+    /// `sigma_hat` of each error window, refreshed by
+    /// [`settle`](Self::settle) for the windows an outcome changed.
     sigma: [f64; NUM_RESOURCES],
+    stale: [bool; NUM_RESOURCES],
 }
 
 impl RccrPredictor {
@@ -38,6 +40,7 @@ impl RccrPredictor {
             smoothers: Vec::new(),
             errors: std::array::from_fn(|_| ErrorWindow::new(64)),
             sigma: [0.0; NUM_RESOURCES],
+            stale: [false; NUM_RESOURCES],
         }
     }
 
@@ -50,10 +53,22 @@ impl RccrPredictor {
         }
     }
 
-    /// Records a resolved prediction outcome to calibrate `sigma_hat`.
+    /// Records a resolved prediction outcome to calibrate `sigma_hat`,
+    /// which [`settle`](Self::settle) refreshes before the next forecast.
     pub(crate) fn record_outcome(&mut self, resource: usize, actual: f64, predicted: f64) {
         self.errors[resource].push(actual - predicted);
-        self.sigma[resource] = self.errors[resource].sigma_hat();
+        self.stale[resource] = true;
+    }
+
+    /// Recomputes `sigma_hat` of every error window an outcome changed
+    /// since the last call: once per window, however many outcomes it
+    /// resolved.
+    pub(crate) fn settle(&mut self) {
+        for k in 0..NUM_RESOURCES {
+            if std::mem::take(&mut self.stale[k]) {
+                self.sigma[k] = self.errors[k].sigma_hat();
+            }
+        }
     }
 
     /// Predicts `vm`'s unused vector one window ahead: SES forecast minus
@@ -61,6 +76,7 @@ impl RccrPredictor {
     /// conservative in reclaiming), clamped non-negative. `None` before any
     /// observation for the VM.
     pub(crate) fn predict(&self, vm: usize) -> Option<ResourceVector> {
+        debug_assert!(!self.stale.contains(&true), "predict before settle");
         let smoothers = self.smoothers.get(vm)?;
         let mut out = ResourceVector::ZERO;
         for k in 0..NUM_RESOURCES {
@@ -136,11 +152,41 @@ mod tests {
                     fast.record_outcome(k, actual, predicted);
                     slow.errors[k].push(actual - predicted);
                 }
+                fast.settle();
             }
             for vm in ASKED {
                 let want = slow.predict(vm);
                 assert_eq!(bits(fast.predict(vm)), bits(want), "vm {vm} round {round}");
                 assert_eq!(want.is_some(), OBSERVED.contains(&vm));
+            }
+        }
+    }
+
+    #[test]
+    fn several_outcomes_between_forecasts_equal_the_per_outcome_refresh() {
+        // `per_outcome` settles after every outcome, as sigma_hat was once
+        // refreshed; `fast` settles once per forecast, after 0 to 4
+        // outcomes per resource.
+        let mut fast = RccrPredictor::new(0.3, 0.9);
+        let mut per_outcome = RccrPredictor::new(0.3, 0.9);
+        for round in 0..120 {
+            for vm in OBSERVED {
+                let u = observation(vm, round);
+                fast.observe(vm, &u);
+                per_outcome.observe(vm, &u);
+            }
+            for k in 0..NUM_RESOURCES {
+                for i in 0..(round + k) % 5 {
+                    let (actual, predicted) = outcome(k, 5 * round + i);
+                    fast.record_outcome(k, actual, predicted);
+                    per_outcome.record_outcome(k, actual, predicted);
+                    per_outcome.settle();
+                }
+            }
+            fast.settle();
+            for vm in ASKED {
+                let want = per_outcome.predict(vm);
+                assert_eq!(bits(fast.predict(vm)), bits(want), "vm {vm} round {round}");
             }
         }
     }
@@ -174,6 +220,7 @@ mod tests {
         for (a, pr) in [(10.0, 9.0), (8.0, 9.0), (11.0, 9.0), (7.0, 9.0)] {
             p.record_outcome(0, a, pr);
         }
+        p.settle();
         let raw = p.predict_raw(0).unwrap();
         let lb = p.predict(0).unwrap();
         assert!(lb[0] < raw[0], "lower bound must shave the forecast");
@@ -199,6 +246,7 @@ mod tests {
             for (a, pr) in [(10.0, 9.0), (8.0, 9.0), (11.0, 9.0), (7.0, 9.0)] {
                 p.record_outcome(0, a, pr);
             }
+            p.settle();
             p.predict(0).unwrap()[0]
         };
         assert!(build(0.95) < build(0.5), "Fig. 9's mechanism");

@@ -35,4 +35,4 @@ pub use fluctuation::{Correction, FluctuationPredictor, HmmScratch};
 pub use forward_backward::{forward_scaled, log_likelihood, state_posteriors, ScaledForward};
 pub use model::Hmm;
 pub use quantize::{FluctuationSymbol, SpreadQuantizer};
-pub use viterbi::{viterbi, viterbi_last_in, LogHmm, ViterbiPath, ViterbiScratch};
+pub use viterbi::{viterbi, ViterbiPath};

@@ -113,30 +113,6 @@ impl SpreadQuantizer {
             .map(|d| self.classify(d).index())
             .collect()
     }
-
-    /// [`observations`](Self::observations) into a caller-provided buffer:
-    /// the spreads are classified straight off the chunk iterator, so the
-    /// hot prediction path allocates nothing. Identical symbols to the
-    /// allocating form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window_len == 0`.
-    pub(crate) fn observations_into(
-        &self,
-        series: &[f64],
-        window_len: usize,
-        out: &mut Vec<usize>,
-    ) {
-        assert!(window_len > 0, "window length must be positive");
-        out.clear();
-        out.extend(
-            series
-                .chunks(window_len)
-                .filter(|c| c.len() >= 2)
-                .map(|c| self.classify(corp_trace::window_spread(c)).index()),
-        );
-    }
 }
 
 #[cfg(test)]

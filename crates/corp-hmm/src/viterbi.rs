@@ -5,10 +5,10 @@
 //! recursion avoids underflow on long sequences.
 //!
 //! [`viterbi`] decodes the whole path from an [`Hmm`], taking logarithms
-//! as it goes; [`viterbi_last_in`], the per-window prediction path, reads
-//! a [`LogHmm`] built once per model instead and returns only the last
-//! state. Both run the same recurrence on the same logarithms, so their
-//! last states and log-probabilities are bit-identical.
+//! as it goes. The per-window prediction path steps the same recurrence
+//! one observation at a time over a [`LogHmm3`] built once per model,
+//! inside the fluctuation predictor's one pass over a series; its last
+//! state is bit-identical to the full path's.
 
 use crate::model::Hmm;
 
@@ -21,31 +21,73 @@ fn ln(p: f64) -> f64 {
     }
 }
 
-/// The logarithm of every parameter of an [`Hmm`] — what a Viterbi decode
-/// reads, computed once per model instead of once per trellis step.
+/// The logarithms of a 3-state, 3-symbol model's parameters: what the
+/// fluctuation predictor's one-pass decode reads, taken once per model
+/// instead of once per trellis step, on fixed-size arrays.
 #[derive(Debug, Clone)]
-pub struct LogHmm {
-    num_states: usize,
-    num_symbols: usize,
+pub(crate) struct LogHmm3 {
     /// `ln pi[i]`.
-    ln_pi: Vec<f64>,
-    /// `ln a[i][j]`, row-major.
-    ln_a: Vec<f64>,
-    /// `ln b[j][k]`, row-major.
-    ln_b: Vec<f64>,
+    ln_pi: [f64; 3],
+    /// `ln a[i][j]` at `3 * i + j`.
+    ln_a: [f64; 9],
+    /// `ln b[j][k]` at `3 * j + k`.
+    ln_b: [f64; 9],
 }
 
-impl LogHmm {
+impl LogHmm3 {
     /// Takes the logarithm of every parameter of `hmm`.
-    pub fn new(hmm: &Hmm) -> Self {
-        LogHmm {
-            num_states: hmm.num_states,
-            num_symbols: hmm.num_symbols,
-            ln_pi: hmm.pi.iter().map(|&p| ln(p)).collect(),
-            ln_a: hmm.a.iter().flatten().map(|&p| ln(p)).collect(),
-            ln_b: hmm.b.iter().flatten().map(|&p| ln(p)).collect(),
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `hmm` has 3 states and 3 symbols.
+    pub(crate) fn new(hmm: &Hmm) -> Self {
+        assert!(
+            hmm.num_states == 3 && hmm.num_symbols == 3,
+            "the one-pass decode is 3-state, 3-symbol"
+        );
+        LogHmm3 {
+            ln_pi: std::array::from_fn(|i| ln(hmm.pi[i])),
+            ln_a: std::array::from_fn(|n| ln(hmm.a[n / 3][n % 3])),
+            ln_b: std::array::from_fn(|n| ln(hmm.b[n / 3][n % 3])),
         }
     }
+
+    /// The first trellis row, for observation `o`.
+    #[inline]
+    pub(crate) fn start(&self, o: usize) -> [f64; 3] {
+        std::array::from_fn(|i| self.ln_pi[i] + self.ln_b[3 * i + o])
+    }
+
+    /// The row after `delta` for observation `o`: [`viterbi`]'s recurrence
+    /// in its arithmetic order, so every value is bit-identical to its
+    /// trellis.
+    #[inline]
+    pub(crate) fn step(&self, delta: &[f64; 3], o: usize) -> [f64; 3] {
+        std::array::from_fn(|j| {
+            let mut best = f64::NEG_INFINITY;
+            for i in 0..3 {
+                let cand = delta[i] + self.ln_a[3 * i + j];
+                if cand > best {
+                    best = cand;
+                }
+            }
+            best + self.ln_b[3 * j + o]
+        })
+    }
+}
+
+/// The last state of the best path ending in trellis row `delta`: the
+/// first maximum, as [`viterbi`] picks it.
+#[inline]
+pub(crate) fn last_state(delta: &[f64; 3]) -> usize {
+    let (mut last, mut best) = (0usize, f64::NEG_INFINITY);
+    for (i, &d) in delta.iter().enumerate() {
+        if d > best {
+            best = d;
+            last = i;
+        }
+    }
+    last
 }
 
 /// Result of Viterbi decoding.
@@ -104,80 +146,6 @@ pub fn viterbi(hmm: &Hmm, obs: &[usize]) -> ViterbiPath {
         states[t] = psi[t + 1][states[t + 1]];
     }
     ViterbiPath { states, log_prob }
-}
-
-/// Reusable buffers for [`viterbi_last_in`]: two rolling rows of the
-/// `delta` trellis. Cleared and refilled on every call — reuse never
-/// changes a result, it only skips the per-call allocations.
-#[derive(Debug, Clone, Default)]
-pub struct ViterbiScratch {
-    prev: Vec<f64>,
-    cur: Vec<f64>,
-}
-
-impl ViterbiScratch {
-    /// An empty scratch; sized lazily on first use.
-    pub fn new() -> Self {
-        ViterbiScratch::default()
-    }
-}
-
-/// The final state of the single best path and `log P(Q*, O | lambda)`,
-/// computed from the model's logarithms through caller-provided scratch
-/// without allocating.
-///
-/// Runs the same log-space recurrence as [`viterbi`] in the same
-/// arithmetic order on the same logarithms, so the returned pair is
-/// bit-identical to the last state and `log_prob` of [`viterbi`]'s path;
-/// it keeps only the rolling `delta` rows instead of the full trellis (the
-/// last state is the arg-max of the final row — no backtrack needed).
-///
-/// Symbols are not range-checked outside debug builds: callers pass
-/// quantizer output, which is always in the alphabet.
-///
-/// # Panics
-///
-/// Panics if `obs` is empty.
-pub fn viterbi_last_in(log: &LogHmm, obs: &[usize], scratch: &mut ViterbiScratch) -> (usize, f64) {
-    assert!(!obs.is_empty(), "observation sequence must be non-empty");
-    debug_assert!(
-        obs.iter().all(|&o| o < log.num_symbols),
-        "observation outside the alphabet"
-    );
-    let (h, m) = (log.num_states, log.num_symbols);
-
-    let prev = &mut scratch.prev;
-    let cur = &mut scratch.cur;
-    prev.clear();
-    prev.resize(h, f64::NEG_INFINITY);
-    cur.clear();
-    cur.resize(h, f64::NEG_INFINITY);
-
-    for i in 0..h {
-        prev[i] = log.ln_pi[i] + log.ln_b[i * m + obs[0]];
-    }
-    for &o in &obs[1..] {
-        for j in 0..h {
-            let mut best = f64::NEG_INFINITY;
-            for i in 0..h {
-                let cand = prev[i] + log.ln_a[i * h + j];
-                if cand > best {
-                    best = cand;
-                }
-            }
-            cur[j] = best + log.ln_b[j * m + o];
-        }
-        std::mem::swap(prev, cur);
-    }
-
-    let (mut last, mut log_prob) = (0usize, f64::NEG_INFINITY);
-    for (i, &d) in prev.iter().enumerate() {
-        if d > log_prob {
-            log_prob = d;
-            last = i;
-        }
-    }
-    (last, log_prob)
 }
 
 #[cfg(test)]
@@ -288,37 +256,50 @@ mod tests {
     }
 
     #[test]
-    fn last_state_in_is_bit_identical_to_full_decode() {
+    fn stepped_rows_are_bit_identical_to_full_decode() {
         // Zero transitions and emissions exercise the -inf logarithms.
         let sparse = Hmm::new(
-            vec![vec![1.0, 0.0], vec![0.3, 0.7]],
-            vec![vec![0.9, 0.1], vec![0.0, 1.0]],
-            vec![0.5, 0.5],
+            vec![
+                vec![1.0, 0.0, 0.0],
+                vec![0.3, 0.7, 0.0],
+                vec![0.2, 0.2, 0.6],
+            ],
+            vec![
+                vec![0.9, 0.1, 0.0],
+                vec![0.0, 1.0, 0.0],
+                vec![0.1, 0.0, 0.9],
+            ],
+            vec![0.5, 0.5, 0.0],
         );
-        let mut scratch = ViterbiScratch::new();
-        for hmm in [test_model(), sparse] {
-            let log = LogHmm::new(&hmm);
-            // Reusing one scratch across calls of different lengths must
-            // keep every result bit-identical to the allocating path.
+        for hmm in [Hmm::paper_default(), Hmm::near_uniform(3, 3, 7), sparse] {
+            let log = LogHmm3::new(&hmm);
             for obs in [
                 vec![0],
                 vec![1, 0],
-                vec![0, 1, 1],
-                vec![1, 1, 0, 0, 1],
+                vec![0, 2, 1],
+                vec![2, 2, 0, 0, 1],
                 vec![0, 0, 0, 1, 1, 1],
-                (0..500).map(|t| (t / 7) % 2).collect::<Vec<_>>(),
+                (0..500).map(|t| (t / 7) % 3).collect::<Vec<_>>(),
             ] {
                 let full = viterbi(&hmm, &obs);
-                let (last, log_prob) = viterbi_last_in(&log, &obs, &mut scratch);
+                let mut delta = log.start(obs[0]);
+                for &o in &obs[1..] {
+                    delta = log.step(&delta, o);
+                }
+                let last = last_state(&delta);
                 assert_eq!(Some(&last), full.states.last(), "obs {obs:?}");
-                assert_eq!(log_prob.to_bits(), full.log_prob.to_bits(), "obs {obs:?}");
+                assert_eq!(
+                    delta[last].to_bits(),
+                    full.log_prob.to_bits(),
+                    "obs {obs:?}"
+                );
             }
         }
     }
 
     #[test]
     #[should_panic]
-    fn last_state_in_rejects_empty_sequence() {
-        viterbi_last_in(&LogHmm::new(&test_model()), &[], &mut ViterbiScratch::new());
+    fn stepped_rows_reject_other_shapes() {
+        LogHmm3::new(&test_model());
     }
 }

@@ -110,6 +110,21 @@
 #                                 # ceiling is free; raising one needs a
 #                                 # CHANGES.md line, in the change that
 #                                 # raises it, giving the reason
+#   scripts/check.sh mutants      # advisory, not part of the gate: copies
+#                                 # the files git tracks (and untracked
+#                                 # ones it does not ignore) to
+#                                 # target/mutants/tree, then for each line
+#                                 # of tests/mutants/manifest.txt applies
+#                                 # NAME.patch there, runs the line's
+#                                 # command with one shared
+#                                 # CARGO_TARGET_DIR (target/mutants/target)
+#                                 # and reverts the patch. Prints `killed`
+#                                 # (the command failed), `survived` (it
+#                                 # passed) or `stale` (the patch no longer
+#                                 # applies) per mutant, each command's
+#                                 # output in target/mutants/NAME.log;
+#                                 # exits non-zero on a survivor or a stale
+#                                 # patch
 #   scripts/check.sh libm         # advisory, not part of the gate: the
 #                                 # sigmoid's in-crate `exp` (corp-dnn's
 #                                 # exp.rs, a port of glibc's) against libm's
@@ -317,6 +332,38 @@ size_gate() {
 
 if [[ "${1:-}" == "size" ]]; then
     size_gate
+    exit 0
+fi
+
+mutants() {
+    local dir=$PWD/target/mutants name cmd failed=0
+    local tree=$dir/tree
+    rm -rf "$tree"
+    mkdir -p "$tree"
+    git ls-files -z --cached --others --exclude-standard |
+        tar --null -T - --ignore-failed-read -cf - | tar -xf - -C "$tree"
+    while IFS=$'\t' read -r name cmd; do
+        [[ -z $name || $name == \#* ]] && continue
+        local patch=$PWD/tests/mutants/$name.patch
+        if ! (cd "$tree" && patch -p1 -s -f --dry-run <"$patch" >/dev/null); then
+            echo "stale     $name"
+            failed=1
+            continue
+        fi
+        (cd "$tree" && patch -p1 -s <"$patch")
+        if (cd "$tree" && CARGO_TARGET_DIR=$dir/target bash -c "$cmd") >"$dir/$name.log" 2>&1; then
+            echo "survived  $name ($cmd)"
+            failed=1
+        else
+            echo "killed    $name"
+        fi
+        (cd "$tree" && patch -p1 -s -R <"$patch")
+    done <tests/mutants/manifest.txt
+    return "$failed"
+}
+
+if [[ "${1:-}" == "mutants" ]]; then
+    mutants
     exit 0
 fi
 
