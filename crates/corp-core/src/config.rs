@@ -41,11 +41,11 @@ pub struct CorpConfig {
     pub train: TrainConfig,
     /// RNG seed for any randomized decision (kept for reproducibility).
     pub seed: u64,
-    /// Pins the prediction fan-out width. `None` (default) uses the
-    /// `CORP_THREADS` environment override or the host's available
-    /// parallelism; `Some(1)` runs every prediction serially on the calling
-    /// thread. Results are written by task index and width only shapes
-    /// chunking, so reports are byte-identical at any width.
+    /// Pins the width of the prediction fan-out and of pretraining's fits.
+    /// `None` (default) uses the `CORP_THREADS` environment override or the
+    /// host's available parallelism; `Some(1)` runs everything on the
+    /// calling thread. Results are written by task index and width only
+    /// shapes chunking, so reports are byte-identical at any width.
     pub prediction_pool_width: Option<usize>,
 }
 

@@ -82,4 +82,46 @@ mod tests {
         assert_eq!(fleet.len(), 2);
         assert_eq!(fleet[0].name(), "CORP");
     }
+
+    #[test]
+    fn a_fleet_built_at_width_1_equals_one_built_at_the_default_width() {
+        use corp_sim::{Cluster, EnvironmentProfile, Simulation, SimulationOptions};
+        use corp_trace::{WorkloadConfig, WorkloadGenerator};
+        let histories: Vec<Vec<Vec<f64>>> = (0..corp_sim::RESOURCE_WEIGHTS.len())
+            .map(|k| {
+                (0..10)
+                    .map(|j| {
+                        (0..30)
+                            .map(|t| 1.0 + k as f64 + ((t + j) % 4) as f64 * 0.3)
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        let fleet = |width| {
+            let cfg = CorpConfig {
+                prediction_pool_width: width,
+                ..CorpConfig::fast()
+            };
+            corp_fleet(&cfg, &histories, 2)
+        };
+        let run = |shard: &mut Box<dyn Provisioner + Send>| {
+            let jobs = WorkloadConfig {
+                num_jobs: 40,
+                ..WorkloadConfig::default()
+            };
+            let mut sim = Simulation::new(
+                Cluster::from_profile(EnvironmentProfile::palmetto_cluster()),
+                WorkloadGenerator::new(jobs, 5).generate(),
+                SimulationOptions {
+                    measure_decision_time: false,
+                    ..Default::default()
+                },
+            );
+            format!("{:?}", sim.run(shard.as_mut()))
+        };
+        for (mut serial, mut wide) in fleet(Some(1)).into_iter().zip(fleet(None)) {
+            assert_eq!(run(&mut serial), run(&mut wide));
+        }
+    }
 }

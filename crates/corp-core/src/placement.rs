@@ -18,7 +18,7 @@
 //! and scans the candidates in best-fit order instead of rescanning the
 //! whole fleet. On `corp-steady-1k`'s 1 024 VMs a rebuild takes 20–30 µs
 //! and a query 430–620 ns, against 63–93 µs and 1.1–1.4 µs for the
-//! `BTreeSet` this replaced (EXPERIMENTS.md, "Eq. 22 from a flat index").
+//! `BTreeSet` this replaced (BENCHMARK_LOG.md, "Eq. 22 from a flat index").
 
 use corp_sim::ResourceVector;
 

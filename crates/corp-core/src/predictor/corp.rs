@@ -20,6 +20,7 @@
 //! paper does.
 
 use crate::config::CorpConfig;
+use crate::pipeline::{configured_pool_width, WorkerPool};
 use crate::preemption::PreemptionGate;
 use corp_dnn::{PredictBatchScratch, UnusedResourcePredictor};
 use corp_hmm::{Correction, FluctuationPredictor};
@@ -176,6 +177,9 @@ pub struct CorpJobPredictor {
     gate: PreemptionGate,
     trained: bool,
     fallbacks: FallbackCounters,
+    /// [`CorpConfig::prediction_pool_width`]: the participants of
+    /// [`train_now`](Self::train_now)'s fan-out.
+    pool_width: Option<usize>,
 }
 
 impl std::fmt::Debug for CorpJobPredictor {
@@ -214,6 +218,7 @@ impl CorpJobPredictor {
             gate: PreemptionGate::new(ERROR_WINDOW, ERROR_TOLERANCE_FRAC, config.prob_threshold),
             trained: false,
             fallbacks: FallbackCounters::default(),
+            pool_width: config.prediction_pool_width,
         }
     }
 
@@ -258,15 +263,40 @@ impl CorpJobPredictor {
     }
 
     /// Trains unconditionally on whatever corpus exists (used by
-    /// [`pretrain`](Self::pretrain) and forced-training tests).
+    /// [`pretrain`](Self::pretrain) and forced-training tests). The six
+    /// fits — per resource the DNN, and the HMM on the corpus pooled into
+    /// one long series (the paper fits the HMM on historical data) — share
+    /// nothing, so they fan over a worker pool of the configured width,
+    /// the long DNN fits first for the HMM fits to fill in behind. A fit's
+    /// bits do not depend on who runs it. The forecast's serial cutoff
+    /// does not apply: each fit is milliseconds.
     fn train_now(&mut self) {
-        for k in 0..NUM_RESOURCES {
-            let _ = self.dnn[k].fit(&self.corpus[k]);
-            // Pool the corpus into one long series for HMM thresholding and
-            // re-estimation — the paper fits the HMM on historical data.
-            let pooled: Vec<f64> = self.corpus[k].iter().flatten().copied().collect();
-            let _ = self.hmm[k].fit(&pooled);
-        }
+        type Fit<'a> = Box<dyn FnOnce() + Send + 'a>;
+        let corpus = &self.corpus;
+        let dnn_fits = self.dnn.iter_mut().zip(corpus).map(|(dnn, histories)| {
+            Box::new(move || {
+                let _ = dnn.fit(histories);
+            }) as Fit<'_>
+        });
+        let hmm_fits = self.hmm.iter_mut().zip(corpus).map(|(hmm, histories)| {
+            Box::new(move || {
+                let _ = hmm.fit(&histories.concat());
+            }) as Fit<'_>
+        });
+        let mut fits: Vec<Option<Fit<'_>>> = dnn_fits.chain(hmm_fits).map(Some).collect();
+        let tasks = vec![(); fits.len()];
+        let width = self.pool_width.unwrap_or_else(configured_pool_width);
+        WorkerPool::new().run_chunks(
+            &tasks,
+            &mut fits,
+            1,
+            &mut vec![(); width.min(tasks.len())],
+            &|_: &[()], fits: &mut [Option<Fit<'_>>], _: &mut ()| {
+                fits.iter_mut()
+                    .filter_map(Option::take)
+                    .for_each(|fit| fit());
+            },
+        );
         self.trained = true;
     }
 
@@ -865,6 +895,98 @@ mod tests {
         let out = predict(&mut p, &recent, &ResourceVector::new([10.0, 10.0, 10.0]));
         for k in 0..NUM_RESOURCES {
             assert!(out[k] >= 0.0 && out[k] < 12.0, "resource {k}: {}", out[k]);
+        }
+    }
+
+    /// Per-resource corpora that differ by resource in level and period,
+    /// so a fit stored in another resource's slot shows.
+    fn distinct_corpora() -> Vec<Vec<Vec<f64>>> {
+        (0..NUM_RESOURCES)
+            .map(|k| {
+                (0..12)
+                    .map(|j| {
+                        (0..30)
+                            .map(|t| 2.0 + 3.0 * k as f64 + ((t * (k + 2) + j) % 5) as f64 * 0.4)
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Unused series the trained pipeline is probed on.
+    fn probes() -> Vec<Vec<f64>> {
+        (0..6)
+            .map(|i| {
+                (0..9)
+                    .map(|t| 1.0 + ((t * 3 + i) % 7) as f64 * 0.9)
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pretraining_gives_the_same_predictor_at_widths_1_2_and_3() {
+        let corpora = distinct_corpora();
+        let read = |width: usize| {
+            let mut p = CorpJobPredictor::new(&CorpConfig {
+                prediction_pool_width: Some(width),
+                ..CorpConfig::fast()
+            });
+            p.pretrain(&corpora);
+            let y_hi: Vec<_> = p
+                .dnn
+                .iter()
+                .map(|d| d.upper_bound(&[1.0]).map(f64::to_bits))
+                .collect();
+            let sigma: Vec<_> = (0..NUM_RESOURCES)
+                .map(|k| p.gate.sigma_hat(k).to_bits())
+                .collect();
+            let mut scratch = PredictionScratch::new();
+            let predictions: Vec<[u64; NUM_RESOURCES]> = probes()
+                .into_iter()
+                .map(|probe| {
+                    let recent = vec![probe; NUM_RESOURCES];
+                    let u = p.predict_job_in(&recent, &ResourceVector::splat(12.0), &mut scratch);
+                    std::array::from_fn(|k| u[k].to_bits())
+                })
+                .collect();
+            p.merge_fallbacks(&scratch.fallbacks);
+            (y_hi, sigma, predictions, p.fallbacks().clone())
+        };
+        let serial = read(1);
+        assert_eq!(read(2), serial, "width 2");
+        assert_eq!(read(3), serial, "width 3");
+    }
+
+    #[test]
+    fn each_resource_fits_its_own_corpus() {
+        // Resource k's DNN and HMM, fitted alone on corpus k as the
+        // serial loop fitted them, against the fanned-out pretraining.
+        let cfg = CorpConfig::fast();
+        let corpora = distinct_corpora();
+        let mut p = CorpJobPredictor::new(&cfg);
+        p.pretrain(&corpora);
+        let mut net = PredictScratch::new();
+        for (k, corpus) in corpora.iter().enumerate() {
+            let mut dnn_cfg = cfg.dnn_config();
+            dnn_cfg.seed = dnn_cfg.seed.wrapping_add(k as u64);
+            let mut dnn = UnusedResourcePredictor::new(dnn_cfg);
+            dnn.fit(corpus);
+            let mut hmm = FluctuationPredictor::new(cfg.hmm_window.max(2));
+            hmm.fit(&corpus.iter().flatten().copied().collect::<Vec<_>>());
+            for probe in probes() {
+                let (want, got) = (
+                    dnn.predict_with(&probe, &mut net),
+                    p.dnn[k].predict_with(&probe, &mut net),
+                );
+                assert_eq!(got.to_bits(), want.to_bits(), "resource {k}: DNN");
+                assert_eq!(
+                    p.hmm[k].correction(&probe),
+                    hmm.correction(&probe),
+                    "resource {k}: HMM"
+                );
+            }
         }
     }
 

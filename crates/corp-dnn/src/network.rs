@@ -133,6 +133,21 @@ fn forward_layers(layers: &[Layer], input: &Matrix, acts: &mut [Matrix]) {
     }
 }
 
+/// Eq. 5 for one sample, the path of [`Network::forward`] and
+/// [`Network::forward_with`]: `acts[0]` receives `input`, `acts[d + 1]`
+/// layer `d`'s activations. Each layer is the interleaved product with the
+/// bias in its epilogue, then the activation over the layer's output row.
+fn forward_one(layers: &[Layer], input: &[f64], acts: &mut [Vec<f64>]) {
+    acts[0].copy_from_slice(input);
+    for (d, layer) in layers.iter().enumerate() {
+        let (lower, upper) = acts.split_at_mut(d + 1);
+        layer
+            .weights
+            .mul_vec_fused_into(&lower[d], &mut upper[0], |i, acc| acc + layer.biases[i]);
+        layer.activation.apply_row(&mut upper[0]);
+    }
+}
+
 impl Network {
     /// Builds a network with the given layer sizes, e.g. `[12, 50, 50, 50,
     /// 50, 1]` for the paper's 4 hidden layers of 50 units. Hidden layers
@@ -231,22 +246,14 @@ impl Network {
     /// Panics if `input.len()` does not match the input layer.
     pub fn forward(&mut self, input: &[f64]) -> &[f64] {
         assert_eq!(input.len(), self.input_len(), "input length mismatch");
-        self.activations[0].copy_from_slice(input);
-        for (d, layer) in self.layers.iter().enumerate() {
-            let (lower, upper) = self.activations.split_at_mut(d + 1);
-            layer
-                .weights
-                .mul_vec_fused_into(&lower[d], &mut upper[0], |i, acc| {
-                    layer.activation.apply(acc + layer.biases[i])
-                });
-        }
+        forward_one(&self.layers, input, &mut self.activations);
         &self.activations[self.depth()]
     }
 
     /// Feed-forward evaluation through caller-provided scratch, leaving the
     /// network immutable so many threads can share one `&Network`.
-    /// Bit-identical to [`forward`](Self::forward): both run the same fused
-    /// kernel in the same accumulation order.
+    /// Bit-identical to [`forward`](Self::forward): both run the same
+    /// loop.
     ///
     /// # Panics
     ///
@@ -254,15 +261,7 @@ impl Network {
     pub fn forward_with<'s>(&self, input: &[f64], scratch: &'s mut Scratch) -> &'s [f64] {
         scratch.ensure(self);
         assert_eq!(input.len(), self.input_len(), "input length mismatch");
-        scratch.activations[0].copy_from_slice(input);
-        for (d, layer) in self.layers.iter().enumerate() {
-            let (lower, upper) = scratch.activations.split_at_mut(d + 1);
-            layer
-                .weights
-                .mul_vec_fused_into(&lower[d], &mut upper[0], |i, acc| {
-                    layer.activation.apply(acc + layer.biases[i])
-                });
-        }
+        forward_one(&self.layers, input, &mut scratch.activations);
         &scratch.activations[self.depth()]
     }
 

@@ -24,8 +24,8 @@
 //! 2-vCPU x86-64 host, six alternated pairs a workload (seeds 4401–4406)
 //! read `sharded-2-1k` `slots_per_sec` × 0.90 and `decision_ms_p95` × 1.18
 //! against this pool and `baselines-1k` `slots_per_sec` × 0.96, the scoped
-//! helpers winning no pair of either; `corp-steady-1k` ties (EXPERIMENTS.md,
-//! "Persistent pool against per-call scoped threads").
+//! helpers winning no pair of either; `corp-steady-1k` ties
+//! (BENCHMARK_LOG.md, "Persistent pool against per-call scoped threads").
 //! Every other crate in the workspace keeps `#![forbid(unsafe_code)]`
 //! (`scripts/check.sh` fails otherwise); this crate isolates the single
 //! erasure behind a safe blocking API whose soundness argument is spelled

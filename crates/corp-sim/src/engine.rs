@@ -58,7 +58,7 @@ use std::time::{Duration, Instant};
 /// Samples reserved in a job's histories at placement beyond its
 /// `duration_slots`, for a job throttled a slot or two. With 0 most
 /// reclaimed jobs regrow (doubling); past 2 the room costs more than the
-/// regrowths it saves (EXPERIMENTS.md, "The slot loop pays per job").
+/// regrowths it saves (BENCHMARK_LOG.md, "The slot loop pays per job").
 const HISTORY_SLACK_SLOTS: usize = 2;
 
 /// Prediction-error tolerance for the error-rate metric, as a fraction

@@ -2,14 +2,14 @@
 # The per-layer breakdown of one workload, parent against change: which
 # layer a change made faster or slower, and proof it did the same work.
 #
-#   scripts/bench-layers.sh <parent-ref> <workload> [rounds=5] [seed=11]
+#   scripts/bench-layers.sh <parent-ref> <workload> [rounds=5] [seed=11] [kernels=0]
 #
 # Builds benchmark/ for <parent-ref> and for the working tree as
 # scripts/bench-pairs.sh does (the same export and target directories,
 # reused; scripts/bench-sides.sh), then runs `rounds` traced repetitions a
 # side, all on the one seed,
 #
-#   corp-benchmark child --workload W --seed S --trace 1 --kernels 0
+#   corp-benchmark child --workload W --seed S --trace 1 --kernels K
 #
 # alternating which side goes first (the parent on even rounds), since
 # this guest's speed drifts over minutes. Prints one row per layer the runs
@@ -17,8 +17,10 @@
 # `run_s`: the parent's median, the change's median and their ratio
 # (change / parent). A `count` layer is work done, not time: it must repeat
 # exactly between runs and sides, and the script exits 1, after printing
-# the table, if any differs. It edits nothing under benchmark/ and writes
-# nothing into the repo.
+# the table, if any differs. `kernels` 1 adds the layers only the kernel
+# pass measures (`dnn.pretrain_s`, `dnn.forward_ns`, `predict.job_ns`,
+# `coordinator.unsharded_provision_s`, ...) and lengthens each run. It
+# edits nothing under benchmark/ and writes nothing into the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,6 +30,11 @@ if [[ $# -lt 2 || $2 == all || $2 == *,* ]]; then
 fi
 rounds=${3:-5}
 seed=${4:-11}
+kernels=${5:-0}
+if [[ $kernels != [01] ]]; then
+    sed -n '5p' "$0" >&2
+    exit 2
+fi
 source scripts/bench-sides.sh
 pick_workloads "$2"
 build_sides "$1"
@@ -36,7 +43,7 @@ runs=$(mktemp -d "$base/runs/layers.XXXXXX")
 
 run() { # <side> <source dir> <binary> <round>
     local out="$runs/$1-$4.json"
-    (cd "$2" && "$3" child --workload "$workloads" --seed "$seed" --trace 1 --kernels 0) |
+    (cd "$2" && "$3" child --workload "$workloads" --seed "$seed" --trace 1 --kernels "$kernels") |
         tail -n 1 >"$out"
     echo "    $1 round $4: run_s $(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_s"])' "$out")" >&2
 }

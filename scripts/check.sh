@@ -144,9 +144,12 @@
 # bit-identical `scripts/bench-digests.sh <parent-ref> all` (one digest
 # line per workload and seed, parent → change; exits non-zero on any
 # mismatch). To see which layer moved, `scripts/bench-layers.sh
-# <parent-ref> <workload> [rounds=5] [seed=11]` alternates traced runs of
-# both sides on one seed and prints each layer's median for the parent,
-# the change and their ratio; it exits non-zero if a `count` layer differs.
+# <parent-ref> <workload> [rounds=5] [seed=11] [kernels=0]` alternates
+# traced runs of both sides on one seed and prints each layer's median for
+# the parent, the change and their ratio; it exits non-zero if a `count`
+# layer differs. `kernels` 1 adds the layers only the benchmark's kernel
+# pass measures (`dnn.pretrain_s`, `dnn.forward_ns`, `predict.job_ns`,
+# `coordinator.unsharded_provision_s`, ...).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
