@@ -62,13 +62,12 @@
 //! count, while the store itself stays fully thread-safe for genuinely
 //! racing users.
 
-use corp_core::pipeline::{per_task, WorkerPool};
+use corp_core::pipeline::WorkerPool;
 use corp_faults::ControlFaultPlan;
 use corp_sim::{
     ControlPlaneStats, JobCompletion, JobId, JobShare, PendingJobView, Placement, ProvisionPlan,
     Provisioner, ResourceVector, ShardStats, SlotContext, StaticPeakProvisioner,
 };
-use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -88,23 +87,20 @@ pub struct ShardConfig {
     pub fault_plan: Option<ControlFaultPlan>,
 }
 
-/// A shard's scheduler pipeline. The lock is never contended — one pool
-/// participant per slot, or the coordinator between slots — and is there
-/// only so the shards can be shared with the pool's threads.
-type Pipeline = Mutex<Box<dyn Provisioner + Send>>;
-
 /// Runs `call` on `pipeline`; `None` reports a caught panic, after which
 /// the pipeline may hold arbitrary state and must be dropped.
-fn guarded<R>(pipeline: &Pipeline, call: impl FnOnce(&mut dyn Provisioner) -> R) -> Option<R> {
-    let mut pipeline = pipeline.lock();
-    catch_unwind(AssertUnwindSafe(|| call(pipeline.as_mut()))).ok()
+fn guarded<R>(
+    pipeline: &mut dyn Provisioner,
+    call: impl FnOnce(&mut dyn Provisioner) -> R,
+) -> Option<R> {
+    catch_unwind(AssertUnwindSafe(|| call(pipeline))).ok()
 }
 
 /// One scheduler shard: its pipeline and what the supervisor knows of it.
 struct Shard {
     /// `None` while the shard is dead: killed or panicked and not yet
     /// rebuilt, or `failed` for good.
-    pipeline: Option<Pipeline>,
+    pipeline: Option<Box<dyn Provisioner + Send>>,
     stats: ShardStats,
     /// Dead with no way back (no factory): the coordinator schedules this
     /// shard inline permanently.
@@ -244,7 +240,7 @@ impl ShardedProvisioner {
             .enumerate()
             .map(|(shard, (inner, factory))| Shard {
                 view_period: inner.full_view_period().max(1),
-                pipeline: Some(Mutex::new(inner)),
+                pipeline: Some(inner),
                 stats: ShardStats {
                     shard,
                     ..Default::default()
@@ -325,10 +321,10 @@ impl ShardedProvisioner {
     /// shard is told until the next slot rebuilds it is counted as lost —
     /// the same on every run.
     fn notify(&mut self, shard: usize, call: impl FnOnce(&mut dyn Provisioner)) -> bool {
-        let Some(pipeline) = &self.shards[shard].pipeline else {
+        let Some(pipeline) = &mut self.shards[shard].pipeline else {
             return false;
         };
-        if guarded(pipeline, call).is_none() {
+        if guarded(pipeline.as_mut(), call).is_none() {
             self.shards[shard].pipeline = None;
             self.recovery.worker_panics += 1;
         }
@@ -349,7 +345,7 @@ impl ShardedProvisioner {
         };
         let state = &mut self.shards[shard];
         state.view_period = inner.full_view_period().max(1);
-        state.pipeline = Some(Mutex::new(inner));
+        state.pipeline = Some(inner);
         state.stats.restarts += 1;
         self.recovery.worker_restarts += 1;
         // A factory rebuild starts at full service; re-apply the
@@ -396,41 +392,44 @@ impl ShardedProvisioner {
             }
         }
 
-        // The serving shards are one pool call's task list: a participant
-        // per shard, the calling thread one of them. The call returns only
-        // when every participant is done, so nothing reads `ctx` after
+        // The serving shards' ids are one pool call's task list, a
+        // participant per shard, the calling thread one of them; each
+        // shard's result slot lends the pool its pipeline and takes its
+        // reply, `None` for a caught panic. The call returns only when
+        // every participant is done, so nothing reads `ctx` after
         // `provision` returns.
-        let mut serving: Vec<(usize, &Pipeline)> = Vec::with_capacity(n);
-        for (shard, state) in self.shards.iter().enumerate() {
+        let mut served: Vec<usize> = Vec::with_capacity(n);
+        let mut slots: Vec<(&mut (dyn Provisioner + Send), Option<ProvisionPlan>)> =
+            Vec::with_capacity(n);
+        for (shard, state) in self.shards.iter_mut().enumerate() {
             // Breaker-isolated shards are not run at all: the whole point
             // of Open is not paying for the shard while it is sick.
-            let Some(pipeline) = state.pipeline.as_ref().filter(|_| !state.forced_inline) else {
+            let Some(pipeline) = state.pipeline.as_mut().filter(|_| !state.forced_inline) else {
                 continue;
             };
             if faults.is_some_and(|f| f.drop_scheduled(ctx.slot, shard)) {
                 self.recovery.messages_dropped += 1;
                 continue;
             }
-            serving.push((shard, pipeline));
+            served.push(shard);
+            slots.push((pipeline.as_mut(), None));
         }
-        // `None` reports a caught panic.
-        let mut replies: Vec<Option<ProvisionPlan>> = vec![None; serving.len()];
-        if !serving.is_empty() {
-            self.pool.run_chunks(
-                &serving,
-                &mut replies,
-                1,
-                &mut vec![(); serving.len()],
-                &per_task(|&(shard, pipeline): &(usize, &Pipeline), _: &mut ()| {
+        self.pool.run_chunks(
+            &served,
+            &mut slots,
+            1,
+            &mut vec![(); served.len().max(1)],
+            &|shards: &[usize], slots: &mut [(&mut (dyn Provisioner + Send), _)], _: &mut ()| {
+                for (&shard, (pipeline, reply)) in shards.iter().zip(slots) {
                     let my_pending = shard_pending(ctx.pending, shard, n);
                     let ctx = shard_context(ctx, &my_pending, shard, n);
-                    guarded(pipeline, |p| p.provision(&ctx))
-                }),
-            );
-        }
+                    *reply = guarded(*pipeline, |p| p.provision(&ctx));
+                }
+            },
+        );
+        let replies: Vec<Option<ProvisionPlan>> = slots.into_iter().map(|(_, r)| r).collect();
 
         // Collect in shard order: a deterministic merge.
-        let served: Vec<usize> = serving.iter().map(|&(shard, _)| shard).collect();
         let mut plans: Vec<Option<ProvisionPlan>> = vec![None; n];
         for (shard, reply) in served.into_iter().zip(replies) {
             if reply.is_none() {

@@ -31,26 +31,6 @@ pub(crate) fn apply_delta(pool: &mut ResourceVector, old: &ResourceVector, new: 
     *pool = pool.saturating_sub(&new.saturating_sub(old));
 }
 
-/// Registers one engine prediction record per resource for a VM.
-pub(crate) fn push_vm_prediction(
-    plan: &mut ProvisionPlan,
-    vm: usize,
-    slot: u64,
-    target: u64,
-    predicted: &ResourceVector,
-) {
-    for k in 0..NUM_RESOURCES {
-        plan.predictions.push(PredictionRecord {
-            vm,
-            job: None,
-            resource: k,
-            made_at: slot,
-            target_slot: target,
-            predicted: predicted[k],
-        });
-    }
-}
-
 /// Stage 2 of the provisioning pipeline: reallocation of running jobs.
 ///
 /// Runs only at window boundaries (`slot % window == 0`), immediately
@@ -184,20 +164,15 @@ impl ReallocationGate for CorpReclaimGate {
                     made_at: ctx.slot,
                     predicted: job_prediction,
                 });
-                // Register per-job prediction records: Fig. 6 scores
+                // Register the job's prediction record: Fig. 6 scores
                 // "the prediction error ... for each job", which is
                 // CORP's native granularity.
-                let target = ctx.slot + window - 1;
-                for k in 0..NUM_RESOURCES {
-                    plan.predictions.push(PredictionRecord {
-                        vm: vm.id,
-                        job: Some(job.id),
-                        resource: k,
-                        made_at: ctx.slot,
-                        target_slot: target,
-                        predicted: job_prediction[k],
-                    });
-                }
+                plan.predictions.push(PredictionRecord {
+                    vm: vm.id,
+                    job: Some(job.id),
+                    target_slot: ctx.slot + window - 1,
+                    predicted: job_prediction,
+                });
                 if new_alloc != job.allocation {
                     apply_delta(&mut pools[vm.id], &job.allocation, &new_alloc);
                     plan.adjustments.push(Placement {
@@ -309,8 +284,12 @@ impl ReallocationGate for BaselineReclaimGate {
                 continue;
             };
             baseline_reclaim(ctx, vm, &prediction, pools, plan);
-            let target = ctx.slot + window - 1;
-            push_vm_prediction(plan, vm.id, ctx.slot, target, &prediction);
+            plan.predictions.push(PredictionRecord {
+                vm: vm.id,
+                job: None,
+                target_slot: ctx.slot + window - 1,
+                predicted: prediction,
+            });
             outcomes.push(PendingOutcome {
                 key: vm.id as u64,
                 made_at: ctx.slot,
@@ -348,7 +327,12 @@ impl ReallocationGate for RecordOnlyGate {
                 continue;
             }
             if let Some(prediction) = preds[i] {
-                push_vm_prediction(plan, vm.id, ctx.slot, ctx.slot + window - 1, &prediction);
+                plan.predictions.push(PredictionRecord {
+                    vm: vm.id,
+                    job: None,
+                    target_slot: ctx.slot + window - 1,
+                    predicted: prediction,
+                });
             }
         }
     }

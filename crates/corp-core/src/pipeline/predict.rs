@@ -319,45 +319,6 @@ pub trait VmPredictorCore: Send + Sync {
     fn predict(&self, vm: usize) -> Option<ResourceVector>;
 }
 
-impl VmPredictorCore for crate::predictor::RccrPredictor {
-    fn observe(&mut self, vm: usize, unused: &ResourceVector) {
-        crate::predictor::RccrPredictor::observe(self, vm, unused);
-    }
-    fn record_outcome(&mut self, resource: usize, actual: f64, predicted: f64) {
-        crate::predictor::RccrPredictor::record_outcome(self, resource, actual, predicted);
-    }
-    fn settle(&mut self) {
-        crate::predictor::RccrPredictor::settle(self);
-    }
-    fn predict(&self, vm: usize) -> Option<ResourceVector> {
-        crate::predictor::RccrPredictor::predict(self, vm)
-    }
-}
-
-impl VmPredictorCore for crate::predictor::CloudScalePredictor {
-    fn observe(&mut self, vm: usize, unused: &ResourceVector) {
-        crate::predictor::CloudScalePredictor::observe(self, vm, unused);
-    }
-    fn record_outcome(&mut self, resource: usize, actual: f64, predicted: f64) {
-        crate::predictor::CloudScalePredictor::record_outcome(self, resource, actual, predicted);
-    }
-    fn settle(&mut self) {
-        crate::predictor::CloudScalePredictor::settle(self);
-    }
-    fn predict(&self, vm: usize) -> Option<ResourceVector> {
-        crate::predictor::CloudScalePredictor::predict(self, vm)
-    }
-}
-
-impl VmPredictorCore for crate::predictor::DraPredictor {
-    fn observe(&mut self, vm: usize, unused: &ResourceVector) {
-        crate::predictor::DraPredictor::observe(self, vm, unused);
-    }
-    fn predict(&self, vm: usize) -> Option<ResourceVector> {
-        crate::predictor::DraPredictor::predict(self, vm)
-    }
-}
-
 /// Decorator dropping non-finite observations before they reach the core —
 /// the fault-tolerance hook poisoned telemetry (see `corp-faults`) is
 /// filtered through: a smoother that absorbed a NaN could never flush it,

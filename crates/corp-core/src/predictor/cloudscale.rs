@@ -12,6 +12,7 @@
 //! CloudScale's error rate sits above both.
 
 use super::{entry, VmWindow};
+use crate::pipeline::VmPredictorCore;
 use corp_sim::ResourceVector;
 use corp_stats::{dominant_period, ErrorWindow, MarkovChain};
 use corp_trace::NUM_RESOURCES;
@@ -82,52 +83,6 @@ impl CloudScalePredictor {
         }
     }
 
-    /// Folds one slot's observed unused totals for `vm`.
-    pub(crate) fn observe(&mut self, vm: usize, unused: &ResourceVector) {
-        entry(&mut self.histories, vm, VmWindow::default).push(*unused);
-    }
-
-    /// Records a resolved prediction outcome; [`settle`](Self::settle)
-    /// refreshes the resource's pad before the next forecast.
-    pub(crate) fn record_outcome(&mut self, resource: usize, actual: f64, predicted: f64) {
-        self.errors[resource].push(actual - predicted);
-        self.stale[resource] = true;
-    }
-
-    /// Refreshes the adaptive pad of every resource an outcome changed
-    /// since the last call: the magnitude of the worst recent
-    /// over-estimation (predicted more unused than existed), which is the
-    /// burst signal CloudScale reacts to. Zero with no evidence.
-    pub(crate) fn settle(&mut self) {
-        for k in 0..NUM_RESOURCES {
-            if std::mem::take(&mut self.stale[k]) {
-                let worst = self.errors[k]
-                    .iter()
-                    .filter(|d| *d < 0.0)
-                    .fold(0.0f64, |acc, d| acc.max(-d));
-                self.pads[k] = self.pad_scale * worst;
-            }
-        }
-    }
-
-    /// Predicts `vm`'s unused vector one window ahead. `None` before any
-    /// observation for the VM.
-    pub(crate) fn predict(&self, vm: usize) -> Option<ResourceVector> {
-        debug_assert!(!self.stale.contains(&true), "predict before settle");
-        let history = self.histories.get(vm).filter(|h| h.len() > 0)?;
-        let mut out = ResourceVector::ZERO;
-        SCRATCH.with(|s| {
-            let s = &mut *s.borrow_mut();
-            for k in 0..NUM_RESOURCES {
-                s.series.clear();
-                s.series.extend(history.iter().map(|u| u[k]));
-                let raw = Self::raw_forecast(&s.series, &mut s.chain);
-                out[k] = (raw - self.pads[k]).max(0.0);
-            }
-        });
-        Some(out)
-    }
-
     /// Signature-first raw forecast of the next value of `h`, its Markov
     /// fallback refitting `chain`.
     fn raw_forecast(h: &[f64], chain: &mut MarkovChain) -> f64 {
@@ -145,6 +100,54 @@ impl CloudScalePredictor {
         }
         chain.refit(lo, hi, h);
         chain.forecast(1).unwrap_or(h[h.len() - 1])
+    }
+}
+
+impl VmPredictorCore for CloudScalePredictor {
+    /// Folds one slot's observed unused totals for `vm`.
+    fn observe(&mut self, vm: usize, unused: &ResourceVector) {
+        entry(&mut self.histories, vm, VmWindow::default).push(*unused);
+    }
+
+    /// Records a resolved prediction outcome; [`settle`](Self::settle)
+    /// refreshes the resource's pad before the next forecast.
+    fn record_outcome(&mut self, resource: usize, actual: f64, predicted: f64) {
+        self.errors[resource].push(actual - predicted);
+        self.stale[resource] = true;
+    }
+
+    /// Refreshes the adaptive pad of every resource an outcome changed
+    /// since the last call: the magnitude of the worst recent
+    /// over-estimation (predicted more unused than existed), which is the
+    /// burst signal CloudScale reacts to. Zero with no evidence.
+    fn settle(&mut self) {
+        for k in 0..NUM_RESOURCES {
+            if std::mem::take(&mut self.stale[k]) {
+                let worst = self.errors[k]
+                    .iter()
+                    .filter(|d| *d < 0.0)
+                    .fold(0.0f64, |acc, d| acc.max(-d));
+                self.pads[k] = self.pad_scale * worst;
+            }
+        }
+    }
+
+    /// Predicts `vm`'s unused vector one window ahead. `None` before any
+    /// observation for the VM.
+    fn predict(&self, vm: usize) -> Option<ResourceVector> {
+        debug_assert!(!self.stale.contains(&true), "predict before settle");
+        let history = self.histories.get(vm).filter(|h| h.len() > 0)?;
+        let mut out = ResourceVector::ZERO;
+        SCRATCH.with(|s| {
+            let s = &mut *s.borrow_mut();
+            for k in 0..NUM_RESOURCES {
+                s.series.clear();
+                s.series.extend(history.iter().map(|u| u[k]));
+                let raw = Self::raw_forecast(&s.series, &mut s.chain);
+                out[k] = (raw - self.pads[k]).max(0.0);
+            }
+        });
+        Some(out)
     }
 }
 

@@ -9,6 +9,7 @@
 //! That makes it the weakest predictor of the four (Fig. 6's top curve).
 
 use super::{entry, VmWindow};
+use crate::pipeline::VmPredictorCore;
 use corp_sim::ResourceVector;
 use corp_trace::NUM_RESOURCES;
 
@@ -60,15 +61,17 @@ impl DraPredictor {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
+impl VmPredictorCore for DraPredictor {
     /// Folds one slot's observed unused totals for `vm`.
-    pub(crate) fn observe(&mut self, vm: usize, unused: &ResourceVector) {
+    fn observe(&mut self, vm: usize, unused: &ResourceVector) {
         entry(&mut self.histories, vm, VmWindow::default).push(*unused);
     }
 
     /// Predicts `vm`'s unused vector as the plain mean of the recent
     /// window. `None` before any observation.
-    pub(crate) fn predict(&self, vm: usize) -> Option<ResourceVector> {
+    fn predict(&self, vm: usize) -> Option<ResourceVector> {
         let history = self.histories.get(vm).filter(|h| h.len() > 0)?;
         let mut out = ResourceVector::ZERO;
         for k in 0..NUM_RESOURCES {

@@ -7,6 +7,7 @@
 //! confidence interval as the predicted value for a time window".
 
 use super::entry;
+use crate::pipeline::VmPredictorCore;
 use corp_sim::ResourceVector;
 use corp_stats::{z_for_confidence, ErrorWindow, SimpleExp};
 use corp_trace::NUM_RESOURCES;
@@ -44,8 +45,21 @@ impl RccrPredictor {
         }
     }
 
+    /// The raw SES forecast without the CI adjustment (tests/diagnostics).
+    #[cfg(test)]
+    fn predict_raw(&self, vm: usize) -> Option<ResourceVector> {
+        let smoothers = self.smoothers.get(vm)?;
+        let mut out = ResourceVector::ZERO;
+        for k in 0..NUM_RESOURCES {
+            out[k] = smoothers[k].forecast(1)?.max(0.0);
+        }
+        Some(out)
+    }
+}
+
+impl VmPredictorCore for RccrPredictor {
     /// Folds one slot's observed unused totals for `vm`.
-    pub(crate) fn observe(&mut self, vm: usize, unused: &ResourceVector) {
+    fn observe(&mut self, vm: usize, unused: &ResourceVector) {
         let alpha = self.alpha;
         let fresh = || std::array::from_fn(|_| SimpleExp::new(alpha));
         for (k, s) in entry(&mut self.smoothers, vm, fresh).iter_mut().enumerate() {
@@ -55,7 +69,7 @@ impl RccrPredictor {
 
     /// Records a resolved prediction outcome to calibrate `sigma_hat`,
     /// which [`settle`](Self::settle) refreshes before the next forecast.
-    pub(crate) fn record_outcome(&mut self, resource: usize, actual: f64, predicted: f64) {
+    fn record_outcome(&mut self, resource: usize, actual: f64, predicted: f64) {
         self.errors[resource].push(actual - predicted);
         self.stale[resource] = true;
     }
@@ -63,7 +77,7 @@ impl RccrPredictor {
     /// Recomputes `sigma_hat` of every error window an outcome changed
     /// since the last call: once per window, however many outcomes it
     /// resolved.
-    pub(crate) fn settle(&mut self) {
+    fn settle(&mut self) {
         for k in 0..NUM_RESOURCES {
             if std::mem::take(&mut self.stale[k]) {
                 self.sigma[k] = self.errors[k].sigma_hat();
@@ -75,24 +89,13 @@ impl RccrPredictor {
     /// the CI half-width `sigma_hat * z_{theta/2}` (the lower bound, to be
     /// conservative in reclaiming), clamped non-negative. `None` before any
     /// observation for the VM.
-    pub(crate) fn predict(&self, vm: usize) -> Option<ResourceVector> {
+    fn predict(&self, vm: usize) -> Option<ResourceVector> {
         debug_assert!(!self.stale.contains(&true), "predict before settle");
         let smoothers = self.smoothers.get(vm)?;
         let mut out = ResourceVector::ZERO;
         for k in 0..NUM_RESOURCES {
             let level = smoothers[k].forecast(1)?;
             out[k] = (level - self.sigma[k] * self.z).max(0.0);
-        }
-        Some(out)
-    }
-
-    /// The raw SES forecast without the CI adjustment (tests/diagnostics).
-    #[cfg(test)]
-    fn predict_raw(&self, vm: usize) -> Option<ResourceVector> {
-        let smoothers = self.smoothers.get(vm)?;
-        let mut out = ResourceVector::ZERO;
-        for k in 0..NUM_RESOURCES {
-            out[k] = smoothers[k].forecast(1)?.max(0.0);
         }
         Some(out)
     }

@@ -38,7 +38,7 @@
 use crate::cluster::Cluster;
 use crate::faults::{corrupt_vector, FaultRuntime, FaultStats};
 use crate::job::{JobId, JobState, RunningJob};
-use crate::metrics::{MetricsCollector, PredictionOutcome, UtilizationSample};
+use crate::metrics::{MetricsCollector, UtilizationSample};
 use crate::provisioner::{
     JobCompletion, JobShare, PendingJobView, PredictionRecord, Provisioner, RunningJobView,
     SlotContext, VmView, VIEW_HISTORY_CAP,
@@ -959,42 +959,32 @@ impl SlotEngine {
         });
         lap(&mut self.phase_times.advance, &mut mark);
 
-        // 6. Resolve the predictions targeting this slot: job-targeted
-        // records score against the unused sample advance just wrote for
-        // that job (dropped unless the job is running), VM-targeted ones
-        // against the VM total. Resolved outcomes feed only counts, so
-        // the order records are scored in never reaches the report.
+        // 6. Resolve the predictions targeting this slot, each with one
+        // lookup: a job-targeted record scores against the unused sample
+        // advance just wrote for that job (dropped unless the job is
+        // running), a VM-targeted one against the VM total. Resolved
+        // outcomes feed only counts, so the order records are scored in
+        // never reaches the report.
         if let Some(mut due) = self.predictions_due.remove(&slot) {
+            let eps = self.max_capacity.scaled(PREDICTION_EPS_FRAC);
             for p in due.drain(..) {
-                if p.resource >= NUM_RESOURCES {
-                    continue; // malformed: dropped unscored
-                }
                 let actual = match p.job {
                     Some(job_id) => self
                         .index_of
                         .get(&job_id)
                         .filter(|&&h| matches!(self.store.job(h).state, JobState::Running { .. }))
-                        .map(|&h| self.runs.unused[h.index()][p.resource]),
+                        .map(|&h| self.runs.unused[h.index()]),
+                    // An unoccupied VM's sample this slot is zero.
                     None => (p.vm < self.newest_unused.len()).then(|| {
-                        // An unoccupied VM's sample this slot is zero.
-                        let occupied = self.occupied.contains(p.vm);
-                        if occupied {
-                            self.newest_unused[p.vm][p.resource]
+                        if self.occupied.contains(p.vm) {
+                            self.newest_unused[p.vm]
                         } else {
-                            0.0
+                            ResourceVector::ZERO
                         }
                     }),
                 };
                 if let Some(actual) = actual {
-                    let outcome = PredictionOutcome {
-                        vm: p.vm,
-                        resource: p.resource,
-                        target_slot: slot,
-                        predicted: p.predicted,
-                        actual,
-                    };
-                    let eps = PREDICTION_EPS_FRAC * self.max_capacity[p.resource];
-                    self.metrics.record_prediction(&outcome, eps);
+                    self.metrics.record_prediction(&p.predicted, &actual, &eps);
                 }
             }
             self.spare_buckets.push(due);
@@ -1210,7 +1200,7 @@ impl SlotEngine {
             overall_utilization: self.metrics.aggregate_overall_utilization(),
             slo_violation_rate: slo_rate,
             prediction_error_rate: self.metrics.prediction_error_rate(),
-            predictions_resolved: self.metrics.predictions_resolved(),
+            predictions_resolved: self.metrics.resolved_predictions,
             overhead_ms: self.metrics.overhead_ms(),
             completed: self.metrics.completed,
             violated: self.metrics.violated,
@@ -1764,10 +1754,8 @@ mod tests {
             plan.predictions.push(PredictionRecord {
                 vm: 0,
                 job: None,
-                resource: 0,
-                made_at: ctx.slot,
                 target_slot: ctx.slot,
-                predicted: 0.0,
+                predicted: ResourceVector::ZERO,
             });
             plan
         }
@@ -1788,8 +1776,9 @@ mod tests {
 
     /// Static peak that registers, every slot, VM-targeted records for
     /// the next slot, the last one, this one, the next one again and five
-    /// ahead, in that order; keeps every record it made.
-    struct ScatteredTargets(Vec<PredictionRecord>);
+    /// ahead, in that order; keeps every record it made beside the slot
+    /// it made it in.
+    struct ScatteredTargets(Vec<(u64, PredictionRecord)>);
     impl Provisioner for ScatteredTargets {
         fn name(&self) -> &str {
             "scattered-targets"
@@ -1806,13 +1795,12 @@ mod tests {
                 plan.predictions.push(PredictionRecord {
                     vm: 0,
                     job: None,
-                    resource: 0,
-                    made_at: ctx.slot,
                     target_slot: target,
-                    predicted: 0.0,
+                    predicted: ResourceVector::ZERO,
                 });
             }
-            self.0.extend(plan.predictions.iter().cloned());
+            let made = plan.predictions.iter().map(|r| (ctx.slot, r.clone()));
+            self.0.extend(made);
             plan
         }
     }
@@ -1821,8 +1809,8 @@ mod tests {
     fn predictions_resolve_in_their_target_slot_and_past_targets_never() {
         // VM-targeted records always have an actual, so exactly the ones
         // whose target is neither before the slot they were made in nor
-        // past the end of the run are scored, whatever order plans list
-        // them in.
+        // past the end of the run are scored, every resource of each,
+        // whatever order plans list them in.
         let mut sim = Simulation::new(
             cluster(),
             small_workload(20, 17),
@@ -1830,35 +1818,37 @@ mod tests {
         );
         let mut p = ScatteredTargets(Vec::new());
         let report = sim.run(&mut p);
-        let due =
-            |r: &&PredictionRecord| r.target_slot >= r.made_at && r.target_slot < report.slots_run;
-        assert_eq!(report.predictions_resolved, p.0.iter().filter(due).count());
-        assert!(p.0.iter().any(|r| r.target_slot < r.made_at));
+        let due = |(made, r): &&(u64, PredictionRecord)| {
+            r.target_slot >= *made && r.target_slot < report.slots_run
+        };
+        let due_records = p.0.iter().filter(due).count();
+        assert_eq!(report.predictions_resolved, NUM_RESOURCES * due_records);
+        assert!(p.0.iter().any(|(made, r)| r.target_slot < *made));
     }
 
     /// Registers per-job predictions equal to the job's last observed
     /// unused value (a persistence predictor — should score very well).
-    struct JobPersistencePredictor(StaticPeakProvisioner);
+    /// Counts the records it registers.
+    struct JobPersistencePredictor(usize);
     impl Provisioner for JobPersistencePredictor {
         fn name(&self) -> &str {
             "job-persistence"
         }
         fn provision(&mut self, ctx: &SlotContext<'_>) -> crate::provisioner::ProvisionPlan {
-            let mut plan = self.0.provision(ctx);
+            let mut plan = StaticPeakProvisioner.provision(ctx);
             for vm in ctx.vms {
                 for job in &vm.jobs {
                     if let Some(u) = job.recent_unused.last() {
                         plan.predictions.push(PredictionRecord {
                             vm: vm.id,
                             job: Some(job.id),
-                            resource: 0,
-                            made_at: ctx.slot,
                             target_slot: ctx.slot + 1,
-                            predicted: u[0],
+                            predicted: *u,
                         });
                     }
                 }
             }
+            self.0 += plan.predictions.len();
             plan
         }
     }
@@ -1870,7 +1860,8 @@ mod tests {
             small_workload(30, 14),
             SimulationOptions::default(),
         );
-        let report = sim.run(&mut JobPersistencePredictor(StaticPeakProvisioner));
+        let mut p = JobPersistencePredictor(0);
+        let report = sim.run(&mut p);
         assert!(report.predictions_resolved > 0, "{report:?}");
         // Persistence on a per-job unused series has symmetric errors, and
         // the paper's correctness band [0, eps) rejects every
@@ -1883,14 +1874,12 @@ mod tests {
             "persistence should score near the symmetric-band bound: {report:?}"
         );
         // Predictions for jobs that completed before their target slot are
-        // dropped, never mis-scored: resolved <= registered.
-        let metrics = sim.metrics();
-        assert_eq!(metrics.predictions_resolved(), report.predictions_resolved);
-        assert_eq!(
-            metrics.resolved_predictions,
-            [report.predictions_resolved, 0, 0],
-            "every record registered was for resource 0"
-        );
+        // dropped, never mis-scored: resolved <= registered, and every
+        // record scored scores all its resources.
+        let resolved = sim.metrics().resolved_predictions;
+        assert_eq!(resolved, report.predictions_resolved);
+        assert_eq!(resolved % NUM_RESOURCES, 0, "{resolved}");
+        assert!(resolved <= NUM_RESOURCES * p.0, "{resolved} of {}", p.0);
     }
 
     /// Static peak that also predicts, for every job it has placed and not
@@ -1913,18 +1902,14 @@ mod tests {
             self.running
                 .extend(placed.map(|p| (p.job, p.vm, p.allocation)));
             for &(job, vm, request) in &self.running {
-                for resource in 0..NUM_RESOURCES {
-                    plan.predictions.push(PredictionRecord {
-                        vm,
-                        job: Some(job),
-                        resource,
-                        made_at: ctx.slot,
-                        // This slot, where the job was placed in it, and
-                        // the next one on alternate jobs.
-                        target_slot: ctx.slot + job % 2,
-                        predicted: request[resource] * 0.5,
-                    });
-                }
+                plan.predictions.push(PredictionRecord {
+                    vm,
+                    job: Some(job),
+                    // This slot, where the job was placed in it, and the
+                    // next one on alternate jobs.
+                    target_slot: ctx.slot + job % 2,
+                    predicted: request.scaled(0.5),
+                });
             }
             plan
         }

@@ -59,37 +59,6 @@ impl UtilizationSample {
     }
 }
 
-/// A resolved prediction and its error `delta = actual - predicted`
-/// (paper Eq. 20 orientation: positive = under-estimation of unused).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PredictionOutcome {
-    /// VM concerned.
-    pub vm: usize,
-    /// Resource index.
-    pub resource: usize,
-    /// Slot the prediction targeted.
-    pub target_slot: u64,
-    /// Predicted unused amount.
-    pub predicted: f64,
-    /// Actual unused amount at the target slot.
-    pub actual: f64,
-}
-
-impl PredictionOutcome {
-    /// The signed prediction error `delta`.
-    pub(crate) fn delta(&self) -> f64 {
-        self.actual - self.predicted
-    }
-
-    /// Whether the prediction counts as *correct* under the paper's
-    /// criterion: error within `[0, eps)` — conservative (no
-    /// over-estimation) and tight.
-    pub(crate) fn correct(&self, eps: f64) -> bool {
-        let d = self.delta();
-        d >= 0.0 && d < eps
-    }
-}
-
 /// Accumulates all run-level metrics as running totals: its size does not
 /// grow with slots or jobs. Each total adds its terms in slot (or
 /// completion) order, the order a fold over every sample would.
@@ -102,10 +71,10 @@ pub struct MetricsCollector {
     pub served: [f64; NUM_RESOURCES],
     /// `sum_t w_j sum_i r_ij,t` per resource, `w_j` the resource weight.
     pub weighted_allocated: [f64; NUM_RESOURCES],
-    /// Predictions resolved so far, per resource.
-    pub resolved_predictions: [usize; NUM_RESOURCES],
+    /// (Prediction, resource) pairs resolved so far.
+    pub resolved_predictions: usize,
     /// Of those, the ones scored outside their correctness band.
-    pub wrong_predictions: [usize; NUM_RESOURCES],
+    pub wrong_predictions: usize,
     /// Completed job count.
     pub completed: usize,
     /// Completed jobs that violated their SLO.
@@ -184,28 +153,33 @@ impl MetricsCollector {
         (self.violated + self.rejected) as f64 / total as f64
     }
 
-    /// Scores one resolved prediction against its resource's tolerance
-    /// `eps` (see [`PredictionOutcome::correct`]).
-    pub(crate) fn record_prediction(&mut self, outcome: &PredictionOutcome, eps: f64) {
-        self.resolved_predictions[outcome.resource] += 1;
-        if !outcome.correct(eps) {
-            self.wrong_predictions[outcome.resource] += 1;
+    /// Scores one resolved prediction, resource by resource, under the
+    /// paper's criterion: the error `actual - predicted` (Eq. 20
+    /// orientation, positive = under-estimated unused) is correct within
+    /// `[0, eps)` — conservative (no over-estimation) and tight. A NaN
+    /// error is outside every band.
+    pub(crate) fn record_prediction(
+        &mut self,
+        predicted: &ResourceVector,
+        actual: &ResourceVector,
+        eps: &ResourceVector,
+    ) {
+        for k in 0..NUM_RESOURCES {
+            let delta = actual[k] - predicted[k];
+            self.resolved_predictions += 1;
+            if !(delta >= 0.0 && delta < eps[k]) {
+                self.wrong_predictions += 1;
+            }
         }
-    }
-
-    /// Number of predictions resolved, all resources together.
-    pub(crate) fn predictions_resolved(&self) -> usize {
-        self.resolved_predictions.iter().sum()
     }
 
     /// Prediction error rate: fraction of resolved predictions *not*
     /// falling in `[0, eps)` (Fig. 6; lower is better).
     pub(crate) fn prediction_error_rate(&self) -> f64 {
-        let resolved = self.predictions_resolved();
-        if resolved == 0 {
+        if self.resolved_predictions == 0 {
             return 0.0;
         }
-        self.wrong_predictions.iter().sum::<usize>() as f64 / resolved as f64
+        self.wrong_predictions as f64 / self.resolved_predictions as f64
     }
 
     /// Total allocation overhead in milliseconds (Figs. 10/14).
@@ -280,30 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn prediction_correctness_band() {
-        let mk = |pred: f64, act: f64| PredictionOutcome {
-            vm: 0,
-            resource: 0,
-            target_slot: 0,
-            predicted: pred,
-            actual: act,
-        };
-        assert!(mk(5.0, 5.0).correct(0.5), "exact prediction is correct");
-        assert!(
-            mk(5.0, 5.4).correct(0.5),
-            "small under-estimation is correct"
-        );
-        assert!(
-            !mk(5.0, 5.5).correct(0.5),
-            "error == eps is incorrect (half-open)"
-        );
-        assert!(
-            !mk(5.0, 4.9).correct(0.5),
-            "over-estimation is always incorrect"
-        );
-    }
-
-    #[test]
     fn aggregate_utilization_pools_over_slots() {
         let mut m = MetricsCollector::new();
         m.record_slot(sample([10.0, 10.0, 10.0], [5.0, 10.0, 0.0]));
@@ -328,27 +278,46 @@ mod tests {
         assert_eq!(MetricsCollector::new().slo_violation_rate(), 0.0);
     }
 
+    /// Scores one prediction of `predicted` against `actual` with
+    /// tolerance `eps` on a fresh collector: the (resolved, wrong) counts.
+    fn score(predicted: [f64; 3], actual: [f64; 3], eps: [f64; 3]) -> (usize, usize) {
+        let mut m = MetricsCollector::new();
+        m.record_prediction(&predicted.into(), &actual.into(), &eps.into());
+        (m.resolved_predictions, m.wrong_predictions)
+    }
+
+    #[test]
+    fn prediction_correctness_band() {
+        let eps = [0.5, 5.0, 1.0];
+        // Exact, a small under-estimation, and the band's closed lower
+        // edge (error 0) are correct on every resource.
+        assert_eq!(score([5.0, 5.0, 0.0], [5.0, 9.9, 0.0], eps), (3, 0));
+        // Error == eps is out (half-open); just below it is in.
+        assert_eq!(score([5.0, 5.0, 1.0], [5.5, 9.9, 1.999], eps), (3, 1));
+        // Any over-estimation is out, however small.
+        assert_eq!(score([5.0, 5.0, 1.0], [4.9, 5.0, 1.0 - 1e-12], eps), (3, 2));
+        // NaN on either side is out; so are infinite errors either way
+        // (+inf is past every eps, -inf below zero), and an infinite
+        // prediction against an infinite actual (inf - inf is NaN).
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        assert_eq!(score([nan, 0.0, 1.0], [1.0, nan, 1.0], eps), (3, 2));
+        assert_eq!(score([0.0, inf, inf], [inf, 1.0, inf], eps), (3, 3));
+        assert_eq!(score([-inf, 0.0, 0.0], [0.0, -inf, 0.0], eps), (3, 2));
+        // Negative amounts score by their difference alone.
+        assert_eq!(score([-2.0, -1.0, -1.0], [-1.8, -1.0, -3.0], eps), (3, 1));
+    }
+
     #[test]
     fn prediction_error_rate_counts_misses() {
         let mut m = MetricsCollector::new();
         assert_eq!(m.prediction_error_rate(), 0.0, "nothing resolved yet");
-        // Resource 0 at eps 0.5: two correct, two wrong; resource 2 at
-        // eps 5.0 would accept the same 4.0-off miss.
-        let outcomes = [(0, 5.0, 5.1), (0, 5.0, 5.2), (0, 5.0, 4.0), (0, 5.0, 9.0)];
-        for (resource, predicted, actual) in outcomes.into_iter().chain([(2, 5.0, 9.0)]) {
-            let outcome = PredictionOutcome {
-                vm: 0,
-                resource,
-                target_slot: 0,
-                predicted,
-                actual,
-            };
-            m.record_prediction(&outcome, if resource == 0 { 0.5 } else { 5.0 });
-        }
-        assert_eq!(m.resolved_predictions, [4, 0, 1]);
-        assert_eq!(m.wrong_predictions, [2, 0, 0]);
-        assert_eq!(m.predictions_resolved(), 5);
-        assert!((m.prediction_error_rate() - 0.4).abs() < 1e-12);
+        let eps = ResourceVector::new([0.5, 0.5, 5.0]);
+        // Resource 0 misses once (over-estimated), resource 1 once (4.0 off
+        // is past its 0.5); resource 2's 5.0 eps accepts the same 4.0.
+        m.record_prediction(&[5.0; 3].into(), &[5.1, 9.0, 9.0].into(), &eps);
+        m.record_prediction(&[5.0; 3].into(), &[4.0, 5.2, 5.0].into(), &eps);
+        assert_eq!((m.resolved_predictions, m.wrong_predictions), (6, 2));
+        assert!((m.prediction_error_rate() - 2.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]

@@ -87,9 +87,9 @@ pub struct Placement {
     pub allocation: ResourceVector,
 }
 
-/// A prediction registered for later accuracy resolution: "at `made_at` we
-/// predicted the unused amount of `resource` on VM `vm` (or of job `job`,
-/// when set) for slot `target_slot` would be `predicted`".
+/// A prediction registered for later accuracy resolution: "the unused
+/// amounts on VM `vm` (or of job `job`, when set) at slot `target_slot`
+/// will be `predicted`", one record per forecast, every resource scored.
 ///
 /// The paper's Fig. 6 metric is *per job* ("we calculated the prediction
 /// error ... for each job"); job-granular schemes (CORP) register per-job
@@ -102,14 +102,10 @@ pub struct PredictionRecord {
     pub vm: usize,
     /// Job the prediction concerns, for job-granular predictors.
     pub job: Option<JobId>,
-    /// Resource index.
-    pub resource: usize,
-    /// Slot the prediction was made.
-    pub made_at: u64,
     /// Slot the prediction targets.
     pub target_slot: u64,
-    /// Predicted unused amount.
-    pub predicted: f64,
+    /// Predicted unused amount per resource.
+    pub predicted: ResourceVector,
 }
 
 /// Everything a provisioner may do in one slot.

@@ -120,11 +120,14 @@
 #                                 # CARGO_TARGET_DIR (target/mutants/target)
 #                                 # and reverts the patch. Prints `killed`
 #                                 # (the command failed), `survived` (it
-#                                 # passed) or `stale` (the patch no longer
-#                                 # applies) per mutant, each command's
-#                                 # output in target/mutants/NAME.log;
-#                                 # exits non-zero on a survivor or a stale
-#                                 # patch
+#                                 # passed), `broken` (it failed because
+#                                 # the patched copy does not compile: its
+#                                 # log shows `could not compile` or
+#                                 # `error[E`) or `stale` (the patch no
+#                                 # longer applies) per mutant, each
+#                                 # command's output in
+#                                 # target/mutants/NAME.log; exits non-zero
+#                                 # on a survivor, a broken or a stale patch
 #   scripts/check.sh libm         # advisory, not part of the gate: the
 #                                 # sigmoid's in-crate `exp` (corp-dnn's
 #                                 # exp.rs, a port of glibc's) against libm's
@@ -356,6 +359,9 @@ mutants() {
         (cd "$tree" && patch -p1 -s <"$patch")
         if (cd "$tree" && CARGO_TARGET_DIR=$dir/target bash -c "$cmd") >"$dir/$name.log" 2>&1; then
             echo "survived  $name ($cmd)"
+            failed=1
+        elif grep -qE 'could not compile|error\[E' "$dir/$name.log"; then
+            echo "broken    $name"
             failed=1
         else
             echo "killed    $name"
