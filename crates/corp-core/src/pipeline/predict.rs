@@ -200,7 +200,9 @@ impl UsagePredictor for CorpUsagePredictor {
             self.predictor.maybe_train();
             return;
         }
-        let mut job_views: HashMap<u64, &RunningJobView> = HashMap::new();
+        // Sized from the previous window's task count, so the index does
+        // not grow through a rehash per doubling every window.
+        let mut job_views: HashMap<u64, &RunningJobView> = HashMap::with_capacity(self.tasks.len());
         for vm in ctx.vms {
             for job in ctx.owned_jobs(vm) {
                 job_views.insert(job.id, job);

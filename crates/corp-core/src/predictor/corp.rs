@@ -828,6 +828,61 @@ mod tests {
         assert_eq!(counters, want_counters);
     }
 
+    #[test]
+    fn bucketed_bounds_prove_a_strict_superset_of_the_unit_box_bound() {
+        // Windows whose normalized minimum spreads over every bucket, from
+        // none to most of the request, one to ten slots long.
+        let jobs: Vec<Job> = (0..300)
+            .map(|j| {
+                let level = |k: usize| ((j * 5 + k * 11) % 13) as f64 * 2.0;
+                let recent = (0..1 + j % 10)
+                    .map(|t| {
+                        ResourceVector::new(std::array::from_fn(|k| {
+                            level(k) * (1.0 - ((t * 7 + j + k) % 17) as f64 / 16.0).max(0.0)
+                        }))
+                    })
+                    .collect();
+                (recent, ResourceVector::new([20.0, 30.0, 25.0]))
+            })
+            .collect();
+        let p = calibrated(CorpConfig::fast(), 0.3);
+        let ([want, got], [want_counters, counters], _) = both_paths(&p, &jobs, 64);
+        assert_eq!(got, want);
+        assert_eq!(counters, want_counters);
+        // Per lane: whether the pipeline proved it zero, and whether the
+        // one unit-box bound would have, scaled by the query window's
+        // maximum and put through Eq. 19's steps as the reference does.
+        let mut scratch = PredictionScratch::new();
+        let (mut bucketed, mut unit_box) = (0, 0);
+        for (recent, requested) in &jobs {
+            for k in 0..NUM_RESOURCES {
+                let series: Vec<f64> = recent.iter().map(|u| u[k]).collect();
+                let scale = requested[k].max(1e-9);
+                let before = scratch.proven;
+                p.predict_resource_in(k, &series, scale, &mut scratch);
+                let proven = scratch.proven > before;
+                let delta = p.dnn[k].config().window;
+                let window = &series[series.len().saturating_sub(delta)..];
+                let max = window.iter().copied().fold(0.0, f64::max).max(1e-9);
+                let single = p.dnn[k].unit_box_bound().is_some_and(|y_hi| {
+                    let u = p.hmm[k].adjust((y_hi * max).max(0.0), &series)
+                        - p.gate.sigma_hat(k) * p.confidence_z * scale;
+                    u < 0.0 && u.is_finite()
+                });
+                assert!(
+                    proven || !single,
+                    "{series:?}: the unit box proves it, its bucket does not"
+                );
+                bucketed += u64::from(proven);
+                unit_box += u64::from(single);
+            }
+        }
+        assert!(
+            bucketed > unit_box,
+            "buckets proved {bucketed} lanes, the unit box {unit_box}"
+        );
+    }
+
     /// One job through `predict_job_in`, its fallback increments merged
     /// into the predictor's counters.
     fn predict(

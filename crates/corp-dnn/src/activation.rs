@@ -16,7 +16,7 @@
 use crate::exp;
 
 /// Relative and absolute widening of every interval bound
-/// ([`Activation::bounds`], `Network::output_upper_bound`): orders of
+/// ([`Activation::bounds`], `Network::output_bound`): orders of
 /// magnitude above the rounding of a forward pass (a 50-term dot product
 /// rounds by under 1e-14 of its terms' magnitude), far below anything a
 /// prediction resolves.
@@ -77,6 +77,30 @@ impl Activation {
                 )
             }
             Activation::Identity => (lo, hi),
+        }
+    }
+
+    /// A line `slope * z + intercept` at or above (`upper`) or at or below
+    /// the activation on `[lo, hi]`, unpadded. A sigmoid's upper line runs
+    /// through `(hi, F(hi))` with the smaller of `F'(hi)` and the chord's
+    /// slope, its lower line through `(lo, F(lo))` with the smaller of
+    /// `F'(lo)` and the chord's: `F'` rises to its peak at 0 and falls
+    /// after, so a secant from one end is flattest towards the other end
+    /// or at the end itself, and no flatter line crosses the curve.
+    pub(crate) fn linear_bound(self, lo: f64, hi: f64, upper: bool) -> (f64, f64) {
+        match self {
+            Activation::Sigmoid => {
+                let (f_lo, f_hi) = (self.apply(lo), self.apply(hi));
+                let chord = if hi > lo {
+                    (f_hi - f_lo) / (hi - lo)
+                } else {
+                    0.0
+                };
+                let (z, f) = if upper { (hi, f_hi) } else { (lo, f_lo) };
+                let slope = chord.min(f * (1.0 - f)).max(0.0);
+                (slope, f - slope * z)
+            }
+            Activation::Identity => (1.0, 0.0),
         }
     }
 

@@ -26,6 +26,29 @@ struct Layer {
     bias_velocity: Vec<f64>,
 }
 
+/// What [`Network::output_bound`] proves about output 0 over a box.
+#[derive(Debug, Clone)]
+pub(crate) struct OutputBound {
+    /// An upper bound anywhere in the box.
+    pub(crate) hi: f64,
+    slope: Vec<f64>,
+    intercept: f64,
+}
+
+impl OutputBound {
+    /// An upper bound at the input `x`, which must lie in the box:
+    /// `slope . x + intercept`, widened by [`BOUND_SLACK`] times its
+    /// terms' magnitude to cover this sum's rounding.
+    pub(crate) fn at(&self, x: impl IntoIterator<Item = f64>) -> f64 {
+        let (mut y, mut magnitude) = (self.intercept, self.intercept.abs());
+        for (&s, x) in self.slope.iter().zip(x) {
+            y += s * x;
+            magnitude += (s * x).abs();
+        }
+        y + BOUND_SLACK * magnitude
+    }
+}
+
 /// A feed-forward neural network with dense layers.
 ///
 /// `layers` is never empty ([`Network::new`] asserts it): the activation
@@ -202,24 +225,35 @@ impl Network {
         self.layers.len()
     }
 
-    /// An upper bound on output 0 of [`forward_with`](Self::forward_with)
-    /// and [`forward_batch_with`](Self::forward_batch_with) for every input
-    /// in the box `[0, 1]^input_len`, by interval propagation through every
-    /// layer. Each pre-activation interval is `bias + sum_j` of the ends of
+    /// What interval propagation proves about output 0 of
+    /// [`forward_with`](Self::forward_with) and
+    /// [`forward_batch_with`](Self::forward_batch_with) over the box
+    /// `[lo, 1]^input_len` (`lo = 0`: the whole unit box). Each
+    /// pre-activation interval is `bias + sum_j` of the ends of
     /// `w_ij * [lo_j, hi_j]`, widened by [`BOUND_SLACK`] times the terms'
     /// magnitude plus [`BOUND_SLACK`], which covers both the forward's
     /// rounding and this sum's own; each activation bound is padded the
-    /// same way ([`Activation::bounds`]). `None` when a weight, a bias or
-    /// the bound is not finite.
-    pub(crate) fn output_upper_bound(&self) -> Option<f64> {
-        let mut lo = vec![0.0; self.input_len()];
-        let mut hi = vec![1.0; self.input_len()];
+    /// same way ([`Activation::bounds`]). The last interval's top is
+    /// [`OutputBound::hi`]. A backward pass then replaces each activation
+    /// by a line above or below it on its interval
+    /// ([`Activation::linear_bound`]), whichever the sign of its
+    /// coefficient needs, and each pre-activation by its affine form plus
+    /// its widening: the output is at most an affine function of the input
+    /// ([`OutputBound::at`]). `None` when a weight, a bias or a bound is not
+    /// finite.
+    pub(crate) fn output_bound(&self, lo: f64) -> Option<OutputBound> {
+        // Per layer: its input box, and its widened pre-activation
+        // intervals with their widening.
+        let mut boxes = vec![(vec![lo; self.input_len()], vec![1.0; self.input_len()])];
+        let mut pre = Vec::with_capacity(self.depth());
         for layer in &self.layers {
+            let (lo, hi) = &boxes[boxes.len() - 1];
             let rows = layer.biases.len();
-            let (mut next_lo, mut next_hi) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
+            let mut z = Vec::with_capacity(rows);
+            let mut a = (Vec::with_capacity(rows), Vec::with_capacity(rows));
             for (i, &bias) in layer.biases.iter().enumerate() {
                 let (mut z_lo, mut z_hi, mut magnitude) = (bias, bias, bias.abs());
-                for ((&w, &l), &h) in layer.weights.row(i).iter().zip(&lo).zip(&hi) {
+                for ((&w, &l), &h) in layer.weights.row(i).iter().zip(lo).zip(hi) {
                     let (a, b) = (w * l, w * h);
                     z_lo += a.min(b);
                     z_hi += a.max(b);
@@ -230,13 +264,56 @@ impl Network {
                 }
                 let slack = BOUND_SLACK * magnitude + BOUND_SLACK;
                 let (a_lo, a_hi) = layer.activation.bounds(z_lo - slack, z_hi + slack);
-                next_lo.push(a_lo);
-                next_hi.push(a_hi);
+                z.push((z_lo - slack, z_hi + slack, slack));
+                a.0.push(a_lo);
+                a.1.push(a_hi);
             }
-            lo = next_lo;
-            hi = next_hi;
+            pre.push(z);
+            boxes.push(a);
         }
-        Some(hi[0]).filter(|y| y.is_finite())
+        let hi = boxes[self.depth()].1[0];
+        // Backward: output 0 is at most `lambda . a + c` for every `a` in
+        // the box of layer `d`'s output, then of its input. `magnitude`
+        // sums every term's size, so its `BOUND_SLACK` share covers this
+        // pass's rounding.
+        let mut lambda = vec![0.0; self.output_len()];
+        lambda[0] = 1.0;
+        let (mut c, mut magnitude) = (0.0, 0.0);
+        for d in (0..self.depth()).rev() {
+            let layer = &self.layers[d];
+            let mut mu = vec![0.0; layer.biases.len()];
+            for (j, &(z_lo, z_hi, slack)) in pre[d].iter().enumerate() {
+                let (slope, intercept) =
+                    layer.activation.linear_bound(z_lo, z_hi, lambda[j] >= 0.0);
+                // The forward's activation is off the curve by a few ulps.
+                let pad =
+                    BOUND_SLACK * (intercept.abs() + slope * z_lo.abs().max(z_hi.abs()) + 1.0);
+                mu[j] = lambda[j] * slope;
+                let terms = [
+                    lambda[j] * intercept,
+                    lambda[j].abs() * pad,
+                    mu[j] * layer.biases[j],
+                    mu[j].abs() * slack,
+                ];
+                c += terms.iter().sum::<f64>();
+                magnitude += terms.iter().map(|t| t.abs()).sum::<f64>()
+                    + mu[j].abs() * z_lo.abs().max(z_hi.abs());
+            }
+            let (lo, hi) = &boxes[d];
+            lambda = vec![0.0; lo.len()];
+            for (j, &m) in mu.iter().enumerate().filter(|(_, &m)| m != 0.0) {
+                for (k, &w) in layer.weights.row(j).iter().enumerate() {
+                    lambda[k] += m * w;
+                    magnitude += (m * w).abs() * lo[k].abs().max(hi[k].abs());
+                }
+            }
+        }
+        let intercept = c + BOUND_SLACK * magnitude + BOUND_SLACK;
+        (hi.is_finite() && intercept.is_finite()).then_some(OutputBound {
+            hi,
+            slope: lambda,
+            intercept,
+        })
     }
 
     /// Feed-forward evaluation (paper Eq. 5). Returns the output slice.
@@ -358,19 +435,33 @@ impl Network {
         sq_err
     }
 
-    /// Mean squared error of the network over a dataset, without updating
-    /// weights.
-    pub(crate) fn mse(&mut self, inputs: &[Vec<f64>], targets: &[Vec<f64>]) -> f64 {
-        assert_eq!(inputs.len(), targets.len(), "dataset length mismatch");
-        if inputs.is_empty() {
-            return 0.0;
-        }
+    /// Mean squared error of the network over a feature-major batch
+    /// (column `b` of `inputs` against `targets[b]`), without updating
+    /// weights. One [`forward_batch_with`](Self::forward_batch_with)
+    /// serves every example, and the sum runs per example, in order, on
+    /// outputs bit-identical to [`forward`](Self::forward)'s: the result is
+    /// the one-example-at-a-time loop's to the bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` has not one column per target.
+    pub(crate) fn mse(
+        &self,
+        inputs: &Matrix,
+        targets: &[Vec<f64>],
+        scratch: &mut LaneScratch,
+    ) -> f64 {
+        assert_eq!(inputs.cols(), targets.len(), "dataset length mismatch");
+        let y = self.forward_batch_with(inputs, scratch);
         let mut total = 0.0;
-        for (x, t) in inputs.iter().zip(targets) {
-            let y = self.forward(x);
-            total += y.iter().zip(t).map(|(a, b)| (a - b) * (a - b)).sum::<f64>();
+        for (b, t) in targets.iter().enumerate() {
+            total += t
+                .iter()
+                .enumerate()
+                .map(|(i, t)| (y.get(i, b) - t) * (y.get(i, b) - t))
+                .sum::<f64>();
         }
-        total / inputs.len() as f64
+        total / targets.len() as f64
     }
 
     /// Access to a layer's weight matrix (tests, gradient checks).
@@ -471,6 +562,21 @@ mod tests {
         sq_err
     }
 
+    /// Mean squared error one example at a time through
+    /// [`Network::forward`]: the reference [`Network::mse`] is held to.
+    fn mse_per_example(net: &mut Network, inputs: &[Vec<f64>], targets: &[Vec<f64>]) -> f64 {
+        assert_eq!(inputs.len(), targets.len(), "dataset length mismatch");
+        if inputs.is_empty() {
+            return 0.0;
+        }
+        let mut total = 0.0;
+        for (x, t) in inputs.iter().zip(targets) {
+            let y = net.forward(x);
+            total += y.iter().zip(t).map(|(a, b)| (a - b) * (a - b)).sum::<f64>();
+        }
+        total / inputs.len() as f64
+    }
+
     #[test]
     fn forward_output_has_right_shape() {
         let mut net = Network::new(&[3, 5, 2], Activation::Sigmoid, Activation::Identity, 1);
@@ -505,13 +611,13 @@ mod tests {
             .collect();
         let inputs: Vec<Vec<f64>> = data.iter().map(|d| d.0.clone()).collect();
         let targets: Vec<Vec<f64>> = data.iter().map(|d| d.1.clone()).collect();
-        let before = net.mse(&inputs, &targets);
+        let before = mse_per_example(&mut net, &inputs, &targets);
         for _ in 0..200 {
             for (x, t) in inputs.iter().zip(&targets) {
                 net.train_on(x, t, 0.1, 0.0);
             }
         }
-        let after = net.mse(&inputs, &targets);
+        let after = mse_per_example(&mut net, &inputs, &targets);
         assert!(after < before * 0.2, "MSE {before} -> {after} insufficient");
     }
 
@@ -525,7 +631,7 @@ mod tests {
                 net.train_on(x, t, 0.05, 0.9);
             }
         }
-        assert!(net.mse(&inputs, &targets) < 0.01);
+        assert!(mse_per_example(&mut net, &inputs, &targets) < 0.01);
     }
 
     #[test]
@@ -641,6 +747,34 @@ mod tests {
     }
 
     #[test]
+    fn batched_mse_is_bit_identical_to_the_per_example_loop() {
+        // Validation sets of one example, two, and the 43 a Table II fit
+        // on 217 examples holds out, at both CORP shapes, before and after
+        // some training.
+        let (inputs, targets) = window_dataset(60);
+        let shapes: [&[usize]; 2] = [&[6, 50, 50, 50, 50, 1], &[6, 12, 12, 1]];
+        let mut lanes = LaneScratch::new();
+        for sizes in shapes {
+            let mut net = Network::new(sizes, Activation::Sigmoid, Activation::Identity, 29);
+            for epoch in 0..2 {
+                for n in [1, 2, 43] {
+                    let x = Matrix::from_fn(6, n, |r, c| inputs[c][r]);
+                    let batched = net.mse(&x, &targets[..n], &mut lanes);
+                    let looped = mse_per_example(&mut net, &inputs[..n], &targets[..n]);
+                    assert_eq!(
+                        batched.to_bits(),
+                        looped.to_bits(),
+                        "{sizes:?}, epoch {epoch}, {n} examples"
+                    );
+                }
+                for (x, t) in inputs.iter().zip(&targets) {
+                    net.train_on(x, t, crate::train::LEARNING_RATE, crate::train::MOMENTUM);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn fused_train_on_matches_reference_without_momentum() {
         let mut fused = Network::new(&[2, 6, 1], Activation::Sigmoid, Activation::Identity, 21);
         let mut reference = fused.clone();
@@ -712,15 +846,19 @@ mod tests {
         net
     }
 
-    /// The 64 corners of `[0, 1]^6` followed by `random` uniform points, as
-    /// the columns of a feature-major batch.
-    fn unit_box_batch(random: usize, seed: u64) -> Matrix {
+    /// The 64 corners of `[lo, 1]^6` followed by `random` uniform points,
+    /// as the columns of a feature-major batch.
+    fn box_batch(lo: f64, random: usize, seed: u64) -> Matrix {
         let mut rng = StdRng::seed_from_u64(seed);
         Matrix::from_fn(6, 64 + random, |r, c| {
             if c < 64 {
-                ((c >> r) & 1) as f64
+                if (c >> r) & 1 == 1 {
+                    1.0
+                } else {
+                    lo
+                }
             } else {
-                rng.gen_range(0.0..=1.0)
+                rng.gen_range(lo..=1.0)
             }
         })
     }
@@ -733,16 +871,22 @@ mod tests {
             seed in 0u64..u64::MAX,
             table2 in 0u8..2,
             gain_exp in 0i32..3,
+            bucket in 0u32..=16,
         ) {
-            // Table II's shape and `CorpConfig::fast()`'s.
+            // Table II's shape and `CorpConfig::fast()`'s, over the whole
+            // unit box (bucket 0) or one of the predictor's sub-boxes
+            // `[bucket / 16, 1]^6`.
             let sizes: &[usize] = if table2 == 1 { &[6, 50, 50, 50, 50, 1] } else { &[6, 12, 12, 1] };
             let net = random_network(sizes, seed, 10f64.powi(gain_exp));
-            let y_hi = net.output_upper_bound().expect("finite weights have a finite bound");
-            let x = unit_box_batch(192, seed);
+            let lo = f64::from(bucket) / 16.0;
+            let bound = net.output_bound(lo).expect("finite weights have a finite bound");
+            let x = box_batch(lo, 192, seed);
             let mut lanes = LaneScratch::new();
             let y = net.forward_batch_with(&x, &mut lanes);
             for b in 0..x.cols() {
-                prop_assert!(y.get(0, b) <= y_hi, "lane {}: {} > bound {}", b, y.get(0, b), y_hi);
+                let at = bound.at((0..6).map(|r| x.get(r, b)));
+                prop_assert!(y.get(0, b) <= bound.hi, "lane {}: {} > bound {}", b, y.get(0, b), bound.hi);
+                prop_assert!(y.get(0, b) <= at, "lane {}: {} > affine bound {}", b, y.get(0, b), at);
             }
         }
     }
@@ -750,17 +894,17 @@ mod tests {
     #[test]
     fn a_non_finite_weight_has_no_bound() {
         let mut net = random_network(&[6, 12, 12, 1], 5, 1.0);
-        assert!(net.output_upper_bound().is_some());
+        assert!(net.output_bound(0.0).is_some());
         *net.layer_weights_mut(1).get_mut(3, 4) = f64::INFINITY;
-        assert_eq!(net.output_upper_bound(), None);
+        assert!(net.output_bound(0.0).is_none());
         *net.layer_weights_mut(1).get_mut(3, 4) = f64::NAN;
-        assert_eq!(net.output_upper_bound(), None);
+        assert!(net.output_bound(0.0).is_none());
     }
 
     #[test]
     fn mse_of_empty_dataset_is_zero() {
         let mut net = Network::new(&[2, 3, 1], Activation::Sigmoid, Activation::Identity, 1);
-        assert_eq!(net.mse(&[], &[]), 0.0);
+        assert_eq!(mse_per_example(&mut net, &[], &[]), 0.0);
     }
 
     #[test]

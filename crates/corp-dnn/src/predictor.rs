@@ -15,9 +15,16 @@
 //! non-negative (negative unused resource is meaningless).
 
 use crate::matrix::{Matrix, TILE_LANES};
-use crate::network::{LaneScratch, Network, Scratch};
+use crate::network::{LaneScratch, Network, OutputBound, Scratch};
 use crate::train::{TrainConfig, TrainReport, Trainer};
 use std::ops::Range;
+
+/// Buckets of a normalized window's minimum: bucket `b` holds the windows
+/// whose every coordinate lies in `[b / MIN_BUCKETS, 1]`, and bucket
+/// `MIN_BUCKETS` the constant windows (all coordinates 1), whose output is
+/// one known value. A power of two, so a query's bucket index rounds
+/// nothing (see [`UnusedResourcePredictor::upper_bound`]).
+const MIN_BUCKETS: usize = 16;
 
 /// Reusable buffers for [`UnusedResourcePredictor::predict_with`]: the
 /// assembled input window plus the network's activation scratch. One per
@@ -44,6 +51,8 @@ impl PredictScratch {
 #[derive(Debug, Clone, Default)]
 pub struct PredictBatchScratch {
     window: Vec<f64>,
+    /// The lanes that take the forward, in lane order.
+    forwarded: Vec<usize>,
     input: Option<Matrix>,
     net: LaneScratch,
 }
@@ -92,11 +101,19 @@ pub struct UnusedResourcePredictor {
     config: WindowPredictorConfig,
     net: Network,
     trained: bool,
-    /// After [`fit`](Self::fit), an upper bound on the network's normalized
-    /// output over every window in `[0, 1]^window`
-    /// (`Network::output_upper_bound`); `None` before, or when no finite
-    /// bound exists.
-    y_hi: Option<f64>,
+    /// After [`fit`](Self::fit), `y_hi[b]` bounds the network's normalized
+    /// output over every window in `[b / MIN_BUCKETS, 1]^window`
+    /// (`Network::output_bound`), non-increasing in `b`; the last
+    /// box is the one point `(1, …, 1)`, and its entry is the output there.
+    /// `None` before, or when a box has no finite bound.
+    y_hi: Option<[f64; MIN_BUCKETS + 1]>,
+    /// After [`fit`](Self::fit), the bounds of the boxes `0..MIN_BUCKETS`,
+    /// whose affine parts bound the output at each window.
+    boxes: Vec<OutputBound>,
+    /// After [`fit`](Self::fit), the network's output at `(1, …, 1)`, the
+    /// normalized form of every constant window, from the same forward
+    /// every lane takes.
+    at_ones: f64,
     /// Scratch for the owned-access [`predict`](Self::predict) entry point.
     scratch: PredictScratch,
 }
@@ -127,6 +144,8 @@ impl UnusedResourcePredictor {
             net,
             trained: false,
             y_hi: None,
+            at_ones: f64::NAN,
+            boxes: Vec::new(),
             scratch: PredictScratch::new(),
         }
     }
@@ -173,8 +192,31 @@ impl UnusedResourcePredictor {
         let report =
             Trainer::new(self.config.train.clone()).train(&mut self.net, &inputs, &targets);
         self.trained = true;
-        self.y_hi = self.net.output_upper_bound();
+        self.at_ones = self.net.forward_with(&vec![1.0; w], &mut Scratch::new())[0];
+        self.boxes = (0..MIN_BUCKETS)
+            .map_while(|b| self.net.output_bound(b as f64 / MIN_BUCKETS as f64))
+            .collect();
+        self.y_hi = Self::bucket_bounds(&self.boxes, self.at_ones);
         Some(report)
+    }
+
+    /// The constant bound of each minimum bucket's box. Box `b` lies inside
+    /// every box before it, so each entry keeps the tightest bound found
+    /// so far: in exact arithmetic a sub-box is never looser, and the
+    /// running minimum makes that true of the rounded bounds too. The
+    /// last box is a point, so its entry is the output there, `at_ones`.
+    /// `None` unless every other box has a bound.
+    fn bucket_bounds(boxes: &[OutputBound], at_ones: f64) -> Option<[f64; MIN_BUCKETS + 1]> {
+        if boxes.len() < MIN_BUCKETS {
+            return None;
+        }
+        let mut y_hi = [at_ones; MIN_BUCKETS + 1];
+        let mut tightest = f64::INFINITY;
+        for (y, bound) in y_hi.iter_mut().zip(boxes) {
+            tightest = tightest.min(bound.hi);
+            *y = tightest;
+        }
+        Some(y_hi)
     }
 
     /// Per-example normalization scale: the window maximum, floored so an
@@ -226,26 +268,48 @@ impl UnusedResourcePredictor {
     }
 
     /// An upper bound on [`predict_with`](Self::predict_with)`(recent)`,
-    /// without the forward: `(y_hi * scale).max(0.0)` with `scale` the
-    /// query window's normalization scale. A window of non-negative values
-    /// normalizes into `[0, 1]^window`, where the network's output is at
-    /// most `y_hi`, and `predict_with` maps the output through the same
-    /// two non-decreasing steps. `None` when untrained, without a finite
-    /// `y_hi`, or when the window holds a negative (or NaN) value.
+    /// without the forward: `(y * scale).max(0.0)` with `scale` the query
+    /// window's normalization scale, `b` the bucket of its normalized
+    /// minimum, `floor(MIN_BUCKETS * (min / scale))`, and `y` the smaller
+    /// of `y_hi[b]` and box `b`'s affine bound at the normalized window.
+    /// Rounded division is monotone, so `min / scale` is exactly the
+    /// smallest coordinate the forward sees, and scaling by a power of two
+    /// rounds nothing: every coordinate of a window of non-negative values
+    /// lies in `[b / MIN_BUCKETS, 1]`, where both bound the network's
+    /// output, and `predict_with` maps the output through the same two
+    /// non-decreasing steps. `None` when untrained, without a finite
+    /// bound, or when the window holds a negative (or NaN) value.
     ///
     /// # Panics
     ///
     /// Panics if `recent` is empty.
     pub fn upper_bound(&self, recent: &[f64]) -> Option<f64> {
         assert!(!recent.is_empty(), "need at least one recent observation");
-        let y_hi = self.y_hi?;
+        let y_hi = self.y_hi.as_ref()?;
         // The query window's values: the last `window` samples, or the
         // whole series when left-padding repeats its first value.
-        let window = &recent[recent.len().saturating_sub(self.config.window)..];
+        let w = self.config.window;
+        let window = &recent[recent.len().saturating_sub(w)..];
         if !window.iter().all(|&v| v >= 0.0) {
             return None;
         }
-        Some((y_hi * Self::window_scale(window)).max(0.0))
+        let scale = Self::window_scale(window);
+        let min = window.iter().copied().fold(f64::INFINITY, f64::min);
+        let bucket = (MIN_BUCKETS as f64 * (min / scale)) as usize;
+        let mut y = y_hi[bucket];
+        if let Some(bound) = self.boxes.get(bucket) {
+            // The forward's input, left-padding included.
+            let pad = w - window.len();
+            y = y.min(bound.at((0..w).map(|j| window[j.saturating_sub(pad)] / scale)));
+        }
+        Some((y * scale).max(0.0))
+    }
+
+    /// The constant bound over the whole unit box, `y_hi[0]`: no window's
+    /// normalized bound in [`upper_bound`](Self::upper_bound) exceeds it.
+    /// `None` when [`upper_bound`](Self::upper_bound) has no bound.
+    pub fn unit_box_bound(&self) -> Option<f64> {
+        self.y_hi.map(|y_hi| y_hi[0])
     }
 
     /// Assembles the query window of a non-empty `recent` series — its last
@@ -267,7 +331,9 @@ impl UnusedResourcePredictor {
     /// in `out[b]`. Each lane's window is assembled and scaled exactly as
     /// `predict_with` does, straight into one feature-major input batch;
     /// one blocked forward serves every lane, so `out[b]` is bit-identical
-    /// to `predict_with` on lane `b` alone, whatever the lane count. The
+    /// to `predict_with` on lane `b` alone, whatever the lane count. A
+    /// constant window normalizes to `(1, …, 1)` and takes the output the
+    /// fit kept for that point instead of a forward: the same bits. The
     /// untrained predictor returns per-lane persistence.
     ///
     /// # Panics
@@ -293,10 +359,25 @@ impl UnusedResourcePredictor {
             }
             return;
         }
-        if lanes.is_empty() {
+        let w = self.config.window;
+        let forwarded = &mut scratch.forwarded;
+        forwarded.clear();
+        for (b, (o, lane)) in out.iter_mut().zip(lanes).enumerate() {
+            // Left-padding repeats the series' first value, which the
+            // suffix holds: the padded window has the suffix's values.
+            let recent = series(lane);
+            let window = &recent[recent.len().saturating_sub(w)..];
+            let scale = Self::window_scale(window);
+            if window.iter().all(|v| v / scale == 1.0) {
+                *o = (self.at_ones * scale).max(0.0);
+            } else {
+                forwarded.push(b);
+            }
+        }
+        let n = forwarded.len();
+        if n == 0 {
             return;
         }
-        let (w, n) = (self.config.window, lanes.len());
         // Zero lanes pad the batch to whole register tiles: a short tile
         // costs as much as a full one, and lanes never mix. One lane
         // stays one (the forward's dot-product path).
@@ -308,19 +389,19 @@ impl UnusedResourcePredictor {
         let input = scratch.input.get_or_insert_with(|| Matrix::zeros(w, cols));
         input.reshape(w, cols);
         let x = input.as_mut_slice();
-        for (b, (o, lane)) in out.iter_mut().zip(lanes).enumerate() {
+        for (c, &b) in forwarded.iter().enumerate() {
             // `out[b]` carries the lane's scale until the forward is done.
-            *o = Self::fill_window(series(lane), w, &mut scratch.window);
+            out[b] = Self::fill_window(series(&lanes[b]), w, &mut scratch.window);
             for (j, v) in scratch.window.iter().enumerate() {
-                x[j * cols + b] = v / *o;
+                x[j * cols + c] = v / out[b];
             }
         }
         for row in x.chunks_exact_mut(cols) {
             row[n..].fill(0.0);
         }
         let y = self.net.forward_batch_with(input, &mut scratch.net);
-        for (o, &y) in out.iter_mut().zip(y.row(0)) {
-            *o = (y * *o).max(0.0);
+        for (&b, &y) in forwarded.iter().zip(y.row(0)) {
+            out[b] = (y * out[b]).max(0.0);
         }
     }
 }
@@ -455,6 +536,41 @@ mod tests {
         p
     }
 
+    /// A window of 6 raw values at `scale` whose normalized minimum is
+    /// `m` (exactly, when `scale` is a power of two), with the maximum
+    /// `scale` at `max_at`, the minimum at another position (none when
+    /// `m` is 1) and the rest uniform between the two.
+    fn window_with(m: f64, scale: f64, max_at: usize, rng: &mut StdRng) -> Vec<f64> {
+        let min_at = (max_at + 1 + rng.gen_range(0..5usize)) % 6;
+        (0..6)
+            .map(|t| {
+                if t == max_at {
+                    scale
+                } else if t == min_at {
+                    m * scale
+                } else {
+                    scale * rng.gen_range(m..=1.0)
+                }
+            })
+            .collect()
+    }
+
+    /// The bucket `upper_bound` must read for `recent`: the largest `b`
+    /// with every normalized coordinate the forward sees at least
+    /// `b / MIN_BUCKETS`.
+    fn tightest_bucket(recent: &[f64], window: usize) -> usize {
+        let mut scratch = Vec::new();
+        let scale = UnusedResourcePredictor::fill_window(recent, window, &mut scratch);
+        (0..=MIN_BUCKETS)
+            .rev()
+            .find(|&b| {
+                scratch
+                    .iter()
+                    .all(|v| v / scale >= b as f64 / MIN_BUCKETS as f64)
+            })
+            .expect("bucket 0 holds every non-negative window")
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -463,35 +579,68 @@ mod tests {
             seed in 0u64..u64::MAX,
             table2 in 0u8..2,
             scale in 1e-3f64..1e3,
+            exp in -20i32..20,
         ) {
             let p = if table2 == 1 { trained(6, 50, 4, seed) } else { trained(6, 12, 2, seed) };
             let y_hi = p.y_hi.expect("a trained network has a finite bound");
-            // Forward outputs over the normalized box: its 64 corners and
-            // uniform points.
+            // Forward outputs over each bucket's box, its 64 corners and
+            // uniform points, against its constant and affine bounds.
             let mut rng = StdRng::seed_from_u64(!seed);
-            let x = Matrix::from_fn(6, 256, |r, c| {
-                if c < 64 { ((c >> r) & 1) as f64 } else { rng.gen_range(0.0..=1.0) }
-            });
             let mut lanes = LaneScratch::new();
-            let y = p.net.forward_batch_with(&x, &mut lanes);
-            for b in 0..x.cols() {
-                prop_assert!(y.get(0, b) <= y_hi, "lane {}: {} > {}", b, y.get(0, b), y_hi);
-            }
-            // Predictions on raw non-negative series of every length.
-            let mut scratch = PredictScratch::new();
-            for len in 1..=9 {
-                for corner in 0..8usize {
-                    let recent: Vec<f64> = (0..len)
-                        .map(|t| match (corner >> (t % 3)) & 1 {
-                            0 if t % 2 == 0 => 0.0,
-                            0 => scale * rng.gen_range(0.0..=1.0),
-                            _ => scale,
-                        })
-                        .collect();
-                    let bound = p.upper_bound(&recent).expect("a non-negative window is bounded");
-                    let got = p.predict_with(&recent, &mut scratch);
-                    prop_assert!(got <= bound, "{:?}: {} > {}", recent, got, bound);
+            for (b, &bound) in y_hi.iter().enumerate() {
+                let lo = b as f64 / MIN_BUCKETS as f64;
+                let x = Matrix::from_fn(6, 128, |r, c| match c {
+                    0..64 if (c >> r) & 1 == 1 => 1.0,
+                    0..64 => lo,
+                    _ => rng.gen_range(lo..=1.0),
+                });
+                let y = p.net.forward_batch_with(&x, &mut lanes);
+                for c in 0..x.cols() {
+                    let at = p.boxes.get(b).map_or(bound, |bound| bound.at((0..6).map(|r| x.get(r, c))));
+                    prop_assert!(y.get(0, c) <= bound.min(at), "box {} lane {}: {} > {} or {}", b, c, y.get(0, c), bound, at);
                 }
+            }
+            // Raw windows whose normalized minimum lies on each bucket's
+            // lower edge (exact at a power-of-two scale) and inside it, the
+            // maximum at every position, behind three older samples the
+            // window ignores; and every suffix shorter than the window,
+            // left-padded by the prediction.
+            let mut scratch = PredictScratch::new();
+            let mut check = |recent: &[f64]| -> Result<(), TestCaseError> {
+                let bound = p.upper_bound(recent).expect("a non-negative window is bounded");
+                let bucket = tightest_bucket(recent, 6);
+                let got = p.predict_with(recent, &mut scratch);
+                prop_assert!(got <= bound, "{:?}: {} > {}", recent, got, bound);
+                if bucket == MIN_BUCKETS {
+                    prop_assert_eq!(got.to_bits(), bound.to_bits(), "{:?}: a constant window's bound is its prediction", recent);
+                }
+                let mut window = Vec::new();
+                let scale = UnusedResourcePredictor::fill_window(recent, 6, &mut window);
+                let y = p.boxes.get(bucket).map_or(y_hi[bucket], |b| y_hi[bucket].min(b.at(window.iter().map(|v| v / scale))));
+                prop_assert_eq!(bound.to_bits(), (y * scale).max(0.0).to_bits(), "{:?}: not bucket {}", recent, bucket);
+                Ok(())
+            };
+            for raw_scale in [scale, 2f64.powi(exp)] {
+                for b in 0..=MIN_BUCKETS {
+                    let edge = b as f64 / MIN_BUCKETS as f64;
+                    let inside = if b < MIN_BUCKETS { rng.gen_range(edge..edge + 1.0 / MIN_BUCKETS as f64) } else { 1.0 };
+                    for m in [edge, inside] {
+                        for max_at in 0..6 {
+                            let mut recent = vec![raw_scale * 4.0, -raw_scale, 0.0];
+                            recent.extend(window_with(m, raw_scale, max_at, &mut rng));
+                            for start in 0..recent.len() {
+                                check(&recent[start..])?;
+                            }
+                        }
+                    }
+                }
+            }
+            // All-zero windows (scale 1e-9, no coordinate at 1) and windows
+            // below that floor.
+            for len in 1..=9 {
+                check(&vec![0.0; len])?;
+                let tiny: Vec<f64> = (0..len).map(|t| (t % 3) as f64 * 4e-10).collect();
+                check(&tiny)?;
             }
         }
     }

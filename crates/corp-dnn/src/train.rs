@@ -8,7 +8,8 @@
 //! below `TOLERANCE` for `PATIENCE` consecutive epochs (or a hard epoch
 //! cap is reached).
 
-use crate::network::Network;
+use crate::matrix::Matrix;
+use crate::network::{LaneScratch, Network};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -66,8 +67,9 @@ pub struct Trainer {
 
 /// What [`Trainer::split`] hands back: the RNG mid-stream (so per-epoch
 /// shuffles continue the same sequence), the training-set order, and the
-/// held-out validation inputs and targets.
-type Split = (StdRng, Vec<usize>, Vec<Vec<f64>>, Vec<Vec<f64>>);
+/// held-out validation inputs (feature-major, one column per example) and
+/// targets.
+type Split = (StdRng, Vec<usize>, Matrix, Vec<Vec<f64>>);
 
 impl Trainer {
     /// Creates a trainer.
@@ -98,13 +100,14 @@ impl Trainer {
     ) -> TrainReport {
         let (mut rng, mut train_order, val_inputs, val_targets) = self.split(inputs, targets);
         let mut stop = Convergence::default();
+        let mut lanes = LaneScratch::new();
 
         for _epoch in 0..self.config.max_epochs {
             train_order.shuffle(&mut rng);
             for &i in &train_order {
                 net.train_on(&inputs[i], &targets[i], LEARNING_RATE, MOMENTUM);
             }
-            let val_mse = net.mse(&val_inputs, &val_targets);
+            let val_mse = net.mse(&val_inputs, &val_targets, &mut lanes);
             if stop.record(val_mse) {
                 break;
             }
@@ -130,7 +133,8 @@ impl Trainer {
             "dataset too small for the validation split"
         );
 
-        let val_inputs: Vec<Vec<f64>> = val_idx.iter().map(|&i| inputs[i].clone()).collect();
+        let val_inputs =
+            Matrix::from_fn(inputs[0].len(), val_idx.len(), |r, c| inputs[val_idx[c]][r]);
         let val_targets: Vec<Vec<f64>> = val_idx.iter().map(|&i| targets[i].clone()).collect();
         (rng, train_idx.to_vec(), val_inputs, val_targets)
     }

@@ -198,9 +198,15 @@ proptest! {
         let mut lanes = Vec::new();
         for (i, series) in serieses.iter().enumerate() {
             let start = flat.len();
-            // Every fifth series is all zeros; elsewhere a quarter of the
-            // samples are.
-            flat.extend(series.iter().map(|&(z, v)| if z == 0 || i % 5 == 4 { 0.0 } else { v }));
+            // Every fifth series is all zeros and every seventh else one
+            // repeated value (a constant window, which takes no forward);
+            // elsewhere a quarter of the samples are zeros.
+            flat.extend(series.iter().map(|&(z, v)| match i {
+                _ if i % 5 == 4 => 0.0,
+                _ if i % 7 == 3 => series[0].1,
+                _ if z == 0 => 0.0,
+                _ => v,
+            }));
             lanes.push(start..flat.len());
         }
         let mut out = vec![f64::NAN; lanes.len()];
